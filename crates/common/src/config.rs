@@ -13,7 +13,6 @@
 //! | `GRACEFUL_EPOCHS`         | GNN training epochs | `14` |
 //! | `GRACEFUL_HIDDEN`         | GNN hidden width | `32` |
 //! | `GRACEFUL_SEED`           | global seed | `20250331` (the arXiv date) |
-//! | `GRACEFUL_UDF_BACKEND`    | UDF execution backend: `treewalk`, `vm` or `simd` | `treewalk` |
 //! | `GRACEFUL_UDF_BATCH`      | rows per batch fed to the UDF VM | `1024` |
 //! | `GRACEFUL_THREADS`        | worker threads of the morsel-driven runtime (`graceful-runtime`) | all cores |
 //! | `GRACEFUL_MORSEL`         | rows per morsel in parallel operators | `2048` |
@@ -25,12 +24,11 @@
 //! | `GRACEFUL_VERIFY`         | bytecode verification of every compiled UDF: `strict` or `off` (bench-only) | `strict` |
 //! | `GRACEFUL_PLAN_VERIFY`    | static plan verification before lowering: `strict` or `off` (bench-only) | `strict` |
 //!
-//! `GRACEFUL_SCALE`, `GRACEFUL_UDF_BACKEND`, `GRACEFUL_UDF_BATCH`,
-//! `GRACEFUL_THREADS`, `GRACEFUL_MORSEL`, `GRACEFUL_EXEC`,
-//! `GRACEFUL_GNN_EXEC`, `GRACEFUL_PROFILE`, `GRACEFUL_TRACE`,
-//! `GRACEFUL_FLIGHT`, `GRACEFUL_VERIFY` and `GRACEFUL_PLAN_VERIFY` are
-//! validated strictly: an unknown
-//! backend name, a non-positive/unparsable thread, batch or morsel count, a
+//! `GRACEFUL_SCALE`, `GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
+//! `GRACEFUL_MORSEL`, `GRACEFUL_EXEC`, `GRACEFUL_GNN_EXEC`,
+//! `GRACEFUL_PROFILE`, `GRACEFUL_TRACE`, `GRACEFUL_FLIGHT`, `GRACEFUL_VERIFY`
+//! and `GRACEFUL_PLAN_VERIFY` are validated strictly: an unknown
+//! mode name, a non-positive/unparsable thread, batch or morsel count, a
 //! non-finite or non-positive data scale, an
 //! unrecognized boolean or an empty trace/flight path is
 //! a hard error (listing the valid options), not a silent fallback — a typo
@@ -44,62 +42,57 @@
 //!
 //! These environment variables are only *defaults*: the engine is configured
 //! programmatically through `graceful_exec::Session` / `ExecOptions`, which
-//! resolve the environment exactly once (via [`UdfBackend::try_from_env`] and
-//! the `try_*_from_env` helpers here) and surface invalid values as typed
-//! `GracefulError::Config` errors. This module is the **only** place in the
-//! workspace that reads `GRACEFUL_*` variables.
+//! resolve the environment exactly once (via the `try_*_from_env` helpers
+//! here) and surface invalid values as typed `GracefulError::Config` errors.
+//! This module is the **only** place in the workspace that reads `GRACEFUL_*`
+//! variables.
+//!
+//! The UDF backend is not among them: the engine ships one production UDF
+//! path ([`UdfBackend::Simd`]) and the other two backends are differential
+//! oracles selected programmatically (`ExecOptions::udf_backend`). The
+//! variable that used to choose between them is rejected when set
+//! ([`reject_udf_backend_env`]), not silently ignored.
 
 /// Which UDF evaluation backend the execution engine uses.
 ///
-/// Both backends produce identical values and identical accounted work (the
-/// differential property suite enforces it), so experiments are reproducible
-/// under either; the flag exists so results can always be pinned to the
-/// reference tree-walker while the vectorized VM serves the hot paths.
+/// All three produce identical values and identical accounted work (the
+/// differential suites enforce it). [`UdfBackend::Simd`] is the one shipped
+/// path; [`UdfBackend::Vm`] and [`UdfBackend::TreeWalk`] stay selectable
+/// through `ExecOptions::udf_backend` only, as the oracles those suites
+/// compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UdfBackend {
     /// Reference tree-walking interpreter (`graceful-udf::interp`).
-    #[default]
     TreeWalk,
     /// Bytecode compiler + vectorized batch VM (`graceful-udf::vm`).
     Vm,
     /// Batch VM with the typed columnar fast path (`graceful-udf::simd`):
     /// straight-line numeric segments execute column-at-a-time over unboxed
-    /// lanes; diverging or non-numeric rows fall back to the per-row VM.
+    /// lanes; diverging or non-numeric rows, and UDFs with no columnar path
+    /// at all, fall back to the per-row VM.
+    #[default]
     Simd,
 }
 
-impl UdfBackend {
-    /// Parse a backend name (`treewalk` | `vm` | `simd`, case insensitive,
-    /// plus the aliases below). Unknown names are an error listing the valid
-    /// options.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "vm" | "bytecode" => Ok(UdfBackend::Vm),
-            "treewalk" | "tree_walk" | "interp" => Ok(UdfBackend::TreeWalk),
-            "simd" | "columnar" => Ok(UdfBackend::Simd),
-            other => Err(format!(
-                "invalid GRACEFUL_UDF_BACKEND `{other}`: valid values are \
-                 `treewalk` (aliases `tree_walk`, `interp`), `vm` (alias `bytecode`) \
-                 and `simd` (alias `columnar`)"
-            )),
-        }
+/// `GRACEFUL_UDF_BACKEND` left the environment surface when the backend
+/// stopped being a user choice. `value` is the variable as found (`None` =
+/// unset, the only accepted state): an experiment script that still sets it
+/// must fail loudly instead of believing it pinned a backend.
+pub fn reject_udf_backend_env(value: Option<&std::ffi::OsStr>) -> Result<(), String> {
+    match value {
+        None => Ok(()),
+        Some(v) => Err(format!(
+            "GRACEFUL_UDF_BACKEND is set (`{}`) but is no longer read: the engine ships one \
+             UDF path (`simd`, per-row VM fallback); select the `vm`/`treewalk` oracles \
+             programmatically with `ExecOptions::udf_backend` and unset the variable",
+            v.to_string_lossy()
+        )),
     }
+}
 
-    /// Resolve from `GRACEFUL_UDF_BACKEND`; unset means the default, an
-    /// unknown value is an error (see [`UdfBackend::parse`]).
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("GRACEFUL_UDF_BACKEND") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Ok(UdfBackend::default()),
-        }
-    }
-
-    /// [`UdfBackend::try_from_env`], panicking on invalid values — a
-    /// misconfigured experiment must fail loudly at startup, not silently
-    /// run the wrong backend.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
+/// [`reject_udf_backend_env`] applied to the process environment.
+pub fn try_udf_backend_env_unset() -> Result<(), String> {
+    reject_udf_backend_env(std::env::var_os("GRACEFUL_UDF_BACKEND").as_deref())
 }
 
 /// Whether compiled UDF bytecode is statically verified before execution.
@@ -513,18 +506,16 @@ mod tests {
     // tests would race the rest of the (multi-threaded) suite.
 
     #[test]
-    fn backend_parses_known_names_and_rejects_unknown() {
-        assert_eq!(UdfBackend::parse("vm"), Ok(UdfBackend::Vm));
-        assert_eq!(UdfBackend::parse(" ByteCode "), Ok(UdfBackend::Vm));
-        assert_eq!(UdfBackend::parse("treewalk"), Ok(UdfBackend::TreeWalk));
-        assert_eq!(UdfBackend::parse("interp"), Ok(UdfBackend::TreeWalk));
-        assert_eq!(UdfBackend::parse("simd"), Ok(UdfBackend::Simd));
-        assert_eq!(UdfBackend::parse(" Columnar "), Ok(UdfBackend::Simd));
-        let err = UdfBackend::parse("fast").unwrap_err();
-        assert!(
-            err.contains("treewalk") && err.contains("vm") && err.contains("simd"),
-            "lists options: {err}"
-        );
+    fn backend_defaults_to_simd_and_its_env_knob_is_rejected() {
+        assert_eq!(UdfBackend::default(), UdfBackend::Simd);
+        assert_eq!(reject_udf_backend_env(None), Ok(()));
+        for set in ["vm", "simd", ""] {
+            let err = reject_udf_backend_env(Some(std::ffi::OsStr::new(set))).unwrap_err();
+            assert!(
+                err.contains("GRACEFUL_UDF_BACKEND") && err.contains("ExecOptions::udf_backend"),
+                "names the knob and its replacement: {err}"
+            );
+        }
     }
 
     #[test]

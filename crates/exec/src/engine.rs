@@ -161,10 +161,12 @@ impl ExecConfig {
     }
 
     /// [`ExecConfig::base`] with the documented `GRACEFUL_*` environment
-    /// defaults applied (`GRACEFUL_UDF_BACKEND`, `GRACEFUL_UDF_BATCH`,
-    /// `GRACEFUL_THREADS`, `GRACEFUL_MORSEL`, `GRACEFUL_EXEC`,
-    /// `GRACEFUL_PROFILE`, `GRACEFUL_PLAN_VERIFY`, `GRACEFUL_SCALE`).
-    /// Invalid values are a typed [`GracefulError::Config`], not a panic.
+    /// defaults applied (`GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
+    /// `GRACEFUL_MORSEL`, `GRACEFUL_EXEC`, `GRACEFUL_PROFILE`,
+    /// `GRACEFUL_PLAN_VERIFY`, `GRACEFUL_SCALE`). Invalid values are a typed
+    /// [`GracefulError::Config`], not a panic. The UDF backend has no
+    /// environment default: a set variable of its removed knob is a `Config`
+    /// error too (see `config::reject_udf_backend_env`).
     ///
     /// `GRACEFUL_TRACE` and `GRACEFUL_FLIGHT` are also resolved here: a
     /// valid path arms the global span-trace collector / query flight
@@ -173,6 +175,7 @@ impl ExecConfig {
     /// every other knob.
     pub fn from_env() -> Result<Self> {
         let cfg = GracefulError::Config;
+        config::try_udf_backend_env_unset().map_err(cfg)?;
         if let Some(path) = config::try_trace_from_env().map_err(cfg)? {
             trace::configure(&path);
         }
@@ -180,7 +183,6 @@ impl ExecConfig {
             graceful_obs::flight::configure(&path);
         }
         Ok(ExecConfig {
-            udf_backend: UdfBackend::try_from_env().map_err(cfg)?,
             udf_batch_size: config::try_udf_batch_from_env().map_err(cfg)?,
             threads: config::try_threads_from_env().map_err(cfg)?,
             morsel_rows: config::try_morsel_from_env().map_err(cfg)?,

@@ -73,7 +73,10 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// UDF evaluation backend (all backends are bit-identical).
+    /// UDF evaluation backend. Unset means the shipped path,
+    /// [`UdfBackend::Simd`]; `Vm` and `TreeWalk` are the bit-identical
+    /// oracles the differential suites pin here (there is no environment
+    /// knob for this).
     pub fn udf_backend(mut self, backend: UdfBackend) -> Self {
         self.udf_backend = Some(backend);
         self
@@ -293,7 +296,7 @@ mod tests {
     #[test]
     fn builder_overrides_and_defaults() {
         let s = ExecOptions::new()
-            .udf_backend(UdfBackend::Simd)
+            .udf_backend(UdfBackend::Vm)
             .udf_batch_size(77)
             .threads(3)
             .morsel_rows(128)
@@ -303,7 +306,7 @@ mod tests {
             .build()
             .unwrap();
         let c = s.config();
-        assert_eq!(c.udf_backend, UdfBackend::Simd);
+        assert_eq!(c.udf_backend, UdfBackend::Vm);
         assert_eq!(c.udf_batch_size, 77);
         assert_eq!(c.threads, 3);
         assert_eq!(c.morsel_rows, 128);
@@ -359,7 +362,8 @@ mod tests {
     #[test]
     fn base_session_is_pure_and_valid() {
         let s = Session::new();
-        assert_eq!(s.config().udf_backend, UdfBackend::TreeWalk);
+        assert_eq!(s.config().udf_backend, UdfBackend::Simd);
+        assert_eq!(ExecOptions::new().build().unwrap().config().udf_backend, UdfBackend::Simd);
         assert_eq!(s.config().mode, ExecMode::Pipeline);
         assert!(s.config().threads >= 1);
     }

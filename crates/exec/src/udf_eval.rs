@@ -8,6 +8,11 @@
 //! on [`UdfBackend`] beyond asking [`UdfEvalSpec`] for a fresh evaluator; a
 //! future backend plugs in here without touching the operators.
 //!
+//! `SimdEval` — typed lanes, with `VmEval` serving UDFs that have no columnar
+//! path or read a `Text` column — is what every default-configured session
+//! runs. `TreewalkEval` and a forced `VmEval` are reachable only through
+//! `ExecOptions::udf_backend`, as the oracles of the differential suites.
+//!
 //! # The bit-identity contract
 //!
 //! [`UdfEval::eval_rows`] receives one *morsel* of row ids and a fresh `work`
@@ -293,8 +298,9 @@ impl<'a> UdfEvalSpec<'a> {
     }
 }
 
-/// Reference backend: the slot-table tree-walking interpreter, one row at a
-/// time, work accounted per row.
+/// Oracle backend: the slot-table tree-walking interpreter, one row at a
+/// time, work accounted per row. The only non-test use of [`Interpreter`] in
+/// the plan/exec/core layers.
 struct TreewalkEval<'a> {
     interp: Interpreter,
     /// Argument gather buffer, reused across rows.

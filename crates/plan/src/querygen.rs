@@ -13,7 +13,7 @@ use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
 use graceful_udf::ast::CmpOp;
-use graceful_udf::{GeneratedUdf, Interpreter, UdfGenerator};
+use graceful_udf::{compile, GeneratedUdf, UdfGenerator, Vm};
 use std::sync::Arc;
 
 /// How the UDF appears in the query.
@@ -294,15 +294,22 @@ fn calibrate_literal(
         return Ok((CmpOp::Le, 0.0));
     }
     let cols: Vec<_> = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<Vec<_>>>()?;
-    let mut interp = Interpreter::default();
+    // Compiled once, then one `Vm::eval` per sampled row: it mirrors the
+    // tree-walker's values and per-row errors exactly, so every literal
+    // keeps its bits.
+    let prog = compile(&udf.def)?;
+    let mut vm = Vm::default();
+    let mut args: Vec<Value> = Vec::with_capacity(cols.len());
     let mut outputs: Vec<f64> = Vec::with_capacity(sample.min(n));
     for _ in 0..sample.min(n) {
         let row = rng.range(0..n);
-        let args: Vec<Value> = cols.iter().map(|c| c.value(row)).collect();
+        args.clear();
+        args.extend(cols.iter().map(|c| c.value(row)));
         // Adaptations are applied by the corpus builder before labelling;
         // during calibration a NULL arg simply yields a NULL output we skip.
-        if let Ok(out) = interp.eval(&udf.def, &args) {
-            if let Some(v) = out.value.as_f64() {
+        // A NaN output can never satisfy `<= literal`, so it is no candidate.
+        if let Ok(out) = vm.eval(&prog, &args) {
+            if let Some(v) = out.value.as_f64().filter(|v| !v.is_nan()) {
                 outputs.push(v);
             }
         }
@@ -310,7 +317,7 @@ fn calibrate_literal(
     if outputs.is_empty() {
         return Ok((CmpOp::Le, 0.0));
     }
-    outputs.sort_by(|a, b| a.partial_cmp(b).expect("finite udf outputs"));
+    outputs.sort_by(|a, b| a.partial_cmp(b).expect("NaN outputs dropped above"));
     let idx = ((outputs.len() - 1) as f64 * target).round() as usize;
     Ok((CmpOp::Le, outputs[idx.min(outputs.len() - 1)]))
 }
@@ -355,6 +362,9 @@ mod tests {
     use super::*;
     use crate::variants::{build_plan, UdfPlacement};
     use graceful_storage::datagen::{generate, schema};
+    use graceful_storage::{Column, ColumnData, Table};
+    use graceful_udf::generator::apply_adaptations;
+    use graceful_udf::{parse_udf, Interpreter};
 
     fn db() -> Database {
         generate(&schema("tpc_h"), 0.03, 5)
@@ -496,6 +506,89 @@ mod tests {
             assert!((sel - target).abs() < 0.35, "selectivity {sel} too far from target {target}");
             return;
         }
+    }
+
+    /// `calibrate_literal` as it was on the tree-walker (minus the panic on a
+    /// NaN output), the oracle for the compiled path.
+    fn calibrate_literal_oracle(
+        db: &Database,
+        udf: &GeneratedUdf,
+        target: f64,
+        sample: usize,
+        rng: &mut Rng,
+    ) -> (CmpOp, f64) {
+        let t = db.table(&udf.table).unwrap();
+        let n = t.num_rows();
+        let cols: Vec<_> = udf.input_columns.iter().map(|c| t.column(c).unwrap()).collect();
+        let mut interp = Interpreter::default();
+        let mut outputs: Vec<f64> = Vec::new();
+        for _ in 0..sample.min(n) {
+            let row = rng.range(0..n);
+            let args: Vec<Value> = cols.iter().map(|c| c.value(row)).collect();
+            if let Ok(out) = interp.eval(&udf.def, &args) {
+                outputs.extend(out.value.as_f64());
+            }
+        }
+        if outputs.is_empty() {
+            return (CmpOp::Le, 0.0);
+        }
+        outputs.sort_by(|a, b| a.partial_cmp(b).expect("finite udf outputs"));
+        let idx = ((outputs.len() - 1) as f64 * target).round() as usize;
+        (CmpOp::Le, outputs[idx.min(outputs.len() - 1)])
+    }
+
+    /// Over the `plan_lint` corpus (same schemas, scale, seeds, adaptations
+    /// applied as it goes): the compiled calibration returns the oracle's
+    /// literal bit for bit and leaves the generator's RNG where the oracle
+    /// leaves it — `calibrate_literal` is the only place `generate` touches
+    /// UDF evaluation, so every `QuerySpec` is unchanged.
+    #[test]
+    fn compiled_calibration_keeps_every_literal_of_the_lint_corpus() {
+        let g = QueryGenerator::default();
+        let mut compared = 0usize;
+        for name in ["tpc_h", "imdb", "ssb", "airline", "baseball", "movielens"] {
+            let mut db = generate(&schema(name), 0.02, 7);
+            for seed in 0..250u64 {
+                let Ok(spec) = g.generate(&db, seed, &mut Rng::seed(seed)) else { continue };
+                let Some(u) = &spec.udf else { continue };
+                if apply_adaptations(&mut db, &u.adaptations).is_err() {
+                    continue;
+                }
+                let target = spec.target_udf_selectivity;
+                let (mut a, mut b) = (Rng::seed(seed), Rng::seed(seed));
+                let sample = g.config.calibration_sample;
+                let (op, lit) = calibrate_literal(&db, u, target, sample, &mut a).unwrap();
+                let (want_op, want) = calibrate_literal_oracle(&db, u, target, sample, &mut b);
+                assert_eq!((op, lit.to_bits()), (want_op, want.to_bits()), "{name}/{seed}");
+                assert_eq!(a.range(0..u64::MAX), b.range(0..u64::MAX), "{name}/{seed}: rng drift");
+                compared += 1;
+            }
+        }
+        assert!(compared > 1000, "only {compared} UDFs calibrated");
+    }
+
+    /// A NaN cell flowing through `return x0` used to panic the literal
+    /// sort; NaN can never satisfy `<= literal`, so it is no candidate.
+    #[test]
+    fn nan_udf_outputs_are_skipped_not_sorted() {
+        let x: Vec<f64> = (0..64).map(|r| if r % 2 == 0 { f64::NAN } else { r as f64 }).collect();
+        let cols = vec![
+            Column::new("x", ColumnData::Float(x)),
+            Column::new("all_nan", ColumnData::Float(vec![f64::NAN; 64])),
+        ];
+        let db = Database::new("nandb", vec![Table::new("t", cols).unwrap()]);
+        let udf = |column: &str| GeneratedUdf {
+            def: parse_udf("def f(x0):\n    return x0\n").unwrap(),
+            source: String::new(),
+            table: "t".into(),
+            input_columns: vec![column.into()],
+            adaptations: vec![],
+        };
+        let (op, lit) = calibrate_literal(&db, &udf("x"), 0.5, 240, &mut Rng::seed(1)).unwrap();
+        assert_eq!(op, CmpOp::Le);
+        assert!((1.0..=63.0).contains(&lit), "literal {lit} is a sampled non-NaN output");
+        let none = calibrate_literal(&db, &udf("all_nan"), 0.5, 240, &mut Rng::seed(1)).unwrap();
+        assert_eq!(none, (CmpOp::Le, 0.0));
     }
 
     #[test]

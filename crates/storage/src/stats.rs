@@ -16,7 +16,6 @@ use crate::column::{Column, ColumnData};
 use crate::table::Table;
 use crate::types::{DataType, Value};
 use graceful_common::{GracefulError, Result};
-use std::collections::HashMap;
 
 /// Number of equi-depth buckets per histogram.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -34,19 +33,35 @@ pub struct Histogram {
 
 impl Histogram {
     /// Build from raw (unsorted) values. Returns `None` when fewer than two
-    /// distinct values exist — the caller falls back to min/max/NDV logic.
+    /// finite values exist — the caller falls back to min/max/NDV logic.
     pub fn build(mut values: Vec<f64>) -> Option<Self> {
         values.retain(|v| v.is_finite());
-        if values.len() < 2 {
+        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        Self::from_sorted_runs(values.len(), values.iter().map(|&v| (v, 1)))
+    }
+
+    /// [`Histogram::build`] over run-length input: `runs` yields each finite
+    /// value in ascending order with how many of the `n` rows hold it. Bound
+    /// `i` is the value at rank `i·(n-1)/buckets` of the expanded sequence,
+    /// found by walking the runs once instead of materializing every row.
+    fn from_sorted_runs(n: usize, runs: impl IntoIterator<Item = (f64, usize)>) -> Option<Self> {
+        if n < 2 {
             return None;
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let n = values.len();
         let buckets = HISTOGRAM_BUCKETS.min(n - 1).max(1);
         let mut bounds = Vec::with_capacity(buckets + 1);
+        let mut runs = runs.into_iter();
+        // `covered` rows lie in the runs consumed so far; `value` is the last
+        // of them.
+        let (mut value, mut covered) = (0.0, 0usize);
         for i in 0..=buckets {
             let rank = (i * (n - 1)) / buckets;
-            bounds.push(values[rank]);
+            while covered <= rank {
+                let (v, rows) = runs.next().expect("runs cover all n rows");
+                value = v;
+                covered += rows;
+            }
+            bounds.push(value);
         }
         Some(Histogram { bounds })
     }
@@ -115,82 +130,95 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Compute statistics from column data (a one-pass `ANALYZE`).
+    /// Compute statistics from column data (`ANALYZE`).
+    ///
+    /// Counting runs on the native key of each representation — no per-row
+    /// `String`, no per-row [`Value`]: plain vectors contribute one `(key, 1)`
+    /// per non-NULL row, dictionaries one counter per code, RLE one add per
+    /// run; `tally` sorts and coalesces them. Statistics are identical on
+    /// every representation of the same values.
     pub fn compute(column: &Column) -> Self {
-        let num_rows = column.len();
-        let null_fraction = column.null_fraction();
-        let mut numeric: Vec<f64> = Vec::new();
-        let mut text_len_sum = 0.0;
-        let mut text_count = 0usize;
-        // NDV + MCV via exact counting (tables are in-memory; no sketch needed).
-        let mut counts: HashMap<String, (Value, usize)> = HashMap::new();
-        for row in 0..num_rows {
-            if column.is_null(row) {
-                continue;
+        let nulls = column.nulls.as_slice();
+        let int_stats = |t: Vec<(i64, usize)>| {
+            Self::assemble(column, &t, Value::Int, Numeric::of_sorted(&t, |k| k as f64))
+        };
+        let text_stats = |t: Vec<(&str, usize)>| {
+            let (chars, rows) =
+                t.iter().fold((0, 0), |(c, n), &(s, rows)| (c + s.len() * rows, n + rows));
+            ColumnStats {
+                avg_text_len: if rows > 0 { chars as f64 / rows as f64 } else { 0.0 },
+                ..Self::assemble(column, &t, |s| Value::Text(s.to_string()), Numeric::NONE)
             }
-            match &column.data {
-                ColumnData::Float(v) => {
-                    numeric.push(v[row]);
-                    // Bucket floats by bit pattern for NDV purposes.
-                    counts
-                        .entry(v[row].to_bits().to_string())
-                        .or_insert((Value::Float(v[row]), 0))
-                        .1 += 1;
-                }
-                ColumnData::Bool(v) => {
-                    numeric.push(v[row] as u8 as f64);
-                    counts.entry(v[row].to_string()).or_insert((Value::Bool(v[row]), 0)).1 += 1;
-                }
-                // Int/Text in any representation (plain, dictionary, RLE):
-                // the per-row accessors decode, so ANALYZE over an encoded
-                // column produces byte-identical statistics.
-                data => {
-                    if let Some(s) = data.str_at(row) {
-                        text_len_sum += s.len() as f64;
-                        text_count += 1;
-                        counts
-                            .entry(s.to_string())
-                            .or_insert_with(|| (Value::Text(s.to_string()), 0))
-                            .1 += 1;
-                    } else {
-                        let x = data.int_at(row).expect("int representation");
-                        numeric.push(x as f64);
-                        counts.entry(x.to_string()).or_insert((Value::Int(x), 0)).1 += 1;
-                    }
-                }
+        };
+        match &column.data {
+            ColumnData::Int(v) => int_stats(tally(plain_rows(v.iter().copied(), nulls), Ord::cmp)),
+            ColumnData::DictInt { codes, dict } => {
+                int_stats(tally(dict_rows(codes, nulls, dict.iter().copied()), Ord::cmp))
+            }
+            ColumnData::RleInt { starts, values, len } => {
+                let run_rows = values.iter().enumerate().map(|(i, &v)| {
+                    let end = starts.get(i + 1).map_or(*len, |&s| s as usize);
+                    (v, nulls[starts[i] as usize..end].iter().filter(|&&null| !null).count())
+                });
+                int_stats(tally(run_rows, Ord::cmp))
+            }
+            ColumnData::Bool(v) => {
+                let t = tally(plain_rows(v.iter().copied(), nulls), Ord::cmp);
+                Self::assemble(column, &t, Value::Bool, Numeric::of_sorted(&t, |b| b as u8 as f64))
+            }
+            ColumnData::Float(v) => {
+                // Distinct bit patterns count as distinct values (NaN
+                // payloads, ±0.0), in `total_cmp` order. Min/max/histogram
+                // keep the row-order fold and stable sort: where ±0.0 meet
+                // they, unlike a walk over the tally, depend on row order.
+                let rows: Vec<f64> = plain_rows(v.iter().copied(), nulls).map(|(x, _)| x).collect();
+                let t = tally(rows.iter().map(|&x| (x, 1)), f64::total_cmp);
+                Self::assemble(column, &t, Value::Float, Numeric::of_rows(rows))
+            }
+            ColumnData::Text(v) => {
+                text_stats(tally(plain_rows(v.iter().map(String::as_str), nulls), Ord::cmp))
+            }
+            ColumnData::DictText { codes, dict } => text_stats(tally(
+                dict_rows(codes, nulls, dict.iter().map(String::as_str)),
+                Ord::cmp,
+            )),
+        }
+    }
+
+    /// Everything that is the same for every key type (`avg_text_len` is
+    /// left 0), from the column's `tally`: distinct non-NULL keys ascending,
+    /// with row counts.
+    fn assemble<K: Copy>(
+        column: &Column,
+        tally: &[(K, usize)],
+        to_value: impl Fn(K) -> Value,
+        numeric: Numeric,
+    ) -> Self {
+        let non_null: usize = tally.iter().map(|&(_, rows)| rows).sum();
+        // Most common first; keys arrive ascending and an equal count never
+        // displaces an earlier one, so ties break on the typed key order —
+        // a total order, unlike `Value::compare` (which widens to `f64`).
+        let mut top: Vec<(K, usize)> = Vec::with_capacity(MCV_ENTRIES + 1);
+        for &(key, rows) in tally {
+            let pos = top.partition_point(|&(_, r)| r >= rows);
+            if pos < MCV_ENTRIES {
+                top.insert(pos, (key, rows));
+                top.truncate(MCV_ENTRIES);
             }
         }
-        let non_null = counts.values().map(|(_, c)| *c).sum::<usize>().max(1);
-        let ndv = counts.len();
-        let mut freq: Vec<(Value, f64)> =
-            counts.into_values().map(|(v, c)| (v, c as f64 / non_null as f64)).collect();
-        // Tie-break equal frequencies on the value itself: `counts` is a
-        // HashMap, so without a total order the MCV list would depend on
-        // iteration order and ANALYZE would be nondeterministic run-to-run.
-        freq.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("finite freq")
-                .then_with(|| a.0.compare(&b.0).unwrap_or(std::cmp::Ordering::Equal))
-        });
-        freq.truncate(MCV_ENTRIES);
-        let (min, max) = if numeric.is_empty() {
-            (0.0, 0.0)
-        } else {
-            numeric
-                .iter()
-                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-        };
+        let mcv =
+            top.into_iter().map(|(k, rows)| (to_value(k), rows as f64 / non_null as f64)).collect();
         ColumnStats {
             name: column.name.clone(),
             data_type: column.data_type(),
-            num_rows,
-            null_fraction,
-            ndv,
-            min: if min.is_finite() { min } else { 0.0 },
-            max: if max.is_finite() { max } else { 0.0 },
-            histogram: Histogram::build(numeric),
-            mcv: freq,
-            avg_text_len: if text_count > 0 { text_len_sum / text_count as f64 } else { 0.0 },
+            num_rows: column.len(),
+            null_fraction: column.null_fraction(),
+            ndv: tally.len(),
+            min: numeric.min,
+            max: numeric.max,
+            histogram: numeric.histogram,
+            mcv,
+            avg_text_len: 0.0,
         }
     }
 
@@ -198,6 +226,88 @@ impl ColumnStats {
     pub fn mcv_frequency(&self, value: &Value) -> Option<f64> {
         self.mcv.iter().find(|(v, _)| v == value).map(|(_, f)| *f)
     }
+}
+
+/// The numeric third of a [`ColumnStats`]: min, max (0.0 when there is no
+/// finite one) and the equi-depth histogram.
+struct Numeric {
+    min: f64,
+    max: f64,
+    histogram: Option<Histogram>,
+}
+
+impl Numeric {
+    /// Text columns have no numeric summary.
+    const NONE: Numeric = Numeric { min: 0.0, max: 0.0, histogram: None };
+
+    /// From a column's tally (distinct keys ascending, with row counts).
+    /// Integer and boolean columns only: every value is finite and equal
+    /// `f64`s are bit-equal, so the walk gives exactly what sorting every
+    /// row would.
+    fn of_sorted<K: Copy>(tally: &[(K, usize)], to_f64: impl Fn(K) -> f64) -> Numeric {
+        let n = tally.iter().map(|&(_, rows)| rows).sum();
+        let runs = tally.iter().map(|&(k, rows)| (to_f64(k), rows));
+        Numeric {
+            min: tally.first().map_or(0.0, |&(k, _)| to_f64(k)),
+            max: tally.last().map_or(0.0, |&(k, _)| to_f64(k)),
+            histogram: Histogram::from_sorted_runs(n, runs),
+        }
+    }
+
+    /// From the non-NULL values in row order.
+    fn of_rows(rows: Vec<f64>) -> Numeric {
+        let (min, max) = rows
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        Numeric {
+            min: if min.is_finite() { min } else { 0.0 },
+            max: if max.is_finite() { max } else { 0.0 },
+            histogram: Histogram::build(rows),
+        }
+    }
+}
+
+/// `(value, 1)` for every non-NULL row of a plain vector.
+fn plain_rows<'a, T: 'a>(
+    values: impl Iterator<Item = T> + 'a,
+    nulls: &'a [bool],
+) -> impl Iterator<Item = (T, usize)> + 'a {
+    values.zip(nulls).filter(|(_, &null)| !null).map(|(v, _)| (v, 1))
+}
+
+/// `(dictionary entry, non-NULL rows holding its code)`: one counter per
+/// code, so the per-row work is an indexed add.
+fn dict_rows<T>(
+    codes: &[u32],
+    nulls: &[bool],
+    dict: impl ExactSizeIterator<Item = T>,
+) -> impl Iterator<Item = (T, usize)> {
+    let mut per_code = vec![0usize; dict.len()];
+    for (&code, &null) in codes.iter().zip(nulls) {
+        per_code[code as usize] += usize::from(!null);
+    }
+    dict.zip(per_code)
+}
+
+/// Distinct keys in ascending `cmp` order, each with the sum of its weights
+/// (keys of weight 0 — all-NULL runs, unused dictionary entries — dropped).
+/// Sorting replaces a hash table: the order is the deterministic MCV
+/// tie-break and the histogram walk for free, and keys that arrive sorted
+/// (a serial primary key) cost one pass.
+fn tally<K: Copy>(
+    weighted: impl Iterator<Item = (K, usize)>,
+    cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
+) -> Vec<(K, usize)> {
+    let mut runs: Vec<(K, usize)> = weighted.filter(|&(_, rows)| rows > 0).collect();
+    runs.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
+    runs.dedup_by(|next, kept| {
+        let same = cmp(&next.0, &kept.0).is_eq();
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    runs
 }
 
 /// Statistics for a whole table.
@@ -277,6 +387,26 @@ mod tests {
         assert!((s.mcv[0].1 - 0.6).abs() < 1e-12);
         assert_eq!(s.mcv_frequency(&Value::Int(2)), Some(0.2));
         assert_eq!(s.mcv_frequency(&Value::Int(42)), None);
+    }
+
+    /// `i64::MAX` and `i64::MAX - 1` are one `f64`, so a tie-break through
+    /// `Value::compare` left their MCV order to hash-map iteration.
+    #[test]
+    fn mcv_order_is_deterministic_on_f64_equal_ties() {
+        let data: Vec<i64> = [i64::MAX, i64::MAX - 1].repeat(8);
+        let col = Column::new("x", ColumnData::Int(data));
+        let want = vec![(Value::Int(i64::MAX - 1), 0.5), (Value::Int(i64::MAX), 0.5)];
+        for _ in 0..32 {
+            assert_eq!(ColumnStats::compute(&col).mcv, want);
+        }
+    }
+
+    #[test]
+    fn histogram_from_runs_equals_histogram_from_rows() {
+        let runs = [(-3.0, 5usize), (0.5, 1), (2.0, 70), (9.0, 2)];
+        let rows: Vec<f64> = runs.iter().flat_map(|&(v, n)| vec![v; n]).collect();
+        assert_eq!(Histogram::from_sorted_runs(rows.len(), runs), Histogram::build(rows));
+        assert_eq!(Histogram::from_sorted_runs(1, [(4.0, 1)]), None);
     }
 
     #[test]

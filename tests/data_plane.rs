@@ -12,11 +12,15 @@
 //!   generated corpus queries and on hand-built adversarial zones (NaN
 //!   runs, `i64::MIN`/`i64::MAX` keys, all-NULL morsels, NULL/text/NaN
 //!   literals).
+//!
+//! A third guards `ANALYZE`: counting on typed keys (one counter per
+//! dictionary code, one add per RLE run) yields bit for bit the statistics
+//! of the boxed per-row implementation it replaced, kept here as the oracle.
 
 use graceful::exec::QueryRun;
 use graceful::plan::{AggFunc, Plan, PlanOp, PlanOpKind, Pred};
 use graceful::prelude::*;
-use graceful::storage::{Column, ColumnData, Table, ZONE_ROWS};
+use graceful::storage::{Column, ColumnData, ColumnStats, Histogram, Table, ZONE_ROWS};
 use graceful::udf::ast::CmpOp;
 use graceful::udf::generator::apply_adaptations;
 use proptest::prelude::*;
@@ -293,4 +297,217 @@ fn pruning_handles_adversarial_zone_edges() {
     }
     let after = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
     assert!(after > before, "adversarial preds never pruned a morsel");
+}
+
+/// `ANALYZE` as it was before counting moved to typed keys: one `String`
+/// hash key and one boxed `Value` per non-NULL row through the decoding
+/// accessors, every numeric row sorted for the histogram. Kept as the oracle
+/// for `ColumnStats::compute`. One line differs from the old code: equal
+/// frequencies tie-break on the typed key (as the shipped code does) because
+/// the old `Value::compare` tie-break fell through to hash-map order on keys
+/// it cannot tell apart (`i64`s beyond 2^53, NaN payloads, ±0.0).
+fn analyze_oracle(column: &Column) -> ColumnStats {
+    use std::collections::HashMap;
+    let mut numeric: Vec<f64> = Vec::new();
+    let (mut text_len_sum, mut text_count) = (0.0, 0usize);
+    let mut counts: HashMap<String, (Value, usize)> = HashMap::new();
+    for row in (0..column.len()).filter(|&r| !column.is_null(r)) {
+        let (key, value) = match &column.data {
+            ColumnData::Float(v) => {
+                numeric.push(v[row]);
+                (v[row].to_bits().to_string(), Value::Float(v[row]))
+            }
+            ColumnData::Bool(v) => {
+                numeric.push(v[row] as u8 as f64);
+                (v[row].to_string(), Value::Bool(v[row]))
+            }
+            data => match data.str_at(row) {
+                Some(s) => {
+                    text_len_sum += s.len() as f64;
+                    text_count += 1;
+                    (s.to_string(), Value::Text(s.to_string()))
+                }
+                None => {
+                    let x = data.int_at(row).expect("int representation");
+                    numeric.push(x as f64);
+                    (x.to_string(), Value::Int(x))
+                }
+            },
+        };
+        counts.entry(key).or_insert((value, 0)).1 += 1;
+    }
+    let non_null = counts.values().map(|(_, c)| *c).sum::<usize>().max(1);
+    let ndv = counts.len();
+    let mut freq: Vec<(Value, f64)> =
+        counts.into_values().map(|(v, c)| (v, c as f64 / non_null as f64)).collect();
+    freq.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1).expect("finite freq").then_with(|| match (&a.0, &b.0) {
+            (Value::Int(x), Value::Int(y)) => x.cmp(y),
+            (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
+            (Value::Text(x), Value::Text(y)) => x.cmp(y),
+            (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+            other => unreachable!("one column, one type: {other:?}"),
+        })
+    });
+    freq.truncate(graceful::storage::stats::MCV_ENTRIES);
+    let (min, max) = numeric
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+    ColumnStats {
+        name: column.name.clone(),
+        data_type: column.data_type(),
+        num_rows: column.len(),
+        null_fraction: column.null_fraction(),
+        ndv,
+        min: if min.is_finite() { min } else { 0.0 },
+        max: if max.is_finite() { max } else { 0.0 },
+        histogram: Histogram::build(numeric),
+        mcv: freq,
+        avg_text_len: if text_count > 0 { text_len_sum / text_count as f64 } else { 0.0 },
+    }
+}
+
+/// Field-by-field, floats by bit pattern (`Debug` would print every NaN
+/// payload alike; the histogram holds finite bounds only, where `Debug` is
+/// lossless and tells -0.0 from 0.0).
+fn assert_stats_bit_identical(got: &ColumnStats, want: &ColumnStats, what: &str) {
+    assert_eq!(got.name, want.name, "{what}");
+    assert_eq!(got.data_type, want.data_type, "{what}");
+    assert_eq!((got.num_rows, got.ndv), (want.num_rows, want.ndv), "{what}: rows/ndv");
+    for (g, w, field) in [
+        (got.null_fraction, want.null_fraction, "null_fraction"),
+        (got.min, want.min, "min"),
+        (got.max, want.max, "max"),
+        (got.avg_text_len, want.avg_text_len, "avg_text_len"),
+    ] {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: {field} {g} vs {w}");
+    }
+    assert_eq!(format!("{:?}", got.histogram), format!("{:?}", want.histogram), "{what}");
+    let bits = |mcv: &[(Value, f64)]| -> Vec<(String, u64)> {
+        mcv.iter()
+            .map(|(v, f)| match v {
+                Value::Float(x) => (format!("f{:016x}", x.to_bits()), f.to_bits()),
+                other => (format!("{other:?}"), f.to_bits()),
+            })
+            .collect()
+    };
+    assert_eq!(bits(&got.mcv), bits(&want.mcv), "{what}: mcv");
+}
+
+/// `compute` on the column as built, on its `encoded()` form and on its
+/// plain decoding all equal the oracle.
+fn assert_analyze_matches_oracle(column: &Column, what: &str) {
+    let want = analyze_oracle(column);
+    assert_stats_bit_identical(&ColumnStats::compute(column), &want, what);
+    let mut other = column.clone();
+    other.data = column.data.to_plain();
+    assert_stats_bit_identical(&ColumnStats::compute(&other), &want, &format!("{what} (plain)"));
+    other.encode();
+    assert_stats_bit_identical(&ColumnStats::compute(&other), &want, &format!("{what} (encoded)"));
+}
+
+/// Typed `ANALYZE` equals the boxed oracle on every column of all 20
+/// schemas — as generated (dictionary/RLE-encoded where that pays), decoded
+/// and re-encoded.
+#[test]
+fn typed_analyze_matches_the_boxed_oracle_on_every_schema() {
+    let mut kinds = std::collections::HashSet::new();
+    for (i, name) in DATASET_NAMES.iter().enumerate() {
+        let db = generate(&schema(name), 0.25, 40 + i as u64);
+        for t in db.tables() {
+            for c in t.columns() {
+                kinds.insert(std::mem::discriminant(&c.data));
+                assert_analyze_matches_oracle(c, &format!("{name}.{}.{}", t.name, c.name));
+            }
+        }
+    }
+    assert!(kinds.len() >= 5, "the schemas should cover plain, dictionary and RLE columns");
+}
+
+/// Hand-built columns aimed at every place the typed and the boxed count
+/// could part ways: NULL runs, all-NULL, empty, NaN payloads of both signs,
+/// ±0.0 interleaved, ±inf, `i64::MIN`/`MAX` (equal as `f64` to their
+/// neighbours), dictionaries carrying a duplicate and an unused entry,
+/// single-run RLE, an RLE run that is NULL throughout, frequency ties.
+#[test]
+fn typed_analyze_matches_the_boxed_oracle_on_adversarial_columns() {
+    let n = 600;
+    let every = |k: usize| (0..n).map(|r| r % k == 0).collect::<Vec<bool>>();
+    let floats: Vec<f64> = (0..n)
+        .map(|r| match r % 10 {
+            0 => f64::NAN,
+            1 => f64::from_bits(0x7ff8_0000_0000_0001),
+            2 => -f64::NAN,
+            3 => 0.0,
+            4 => -0.0,
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            7 => 1e300,
+            _ => (r % 7) as f64 - 3.0,
+        })
+        .collect();
+    let zeros: Vec<f64> = (0..n).map(|r| if r % 3 == 0 { 0.0 } else { -0.0 }).collect();
+    let ints: Vec<i64> = (0..n)
+        .map(|r| match r % 6 {
+            0 => i64::MAX,
+            1 => i64::MAX - 1,
+            2 => i64::MIN,
+            3 => i64::MIN + 1,
+            _ => (r % 5) as i64,
+        })
+        .collect();
+    let texts: Vec<String> = (0..n).map(|r| ["", "a", "ab", "b", ""][r % 5].to_string()).collect();
+    let null_run: Vec<bool> = (0..n).map(|r| (100..400).contains(&r)).collect();
+    let columns = [
+        Column::with_nulls("floats", ColumnData::Float(floats), every(7)),
+        Column::new("zeros", ColumnData::Float(zeros)),
+        Column::with_nulls("only_nan", ColumnData::Float(vec![f64::NAN; 9]), vec![false; 9]),
+        Column::with_nulls("ints", ColumnData::Int(ints.clone()), null_run.clone()),
+        Column::new("ints_no_nulls", ColumnData::Int(ints)),
+        Column::with_nulls("all_null_int", ColumnData::Int(vec![3; n]), vec![true; n]),
+        Column::with_nulls("all_null_text", ColumnData::Text(texts.clone()), vec![true; n]),
+        Column::new("empty_int", ColumnData::Int(vec![])),
+        Column::new("empty_float", ColumnData::Float(vec![])),
+        Column::new("empty_text", ColumnData::Text(vec![])),
+        Column::new("one_row", ColumnData::Int(vec![-7])),
+        Column::with_nulls("texts", ColumnData::Text(texts), every(11)),
+        Column::with_nulls(
+            "bools",
+            ColumnData::Bool((0..n).map(|r| r % 3 == 0).collect()),
+            every(4),
+        ),
+        Column::with_nulls(
+            "dict_int_dup",
+            ColumnData::DictInt {
+                codes: (0..n as u32).map(|r| r % 4).collect(),
+                dict: vec![5, i64::MAX, 5, -1, 77],
+            },
+            every(5),
+        ),
+        Column::with_nulls(
+            "dict_text_dup",
+            ColumnData::DictText {
+                codes: (0..n as u32).map(|r| r % 3).collect(),
+                dict: vec!["x".into(), "yy".into(), "x".into(), "unused".into()],
+            },
+            every(2),
+        ),
+        Column::with_nulls(
+            "rle_single_run",
+            ColumnData::RleInt { starts: vec![0], values: vec![42], len: n },
+            null_run.clone(),
+        ),
+        Column::with_nulls(
+            "rle_null_run",
+            ColumnData::RleInt {
+                starts: vec![0, 100, 400, 401],
+                values: vec![9, i64::MIN, 9, i64::MAX],
+                len: n,
+            },
+            null_run,
+        ),
+    ];
+    for c in &columns {
+        assert_analyze_matches_oracle(c, &c.name);
+    }
 }

@@ -262,3 +262,39 @@ fn runs_below_cap_are_unaffected_by_the_valve() {
     assert_eq!(a.runtime_ns.to_bits(), b.runtime_ns.to_bits());
     assert_eq!(a.agg_value, b.agg_value);
 }
+
+/// What ships is the typed-lane backend: `ExecOptions::new().build()` and
+/// `Session::new()` report `UdfBackend::Simd`, and the environment has no say
+/// in it — a *set* `GRACEFUL_UDF_BACKEND` (the removed knob) fails every
+/// environment-defaulted construction with a typed `Config` error naming the
+/// programmatic replacement instead of being silently ignored.
+///
+/// The environment half runs in a child process (this test re-executed with
+/// the variable set): mutating the environment in-process would race every
+/// other test of this binary.
+#[test]
+fn simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected() {
+    assert_eq!(ExecOptions::new().build().unwrap().config().udf_backend, UdfBackend::Simd);
+    assert_eq!(Session::new().config().udf_backend, UdfBackend::Simd);
+
+    const KNOB: &str = "GRACEFUL_UDF_BACKEND";
+    if std::env::var_os(KNOB).is_some() {
+        for built in [Session::from_env(), ExecOptions::new().threads(1).build_with_env()] {
+            match built {
+                Err(GracefulError::Config(m)) => assert!(
+                    m.contains(KNOB) && m.contains("ExecOptions::udf_backend"),
+                    "message {m:?} names the knob and its replacement"
+                ),
+                other => panic!("a set {KNOB} produced {other:?}"),
+            }
+        }
+        return;
+    }
+    let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", "simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected"])
+        .env(KNOB, "simd")
+        .output()
+        .expect("re-run this test with the knob set");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success() && stdout.contains("1 passed"), "child run: {stdout}");
+}

@@ -17,9 +17,11 @@ use serde::Deserialize;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// The span tracer and the flight recorder are process-global; tests that
-/// enable either serialize on this lock so buffer contents stay
-/// attributable to one test at a time.
+/// The span tracer and the flight recorder are process-global; every test
+/// that executes a query serializes on this lock — the ones that enable a
+/// sink so buffer contents stay attributable to one test at a time, and the
+/// ones that do not because a span they open while another test has tracing
+/// on would close between that test's two flushes.
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -67,6 +69,7 @@ fn profiled(backend: UdfBackend, mode: ExecMode) -> Session {
 /// the UDF operators, and whose explain rendering names every operator.
 #[test]
 fn profiles_cover_every_plan_in_the_suite() {
+    let _g = obs_lock();
     let (db, plans) = suite_plans();
     let mut udf_plans = 0usize;
     for (seed, plan) in &plans {
@@ -147,6 +150,7 @@ fn profiles_cover_every_plan_in_the_suite() {
 /// Profiles are strictly opt-in: a default session attaches none.
 #[test]
 fn profile_is_opt_in() {
+    let _g = obs_lock();
     let (db, plans) = suite_plans();
     let (seed, plan) = &plans[0];
     let run = Session::new().run(&db, plan, *seed).expect("run succeeds");
@@ -220,6 +224,7 @@ fn chrome_trace_export_is_a_valid_event_array() {
 /// histogram.
 #[test]
 fn registry_snapshot_diff_tracks_engine_counters() {
+    let _g = obs_lock();
     let (db, plans) = suite_plans();
     let before = registry::snapshot();
     let mut ran = 0u64;
@@ -232,8 +237,8 @@ fn registry_snapshot_diff_tracks_engine_counters() {
         udf_rows += run.udf_input_rows as u64;
     }
     let delta = registry::snapshot().diff(&before);
-    // Other tests run concurrently in this binary and only ever add, so the
-    // deltas are lower bounds.
+    // Counters only ever add (and the registry is process-global), so the
+    // deltas are checked as lower bounds.
     assert!(delta.counter("exec.queries") >= ran, "exec.queries under-counts");
     assert!(delta.counter("udf.rows") >= udf_rows, "udf.rows under-counts");
     assert!(delta.counter("udf.batches") >= 1);
