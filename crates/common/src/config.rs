@@ -16,7 +16,6 @@
 //! | `GRACEFUL_UDF_BATCH`      | rows per batch fed to the UDF VM | `1024` |
 //! | `GRACEFUL_THREADS`        | worker threads of the morsel-driven runtime (`graceful-runtime`) | all cores |
 //! | `GRACEFUL_MORSEL`         | rows per morsel in parallel operators | `2048` |
-//! | `GRACEFUL_EXEC`           | executor mode: `pipeline` (streaming physical operators) or `materialize` (per-operator materialization) | `pipeline` |
 //! | `GRACEFUL_GNN_EXEC`       | GNN trainer mode: `batched` (level-synchronous) or `node-at-a-time` (reference) | `batched` |
 //! | `GRACEFUL_PROFILE`        | attach a per-operator `ExecProfile` to every `QueryRun`: `1`/`0` (also `true`/`false`, `on`/`off`, `yes`/`no`) | `0` |
 //! | `GRACEFUL_TRACE`          | enable span tracing and write Chrome-trace JSON to this path on flush | off |
@@ -25,7 +24,7 @@
 //! | `GRACEFUL_PLAN_VERIFY`    | static plan verification before lowering: `strict` or `off` (bench-only) | `strict` |
 //!
 //! `GRACEFUL_SCALE`, `GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
-//! `GRACEFUL_MORSEL`, `GRACEFUL_EXEC`, `GRACEFUL_GNN_EXEC`,
+//! `GRACEFUL_MORSEL`, `GRACEFUL_GNN_EXEC`,
 //! `GRACEFUL_PROFILE`, `GRACEFUL_TRACE`, `GRACEFUL_FLIGHT`, `GRACEFUL_VERIFY`
 //! and `GRACEFUL_PLAN_VERIFY` are validated strictly: an unknown
 //! mode name, a non-positive/unparsable thread, batch or morsel count, a
@@ -34,9 +33,8 @@
 //! a hard error (listing the valid options), not a silent fallback — a typo
 //! in an experiment environment must not silently re-run the wrong
 //! configuration. Results never depend on any of them: the runtime merges
-//! per-morsel work in morsel-index order and both executor modes account
-//! work with the same float grouping, so every output is bit-identical for
-//! any thread count, batch size and executor mode — and profiling/tracing
+//! per-morsel work in morsel-index order, so every output is bit-identical
+//! for any thread count and batch size — and profiling/tracing
 //! are write-only observers, so `tests/parallel_determinism.rs` proves they
 //! flip no contracted bit either.
 //!
@@ -47,11 +45,12 @@
 //! This module is the **only** place in the workspace that reads `GRACEFUL_*`
 //! variables.
 //!
-//! The UDF backend is not among them: the engine ships one production UDF
-//! path ([`UdfBackend::Simd`]) and the other two backends are differential
-//! oracles selected programmatically (`ExecOptions::udf_backend`). The
-//! variable that used to choose between them is rejected when set
-//! ([`reject_udf_backend_env`]), not silently ignored.
+//! The UDF backend and the executor mode are not among them: the engine
+//! ships one UDF path ([`UdfBackend::Simd`]) and one driver
+//! ([`ExecMode::Pipeline`]); the alternatives are differential oracles
+//! selected programmatically (`ExecOptions::udf_backend`,
+//! `ExecOptions::mode`). The variables that used to choose between them are
+//! rejected when set ([`try_removed_knobs_unset`]), not silently ignored.
 
 /// Which UDF evaluation backend the execution engine uses.
 ///
@@ -74,25 +73,37 @@ pub enum UdfBackend {
     Simd,
 }
 
-/// `GRACEFUL_UDF_BACKEND` left the environment surface when the backend
-/// stopped being a user choice. `value` is the variable as found (`None` =
-/// unset, the only accepted state): an experiment script that still sets it
-/// must fail loudly instead of believing it pinned a backend.
-pub fn reject_udf_backend_env(value: Option<&std::ffi::OsStr>) -> Result<(), String> {
-    match value {
-        None => Ok(()),
-        Some(v) => Err(format!(
-            "GRACEFUL_UDF_BACKEND is set (`{}`) but is no longer read: the engine ships one \
-             UDF path (`simd`, per-row VM fallback); select the `vm`/`treewalk` oracles \
-             programmatically with `ExecOptions::udf_backend` and unset the variable",
-            v.to_string_lossy()
-        )),
-    }
+/// Variables that left the environment surface when what they selected
+/// stopped being a user choice, each with what to use instead.
+const REMOVED_KNOBS: [(&str, &str); 2] = [
+    (
+        "GRACEFUL_UDF_BACKEND",
+        "the engine ships one UDF path (`simd`, per-row VM fallback); select the \
+         `vm`/`treewalk` oracles programmatically with `ExecOptions::udf_backend`",
+    ),
+    (
+        "GRACEFUL_EXEC",
+        "the engine ships one executor (the streaming pipeline driver); select the \
+         collecting oracle driver programmatically with `ExecOptions::mode`",
+    ),
+];
+
+/// Every removed knob must be unset: an experiment script that still sets
+/// one must fail loudly instead of believing it pinned a backend or a mode.
+pub fn try_removed_knobs_unset() -> Result<(), String> {
+    removed_knobs_unset(|name| std::env::var_os(name))
 }
 
-/// [`reject_udf_backend_env`] applied to the process environment.
-pub fn try_udf_backend_env_unset() -> Result<(), String> {
-    reject_udf_backend_env(std::env::var_os("GRACEFUL_UDF_BACKEND").as_deref())
+fn removed_knobs_unset(var: impl Fn(&str) -> Option<std::ffi::OsString>) -> Result<(), String> {
+    for (name, instead) in REMOVED_KNOBS {
+        if let Some(v) = var(name) {
+            return Err(format!(
+                "{name} is set (`{}`) but is no longer read: {instead} and unset the variable",
+                v.to_string_lossy()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Whether compiled UDF bytecode is statically verified before execution.
@@ -186,43 +197,20 @@ impl PlanVerifyMode {
     }
 }
 
-/// Which execution strategy `graceful_exec`'s `Executor` uses. Both
-/// produce bit-identical `QueryRun`s (values, cardinalities and accounted
-/// work); they differ only in peak memory and code path.
+/// Which driver `graceful_exec`'s `Executor` runs the lowered operator
+/// pipelines with. Both produce bit-identical `QueryRun`s (values,
+/// cardinalities and accounted work); they differ only in peak memory.
+/// Selected programmatically (`ExecOptions::mode`) — there is no
+/// environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Lower the logical plan to a physical-operator pipeline and stream
-    /// fixed-size row batches through it — peak memory is bounded by
-    /// O(batch × pipeline depth) for non-blocking chains.
+    /// Stream fixed-size row batches through each pipeline — peak memory is
+    /// bounded by O(batch × pipeline depth) for non-blocking chains.
     #[default]
     Pipeline,
-    /// The original recursive interpreter: fully materialize every
-    /// intermediate result. Kept as the differential-testing reference.
+    /// Collect every operator's whole output before the next operator runs.
+    /// Kept as the differential-testing oracle.
     Materialize,
-}
-
-impl ExecMode {
-    /// Parse an executor-mode name (`pipeline` | `materialize`, case
-    /// insensitive). Unknown names are an error listing the valid options.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "pipeline" | "push" | "streaming" => Ok(ExecMode::Pipeline),
-            "materialize" | "materialized" | "legacy" => Ok(ExecMode::Materialize),
-            other => Err(format!(
-                "invalid GRACEFUL_EXEC `{other}`: valid values are `pipeline` \
-                 (aliases `push`, `streaming`) and `materialize` (aliases \
-                 `materialized`, `legacy`)"
-            )),
-        }
-    }
-
-    /// Resolve from `GRACEFUL_EXEC`; unset means [`ExecMode::Pipeline`].
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("GRACEFUL_EXEC") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Ok(ExecMode::default()),
-        }
-    }
 }
 
 /// Default rows per batch fed to the UDF VM.
@@ -508,22 +496,24 @@ mod tests {
     #[test]
     fn backend_defaults_to_simd_and_its_env_knob_is_rejected() {
         assert_eq!(UdfBackend::default(), UdfBackend::Simd);
-        assert_eq!(reject_udf_backend_env(None), Ok(()));
-        for set in ["vm", "simd", ""] {
-            let err = reject_udf_backend_env(Some(std::ffi::OsStr::new(set))).unwrap_err();
-            assert!(
-                err.contains("GRACEFUL_UDF_BACKEND") && err.contains("ExecOptions::udf_backend"),
-                "names the knob and its replacement: {err}"
-            );
+        assert_eq!(removed_knobs_unset(|_| None), Ok(()));
+        for (knob, setter) in [
+            ("GRACEFUL_UDF_BACKEND", "ExecOptions::udf_backend"),
+            ("GRACEFUL_EXEC", "ExecOptions::mode"),
+        ] {
+            for set in ["vm", "pipeline", ""] {
+                let err =
+                    removed_knobs_unset(|name| (name == knob).then(|| set.into())).unwrap_err();
+                assert!(
+                    err.contains(knob) && err.contains(setter),
+                    "names the knob and its replacement: {err}"
+                );
+            }
         }
     }
 
     #[test]
-    fn exec_mode_and_batch_parse_and_reject() {
-        assert_eq!(ExecMode::parse("pipeline"), Ok(ExecMode::Pipeline));
-        assert_eq!(ExecMode::parse(" Materialize "), Ok(ExecMode::Materialize));
-        assert_eq!(ExecMode::parse("legacy"), Ok(ExecMode::Materialize));
-        assert!(ExecMode::parse("turbo").unwrap_err().contains("GRACEFUL_EXEC"));
+    fn udf_batch_parses_and_rejects() {
         assert_eq!(parse_udf_batch("37"), Ok(37));
         for bad in ["0", "-1", "", "fast", "2.5"] {
             assert!(parse_udf_batch(bad).is_err(), "batch accepted {bad:?}");

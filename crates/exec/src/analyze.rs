@@ -63,10 +63,14 @@ pub fn is_annotated(plan: &Plan) -> bool {
     plan.ops.iter().any(|o| o.est_out_rows > 0.0)
 }
 
-/// Predicted work units per operator, mirroring the engine's charging
-/// formulas over the plan's *estimated* cardinalities (`est_out_rows`)
-/// instead of the measured ones. Same indexing as `plan.ops`. UDF operators
-/// use the static per-row prior of [`static_udf_row_cost`].
+/// Predicted work units per operator: the executor's own closed-form
+/// charges ([`crate::OperatorWeights::scan`] / `filter` / `join` / `agg` —
+/// the one place each formula is written) evaluated over the plan's
+/// *estimated* cardinalities (`est_out_rows`) instead of the measured ones,
+/// so with exact estimates the prediction equals `QueryRun::op_work` bit for
+/// bit on those operators. Same indexing as `plan.ops`. UDF operators, whose
+/// real cost is data-dependent, use the static per-row prior of
+/// [`static_udf_row_cost`].
 pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
     let w = &config.weights;
     let est = |i: usize| plan.ops[i].est_out_rows;
@@ -74,15 +78,9 @@ pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
         .iter()
         .enumerate()
         .map(|(i, op)| match &op.kind {
-            PlanOpKind::Scan { .. } => est(i) * w.scan_row,
-            PlanOpKind::Filter { preds } => {
-                est(op.children[0]) * preds.len() as f64 * w.filter_pred
-            }
-            PlanOpKind::Join { .. } => {
-                est(op.children[1]) * w.join_build_row
-                    + est(op.children[0]) * w.join_probe_row
-                    + est(i) * w.join_out_row
-            }
+            PlanOpKind::Scan { .. } => w.scan(est(i)),
+            PlanOpKind::Filter { preds } => w.filter(est(op.children[0]), preds.len()),
+            PlanOpKind::Join { .. } => w.join(est(op.children[1]), est(op.children[0]), est(i)),
             PlanOpKind::UdfFilter { udf, .. } => {
                 let row =
                     static_udf_row_cost(&udf.def, udf.input_columns.len(), &config.udf_weights);
@@ -93,7 +91,7 @@ pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
                     static_udf_row_cost(&udf.def, udf.input_columns.len(), &config.udf_weights);
                 est(op.children[0]) * (row + w.project_row)
             }
-            PlanOpKind::Agg { .. } => est(op.children[0]) * w.agg_row,
+            PlanOpKind::Agg { .. } => w.agg(est(op.children[0])),
         })
         .collect()
 }

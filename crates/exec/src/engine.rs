@@ -1,41 +1,42 @@
-//! Plan execution with exact work accounting.
+//! Executor configuration, results and the single entry point.
 //!
-//! [`Executor::run`] dispatches on [`ExecConfig::mode`]: the default
-//! [`ExecMode::Pipeline`] lowers the plan to the physical-operator pipeline
-//! of [`crate::physical`] and streams batches through it, while
-//! [`ExecMode::Materialize`] runs this module's original recursive
-//! interpreter, which fully materializes every intermediate result. Both
-//! produce bit-identical [`QueryRun`]s (values, cardinalities, accounted
-//! work) — the differential suite enforces it — so the materializing path is
-//! kept as the executable reference semantics.
+//! [`Executor::run`] verifies the plan and hands it to the one executor,
+//! [`crate::physical::execute`]: the plan is lowered to physical-operator
+//! pipelines and driven either by streaming morsel batches through each
+//! chain (the default [`ExecMode::Pipeline`]) or by collecting every
+//! operator's whole output before the next one runs
+//! ([`ExecMode::Materialize`], the differential suites' oracle driver).
+//! Both drivers run the same operators and produce bit-identical
+//! [`QueryRun`]s (values, cardinalities, accounted work).
+//!
+//! This module also owns what every operator shares: [`OperatorWeights`]
+//! with the closed-form work charges (written once, called by the operators
+//! over measured rows and by [`crate::analyze::estimated_work`] over
+//! estimated ones), the `AggState` fold and the runtime jitter.
 //!
 //! # Parallelism
 //!
 //! Every data-plane operator runs on the morsel-driven pool of
 //! `graceful-runtime`: rows are split into `morsel_rows`-row morsels
 //! (`GRACEFUL_MORSEL`), workers pull morsels from a shared queue, and
-//! per-morsel results — scanned row ids, kept rows, projected values, join
-//! output chunks, aggregate partials, accounted work — merge in
-//! morsel-index order. Hash joins build and probe the radix-partitioned
-//! index of `crate::join`; filters over identity scans skip whole morsels
-//! via the zone maps of `crate::prune`. Work totals are grouped *per
-//! morsel* regardless of the thread count, so every `QueryRun` field is
-//! **bit-identical for any `GRACEFUL_THREADS` value** (enforced by
-//! `tests/parallel_determinism.rs`).
+//! per-morsel results — kept rows, projected values, join output chunks,
+//! aggregate partials, accounted work — merge in morsel-index order. Hash
+//! joins build and probe the radix-partitioned index of `crate::join`;
+//! filters over identity scans skip whole morsels via the zone maps of
+//! `crate::prune`. Work totals are grouped *per morsel* regardless of the
+//! thread count, so every `QueryRun` field is **bit-identical for any
+//! `GRACEFUL_THREADS` value** (enforced by `tests/parallel_determinism.rs`).
 //! Each worker owns its UDF evaluation state through the [`crate::udf_eval`]
 //! layer: one tree-walking interpreter, or one batch VM whose register file
 //! is preallocated once and reused across all morsels the worker pulls.
 
 use crate::profile::ExecProfile;
-use crate::udf_eval::{record_udf_metrics, UdfEvalSpec, UdfEvalStats};
 use graceful_common::config::{self, ExecMode, PlanVerifyMode, UdfBackend};
 use graceful_common::{GracefulError, Result};
 use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
-use graceful_plan::analysis::join_keep_lanes;
-use graceful_plan::{AggFunc, ColRef, Plan, PlanOpKind, PredFold, RewriteSet};
-use graceful_runtime::Pool;
-use graceful_storage::{Database, Table, Value};
+use graceful_plan::{AggFunc, Plan};
+use graceful_storage::Database;
 use graceful_udf::CostWeights;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -72,6 +73,35 @@ impl Default for OperatorWeights {
     }
 }
 
+/// The closed-form work charges of the relational operators. Each formula —
+/// and its float association, which the bit-identity contract depends on —
+/// is written here once: the scan source, `FilterExec`, `ProbeExec` and
+/// `AggExec` call these over measured row counts, and
+/// [`crate::analyze::estimated_work`] over estimated ones.
+impl OperatorWeights {
+    /// A scan of `rows` base-table rows.
+    pub fn scan(&self, rows: f64) -> f64 {
+        rows * self.scan_row
+    }
+
+    /// A conjunctive filter over `rows` input rows. `n_preds` is the
+    /// *logical* predicate count: folded predicates cost the same as
+    /// evaluated ones, which keeps constant folding invisible to accounting.
+    pub fn filter(&self, rows: f64, n_preds: usize) -> f64 {
+        rows * n_preds as f64 * self.filter_pred
+    }
+
+    /// A hash join: build side rows, probe side rows, output rows.
+    pub fn join(&self, build: f64, probe: f64, out: f64) -> f64 {
+        build * self.join_build_row + probe * self.join_probe_row + out * self.join_out_row
+    }
+
+    /// An aggregate over `rows` input rows.
+    pub fn agg(&self, rows: f64) -> f64 {
+        rows * self.agg_row
+    }
+}
+
 /// Executor configuration.
 ///
 /// [`ExecConfig::base`] (also `Default`) is **pure** — fixed defaults, no
@@ -105,7 +135,8 @@ pub struct ExecConfig {
     /// work-accounting float grouping, so runs with the same morsel size are
     /// bit-identical at any thread count.
     pub morsel_rows: usize,
-    /// Execution strategy; see [`ExecMode`]. Both modes are bit-identical.
+    /// Which driver runs the operator pipelines; see [`ExecMode`]. Both are
+    /// bit-identical. Programmatic only (no environment knob).
     pub mode: ExecMode,
     /// Attach a per-operator [`ExecProfile`] to every [`QueryRun`]. Pure
     /// observability: never changes any contracted result field.
@@ -162,11 +193,12 @@ impl ExecConfig {
 
     /// [`ExecConfig::base`] with the documented `GRACEFUL_*` environment
     /// defaults applied (`GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
-    /// `GRACEFUL_MORSEL`, `GRACEFUL_EXEC`, `GRACEFUL_PROFILE`,
-    /// `GRACEFUL_PLAN_VERIFY`, `GRACEFUL_SCALE`). Invalid values are a typed
-    /// [`GracefulError::Config`], not a panic. The UDF backend has no
-    /// environment default: a set variable of its removed knob is a `Config`
-    /// error too (see `config::reject_udf_backend_env`).
+    /// `GRACEFUL_MORSEL`, `GRACEFUL_PROFILE`, `GRACEFUL_PLAN_VERIFY`,
+    /// `GRACEFUL_SCALE`). Invalid values are a typed
+    /// [`GracefulError::Config`], not a panic. The UDF backend and the
+    /// executor mode have no environment default: a set variable of either
+    /// removed knob is a `Config` error too (see
+    /// `config::try_removed_knobs_unset`).
     ///
     /// `GRACEFUL_TRACE` and `GRACEFUL_FLIGHT` are also resolved here: a
     /// valid path arms the global span-trace collector / query flight
@@ -175,7 +207,7 @@ impl ExecConfig {
     /// every other knob.
     pub fn from_env() -> Result<Self> {
         let cfg = GracefulError::Config;
-        config::try_udf_backend_env_unset().map_err(cfg)?;
+        config::try_removed_knobs_unset().map_err(cfg)?;
         if let Some(path) = config::try_trace_from_env().map_err(cfg)? {
             trace::configure(&path);
         }
@@ -186,7 +218,6 @@ impl ExecConfig {
             udf_batch_size: config::try_udf_batch_from_env().map_err(cfg)?,
             threads: config::try_threads_from_env().map_err(cfg)?,
             morsel_rows: config::try_morsel_from_env().map_err(cfg)?,
-            mode: ExecMode::try_from_env().map_err(cfg)?,
             profile: config::try_profile_from_env().map_err(cfg)?,
             plan_verify: PlanVerifyMode::try_from_env().map_err(cfg)?,
             data_scale: config::try_scale_from_env().map_err(cfg)?,
@@ -245,8 +276,9 @@ pub struct QueryRun {
     /// Approximate peak number of intermediate rows resident at once — the
     /// memory-footprint gauge the pipeline-vs-materialized bench records.
     /// This is an execution-strategy metric, **not** part of the
-    /// bit-identity contract: the pipeline executor's whole point is that it
-    /// stays far below the materializing executor's peak.
+    /// bit-identity contract: the streaming driver's whole point is that it
+    /// stays far below the collecting driver's peak (an operator's whole
+    /// input plus its whole output, on top of the held build sides).
     pub peak_inter_rows: usize,
     /// Per-operator execution profile, attached when
     /// [`ExecConfig::profile`] is on. Like `peak_inter_rows`, this is pure
@@ -259,40 +291,6 @@ impl QueryRun {
     /// Runtime in seconds.
     pub fn runtime_s(&self) -> f64 {
         self.runtime_ns * 1e-9
-    }
-}
-
-/// Intermediate relation: per output row, one row-id per bound base table.
-struct Inter {
-    tables: Vec<String>,
-    /// Flat row-id matrix, `rows.len() == n_rows * tables.len()`.
-    rows: Vec<u32>,
-    /// UDF-projected output column, if a UdfProject ran.
-    computed: Option<Vec<Value>>,
-    /// True while `rows` is still the scan's identity fill (`rows[r] == r`
-    /// over one base table): set by Scan, preserved by row-preserving
-    /// operators (identity filters, UDF projections), cleared by anything
-    /// that selects or recombines rows. Zone pruning is only sound on
-    /// identity row ids, where morsel `m` covers the contiguous base-table
-    /// range the zone maps summarize.
-    identity: bool,
-}
-
-impl Inter {
-    fn n_rows(&self) -> usize {
-        if self.tables.is_empty() {
-            0
-        } else {
-            self.rows.len() / self.tables.len()
-        }
-    }
-
-    fn table_pos(&self, table: &str) -> Option<usize> {
-        self.tables.iter().position(|t| t == table)
-    }
-
-    fn row_id(&self, row: usize, table_pos: usize) -> u32 {
-        self.rows[row * self.tables.len() + table_pos]
     }
 }
 
@@ -314,7 +312,7 @@ impl<'a> Executor<'a> {
     /// Execute `plan`; `seed` keys the deterministic runtime jitter (pass the
     /// query id so re-running the same query gives the same "measurement").
     ///
-    /// Dispatches on [`ExecConfig::mode`]; both modes return bit-identical
+    /// [`ExecConfig::mode`] picks the driver; both return bit-identical
     /// `QueryRun`s (aside from the [`QueryRun::peak_inter_rows`] gauge and
     /// the opt-in [`QueryRun::profile`]).
     ///
@@ -339,10 +337,7 @@ impl<'a> Executor<'a> {
         if self.config.plan_verify == PlanVerifyMode::Strict {
             graceful_plan::analysis::verify(plan, self.db)?;
         }
-        let run = match self.config.mode {
-            ExecMode::Pipeline => self.run_pipelined(plan, seed),
-            ExecMode::Materialize => self.run_materialized(plan, seed),
-        };
+        let run = crate::physical::execute(self.db, plan, &self.config, seed);
         m.queries.incr();
         m.wall_ns.record(started.elapsed().as_nanos() as f64);
         // Estimator-quality telemetry (q-error histograms, flight record) —
@@ -353,151 +348,8 @@ impl<'a> Executor<'a> {
         run
     }
 
-    /// Execute through the physical-operator pipeline (see
-    /// [`crate::physical`]), regardless of the configured mode.
-    pub fn run_pipelined(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        crate::physical::execute(self.db, plan, &self.config, seed)
-    }
-
-    /// Execute with the original materializing interpreter, regardless of
-    /// the configured mode: every operator fully materializes its output
-    /// before its parent runs. Kept as the differential-testing reference.
-    pub fn run_materialized(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        plan.validate()?;
-        let started = Instant::now();
-        let profiling = self.config.profile;
-        let mut out_rows = vec![0usize; plan.ops.len()];
-        let mut op_work = vec![0f64; plan.ops.len()];
-        let mut wall_ns = vec![0u64; plan.ops.len()];
-        let mut udf_stats: Vec<Option<UdfEvalStats>> = vec![None; plan.ops.len()];
-        let mut udf_input_rows = 0usize;
-        let mut agg_value = 0.0;
-        let mut peak_inter_rows = 0usize;
-        let mut results: Vec<Option<Inter>> = (0..plan.ops.len()).map(|_| None).collect();
-        // Rewrite hints (constant folds, dead params, live lanes), computed
-        // once per query. Conservative and infallible: when disabled (or
-        // unprovable) everything degrades to the unrewritten path.
-        let rewrites = if self.config.rewrites {
-            RewriteSet::analyze(plan, self.db)
-        } else {
-            RewriteSet::none(plan)
-        };
-        for idx in 0..plan.ops.len() {
-            let op = &plan.ops[idx];
-            let op_started = profiling.then(Instant::now);
-            // Rows resident while this operator runs: every live
-            // intermediate (its inputs included — they are only dropped
-            // when the operator returns) plus the output it materializes.
-            let live_before: usize = results.iter().flatten().map(Inter::n_rows).sum();
-            let inter = match &op.kind {
-                PlanOpKind::Scan { table } => {
-                    let t = self.db.table(table)?;
-                    let n = t.num_rows();
-                    op_work[idx] += n as f64 * self.config.weights.scan_row;
-                    // Morsel-parallel identity fill: each morsel writes its
-                    // own contiguous row-id range and the per-morsel chunks
-                    // concatenate in morsel-index order, reproducing the
-                    // sequential 0..n fill exactly.
-                    let morsel = self.config.morsel_rows.max(1);
-                    let rows = self.pool().ordered_reduce(
-                        Pool::morsel_count(n, morsel),
-                        || (),
-                        |_, m| {
-                            Pool::morsel_range(m, n, morsel).map(|r| r as u32).collect::<Vec<_>>()
-                        },
-                        Vec::with_capacity(n),
-                        |mut acc: Vec<u32>, chunk| {
-                            acc.extend_from_slice(&chunk);
-                            acc
-                        },
-                    );
-                    Inter { tables: vec![table.clone()], rows, computed: None, identity: true }
-                }
-                PlanOpKind::Filter { preds } => {
-                    let child = take_child(&mut results, op.children[0], idx)?;
-                    self.exec_filter(preds, &rewrites.pred_folds[idx], child, &mut op_work[idx])?
-                }
-                PlanOpKind::Join { left_col, right_col } => {
-                    let left = take_child(&mut results, op.children[0], idx)?;
-                    let right = take_child(&mut results, op.children[1], idx)?;
-                    self.exec_join(
-                        left_col,
-                        right_col,
-                        left,
-                        right,
-                        &rewrites.live_above[idx],
-                        &mut op_work[idx],
-                    )?
-                }
-                PlanOpKind::UdfFilter { udf, op: cmp, literal } => {
-                    let child = take_child(&mut results, op.children[0], idx)?;
-                    udf_input_rows = child.n_rows();
-                    let stats = udf_stats[idx].insert(UdfEvalStats::default());
-                    self.exec_udf_filter(udf, *cmp, *literal, child, &mut op_work[idx], stats)?
-                }
-                PlanOpKind::UdfProject { udf } => {
-                    let child = take_child(&mut results, op.children[0], idx)?;
-                    udf_input_rows = child.n_rows();
-                    let stats = udf_stats[idx].insert(UdfEvalStats::default());
-                    self.exec_udf_project(udf, child, &mut op_work[idx], stats)?
-                }
-                PlanOpKind::Agg { func, column } => {
-                    let child = take_child(&mut results, op.children[0], idx)?;
-                    let n = child.n_rows();
-                    op_work[idx] += n as f64 * self.config.weights.agg_row;
-                    agg_value = self.exec_agg(*func, column.as_ref(), &child)?;
-                    Inter {
-                        tables: child.tables,
-                        rows: Vec::new(),
-                        computed: None,
-                        identity: false,
-                    }
-                }
-            };
-            out_rows[idx] =
-                if matches!(op.kind, PlanOpKind::Agg { .. }) { 1 } else { inter.n_rows() };
-            if out_rows[idx] > self.config.max_intermediate_rows {
-                return Err(GracefulError::InvalidPlan(format!(
-                    "intermediate result exceeds cap: {} rows",
-                    out_rows[idx]
-                )));
-            }
-            peak_inter_rows = peak_inter_rows.max(live_before + inter.n_rows());
-            results[idx] = Some(inter);
-            if let Some(t) = op_started {
-                wall_ns[idx] = t.elapsed().as_nanos() as u64;
-            }
-        }
-        let total: f64 = op_work.iter().sum();
-        let runtime_ns = total * jitter_factor(seed, self.config.jitter);
-        let profile = profiling.then(|| {
-            // Every operator fully materializes in one pass here, so each
-            // counts as one batch.
-            let batches = vec![1u64; plan.ops.len()];
-            ExecProfile::assemble(
-                plan,
-                &self.config,
-                started.elapsed().as_nanos() as u64,
-                &wall_ns,
-                &batches,
-                &out_rows,
-                &op_work,
-                &udf_stats,
-            )
-        });
-        Ok(QueryRun {
-            runtime_ns,
-            out_rows,
-            op_work,
-            agg_value,
-            udf_input_rows,
-            peak_inter_rows,
-            profile,
-        })
-    }
-
     /// Lower `plan` into its physical-operator pipelines without executing
-    /// — the EXPLAIN-level view of what [`ExecMode::Pipeline`] will run.
+    /// — the EXPLAIN-level view of what [`Executor::run`] will drive.
     pub fn physical_plan<'p>(&self, plan: &'p Plan) -> Result<crate::physical::PhysicalPlan<'p>> {
         crate::physical::lower(plan)
     }
@@ -510,385 +362,14 @@ impl<'a> Executor<'a> {
         }
         Ok(run)
     }
-
-    fn table(&self, name: &str) -> Result<&'a Table> {
-        self.db.table(name)
-    }
-
-    /// The morsel pool for this executor's thread budget. `Pool` is a
-    /// trivial handle, so building it per parallel region keeps it in sync
-    /// with the (public, mutable) config.
-    fn pool(&self) -> Pool {
-        Pool::new(self.config.threads)
-    }
-
-    fn exec_filter(
-        &self,
-        preds: &[graceful_plan::Pred],
-        folds: &[PredFold],
-        child: Inter,
-        work: &mut f64,
-    ) -> Result<Inter> {
-        let n = child.n_rows();
-        let stride = child.tables.len();
-        // Work is charged closed-form over the full conjunction — folded
-        // predicates cost the same as evaluated ones, which is exactly what
-        // makes folding invisible to the accounting contract.
-        *work += n as f64 * preds.len() as f64 * self.config.weights.filter_pred;
-        // A provably-false predicate empties the output without evaluation.
-        if folds.contains(&PredFold::AlwaysFalse) {
-            return Ok(Inter {
-                tables: child.tables,
-                rows: Vec::new(),
-                computed: None,
-                identity: false,
-            });
-        }
-        // Resolve predicate table positions once, skipping provably-true
-        // predicates (statistics guarantee every row passes them).
-        let mut resolved = Vec::with_capacity(preds.len());
-        for (k, p) in preds.iter().enumerate() {
-            if folds.get(k) == Some(&PredFold::AlwaysTrue) {
-                continue;
-            }
-            let pos = child.table_pos(&p.col.table).ok_or_else(|| {
-                GracefulError::InvalidPlan(format!("filter on unbound table {}", p.col.table))
-            })?;
-            resolved.push((p, pos, self.table(&p.col.table)?));
-        }
-        // Everything folded to true: the filter is the identity.
-        if resolved.is_empty() {
-            return Ok(Inter {
-                tables: child.tables,
-                rows: child.rows,
-                computed: None,
-                identity: child.identity,
-            });
-        }
-        // Over identity row ids, morsel `m` covers the contiguous base-table
-        // range the storage zone maps summarize, so a conjunct that provably
-        // fails on every covering zone empties the morsel without touching a
-        // row. The filter's work was already charged closed-form above, so
-        // pruning shortcuts execution without moving a single contracted bit
-        // (the differential suite proves it against `pruning: false`).
-        let prune_scan = self.config.pruning && child.identity;
-        // Evaluate predicates morsel-parallel; concatenating per-morsel
-        // keep-lists in morsel order reproduces the sequential row order.
-        let morsel = self.config.morsel_rows.max(1);
-        let rows = self.pool().ordered_reduce(
-            Pool::morsel_count(n, morsel),
-            || (),
-            |_, m| {
-                let range = Pool::morsel_range(m, n, morsel);
-                if prune_scan
-                    && resolved
-                        .iter()
-                        .any(|(p, _, t)| crate::prune::pred_prunes_range(t, p, range.clone()))
-                {
-                    crate::prune::pruned_morsels_counter().incr();
-                    return Vec::new();
-                }
-                let mut kept = Vec::new();
-                for r in range {
-                    let keep = resolved
-                        .iter()
-                        .all(|(p, pos, t)| p.matches(t, child.row_id(r, *pos) as usize));
-                    if keep {
-                        kept.extend_from_slice(&child.rows[r * stride..(r + 1) * stride]);
-                    }
-                }
-                kept
-            },
-            Vec::new(),
-            |mut acc: Vec<u32>, kept| {
-                acc.extend_from_slice(&kept);
-                acc
-            },
-        );
-        Ok(Inter { tables: child.tables, rows, computed: None, identity: false })
-    }
-
-    fn exec_join(
-        &self,
-        left_col: &ColRef,
-        right_col: &ColRef,
-        left: Inter,
-        right: Inter,
-        live_above: &std::collections::BTreeSet<String>,
-        work: &mut f64,
-    ) -> Result<Inter> {
-        let w = &self.config.weights;
-        let lpos = left.table_pos(&left_col.table).ok_or_else(|| {
-            GracefulError::InvalidPlan(format!("join col {left_col} not on left side"))
-        })?;
-        let rpos = right.table_pos(&right_col.table).ok_or_else(|| {
-            GracefulError::InvalidPlan(format!("join col {right_col} not on right side"))
-        })?;
-        let ltable = self.table(&left_col.table)?;
-        let rtable = self.table(&right_col.table)?;
-        let lcol = ltable.column(&left_col.column)?;
-        let rcol = rtable.column(&right_col.column)?;
-        let (ln, rn) = (left.n_rows(), right.n_rows());
-        *work += rn as f64 * w.join_build_row + ln as f64 * w.join_probe_row;
-        // Payload pruning: output lanes whose tables nothing above the join
-        // reads are dropped. Key lanes are read here from the *inputs*
-        // (before the output is formed), so even they can be pruned. Row
-        // counts — and with them every work charge and the peak gauge, which
-        // count rows, not lanes — are untouched. With rewrites off (or when
-        // duplicate table names make positional pruning ambiguous) the keep
-        // sets cover every lane and the path below is the identity.
-        let lstride = left.tables.len();
-        let rstride = right.tables.len();
-        let (keep_l, keep_r) = if self.config.rewrites {
-            let lrefs: Vec<&str> = left.tables.iter().map(String::as_str).collect();
-            let rrefs: Vec<&str> = right.tables.iter().map(String::as_str).collect();
-            join_keep_lanes(live_above, &lrefs, &rrefs)
-                .unwrap_or(((0..lstride).collect(), (0..rstride).collect()))
-        } else {
-            ((0..lstride).collect(), (0..rstride).collect())
-        };
-        // Build on the right side (the newly joined table): a radix-
-        // partitioned index whose per-key match lists are exactly the
-        // row-ascending lists the old sequential HashMap build produced
-        // (see `crate::join`), built morsel-parallel.
-        let morsel = self.config.morsel_rows.max(1);
-        let pool = self.pool();
-        let build = crate::join::PartitionedIndex::build(&pool, rn, morsel, |r| {
-            rcol.get_i64(right.row_id(r, rpos) as usize)
-        });
-        // Probe morsel-parallel over the left side. Each morsel emits its
-        // own output chunk; merging chunks in morsel-index order reproduces
-        // the sequential probe's output row order exactly. The intermediate
-        // cap is enforced per morsel (bounding memory mid-probe) and again
-        // cumulatively on merge — a query errors iff its total output
-        // exceeds the cap, the same outcome the sequential row-by-row check
-        // produced.
-        let cap = self.config.max_intermediate_rows;
-        let parts = pool.map_init(
-            Pool::morsel_count(ln, morsel),
-            || (),
-            |_, m| -> Result<(Vec<u32>, usize)> {
-                let mut chunk: Vec<u32> = Vec::new();
-                let mut emitted = 0usize;
-                for l in Pool::morsel_range(m, ln, morsel) {
-                    let lid = left.row_id(l, lpos) as usize;
-                    let Some(k) = lcol.get_i64(lid) else { continue };
-                    if let Some(matches) = build.get(k) {
-                        for &r in matches {
-                            let lrow = &left.rows[l * lstride..(l + 1) * lstride];
-                            let rrow =
-                                &right.rows[r as usize * rstride..(r as usize + 1) * rstride];
-                            chunk.extend(keep_l.iter().map(|&i| lrow[i]));
-                            chunk.extend(keep_r.iter().map(|&i| rrow[i]));
-                            emitted += 1;
-                            if emitted > cap {
-                                return Err(GracefulError::InvalidPlan(
-                                    "join output exceeds intermediate cap".into(),
-                                ));
-                            }
-                        }
-                    }
-                }
-                Ok((chunk, emitted))
-            },
-        );
-        let mut rows: Vec<u32> = Vec::new();
-        let mut n_out = 0usize;
-        for part in parts {
-            let (chunk, emitted) = part?;
-            n_out += emitted;
-            if n_out > cap {
-                return Err(GracefulError::InvalidPlan(
-                    "join output exceeds intermediate cap".into(),
-                ));
-            }
-            rows.extend_from_slice(&chunk);
-        }
-        *work += n_out as f64 * w.join_out_row;
-        let mut tables: Vec<String> = keep_l.iter().map(|&i| left.tables[i].clone()).collect();
-        tables.extend(keep_r.iter().map(|&i| right.tables[i].clone()));
-        debug_assert_eq!(rows.len() % tables.len(), 0);
-        Ok(Inter { tables, rows, computed: None, identity: false })
-    }
-
-    fn udf_args(
-        &self,
-        udf: &graceful_udf::GeneratedUdf,
-        inter: &Inter,
-    ) -> Result<(usize, Vec<&'a graceful_storage::Column>)> {
-        let pos = inter.table_pos(&udf.table).ok_or_else(|| {
-            GracefulError::InvalidPlan(format!("UDF table {} not bound", udf.table))
-        })?;
-        let t = self.table(&udf.table)?;
-        let cols = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<Vec<_>>>()?;
-        Ok((pos, cols))
-    }
-
-    /// Evaluate `udf` over every row of `child`, invoking `consume(row, value)`
-    /// for each output in row order. `per_row_overhead` is the operator's own
-    /// per-row work (comparison against the filter literal, projection
-    /// bookkeeping).
-    ///
-    /// Rows are split into `morsel_rows`-row morsels executed on the pool;
-    /// each worker owns one [`UdfEval`] instance (tree-walking interpreter,
-    /// or batch VM warmed once and reused across its morsels). Work is
-    /// summed per morsel and merged in morsel-index order, so the accounted
-    /// totals are bit-identical for any thread count. The backends still
-    /// only differ in float summation *grouping* (per row vs per batch
-    /// within a morsel), which changes `op_work` by at most rounding in the
-    /// last ulps.
-    fn exec_udf_rows(
-        &self,
-        udf: &graceful_udf::GeneratedUdf,
-        child: &Inter,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-        per_row_overhead: f64,
-        mut consume: impl FnMut(usize, Value),
-    ) -> Result<()> {
-        let (pos, cols) = self.udf_args(udf, child)?;
-        let n = child.n_rows();
-        let spec = UdfEvalSpec::prepare(
-            udf,
-            cols,
-            self.config.udf_backend,
-            self.config.udf_weights.clone(),
-            self.config.udf_batch_size,
-            per_row_overhead,
-            self.config.rewrites,
-        )?;
-        let morsel = self.config.morsel_rows.max(1);
-        let parts = spec.eval_morsels(&self.pool(), n, morsel, |r| child.row_id(r, pos) as usize);
-        // Ordered merge: work totals and output rows in morsel-index order
-        // (== row order); the first failing morsel wins deterministically.
-        for (m, part) in parts.into_iter().enumerate() {
-            let (morsel_work, values, morsel_stats) = part?;
-            *work += morsel_work;
-            stats.merge(&morsel_stats);
-            let base = m * morsel;
-            for (j, value) in values.into_iter().enumerate() {
-                consume(base + j, value);
-            }
-        }
-        record_udf_metrics(stats);
-        Ok(())
-    }
-
-    fn exec_udf_filter(
-        &self,
-        udf: &graceful_udf::GeneratedUdf,
-        cmp: graceful_udf::ast::CmpOp,
-        literal: f64,
-        child: Inter,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-    ) -> Result<Inter> {
-        let stride = child.tables.len();
-        let mut rows = Vec::new();
-        self.exec_udf_rows(
-            udf,
-            &child,
-            work,
-            stats,
-            self.config.weights.udf_compare,
-            |r, value| {
-                let keep = match value.as_f64() {
-                    Some(v) => cmp_f64(cmp, v, literal),
-                    None => false, // NULL and text outputs never pass the filter
-                };
-                if keep {
-                    rows.extend_from_slice(&child.rows[r * stride..(r + 1) * stride]);
-                }
-            },
-        )?;
-        Ok(Inter { tables: child.tables, rows, computed: None, identity: false })
-    }
-
-    fn exec_udf_project(
-        &self,
-        udf: &graceful_udf::GeneratedUdf,
-        child: Inter,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-    ) -> Result<Inter> {
-        let n = child.n_rows();
-        let mut computed = Vec::with_capacity(n);
-        self.exec_udf_rows(
-            udf,
-            &child,
-            work,
-            stats,
-            self.config.weights.project_row,
-            |_, value| computed.push(value),
-        )?;
-        Ok(Inter {
-            tables: child.tables,
-            rows: child.rows,
-            computed: Some(computed),
-            identity: child.identity,
-        })
-    }
-
-    fn exec_agg(&self, func: AggFunc, column: Option<&ColRef>, child: &Inter) -> Result<f64> {
-        let n = child.n_rows();
-        if func == AggFunc::CountStar {
-            return Ok(n as f64);
-        }
-        // Fold each morsel into its own partial AggState, then merge
-        // partials in morsel-index order (see `AggState::merge`). The float
-        // grouping is fixed by the morsel size alone, so the result is
-        // bit-identical at any thread count — and matches the pipeline
-        // executor, which rebatches its agg input to the same morsel
-        // boundaries.
-        let morsel = self.config.morsel_rows.max(1);
-        let fold = |observe_of: &(dyn Fn(usize) -> Option<f64> + Sync)| {
-            self.pool().ordered_reduce(
-                Pool::morsel_count(n, morsel),
-                || (),
-                |_, m| {
-                    let mut part = AggState::new(func);
-                    for r in Pool::morsel_range(m, n, morsel) {
-                        part.observe(observe_of(r));
-                    }
-                    part
-                },
-                AggState::new(func),
-                |mut acc: AggState, part| {
-                    acc.merge(&part);
-                    acc
-                },
-            )
-        };
-        let state = match column {
-            Some(c) => {
-                let pos = child.table_pos(&c.table).ok_or_else(|| {
-                    GracefulError::InvalidPlan(format!("agg on unbound table {}", c.table))
-                })?;
-                let col = self.table(&c.table)?.column(&c.column)?;
-                fold(&|r| col.get_f64(child.row_id(r, pos) as usize))
-            }
-            None => {
-                // Aggregate the UDF-projected column.
-                let computed = child.computed.as_ref().ok_or_else(|| {
-                    GracefulError::InvalidPlan(
-                        "agg over UDF output requires a UdfProject below".into(),
-                    )
-                })?;
-                fold(&|r| computed[r].as_f64())
-            }
-        };
-        Ok(state.finish())
-    }
 }
 
-/// Streaming aggregate accumulator shared by both executor modes, so their
-/// float fold order is identical by construction. Values are observed **in
-/// row order** within a morsel-sized partial; `Sum`/`Avg` left-fold
-/// `sum += v`, `Min`/`Max` left-fold through `f64::min`/`f64::max` (NaN
-/// inputs are absorbed per IEEE min/max). Partials combine via
-/// [`AggState::merge`] in morsel-index order, so the full fold shape is a
-/// function of the morsel size alone — identical for any thread count and
-/// in both executors.
+/// Streaming aggregate accumulator. Values are observed **in row order**
+/// within a morsel-sized partial; `Sum`/`Avg` left-fold `sum += v`,
+/// `Min`/`Max` left-fold through `f64::min`/`f64::max` (NaN inputs are
+/// absorbed per IEEE min/max). Partials combine via [`AggState::merge`] in
+/// morsel-index order, so the full fold shape is a function of the morsel
+/// size alone — identical for any thread count and under both drivers.
 ///
 /// Empty-input semantics are pinned: `COUNT(*)` of zero rows is 0, and
 /// `SUM`/`AVG`/`MIN`/`MAX` over zero observed values are 0.0 (the engine's
@@ -984,20 +465,6 @@ impl AggState {
     }
 }
 
-/// Take a child's materialized result, promoting the former "child executed"
-/// panic into a typed error. Reachable only with `GRACEFUL_PLAN_VERIFY=off`
-/// — the strict gate rejects dangling children and non-topological arenas
-/// before execution starts — and bounds-safe even for out-of-range indices.
-fn take_child(results: &mut [Option<Inter>], child: usize, parent: usize) -> Result<Inter> {
-    results.get_mut(child).and_then(Option::take).ok_or_else(|| {
-        GracefulError::PlanVerify(format!(
-            "op {parent} consumes child {child}, which has not produced a result \
-             (malformed DAG reached the engine; run with GRACEFUL_PLAN_VERIFY=strict \
-             to reject it before execution)"
-        ))
-    })
-}
-
 pub(crate) fn cmp_f64(op: graceful_udf::ast::CmpOp, a: f64, b: f64) -> bool {
     use graceful_udf::ast::CmpOp::*;
     match op {
@@ -1025,7 +492,7 @@ pub(crate) fn jitter_factor(seed: u64, amp: f64) -> f64 {
 mod tests {
     use super::*;
     use graceful_common::rng::Rng;
-    use graceful_plan::{build_plan, QueryGenerator, UdfPlacement, UdfUsage};
+    use graceful_plan::{build_plan, PlanOpKind, QueryGenerator, UdfPlacement, UdfUsage};
     use graceful_storage::datagen::{generate, schema};
     use graceful_udf::generator::apply_adaptations;
 

@@ -1,8 +1,7 @@
 //! Radix-partitioned parallel hash-join build and probe.
 //!
-//! Both executors (the materializing engine and the pipeline) share this
-//! index so their join semantics cannot drift. The build side is split into
-//! a fixed [`JOIN_PARTITIONS`] partitions by a pure hash of the key — the
+//! The build side is split into a fixed [`JOIN_PARTITIONS`] partitions by a
+//! pure hash of the key — the
 //! layout depends only on key values, never on thread count or arrival
 //! order — and each partition's hash table is built independently, so the
 //! three build phases parallelize without locks:

@@ -14,16 +14,18 @@
 //! * [`session`] — [`Session`] / [`ExecOptions`], the validated programmatic
 //!   configuration API (environment variables are only documented defaults,
 //!   applied once by [`Session::from_env`]);
-//! * [`physical`] — the default executor: [`physical::lower`] turns a plan
-//!   into explicit [`physical::PhysicalPlan`] pipelines of
-//!   [`physical::Operator`]s that stream row [`physical::Batch`]es, keeping
-//!   peak memory at O(threads × morsel × depth) for non-blocking chains;
-//! * [`engine`] — [`ExecConfig`], [`QueryRun`] and the original
-//!   materializing interpreter (`ExecMode::Materialize`), kept as the
-//!   bit-identical differential reference;
+//! * [`physical`] — the executor: [`physical::lower`] turns a plan into
+//!   explicit [`physical::PhysicalPlan`] pipelines of
+//!   [`physical::Operator`]s, which one of two drivers runs — streaming row
+//!   [`physical::Batch`]es through each chain (what ships; peak memory
+//!   O(threads × morsel × depth) for non-blocking chains), or collecting
+//!   every operator's whole output before the next runs
+//!   (`ExecMode::Materialize`, the differential suites' oracle);
+//! * [`engine`] — [`ExecConfig`], [`QueryRun`], the [`Executor`] entry point
+//!   and [`OperatorWeights`] with the closed-form work charges, written
+//!   once;
 //! * [`udf_eval`] — the unified [`udf_eval::UdfEval`] trait with
-//!   tree-walker / batch-VM / columnar-SIMD implementors behind both
-//!   executors;
+//!   tree-walker / batch-VM / columnar-SIMD implementors;
 //! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]
 //!   (per-operator wall time, rows, batches, UDF backend effectiveness),
 //!   attached to [`QueryRun`] when [`ExecOptions::profile`] is on and
@@ -34,13 +36,13 @@
 //!   `explain analyze` record built by [`analyze::flight_record`]).
 //!
 //! Every data-plane operator runs morsel-parallel on the
-//! `graceful-runtime` pool: scans fill row ids per morsel, filters prune
+//! `graceful-runtime` pool: filters prune
 //! whole morsels against storage zone maps (`prune`) before
 //! evaluating predicates, hash joins build and probe a radix-partitioned
 //! index (`join`), and aggregates fold per-morsel partial states.
 //! Work accounting is grouped per morsel and merged in morsel-index order,
 //! so results and accounted runtimes are **bit-identical for any thread
-//! count, UDF backend, batch size and executor mode** — the paper's effects
+//! count, UDF backend, batch size and driver** — the paper's effects
 //! (UDF cost ∝ rows × code path, join cost ∝ input sizes, pull-up
 //! crossovers) and the experiment labels never depend on the machine's
 //! parallelism or the engine's execution strategy.

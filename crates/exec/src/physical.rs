@@ -1,37 +1,44 @@
-//! The physical-operator pipeline executor.
+//! The executor: physical-operator pipelines and their two drivers.
 //!
 //! [`lower`] turns a logical [`Plan`] into a [`PhysicalPlan`]: a set of
 //! [`Pipeline`]s, each a scan source followed by streaming operators and
 //! terminated by a sink (hash-join build, aggregate, or plain collect).
-//! [`execute`] then pushes fixed-size [`Batch`]es of row ids through each
-//! pipeline's [`Operator`] chain, so peak memory for a non-blocking chain is
-//! bounded by O(threads × morsel × pipeline depth) instead of the full
-//! intermediate cardinality the materializing executor holds. Hash-join
-//! build sides are the one deliberate exception — a build side is
-//! materialized by construction, exactly as in any hash-join engine.
+//! [`execute`] instantiates each pipeline's [`Operator`] chain and drives it
+//! in one of two ways ([`ExecMode`]):
 //!
-//! # Bit-identity with the materializing executor
+//! * **streaming** (`Pipeline`, what ships): fixed-size [`Batch`]es of row
+//!   ids are pushed through the chain and every emission cascades
+//!   downstream immediately, so peak memory for a non-blocking chain is
+//!   bounded by O(threads × morsel × pipeline depth). Hash-join build sides
+//!   are the one deliberate exception — a build side is materialized by
+//!   construction, exactly as in any hash-join engine.
+//! * **collecting** (`Materialize`, the differential suites' oracle): each
+//!   operator receives its whole input as one batch, is finished, and its
+//!   emissions are collected before the next operator runs — an operator at
+//!   a time, every intermediate fully resident.
 //!
-//! The pipeline reproduces `ExecMode::Materialize` *exactly* — every
-//! `QueryRun` value, cardinality and accounted work total is bit-identical,
-//! at every thread count, batch size and UDF backend. Floats make this a
+//! One node set, two drivers: lowering, the audit, the operators and the
+//! accounting are shared, so the drivers can only differ in scheduling.
+//!
+//! # Bit-identity across drivers, thread counts and batch sizes
+//!
+//! Every `QueryRun` value, cardinality and accounted work total is
+//! bit-identical however the rows were scheduled. Floats make this a
 //! scheduling problem, not just a semantics problem; three rules solve it:
 //!
 //! 1. **Morsel-aligned rebatching.** Each parallel operator buffers its
 //!    input and only evaluates *complete* `morsel_rows`-row morsels
 //!    mid-stream (the ragged tail waits for `finish`). An operator's morsel
-//!    boundaries therefore sit at the same row offsets of its input stream
-//!    as the materializing engine's `Pool::morsel_range` partition — no
-//!    matter how the upstream operators batched their output — so per-morsel
-//!    work sums group identically.
+//!    boundaries therefore sit at the `Pool::morsel_range` partition of its
+//!    whole input stream — no matter how upstream batched its output, in
+//!    morsels or all at once — so per-morsel work sums group identically.
 //! 2. **Ordered merges.** Per-morsel results merge in morsel-index order
 //!    (the runtime's standard contract), and `work` accumulators fold those
-//!    sums in the same order as the materializing loop.
-//! 3. **Closed-form charges at `finish`.** Work terms the materializing
-//!    engine computes from whole-input counts (`n × scan_row`,
-//!    `n × preds × filter_pred`, the join build/probe/output terms,
-//!    `n × agg_row`) are charged once at finish from the same counts with
-//!    the same expressions, not accumulated per batch.
+//!    sums in that order.
+//! 3. **Closed-form charges at `finish`.** Work terms that are functions of
+//!    whole-input counts (scan, filter, join, aggregate) are charged once
+//!    from those counts through the [`OperatorWeights`] methods — the one
+//!    place each formula is written — not accumulated per batch.
 //!
 //! Flush timing — how many full morsels an operator queues before running
 //! them in parallel — affects only wall-clock behaviour, never boundaries or
@@ -40,8 +47,8 @@
 //! Structural plan validation (unbound tables, missing UdfProject below an
 //! aggregate) happens during lowering or operator construction, before rows
 //! flow; data-dependent errors (the `max_intermediate_rows` valve) surface
-//! mid-stream as typed [`GracefulError::InvalidPlan`] just like the
-//! materializing path. Under [`PlanVerifyMode::Strict`] the lowered plan is
+//! mid-stream as typed [`GracefulError::InvalidPlan`]. Under
+//! [`PlanVerifyMode::Strict`] the lowered plan is
 //! additionally audited by [`verify_physical`] — pipeline shape, sink
 //! placement, build/probe ordering, stride bookkeeping and the
 //! plan-index/work-charge mapping — so a malformed `PhysicalPlan` is
@@ -50,19 +57,18 @@
 //!
 //! # Verified rewrites
 //!
-//! [`lower_with`] accepts the same [`RewriteSet`] the materializing engine
-//! consumes and applies the identical execution hints: constant-foldable
-//! predicates are skipped (`AlwaysTrue`) or short-circuit the filter
-//! (`AlwaysFalse`), and join lanes that liveness proves dead above the join
-//! are dropped from build storage and probe output. Work charges are
-//! closed-form from the *logical* operator (a filter charges
+//! [`lower_with`] accepts a [`RewriteSet`] and applies its execution hints:
+//! constant-foldable predicates are skipped (`AlwaysTrue`) or short-circuit
+//! the filter (`AlwaysFalse`), and join lanes that liveness proves dead
+//! above the join are dropped from build storage and probe output. Work
+//! charges are closed-form from the *logical* operator (a filter charges
 //! `n × preds.len()` regardless of folding), so the rewrites keep every
 //! `QueryRun` value bit-identical with the unrewritten run.
 
-use crate::engine::{cmp_f64, jitter_factor, AggState, ExecConfig, QueryRun};
+use crate::engine::{cmp_f64, jitter_factor, AggState, ExecConfig, OperatorWeights, QueryRun};
 use crate::profile::ExecProfile;
 use crate::udf_eval::{record_udf_metrics, UdfEvalSpec, UdfEvalStats};
-use graceful_common::config::PlanVerifyMode;
+use graceful_common::config::{ExecMode, PlanVerifyMode};
 use graceful_common::{GracefulError, Result};
 use graceful_obs::trace;
 use graceful_plan::analysis::join_keep_lanes;
@@ -206,8 +212,7 @@ pub fn lower(plan: &Plan) -> Result<PhysicalPlan<'_>> {
 
 /// Lower a logical plan into its physical-operator pipelines, applying the
 /// verified rewrite hints when given. Pure plan analysis: table-binding
-/// positions are resolved (with the same errors the materializing executor
-/// raises), but no data is touched.
+/// positions are resolved, but no data is touched.
 pub fn lower_with<'p>(plan: &'p Plan, rewrites: Option<&RewriteSet>) -> Result<PhysicalPlan<'p>> {
     plan.validate()?;
     let mut pipelines = Vec::new();
@@ -363,8 +368,7 @@ fn lower_subtree<'p>(
     }
 }
 
-/// First occurrence of `table` in the bound-table list — the same
-/// first-match rule `Inter::table_pos` uses.
+/// First occurrence of `table` in the bound-table list.
 fn table_pos(tables: &[&str], table: &str) -> Option<usize> {
     tables.iter().position(|t| *t == table)
 }
@@ -436,9 +440,9 @@ pub fn verify_physical(phys: &PhysicalPlan<'_>, plan: &Plan) -> Result<()> {
     let mut build_out: Vec<Option<usize>> = vec![None; n_pipes];
     for (pi, pipe) in phys.pipelines.iter().enumerate() {
         let final_pipe = pi == n_pipes - 1;
-        if pipe.ops.is_empty() {
+        let Some((tail, _)) = pipe.ops.split_last() else {
             return Err(GracefulError::PlanVerify(format!("pipeline {pi} has no operators")));
-        }
+        };
         let mut width = 0usize;
         for (k, op) in pipe.ops.iter().enumerate() {
             let name = op.kind.name();
@@ -641,7 +645,6 @@ pub fn verify_physical(phys: &PhysicalPlan<'_>, plan: &Plan) -> Result<()> {
                 }
             }
         }
-        let tail = pipe.ops.last().expect("checked non-empty");
         let tail_ok = if final_pipe {
             matches!(tail.kind, PhysicalOpKind::Agg { .. } | PhysicalOpKind::Collect)
         } else {
@@ -836,7 +839,7 @@ struct FilterExec<'a> {
     rows_out: usize,
     batches: u64,
     work: f64,
-    weight: f64,
+    weights: &'a OperatorWeights,
 }
 
 impl FilterExec<'_> {
@@ -919,11 +922,9 @@ impl Operator for FilterExec<'_> {
         if !self.always_false && !self.preds.is_empty() {
             self.flush(true, ctx, emit)?;
         }
-        // Same closed-form expression (and float rounding) as the
-        // materializing engine's single charge over the whole *logical*
-        // predicate list — folding is an execution shortcut, not a
-        // work-model change.
-        self.work += self.rows_in as f64 * self.n_preds as f64 * self.weight;
+        // Charged over the whole *logical* predicate list — folding is an
+        // execution shortcut, not a work-model change.
+        self.work += self.weights.filter(self.rows_in as f64, self.n_preds);
         Ok(())
     }
 
@@ -940,8 +941,7 @@ impl Operator for FilterExec<'_> {
 }
 
 /// UDF filter/projection over the unified [`UdfEval`] backends
-/// (morsel-parallel, batch boundaries restart per morsel exactly like the
-/// materializing path).
+/// (morsel-parallel, batch boundaries restart per morsel).
 struct UdfExec<'a> {
     plan_idx: usize,
     spec: UdfEvalSpec<'a>,
@@ -1095,9 +1095,8 @@ impl Operator for BuildExec<'_> {
 /// build side was lane-pruned at build time). Input rows rebatch to morsel
 /// boundaries; per-morsel output chunks merge in morsel-index order, which
 /// reproduces the sequential probe's output row order exactly. Accounts the
-/// whole join's work at finish with the materializing engine's exact
-/// expressions — lane pruning never changes row counts, so the charges are
-/// rewrite-invariant.
+/// whole join's work at finish — lane pruning never changes row counts, so
+/// the charge is rewrite-invariant.
 struct ProbeExec<'a> {
     plan_idx: usize,
     key_col: &'a Column,
@@ -1110,9 +1109,7 @@ struct ProbeExec<'a> {
     rows_out: usize,
     batches: u64,
     work: f64,
-    build_w: f64,
-    probe_w: f64,
-    out_w: f64,
+    weights: &'a OperatorWeights,
 }
 
 impl ProbeExec<'_> {
@@ -1187,11 +1184,8 @@ impl Operator for ProbeExec<'_> {
 
     fn finish(&mut self, ctx: &ExecCtx<'_>, emit: &mut Emit<'_>) -> Result<()> {
         self.flush(true, ctx, emit)?;
-        // The materializing engine's two charges, same expressions, same
-        // order: (build + probe) first, then the output term.
         let rn = ctx.builds[self.build].n_rows;
-        self.work += rn as f64 * self.build_w + self.rows_in as f64 * self.probe_w;
-        self.work += self.rows_out as f64 * self.out_w;
+        self.work += self.weights.join(rn as f64, self.rows_in as f64, self.rows_out as f64);
         Ok(())
     }
 
@@ -1209,19 +1203,16 @@ impl Operator for ProbeExec<'_> {
 
 /// Aggregate sink (morsel-parallel): rebatches its input to morsel
 /// boundaries, folds each morsel into its own [`AggState`] partial on the
-/// pool, and merges partials in morsel-index order — the exact fold shape
-/// of the materializing engine's `exec_agg`, so both modes stay
-/// bit-identical at any thread count. `COUNT(*)` never touches a float and
+/// pool, and merges partials in morsel-index order, so the fold shape is
+/// fixed by the morsel size alone. `COUNT(*)` never touches a float and
 /// streams unbuffered.
 struct AggExec<'a> {
     plan_idx: usize,
     func: AggFunc,
-    /// Resolved lazily on first use so data-dependent errors upstream keep
-    /// their precedence over this structural lookup.
-    column: Option<(&'a ColRef, usize)>,
-    resolved: Option<&'a Column>,
+    /// The aggregated base column and its table's lane; `None` aggregates
+    /// the UDF-projected column travelling with the batches.
+    column: Option<(&'a Column, usize)>,
     stride: usize,
-    db: &'a Database,
     state: AggState,
     buf: Rebatcher,
     /// UDF-projected values travelling with the buffered rows (column-less
@@ -1230,18 +1221,10 @@ struct AggExec<'a> {
     rows_in: usize,
     batches: u64,
     work: f64,
-    weight: f64,
+    weights: &'a OperatorWeights,
 }
 
-impl<'a> AggExec<'a> {
-    fn column(&mut self) -> Result<(&'a Column, usize)> {
-        let (c, pos) = self.column.expect("only called when a column is present");
-        if self.resolved.is_none() {
-            self.resolved = Some(self.db.table(&c.table)?.column(&c.column)?);
-        }
-        Ok((self.resolved.expect("just resolved"), pos))
-    }
-
+impl AggExec<'_> {
     fn flush(&mut self, all: bool, ctx: &ExecCtx<'_>) -> Result<()> {
         let take = self.buf.take_rows(all, ctx);
         if take == 0 {
@@ -1251,35 +1234,22 @@ impl<'a> AggExec<'a> {
         let func = self.func;
         // Flushes drain whole morsels mid-stream, so partial boundaries sit
         // at the same input-stream offsets as `Pool::morsel_range` over the
-        // whole input — the materializing fold's exact grouping.
-        let partials: Vec<AggState> = if self.column.is_some() {
-            let (col, pos) = self.column()?;
-            let pending = &self.buf.rows[..take * stride];
-            ctx.pool.map_init(
-                Pool::morsel_count(take, ctx.morsel),
-                || (),
-                |_, m| {
-                    let mut part = AggState::new(func);
-                    for r in Pool::morsel_range(m, take, ctx.morsel) {
-                        part.observe(col.get_f64(pending[r * stride + pos] as usize));
-                    }
-                    part
-                },
-            )
-        } else {
-            let pending = &self.computed_buf[..take];
-            ctx.pool.map_init(
-                Pool::morsel_count(take, ctx.morsel),
-                || (),
-                |_, m| {
-                    let mut part = AggState::new(func);
-                    for r in Pool::morsel_range(m, take, ctx.morsel) {
-                        part.observe(pending[r].as_f64());
-                    }
-                    part
-                },
-            )
-        };
+        // whole input.
+        let (column, rows, computed) = (self.column, &self.buf.rows, &self.computed_buf);
+        let partials: Vec<AggState> = ctx.pool.map_init(
+            Pool::morsel_count(take, ctx.morsel),
+            || (),
+            |_, m| {
+                let mut part = AggState::new(func);
+                for r in Pool::morsel_range(m, take, ctx.morsel) {
+                    part.observe(match column {
+                        Some((col, pos)) => col.get_f64(rows[r * stride + pos] as usize),
+                        None => computed[r].as_f64(),
+                    });
+                }
+                part
+            },
+        );
         for part in &partials {
             self.state.merge(part);
         }
@@ -1300,6 +1270,12 @@ impl Operator for AggExec<'_> {
             self.state.count_rows(n);
             return Ok(());
         }
+        if n == 0 {
+            // Nothing to fold. The collecting driver pushes one batch per
+            // operator even when upstream emitted none, and such a batch
+            // carries no projected column to check for.
+            return Ok(());
+        }
         let mut batch = batch;
         if self.column.is_none() {
             // Aggregate the UDF-projected column (presence is structural:
@@ -1316,11 +1292,8 @@ impl Operator for AggExec<'_> {
     fn finish(&mut self, ctx: &ExecCtx<'_>, _emit: &mut Emit<'_>) -> Result<()> {
         if self.func != AggFunc::CountStar {
             self.flush(true, ctx)?;
-            if self.column.is_some() {
-                self.column()?; // structural resolution even over empty inputs
-            }
         }
-        self.work += self.rows_in as f64 * self.weight;
+        self.work += self.weights.agg(self.rows_in as f64);
         Ok(())
     }
 
@@ -1406,22 +1379,21 @@ impl ChainProf {
 
     fn exit(&self) {
         let dt = self.mark();
-        let top = self.stack.borrow_mut().pop().expect("enter/exit balanced");
-        self.wall[top].set(self.wall[top].get() + dt);
+        if let Some(top) = self.stack.borrow_mut().pop() {
+            self.wall[top].set(self.wall[top].get() + dt);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Driver
 
-/// Execute `plan` through the pipeline executor. Equivalent to
-/// `Executor::run` under `ExecMode::Pipeline`.
+/// Execute `plan`: lower it, audit the lowering, and drive each pipeline's
+/// operators with the driver [`ExecConfig::mode`] selects. What
+/// `Executor::run` calls after the logical-plan verification gate.
 pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Result<QueryRun> {
     let started = Instant::now();
     let profiling = config.profile;
-    // Same rewrite hints as the materializing engine: fold verdicts and
-    // keep lanes come from the identical analysis, so both modes agree on
-    // output lane lists (the bit-identity contract depends on that).
     let rewrites = config.rewrites.then(|| RewriteSet::analyze(plan, db));
     let phys = lower_with(plan, rewrites.as_ref())?;
     if config.plan_verify == PlanVerifyMode::Strict {
@@ -1435,8 +1407,7 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
     let mut batches = vec![0u64; n_ops];
     let mut udf_stats: Vec<Option<UdfEvalStats>> = vec![None; n_ops];
     // `(plan_idx, rows_in)` of the UDF operator that owns `udf_input_rows`:
-    // the materializing loop assigns it per UDF op in plan-index order, so
-    // the highest-index UDF operator wins regardless of pipeline order.
+    // the highest plan index wins, regardless of pipeline order.
     let mut udf_mark: Option<(usize, usize)> = None;
     let mut agg_value = 0.0;
     let mut peak_inter_rows = 0usize;
@@ -1473,33 +1444,20 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
         };
         let t = db.table(scan_table)?;
         let n = t.num_rows();
-        op_work[scan_idx] += n as f64 * config.weights.scan_row;
+        op_work[scan_idx] += config.weights.scan(n as f64);
         out_rows[scan_idx] = n;
         if n > config.max_intermediate_rows {
             return Err(cap_error(n));
         }
         let mut ops: Vec<Box<dyn Operator + '_>> =
             pipe.ops[1..].iter().map(|op| instantiate(db, config, op)).collect::<Result<_>>()?;
-        let morsel = ctx.morsel;
-        batches[scan_idx] += Pool::morsel_count(n, morsel) as u64;
         let prof = profiling.then(|| ChainProf::new(pipe.ops.len()));
-        for m in 0..Pool::morsel_count(n, morsel) {
-            if let Some(p) = &prof {
-                p.enter(0);
-            }
-            let range = Pool::morsel_range(m, n, morsel);
-            let batch =
-                Batch { rows: range.map(|r| r as u32).collect(), computed: None, identity: true };
-            let fed = feed(&mut ops, &ctx, batch, prof.as_ref(), 1);
-            if let Some(p) = &prof {
-                p.exit();
-            }
-            fed?;
-        }
-        finish_all(&mut ops, &ctx, prof.as_ref(), 1)?;
-        let mut pipe_resident = n.min(morsel); // one in-flight scan batch
-        for op in &ops {
-            let s = op.stats();
+        batches[scan_idx] += match config.mode {
+            ExecMode::Pipeline => stream_all(&mut ops, &ctx, n, prof.as_ref())?,
+            ExecMode::Materialize => collect_all(&mut ops, &ctx, n, prof.as_ref())?,
+        };
+        let stats: Vec<OpStats> = ops.iter().map(|op| op.stats()).collect();
+        for s in &stats {
             if let Some(i) = s.plan_idx {
                 op_work[i] += s.work;
                 batches[i] += s.batches;
@@ -1511,8 +1469,7 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
                     record_udf_metrics(&us);
                 }
             }
-            if let Some(u) = s.udf_input_rows {
-                let i = s.plan_idx.expect("UDF operators map to a plan op");
+            if let (Some(i), Some(u)) = (s.plan_idx, s.udf_input_rows) {
                 if udf_mark.is_none_or(|(j, _)| i > j) {
                     udf_mark = Some((i, u));
                 }
@@ -1520,8 +1477,25 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
             if let Some(a) = s.agg_value {
                 agg_value = a;
             }
-            pipe_resident += s.peak_resident;
         }
+        // Rows resident while this pipeline ran. Streaming: one in-flight
+        // scan batch plus every operator's buffers. Collecting: the largest
+        // (whole input + whole output) any one operator held, a build
+        // sink's output being the side it holds.
+        let pipe_resident = match config.mode {
+            ExecMode::Pipeline => {
+                n.min(ctx.morsel) + stats.iter().map(|s| s.peak_resident).sum::<usize>()
+            }
+            ExecMode::Materialize => {
+                let (mut peak, mut rows_in) = (n, n);
+                for s in &stats {
+                    let rows_out = s.out_rows.unwrap_or(s.peak_resident);
+                    peak = peak.max(rows_in + rows_out);
+                    rows_in = rows_out;
+                }
+                peak
+            }
+        };
         // Attribute the chain's wall self-times to their logical operators.
         // Plan-less nodes fold elsewhere: a build sink's time is stashed for
         // the probing join, a collect's folds into the last planned operator
@@ -1595,8 +1569,8 @@ fn planned(op: &PhysicalOp<'_>) -> Result<usize> {
     })
 }
 
-/// Instantiate the execution state for one lowered node (resolving its
-/// storage columns, with the materializing executor's errors).
+/// Instantiate the execution state for one lowered node, resolving its
+/// storage columns.
 fn instantiate<'a>(
     db: &'a Database,
     config: &'a ExecConfig,
@@ -1613,8 +1587,7 @@ fn instantiate<'a>(
             let always_false = folds.contains(&PredFold::AlwaysFalse);
             let mut resolved = Vec::with_capacity(preds.len());
             if !always_false {
-                // Same short-circuit as the materializing engine: a
-                // statically-false filter never resolves its tables.
+                // A statically-false filter never resolves its tables.
                 for ((p, &pos), fold) in preds.iter().zip(positions.iter()).zip(folds.iter()) {
                     if *fold == PredFold::Keep {
                         resolved.push((p, pos, db.table(&p.col.table)?));
@@ -1633,7 +1606,7 @@ fn instantiate<'a>(
                 rows_out: 0,
                 batches: 0,
                 work: 0.0,
-                weight: w.filter_pred,
+                weights: w,
             })
         }
         PhysicalOpKind::UdfFilter { udf, cmp, literal, pos, stride } => Box::new(UdfExec {
@@ -1683,24 +1656,23 @@ fn instantiate<'a>(
             rows_out: 0,
             batches: 0,
             work: 0.0,
-            build_w: w.join_build_row,
-            probe_w: w.join_probe_row,
-            out_w: w.join_out_row,
+            weights: w,
         }),
         PhysicalOpKind::Agg { func, column, stride, .. } => Box::new(AggExec {
             plan_idx: planned(op)?,
             func: *func,
-            column: *column,
-            resolved: None,
+            column: match column {
+                Some((c, pos)) => Some((db.table(&c.table)?.column(&c.column)?, *pos)),
+                None => None,
+            },
             stride: *stride,
-            db,
             state: AggState::new(*func),
             buf: Rebatcher::new(*stride),
             computed_buf: Vec::new(),
             rows_in: 0,
             batches: 0,
             work: 0.0,
-            weight: w.agg_row,
+            weights: w,
         }),
         PhysicalOpKind::Collect => Box::new(CollectExec),
     })
@@ -1750,6 +1722,78 @@ fn finish_all(
     }
     finished?;
     finish_all(rest, ctx, prof, chain + 1)
+}
+
+/// The scan source's output: identity row ids over `range`.
+fn scan_batch(range: std::ops::Range<usize>) -> Batch {
+    Batch { rows: range.map(|r| r as u32).collect(), computed: None, identity: true }
+}
+
+/// The streaming driver: the scan's `n` rows enter the chain one morsel at
+/// a time and every emission cascades downstream immediately; the chain is
+/// flushed once the source is dry. Returns the scan's batch count.
+fn stream_all(
+    ops: &mut [Box<dyn Operator + '_>],
+    ctx: &ExecCtx<'_>,
+    n: usize,
+    prof: Option<&ChainProf>,
+) -> Result<u64> {
+    let morsels = Pool::morsel_count(n, ctx.morsel);
+    for m in 0..morsels {
+        if let Some(p) = prof {
+            p.enter(0);
+        }
+        let fed = feed(ops, ctx, scan_batch(Pool::morsel_range(m, n, ctx.morsel)), prof, 1);
+        if let Some(p) = prof {
+            p.exit();
+        }
+        fed?;
+    }
+    finish_all(ops, ctx, prof, 1)?;
+    Ok(morsels as u64)
+}
+
+/// The collecting driver: the scan's `n` rows are one batch, and every
+/// operator receives its whole input as one batch, is finished, and has its
+/// emissions concatenated into the next operator's input. The operators
+/// rebatch to morsel boundaries themselves, so they evaluate exactly the
+/// morsels the streaming cascade feeds them. Returns the scan's batch count.
+fn collect_all(
+    ops: &mut [Box<dyn Operator + '_>],
+    ctx: &ExecCtx<'_>,
+    n: usize,
+    prof: Option<&ChainProf>,
+) -> Result<u64> {
+    if let Some(p) = prof {
+        p.enter(0);
+    }
+    let mut batch = scan_batch(0..n);
+    if let Some(p) = prof {
+        p.exit();
+    }
+    for (k, op) in ops.iter_mut().enumerate() {
+        if let Some(p) = prof {
+            p.enter(k + 1);
+        }
+        // Emissions of an identity stream arrive in stream order, so their
+        // concatenation is still one contiguous ascending rid run.
+        let mut out = Batch { rows: Vec::new(), computed: None, identity: true };
+        let mut collect = |b: Batch| {
+            out.rows.extend_from_slice(&b.rows);
+            if let Some(values) = b.computed {
+                out.computed.get_or_insert_with(Vec::new).extend(values);
+            }
+            out.identity &= b.identity;
+            Ok(())
+        };
+        let ran = op.push(batch, ctx, &mut collect).and_then(|()| op.finish(ctx, &mut collect));
+        if let Some(p) = prof {
+            p.exit();
+        }
+        ran?;
+        batch = out;
+    }
+    Ok(1)
 }
 
 fn udf_spec<'a>(

@@ -1,7 +1,7 @@
 //! Opt-in per-query execution profiles.
 //!
-//! When [`crate::ExecOptions::profile`] (or `GRACEFUL_PROFILE=1`) is on, both
-//! executor modes attach an [`ExecProfile`] to the [`crate::QueryRun`]:
+//! When [`crate::ExecOptions::profile`] (or `GRACEFUL_PROFILE=1`) is on, the
+//! executor attaches an [`ExecProfile`] to the [`crate::QueryRun`]:
 //! per-plan-operator wall time, output rows, batch counts, accounted work and
 //! — for the UDF operators — backend effectiveness counters (SIMD fast-path
 //! vs per-row bail rows, group splits).
@@ -16,7 +16,7 @@
 //! profiler writes — `tests/parallel_determinism.rs` proves runs with
 //! profiling on and off stay bit-identical.
 //!
-//! Wall-time attribution in the pipeline executor uses *self time*: the
+//! Wall-time attribution uses *self time*: the streaming
 //! driver marks operator enter/exit around the recursive batch cascade and
 //! attributes each elapsed slice to the operator on top of the stack, so a
 //! downstream operator's time is never double-counted into its upstream.
@@ -52,15 +52,14 @@ pub struct ExecProfile {
 pub struct OpProfile {
     /// Human-readable operator description (kind plus its key argument).
     pub name: String,
-    /// Wall self-time attributed to this operator, in nanoseconds. In
-    /// pipeline mode a hash join's build side and the final collect fold
-    /// into their owning plan operator.
+    /// Wall self-time attributed to this operator, in nanoseconds. A hash
+    /// join's build side and the final collect fold into their owning plan
+    /// operator.
     pub wall_ns: u64,
     /// Output cardinality (same value as `QueryRun::out_rows`).
     pub rows_out: usize,
     /// Batches this operator processed: input batches pushed in pipeline
-    /// mode (plus one for `finish`-only blocking operators), always 1 in
-    /// materialize mode, morsel count for scans.
+    /// mode (morsel count for scans), always 1 in materialize mode.
     pub batches: u64,
     /// Accounted work units (same value as `QueryRun::op_work`).
     pub work: f64,

@@ -126,7 +126,9 @@ impl ExecOptions {
         self
     }
 
-    /// Execution strategy (pipeline vs materializing; bit-identical).
+    /// Which driver runs the operator pipelines (streaming vs collecting;
+    /// bit-identical). Programmatic only: the collecting driver is the
+    /// differential suites' oracle, not a user choice.
     pub fn mode(mut self, mode: ExecMode) -> Self {
         self.mode = Some(mode);
         self

@@ -1,13 +1,18 @@
 //! Executor API contract tests: pinned aggregate-over-empty-input
 //! semantics, the `max_intermediate_rows` safety valve, and the `Session`
 //! construction path — each across UDF backends × executor modes × thread
-//! counts.
+//! counts — plus the two checks that do not compare the engine with itself:
+//! a naive row-at-a-time evaluator of the query semantics, and the work
+//! accounting as a pure function of plan and cardinalities.
 
 use graceful::common::GracefulError;
+use graceful::exec::estimated_work;
 use graceful::prelude::*;
+use graceful::udf::generator::apply_adaptations;
 use graceful_plan::{AggFunc, ColRef, Plan, PlanOp, PlanOpKind, Pred};
 use graceful_udf::ast::CmpOp;
 use graceful_udf::GeneratedUdf;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn session(backend: UdfBackend, mode: ExecMode, threads: usize) -> Session {
@@ -263,38 +268,264 @@ fn runs_below_cap_are_unaffected_by_the_valve() {
     assert_eq!(a.agg_value, b.agg_value);
 }
 
-/// What ships is the typed-lane backend: `ExecOptions::new().build()` and
-/// `Session::new()` report `UdfBackend::Simd`, and the environment has no say
-/// in it — a *set* `GRACEFUL_UDF_BACKEND` (the removed knob) fails every
-/// environment-defaulted construction with a typed `Config` error naming the
-/// programmatic replacement instead of being silently ignored.
+/// What ships is the typed-lane backend on the streaming driver:
+/// `ExecOptions::new().build()` and `Session::new()` report
+/// `UdfBackend::Simd` / `ExecMode::Pipeline`, and the environment has no say
+/// in either — a *set* `GRACEFUL_UDF_BACKEND` or `GRACEFUL_EXEC` (the
+/// removed knobs) fails every environment-defaulted construction with a
+/// typed `Config` error naming the programmatic replacement instead of being
+/// silently ignored.
 ///
-/// The environment half runs in a child process (this test re-executed with
-/// the variable set): mutating the environment in-process would race every
+/// The environment half runs in child processes (this test re-executed with
+/// one variable set): mutating the environment in-process would race every
 /// other test of this binary.
 #[test]
 fn simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected() {
-    assert_eq!(ExecOptions::new().build().unwrap().config().udf_backend, UdfBackend::Simd);
-    assert_eq!(Session::new().config().udf_backend, UdfBackend::Simd);
+    for built in [ExecOptions::new().build().unwrap(), Session::new()] {
+        assert_eq!(built.config().udf_backend, UdfBackend::Simd);
+        assert_eq!(built.config().mode, ExecMode::Pipeline);
+    }
 
-    const KNOB: &str = "GRACEFUL_UDF_BACKEND";
-    if std::env::var_os(KNOB).is_some() {
+    const KNOBS: [(&str, &str, &str); 2] = [
+        ("GRACEFUL_UDF_BACKEND", "simd", "ExecOptions::udf_backend"),
+        ("GRACEFUL_EXEC", "anything", "ExecOptions::mode"),
+    ];
+    if let Some((knob, _, setter)) = KNOBS.iter().find(|k| std::env::var_os(k.0).is_some()) {
         for built in [Session::from_env(), ExecOptions::new().threads(1).build_with_env()] {
             match built {
                 Err(GracefulError::Config(m)) => assert!(
-                    m.contains(KNOB) && m.contains("ExecOptions::udf_backend"),
+                    m.contains(knob) && m.contains(setter),
                     "message {m:?} names the knob and its replacement"
                 ),
-                other => panic!("a set {KNOB} produced {other:?}"),
+                other => panic!("a set {knob} produced {other:?}"),
             }
         }
         return;
     }
-    let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected"])
-        .env(KNOB, "simd")
-        .output()
-        .expect("re-run this test with the knob set");
-    let stdout = String::from_utf8_lossy(&child.stdout);
-    assert!(child.status.success() && stdout.contains("1 passed"), "child run: {stdout}");
+    for (knob, value, _) in KNOBS {
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--exact", "simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected"])
+            .env(knob, value)
+            .output()
+            .expect("re-run this test with the knob set");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success() && stdout.contains("1 passed"), "{knob} child: {stdout}");
+    }
+}
+
+/// Generated tpc_h queries in every valid UDF placement, over the database
+/// with their UDF adaptations applied.
+fn generated_plans() -> (Database, Vec<(u64, Plan)>) {
+    let mut db = generate(&schema("tpc_h"), 0.02, 5);
+    let g = QueryGenerator::default();
+    let mut rng = Rng::seed(47);
+    let mut plans = Vec::new();
+    for id in 0..60 {
+        let Ok(spec) = g.generate(&db, id, &mut rng) else { continue };
+        if spec.udf.as_ref().is_some_and(|u| apply_adaptations(&mut db, &u.adaptations).is_err()) {
+            continue;
+        }
+        for placement in graceful::plan::valid_placements(&spec) {
+            plans.extend(build_plan(&spec, placement).ok().map(|p| (id, p)));
+        }
+    }
+    assert!(plans.len() >= 40, "corpus too small: {} plans", plans.len());
+    (db, plans)
+}
+
+/// An intermediate relation of the naive evaluator: one row-id per bound
+/// table per row, plus the UDF-projected column once a `UdfProject` ran.
+struct Rel {
+    tables: Vec<String>,
+    rows: Vec<Vec<usize>>,
+    computed: Vec<Value>,
+}
+
+impl Rel {
+    fn rid(&self, row: &[usize], table: &str) -> usize {
+        row[self.tables.iter().position(|t| t == table).expect("table bound")]
+    }
+}
+
+/// The query semantics, written as naively as possible and sharing no code
+/// with the executor's operators: one row at a time through `Pred::matches`,
+/// a `HashMap` join, the tree-walking `Interpreter` per row, and a sequential
+/// left fold. Returns `(out_rows, udf_input_rows, agg_value)`, or `None` when
+/// a UDF invocation errors (the engine fails such a query too).
+fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64)> {
+    let mut interp = Interpreter::default();
+    let (mut udf_input_rows, mut agg_value) = (0, 0.0);
+    let mut out_rows = Vec::new();
+    let mut rels: Vec<Option<Rel>> = Vec::new();
+    for op in &plan.ops {
+        let mut child = |k: usize| rels[op.children[k]].take().expect("children precede parents");
+        let mut eval_udf = |udf: &GeneratedUdf, rel: &Rel| -> Option<Vec<Value>> {
+            let t = db.table(&udf.table).unwrap();
+            udf_input_rows = rel.rows.len();
+            (rel.rows.iter())
+                .map(|row| {
+                    let rid = rel.rid(row, &udf.table);
+                    let args: Vec<Value> =
+                        udf.input_columns.iter().map(|c| t.column(c).unwrap().value(rid)).collect();
+                    interp.eval(&udf.def, &args).ok().map(|out| out.value)
+                })
+                .collect()
+        };
+        let rel = match &op.kind {
+            PlanOpKind::Scan { table } => Rel {
+                tables: vec![table.clone()],
+                rows: (0..db.table(table).unwrap().num_rows()).map(|r| vec![r]).collect(),
+                computed: Vec::new(),
+            },
+            PlanOpKind::Filter { preds } => {
+                let mut rel = child(0);
+                let keep = |row: &[usize]| {
+                    preds.iter().all(|p| {
+                        p.matches(db.table(&p.col.table).unwrap(), rel.rid(row, &p.col.table))
+                    })
+                };
+                rel.rows = rel.rows.iter().filter(|row| keep(row)).cloned().collect();
+                rel
+            }
+            PlanOpKind::Join { left_col, right_col } => {
+                let (left, right) = (child(0), child(1));
+                let key = |rel: &Rel, c: &ColRef, row: &[usize]| {
+                    let col = db.table(&c.table).unwrap().column(&c.column).unwrap();
+                    col.get_i64(rel.rid(row, &c.table))
+                };
+                let mut index: HashMap<i64, Vec<&Vec<usize>>> = HashMap::new();
+                for row in &right.rows {
+                    if let Some(k) = key(&right, right_col, row) {
+                        index.entry(k).or_default().push(row);
+                    }
+                }
+                let mut rows = Vec::new();
+                for lrow in &left.rows {
+                    let matches = key(&left, left_col, lrow).and_then(|k| index.get(&k));
+                    for rrow in matches.into_iter().flatten() {
+                        rows.push([lrow.as_slice(), rrow.as_slice()].concat());
+                    }
+                }
+                Rel { tables: [left.tables, right.tables].concat(), rows, computed: Vec::new() }
+            }
+            PlanOpKind::UdfFilter { udf, op: cmp, literal } => {
+                let mut rel = child(0);
+                let values = eval_udf(udf, &rel)?;
+                let passes = |v: &Value| {
+                    v.as_f64().is_some_and(|v| match cmp {
+                        CmpOp::Lt => v < *literal,
+                        CmpOp::Le => v <= *literal,
+                        CmpOp::Gt => v > *literal,
+                        CmpOp::Ge => v >= *literal,
+                        CmpOp::Eq => v == *literal,
+                        CmpOp::Ne => v != *literal,
+                    })
+                };
+                let kept = rel.rows.into_iter().zip(&values).filter(|(_, v)| passes(v));
+                rel.rows = kept.map(|(row, _)| row).collect();
+                rel
+            }
+            PlanOpKind::UdfProject { udf } => {
+                let mut rel = child(0);
+                rel.computed = eval_udf(udf, &rel)?;
+                rel
+            }
+            PlanOpKind::Agg { func, column } => {
+                let rel = child(0);
+                let values: Vec<f64> = match column {
+                    Some(c) => {
+                        let col = db.table(&c.table).unwrap().column(&c.column).unwrap();
+                        rel.rows.iter().filter_map(|r| col.get_f64(rel.rid(r, &c.table))).collect()
+                    }
+                    None => rel.computed.iter().filter_map(Value::as_f64).collect(),
+                };
+                let sum = values.iter().fold(0.0, |acc, v| acc + v);
+                agg_value = match func {
+                    AggFunc::CountStar => rel.rows.len() as f64,
+                    _ if values.is_empty() => 0.0,
+                    AggFunc::Sum => sum,
+                    AggFunc::Avg => sum / values.len() as f64,
+                    AggFunc::Min => values.iter().copied().reduce(f64::min).unwrap(),
+                    AggFunc::Max => values.iter().copied().reduce(f64::max).unwrap(),
+                };
+                Rel { tables: rel.tables, rows: vec![Vec::new()], computed: Vec::new() }
+            }
+        };
+        out_rows.push(rel.rows.len());
+        rels.push(Some(rel));
+    }
+    Some((out_rows, udf_input_rows, agg_value))
+}
+
+/// The executor against the semantics themselves, not against its twin: on
+/// the generated corpus in every valid placement, cardinalities and the UDF
+/// input-row channel are exact and the answer is bit-exact. One morsel per
+/// operator (`morsel_rows` above any table) makes the engine's fold the
+/// oracle's left fold; the many-morsel session re-checks the counts where
+/// rebatching and zone pruning are live. This is "UDF placement never changes
+/// query results", checked per placement against one oracle.
+#[test]
+fn executor_matches_a_naive_evaluator_of_the_query_semantics() {
+    let (db, plans) = generated_plans();
+    let one_morsel = |mode| ExecOptions::new().morsel_rows(1 << 24).mode(mode).build().unwrap();
+    let many_morsels = session(UdfBackend::Simd, ExecMode::Pipeline, 2);
+    let mut udf_plans = 0;
+    for (id, plan) in &plans {
+        let Some((out_rows, udf_input_rows, agg_value)) = naive_run(&db, plan) else {
+            assert!(many_morsels.run(&db, plan, *id).is_err(), "query {id}: UDF error swallowed");
+            continue;
+        };
+        for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
+            let run = one_morsel(mode).run(&db, plan, *id).expect("plan executes");
+            assert_eq!(run.out_rows, out_rows, "query {id} ({mode:?}): cardinalities");
+            assert_eq!(run.udf_input_rows, udf_input_rows, "query {id} ({mode:?}): udf rows");
+            assert_eq!(
+                run.agg_value.to_bits(),
+                agg_value.to_bits(),
+                "query {id} ({mode:?}): answer {} vs {agg_value}",
+                run.agg_value
+            );
+        }
+        let run = many_morsels.run(&db, plan, *id).expect("plan executes");
+        assert_eq!(run.out_rows, out_rows, "query {id}: cardinalities across morsels");
+        assert_eq!(run.udf_input_rows, udf_input_rows, "query {id}: udf rows across morsels");
+        udf_plans += usize::from(udf_input_rows > 0);
+    }
+    assert!(udf_plans >= 10, "only {udf_plans} plans fed a UDF");
+}
+
+/// Work is a pure function of the plan and the data: with the measured
+/// cardinalities written into the estimate slots, the closed-form prediction
+/// reproduces the accounted work of every relational operator bit for bit —
+/// both call the same `OperatorWeights` methods. (UDF operators are
+/// excluded: their accounted work is data-dependent, which is the gap the
+/// learned estimator exists to close.)
+#[test]
+fn accounted_work_is_the_closed_form_of_the_measured_cardinalities() {
+    let (db, plans) = generated_plans();
+    let s = session(UdfBackend::Simd, ExecMode::Pipeline, 2);
+    let mut checked = 0;
+    for (id, plan) in plans {
+        let mut plan = plan;
+        let Ok(run) = s.run_and_annotate(&db, &mut plan, id) else { continue };
+        for op in &mut plan.ops {
+            op.est_out_rows = op.actual_out_rows;
+        }
+        let predicted = estimated_work(&plan, s.config());
+        for (i, op) in plan.ops.iter().enumerate() {
+            if matches!(op.kind, PlanOpKind::UdfFilter { .. } | PlanOpKind::UdfProject { .. }) {
+                continue;
+            }
+            assert_eq!(
+                predicted[i].to_bits(),
+                run.op_work[i].to_bits(),
+                "query {id} op {i} ({}): predicted {} vs accounted {}",
+                op.kind.name(),
+                predicted[i],
+                run.op_work[i]
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 100, "only {checked} operators compared");
 }
