@@ -1,5 +1,6 @@
-//! Training-step shoot-out: the batched level-synchronous GNN trainer vs
-//! the kept node-at-a-time reference, over a real featurized corpus.
+//! Training-step shoot-out: the batched level-synchronous GNN trainer (what
+//! ships) vs the node-at-a-time reference kept as its oracle
+//! (`GnnExecMode::NodeAtATime`), over a real featurized corpus.
 //!
 //! For every mini-batch size both modes run the identical step sequence
 //! (same graphs, same order, same seeds); the bench asserts per-step losses
@@ -41,9 +42,10 @@ fn run_mode(
 ) -> ModeRun {
     let mut model = GracefulModel::new(Featurizer::full(), cfg.hidden, cfg.seed)
         .expect("valid GNN architecture");
-    // Pure defaults for the optimizer/loss knobs; the exec mode and batch
-    // size are this bench's own axes.
-    let tcfg = TrainOptions::new().seed(cfg.seed).build().expect("valid options");
+    // Pure defaults for the optimizer/loss knobs; the trainer (engine or its
+    // reference, through the oracle selector) and the batch size are this
+    // bench's own axes.
+    let tcfg = TrainOptions::new().seed(cfg.seed).exec(exec).build().expect("valid options");
     // Train over fixed-order mini-batches via the public per-step API so
     // both modes see the identical step sequence.
     let gnn = model.gnn_mut();
@@ -58,7 +60,7 @@ fn run_mode(
             let gs: Vec<&TypedGraph> = chunk.iter().map(|(g, _)| g).collect();
             let ts: Vec<f64> = chunk.iter().map(|(_, t)| *t).collect();
             let loss = gnn
-                .train_batch_in(exec, &gs, &ts, &tcfg.adam, tcfg.huber_delta)
+                .train_batch_in(tcfg.exec, &gs, &ts, &tcfg.adam, tcfg.huber_delta)
                 .expect("training step succeeds");
             losses.push(loss);
             steps += 1;
@@ -79,8 +81,11 @@ fn main() {
     let refs: Vec<&DatasetCorpus> = corpora.iter().collect();
     let probe = GracefulModel::new(Featurizer::full(), cfg.hidden, cfg.seed)
         .expect("valid GNN architecture");
-    let samples =
-        probe.featurize_corpora(&Pool::from_env(), &refs).expect("featurization succeeds");
+    let pool = Pool::from_env().unwrap_or_else(|e| {
+        eprintln!("train_throughput: {e}");
+        std::process::exit(2)
+    });
+    let samples = probe.featurize_corpora(&pool, &refs).expect("featurization succeeds");
     let total_nodes: usize = samples.iter().map(|(g, _)| g.len()).sum();
     println!(
         "corpus: {} graphs / {} nodes over {} databases, hidden {}\n",

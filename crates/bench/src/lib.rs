@@ -12,9 +12,13 @@ use graceful_common::metrics::QErrorSummary;
 use graceful_core::corpus::{build_all_corpora, DatasetCorpus};
 use std::time::Instant;
 
-/// Resolve the experiment scale from the environment and echo it.
+/// Resolve the experiment scale from the environment and echo it. An invalid
+/// `GRACEFUL_*` value ends the bench: the message on stderr, a non-zero exit.
 pub fn announce(experiment: &str) -> ScaleConfig {
-    let cfg = ScaleConfig::from_env();
+    let cfg = ScaleConfig::try_from_env().unwrap_or_else(|e| {
+        eprintln!("{experiment}: {e}");
+        std::process::exit(2)
+    });
     println!("=== {experiment} ===");
     println!(
         "scale: data x{:.2}, {} queries/db, {} folds, {} epochs, hidden {}, seed {}",

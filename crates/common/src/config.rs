@@ -3,54 +3,144 @@
 //! The paper's corpus is 93.8k queries over 20 databases and took 142 hours
 //! of execution to label. The reproduction defaults to a scale that finishes
 //! the full experiment suite in minutes; every knob can be raised through
-//! environment variables so the corpus approaches the paper's size:
+//! environment variables so the corpus approaches the paper's size. The table
+//! below is the `KNOBS` table, row for row (a test compares them):
 //!
 //! | Env var | Meaning | Default |
 //! |---|---|---|
-//! | `GRACEFUL_SCALE`          | multiplier on base-table row counts | `1.0` |
+//! | `GRACEFUL_SCALE` | multiplier on base-table row counts | `1.0` |
 //! | `GRACEFUL_QUERIES_PER_DB` | labelled queries generated per database | `45` |
-//! | `GRACEFUL_FOLDS`          | cross-validation groups (20 = the paper's leave-one-out) | `2` |
-//! | `GRACEFUL_EPOCHS`         | GNN training epochs | `14` |
-//! | `GRACEFUL_HIDDEN`         | GNN hidden width | `32` |
-//! | `GRACEFUL_SEED`           | global seed | `20250331` (the arXiv date) |
-//! | `GRACEFUL_UDF_BATCH`      | rows per batch fed to the UDF VM | `1024` |
-//! | `GRACEFUL_THREADS`        | worker threads of the morsel-driven runtime (`graceful-runtime`) | all cores |
-//! | `GRACEFUL_MORSEL`         | rows per morsel in parallel operators | `2048` |
-//! | `GRACEFUL_GNN_EXEC`       | GNN trainer mode: `batched` (level-synchronous) or `node-at-a-time` (reference) | `batched` |
-//! | `GRACEFUL_PROFILE`        | attach a per-operator `ExecProfile` to every `QueryRun`: `1`/`0` (also `true`/`false`, `on`/`off`, `yes`/`no`) | `0` |
-//! | `GRACEFUL_TRACE`          | enable span tracing and write Chrome-trace JSON to this path on flush | off |
-//! | `GRACEFUL_FLIGHT`         | enable the query flight recorder and write per-query JSONL records to this path on flush | off |
-//! | `GRACEFUL_VERIFY`         | bytecode verification of every compiled UDF: `strict` or `off` (bench-only) | `strict` |
-//! | `GRACEFUL_PLAN_VERIFY`    | static plan verification before lowering: `strict` or `off` (bench-only) | `strict` |
+//! | `GRACEFUL_FOLDS` | cross-validation groups (20 = the paper's leave-one-out) | `2` |
+//! | `GRACEFUL_EPOCHS` | GNN training epochs | `14` |
+//! | `GRACEFUL_HIDDEN` | GNN hidden width | `32` |
+//! | `GRACEFUL_SEED` | global seed | `20250331` (the arXiv date) |
+//! | `GRACEFUL_UDF_BATCH` | rows per batch fed to the UDF VM | `1024` |
+//! | `GRACEFUL_THREADS` | worker threads of the morsel-driven runtime (`graceful-runtime`) | all cores |
+//! | `GRACEFUL_MORSEL` | rows per morsel in parallel operators | `2048` |
+//! | `GRACEFUL_PROFILE` | attach a per-operator `ExecProfile` to every `QueryRun` | `0` |
+//! | `GRACEFUL_TRACE` | enable span tracing and write Chrome-trace JSON to this path on flush | off |
+//! | `GRACEFUL_FLIGHT` | enable the query flight recorder and write per-query JSONL records to this path on flush | off |
+//! | `GRACEFUL_VERIFY` | bytecode verification of every compiled UDF (`off` is bench-only) | `strict` |
+//! | `GRACEFUL_PLAN_VERIFY` | static plan verification before lowering (`off` is bench-only) | `strict` |
 //!
-//! `GRACEFUL_SCALE`, `GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
-//! `GRACEFUL_MORSEL`, `GRACEFUL_GNN_EXEC`,
-//! `GRACEFUL_PROFILE`, `GRACEFUL_TRACE`, `GRACEFUL_FLIGHT`, `GRACEFUL_VERIFY`
-//! and `GRACEFUL_PLAN_VERIFY` are validated strictly: an unknown
-//! mode name, a non-positive/unparsable thread, batch or morsel count, a
-//! non-finite or non-positive data scale, an
-//! unrecognized boolean or an empty trace/flight path is
-//! a hard error (listing the valid options), not a silent fallback — a typo
-//! in an experiment environment must not silently re-run the wrong
-//! configuration. Results never depend on any of them: the runtime merges
-//! per-morsel work in morsel-index order, so every output is bit-identical
-//! for any thread count and batch size — and profiling/tracing
-//! are write-only observers, so `tests/parallel_determinism.rs` proves they
-//! flip no contracted bit either.
+//! Every value is checked by the one parser of its knob's shape (`Shape`):
+//! a value the shape rejects is a hard error naming the knob and what it
+//! expects, not a silent fallback — a typo in an experiment environment must
+//! not silently re-run the wrong configuration. Results never depend on the
+//! execution knobs: the runtime merges per-morsel work in morsel-index order
+//! and profiling/tracing are write-only observers, so every output is
+//! bit-identical for any thread count, batch size and instrumentation
+//! (`tests/parallel_determinism.rs`).
 //!
-//! These environment variables are only *defaults*: the engine is configured
-//! programmatically through `graceful_exec::Session` / `ExecOptions`, which
-//! resolve the environment exactly once (via the `try_*_from_env` helpers
-//! here) and surface invalid values as typed `GracefulError::Config` errors.
-//! This module is the **only** place in the workspace that reads `GRACEFUL_*`
-//! variables.
+//! These variables are only *defaults*: `graceful_exec::ExecOptions` and
+//! `graceful_core::model::TrainOptions` resolve them once, through the
+//! `try_*_from_env` helpers here, and surface invalid values as typed
+//! `GracefulError::Config` errors. This module is the **only** place in the
+//! workspace that reads the environment (a test greps for it).
 //!
-//! The UDF backend and the executor mode are not among them: the engine
-//! ships one UDF path ([`UdfBackend::Simd`]) and one driver
-//! ([`ExecMode::Pipeline`]); the alternatives are differential oracles
-//! selected programmatically (`ExecOptions::udf_backend`,
-//! `ExecOptions::mode`). The variables that used to choose between them are
-//! rejected when set ([`try_removed_knobs_unset`]), not silently ignored.
+//! The UDF backend, the executor mode and the GNN engine are not knobs: the
+//! engine ships one of each ([`UdfBackend::Simd`], [`ExecMode::Pipeline`],
+//! the level-synchronous GNN engine) and the alternatives are differential
+//! oracles selected programmatically. The variables that used to choose
+//! between them are rejected when set ([`try_removed_knobs_unset`]).
+
+/// What a knob's value must look like. Each shape has exactly one parser —
+/// its arm in [`admit`] — and one description, its arm in [`parse`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// An integer in `lo..=hi`; one outside is rejected, or clamped into the
+    /// range when `clamp`.
+    Int { lo: u64, hi: u64, clamp: bool },
+    /// A finite float > 0.
+    Float,
+    /// A word (case insensitive) of the `true` list or of the `false` list.
+    Words(&'static [&'static str], &'static [&'static str]),
+    /// A non-empty path.
+    Path,
+}
+
+const COUNT: Shape = Shape::Int { lo: 1, hi: u64::MAX, clamp: false };
+const SEED: Shape = Shape::Int { lo: 0, hi: u64::MAX, clamp: false };
+const BOOL: Shape = Shape::Words(&["1", "true", "on", "yes"], &["0", "false", "off", "no"]);
+const STRICT_OFF: Shape = Shape::Words(&["strict", "on"], &["off"]);
+
+const fn clamped(lo: u64, hi: u64) -> Shape {
+    Shape::Int { lo, hi, clamp: true }
+}
+
+/// One row of the environment surface: the variable, its shape, what leaving
+/// it unset means (as the module-doc table prints it), its one-line meaning.
+type Knob = (&'static str, Shape, &'static str, &'static str);
+
+/// Every `GRACEFUL_*` variable the workspace reads — one row per line, like
+/// the module-doc table a test holds it to.
+#[rustfmt::skip]
+const KNOBS: [Knob; 14] = [
+    ("GRACEFUL_SCALE", Shape::Float, "`1.0`", "multiplier on base-table row counts"),
+    ("GRACEFUL_QUERIES_PER_DB", clamped(4, u64::MAX), "`45`", "labelled queries generated per database"),
+    ("GRACEFUL_FOLDS", clamped(1, 20), "`2`", "cross-validation groups (20 = the paper's leave-one-out)"),
+    ("GRACEFUL_EPOCHS", clamped(1, u64::MAX), "`14`", "GNN training epochs"),
+    ("GRACEFUL_HIDDEN", clamped(4, 512), "`32`", "GNN hidden width"),
+    ("GRACEFUL_SEED", SEED, "`20250331` (the arXiv date)", "global seed"),
+    ("GRACEFUL_UDF_BATCH", COUNT, "`1024`", "rows per batch fed to the UDF VM"),
+    ("GRACEFUL_THREADS", COUNT, "all cores", "worker threads of the morsel-driven runtime (`graceful-runtime`)"),
+    ("GRACEFUL_MORSEL", COUNT, "`2048`", "rows per morsel in parallel operators"),
+    ("GRACEFUL_PROFILE", BOOL, "`0`", "attach a per-operator `ExecProfile` to every `QueryRun`"),
+    ("GRACEFUL_TRACE", Shape::Path, "off", "enable span tracing and write Chrome-trace JSON to this path on flush"),
+    ("GRACEFUL_FLIGHT", Shape::Path, "off", "enable the query flight recorder and write per-query JSONL records to this path on flush"),
+    ("GRACEFUL_VERIFY", STRICT_OFF, "`strict`", "bytecode verification of every compiled UDF (`off` is bench-only)"),
+    ("GRACEFUL_PLAN_VERIFY", STRICT_OFF, "`strict`", "static plan verification before lowering (`off` is bench-only)"),
+];
+
+/// Check a trimmed value against `shape` and return it normalized — an
+/// integer clamped, a word as `true`/`false` — so that `str::parse` of the
+/// accessor's type finishes the job. `None` is a value the shape rejects.
+fn admit(shape: Shape, v: &str) -> Option<String> {
+    match shape {
+        Shape::Int { lo, hi, clamp } => {
+            let n: u64 = v.parse().ok()?;
+            let n = if clamp { n.clamp(lo, hi) } else { n };
+            (lo..=hi).contains(&n).then(|| n.to_string())
+        }
+        Shape::Float => {
+            v.parse().ok().filter(|x: &f64| x.is_finite() && *x > 0.0).map(|_| v.into())
+        }
+        Shape::Words(yes, no) => {
+            let v = v.to_ascii_lowercase();
+            let on = yes.contains(&v.as_str());
+            (on || no.contains(&v.as_str())).then(|| on.to_string())
+        }
+        Shape::Path => (!v.is_empty()).then(|| v.into()),
+    }
+}
+
+/// Parse one value of a knob. The error is the module's one message
+/// template: the knob, the offending value, what its shape expects, what
+/// the knob means, what leaving it unset does.
+fn parse<T: std::str::FromStr>(
+    &(name, shape, default, meaning): &Knob,
+    raw: &str,
+) -> Result<T, String> {
+    let raw = raw.trim();
+    admit(shape, raw).and_then(|v| v.parse().ok()).ok_or_else(|| {
+        let expects = match shape {
+            Shape::Int { lo, hi: u64::MAX, clamp: false } => format!("an integer >= {lo}"),
+            Shape::Int { lo, hi: u64::MAX, .. } => format!("an integer (raised to at least {lo})"),
+            Shape::Int { lo, hi, .. } => format!("an integer (clamped into {lo}..={hi})"),
+            Shape::Float => "a finite float > 0".into(),
+            Shape::Words(yes, no) => format!("`{}` or `{}`", yes.join("`/`"), no.join("`/`")),
+            Shape::Path => "a non-empty output path".into(),
+        };
+        format!("invalid {name} `{raw}`: expected {expects} ({meaning}; unset means {default})")
+    })
+}
+
+/// The one reader of the environment: `Ok(None)` when `name` is unset, its
+/// parsed value when set, an error naming the knob when the value is invalid.
+fn read<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
+    let knob = KNOBS.iter().find(|k| k.0 == name).ok_or(format!("{name} is not a knob"))?;
+    std::env::var_os(name).map(|raw| parse(knob, &raw.to_string_lossy())).transpose()
+}
 
 /// Which UDF evaluation backend the execution engine uses.
 ///
@@ -74,18 +164,12 @@ pub enum UdfBackend {
 }
 
 /// Variables that left the environment surface when what they selected
-/// stopped being a user choice, each with what to use instead.
-const REMOVED_KNOBS: [(&str, &str); 2] = [
-    (
-        "GRACEFUL_UDF_BACKEND",
-        "the engine ships one UDF path (`simd`, per-row VM fallback); select the \
-         `vm`/`treewalk` oracles programmatically with `ExecOptions::udf_backend`",
-    ),
-    (
-        "GRACEFUL_EXEC",
-        "the engine ships one executor (the streaming pipeline driver); select the \
-         collecting oracle driver programmatically with `ExecOptions::mode`",
-    ),
+/// stopped being a user choice, each with the programmatic selector of the
+/// differential oracles it used to select.
+const REMOVED_KNOBS: [(&str, &str); 3] = [
+    ("GRACEFUL_UDF_BACKEND", "ExecOptions::udf_backend"),
+    ("GRACEFUL_EXEC", "ExecOptions::mode"),
+    ("GRACEFUL_GNN_EXEC", "TrainOptions::exec"),
 ];
 
 /// Every removed knob must be unset: an experiment script that still sets
@@ -95,15 +179,14 @@ pub fn try_removed_knobs_unset() -> Result<(), String> {
 }
 
 fn removed_knobs_unset(var: impl Fn(&str) -> Option<std::ffi::OsString>) -> Result<(), String> {
-    for (name, instead) in REMOVED_KNOBS {
-        if let Some(v) = var(name) {
-            return Err(format!(
-                "{name} is set (`{}`) but is no longer read: {instead} and unset the variable",
-                v.to_string_lossy()
-            ));
-        }
+    match REMOVED_KNOBS.iter().find_map(|&(name, setter)| Some((name, setter, var(name)?))) {
+        None => Ok(()),
+        Some((name, setter, value)) => Err(format!(
+            "{name} is set (`{}`) but is no longer read: the engine ships one implementation \
+             and tests pin its oracles with `{setter}` — unset the variable",
+            value.to_string_lossy()
+        )),
     }
-    Ok(())
 }
 
 /// Whether compiled UDF bytecode is statically verified before execution.
@@ -126,27 +209,11 @@ pub enum VerifyMode {
 }
 
 impl VerifyMode {
-    /// Parse a verification mode (`strict` | `off`, case insensitive).
-    /// Unknown names are an error listing the valid options.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "strict" | "on" => Ok(VerifyMode::Strict),
-            "off" => Ok(VerifyMode::Off),
-            other => Err(format!(
-                "invalid GRACEFUL_VERIFY `{other}`: valid values are `strict` \
-                 (alias `on`; the default) and `off` (bench-only — skips \
-                 bytecode verification)"
-            )),
-        }
-    }
-
-    /// Resolve from `GRACEFUL_VERIFY`; unset means [`VerifyMode::Strict`],
-    /// an unknown value is an error (see [`VerifyMode::parse`]).
+    /// Resolve from `GRACEFUL_VERIFY` (`strict` | `off`); unset means
+    /// [`VerifyMode::Strict`], an unknown value is an error.
     pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("GRACEFUL_VERIFY") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Ok(VerifyMode::default()),
-        }
+        let strict = read("GRACEFUL_VERIFY")?.unwrap_or(true);
+        Ok(if strict { VerifyMode::Strict } else { VerifyMode::Off })
     }
 }
 
@@ -172,28 +239,11 @@ pub enum PlanVerifyMode {
 }
 
 impl PlanVerifyMode {
-    /// Parse a plan-verification mode (`strict` | `off`, case insensitive).
-    /// Unknown names are an error listing the valid options.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "strict" | "on" => Ok(PlanVerifyMode::Strict),
-            "off" => Ok(PlanVerifyMode::Off),
-            other => Err(format!(
-                "invalid GRACEFUL_PLAN_VERIFY `{other}`: valid values are \
-                 `strict` (alias `on`; the default) and `off` (bench-only — \
-                 skips static plan verification)"
-            )),
-        }
-    }
-
-    /// Resolve from `GRACEFUL_PLAN_VERIFY`; unset means
-    /// [`PlanVerifyMode::Strict`], an unknown value is an error (see
-    /// [`PlanVerifyMode::parse`]).
+    /// Resolve from `GRACEFUL_PLAN_VERIFY` (`strict` | `off`); unset means
+    /// [`PlanVerifyMode::Strict`], an unknown value is an error.
     pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("GRACEFUL_PLAN_VERIFY") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Ok(PlanVerifyMode::default()),
-        }
+        let strict = read("GRACEFUL_PLAN_VERIFY")?.unwrap_or(true);
+        Ok(if strict { PlanVerifyMode::Strict } else { PlanVerifyMode::Off })
     }
 }
 
@@ -216,27 +266,6 @@ pub enum ExecMode {
 /// Default rows per batch fed to the UDF VM.
 pub const DEFAULT_UDF_BATCH: usize = 1024;
 
-/// Parse a `GRACEFUL_UDF_BATCH` value: an integer ≥ 1 (rows per VM batch).
-pub fn parse_udf_batch(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "invalid GRACEFUL_UDF_BATCH `{}`: expected an integer >= 1 \
-             (rows per UDF VM batch; unset means {DEFAULT_UDF_BATCH})",
-            value.trim()
-        )),
-    }
-}
-
-/// Resolve the UDF VM batch size from `GRACEFUL_UDF_BATCH` (default
-/// [`DEFAULT_UDF_BATCH`]); an invalid value is an error.
-pub fn try_udf_batch_from_env() -> Result<usize, String> {
-    match std::env::var("GRACEFUL_UDF_BATCH") {
-        Ok(v) => parse_udf_batch(&v),
-        Err(_) => Ok(DEFAULT_UDF_BATCH),
-    }
-}
-
 /// Rows per morsel when none is configured.
 pub const DEFAULT_MORSEL_ROWS: usize = 2048;
 
@@ -246,165 +275,40 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Parse a `GRACEFUL_THREADS` value: an integer ≥ 1.
-pub fn parse_threads(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "invalid GRACEFUL_THREADS `{}`: expected an integer >= 1 \
-             (worker threads; unset means all cores)",
-            value.trim()
-        )),
-    }
+/// `GRACEFUL_UDF_BATCH`, default [`DEFAULT_UDF_BATCH`].
+pub fn try_udf_batch_from_env() -> Result<usize, String> {
+    Ok(read("GRACEFUL_UDF_BATCH")?.unwrap_or(DEFAULT_UDF_BATCH))
 }
 
-/// Parse a `GRACEFUL_MORSEL` value: an integer ≥ 1 (rows per morsel).
-pub fn parse_morsel(value: &str) -> Result<usize, String> {
-    match value.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "invalid GRACEFUL_MORSEL `{}`: expected an integer >= 1 \
-             (rows per morsel; unset means {DEFAULT_MORSEL_ROWS})",
-            value.trim()
-        )),
-    }
-}
-
-/// Resolve the worker-thread count from `GRACEFUL_THREADS` (default: all
-/// cores); an invalid value is an error.
+/// `GRACEFUL_THREADS`, default [`default_threads`].
 pub fn try_threads_from_env() -> Result<usize, String> {
-    match std::env::var("GRACEFUL_THREADS") {
-        Ok(v) => parse_threads(&v),
-        Err(_) => Ok(default_threads()),
-    }
+    Ok(read("GRACEFUL_THREADS")?.unwrap_or_else(default_threads))
 }
 
-/// [`try_threads_from_env`], panicking on invalid values.
-pub fn threads_from_env() -> usize {
-    try_threads_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Resolve the morsel size from `GRACEFUL_MORSEL` (default
-/// [`DEFAULT_MORSEL_ROWS`]); an invalid value is an error.
+/// `GRACEFUL_MORSEL`, default [`DEFAULT_MORSEL_ROWS`].
 pub fn try_morsel_from_env() -> Result<usize, String> {
-    match std::env::var("GRACEFUL_MORSEL") {
-        Ok(v) => parse_morsel(&v),
-        Err(_) => Ok(DEFAULT_MORSEL_ROWS),
-    }
+    Ok(read("GRACEFUL_MORSEL")?.unwrap_or(DEFAULT_MORSEL_ROWS))
 }
 
-/// [`try_morsel_from_env`], panicking on invalid values.
-pub fn morsel_from_env() -> usize {
-    try_morsel_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Parse a `GRACEFUL_PROFILE` value: a boolean written as `1`/`0`, `true`/
-/// `false`, `on`/`off` or `yes`/`no` (case insensitive). Anything else is an
-/// error listing the valid spellings.
-pub fn parse_profile(value: &str) -> Result<bool, String> {
-    match value.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "0" | "false" | "off" | "no" => Ok(false),
-        other => Err(format!(
-            "invalid GRACEFUL_PROFILE `{other}`: expected a boolean — \
-             `1`/`0`, `true`/`false`, `on`/`off` or `yes`/`no`"
-        )),
-    }
-}
-
-/// Resolve per-query profiling from `GRACEFUL_PROFILE` (default: off); an
-/// invalid value is an error.
+/// `GRACEFUL_PROFILE`, default off.
 pub fn try_profile_from_env() -> Result<bool, String> {
-    match std::env::var("GRACEFUL_PROFILE") {
-        Ok(v) => parse_profile(&v),
-        Err(_) => Ok(false),
-    }
+    Ok(read("GRACEFUL_PROFILE")?.unwrap_or(false))
 }
 
-/// Parse a `GRACEFUL_TRACE` value: a non-empty output path for the
-/// Chrome-trace JSON. An empty (or all-whitespace) value is an error — an
-/// accidentally blank variable must not silently disable the trace the
-/// experiment asked for.
-pub fn parse_trace(value: &str) -> Result<String, String> {
-    let path = value.trim();
-    if path.is_empty() {
-        Err("invalid GRACEFUL_TRACE ``: expected a non-empty output path for the \
-             Chrome-trace JSON (unset the variable to disable tracing)"
-            .to_string())
-    } else {
-        Ok(path.to_string())
-    }
-}
-
-/// Resolve the trace output path from `GRACEFUL_TRACE` (unset → `None`,
-/// tracing off); an empty value is an error.
+/// `GRACEFUL_TRACE`: the Chrome-trace output path (unset → `None`, tracing
+/// off). A blank value is an error, not a silently disabled trace.
 pub fn try_trace_from_env() -> Result<Option<String>, String> {
-    match std::env::var("GRACEFUL_TRACE") {
-        Ok(v) => parse_trace(&v).map(Some),
-        Err(_) => Ok(None),
-    }
+    read("GRACEFUL_TRACE")
 }
 
-/// Parse a `GRACEFUL_FLIGHT` value: a non-empty output path for the
-/// flight-recorder JSONL. An empty (or all-whitespace) value is an error —
-/// an accidentally blank variable must not silently disable the recording
-/// the experiment asked for.
-pub fn parse_flight(value: &str) -> Result<String, String> {
-    let path = value.trim();
-    if path.is_empty() {
-        Err("invalid GRACEFUL_FLIGHT ``: expected a non-empty output path for the \
-             flight-recorder JSONL (unset the variable to disable recording)"
-            .to_string())
-    } else {
-        Ok(path.to_string())
-    }
-}
-
-/// Resolve the flight-recorder output path from `GRACEFUL_FLIGHT` (unset →
-/// `None`, recording off); an empty value is an error.
+/// `GRACEFUL_FLIGHT`: the flight-recorder JSONL path, like the trace's.
 pub fn try_flight_from_env() -> Result<Option<String>, String> {
-    match std::env::var("GRACEFUL_FLIGHT") {
-        Ok(v) => parse_flight(&v).map(Some),
-        Err(_) => Ok(None),
-    }
+    read("GRACEFUL_FLIGHT")
 }
 
-/// Parse a `GRACEFUL_SCALE` value: a finite float > 0 multiplying every
-/// dataset's base-table row counts. NaN, infinities, non-positive values
-/// and garbage are hard errors — a typo'd scale must not silently re-run
-/// the experiment at 1× (or, worse, at `max(0.01)` of garbage).
-pub fn parse_scale(value: &str) -> Result<f64, String> {
-    match value.trim().parse::<f64>() {
-        Ok(s) if s.is_finite() && s > 0.0 => Ok(s),
-        _ => Err(format!(
-            "invalid GRACEFUL_SCALE `{}`: expected a finite float > 0 \
-             (base-row multiplier; unset means 1.0)",
-            value.trim()
-        )),
-    }
-}
-
-/// Resolve the data scale from `GRACEFUL_SCALE` (default `1.0`); an invalid
-/// value is an error.
+/// `GRACEFUL_SCALE`, default `1.0`.
 pub fn try_scale_from_env() -> Result<f64, String> {
-    match std::env::var("GRACEFUL_SCALE") {
-        Ok(v) => parse_scale(&v),
-        Err(_) => Ok(1.0),
-    }
-}
-
-/// [`try_scale_from_env`], panicking on invalid values — a misconfigured
-/// experiment must fail loudly at startup.
-pub fn scale_from_env() -> f64 {
-    try_scale_from_env().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Raw `GRACEFUL_GNN_EXEC` value (unset → `None`). This crate cannot depend
-/// on `graceful-nn`, so the value is parsed (and strictly validated) by
-/// `graceful_nn::GnnExecMode::parse` at the train-options layer — this
-/// module stays the only place in the workspace that reads `GRACEFUL_*`.
-pub fn gnn_exec_from_env() -> Option<String> {
-    std::env::var("GRACEFUL_GNN_EXEC").ok()
+    Ok(read("GRACEFUL_SCALE")?.unwrap_or(1.0))
 }
 
 /// Scaling configuration resolved from the environment with sane defaults.
@@ -437,31 +341,20 @@ impl Default for ScaleConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
-}
-
 impl ScaleConfig {
     /// Resolve the configuration from `GRACEFUL_*` environment variables,
-    /// falling back to the defaults above. `GRACEFUL_SCALE` is validated
-    /// strictly ([`parse_scale`]) and panics on invalid values, like every
-    /// other execution knob; use [`ScaleConfig::try_from_env`] for a typed
-    /// error instead.
-    pub fn from_env() -> Self {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ScaleConfig::from_env`] with the strict `GRACEFUL_SCALE` validation
-    /// surfaced as an error.
+    /// falling back to the defaults above. Every variable is strict: a value
+    /// that does not parse is an error naming it; integers outside a knob's
+    /// range are clamped into it.
     pub fn try_from_env() -> Result<Self, String> {
         let d = ScaleConfig::default();
         Ok(ScaleConfig {
             data_scale: try_scale_from_env()?,
-            queries_per_db: env_parse("GRACEFUL_QUERIES_PER_DB").unwrap_or(d.queries_per_db).max(4),
-            folds: env_parse::<usize>("GRACEFUL_FOLDS").unwrap_or(d.folds).clamp(1, 20),
-            epochs: env_parse("GRACEFUL_EPOCHS").unwrap_or(d.epochs).max(1),
-            hidden: env_parse("GRACEFUL_HIDDEN").unwrap_or(d.hidden).clamp(4, 512),
-            seed: env_parse("GRACEFUL_SEED").unwrap_or(d.seed),
+            queries_per_db: read("GRACEFUL_QUERIES_PER_DB")?.unwrap_or(d.queries_per_db),
+            folds: read("GRACEFUL_FOLDS")?.unwrap_or(d.folds),
+            epochs: read("GRACEFUL_EPOCHS")?.unwrap_or(d.epochs),
+            hidden: read("GRACEFUL_HIDDEN")?.unwrap_or(d.hidden),
+            seed: read("GRACEFUL_SEED")?.unwrap_or(d.seed),
         })
     }
 
@@ -475,12 +368,36 @@ impl ScaleConfig {
 mod tests {
     use super::*;
 
+    fn knob(name: &str) -> &'static Knob {
+        KNOBS.iter().find(|k| k.0 == name).expect("a knob of the table")
+    }
+
+    /// Whether `raw` is a valid value of `k` (every valid value is a string).
+    fn check(k: &Knob, raw: &str) -> Result<(), String> {
+        parse::<String>(k, raw).map(drop)
+    }
+
     #[test]
     fn defaults_are_sane() {
         let c = ScaleConfig::default();
         assert!(c.folds >= 1 && c.folds <= 20);
         assert!(c.queries_per_db >= 4);
         assert_eq!(c.rows(1000), 1000);
+        // The table's default column states the same values the code uses.
+        for (name, value) in [
+            ("GRACEFUL_SCALE", c.data_scale.to_string()),
+            ("GRACEFUL_QUERIES_PER_DB", c.queries_per_db.to_string()),
+            ("GRACEFUL_FOLDS", c.folds.to_string()),
+            ("GRACEFUL_EPOCHS", c.epochs.to_string()),
+            ("GRACEFUL_HIDDEN", c.hidden.to_string()),
+            ("GRACEFUL_SEED", c.seed.to_string()),
+            ("GRACEFUL_UDF_BATCH", DEFAULT_UDF_BATCH.to_string()),
+            ("GRACEFUL_MORSEL", DEFAULT_MORSEL_ROWS.to_string()),
+        ] {
+            let stated = knob(name).2.trim_start_matches('`');
+            let stated: f64 = stated[..stated.find('`').unwrap()].parse().unwrap();
+            assert_eq!(stated.to_string(), value, "{name}");
+        }
     }
 
     #[test]
@@ -489,9 +406,65 @@ mod tests {
         assert_eq!(c.rows(1000), 16);
     }
 
-    // Env-knob validation is tested through the pure parsers: the resolver
-    // functions only add `std::env::var`, and mutating the environment from
-    // tests would race the rest of the (multi-threaded) suite.
+    // Env-knob validation is tested through `parse`: `read` only adds
+    // the table lookup and `std::env::var_os`, and mutating the environment
+    // from tests would race the rest of the (multi-threaded) suite. The
+    // child-process case in `tests/executor_api.rs` covers `read` itself.
+
+    /// The knob surface is what the table says: documented here and in the
+    /// README row for row, every shape's parser rejects an empty, a garbage
+    /// and an out-of-range value naming the knob, and nothing outside this
+    /// file reads the environment.
+    #[test]
+    fn knob_table_is_the_documented_and_only_environment_surface() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |p: &std::path::Path| std::fs::read_to_string(p).expect("a readable file");
+        let this = read(&root.join("crates/common/src/config.rs"));
+        let readme = read(&root.join("README.md"));
+        let doc_rows = this.lines().filter(|l| l.starts_with("//! | `GRACEFUL_")).count();
+        assert_eq!(doc_rows, KNOBS.len(), "the module-doc table has one row per knob");
+        for k @ &(name, shape, default, meaning) in &KNOBS {
+            let row = format!("//! | `{name}` | {meaning} | {default} |");
+            assert!(this.lines().any(|l| l == row), "module doc lacks the row {row:?}");
+            assert!(readme.contains(&format!("`{name}`")), "README does not list {name}");
+            let out_of_range = match shape {
+                Shape::Int { lo: 0, .. } => "18446744073709551616",
+                Shape::Int { clamp: true, .. } => "-1",
+                Shape::Int { .. } | Shape::Float => "0",
+                Shape::Words(..) => "2",
+                Shape::Path => " \t ",
+            };
+            for bad in ["", "1O", out_of_range] {
+                // "1O" is a fine path; every other shape must reject it.
+                if shape == Shape::Path && bad == "1O" {
+                    continue;
+                }
+                let err = check(k, bad).expect_err(&format!("{name} accepted {bad:?}"));
+                assert!(err.contains(name), "error names the knob: {err}");
+            }
+        }
+        for (name, _) in REMOVED_KNOBS {
+            assert!(KNOBS.iter().all(|k| k.0 != name), "{name} is both read and removed");
+        }
+
+        let mut stack: Vec<_> = ["crates", "src", "examples"].map(|d| root.join(d)).to_vec();
+        let mut scanned = 0;
+        while let Some(path) = stack.pop() {
+            if path.is_dir() {
+                stack.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("crates/common/src/config.rs")
+            {
+                scanned += 1;
+                assert!(
+                    !read(&path).contains("env::var"),
+                    "{} reads the environment",
+                    path.display()
+                );
+            }
+        }
+        assert!(scanned > 100, "only {scanned} source files scanned");
+    }
 
     #[test]
     fn backend_defaults_to_simd_and_its_env_knob_is_rejected() {
@@ -500,6 +473,7 @@ mod tests {
         for (knob, setter) in [
             ("GRACEFUL_UDF_BACKEND", "ExecOptions::udf_backend"),
             ("GRACEFUL_EXEC", "ExecOptions::mode"),
+            ("GRACEFUL_GNN_EXEC", "TrainOptions::exec"),
         ] {
             for set in ["vm", "pipeline", ""] {
                 let err =
@@ -514,91 +488,108 @@ mod tests {
 
     #[test]
     fn udf_batch_parses_and_rejects() {
-        assert_eq!(parse_udf_batch("37"), Ok(37));
+        let k = knob("GRACEFUL_UDF_BATCH");
+        assert_eq!(parse(k, "37"), Ok(37usize));
         for bad in ["0", "-1", "", "fast", "2.5"] {
-            assert!(parse_udf_batch(bad).is_err(), "batch accepted {bad:?}");
+            assert!(parse::<usize>(k, bad).is_err(), "batch accepted {bad:?}");
         }
-        assert!(parse_udf_batch("0").unwrap_err().contains("GRACEFUL_UDF_BATCH"));
     }
 
     #[test]
     fn scale_knob_rejects_nonpositive_nan_and_garbage() {
-        assert_eq!(parse_scale("100"), Ok(100.0));
-        assert_eq!(parse_scale(" 0.25 "), Ok(0.25));
+        let k = knob("GRACEFUL_SCALE");
+        assert_eq!(parse(k, "100"), Ok(100.0));
+        assert_eq!(parse(k, " 0.25 "), Ok(0.25));
         for bad in ["0", "-1", "", "NaN", "inf", "-inf", "big", "1e999"] {
-            let err = parse_scale(bad).unwrap_err();
+            let err = parse::<f64>(k, bad).unwrap_err();
             assert!(err.contains("GRACEFUL_SCALE"), "error names the knob: {err}");
+        }
+    }
+
+    /// The five corpus/model knobs are strict about what parses and keep
+    /// their range clamps (`GRACEFUL_EPOCHS=1O` used to train 14 epochs).
+    #[test]
+    fn scale_config_knobs_are_strict_and_clamped() {
+        let err = parse::<usize>(knob("GRACEFUL_EPOCHS"), "1O").unwrap_err();
+        assert!(err.contains("GRACEFUL_EPOCHS") && err.contains("1O"), "{err}");
+        assert_eq!(parse(knob("GRACEFUL_EPOCHS"), "0"), Ok(1usize));
+        assert_eq!(parse(knob("GRACEFUL_QUERIES_PER_DB"), "1"), Ok(4usize));
+        assert_eq!(parse(knob("GRACEFUL_FOLDS"), "99"), Ok(20usize));
+        assert_eq!(parse(knob("GRACEFUL_HIDDEN"), " 1024 "), Ok(512usize));
+        assert_eq!(parse(knob("GRACEFUL_HIDDEN"), "64"), Ok(64usize));
+        assert_eq!(parse(knob("GRACEFUL_SEED"), "7"), Ok(7u64));
+        for bad in ["", "seven", "-7", "1.5", "18446744073709551616"] {
+            assert!(parse::<u64>(knob("GRACEFUL_SEED"), bad).is_err(), "seed accepted {bad:?}");
         }
     }
 
     #[test]
     fn thread_and_morsel_knobs_reject_invalid_values() {
-        assert_eq!(parse_threads("4"), Ok(4));
-        assert_eq!(parse_morsel(" 512 "), Ok(512));
+        let (threads, morsel) = (knob("GRACEFUL_THREADS"), knob("GRACEFUL_MORSEL"));
+        assert_eq!(parse(threads, "4"), Ok(4usize));
+        assert_eq!(parse(morsel, " 512 "), Ok(512usize));
         for bad in ["0", "-2", "many", "", "1.5"] {
-            assert!(parse_threads(bad).is_err(), "threads accepted {bad:?}");
-            assert!(parse_morsel(bad).is_err(), "morsel accepted {bad:?}");
+            assert!(parse::<usize>(threads, bad).is_err(), "threads accepted {bad:?}");
+            assert!(parse::<usize>(morsel, bad).is_err(), "morsel accepted {bad:?}");
         }
-        assert!(parse_threads("0").unwrap_err().contains("GRACEFUL_THREADS"));
-        assert!(parse_morsel("x").unwrap_err().contains("GRACEFUL_MORSEL"));
         assert!(default_threads() >= 1);
     }
 
     #[test]
     fn profile_knob_parses_booleans_and_rejects_unknown() {
+        let k = knob("GRACEFUL_PROFILE");
         for on in ["1", "true", "ON", " Yes "] {
-            assert_eq!(parse_profile(on), Ok(true), "{on:?} should enable");
+            assert_eq!(parse(k, on), Ok(true), "{on:?} should enable");
         }
         for off in ["0", "false", "Off", " no "] {
-            assert_eq!(parse_profile(off), Ok(false), "{off:?} should disable");
+            assert_eq!(parse(k, off), Ok(false), "{off:?} should disable");
         }
-        for bad in ["", "2", "enabled", "y"] {
-            let err = parse_profile(bad).unwrap_err();
+        for bad in ["", "2", "enabled", "y", "strict"] {
+            let err = parse::<bool>(k, bad).unwrap_err();
             assert!(err.contains("GRACEFUL_PROFILE"), "error names the knob: {err}");
+        }
+    }
+
+    fn strict_off_knob_parses_modes_and_rejects_unknown(name: &str) {
+        let k = knob(name);
+        assert_eq!(parse(k, "strict"), Ok(true));
+        assert_eq!(parse(k, " On "), Ok(true));
+        assert_eq!(parse(k, "OFF"), Ok(false));
+        for bad in ["", "lax", "1", "disabled"] {
+            let err = parse::<bool>(k, bad).unwrap_err();
+            assert!(err.contains(name), "error names the knob: {err}");
+            assert!(err.contains("strict") && err.contains("off"), "lists options: {err}");
         }
     }
 
     #[test]
     fn verify_knob_parses_modes_and_rejects_unknown() {
-        assert_eq!(VerifyMode::parse("strict"), Ok(VerifyMode::Strict));
-        assert_eq!(VerifyMode::parse(" On "), Ok(VerifyMode::Strict));
-        assert_eq!(VerifyMode::parse("OFF"), Ok(VerifyMode::Off));
+        strict_off_knob_parses_modes_and_rejects_unknown("GRACEFUL_VERIFY");
         assert_eq!(VerifyMode::default(), VerifyMode::Strict);
-        for bad in ["", "lax", "1", "disabled"] {
-            let err = VerifyMode::parse(bad).unwrap_err();
-            assert!(err.contains("GRACEFUL_VERIFY"), "error names the knob: {err}");
-            assert!(err.contains("strict") && err.contains("off"), "lists options: {err}");
-        }
     }
 
     #[test]
     fn plan_verify_knob_parses_modes_and_rejects_unknown() {
-        assert_eq!(PlanVerifyMode::parse("strict"), Ok(PlanVerifyMode::Strict));
-        assert_eq!(PlanVerifyMode::parse(" On "), Ok(PlanVerifyMode::Strict));
-        assert_eq!(PlanVerifyMode::parse("OFF"), Ok(PlanVerifyMode::Off));
+        strict_off_knob_parses_modes_and_rejects_unknown("GRACEFUL_PLAN_VERIFY");
         assert_eq!(PlanVerifyMode::default(), PlanVerifyMode::Strict);
-        for bad in ["", "lax", "1", "disabled"] {
-            let err = PlanVerifyMode::parse(bad).unwrap_err();
-            assert!(err.contains("GRACEFUL_PLAN_VERIFY"), "error names the knob: {err}");
-            assert!(err.contains("strict") && err.contains("off"), "lists options: {err}");
+    }
+
+    fn path_knob_requires_nonempty_path(name: &str) {
+        let k = knob(name);
+        assert_eq!(parse(k, " /tmp/out.json "), Ok("/tmp/out.json".to_string()));
+        for bad in ["", "   ", "\t"] {
+            let err = parse::<String>(k, bad).unwrap_err();
+            assert!(err.contains(name), "error names the knob: {err}");
         }
     }
 
     #[test]
     fn trace_knob_requires_nonempty_path() {
-        assert_eq!(parse_trace(" /tmp/trace.json "), Ok("/tmp/trace.json".to_string()));
-        for bad in ["", "   ", "\t"] {
-            let err = parse_trace(bad).unwrap_err();
-            assert!(err.contains("GRACEFUL_TRACE"), "error names the knob: {err}");
-        }
+        path_knob_requires_nonempty_path("GRACEFUL_TRACE");
     }
 
     #[test]
     fn flight_knob_requires_nonempty_path() {
-        assert_eq!(parse_flight(" /tmp/flight.jsonl "), Ok("/tmp/flight.jsonl".to_string()));
-        for bad in ["", "   ", "\t"] {
-            let err = parse_flight(bad).unwrap_err();
-            assert!(err.contains("GRACEFUL_FLIGHT"), "error names the knob: {err}");
-        }
+        path_knob_requires_nonempty_path("GRACEFUL_FLIGHT");
     }
 }

@@ -137,13 +137,6 @@ fn train_gnn(
     }
     let targets: Vec<f64> = samples.iter().map(|(_, t)| *t).collect();
     gnn.fit_target_norm(&targets)?;
-    // Honour the documented GRACEFUL_GNN_EXEC default so the baselines
-    // follow the same trainer-mode knob as the main model (both modes are
-    // bit-identical; batched is faster).
-    let exec = match graceful_common::config::gnn_exec_from_env() {
-        Some(v) => GnnExecMode::parse(&v).map_err(GracefulError::Config)?,
-        None => GnnExecMode::default(),
-    };
     let adam = AdamConfig { lr: 2e-3, ..AdamConfig::default() };
     let mut rng = Rng::seed(seed ^ 0xBA5E);
     let mut order: Vec<usize> = (0..samples.len()).collect();
@@ -152,7 +145,7 @@ fn train_gnn(
         for chunk in order.chunks(16) {
             let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
             let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-            gnn.train_batch_in(exec, &graphs, &ts, &adam, 1.0)?;
+            gnn.train_batch_in(GnnExecMode::Batched, &graphs, &ts, &adam, 1.0)?;
         }
     }
     Ok(())

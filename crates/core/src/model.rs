@@ -19,11 +19,16 @@
 //!    [`TrainOptions::build_with_env`]). Results merge in item order, so the
 //!    sample list — and therefore the whole training run — is bit-identical
 //!    for any thread count.
-//! 2. **Batched mini-batch SGD** — each shuffled mini-batch trains through
-//!    [`GnnModel::train_batch_in`] under [`TrainConfig::exec`]; the default
-//!    [`GnnExecMode::Batched`] packs every mini-batch into one
-//!    level-synchronous pass that is bit-identical to the node-at-a-time
-//!    reference.
+//! 2. **Batched mini-batch SGD** — each shuffled mini-batch is packed into
+//!    one level-synchronous pass of the GNN engine
+//!    ([`GnnModel::train_batch_in`]).
+//!
+//! Estimates ([`GracefulModel::predict`], [`GracefulModel::predict_graph`],
+//! [`GracefulModel::predict_graphs`]) run on the same engine, a single graph
+//! as a batch of one. The node-at-a-time tape reference is the bit-identical
+//! differential oracle, not a mode: the one way to train on it is
+//! [`TrainOptions::exec`] with [`GnnExecMode::NodeAtATime`], which the
+//! differential suites and the trainer bench use.
 //!
 //! Configuration mirrors the engine's `Session`/`ExecOptions` pattern:
 //! [`TrainOptions`] is the validating builder, [`TrainConfig`] the validated
@@ -60,7 +65,8 @@ pub struct TrainConfig {
     /// Huber delta in normalized log-target units.
     pub huber_delta: f32,
     pub seed: u64,
-    /// Forward/backward implementation (bit-identical either way).
+    /// The engine, or — in differential tests and the trainer bench — the
+    /// reference it is bit-identical to.
     pub exec: GnnExecMode,
     /// Worker threads for the featurization fan-out (never changes results,
     /// only wall-clock time).
@@ -115,19 +121,16 @@ impl TrainConfig {
 /// pattern: unset fields fall back to the pure [`TrainConfig::default`]
 /// ([`TrainOptions::build`]) or to the documented `GRACEFUL_*` environment
 /// defaults ([`TrainOptions::build_with_env`], which resolves
-/// `GRACEFUL_THREADS`/`GRACEFUL_EPOCHS`/`GRACEFUL_SEED`/
-/// `GRACEFUL_GNN_EXEC`). Every terminal method validates, so
-/// misconfiguration is a typed error, never a panic.
+/// `GRACEFUL_THREADS`/`GRACEFUL_EPOCHS`/`GRACEFUL_SEED`). Every terminal
+/// method validates, so misconfiguration is a typed error, never a panic.
 ///
 /// ```
 /// use graceful_core::model::TrainOptions;
-/// use graceful_nn::GnnExecMode;
 ///
 /// let cfg = TrainOptions::new()
 ///     .epochs(8)
 ///     .batch_size(32)
 ///     .learning_rate(1e-3)
-///     .exec(GnnExecMode::Batched)
 ///     .threads(2)
 ///     .build()
 ///     .expect("valid options");
@@ -187,7 +190,9 @@ impl TrainOptions {
         self
     }
 
-    /// GNN execution mode (bit-identical; batched is faster).
+    /// Oracle selector: [`GnnExecMode::NodeAtATime`] trains on the tape
+    /// reference (bit-identical, several times slower). Tests and benches
+    /// only; it has no environment default.
     pub fn exec(mut self, exec: GnnExecMode) -> Self {
         self.exec = Some(exec);
         self
@@ -227,20 +232,18 @@ impl TrainOptions {
 
     /// Validate and build with unset fields falling back to the documented
     /// `GRACEFUL_*` environment defaults (`GRACEFUL_THREADS`,
-    /// `GRACEFUL_EPOCHS`, `GRACEFUL_SEED`, `GRACEFUL_GNN_EXEC`). An invalid
-    /// `GRACEFUL_GNN_EXEC` name is a typed [`GracefulError::Config`].
+    /// `GRACEFUL_EPOCHS`, `GRACEFUL_SEED`). An invalid value of any scale
+    /// knob, or a set variable that is no longer a knob
+    /// (`config::try_removed_knobs_unset`), is a typed
+    /// [`GracefulError::Config`].
     pub fn build_with_env(self) -> Result<TrainConfig> {
-        let scale = config::ScaleConfig::from_env();
-        let threads = config::try_threads_from_env().map_err(GracefulError::Config)?;
-        let exec = match config::gnn_exec_from_env() {
-            Some(v) => GnnExecMode::parse(&v).map_err(GracefulError::Config)?,
-            None => GnnExecMode::default(),
-        };
+        let bad = GracefulError::Config;
+        config::try_removed_knobs_unset().map_err(bad)?;
+        let scale = config::ScaleConfig::try_from_env().map_err(bad)?;
         let defaults = TrainConfig {
             epochs: scale.epochs,
             seed: scale.seed,
-            threads,
-            exec,
+            threads: config::try_threads_from_env().map_err(bad)?,
             ..TrainConfig::default()
         };
         let cfg = self.over(defaults);
@@ -401,7 +404,7 @@ impl GracefulModel {
     /// Predict a batch of pre-built graphs in one level-synchronous pass
     /// (bit-identical to per-graph [`GracefulModel::predict_graph`]).
     pub fn predict_graphs(&self, graphs: &[&TypedGraph]) -> Result<Vec<f64>> {
-        self.gnn.predict_batch(graphs, GnnExecMode::Batched)
+        self.gnn.predict_batch(graphs)
     }
 
     /// Borrow the underlying GNN.
@@ -433,7 +436,10 @@ impl GracefulModel {
     }
 
     /// Deserialize from JSON (rebuilds optimizer buffers). A missing or
-    /// mismatched format version is a typed [`GracefulError::Model`].
+    /// mismatched format version, or a payload that is not a consistent
+    /// model (a tensor whose shape and data disagree, a layer pointing at a
+    /// missing or mis-shaped parameter, unusable target normalization), is a
+    /// typed [`GracefulError::Model`] — never a panic on first use.
     pub fn from_json(json: &str) -> Result<Self> {
         let envelope: ModelEnvelope = serde_json::from_str(json).map_err(|e| {
             GracefulError::Model(format!(
@@ -448,7 +454,7 @@ impl GracefulModel {
             )));
         }
         let mut m = envelope.model;
-        m.gnn.rebuild_after_load();
+        m.gnn.rebuild_after_load()?;
         Ok(m)
     }
 }
@@ -528,6 +534,52 @@ mod tests {
                 assert!(m.contains("format_version"), "message: {m}")
             }
             other => panic!("expected load error, got {other:?}"),
+        }
+    }
+
+    /// A file that parses but is not a consistent model is a typed error at
+    /// load, naming what is wrong — not a `matmul` shape panic on the first
+    /// estimate, and not an allocation of whatever size the file declares.
+    #[test]
+    fn from_json_rejects_corrupt_models() {
+        let good = GracefulModel::new(Featurizer::full(), 8, 5).unwrap().to_json();
+        // The first stored tensor: encoder 0's weight, `feature_dims[0]`×hidden.
+        let first = "{\"rows\":2,\"cols\":8,\"data\":[";
+        let at = good.find(first).expect("the first tensor is where it is expected");
+        let cut = |from: usize, through: &str| {
+            let end = from + good[from..].find(through).unwrap() + through.len();
+            format!("{}{}", &good[..from], &good[end..])
+        };
+        let cases = [
+            ("rows edited", good.replacen("\"rows\":2,", "\"rows\":3,", 1), "parameter 0"),
+            (
+                "rows = 2^60",
+                good.replacen("\"rows\":2,", "\"rows\":1152921504606846976,", 1),
+                "parameter 0",
+            ),
+            ("data truncated", cut(at + first.len(), ","), "parameter 0 declares 2x8 but holds 15"),
+            ("a tensor dropped", cut(at, "},"), "parameter 0"),
+            (
+                "a ParamId out of range",
+                good.replacen("\"w\":0,", "\"w\":4096,", 1),
+                "parameter 4096",
+            ),
+            ("target_std = 0", good.replace("\"target_std\":1.0", "\"target_std\":0.0"), "std 0"),
+            ("target_std < 0", good.replace("\"target_std\":1.0", "\"target_std\":-1.0"), "std -1"),
+            // What a NaN serializes to (JSON has no NaN).
+            ("target_std = NaN", good.replace("\"target_std\":1.0", "\"target_std\":null"), ""),
+            (
+                "an encoder dropped",
+                cut(good.find("\"encoders\":[").unwrap() + 12, "]},"),
+                "12 encoders",
+            ),
+        ];
+        for (what, json, names) in cases {
+            assert_ne!(json, good, "{what}: the mutation applied");
+            match GracefulModel::from_json(&json) {
+                Err(GracefulError::Model(m)) => assert!(m.contains(names), "{what}: {m}"),
+                other => panic!("{what}: expected a typed Model error, got {other:?}"),
+            }
         }
     }
 

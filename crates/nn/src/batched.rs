@@ -1,10 +1,13 @@
 //! Level-synchronous, graph-vectorized GNN execution.
 //!
-//! The node-at-a-time reference ([`GnnModel::train_batch`]) builds a fresh
-//! tape per graph and runs every per-type MLP on `1×f` row tensors — for a
-//! hidden width of 32 that means cloning a `64×32` weight matrix onto the
-//! tape per node per layer and paying allocator overhead per op. This module
-//! replaces that with a **batched** pass:
+//! The engine behind every estimate and every default training step. The
+//! node-at-a-time reference it is verified against
+//! ([`GnnModel::predict_reference`], `GnnExecMode::NodeAtATime`) builds a
+//! fresh tape per graph and runs every per-type MLP on `1×f` row tensors —
+//! for a hidden width of 32 that means cloning a `64×32` weight matrix onto
+//! the tape per node per layer and paying allocator overhead per op. This
+//! module replaces that with a **batched** pass (a single graph is a batch
+//! of one):
 //!
 //! 1. A whole mini-batch of [`TypedGraph`]s is packed into one
 //!    [`GraphBatch`]: global node ids (graph-major), per-node topological
@@ -616,17 +619,42 @@ mod tests {
         (graphs, targets)
     }
 
+    /// Every prediction entry point against the tape oracle, bit for bit:
+    /// the whole slice as one batch, and each graph alone as the one-graph
+    /// batch every estimate runs (`predict`, `predict_batch(&[g])`) — on the
+    /// property-generated graphs plus the N = 1 packing edges.
     #[test]
     fn batched_predictions_bit_identical_to_reference() {
         let cfg = GnnConfig { hidden: 9, feature_dims: dims(), readout_hidden: 7 };
         let mut model = GnnModel::new(cfg, 17).unwrap();
-        let (graphs, targets) = graphs_and_targets(101, 64);
+        let (mut graphs, targets) = graphs_and_targets(101, 64);
         model.fit_target_norm(&targets).unwrap();
+        let node = |t: usize, x: f32| (t, vec![x; dims()[t]]);
+        let graph = |nodes: Vec<(usize, Vec<f32>)>, edges: Vec<(usize, usize)>, root: usize| {
+            let (node_types, features) = nodes.into_iter().unzip();
+            TypedGraph { node_types, features, edges, root }
+        };
+        // A single node; a root followed by dead nodes; and every node fed by
+        // every earlier node (one node per level, maximal fan-in).
+        graphs.push(graph(vec![node(3, 0.7)], vec![], 0));
+        graphs.push(graph(
+            vec![node(0, 0.4), node(1, -0.2), node(2, 0.9), node(1, 0.1)],
+            vec![(0, 1), (1, 2), (0, 3), (2, 3)],
+            1,
+        ));
+        graphs.push(graph(
+            (0..6).map(|i| node(i % 4, 0.1 * i as f32 - 0.3)).collect(),
+            (0..6).flat_map(|d| (0..d).map(move |s| (s, d))).collect(),
+            5,
+        ));
         let refs: Vec<&TypedGraph> = graphs.iter().collect();
-        let batched = model.predict_batch(&refs, GnnExecMode::Batched).unwrap();
+        let batched = model.predict_batch(&refs).unwrap();
         for (g, &b) in refs.iter().zip(&batched) {
-            let r = model.predict(g).unwrap();
-            assert_eq!(r.to_bits(), b.to_bits(), "prediction diverged");
+            let oracle = model.predict_reference(g).unwrap().to_bits();
+            assert_eq!(b.to_bits(), oracle, "prediction diverged in the batch");
+            assert_eq!(model.predict(g).unwrap().to_bits(), oracle, "predict diverged");
+            let alone = model.predict_batch(&[g]).unwrap();
+            assert_eq!(alone.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), [oracle]);
         }
     }
 
@@ -655,10 +683,9 @@ mod tests {
             );
             // And the trained models still predict identically.
             let refs: Vec<&TypedGraph> = graphs.iter().take(8).collect();
-            let pa = a.predict_batch(&refs, GnnExecMode::NodeAtATime).unwrap();
-            let pb = b.predict_batch(&refs, GnnExecMode::Batched).unwrap();
-            for (x, y) in pa.iter().zip(&pb) {
-                assert_eq!(x.to_bits(), y.to_bits());
+            let pb = b.predict_batch(&refs).unwrap();
+            for (g, y) in refs.iter().zip(&pb) {
+                assert_eq!(a.predict_reference(g).unwrap().to_bits(), y.to_bits());
             }
         }
     }
@@ -695,6 +722,6 @@ mod tests {
         let (graphs, _) = graphs_and_targets(9, 2);
         let refs: Vec<&TypedGraph> = graphs.iter().collect();
         assert!(m.train_batch_in(GnnExecMode::Batched, &refs, &[1.0], &adam, 1.0).is_err());
-        assert!(m.predict_batch(&[], GnnExecMode::Batched).unwrap().is_empty());
+        assert!(m.predict_batch(&[]).unwrap().is_empty());
     }
 }

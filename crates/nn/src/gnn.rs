@@ -19,22 +19,24 @@
 //! what makes the Q-error metric well behaved across 6 orders of magnitude
 //! of runtimes.
 //!
-//! # Execution modes
+//! # One engine, one oracle
 //!
-//! The forward/backward pass comes in two bit-identical implementations,
-//! selected by [`GnnExecMode`]:
+//! Every estimate ([`GnnModel::predict`], [`GnnModel::predict_batch`]) and
+//! every default training step runs on the level-synchronous engine in the
+//! crate-private `batched` module: a whole mini-batch of graphs (a one-graph
+//! batch for `predict`) packed together, nodes grouped by (topological level
+//! × node type), every MLP applied once per group on an `N×f` matrix.
 //!
-//! * [`GnnExecMode::NodeAtATime`] — the reference: a fresh [`Tape`] per
-//!   graph, every per-type MLP applied to `1×f` row tensors in topological
-//!   order. Simple, obviously correct, slow.
-//! * [`GnnExecMode::Batched`] — the level-synchronous engine in the
-//!   crate-private `batched` module: a whole mini-batch of graphs packed
-//!   together, nodes
-//!   grouped by (topological level × node type), every MLP applied once per
-//!   group on an `N×f` matrix. Child aggregation and parameter-gradient
-//!   accumulation replay the reference's float-addition chains exactly, so
-//!   predictions, losses and trained parameters are **bit-identical** to the
-//!   reference at every batch size (the differential suite enforces it).
+//! The node-at-a-time implementation in this file — a fresh [`Tape`] per
+//! graph, every per-type MLP applied to `1×f` row tensors in topological
+//! order; simple, obviously correct, slow — is kept as the **differential
+//! oracle** the engine's hand-derived backward is verified against. It is
+//! reachable only by name: [`GnnModel::predict_reference`] and
+//! [`GnnModel::train_batch_in`] under [`GnnExecMode::NodeAtATime`]. Child
+//! aggregation and parameter-gradient accumulation in the engine replay the
+//! oracle's float-addition chains exactly, so predictions, losses and trained
+//! parameters are **bit-identical** at every batch size (the differential
+//! suite enforces it).
 
 use crate::batched;
 use crate::mlp::{AdamConfig, Mlp, ParamStore};
@@ -44,33 +46,16 @@ use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use serde::{Deserialize, Serialize};
 
-/// Which forward/backward implementation the GNN uses. Both are
-/// bit-identical; they differ only in speed.
+/// Which implementation a training step runs on — the programmatic oracle
+/// selector behind `TrainOptions::exec`. Both are bit-identical; there is no
+/// environment knob, and estimates always run on the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum GnnExecMode {
-    /// Level-synchronous graph-vectorized execution (the fast path).
+    /// The level-synchronous engine (what ships).
     #[default]
     Batched,
-    /// The kept node-at-a-time reference (one tape per graph).
+    /// The node-at-a-time tape reference, kept as the differential oracle.
     NodeAtATime,
-}
-
-impl GnnExecMode {
-    /// Parse a mode name (`batched` | `node-at-a-time`, case insensitive).
-    /// Unknown names are an error listing the valid options.
-    pub fn parse(value: &str) -> std::result::Result<Self, String> {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "batched" | "batch" | "level" => Ok(GnnExecMode::Batched),
-            "node-at-a-time" | "node_at_a_time" | "reference" | "node" => {
-                Ok(GnnExecMode::NodeAtATime)
-            }
-            other => Err(format!(
-                "invalid GNN exec mode `{other}`: valid values are `batched` \
-                 (aliases `batch`, `level`) and `node-at-a-time` (aliases \
-                 `node_at_a_time`, `node`, `reference`)"
-            )),
-        }
-    }
 }
 
 /// A typed DAG instance ready for the GNN.
@@ -138,6 +123,39 @@ pub struct GnnConfig {
     pub readout_hidden: usize,
 }
 
+impl GnnConfig {
+    /// The widths every layer depends on must be usable.
+    fn check(&self) -> std::result::Result<(), String> {
+        if self.hidden == 0 {
+            return Err("GNN hidden width must be >= 1, got 0".into());
+        }
+        if self.readout_hidden == 0 {
+            return Err("GNN readout hidden width must be >= 1, got 0".into());
+        }
+        if self.feature_dims.is_empty() {
+            return Err("GNN needs at least one node type (feature_dims is empty)".into());
+        }
+        Ok(())
+    }
+
+    /// Layer widths of a type's encoder. With the two below: what
+    /// `GnnModel::new` builds and what a loaded model is checked against.
+    fn encoder_dims(&self, ty: usize) -> [usize; 2] {
+        [self.feature_dims[ty].max(1), self.hidden]
+    }
+
+    /// Two-layer update networks: runtimes are *multiplicative* in
+    /// (rows × iterations × per-op cost), which a single affine layer over
+    /// log-scaled features cannot express.
+    fn updater_dims(&self) -> [usize; 3] {
+        [2 * self.hidden, self.hidden, self.hidden]
+    }
+
+    fn readout_dims(&self) -> [usize; 3] {
+        [self.hidden, self.readout_hidden, 1]
+    }
+}
+
 /// The trainable model: per-type encoders & updaters plus a readout MLP.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GnnModel {
@@ -156,36 +174,15 @@ impl GnnModel {
     /// `readout_hidden` width, or an empty `feature_dims`, is a typed
     /// [`GracefulError::Config`] (matching `ExecOptions` semantics).
     pub fn new(config: GnnConfig, seed: u64) -> Result<Self> {
-        if config.hidden == 0 {
-            return Err(GracefulError::Config("GNN hidden width must be >= 1, got 0".into()));
-        }
-        if config.readout_hidden == 0 {
-            return Err(GracefulError::Config(
-                "GNN readout hidden width must be >= 1, got 0".into(),
-            ));
-        }
-        if config.feature_dims.is_empty() {
-            return Err(GracefulError::Config(
-                "GNN needs at least one node type (feature_dims is empty)".into(),
-            ));
-        }
+        config.check().map_err(GracefulError::Config)?;
         let mut rng = Rng::seed(seed);
         let mut store = ParamStore::new(seed);
-        let h = config.hidden;
-        let encoders = config
-            .feature_dims
-            .iter()
-            .map(|&f| Mlp::new(&mut store, &[f.max(1), h], &mut rng))
-            .collect();
-        // Two-layer update networks: runtimes are *multiplicative* in
-        // (rows × iterations × per-op cost), which a single affine layer over
-        // log-scaled features cannot express.
-        let updaters = config
-            .feature_dims
-            .iter()
-            .map(|_| Mlp::new(&mut store, &[2 * h, h, h], &mut rng))
-            .collect();
-        let readout = Mlp::new(&mut store, &[h, config.readout_hidden, 1], &mut rng);
+        let n_types = config.feature_dims.len();
+        let encoders =
+            (0..n_types).map(|t| Mlp::new(&mut store, &config.encoder_dims(t), &mut rng)).collect();
+        let updaters =
+            (0..n_types).map(|_| Mlp::new(&mut store, &config.updater_dims(), &mut rng)).collect();
+        let readout = Mlp::new(&mut store, &config.readout_dims(), &mut rng);
         Ok(GnnModel {
             config,
             store,
@@ -225,9 +222,9 @@ impl GnnModel {
         Ok(())
     }
 
-    /// Forward pass; returns the tape and the prediction variable
-    /// (normalized log space).
-    fn forward(&self, graph: &TypedGraph) -> (Tape, VarId) {
+    /// The reference forward pass, node at a time on a fresh tape; returns
+    /// the tape and the prediction variable (normalized log space).
+    fn forward_reference(&self, graph: &TypedGraph) -> (Tape, VarId) {
         let mut tape = Tape::new();
         let n = graph.len();
         // Incoming edge lists (children states to aggregate).
@@ -264,28 +261,34 @@ impl GnnModel {
         (tape, out)
     }
 
-    /// Predict a runtime in nanoseconds.
+    /// Predict a runtime in nanoseconds (a one-graph batch on the engine).
     pub fn predict(&self, graph: &TypedGraph) -> Result<f64> {
+        Ok(batched::predict_batch(self, &[graph])?[0])
+    }
+
+    /// Predict runtimes (ns) for a batch of graphs, packed into one
+    /// level-synchronous pass. An empty slice is `Ok(vec![])`.
+    pub fn predict_batch(&self, graphs: &[&TypedGraph]) -> Result<Vec<f64>> {
+        batched::predict_batch(self, graphs)
+    }
+
+    /// [`GnnModel::predict`] on the node-at-a-time tape reference — the
+    /// oracle the differential suites compare the engine against, bit for
+    /// bit. Nothing in production calls it.
+    pub fn predict_reference(&self, graph: &TypedGraph) -> Result<f64> {
         graph.validate(&self.config.feature_dims)?;
-        let (tape, out) = self.forward(graph);
+        let (tape, out) = self.forward_reference(graph);
         let norm = tape.value(out).data[0];
         let log_ns = norm * self.target_std + self.target_mean;
         Ok((log_ns as f64).exp())
     }
 
-    /// Predict runtimes (ns) for a batch of graphs under `mode`. Both modes
-    /// return bit-identical values; [`GnnExecMode::Batched`] packs the whole
-    /// slice into one level-synchronous pass.
-    pub fn predict_batch(&self, graphs: &[&TypedGraph], mode: GnnExecMode) -> Result<Vec<f64>> {
-        match mode {
-            GnnExecMode::NodeAtATime => graphs.iter().map(|g| self.predict(g)).collect(),
-            GnnExecMode::Batched => batched::predict_batch(self, graphs),
-        }
-    }
-
     /// One training step over a mini-batch under `mode`; returns the mean
     /// Huber loss. Both modes produce bit-identical losses, gradients and
     /// post-step parameters.
+    ///
+    /// Targets are runtimes in nanoseconds; the Huber delta is in normalized
+    /// log units.
     pub fn train_batch_in(
         &mut self,
         mode: GnnExecMode,
@@ -295,20 +298,18 @@ impl GnnModel {
         huber_delta: f32,
     ) -> Result<f32> {
         match mode {
-            GnnExecMode::NodeAtATime => self.train_batch(graphs, targets_ns, adam, huber_delta),
+            GnnExecMode::NodeAtATime => {
+                self.train_batch_reference(graphs, targets_ns, adam, huber_delta)
+            }
             GnnExecMode::Batched => {
                 batched::train_batch(self, graphs, targets_ns, adam, huber_delta)
             }
         }
     }
 
-    /// One training step over a mini-batch with the node-at-a-time
-    /// reference implementation; returns the mean Huber loss.
-    ///
-    /// Targets are runtimes in nanoseconds; the Huber delta is in normalized
-    /// log units. This is the differential-testing reference for
-    /// [`GnnModel::train_batch_in`] with [`GnnExecMode::Batched`].
-    pub fn train_batch(
+    /// One training step with the node-at-a-time reference (what
+    /// [`GnnExecMode::NodeAtATime`] selects).
+    fn train_batch_reference(
         &mut self,
         graphs: &[&TypedGraph],
         targets_ns: &[f64],
@@ -324,7 +325,7 @@ impl GnnModel {
         for (g, &t_ns) in graphs.iter().zip(targets_ns) {
             g.validate(&self.config.feature_dims)?;
             let target = self.normalized_target(t_ns);
-            let (tape, out) = self.forward(g);
+            let (tape, out) = self.forward_reference(g);
             let pred = tape.value(out).data[0];
             let (loss, dloss) = huber(pred - target, huber_delta);
             total_loss += loss;
@@ -334,9 +335,49 @@ impl GnnModel {
         Ok(total_loss / bsz)
     }
 
-    /// Restore transient optimizer buffers after deserialization.
-    pub fn rebuild_after_load(&mut self) {
+    /// Finish loading a deserialized model: check everything `Deserialize`
+    /// does not, then restore the transient optimizer buffers. Nothing is
+    /// allocated for a model that fails, and the error is a typed
+    /// [`GracefulError::Model`] naming the offending parameter.
+    pub fn rebuild_after_load(&mut self) -> Result<()> {
+        self.validate()?;
         self.store.rebuild_buffers();
+        Ok(())
+    }
+
+    /// A model read from a file must be the model `new` would have built for
+    /// its `config`: every tensor holds `rows × cols` values, every MLP has
+    /// the family's layer widths and points at in-range parameters of those
+    /// shapes, and the target normalization is usable. Otherwise the first
+    /// `predict` would panic in `matmul`.
+    fn validate(&self) -> Result<()> {
+        let bad = |m: String| GracefulError::Model(format!("corrupt model: {m}"));
+        self.config.check().map_err(bad)?;
+        let n_types = self.config.feature_dims.len();
+        if self.encoders.len() != n_types || self.updaters.len() != n_types {
+            return Err(bad(format!(
+                "{} encoders and {} updaters for {n_types} node types",
+                self.encoders.len(),
+                self.updaters.len()
+            )));
+        }
+        self.store.check_shapes().map_err(bad)?;
+        for (t, (enc, upd)) in self.encoders.iter().zip(&self.updaters).enumerate() {
+            enc.check(&self.store, &self.config.encoder_dims(t))
+                .map_err(|m| bad(format!("encoder {t}: {m}")))?;
+            upd.check(&self.store, &self.config.updater_dims())
+                .map_err(|m| bad(format!("updater {t}: {m}")))?;
+        }
+        self.readout
+            .check(&self.store, &self.config.readout_dims())
+            .map_err(|m| bad(format!("readout: {m}")))?;
+        if !(self.target_std.is_finite() && self.target_std > 0.0 && self.target_mean.is_finite()) {
+            return Err(bad(format!(
+                "target normalization (mean {}, std {}) must be finite with std > 0",
+                self.target_mean, self.target_std
+            )));
+        }
+        Ok(())
     }
 
     /// Normalize a raw runtime label into the model's log-space target.
@@ -384,10 +425,18 @@ mod tests {
         let model = GnnModel::new(cfg, 1).unwrap();
         let mut g = chain_graph(&[1.0, 2.0]);
         g.edges.push((3, 0)); // backward edge
-        assert!(model.predict(&g).is_err());
         let mut g2 = chain_graph(&[1.0]);
         g2.features[0] = vec![1.0, 2.0]; // wrong dim
-        assert!(model.predict(&g2).is_err());
+                                         // The engine (alone or in a batch) and the oracle reject them alike.
+        for bad in [&g, &g2] {
+            for result in [
+                model.predict(bad),
+                model.predict_batch(&[bad]).map(|p| p[0]),
+                model.predict_reference(bad),
+            ] {
+                assert!(matches!(result, Err(GracefulError::Model(_))), "got {result:?}");
+            }
+        }
     }
 
     #[test]
@@ -411,7 +460,7 @@ mod tests {
             for chunk in data.chunks(16) {
                 let graphs: Vec<&TypedGraph> = chunk.iter().map(|(g, _)| g).collect();
                 let ts: Vec<f64> = chunk.iter().map(|(_, t)| *t).collect();
-                model.train_batch(&graphs, &ts, &adam, 1.0).unwrap();
+                model.train_batch_in(GnnExecMode::Batched, &graphs, &ts, &adam, 1.0).unwrap();
             }
         }
         // Evaluate Q-error on fresh graphs.
@@ -425,16 +474,6 @@ mod tests {
             max_q = max_q.max(q);
         }
         assert!(max_q < 1.6, "GNN failed to learn leaf-sum task: max Q-error {max_q}");
-    }
-
-    #[test]
-    fn exec_mode_parses_and_rejects() {
-        assert_eq!(GnnExecMode::parse("batched"), Ok(GnnExecMode::Batched));
-        assert_eq!(GnnExecMode::parse(" Level "), Ok(GnnExecMode::Batched));
-        assert_eq!(GnnExecMode::parse("node-at-a-time"), Ok(GnnExecMode::NodeAtATime));
-        assert_eq!(GnnExecMode::parse("reference"), Ok(GnnExecMode::NodeAtATime));
-        let err = GnnExecMode::parse("fast").unwrap_err();
-        assert!(err.contains("batched") && err.contains("node-at-a-time"), "lists options: {err}");
     }
 
     #[test]
@@ -454,7 +493,7 @@ mod tests {
         let before = model.predict(&g).unwrap();
         let json = serde_json::to_string(&model).unwrap();
         let mut loaded: GnnModel = serde_json::from_str(&json).unwrap();
-        loaded.rebuild_after_load();
+        loaded.rebuild_after_load().unwrap();
         assert!((loaded.predict(&g).unwrap() - before).abs() < 1e-9);
     }
 

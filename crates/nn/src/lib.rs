@@ -15,10 +15,11 @@
 //! * [`gnn`] — the typed **topological message-passing GNN**: per-node-type
 //!   encoders, child-state sum aggregation in topological order, per-type
 //!   update networks, and an MLP readout on the root state (Section III-D).
-//!   Training and prediction run either node-at-a-time (the reference) or
-//!   through the **batched level-synchronous engine** — bit-identical, with
-//!   every MLP applied once per (level × type) group; see
-//!   [`gnn::GnnExecMode`].
+//!   Training and every prediction run on the **batched level-synchronous
+//!   engine** — every MLP applied once per (level × type) group, a single
+//!   graph being a batch of one. The node-at-a-time tape implementation
+//!   stays as the bit-identical differential oracle
+//!   ([`GnnModel::predict_reference`], [`gnn::GnnExecMode::NodeAtATime`]).
 //!
 //! Everything is deterministic given the seed, and models serialize with
 //! `serde` so trained estimators can be saved and reloaded.

@@ -121,6 +121,22 @@ impl ParamStore {
         h
     }
 
+    /// Every stored tensor holds exactly `rows × cols` values (a
+    /// deserialized one is not checked by `serde`).
+    pub(crate) fn check_shapes(&self) -> Result<(), String> {
+        for (i, t) in self.values.iter().enumerate() {
+            if t.rows.checked_mul(t.cols) != Some(t.data.len()) {
+                return Err(format!(
+                    "parameter {i} declares {}x{} but holds {} values",
+                    t.rows,
+                    t.cols,
+                    t.data.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Restore the transient buffers after deserialization.
     pub fn rebuild_buffers(&mut self) {
         self.grads = self.values.iter().map(|t| Tensor::zeros(t.rows, t.cols)).collect();
@@ -218,12 +234,36 @@ impl Mlp {
         x
     }
 
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().expect("non-empty").in_dim
-    }
-
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").out_dim
+    /// Check a deserialized MLP against the layer widths `dims` it must have
+    /// and the store it indexes: the layer count, and per layer the declared
+    /// widths, both `ParamId`s in range, a `in×out` weight and a `1×out` bias.
+    pub(crate) fn check(&self, store: &ParamStore, dims: &[usize]) -> Result<(), String> {
+        if self.layers.len() + 1 != dims.len() {
+            return Err(format!("{} layers, expected {}", self.layers.len(), dims.len() - 1));
+        }
+        for (i, (layer, d)) in self.layers.iter().zip(dims.windows(2)).enumerate() {
+            if (layer.in_dim, layer.out_dim) != (d[0], d[1]) {
+                return Err(format!(
+                    "layer {i} declares {}x{}, expected {}x{}",
+                    layer.in_dim, layer.out_dim, d[0], d[1]
+                ));
+            }
+            for (what, id, rows) in [("weight", layer.w.0, d[0]), ("bias", layer.b.0, 1)] {
+                let t = store.values.get(id).ok_or_else(|| {
+                    format!(
+                        "layer {i} {what} is parameter {id}, but only {} are stored",
+                        store.values.len()
+                    )
+                })?;
+                if (t.rows, t.cols) != (rows, d[1]) {
+                    return Err(format!(
+                        "layer {i} {what} (parameter {id}) is {}x{}, expected {rows}x{}",
+                        t.rows, t.cols, d[1]
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -50,7 +50,7 @@
 //! write-only: nothing here reads a metric to make a decision, so results
 //! stay bit-identical whether observability is on or off.
 
-use graceful_common::config;
+use graceful_common::{config, GracefulError, Result};
 use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
 use std::cell::Cell;
@@ -121,22 +121,16 @@ pub struct Pool {
     threads: usize,
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::from_env()
-    }
-}
-
 impl Pool {
     /// A pool with an explicit thread budget (clamped to at least 1).
     pub fn new(threads: usize) -> Self {
         Pool { threads: threads.max(1) }
     }
 
-    /// A pool sized from `GRACEFUL_THREADS` (default: all cores). Invalid
-    /// values are a hard error — see [`config::threads_from_env`].
-    pub fn from_env() -> Self {
-        Pool::new(config::threads_from_env())
+    /// A pool sized from `GRACEFUL_THREADS` (default: all cores). An invalid
+    /// value is a typed [`GracefulError::Config`].
+    pub fn from_env() -> Result<Self> {
+        config::try_threads_from_env().map(Pool::new).map_err(GracefulError::Config)
     }
 
     pub fn threads(&self) -> usize {

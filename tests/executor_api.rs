@@ -271,10 +271,12 @@ fn runs_below_cap_are_unaffected_by_the_valve() {
 /// What ships is the typed-lane backend on the streaming driver:
 /// `ExecOptions::new().build()` and `Session::new()` report
 /// `UdfBackend::Simd` / `ExecMode::Pipeline`, and the environment has no say
-/// in either — a *set* `GRACEFUL_UDF_BACKEND` or `GRACEFUL_EXEC` (the
-/// removed knobs) fails every environment-defaulted construction with a
-/// typed `Config` error naming the programmatic replacement instead of being
-/// silently ignored.
+/// in either — a *set* `GRACEFUL_UDF_BACKEND`, `GRACEFUL_EXEC` or
+/// `GRACEFUL_GNN_EXEC` (the removed knobs) fails every environment-defaulted
+/// construction, the session's and the trainer's, with a typed `Config`
+/// error naming the programmatic replacement instead of being silently
+/// ignored. A knob that is still read is strict: `GRACEFUL_EPOCHS=1O` fails
+/// the trainer's construction instead of training the default 14 epochs.
 ///
 /// The environment half runs in child processes (this test re-executed with
 /// one variable set): mutating the environment in-process would race every
@@ -286,23 +288,34 @@ fn simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected() {
         assert_eq!(built.config().mode, ExecMode::Pipeline);
     }
 
-    const KNOBS: [(&str, &str, &str); 2] = [
-        ("GRACEFUL_UDF_BACKEND", "simd", "ExecOptions::udf_backend"),
-        ("GRACEFUL_EXEC", "anything", "ExecOptions::mode"),
+    // (variable, value, what the error names besides it, removed?) — a removed
+    // knob is rejected whatever its value and by the session too.
+    const CASES: [(&str, &str, &str, bool); 4] = [
+        ("GRACEFUL_UDF_BACKEND", "simd", "ExecOptions::udf_backend", true),
+        ("GRACEFUL_EXEC", "anything", "ExecOptions::mode", true),
+        ("GRACEFUL_GNN_EXEC", "batched", "TrainOptions::exec", true),
+        ("GRACEFUL_EPOCHS", "1O", "expected an integer", false),
     ];
-    if let Some((knob, _, setter)) = KNOBS.iter().find(|k| std::env::var_os(k.0).is_some()) {
-        for built in [Session::from_env(), ExecOptions::new().threads(1).build_with_env()] {
+    let set = CASES.iter().find(|c| std::env::var_os(c.0).is_some_and(|v| c.3 || v == c.1));
+    if let Some(&(knob, _, names, removed)) = set {
+        let session = [
+            Session::from_env().map(drop),
+            ExecOptions::new().threads(1).build_with_env().map(drop),
+        ];
+        assert!(removed || session.iter().all(|built| built.is_ok()), "{knob}: {session:?}");
+        let trainer = TrainOptions::new().build_with_env().map(drop);
+        for built in session.into_iter().filter(|_| removed).chain([trainer]) {
             match built {
                 Err(GracefulError::Config(m)) => assert!(
-                    m.contains(knob) && m.contains(setter),
-                    "message {m:?} names the knob and its replacement"
+                    m.contains(knob) && m.contains(names),
+                    "message {m:?} names the knob and {names:?}"
                 ),
                 other => panic!("a set {knob} produced {other:?}"),
             }
         }
         return;
     }
-    for (knob, value, _) in KNOBS {
+    for (knob, value, ..) in CASES {
         let child = std::process::Command::new(std::env::current_exe().expect("test binary path"))
             .args(["--exact", "simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected"])
             .env(knob, value)

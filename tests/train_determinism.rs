@@ -6,8 +6,9 @@
 //! Pinned guarantees:
 //!
 //! * the batched level-synchronous trainer produces **bit-identical** loss
-//!   curves, parameters and predictions to the node-at-a-time reference at
-//!   every batch size, and
+//!   curves, parameters and predictions to the node-at-a-time reference
+//!   (`TrainOptions::exec(GnnExecMode::NodeAtATime)`,
+//!   `GnnModel::predict_reference`) at every batch size, and
 //! * training is bit-identical for any featurization thread count
 //!   (`GRACEFUL_THREADS` ∈ {1, 2, 4} via `TrainOptions::threads`).
 
@@ -55,8 +56,9 @@ fn batched_training_bit_identical_to_reference_on_real_corpora() {
             bat_model.param_checksum(),
             "final parameters diverged at batch size {batch}"
         );
-        // Predictions agree bit-for-bit on held-out queries, through both
-        // the per-graph and the batched prediction paths.
+        // Predictions agree bit-for-bit on held-out queries: the reference
+        // entry point on the reference-trained model, graph by graph, against
+        // the engine on the engine-trained one, alone and as one batch.
         let est = ActualCard::new(&a.db);
         let graphs: Vec<_> = a
             .queries
@@ -69,10 +71,12 @@ fn batched_training_bit_identical_to_reference_on_real_corpora() {
             })
             .collect();
         let refs: Vec<&graceful::nn::TypedGraph> = graphs.iter().collect();
-        let single: Vec<f64> = refs.iter().map(|g| ref_model.predict_graph(g).unwrap()).collect();
+        let single: Vec<f64> =
+            refs.iter().map(|g| ref_model.gnn().predict_reference(g).unwrap()).collect();
         let packed = bat_model.predict_graphs(&refs).unwrap();
-        for (x, y) in single.iter().zip(&packed) {
+        for ((g, x), y) in refs.iter().zip(&single).zip(&packed) {
             assert_eq!(x.to_bits(), y.to_bits(), "prediction diverged");
+            assert_eq!(x.to_bits(), bat_model.predict_graph(g).unwrap().to_bits());
         }
     }
 }
