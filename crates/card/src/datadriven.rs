@@ -9,12 +9,17 @@
 //! selective predicates, fan-out/filter correlations across tables — are the
 //! same ones that make real DeepDB imperfect (Table III's mid rows, and the
 //! `baseball` dataset discussion in Exp 5).
+//!
+//! The sample is materialized at build, column by column and typed, so a
+//! conjunction is a pass per predicate over a dense slice: no column lookup
+//! by name and no `Value` per row. It counts the rows `Pred::matches` would,
+//! hence returns the same floats.
 
 use crate::CardEstimator;
 use graceful_common::rng::Rng;
 use graceful_common::Result;
 use graceful_plan::{ColRef, Plan, PlanOpKind, Pred};
-use graceful_storage::Database;
+use graceful_storage::{DataType, Database, Value};
 use std::collections::HashMap;
 
 /// Per-table sample size (larger = tighter estimates, slower build).
@@ -27,13 +32,27 @@ struct Fanout {
     avg: f64,
 }
 
+/// One column of a table sample, in the two shapes `Value::compare` knows:
+/// numbers (Int and Bool widened as `Value::as_f64` does) and text. A NULL
+/// is stored as NaN / `None`, which — like a NULL — compares to nothing.
+enum SampleColumn<'a> {
+    Num(Vec<f64>),
+    Text(Vec<Option<&'a str>>),
+}
+
+/// The sampled rows of one table, column by column.
+struct TableSample<'a> {
+    rows: usize,
+    columns: HashMap<&'a str, SampleColumn<'a>>,
+}
+
 /// Data-driven estimator with per-table samples and FK fan-out synopses.
 pub struct DataDrivenCard<'a> {
     db: &'a Database,
-    /// table → sampled row ids.
-    samples: HashMap<String, Vec<u32>>,
+    /// table → its sample.
+    samples: HashMap<&'a str, TableSample<'a>>,
     /// (child_table, child_col) → fan-out of parent ⋈ child.
-    fanouts: HashMap<(String, String), Fanout>,
+    fanouts: HashMap<(&'a str, &'a str), Fanout>,
 }
 
 impl<'a> DataDrivenCard<'a> {
@@ -43,12 +62,25 @@ impl<'a> DataDrivenCard<'a> {
         let mut samples = HashMap::new();
         for t in db.tables() {
             let n = t.num_rows();
-            let ids: Vec<u32> = if n <= SAMPLE_ROWS {
-                (0..n as u32).collect()
+            let ids: Vec<usize> = if n <= SAMPLE_ROWS {
+                (0..n).collect()
             } else {
-                rng.sample_indices(n, SAMPLE_ROWS).into_iter().map(|i| i as u32).collect()
+                rng.sample_indices(n, SAMPLE_ROWS)
             };
-            samples.insert(t.name.clone(), ids);
+            let columns = t.columns().iter().map(|c| {
+                let data = if c.data_type() == DataType::Text {
+                    SampleColumn::Text(ids.iter().map(|&r| c.get_str(r)).collect())
+                } else {
+                    SampleColumn::Num(
+                        ids.iter().map(|&r| c.get_f64(r).unwrap_or(f64::NAN)).collect(),
+                    )
+                };
+                (c.name.as_str(), data)
+            });
+            samples.insert(
+                t.name.as_str(),
+                TableSample { rows: ids.len(), columns: columns.collect() },
+            );
         }
         let mut fanouts = HashMap::new();
         for t in db.tables() {
@@ -65,31 +97,51 @@ impl<'a> DataDrivenCard<'a> {
                 }
                 let parents = db.table(&fk.ref_table).map(|p| p.num_rows()).unwrap_or(1).max(1);
                 let avg = counts.values().sum::<usize>() as f64 / parents as f64;
-                fanouts.insert((t.name.clone(), fk.column.clone()), Fanout { avg });
+                fanouts.insert((t.name.as_str(), fk.column.as_str()), Fanout { avg });
             }
         }
         DataDrivenCard { db, samples, fanouts }
     }
 
-    /// Sample-based conjunctive selectivity (exact on the sample).
+    /// Sample-based conjunctive selectivity (exact on the sample): the hit
+    /// count of a `Pred::matches` loop over the sampled rows, taken one
+    /// predicate at a time over that column's typed slice.
     fn sample_selectivity(&self, table: &str, preds: &[Pred]) -> f64 {
         if preds.is_empty() {
             return 1.0;
         }
-        let (Some(ids), Ok(t)) = (self.samples.get(table), self.db.table(table)) else {
+        let Some(sample) = self.samples.get(table) else {
             return 0.5;
         };
-        if ids.is_empty() {
+        if sample.rows == 0 {
             return 0.0;
         }
-        let hits = ids.iter().filter(|&&r| preds.iter().all(|p| p.matches(t, r as usize))).count();
+        let mut hit = vec![true; sample.rows];
+        for p in preds {
+            match (sample.columns.get(p.col.column.as_str()), &p.value, p.value.as_f64()) {
+                (Some(SampleColumn::Num(xs)), _, Some(y)) => {
+                    for (h, x) in hit.iter_mut().zip(xs) {
+                        *h &= Pred::accepts(p.op, x.partial_cmp(&y));
+                    }
+                }
+                (Some(SampleColumn::Text(xs)), Value::Text(y), _) => {
+                    for (h, x) in hit.iter_mut().zip(xs) {
+                        *h &= Pred::accepts(p.op, x.map(|x| x.cmp(y.as_str())));
+                    }
+                }
+                // An unknown column, or a literal the column cannot be
+                // compared with (NULL included): no row matches.
+                _ => hit.fill(false),
+            }
+        }
+        let hits = hit.iter().filter(|&&h| h).count();
         // Laplace smoothing: zero sample hits become a small non-zero
         // probability (DeepDB's SPN leaves never output exact zero either).
-        (hits as f64 + 0.5) / (ids.len() as f64 + 1.0)
+        (hits as f64 + 0.5) / (sample.rows as f64 + 1.0)
     }
 
     fn fanout(&self, child_col: &ColRef) -> Option<Fanout> {
-        self.fanouts.get(&(child_col.table.clone(), child_col.column.clone())).copied()
+        self.fanouts.get(&(child_col.table.as_str(), child_col.column.as_str())).copied()
     }
 }
 
@@ -198,6 +250,100 @@ mod tests {
         let truth = db.table("orders_t").unwrap().num_rows() as f64;
         let q = (plan.ops[2].est_out_rows / truth).max(truth / plan.ops[2].est_out_rows);
         assert!(q < 1.2, "FK join estimate q={q}");
+    }
+
+    /// The typed sample counts what the `Pred::matches` row loop counts, so
+    /// the selectivity keeps its bits: every operator against every literal
+    /// type on every column shape — NULL runs, NaN, ±0.0 and infinities, an
+    /// Int column against a Float literal, plain and dictionary text, Bool,
+    /// dictionary and run-length ints — alone and in a conjunction, plus an
+    /// unknown column, an empty table and an unknown table.
+    #[test]
+    fn typed_sample_counts_what_the_row_loop_counts() {
+        use graceful_storage::{Column, ColumnData, Table};
+        let n = 12usize;
+        let nulls = |runs: &[usize]| (0..n).map(|r| runs.contains(&(r / 3))).collect::<Vec<_>>();
+        let text = |r: usize| ["b", "", "a", "c"][r % 4].to_string();
+        let floats = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            1.5,
+            -1.5,
+            2.0,
+            f64::INFINITY,
+            -f64::INFINITY,
+            0.5,
+            1.5,
+            2.0,
+            -0.0,
+        ];
+        let columns = vec![
+            Column::with_nulls(
+                "i",
+                ColumnData::Int((0..n as i64).map(|x| x % 5 - 2).collect()),
+                nulls(&[1, 3]),
+            ),
+            Column::with_nulls("f", ColumnData::Float(floats.to_vec()), nulls(&[2])),
+            Column::new("s", ColumnData::Text((0..n).map(text).collect())),
+            Column::with_nulls(
+                "ds",
+                ColumnData::DictText {
+                    codes: (0..n as u32).map(|r| r % 3).collect(),
+                    dict: vec!["b".into(), "a".into(), "".into()],
+                },
+                nulls(&[0]),
+            ),
+            Column::new(
+                "di",
+                ColumnData::DictInt {
+                    codes: (0..n as u32).map(|r| r % 4).collect(),
+                    dict: vec![2, 0, -1, 1],
+                },
+            ),
+            Column::with_nulls(
+                "r",
+                ColumnData::RleInt { starts: vec![0, 4, 9], values: vec![1, -1, 0], len: n },
+                nulls(&[3]),
+            ),
+            Column::new("b", ColumnData::Bool((0..n).map(|r| r % 3 == 0).collect())),
+        ];
+        let empty = Table::new("e", vec![Column::new("i", ColumnData::Int(vec![]))]).unwrap();
+        let db = Database::new("d", vec![Table::new("t", columns).unwrap(), empty]);
+        let est = DataDrivenCard::build(&db, 1);
+        let literals = [
+            Value::Int(0),
+            Value::Int(1),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(1.5),
+            Value::Float(f64::NAN),
+            Value::Text("b".into()),
+            Value::Text(String::new()),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Null,
+        ];
+        let first = Pred::new("t", "i", CmpOp::Ge, Value::Float(-1.0));
+        for table in ["t", "e"] {
+            let t = db.table(table).unwrap();
+            for (column, op, literal) in ["i", "f", "s", "ds", "di", "r", "b", "nope"]
+                .iter()
+                .flat_map(|c| CmpOp::ALL.map(|op| (c, op)))
+                .flat_map(|(c, op)| literals.iter().map(move |l| (c, op, l)))
+            {
+                let pred = Pred::new(table, column, op, literal.clone());
+                for preds in [vec![pred.clone()], vec![first.clone(), pred]] {
+                    let rows = t.num_rows();
+                    let hits = (0..rows).filter(|&r| preds.iter().all(|p| p.matches(t, r))).count();
+                    let want =
+                        if rows == 0 { 0.0 } else { (hits as f64 + 0.5) / (rows as f64 + 1.0) };
+                    let got = est.conjunction_selectivity(table, &preds);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{table}: {preds:?}");
+                }
+            }
+        }
+        assert_eq!(est.conjunction_selectivity("nope", &[first]), 0.5);
     }
 
     #[test]

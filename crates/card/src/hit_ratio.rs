@@ -57,6 +57,26 @@ impl<'e> HitRatioEstimator<'e> {
         pre_filters: &[Pred],
         conditions: &[(Option<BranchCondInfo>, bool)],
     ) -> f64 {
+        self.path_given(udf, pre_filters, self.pre_selectivity(udf, pre_filters), conditions)
+    }
+
+    /// `sel(pre)`, the denominator every path of one UDF divides by.
+    fn pre_selectivity(&self, udf: &GeneratedUdf, pre_filters: &[Pred]) -> f64 {
+        if pre_filters.is_empty() {
+            1.0
+        } else {
+            self.card.conjunction_selectivity(&udf.table, pre_filters).max(1e-9)
+        }
+    }
+
+    /// [`HitRatioEstimator::path_probability`] with `sel(pre)` supplied.
+    fn path_given(
+        &self,
+        udf: &GeneratedUdf,
+        pre_filters: &[Pred],
+        denom: f64,
+        conditions: &[(Option<BranchCondInfo>, bool)],
+    ) -> f64 {
         let mut preds: Vec<Pred> = pre_filters.to_vec();
         let mut fallback = 1.0;
         for (cond, taken) in conditions {
@@ -78,11 +98,6 @@ impl<'e> HitRatioEstimator<'e> {
                 None => fallback *= 0.5,
             }
         }
-        let denom = if pre_filters.is_empty() {
-            1.0
-        } else {
-            self.card.conjunction_selectivity(&udf.table, pre_filters).max(1e-9)
-        };
         let joint = self.card.conjunction_selectivity(&udf.table, &preds);
         (joint / denom * fallback).clamp(0.0, 1.0)
     }
@@ -99,7 +114,8 @@ impl<'e> HitRatioEstimator<'e> {
         input_rows: f64,
         pre_filters: &[Pred],
     ) {
-        dag.annotate_rows(input_rows, |conds| self.path_probability(udf, pre_filters, conds));
+        let denom = self.pre_selectivity(udf, pre_filters);
+        dag.annotate_rows(input_rows, |conds| self.path_given(udf, pre_filters, denom, conds));
     }
 }
 
@@ -183,6 +199,36 @@ mod tests {
         // Without conditioning it is ~0.18.
         let p0 = hr.path_probability(&udf, &[], &cond);
         assert!(p0 < 0.3, "unconditional ratio should be low, got {p0}");
+    }
+
+    /// Sharing `sel(pre)` between the paths of one UDF changes no row count:
+    /// `annotate_dag` equals the per-path formula bit for bit, with and
+    /// without pre-filters, on a UDF with three control paths.
+    #[test]
+    fn annotate_dag_equals_the_per_path_formula() {
+        let (db, mut udf) = setup();
+        Arc::make_mut(&mut udf).def = parse_udf(
+            "def f(x0):\n    if x0 < 10:\n        z = x0 * 2\n    else:\n        if x0 > 40:\n            z = x0 - 3\n        else:\n            z = x0 + 1\n    return z\n",
+        )
+        .unwrap();
+        let pre =
+            [Pred::new("lineitem_t", "quantity", graceful_udf::ast::CmpOp::Le, Value::Int(45))];
+        let (actual, data_driven) = (ActualCard::new(&db), crate::DataDrivenCard::build(&db, 2));
+        for card in [&actual as &dyn CardEstimator, &data_driven] {
+            let hr = HitRatioEstimator::new(card);
+            for pre in [&pre[..0], &pre[..]] {
+                let mut shared =
+                    build_dag(&udf.def, &[DataType::Int], DataType::Float, DagConfig::default());
+                let mut per_path = shared.clone();
+                hr.annotate_dag(&mut shared, &udf, 1000.0, pre);
+                per_path.annotate_rows(1000.0, |conds| hr.path_probability(&udf, pre, conds));
+                let rows = |dag: &UdfDag| -> Vec<u64> {
+                    dag.nodes.iter().map(|n| n.in_rows.to_bits()).collect()
+                };
+                assert_eq!(rows(&shared), rows(&per_path), "{} pre-filters", pre.len());
+                assert!(shared.nodes.iter().any(|n| n.in_rows > 0.0 && n.in_rows < 999.0));
+            }
+        }
     }
 
     #[test]

@@ -110,8 +110,8 @@ where
             PlanOpKind::Scan { table } => scan_rows(table),
             PlanOpKind::Filter { preds } => {
                 let input = plan.ops[plan.ops[idx].children[0]].est_out_rows;
-                let table = preds.first().map(|p| p.col.table.clone()).unwrap_or_default();
-                input * filter_sel(&table, preds)
+                let table = preds.first().map_or("", |p| p.col.table.as_str());
+                input * filter_sel(table, preds)
             }
             PlanOpKind::Join { .. } => {
                 let l = plan.ops[plan.ops[idx].children[0]].est_out_rows;

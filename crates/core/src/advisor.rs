@@ -16,6 +16,20 @@
 //!
 //! A fourth mode, **Cost**, uses a single known selectivity (the "actual
 //! selectivity" rows of Table V).
+//!
+//! # One decision, one pass
+//!
+//! The twelve instances are not twelve estimates. `scale_above_udf` changes
+//! `est_out_rows` only on the UDF filter and the operators above it, so per
+//! placement the plan is built and annotated once, its ladder is featurized
+//! into one graph ([`Featurizer::featurize_ladder`](crate::featurize::Featurizer::featurize_ladder):
+//! tables, columns, scans, side joins and the whole UDF subgraph once, the
+//! FILTER/JOIN/AGG suffix once per selectivity), and both graphs go through
+//! one forward that reads out twelve roots. The GNN is a bottom-up pass over
+//! a DAG, so a shared node's state is what it would be in each stand-alone
+//! graph, and every cost keeps its bits (`a_decision_equals_twelve_independent_estimates`).
+//! The estimator is asked once per placement (annotation, then the UDF's hit
+//! ratios), so one that samples per call draws once per placement too.
 
 use crate::model::GracefulModel;
 use graceful_card::{scale_above_udf, CardEstimator};
@@ -67,32 +81,44 @@ impl<'a> PullUpAdvisor<'a> {
         PullUpAdvisor { model }
     }
 
-    /// Predicted cost distribution of one placement across the ladder.
-    fn cost_curve(
+    /// Predicted cost distributions of both placements across `sels`, as
+    /// `[pull-up, push-down]`: one annotated base plan and one ladder graph
+    /// per placement, one forward over the two.
+    fn cost_curves(
         &self,
         db: &Database,
         spec: &QuerySpec,
-        placement: UdfPlacement,
         estimator: &dyn CardEstimator,
         sels: &[f64],
-    ) -> Result<Vec<(f64, f64)>> {
-        let mut base = build_plan(spec, placement)?;
-        // Annotate without any execution feedback: the UDF hint defaults to
-        // 0.5 and is immediately overridden per assumed selectivity.
-        estimator.annotate(&mut base)?;
-        let mut out = Vec::with_capacity(sels.len());
-        for &sel in sels {
-            let mut plan = base.clone();
-            scale_above_udf(&mut plan, sel);
-            let cost = self.model.predict(db, spec, &plan, estimator)?;
-            out.push((sel, cost));
+    ) -> Result<[Vec<(f64, f64)>; 2]> {
+        let mut graphs = Vec::with_capacity(2);
+        let mut roots = Vec::with_capacity(2 * sels.len());
+        for (gi, placement) in
+            [UdfPlacement::PullUp, UdfPlacement::PushDown].into_iter().enumerate()
+        {
+            let mut base = build_plan(spec, placement)?;
+            // Annotate without any execution feedback: the UDF hint defaults to
+            // 0.5 and is immediately overridden per assumed selectivity.
+            estimator.annotate(&mut base)?;
+            let mut variants = vec![base; sels.len()];
+            for (plan, &sel) in variants.iter_mut().zip(sels) {
+                scale_above_udf(plan, sel);
+            }
+            let (graph, variant_roots) =
+                self.model.featurizer().featurize_ladder(db, spec, &variants, estimator)?;
+            roots.extend(variant_roots.into_iter().map(|r| (gi, r)));
+            graphs.push(graph);
         }
-        Ok(out)
+        let costs = self.model.gnn().predict_roots(&[&graphs[0], &graphs[1]], &roots)?;
+        let (up, down) = costs.split_at(sels.len());
+        let curve = |costs: &[f64]| sels.iter().copied().zip(costs.iter().copied()).collect();
+        Ok([curve(up), curve(down)])
     }
 
     /// Decide pull-up vs push-down for a UDF-filter query.
     ///
-    /// `known_selectivity` is only consulted by [`Strategy::Cost`].
+    /// `known_selectivity` is only consulted by [`Strategy::Cost`], which
+    /// rejects a missing or non-finite one with a typed error.
     pub fn decide(
         &self,
         db: &Database,
@@ -107,30 +133,30 @@ impl<'a> PullUpAdvisor<'a> {
             ));
         }
         let sels: Vec<f64> = match strategy {
-            Strategy::Cost => {
-                let s = known_selectivity.ok_or_else(|| {
-                    GracefulError::Model("Cost strategy needs a known selectivity".into())
-                })?;
-                vec![s.clamp(0.0, 1.0)]
-            }
+            Strategy::Cost => match known_selectivity {
+                Some(s) if s.is_finite() => vec![s.clamp(0.0, 1.0)],
+                other => {
+                    return Err(GracefulError::Model(format!(
+                        "Cost strategy needs a known, finite selectivity, got {other:?}"
+                    )))
+                }
+            },
             _ => SELECTIVITY_LADDER.to_vec(),
         };
-        let pullup = self.cost_curve(db, spec, UdfPlacement::PullUp, estimator, &sels)?;
-        let pushdown = self.cost_curve(db, spec, UdfPlacement::PushDown, estimator, &sels)?;
+        let [pullup, pushdown] = self.cost_curves(db, spec, estimator, &sels)?;
+        let mut costs = pullup.iter().zip(&pushdown).map(|((_, up), (_, down))| (up, down));
         let pull_up = match strategy {
-            Strategy::Cost => pullup[0].1 < pushdown[0].1,
-            Strategy::UpperBoundCardinality => {
-                // Compare at the maximum selectivity (1.0 — last ladder entry).
-                pullup.last().expect("non-empty").1 < pushdown.last().expect("non-empty").1
+            // One selectivity (Cost), or the maximum one (UBC: 1.0 is the
+            // last ladder entry).
+            Strategy::Cost | Strategy::UpperBoundCardinality => {
+                costs.next_back().is_some_and(|(up, down)| up < down)
             }
             Strategy::AreaUnderCurve => {
                 let a: f64 = pullup.iter().map(|(_, c)| c).sum();
                 let b: f64 = pushdown.iter().map(|(_, c)| c).sum();
                 a < b
             }
-            Strategy::Conservative => {
-                pullup.iter().zip(&pushdown).all(|((_, up), (_, down))| up < down)
-            }
+            Strategy::Conservative => costs.all(|(up, down)| up < down),
         };
         Ok(AdvisorDecision { pull_up, pullup_costs: pullup, pushdown_costs: pushdown })
     }
@@ -169,6 +195,73 @@ mod tests {
         }
         let d = advisor.decide(&c.db, &q.spec, &est, Strategy::Cost, Some(0.4)).unwrap();
         assert_eq!(d.pullup_costs.len(), 1);
+        // A selectivity that is missing or not a number is refused, not
+        // clamped into NaN costs and a silent "push down".
+        for bad in [None, Some(f64::NAN), Some(f64::INFINITY)] {
+            let refused = advisor.decide(&c.db, &q.spec, &est, Strategy::Cost, bad);
+            assert!(matches!(refused, Err(GracefulError::Model(_))), "{bad:?}: {refused:?}");
+        }
+    }
+
+    /// One decision is, bit for bit, twelve independent estimates: for every
+    /// advisable query of the 20-schema corpus, under every estimator and at
+    /// every ablation level, each cost of the shared ladder equals
+    /// `featurize` + the tape reference on a `scale_above_udf`-ed plan of its
+    /// own. The sampling estimator draws from its RNG on every call, so an
+    /// independent estimate starts from a fresh estimator and replays the
+    /// calls a decision makes before it: annotate and one featurization per
+    /// placement, pull-up first.
+    #[test]
+    fn a_decision_equals_twelve_independent_estimates() {
+        use crate::experiments::EstimatorKind;
+        let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 4, ..ScaleConfig::default() };
+        let bits = |curve: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            curve.iter().map(|(s, c)| (s.to_bits(), c.to_bits())).collect()
+        };
+        let mut decisions = 0;
+        for (i, name) in graceful_storage::datagen::DATASET_NAMES.iter().enumerate() {
+            let c = build_corpus(name, &cfg, 60 + i as u64).unwrap();
+            let advisable = c.queries.iter().filter(|q| {
+                q.has_udf() && q.spec.udf_usage == UdfUsage::Filter && !q.spec.joins.is_empty()
+            });
+            for (q, level, kind) in advisable.flat_map(|q| {
+                Featurizer::LEVELS.flat_map(move |l| EstimatorKind::ALL.map(|k| (q, l, k)))
+            }) {
+                let model = GracefulModel::new(Featurizer::level(level), 8, 9).unwrap();
+                let independent = |placements: &[UdfPlacement]| -> Vec<(f64, f64)> {
+                    let estimate = |&sel: &f64| {
+                        let est = kind.build(&c.db, 3);
+                        let graph = |&placement: &UdfPlacement| {
+                            let mut plan = build_plan(&q.spec, placement).unwrap();
+                            est.annotate(&mut plan).unwrap();
+                            scale_above_udf(&mut plan, sel);
+                            model.graph_for(&c.db, &q.spec, &plan, est.as_ref()).unwrap()
+                        };
+                        let graphs: Vec<_> = placements.iter().map(graph).collect();
+                        (sel, model.gnn().predict_reference(&graphs[graphs.len() - 1]).unwrap())
+                    };
+                    SELECTIVITY_LADDER.iter().map(estimate).collect()
+                };
+                let up = independent(&[UdfPlacement::PullUp]);
+                let down = independent(&[UdfPlacement::PullUp, UdfPlacement::PushDown]);
+                let d = PullUpAdvisor::new(&model)
+                    .decide(
+                        &c.db,
+                        &q.spec,
+                        kind.build(&c.db, 3).as_ref(),
+                        Strategy::AreaUnderCurve,
+                        None,
+                    )
+                    .unwrap();
+                let what = format!("{name} query {} level {level} {kind:?}", q.spec.id);
+                assert_eq!(bits(&d.pullup_costs), bits(&up), "pull-up curve, {what}");
+                assert_eq!(bits(&d.pushdown_costs), bits(&down), "push-down curve, {what}");
+                let area = |curve: &[(f64, f64)]| curve.iter().map(|(_, c)| c).sum::<f64>();
+                assert_eq!(d.pull_up, area(&up) < area(&down), "decision, {what}");
+                decisions += 1;
+            }
+        }
+        assert!(decisions >= 20 * 40, "only {decisions} decisions checked");
     }
 
     #[test]

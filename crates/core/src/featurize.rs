@@ -12,6 +12,13 @@
 //!   data-flow edges, child-operator → INV, RET → consuming FILTER (with the
 //!   `on-udf` flag) or RET → UDF_PROJECT node.
 //!
+//! One emitter serves one plan and a ladder of its annotation variants
+//! ([`Featurizer::featurize_ladder`]): an operator is emitted once for all
+//! variants whose estimates agree, bit for bit, on it and on everything below
+//! it, and once per variant otherwise. Nothing but `est_out_rows` enters a
+//! node from a variant and in-edges keep their order, so what a variant's
+//! root reaches is node for node the graph of that variant alone.
+//!
 //! All features are database-independent (one-hot vocabularies + magnitudes),
 //! which is what enables zero-shot transfer. The [`Featurizer`]'s `level`
 //! reproduces the ablation lattice of Figure 7.
@@ -20,7 +27,7 @@ use graceful_card::{CardEstimator, HitRatioEstimator};
 use graceful_cfg::{build_dag, DagConfig, UdfNodeKind};
 use graceful_common::{GracefulError, Result};
 use graceful_nn::TypedGraph;
-use graceful_plan::{AggFunc, Plan, PlanOpKind, Pred, QuerySpec};
+use graceful_plan::{AggFunc, Plan, PlanOp, PlanOpKind, Pred, QuerySpec};
 use graceful_storage::{DataType, Database};
 use graceful_udf::ast::{BinOp, CmpOp};
 use graceful_udf::LibFn;
@@ -86,8 +93,11 @@ impl Featurizer {
         Featurizer { level: 5 }
     }
 
+    /// The ablation levels that exist.
+    pub const LEVELS: std::ops::RangeInclusive<u8> = 1..=5;
+
     pub fn level(level: u8) -> Self {
-        assert!((1..=5).contains(&level), "ablation level must be 1..=5");
+        assert!(Self::LEVELS.contains(&level), "ablation level must be 1..=5");
         Featurizer { level }
     }
 
@@ -115,197 +125,72 @@ impl Featurizer {
         plan: &Plan,
         estimator: &dyn CardEstimator,
     ) -> Result<TypedGraph> {
-        let mut g = GraphBuilder::new();
-        // Map plan-op index -> graph node index (set as we emit).
-        let mut op_node = vec![usize::MAX; plan.ops.len()];
-        for (idx, op) in plan.ops.iter().enumerate() {
-            let est_out = op.est_out_rows;
-            match &op.kind {
-                PlanOpKind::Scan { table } => {
-                    let t = db.table(table)?;
-                    let tbl = g.push(
-                        node_type::TABLE,
-                        vec![log_mag(t.num_rows() as f64), t.num_columns() as f32 / 16.0],
-                    );
-                    let scan = g.push(node_type::SCAN, vec![log_mag(est_out)]);
-                    g.edge(tbl, scan);
-                    op_node[idx] = scan;
-                }
-                PlanOpKind::Filter { preds } => {
-                    let child = op_node[op.children[0]];
-                    let in_rows = plan.ops[op.children[0]].est_out_rows;
-                    // Column nodes must precede the filter node (edges are
-                    // forward-only in the typed graph).
-                    let mut cols = Vec::with_capacity(preds.len());
-                    for p in preds {
-                        cols.push(g.push(
-                            node_type::COLUMN,
-                            column_features(db, &p.col.table, &p.col.column)?,
-                        ));
-                    }
-                    let filter = g.push(
-                        node_type::FILTER,
-                        vec![
-                            log_mag(in_rows),
-                            log_mag(est_out),
-                            preds.len() as f32 / 8.0,
-                            0.0, // plain filters never sit on a UDF output
-                        ],
-                    );
-                    for col in cols {
-                        g.edge(col, filter);
-                    }
-                    g.edge(child, filter);
-                    op_node[idx] = filter;
-                }
-                PlanOpKind::Join { .. } => {
-                    let l = op.children[0];
-                    let r = op.children[1];
-                    let join = g.push(
-                        node_type::JOIN,
-                        vec![
-                            log_mag(plan.ops[l].est_out_rows),
-                            log_mag(plan.ops[r].est_out_rows),
-                            log_mag(est_out),
-                        ],
-                    );
-                    g.edge(op_node[l], join);
-                    g.edge(op_node[r], join);
-                    op_node[idx] = join;
-                }
-                PlanOpKind::UdfFilter { udf, op: cmp, .. } => {
-                    let child_op = op.children[0];
-                    let in_rows = plan.ops[child_op].est_out_rows;
-                    let ret_node = self.emit_udf(
-                        &mut g,
-                        db,
-                        spec,
-                        udf,
-                        in_rows,
-                        op_node[child_op],
-                        estimator,
-                    )?;
-                    let _ = cmp;
-                    let filter = g.push(
-                        node_type::FILTER,
-                        vec![
-                            log_mag(in_rows),
-                            log_mag(est_out),
-                            1.0 / 8.0,
-                            if self.on_udf_flag() { 1.0 } else { 0.0 },
-                        ],
-                    );
-                    g.edge(ret_node, filter);
-                    g.edge(op_node[child_op], filter);
-                    op_node[idx] = filter;
-                }
-                PlanOpKind::UdfProject { udf } => {
-                    let child_op = op.children[0];
-                    let in_rows = plan.ops[child_op].est_out_rows;
-                    let ret_node = self.emit_udf(
-                        &mut g,
-                        db,
-                        spec,
-                        udf,
-                        in_rows,
-                        op_node[child_op],
-                        estimator,
-                    )?;
-                    let proj = g.push(node_type::UDF_PROJECT, vec![log_mag(in_rows)]);
-                    g.edge(ret_node, proj);
-                    g.edge(op_node[child_op], proj);
-                    op_node[idx] = proj;
-                }
-                PlanOpKind::Agg { func, .. } => {
-                    let child = op.children[0];
-                    let mut f = vec![0.0; 1 + AggFunc::ALL.len()];
-                    f[0] = log_mag(plan.ops[child].est_out_rows);
-                    f[1 + func.index()] = 1.0;
-                    let agg = g.push(node_type::AGG, f);
-                    g.edge(op_node[child], agg);
-                    op_node[idx] = agg;
-                }
-            }
-        }
-        let root = op_node[plan.root];
-        let graph =
-            TypedGraph { node_types: g.node_types, features: g.features, edges: g.edges, root };
-        graph.validate(&feature_dims())?;
-        Ok(graph)
+        Ok(self.featurize_ladder(db, spec, std::slice::from_ref(plan), estimator)?.0)
     }
 
-    /// Emit the UDF subgraph and return the graph index of its RET node.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_udf(
+    /// Featurize N annotation variants of one plan (the same operators, each
+    /// with its own `est_out_rows`) into one *ladder graph* plus one root per
+    /// variant, sharing what the module docs say can be shared — the UDF
+    /// subgraph too, while the UDF's input does not vary. N = 1 is
+    /// [`Featurizer::featurize`]. `graph.root` is the first variant's root;
+    /// read all of them out at the returned roots.
+    pub fn featurize_ladder(
         &self,
-        g: &mut GraphBuilder,
         db: &Database,
         spec: &QuerySpec,
-        udf: &graceful_udf::GeneratedUdf,
-        input_rows: f64,
-        child_node: usize,
+        variants: &[Plan],
         estimator: &dyn CardEstimator,
-    ) -> Result<usize> {
-        let table = db.table(&udf.table)?;
-        let arg_types: Vec<DataType> =
-            udf.input_columns.iter().map(|c| table.column_type(c)).collect::<Result<Vec<_>>>()?;
-        let ret_type = graceful_udf::infer_return_type(&udf.def, &arg_types);
-        let mut dag = build_dag(&udf.def, &arg_types, ret_type, self.dag_config());
-        // Hit-ratio row annotation (Section III-B), conditioned on the plain
-        // filters already applied to the UDF's base table.
-        let pre_filters: Vec<Pred> =
-            spec.filters.iter().filter(|p| p.col.table == udf.table).cloned().collect();
-        let hr = HitRatioEstimator::new(estimator);
-        hr.annotate_dag(&mut dag, udf, input_rows, &pre_filters);
-
-        // COLUMN nodes for the UDF's inputs.
-        let mut col_nodes = Vec::with_capacity(udf.input_columns.len());
-        for c in &udf.input_columns {
-            col_nodes.push(g.push(node_type::COLUMN, column_features(db, &udf.table, c)?));
+    ) -> Result<(TypedGraph, Vec<usize>)> {
+        let Some((base, rest)) = variants.split_first() else {
+            return Err(GracefulError::InvalidPlan("featurize needs at least one plan".into()));
+        };
+        // Structure is read from the first plan only, estimates from each.
+        if rest.iter().any(|p| p.ops.len() != base.ops.len()) {
+            return Err(GracefulError::InvalidPlan("ladder variants differ in shape".into()));
         }
-
-        if !self.include_udf_structure() {
-            // Ablation level 1: the UDF is a black box — a single RET node.
-            let ret = &dag.nodes[dag.ret];
-            let ret_node = g.push(node_type::RET, ret_features(ret));
-            for &c in &col_nodes {
-                g.edge(c, ret_node);
-            }
-            g.edge(child_node, ret_node);
-            return Ok(ret_node);
-        }
-
-        // Full structure: map DAG nodes into the graph (DAG indices are
-        // already topological, so emitting in order preserves the invariant).
-        let mut dag_node = vec![usize::MAX; dag.len()];
-        for (i, n) in dag.nodes.iter().enumerate() {
-            let (ty, feats) = udf_node_features(n);
-            dag_node[i] = g.push(ty, feats);
-            // Data-flow edges: columns feed INV and the COMP/BRANCH nodes
-            // that read them directly.
-            match n.kind {
-                UdfNodeKind::Inv => {
-                    for &c in &col_nodes {
-                        g.edge(c, dag_node[i]);
-                    }
-                    g.edge(child_node, dag_node[i]);
+        let mut g = GraphBuilder {
+            fz: *self,
+            db,
+            spec,
+            estimator,
+            node_types: Vec::new(),
+            features: Vec::new(),
+            edges: Vec::new(),
+        };
+        // Per variant: plan-op index -> graph node index (set as we emit).
+        let mut op_node = vec![vec![usize::MAX; base.ops.len()]; variants.len()];
+        let mut varies = vec![false; base.ops.len()];
+        for (idx, op) in base.ops.iter().enumerate() {
+            let bits = op.est_out_rows.to_bits();
+            varies[idx] = op.children.iter().any(|&c| varies[c])
+                || rest.iter().any(|p| p.ops[idx].est_out_rows.to_bits() != bits);
+            let mut ret_node = usize::MAX;
+            for (v, plan) in variants.iter().enumerate() {
+                if v > 0 && !varies[idx] {
+                    op_node[v][idx] = op_node[0][idx];
+                    continue;
                 }
-                UdfNodeKind::Comp | UdfNodeKind::Branch => {
-                    for &p in &n.param_reads {
-                        if let Some(&c) = col_nodes.get(p as usize) {
-                            g.edge(c, dag_node[i]);
-                        }
+                if let PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } = &op.kind
+                {
+                    let child = op.children[0];
+                    if v == 0 || varies[child] {
+                        let in_rows = plan.ops[child].est_out_rows;
+                        ret_node = g.emit_udf(udf, in_rows, op_node[v][child])?;
                     }
                 }
-                _ => {}
+                let rows = |i: usize| plan.ops[i].est_out_rows;
+                op_node[v][idx] = g.emit_op(op, idx, rows, &op_node[v], ret_node)?;
             }
         }
-        for &(s, d, kind) in &dag.edges {
-            // Residual edges are already filtered by DagConfig; map the rest.
-            let _ = kind;
-            g.edge(dag_node[s], dag_node[d]);
-        }
-        Ok(dag_node[dag.ret])
+        let roots: Vec<usize> = op_node.iter().map(|nodes| nodes[base.root]).collect();
+        let graph = TypedGraph {
+            node_types: g.node_types,
+            features: g.features,
+            edges: g.edges,
+            root: roots[0],
+        };
+        graph.validate(&feature_dims())?;
+        Ok((graph, roots))
     }
 }
 
@@ -387,18 +272,18 @@ fn column_features(db: &Database, table: &str, column: &str) -> Result<Vec<f32>>
     Ok(f)
 }
 
-/// Incremental graph builder enforcing forward edges.
-struct GraphBuilder {
+/// Incremental builder of one query's graph, enforcing forward edges.
+struct GraphBuilder<'a> {
+    fz: Featurizer,
+    db: &'a Database,
+    spec: &'a QuerySpec,
+    estimator: &'a dyn CardEstimator,
     node_types: Vec<usize>,
     features: Vec<Vec<f32>>,
     edges: Vec<(usize, usize)>,
 }
 
-impl GraphBuilder {
-    fn new() -> Self {
-        GraphBuilder { node_types: Vec::new(), features: Vec::new(), edges: Vec::new() }
-    }
-
+impl GraphBuilder<'_> {
     fn push(&mut self, ty: usize, feats: Vec<f32>) -> usize {
         self.node_types.push(ty);
         self.features.push(feats);
@@ -408,6 +293,167 @@ impl GraphBuilder {
     fn edge(&mut self, src: usize, dst: usize) {
         debug_assert!(src < dst, "edge {src}->{dst} must be forward");
         self.edges.push((src, dst));
+    }
+
+    /// Emit the node of `op`, the plan's `idx`-th operator (after the
+    /// TABLE/COLUMN nodes only it reads), and return its index. `rows` gives
+    /// every operator's estimate, `op_node` the nodes of the operators below,
+    /// `ret_node` the RET node of the UDF `op` applies, if it applies one.
+    fn emit_op(
+        &mut self,
+        op: &PlanOp,
+        idx: usize,
+        rows: impl Fn(usize) -> f64,
+        op_node: &[usize],
+        ret_node: usize,
+    ) -> Result<usize> {
+        let db = self.db;
+        let est_out = rows(idx);
+        let in_rows = |side: usize| rows(op.children[side]);
+        Ok(match &op.kind {
+            PlanOpKind::Scan { table } => {
+                let t = db.table(table)?;
+                let tbl = self.push(
+                    node_type::TABLE,
+                    vec![log_mag(t.num_rows() as f64), t.num_columns() as f32 / 16.0],
+                );
+                let scan = self.push(node_type::SCAN, vec![log_mag(est_out)]);
+                self.edge(tbl, scan);
+                scan
+            }
+            PlanOpKind::Filter { preds } => {
+                // Column nodes must precede the filter node (edges are
+                // forward-only in the typed graph).
+                let mut cols = Vec::with_capacity(preds.len());
+                for p in preds {
+                    cols.push(self.push(
+                        node_type::COLUMN,
+                        column_features(db, &p.col.table, &p.col.column)?,
+                    ));
+                }
+                let filter = self.push(
+                    node_type::FILTER,
+                    vec![
+                        log_mag(in_rows(0)),
+                        log_mag(est_out),
+                        preds.len() as f32 / 8.0,
+                        0.0, // plain filters never sit on a UDF output
+                    ],
+                );
+                for col in cols {
+                    self.edge(col, filter);
+                }
+                self.edge(op_node[op.children[0]], filter);
+                filter
+            }
+            PlanOpKind::Join { .. } => {
+                let join = self.push(
+                    node_type::JOIN,
+                    vec![log_mag(in_rows(0)), log_mag(in_rows(1)), log_mag(est_out)],
+                );
+                self.edge(op_node[op.children[0]], join);
+                self.edge(op_node[op.children[1]], join);
+                join
+            }
+            PlanOpKind::UdfFilter { .. } => {
+                let filter = self.push(
+                    node_type::FILTER,
+                    vec![
+                        log_mag(in_rows(0)),
+                        log_mag(est_out),
+                        1.0 / 8.0,
+                        if self.fz.on_udf_flag() { 1.0 } else { 0.0 },
+                    ],
+                );
+                self.edge(ret_node, filter);
+                self.edge(op_node[op.children[0]], filter);
+                filter
+            }
+            PlanOpKind::UdfProject { .. } => {
+                let proj = self.push(node_type::UDF_PROJECT, vec![log_mag(in_rows(0))]);
+                self.edge(ret_node, proj);
+                self.edge(op_node[op.children[0]], proj);
+                proj
+            }
+            PlanOpKind::Agg { func, .. } => {
+                let mut f = vec![0.0; 1 + AggFunc::ALL.len()];
+                f[0] = log_mag(in_rows(0));
+                f[1 + func.index()] = 1.0;
+                let agg = self.push(node_type::AGG, f);
+                self.edge(op_node[op.children[0]], agg);
+                agg
+            }
+        })
+    }
+
+    /// Emit the UDF subgraph and return the graph index of its RET node.
+    fn emit_udf(
+        &mut self,
+        udf: &graceful_udf::GeneratedUdf,
+        input_rows: f64,
+        child_node: usize,
+    ) -> Result<usize> {
+        let db = self.db;
+        let table = db.table(&udf.table)?;
+        let arg_types: Vec<DataType> =
+            udf.input_columns.iter().map(|c| table.column_type(c)).collect::<Result<Vec<_>>>()?;
+        let ret_type = graceful_udf::infer_return_type(&udf.def, &arg_types);
+        let mut dag = build_dag(&udf.def, &arg_types, ret_type, self.fz.dag_config());
+        // Hit-ratio row annotation (Section III-B), conditioned on the plain
+        // filters already applied to the UDF's base table.
+        let pre_filters: Vec<Pred> =
+            self.spec.filters.iter().filter(|p| p.col.table == udf.table).cloned().collect();
+        let hr = HitRatioEstimator::new(self.estimator);
+        hr.annotate_dag(&mut dag, udf, input_rows, &pre_filters);
+
+        // COLUMN nodes for the UDF's inputs.
+        let mut col_nodes = Vec::with_capacity(udf.input_columns.len());
+        for c in &udf.input_columns {
+            col_nodes.push(self.push(node_type::COLUMN, column_features(db, &udf.table, c)?));
+        }
+
+        if !self.fz.include_udf_structure() {
+            // Ablation level 1: the UDF is a black box — a single RET node.
+            let ret = &dag.nodes[dag.ret];
+            let ret_node = self.push(node_type::RET, ret_features(ret));
+            for &c in &col_nodes {
+                self.edge(c, ret_node);
+            }
+            self.edge(child_node, ret_node);
+            return Ok(ret_node);
+        }
+
+        // Full structure: map DAG nodes into the graph (DAG indices are
+        // already topological, so emitting in order preserves the invariant).
+        let mut dag_node = vec![usize::MAX; dag.len()];
+        for (i, n) in dag.nodes.iter().enumerate() {
+            let (ty, feats) = udf_node_features(n);
+            dag_node[i] = self.push(ty, feats);
+            // Data-flow edges: columns feed INV and the COMP/BRANCH nodes
+            // that read them directly.
+            match n.kind {
+                UdfNodeKind::Inv => {
+                    for &c in &col_nodes {
+                        self.edge(c, dag_node[i]);
+                    }
+                    self.edge(child_node, dag_node[i]);
+                }
+                UdfNodeKind::Comp | UdfNodeKind::Branch => {
+                    for &p in &n.param_reads {
+                        if let Some(&c) = col_nodes.get(p as usize) {
+                            self.edge(c, dag_node[i]);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        for &(s, d, kind) in &dag.edges {
+            // Residual edges are already filtered by DagConfig; map the rest.
+            let _ = kind;
+            self.edge(dag_node[s], dag_node[d]);
+        }
+        Ok(dag_node[dag.ret])
     }
 }
 
@@ -476,6 +522,44 @@ mod tests {
         };
         assert_eq!(on_udf(&g2), 0.0);
         assert_eq!(on_udf(&g3), 1.0);
+    }
+
+    /// Every graph `featurize` emits — node order, edge order, feature bits —
+    /// is the graph the per-plan emitter produced before the ladder emitter
+    /// replaced it: the digest below was recorded on that commit, over all
+    /// queries of the 20-schema corpus at every ablation level under the
+    /// data-driven estimator (so the typed-sample selectivities and the
+    /// shared hit-ratio denominator are pinned with it). Re-record it only
+    /// for a change that means to alter the data, the workload or a feature.
+    #[test]
+    fn featurize_emits_the_graphs_it_always_did() {
+        use graceful_card::{CardEstimator as _, DataDrivenCard};
+        let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 10, ..ScaleConfig::default() };
+        let mut digest = 0xcbf29ce484222325u64;
+        let mut word = |w: u64| digest = (digest ^ w).wrapping_mul(0x100000001b3);
+        let mut graphs = 0;
+        for (i, name) in graceful_storage::datagen::DATASET_NAMES.iter().enumerate() {
+            let c = crate::corpus::build_corpus(name, &cfg, 40 + i as u64).unwrap();
+            let est = DataDrivenCard::build(&c.db, 7);
+            for q in &c.queries {
+                let mut plan = q.plan.clone();
+                est.annotate(&mut plan).unwrap();
+                for level in Featurizer::LEVELS {
+                    let g =
+                        Featurizer::level(level).featurize(&c.db, &q.spec, &plan, &est).unwrap();
+                    g.node_types.iter().for_each(|&t| word(t as u64));
+                    g.features.iter().flatten().for_each(|f| word(f.to_bits() as u64));
+                    g.edges.iter().for_each(|&(s, d)| word(((s as u64) << 32) | d as u64));
+                    word(g.root as u64);
+                    graphs += 1;
+                }
+            }
+        }
+        assert_eq!(
+            (graphs, digest),
+            (1000, 17425677983038948407),
+            "featurize drifted from the recorded graphs"
+        );
     }
 
     #[test]

@@ -274,8 +274,9 @@ impl GracefulModel {
         Ok(GracefulModel { gnn: GnnModel::new(config, seed)?, featurizer_level: featurizer.level })
     }
 
+    /// The featurizer this model was built (or loaded and checked) with.
     pub fn featurizer(&self) -> Featurizer {
-        Featurizer::level(self.featurizer_level)
+        Featurizer { level: self.featurizer_level }
     }
 
     /// Featurize one labelled/annotated query.
@@ -438,8 +439,9 @@ impl GracefulModel {
     /// Deserialize from JSON (rebuilds optimizer buffers). A missing or
     /// mismatched format version, or a payload that is not a consistent
     /// model (a tensor whose shape and data disagree, a layer pointing at a
-    /// missing or mis-shaped parameter, unusable target normalization), is a
-    /// typed [`GracefulError::Model`] — never a panic on first use.
+    /// missing or mis-shaped parameter, unusable target normalization, a
+    /// featurizer level that does not exist), is a typed [`GracefulError::Model`] —
+    /// never a panic on first use.
     pub fn from_json(json: &str) -> Result<Self> {
         let envelope: ModelEnvelope = serde_json::from_str(json).map_err(|e| {
             GracefulError::Model(format!(
@@ -454,6 +456,13 @@ impl GracefulModel {
             )));
         }
         let mut m = envelope.model;
+        if !Featurizer::LEVELS.contains(&m.featurizer_level) {
+            return Err(GracefulError::Model(format!(
+                "corrupt model: featurizer level {} is outside {:?}",
+                m.featurizer_level,
+                Featurizer::LEVELS
+            )));
+        }
         m.gnn.rebuild_after_load()?;
         Ok(m)
     }
@@ -572,6 +581,16 @@ mod tests {
                 "an encoder dropped",
                 cut(good.find("\"encoders\":[").unwrap() + 12, "]},"),
                 "12 encoders",
+            ),
+            (
+                "level 0",
+                good.replace("\"featurizer_level\":5", "\"featurizer_level\":0"),
+                "level 0",
+            ),
+            (
+                "level 9",
+                good.replace("\"featurizer_level\":5", "\"featurizer_level\":9"),
+                "level 9",
             ),
         ];
         for (what, json, names) in cases {

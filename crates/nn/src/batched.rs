@@ -43,6 +43,15 @@
 //!   likewise folds parent contributions in descending parent order, readout
 //!   first — matching the reference's reverse-tape accumulation.
 //!
+//! # Several roots of one graph
+//!
+//! A prediction reads out a list of `(graph, node)` roots
+//! ([`GnnModel::predict_roots`]); a plain batch is the list of each graph's
+//! own root. A node's state depends only on its features and its children's
+//! states, and the readout runs row by row on the `R×h` root matrix, so a
+//! graph in which N cost variants of one plan share their common operators
+//! yields, at each variant's root, the bits of that variant's own graph.
+//!
 //! Nodes whose state cannot reach the loss (possible when a root is not the
 //! last node) are skipped in backward, exactly as the reference's `None`
 //! gradient slots skip them.
@@ -81,7 +90,8 @@ struct GraphBatch {
     parent_off: Vec<usize>,
     /// Parents (global ids, descending, one entry per edge), concatenated.
     parent_dat: Vec<usize>,
-    /// Global root node per graph.
+    /// Global node ids read out, one per requested `(graph, node)` root
+    /// (training: exactly one per graph, in graph order).
     roots: Vec<usize>,
     /// Nodes per type (ascending) — the encoder grouping, which needs no
     /// levels because encodings depend only on the node's own features.
@@ -92,22 +102,21 @@ struct GraphBatch {
 }
 
 impl GraphBatch {
-    fn pack(graphs: &[&TypedGraph], n_types: usize) -> GraphBatch {
+    fn pack(graphs: &[&TypedGraph], roots: &[(usize, usize)], n_types: usize) -> GraphBatch {
         let n: usize = graphs.iter().map(|g| g.len()).sum();
         let n_edges: usize = graphs.iter().map(|g| g.edges.len()).sum();
         let mut offsets = Vec::with_capacity(graphs.len() + 1);
         let mut types = Vec::with_capacity(n);
         let mut node_graph = Vec::with_capacity(n);
-        let mut roots = Vec::with_capacity(graphs.len());
         let mut off = 0usize;
         for (gi, g) in graphs.iter().enumerate() {
             offsets.push(off);
             types.extend_from_slice(&g.node_types);
             node_graph.extend(std::iter::repeat_n(gi, g.len()));
-            roots.push(off + g.root);
             off += g.len();
         }
         offsets.push(off);
+        let roots = roots.iter().map(|&(g, v)| offsets[g] + v).collect();
         // CSR adjacency: degree count, prefix sum, ordered fill (children
         // keep edge order; parents are sorted descending afterwards).
         let mut child_off = vec![0usize; n + 1];
@@ -283,9 +292,9 @@ struct BatchedForward {
     upd2_in: Tensor,
     /// Updater layer-2 pre-activation (`n×h`).
     upd2_pre: Tensor,
-    /// Readout trace over the `B×h` root-state matrix.
+    /// Readout trace over the `R×h` root-state matrix.
     readout: MlpTrace,
-    /// Normalized log-space predictions, one per graph.
+    /// Normalized log-space predictions, one per root.
     preds: Vec<f32>,
 }
 
@@ -306,8 +315,9 @@ fn gather_features(
     x
 }
 
-/// Level-synchronous forward over a validated batch.
-fn forward(model: &GnnModel, graphs: &[&TypedGraph]) -> BatchedForward {
+/// Level-synchronous forward over a validated batch, reading out the state
+/// of every `(graph, node)` in `roots`.
+fn forward(model: &GnnModel, graphs: &[&TypedGraph], roots: &[(usize, usize)]) -> BatchedForward {
     // The engine hard-codes the architecture `GnnModel::new` builds
     // (1-layer encoders, 2-layer updaters); fail loudly if that ever drifts
     // rather than silently dropping layers.
@@ -316,7 +326,7 @@ fn forward(model: &GnnModel, graphs: &[&TypedGraph]) -> BatchedForward {
             && model.updaters.iter().all(|u| u.layers.len() == 2),
         "batched GNN engine expects 1-layer encoders and 2-layer updaters"
     );
-    let batch = GraphBatch::pack(graphs, model.config.feature_dims.len());
+    let batch = GraphBatch::pack(graphs, roots, model.config.feature_dims.len());
     let h = model.config.hidden;
     let n = batch.n;
     let store = &model.store;
@@ -385,7 +395,7 @@ fn forward(model: &GnnModel, graphs: &[&TypedGraph]) -> BatchedForward {
     }
     let root_states = h_all.gather_rows(&batch.roots);
     let (r_out, readout) = mlp_forward(&model.readout, store, root_states);
-    let preds = (0..graphs.len()).map(|g| r_out.get(g, 0)).collect();
+    let preds = (0..roots.len()).map(|r| r_out.get(r, 0)).collect();
     BatchedForward { batch, enc_pre, upd1_in, upd1_pre, upd2_in, upd2_pre, readout, preds }
 }
 
@@ -530,15 +540,30 @@ fn backward(model: &mut GnnModel, fwd: &BatchedForward, graphs: &[&TypedGraph], 
     }
 }
 
-/// Predict runtimes (ns) for a batch of graphs with the batched engine.
-pub(crate) fn predict_batch(model: &GnnModel, graphs: &[&TypedGraph]) -> Result<Vec<f64>> {
+/// Each graph's own root, in graph order: the root list of a plain batch.
+pub(crate) fn own_roots(graphs: &[&TypedGraph]) -> Vec<(usize, usize)> {
+    graphs.iter().enumerate().map(|(gi, g)| (gi, g.root)).collect()
+}
+
+/// Predict runtimes (ns) at every `(graph, node)` of `roots`, in one pass
+/// over the packed graphs.
+pub(crate) fn predict_roots(
+    model: &GnnModel,
+    graphs: &[&TypedGraph],
+    roots: &[(usize, usize)],
+) -> Result<Vec<f64>> {
     for g in graphs {
         g.validate(&model.config.feature_dims)?;
     }
-    if graphs.is_empty() {
+    for &(g, v) in roots {
+        if graphs.get(g).is_none_or(|graph| v >= graph.len()) {
+            return Err(GracefulError::Model(format!("root {v} of graph {g} out of bounds")));
+        }
+    }
+    if roots.is_empty() {
         return Ok(Vec::new());
     }
-    let fwd = forward(model, graphs);
+    let fwd = forward(model, graphs, roots);
     Ok(fwd
         .preds
         .iter()
@@ -561,7 +586,7 @@ pub(crate) fn train_batch(
         g.validate(&model.config.feature_dims)?;
     }
     model.store.zero_grad();
-    let fwd = forward(model, graphs);
+    let fwd = forward(model, graphs, &own_roots(graphs));
     let bsz = graphs.len() as f32;
     let mut total_loss = 0.0f32;
     let mut seeds = Vec::with_capacity(graphs.len());
@@ -656,6 +681,23 @@ mod tests {
             let alone = model.predict_batch(&[g]).unwrap();
             assert_eq!(alone.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), [oracle]);
         }
+        // Several roots of one pass: every node of every graph read out at
+        // once — roots at every level, children shared between roots, roots
+        // followed by dead nodes — and one of them twice, each against the
+        // oracle on the graph with that node as its only root.
+        let mut roots: Vec<(usize, usize)> = refs
+            .iter()
+            .enumerate()
+            .flat_map(|(gi, g)| (0..g.len()).map(move |v| (gi, v)))
+            .collect();
+        roots.push(roots[3]);
+        let multi = model.predict_roots(&refs, &roots).unwrap();
+        assert_eq!(multi.len(), roots.len());
+        for (&(gi, v), y) in roots.iter().zip(&multi) {
+            let alone = TypedGraph { root: v, ..refs[gi].clone() };
+            let oracle = model.predict_reference(&alone).unwrap();
+            assert_eq!(y.to_bits(), oracle.to_bits(), "root {v} of graph {gi} diverged");
+        }
     }
 
     #[test]
@@ -723,5 +765,10 @@ mod tests {
         let refs: Vec<&TypedGraph> = graphs.iter().collect();
         assert!(m.train_batch_in(GnnExecMode::Batched, &refs, &[1.0], &adam, 1.0).is_err());
         assert!(m.predict_batch(&[]).unwrap().is_empty());
+        assert!(m.predict_roots(&refs, &[]).unwrap().is_empty());
+        for root in [(0, refs[0].len()), (refs.len(), 0)] {
+            let out_of_range = m.predict_roots(&refs, &[(0, 0), root]);
+            assert!(matches!(out_of_range, Err(GracefulError::Model(_))), "{out_of_range:?}");
+        }
     }
 }

@@ -263,13 +263,27 @@ impl GnnModel {
 
     /// Predict a runtime in nanoseconds (a one-graph batch on the engine).
     pub fn predict(&self, graph: &TypedGraph) -> Result<f64> {
-        Ok(batched::predict_batch(self, &[graph])?[0])
+        Ok(self.predict_batch(&[graph])?[0])
     }
 
     /// Predict runtimes (ns) for a batch of graphs, packed into one
     /// level-synchronous pass. An empty slice is `Ok(vec![])`.
     pub fn predict_batch(&self, graphs: &[&TypedGraph]) -> Result<Vec<f64>> {
-        batched::predict_batch(self, graphs)
+        batched::predict_roots(self, graphs, &batched::own_roots(graphs))
+    }
+
+    /// Predict runtimes (ns) at several roots of the packed graphs, one per
+    /// `(graph index, node)` of `roots` in that order (each graph's own
+    /// `root` is ignored). Nodes that several roots reach are computed once,
+    /// and each result keeps the bits of [`GnnModel::predict_reference`] on
+    /// the graph with that root alone. An out-of-range root is a typed
+    /// [`GracefulError::Model`].
+    pub fn predict_roots(
+        &self,
+        graphs: &[&TypedGraph],
+        roots: &[(usize, usize)],
+    ) -> Result<Vec<f64>> {
+        batched::predict_roots(self, graphs, roots)
     }
 
     /// [`GnnModel::predict`] on the node-at-a-time tape reference — the

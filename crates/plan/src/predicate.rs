@@ -46,6 +46,23 @@ impl Pred {
         }
     }
 
+    /// The table [`Pred::matches`] applies, for callers that hold typed
+    /// column slices instead of a [`Table`]: whether `op` holds for an SQL
+    /// comparison outcome. `None` (a NULL or incomparable side) satisfies no
+    /// operator. `matches` keeps its own copy: the executor's filter calls it
+    /// per row, and routing it through here cost 3.6 % of `paper_loop`'s
+    /// label rate in ten of ten paired runs.
+    pub fn accepts(op: CmpOp, ord: Option<std::cmp::Ordering>) -> bool {
+        ord.is_some_and(|ord| match op {
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+        })
+    }
+
     /// SQL-ish rendering for EXPLAIN output and debugging.
     pub fn display(&self) -> String {
         format!("{}.{} {} {}", self.col.table, self.col.column, self.op.symbol(), self.value)
