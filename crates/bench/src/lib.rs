@@ -7,6 +7,8 @@
 //! `GRACEFUL_FOLDS=20 GRACEFUL_QUERIES_PER_DB=4000 GRACEFUL_SCALE=10`
 //! approaches the paper's full setup.
 
+#![forbid(unsafe_code)]
+
 use graceful_common::config::ScaleConfig;
 use graceful_common::metrics::QErrorSummary;
 use graceful_core::corpus::{build_all_corpora, DatasetCorpus};

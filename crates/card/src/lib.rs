@@ -25,6 +25,8 @@
 //! everything else), while the advisor of Section IV instead *enumerates*
 //! selectivities via [`scale_above_udf`].
 
+#![forbid(unsafe_code)]
+
 pub mod actual;
 pub mod datadriven;
 pub mod hit_ratio;

@@ -14,6 +14,8 @@
 //!   propagation (in-rows annotation) and branch-path condition tracing for
 //!   the hit-ratio estimator of Section III-B.
 
+#![forbid(unsafe_code)]
+
 pub mod dag;
 pub mod node;
 

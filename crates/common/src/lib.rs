@@ -10,6 +10,8 @@
 //! draw from [`rng::Rng`] instances derived from explicit seeds, so every
 //! experiment table can be regenerated bit-for-bit.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod metrics;
 pub mod rng;
@@ -66,6 +68,11 @@ pub enum GracefulError {
     /// compiler bug surfaces here as a typed error instead of as
     /// backend-divergent behaviour or a release-mode panic downstream.
     Verify(String),
+    /// A morsel closure panicked inside a `graceful_runtime::Pool` region.
+    /// The region still joined and the pool stays usable; `morsel` is the
+    /// lowest panicking morsel index seen and `message` the panic payload's
+    /// text (empty when the payload was not a string).
+    WorkerPanic { morsel: usize, message: String },
 }
 
 impl fmt::Display for GracefulError {
@@ -85,6 +92,9 @@ impl fmt::Display for GracefulError {
             GracefulError::Config(m) => write!(f, "configuration error: {m}"),
             GracefulError::PlanVerify(m) => write!(f, "plan verification failed: {m}"),
             GracefulError::Verify(m) => write!(f, "bytecode verification failed: {m}"),
+            GracefulError::WorkerPanic { morsel, message } => {
+                write!(f, "pool worker panicked at morsel {morsel}: {message}")
+            }
         }
     }
 }

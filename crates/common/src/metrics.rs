@@ -105,78 +105,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Process-wide counters fed by the morsel-driven runtime
-/// (`graceful-runtime`). Observability only: nothing reads them on a result
-/// path, so they never affect determinism. The scaling benches report them to
-/// show how much work actually went through the pool.
-///
-/// Since the `graceful-obs` registry landed this module is a thin
-/// compatibility wrapper: the counters live in the registry under the
-/// `pool.*` names (`pool.regions`, `pool.inline_regions`, `pool.morsels`,
-/// `pool.worker_launches`) and this API reads/writes those same atomics, so
-/// `par::snapshot()` and `graceful_obs::registry::snapshot()` always agree.
-pub mod par {
-    use graceful_obs::registry::{counter, Counter};
-    use std::sync::OnceLock;
-
-    struct Handles {
-        regions: Counter,
-        inline_regions: Counter,
-        morsels: Counter,
-        worker_launches: Counter,
-    }
-
-    fn handles() -> &'static Handles {
-        static HANDLES: OnceLock<Handles> = OnceLock::new();
-        HANDLES.get_or_init(|| Handles {
-            regions: counter("pool.regions"),
-            inline_regions: counter("pool.inline_regions"),
-            morsels: counter("pool.morsels"),
-            worker_launches: counter("pool.worker_launches"),
-        })
-    }
-
-    /// A parallel region ran on `workers` scoped threads over `morsels`
-    /// morsels.
-    pub fn record_region(morsels: u64, workers: u64) {
-        let h = handles();
-        h.regions.incr();
-        h.morsels.add(morsels);
-        h.worker_launches.add(workers);
-    }
-
-    /// A region ran inline on the calling thread (single-thread pool, a
-    /// single morsel, or nested inside another region).
-    pub fn record_inline(morsels: u64) {
-        let h = handles();
-        h.inline_regions.incr();
-        h.morsels.add(morsels);
-    }
-
-    /// Point-in-time view of the counters.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct ParSnapshot {
-        /// Regions that actually forked worker threads.
-        pub regions: u64,
-        /// Regions that ran inline on the caller.
-        pub inline_regions: u64,
-        /// Morsels dispatched across all regions.
-        pub morsels: u64,
-        /// Scoped worker threads launched in total.
-        pub worker_launches: u64,
-    }
-
-    pub fn snapshot() -> ParSnapshot {
-        let h = handles();
-        ParSnapshot {
-            regions: h.regions.get(),
-            inline_regions: h.inline_regions.get(),
-            morsels: h.morsels.get(),
-            worker_launches: h.worker_launches.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,33 +161,6 @@ mod tests {
         assert_eq!(speedup(10.0, 5.0), 2.0);
         let g = geometric_mean(&[1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_counters_accumulate() {
-        // Counters are process-global and other tests may record
-        // concurrently, so only assert lower bounds on the deltas.
-        let before = par::snapshot();
-        par::record_region(8, 4);
-        par::record_inline(3);
-        let after = par::snapshot();
-        assert!(after.regions > before.regions);
-        assert!(after.inline_regions > before.inline_regions);
-        assert!(after.morsels >= before.morsels + 11);
-        assert!(after.worker_launches >= before.worker_launches + 4);
-    }
-
-    #[test]
-    fn par_counters_are_registry_counters() {
-        // `par` is a compatibility view over the obs registry: both APIs
-        // must read the same atomics under the `pool.*` names.
-        par::record_region(5, 2);
-        let par_view = par::snapshot();
-        let reg_view = graceful_obs::registry::snapshot();
-        assert_eq!(par_view.regions, reg_view.counter("pool.regions"));
-        assert_eq!(par_view.inline_regions, reg_view.counter("pool.inline_regions"));
-        assert_eq!(par_view.morsels, reg_view.counter("pool.morsels"));
-        assert_eq!(par_view.worker_launches, reg_view.counter("pool.worker_launches"));
     }
 
     #[test]

@@ -170,9 +170,8 @@ pub fn build_all_corpora_in(session: &Session, cfg: &ScaleConfig) -> Vec<Dataset
 
 /// [`build_all_corpora`] on an explicit pool. Each dataset is one morsel and
 /// its seed derives from its index, so the labels are bit-identical for any
-/// pool size (the `scaling_threads` bench and the determinism suite pin
-/// thread counts through this entry point); the engine itself follows the
-/// environment defaults.
+/// pool size (the determinism suite pins thread counts through this entry
+/// point); the engine itself follows the environment defaults.
 pub fn build_all_corpora_on(pool: &Pool, cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
     let session = Session::from_env().expect("invalid GRACEFUL_* configuration");
     build_all_corpora_with(pool, &session, cfg)

@@ -39,6 +39,8 @@
 //! println!("median Q-error: {}", q_errors.median);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod advisor;
 pub mod baselines;
 pub mod corpus;

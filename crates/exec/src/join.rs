@@ -20,6 +20,7 @@
 //! bit-identical. Each build reports its non-empty partition count to the
 //! registry counter `join.partitions`.
 
+use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
 use graceful_runtime::Pool;
 use std::collections::HashMap;
@@ -60,9 +61,9 @@ impl PartitionedIndex {
         n: usize,
         morsel: usize,
         key_of: impl Fn(usize) -> Option<i64> + Sync,
-    ) -> Self {
+    ) -> Result<Self> {
         // Phase 1: scatter each morsel's keys into per-partition buckets.
-        let scattered = pool.map_init(
+        let scattered = pool.try_map_init(
             Pool::morsel_count(n, morsel),
             || (),
             |_, m| {
@@ -74,7 +75,7 @@ impl PartitionedIndex {
                 }
                 buckets
             },
-        );
+        )?;
         // Phase 2: concatenate per partition in morsel-index order. Rows
         // within a partition come out globally ascending.
         let mut per_part: Vec<Vec<(i64, u32)>> = vec![Vec::new(); JOIN_PARTITIONS];
@@ -84,15 +85,20 @@ impl PartitionedIndex {
             }
         }
         // Phase 3: index each partition independently.
-        let parts = pool.ordered_map(&per_part, |_, entries| {
-            let mut map: HashMap<i64, Vec<u32>> = HashMap::with_capacity(entries.len());
-            for &(k, r) in entries {
-                map.entry(k).or_default().push(r);
-            }
-            map
-        });
+        let parts = pool.try_map_init(
+            JOIN_PARTITIONS,
+            || (),
+            |_, p| {
+                let entries = &per_part[p];
+                let mut map: HashMap<i64, Vec<u32>> = HashMap::with_capacity(entries.len());
+                for &(k, r) in entries {
+                    map.entry(k).or_default().push(r);
+                }
+                map
+            },
+        )?;
         join_partitions_counter().add(parts.iter().filter(|m| !m.is_empty()).count() as u64);
-        PartitionedIndex { parts }
+        Ok(PartitionedIndex { parts })
     }
 
     /// Build-row ids matching `key`, ascending; `None` when absent.
@@ -119,7 +125,7 @@ mod tests {
     fn index_with(threads: usize, morsel: usize) -> PartitionedIndex {
         let ks = keys();
         let pool = Pool::new(threads);
-        PartitionedIndex::build(&pool, ks.len(), morsel, move |r| ks[r])
+        PartitionedIndex::build(&pool, ks.len(), morsel, move |r| ks[r]).expect("no morsel panics")
     }
 
     #[test]

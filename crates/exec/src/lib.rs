@@ -47,12 +47,15 @@
 //! crossovers) and the experiment labels never depend on the machine's
 //! parallelism or the engine's execution strategy.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod engine;
 mod join;
 pub mod physical;
 pub mod profile;
 mod prune;
+mod row_test;
 pub mod session;
 pub mod udf_eval;
 

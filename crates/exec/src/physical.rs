@@ -67,6 +67,7 @@
 
 use crate::engine::{cmp_f64, jitter_factor, AggState, ExecConfig, OperatorWeights, QueryRun};
 use crate::profile::ExecProfile;
+use crate::row_test::RowTest;
 use crate::udf_eval::{record_udf_metrics, UdfEvalSpec, UdfEvalStats};
 use graceful_common::config::{ExecMode, PlanVerifyMode};
 use graceful_common::{GracefulError, Result};
@@ -74,7 +75,7 @@ use graceful_obs::trace;
 use graceful_plan::analysis::join_keep_lanes;
 use graceful_plan::{AggFunc, ColRef, Plan, PlanOpKind, Pred, PredFold, RewriteSet};
 use graceful_runtime::Pool;
-use graceful_storage::{Column, Database, Table, Value};
+use graceful_storage::{Column, Database, Value};
 use graceful_udf::ast::CmpOp;
 use graceful_udf::GeneratedUdf;
 use std::cell::{Cell, RefCell};
@@ -694,10 +695,13 @@ pub struct Batch {
 }
 
 /// Full morsels a parallel operator queues *per worker* before flushing
-/// them through the pool. Larger windows amortize the per-region cost
-/// (scoped thread spawn + per-worker evaluator construction) over more
-/// rows; the value only trades memory for wall-clock and **never affects
-/// results** — morsel boundaries and merge order are window-invariant.
+/// them through the pool. A region costs about a microsecond to post, but a
+/// parked helper needs tens of microseconds to wake and each worker that
+/// joins builds its own evaluator (`init`), so a window must hold enough
+/// rows for a second thread to arrive and pay off; four morsels per worker
+/// also leave the morsel cursor room to balance uneven morsels. The value
+/// only trades memory for wall-clock and **never affects results** — morsel
+/// boundaries and merge order are window-invariant.
 const FLUSH_MORSELS_PER_WORKER: usize = 4;
 
 /// Shared read-only execution context handed to every operator call.
@@ -825,7 +829,8 @@ impl Rebatcher {
 /// (`n_preds`), so folding never changes accounted work.
 struct FilterExec<'a> {
     plan_idx: usize,
-    preds: Vec<(&'a Pred, usize, &'a Table)>,
+    /// Each with the tuple lane that holds its table's row id.
+    preds: Vec<(RowTest<'a>, usize)>,
     /// Logical predicate count, before folding — the work-charge multiplier.
     n_preds: usize,
     /// A predicate folded to `AlwaysFalse`: emit nothing, evaluate nothing.
@@ -857,17 +862,14 @@ impl FilterExec<'_> {
         // Pruning a morsel emits the same zero rows evaluation would, and
         // work is charged closed-form at finish: nothing contracted moves.
         let prune_scan = self.pruning && self.buf.identity && stride == 1;
-        let parts: Vec<Vec<u32>> = ctx.pool.map_init(
+        let parts: Vec<Vec<u32>> = ctx.pool.try_map_init(
             Pool::morsel_count(take, ctx.morsel),
             || (),
             |_, m| {
                 let range = Pool::morsel_range(m, take, ctx.morsel);
                 if prune_scan {
                     let rids = pending[range.start] as usize..pending[range.end - 1] as usize + 1;
-                    if preds
-                        .iter()
-                        .any(|(p, _, t)| crate::prune::pred_prunes_range(t, p, rids.clone()))
-                    {
+                    if preds.iter().any(|(test, _)| test.prunes(rids.clone())) {
                         crate::prune::pruned_morsels_counter().incr();
                         return Vec::new();
                     }
@@ -876,14 +878,14 @@ impl FilterExec<'_> {
                 for r in range {
                     let keep = preds
                         .iter()
-                        .all(|(p, pos, t)| p.matches(t, pending[r * stride + pos] as usize));
+                        .all(|(test, pos)| test.accepts(pending[r * stride + pos] as usize));
                     if keep {
                         kept.extend_from_slice(&pending[r * stride..(r + 1) * stride]);
                     }
                 }
                 kept
             },
-        );
+        )?;
         for kept in parts {
             self.rows_out += kept.len() / stride;
             if self.rows_out > ctx.cap {
@@ -968,7 +970,7 @@ impl UdfExec<'_> {
         let pending = &self.buf.rows[..take * stride];
         let parts = self
             .spec
-            .eval_morsels(ctx.pool, take, ctx.morsel, |r| pending[r * stride + pos] as usize);
+            .eval_morsels(ctx.pool, take, ctx.morsel, |r| pending[r * stride + pos] as usize)?;
         // Ordered merge in morsel-index order (== row order).
         for (m, part) in parts.into_iter().enumerate() {
             let (morsel_work, values, morsel_stats) = part?;
@@ -1071,7 +1073,7 @@ impl Operator for BuildExec<'_> {
     fn finish(&mut self, ctx: &ExecCtx<'_>, _emit: &mut Emit<'_>) -> Result<()> {
         let keys = std::mem::take(&mut self.keys);
         let index =
-            crate::join::PartitionedIndex::build(ctx.pool, keys.len(), ctx.morsel, |r| keys[r]);
+            crate::join::PartitionedIndex::build(ctx.pool, keys.len(), ctx.morsel, |r| keys[r])?;
         self.side = Some(BuildSide {
             index,
             rows: std::mem::take(&mut self.rows),
@@ -1129,7 +1131,7 @@ impl ProbeExec<'_> {
         // mid-probe) and again cumulatively on merge — a query errors iff
         // its total output exceeds the cap, the same outcome the sequential
         // row-by-row check produced.
-        let parts = ctx.pool.map_init(
+        let parts = ctx.pool.try_map_init(
             Pool::morsel_count(take, ctx.morsel),
             || (),
             |_, m| -> Result<(Vec<u32>, usize)> {
@@ -1156,7 +1158,7 @@ impl ProbeExec<'_> {
                 }
                 Ok((chunk, emitted))
             },
-        );
+        )?;
         for part in parts {
             let (chunk, emitted) = part?;
             self.rows_out += emitted;
@@ -1236,7 +1238,7 @@ impl AggExec<'_> {
         // at the same input-stream offsets as `Pool::morsel_range` over the
         // whole input.
         let (column, rows, computed) = (self.column, &self.buf.rows, &self.computed_buf);
-        let partials: Vec<AggState> = ctx.pool.map_init(
+        let partials: Vec<AggState> = ctx.pool.try_map_init(
             Pool::morsel_count(take, ctx.morsel),
             || (),
             |_, m| {
@@ -1249,7 +1251,7 @@ impl AggExec<'_> {
                 }
                 part
             },
-        );
+        )?;
         for part in &partials {
             self.state.merge(part);
         }
@@ -1590,7 +1592,7 @@ fn instantiate<'a>(
                 // A statically-false filter never resolves its tables.
                 for ((p, &pos), fold) in preds.iter().zip(positions.iter()).zip(folds.iter()) {
                     if *fold == PredFold::Keep {
-                        resolved.push((p, pos, db.table(&p.col.table)?));
+                        resolved.push((RowTest::compile(p, db.table(&p.col.table)?), pos));
                     }
                 }
             }

@@ -25,7 +25,7 @@
 
 use graceful_obs::registry::{counter, Counter};
 use graceful_plan::Pred;
-use graceful_storage::{Table, Value, Zone, ZONE_ROWS};
+use graceful_storage::{Column, Value, Zone, ZONE_ROWS};
 use graceful_udf::ast::CmpOp;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -36,14 +36,13 @@ pub(crate) fn pruned_morsels_counter() -> &'static Counter {
     C.get_or_init(|| counter("scan.pruned_morsels"))
 }
 
-/// True when `pred` provably matches no row of `table` in `rows` (a
-/// contiguous base-table row range). `false` means "cannot prove it" — the
-/// caller evaluates row by row.
-pub(crate) fn pred_prunes_range(table: &Table, pred: &Pred, rows: Range<usize>) -> bool {
+/// True when `pred`, whose column is `col`, provably matches no row of it in
+/// `rows` (a contiguous base-table row range). `false` means "cannot prove
+/// it" — the caller evaluates row by row.
+pub(crate) fn pred_prunes_range(col: &Column, pred: &Pred, rows: Range<usize>) -> bool {
     if rows.is_empty() {
         return false;
     }
-    let Ok(col) = table.column(&pred.col.column) else { return false };
     let Some(zones) = col.zones() else { return false };
     // Zones exist only on numeric-ish columns (Int/Float/Bool and the
     // encoded int representations). Classify the literal the way
@@ -90,12 +89,17 @@ fn zone_rejects(z: &Zone, op: CmpOp, v: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graceful_storage::{Column, ColumnData};
+    use graceful_storage::{ColumnData, Table};
 
     fn zoned_table(data: ColumnData, nulls: Vec<bool>) -> Table {
         let mut col = Column::with_nulls("x", data, nulls);
         col.compute_zones();
         Table::new("t", vec![col]).unwrap()
+    }
+
+    /// [`pred_prunes_range`] over the test tables' one column.
+    fn prunes(t: &Table, p: &Pred, rows: Range<usize>) -> bool {
+        pred_prunes_range(&t.columns()[0], p, rows)
     }
 
     fn pred(op: CmpOp, value: Value) -> Pred {
@@ -108,7 +112,7 @@ mod tests {
             if start >= end {
                 continue;
             }
-            if pred_prunes_range(t, p, start..end) {
+            if prunes(t, p, start..end) {
                 for r in start..end {
                     assert!(!p.matches(t, r), "pruned range hides a match at row {r}: {p:?}");
                 }
@@ -121,8 +125,8 @@ mod tests {
         let n = ZONE_ROWS * 2;
         let t = zoned_table(ColumnData::Int((0..n as i64).collect()), vec![false; n]);
         // All values in the first block are < ZONE_ROWS.
-        assert!(pred_prunes_range(&t, &pred(CmpOp::Ge, Value::Int(ZONE_ROWS as i64)), 0..100));
-        assert!(!pred_prunes_range(&t, &pred(CmpOp::Ge, Value::Int(50)), 0..100));
+        assert!(prunes(&t, &pred(CmpOp::Ge, Value::Int(ZONE_ROWS as i64)), 0..100));
+        assert!(!prunes(&t, &pred(CmpOp::Ge, Value::Int(50)), 0..100));
         for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
             for lit in [-1i64, 0, 77, ZONE_ROWS as i64, (2 * ZONE_ROWS) as i64, i64::MAX] {
                 check_sound(&t, &pred(op, Value::Int(lit)), n);
@@ -137,7 +141,7 @@ mod tests {
         for lit in [Value::Null, Value::Float(f64::NAN), Value::Text("0".into())] {
             for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt] {
                 let p = pred(op, lit.clone());
-                assert!(pred_prunes_range(&t, &p, 0..n), "{p:?} can never match");
+                assert!(prunes(&t, &p, 0..n), "{p:?} can never match");
                 check_sound(&t, &p, n);
             }
         }
@@ -154,7 +158,7 @@ mod tests {
         let t = zoned_table(ColumnData::Float(vals), nulls);
         // Block 0 is all NaN, block 1 all NULL: every predicate prunes.
         let p = pred(CmpOp::Ne, Value::Float(0.0));
-        assert!(pred_prunes_range(&t, &p, 0..n));
+        assert!(prunes(&t, &p, 0..n));
         check_sound(&t, &p, n);
     }
 
@@ -168,8 +172,8 @@ mod tests {
         }
         // min == max == v: Ne prunes a constant block.
         let c = zoned_table(ColumnData::Int(vec![7; 100]), vec![false; 100]);
-        assert!(pred_prunes_range(&c, &pred(CmpOp::Ne, Value::Int(7)), 0..100));
-        assert!(!pred_prunes_range(&c, &pred(CmpOp::Eq, Value::Int(7)), 0..100));
+        assert!(prunes(&c, &pred(CmpOp::Ne, Value::Int(7)), 0..100));
+        assert!(!prunes(&c, &pred(CmpOp::Eq, Value::Int(7)), 0..100));
     }
 
     #[test]
@@ -179,8 +183,8 @@ mod tests {
         let t =
             Table::new("t", vec![Column::new("x", ColumnData::Text(vec!["a".into(), "b".into()]))])
                 .unwrap();
-        assert!(!pred_prunes_range(&t, &pred(CmpOp::Eq, Value::Text("zz".into())), 0..2));
+        assert!(!prunes(&t, &pred(CmpOp::Eq, Value::Text("zz".into())), 0..2));
         let plain = Table::new("t", vec![Column::new("x", ColumnData::Int(vec![1, 2]))]).unwrap();
-        assert!(!pred_prunes_range(&plain, &pred(CmpOp::Gt, Value::Int(100)), 0..2));
+        assert!(!prunes(&plain, &pred(CmpOp::Gt, Value::Int(100)), 0..2));
     }
 }

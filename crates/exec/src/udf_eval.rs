@@ -113,6 +113,10 @@ pub trait UdfEval {
     ) -> Result<()>;
 }
 
+/// One morsel of [`UdfEvalSpec::eval_morsels`]: accounted work, one value per
+/// row, evaluator statistics.
+pub type MorselEval = (f64, Vec<Value>, UdfEvalStats);
+
 /// Everything resolved once per UDF operator: input columns, the compiled
 /// program (VM/SIMD backends), the columnar-eligibility decision, weights and
 /// batching parameters. [`UdfEvalSpec::new_eval`] then builds one evaluator
@@ -214,7 +218,8 @@ impl<'a> UdfEvalSpec<'a> {
     /// Evaluate rows `0..n` — mapped to storage row ids by `rid_of` — in
     /// `morsel`-row morsels on `pool`, one evaluator per worker, returning
     /// the per-morsel `(work, values, stats)` triples **in morsel-index
-    /// order**.
+    /// order**. The outer error is a panicking evaluator
+    /// (`GracefulError::WorkerPanic`), an inner one that morsel's own.
     ///
     /// This is the one shared kernel behind both executor modes' UDF
     /// operators: the per-morsel float grouping and the merge order live
@@ -225,8 +230,8 @@ impl<'a> UdfEvalSpec<'a> {
         n: usize,
         morsel: usize,
         rid_of: impl Fn(usize) -> usize + Sync,
-    ) -> Vec<Result<(f64, Vec<Value>, UdfEvalStats)>> {
-        pool.map_init(
+    ) -> Result<Vec<Result<MorselEval>>> {
+        pool.try_map_init(
             Pool::morsel_count(n, morsel),
             || (self.new_eval(), Vec::new()),
             |(eval, rids): &mut (Box<dyn UdfEval + '_>, Vec<usize>), m| {

@@ -6,6 +6,8 @@
 //! shrinkage, depth / leaf-size limits, and optional feature subsampling.
 //! It is deterministic given the seed and serializes with `serde`.
 
+#![forbid(unsafe_code)]
+
 pub mod tree;
 
 pub use tree::{Gbdt, GbdtConfig, RegressionTree};

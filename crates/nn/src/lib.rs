@@ -24,6 +24,8 @@
 //! Everything is deterministic given the seed, and models serialize with
 //! `serde` so trained estimators can be saved and reloaded.
 
+#![forbid(unsafe_code)]
+
 mod batched;
 pub mod gnn;
 pub mod mlp;

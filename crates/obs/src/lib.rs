@@ -28,6 +28,8 @@
 //! [`flight`] for the per-query JSONL flight recorder capturing predicted
 //! vs. actual cardinalities/costs with their q-errors.
 
+#![forbid(unsafe_code)]
+
 pub mod flight;
 pub mod registry;
 pub mod trace;

@@ -17,6 +17,8 @@
 //!   monotone cardinality bounds, and the verified rewrite hints
 //!   ([`analysis::RewriteSet`]) both executors consume.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod logical;
 pub mod predicate;

@@ -15,6 +15,8 @@
 //!   foreign-key fan-outs so that naive cardinality estimation measurably
 //!   degrades, as required to reproduce Table III.
 
+#![forbid(unsafe_code)]
+
 pub mod column;
 pub mod database;
 pub mod datagen;

@@ -27,6 +27,8 @@
 //! * [`generator`] — the synthetic UDF generator of Section V (0–3 branches,
 //!   0–3 loops, 10–150 ops, library calls, data-adaptation actions).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod ast;
 pub mod bytecode;

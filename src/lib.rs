@@ -50,6 +50,8 @@
 //! println!("{}", evaluate_actual(&model, &corpus));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use graceful_card as card;
 pub use graceful_cfg as cfg;
 pub use graceful_common as common;
