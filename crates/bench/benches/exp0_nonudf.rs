@@ -7,9 +7,10 @@ use graceful_core::experiments::{cross_validate, evaluate_model, summarize, Esti
 use graceful_core::featurize::Featurizer;
 
 fn main() {
-    let cfg = announce("Exp 0: accuracy on non-UDF queries (Section VI setup)");
-    let all = corpora(&cfg);
-    let folds = cross_validate(&all, &cfg, Featurizer::full());
+    let (session, cfg) = announce("Exp 0: accuracy on non-UDF queries (Section VI setup)");
+    let all = corpora(&session, &cfg);
+    let folds =
+        cross_validate(&session, &all, &cfg, Featurizer::full()).expect("cross-validation trains");
     let mut recs = Vec::new();
     for fold in &folds {
         for &t in &fold.test_indices {

@@ -6,9 +6,11 @@ use graceful_core::experiments::{cross_validate, evaluate_model, summarize, Esti
 use graceful_core::featurize::Featurizer;
 
 fn main() {
-    let cfg = announce("Exp 1 / Figure 5: per-dataset Q-errors (leave-out cross-validation)");
-    let all = corpora(&cfg);
-    let folds = cross_validate(&all, &cfg, Featurizer::full());
+    let (session, cfg) =
+        announce("Exp 1 / Figure 5: per-dataset Q-errors (leave-out cross-validation)");
+    let all = corpora(&session, &cfg);
+    let folds =
+        cross_validate(&session, &all, &cfg, Featurizer::full()).expect("cross-validation trains");
 
     println!(
         "{:<12} | {:^24} | {:^24} | {:^24} | {:^24}",

@@ -33,9 +33,10 @@ fn row(label: &str, card: &str, recs: &[EvalRecord]) {
 }
 
 fn main() {
-    let cfg = announce("Exp 1 / Table III: Q-errors across unseen databases");
-    let all = corpora(&cfg);
-    let folds = cross_validate(&all, &cfg, Featurizer::full());
+    let (session, cfg) = announce("Exp 1 / Table III: Q-errors across unseen databases");
+    let all = corpora(&session, &cfg);
+    let folds =
+        cross_validate(&session, &all, &cfg, Featurizer::full()).expect("cross-validation trains");
 
     // Collect records per (model/baseline, estimator) across folds.
     let kinds = EstimatorKind::ALL;

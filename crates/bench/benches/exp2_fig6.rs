@@ -10,9 +10,10 @@ const SIZE_BINS: [(usize, usize, &str); 5] =
     [(0, 6, "0-6"), (6, 12, "6-12"), (12, 24, "12-24"), (24, 40, "24-40"), (40, 100, "40-100")];
 
 fn main() {
-    let cfg = announce("Exp 2 / Figure 6: robustness across UDF complexities");
-    let all = corpora(&cfg);
-    let folds = cross_validate(&all, &cfg, Featurizer::full());
+    let (session, cfg) = announce("Exp 2 / Figure 6: robustness across UDF complexities");
+    let all = corpora(&session, &cfg);
+    let folds =
+        cross_validate(&session, &all, &cfg, Featurizer::full()).expect("cross-validation trains");
     let mut actual = Vec::new();
     let mut deepdb = Vec::new();
     for fold in &folds {

@@ -4,7 +4,7 @@
 
 use graceful_bench::{announce, fmt_q, rule};
 use graceful_core::baselines::FlatGraphBaseline;
-use graceful_core::corpus::{build_corpus_with, DatasetCorpus};
+use graceful_core::corpus::{build_corpus_with_in, DatasetCorpus};
 use graceful_core::experiments::{evaluate_flat, evaluate_model, summarize, EstimatorKind};
 use graceful_core::featurize::Featurizer;
 use graceful_plan::{QueryGenConfig, QueryGenerator};
@@ -25,13 +25,14 @@ fn select_only_generator() -> QueryGenerator {
 }
 
 fn main() {
-    let cfg = announce("Exp 3 / Table IV: UDF representations on a select-only workload");
+    let (session, cfg) =
+        announce("Exp 3 / Table IV: UDF representations on a select-only workload");
     // Build select-only corpora for all datasets.
     let mut corpora: Vec<DatasetCorpus> = Vec::new();
     for (i, name) in DATASET_NAMES.iter().enumerate() {
         let seed = cfg.seed.wrapping_add(i as u64 * 37);
         corpora.push(
-            build_corpus_with(name, &cfg, seed, select_only_generator())
+            build_corpus_with_in(&session, name, &cfg, seed, select_only_generator())
                 .expect("select-only corpus builds"),
         );
     }

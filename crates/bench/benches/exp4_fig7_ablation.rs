@@ -20,8 +20,9 @@ const LABELS: [&str; 5] = [
 ];
 
 fn main() {
-    let cfg = announce("Exp 4 / Figure 7: feature ablation (actual cards, genome held out)");
-    let all = corpora(&cfg);
+    let (session, cfg) =
+        announce("Exp 4 / Figure 7: feature ablation (actual cards, genome held out)");
+    let all = corpora(&session, &cfg);
     let genome_idx = all.iter().position(|c| c.name == "genome").expect("genome exists");
     let train: Vec<&DatasetCorpus> =
         all.iter().enumerate().filter(|(i, _)| *i != genome_idx).map(|(_, c)| c).collect();

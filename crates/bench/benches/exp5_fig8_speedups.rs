@@ -5,13 +5,16 @@
 
 use graceful_bench::{announce, corpora, rule};
 use graceful_core::advisor::Strategy;
-use graceful_core::experiments::{cross_validate, run_advisor, summarize_advisor, EstimatorKind};
+use graceful_core::experiments::{
+    cross_validate, run_advisor_in, summarize_advisor, EstimatorKind,
+};
 use graceful_core::featurize::Featurizer;
 
 fn main() {
-    let cfg = announce("Exp 5 / Figure 8: advisor speedups per dataset");
-    let all = corpora(&cfg);
-    let folds = cross_validate(&all, &cfg, Featurizer::full());
+    let (session, cfg) = announce("Exp 5 / Figure 8: advisor speedups per dataset");
+    let all = corpora(&session, &cfg);
+    let folds =
+        cross_validate(&session, &all, &cfg, Featurizer::full()).expect("cross-validation trains");
     let per_db = (cfg.queries_per_db / 2).clamp(8, 500);
 
     println!(
@@ -22,7 +25,8 @@ fn main() {
     for fold in &folds {
         for &t in &fold.test_indices {
             let corpus = &all[t];
-            let cost = summarize_advisor(&run_advisor(
+            let cost = summarize_advisor(&run_advisor_in(
+                &session,
                 &fold.model,
                 corpus,
                 EstimatorKind::Actual,
@@ -30,7 +34,8 @@ fn main() {
                 1,
                 per_db,
             ));
-            let cons = summarize_advisor(&run_advisor(
+            let cons = summarize_advisor(&run_advisor_in(
+                &session,
                 &fold.model,
                 corpus,
                 EstimatorKind::DataDriven,
@@ -38,7 +43,8 @@ fn main() {
                 1,
                 per_db,
             ));
-            let auc = summarize_advisor(&run_advisor(
+            let auc = summarize_advisor(&run_advisor_in(
+                &session,
                 &fold.model,
                 corpus,
                 EstimatorKind::DataDriven,
@@ -46,7 +52,8 @@ fn main() {
                 1,
                 per_db,
             ));
-            let ubc = summarize_advisor(&run_advisor(
+            let ubc = summarize_advisor(&run_advisor_in(
+                &session,
                 &fold.model,
                 corpus,
                 EstimatorKind::DataDriven,

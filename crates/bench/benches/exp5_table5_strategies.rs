@@ -6,14 +6,15 @@
 use graceful_bench::{announce, corpora, rule};
 use graceful_core::advisor::Strategy;
 use graceful_core::experiments::{
-    cross_validate, run_advisor, summarize_advisor, AdvisorOutcome, EstimatorKind,
+    cross_validate, run_advisor_in, summarize_advisor, AdvisorOutcome, EstimatorKind,
 };
 use graceful_core::featurize::Featurizer;
 
 fn main() {
-    let cfg = announce("Exp 5 / Table V: advisor strategies over all datasets");
-    let all = corpora(&cfg);
-    let folds = cross_validate(&all, &cfg, Featurizer::full());
+    let (session, cfg) = announce("Exp 5 / Table V: advisor strategies over all datasets");
+    let all = corpora(&session, &cfg);
+    let folds =
+        cross_validate(&session, &all, &cfg, Featurizer::full()).expect("cross-validation trains");
     let per_db = (cfg.queries_per_db / 2).clamp(8, 500);
 
     let configs: [(&str, EstimatorKind, Strategy); 4] = [
@@ -27,7 +28,15 @@ fn main() {
         let mut outcomes = Vec::new();
         for fold in &folds {
             for &t in &fold.test_indices {
-                outcomes.extend(run_advisor(&fold.model, &all[t], kind, strat, 1, per_db));
+                outcomes.extend(run_advisor_in(
+                    &session,
+                    &fold.model,
+                    &all[t],
+                    kind,
+                    strat,
+                    1,
+                    per_db,
+                ));
             }
         }
         rows.push((label.to_string(), outcomes));

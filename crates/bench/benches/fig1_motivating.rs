@@ -7,10 +7,9 @@ use graceful_bench::announce;
 use graceful_card::{ActualCard, CardEstimator};
 use graceful_common::config::ScaleConfig;
 use graceful_core::advisor::{PullUpAdvisor, Strategy};
-use graceful_core::corpus::build_corpus;
+use graceful_core::corpus::build_corpus_in;
 use graceful_core::experiments::train_graceful;
 use graceful_core::featurize::Featurizer;
-use graceful_exec::Session;
 use graceful_plan::querygen::JoinStep;
 use graceful_plan::{build_plan, AggFunc, ColRef, Pred, QuerySpec, UdfPlacement, UdfUsage};
 use graceful_storage::datagen::{generate, schema};
@@ -32,7 +31,7 @@ def udf(movie_id, keyword_id):
 ";
 
 fn main() {
-    let cfg = announce("Figure 1: pull-up optimization on a SQL query with a UDF");
+    let (session, cfg) = announce("Figure 1: pull-up optimization on a SQL query with a UDF");
     let db = generate(&schema("imdb"), cfg.data_scale, cfg.seed);
     let udf_def = parse_udf(UDF_SRC).expect("example UDF parses");
     println!("UDF source:\n{}", print_udf(&udf_def));
@@ -80,7 +79,7 @@ fn main() {
         agg: AggFunc::CountStar,
         agg_col: None,
     };
-    let exec = Session::from_env().expect("valid GRACEFUL_* configuration").executor(&db);
+    let exec = session.executor(&db);
     let mut pd = build_plan(&spec, UdfPlacement::PushDown).unwrap();
     let mut pu = build_plan(&spec, UdfPlacement::PullUp).unwrap();
     let pd_run = exec.run_and_annotate(&mut pd, 1).unwrap();
@@ -111,10 +110,11 @@ fn main() {
         ..cfg
     };
     let train = vec![
-        build_corpus("tpc_h", &train_cfg, 3).unwrap(),
-        build_corpus("ssb", &train_cfg, 4).unwrap(),
+        build_corpus_in(&session, "tpc_h", &train_cfg, 3).unwrap(),
+        build_corpus_in(&session, "ssb", &train_cfg, 4).unwrap(),
     ];
-    let model = train_graceful(&train, &train_cfg, Featurizer::full());
+    let model = train_graceful(&session, &train, &train_cfg, Featurizer::full())
+        .expect("the advisor's model trains");
     let est = ActualCard::new(&db);
     let advisor = PullUpAdvisor::new(&model);
     let decision = advisor

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use graceful_card::{ActualCard, CardEstimator};
 use graceful_common::config::ScaleConfig;
 use graceful_common::rng::Rng;
-use graceful_core::corpus::build_corpus;
+use graceful_core::corpus::build_corpus_in;
 use graceful_core::experiments::train_graceful;
 use graceful_core::featurize::Featurizer;
 use graceful_exec::Session;
@@ -64,8 +64,10 @@ fn bench_inference(c: &mut Criterion) {
         hidden: 32,
         ..ScaleConfig::default()
     };
-    let corpus = build_corpus("imdb", &cfg, 5).unwrap();
-    let model = train_graceful(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
+    let session = Session::from_env().expect("valid GRACEFUL_* configuration");
+    let corpus = build_corpus_in(&session, "imdb", &cfg, 5).unwrap();
+    let model =
+        train_graceful(&session, std::slice::from_ref(&corpus), &cfg, Featurizer::full()).unwrap();
     let est = ActualCard::new(&corpus.db);
     let q = corpus.queries.iter().find(|q| q.has_udf()).unwrap();
     let mut plan = q.plan.clone();

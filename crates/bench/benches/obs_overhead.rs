@@ -82,7 +82,7 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 fn main() {
-    let cfg = announce(
+    let (_, cfg) = announce(
         "obs_overhead: cost of profiling, tracing, q-error recording, and disabled instrumentation",
     );
     let (db, plans) = udf_plans(&cfg);

@@ -6,8 +6,8 @@ use graceful_bench::{announce, corpora, rule};
 use graceful_core::corpus::benchmark_stats;
 
 fn main() {
-    let cfg = announce("Table II: statistics of the created benchmark");
-    let all = corpora(&cfg);
+    let (session, cfg) = announce("Table II: statistics of the created benchmark");
+    let all = corpora(&session, &cfg);
     let s = benchmark_stats(&all);
     rule(72);
     println!("{:<38} {}", "Number of Queries", s.n_queries);

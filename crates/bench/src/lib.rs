@@ -11,16 +11,21 @@
 
 use graceful_common::config::ScaleConfig;
 use graceful_common::metrics::QErrorSummary;
-use graceful_core::corpus::{build_all_corpora, DatasetCorpus};
+use graceful_core::corpus::{build_all_corpora_in, DatasetCorpus};
+use graceful_exec::Session;
 use std::time::Instant;
 
-/// Resolve the experiment scale from the environment and echo it. An invalid
-/// `GRACEFUL_*` value ends the bench: the message on stderr, a non-zero exit.
-pub fn announce(experiment: &str) -> ScaleConfig {
-    let cfg = ScaleConfig::try_from_env().unwrap_or_else(|e| {
+/// Resolve the engine session and the experiment scale from the environment
+/// — once, here, for everything the target runs — and echo the scale. An
+/// invalid `GRACEFUL_*` value ends the bench: the message on stderr, a
+/// non-zero exit.
+pub fn announce(experiment: &str) -> (Session, ScaleConfig) {
+    let fail = |e: String| -> ! {
         eprintln!("{experiment}: {e}");
         std::process::exit(2)
-    });
+    };
+    let session = Session::from_env().unwrap_or_else(|e| fail(e.to_string()));
+    let cfg = ScaleConfig::try_from_env().unwrap_or_else(|e| fail(e));
     println!("=== {experiment} ===");
     println!(
         "scale: data x{:.2}, {} queries/db, {} folds, {} epochs, hidden {}, seed {}",
@@ -29,13 +34,13 @@ pub fn announce(experiment: &str) -> ScaleConfig {
     println!(
         "(set GRACEFUL_FOLDS=20 / GRACEFUL_QUERIES_PER_DB / GRACEFUL_SCALE for paper scale)\n"
     );
-    cfg
+    (session, cfg)
 }
 
 /// Build (and time) the 20-database corpus.
-pub fn corpora(cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
+pub fn corpora(session: &Session, cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
     let started = Instant::now();
-    let corpora = build_all_corpora(cfg);
+    let corpora = build_all_corpora_in(session, cfg);
     let n: usize = corpora.iter().map(|c| c.queries.len()).sum();
     println!(
         "built {} corpora / {} labelled queries in {:.1}s\n",

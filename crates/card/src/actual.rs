@@ -18,9 +18,9 @@ pub struct ActualCard<'a> {
 
 impl<'a> ActualCard<'a> {
     /// Oracle over `db`. Its internal executor uses the pure base
-    /// [`Session`] — actual cardinalities are bit-identical under every
-    /// backend, thread count and executor mode, so the oracle consults no
-    /// environment knobs and works in fully env-free programs.
+    /// [`Session`] — actual cardinalities are bit-identical at every thread
+    /// count, batch and morsel size, so the oracle consults no environment
+    /// knobs and works in fully env-free programs.
     pub fn new(db: &'a Database) -> Self {
         ActualCard { db, session: Session::new() }
     }

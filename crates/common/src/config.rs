@@ -20,8 +20,6 @@
 //! | `GRACEFUL_PROFILE` | attach a per-operator `ExecProfile` to every `QueryRun` | `0` |
 //! | `GRACEFUL_TRACE` | enable span tracing and write Chrome-trace JSON to this path on flush | off |
 //! | `GRACEFUL_FLIGHT` | enable the query flight recorder and write per-query JSONL records to this path on flush | off |
-//! | `GRACEFUL_VERIFY` | bytecode verification of every compiled UDF (`off` is bench-only) | `strict` |
-//! | `GRACEFUL_PLAN_VERIFY` | static plan verification before lowering (`off` is bench-only) | `strict` |
 //!
 //! Every value is checked by the one parser of its knob's shape (`Shape`):
 //! a value the shape rejects is a hard error naming the knob and what it
@@ -38,11 +36,13 @@
 //! `GracefulError::Config` errors. This module is the **only** place in the
 //! workspace that reads the environment (a test greps for it).
 //!
-//! The UDF backend, the executor mode and the GNN engine are not knobs: the
-//! engine ships one of each ([`UdfBackend::Simd`], [`ExecMode::Pipeline`],
-//! the level-synchronous GNN engine) and the alternatives are differential
-//! oracles selected programmatically. The variables that used to choose
-//! between them are rejected when set ([`try_removed_knobs_unset`]).
+//! The UDF backend, the executor driver, the GNN engine and the two verifiers
+//! are not knobs, here or in any options builder: each layer ships one engine
+//! (typed lanes over the batch VM, the streaming driver, the level-synchronous
+//! GNN) with both verifiers always on, and keeps one oracle that tests reach
+//! by name (`Session::run_reference`, `GnnModel::predict_reference`,
+//! `GnnModel::train_batch_reference`). The variables that used to choose
+//! are rejected when set ([`try_removed_knobs_unset`]).
 
 /// What a knob's value must look like. Each shape has exactly one parser —
 /// its arm in [`admit`] — and one description, its arm in [`parse`].
@@ -62,7 +62,6 @@ enum Shape {
 const COUNT: Shape = Shape::Int { lo: 1, hi: u64::MAX, clamp: false };
 const SEED: Shape = Shape::Int { lo: 0, hi: u64::MAX, clamp: false };
 const BOOL: Shape = Shape::Words(&["1", "true", "on", "yes"], &["0", "false", "off", "no"]);
-const STRICT_OFF: Shape = Shape::Words(&["strict", "on"], &["off"]);
 
 const fn clamped(lo: u64, hi: u64) -> Shape {
     Shape::Int { lo, hi, clamp: true }
@@ -75,7 +74,7 @@ type Knob = (&'static str, Shape, &'static str, &'static str);
 /// Every `GRACEFUL_*` variable the workspace reads — one row per line, like
 /// the module-doc table a test holds it to.
 #[rustfmt::skip]
-const KNOBS: [Knob; 14] = [
+const KNOBS: [Knob; 12] = [
     ("GRACEFUL_SCALE", Shape::Float, "`1.0`", "multiplier on base-table row counts"),
     ("GRACEFUL_QUERIES_PER_DB", clamped(4, u64::MAX), "`45`", "labelled queries generated per database"),
     ("GRACEFUL_FOLDS", clamped(1, 20), "`2`", "cross-validation groups (20 = the paper's leave-one-out)"),
@@ -88,8 +87,6 @@ const KNOBS: [Knob; 14] = [
     ("GRACEFUL_PROFILE", BOOL, "`0`", "attach a per-operator `ExecProfile` to every `QueryRun`"),
     ("GRACEFUL_TRACE", Shape::Path, "off", "enable span tracing and write Chrome-trace JSON to this path on flush"),
     ("GRACEFUL_FLIGHT", Shape::Path, "off", "enable the query flight recorder and write per-query JSONL records to this path on flush"),
-    ("GRACEFUL_VERIFY", STRICT_OFF, "`strict`", "bytecode verification of every compiled UDF (`off` is bench-only)"),
-    ("GRACEFUL_PLAN_VERIFY", STRICT_OFF, "`strict`", "static plan verification before lowering (`off` is bench-only)"),
 ];
 
 /// Check a trimmed value against `shape` and return it normalized — an
@@ -142,125 +139,32 @@ fn read<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
     std::env::var_os(name).map(|raw| parse(knob, &raw.to_string_lossy())).transpose()
 }
 
-/// Which UDF evaluation backend the execution engine uses.
-///
-/// All three produce identical values and identical accounted work (the
-/// differential suites enforce it). [`UdfBackend::Simd`] is the one shipped
-/// path; [`UdfBackend::Vm`] and [`UdfBackend::TreeWalk`] stay selectable
-/// through `ExecOptions::udf_backend` only, as the oracles those suites
-/// compare it against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UdfBackend {
-    /// Reference tree-walking interpreter (`graceful-udf::interp`).
-    TreeWalk,
-    /// Bytecode compiler + vectorized batch VM (`graceful-udf::vm`).
-    Vm,
-    /// Batch VM with the typed columnar fast path (`graceful-udf::simd`):
-    /// straight-line numeric segments execute column-at-a-time over unboxed
-    /// lanes; diverging or non-numeric rows, and UDFs with no columnar path
-    /// at all, fall back to the per-row VM.
-    #[default]
-    Simd,
-}
-
 /// Variables that left the environment surface when what they selected
-/// stopped being a user choice, each with the programmatic selector of the
-/// differential oracles it used to select.
-const REMOVED_KNOBS: [(&str, &str); 3] = [
-    ("GRACEFUL_UDF_BACKEND", "ExecOptions::udf_backend"),
-    ("GRACEFUL_EXEC", "ExecOptions::mode"),
-    ("GRACEFUL_GNN_EXEC", "TrainOptions::exec"),
+/// stopped being a choice, each with what holds in its place.
+const REMOVED_KNOBS: [(&str, &str); 5] = [
+    ("GRACEFUL_UDF_BACKEND", "every UDF operator runs typed lanes over the batch VM"),
+    ("GRACEFUL_EXEC", "every query runs on the streaming driver"),
+    ("GRACEFUL_GNN_EXEC", "every training step runs on the level-synchronous engine"),
+    ("GRACEFUL_VERIFY", "every compiled UDF is verified"),
+    ("GRACEFUL_PLAN_VERIFY", "every plan is verified before it is lowered"),
 ];
 
 /// Every removed knob must be unset: an experiment script that still sets
-/// one must fail loudly instead of believing it pinned a backend or a mode.
+/// one must fail loudly instead of believing it pinned a backend or a mode,
+/// or switched a check off.
 pub fn try_removed_knobs_unset() -> Result<(), String> {
     removed_knobs_unset(|name| std::env::var_os(name))
 }
 
 fn removed_knobs_unset(var: impl Fn(&str) -> Option<std::ffi::OsString>) -> Result<(), String> {
-    match REMOVED_KNOBS.iter().find_map(|&(name, setter)| Some((name, setter, var(name)?))) {
+    match REMOVED_KNOBS.iter().find_map(|&(name, now)| Some((name, now, var(name)?))) {
         None => Ok(()),
-        Some((name, setter, value)) => Err(format!(
-            "{name} is set (`{}`) but is no longer read: the engine ships one implementation \
-             and tests pin its oracles with `{setter}` — unset the variable",
+        Some((name, now, value)) => Err(format!(
+            "{name} is set (`{}`) but is no longer read: {now}, and nothing selects \
+             otherwise — unset the variable",
             value.to_string_lossy()
         )),
     }
-}
-
-/// Whether compiled UDF bytecode is statically verified before execution.
-///
-/// Under [`VerifyMode::Strict`] (the default) every `compile()` result runs
-/// through `graceful_udf::analysis::verify` — jump targets in bounds, no
-/// use-before-def registers, return on all paths, cost-charge placement —
-/// and a failing program is rejected with a typed `GracefulError::Verify`
-/// before any backend executes it. [`VerifyMode::Off`] skips the check and
-/// exists for compile-throughput benchmarking only: with verification off, a
-/// buggy compiler output reaches the interpreters unchecked, so it must
-/// never be set in experiments or tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyMode {
-    /// Verify every compiled program; reject failures with a typed error.
-    #[default]
-    Strict,
-    /// Skip verification (bench-only escape hatch).
-    Off,
-}
-
-impl VerifyMode {
-    /// Resolve from `GRACEFUL_VERIFY` (`strict` | `off`); unset means
-    /// [`VerifyMode::Strict`], an unknown value is an error.
-    pub fn try_from_env() -> Result<Self, String> {
-        let strict = read("GRACEFUL_VERIFY")?.unwrap_or(true);
-        Ok(if strict { VerifyMode::Strict } else { VerifyMode::Off })
-    }
-}
-
-/// Whether logical plans are statically verified before lowering/execution.
-///
-/// Under [`PlanVerifyMode::Strict`] (the default) every plan handed to the
-/// executor runs through `graceful_plan::analysis::verify` — DAG structure
-/// (cycles, dangling children, operator arity, reachability), schema/type
-/// resolution against the catalog (tables, columns, join-key compatibility,
-/// UDF inputs, aggregate arity) and cardinality-annotation sanity — and a
-/// failing plan is rejected with a typed `GracefulError::PlanVerify` before
-/// anything executes it. [`PlanVerifyMode::Off`] skips the check and exists
-/// for plan-throughput benchmarking only: with verification off, a malformed
-/// plan reaches the engine unchecked and surfaces as a mid-execution error,
-/// so it must never be set in experiments or tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanVerifyMode {
-    /// Verify every plan before lowering; reject failures with a typed error.
-    #[default]
-    Strict,
-    /// Skip plan verification (bench-only escape hatch).
-    Off,
-}
-
-impl PlanVerifyMode {
-    /// Resolve from `GRACEFUL_PLAN_VERIFY` (`strict` | `off`); unset means
-    /// [`PlanVerifyMode::Strict`], an unknown value is an error.
-    pub fn try_from_env() -> Result<Self, String> {
-        let strict = read("GRACEFUL_PLAN_VERIFY")?.unwrap_or(true);
-        Ok(if strict { PlanVerifyMode::Strict } else { PlanVerifyMode::Off })
-    }
-}
-
-/// Which driver `graceful_exec`'s `Executor` runs the lowered operator
-/// pipelines with. Both produce bit-identical `QueryRun`s (values,
-/// cardinalities and accounted work); they differ only in peak memory.
-/// Selected programmatically (`ExecOptions::mode`) — there is no
-/// environment knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Stream fixed-size row batches through each pipeline — peak memory is
-    /// bounded by O(batch × pipeline depth) for non-blocking chains.
-    #[default]
-    Pipeline,
-    /// Collect every operator's whole output before the next operator runs.
-    /// Kept as the differential-testing oracle.
-    Materialize,
 }
 
 /// Default rows per batch fed to the UDF VM.
@@ -467,20 +371,15 @@ mod tests {
     }
 
     #[test]
-    fn backend_defaults_to_simd_and_its_env_knob_is_rejected() {
-        assert_eq!(UdfBackend::default(), UdfBackend::Simd);
+    fn removed_knobs_are_rejected_whatever_their_value() {
         assert_eq!(removed_knobs_unset(|_| None), Ok(()));
-        for (knob, setter) in [
-            ("GRACEFUL_UDF_BACKEND", "ExecOptions::udf_backend"),
-            ("GRACEFUL_EXEC", "ExecOptions::mode"),
-            ("GRACEFUL_GNN_EXEC", "TrainOptions::exec"),
-        ] {
-            for set in ["vm", "pipeline", ""] {
+        for (knob, now) in REMOVED_KNOBS {
+            for set in ["vm", "off", "strict", ""] {
                 let err =
                     removed_knobs_unset(|name| (name == knob).then(|| set.into())).unwrap_err();
                 assert!(
-                    err.contains(knob) && err.contains(setter),
-                    "names the knob and its replacement: {err}"
+                    err.contains(knob) && err.contains(now) && err.contains("unset"),
+                    "names the knob and what holds in its place: {err}"
                 );
             }
         }
@@ -548,30 +447,6 @@ mod tests {
             let err = parse::<bool>(k, bad).unwrap_err();
             assert!(err.contains("GRACEFUL_PROFILE"), "error names the knob: {err}");
         }
-    }
-
-    fn strict_off_knob_parses_modes_and_rejects_unknown(name: &str) {
-        let k = knob(name);
-        assert_eq!(parse(k, "strict"), Ok(true));
-        assert_eq!(parse(k, " On "), Ok(true));
-        assert_eq!(parse(k, "OFF"), Ok(false));
-        for bad in ["", "lax", "1", "disabled"] {
-            let err = parse::<bool>(k, bad).unwrap_err();
-            assert!(err.contains(name), "error names the knob: {err}");
-            assert!(err.contains("strict") && err.contains("off"), "lists options: {err}");
-        }
-    }
-
-    #[test]
-    fn verify_knob_parses_modes_and_rejects_unknown() {
-        strict_off_knob_parses_modes_and_rejects_unknown("GRACEFUL_VERIFY");
-        assert_eq!(VerifyMode::default(), VerifyMode::Strict);
-    }
-
-    #[test]
-    fn plan_verify_knob_parses_modes_and_rejects_unknown() {
-        strict_off_knob_parses_modes_and_rejects_unknown("GRACEFUL_PLAN_VERIFY");
-        assert_eq!(PlanVerifyMode::default(), PlanVerifyMode::Strict);
     }
 
     fn path_knob_requires_nonempty_path(name: &str) {

@@ -55,18 +55,17 @@ pub enum GracefulError {
     /// dangling child in the DAG, wrong operator arity, unknown table or
     /// column, type-incompatible join keys, UDF input mismatch, an impossible
     /// `est_out_rows` annotation, or a violated physical-lowering invariant).
-    /// Raised by `graceful_plan::analysis::verify` — under the default
-    /// `GRACEFUL_PLAN_VERIFY=strict` every plan is checked before lowering,
-    /// so a malformed plan surfaces here as a typed error naming the
-    /// offending operator instead of as an engine panic mid-execution.
+    /// Raised by `graceful_plan::analysis::verify` — every plan is checked
+    /// before lowering, so a malformed plan surfaces here as a typed error
+    /// naming the offending operator instead of as an engine panic
+    /// mid-execution.
     PlanVerify(String),
     /// Compiled UDF bytecode failed static verification (out-of-bounds jump
     /// target or register, use of a possibly-uninitialized register, a path
     /// that falls off the end of the program, misplaced cost charges, ...).
-    /// Raised by `graceful_udf::analysis::verify` — under the default
-    /// `GRACEFUL_VERIFY=strict` every `compile()` result is checked, so a
-    /// compiler bug surfaces here as a typed error instead of as
-    /// backend-divergent behaviour or a release-mode panic downstream.
+    /// Raised by `graceful_udf::analysis::verify` — every `compile()` result
+    /// is checked, so a compiler bug surfaces here as a typed error instead
+    /// of as backend-divergent behaviour or a release-mode panic downstream.
     Verify(String),
     /// A morsel closure panicked inside a `graceful_runtime::Pool` region.
     /// The region still joined and the pool stays usable; `morsel` is the

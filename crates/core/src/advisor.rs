@@ -165,7 +165,7 @@ impl<'a> PullUpAdvisor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::build_corpus;
+    use crate::corpus::env_corpus;
     use crate::featurize::Featurizer;
     use crate::model::TrainOptions;
     use graceful_card::ActualCard;
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn advisor_produces_distributions_and_decisions() {
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 16, ..ScaleConfig::default() };
-        let c = build_corpus("imdb", &cfg, 11).unwrap();
+        let c = env_corpus("imdb", &cfg, 11);
         let mut model = GracefulModel::new(Featurizer::full(), 12, 3).unwrap();
         model.train(&[&c], &TrainOptions::new().epochs(6).build().unwrap()).unwrap();
         let est = ActualCard::new(&c.db);
@@ -220,7 +220,7 @@ mod tests {
         };
         let mut decisions = 0;
         for (i, name) in graceful_storage::datagen::DATASET_NAMES.iter().enumerate() {
-            let c = build_corpus(name, &cfg, 60 + i as u64).unwrap();
+            let c = env_corpus(name, &cfg, 60 + i as u64);
             let advisable = c.queries.iter().filter(|q| {
                 q.has_udf() && q.spec.udf_usage == UdfUsage::Filter && !q.spec.joins.is_empty()
             });
@@ -269,7 +269,7 @@ mod tests {
         // Conservative can only pull up when AuC would too (dominated curves
         // imply a smaller area).
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 20, ..ScaleConfig::default() };
-        let c = build_corpus("tpc_h", &cfg, 13).unwrap();
+        let c = env_corpus("tpc_h", &cfg, 13);
         let mut model = GracefulModel::new(Featurizer::full(), 12, 5).unwrap();
         model.train(&[&c], &TrainOptions::new().epochs(6).build().unwrap()).unwrap();
         let est = ActualCard::new(&c.db);
@@ -289,7 +289,7 @@ mod tests {
     #[test]
     fn rejects_non_advisable_queries() {
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 8, ..ScaleConfig::default() };
-        let c = build_corpus("ssb", &cfg, 15).unwrap();
+        let c = env_corpus("ssb", &cfg, 15);
         let model = GracefulModel::new(Featurizer::full(), 8, 1).unwrap();
         let est = ActualCard::new(&c.db);
         let advisor = PullUpAdvisor::new(&model);

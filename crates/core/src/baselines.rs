@@ -24,7 +24,7 @@ use graceful_cfg::{build_dag, DagConfig};
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_gbdt::{Gbdt, GbdtConfig};
-use graceful_nn::{AdamConfig, GnnConfig, GnnExecMode, GnnModel, TypedGraph};
+use graceful_nn::{AdamConfig, GnnConfig, GnnModel, TypedGraph};
 use graceful_plan::{Plan, QuerySpec};
 use graceful_storage::{DataType, Database};
 use graceful_udf::ast::BinOp;
@@ -145,7 +145,7 @@ fn train_gnn(
         for chunk in order.chunks(16) {
             let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
             let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-            gnn.train_batch_in(GnnExecMode::Batched, &graphs, &ts, &adam, 1.0)?;
+            gnn.train_batch(&graphs, &ts, &adam, 1.0)?;
         }
     }
     Ok(())
@@ -335,7 +335,7 @@ mod tests {
 
     fn tiny() -> DatasetCorpus {
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 14, ..ScaleConfig::default() };
-        crate::corpus::build_corpus("tpc_h", &cfg, 9).unwrap()
+        crate::corpus::env_corpus("tpc_h", &cfg, 9)
     }
 
     #[test]

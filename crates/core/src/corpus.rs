@@ -12,7 +12,6 @@ use graceful_common::rng::Rng;
 use graceful_common::Result;
 use graceful_exec::Session;
 use graceful_plan::{build_plan, QueryGenerator, QuerySpec, UdfPlacement, UdfUsage};
-use graceful_runtime::Pool;
 use graceful_storage::datagen::{generate, schema, DATASET_NAMES};
 use graceful_storage::Database;
 use graceful_udf::generator::apply_adaptations;
@@ -61,14 +60,9 @@ impl DatasetCorpus {
     }
 }
 
-/// Build the corpus for one named dataset (default workload mix) with the
-/// engine configured from the `GRACEFUL_*` environment defaults.
-pub fn build_corpus(dataset: &str, cfg: &ScaleConfig, seed: u64) -> Result<DatasetCorpus> {
-    build_corpus_in(&Session::from_env()?, dataset, cfg, seed)
-}
-
-/// [`build_corpus`] with an explicit engine [`Session`] — the programmatic,
-/// environment-free path.
+/// Build the corpus for one named dataset (default workload mix) on the
+/// engine `session` configures ([`Session::from_env`] for the documented
+/// `GRACEFUL_*` defaults).
 pub fn build_corpus_in(
     session: &Session,
     dataset: &str,
@@ -80,16 +74,6 @@ pub fn build_corpus_in(
 
 /// Build a corpus with a custom workload generator — used by Exp 3's
 /// select-only workload (`SELECT udf(col) FROM table WHERE filter`).
-pub fn build_corpus_with(
-    dataset: &str,
-    cfg: &ScaleConfig,
-    seed: u64,
-    qgen: QueryGenerator,
-) -> Result<DatasetCorpus> {
-    build_corpus_with_in(&Session::from_env()?, dataset, cfg, seed, qgen)
-}
-
-/// [`build_corpus_with`] with an explicit engine [`Session`].
 pub fn build_corpus_with_in(
     session: &Session,
     dataset: &str,
@@ -148,37 +132,17 @@ pub fn build_corpus_with_in(
     Ok(DatasetCorpus { name: dataset.to_string(), db, queries, skipped })
 }
 
-/// Build all 20 corpora (Figure 5 order) with the engine and pool sized
-/// from the `GRACEFUL_*` environment defaults — the build is embarrassingly
+/// Build all 20 corpora (Figure 5 order) on the engine `session` configures;
+/// its thread budget also sizes the dataset pool. The build is embarrassingly
 /// parallel and dominated by query execution, the paper's 142-hour
-/// bottleneck.
+/// bottleneck. Each dataset is one morsel and its seed derives from its
+/// index, so the labels are bit-identical for any thread budget.
 ///
-/// Experiment-harness entry point: **panics** on an invalid `GRACEFUL_*`
-/// environment (a misconfigured experiment must fail loudly at startup).
-/// Use [`build_all_corpora_in`] with a [`Session`] built from
-/// [`graceful_exec::ExecOptions`] to handle configuration errors as values.
-pub fn build_all_corpora(cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
-    let session = Session::from_env().expect("invalid GRACEFUL_* configuration");
-    build_all_corpora_in(&session, cfg)
-}
-
-/// [`build_all_corpora`] with an explicit engine [`Session`] (its thread
-/// budget also sizes the dataset pool).
+/// Experiment-harness entry point: **panics** if a dataset's corpus cannot
+/// be built (the 20 schemas are the crate's own, so that is a bug here, not
+/// a condition a caller can meet).
 pub fn build_all_corpora_in(session: &Session, cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
-    build_all_corpora_with(&session.pool(), session, cfg)
-}
-
-/// [`build_all_corpora`] on an explicit pool. Each dataset is one morsel and
-/// its seed derives from its index, so the labels are bit-identical for any
-/// pool size (the determinism suite pins thread counts through this entry
-/// point); the engine itself follows the environment defaults.
-pub fn build_all_corpora_on(pool: &Pool, cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
-    let session = Session::from_env().expect("invalid GRACEFUL_* configuration");
-    build_all_corpora_with(pool, &session, cfg)
-}
-
-fn build_all_corpora_with(pool: &Pool, session: &Session, cfg: &ScaleConfig) -> Vec<DatasetCorpus> {
-    pool.ordered_map(&DATASET_NAMES, |i, name| {
+    session.pool().ordered_map(&DATASET_NAMES, |i, name| {
         let seed = cfg.seed.wrapping_add((i as u64) * 7919);
         build_corpus_in(session, name, cfg, seed).expect("corpus build failed")
     })
@@ -236,6 +200,15 @@ pub fn benchmark_stats(corpora: &[DatasetCorpus]) -> BenchmarkStats {
     s
 }
 
+/// The corpus every unit test of this crate builds: on the environment's
+/// session, so the CI legs' `GRACEFUL_THREADS` / `GRACEFUL_UDF_BATCH` reach
+/// the labelling.
+#[cfg(test)]
+pub(crate) fn env_corpus(dataset: &str, cfg: &ScaleConfig, seed: u64) -> DatasetCorpus {
+    let session = Session::from_env().expect("a valid GRACEFUL_* environment");
+    build_corpus_in(&session, dataset, cfg, seed).expect("corpus builds")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,7 +219,7 @@ mod tests {
 
     #[test]
     fn corpus_builds_and_labels() {
-        let c = build_corpus("tpc_h", &tiny_cfg(), 1).unwrap();
+        let c = env_corpus("tpc_h", &tiny_cfg(), 1);
         assert!(c.queries.len() >= 8, "got {} queries", c.queries.len());
         for q in &c.queries {
             assert!(q.runtime_ns > 0.0);
@@ -263,8 +236,8 @@ mod tests {
 
     #[test]
     fn corpus_is_deterministic() {
-        let a = build_corpus("imdb", &tiny_cfg(), 7).unwrap();
-        let b = build_corpus("imdb", &tiny_cfg(), 7).unwrap();
+        let a = env_corpus("imdb", &tiny_cfg(), 7);
+        let b = env_corpus("imdb", &tiny_cfg(), 7);
         assert_eq!(a.queries.len(), b.queries.len());
         for (x, y) in a.queries.iter().zip(&b.queries) {
             assert_eq!(x.runtime_ns, y.runtime_ns);
@@ -274,7 +247,7 @@ mod tests {
 
     #[test]
     fn stats_cover_table2_fields() {
-        let c = build_corpus("ssb", &tiny_cfg(), 3).unwrap();
+        let c = env_corpus("ssb", &tiny_cfg(), 3);
         let s = benchmark_stats(std::slice::from_ref(&c));
         assert_eq!(s.n_databases, 1);
         assert_eq!(s.n_queries, c.queries.len());

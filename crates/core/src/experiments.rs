@@ -6,7 +6,7 @@ use crate::advisor::{PullUpAdvisor, Strategy};
 use crate::baselines::{FlatGraphBaseline, GraphGraphBaseline};
 use crate::corpus::{DatasetCorpus, LabeledQuery};
 use crate::featurize::Featurizer;
-use crate::model::{GracefulModel, TrainOptions};
+use crate::model::{GracefulModel, TrainConfig, TrainOptions};
 use graceful_card::{ActualCard, CardEstimator, DataDrivenCard, NaiveCard, SamplingCard};
 use graceful_common::config::ScaleConfig;
 use graceful_common::metrics::QErrorSummary;
@@ -52,22 +52,24 @@ impl EstimatorKind {
     }
 }
 
-/// Train GRACEFUL on a set of corpora with the scale-config hyper-parameters.
+/// The trainer's configuration for a scale config on `session`'s thread
+/// budget.
+fn train_config(session: &Session, cfg: &ScaleConfig) -> Result<TrainConfig> {
+    TrainOptions::new().epochs(cfg.epochs).seed(cfg.seed).threads(session.config().threads).build()
+}
+
+/// Train GRACEFUL on a set of corpora with the scale-config hyper-parameters,
+/// featurizing on `session`'s thread budget.
 pub fn train_graceful(
+    session: &Session,
     corpora: &[DatasetCorpus],
     cfg: &ScaleConfig,
     featurizer: Featurizer,
-) -> GracefulModel {
-    let mut model =
-        GracefulModel::new(featurizer, cfg.hidden, cfg.seed).expect("valid GNN architecture");
+) -> Result<GracefulModel> {
+    let mut model = GracefulModel::new(featurizer, cfg.hidden, cfg.seed)?;
     let refs: Vec<&DatasetCorpus> = corpora.iter().collect();
-    let tcfg = TrainOptions::new()
-        .epochs(cfg.epochs)
-        .seed(cfg.seed)
-        .build_with_env()
-        .expect("invalid GRACEFUL_* configuration");
-    model.train(&refs, &tcfg).expect("training succeeds on non-empty corpora");
-    model
+    model.train(&refs, &train_config(session, cfg)?)?;
+    Ok(model)
 }
 
 /// One cross-validation fold: the model and the held-out corpus indices.
@@ -83,42 +85,40 @@ pub struct Fold {
 /// group's model is trained on all *other* datasets and evaluated zero-shot
 /// on every dataset in the group, so all 20 datasets are still evaluated
 /// unseen. `GRACEFUL_FOLDS=20` recovers exact leave-one-out. Fold trainings
-/// run on the `GRACEFUL_THREADS` morsel pool (one fold per morsel; every
-/// fold seeds its own model, so results are pool-size independent).
+/// run on `session`'s morsel pool (one fold per morsel; every fold seeds its
+/// own model, so results are pool-size independent). An empty corpus set is
+/// a typed [`graceful_common::GracefulError::Model`], like any training
+/// failure.
 pub fn cross_validate(
+    session: &Session,
     corpora: &[DatasetCorpus],
     cfg: &ScaleConfig,
     featurizer: Featurizer,
-) -> Vec<Fold> {
+) -> Result<Vec<Fold>> {
     let n = corpora.len();
-    let folds = cfg.folds.clamp(1, n);
+    let folds = cfg.folds.clamp(1, n.max(1));
     let groups: Vec<Vec<usize>> =
         (0..folds).map(|f| (0..n).filter(|i| i % folds == f).collect()).collect();
-    let pool = Session::from_env().expect("invalid GRACEFUL_* configuration").pool();
-    pool.ordered_map(&groups, |f, group| {
+    let tcfg = train_config(session, cfg)?;
+    let trained = session.pool().ordered_map(&groups, |f, group| {
         let train: Vec<&DatasetCorpus> = corpora
             .iter()
             .enumerate()
             .filter(|(i, _)| !group.contains(i))
             .map(|(_, c)| c)
             .collect();
-        let mut model = GracefulModel::new(featurizer, cfg.hidden, cfg.seed + f as u64)
-            .expect("valid GNN architecture");
-        let tcfg = TrainOptions::new()
-            .epochs(cfg.epochs)
-            .seed(cfg.seed)
-            .build_with_env()
-            .expect("invalid GRACEFUL_* configuration");
+        let mut model = GracefulModel::new(featurizer, cfg.hidden, cfg.seed + f as u64)?;
         // A single-fold setup has no training partner; train on the
         // test group itself (degenerate but still useful smoke mode).
         if train.is_empty() {
             let all: Vec<&DatasetCorpus> = corpora.iter().collect();
-            model.train(&all, &tcfg).expect("training succeeds");
+            model.train(&all, &tcfg)?;
         } else {
-            model.train(&train, &tcfg).expect("training succeeds");
+            model.train(&train, &tcfg)?;
         }
-        Fold { model, test_indices: group.clone() }
-    })
+        Ok(Fold { model, test_indices: group.clone() })
+    });
+    trained.into_iter().collect()
 }
 
 /// One evaluated query.
@@ -274,26 +274,11 @@ impl AdvisorOutcome {
     }
 }
 
-/// Run the advisor over every advisable query of a corpus, with the engine
-/// configured from the `GRACEFUL_*` environment defaults (experiment-harness
-/// entry point: **panics** on an invalid environment — use
-/// [`run_advisor_in`] to handle configuration errors as values).
+/// Run the advisor over every advisable query of a corpus, executing both
+/// placements on the engine `session` configures.
 ///
 /// Ground-truth runtimes for both placements come from real execution; the
 /// "Cost" strategy receives the query's actual UDF-filter selectivity.
-pub fn run_advisor(
-    model: &GracefulModel,
-    corpus: &DatasetCorpus,
-    kind: EstimatorKind,
-    strategy: Strategy,
-    seed: u64,
-    max_queries: usize,
-) -> Vec<AdvisorOutcome> {
-    let session = Session::from_env().expect("invalid GRACEFUL_* configuration");
-    run_advisor_in(&session, model, corpus, kind, strategy, seed, max_queries)
-}
-
-/// [`run_advisor`] with an explicit engine [`Session`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_advisor_in(
     session: &Session,
@@ -397,7 +382,7 @@ pub fn summarize_advisor(outcomes: &[AdvisorOutcome]) -> AdvisorSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::build_corpus;
+    use crate::corpus::env_corpus;
 
     fn cfg() -> ScaleConfig {
         ScaleConfig {
@@ -409,12 +394,21 @@ mod tests {
         }
     }
 
+    fn session() -> Session {
+        Session::from_env().expect("a valid GRACEFUL_* environment")
+    }
+
+    fn trained_on(corpus: &DatasetCorpus, cfg: &ScaleConfig) -> GracefulModel {
+        train_graceful(&session(), std::slice::from_ref(corpus), cfg, Featurizer::full())
+            .expect("training succeeds")
+    }
+
     #[test]
     fn leave_one_out_mini() {
         let cfg = cfg();
-        let train = build_corpus("tpc_h", &cfg, 1).unwrap();
-        let test = build_corpus("movielens", &cfg, 2).unwrap();
-        let model = train_graceful(std::slice::from_ref(&train), &cfg, Featurizer::full());
+        let train = env_corpus("tpc_h", &cfg, 1);
+        let test = env_corpus("movielens", &cfg, 2);
+        let model = trained_on(&train, &cfg);
         for kind in EstimatorKind::ALL {
             let recs = evaluate_model(&model, &test, kind, 3);
             assert!(!recs.is_empty(), "{:?} produced no records", kind);
@@ -426,9 +420,9 @@ mod tests {
     #[test]
     fn actual_cards_beat_naive_cards() {
         let cfg = cfg();
-        let train = build_corpus("tpc_h", &cfg, 5).unwrap();
-        let test = build_corpus("airline", &cfg, 6).unwrap();
-        let model = train_graceful(std::slice::from_ref(&train), &cfg, Featurizer::full());
+        let train = env_corpus("tpc_h", &cfg, 5);
+        let test = env_corpus("airline", &cfg, 6);
+        let model = trained_on(&train, &cfg);
         let actual =
             summarize(&evaluate_model(&model, &test, EstimatorKind::Actual, 1), |r| r.has_udf);
         let naive =
@@ -449,9 +443,17 @@ mod tests {
     #[test]
     fn advisor_end_to_end_beats_or_matches_pushdown() {
         let cfg = cfg();
-        let corpus = build_corpus("imdb", &cfg, 8).unwrap();
-        let model = train_graceful(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
-        let outcomes = run_advisor(&model, &corpus, EstimatorKind::Actual, Strategy::Cost, 1, 8);
+        let corpus = env_corpus("imdb", &cfg, 8);
+        let model = trained_on(&corpus, &cfg);
+        let outcomes = run_advisor_in(
+            &session(),
+            &model,
+            &corpus,
+            EstimatorKind::Actual,
+            Strategy::Cost,
+            1,
+            8,
+        );
         if outcomes.is_empty() {
             return; // tiny corpus may lack advisable queries
         }

@@ -465,7 +465,7 @@ mod tests {
 
     fn corpus() -> crate::corpus::DatasetCorpus {
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 12, ..ScaleConfig::default() };
-        crate::corpus::build_corpus("imdb", &cfg, 5).unwrap()
+        crate::corpus::env_corpus("imdb", &cfg, 5)
     }
 
     #[test]
@@ -539,7 +539,7 @@ mod tests {
         let mut word = |w: u64| digest = (digest ^ w).wrapping_mul(0x100000001b3);
         let mut graphs = 0;
         for (i, name) in graceful_storage::datagen::DATASET_NAMES.iter().enumerate() {
-            let c = crate::corpus::build_corpus(name, &cfg, 40 + i as u64).unwrap();
+            let c = crate::corpus::env_corpus(name, &cfg, 40 + i as u64);
             let est = DataDrivenCard::build(&c.db, 7);
             for q in &c.queries {
                 let mut plan = q.plan.clone();

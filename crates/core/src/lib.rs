@@ -26,17 +26,22 @@
 //!
 //! ```no_run
 //! use graceful_common::config::ScaleConfig;
-//! use graceful_core::corpus::build_all_corpora;
+//! use graceful_core::corpus::build_all_corpora_in;
 //! use graceful_core::experiments::train_graceful;
 //! use graceful_core::featurize::Featurizer;
+//! use graceful_exec::Session;
 //!
+//! # fn main() -> graceful_common::Result<()> {
+//! let session = Session::from_env()?; // the documented GRACEFUL_* defaults
 //! let cfg = ScaleConfig { queries_per_db: 30, ..ScaleConfig::default() };
-//! let corpora = build_all_corpora(&cfg);
+//! let corpora = build_all_corpora_in(&session, &cfg);
 //! // Train on all but the last database, predict on the held-out one.
-//! let (train, test) = corpora.split_last().map(|(t, rest)| (rest, t)).unwrap();
-//! let model = train_graceful(train, &cfg, Featurizer::full());
+//! let (test, train) = corpora.split_last().expect("20 corpora");
+//! let model = train_graceful(&session, train, &cfg, Featurizer::full())?;
 //! let q_errors = graceful_core::experiments::evaluate_actual(&model, test);
 //! println!("median Q-error: {}", q_errors.median);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,9 +55,7 @@ pub mod model;
 pub mod telemetry;
 
 pub use advisor::{AdvisorDecision, PullUpAdvisor, Strategy};
-pub use corpus::{
-    build_all_corpora, build_all_corpora_on, build_corpus, DatasetCorpus, LabeledQuery,
-};
+pub use corpus::{build_all_corpora_in, build_corpus_in, DatasetCorpus, LabeledQuery};
 pub use featurize::Featurizer;
 pub use model::GracefulModel;
 pub use telemetry::{labels_from_flight, run_with_model, ModelRun};

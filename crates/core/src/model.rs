@@ -21,14 +21,14 @@
 //!    for any thread count.
 //! 2. **Batched mini-batch SGD** — each shuffled mini-batch is packed into
 //!    one level-synchronous pass of the GNN engine
-//!    ([`GnnModel::train_batch_in`]).
+//!    ([`GnnModel::train_batch`]).
 //!
 //! Estimates ([`GracefulModel::predict`], [`GracefulModel::predict_graph`],
 //! [`GracefulModel::predict_graphs`]) run on the same engine, a single graph
 //! as a batch of one. The node-at-a-time tape reference is the bit-identical
-//! differential oracle, not a mode: the one way to train on it is
-//! [`TrainOptions::exec`] with [`GnnExecMode::NodeAtATime`], which the
-//! differential suites and the trainer bench use.
+//! differential oracle, not a mode: no option trains on it. The differential
+//! suites step it themselves, through [`GracefulModel::gnn_mut`] and
+//! [`GnnModel::train_batch_reference`].
 //!
 //! Configuration mirrors the engine's `Session`/`ExecOptions` pattern:
 //! [`TrainOptions`] is the validating builder, [`TrainConfig`] the validated
@@ -41,7 +41,7 @@ use graceful_card::{ActualCard, CardEstimator};
 use graceful_common::config;
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
-use graceful_nn::{AdamConfig, GnnConfig, GnnExecMode, GnnModel, TypedGraph};
+use graceful_nn::{AdamConfig, GnnConfig, GnnModel, TypedGraph};
 use graceful_obs::registry::{counter, gauge, histogram, Counter, Gauge, Histogram};
 use graceful_obs::trace;
 use graceful_plan::{Plan, QuerySpec};
@@ -65,9 +65,6 @@ pub struct TrainConfig {
     /// Huber delta in normalized log-target units.
     pub huber_delta: f32,
     pub seed: u64,
-    /// The engine, or — in differential tests and the trainer bench — the
-    /// reference it is bit-identical to.
-    pub exec: GnnExecMode,
     /// Worker threads for the featurization fan-out (never changes results,
     /// only wall-clock time).
     pub threads: usize,
@@ -81,7 +78,6 @@ impl Default for TrainConfig {
             adam: AdamConfig { lr: 2e-3, ..AdamConfig::default() },
             huber_delta: 1.0,
             seed: 20_250_331,
-            exec: GnnExecMode::Batched,
             threads: config::default_threads(),
         }
     }
@@ -145,7 +141,6 @@ pub struct TrainOptions {
     learning_rate: Option<f32>,
     huber_delta: Option<f32>,
     seed: Option<u64>,
-    exec: Option<GnnExecMode>,
     threads: Option<usize>,
 }
 
@@ -190,14 +185,6 @@ impl TrainOptions {
         self
     }
 
-    /// Oracle selector: [`GnnExecMode::NodeAtATime`] trains on the tape
-    /// reference (bit-identical, several times slower). Tests and benches
-    /// only; it has no environment default.
-    pub fn exec(mut self, exec: GnnExecMode) -> Self {
-        self.exec = Some(exec);
-        self
-    }
-
     /// Featurization worker threads (never changes results).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -217,7 +204,6 @@ impl TrainOptions {
             adam,
             huber_delta: self.huber_delta.unwrap_or(defaults.huber_delta),
             seed: self.seed.unwrap_or(defaults.seed),
-            exec: self.exec.unwrap_or(defaults.exec),
             threads: self.threads.unwrap_or(defaults.threads),
         }
     }
@@ -320,7 +306,7 @@ impl GracefulModel {
     /// Train on a set of corpora (the 19 training databases of a fold).
     ///
     /// Returns the per-epoch mean training losses. The run is deterministic
-    /// in `cfg.seed` and independent of `cfg.threads` and `cfg.exec`.
+    /// in `cfg.seed` and independent of `cfg.threads`.
     ///
     /// Observability (write-only, never on the result path): spans
     /// `train/train` → `train/featurize` → `train/epoch` → `train/step`,
@@ -369,8 +355,7 @@ impl GracefulModel {
                 let _step_span = trace::span("train", "step").arg("rows", chunk.len());
                 let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
                 let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-                epoch_loss +=
-                    self.gnn.train_batch_in(cfg.exec, &graphs, &ts, &cfg.adam, cfg.huber_delta)?;
+                epoch_loss += self.gnn.train_batch(&graphs, &ts, &cfg.adam, cfg.huber_delta)?;
                 batches += 1;
             }
             let mean = epoch_loss / batches.max(1) as f32;
@@ -414,7 +399,7 @@ impl GracefulModel {
     }
 
     /// Mutable access to the underlying GNN (direct per-step training in
-    /// benches and experiments).
+    /// the differential suites and experiments).
     pub fn gnn_mut(&mut self) -> &mut GnnModel {
         &mut self.gnn
     }
@@ -477,8 +462,8 @@ mod tests {
     #[test]
     fn trains_and_predicts_in_sane_range() {
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 16, ..ScaleConfig::default() };
-        let train = crate::corpus::build_corpus("tpc_h", &cfg, 1).unwrap();
-        let test = crate::corpus::build_corpus("ssb", &cfg, 2).unwrap();
+        let train = crate::corpus::env_corpus("tpc_h", &cfg, 1);
+        let test = crate::corpus::env_corpus("ssb", &cfg, 2);
         let mut model = GracefulModel::new(Featurizer::full(), 16, 3).unwrap();
         let tcfg = TrainOptions::new().epochs(10).build().unwrap();
         let losses = model.train(&[&train], &tcfg).unwrap();
@@ -501,7 +486,7 @@ mod tests {
     #[test]
     fn model_round_trips_through_json() {
         let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 8, ..ScaleConfig::default() };
-        let c = crate::corpus::build_corpus("imdb", &cfg, 4).unwrap();
+        let c = crate::corpus::env_corpus("imdb", &cfg, 4);
         let mut model = GracefulModel::new(Featurizer::full(), 8, 5).unwrap();
         let tcfg = TrainOptions::new().epochs(2).build().unwrap();
         model.train(&[&c], &tcfg).unwrap();
@@ -636,7 +621,6 @@ mod tests {
             .learning_rate(1e-2)
             .huber_delta(0.5)
             .seed(42)
-            .exec(GnnExecMode::NodeAtATime)
             .threads(2)
             .build()
             .unwrap();
@@ -645,7 +629,6 @@ mod tests {
         assert_eq!(cfg.adam.lr, 1e-2);
         assert_eq!(cfg.huber_delta, 0.5);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.exec, GnnExecMode::NodeAtATime);
         assert_eq!(cfg.threads, 2);
     }
 }

@@ -8,9 +8,8 @@
 //! below) against the measured truth in the [`QueryRun`], and
 //!
 //! * aggregates the per-operator **q-errors** into registry histograms
-//!   (`est.card.qerror.<kind>` / `est.cost.qerror.<kind>`, with the UDF
-//!   backend appended for UDF operators) when profiling is on and the plan
-//!   is annotated, and
+//!   (`est.card.qerror.<kind>` / `est.cost.qerror.<kind>`) when profiling is
+//!   on and the plan is annotated, and
 //! * appends one [`FlightRecord`] to the global flight recorder
 //!   (`graceful_obs::flight`, armed by `GRACEFUL_FLIGHT=path`) carrying the
 //!   full predicted/actual picture per operator.
@@ -27,7 +26,6 @@
 
 use crate::engine::{ExecConfig, QueryRun};
 use crate::profile::plan_op_name;
-use graceful_common::config::UdfBackend;
 use graceful_common::metrics::q_error;
 use graceful_obs::flight::{self, FlightOp, FlightRecord};
 use graceful_obs::registry::histogram;
@@ -96,24 +94,9 @@ pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
         .collect()
 }
 
-fn backend_key(b: UdfBackend) -> &'static str {
-    match b {
-        UdfBackend::TreeWalk => "treewalk",
-        UdfBackend::Vm => "vm",
-        UdfBackend::Simd => "simd",
-    }
-}
-
-/// Registry histogram key suffix for one operator: the lowercase kind name,
-/// with the UDF backend appended for UDF operators (their cost error is
-/// backend-specific — the static prior knows nothing about SIMD).
-fn op_key(kind: &PlanOpKind, backend: UdfBackend) -> String {
-    let k = kind.name().to_ascii_lowercase();
-    if matches!(kind, PlanOpKind::UdfFilter { .. } | PlanOpKind::UdfProject { .. }) {
-        format!("{k}.{}", backend_key(backend))
-    } else {
-        k
-    }
+/// Registry histogram key suffix for one operator: the lowercase kind name.
+fn op_key(kind: &PlanOpKind) -> String {
+    kind.name().to_ascii_lowercase()
 }
 
 /// Build the [`FlightRecord`] for one finished run: the stable plan
@@ -158,8 +141,6 @@ pub fn flight_record(
     FlightRecord {
         seed,
         plan: plan.fingerprint_hex(),
-        mode: format!("{:?}", config.mode),
-        backend: format!("{:?}", config.udf_backend),
         threads: config.threads as u64,
         morsel: config.morsel_rows as u64,
         udf_batch: config.udf_batch_size as u64,
@@ -183,7 +164,7 @@ pub(crate) fn observe_run(plan: &Plan, config: &ExecConfig, run: &QueryRun, seed
     if config.profile && is_annotated(plan) {
         let est_work = estimated_work(plan, config);
         for (i, op) in plan.ops.iter().enumerate() {
-            let key = op_key(&op.kind, config.udf_backend);
+            let key = op_key(&op.kind);
             histogram(&format!("est.card.qerror.{key}"))
                 .record(q_error(op.est_out_rows, run.out_rows[i] as f64));
             histogram(&format!("est.cost.qerror.{key}"))
@@ -292,9 +273,8 @@ mod tests {
             op.est_out_rows = 0.0;
         }
         assert!(!is_annotated(&blank));
-        assert_eq!(op_key(&plan.ops[0].kind, UdfBackend::Simd), "scan");
-        assert_eq!(op_key(&plan.ops[1].kind, UdfBackend::Simd), "udf_filter.simd");
-        assert_eq!(op_key(&plan.ops[1].kind, UdfBackend::TreeWalk), "udf_filter.treewalk");
-        assert_eq!(op_key(&plan.ops[2].kind, UdfBackend::Vm), "agg");
+        assert_eq!(op_key(&plan.ops[0].kind), "scan");
+        assert_eq!(op_key(&plan.ops[1].kind), "udf_filter");
+        assert_eq!(op_key(&plan.ops[2].kind), "agg");
     }
 }

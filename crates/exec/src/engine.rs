@@ -1,13 +1,14 @@
 //! Executor configuration, results and the single entry point.
 //!
 //! [`Executor::run`] verifies the plan and hands it to the one executor,
-//! [`crate::physical::execute`]: the plan is lowered to physical-operator
-//! pipelines and driven either by streaming morsel batches through each
-//! chain (the default [`ExecMode::Pipeline`]) or by collecting every
-//! operator's whole output before the next one runs
-//! ([`ExecMode::Materialize`], the differential suites' oracle driver).
-//! Both drivers run the same operators and produce bit-identical
-//! [`QueryRun`]s (values, cardinalities, accounted work).
+//! `crate::physical::execute`: the plan is lowered to physical-operator
+//! pipelines and morsel batches stream through each chain, with every
+//! execution shortcut on (typed UDF lanes, rewrite hints, zone-map pruning).
+//! [`Executor::run_reference`] is the oracle reached by name: the same
+//! operators, morsel boundaries, merge order and charges with every shortcut
+//! off at once, bit-identical to `run` in every contracted [`QueryRun`]
+//! field (values, cardinalities, accounted work). Which shortcuts exist is
+//! the crate-private `Shortcuts` value; no option selects among them.
 //!
 //! This module also owns what every operator shares: [`OperatorWeights`]
 //! with the closed-form work charges (written once, called by the operators
@@ -26,12 +27,12 @@
 //! `crate::prune`. Work totals are grouped *per morsel* regardless of the
 //! thread count, so every `QueryRun` field is **bit-identical for any
 //! `GRACEFUL_THREADS` value** (enforced by `tests/parallel_determinism.rs`).
-//! Each worker owns its UDF evaluation state through the [`crate::udf_eval`]
-//! layer: one tree-walking interpreter, or one batch VM whose register file
-//! is preallocated once and reused across all morsels the worker pulls.
+//! Each worker owns its UDF evaluation state through the `udf_eval` layer:
+//! one batch VM whose register file is preallocated once and reused across
+//! all morsels the worker pulls.
 
 use crate::profile::ExecProfile;
-use graceful_common::config::{self, ExecMode, PlanVerifyMode, UdfBackend};
+use graceful_common::config;
 use graceful_common::{GracefulError, Result};
 use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
@@ -122,11 +123,7 @@ pub struct ExecConfig {
     /// exceeds it aborts the query with a typed error instead of eating the
     /// machine's memory.
     pub max_intermediate_rows: usize,
-    /// Which UDF evaluation backend serves `UdfFilter` / `UdfProject`.
-    /// All backends produce identical values and accounted work; see
-    /// [`UdfBackend`].
-    pub udf_backend: UdfBackend,
-    /// Rows per batch fed to the UDF VM (ignored by the tree-walker).
+    /// Rows per batch fed to the UDF VM.
     pub udf_batch_size: usize,
     /// Worker threads for the morsel-driven operator paths. Never changes
     /// results — only wall-clock time.
@@ -135,33 +132,9 @@ pub struct ExecConfig {
     /// work-accounting float grouping, so runs with the same morsel size are
     /// bit-identical at any thread count.
     pub morsel_rows: usize,
-    /// Which driver runs the operator pipelines; see [`ExecMode`]. Both are
-    /// bit-identical. Programmatic only (no environment knob).
-    pub mode: ExecMode,
     /// Attach a per-operator [`ExecProfile`] to every [`QueryRun`]. Pure
     /// observability: never changes any contracted result field.
     pub profile: bool,
-    /// Static plan verification before lowering; see [`PlanVerifyMode`].
-    /// Under the default `Strict`, every plan handed to [`Executor::run`]
-    /// goes through `graceful_plan::analysis::verify` and malformed plans
-    /// are rejected with a typed [`GracefulError::PlanVerify`] naming the
-    /// offending operator; the physical lowering additionally audits its
-    /// own invariants (pipeline shape, charge placement, lane strides).
-    pub plan_verify: PlanVerifyMode,
-    /// Apply the analysis-driven verified rewrites (constant-predicate
-    /// folding, dead UDF-parameter pruning, join-payload lane pruning).
-    /// Rewrites are execution hints proven to leave every contracted
-    /// `QueryRun` field bit-identical — this switch exists so the
-    /// differential suite can prove exactly that. Programmatic only (no
-    /// environment knob); defaults to on.
-    pub rewrites: bool,
-    /// Skip whole filter morsels whose storage zone maps prove no row can
-    /// match (see `crate::prune`). Like `rewrites`, pruning is an
-    /// execution shortcut proven to leave every contracted `QueryRun` field
-    /// bit-identical — the switch exists so the differential suite can prove
-    /// exactly that. Programmatic only (no environment knob); defaults to
-    /// on.
-    pub pruning: bool,
     /// Base-row multiplier for generated databases (`GRACEFUL_SCALE`).
     /// Execution itself never reads it — it rides on the session config so
     /// benches and experiment drivers size their `datagen::generate` calls
@@ -178,26 +151,19 @@ impl ExecConfig {
             udf_weights: CostWeights::default(),
             jitter: 0.03,
             max_intermediate_rows: 20_000_000,
-            udf_backend: UdfBackend::default(),
             udf_batch_size: config::DEFAULT_UDF_BATCH,
             threads: config::default_threads(),
             morsel_rows: config::DEFAULT_MORSEL_ROWS,
-            mode: ExecMode::default(),
             profile: false,
-            plan_verify: PlanVerifyMode::default(),
-            rewrites: true,
-            pruning: true,
             data_scale: 1.0,
         }
     }
 
     /// [`ExecConfig::base`] with the documented `GRACEFUL_*` environment
     /// defaults applied (`GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
-    /// `GRACEFUL_MORSEL`, `GRACEFUL_PROFILE`, `GRACEFUL_PLAN_VERIFY`,
-    /// `GRACEFUL_SCALE`). Invalid values are a typed
-    /// [`GracefulError::Config`], not a panic. The UDF backend and the
-    /// executor mode have no environment default: a set variable of either
-    /// removed knob is a `Config` error too (see
+    /// `GRACEFUL_MORSEL`, `GRACEFUL_PROFILE`, `GRACEFUL_SCALE`). Invalid
+    /// values are a typed [`GracefulError::Config`], not a panic; so is a
+    /// set variable that is no longer a knob (see
     /// `config::try_removed_knobs_unset`).
     ///
     /// `GRACEFUL_TRACE` and `GRACEFUL_FLIGHT` are also resolved here: a
@@ -219,7 +185,6 @@ impl ExecConfig {
             threads: config::try_threads_from_env().map_err(cfg)?,
             morsel_rows: config::try_morsel_from_env().map_err(cfg)?,
             profile: config::try_profile_from_env().map_err(cfg)?,
-            plan_verify: PlanVerifyMode::try_from_env().map_err(cfg)?,
             data_scale: config::try_scale_from_env().map_err(cfg)?,
             ..ExecConfig::base()
         })
@@ -259,6 +224,36 @@ impl Default for ExecConfig {
     }
 }
 
+/// The execution shortcuts. Each is proven to leave every contracted
+/// [`QueryRun`] field bit-identical, so none is an option: [`Executor::run`]
+/// takes them all, [`Executor::run_reference`] none, and only this crate's
+/// unit tests flip one at a time, to localise a failure of that identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Shortcuts {
+    /// UDF operators gather into unboxed typed lanes wherever the program
+    /// has a columnar path. Off: the boxed-`Value` batch VM everywhere.
+    pub(crate) typed_lanes: bool,
+    /// Morsel batches stream through each operator chain. Off: every
+    /// operator's whole output is collected before the next one runs.
+    pub(crate) streaming: bool,
+    /// Lowering applies the [`graceful_plan::RewriteSet`] hints
+    /// (constant-predicate folding, dead UDF-parameter and join-lane
+    /// pruning).
+    pub(crate) rewrites: bool,
+    /// Filters skip whole morsels whose storage zone maps prove no row can
+    /// match (see `crate::prune`).
+    pub(crate) pruning: bool,
+}
+
+impl Shortcuts {
+    /// What ships: everything on.
+    pub(crate) const SHIPPED: Shortcuts =
+        Shortcuts { typed_lanes: true, streaming: true, rewrites: true, pruning: true };
+    /// The reference: everything off.
+    pub(crate) const REFERENCE: Shortcuts =
+        Shortcuts { typed_lanes: false, streaming: false, rewrites: false, pruning: false };
+}
+
 /// Result of executing one plan.
 #[derive(Debug, Clone)]
 pub struct QueryRun {
@@ -274,13 +269,14 @@ pub struct QueryRun {
     /// Rows fed into the UDF operator (0 when the plan has none).
     pub udf_input_rows: usize,
     /// Approximate peak number of intermediate rows resident at once — the
-    /// memory-footprint gauge the pipeline-vs-materialized bench records.
-    /// This is an execution-strategy metric, **not** part of the
-    /// bit-identity contract: the streaming driver's whole point is that it
-    /// stays far below the collecting driver's peak (an operator's whole
-    /// input plus its whole output, on top of the held build sides).
+    /// memory-footprint gauge the benchmark ledger records
+    /// (`exec.peak_inter_rows_max`). This is an execution-strategy metric,
+    /// **not** part of the bit-identity contract: the streaming driver's
+    /// whole point is that it stays far below the reference's collecting
+    /// peak (an operator's whole input plus its whole output, on top of the
+    /// held build sides).
     pub peak_inter_rows: usize,
-    /// Per-operator execution profile, attached when
+    /// Per-operator execution profile, attached by [`Executor::run`] when
     /// [`ExecConfig::profile`] is on. Like `peak_inter_rows`, this is pure
     /// observability — wall-clock times, batch counts — and **not** part of
     /// the bit-identity contract.
@@ -312,9 +308,11 @@ impl<'a> Executor<'a> {
     /// Execute `plan`; `seed` keys the deterministic runtime jitter (pass the
     /// query id so re-running the same query gives the same "measurement").
     ///
-    /// [`ExecConfig::mode`] picks the driver; both return bit-identical
-    /// `QueryRun`s (aside from the [`QueryRun::peak_inter_rows`] gauge and
-    /// the opt-in [`QueryRun::profile`]).
+    /// The plan-verification gate comes first, always: every plan is
+    /// statically checked against the catalog before any lowering or
+    /// execution, so a malformed plan fails as one typed
+    /// [`GracefulError::PlanVerify`] naming the operator instead of as a
+    /// mid-execution surprise.
     ///
     /// Every call increments the registry counter `exec.queries` and records
     /// its wall time into the `exec.query_wall_ns` histogram.
@@ -330,14 +328,7 @@ impl<'a> Executor<'a> {
         });
         let _span = trace::span("exec", "query").arg("seed", seed).arg("ops", plan.ops.len());
         let started = Instant::now();
-        // The plan-verification gate: under the default strict mode, every
-        // plan is statically checked against the catalog before any lowering
-        // or execution, so malformed plans fail as one typed PlanVerify
-        // error naming the operator instead of as a mid-execution surprise.
-        if self.config.plan_verify == PlanVerifyMode::Strict {
-            graceful_plan::analysis::verify(plan, self.db)?;
-        }
-        let run = crate::physical::execute(self.db, plan, &self.config, seed);
+        let run = self.run_with(plan, seed, Shortcuts::SHIPPED);
         m.queries.incr();
         m.wall_ns.record(started.elapsed().as_nanos() as f64);
         // Estimator-quality telemetry (q-error histograms, flight record) —
@@ -346,6 +337,25 @@ impl<'a> Executor<'a> {
             crate::analyze::observe_run(plan, &self.config, r, seed);
         }
         run
+    }
+
+    /// [`Executor::run`]'s oracle: the same verification gate, operators,
+    /// morsel boundaries, merge order and [`OperatorWeights`] charges with
+    /// every execution shortcut off at once — the boxed-`Value` batch VM for
+    /// every UDF operator, every operator's whole output collected before
+    /// the next runs, no rewrite hints, no zone-map pruning. Bit-identical
+    /// to `run` in every contracted [`QueryRun`] field (`runtime_ns`,
+    /// `agg_value`, `out_rows`, `udf_input_rows`, `op_work`), errors
+    /// included; `peak_inter_rows` is the collecting peak. None of `run`'s
+    /// instruments sees it: no profile, no `exec.queries` tick, no q-error
+    /// telemetry, no flight record. Nothing in production calls it.
+    pub fn run_reference(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
+        self.run_with(plan, seed, Shortcuts::REFERENCE)
+    }
+
+    pub(crate) fn run_with(&self, plan: &Plan, seed: u64, cuts: Shortcuts) -> Result<QueryRun> {
+        graceful_plan::analysis::verify(plan, self.db)?;
+        crate::physical::execute(self.db, plan, &self.config, seed, cuts)
     }
 
     /// Lower `plan` into its physical-operator pipelines without executing
@@ -648,208 +658,125 @@ mod tests {
         assert!((1.0..=50.0).contains(&avg));
     }
 
-    #[test]
-    fn vm_backend_matches_tree_walker_on_generated_queries() {
-        // Same plans, same data, both backends: identical answers and
-        // cardinalities, and runtimes equal up to float-summation grouping.
+    fn assert_bit_identical(a: &QueryRun, b: &QueryRun, what: &str) {
+        assert_eq!(a.out_rows, b.out_rows, "{what}: cardinalities");
+        assert_eq!(a.udf_input_rows, b.udf_input_rows, "{what}: udf rows");
+        assert_eq!(a.agg_value.to_bits(), b.agg_value.to_bits(), "{what}: answers");
+        assert_eq!(
+            a.runtime_ns.to_bits(),
+            b.runtime_ns.to_bits(),
+            "{what}: runtimes {} vs {}",
+            a.runtime_ns,
+            b.runtime_ns
+        );
+        for (i, (x, y)) in a.op_work.iter().zip(b.op_work.iter()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: op_work[{i}] {x} vs {y}");
+        }
+    }
+
+    /// Generated queries `ids` over `db()` (UDF adaptations applied as they
+    /// are drawn), each in every valid placement, handed to `check` with the
+    /// database as it stands for that query.
+    fn for_generated_plans(
+        rng_seed: u64,
+        ids: std::ops::Range<u64>,
+        udf_only: bool,
+        mut check: impl FnMut(&Database, u64, &Plan),
+    ) {
         let mut database = db();
         let g = QueryGenerator::default();
-        let mut rng = Rng::seed(23);
-        let mut checked = 0;
-        for id in 0..60 {
+        let mut rng = Rng::seed(rng_seed);
+        for id in ids {
             let spec = g.generate(&database, id, &mut rng).unwrap();
-            if !spec.has_udf() {
+            if udf_only && !spec.has_udf() {
                 continue;
             }
             if let Some(u) = &spec.udf {
                 apply_adaptations(&mut database, &u.adaptations).unwrap();
             }
-            let tree = Executor::with_config(
-                &database,
-                ExecConfig { udf_backend: UdfBackend::TreeWalk, ..ExecConfig::default() },
-            );
-            let vm = Executor::with_config(
-                &database,
-                ExecConfig {
-                    udf_backend: UdfBackend::Vm,
-                    udf_batch_size: 7, // deliberately awkward batch boundary
-                    ..ExecConfig::default()
-                },
-            );
             for placement in graceful_plan::valid_placements(&spec) {
-                let plan = build_plan(&spec, placement).unwrap();
-                let a = tree.run(&plan, id).unwrap();
-                let b = vm.run(&plan, id).unwrap();
-                assert_eq!(a.out_rows, b.out_rows, "cardinalities differ (query {id})");
-                assert_eq!(a.agg_value, b.agg_value, "answers differ (query {id})");
-                assert_eq!(a.udf_input_rows, b.udf_input_rows);
-                let rel = (a.runtime_ns - b.runtime_ns).abs() / a.runtime_ns.max(1.0);
-                assert!(rel < 1e-9, "runtimes diverge: {} vs {}", a.runtime_ns, b.runtime_ns);
-                checked += 1;
+                if let Ok(plan) = build_plan(&spec, placement) {
+                    check(&database, id, &plan);
+                }
             }
         }
-        assert!(checked >= 10, "only {checked} UDF plans compared");
     }
+
+    /// Small morsels and an awkward VM batch size: ragged boundaries even on
+    /// test-scale tables.
+    fn ragged(threads: usize) -> ExecConfig {
+        ExecConfig { udf_batch_size: 37, threads, morsel_rows: 64, ..ExecConfig::default() }
+    }
+
+    // The tests down to the last one flip ONE shortcut each, so a failure
+    // of `run` == `run_reference` (the last) names the shortcut at fault.
 
     #[test]
     fn simd_backend_matches_vm_bit_exactly_on_generated_queries() {
         // The columnar fast path merges the same per-row costs in the same
         // order as the batch VM, so the whole QueryRun — runtime included —
         // must be bit-identical, not merely close.
-        let mut database = db();
-        let g = QueryGenerator::default();
-        let mut rng = Rng::seed(31);
+        let boxed = Shortcuts { typed_lanes: false, ..Shortcuts::SHIPPED };
         let mut checked = 0;
-        for id in 0..60 {
-            let spec = g.generate(&database, id, &mut rng).unwrap();
-            if !spec.has_udf() {
-                continue;
-            }
-            if let Some(u) = &spec.udf {
-                apply_adaptations(&mut database, &u.adaptations).unwrap();
-            }
+        for_generated_plans(31, 0..60, true, |database, id, plan| {
             for batch in [7usize, 1024] {
-                let vm = Executor::with_config(
-                    &database,
-                    ExecConfig {
-                        udf_backend: UdfBackend::Vm,
-                        udf_batch_size: batch,
-                        ..ExecConfig::default()
-                    },
+                let exec = Executor::with_config(
+                    database,
+                    ExecConfig { udf_batch_size: batch, ..ExecConfig::default() },
                 );
-                let simd = Executor::with_config(
-                    &database,
-                    ExecConfig {
-                        udf_backend: UdfBackend::Simd,
-                        udf_batch_size: batch,
-                        ..ExecConfig::default()
-                    },
-                );
-                for placement in graceful_plan::valid_placements(&spec) {
-                    let plan = build_plan(&spec, placement).unwrap();
-                    let a = vm.run(&plan, id).unwrap();
-                    let b = simd.run(&plan, id).unwrap();
-                    assert_eq!(a.out_rows, b.out_rows, "cardinalities differ (query {id})");
-                    assert_eq!(
-                        a.agg_value.to_bits(),
-                        b.agg_value.to_bits(),
-                        "answers differ (query {id})"
-                    );
-                    assert_eq!(
-                        a.runtime_ns.to_bits(),
-                        b.runtime_ns.to_bits(),
-                        "runtimes differ (query {id}): {} vs {}",
-                        a.runtime_ns,
-                        b.runtime_ns
-                    );
-                    for (x, y) in a.op_work.iter().zip(b.op_work.iter()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "op_work differs (query {id})");
-                    }
-                    checked += 1;
-                }
+                let vm = exec.run_with(plan, id, boxed).unwrap();
+                let simd = exec.run(plan, id).unwrap();
+                assert_bit_identical(&vm, &simd, &format!("query {id}, batch {batch}"));
+                checked += 1;
             }
-        }
+        });
         assert!(checked >= 10, "only {checked} UDF plans compared");
     }
 
     #[test]
     fn vm_backend_batch_size_does_not_change_results() {
-        let mut database = db();
-        let g = QueryGenerator::default();
-        let mut rng = Rng::seed(29);
-        for id in 200..260 {
-            let spec = g.generate(&database, id, &mut rng).unwrap();
-            if !spec.has_udf() {
-                continue;
-            }
-            if let Some(u) = &spec.udf {
-                apply_adaptations(&mut database, &u.adaptations).unwrap();
-            }
-            let plan = build_plan(&spec, graceful_plan::UdfPlacement::PushDown).unwrap();
+        let boxed = Shortcuts { typed_lanes: false, ..Shortcuts::SHIPPED };
+        let mut checked = 0;
+        for_generated_plans(29, 200..230, true, |database, id, plan| {
             let mut previous: Option<QueryRun> = None;
             for batch in [1usize, 3, 1024] {
                 let exec = Executor::with_config(
-                    &database,
-                    ExecConfig {
-                        udf_backend: UdfBackend::Vm,
-                        udf_batch_size: batch,
-                        ..ExecConfig::default()
-                    },
+                    database,
+                    ExecConfig { udf_batch_size: batch, ..ExecConfig::default() },
                 );
-                let run = exec.run(&plan, id).unwrap();
+                let run = exec.run_with(plan, id, boxed).unwrap();
                 if let Some(p) = &previous {
                     assert_eq!(p.out_rows, run.out_rows);
                     assert_eq!(p.agg_value, run.agg_value);
                 }
                 previous = Some(run);
             }
-            return;
-        }
-        panic!("no UDF query generated");
+            checked += 1;
+        });
+        assert!(checked > 0, "no UDF query generated");
     }
 
     #[test]
     fn pipeline_is_bit_identical_to_materialized_on_generated_queries() {
-        // The pipeline executor must reproduce the materializing engine
-        // exactly: every QueryRun value, cardinality and per-operator work
-        // total, bit for bit, across UDF backends × thread counts × batch
-        // sizes, in every valid UDF placement.
-        let mut database = db();
-        let g = QueryGenerator::default();
-        let mut rng = Rng::seed(47);
+        // The streaming driver must reproduce the collecting one exactly:
+        // every QueryRun value, cardinality and per-operator work total, bit
+        // for bit, on typed lanes and on the boxed VM × thread counts, in
+        // every valid UDF placement.
         let mut checked = 0;
-        for id in 0..80 {
-            let spec = g.generate(&database, id, &mut rng).unwrap();
-            if let Some(u) = &spec.udf {
-                apply_adaptations(&mut database, &u.adaptations).unwrap();
-            }
-            for backend in [UdfBackend::TreeWalk, UdfBackend::Vm, UdfBackend::Simd] {
+        for_generated_plans(47, 0..80, false, |database, id, plan| {
+            for typed_lanes in [true, false] {
                 for threads in [1usize, 4] {
-                    let cfg = |mode| ExecConfig {
-                        udf_backend: backend,
-                        udf_batch_size: 37,
-                        threads,
-                        morsel_rows: 64,
-                        mode,
-                        ..ExecConfig::default()
-                    };
-                    let mat = Executor::with_config(&database, cfg(ExecMode::Materialize));
-                    let pipe = Executor::with_config(&database, cfg(ExecMode::Pipeline));
-                    for placement in graceful_plan::valid_placements(&spec) {
-                        let plan = match build_plan(&spec, placement) {
-                            Ok(p) => p,
-                            Err(_) => continue,
-                        };
-                        let a = mat.run(&plan, id).unwrap();
-                        let b = pipe.run(&plan, id).unwrap();
-                        assert_eq!(a.out_rows, b.out_rows, "cardinalities (query {id})");
-                        assert_eq!(a.udf_input_rows, b.udf_input_rows, "udf rows (query {id})");
-                        assert_eq!(
-                            a.agg_value.to_bits(),
-                            b.agg_value.to_bits(),
-                            "answers (query {id}): {} vs {}",
-                            a.agg_value,
-                            b.agg_value
-                        );
-                        assert_eq!(
-                            a.runtime_ns.to_bits(),
-                            b.runtime_ns.to_bits(),
-                            "runtimes (query {id}, {backend:?}, {threads} threads): {} vs {}",
-                            a.runtime_ns,
-                            b.runtime_ns
-                        );
-                        for (i, (x, y)) in a.op_work.iter().zip(b.op_work.iter()).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "op_work[{i}] (query {id}): {x} vs {y}"
-                            );
-                        }
-                        checked += 1;
-                    }
+                    let exec = Executor::with_config(database, ragged(threads));
+                    let cuts =
+                        |streaming| Shortcuts { typed_lanes, streaming, ..Shortcuts::SHIPPED };
+                    let mat = exec.run_with(plan, id, cuts(false)).unwrap();
+                    let pipe = exec.run_with(plan, id, cuts(true)).unwrap();
+                    let what = format!("query {id}, typed lanes {typed_lanes}, {threads} threads");
+                    assert_bit_identical(&mat, &pipe, &what);
+                    checked += 1;
                 }
             }
-        }
+        });
         assert!(checked >= 100, "only {checked} plans compared");
     }
 
@@ -874,9 +801,13 @@ mod tests {
             ],
             root: 3,
         };
-        let cfg = |mode| ExecConfig { threads: 1, morsel_rows: 256, mode, ..ExecConfig::default() };
-        let mat = Executor::with_config(&db, cfg(ExecMode::Materialize)).run(&plan, 1).unwrap();
-        let pipe = Executor::with_config(&db, cfg(ExecMode::Pipeline)).run(&plan, 1).unwrap();
+        let exec = Executor::with_config(
+            &db,
+            ExecConfig { threads: 1, morsel_rows: 256, ..ExecConfig::default() },
+        );
+        let collecting = Shortcuts { streaming: false, ..Shortcuts::SHIPPED };
+        let mat = exec.run_with(&plan, 1, collecting).unwrap();
+        let pipe = exec.run(&plan, 1).unwrap();
         assert_eq!(mat.agg_value, pipe.agg_value);
         assert!(
             pipe.peak_inter_rows < mat.peak_inter_rows,
@@ -884,6 +815,43 @@ mod tests {
             pipe.peak_inter_rows,
             mat.peak_inter_rows
         );
+    }
+
+    #[test]
+    fn rewrites_and_pruning_alone_change_no_contracted_bit() {
+        let mut checked = 0;
+        for_generated_plans(59, 0..60, false, |database, id, plan| {
+            let exec = Executor::with_config(database, ragged(2));
+            let shipped = exec.run(plan, id).unwrap();
+            for (what, cuts) in [
+                ("rewrites", Shortcuts { rewrites: false, ..Shortcuts::SHIPPED }),
+                ("pruning", Shortcuts { pruning: false, ..Shortcuts::SHIPPED }),
+            ] {
+                let without = exec.run_with(plan, id, cuts).unwrap();
+                assert_bit_identical(&without, &shipped, &format!("query {id} without {what}"));
+                checked += 1;
+            }
+        });
+        assert!(checked >= 100, "only {checked} plans compared");
+    }
+
+    #[test]
+    fn run_is_bit_identical_to_run_reference_on_generated_queries() {
+        // What the root suites hold the engine to, here next to the three
+        // one-shortcut differentials above: every shortcut on, at threads
+        // {1, 2, 4}, against every shortcut off.
+        let mut checked = 0;
+        for_generated_plans(53, 0..60, false, |database, id, plan| {
+            let reference =
+                Executor::with_config(database, ragged(1)).run_reference(plan, id).unwrap();
+            assert!(reference.profile.is_none());
+            for threads in [1usize, 2, 4] {
+                let run = Executor::with_config(database, ragged(threads)).run(plan, id).unwrap();
+                assert_bit_identical(&run, &reference, &format!("query {id}, {threads} threads"));
+                checked += 1;
+            }
+        });
+        assert!(checked >= 100, "only {checked} plans compared");
     }
 
     #[test]

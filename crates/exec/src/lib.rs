@@ -16,18 +16,19 @@
 //!   applied once by [`Session::from_env`]);
 //! * [`physical`] — the executor: [`physical::lower`] turns a plan into
 //!   explicit [`physical::PhysicalPlan`] pipelines of
-//!   [`physical::Operator`]s, which one of two drivers runs — streaming row
-//!   [`physical::Batch`]es through each chain (what ships; peak memory
-//!   O(threads × morsel × depth) for non-blocking chains), or collecting
-//!   every operator's whole output before the next runs
-//!   (`ExecMode::Materialize`, the differential suites' oracle);
-//! * [`engine`] — [`ExecConfig`], [`QueryRun`], the [`Executor`] entry point
-//!   and [`OperatorWeights`] with the closed-form work charges, written
-//!   once;
-//! * [`udf_eval`] — the unified [`udf_eval::UdfEval`] trait with
-//!   tree-walker / batch-VM / columnar-SIMD implementors;
+//!   [`physical::Operator`]s, driven by streaming row [`physical::Batch`]es
+//!   through each chain (peak memory O(threads × morsel × depth) for
+//!   non-blocking chains);
+//! * [`engine`] — [`ExecConfig`], [`QueryRun`], [`OperatorWeights`] with the
+//!   closed-form work charges, written once, and the [`Executor`] with its
+//!   two entry points: [`Executor::run`], what ships, and
+//!   [`Executor::run_reference`], the same operators with every execution
+//!   shortcut off (boxed batch VM, collecting driver, no rewrite hints, no
+//!   zone-map pruning) — the oracle the differential suites reach by name;
+//! * `udf_eval` — UDF evaluation on the compiled program: typed lanes where
+//!   it has a columnar path, the boxed batch VM elsewhere;
 //! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]
-//!   (per-operator wall time, rows, batches, UDF backend effectiveness),
+//!   (per-operator wall time, rows, batches, typed-lane effectiveness),
 //!   attached to [`QueryRun`] when [`ExecOptions::profile`] is on and
 //!   explicitly **outside** the bit-identity contract below;
 //! * [`analyze`] — estimator-quality telemetry: after every run, predicted
@@ -42,10 +43,10 @@
 //! index (`join`), and aggregates fold per-morsel partial states.
 //! Work accounting is grouped per morsel and merged in morsel-index order,
 //! so results and accounted runtimes are **bit-identical for any thread
-//! count, UDF backend, batch size and driver** — the paper's effects
-//! (UDF cost ∝ rows × code path, join cost ∝ input sizes, pull-up
-//! crossovers) and the experiment labels never depend on the machine's
-//! parallelism or the engine's execution strategy.
+//! count and batch size, and between `run` and `run_reference`** — the
+//! paper's effects (UDF cost ∝ rows × code path, join cost ∝ input sizes,
+//! pull-up crossovers) and the experiment labels never depend on the
+//! machine's parallelism or the engine's execution strategy.
 
 #![forbid(unsafe_code)]
 
@@ -57,12 +58,11 @@ pub mod profile;
 mod prune;
 mod row_test;
 pub mod session;
-pub mod udf_eval;
+mod udf_eval;
 
 pub use analyze::{estimated_work, flight_record, static_udf_row_cost};
 pub use engine::{ExecConfig, Executor, OperatorWeights, QueryRun};
-pub use graceful_common::config::ExecMode;
 pub use physical::{Batch, Operator, PhysicalOp, PhysicalOpKind, PhysicalPlan, Pipeline};
 pub use profile::{ExecProfile, OpProfile, UdfOpProfile};
 pub use session::{ExecOptions, Session};
-pub use udf_eval::{UdfEval, UdfEvalSpec, UdfEvalStats};
+pub use udf_eval::UdfEvalStats;

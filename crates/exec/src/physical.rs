@@ -1,21 +1,22 @@
-//! The executor: physical-operator pipelines and their two drivers.
+//! The executor: physical-operator pipelines, the driver that ships and the
+//! reference driver.
 //!
 //! [`lower`] turns a logical [`Plan`] into a [`PhysicalPlan`]: a set of
 //! [`Pipeline`]s, each a scan source followed by streaming operators and
 //! terminated by a sink (hash-join build, aggregate, or plain collect).
-//! [`execute`] instantiates each pipeline's [`Operator`] chain and drives it
-//! in one of two ways ([`ExecMode`]):
+//! `execute` instantiates each pipeline's [`Operator`] chain and drives it:
 //!
-//! * **streaming** (`Pipeline`, what ships): fixed-size [`Batch`]es of row
-//!   ids are pushed through the chain and every emission cascades
+//! * **streaming** (what `Executor::run` does): fixed-size [`Batch`]es of
+//!   row ids are pushed through the chain and every emission cascades
 //!   downstream immediately, so peak memory for a non-blocking chain is
 //!   bounded by O(threads × morsel × pipeline depth). Hash-join build sides
 //!   are the one deliberate exception — a build side is materialized by
 //!   construction, exactly as in any hash-join engine.
-//! * **collecting** (`Materialize`, the differential suites' oracle): each
-//!   operator receives its whole input as one batch, is finished, and its
-//!   emissions are collected before the next operator runs — an operator at
-//!   a time, every intermediate fully resident.
+//! * **collecting** (what `Executor::run_reference` does, with the other
+//!   `Shortcuts` off too): each operator receives its whole input as one
+//!   batch, is finished, and its emissions are collected before the next
+//!   operator runs — an operator at a time, every intermediate fully
+//!   resident.
 //!
 //! One node set, two drivers: lowering, the audit, the operators and the
 //! accounting are shared, so the drivers can only differ in scheduling.
@@ -47,9 +48,8 @@
 //! Structural plan validation (unbound tables, missing UdfProject below an
 //! aggregate) happens during lowering or operator construction, before rows
 //! flow; data-dependent errors (the `max_intermediate_rows` valve) surface
-//! mid-stream as typed [`GracefulError::InvalidPlan`]. Under
-//! [`PlanVerifyMode::Strict`] the lowered plan is
-//! additionally audited by [`verify_physical`] — pipeline shape, sink
+//! mid-stream as typed [`GracefulError::InvalidPlan`]. The lowered plan is
+//! always audited by [`verify_physical`] too — pipeline shape, sink
 //! placement, build/probe ordering, stride bookkeeping and the
 //! plan-index/work-charge mapping — so a malformed `PhysicalPlan` is
 //! rejected as a typed [`GracefulError::PlanVerify`] instead of panicking
@@ -57,7 +57,8 @@
 //!
 //! # Verified rewrites
 //!
-//! [`lower_with`] accepts a [`RewriteSet`] and applies its execution hints:
+//! [`lower_with`] accepts a [`RewriteSet`] (the shipped run always passes
+//! one, the reference run never) and applies its execution hints:
 //! constant-foldable predicates are skipped (`AlwaysTrue`) or short-circuit
 //! the filter (`AlwaysFalse`), and join lanes that liveness proves dead
 //! above the join are dropped from build storage and probe output. Work
@@ -65,11 +66,12 @@
 //! `n × preds.len()` regardless of folding), so the rewrites keep every
 //! `QueryRun` value bit-identical with the unrewritten run.
 
-use crate::engine::{cmp_f64, jitter_factor, AggState, ExecConfig, OperatorWeights, QueryRun};
+use crate::engine::{
+    cmp_f64, jitter_factor, AggState, ExecConfig, OperatorWeights, QueryRun, Shortcuts,
+};
 use crate::profile::ExecProfile;
 use crate::row_test::RowTest;
 use crate::udf_eval::{record_udf_metrics, UdfEvalSpec, UdfEvalStats};
-use graceful_common::config::{ExecMode, PlanVerifyMode};
 use graceful_common::{GracefulError, Result};
 use graceful_obs::trace;
 use graceful_plan::analysis::join_keep_lanes;
@@ -402,7 +404,7 @@ fn kinds_match(phys: &PhysicalOpKind<'_>, logical: &PlanOpKind) -> bool {
 }
 
 /// Audit a lowered [`PhysicalPlan`] against the logical plan it came from.
-/// Run under [`PlanVerifyMode::Strict`] before any rows flow, this promotes
+/// Run before any rows flow, this promotes
 /// the executor's internal invariants to typed [`GracefulError::PlanVerify`]
 /// errors:
 ///
@@ -835,8 +837,8 @@ struct FilterExec<'a> {
     n_preds: usize,
     /// A predicate folded to `AlwaysFalse`: emit nothing, evaluate nothing.
     always_false: bool,
-    /// Zone-map pruning enabled ([`ExecConfig::pruning`]); only effective
-    /// over an identity input stream.
+    /// Zone-map pruning enabled (`Shortcuts::pruning`); only effective over
+    /// an identity input stream.
     pruning: bool,
     buf: Rebatcher,
     stride: usize,
@@ -942,7 +944,7 @@ impl Operator for FilterExec<'_> {
     }
 }
 
-/// UDF filter/projection over the unified [`UdfEval`] backends
+/// UDF filter/projection over the evaluators of `crate::udf_eval`
 /// (morsel-parallel, batch boundaries restart per morsel).
 struct UdfExec<'a> {
     plan_idx: usize,
@@ -1391,16 +1393,22 @@ impl ChainProf {
 // Driver
 
 /// Execute `plan`: lower it, audit the lowering, and drive each pipeline's
-/// operators with the driver [`ExecConfig::mode`] selects. What
-/// `Executor::run` calls after the logical-plan verification gate.
-pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Result<QueryRun> {
+/// operators, taking the execution shortcuts `cuts` allows. What
+/// `Executor::run` and `Executor::run_reference` call after the logical-plan
+/// verification gate.
+pub(crate) fn execute(
+    db: &Database,
+    plan: &Plan,
+    config: &ExecConfig,
+    seed: u64,
+    cuts: Shortcuts,
+) -> Result<QueryRun> {
     let started = Instant::now();
-    let profiling = config.profile;
-    let rewrites = config.rewrites.then(|| RewriteSet::analyze(plan, db));
+    // Only the streaming driver is instrumented.
+    let profiling = config.profile && cuts.streaming;
+    let rewrites = cuts.rewrites.then(|| RewriteSet::analyze(plan, db));
     let phys = lower_with(plan, rewrites.as_ref())?;
-    if config.plan_verify == PlanVerifyMode::Strict {
-        verify_physical(&phys, plan)?;
-    }
+    verify_physical(&phys, plan)?;
     let pool = Pool::new(config.threads);
     let n_ops = plan.ops.len();
     let mut out_rows = vec![0usize; n_ops];
@@ -1428,8 +1436,8 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
             flush_morsels: config.threads.max(1) * FLUSH_MORSELS_PER_WORKER,
         };
         // Source: the scan at the head of the chain. Shape violations are
-        // typed errors, not panics — under GRACEFUL_PLAN_VERIFY=strict the
-        // `verify_physical` audit has already rejected them before rows flow.
+        // typed errors, not panics — the `verify_physical` audit has already
+        // rejected them before rows flow.
         let (scan_table, scan_idx) = match pipe.ops.first() {
             Some(PhysicalOp { kind: PhysicalOpKind::Scan { table }, plan_idx: Some(idx) }) => {
                 (*table, *idx)
@@ -1451,12 +1459,15 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
         if n > config.max_intermediate_rows {
             return Err(cap_error(n));
         }
-        let mut ops: Vec<Box<dyn Operator + '_>> =
-            pipe.ops[1..].iter().map(|op| instantiate(db, config, op)).collect::<Result<_>>()?;
+        let mut ops: Vec<Box<dyn Operator + '_>> = pipe.ops[1..]
+            .iter()
+            .map(|op| instantiate(db, config, cuts, op))
+            .collect::<Result<_>>()?;
         let prof = profiling.then(|| ChainProf::new(pipe.ops.len()));
-        batches[scan_idx] += match config.mode {
-            ExecMode::Pipeline => stream_all(&mut ops, &ctx, n, prof.as_ref())?,
-            ExecMode::Materialize => collect_all(&mut ops, &ctx, n, prof.as_ref())?,
+        batches[scan_idx] += if cuts.streaming {
+            stream_all(&mut ops, &ctx, n, prof.as_ref())?
+        } else {
+            collect_all(&mut ops, &ctx, n)?
         };
         let stats: Vec<OpStats> = ops.iter().map(|op| op.stats()).collect();
         for s in &stats {
@@ -1484,19 +1495,16 @@ pub fn execute(db: &Database, plan: &Plan, config: &ExecConfig, seed: u64) -> Re
         // scan batch plus every operator's buffers. Collecting: the largest
         // (whole input + whole output) any one operator held, a build
         // sink's output being the side it holds.
-        let pipe_resident = match config.mode {
-            ExecMode::Pipeline => {
-                n.min(ctx.morsel) + stats.iter().map(|s| s.peak_resident).sum::<usize>()
+        let pipe_resident = if cuts.streaming {
+            n.min(ctx.morsel) + stats.iter().map(|s| s.peak_resident).sum::<usize>()
+        } else {
+            let (mut peak, mut rows_in) = (n, n);
+            for s in &stats {
+                let rows_out = s.out_rows.unwrap_or(s.peak_resident);
+                peak = peak.max(rows_in + rows_out);
+                rows_in = rows_out;
             }
-            ExecMode::Materialize => {
-                let (mut peak, mut rows_in) = (n, n);
-                for s in &stats {
-                    let rows_out = s.out_rows.unwrap_or(s.peak_resident);
-                    peak = peak.max(rows_in + rows_out);
-                    rows_in = rows_out;
-                }
-                peak
-            }
+            peak
         };
         // Attribute the chain's wall self-times to their logical operators.
         // Plan-less nodes fold elsewhere: a build sink's time is stashed for
@@ -1576,6 +1584,7 @@ fn planned(op: &PhysicalOp<'_>) -> Result<usize> {
 fn instantiate<'a>(
     db: &'a Database,
     config: &'a ExecConfig,
+    cuts: Shortcuts,
     op: &'a PhysicalOp<'_>,
 ) -> Result<Box<dyn Operator + 'a>> {
     let w = &config.weights;
@@ -1601,7 +1610,7 @@ fn instantiate<'a>(
                 preds: resolved,
                 n_preds: preds.len(),
                 always_false,
-                pruning: config.pruning,
+                pruning: cuts.pruning,
                 buf: Rebatcher::new(*stride),
                 stride: *stride,
                 rows_in: 0,
@@ -1613,7 +1622,7 @@ fn instantiate<'a>(
         }
         PhysicalOpKind::UdfFilter { udf, cmp, literal, pos, stride } => Box::new(UdfExec {
             plan_idx: planned(op)?,
-            spec: udf_spec(db, config, udf, w.udf_compare)?,
+            spec: udf_spec(db, config, cuts, udf, w.udf_compare)?,
             filter: Some((*cmp, *literal)),
             pos: *pos,
             stride: *stride,
@@ -1626,7 +1635,7 @@ fn instantiate<'a>(
         }),
         PhysicalOpKind::UdfProject { udf, pos, stride } => Box::new(UdfExec {
             plan_idx: planned(op)?,
-            spec: udf_spec(db, config, udf, w.project_row)?,
+            spec: udf_spec(db, config, cuts, udf, w.project_row)?,
             filter: None,
             pos: *pos,
             stride: *stride,
@@ -1755,28 +1764,15 @@ fn stream_all(
     Ok(morsels as u64)
 }
 
-/// The collecting driver: the scan's `n` rows are one batch, and every
-/// operator receives its whole input as one batch, is finished, and has its
-/// emissions concatenated into the next operator's input. The operators
-/// rebatch to morsel boundaries themselves, so they evaluate exactly the
-/// morsels the streaming cascade feeds them. Returns the scan's batch count.
-fn collect_all(
-    ops: &mut [Box<dyn Operator + '_>],
-    ctx: &ExecCtx<'_>,
-    n: usize,
-    prof: Option<&ChainProf>,
-) -> Result<u64> {
-    if let Some(p) = prof {
-        p.enter(0);
-    }
+/// The collecting driver (the reference's): the scan's `n` rows are one
+/// batch, and every operator receives its whole input as one batch, is
+/// finished, and has its emissions concatenated into the next operator's
+/// input. The operators rebatch to morsel boundaries themselves, so they
+/// evaluate exactly the morsels the streaming cascade feeds them. Returns
+/// the scan's batch count.
+fn collect_all(ops: &mut [Box<dyn Operator + '_>], ctx: &ExecCtx<'_>, n: usize) -> Result<u64> {
     let mut batch = scan_batch(0..n);
-    if let Some(p) = prof {
-        p.exit();
-    }
-    for (k, op) in ops.iter_mut().enumerate() {
-        if let Some(p) = prof {
-            p.enter(k + 1);
-        }
+    for op in ops.iter_mut() {
         // Emissions of an identity stream arrive in stream order, so their
         // concatenation is still one contiguous ascending rid run.
         let mut out = Batch { rows: Vec::new(), computed: None, identity: true };
@@ -1788,11 +1784,7 @@ fn collect_all(
             out.identity &= b.identity;
             Ok(())
         };
-        let ran = op.push(batch, ctx, &mut collect).and_then(|()| op.finish(ctx, &mut collect));
-        if let Some(p) = prof {
-            p.exit();
-        }
-        ran?;
+        op.push(batch, ctx, &mut collect).and_then(|()| op.finish(ctx, &mut collect))?;
         batch = out;
     }
     Ok(1)
@@ -1801,6 +1793,7 @@ fn collect_all(
 fn udf_spec<'a>(
     db: &'a Database,
     config: &ExecConfig,
+    cuts: Shortcuts,
     udf: &'a GeneratedUdf,
     overhead: f64,
 ) -> Result<UdfEvalSpec<'a>> {
@@ -1810,10 +1803,10 @@ fn udf_spec<'a>(
     UdfEvalSpec::prepare(
         udf,
         cols,
-        config.udf_backend,
+        cuts.typed_lanes,
         config.udf_weights.clone(),
         config.udf_batch_size,
         overhead,
-        config.rewrites,
+        cuts.rewrites,
     )
 }

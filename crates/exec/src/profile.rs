@@ -1,17 +1,17 @@
 //! Opt-in per-query execution profiles.
 //!
 //! When [`crate::ExecOptions::profile`] (or `GRACEFUL_PROFILE=1`) is on, the
-//! executor attaches an [`ExecProfile`] to the [`crate::QueryRun`]:
-//! per-plan-operator wall time, output rows, batch counts, accounted work and
-//! — for the UDF operators — backend effectiveness counters (SIMD fast-path
-//! vs per-row bail rows, group splits).
+//! executor attaches an [`ExecProfile`] to the [`crate::QueryRun`] of every
+//! [`crate::Executor::run`]: per-plan-operator wall time, output rows, batch
+//! counts, accounted work and — for the UDF operators — typed-lane
+//! effectiveness counters (fast-path vs per-row bail rows, group splits).
 //!
 //! # Outside the bit-identity contract
 //!
 //! Like [`crate::QueryRun::peak_inter_rows`], the profile is an
 //! execution-strategy observation, **not** part of the bit-identity
 //! contract: wall times are real `Instant` measurements and batch counts
-//! depend on the executor mode. None of the contracted fields (`runtime_ns`,
+//! depend on flush timing. None of the contracted fields (`runtime_ns`,
 //! `out_rows`, `op_work`, `agg_value`, `udf_input_rows`) read anything the
 //! profiler writes — `tests/parallel_determinism.rs` proves runs with
 //! profiling on and off stay bit-identical.
@@ -23,7 +23,6 @@
 
 use crate::engine::ExecConfig;
 use crate::udf_eval::UdfEvalStats;
-use graceful_common::config::{ExecMode, UdfBackend};
 use graceful_plan::{Plan, PlanOpKind};
 use std::fmt::Write as _;
 
@@ -31,10 +30,6 @@ use std::fmt::Write as _;
 /// (same indexing as `plan.ops`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecProfile {
-    /// Executor mode the query ran under.
-    pub mode: ExecMode,
-    /// UDF backend the query ran under.
-    pub backend: UdfBackend,
     /// Worker-thread budget.
     pub threads: usize,
     /// Rows per morsel.
@@ -58,8 +53,8 @@ pub struct OpProfile {
     pub wall_ns: u64,
     /// Output cardinality (same value as `QueryRun::out_rows`).
     pub rows_out: usize,
-    /// Batches this operator processed: input batches pushed in pipeline
-    /// mode (morsel count for scans), always 1 in materialize mode.
+    /// Batches this operator processed: input batches pushed into it
+    /// (morsel count for scans).
     pub batches: u64,
     /// Accounted work units (same value as `QueryRun::op_work`).
     pub work: f64,
@@ -67,14 +62,12 @@ pub struct OpProfile {
     pub udf: Option<UdfOpProfile>,
 }
 
-/// UDF-backend effectiveness counters for one UDF operator.
+/// UDF evaluation counters for one UDF operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdfOpProfile {
-    /// Backend that evaluated this operator.
-    pub backend: UdfBackend,
     /// Rows evaluated.
     pub rows: u64,
-    /// Internal evaluation batches (per row for the tree-walker).
+    /// Internal evaluation batches.
     pub batches: u64,
     /// Rows carried end-to-end by the typed columnar fast path.
     pub simd_fast_rows: u64,
@@ -85,9 +78,8 @@ pub struct UdfOpProfile {
 }
 
 impl UdfOpProfile {
-    pub(crate) fn from_stats(backend: UdfBackend, s: &UdfEvalStats) -> Self {
+    pub(crate) fn from_stats(s: &UdfEvalStats) -> Self {
         UdfOpProfile {
-            backend,
             rows: s.rows,
             batches: s.batches,
             simd_fast_rows: s.simd.fast_rows,
@@ -97,7 +89,8 @@ impl UdfOpProfile {
     }
 
     /// Fraction of evaluated rows that bailed from the columnar fast path
-    /// to the per-row VM (0.0 for the scalar backends and for zero rows).
+    /// to the per-row VM (0.0 for operators with no columnar path and for
+    /// zero rows).
     pub fn bail_rate(&self) -> f64 {
         if self.rows == 0 {
             0.0
@@ -145,12 +138,10 @@ impl ExecProfile {
                 rows_out: out_rows[i],
                 batches: batches[i],
                 work: op_work[i],
-                udf: udf_stats[i].as_ref().map(|s| UdfOpProfile::from_stats(config.udf_backend, s)),
+                udf: udf_stats[i].as_ref().map(UdfOpProfile::from_stats),
             })
             .collect();
         ExecProfile {
-            mode: config.mode,
-            backend: config.udf_backend,
             threads: config.threads,
             morsel_rows: config.morsel_rows,
             udf_batch_size: config.udf_batch_size,
@@ -164,9 +155,7 @@ impl ExecProfile {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "QUERY PROFILE  mode={:?} backend={:?} threads={} morsel={} udf_batch={} wall={}",
-            self.mode,
-            self.backend,
+            "QUERY PROFILE  threads={} morsel={} udf_batch={} wall={}",
             self.threads,
             self.morsel_rows,
             self.udf_batch_size,
@@ -182,8 +171,7 @@ impl ExecProfile {
             let udf = match &op.udf {
                 None => String::new(),
                 Some(u) => format!(
-                    "{:?} rows={} batches={} fast={} bail={} ({:.1}%) splits={}",
-                    u.backend,
+                    "rows={} batches={} fast={} bail={} ({:.1}%) splits={}",
                     u.rows,
                     u.batches,
                     u.simd_fast_rows,
@@ -229,11 +217,11 @@ mod tests {
     #[test]
     fn bail_rate_is_guarded_and_proportional() {
         let mut s = UdfEvalStats::default();
-        let empty = UdfOpProfile::from_stats(UdfBackend::Simd, &s);
+        let empty = UdfOpProfile::from_stats(&s);
         assert_eq!(empty.bail_rate(), 0.0);
         s.rows = 200;
         s.simd.bail_rows = 50;
-        let p = UdfOpProfile::from_stats(UdfBackend::Simd, &s);
+        let p = UdfOpProfile::from_stats(&s);
         assert_eq!(p.bail_rate(), 0.25);
     }
 

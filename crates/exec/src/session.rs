@@ -13,17 +13,14 @@
 //!
 //! ```
 //! use graceful_exec::{ExecOptions, Session};
-//! use graceful_common::config::{ExecMode, UdfBackend};
 //!
+//! # fn main() -> graceful_common::Result<()> {
 //! // Fully programmatic — no environment involved.
 //! let session = ExecOptions::new()
-//!     .udf_backend(UdfBackend::Vm)
 //!     .udf_batch_size(512)
 //!     .threads(2)
 //!     .morsel_rows(1024)
-//!     .mode(ExecMode::Pipeline)
-//!     .build()
-//!     .expect("valid options");
+//!     .build()?;
 //! assert_eq!(session.config().udf_batch_size, 512);
 //!
 //! // Zero values are rejected with a typed error instead of a panic.
@@ -31,12 +28,19 @@
 //! assert!(matches!(err, graceful_common::GracefulError::Config(_)));
 //!
 //! // Environment-defaulted (the one place `GRACEFUL_*` is applied).
-//! let session = Session::from_env().expect("valid GRACEFUL_* environment");
+//! let session = Session::from_env()?;
 //! let _pool = session.pool();
+//! # Ok(())
+//! # }
 //! ```
+//!
+//! What the options configure is sizes, weights and instruments. None of
+//! them picks an implementation or switches a check off: [`Session::run`]
+//! is the one engine, and [`Session::run_reference`] — the same operators
+//! with every execution shortcut off — is the oracle tests compare it
+//! against, reached by name.
 
 use crate::engine::{ExecConfig, Executor, OperatorWeights, QueryRun};
-use graceful_common::config::{ExecMode, PlanVerifyMode, UdfBackend};
 use graceful_common::Result;
 use graceful_plan::Plan;
 use graceful_runtime::Pool;
@@ -52,7 +56,6 @@ use graceful_udf::CostWeights;
 /// `GracefulError::Config` — never a panic, never a silent clamp.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    udf_backend: Option<UdfBackend>,
     udf_batch_size: Option<usize>,
     threads: Option<usize>,
     morsel_rows: Option<usize>,
@@ -60,11 +63,7 @@ pub struct ExecOptions {
     max_intermediate_rows: Option<usize>,
     weights: Option<OperatorWeights>,
     udf_weights: Option<CostWeights>,
-    mode: Option<ExecMode>,
     profile: Option<bool>,
-    plan_verify: Option<PlanVerifyMode>,
-    rewrites: Option<bool>,
-    pruning: Option<bool>,
     data_scale: Option<f64>,
 }
 
@@ -73,16 +72,7 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// UDF evaluation backend. Unset means the shipped path,
-    /// [`UdfBackend::Simd`]; `Vm` and `TreeWalk` are the bit-identical
-    /// oracles the differential suites pin here (there is no environment
-    /// knob for this).
-    pub fn udf_backend(mut self, backend: UdfBackend) -> Self {
-        self.udf_backend = Some(backend);
-        self
-    }
-
-    /// Rows per batch fed to the UDF VM (ignored by the tree-walker).
+    /// Rows per batch fed to the UDF VM.
     pub fn udf_batch_size(mut self, rows: usize) -> Self {
         self.udf_batch_size = Some(rows);
         self
@@ -126,46 +116,11 @@ impl ExecOptions {
         self
     }
 
-    /// Which driver runs the operator pipelines (streaming vs collecting;
-    /// bit-identical). Programmatic only: the collecting driver is the
-    /// differential suites' oracle, not a user choice.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
     /// Attach a per-operator [`crate::ExecProfile`] to every
     /// [`QueryRun`]. Pure observability — profiled and unprofiled runs are
     /// bit-identical in every contracted `QueryRun` field.
     pub fn profile(mut self, on: bool) -> Self {
         self.profile = Some(on);
-        self
-    }
-
-    /// Pre-execution plan verification
-    /// ([`graceful_plan::analysis::verify`] plus the physical-plan audit).
-    /// Strict by default; [`PlanVerifyMode::Off`] skips the check for
-    /// trusted plans.
-    pub fn plan_verify(mut self, mode: PlanVerifyMode) -> Self {
-        self.plan_verify = Some(mode);
-        self
-    }
-
-    /// Liveness/constant-fold rewrite hints
-    /// ([`graceful_plan::analysis::RewriteSet`]). On by default; turning
-    /// them off is bit-identical in every contracted `QueryRun` field (the
-    /// verified-rewrite guarantee) and exists for differential testing.
-    pub fn rewrites(mut self, on: bool) -> Self {
-        self.rewrites = Some(on);
-        self
-    }
-
-    /// Zone-map scan pruning (see `crate::prune`). On by default; turning
-    /// it off is bit-identical in every contracted `QueryRun` field (it
-    /// only skips provably-empty filter morsels) and exists for
-    /// differential testing.
-    pub fn pruning(mut self, on: bool) -> Self {
-        self.pruning = Some(on);
         self
     }
 
@@ -181,7 +136,6 @@ impl ExecOptions {
     /// Apply the explicit options over `defaults`.
     fn over(self, defaults: ExecConfig) -> ExecConfig {
         ExecConfig {
-            udf_backend: self.udf_backend.unwrap_or(defaults.udf_backend),
             udf_batch_size: self.udf_batch_size.unwrap_or(defaults.udf_batch_size),
             threads: self.threads.unwrap_or(defaults.threads),
             morsel_rows: self.morsel_rows.unwrap_or(defaults.morsel_rows),
@@ -191,11 +145,7 @@ impl ExecOptions {
                 .unwrap_or(defaults.max_intermediate_rows),
             weights: self.weights.unwrap_or(defaults.weights),
             udf_weights: self.udf_weights.unwrap_or(defaults.udf_weights),
-            mode: self.mode.unwrap_or(defaults.mode),
             profile: self.profile.unwrap_or(defaults.profile),
-            plan_verify: self.plan_verify.unwrap_or(defaults.plan_verify),
-            rewrites: self.rewrites.unwrap_or(defaults.rewrites),
-            pruning: self.pruning.unwrap_or(defaults.pruning),
             data_scale: self.data_scale.unwrap_or(defaults.data_scale),
         }
     }
@@ -259,6 +209,12 @@ impl Session {
         self.executor(db).run(plan, seed)
     }
 
+    /// Convenience: [`Executor::run_reference`] over `db` — the oracle the
+    /// differential suites hold [`Session::run`] to, bit for bit.
+    pub fn run_reference(&self, db: &Database, plan: &Plan, seed: u64) -> Result<QueryRun> {
+        self.executor(db).run_reference(plan, seed)
+    }
+
     /// Convenience: execute and write actual cardinalities onto the plan.
     pub fn run_and_annotate(&self, db: &Database, plan: &mut Plan, seed: u64) -> Result<QueryRun> {
         self.executor(db).run_and_annotate(plan, seed)
@@ -298,23 +254,19 @@ mod tests {
     #[test]
     fn builder_overrides_and_defaults() {
         let s = ExecOptions::new()
-            .udf_backend(UdfBackend::Vm)
             .udf_batch_size(77)
             .threads(3)
             .morsel_rows(128)
             .jitter(0.0)
             .max_intermediate_rows(1_000)
-            .mode(ExecMode::Materialize)
             .build()
             .unwrap();
         let c = s.config();
-        assert_eq!(c.udf_backend, UdfBackend::Vm);
         assert_eq!(c.udf_batch_size, 77);
         assert_eq!(c.threads, 3);
         assert_eq!(c.morsel_rows, 128);
         assert_eq!(c.jitter, 0.0);
         assert_eq!(c.max_intermediate_rows, 1_000);
-        assert_eq!(c.mode, ExecMode::Materialize);
         // Unset fields come from the pure base.
         let base = ExecConfig::base();
         assert_eq!(c.weights, base.weights);
@@ -354,19 +306,19 @@ mod tests {
     #[test]
     fn data_plane_knobs_default_on_and_override() {
         let s = Session::new();
-        assert!(s.config().pruning);
+        assert!(!s.config().profile);
         assert_eq!(s.config().data_scale, 1.0);
-        let s = ExecOptions::new().pruning(false).data_scale(50.0).build().unwrap();
-        assert!(!s.config().pruning);
+        let s = ExecOptions::new().profile(true).data_scale(50.0).build().unwrap();
+        assert!(s.config().profile);
         assert_eq!(s.config().data_scale, 50.0);
     }
 
     #[test]
     fn base_session_is_pure_and_valid() {
         let s = Session::new();
-        assert_eq!(s.config().udf_backend, UdfBackend::Simd);
-        assert_eq!(ExecOptions::new().build().unwrap().config().udf_backend, UdfBackend::Simd);
-        assert_eq!(s.config().mode, ExecMode::Pipeline);
+        let built = ExecOptions::new().build().unwrap();
+        assert_eq!(s.config().udf_batch_size, built.config().udf_batch_size);
+        assert_eq!(s.config().morsel_rows, built.config().morsel_rows);
         assert!(s.config().threads >= 1);
     }
 }

@@ -1,45 +1,44 @@
-//! The unified UDF-evaluation interface of the execution engine.
+//! UDF evaluation for the execution engine: one shipped path, one oracle.
 //!
 //! Every relational operator that invokes a UDF — `UdfFilter`, `UdfProject`,
-//! in either executor mode — evaluates it through the [`UdfEval`] trait. The
-//! three backends (`TreewalkEval`, `VmEval`, `SimdEval` — private: the
-//! factory is the only construction path) own their gather buffers, their
-//! batching strategy and their fallback logic, so the engine never matches
-//! on [`UdfBackend`] beyond asking [`UdfEvalSpec`] for a fresh evaluator; a
-//! future backend plugs in here without touching the operators.
+//! under either driver — evaluates it through the [`UdfEval`] trait, built by
+//! [`UdfEvalSpec`] (crate-private, like its two implementors: the factory is
+//! the only construction path). Both run the compiled, verified program:
 //!
-//! `SimdEval` — typed lanes, with `VmEval` serving UDFs that have no columnar
-//! path or read a `Text` column — is what every default-configured session
-//! runs. `TreewalkEval` and a forced `VmEval` are reachable only through
-//! `ExecOptions::udf_backend`, as the oracles of the differential suites.
+//! * `SimdEval` — typed lanes gathered straight from storage, rows the
+//!   columnar executor cannot carry bailing to the per-row VM — is what
+//!   [`crate::Executor::run`] uses wherever the program has a columnar path
+//!   and no input is `Text`;
+//! * `VmEval` — the boxed-`Value` batch VM — serves the remaining operators
+//!   under `run`, and every operator under [`crate::Executor::run_reference`].
+//!
+//! The tree-walking `graceful_udf::Interpreter` is not an engine path: the
+//! `graceful-udf` suites prove interpreter = VM = typed lanes per UDF, and
+//! `tests/executor_api.rs` holds the engine to it through an operator-free
+//! naive evaluator.
 //!
 //! # The bit-identity contract
 //!
 //! [`UdfEval::eval_rows`] receives one *morsel* of row ids and a fresh `work`
-//! accumulator, and must accumulate accounted work with its backend's exact
-//! float grouping:
-//!
-//! * the tree-walker adds `cost + overhead` once per row,
-//! * the VM and SIMD backends add `batch_cost + rows × overhead` once per
-//!   internal batch, restarting batch boundaries at the morsel start.
-//!
-//! Callers merge per-morsel `(work, values)` pairs in morsel-index order.
-//! Because grouping depends only on the morsel boundaries — never on thread
-//! count, executor mode or flush timing — every accounted total is
-//! bit-identical across all of them (enforced by
-//! `tests/parallel_determinism.rs` and the engine differential tests).
+//! accumulator, and adds `batch_cost + rows × overhead` once per internal
+//! batch, restarting batch boundaries at the morsel start. Callers merge
+//! per-morsel `(work, values)` pairs in morsel-index order. Because grouping
+//! depends only on the morsel boundaries — never on thread count, driver or
+//! flush timing — and the typed lanes merge the same per-row costs in the
+//! same order as the batch VM, every accounted total is bit-identical across
+//! all of them (enforced by `tests/parallel_determinism.rs` and the engine
+//! differential tests).
 
-use graceful_common::config::UdfBackend;
 use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
 use graceful_obs::trace;
 use graceful_runtime::Pool;
 use graceful_storage::{Column, DataType, Value};
 use graceful_udf::simd::{self, SimdBatchStats, TypedCol};
-use graceful_udf::{compile, CostCounter, CostWeights, Interpreter, Program, SimdShape, Vm};
+use graceful_udf::{compile, CostCounter, CostWeights, Program, SimdShape, Vm};
 use std::sync::OnceLock;
 
-/// Evaluation-volume counters one [`UdfEval`] accumulates while it runs.
+/// Evaluation-volume counters one UDF evaluator accumulates while it runs.
 /// Observability only — the engine never reads them on a result path, so
 /// they cannot affect the bit-identity contract. Per-morsel stats merge in
 /// morsel-index order like every other per-morsel result, making the totals
@@ -48,11 +47,9 @@ use std::sync::OnceLock;
 pub struct UdfEvalStats {
     /// Rows evaluated.
     pub rows: u64,
-    /// Internal evaluation batches. The tree-walker counts one batch per
-    /// row (its "batch" is a row); the VM/SIMD backends count their actual
-    /// `udf_batch_size`-bounded batches.
+    /// Internal evaluation batches (each at most `udf_batch_size` rows).
     pub batches: u64,
-    /// SIMD fast-path effectiveness (zero for the scalar backends).
+    /// Typed-lane effectiveness (zero for operators on the boxed batch VM).
     pub simd: SimdBatchStats,
 }
 
@@ -75,7 +72,7 @@ struct UdfMetrics {
 
 /// Fold `stats` into the process-wide registry (`udf.rows`, `udf.batches`,
 /// `udf.simd.fast_rows`, `udf.simd.bail_rows`, `udf.simd.group_splits`).
-/// Both executor modes call this once per UDF operator.
+/// The executor calls this once per UDF operator.
 pub(crate) fn record_udf_metrics(stats: &UdfEvalStats) {
     static METRICS: OnceLock<UdfMetrics> = OnceLock::new();
     let m = METRICS.get_or_init(|| UdfMetrics {
@@ -97,11 +94,11 @@ pub(crate) fn record_udf_metrics(stats: &UdfEvalStats) {
 /// One instance is created per pool worker (via [`UdfEvalSpec::new_eval`])
 /// and reused across all morsels that worker pulls, so scratch buffers are
 /// allocated once.
-pub trait UdfEval {
+pub(crate) trait UdfEval {
     /// Evaluate the UDF over the rows `rids` (row ids into the operator's
     /// input columns), appending one output [`Value`] per row to `values`
     /// and accumulating accounted work — UDF cost plus the operator's
-    /// per-row overhead — into `work` with this backend's float grouping.
+    /// per-row overhead — into `work`, once per internal batch.
     /// Evaluation-volume counters accumulate into `stats` (write-only, never
     /// consulted for results).
     fn eval_rows(
@@ -115,23 +112,22 @@ pub trait UdfEval {
 
 /// One morsel of [`UdfEvalSpec::eval_morsels`]: accounted work, one value per
 /// row, evaluator statistics.
-pub type MorselEval = (f64, Vec<Value>, UdfEvalStats);
+pub(crate) type MorselEval = (f64, Vec<Value>, UdfEvalStats);
 
 /// Everything resolved once per UDF operator: input columns, the compiled
-/// program (VM/SIMD backends), the columnar-eligibility decision, weights and
-/// batching parameters. [`UdfEvalSpec::new_eval`] then builds one evaluator
-/// per worker.
-pub struct UdfEvalSpec<'a> {
-    udf: &'a graceful_udf::GeneratedUdf,
+/// program, the columnar-eligibility decision, weights and batching
+/// parameters. [`UdfEvalSpec::new_eval`] then builds one evaluator per
+/// worker.
+pub(crate) struct UdfEvalSpec<'a> {
     cols: Vec<&'a Column>,
     weights: CostWeights,
-    backend: UdfBackend,
-    prog: Option<Program>,
-    /// `Some` iff the SIMD backend is selected *and* the program has a
-    /// vectorizable path *and* every input column has a typed (non-Text)
-    /// storage slice. Ineligible operators run the plain batch VM — the two
-    /// produce bit-identical values and costs either way.
-    shape: Option<SimdShape>,
+    prog: Program,
+    /// `Some` iff typed lanes are on *and* the program has a vectorizable
+    /// path *and* every input column has an unboxed lane type (no `Text`):
+    /// the program's shape plus one batch-sized lane buffer per parameter,
+    /// which every worker's evaluator clones. Other operators run the boxed
+    /// batch VM — the two produce bit-identical values and costs either way.
+    typed: Option<(SimdShape, Vec<TypedCol>)>,
     batch: usize,
     overhead: f64,
     /// Per-parameter dead flags from liveness analysis: `dead[i]` means the
@@ -139,19 +135,22 @@ pub struct UdfEvalSpec<'a> {
     /// gathered (a typed placeholder is substituted instead). Restricted to
     /// non-Text parameters — invocation cost counts Text argument
     /// characters, and pruning must leave accounted work bit-identical.
-    /// All-false when rewrites are disabled.
+    /// All-false when rewrites are off.
     dead: Vec<bool>,
 }
 
 impl<'a> UdfEvalSpec<'a> {
-    /// Resolve an operator's evaluation plan: compile the UDF once for the
-    /// bytecode backends and decide columnar eligibility.
+    /// Resolve an operator's evaluation plan: compile the UDF once and
+    /// decide columnar eligibility.
     ///
-    /// Compilation runs the bytecode verifier (under the default
-    /// `GRACEFUL_VERIFY=strict`), so a program that reaches an evaluator has
-    /// proven jump targets, register/constant bounds, cost-charge placement
-    /// and definite initialization — a rejected UDF surfaces here as a typed
-    /// [`graceful_common::GracefulError::Verify`] before any row runs.
+    /// Compilation runs the bytecode verifier, so a program that reaches an
+    /// evaluator has proven jump targets, register/constant bounds,
+    /// cost-charge placement and definite initialization — a rejected UDF
+    /// surfaces here as a typed [`graceful_common::GracefulError::Verify`]
+    /// before any row runs.
+    ///
+    /// `typed_lanes` is [`crate::engine::Shortcuts::typed_lanes`]: off, every
+    /// operator runs the boxed batch VM.
     ///
     /// `overhead` is the operator's own per-row work (comparison against the
     /// filter literal, projection bookkeeping) charged alongside the UDF
@@ -163,29 +162,36 @@ impl<'a> UdfEvalSpec<'a> {
     /// changes values (the body cannot observe an unread parameter), never
     /// changes accounted work (invocation cost depends on argument count and
     /// Text lengths only, and Text parameters are never pruned), and never
-    /// changes backend selection (SIMD eligibility is decided from the full
-    /// column list before pruning).
-    pub fn prepare(
+    /// changes path selection (eligibility is decided from the full column
+    /// list before pruning).
+    pub(crate) fn prepare(
         udf: &'a graceful_udf::GeneratedUdf,
         cols: Vec<&'a Column>,
-        backend: UdfBackend,
+        typed_lanes: bool,
         weights: CostWeights,
         batch: usize,
         overhead: f64,
         prune: bool,
     ) -> Result<Self> {
-        let prog = match backend {
-            UdfBackend::Vm | UdfBackend::Simd => Some(compile(&udf.def)?),
-            UdfBackend::TreeWalk => None,
-        };
+        let prog = compile(&udf.def)?;
         // Eligibility is decided from the FULL column list: pruning must
-        // only skip gathers, never flip which backend path runs.
-        let shape = if backend == UdfBackend::Simd {
-            let typed = cols.iter().all(|c| c.data_type() != DataType::Text);
-            prog.as_ref().map(|p| p.simd_shape()).filter(|s| s.has_fast_path && typed)
-        } else {
-            None
-        };
+        // only skip gathers, never flip which path runs. `for_type` has no
+        // lane for `Text`, so one such column makes the whole list `None`.
+        // Each lane holds one zeroed batch, so a worker's clone of it is
+        // allocated at batch size once.
+        let batch = batch.max(1);
+        let shape = typed_lanes.then(|| prog.simd_shape()).filter(|s| s.has_fast_path);
+        let typed = shape.and_then(|shape| {
+            let lanes: Option<Vec<TypedCol>> = cols
+                .iter()
+                .map(|c| {
+                    let mut lane = TypedCol::for_type(c.data_type(), batch)?;
+                    lane.fill_zero(batch);
+                    Some(lane)
+                })
+                .collect();
+            Some((shape, lanes?))
+        });
         let dead = if prune && cols.len() == udf.def.params.len() {
             let read = udf.def.param_read_set();
             udf.def
@@ -197,22 +203,7 @@ impl<'a> UdfEvalSpec<'a> {
         } else {
             vec![false; cols.len()]
         };
-        Ok(UdfEvalSpec {
-            udf,
-            cols,
-            weights,
-            backend,
-            prog,
-            shape,
-            batch: batch.max(1),
-            overhead,
-            dead,
-        })
-    }
-
-    /// Which parameters this spec will prune (liveness-dead, non-Text).
-    pub fn dead_params(&self) -> &[bool] {
-        &self.dead
+        Ok(UdfEvalSpec { cols, weights, prog, typed, batch, overhead, dead })
     }
 
     /// Evaluate rows `0..n` — mapped to storage row ids by `rid_of` — in
@@ -221,10 +212,10 @@ impl<'a> UdfEvalSpec<'a> {
     /// order**. The outer error is a panicking evaluator
     /// (`GracefulError::WorkerPanic`), an inner one that morsel's own.
     ///
-    /// This is the one shared kernel behind both executor modes' UDF
-    /// operators: the per-morsel float grouping and the merge order live
-    /// here and only here, so the modes cannot drift apart.
-    pub fn eval_morsels(
+    /// This is the one kernel behind both drivers' UDF operators: the
+    /// per-morsel float grouping and the merge order live here and only
+    /// here, so the drivers cannot drift apart.
+    pub(crate) fn eval_morsels(
         &self,
         pool: &Pool,
         n: usize,
@@ -249,105 +240,40 @@ impl<'a> UdfEvalSpec<'a> {
     }
 
     /// Build one evaluator for a pool worker. The instance owns all its
-    /// scratch state (interpreter, warmed VM register file, gather buffers),
-    /// so parallel evaluation never contends and never reallocates per row.
-    pub fn new_eval(&self) -> Box<dyn UdfEval + '_> {
-        match self.backend {
-            UdfBackend::TreeWalk => Box::new(TreewalkEval {
-                interp: Interpreter::new(self.weights.clone()),
-                args: Vec::with_capacity(self.cols.len()),
-                udf: &self.udf.def,
+    /// scratch state (warmed VM register file, gather buffers), so parallel
+    /// evaluation never contends and never reallocates per row.
+    fn new_eval(&self) -> Box<dyn UdfEval + '_> {
+        let mut vm = Vm::new(self.weights.clone());
+        vm.warm(&self.prog);
+        match &self.typed {
+            Some((shape, lanes)) => Box::new(SimdEval {
+                vm,
+                prog: &self.prog,
+                shape,
+                typed_bufs: lanes.clone(),
+                outs: Vec::with_capacity(self.batch),
                 cols: &self.cols,
                 dead: &self.dead,
+                batch: self.batch,
                 overhead: self.overhead,
             }),
-            UdfBackend::Simd if self.shape.is_some() => {
-                let prog = self.prog.as_ref().expect("program compiled for SIMD backend");
-                let mut vm = Vm::new(self.weights.clone());
-                vm.warm(prog);
-                Box::new(SimdEval {
-                    vm,
-                    prog,
-                    shape: self.shape.as_ref().expect("shape checked"),
-                    typed_bufs: self
-                        .cols
-                        .iter()
-                        .map(|c| {
-                            TypedCol::for_type(c.data_type(), self.batch)
-                                .expect("eligibility checked non-Text")
-                        })
-                        .collect(),
-                    outs: Vec::with_capacity(self.batch),
-                    cols: &self.cols,
-                    dead: &self.dead,
-                    batch: self.batch,
-                    overhead: self.overhead,
-                })
-            }
-            UdfBackend::Vm | UdfBackend::Simd => {
-                let prog = self.prog.as_ref().expect("program compiled for VM backend");
-                let mut vm = Vm::new(self.weights.clone());
-                vm.warm(prog);
-                Box::new(VmEval {
-                    vm,
-                    prog,
-                    col_bufs: self.cols.iter().map(|_| Vec::with_capacity(self.batch)).collect(),
-                    outs: Vec::with_capacity(self.batch),
-                    cols: &self.cols,
-                    dead: &self.dead,
-                    batch: self.batch,
-                    overhead: self.overhead,
-                })
-            }
+            None => Box::new(VmEval {
+                vm,
+                prog: &self.prog,
+                col_bufs: self.cols.iter().map(|_| Vec::with_capacity(self.batch)).collect(),
+                outs: Vec::with_capacity(self.batch),
+                cols: &self.cols,
+                dead: &self.dead,
+                batch: self.batch,
+                overhead: self.overhead,
+            }),
         }
-    }
-}
-
-/// Oracle backend: the slot-table tree-walking interpreter, one row at a
-/// time, work accounted per row. The only non-test use of [`Interpreter`] in
-/// the plan/exec/core layers.
-struct TreewalkEval<'a> {
-    interp: Interpreter,
-    /// Argument gather buffer, reused across rows.
-    args: Vec<Value>,
-    udf: &'a graceful_udf::UdfDef,
-    cols: &'a [&'a Column],
-    /// Liveness-dead parameters: gathered as `Value::Null` placeholders
-    /// instead of reading the column (the body never observes them).
-    dead: &'a [bool],
-    overhead: f64,
-}
-
-impl UdfEval for TreewalkEval<'_> {
-    fn eval_rows(
-        &mut self,
-        rids: &[usize],
-        values: &mut Vec<Value>,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-    ) -> Result<()> {
-        for &rid in rids {
-            self.args.clear();
-            self.args.extend(self.cols.iter().zip(self.dead.iter()).map(|(c, &d)| {
-                if d {
-                    Value::Null
-                } else {
-                    c.value(rid)
-                }
-            }));
-            let out = self.interp.eval(self.udf, &self.args)?;
-            *work += out.cost.total + self.overhead;
-            values.push(out.value);
-        }
-        stats.rows += rids.len() as u64;
-        // The tree-walker's "batch" is a single row.
-        stats.batches += rids.len() as u64;
-        Ok(())
     }
 }
 
 /// Bytecode batch VM: rows are gathered into boxed-`Value` column buffers and
-/// evaluated `batch` rows at a time; work accounted per batch.
+/// evaluated `batch` rows at a time; work accounted per batch. Serves the
+/// operators with no columnar path, and every operator of the reference run.
 struct VmEval<'a> {
     vm: Vm,
     prog: &'a Program,

@@ -1,10 +1,10 @@
 //! Level-synchronous, graph-vectorized GNN execution.
 //!
-//! The engine behind every estimate and every default training step. The
+//! The engine behind every estimate and every training step. The
 //! node-at-a-time reference it is verified against
-//! ([`GnnModel::predict_reference`], `GnnExecMode::NodeAtATime`) builds a
-//! fresh tape per graph and runs every per-type MLP on `1×f` row tensors —
-//! for a hidden width of 32 that means cloning a `64×32` weight matrix onto
+//! ([`GnnModel::predict_reference`], [`GnnModel::train_batch_reference`])
+//! builds a fresh tape per graph and runs every per-type MLP on `1×f` row
+//! tensors — for a hidden width of 32 that means cloning a `64×32` weight matrix onto
 //! the tape per node per layer and paying allocator overhead per op. This
 //! module replaces that with a **batched** pass (a single graph is a batch
 //! of one):
@@ -604,7 +604,7 @@ pub(crate) fn train_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gnn::{GnnConfig, GnnExecMode};
+    use crate::gnn::GnnConfig;
     use graceful_common::rng::Rng;
 
     /// Random typed DAG with heterogeneous fan-in, shared children, multiple
@@ -712,10 +712,8 @@ mod tests {
             b.fit_target_norm(&targets).unwrap();
             for (chunk_g, chunk_t) in graphs.chunks(bsz).zip(targets.chunks(bsz)) {
                 let refs: Vec<&TypedGraph> = chunk_g.iter().collect();
-                let la =
-                    a.train_batch_in(GnnExecMode::NodeAtATime, &refs, chunk_t, &adam, 1.0).unwrap();
-                let lb =
-                    b.train_batch_in(GnnExecMode::Batched, &refs, chunk_t, &adam, 1.0).unwrap();
+                let la = a.train_batch_reference(&refs, chunk_t, &adam, 1.0).unwrap();
+                let lb = b.train_batch(&refs, chunk_t, &adam, 1.0).unwrap();
                 assert_eq!(la.to_bits(), lb.to_bits(), "loss diverged at batch size {bsz}");
             }
             assert_eq!(
@@ -748,8 +746,8 @@ mod tests {
         b.fit_target_norm(&[100.0]).unwrap();
         let adam = AdamConfig::default();
         for _ in 0..5 {
-            let la = a.train_batch_in(GnnExecMode::NodeAtATime, &[&g], &[100.0], &adam, 1.0);
-            let lb = b.train_batch_in(GnnExecMode::Batched, &[&g], &[100.0], &adam, 1.0);
+            let la = a.train_batch_reference(&[&g], &[100.0], &adam, 1.0);
+            let lb = b.train_batch(&[&g], &[100.0], &adam, 1.0);
             assert_eq!(la.unwrap().to_bits(), lb.unwrap().to_bits());
         }
         assert_eq!(a.param_checksum(), b.param_checksum());
@@ -760,10 +758,10 @@ mod tests {
         let cfg = GnnConfig { hidden: 4, feature_dims: dims(), readout_hidden: 4 };
         let mut m = GnnModel::new(cfg, 1).unwrap();
         let adam = AdamConfig::default();
-        assert!(m.train_batch_in(GnnExecMode::Batched, &[], &[], &adam, 1.0).is_err());
+        assert!(m.train_batch(&[], &[], &adam, 1.0).is_err());
         let (graphs, _) = graphs_and_targets(9, 2);
         let refs: Vec<&TypedGraph> = graphs.iter().collect();
-        assert!(m.train_batch_in(GnnExecMode::Batched, &refs, &[1.0], &adam, 1.0).is_err());
+        assert!(m.train_batch(&refs, &[1.0], &adam, 1.0).is_err());
         assert!(m.predict_batch(&[]).unwrap().is_empty());
         assert!(m.predict_roots(&refs, &[]).unwrap().is_empty());
         for root in [(0, refs[0].len()), (refs.len(), 0)] {

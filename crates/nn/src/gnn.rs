@@ -22,17 +22,18 @@
 //! # One engine, one oracle
 //!
 //! Every estimate ([`GnnModel::predict`], [`GnnModel::predict_batch`]) and
-//! every default training step runs on the level-synchronous engine in the
-//! crate-private `batched` module: a whole mini-batch of graphs (a one-graph
-//! batch for `predict`) packed together, nodes grouped by (topological level
-//! × node type), every MLP applied once per group on an `N×f` matrix.
+//! every training step ([`GnnModel::train_batch`]) runs on the
+//! level-synchronous engine in the crate-private `batched` module: a whole
+//! mini-batch of graphs (a one-graph batch for `predict`) packed together,
+//! nodes grouped by (topological level × node type), every MLP applied once
+//! per group on an `N×f` matrix.
 //!
 //! The node-at-a-time implementation in this file — a fresh [`Tape`] per
 //! graph, every per-type MLP applied to `1×f` row tensors in topological
 //! order; simple, obviously correct, slow — is kept as the **differential
 //! oracle** the engine's hand-derived backward is verified against. It is
-//! reachable only by name: [`GnnModel::predict_reference`] and
-//! [`GnnModel::train_batch_in`] under [`GnnExecMode::NodeAtATime`]. Child
+//! reachable only by name — [`GnnModel::predict_reference`] and
+//! [`GnnModel::train_batch_reference`] — and no option selects it. Child
 //! aggregation and parameter-gradient accumulation in the engine replay the
 //! oracle's float-addition chains exactly, so predictions, losses and trained
 //! parameters are **bit-identical** at every batch size (the differential
@@ -45,18 +46,6 @@ use crate::tensor::Tensor;
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use serde::{Deserialize, Serialize};
-
-/// Which implementation a training step runs on — the programmatic oracle
-/// selector behind `TrainOptions::exec`. Both are bit-identical; there is no
-/// environment knob, and estimates always run on the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum GnnExecMode {
-    /// The level-synchronous engine (what ships).
-    #[default]
-    Batched,
-    /// The node-at-a-time tape reference, kept as the differential oracle.
-    NodeAtATime,
-}
 
 /// A typed DAG instance ready for the GNN.
 ///
@@ -297,33 +286,26 @@ impl GnnModel {
         Ok((log_ns as f64).exp())
     }
 
-    /// One training step over a mini-batch under `mode`; returns the mean
-    /// Huber loss. Both modes produce bit-identical losses, gradients and
-    /// post-step parameters.
+    /// One training step over a mini-batch, packed into one
+    /// level-synchronous pass of the engine; returns the mean Huber loss.
     ///
     /// Targets are runtimes in nanoseconds; the Huber delta is in normalized
     /// log units.
-    pub fn train_batch_in(
+    pub fn train_batch(
         &mut self,
-        mode: GnnExecMode,
         graphs: &[&TypedGraph],
         targets_ns: &[f64],
         adam: &AdamConfig,
         huber_delta: f32,
     ) -> Result<f32> {
-        match mode {
-            GnnExecMode::NodeAtATime => {
-                self.train_batch_reference(graphs, targets_ns, adam, huber_delta)
-            }
-            GnnExecMode::Batched => {
-                batched::train_batch(self, graphs, targets_ns, adam, huber_delta)
-            }
-        }
+        batched::train_batch(self, graphs, targets_ns, adam, huber_delta)
     }
 
-    /// One training step with the node-at-a-time reference (what
-    /// [`GnnExecMode::NodeAtATime`] selects).
-    fn train_batch_reference(
+    /// [`GnnModel::train_batch`] on the node-at-a-time tape reference — the
+    /// oracle of the engine's hand-derived backward: bit-identical loss,
+    /// gradients and post-step parameters at every batch size. Nothing in
+    /// production calls it.
+    pub fn train_batch_reference(
         &mut self,
         graphs: &[&TypedGraph],
         targets_ns: &[f64],
@@ -400,8 +382,8 @@ impl GnnModel {
     }
 }
 
-/// Huber loss and its derivative at `err` (shared by both exec modes so the
-/// formulas cannot drift apart).
+/// Huber loss and its derivative at `err` (shared by the engine and the
+/// reference so the formulas cannot drift apart).
 pub(crate) fn huber(err: f32, delta: f32) -> (f32, f32) {
     if err.abs() <= delta {
         (0.5 * err * err, err)
@@ -474,7 +456,7 @@ mod tests {
             for chunk in data.chunks(16) {
                 let graphs: Vec<&TypedGraph> = chunk.iter().map(|(g, _)| g).collect();
                 let ts: Vec<f64> = chunk.iter().map(|(_, t)| *t).collect();
-                model.train_batch_in(GnnExecMode::Batched, &graphs, &ts, &adam, 1.0).unwrap();
+                model.train_batch(&graphs, &ts, &adam, 1.0).unwrap();
             }
         }
         // Evaluate Q-error on fresh graphs.

@@ -18,8 +18,8 @@
 //!   Training and every prediction run on the **batched level-synchronous
 //!   engine** — every MLP applied once per (level × type) group, a single
 //!   graph being a batch of one. The node-at-a-time tape implementation
-//!   stays as the bit-identical differential oracle
-//!   ([`GnnModel::predict_reference`], [`gnn::GnnExecMode::NodeAtATime`]).
+//!   stays as the bit-identical differential oracle, reached by name
+//!   ([`GnnModel::predict_reference`], [`GnnModel::train_batch_reference`]).
 //!
 //! Everything is deterministic given the seed, and models serialize with
 //! `serde` so trained estimators can be saved and reloaded.
@@ -32,7 +32,7 @@ pub mod mlp;
 pub mod tape;
 pub mod tensor;
 
-pub use gnn::{GnnConfig, GnnExecMode, GnnModel, TypedGraph};
+pub use gnn::{GnnConfig, GnnModel, TypedGraph};
 pub use mlp::{AdamConfig, Linear, Mlp, ParamId, ParamStore};
 pub use tape::{Op, Tape, VarId};
 pub use tensor::Tensor;

@@ -81,10 +81,6 @@ pub struct FlightRecord {
     pub seed: u64,
     /// Stable plan fingerprint (`graceful_plan::Plan::fingerprint_hex`).
     pub plan: String,
-    /// Executor mode (`Pipeline` / `Materialize`).
-    pub mode: String,
-    /// UDF backend (`TreeWalk` / `Vm` / `Simd`).
-    pub backend: String,
     /// Worker-thread budget.
     pub threads: u64,
     /// Rows per morsel.
@@ -133,10 +129,7 @@ impl FlightRecord {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "EXPLAIN ANALYZE  mode={} backend={} threads={} morsel={} udf_batch={} \
-             wall={} simulated={}",
-            self.mode,
-            self.backend,
+            "EXPLAIN ANALYZE  threads={} morsel={} udf_batch={} wall={} simulated={}",
             self.threads,
             self.morsel,
             self.udf_batch,
@@ -347,8 +340,6 @@ mod tests {
         FlightRecord {
             seed,
             plan: format!("{seed:016x}"),
-            mode: "Pipeline".into(),
-            backend: "Vm".into(),
             threads: 2,
             morsel: 64,
             udf_batch: 37,

@@ -44,7 +44,7 @@ pub fn upper_bounds(plan: &Plan, db: &Database) -> Result<Vec<f64>> {
 /// cardinality advisor's what-if scaling multiplies ancestor estimates by a
 /// hypothetical UDF selectivity and can legitimately exceed the bound.
 /// Estimators that annotate from actual data (`annotate`) must stay within
-/// it — `examples/plan_lint.rs` holds them to that.
+/// it — `examples/lint.rs` holds them to that.
 ///
 /// A small relative-plus-absolute slack absorbs float rounding in estimator
 /// arithmetic (selectivity products over large row counts).

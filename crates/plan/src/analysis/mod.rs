@@ -24,7 +24,7 @@
 //! Two clients sit on top:
 //!
 //! * [`verify`] — the **plan verifier** the execution engine runs before
-//!   lowering (under the default `GRACEFUL_PLAN_VERIFY=strict`). It combines
+//!   every lowering. It combines
 //!   the catalog-free structural checks ([`verify_structure`]: bounds,
 //!   arity, genuine cycle/unreachability detection, parent counts,
 //!   topological order) with schema inference and estimate sanity, and
@@ -35,7 +35,7 @@
 //!   [`verify`] deliberately does **not** include [`bounds::verify_bounds`]:
 //!   the cardinality advisor legitimately scales ancestor estimates past the
 //!   monotone bound when enumerating hypothetical UDF selectivities, so the
-//!   bound cross-check is a lint (see `examples/plan_lint.rs`), not a gate.
+//!   bound cross-check is a lint (see `examples/lint.rs`), not a gate.
 //! * [`RewriteSet`] — **verified rewrites** derived
 //!   from the analyses: constant-predicate folding (a predicate statistics
 //!   prove always/never true is not evaluated per row) and dead-column

@@ -122,8 +122,7 @@ pub fn verify_structure(plan: &Plan) -> Result<()> {
 /// Full pre-execution verification: structural checks, schema/type inference
 /// against the catalog, and `est_out_rows` sanity (finite and non-negative).
 ///
-/// This is the gate the execution engine runs under the default
-/// `GRACEFUL_PLAN_VERIFY=strict`. Cardinality *bound* cross-checking is
+/// This is the gate the execution engine runs before every query. Cardinality *bound* cross-checking is
 /// intentionally excluded (see [`crate::analysis::verify_bounds`]): the
 /// advisor's what-if scaling legitimately pushes ancestor estimates past the
 /// monotone bound, and an estimate — however wrong — never makes execution

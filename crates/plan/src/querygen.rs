@@ -537,7 +537,7 @@ mod tests {
         (CmpOp::Le, outputs[idx.min(outputs.len() - 1)])
     }
 
-    /// Over the `plan_lint` corpus (same schemas, scale, seeds, adaptations
+    /// Over the `lint plan` corpus (same schemas, scale, seeds, adaptations
     /// applied as it goes): the compiled calibration returns the oracle's
     /// literal bit for bit and leaves the generator's RNG where the oracle
     /// leaves it — `calibrate_literal` is the only place `generate` touches

@@ -13,9 +13,9 @@
 //!   join-semilattice [`dataflow::Domain`].
 //! - [`domains`] instantiates it four ways: definite initialization, a type
 //!   lattice, null-ness, and integer intervals (with widening).
-//! - [`verify`](verify::verify) runs on every `compile()` result (under the
-//!   default `GRACEFUL_VERIFY=strict`) and turns a violated invariant into a
-//!   typed [`GracefulError::Verify`](graceful_common::GracefulError::Verify)
+//! - [`verify`](verify::verify) runs on every `compile()` result and turns a
+//!   violated invariant into a typed
+//!   [`GracefulError::Verify`](graceful_common::GracefulError::Verify)
 //!   instead of backend-divergent behaviour or a release-mode panic.
 //! - [`tripcount`] proves constant trip counts for `for` loops, which lets
 //!   [`Program::simd_shape`](crate::bytecode::Program::simd_shape) reclassify

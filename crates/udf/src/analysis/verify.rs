@@ -4,8 +4,7 @@
 //! The VM and the SIMD executor index registers, constants and jump targets
 //! straight out of the [`Program`] — a compiler bug there would surface as a
 //! release-mode panic, silent garbage, or backend-divergent cost totals.
-//! Under the default `GRACEFUL_VERIFY=strict` every
-//! [`compile`](crate::bytecode::compile) result passes through
+//! Every [`compile`](crate::bytecode::compile) result passes through
 //! [`verify`] first, so a violated invariant becomes a typed
 //! [`GracefulError::Verify`] at compile time instead. The checks, in order:
 //!

@@ -23,7 +23,6 @@
 use crate::ast::{Expr, Stmt, UdfDef, UnOp};
 use crate::interp::MAX_WHILE_ITERS;
 use crate::libfns::LibFn;
-use graceful_common::config::VerifyMode;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::Value;
 
@@ -238,32 +237,15 @@ pub(crate) fn check_params(udf: &UdfDef) -> Result<()> {
     Ok(())
 }
 
-/// Process-wide verification mode, parsed from `GRACEFUL_VERIFY` once (same
-/// pattern as every other `GRACEFUL_*` knob: read once, strict validation,
-/// a bad value is a typed [`GracefulError::Config`] on first use).
-static VERIFY_MODE: std::sync::OnceLock<std::result::Result<VerifyMode, String>> =
-    std::sync::OnceLock::new();
-
-fn verify_mode() -> Result<VerifyMode> {
-    VERIFY_MODE.get_or_init(VerifyMode::try_from_env).clone().map_err(GracefulError::Config)
-}
-
 /// Compile a UDF definition to bytecode.
 ///
 /// Fails for duplicate parameter names, for degenerate inputs the register
 /// encoding cannot express (>32k registers or constants) — every UDF the
-/// generator or parser produces compiles — and, under the default
-/// `GRACEFUL_VERIFY=strict`, for any program the bytecode verifier
-/// ([`crate::analysis::verify()`]) rejects, so a compiler bug surfaces here as
-/// a typed error instead of as backend-divergent behaviour downstream.
+/// generator or parser produces compiles — and for any program the bytecode
+/// verifier ([`crate::analysis::verify()`]) rejects, so a compiler bug
+/// surfaces here as a typed error instead of as backend-divergent behaviour
+/// downstream. The verifier always runs: nothing switches it off.
 pub fn compile(udf: &UdfDef) -> Result<Program> {
-    compile_with(udf, verify_mode()?)
-}
-
-/// [`compile`] with an explicit [`VerifyMode`] (the env-independent entry
-/// point: tests and the lint harness pass `VerifyMode::Strict` directly so
-/// they never race the process environment).
-pub fn compile_with(udf: &UdfDef, mode: VerifyMode) -> Result<Program> {
     check_params(udf)?;
     let slots = SlotTable::build(udf);
     let mut c = Compiler {
@@ -288,9 +270,7 @@ pub fn compile_with(udf: &UdfDef, mode: VerifyMode) -> Result<Program> {
         slots,
         name: udf.name.clone(),
     };
-    if mode == VerifyMode::Strict {
-        crate::analysis::verify(&prog)?;
-    }
+    crate::analysis::verify(&prog)?;
     Ok(prog)
 }
 

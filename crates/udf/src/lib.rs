@@ -45,7 +45,7 @@ pub mod typecheck;
 pub mod vm;
 
 pub use ast::{BinOp, CmpOp, Expr, Stmt, UdfDef, UnOp};
-pub use bytecode::{compile, compile_with, InstrClass, Program, SimdShape, SlotTable};
+pub use bytecode::{compile, InstrClass, Program, SimdShape, SlotTable};
 pub use costs::{CostCounter, CostWeights};
 pub use generator::{AdaptAction, GeneratedUdf, UdfGenConfig, UdfGenerator};
 pub use interp::{EvalOutcome, Interpreter, MAX_WHILE_ITERS};

@@ -10,6 +10,7 @@
 use graceful::prelude::*;
 
 fn main() {
+    let session = Session::from_env().expect("valid GRACEFUL_* configuration");
     let cfg = ScaleConfig {
         data_scale: 0.08,
         queries_per_db: 50,
@@ -19,14 +20,14 @@ fn main() {
     };
     println!("building corpora (train: tpc_h, ssb, movielens; test: airline)...");
     let train = vec![
-        build_corpus("tpc_h", &cfg, 1).unwrap(),
-        build_corpus("ssb", &cfg, 2).unwrap(),
-        build_corpus("movielens", &cfg, 3).unwrap(),
+        build_corpus_in(&session, "tpc_h", &cfg, 1).unwrap(),
+        build_corpus_in(&session, "ssb", &cfg, 2).unwrap(),
+        build_corpus_in(&session, "movielens", &cfg, 3).unwrap(),
     ];
-    let test = build_corpus("airline", &cfg, 4).unwrap();
+    let test = build_corpus_in(&session, "airline", &cfg, 4).unwrap();
     let n_train: usize = train.iter().map(|c| c.queries.len()).sum();
     println!("training GRACEFUL on {n_train} queries...");
-    let model = train_graceful(&train, &cfg, Featurizer::full());
+    let model = train_graceful(&session, &train, &cfg, Featurizer::full()).expect("model trains");
 
     println!("\nzero-shot Q-errors on `airline` ({} queries):", test.queries.len());
     println!("{:<18} {:>8} {:>8} {:>8}", "card. estimator", "median", "p95", "p99");

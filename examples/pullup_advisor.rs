@@ -92,10 +92,10 @@ def udf(movie_id, keyword_id):
     };
     println!("training advisor model on tpc_h + financial (imdb unseen)...");
     let train = vec![
-        build_corpus("tpc_h", &cfg, 21).unwrap(),
-        build_corpus("financial", &cfg, 22).unwrap(),
+        build_corpus_in(&session, "tpc_h", &cfg, 21).unwrap(),
+        build_corpus_in(&session, "financial", &cfg, 22).unwrap(),
     ];
-    let model = train_graceful(&train, &cfg, Featurizer::full());
+    let model = train_graceful(&session, &train, &cfg, Featurizer::full()).expect("model trains");
     let advisor = PullUpAdvisor::new(&model);
     let est = DataDrivenCard::build(&db, 9);
     for strat in [Strategy::Conservative, Strategy::AreaUnderCurve, Strategy::UpperBoundCardinality]

@@ -66,8 +66,8 @@ def score(production_year, kind_id):
     };
     // Engine configuration is programmatic: `Session::from_env()` applies
     // the documented GRACEFUL_* defaults once, `ExecOptions::new()` builds a
-    // fully env-free session (e.g. `.udf_backend(UdfBackend::Vm)`). Here the
-    // environment defaults are kept but per-operator profiling is forced on
+    // fully env-free session (e.g. `.threads(2).udf_batch_size(512)`). Here
+    // the environment defaults are kept but per-operator profiling is forced on
     // (`GRACEFUL_PROFILE=1` would do the same).
     let session =
         ExecOptions::new().profile(true).build_with_env().expect("valid GRACEFUL_* configuration");
@@ -89,9 +89,10 @@ def score(production_year, kind_id):
         hidden: 24,
         ..ScaleConfig::default()
     };
-    let corpus = build_corpus("imdb", &cfg, 42).expect("corpus builds");
+    let corpus = build_corpus_in(&session, "imdb", &cfg, 42).expect("corpus builds");
     println!("\ntraining on {} labelled queries...", corpus.queries.len());
-    let model = train_graceful(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
+    let model = train_graceful(&session, std::slice::from_ref(&corpus), &cfg, Featurizer::full())
+        .expect("model trains");
     println!("model has {} parameters", model.param_count());
 
     // 5. Predict the hand-written query's runtime.

@@ -22,7 +22,6 @@
 //!
 //! // An env-free, fully programmatic engine session.
 //! let session = ExecOptions::new()
-//!     .udf_backend(UdfBackend::Vm)
 //!     .udf_batch_size(512)
 //!     .threads(2)
 //!     .build()
@@ -38,15 +37,20 @@
 //! let plan = build_plan(&spec, UdfPlacement::PushDown).expect("plan built");
 //! let run = session.run(&db, &plan, spec.id).expect("plan executes");
 //! assert!(run.runtime_ns > 0.0);
+//! // The oracle, reached by name: every execution shortcut off, same bits.
+//! let oracle = session.run_reference(&db, &plan, spec.id).expect("plan executes");
+//! assert_eq!(run.runtime_ns.to_bits(), oracle.runtime_ns.to_bits());
 //! ```
 //!
 //! ```no_run
 //! use graceful::prelude::*;
 //!
 //! // Generate a database, build a workload, train and apply the estimator.
+//! let session = Session::from_env().unwrap(); // the documented GRACEFUL_* defaults
 //! let cfg = ScaleConfig { queries_per_db: 40, ..ScaleConfig::default() };
-//! let corpus = build_corpus("imdb", &cfg, 42).unwrap();
-//! let model = train_graceful(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
+//! let corpus = build_corpus_in(&session, "imdb", &cfg, 42).unwrap();
+//! let model =
+//!     train_graceful(&session, std::slice::from_ref(&corpus), &cfg, Featurizer::full()).unwrap();
 //! println!("{}", evaluate_actual(&model, &corpus));
 //! ```
 
@@ -65,7 +69,7 @@ pub use graceful_runtime as runtime;
 pub use graceful_storage as storage;
 pub use graceful_udf as udf;
 
-pub use graceful_exec::{ExecMode, ExecOptions, Session};
+pub use graceful_exec::{ExecOptions, Session};
 
 /// Everything a downstream user typically needs.
 pub mod prelude {
@@ -73,22 +77,18 @@ pub mod prelude {
         ActualCard, CardEstimator, DataDrivenCard, HitRatioEstimator, NaiveCard, SamplingCard,
     };
     pub use graceful_cfg::{build_dag, DagConfig, UdfDag, UdfNodeKind};
-    pub use graceful_common::config::{ScaleConfig, UdfBackend};
+    pub use graceful_common::config::ScaleConfig;
     pub use graceful_common::metrics::{q_error, QErrorSummary};
     pub use graceful_common::rng::Rng;
     pub use graceful_core::advisor::{PullUpAdvisor, Strategy};
-    pub use graceful_core::corpus::{
-        build_all_corpora, build_all_corpora_in, build_all_corpora_on, build_corpus,
-        build_corpus_in, DatasetCorpus,
-    };
+    pub use graceful_core::corpus::{build_all_corpora_in, build_corpus_in, DatasetCorpus};
     pub use graceful_core::experiments::{
         cross_validate, evaluate_actual, evaluate_model, summarize, train_graceful, EstimatorKind,
     };
     pub use graceful_core::featurize::Featurizer;
     pub use graceful_core::model::{GracefulModel, TrainConfig, TrainOptions};
     pub use graceful_core::telemetry::{labels_from_flight, run_with_model, ModelRun};
-    pub use graceful_exec::{ExecMode, ExecOptions, ExecProfile, Executor, Session};
-    pub use graceful_nn::GnnExecMode;
+    pub use graceful_exec::{ExecOptions, ExecProfile, Executor, Session};
     pub use graceful_obs::flight::{FlightOp, FlightRecord};
     pub use graceful_plan::{build_plan, QueryGenerator, QuerySpec, UdfPlacement, UdfUsage};
     pub use graceful_runtime::Pool;

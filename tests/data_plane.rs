@@ -4,14 +4,14 @@
 //! Two invariants guard the compressed, parallel data plane:
 //!
 //! * **Encoding transparency** — dictionary/RLE-encoded columns answer
-//!   every query bit-identically to their plain decodings, through all
-//!   three UDF backends and both executor modes (the SIMD gather decodes
-//!   straight from codes, so this is a real differential, not a no-op).
-//! * **Pruning soundness** — with zone-map pruning disabled, every
-//!   contracted `QueryRun` field matches the pruned run bit for bit, on
-//!   generated corpus queries and on hand-built adversarial zones (NaN
-//!   runs, `i64::MIN`/`i64::MAX` keys, all-NULL morsels, NULL/text/NaN
-//!   literals).
+//!   every query bit-identically to their plain decodings, through `run`
+//!   and through `run_reference` (the typed-lane gather decodes straight
+//!   from codes, so this is a real differential, not a no-op).
+//! * **Pruning soundness** — the reference run never prunes, and every
+//!   contracted `QueryRun` field of the pruned `run` matches it bit for
+//!   bit, on generated corpus queries and on hand-built adversarial zones
+//!   (NaN runs, `i64::MIN`/`i64::MAX` keys, all-NULL morsels,
+//!   NULL/text/NaN literals).
 //!
 //! A third guards `ANALYZE`: counting on typed keys (one counter per
 //! dictionary code, one add per RLE run) yields bit for bit the statistics
@@ -42,14 +42,11 @@ fn assert_runs_bit_identical(a: &QueryRun, b: &QueryRun, what: &str) {
     }
 }
 
-fn session(backend: UdfBackend, mode: ExecMode, threads: usize, pruning: bool) -> Session {
+fn session(threads: usize) -> Session {
     ExecOptions::new()
-        .udf_backend(backend)
         .udf_batch_size(37)
         .threads(threads)
         .morsel_rows(64)
-        .mode(mode)
-        .pruning(pruning)
         .build()
         .expect("valid options")
 }
@@ -103,8 +100,7 @@ proptest! {
 
     /// Dict/RLE-encoded columns are invisible to execution: generated
     /// queries answer bit-identically on the encoded database and on its
-    /// plain decoding, through all three UDF backends and both executor
-    /// modes.
+    /// plain decoding, through `run` and through `run_reference`.
     #[test]
     fn encoded_columns_run_bit_identical_to_plain(seed in 0u64..5_000) {
         let mut db = generate(&schema("tpc_h"), 0.05, 11);
@@ -123,21 +119,16 @@ proptest! {
                 Ok(p) => p,
                 Err(_) => continue,
             };
-            for backend in [UdfBackend::TreeWalk, UdfBackend::Vm, UdfBackend::Simd] {
-                for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-                    let s = session(backend, mode, 2, true);
-                    let enc = match s.run(&db, &plan, seed) {
-                        Ok(r) => r,
-                        Err(_) => continue, // cap trips identically on both
-                    };
-                    let pln = s.run(&plain_db, &plan, seed).expect("plain run succeeds");
-                    assert_runs_bit_identical(
-                        &enc,
-                        &pln,
-                        &format!("encoded vs plain: {backend:?} x {mode:?}"),
-                    );
-                }
-            }
+            let s = session(2);
+            let enc = match s.run(&db, &plan, seed) {
+                Ok(r) => r,
+                Err(_) => continue, // cap trips identically on both
+            };
+            let pln = s.run(&plain_db, &plan, seed).expect("plain run succeeds");
+            assert_runs_bit_identical(&enc, &pln, "encoded vs plain");
+            let enc = s.run_reference(&db, &plan, seed).expect("encoded reference run");
+            let pln = s.run_reference(&plain_db, &plan, seed).expect("plain reference run");
+            assert_runs_bit_identical(&enc, &pln, "encoded vs plain, reference");
         }
     }
 }
@@ -154,9 +145,9 @@ fn filter_count_plan(table: &str, pred: Pred) -> Plan {
     }
 }
 
-/// Pruning on vs off is bit-identical on generated corpus queries, and the
-/// `scan.pruned_morsels` counter actually fires on range scans over the
-/// generated data's sorted keys.
+/// The pruning `run` is bit-identical to the never-pruning reference on
+/// generated corpus queries, and the `scan.pruned_morsels` counter actually
+/// fires on range scans over the generated data's sorted keys.
 #[test]
 fn pruning_is_invisible_and_fires_on_generated_corpus() {
     let before = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
@@ -173,21 +164,15 @@ fn pruning_is_invisible_and_fires_on_generated_corpus() {
         }
         for placement in graceful::plan::valid_placements(&spec) {
             let Ok(plan) = build_plan(&spec, placement) else { continue };
-            for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-                let on = session(UdfBackend::Simd, mode, 2, true).run(&db, &plan, seed);
-                let off = session(UdfBackend::Simd, mode, 2, false).run(&db, &plan, seed);
-                match (on, off) {
-                    (Ok(on), Ok(off)) => {
-                        assert_runs_bit_identical(
-                            &on,
-                            &off,
-                            &format!("pruning on vs off: seed {seed} x {mode:?}"),
-                        );
-                        compared += 1;
-                    }
-                    (Err(_), Err(_)) => {} // caps trip identically
-                    (on, off) => panic!("pruning changed the outcome: {on:?} vs {off:?}"),
+            let on = session(2).run(&db, &plan, seed);
+            let off = session(2).run_reference(&db, &plan, seed);
+            match (on, off) {
+                (Ok(on), Ok(off)) => {
+                    assert_runs_bit_identical(&on, &off, &format!("run vs reference: seed {seed}"));
+                    compared += 1;
                 }
+                (Err(_), Err(_)) => {} // caps trip identically
+                (on, off) => panic!("pruning changed the outcome: {on:?} vs {off:?}"),
             }
         }
     }
@@ -201,12 +186,10 @@ fn pruning_is_invisible_and_fires_on_generated_corpus() {
         let pred = Pred::new("orders_t", "id", op, Value::Int(v));
         let expected = (0..orders.num_rows()).filter(|&r| pred.matches(orders, r)).count();
         let plan = filter_count_plan("orders_t", pred);
-        for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-            let on = session(UdfBackend::Vm, mode, 2, true).run(&db, &plan, 1).unwrap();
-            let off = session(UdfBackend::Vm, mode, 2, false).run(&db, &plan, 1).unwrap();
-            assert_runs_bit_identical(&on, &off, &format!("range scan {op:?} {v} x {mode:?}"));
-            assert_eq!(on.agg_value, expected as f64, "{op:?} {v} x {mode:?}");
-        }
+        let on = session(2).run(&db, &plan, 1).unwrap();
+        let off = session(2).run_reference(&db, &plan, 1).unwrap();
+        assert_runs_bit_identical(&on, &off, &format!("range scan {op:?} {v}"));
+        assert_eq!(on.agg_value, expected as f64, "{op:?} {v}");
     }
     let after = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
     assert!(after > before, "zone pruning never fired on the generated corpus");
@@ -214,8 +197,9 @@ fn pruning_is_invisible_and_fires_on_generated_corpus() {
 
 /// Hand-built adversarial zones: NaN runs, `i64::MIN`/`i64::MAX` keys,
 /// all-NULL stretches, constant runs — probed with every comparison
-/// operator and with NaN / extreme / NULL / text literals. Pruning on vs
-/// off stays bit-identical and COUNT(*) matches a row-by-row reference.
+/// operator and with NaN / extreme / NULL / text literals. The pruning
+/// `run` stays bit-identical to the never-pruning reference run and
+/// COUNT(*) matches a row-by-row count.
 #[test]
 fn pruning_handles_adversarial_zone_edges() {
     let n = 4 * ZONE_ROWS;
@@ -270,25 +254,23 @@ fn pruning_handles_adversarial_zone_edges() {
                 let pred = Pred::new("adv", col, op, lit.clone());
                 let expected = (0..n).filter(|&r| pred.matches(adv, r)).count();
                 let plan = filter_count_plan("adv", pred);
-                for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-                    for threads in [1usize, 2] {
-                        let on = session(UdfBackend::Vm, mode, threads, true).run(&db, &plan, 1);
-                        let off = session(UdfBackend::Vm, mode, threads, false).run(&db, &plan, 1);
-                        let what = format!("{col} {op:?} {lit:?} x {mode:?} x {threads}");
-                        match (on, off) {
-                            (Ok(on), Ok(off)) => {
-                                assert_runs_bit_identical(&on, &off, &what);
-                                assert_eq!(on.agg_value, expected as f64, "{what}: wrong count");
-                            }
-                            // The plan verifier rejects never-comparable
-                            // literals (NULL, text vs numeric) up front —
-                            // identically with pruning on or off.
-                            (Err(a), Err(b)) => {
-                                assert_eq!(a.to_string(), b.to_string(), "{what}: errors differ")
-                            }
-                            (on, off) => {
-                                panic!("{what}: pruning changed the outcome: {on:?} vs {off:?}")
-                            }
+                for threads in [1usize, 2] {
+                    let on = session(threads).run(&db, &plan, 1);
+                    let off = session(threads).run_reference(&db, &plan, 1);
+                    let what = format!("{col} {op:?} {lit:?} x {threads}");
+                    match (on, off) {
+                        (Ok(on), Ok(off)) => {
+                            assert_runs_bit_identical(&on, &off, &what);
+                            assert_eq!(on.agg_value, expected as f64, "{what}: wrong count");
+                        }
+                        // The plan verifier rejects never-comparable
+                        // literals (NULL, text vs numeric) up front —
+                        // identically for both entry points.
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a.to_string(), b.to_string(), "{what}: errors differ")
+                        }
+                        (on, off) => {
+                            panic!("{what}: pruning changed the outcome: {on:?} vs {off:?}")
                         }
                     }
                 }

@@ -105,7 +105,8 @@ fn scale_above_udf_extremes() {
 #[test]
 fn projection_udf_queries_execute_and_featurize() {
     let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 30, ..ScaleConfig::default() };
-    let corpus = build_corpus("consumer", &cfg, 11).unwrap();
+    let session = Session::from_env().expect("a valid GRACEFUL_* environment");
+    let corpus = build_corpus_in(&session, "consumer", &cfg, 11).unwrap();
     let proj =
         corpus.queries.iter().find(|q| q.has_udf() && q.spec.udf_usage == UdfUsage::Projection);
     let Some(q) = proj else { return };

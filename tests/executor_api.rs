@@ -1,9 +1,11 @@
 //! Executor API contract tests: pinned aggregate-over-empty-input
 //! semantics, the `max_intermediate_rows` safety valve, and the `Session`
-//! construction path — each across UDF backends × executor modes × thread
-//! counts — plus the two checks that do not compare the engine with itself:
-//! a naive row-at-a-time evaluator of the query semantics, and the work
-//! accounting as a pure function of plan and cardinalities.
+//! construction path — each through `run` and `run_reference` — the surface
+//! itself (no option or variable picks an implementation or switches a
+//! verifier off), plus the two checks that do not compare the engine with
+//! itself: a naive row-at-a-time evaluator of the query semantics and of the
+//! UDF operator's accounted work, and the work accounting as a pure function
+//! of plan and cardinalities.
 
 use graceful::common::GracefulError;
 use graceful::exec::estimated_work;
@@ -15,16 +17,20 @@ use graceful_udf::GeneratedUdf;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn session(backend: UdfBackend, mode: ExecMode, threads: usize) -> Session {
+fn session(threads: usize) -> Session {
     ExecOptions::new()
-        .udf_backend(backend)
         .threads(threads)
         .morsel_rows(64)
         .udf_batch_size(17)
-        .mode(mode)
         .build()
         .expect("valid options")
 }
+
+/// The two entry points of the engine, by name.
+type Entry =
+    fn(&Session, &Database, &Plan, u64) -> graceful::common::Result<graceful::exec::QueryRun>;
+const ENTRIES: [(&str, Entry); 2] =
+    [("run", Session::run), ("run_reference", Session::run_reference)];
 
 /// Scan → impossible filter → (optional UdfProject) → Agg.
 fn empty_input_plan(agg: AggFunc, over_udf: bool) -> Plan {
@@ -62,37 +68,37 @@ fn empty_input_plan(agg: AggFunc, over_udf: bool) -> Plan {
 }
 
 /// The pinned empty-input semantics: COUNT(*) = 0 and SUM/AVG/MIN/MAX = 0.0
-/// over zero rows — identical across all three UDF backends, both executor
-/// modes, for both column aggregates and UDF-projected aggregates.
+/// over zero rows — identical from `run` and from `run_reference` (the other
+/// UDF backend, the other driver mode), for both column aggregates and
+/// UDF-projected aggregates.
 #[test]
 fn aggregates_over_empty_input_are_pinned_across_backends_and_modes() {
     let db = generate(&schema("tpc_h"), 0.02, 2);
-    for backend in [UdfBackend::TreeWalk, UdfBackend::Vm, UdfBackend::Simd] {
-        for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-            let s = session(backend, mode, 2);
-            for over_udf in [false, true] {
-                for agg in AggFunc::ALL {
-                    // COUNT(*) never aggregates a projected column.
-                    if agg == AggFunc::CountStar && over_udf {
-                        continue;
-                    }
-                    let plan = empty_input_plan(agg, over_udf);
-                    let run = s.run(&db, &plan, 1).unwrap();
-                    assert_eq!(
-                        run.agg_value, 0.0,
-                        "{agg:?} over empty input ({backend:?}, {mode:?}, over_udf={over_udf})"
-                    );
-                    assert_eq!(run.out_rows[1], 0, "filter must eliminate everything");
-                    assert_eq!(run.out_rows[plan.root], 1, "aggregate still emits one row");
-                    assert!(run.runtime_ns > 0.0, "scan work is still accounted");
+    let s = session(2);
+    for (entry, run) in ENTRIES {
+        for over_udf in [false, true] {
+            for agg in AggFunc::ALL {
+                // COUNT(*) never aggregates a projected column.
+                if agg == AggFunc::CountStar && over_udf {
+                    continue;
                 }
+                let plan = empty_input_plan(agg, over_udf);
+                let run = run(&s, &db, &plan, 1).unwrap();
+                assert_eq!(
+                    run.agg_value, 0.0,
+                    "{agg:?} over empty input ({entry}, over_udf={over_udf})"
+                );
+                assert_eq!(run.out_rows[1], 0, "filter must eliminate everything");
+                assert_eq!(run.out_rows[plan.root], 1, "aggregate still emits one row");
+                assert!(run.runtime_ns > 0.0, "scan work is still accounted");
             }
         }
     }
 }
 
-/// Non-empty sanity for the new MIN/MAX aggregates: both modes and all
-/// backends agree with a hand-computed fold over the column.
+/// Non-empty sanity for the MIN/MAX aggregates: the streaming and the
+/// collecting mode (`run`, `run_reference`) agree with a hand-computed fold
+/// over the column.
 #[test]
 fn min_max_agree_across_modes_on_real_rows() {
     let db = generate(&schema("tpc_h"), 0.02, 5);
@@ -111,16 +117,17 @@ fn min_max_agree_across_modes_on_real_rows() {
     let vals: Vec<f64> = (0..t.num_rows()).filter_map(|r| c.get_f64(r)).collect();
     let tmin = vals.iter().cloned().fold(f64::INFINITY, f64::min);
     let tmax = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-        let s = session(UdfBackend::TreeWalk, mode, 4);
-        assert_eq!(s.run(&db, &plan(AggFunc::Min), 1).unwrap().agg_value, tmin, "{mode:?}");
-        assert_eq!(s.run(&db, &plan(AggFunc::Max), 1).unwrap().agg_value, tmax, "{mode:?}");
+    let s = session(4);
+    for (entry, run) in ENTRIES {
+        assert_eq!(run(&s, &db, &plan(AggFunc::Min), 1).unwrap().agg_value, tmin, "{entry}");
+        assert_eq!(run(&s, &db, &plan(AggFunc::Max), 1).unwrap().agg_value, tmax, "{entry}");
     }
 }
 
 /// A join whose output blows past `max_intermediate_rows` must return a
 /// typed `GracefulError::InvalidPlan` — not OOM, not a panic — through both
-/// the materializing path and the pipeline, at 1 and 4 threads.
+/// the streaming `run` and the collecting `run_reference`, at 1 and 4
+/// threads.
 #[test]
 fn join_over_cap_returns_typed_error_in_both_modes() {
     let db = generate(&schema("tpc_h"), 0.05, 3);
@@ -143,26 +150,21 @@ fn join_over_cap_returns_typed_error_in_both_modes() {
     let n_customers = db.table("customer_t").unwrap().num_rows();
     let cap = n_customers + 10; // scans fit; the join output cannot
     assert!(db.table("orders_t").unwrap().num_rows() > cap);
-    for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
+    for (entry, run) in ENTRIES {
         for threads in [1usize, 4] {
-            let s = ExecOptions::new()
-                .threads(threads)
-                .max_intermediate_rows(cap)
-                .mode(mode)
-                .build()
-                .unwrap();
-            match s.run(&db, &plan, 1) {
+            let s = ExecOptions::new().threads(threads).max_intermediate_rows(cap).build().unwrap();
+            match run(&s, &db, &plan, 1) {
                 Err(GracefulError::InvalidPlan(m)) => {
                     assert!(m.contains("cap"), "error names the cap: {m}")
                 }
-                other => panic!("{mode:?} x {threads} threads returned {other:?}"),
+                other => panic!("{entry} x {threads} threads returned {other:?}"),
             }
         }
     }
 }
 
 /// The valve also trips on non-join operators (a scan bigger than the cap),
-/// in both modes.
+/// in the streaming `run` and the collecting `run_reference` alike.
 #[test]
 fn scan_over_cap_returns_typed_error_in_both_modes() {
     let db = generate(&schema("tpc_h"), 0.05, 3);
@@ -173,19 +175,20 @@ fn scan_over_cap_returns_typed_error_in_both_modes() {
         ],
         root: 1,
     };
-    for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-        let s = ExecOptions::new().max_intermediate_rows(5).mode(mode).build().unwrap();
+    let s = ExecOptions::new().max_intermediate_rows(5).build().unwrap();
+    for (entry, run) in ENTRIES {
         assert!(
-            matches!(s.run(&db, &plan, 1), Err(GracefulError::InvalidPlan(_))),
-            "{mode:?} must trip the valve on the scan"
+            matches!(run(&s, &db, &plan, 1), Err(GracefulError::InvalidPlan(_))),
+            "{entry} must trip the valve on the scan"
         );
     }
 }
 
 /// A hand-built plan with UDF filters on *both* sides of a join: the
-/// `udf_input_rows` channel must follow the materializing engine's
-/// plan-index-order semantics (highest-index UDF operator wins), not the
-/// pipeline's execution order — regression test for a mode divergence.
+/// `udf_input_rows` channel must follow plan-index-order semantics
+/// (highest-index UDF operator wins), not the pipelines' execution order, in
+/// the streaming `run` as in the collecting `run_reference` — regression
+/// test for a mode divergence.
 #[test]
 fn udf_input_rows_agree_across_modes_with_two_udf_operators() {
     let db = generate(&schema("tpc_h"), 0.05, 3);
@@ -230,10 +233,8 @@ fn udf_input_rows_agree_across_modes_with_two_udf_operators() {
         ],
         root: 5,
     };
-    let run_in =
-        |mode| session(UdfBackend::TreeWalk, mode, 2).run(&db, &plan, 1).expect("plan executes");
-    let pipe = run_in(ExecMode::Pipeline);
-    let mat = run_in(ExecMode::Materialize);
+    let pipe = session(2).run(&db, &plan, 1).expect("plan executes");
+    let mat = session(2).run_reference(&db, &plan, 1).expect("plan executes");
     assert_eq!(pipe.udf_input_rows, mat.udf_input_rows, "udf_input_rows diverged across modes");
     assert_eq!(
         mat.udf_input_rows,
@@ -244,8 +245,7 @@ fn udf_input_rows_agree_across_modes_with_two_udf_operators() {
     assert_eq!(pipe.runtime_ns.to_bits(), mat.runtime_ns.to_bits());
 }
 
-/// Below the cap, both modes still agree bit-for-bit — the valve changes
-/// nothing for passing queries.
+/// Below the cap the valve changes nothing for passing queries.
 #[test]
 fn runs_below_cap_are_unaffected_by_the_valve() {
     let db = generate(&schema("tpc_h"), 0.02, 3);
@@ -256,44 +256,75 @@ fn runs_below_cap_are_unaffected_by_the_valve() {
         ],
         root: 1,
     };
-    let loose = ExecOptions::new().mode(ExecMode::Pipeline).build().unwrap();
-    let tight = ExecOptions::new()
-        .max_intermediate_rows(1_000_000)
-        .mode(ExecMode::Pipeline)
-        .build()
-        .unwrap();
+    let loose = ExecOptions::new().build().unwrap();
+    let tight = ExecOptions::new().max_intermediate_rows(1_000_000).build().unwrap();
     let a = loose.run(&db, &plan, 7).unwrap();
     let b = tight.run(&db, &plan, 7).unwrap();
     assert_eq!(a.runtime_ns.to_bits(), b.runtime_ns.to_bits());
     assert_eq!(a.agg_value, b.agg_value);
 }
 
-/// What ships is the typed-lane backend on the streaming driver:
-/// `ExecOptions::new().build()` and `Session::new()` report
-/// `UdfBackend::Simd` / `ExecMode::Pipeline`, and the environment has no say
-/// in either — a *set* `GRACEFUL_UDF_BACKEND`, `GRACEFUL_EXEC` or
-/// `GRACEFUL_GNN_EXEC` (the removed knobs) fails every environment-defaulted
-/// construction, the session's and the trainer's, with a typed `Config`
-/// error naming the programmatic replacement instead of being silently
-/// ignored. A knob that is still read is strict: `GRACEFUL_EPOCHS=1O` fails
-/// the trainer's construction instead of training the default 14 epochs.
+/// Both verifiers run whatever the environment says, and nothing in the API
+/// switches one off: a mutated plan is a typed `PlanVerify` error from `run`
+/// and from `run_reference`, corrupted bytecode a typed `Verify` error, and
+/// `compile` still hands out verified programs.
+fn assert_the_verifiers_reject() {
+    let db = generate(&schema("tpc_h"), 0.02, 2);
+    let mut bad = empty_input_plan(AggFunc::Sum, true);
+    bad.ops[1].children[0] = 40; // a dangling child
+    for (entry, run) in ENTRIES {
+        match run(&Session::new(), &db, &bad, 1) {
+            Err(GracefulError::PlanVerify(_)) => {}
+            other => panic!("{entry} did not reject a dangling child: {other:?}"),
+        }
+    }
+    let def = parse_udf("def f(x0):\n    return x0 * 2.0\n").unwrap();
+    let mut prog = compile(&def).expect("a sound UDF compiles");
+    assert!(graceful::udf::analysis::verify(&prog).is_ok());
+    let last = prog.instrs.len() - 1;
+    prog.instrs[last] =
+        graceful::udf::bytecode::Instr::Cost(graceful::udf::bytecode::CostKind::Stmt);
+    match graceful::udf::analysis::verify(&prog) {
+        Err(GracefulError::Verify(_)) => {}
+        other => panic!("a program that falls off its end verified: {other:?}"),
+    }
+}
+
+/// What ships is the typed-lane backend: a default session's profiled `run`
+/// of a numeric UDF carries every row on the SIMD lanes. The environment has
+/// no say in that, in the driver, in the GNN engine or in either verifier —
+/// a *set* `GRACEFUL_UDF_BACKEND`, `GRACEFUL_EXEC`, `GRACEFUL_GNN_EXEC`,
+/// `GRACEFUL_VERIFY` or `GRACEFUL_PLAN_VERIFY` (the removed knobs) fails
+/// every environment-defaulted construction, the session's and the
+/// trainer's, with a typed `Config` error instead of being silently ignored,
+/// and the verifiers reject as they do with the variable unset. A knob that
+/// is still read is strict: `GRACEFUL_EPOCHS=1O` fails the trainer's
+/// construction instead of training the default 14 epochs.
 ///
 /// The environment half runs in child processes (this test re-executed with
 /// one variable set): mutating the environment in-process would race every
 /// other test of this binary.
 #[test]
 fn simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected() {
-    for built in [ExecOptions::new().build().unwrap(), Session::new()] {
-        assert_eq!(built.config().udf_backend, UdfBackend::Simd);
-        assert_eq!(built.config().mode, ExecMode::Pipeline);
-    }
+    let db = generate(&schema("tpc_h"), 0.02, 2);
+    let mut numeric = empty_input_plan(AggFunc::Sum, true);
+    numeric.ops.remove(1); // no filter: the UDF sees every order
+    numeric.ops[1].children[0] = 0;
+    numeric.ops[2].children[0] = 1;
+    numeric.root = 2;
+    let run = ExecOptions::new().profile(true).build().unwrap().run(&db, &numeric, 1).unwrap();
+    let udf = run.profile.expect("profile on").ops[1].udf.expect("a UDF operator");
+    assert_eq!(udf.simd_fast_rows as usize, db.table("orders_t").unwrap().num_rows());
+    assert_the_verifiers_reject();
 
     // (variable, value, what the error names besides it, removed?) — a removed
     // knob is rejected whatever its value and by the session too.
-    const CASES: [(&str, &str, &str, bool); 4] = [
-        ("GRACEFUL_UDF_BACKEND", "simd", "ExecOptions::udf_backend", true),
-        ("GRACEFUL_EXEC", "anything", "ExecOptions::mode", true),
-        ("GRACEFUL_GNN_EXEC", "batched", "TrainOptions::exec", true),
+    const CASES: [(&str, &str, &str, bool); 6] = [
+        ("GRACEFUL_UDF_BACKEND", "simd", "no longer read", true),
+        ("GRACEFUL_EXEC", "anything", "no longer read", true),
+        ("GRACEFUL_GNN_EXEC", "batched", "no longer read", true),
+        ("GRACEFUL_VERIFY", "off", "no longer read", true),
+        ("GRACEFUL_PLAN_VERIFY", "strict", "no longer read", true),
         ("GRACEFUL_EPOCHS", "1O", "expected an integer", false),
     ];
     let set = CASES.iter().find(|c| std::env::var_os(c.0).is_some_and(|v| c.3 || v == c.1));
@@ -363,11 +394,12 @@ impl Rel {
 /// The query semantics, written as naively as possible and sharing no code
 /// with the executor's operators: one row at a time through `Pred::matches`,
 /// a `HashMap` join, the tree-walking `Interpreter` per row, and a sequential
-/// left fold. Returns `(out_rows, udf_input_rows, agg_value)`, or `None` when
-/// a UDF invocation errors (the engine fails such a query too).
-fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64)> {
+/// left fold. Returns `(out_rows, udf_input_rows, agg_value, udf_cost)` —
+/// the last the interpreter's per-row costs of the UDF operator, summed — or
+/// `None` when a UDF invocation errors (the engine fails such a query too).
+fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64, f64)> {
     let mut interp = Interpreter::default();
-    let (mut udf_input_rows, mut agg_value) = (0, 0.0);
+    let (mut udf_input_rows, mut agg_value, mut udf_cost) = (0, 0.0, 0.0);
     let mut out_rows = Vec::new();
     let mut rels: Vec<Option<Rel>> = Vec::new();
     for op in &plan.ops {
@@ -380,7 +412,9 @@ fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64)> {
                     let rid = rel.rid(row, &udf.table);
                     let args: Vec<Value> =
                         udf.input_columns.iter().map(|c| t.column(c).unwrap().value(rid)).collect();
-                    interp.eval(&udf.def, &args).ok().map(|out| out.value)
+                    let out = interp.eval(&udf.def, &args).ok()?;
+                    udf_cost += out.cost.total;
+                    Some(out.value)
                 })
                 .collect()
         };
@@ -467,7 +501,7 @@ fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64)> {
         out_rows.push(rel.rows.len());
         rels.push(Some(rel));
     }
-    Some((out_rows, udf_input_rows, agg_value))
+    Some((out_rows, udf_input_rows, agg_value, udf_cost))
 }
 
 /// The executor against the semantics themselves, not against its twin: on
@@ -477,31 +511,54 @@ fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64)> {
 /// oracle's left fold; the many-morsel session re-checks the counts where
 /// rebatching and zone pruning are live. This is "UDF placement never changes
 /// query results", checked per placement against one oracle.
+///
+/// The oracle prices the UDF operator too: the engine's accounted `op_work`
+/// of that operator is the tree-walking interpreter's per-row cost, summed,
+/// plus the operator's per-row overhead — up to float grouping (the engine
+/// adds per batch and per morsel), hence 1e-9 relative, not bits. No engine
+/// path evaluates a UDF with the interpreter, so this is what holds the
+/// compiled backends' cost accounting to it from outside `graceful-udf`.
 #[test]
 fn executor_matches_a_naive_evaluator_of_the_query_semantics() {
     let (db, plans) = generated_plans();
-    let one_morsel = |mode| ExecOptions::new().morsel_rows(1 << 24).mode(mode).build().unwrap();
-    let many_morsels = session(UdfBackend::Simd, ExecMode::Pipeline, 2);
+    let one_morsel = ExecOptions::new().morsel_rows(1 << 24).build().unwrap();
+    let many_morsels = session(2);
     let mut udf_plans = 0;
     for (id, plan) in &plans {
-        let Some((out_rows, udf_input_rows, agg_value)) = naive_run(&db, plan) else {
+        let Some((out_rows, udf_input_rows, agg_value, udf_cost)) = naive_run(&db, plan) else {
             assert!(many_morsels.run(&db, plan, *id).is_err(), "query {id}: UDF error swallowed");
             continue;
         };
-        for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-            let run = one_morsel(mode).run(&db, plan, *id).expect("plan executes");
-            assert_eq!(run.out_rows, out_rows, "query {id} ({mode:?}): cardinalities");
-            assert_eq!(run.udf_input_rows, udf_input_rows, "query {id} ({mode:?}): udf rows");
+        // What the engine should have charged the UDF operator, if any.
+        let w = &one_morsel.config().weights;
+        let udf_work = plan.udf_op().map(|i| {
+            let overhead = match plan.ops[i].kind {
+                PlanOpKind::UdfFilter { .. } => w.udf_compare,
+                _ => w.project_row,
+            };
+            (i, udf_cost + udf_input_rows as f64 * overhead)
+        });
+        let assert_udf_work = |run: &graceful::exec::QueryRun, what: &str| {
+            let Some((i, expected)) = udf_work else { return };
+            let rel = (run.op_work[i] - expected).abs() / expected.max(1.0);
+            assert!(rel < 1e-9, "query {id} ({what}): UDF work {} vs {expected}", run.op_work[i]);
+        };
+        for (entry, run) in ENTRIES {
+            let run = run(&one_morsel, &db, plan, *id).expect("plan executes");
+            assert_eq!(run.out_rows, out_rows, "query {id} ({entry}): cardinalities");
+            assert_eq!(run.udf_input_rows, udf_input_rows, "query {id} ({entry}): udf rows");
             assert_eq!(
                 run.agg_value.to_bits(),
                 agg_value.to_bits(),
-                "query {id} ({mode:?}): answer {} vs {agg_value}",
+                "query {id} ({entry}): answer {} vs {agg_value}",
                 run.agg_value
             );
+            assert_udf_work(&run, entry);
         }
         let run = many_morsels.run(&db, plan, *id).expect("plan executes");
         assert_eq!(run.out_rows, out_rows, "query {id}: cardinalities across morsels");
         assert_eq!(run.udf_input_rows, udf_input_rows, "query {id}: udf rows across morsels");
+        assert_udf_work(&run, "many morsels");
         udf_plans += usize::from(udf_input_rows > 0);
     }
     assert!(udf_plans >= 10, "only {udf_plans} plans fed a UDF");
@@ -516,7 +573,7 @@ fn executor_matches_a_naive_evaluator_of_the_query_semantics() {
 #[test]
 fn accounted_work_is_the_closed_form_of_the_measured_cardinalities() {
     let (db, plans) = generated_plans();
-    let s = session(UdfBackend::Simd, ExecMode::Pipeline, 2);
+    let s = session(2);
     let mut checked = 0;
     for (id, plan) in plans {
         let mut plan = plan;

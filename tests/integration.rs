@@ -2,6 +2,20 @@
 
 use graceful::prelude::*;
 
+/// The environment's session: the CI legs' `GRACEFUL_THREADS` /
+/// `GRACEFUL_UDF_BATCH` / `GRACEFUL_SCALE` reach these tests through it.
+fn session() -> Session {
+    Session::from_env().expect("a valid GRACEFUL_* environment")
+}
+
+fn corpus(dataset: &str, cfg: &ScaleConfig, seed: u64) -> DatasetCorpus {
+    build_corpus_in(&session(), dataset, cfg, seed).expect("corpus builds")
+}
+
+fn trained(corpora: &[DatasetCorpus], cfg: &ScaleConfig, featurizer: Featurizer) -> GracefulModel {
+    train_graceful(&session(), corpora, cfg, featurizer).expect("training succeeds")
+}
+
 fn tiny_cfg() -> ScaleConfig {
     ScaleConfig {
         data_scale: 0.02,
@@ -16,10 +30,9 @@ fn tiny_cfg() -> ScaleConfig {
 #[test]
 fn end_to_end_corpus_train_predict() {
     let cfg = tiny_cfg();
-    let train =
-        vec![build_corpus("tpc_h", &cfg, 1).unwrap(), build_corpus("ssb", &cfg, 2).unwrap()];
-    let test = build_corpus("imdb", &cfg, 3).unwrap();
-    let model = train_graceful(&train, &cfg, Featurizer::full());
+    let train = vec![corpus("tpc_h", &cfg, 1), corpus("ssb", &cfg, 2)];
+    let test = corpus("imdb", &cfg, 3);
+    let model = trained(&train, &cfg, Featurizer::full());
     let recs = evaluate_model(&model, &test, EstimatorKind::Actual, 1);
     assert!(!recs.is_empty());
     let s = summarize(&recs, |_| true);
@@ -34,8 +47,8 @@ fn pullup_and_pushdown_always_agree_on_answers() {
     // The correctness invariant behind the whole optimization: UDF-filter
     // placement never changes results, only runtimes.
     let cfg = tiny_cfg();
-    let corpus = build_corpus("movielens", &cfg, 9).unwrap();
-    let exec = Session::from_env().unwrap().executor(&corpus.db);
+    let corpus = corpus("movielens", &cfg, 9);
+    let exec = session().executor(&corpus.db);
     let mut checked = 0;
     for q in &corpus.queries {
         if !(q.has_udf() && q.spec.udf_usage == UdfUsage::Filter && !q.spec.joins.is_empty()) {
@@ -57,9 +70,9 @@ fn estimator_ladder_orders_card_errors() {
     // Median top-node cardinality error: Actual <= DataDriven and
     // Actual <= Naive (the strict full ladder needs larger scale).
     let cfg = tiny_cfg();
-    let train = build_corpus("tpc_h", &cfg, 21).unwrap();
-    let test = build_corpus("airline", &cfg, 22).unwrap();
-    let model = train_graceful(std::slice::from_ref(&train), &cfg, Featurizer::full());
+    let train = corpus("tpc_h", &cfg, 21);
+    let test = corpus("airline", &cfg, 22);
+    let model = trained(std::slice::from_ref(&train), &cfg, Featurizer::full());
     let med = |kind: EstimatorKind| {
         let recs = evaluate_model(&model, &test, kind, 5);
         let qs: Vec<f64> = recs.iter().map(|r| r.card_q_top).collect();
@@ -76,9 +89,10 @@ fn estimator_ladder_orders_card_errors() {
 #[test]
 fn advisor_cost_strategy_tracks_ground_truth() {
     let cfg = ScaleConfig { queries_per_db: 24, ..tiny_cfg() };
-    let corpus = build_corpus("imdb", &cfg, 31).unwrap();
-    let model = train_graceful(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
-    let outcomes = graceful::core_model::experiments::run_advisor(
+    let corpus = corpus("imdb", &cfg, 31);
+    let model = trained(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
+    let outcomes = graceful::core_model::experiments::run_advisor_in(
+        &session(),
         &model,
         &corpus,
         EstimatorKind::Actual,
@@ -102,17 +116,14 @@ fn ablation_level1_loses_to_full_model_on_udf_heavy_workload() {
     // structure helps. We only assert the full model is not *worse* by a
     // large factor (tiny-scale training is noisy).
     let cfg = ScaleConfig { queries_per_db: 30, epochs: 10, ..tiny_cfg() };
-    let train = vec![
-        build_corpus("tpc_h", &cfg, 41).unwrap(),
-        build_corpus("financial", &cfg, 42).unwrap(),
-    ];
-    let test = build_corpus("genome", &cfg, 43).unwrap();
+    let train = vec![corpus("tpc_h", &cfg, 41), corpus("financial", &cfg, 42)];
+    let test = corpus("genome", &cfg, 43);
     let full = {
-        let m = train_graceful(&train, &cfg, Featurizer::full());
+        let m = trained(&train, &cfg, Featurizer::full());
         summarize(&evaluate_model(&m, &test, EstimatorKind::Actual, 1), |r| r.has_udf).median
     };
     let black_box = {
-        let m = train_graceful(&train, &cfg, Featurizer::level(1));
+        let m = trained(&train, &cfg, Featurizer::level(1));
         summarize(&evaluate_model(&m, &test, EstimatorKind::Actual, 1), |r| r.has_udf).median
     };
     assert!(
@@ -124,8 +135,8 @@ fn ablation_level1_loses_to_full_model_on_udf_heavy_workload() {
 #[test]
 fn model_persistence_round_trip() {
     let cfg = tiny_cfg();
-    let corpus = build_corpus("ssb", &cfg, 51).unwrap();
-    let model = train_graceful(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
+    let corpus = corpus("ssb", &cfg, 51);
+    let model = trained(std::slice::from_ref(&corpus), &cfg, Featurizer::full());
     let json = model.to_json();
     let loaded = GracefulModel::from_json(&json).unwrap();
     let est = ActualCard::new(&corpus.db);

@@ -51,97 +51,78 @@ fn suite_plans() -> (Database, Vec<(u64, Plan)>) {
     (db, plans)
 }
 
-fn profiled(backend: UdfBackend, mode: ExecMode) -> Session {
+fn profiled(threads: usize) -> Session {
     ExecOptions::new()
-        .udf_backend(backend)
         .udf_batch_size(37)
-        .threads(2)
+        .threads(threads)
         .morsel_rows(64)
-        .mode(mode)
         .profile(true)
         .build()
         .expect("valid options")
 }
 
-/// Every plan in the suite, under every backend and both executor modes,
-/// yields an [`ExecProfile`] whose per-operator rows/work agree exactly with
-/// the contracted `QueryRun` fields, whose UDF counters appear exactly on
-/// the UDF operators, and whose explain rendering names every operator.
+/// Every plan in the suite yields an [`ExecProfile`] whose per-operator
+/// rows/work agree exactly with the contracted `QueryRun` fields, whose UDF
+/// counters appear exactly on the UDF operators, and whose explain rendering
+/// names every operator. The reference run is never profiled.
 #[test]
 fn profiles_cover_every_plan_in_the_suite() {
     let _g = obs_lock();
     let (db, plans) = suite_plans();
     let mut udf_plans = 0usize;
     for (seed, plan) in &plans {
-        for backend in [UdfBackend::TreeWalk, UdfBackend::Vm, UdfBackend::Simd] {
-            for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-                let run =
-                    profiled(backend, mode).run(&db, plan, *seed).expect("profiled run succeeds");
-                let what = format!("{backend:?} x {mode:?} seed {seed}");
-                let prof = run.profile.as_ref().unwrap_or_else(|| panic!("{what}: no profile"));
-                assert_eq!(prof.ops.len(), plan.ops.len(), "{what}: op coverage");
-                assert_eq!(prof.mode, mode);
-                assert_eq!(prof.backend, backend);
-                assert_eq!(prof.threads, 2);
-                assert!(prof.total_wall_ns > 0, "{what}: zero total wall time");
-                let wall_sum: u64 = prof.ops.iter().map(|o| o.wall_ns).sum();
+        let reference = profiled(2).run_reference(&db, plan, *seed).expect("reference run");
+        assert!(reference.profile.is_none(), "seed {seed}: the reference run is unobserved");
+        let run = profiled(2).run(&db, plan, *seed).expect("profiled run succeeds");
+        let what = format!("seed {seed}");
+        let prof = run.profile.as_ref().unwrap_or_else(|| panic!("{what}: no profile"));
+        assert_eq!(prof.ops.len(), plan.ops.len(), "{what}: op coverage");
+        assert_eq!(prof.threads, 2);
+        assert!(prof.total_wall_ns > 0, "{what}: zero total wall time");
+        let wall_sum: u64 = prof.ops.iter().map(|o| o.wall_ns).sum();
+        assert!(
+            wall_sum <= prof.total_wall_ns,
+            "{what}: self-times {wall_sum} exceed total {}",
+            prof.total_wall_ns
+        );
+        for (i, (op, p)) in plan.ops.iter().zip(prof.ops.iter()).enumerate() {
+            assert!(!p.name.is_empty(), "{what}: op {i} unnamed");
+            assert_eq!(p.rows_out, run.out_rows[i], "{what}: op {i} rows");
+            assert_eq!(
+                p.work.to_bits(),
+                run.op_work[i].to_bits(),
+                "{what}: op {i} work diverges from the accounted value"
+            );
+            let is_udf =
+                matches!(op.kind, PlanOpKind::UdfFilter { .. } | PlanOpKind::UdfProject { .. });
+            assert_eq!(p.udf.is_some(), is_udf, "{what}: op {i} UDF counter presence");
+            if let Some(u) = &p.udf {
+                if u.rows > 0 {
+                    assert!(u.batches > 0, "{what}: rows without batches");
+                }
+                // The typed fast path classifies every row it sees as fast
+                // or bailed; an ineligible shape runs the boxed VM and
+                // records neither.
+                let classified = u.simd_fast_rows + u.simd_bail_rows;
                 assert!(
-                    wall_sum <= prof.total_wall_ns,
-                    "{what}: self-times {wall_sum} exceed total {}",
-                    prof.total_wall_ns
+                    classified == u.rows || classified == 0,
+                    "{what}: {classified} classified of {} rows",
+                    u.rows
                 );
-                for (i, (op, p)) in plan.ops.iter().zip(prof.ops.iter()).enumerate() {
-                    assert!(!p.name.is_empty(), "{what}: op {i} unnamed");
-                    assert_eq!(p.rows_out, run.out_rows[i], "{what}: op {i} rows");
-                    assert_eq!(
-                        p.work.to_bits(),
-                        run.op_work[i].to_bits(),
-                        "{what}: op {i} work diverges from the accounted value"
-                    );
-                    if mode == ExecMode::Materialize {
-                        assert_eq!(p.batches, 1, "{what}: materialize runs one pass per op");
-                    }
-                    let is_udf = matches!(
-                        op.kind,
-                        PlanOpKind::UdfFilter { .. } | PlanOpKind::UdfProject { .. }
-                    );
-                    assert_eq!(p.udf.is_some(), is_udf, "{what}: op {i} UDF counter presence");
-                    if let Some(u) = &p.udf {
-                        assert_eq!(u.backend, backend);
-                        if u.rows > 0 {
-                            assert!(u.batches > 0, "{what}: rows without batches");
-                        }
-                        if backend == UdfBackend::TreeWalk {
-                            assert_eq!(u.batches, u.rows, "tree-walker batches per row");
-                            assert_eq!(u.simd_fast_rows + u.simd_bail_rows, 0);
-                        }
-                        if backend == UdfBackend::Simd {
-                            // The typed fast path classifies every row it
-                            // sees as fast or bailed; an ineligible shape
-                            // falls back to the VM and records neither.
-                            let classified = u.simd_fast_rows + u.simd_bail_rows;
-                            assert!(
-                                classified == u.rows || classified == 0,
-                                "{what}: {classified} classified of {} rows",
-                                u.rows
-                            );
-                            assert!(u.bail_rate() >= 0.0 && u.bail_rate() <= 1.0);
-                        }
-                    }
-                }
-                // One UDF per query spec, so the per-op totals must add up
-                // to the contracted input-row count.
-                let udf_rows: u64 = prof.ops.iter().filter_map(|o| o.udf).map(|u| u.rows).sum();
-                assert_eq!(udf_rows as usize, run.udf_input_rows, "{what}: UDF row total");
-                if run.udf_input_rows > 0 {
-                    udf_plans += 1;
-                }
-                let text = prof.explain();
-                assert!(text.contains("QUERY PROFILE"), "{what}: explain header");
-                for p in &prof.ops {
-                    assert!(text.contains(&p.name), "{what}: explain omits {}", p.name);
-                }
+                assert!(u.bail_rate() >= 0.0 && u.bail_rate() <= 1.0);
             }
+        }
+        // One UDF per query spec, so the per-op totals must add up to the
+        // contracted input-row count.
+        let udf_rows: u64 = prof.ops.iter().filter_map(|o| o.udf).map(|u| u.rows).sum();
+        assert_eq!(udf_rows as usize, run.udf_input_rows, "{what}: UDF row total");
+        if run.udf_input_rows > 0 {
+            udf_plans += 1;
+        }
+        let text = prof.explain();
+        assert!(text.contains("QUERY PROFILE"), "{what}: explain header");
+        for p in &prof.ops {
+            assert!(text.contains(&p.name), "{what}: explain omits {}", p.name);
         }
     }
     assert!(udf_plans > 0, "suite exercised no UDF operators");
@@ -182,9 +163,7 @@ fn chrome_trace_export_is_a_valid_event_array() {
     trace::enable();
     let (db, plans) = suite_plans();
     for (seed, plan) in plans.iter().take(2) {
-        profiled(UdfBackend::Simd, ExecMode::Pipeline)
-            .run(&db, plan, *seed)
-            .expect("traced run succeeds");
+        profiled(2).run(&db, plan, *seed).expect("traced run succeeds");
     }
     trace::disable();
 
@@ -230,9 +209,7 @@ fn registry_snapshot_diff_tracks_engine_counters() {
     let mut ran = 0u64;
     let mut udf_rows = 0u64;
     for (seed, plan) in &plans {
-        let run = profiled(UdfBackend::Vm, ExecMode::Pipeline)
-            .run(&db, plan, *seed)
-            .expect("run succeeds");
+        let run = profiled(2).run(&db, plan, *seed).expect("run succeeds");
         ran += 1;
         udf_rows += run.udf_input_rows as u64;
     }
@@ -271,12 +248,9 @@ fn flight_qerrors_recompute_offline_bit_for_bit() {
     flight::enable();
     let mut live = Vec::new();
     for (seed, plan) in &annotated {
-        for backend in [UdfBackend::TreeWalk, UdfBackend::Vm] {
-            let (_, record) = profiled(backend, ExecMode::Pipeline)
-                .run_analyzed(&db, plan, *seed)
-                .expect("analyzed run succeeds");
-            live.push(record);
-        }
+        let (_, record) =
+            profiled(2).run_analyzed(&db, plan, *seed).expect("analyzed run succeeds");
+        live.push(record);
     }
     flight::disable();
 
@@ -292,22 +266,17 @@ fn flight_qerrors_recompute_offline_bit_for_bit() {
     let mut card: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut cost: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for rec in &ours {
-        let backend = rec.backend.to_ascii_lowercase();
         for op in &rec.ops {
             let cq = q_error(op.est_rows, op.rows as f64);
             assert_eq!(cq.to_bits(), op.card_q.expect("annotated").to_bits(), "card q-error");
             let wq = q_error(op.est_work, op.work);
             assert_eq!(wq.to_bits(), op.cost_q.expect("annotated").to_bits(), "cost q-error");
-            let key = if op.kind.starts_with("UDF") {
-                format!("{}.{backend}", op.kind.to_ascii_lowercase())
-            } else {
-                op.kind.to_ascii_lowercase()
-            };
+            let key = op.kind.to_ascii_lowercase();
             card.entry(key.clone()).or_default().push(cq);
             cost.entry(key).or_default().push(wq);
         }
     }
-    assert!(card.keys().any(|k| k.contains('.')), "no backend-keyed UDF operator exercised");
+    assert!(card.keys().any(|k| k.starts_with("udf")), "no UDF operator exercised");
 
     // (2) The registry's est.* histograms aggregate exactly these samples:
     // counts match, and min/max/percentiles are bit-identical to the same
@@ -357,7 +326,7 @@ fn trace_and_flight_flush_are_idempotent() {
     let (seed, plan) = &plans[0];
 
     trace::enable();
-    profiled(UdfBackend::Vm, ExecMode::Pipeline).run(&db, plan, *seed).expect("traced run");
+    profiled(2).run(&db, plan, *seed).expect("traced run");
     trace::disable();
     let tpath = std::env::temp_dir().join("graceful-obs-flush-trace.json");
     let tpath = tpath.to_str().expect("utf-8 temp path");
@@ -377,7 +346,7 @@ fn trace_and_flight_flush_are_idempotent() {
     flight::configure(fpath);
     assert_eq!(flight::configured_path().as_deref(), Some(fpath));
     flight::enable();
-    profiled(UdfBackend::Vm, ExecMode::Pipeline).run(&db, plan, *seed).expect("recorded run");
+    profiled(2).run(&db, plan, *seed).expect("recorded run");
     flight::disable();
     assert!(flight::flush().expect("first flight flush"), "configured flush writes a file");
     let first = std::fs::read_to_string(fpath).expect("flight file read");
@@ -401,29 +370,23 @@ fn concurrent_sessions_write_complete_flight_records() {
     flight::enable();
     trace::enable();
     let expected: Vec<FlightRecord> = std::thread::scope(|s| {
-        let handles: Vec<_> =
-            [(UdfBackend::Vm, ExecMode::Pipeline), (UdfBackend::Simd, ExecMode::Materialize)]
-                .into_iter()
-                .map(|(backend, mode)| {
-                    let (db, plans) = (&db, &plans);
-                    s.spawn(move || {
-                        let session = profiled(backend, mode);
-                        plans
-                            .iter()
-                            .map(|(seed, plan)| {
-                                let run = session.run(db, plan, *seed).expect("concurrent run");
-                                graceful::exec::flight_record(
-                                    plan,
-                                    session.config(),
-                                    &run,
-                                    *seed,
-                                    None,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
+        // Different thread budgets, so the two sessions' records differ.
+        let handles: Vec<_> = [2usize, 3]
+            .into_iter()
+            .map(|threads| {
+                let (db, plans) = (&db, &plans);
+                s.spawn(move || {
+                    let session = profiled(threads);
+                    plans
+                        .iter()
+                        .map(|(seed, plan)| {
+                            let run = session.run(db, plan, *seed).expect("concurrent run");
+                            graceful::exec::flight_record(plan, session.config(), &run, *seed, None)
+                        })
+                        .collect::<Vec<_>>()
                 })
-                .collect();
+            })
+            .collect();
         handles.into_iter().flat_map(|h| h.join().expect("worker thread")).collect()
     });
     trace::disable();
@@ -434,10 +397,9 @@ fn concurrent_sessions_write_complete_flight_records() {
     for rec in &expected {
         assert!(
             parsed.contains(rec),
-            "record for seed {} ({} / {}) is missing or torn",
+            "record for seed {} ({} threads) is missing or torn",
             rec.seed,
-            rec.backend,
-            rec.mode
+            rec.threads
         );
     }
 }

@@ -265,18 +265,16 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The bytecode verifier accepts every program the compiler emits over
-    /// the generated corpus. `compile()` already runs it (strict is the
-    /// default [`graceful_common::config::VerifyMode`]); a second explicit
-    /// pass proves verification is idempotent on an accepted program.
+    /// the generated corpus. `compile()` already runs it, always; a second
+    /// explicit pass proves verification is idempotent on an accepted
+    /// program.
     #[test]
     fn verifier_accepts_every_compiled_program(seed in 0u64..5_000) {
-        use graceful_common::config::VerifyMode;
         let db = generate(&schema("imdb"), 0.02, 11);
         let gen = UdfGenerator::default();
         let mut rng = Rng::seed(seed);
         let u = gen.generate(&db, &mut rng).unwrap();
-        let prog = graceful::udf::compile_with(&u.def, VerifyMode::Strict)
-            .expect("strict compile verifies");
+        let prog = compile(&u.def).expect("compile verifies");
         graceful::udf::analysis::verify(&prog).expect("verification is idempotent");
     }
 
@@ -384,8 +382,8 @@ proptest! {
 }
 
 /// The mutated plan must be rejected twice over: by the standalone plan
-/// verifier, and by the executor under its default strict gate — both with
-/// the typed [`GracefulError::PlanVerify`](graceful_common::GracefulError),
+/// verifier, and by the executor's gate, which nothing switches off, in front
+/// of `run` and of `run_reference` — all with the typed [`GracefulError::PlanVerify`](graceful_common::GracefulError),
 /// never a panic, never a silent accept.
 fn assert_plan_rejected(db: &Database, bad: &graceful::plan::Plan, seed: u64, what: &str) {
     use graceful_common::GracefulError;
@@ -393,12 +391,15 @@ fn assert_plan_rejected(db: &Database, bad: &graceful::plan::Plan, seed: u64, wh
         Err(GracefulError::PlanVerify(_)) => {}
         other => panic!("verifier accepted a plan with {what}: {other:?}"),
     }
-    for mode in [ExecMode::Pipeline, ExecMode::Materialize] {
-        let session = ExecOptions::new().mode(mode).build().unwrap();
-        match session.run(db, bad, seed) {
+    let session = Session::new();
+    for (entry, run) in [
+        ("run", session.run(db, bad, seed)),
+        ("run_reference", session.run_reference(db, bad, seed)),
+    ] {
+        match run {
             Err(GracefulError::PlanVerify(_)) => {}
-            Err(other) => panic!("{mode:?} executor mis-typed {what}: {other:?}"),
-            Ok(run) => panic!("{mode:?} executor ran a plan with {what}: {}", run.agg_value),
+            Err(other) => panic!("{entry} mis-typed {what}: {other:?}"),
+            Ok(run) => panic!("{entry} ran a plan with {what}: {}", run.agg_value),
         }
     }
 }
@@ -430,10 +431,10 @@ proptest! {
 
     /// Mutated plans — the corruptions a buggy rewriter or a stale plan
     /// cache could produce — are rejected with typed `PlanVerify` errors by
-    /// the verifier and by both executors' strict gates: dangling children,
-    /// cycles, unknown columns, wrong aggregate arity, mismatched join-key
-    /// types and corrupted cardinality estimates all surface as errors,
-    /// never as panics.
+    /// the verifier and by the gate of both executor entry points: dangling
+    /// children, cycles, unknown columns, wrong aggregate arity, mismatched
+    /// join-key types and corrupted cardinality estimates all surface as
+    /// errors, never as panics.
     #[test]
     fn mutated_plans_rejected_with_typed_errors(seed in 0u64..2_000) {
         use graceful::plan::{PlanOpKind, Pred};
