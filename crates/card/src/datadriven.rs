@@ -256,8 +256,8 @@ mod tests {
     /// the selectivity keeps its bits: every operator against every literal
     /// type on every column shape — NULL runs, NaN, ±0.0 and infinities, an
     /// Int column against a Float literal, plain and dictionary text, Bool,
-    /// dictionary and run-length ints — alone and in a conjunction, plus an
-    /// unknown column, an empty table and an unknown table.
+    /// dictionary ints — alone and in a conjunction, plus an unknown column,
+    /// an empty table and an unknown table.
     #[test]
     fn typed_sample_counts_what_the_row_loop_counts() {
         use graceful_storage::{Column, ColumnData, Table};
@@ -301,11 +301,6 @@ mod tests {
                     dict: vec![2, 0, -1, 1],
                 },
             ),
-            Column::with_nulls(
-                "r",
-                ColumnData::RleInt { starts: vec![0, 4, 9], values: vec![1, -1, 0], len: n },
-                nulls(&[3]),
-            ),
             Column::new("b", ColumnData::Bool((0..n).map(|r| r % 3 == 0).collect())),
         ];
         let empty = Table::new("e", vec![Column::new("i", ColumnData::Int(vec![]))]).unwrap();
@@ -327,7 +322,7 @@ mod tests {
         let first = Pred::new("t", "i", CmpOp::Ge, Value::Float(-1.0));
         for table in ["t", "e"] {
             let t = db.table(table).unwrap();
-            for (column, op, literal) in ["i", "f", "s", "ds", "di", "r", "b", "nope"]
+            for (column, op, literal) in ["i", "f", "s", "ds", "di", "b", "nope"]
                 .iter()
                 .flat_map(|c| CmpOp::ALL.map(|op| (c, op)))
                 .flat_map(|(c, op)| literals.iter().map(move |l| (c, op, l)))

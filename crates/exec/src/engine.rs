@@ -3,7 +3,7 @@
 //! [`Executor::run`] verifies the plan and hands it to the one executor,
 //! `crate::physical::execute`: the plan is lowered to physical-operator
 //! pipelines and morsel batches stream through each chain, with every
-//! execution shortcut on (typed UDF lanes, rewrite hints, zone-map pruning).
+//! execution shortcut on (typed UDF lanes, streaming, join-lane pruning).
 //! [`Executor::run_reference`] is the oracle reached by name: the same
 //! operators, morsel boundaries, merge order and charges with every shortcut
 //! off at once, bit-identical to `run` in every contracted [`QueryRun`]
@@ -22,11 +22,10 @@
 //! (`GRACEFUL_MORSEL`), workers pull morsels from a shared queue, and
 //! per-morsel results — kept rows, projected values, join output chunks,
 //! aggregate partials, accounted work — merge in morsel-index order. Hash
-//! joins build and probe the radix-partitioned index of `crate::join`;
-//! filters over identity scans skip whole morsels via the zone maps of
-//! `crate::prune`. Work totals are grouped *per morsel* regardless of the
-//! thread count, so every `QueryRun` field is **bit-identical for any
-//! `GRACEFUL_THREADS` value** (enforced by `tests/parallel_determinism.rs`).
+//! joins build and probe the radix-partitioned index of `crate::join`.
+//! Work totals are grouped *per morsel* regardless of the thread count, so
+//! every `QueryRun` field is **bit-identical for any `GRACEFUL_THREADS`
+//! value** (enforced by `tests/parallel_determinism.rs`).
 //! Each worker owns its UDF evaluation state through the `udf_eval` layer:
 //! one batch VM whose register file is preallocated once and reused across
 //! all morsels the worker pulls.
@@ -85,9 +84,7 @@ impl OperatorWeights {
         rows * self.scan_row
     }
 
-    /// A conjunctive filter over `rows` input rows. `n_preds` is the
-    /// *logical* predicate count: folded predicates cost the same as
-    /// evaluated ones, which keeps constant folding invisible to accounting.
+    /// A conjunctive filter of `n_preds` predicates over `rows` input rows.
     pub fn filter(&self, rows: f64, n_preds: usize) -> f64 {
         rows * n_preds as f64 * self.filter_pred
     }
@@ -227,7 +224,8 @@ impl Default for ExecConfig {
 /// The execution shortcuts. Each is proven to leave every contracted
 /// [`QueryRun`] field bit-identical, so none is an option: [`Executor::run`]
 /// takes them all, [`Executor::run_reference`] none, and only this crate's
-/// unit tests flip one at a time, to localise a failure of that identity.
+/// unit tests flip one at a time, to localise a failure of that identity —
+/// and to show, over generated queries, that each one has traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Shortcuts {
     /// UDF operators gather into unboxed typed lanes wherever the program
@@ -236,22 +234,18 @@ pub(crate) struct Shortcuts {
     /// Morsel batches stream through each operator chain. Off: every
     /// operator's whole output is collected before the next one runs.
     pub(crate) streaming: bool,
-    /// Lowering applies the [`graceful_plan::RewriteSet`] hints
-    /// (constant-predicate folding, dead UDF-parameter and join-lane
-    /// pruning).
-    pub(crate) rewrites: bool,
-    /// Filters skip whole morsels whose storage zone maps prove no row can
-    /// match (see `crate::prune`).
-    pub(crate) pruning: bool,
+    /// Lowering applies the [`graceful_plan::RewriteSet`] hint: join lanes
+    /// no operator above the join reads are neither stored nor emitted.
+    pub(crate) lane_pruning: bool,
 }
 
 impl Shortcuts {
     /// What ships: everything on.
     pub(crate) const SHIPPED: Shortcuts =
-        Shortcuts { typed_lanes: true, streaming: true, rewrites: true, pruning: true };
+        Shortcuts { typed_lanes: true, streaming: true, lane_pruning: true };
     /// The reference: everything off.
     pub(crate) const REFERENCE: Shortcuts =
-        Shortcuts { typed_lanes: false, streaming: false, rewrites: false, pruning: false };
+        Shortcuts { typed_lanes: false, streaming: false, lane_pruning: false };
 }
 
 /// Result of executing one plan.
@@ -343,7 +337,7 @@ impl<'a> Executor<'a> {
     /// morsel boundaries, merge order and [`OperatorWeights`] charges with
     /// every execution shortcut off at once — the boxed-`Value` batch VM for
     /// every UDF operator, every operator's whole output collected before
-    /// the next runs, no rewrite hints, no zone-map pruning. Bit-identical
+    /// the next runs, every join lane carried. Bit-identical
     /// to `run` in every contracted [`QueryRun`] field (`runtime_ns`,
     /// `agg_value`, `out_rows`, `udf_input_rows`, `op_work`), errors
     /// included; `peak_inter_rows` is the collecting peak. None of `run`'s
@@ -818,21 +812,74 @@ mod tests {
     }
 
     #[test]
-    fn rewrites_and_pruning_alone_change_no_contracted_bit() {
+    fn each_shortcut_alone_changes_no_contracted_bit_and_has_traffic() {
+        // Flipping one shortcut off (a) leaves every contracted bit where it
+        // was and (b) moves something the contract leaves free — over
+        // generator-produced queries only, so a shortcut no workload takes
+        // fails here instead of riding along behind a hand-built trigger.
+        use crate::physical::{lower_under, PhysicalOpKind};
+        let fast_rows = |run: &QueryRun| -> u64 {
+            let ops = &run.profile.as_ref().expect("streaming runs are profiled").ops;
+            ops.iter().filter_map(|op| op.udf).map(|u| u.simd_fast_rows).sum()
+        };
+        let join_lanes = |database: &Database, plan: &Plan, cuts| -> usize {
+            let phys = lower_under(database, plan, cuts).unwrap();
+            let ops = phys.pipelines.iter().flat_map(|pipe| &pipe.ops);
+            ops.map(|op| match &op.kind {
+                PhysicalOpKind::HashJoinBuild { keep, .. }
+                | PhysicalOpKind::HashJoinProbe { keep, .. } => keep.len(),
+                _ => 0,
+            })
+            .sum()
+        };
         let mut checked = 0;
+        let (mut lane_rows, mut counted_loops) = (0u64, 0usize);
+        let (mut join_plans, mut streamed_below) = (0usize, 0usize);
+        let mut joins_with_fewer_lanes = 0usize;
         for_generated_plans(59, 0..60, false, |database, id, plan| {
-            let exec = Executor::with_config(database, ragged(2));
+            let exec = Executor::with_config(database, ExecConfig { profile: true, ..ragged(2) });
             let shipped = exec.run(plan, id).unwrap();
-            for (what, cuts) in [
-                ("rewrites", Shortcuts { rewrites: false, ..Shortcuts::SHIPPED }),
-                ("pruning", Shortcuts { pruning: false, ..Shortcuts::SHIPPED }),
-            ] {
-                let without = exec.run_with(plan, id, cuts).unwrap();
-                assert_bit_identical(&without, &shipped, &format!("query {id} without {what}"));
+            let mut without = |what: &str, cuts: Shortcuts| {
+                let run = exec.run_with(plan, id, cuts).unwrap();
+                assert_bit_identical(&run, &shipped, &format!("query {id} without {what}"));
                 checked += 1;
+                run
+            };
+
+            let boxed = Shortcuts { typed_lanes: false, ..Shortcuts::SHIPPED };
+            assert_eq!(fast_rows(&without("typed lanes", boxed)), 0);
+            if fast_rows(&shipped) > 0 {
+                lane_rows += fast_rows(&shipped);
+                let udf = plan.ops.iter().find_map(|op| match &op.kind {
+                    PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } => Some(udf),
+                    _ => None,
+                });
+                let shape = graceful_udf::compile(&udf.unwrap().def).unwrap().simd_shape();
+                counted_loops += shape.trip_count.iter().flatten().count() / 2;
             }
+
+            let collecting = Shortcuts { streaming: false, ..Shortcuts::SHIPPED };
+            let collected = without("streaming", collecting);
+            if plan.join_count() > 0 {
+                join_plans += 1;
+                streamed_below += usize::from(shipped.peak_inter_rows < collected.peak_inter_rows);
+            }
+
+            let all_lanes = Shortcuts { lane_pruning: false, ..Shortcuts::SHIPPED };
+            without("lane pruning", all_lanes);
+            joins_with_fewer_lanes += usize::from(
+                join_lanes(database, plan, Shortcuts::SHIPPED)
+                    < join_lanes(database, plan, all_lanes),
+            );
         });
-        assert!(checked >= 100, "only {checked} plans compared");
+        assert!(checked >= 300, "only {checked} plans compared");
+        assert!(lane_rows > 0, "typed lanes carried no generated UDF row");
+        assert!(counted_loops > 0, "no generated loop ran Counted on the lanes");
+        assert!(
+            streamed_below * 2 > join_plans,
+            "streaming peaked below collecting on {streamed_below} of {join_plans} join plans"
+        );
+        assert!(joins_with_fewer_lanes > 0, "lane pruning dropped no generated join lane");
     }
 
     #[test]

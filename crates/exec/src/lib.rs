@@ -23,8 +23,8 @@
 //!   closed-form work charges, written once, and the [`Executor`] with its
 //!   two entry points: [`Executor::run`], what ships, and
 //!   [`Executor::run_reference`], the same operators with every execution
-//!   shortcut off (boxed batch VM, collecting driver, no rewrite hints, no
-//!   zone-map pruning) — the oracle the differential suites reach by name;
+//!   shortcut off (boxed batch VM, collecting driver, every join lane
+//!   carried) — the oracle the differential suites reach by name;
 //! * `udf_eval` — UDF evaluation on the compiled program: typed lanes where
 //!   it has a columnar path, the boxed batch VM elsewhere;
 //! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]
@@ -37,10 +37,9 @@
 //!   `explain analyze` record built by [`analyze::flight_record`]).
 //!
 //! Every data-plane operator runs morsel-parallel on the
-//! `graceful-runtime` pool: filters prune
-//! whole morsels against storage zone maps (`prune`) before
-//! evaluating predicates, hash joins build and probe a radix-partitioned
-//! index (`join`), and aggregates fold per-morsel partial states.
+//! `graceful-runtime` pool: filters evaluate their predicates per morsel,
+//! hash joins build and probe a radix-partitioned index (`join`), and
+//! aggregates fold per-morsel partial states.
 //! Work accounting is grouped per morsel and merged in morsel-index order,
 //! so results and accounted runtimes are **bit-identical for any thread
 //! count and batch size, and between `run` and `run_reference`** — the
@@ -55,7 +54,6 @@ pub mod engine;
 mod join;
 pub mod physical;
 pub mod profile;
-mod prune;
 mod row_test;
 pub mod session;
 mod udf_eval;

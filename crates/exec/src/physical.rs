@@ -58,13 +58,11 @@
 //! # Verified rewrites
 //!
 //! [`lower_with`] accepts a [`RewriteSet`] (the shipped run always passes
-//! one, the reference run never) and applies its execution hints:
-//! constant-foldable predicates are skipped (`AlwaysTrue`) or short-circuit
-//! the filter (`AlwaysFalse`), and join lanes that liveness proves dead
-//! above the join are dropped from build storage and probe output. Work
-//! charges are closed-form from the *logical* operator (a filter charges
-//! `n × preds.len()` regardless of folding), so the rewrites keep every
-//! `QueryRun` value bit-identical with the unrewritten run.
+//! one, the reference run never) and applies its execution hint: join lanes
+//! that liveness proves dead above the join are dropped from build storage
+//! and probe output. Work charges are closed-form from row counts, which
+//! lane pruning never changes, so the rewrite keeps every `QueryRun` value
+//! bit-identical with the unrewritten run.
 
 use crate::engine::{
     cmp_f64, jitter_factor, AggState, ExecConfig, OperatorWeights, QueryRun, Shortcuts,
@@ -75,7 +73,7 @@ use crate::udf_eval::{record_udf_metrics, UdfEvalSpec, UdfEvalStats};
 use graceful_common::{GracefulError, Result};
 use graceful_obs::trace;
 use graceful_plan::analysis::join_keep_lanes;
-use graceful_plan::{AggFunc, ColRef, Plan, PlanOpKind, Pred, PredFold, RewriteSet};
+use graceful_plan::{AggFunc, ColRef, Plan, PlanOpKind, Pred, RewriteSet};
 use graceful_runtime::Pool;
 use graceful_storage::{Column, Database, Value};
 use graceful_udf::ast::CmpOp;
@@ -121,9 +119,8 @@ pub enum PhysicalOpKind<'p> {
     /// Source: emits morsel-sized batches of consecutive row ids.
     Scan { table: &'p str },
     /// Conjunctive predicate filter; `positions[i]` locates `preds[i]`'s
-    /// table in the input tuple. `folds[i]` is the statically proven verdict
-    /// for `preds[i]` (all `Keep` when lowered without rewrites).
-    Filter { preds: &'p [Pred], positions: Vec<usize>, folds: Vec<PredFold>, stride: usize },
+    /// table in the input tuple.
+    Filter { preds: &'p [Pred], positions: Vec<usize>, stride: usize },
     /// Filter on a UDF's output: `udf(args...) cmp literal`.
     UdfFilter { udf: &'p GeneratedUdf, cmp: CmpOp, literal: f64, pos: usize, stride: usize },
     /// Compute the UDF per row as a projected column travelling with the
@@ -208,7 +205,7 @@ impl PhysicalPlan<'_> {
 }
 
 /// Lower a logical plan into its physical-operator pipelines with no
-/// rewrite hints (every predicate kept, every join lane stored).
+/// rewrite hints (every join lane stored).
 pub fn lower(plan: &Plan) -> Result<PhysicalPlan<'_>> {
     lower_with(plan, None)
 }
@@ -225,6 +222,17 @@ pub fn lower_with<'p>(plan: &'p Plan, rewrites: Option<&RewriteSet>) -> Result<P
     }
     pipelines.push(Pipeline { ops });
     Ok(PhysicalPlan { pipelines })
+}
+
+/// The lowering `execute` drives under `cuts`: join lanes are pruned iff
+/// [`Shortcuts::lane_pruning`] is on.
+pub(crate) fn lower_under<'p>(
+    db: &Database,
+    plan: &'p Plan,
+    cuts: Shortcuts,
+) -> Result<PhysicalPlan<'p>> {
+    let rewrites = cuts.lane_pruning.then(|| RewriteSet::analyze(plan, db));
+    lower_with(plan, rewrites.as_ref())
 }
 
 /// Recursively lower the subtree rooted at `idx`; returns the streaming
@@ -255,12 +263,8 @@ fn lower_subtree<'p>(
                     })
                 })
                 .collect::<Result<Vec<_>>>()?;
-            let folds = match rewrites {
-                Some(rw) => (0..preds.len()).map(|k| rw.fold_for(idx, k)).collect(),
-                None => vec![PredFold::Keep; preds.len()],
-            };
             ops.push(PhysicalOp {
-                kind: PhysicalOpKind::Filter { preds, positions, folds, stride: tables.len() },
+                kind: PhysicalOpKind::Filter { preds, positions, stride: tables.len() },
                 plan_idx: Some(idx),
             });
             Ok((ops, tables))
@@ -513,19 +517,14 @@ pub fn verify_physical(phys: &PhysicalPlan<'_>, plan: &Plan) -> Result<()> {
                     }
                     width = 1;
                 }
-                PhysicalOpKind::Filter { preds, positions, folds, stride } => {
+                PhysicalOpKind::Filter { preds, positions, stride } => {
                     check_stride(pi, k, name, *stride, width)?;
-                    if positions.len() != preds.len() || folds.len() != preds.len() {
+                    if positions.len() != preds.len() {
                         return Err(fail(
                             pi,
                             k,
                             name,
-                            format!(
-                                "{} preds but {} positions / {} folds",
-                                preds.len(),
-                                positions.len(),
-                                folds.len()
-                            ),
+                            format!("{} preds but {} positions", preds.len(), positions.len()),
                         ));
                     }
                     if let Some(&bad) = positions.iter().find(|&&p| p >= width) {
@@ -687,13 +686,6 @@ pub fn verify_physical(phys: &PhysicalPlan<'_>, plan: &Plan) -> Result<()> {
 pub struct Batch {
     pub rows: Vec<u32>,
     pub computed: Option<Vec<Value>>,
-    /// True while this batch still carries the scan's identity row ids
-    /// (stride 1, `rows` a contiguous ascending rid range, batches emitted
-    /// in stream order): set by the scan source, preserved by
-    /// row-preserving operators, cleared by anything that selects or
-    /// recombines rows. Filters use it to zone-prune whole morsels (see
-    /// `crate::prune`).
-    pub identity: bool,
 }
 
 /// Full morsels a parallel operator queues *per worker* before flushing
@@ -781,21 +773,16 @@ struct Rebatcher {
     rows: Vec<u32>,
     stride: usize,
     peak: usize,
-    /// True while every appended batch was an identity batch — the buffered
-    /// rows are then one contiguous ascending rid run (batches of an
-    /// identity stream arrive in stream order).
-    identity: bool,
 }
 
 impl Rebatcher {
     fn new(stride: usize) -> Self {
-        Rebatcher { rows: Vec::new(), stride, peak: 0, identity: true }
+        Rebatcher { rows: Vec::new(), stride, peak: 0 }
     }
 
     fn append(&mut self, batch: &Batch) {
         self.rows.extend_from_slice(&batch.rows);
         self.peak = self.peak.max(self.rows.len() / self.stride);
-        self.identity &= batch.identity;
     }
 
     fn buffered_rows(&self) -> usize {
@@ -823,23 +810,10 @@ impl Rebatcher {
 }
 
 /// Conjunctive predicate filter (morsel-parallel).
-///
-/// `preds` holds only the predicates the rewrite analysis could *not* fold
-/// (`PredFold::Keep`); statically-true predicates are skipped and a
-/// statically-false predicate short-circuits the whole operator to an empty
-/// output. The work charge always uses the logical predicate count
-/// (`n_preds`), so folding never changes accounted work.
 struct FilterExec<'a> {
     plan_idx: usize,
     /// Each with the tuple lane that holds its table's row id.
     preds: Vec<(RowTest<'a>, usize)>,
-    /// Logical predicate count, before folding — the work-charge multiplier.
-    n_preds: usize,
-    /// A predicate folded to `AlwaysFalse`: emit nothing, evaluate nothing.
-    always_false: bool,
-    /// Zone-map pruning enabled (`Shortcuts::pruning`); only effective over
-    /// an identity input stream.
-    pruning: bool,
     buf: Rebatcher,
     stride: usize,
     rows_in: usize,
@@ -858,26 +832,12 @@ impl FilterExec<'_> {
         let stride = self.stride;
         let preds = &self.preds;
         let pending = &self.buf.rows[..take * stride];
-        // Over an identity stream the buffered rows are one contiguous
-        // ascending rid run, so each morsel covers the base-table range its
-        // first/last ids delimit — exactly what the zone maps summarize.
-        // Pruning a morsel emits the same zero rows evaluation would, and
-        // work is charged closed-form at finish: nothing contracted moves.
-        let prune_scan = self.pruning && self.buf.identity && stride == 1;
         let parts: Vec<Vec<u32>> = ctx.pool.try_map_init(
             Pool::morsel_count(take, ctx.morsel),
             || (),
             |_, m| {
-                let range = Pool::morsel_range(m, take, ctx.morsel);
-                if prune_scan {
-                    let rids = pending[range.start] as usize..pending[range.end - 1] as usize + 1;
-                    if preds.iter().any(|(test, _)| test.prunes(rids.clone())) {
-                        crate::prune::pruned_morsels_counter().incr();
-                        return Vec::new();
-                    }
-                }
                 let mut kept = Vec::new();
-                for r in range {
+                for r in Pool::morsel_range(m, take, ctx.morsel) {
                     let keep = preds
                         .iter()
                         .all(|(test, pos)| test.accepts(pending[r * stride + pos] as usize));
@@ -894,7 +854,7 @@ impl FilterExec<'_> {
                 return Err(cap_error(self.rows_out));
             }
             if !kept.is_empty() {
-                emit(Batch { rows: kept, computed: None, identity: false })?;
+                emit(Batch { rows: kept, computed: None })?;
             }
         }
         self.buf.drain(take);
@@ -906,29 +866,13 @@ impl Operator for FilterExec<'_> {
     fn push(&mut self, batch: Batch, ctx: &ExecCtx<'_>, emit: &mut Emit<'_>) -> Result<()> {
         self.rows_in += batch.rows.len() / self.stride;
         self.batches += 1;
-        if self.always_false {
-            return Ok(()); // statically empty: never buffer, never emit
-        }
-        if self.preds.is_empty() {
-            // Every predicate folded to true: pass rows through unevaluated.
-            self.rows_out += batch.rows.len() / self.stride;
-            if self.rows_out > ctx.cap {
-                return Err(cap_error(self.rows_out));
-            }
-            let identity = batch.identity;
-            return emit(Batch { rows: batch.rows, computed: None, identity });
-        }
         self.buf.append(&batch);
         self.flush(false, ctx, emit)
     }
 
     fn finish(&mut self, ctx: &ExecCtx<'_>, emit: &mut Emit<'_>) -> Result<()> {
-        if !self.always_false && !self.preds.is_empty() {
-            self.flush(true, ctx, emit)?;
-        }
-        // Charged over the whole *logical* predicate list — folding is an
-        // execution shortcut, not a work-model change.
-        self.work += self.weights.filter(self.rows_in as f64, self.n_preds);
+        self.flush(true, ctx, emit)?;
+        self.work += self.weights.filter(self.rows_in as f64, self.preds.len());
         Ok(())
     }
 
@@ -996,7 +940,7 @@ impl UdfExec<'_> {
                         return Err(cap_error(self.rows_out));
                     }
                     if !kept.is_empty() {
-                        emit(Batch { rows: kept, computed: None, identity: false })?;
+                        emit(Batch { rows: kept, computed: None })?;
                     }
                 }
                 None => {
@@ -1005,10 +949,7 @@ impl UdfExec<'_> {
                     if self.rows_out > ctx.cap {
                         return Err(cap_error(self.rows_out));
                     }
-                    // A projection emits its input rows unchanged, in stream
-                    // order: identity survives.
-                    let identity = self.buf.identity;
-                    emit(Batch { rows, computed: Some(values), identity })?;
+                    emit(Batch { rows, computed: Some(values) })?;
                 }
             }
         }
@@ -1170,7 +1111,7 @@ impl ProbeExec<'_> {
                 ));
             }
             if !chunk.is_empty() {
-                emit(Batch { rows: chunk, computed: None, identity: false })?;
+                emit(Batch { rows: chunk, computed: None })?;
             }
         }
         self.rows_in += take;
@@ -1406,8 +1347,7 @@ pub(crate) fn execute(
     let started = Instant::now();
     // Only the streaming driver is instrumented.
     let profiling = config.profile && cuts.streaming;
-    let rewrites = cuts.rewrites.then(|| RewriteSet::analyze(plan, db));
-    let phys = lower_with(plan, rewrites.as_ref())?;
+    let phys = lower_under(db, plan, cuts)?;
     verify_physical(&phys, plan)?;
     let pool = Pool::new(config.threads);
     let n_ops = plan.ops.len();
@@ -1594,23 +1534,15 @@ fn instantiate<'a>(
                 "scan is the pipeline source, not a streaming operator".into(),
             ))
         }
-        PhysicalOpKind::Filter { preds, positions, folds, stride } => {
-            let always_false = folds.contains(&PredFold::AlwaysFalse);
-            let mut resolved = Vec::with_capacity(preds.len());
-            if !always_false {
-                // A statically-false filter never resolves its tables.
-                for ((p, &pos), fold) in preds.iter().zip(positions.iter()).zip(folds.iter()) {
-                    if *fold == PredFold::Keep {
-                        resolved.push((RowTest::compile(p, db.table(&p.col.table)?), pos));
-                    }
-                }
-            }
+        PhysicalOpKind::Filter { preds, positions, stride } => {
+            let resolved = preds
+                .iter()
+                .zip(positions)
+                .map(|(p, &pos)| Ok((RowTest::compile(p, db.table(&p.col.table)?), pos)))
+                .collect::<Result<_>>()?;
             Box::new(FilterExec {
                 plan_idx: planned(op)?,
                 preds: resolved,
-                n_preds: preds.len(),
-                always_false,
-                pruning: cuts.pruning,
                 buf: Rebatcher::new(*stride),
                 stride: *stride,
                 rows_in: 0,
@@ -1735,9 +1667,9 @@ fn finish_all(
     finish_all(rest, ctx, prof, chain + 1)
 }
 
-/// The scan source's output: identity row ids over `range`.
+/// The scan source's output: the row ids of `range`.
 fn scan_batch(range: std::ops::Range<usize>) -> Batch {
-    Batch { rows: range.map(|r| r as u32).collect(), computed: None, identity: true }
+    Batch { rows: range.map(|r| r as u32).collect(), computed: None }
 }
 
 /// The streaming driver: the scan's `n` rows enter the chain one morsel at
@@ -1773,15 +1705,12 @@ fn stream_all(
 fn collect_all(ops: &mut [Box<dyn Operator + '_>], ctx: &ExecCtx<'_>, n: usize) -> Result<u64> {
     let mut batch = scan_batch(0..n);
     for op in ops.iter_mut() {
-        // Emissions of an identity stream arrive in stream order, so their
-        // concatenation is still one contiguous ascending rid run.
-        let mut out = Batch { rows: Vec::new(), computed: None, identity: true };
+        let mut out = Batch::default();
         let mut collect = |b: Batch| {
             out.rows.extend_from_slice(&b.rows);
             if let Some(values) = b.computed {
                 out.computed.get_or_insert_with(Vec::new).extend(values);
             }
-            out.identity &= b.identity;
             Ok(())
         };
         op.push(batch, ctx, &mut collect).and_then(|()| op.finish(ctx, &mut collect))?;
@@ -1807,6 +1736,5 @@ fn udf_spec<'a>(
         config.udf_weights.clone(),
         config.udf_batch_size,
         overhead,
-        cuts.rewrites,
     )
 }

@@ -12,7 +12,6 @@
 
 use graceful_plan::Pred;
 use graceful_storage::{Column, Table, Value};
-use std::ops::Range;
 
 enum Literal<'a> {
     /// An Int, Float or Bool literal, widened once.
@@ -37,12 +36,6 @@ impl<'a> RowTest<'a> {
             v => Literal::Num(v.as_f64().expect("Int/Float/Bool literals widen")),
         };
         RowTest { pred, col: table.column(&pred.col.column).ok(), literal }
-    }
-
-    /// True when the column's zone maps prove that no row of `rows` (a
-    /// contiguous base-table range) is accepted.
-    pub(crate) fn prunes(&self, rows: Range<usize>) -> bool {
-        self.col.is_some_and(|col| crate::prune::pred_prunes_range(col, self.pred, rows))
     }
 
     /// What `Pred::matches` returns for this predicate at `row` of its table: a
@@ -87,8 +80,6 @@ mod tests {
             codes: vec![0, 1, 2, 2, 3, 4, 1, 0, 2, 1, 3, 4],
             dict: ["", "a", "b", "abc", "2"].map(String::from).into(),
         };
-        let rle =
-            ColumnData::RleInt { starts: vec![0, 3, 4, 9], values: vec![2, big, -3, 0], len: 12 };
         let columns = [
             ("int", ColumnData::Int(ints)),
             ("float", ColumnData::Float(floats)),
@@ -96,7 +87,6 @@ mod tests {
             ("bool", ColumnData::Bool(bools)),
             ("dict_int", dict_int),
             ("dict_text", dict_text),
-            ("rle_int", rle),
         ];
         let columns =
             columns.map(|(name, data)| Column::with_nulls(name, data, nulls.clone())).into();

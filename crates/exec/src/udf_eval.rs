@@ -33,7 +33,7 @@ use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
 use graceful_obs::trace;
 use graceful_runtime::Pool;
-use graceful_storage::{Column, DataType, Value};
+use graceful_storage::{Column, Value};
 use graceful_udf::simd::{self, SimdBatchStats, TypedCol};
 use graceful_udf::{compile, CostCounter, CostWeights, Program, SimdShape, Vm};
 use std::sync::OnceLock;
@@ -130,13 +130,6 @@ pub(crate) struct UdfEvalSpec<'a> {
     typed: Option<(SimdShape, Vec<TypedCol>)>,
     batch: usize,
     overhead: f64,
-    /// Per-parameter dead flags from liveness analysis: `dead[i]` means the
-    /// UDF body provably never reads parameter `i`, so its column is not
-    /// gathered (a typed placeholder is substituted instead). Restricted to
-    /// non-Text parameters — invocation cost counts Text argument
-    /// characters, and pruning must leave accounted work bit-identical.
-    /// All-false when rewrites are off.
-    dead: Vec<bool>,
 }
 
 impl<'a> UdfEvalSpec<'a> {
@@ -155,15 +148,6 @@ impl<'a> UdfEvalSpec<'a> {
     /// `overhead` is the operator's own per-row work (comparison against the
     /// filter literal, projection bookkeeping) charged alongside the UDF
     /// cost.
-    ///
-    /// `prune` enables dead-parameter pruning: parameters the UDF body
-    /// provably never reads (`UdfDef::param_read_set`) skip the per-row
-    /// column gather and receive a typed placeholder instead. Pruning never
-    /// changes values (the body cannot observe an unread parameter), never
-    /// changes accounted work (invocation cost depends on argument count and
-    /// Text lengths only, and Text parameters are never pruned), and never
-    /// changes path selection (eligibility is decided from the full column
-    /// list before pruning).
     pub(crate) fn prepare(
         udf: &'a graceful_udf::GeneratedUdf,
         cols: Vec<&'a Column>,
@@ -171,14 +155,11 @@ impl<'a> UdfEvalSpec<'a> {
         weights: CostWeights,
         batch: usize,
         overhead: f64,
-        prune: bool,
     ) -> Result<Self> {
         let prog = compile(&udf.def)?;
-        // Eligibility is decided from the FULL column list: pruning must
-        // only skip gathers, never flip which path runs. `for_type` has no
-        // lane for `Text`, so one such column makes the whole list `None`.
-        // Each lane holds one zeroed batch, so a worker's clone of it is
-        // allocated at batch size once.
+        // `for_type` has no lane for `Text`, so one such column makes the
+        // whole list `None`. Each lane holds one zeroed batch, so a worker's
+        // clone of it is allocated at batch size once.
         let batch = batch.max(1);
         let shape = typed_lanes.then(|| prog.simd_shape()).filter(|s| s.has_fast_path);
         let typed = shape.and_then(|shape| {
@@ -192,18 +173,7 @@ impl<'a> UdfEvalSpec<'a> {
                 .collect();
             Some((shape, lanes?))
         });
-        let dead = if prune && cols.len() == udf.def.params.len() {
-            let read = udf.def.param_read_set();
-            udf.def
-                .params
-                .iter()
-                .zip(cols.iter())
-                .map(|(p, c)| !read.contains(p) && c.data_type() != DataType::Text)
-                .collect()
-        } else {
-            vec![false; cols.len()]
-        };
-        Ok(UdfEvalSpec { cols, weights, prog, typed, batch, overhead, dead })
+        Ok(UdfEvalSpec { cols, weights, prog, typed, batch, overhead })
     }
 
     /// Evaluate rows `0..n` — mapped to storage row ids by `rid_of` — in
@@ -253,7 +223,6 @@ impl<'a> UdfEvalSpec<'a> {
                 typed_bufs: lanes.clone(),
                 outs: Vec::with_capacity(self.batch),
                 cols: &self.cols,
-                dead: &self.dead,
                 batch: self.batch,
                 overhead: self.overhead,
             }),
@@ -263,7 +232,6 @@ impl<'a> UdfEvalSpec<'a> {
                 col_bufs: self.cols.iter().map(|_| Vec::with_capacity(self.batch)).collect(),
                 outs: Vec::with_capacity(self.batch),
                 cols: &self.cols,
-                dead: &self.dead,
                 batch: self.batch,
                 overhead: self.overhead,
             }),
@@ -282,9 +250,6 @@ struct VmEval<'a> {
     /// Batch output buffer.
     outs: Vec<Value>,
     cols: &'a [&'a Column],
-    /// Liveness-dead parameters: their buffers are filled with `Null`
-    /// placeholders (the program contains no load for them).
-    dead: &'a [bool],
     batch: usize,
     overhead: f64,
 }
@@ -304,10 +269,8 @@ impl UdfEval for VmEval<'_> {
                 buf.clear();
             }
             for &rid in &rids[start..end] {
-                for ((buf, col), &d) in
-                    self.col_bufs.iter_mut().zip(self.cols.iter()).zip(self.dead.iter())
-                {
-                    buf.push(if d { Value::Null } else { col.value(rid) });
+                for (buf, col) in self.col_bufs.iter_mut().zip(self.cols.iter()) {
+                    buf.push(col.value(rid));
                 }
             }
             self.outs.clear();
@@ -337,10 +300,6 @@ struct SimdEval<'a> {
     /// Batch output buffer.
     outs: Vec<Value>,
     cols: &'a [&'a Column],
-    /// Liveness-dead parameters: their lanes are zero-filled with a clean
-    /// null mask instead of gathering (zero, not NULL, so the substitution
-    /// can never force a null-driven bail on a lane nothing reads).
-    dead: &'a [bool],
     batch: usize,
     overhead: f64,
 }
@@ -356,14 +315,8 @@ impl UdfEval for SimdEval<'_> {
         let mut start = 0;
         while start < rids.len() {
             let end = (start + self.batch).min(rids.len());
-            for ((buf, col), &d) in
-                self.typed_bufs.iter_mut().zip(self.cols.iter()).zip(self.dead.iter())
-            {
-                if d {
-                    buf.fill_zero(end - start);
-                } else {
-                    buf.fill_from_column(col, rids[start..end].iter().copied())?;
-                }
+            for (buf, col) in self.typed_bufs.iter_mut().zip(self.cols.iter()) {
+                buf.fill_from_column(col, rids[start..end].iter().copied())?;
             }
             self.outs.clear();
             let mut cost = CostCounter::new();

@@ -1,18 +1,17 @@
-//! Required-column and required-lane liveness.
+//! Required-lane liveness.
 //!
-//! Intermediate tuples in both executors carry one row-id lane per bound
-//! base table, and operators read those lanes positionally (resolved by
-//! table name). Liveness asks, for each operator, what the operators
-//! *strictly above* it can still read: a lane whose table no ancestor reads
-//! can be dropped from a join's output, and a column no ancestor reads never
-//! constrains a rewrite.
+//! Intermediate tuples carry one row-id lane per bound base table, and
+//! operators read those lanes positionally (resolved by table name).
+//! Liveness asks, for each operator, what the operators *strictly above* it
+//! can still read: a lane whose table no ancestor reads can be dropped from
+//! a join's output.
 //!
 //! The plan is a tree (verified: every op has exactly one parent), so the
 //! live set below an operator is simply the parent's live set plus the
 //! parent's own reads — one top-down pass over the topologically ordered
 //! arena.
 
-use crate::logical::{ColRef, Plan, PlanOpKind};
+use crate::logical::{Plan, PlanOpKind};
 use std::collections::BTreeSet;
 
 /// Base tables operator `idx` reads from its **input** tuples.
@@ -20,7 +19,7 @@ use std::collections::BTreeSet;
 /// Scans read nothing (they are sources); filters read their predicate
 /// columns' tables; joins read both key tables; UDF operators read the UDF's
 /// input table; aggregates read the aggregate column's table if any.
-pub fn op_tables_read(plan: &Plan, idx: usize) -> BTreeSet<String> {
+fn op_tables_read(plan: &Plan, idx: usize) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     match &plan.ops[idx].kind {
         PlanOpKind::Scan { .. } => {}
@@ -39,34 +38,6 @@ pub fn op_tables_read(plan: &Plan, idx: usize) -> BTreeSet<String> {
         PlanOpKind::Agg { column, .. } => {
             if let Some(c) = column {
                 out.insert(c.table.clone());
-            }
-        }
-    }
-    out
-}
-
-/// Fully qualified columns operator `idx` reads from its input tuples.
-pub fn op_columns_read(plan: &Plan, idx: usize) -> BTreeSet<ColRef> {
-    let mut out = BTreeSet::new();
-    match &plan.ops[idx].kind {
-        PlanOpKind::Scan { .. } => {}
-        PlanOpKind::Filter { preds } => {
-            for p in preds {
-                out.insert(p.col.clone());
-            }
-        }
-        PlanOpKind::Join { left_col, right_col } => {
-            out.insert(left_col.clone());
-            out.insert(right_col.clone());
-        }
-        PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } => {
-            for c in &udf.input_columns {
-                out.insert(ColRef::new(&udf.table, c));
-            }
-        }
-        PlanOpKind::Agg { column, .. } => {
-            if let Some(c) = column {
-                out.insert(c.clone());
             }
         }
     }
@@ -95,26 +66,6 @@ pub fn live_tables_above(plan: &Plan) -> Vec<BTreeSet<String>> {
         }
         let mut below = live[i].clone();
         below.extend(op_tables_read(plan, i));
-        for &c in &plan.ops[i].children {
-            live[c] = below.clone();
-        }
-    }
-    live
-}
-
-/// For every operator, the fully qualified columns read by its strict
-/// ancestors. The column-level analogue of [`live_tables_above`], used by
-/// the plan lint to cross-check lane pruning (every column on a pruned lane
-/// must be dead) and by rewrite diagnostics.
-pub fn columns_read_above(plan: &Plan) -> Vec<BTreeSet<ColRef>> {
-    let n = plan.ops.len();
-    let mut live: Vec<BTreeSet<ColRef>> = vec![BTreeSet::new(); n];
-    for i in (0..n).rev() {
-        if plan.ops[i].children.is_empty() {
-            continue;
-        }
-        let mut below = live[i].clone();
-        below.extend(op_columns_read(plan, i));
         for &c in &plan.ops[i].children {
             live[c] = below.clone();
         }

@@ -10,12 +10,10 @@
 //!   predicate literals are comparable to their columns, that join keys have
 //!   an integer view and identical types on both sides, and that aggregates
 //!   see the inputs the engine expects.
-//! * **Liveness** ([`live_tables_above`] / [`columns_read_above`]) — for
-//!   every operator, which base-table
-//!   lanes and columns the operators *above* it can still read. A join
+//! * **Liveness** ([`live_tables_above`]) — for every operator, which
+//!   base-table lanes the operators *above* it can still read. A join
 //!   output lane whose table is dead above the join never needs to be
-//!   carried; a UDF parameter whose name the body never reads never needs
-//!   to be gathered.
+//!   carried.
 //! * **Cardinality bounds** ([`bounds::upper_bounds`]) — monotone upper
 //!   bounds propagated bottom-up (scan ≤ table rows, filter ≤ input,
 //!   join ≤ product, aggregate ≤ 1) that `est_out_rows` annotations can be
@@ -36,18 +34,16 @@
 //!   the cardinality advisor legitimately scales ancestor estimates past the
 //!   monotone bound when enumerating hypothetical UDF selectivities, so the
 //!   bound cross-check is a lint (see `examples/lint.rs`), not a gate.
-//! * [`RewriteSet`] — **verified rewrites** derived
-//!   from the analyses: constant-predicate folding (a predicate statistics
-//!   prove always/never true is not evaluated per row) and dead-column
-//!   pruning (join payload lanes and UDF parameters liveness proves unused
-//!   are not gathered). Rewrites are *execution hints*: they never change
-//!   `QueryRun` values or accounted work (all work charges are closed-form
-//!   over logical properties), and `Plan::fingerprint` is taken over the
-//!   untouched logical plan, so flight-recorder joins stay stable.
+//! * [`RewriteSet`] — the **verified rewrite** derived from liveness:
+//!   join-payload pruning (lanes liveness proves unused above a join are
+//!   not stored or emitted). A rewrite is an *execution hint*: it never
+//!   changes `QueryRun` values or accounted work (all work charges are
+//!   closed-form over logical properties), and `Plan::fingerprint` is taken
+//!   over the untouched logical plan, so flight-recorder joins stay stable.
 //!
-//! Like the bytecode analyses, everything here is conservative: any lookup
-//! failure or unprovable fact degrades to "keep" (no fold, no prune), never
-//! to an unsound transformation.
+//! Like the bytecode analyses, everything here is conservative: an
+//! unprovable fact degrades to "keep" (no prune), never to an unsound
+//! transformation.
 
 mod bounds;
 mod liveness;
@@ -56,8 +52,8 @@ mod schema;
 mod verify;
 
 pub use bounds::{upper_bounds, verify_bounds};
-pub use liveness::{columns_read_above, live_tables_above, op_columns_read, op_tables_read};
-pub use rewrite::{dead_params, fold_pred, join_keep_lanes, PredFold, RewriteSet};
+pub use liveness::live_tables_above;
+pub use rewrite::{join_keep_lanes, RewriteSet};
 pub use schema::{infer_schemas, OpSchema};
 pub use verify::{verify, verify_structure};
 
@@ -263,36 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_rules_match_runtime_semantics() {
-        let db = db();
-        // a.id ∈ {1,2,3,4}, no NULLs.
-        let fold = |col: &str, op, v| fold_pred(&db, &Pred::new("a", col, op, v));
-        assert_eq!(fold("id", CmpOp::Ge, Value::Int(1)), PredFold::AlwaysTrue);
-        assert_eq!(fold("id", CmpOp::Lt, Value::Int(1)), PredFold::AlwaysFalse);
-        assert_eq!(fold("id", CmpOp::Le, Value::Int(4)), PredFold::AlwaysTrue);
-        assert_eq!(fold("id", CmpOp::Gt, Value::Int(4)), PredFold::AlwaysFalse);
-        assert_eq!(fold("id", CmpOp::Eq, Value::Int(9)), PredFold::AlwaysFalse);
-        assert_eq!(fold("id", CmpOp::Ne, Value::Int(9)), PredFold::AlwaysTrue);
-        assert_eq!(fold("id", CmpOp::Eq, Value::Int(2)), PredFold::Keep);
-        assert_eq!(fold("id", CmpOp::Lt, Value::Float(4.5)), PredFold::AlwaysTrue);
-        assert_eq!(fold("id", CmpOp::Lt, Value::Float(f64::NAN)), PredFold::AlwaysFalse);
-        // a.x has a NULL: AlwaysTrue must never fire, AlwaysFalse still can.
-        assert_eq!(fold("x", CmpOp::Ge, Value::Int(10)), PredFold::Keep);
-        assert_eq!(fold("x", CmpOp::Gt, Value::Int(40)), PredFold::AlwaysFalse);
-        // Float and Text columns never fold.
-        assert_eq!(
-            fold_pred(&db, &Pred::new("b", "y", CmpOp::Ge, Value::Float(0.0))),
-            PredFold::Keep
-        );
-        assert_eq!(
-            fold_pred(&db, &Pred::new("a", "note", CmpOp::Eq, Value::Text("p".into()))),
-            PredFold::Keep
-        );
-        // Unknown column/table degrade to Keep, not an error.
-        assert_eq!(fold_pred(&db, &Pred::new("a", "zz", CmpOp::Eq, Value::Int(1))), PredFold::Keep);
-    }
-
-    #[test]
     fn liveness_and_keep_lanes() {
         let p = join_plan();
         let live = live_tables_above(&p);
@@ -301,10 +267,6 @@ mod tests {
         // Above the scans: the join reads both key tables, the agg reads b.
         assert!(live[0].contains("a") && live[0].contains("b"));
         assert!(live[3].is_empty());
-
-        let cols = columns_read_above(&p);
-        assert!(cols[2].contains(&ColRef::new("b", "y")));
-        assert!(!cols[2].contains(&ColRef::new("a", "id")));
 
         // The a-lane is dead above the join: keep only b's lane.
         let (kl, kr) = join_keep_lanes(&live[2], &["a"], &["b"]).unwrap();
@@ -323,9 +285,8 @@ mod tests {
         let mut broken = join_plan();
         broken.ops[3].children = vec![99];
         let rw = RewriteSet::analyze(&broken, &db);
-        assert!(rw.pred_folds.iter().all(Vec::is_empty));
-        assert!(!rw.always_false(0));
-        assert_eq!(rw.fold_for(0, 0), PredFold::Keep);
+        assert_eq!(rw.live_above.len(), broken.ops.len());
+        assert!(rw.live_above.iter().all(|live| live.is_empty()));
 
         let rw = RewriteSet::analyze(&join_plan(), &db);
         assert!(rw.live_above[2].contains("b"));

@@ -1,132 +1,23 @@
 //! Verified rewrites: execution hints proven not to change results.
 //!
-//! A [`RewriteSet`] is computed once per query from the plan and the
-//! catalog's statistics, then consumed by both executors. Rewrites never
-//! transform the logical plan — `Plan::fingerprint` is taken over the
-//! untouched plan, so flight-recorder and featurization-cache joins stay
-//! stable — and they never change `QueryRun` values or accounted work:
+//! A [`RewriteSet`] is computed once per query from the plan, then consumed
+//! by lowering. Rewrites never transform the logical plan —
+//! `Plan::fingerprint` is taken over the untouched plan, so flight-recorder
+//! and featurization-cache joins stay stable — and they never change
+//! `QueryRun` values or accounted work.
 //!
-//! * **Constant-predicate folding**: work for a conjunctive filter is
-//!   charged as `rows × preds × weight` regardless of evaluation, so a
-//!   predicate statistics prove always-true can skip per-row evaluation and
-//!   an always-false one can short-circuit the whole filter, bit-identically.
-//! * **Dead-parameter pruning**: a UDF parameter the body never reads is
-//!   gathered as a typed placeholder instead of from storage. Invocation
-//!   cost depends only on the argument *count* and Text argument lengths, so
-//!   pruning is restricted to non-Text parameters, keeping cost bit-exact.
-//! * **Join-payload pruning**: a join output lane whose table no ancestor
-//!   reads is dropped. Row counts (and therefore every closed-form work
-//!   charge and `peak_inter_rows`, which counts rows not lanes) are
-//!   unchanged.
+//! There is one: **join-payload pruning**. A join output lane whose table no
+//! ancestor reads is dropped. Row counts (and therefore every closed-form
+//! work charge and `peak_inter_rows`, which counts rows not lanes) are
+//! unchanged.
 //!
-//! Everything degrades conservatively: a failed stats lookup, a Text
-//! column, a NaN boundary — all fold to "keep".
+//! It degrades conservatively: a table bound twice below a join prunes
+//! nothing there.
 
 use crate::analysis::liveness::live_tables_above;
-use crate::logical::{Plan, PlanOpKind};
-use crate::predicate::Pred;
-use graceful_storage::{DataType, Database, Value};
-use graceful_udf::ast::CmpOp;
-use graceful_udf::GeneratedUdf;
+use crate::logical::Plan;
+use graceful_storage::Database;
 use std::collections::BTreeSet;
-
-/// The verdict for one filter predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredFold {
-    /// Not provable either way — evaluate per row.
-    Keep,
-    /// Every row (NULLs included, which never match) fails the predicate.
-    AlwaysFalse,
-    /// Every row passes: proven from min/max only when the column has no
-    /// NULLs (a NULL row would fail any predicate).
-    AlwaysTrue,
-}
-
-/// Fold one predicate against column statistics.
-///
-/// Sound only for **Int** columns: `ColumnStats` folds Int values through
-/// exactly the `as f64` view that `Value::compare` uses at runtime, so the
-/// stats min/max range over precisely the values rows compare as. Float
-/// columns are excluded — their stats silently drop NaN and clamp non-finite
-/// extremes to 0.0, so min/max may not cover every stored value. Statistics
-/// are recomputed whenever a table mutates (`Database::update_table`), so a
-/// fold can never outlive the data it was proven on.
-pub fn fold_pred(db: &Database, pred: &Pred) -> PredFold {
-    let Ok(stats) = db.stats(&pred.col.table) else { return PredFold::Keep };
-    let Ok(cs) = stats.column(&pred.col.column) else { return PredFold::Keep };
-    if cs.data_type != DataType::Int {
-        return PredFold::Keep;
-    }
-    let lit = match &pred.value {
-        Value::Int(i) => *i as f64,
-        Value::Float(f) => {
-            if f.is_nan() {
-                // NaN compares to nothing: no row ever matches.
-                return PredFold::AlwaysFalse;
-            }
-            *f
-        }
-        _ => return PredFold::Keep,
-    };
-    let (min, max) = (cs.min, cs.max);
-    if cs.num_rows == 0 {
-        // Vacuously false over zero rows; the short-circuit emits zero rows
-        // just like evaluation would.
-        return PredFold::AlwaysFalse;
-    }
-    let always_false = match pred.op {
-        CmpOp::Lt => min >= lit,
-        CmpOp::Le => min > lit,
-        CmpOp::Gt => max <= lit,
-        CmpOp::Ge => max < lit,
-        CmpOp::Eq => lit < min || lit > max,
-        CmpOp::Ne => min == max && min == lit,
-    };
-    if always_false {
-        return PredFold::AlwaysFalse;
-    }
-    // AlwaysTrue additionally requires no NULLs: min/max only describe the
-    // non-NULL rows, and a NULL row fails every predicate.
-    if cs.null_fraction == 0.0 {
-        let always_true = match pred.op {
-            CmpOp::Lt => max < lit,
-            CmpOp::Le => max <= lit,
-            CmpOp::Gt => min > lit,
-            CmpOp::Ge => min >= lit,
-            CmpOp::Eq => min == max && min == lit,
-            CmpOp::Ne => lit < min || lit > max,
-        };
-        if always_true {
-            return PredFold::AlwaysTrue;
-        }
-    }
-    PredFold::Keep
-}
-
-/// Which of a UDF's parameters are provably dead **and** safely prunable.
-///
-/// A parameter is prunable when the body never reads its name
-/// (`UdfDef::param_read_set`) and its input column is non-Text (invocation
-/// cost counts Text argument characters, so pruning a Text column — even a
-/// dead one — would change accounted work). Arity mismatches (rejected by
-/// the verifier, but reachable with verification off) prune nothing.
-pub fn dead_params(db: &Database, udf: &GeneratedUdf) -> Vec<bool> {
-    let n = udf.input_columns.len();
-    if n != udf.def.params.len() {
-        return vec![false; n];
-    }
-    let Ok(table) = db.table(&udf.table) else { return vec![false; n] };
-    let read = udf.def.param_read_set();
-    udf.def
-        .params
-        .iter()
-        .zip(udf.input_columns.iter())
-        .map(|(p, c)| {
-            !read.contains(p)
-                && table.column(c).map(|col| col.data_type() != DataType::Text).unwrap_or(false)
-        })
-        .collect()
-}
 
 /// Decide which input lanes a join's output must carry.
 ///
@@ -157,62 +48,28 @@ pub fn join_keep_lanes(
     Some((keep_l, keep_r))
 }
 
-/// All rewrite decisions for one plan, computed up front and consumed by
-/// both executors. Construction is infallible: anything unprovable simply
-/// isn't rewritten.
+/// The rewrite decisions for one plan, computed up front and consumed by
+/// lowering. Construction is infallible: anything unprovable simply isn't
+/// rewritten.
 #[derive(Debug, Clone)]
 pub struct RewriteSet {
-    /// Per operator: per-predicate fold verdicts (empty for non-Filter ops).
-    pub pred_folds: Vec<Vec<PredFold>>,
-    /// Per operator: which UDF parameters to prune (empty for non-UDF ops).
-    pub dead_params: Vec<Vec<bool>>,
     /// Per operator: tables read strictly above it (drives join-lane
     /// pruning via [`join_keep_lanes`]).
     pub live_above: Vec<BTreeSet<String>>,
 }
 
 impl RewriteSet {
-    /// Analyze a plan against the catalog. Infallible and conservative —
-    /// a structurally broken plan yields an all-`Keep` set (the verifier,
-    /// not the rewriter, is responsible for rejecting it).
-    pub fn analyze(plan: &Plan, db: &Database) -> RewriteSet {
-        if crate::analysis::verify_structure(plan).is_err() {
-            return RewriteSet::none(plan);
-        }
-        let n = plan.ops.len();
-        let mut pred_folds: Vec<Vec<PredFold>> = vec![Vec::new(); n];
-        let mut dead: Vec<Vec<bool>> = vec![Vec::new(); n];
-        for (i, op) in plan.ops.iter().enumerate() {
-            match &op.kind {
-                PlanOpKind::Filter { preds } => {
-                    pred_folds[i] = preds.iter().map(|p| fold_pred(db, p)).collect();
-                }
-                PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } => {
-                    dead[i] = dead_params(db, udf);
-                }
-                _ => {}
-            }
-        }
-        RewriteSet { pred_folds, dead_params: dead, live_above: live_tables_above(plan) }
-    }
-
-    /// The identity rewrite set: nothing folds, nothing prunes.
-    pub fn none(plan: &Plan) -> RewriteSet {
-        let n = plan.ops.len();
-        RewriteSet {
-            pred_folds: vec![Vec::new(); n],
-            dead_params: vec![Vec::new(); n],
-            live_above: vec![BTreeSet::new(); n],
-        }
-    }
-
-    /// Fold verdicts for op `idx`'s predicates, padded/defaulted to `Keep`.
-    pub fn fold_for(&self, idx: usize, k: usize) -> PredFold {
-        self.pred_folds.get(idx).and_then(|f| f.get(k)).copied().unwrap_or(PredFold::Keep)
-    }
-
-    /// True when any predicate of op `idx` is provably always false.
-    pub fn always_false(&self, idx: usize) -> bool {
-        self.pred_folds.get(idx).is_some_and(|f| f.contains(&PredFold::AlwaysFalse))
+    /// Analyze a plan. Infallible — a structurally broken plan, which
+    /// liveness cannot walk, yields empty sets; lowering rejects such a plan
+    /// before it reads them. `_db` is unused: liveness is a property of the
+    /// plan alone, and the parameter stays only because `benchmark/` calls
+    /// this signature.
+    pub fn analyze(plan: &Plan, _db: &Database) -> RewriteSet {
+        let live_above = if crate::analysis::verify_structure(plan).is_ok() {
+            live_tables_above(plan)
+        } else {
+            vec![BTreeSet::new(); plan.ops.len()]
+        };
+        RewriteSet { live_above }
     }
 }

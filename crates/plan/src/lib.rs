@@ -14,8 +14,8 @@
 //!   advisor of Section IV chooses between,
 //! * [`analysis`] — static analysis over the plan DAG: the pre-execution
 //!   verifier ([`analysis::verify`]), schema/type inference, liveness,
-//!   monotone cardinality bounds, and the verified rewrite hints
-//!   ([`analysis::RewriteSet`]) both executors consume.
+//!   monotone cardinality bounds, and the verified rewrite hint
+//!   ([`analysis::RewriteSet`]) lowering consumes.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +25,7 @@ pub mod predicate;
 pub mod querygen;
 pub mod variants;
 
-pub use analysis::{PredFold, RewriteSet};
+pub use analysis::RewriteSet;
 pub use logical::{AggFunc, ColRef, Plan, PlanOp, PlanOpKind};
 pub use predicate::Pred;
 pub use querygen::{QueryGenConfig, QueryGenerator, QuerySpec, UdfUsage};

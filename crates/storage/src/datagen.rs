@@ -882,13 +882,11 @@ fn generate_table(
         };
         columns.push(Column::with_nulls(cspec.name.clone(), data, nulls));
     }
-    // Physical layout pass: compress what compresses (dictionary for
-    // low-cardinality, RLE for clustered runs — values stay bit-exact, see
-    // `ColumnData::encoded`) and attach zone maps for scan pruning. Done
-    // after generation so correlated columns read their plain sources.
+    // Physical layout pass: dictionary-encode what compresses (values stay
+    // bit-exact, see `ColumnData::encoded`). Done after generation so
+    // correlated columns read their plain sources.
     for col in &mut columns {
         col.encode();
-        col.compute_zones();
     }
     let mut table =
         Table::new(spec.name.clone(), columns).expect("generated columns are ragged-free");

@@ -134,9 +134,9 @@ impl ColumnStats {
     ///
     /// Counting runs on the native key of each representation — no per-row
     /// `String`, no per-row [`Value`]: plain vectors contribute one `(key, 1)`
-    /// per non-NULL row, dictionaries one counter per code, RLE one add per
-    /// run; `tally` sorts and coalesces them. Statistics are identical on
-    /// every representation of the same values.
+    /// per non-NULL row, dictionaries one counter per code; `tally` sorts
+    /// and coalesces them. Statistics are identical on every representation
+    /// of the same values.
     pub fn compute(column: &Column) -> Self {
         let nulls = column.nulls.as_slice();
         let int_stats = |t: Vec<(i64, usize)>| {
@@ -154,13 +154,6 @@ impl ColumnStats {
             ColumnData::Int(v) => int_stats(tally(plain_rows(v.iter().copied(), nulls), Ord::cmp)),
             ColumnData::DictInt { codes, dict } => {
                 int_stats(tally(dict_rows(codes, nulls, dict.iter().copied()), Ord::cmp))
-            }
-            ColumnData::RleInt { starts, values, len } => {
-                let run_rows = values.iter().enumerate().map(|(i, &v)| {
-                    let end = starts.get(i + 1).map_or(*len, |&s| s as usize);
-                    (v, nulls[starts[i] as usize..end].iter().filter(|&&null| !null).count())
-                });
-                int_stats(tally(run_rows, Ord::cmp))
             }
             ColumnData::Bool(v) => {
                 let t = tally(plain_rows(v.iter().copied(), nulls), Ord::cmp);

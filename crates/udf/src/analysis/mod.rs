@@ -9,33 +9,29 @@
 //!
 //! - [`mod@cfg`] builds a basic-block control-flow graph over the instruction
 //!   stream, with edge kinds and dominators.
-//! - [`dataflow`] is a forward worklist solver, generic over any
-//!   join-semilattice [`dataflow::Domain`].
-//! - [`domains`] instantiates it four ways: definite initialization, a type
-//!   lattice, null-ness, and integer intervals (with widening).
+//! - `dataflow` is the one forward dataflow the verifier needs: definite
+//!   initialization, a worklist fixpoint over that graph.
 //! - [`verify`](verify::verify) runs on every `compile()` result and turns a
 //!   violated invariant into a typed
 //!   [`GracefulError::Verify`](graceful_common::GracefulError::Verify)
 //!   instead of backend-divergent behaviour or a release-mode panic.
-//! - [`tripcount`] proves constant trip counts for `for` loops, which lets
+//! - [`tripcount`] reads the trip count of `for` loops whose limit is an
+//!   integer literal, which lets
 //!   [`Program::simd_shape`](crate::bytecode::Program::simd_shape) reclassify
 //!   them from [`InstrClass::Bail`](crate::bytecode::InstrClass::Bail) into
 //!   [`InstrClass::Counted`](crate::bytecode::InstrClass::Counted) segments
 //!   the columnar executor runs on the lane registers.
 //!
-//! Every analysis here is conservative: a domain may say "don't know" (top)
-//! but must never claim a fact the interpreters can falsify — the property
-//! suite runs the verifier over the whole generated corpus and the counted
-//! loops differentially against all three backends to keep it honest.
+//! Every analysis here is conservative: it may say "don't know" but must
+//! never claim a fact the interpreters can falsify — the property suite runs
+//! the verifier over the whole generated corpus and the counted loops
+//! differentially against all three backends to keep it honest.
 
 pub mod cfg;
-pub mod dataflow;
-pub mod domains;
+mod dataflow;
 pub mod tripcount;
 pub mod verify;
 
 pub use cfg::{Cfg, EdgeKind};
-pub use dataflow::{per_instr_facts, solve, Domain, Solution};
-pub use domains::{DefiniteInit, IntervalDomain, Itv, NullDomain, Nullness, Ty, TypeDomain};
 pub use tripcount::{trip_counts, MAX_COUNTED_TRIPS};
 pub use verify::verify;

@@ -1,12 +1,11 @@
-//! Constant trip-count analysis for `for` loops.
+//! Literal trip counts for `for` loops.
 //!
-//! A `for i in range(n)` loop lowers to a `ForInit`/`ForNext` pair. When the
-//! analysis can prove `n` is one specific non-NULL integer on **every** path
-//! reaching the `ForInit` — either a literal operand or a register pinned by
-//! the combination of the type, null-ness and interval domains — the loop's
-//! iteration structure is data-independent: every row executes exactly `n`
-//! iterations. [`Program::simd_shape`](crate::bytecode::Program::simd_shape)
-//! uses this to reclassify such loops from
+//! A `for i in range(n)` loop lowers to a `ForInit`/`ForNext` pair. When `n`
+//! is an integer literal — the `ForInit` reads the constant pool — the
+//! loop's iteration structure is data-independent: every row executes
+//! exactly `n` iterations.
+//! [`Program::simd_shape`](crate::bytecode::Program::simd_shape) uses this
+//! to reclassify such loops from
 //! [`InstrClass::Bail`](crate::bytecode::InstrClass::Bail) (scalar per-row
 //! fallback) into [`InstrClass::Counted`](crate::bytecode::InstrClass::Counted)
 //! segments the columnar executor unrolls across the whole lane block,
@@ -14,21 +13,14 @@
 //! [`CostCounter`](crate::costs::CostCounter) totals stay bit-identical with
 //! the tree-walker and the VM.
 //!
-//! All three conditions on a register-sourced limit are necessary:
-//!
-//! - **interval singleton** `[n, n]` pins the value *when it is an `Int`*,
-//! - **type = Int** rules out a `Float` (or `Text`) limit that the interval
-//!   domain's conditional claim says nothing about,
-//! - **non-NULL** rules out a NULL limit (`range(NULL)` iterates zero times,
-//!   which `n > 0` would mispredict).
+//! A limit held in a register is never counted, even one a dataflow analysis
+//! could pin (`n = 7; range(n)`): the generator writes loop limits as
+//! literals or as `int(x) % M + 1`, so no corpus loop would take that path.
 //!
 //! The executor additionally re-checks the limit lanes at run time (uniform
 //! non-null `Int` scan), so a bug here degrades to a bail-out, never to a
 //! wrong answer — the differential property suite keeps both layers honest.
 
-use super::cfg::Cfg;
-use super::dataflow::{per_instr_facts, solve};
-use super::domains::{IntervalDomain, Itv, NullDomain, Nullness, Ty, TypeDomain};
 use crate::bytecode::{Instr, Program};
 use graceful_storage::Value;
 
@@ -38,29 +30,13 @@ use graceful_storage::Value;
 /// block), so larger loops stay on the scalar fallback.
 pub const MAX_COUNTED_TRIPS: i64 = 64;
 
-/// Per-instruction constant trip counts: `out[pc]` is `Some(n)` iff `pc` is
-/// a `ForInit` or `ForNext` of a loop proven to run exactly `n` iterations
-/// for every row, with `n <= `[`MAX_COUNTED_TRIPS`]. Corrupt programs (the
-/// CFG fails to build) yield all-`None` — trip counts are an optimization,
-/// not a soundness gate, and the verifier reports the corruption separately.
+/// Per-instruction literal trip counts: `out[pc]` is `Some(n)` iff `pc` is a
+/// `ForInit` or `ForNext` of a loop whose limit is the integer literal `n`
+/// (negative literals clamp to zero trips), with `n <= `[`MAX_COUNTED_TRIPS`].
+/// Total over arbitrary programs — trip counts are an optimization, not a
+/// soundness gate, and the verifier reports corruption separately.
 pub fn trip_counts(prog: &Program) -> Vec<Option<u32>> {
     let mut out = vec![None; prog.instrs.len()];
-    let has_for = prog.instrs.iter().any(|i| matches!(i, Instr::ForInit { .. }));
-    if !has_for {
-        return out;
-    }
-    let Ok(cfg) = Cfg::build(prog) else {
-        return out;
-    };
-    // Lazily priced: three dataflow solves, only for programs with `for`
-    // loops (compile-time, once per UDF).
-    let ty_dom = TypeDomain::new(prog);
-    let ty = per_instr_facts(&cfg, prog, &ty_dom, &solve(&cfg, prog, &ty_dom));
-    let null_dom = NullDomain::new(prog);
-    let nl = per_instr_facts(&cfg, prog, &null_dom, &solve(&cfg, prog, &null_dom));
-    let itv_dom = IntervalDomain::new(prog);
-    let iv = per_instr_facts(&cfg, prog, &itv_dom, &solve(&cfg, prog, &itv_dom));
-
     for pc in 0..prog.instrs.len() {
         let Instr::ForInit { counter, limit, src } = &prog.instrs[pc] else { continue };
         // The verifier guarantees this pairing; re-check so the analysis is
@@ -69,29 +45,16 @@ pub fn trip_counts(prog: &Program) -> Vec<Option<u32>> {
             prog.instrs.get(pc + 1),
             Some(Instr::ForNext { counter: c, limit: l, .. }) if c == counter && l == limit
         );
-        if !paired {
+        if !paired || !src.is_const() {
             continue;
         }
-        let n = if src.is_const() {
-            match prog.consts.get(src.index()) {
-                Some(Value::Int(n)) => Some(*n),
-                _ => None, // Float/Text/NULL literals are not counted
-            }
-        } else {
-            let r = src.index();
-            let ty_ok = matches!(ty[pc].as_ref().and_then(|f| f.get(r)), Some(Ty::Int));
-            let null_ok = matches!(nl[pc].as_ref().and_then(|f| f.get(r)), Some(Nullness::NonNull));
-            match (ty_ok && null_ok, iv[pc].as_ref().and_then(|f| f.get(r))) {
-                (true, Some(Itv::Range { lo, hi })) if lo == hi => Some(*lo),
-                _ => None,
-            }
-        };
+        // Float/Text/NULL literals are not counted.
+        let Some(Value::Int(n)) = prog.consts.get(src.index()) else { continue };
         // `ForInit` clamps negative limits to zero trips.
-        if let Some(n) = n.map(|n| n.max(0)) {
-            if n <= MAX_COUNTED_TRIPS {
-                out[pc] = Some(n as u32);
-                out[pc + 1] = Some(n as u32);
-            }
+        let n = (*n).max(0);
+        if n <= MAX_COUNTED_TRIPS {
+            out[pc] = Some(n as u32);
+            out[pc + 1] = Some(n as u32);
         }
     }
     out
@@ -100,7 +63,7 @@ pub fn trip_counts(prog: &Program) -> Vec<Option<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{BinOp, CmpOp, Expr, Stmt, UdfDef};
+    use crate::ast::{BinOp, Expr, Stmt, UdfDef};
     use crate::bytecode::compile;
 
     fn loop_udf(count: Expr, prefix: Vec<Stmt>) -> Program {
@@ -126,39 +89,26 @@ mod tests {
     }
 
     #[test]
-    fn literal_and_copied_constant_limits_are_counted() {
+    fn literal_limits_are_counted() {
         assert_eq!(the_trip(&loop_udf(Expr::Int(12), vec![])), Some(12));
         assert_eq!(the_trip(&loop_udf(Expr::Int(0), vec![])), Some(0));
         assert_eq!(the_trip(&loop_udf(Expr::Int(-3), vec![])), Some(0), "negative clamps to 0");
-        // n = 7; for i in range(n) — flows through the interval domain.
-        let p = loop_udf(
-            Expr::name("n"),
-            vec![Stmt::Assign { target: "n".into(), expr: Expr::Int(7) }],
-        );
-        assert_eq!(the_trip(&p), Some(7));
     }
 
     #[test]
     fn data_dependent_oversized_and_non_int_limits_are_not() {
         // range(x): parameter-dependent.
         assert_eq!(the_trip(&loop_udf(Expr::name("x"), vec![])), None);
+        // n = 7; for i in range(n): a register limit, whatever it holds.
+        let p = loop_udf(
+            Expr::name("n"),
+            vec![Stmt::Assign { target: "n".into(), expr: Expr::Int(7) }],
+        );
+        assert_eq!(the_trip(&p), None);
         // range(65): provable but past the widening payoff bound.
         assert_eq!(the_trip(&loop_udf(Expr::Int(MAX_COUNTED_TRIPS + 1), vec![])), None);
         assert_eq!(the_trip(&loop_udf(Expr::Int(MAX_COUNTED_TRIPS), vec![])), Some(64));
         // range(2.5): Float literal limit — `int(...)` at runtime, skip.
         assert_eq!(the_trip(&loop_udf(Expr::Float(2.5), vec![])), None);
-        // n reassigned on one arm: not a singleton at the loop.
-        let p = loop_udf(
-            Expr::name("n"),
-            vec![
-                Stmt::Assign { target: "n".into(), expr: Expr::Int(2) },
-                Stmt::If {
-                    cond: Expr::cmp(CmpOp::Lt, Expr::name("x"), Expr::Int(0)),
-                    then_body: vec![Stmt::Assign { target: "n".into(), expr: Expr::Int(5) }],
-                    else_body: vec![],
-                },
-            ],
-        );
-        assert_eq!(the_trip(&p), None);
     }
 }

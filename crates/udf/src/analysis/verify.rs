@@ -15,9 +15,9 @@
 //!    and any path that can fall off the end of the instruction vector
 //!    ("return on all paths").
 //! 3. **Definite initialization** — no instruction reads a register that
-//!    some path leaves unwritten (the [`DefiniteInit`] dataflow domain;
-//!    runtime [`Instr::CheckDef`] guards count as definitions because the VM
-//!    errors the row out before any fall-through).
+//!    some path leaves unwritten (the `definite_init` dataflow; runtime
+//!    [`Instr::CheckDef`] guards count as definitions because the VM errors
+//!    the row out before any fall-through).
 //! 4. **Cost placement** — the cost markers that keep the three backends'
 //!    [`CostCounter`](crate::costs::CostCounter) totals bit-identical sit
 //!    exactly where the tree-walker charges them: `Cost(Assign)` fused to
@@ -25,11 +25,10 @@
 //!    to its `CastBool`.
 //! 5. **Loop pairing** — every `ForInit` is immediately followed by its
 //!    `ForNext` (same counter and limit registers), the layout both the VM
-//!    dispatch and trip-count analysis rely on.
+//!    dispatch and the trip-count check rely on.
 
 use super::cfg::Cfg;
-use super::dataflow::{per_instr_facts, solve};
-use super::domains::DefiniteInit;
+use super::dataflow::definite_init;
 use crate::bytecode::{CostKind, Instr, Operand, Program};
 use graceful_common::GracefulError;
 
@@ -180,9 +179,7 @@ fn check_bounds(prog: &Program) -> Result<(), GracefulError> {
 }
 
 fn check_definite_init(prog: &Program, cfg: &Cfg) -> Result<(), GracefulError> {
-    let dom = DefiniteInit::new(prog);
-    let sol = solve(cfg, prog, &dom);
-    let facts = per_instr_facts(cfg, prog, &dom, &sol);
+    let facts = definite_init(cfg, prog);
     let mut reads = Vec::with_capacity(8);
     for (pc, instr) in prog.instrs.iter().enumerate() {
         let Some(fact) = &facts[pc] else { continue }; // unreachable instruction
@@ -239,7 +236,7 @@ fn check_cost_placement(prog: &Program) -> Result<(), GracefulError> {
 
 /// `ForInit` at `pc` pairs with `ForNext` at `pc + 1` over the same counter
 /// and limit registers — the layout the VM's dispatch falls through and
-/// trip-count analysis pattern-matches.
+/// the trip-count check pattern-matches.
 fn check_loop_pairing(prog: &Program) -> Result<(), GracefulError> {
     for (pc, instr) in prog.instrs.iter().enumerate() {
         match instr {

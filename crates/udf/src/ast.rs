@@ -335,41 +335,6 @@ impl UdfDef {
         stmts(&self.body)
     }
 
-    /// Parameters whose value the body can observe: a parameter counts as
-    /// read iff its name appears in any expression anywhere in the body
-    /// (assignment right-hand sides, branch/loop conditions, `range` counts,
-    /// return values). Conservative with respect to shadowing — a read that
-    /// is dominated by a local rebinding still marks the parameter as read,
-    /// which over-approximates but never under-approximates the true read
-    /// set, so dead-parameter pruning stays safe.
-    pub fn param_read_set(&self) -> std::collections::BTreeSet<String> {
-        fn walk(body: &[Stmt], names: &mut Vec<String>) {
-            for s in body {
-                match s {
-                    Stmt::Assign { expr, .. } => expr.names(names),
-                    Stmt::If { cond, then_body, else_body } => {
-                        cond.names(names);
-                        walk(then_body, names);
-                        walk(else_body, names);
-                    }
-                    Stmt::For { count, body, .. } => {
-                        count.names(names);
-                        walk(body, names);
-                    }
-                    Stmt::While { cond, body } => {
-                        cond.names(names);
-                        walk(body, names);
-                    }
-                    Stmt::Return(e) => e.names(names),
-                }
-            }
-        }
-        let mut names = Vec::new();
-        walk(&self.body, &mut names);
-        let read: std::collections::BTreeSet<&String> = names.iter().collect();
-        self.params.iter().filter(|p| read.contains(p)).cloned().collect()
-    }
-
     /// Every library function mentioned anywhere in the UDF.
     pub fn lib_calls(&self) -> Vec<LibFn> {
         fn walk(body: &[Stmt], out: &mut Vec<LibFn>) {

@@ -612,12 +612,12 @@ pub enum InstrClass {
     Split,
     /// Terminates a selection's rows with a value.
     Return,
-    /// A `ForInit`/`ForNext` of a loop with a statically proven constant
-    /// trip count (see [`crate::analysis::tripcount`]): every row iterates
-    /// the same number of times, so the columnar executor unrolls the loop
-    /// across the whole selection, replaying the per-iteration cost charges.
-    /// The executor still re-checks the limit lanes at run time and bails
-    /// the selection on any surprise.
+    /// A `ForInit`/`ForNext` of a loop whose limit is an integer literal
+    /// (see [`crate::analysis::tripcount`]): every row iterates the same
+    /// number of times, so the columnar executor unrolls the loop across the
+    /// whole selection, replaying the per-iteration cost charges. The
+    /// executor still re-checks the limit lanes at run time and bails the
+    /// selection on any surprise.
     Counted,
     /// Not vectorizable (data-dependent loops, string/length builtins): rows
     /// that reach it leave the fast path and fall back to the per-row
@@ -637,8 +637,8 @@ pub struct SimdShape {
     /// overhead (every selection would bail) and callers should go straight
     /// to the batch VM.
     pub has_fast_path: bool,
-    /// `trip_count[pc]` — the proven constant trip count when `pc` is a
-    /// `Counted` `ForInit`/`ForNext`, `None` everywhere else. Metadata for
+    /// `trip_count[pc]` — the literal trip count when `pc` is a `Counted`
+    /// `ForInit`/`ForNext`, `None` everywhere else. Metadata for
     /// observability/lint tooling: the executor itself re-derives nothing
     /// from it (it re-checks the limit lanes at run time), so a stale shape
     /// can cost performance but never correctness.
@@ -686,8 +686,8 @@ impl Program {
                 },
                 Instr::JumpIfFalse { .. } | Instr::JumpIfTrue { .. } => InstrClass::Split,
                 Instr::Return { .. } | Instr::ReturnNull => InstrClass::Return,
-                // A `for` loop whose trip count is provably one constant has
-                // no per-row iteration state: every row runs the body the
+                // A `for` loop whose limit is an integer literal has no
+                // per-row iteration state: every row runs the body the
                 // same number of times, so the executor can unroll it across
                 // the selection. Data-dependent loops keep per-row state the
                 // columnar model does not carry.

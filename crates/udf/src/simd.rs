@@ -19,7 +19,7 @@
 //! * Conditional jumps ([`InstrClass::Split`]) evaluate the condition column
 //!   and split the selection by truthiness — branch divergence becomes two
 //!   smaller groups, each compacted to dense lanes.
-//! * `for` loops with a statically proven constant trip count
+//! * `for` loops whose limit is an integer literal
 //!   ([`InstrClass::Counted`], see [`crate::analysis::tripcount`]) stay on
 //!   the fast path: every row runs the same iterations, so the group unrolls
 //!   the loop in lockstep over the lane registers, replaying the scalar VM's
@@ -102,10 +102,10 @@ impl TypedCol {
     /// the given row ids. The column's type must match `self`'s lane type
     /// (callers fix the type once per operator via [`TypedCol::for_type`]).
     ///
-    /// Encoded integer columns (dictionary, RLE) decode straight into the
-    /// lanes here — a per-row dictionary lookup or run binary-search, never
-    /// a boxed [`graceful_storage::Value`] — so the columnar fast path runs
-    /// unchanged over compressed storage.
+    /// Dictionary-encoded integer columns decode straight into the lanes
+    /// here — a per-row dictionary lookup, never a boxed
+    /// [`graceful_storage::Value`] — so the columnar fast path runs unchanged
+    /// over compressed storage.
     pub fn fill_from_column(
         &mut self,
         col: &Column,
@@ -127,12 +127,6 @@ impl TypedCol {
                     ColumnData::DictInt { codes, dict } => {
                         for rid in rids {
                             data.push(dict[codes[rid] as usize]);
-                            nulls.push(col.nulls[rid]);
-                        }
-                    }
-                    ColumnData::RleInt { .. } => {
-                        for rid in rids {
-                            data.push(col.data.int_at(rid).expect("rle is int"));
                             nulls.push(col.nulls[rid]);
                         }
                     }
@@ -162,9 +156,8 @@ impl TypedCol {
     }
 
     /// Reset to `n` rows of the lane type's zero value with a clean (all
-    /// non-null) mask. Used to gather a parameter the UDF provably never
-    /// reads: the values are placeholders, and keeping the null mask clean
-    /// guarantees the substitution cannot flip a fast-path/bail decision.
+    /// non-null) mask: how an operator sizes the lane buffers its workers
+    /// clone, once, before any row is gathered.
     pub fn fill_zero(&mut self, n: usize) {
         match self {
             TypedCol::Int { data, nulls } => {
@@ -786,8 +779,8 @@ fn run_chunk(
                     }
                     break;
                 }
-                // Counted loops (`InstrClass::Counted`): the trip count was
-                // proven constant, so the group unrolls the loop in lockstep —
+                // Counted loops (`InstrClass::Counted`): the limit is an
+                // integer literal, so the group unrolls the loop in lockstep —
                 // every lane runs the same iterations, replaying the exact
                 // per-iteration charges of `Vm::run`. The limit is re-checked
                 // at run time (uniform non-null Int across the lanes); any
@@ -1369,18 +1362,16 @@ mod tests {
 
     #[test]
     fn counted_loops_stay_columnar_with_zero_bails() {
-        // for i in range(12) with the limit copied through a local: trip
-        // count proven by the dataflow stack, every row completes on the
+        // for i in range(12): a literal limit, so every row completes on the
         // fast path — values and costs still bit-identical to both scalar
         // backends.
         let u = udf(
             &["x", "y"],
             vec![
-                Stmt::Assign { target: "n".into(), expr: E::Int(12) },
                 Stmt::Assign { target: "z".into(), expr: E::name("y") },
                 Stmt::For {
                     var: "i".into(),
-                    count: E::name("n"),
+                    count: E::Int(12),
                     body: vec![Stmt::Assign {
                         target: "z".into(),
                         expr: E::bin(

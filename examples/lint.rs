@@ -17,27 +17,25 @@
 //!   bounds, cost-charge placement, loop pairing, definite initialization) —
 //!   and an explicit re-`verify` of the result is clean;
 //! - the SIMD shape covers every instruction, `Counted` classification and
-//!   recorded trip counts agree instruction-by-instruction, and no proven
+//!   recorded trip counts agree instruction-by-instruction, and no recorded
 //!   trip count exceeds [`MAX_COUNTED_TRIPS`];
 //! - the entry block dominates every reachable block of the CFG;
 //! - the constant pool carries no duplicates.
 //!
 //! **`plan`** — the generated query-plan corpus through the plan verifier and
-//! the static analyses behind the verified rewrites. Per plan (every valid
+//! the static analysis behind the verified rewrite. Per plan (every valid
 //! UDF placement of every generated query):
 //! - [`analysis::verify`] is clean (structure, schema/type inference,
 //!   cardinality-annotation sanity) on the raw plan *and* after cardinality
 //!   annotation;
 //! - annotated estimates respect the monotone upper bounds
 //!   ([`analysis::verify_bounds`]);
-//! - liveness is consistent (nothing is live above the root);
-//! - every constant-fold verdict is checked against the actual data: an
-//!   `AlwaysTrue` predicate must match every row of its table, an
-//!   `AlwaysFalse` predicate none.
+//! - liveness is consistent (nothing is live above the root).
 //!
-//! Dead-column and fold statistics are informational — generated UDFs
-//! legitimately ignore parameters, and whether a predicate folds depends on
-//! the drawn literal.
+//! Both also gate the engine's shortcuts on traffic: a corpus with no counted
+//! loop, no typed-lane-eligible program (`udf`) or no dead join lane (`plan`)
+//! fails with "shortcut without traffic" — a fast path the generators never
+//! reach is code to delete, not to carry.
 //!
 //! **`flight <file>`** — parse every line of a flight-recorder JSONL file
 //! back into [`graceful::obs::flight::FlightRecord`]s and summarize the
@@ -46,7 +44,7 @@
 
 use graceful::obs::flight;
 use graceful::plan::analysis::{self, RewriteSet};
-use graceful::plan::{Plan, PlanOpKind, PredFold};
+use graceful::plan::{Plan, PlanOpKind};
 use graceful::prelude::*;
 use graceful::udf::analysis::{verify, Cfg, MAX_COUNTED_TRIPS};
 use graceful::udf::bytecode::Instr;
@@ -125,7 +123,7 @@ fn lint_program(prog: &Program) -> Vec<String> {
 
 fn lint_udfs() -> i32 {
     let mut programs = 0usize;
-    let mut counted_loops = 0usize;
+    let (mut counted_loops, mut lane_eligible) = (0usize, 0usize);
     let mut diagnostics = 0usize;
     for name in SCHEMAS {
         let db = generate(&schema(name), 0.02, 7);
@@ -149,7 +147,9 @@ fn lint_udfs() -> i32 {
                 }
             };
             programs += 1;
-            counted_loops += prog.simd_shape().trip_count.iter().flatten().count() / 2;
+            let shape = prog.simd_shape();
+            counted_loops += shape.trip_count.iter().flatten().count() / 2;
+            lane_eligible += usize::from(shape.has_fast_path);
             for d in lint_program(&prog) {
                 eprintln!("lint udf: {name}/{seed} {}: {d}", prog.name);
                 diagnostics += 1;
@@ -160,21 +160,24 @@ fn lint_udfs() -> i32 {
         eprintln!("lint udf: {diagnostics} diagnostics over {programs} programs");
         return 1;
     }
+    if counted_loops == 0 || lane_eligible == 0 {
+        eprintln!(
+            "lint udf: shortcut without traffic: {counted_loops} counted loops, \
+             {lane_eligible} typed-lane-eligible programs over {programs} programs"
+        );
+        return 1;
+    }
     println!(
-        "lint udf: {programs} programs verified clean ({} schemas, {counted_loops} counted loops)",
+        "lint udf: {programs} programs verified clean ({} schemas, {counted_loops} counted \
+         loops, {lane_eligible} typed-lane-eligible programs)",
         SCHEMAS.len()
     );
     0
 }
 
-struct Tally {
-    plans: usize,
-    folded_preds: usize,
-    dead_params: usize,
-    dead_join_lanes: usize,
-}
-
-fn lint_plan(db: &Database, plan: &mut Plan, tally: &mut Tally) -> Vec<String> {
+/// Lint one plan; `dead_join_lanes` tallies the join output lanes whose table
+/// nothing above the join reads (the executor prunes these from join output).
+fn lint_plan(db: &Database, plan: &mut Plan, dead_join_lanes: &mut usize) -> Vec<String> {
     let mut diags = Vec::new();
     if let Err(e) = analysis::verify(plan, db) {
         diags.push(format!("raw plan rejected: {e}"));
@@ -204,47 +207,11 @@ fn lint_plan(db: &Database, plan: &mut Plan, tally: &mut Tally) -> Vec<String> {
         }
     };
     for (i, op) in plan.ops.iter().enumerate() {
-        match &op.kind {
-            PlanOpKind::Filter { preds } => {
-                for (k, p) in preds.iter().enumerate() {
-                    let verdict = rw.fold_for(i, k);
-                    if verdict == PredFold::Keep {
-                        continue;
-                    }
-                    tally.folded_preds += 1;
-                    // Soundness against the actual rows: a fold that
-                    // disagrees with the data would silently change answers.
-                    let want = verdict == PredFold::AlwaysTrue;
-                    let t = match db.table(&p.col.table) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            diags.push(format!("op {i} pred {k}: folded on {e}"));
-                            continue;
-                        }
-                    };
-                    if let Some(row) = (0..t.num_rows()).find(|&r| p.matches(t, r) != want) {
-                        diags.push(format!(
-                            "op {i} pred {k} ({}): folded {verdict:?} but row {row} disagrees",
-                            p.display()
-                        ));
-                    }
-                }
+        if let PlanOpKind::Join { .. } = &op.kind {
+            for c in &op.children {
+                *dead_join_lanes +=
+                    schemas[*c].tables.iter().filter(|t| !rw.live_above[i].contains(*t)).count();
             }
-            PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } => {
-                tally.dead_params += analysis::dead_params(db, udf).iter().filter(|&&d| d).count();
-            }
-            PlanOpKind::Join { .. } => {
-                // Informational: output lanes whose table nothing above the
-                // join reads (the executor prunes these from join output).
-                for c in &op.children {
-                    tally.dead_join_lanes += schemas[*c]
-                        .tables
-                        .iter()
-                        .filter(|t| !rw.live_above[i].contains(*t))
-                        .count();
-                }
-            }
-            _ => {}
         }
     }
     diags
@@ -252,7 +219,7 @@ fn lint_plan(db: &Database, plan: &mut Plan, tally: &mut Tally) -> Vec<String> {
 
 fn lint_plans() -> i32 {
     let qgen = QueryGenerator::default();
-    let mut tally = Tally { plans: 0, folded_preds: 0, dead_params: 0, dead_join_lanes: 0 };
+    let (mut plans, mut dead_join_lanes) = (0usize, 0usize);
     let mut diagnostics = 0usize;
     for name in SCHEMAS {
         let mut db = generate(&schema(name), 0.02, 7);
@@ -279,30 +246,29 @@ fn lint_plans() -> i32 {
                         continue;
                     }
                 };
-                tally.plans += 1;
-                for d in lint_plan(&db, &mut plan, &mut tally) {
+                plans += 1;
+                for d in lint_plan(&db, &mut plan, &mut dead_join_lanes) {
                     eprintln!("lint plan: {name}/{seed}/{}: {d}", placement.label());
                     diagnostics += 1;
                 }
             }
         }
     }
-    if tally.plans < MIN_PLANS {
-        eprintln!("lint plan: corpus shrank to {} plans (< {MIN_PLANS})", tally.plans);
+    if plans < MIN_PLANS {
+        eprintln!("lint plan: corpus shrank to {plans} plans (< {MIN_PLANS})");
         diagnostics += 1;
     }
     if diagnostics > 0 {
-        eprintln!("lint plan: {diagnostics} diagnostics over {} plans", tally.plans);
+        eprintln!("lint plan: {diagnostics} diagnostics over {plans} plans");
+        return 1;
+    }
+    if dead_join_lanes == 0 {
+        eprintln!("lint plan: shortcut without traffic: 0 dead join lanes over {plans} plans");
         return 1;
     }
     println!(
-        "lint plan: {} plans verified clean ({} schemas; {} folded preds, \
-         {} dead UDF params, {} dead join lanes — informational)",
-        tally.plans,
-        SCHEMAS.len(),
-        tally.folded_preds,
-        tally.dead_params,
-        tally.dead_join_lanes
+        "lint plan: {plans} plans verified clean ({} schemas, {dead_join_lanes} dead join lanes)",
+        SCHEMAS.len()
     );
     0
 }

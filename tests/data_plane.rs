@@ -1,27 +1,19 @@
-//! Data-plane properties: encoded columns and zone-map pruning are
-//! execution shortcuts, never semantics changes.
+//! Data-plane properties: an encoded column is a physical choice, never a
+//! semantics change.
 //!
-//! Two invariants guard the compressed, parallel data plane:
-//!
-//! * **Encoding transparency** — dictionary/RLE-encoded columns answer
-//!   every query bit-identically to their plain decodings, through `run`
-//!   and through `run_reference` (the typed-lane gather decodes straight
-//!   from codes, so this is a real differential, not a no-op).
-//! * **Pruning soundness** — the reference run never prunes, and every
-//!   contracted `QueryRun` field of the pruned `run` matches it bit for
-//!   bit, on generated corpus queries and on hand-built adversarial zones
-//!   (NaN runs, `i64::MIN`/`i64::MAX` keys, all-NULL morsels,
-//!   NULL/text/NaN literals).
-//!
-//! A third guards `ANALYZE`: counting on typed keys (one counter per
-//! dictionary code, one add per RLE run) yields bit for bit the statistics
-//! of the boxed per-row implementation it replaced, kept here as the oracle.
+//! * **Encoding transparency** — dictionary-encoded columns answer every
+//!   query bit-identically to their plain decodings, through `run` and
+//!   through `run_reference` (the typed-lane gather decodes straight from
+//!   codes, so this is a real differential, not a no-op), and the generator
+//!   really produces such columns and queries that read them.
+//! * **`ANALYZE`** — counting on typed keys (one counter per dictionary
+//!   code) yields bit for bit the statistics of the boxed per-row
+//!   implementation it replaced, kept here as the oracle.
 
 use graceful::exec::QueryRun;
-use graceful::plan::{AggFunc, Plan, PlanOp, PlanOpKind, Pred};
+use graceful::plan::PlanOpKind;
 use graceful::prelude::*;
-use graceful::storage::{Column, ColumnData, ColumnStats, Histogram, Table, ZONE_ROWS};
-use graceful::udf::ast::CmpOp;
+use graceful::storage::{Column, ColumnData, ColumnStats, Histogram};
 use graceful::udf::generator::apply_adaptations;
 use proptest::prelude::*;
 
@@ -52,7 +44,7 @@ fn session(threads: usize) -> Session {
 }
 
 /// A copy of `db` with every column decoded to its plain representation
-/// (zones and statistics recomputed from the identical values).
+/// (statistics recomputed from the identical values).
 fn decoded(db: &Database) -> Database {
     let mut plain = db.clone();
     let names: Vec<String> = db.tables().iter().map(|t| t.name.clone()).collect();
@@ -69,38 +61,60 @@ fn decoded(db: &Database) -> Database {
     plain
 }
 
-/// `generate()` really produces encoded columns, and the encodings really
-/// shrink the footprint — otherwise the differentials below are vacuous.
+/// The encodings have traffic, or the differentials below are vacuous: the
+/// tier-S database set (every schema at scale 0.25) holds dictionary columns
+/// of both kinds, they shrink the heap, and generated queries read them —
+/// through filter predicates and UDF arguments.
 #[test]
 fn generated_databases_actually_encode() {
-    for name in ["tpc_h", "imdb", "airline"] {
-        let db = generate(&schema(name), 0.3, 7);
-        let mut encoded_cols = 0usize;
-        let mut heap = 0usize;
-        let mut plain = 0usize;
-        for t in db.tables() {
-            for c in t.columns() {
-                heap += c.data.heap_bytes();
-                plain += c.data.plain_bytes();
-                if !matches!(
-                    c.data,
-                    ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Text(_)
-                ) {
-                    encoded_cols += 1;
+    let (mut dict_int, mut dict_text, mut heap, mut plain) = (0usize, 0usize, 0usize, 0usize);
+    let (mut read_dict_int, mut read_dict_text) = (0usize, 0usize);
+    for (i, name) in DATASET_NAMES.iter().enumerate() {
+        let db = generate(&schema(name), 0.25, 7 + i as u64);
+        for c in db.tables().iter().flat_map(|t| t.columns()) {
+            heap += c.data.heap_bytes();
+            plain += c.data.plain_bytes();
+            dict_int += usize::from(matches!(c.data, ColumnData::DictInt { .. }));
+            dict_text += usize::from(matches!(c.data, ColumnData::DictText { .. }));
+        }
+        let g = QueryGenerator::default();
+        for seed in 0..10u64 {
+            let Ok(spec) = g.generate(&db, seed, &mut Rng::seed(seed)) else { continue };
+            let Ok(plan) = build_plan(&spec, UdfPlacement::PushDown) else { continue };
+            let mut reads: Vec<(&str, &str)> = Vec::new();
+            for op in &plan.ops {
+                match &op.kind {
+                    PlanOpKind::Filter { preds } => {
+                        reads.extend(preds.iter().map(|p| (&*p.col.table, &*p.col.column)))
+                    }
+                    PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } => {
+                        reads.extend(udf.input_columns.iter().map(|c| (&*udf.table, &**c)))
+                    }
+                    _ => {}
                 }
             }
+            for (table, column) in reads {
+                let data = &db.table(table).unwrap().column(column).unwrap().data;
+                read_dict_int += usize::from(matches!(data, ColumnData::DictInt { .. }));
+                read_dict_text += usize::from(matches!(data, ColumnData::DictText { .. }));
+            }
         }
-        assert!(encoded_cols > 0, "{name}: no column picked an encoding");
-        assert!(heap < plain, "{name}: encodings must shrink the heap ({heap} vs {plain})");
     }
+    assert!(dict_int > 0 && dict_text > 0, "{dict_int} DictInt, {dict_text} DictText columns");
+    assert!(heap < plain, "encodings must shrink the heap ({heap} vs {plain})");
+    assert!(
+        read_dict_int > 0 && read_dict_text > 0,
+        "generated queries read {read_dict_int} DictInt and {read_dict_text} DictText columns"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
-    /// Dict/RLE-encoded columns are invisible to execution: generated
+    /// Dictionary-encoded columns are invisible to execution: generated
     /// queries answer bit-identically on the encoded database and on its
-    /// plain decoding, through `run` and through `run_reference`.
+    /// plain decoding, through `run` and through `run_reference` — which
+    /// agree with each other on both.
     #[test]
     fn encoded_columns_run_bit_identical_to_plain(seed in 0u64..5_000) {
         let mut db = generate(&schema("tpc_h"), 0.05, 11);
@@ -126,159 +140,12 @@ proptest! {
             };
             let pln = s.run(&plain_db, &plan, seed).expect("plain run succeeds");
             assert_runs_bit_identical(&enc, &pln, "encoded vs plain");
-            let enc = s.run_reference(&db, &plan, seed).expect("encoded reference run");
+            let enc_ref = s.run_reference(&db, &plan, seed).expect("encoded reference run");
             let pln = s.run_reference(&plain_db, &plan, seed).expect("plain reference run");
-            assert_runs_bit_identical(&enc, &pln, "encoded vs plain, reference");
+            assert_runs_bit_identical(&enc_ref, &pln, "encoded vs plain, reference");
+            assert_runs_bit_identical(&enc, &enc_ref, "run vs reference");
         }
     }
-}
-
-/// Scan → single-predicate filter → COUNT(*) over `table`.
-fn filter_count_plan(table: &str, pred: Pred) -> Plan {
-    Plan {
-        ops: vec![
-            PlanOp::new(PlanOpKind::Scan { table: table.into() }, vec![]),
-            PlanOp::new(PlanOpKind::Filter { preds: vec![pred] }, vec![0]),
-            PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, vec![1]),
-        ],
-        root: 2,
-    }
-}
-
-/// The pruning `run` is bit-identical to the never-pruning reference on
-/// generated corpus queries, and the `scan.pruned_morsels` counter actually
-/// fires on range scans over the generated data's sorted keys.
-#[test]
-fn pruning_is_invisible_and_fires_on_generated_corpus() {
-    let before = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
-    let mut db = generate(&schema("tpc_h"), 0.3, 3);
-    let g = QueryGenerator::default();
-    let mut compared = 0usize;
-    for seed in 0..20u64 {
-        let mut rng = Rng::seed(seed);
-        let Ok(spec) = g.generate(&db, seed, &mut rng) else { continue };
-        if let Some(u) = &spec.udf {
-            if apply_adaptations(&mut db, &u.adaptations).is_err() {
-                continue;
-            }
-        }
-        for placement in graceful::plan::valid_placements(&spec) {
-            let Ok(plan) = build_plan(&spec, placement) else { continue };
-            let on = session(2).run(&db, &plan, seed);
-            let off = session(2).run_reference(&db, &plan, seed);
-            match (on, off) {
-                (Ok(on), Ok(off)) => {
-                    assert_runs_bit_identical(&on, &off, &format!("run vs reference: seed {seed}"));
-                    compared += 1;
-                }
-                (Err(_), Err(_)) => {} // caps trip identically
-                (on, off) => panic!("pruning changed the outcome: {on:?} vs {off:?}"),
-            }
-        }
-    }
-    assert!(compared >= 20, "only {compared} corpus differentials ran");
-
-    // Range scans over the sorted serial key: whole zones reject, so the
-    // pruned-morsel counter must move — and the answer must not.
-    let orders = db.table("orders_t").expect("tpc_h table");
-    assert!(orders.num_rows() > 2 * ZONE_ROWS, "need multiple zones to prune");
-    for (op, v) in [(CmpOp::Lt, 64), (CmpOp::Ge, orders.num_rows() as i64 - 64), (CmpOp::Eq, 5)] {
-        let pred = Pred::new("orders_t", "id", op, Value::Int(v));
-        let expected = (0..orders.num_rows()).filter(|&r| pred.matches(orders, r)).count();
-        let plan = filter_count_plan("orders_t", pred);
-        let on = session(2).run(&db, &plan, 1).unwrap();
-        let off = session(2).run_reference(&db, &plan, 1).unwrap();
-        assert_runs_bit_identical(&on, &off, &format!("range scan {op:?} {v}"));
-        assert_eq!(on.agg_value, expected as f64, "{op:?} {v}");
-    }
-    let after = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
-    assert!(after > before, "zone pruning never fired on the generated corpus");
-}
-
-/// Hand-built adversarial zones: NaN runs, `i64::MIN`/`i64::MAX` keys,
-/// all-NULL stretches, constant runs — probed with every comparison
-/// operator and with NaN / extreme / NULL / text literals. The pruning
-/// `run` stays bit-identical to the never-pruning reference run and
-/// COUNT(*) matches a row-by-row count.
-#[test]
-fn pruning_handles_adversarial_zone_edges() {
-    let n = 4 * ZONE_ROWS;
-    // Float column: zone 1 is all NaN, zone 2 all NULL; extremes elsewhere.
-    let x: Vec<f64> = (0..n)
-        .map(|r| match r / ZONE_ROWS {
-            1 => f64::NAN,
-            _ if r % 997 == 0 => 1e300,
-            _ if r % 991 == 0 => -1e300,
-            _ => (r % 100) as f64,
-        })
-        .collect();
-    let x_nulls: Vec<bool> = (0..n).map(|r| r / ZONE_ROWS == 2).collect();
-    // Int column: i64 extremes inside zone 0, a constant run in zone 3.
-    let k: Vec<i64> = (0..n)
-        .map(|r| match r {
-            10 => i64::MIN,
-            20 => i64::MAX,
-            _ if r / ZONE_ROWS == 3 => 7,
-            _ => (r % 50) as i64 - 25,
-        })
-        .collect();
-    // Fully NULL column (every zone all-NULL).
-    let nul: Vec<f64> = vec![0.0; n];
-    let mut cols = vec![
-        Column::with_nulls("x", ColumnData::Float(x), x_nulls),
-        Column::new("k", ColumnData::Int(k)),
-        Column::with_nulls("n", ColumnData::Float(nul), vec![true; n]),
-    ];
-    for c in &mut cols {
-        c.encode();
-        c.compute_zones();
-    }
-    let table = Table::new("adv", cols).expect("valid table");
-    let db = Database::new("advdb", vec![table]);
-    let adv = db.table("adv").unwrap();
-
-    let before = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
-    let lits = [
-        Value::Float(f64::NAN),
-        Value::Float(1e300),
-        Value::Float(-1e301),
-        Value::Int(i64::MIN),
-        Value::Int(i64::MAX),
-        Value::Int(7),
-        Value::Null,
-        Value::Text("zzz".into()),
-    ];
-    for col in ["x", "k", "n"] {
-        for op in [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne] {
-            for lit in &lits {
-                let pred = Pred::new("adv", col, op, lit.clone());
-                let expected = (0..n).filter(|&r| pred.matches(adv, r)).count();
-                let plan = filter_count_plan("adv", pred);
-                for threads in [1usize, 2] {
-                    let on = session(threads).run(&db, &plan, 1);
-                    let off = session(threads).run_reference(&db, &plan, 1);
-                    let what = format!("{col} {op:?} {lit:?} x {threads}");
-                    match (on, off) {
-                        (Ok(on), Ok(off)) => {
-                            assert_runs_bit_identical(&on, &off, &what);
-                            assert_eq!(on.agg_value, expected as f64, "{what}: wrong count");
-                        }
-                        // The plan verifier rejects never-comparable
-                        // literals (NULL, text vs numeric) up front —
-                        // identically for both entry points.
-                        (Err(a), Err(b)) => {
-                            assert_eq!(a.to_string(), b.to_string(), "{what}: errors differ")
-                        }
-                        (on, off) => {
-                            panic!("{what}: pruning changed the outcome: {on:?} vs {off:?}")
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let after = graceful::obs::registry::snapshot().counter("scan.pruned_morsels");
-    assert!(after > before, "adversarial preds never pruned a morsel");
 }
 
 /// `ANALYZE` as it was before counting moved to typed keys: one `String`
@@ -389,8 +256,8 @@ fn assert_analyze_matches_oracle(column: &Column, what: &str) {
 }
 
 /// Typed `ANALYZE` equals the boxed oracle on every column of all 20
-/// schemas — as generated (dictionary/RLE-encoded where that pays), decoded
-/// and re-encoded.
+/// schemas — as generated (dictionary-encoded where that pays), decoded and
+/// re-encoded.
 #[test]
 fn typed_analyze_matches_the_boxed_oracle_on_every_schema() {
     let mut kinds = std::collections::HashSet::new();
@@ -403,14 +270,14 @@ fn typed_analyze_matches_the_boxed_oracle_on_every_schema() {
             }
         }
     }
-    assert!(kinds.len() >= 5, "the schemas should cover plain, dictionary and RLE columns");
+    assert!(kinds.len() >= 5, "the schemas should cover plain and dictionary columns");
 }
 
 /// Hand-built columns aimed at every place the typed and the boxed count
 /// could part ways: NULL runs, all-NULL, empty, NaN payloads of both signs,
 /// ±0.0 interleaved, ±inf, `i64::MIN`/`MAX` (equal as `f64` to their
 /// neighbours), dictionaries carrying a duplicate and an unused entry,
-/// single-run RLE, an RLE run that is NULL throughout, frequency ties.
+/// frequency ties.
 #[test]
 fn typed_analyze_matches_the_boxed_oracle_on_adversarial_columns() {
     let n = 600;
@@ -444,7 +311,7 @@ fn typed_analyze_matches_the_boxed_oracle_on_adversarial_columns() {
         Column::with_nulls("floats", ColumnData::Float(floats), every(7)),
         Column::new("zeros", ColumnData::Float(zeros)),
         Column::with_nulls("only_nan", ColumnData::Float(vec![f64::NAN; 9]), vec![false; 9]),
-        Column::with_nulls("ints", ColumnData::Int(ints.clone()), null_run.clone()),
+        Column::with_nulls("ints", ColumnData::Int(ints.clone()), null_run),
         Column::new("ints_no_nulls", ColumnData::Int(ints)),
         Column::with_nulls("all_null_int", ColumnData::Int(vec![3; n]), vec![true; n]),
         Column::with_nulls("all_null_text", ColumnData::Text(texts.clone()), vec![true; n]),
@@ -473,20 +340,6 @@ fn typed_analyze_matches_the_boxed_oracle_on_adversarial_columns() {
                 dict: vec!["x".into(), "yy".into(), "x".into(), "unused".into()],
             },
             every(2),
-        ),
-        Column::with_nulls(
-            "rle_single_run",
-            ColumnData::RleInt { starts: vec![0], values: vec![42], len: n },
-            null_run.clone(),
-        ),
-        Column::with_nulls(
-            "rle_null_run",
-            ColumnData::RleInt {
-                starts: vec![0, 100, 400, 401],
-                values: vec![9, i64::MIN, 9, i64::MAX],
-                len: n,
-            },
-            null_run,
         ),
     ];
     for c in &columns {

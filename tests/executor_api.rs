@@ -509,8 +509,8 @@ fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64, f64)
 /// input-row channel are exact and the answer is bit-exact. One morsel per
 /// operator (`morsel_rows` above any table) makes the engine's fold the
 /// oracle's left fold; the many-morsel session re-checks the counts where
-/// rebatching and zone pruning are live. This is "UDF placement never changes
-/// query results", checked per placement against one oracle.
+/// rebatching is live. This is "UDF placement never changes query results",
+/// checked per placement against one oracle.
 ///
 /// The oracle prices the UDF operator too: the engine's accounted `op_work`
 /// of that operator is the tree-walking interpreter's per-row cost, summed,
