@@ -24,11 +24,6 @@ impl<'a> ActualCard<'a> {
     pub fn new(db: &'a Database) -> Self {
         ActualCard { db, session: Session::new() }
     }
-
-    /// Oracle executing through a specific engine session.
-    pub fn with_session(db: &'a Database, session: Session) -> Self {
-        ActualCard { db, session }
-    }
 }
 
 impl CardEstimator for ActualCard<'_> {

@@ -4,17 +4,19 @@
 //! indexes. We reproduce its statistical character — unbiased-ish medians,
 //! heavy error tails on selective queries — by pushing a bounded row sample
 //! through the plan: scans draw `walks` random rows, filters thin the sample
-//! (tracking the survival ratio), joins probe the full build side but keep at
-//! most `walks` result rows (re-scaling the estimate), so estimation cost
-//! stays O(walks · plan depth) like WanderJoin's.
+//! (tracking the survival ratio), joins probe the full build side — through
+//! the executor's own [`JoinIndex`], so a walk sees exactly the row-ascending
+//! match lists a probe would — but keep at most `walks` result rows
+//! (re-scaling the estimate), so estimation cost stays O(walks · plan depth)
+//! like WanderJoin's.
 
 use crate::CardEstimator;
 use graceful_common::rng::Rng;
 use graceful_common::Result;
+use graceful_exec::join::JoinIndex;
 use graceful_plan::{Plan, PlanOpKind, Pred};
 use graceful_storage::Database;
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 /// Sampling estimator (default 100 walks, like the paper's configuration).
 pub struct SamplingCard<'a> {
@@ -47,11 +49,6 @@ impl<'a> SamplingCard<'a> {
         SamplingCard { db, walks: walks.max(4), rng: RefCell::new(Rng::seed(seed)) }
     }
 
-    /// Default configuration: 100 successful walks.
-    pub fn with_defaults(db: &'a Database) -> Self {
-        Self::new(db, 100, 0xACE5)
-    }
-
     /// One sampled join step: probe the full right base table from the left
     /// sample (WanderJoin walks into indexes, so the true fan-out is
     /// visible), keep one random continuation per walk, and scale the
@@ -76,12 +73,8 @@ impl<'a> SamplingCard<'a> {
         };
         let rtab = self.db.table(&right_col.table)?;
         let rcol = rtab.column(&right_col.column)?;
-        let mut index: HashMap<i64, Vec<u32>> = HashMap::new();
-        for rid in 0..rtab.num_rows() {
-            if let Some(k) = rcol.get_i64(rid) {
-                index.entry(k).or_default().push(rid as u32);
-            }
-        }
+        let keyed = (0..rtab.num_rows()).filter_map(|r| rcol.get_i64(r).map(|k| (k, r as u32)));
+        let index = JoinIndex::build(keyed.collect());
         let r_base = rtab.num_rows() as f64;
         let r_ratio = if r_base > 0.0 { right.estimate / r_base } else { 0.0 };
         let ltab = self.db.table(&left_col.table)?;
@@ -95,7 +88,7 @@ impl<'a> SamplingCard<'a> {
         for l in 0..ln {
             let lid = left.rows[l * lstride + lpos] as usize;
             let Some(k) = lcol.get_i64(lid) else { continue };
-            let matches = index.get(&k).map(Vec::as_slice).unwrap_or(&[]);
+            let matches = index.get(k);
             fanout_sum += matches.len() as f64;
             // Keep at most one continuation per walk (WanderJoin walks a
             // single random edge). Multi-table right sides need a non-empty
@@ -282,5 +275,47 @@ mod tests {
         let truth = db.table("orders_t").unwrap().num_rows() as f64;
         let q = (plan.ops[2].est_out_rows / truth).max(truth / plan.ops[2].est_out_rows);
         assert!(q < 1.6, "join estimate off by {q}: est={}", plan.ops[2].est_out_rows);
+    }
+
+    #[test]
+    fn join_index_moves_no_estimate_on_generated_joins() {
+        // The walk used to probe a private `HashMap<i64, Vec<u32>>` built in
+        // row order. For every generated fact→dimension join, the shared
+        // `JoinIndex` holds exactly those match lists, so the walk draws the
+        // same `rng` values; and every annotated `est_out_rows` still has
+        // the bits recorded with the `HashMap` at commit ee37079.
+        use graceful_plan::{build_plan, QueryGenerator, UdfPlacement};
+        use std::collections::HashMap;
+        let db = generate(&schema("tpc_h"), 0.1, 3);
+        let g = QueryGenerator::default();
+        let mut rng = Rng::seed(17);
+        let est = SamplingCard::new(&db, 100, 0xACE5);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut joins = 0;
+        for id in 0..24 {
+            let spec = g.generate(&db, id, &mut rng).unwrap();
+            let mut plan = build_plan(&spec, UdfPlacement::PushDown).unwrap();
+            for op in &plan.ops {
+                let PlanOpKind::Join { right_col, .. } = &op.kind else { continue };
+                let col = db.table(&right_col.table).unwrap().column(&right_col.column).unwrap();
+                let mut by_hash: HashMap<i64, Vec<u32>> = HashMap::new();
+                let mut pairs = Vec::new();
+                for r in 0..col.len() {
+                    if let Some(k) = col.get_i64(r) {
+                        by_hash.entry(k).or_default().push(r as u32);
+                        pairs.push((k, r as u32));
+                    }
+                }
+                let index = JoinIndex::build(pairs);
+                assert!(by_hash.iter().all(|(k, rows)| index.get(*k) == rows.as_slice()));
+                joins += 1;
+            }
+            est.annotate(&mut plan).unwrap();
+            for op in &plan.ops {
+                digest = (digest ^ op.est_out_rows.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        assert_eq!(joins, 53, "the generator's join mix changed; re-record the digest");
+        assert_eq!(digest, 0x714d_0e79_eaa0_f0cc, "an estimate moved");
     }
 }

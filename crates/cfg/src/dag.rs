@@ -366,11 +366,6 @@ impl UdfDag {
         self.edges.iter().filter(move |(s, _, _)| *s == node).map(|&(_, d, k)| (d, k))
     }
 
-    /// Incoming `(src, kind)` pairs of `node`.
-    pub fn predecessors(&self, node: usize) -> impl Iterator<Item = (usize, EdgeKind)> + '_ {
-        self.edges.iter().filter(move |(_, d, _)| *d == node).map(|&(s, _, k)| (s, k))
-    }
-
     /// Topological order (Kahn). By construction this equals index order;
     /// the method exists so consumers need not rely on that invariant.
     pub fn topo_order(&self) -> Vec<usize> {

@@ -21,8 +21,9 @@
 //! `graceful-runtime`: rows are split into `morsel_rows`-row morsels
 //! (`GRACEFUL_MORSEL`), workers pull morsels from a shared queue, and
 //! per-morsel results — kept rows, projected values, join output chunks,
-//! aggregate partials, accounted work — merge in morsel-index order. Hash
-//! joins build and probe the radix-partitioned index of `crate::join`.
+//! aggregate partials, accounted work — merge in morsel-index order (one
+//! protocol, written once: `physical`'s morsel stage). Hash joins probe the
+//! flat sorted index of [`crate::join`].
 //! Work totals are grouped *per morsel* regardless of the thread count, so
 //! every `QueryRun` field is **bit-identical for any `GRACEFUL_THREADS`
 //! value** (enforced by `tests/parallel_determinism.rs`).
@@ -75,8 +76,8 @@ impl Default for OperatorWeights {
 
 /// The closed-form work charges of the relational operators. Each formula —
 /// and its float association, which the bit-identity contract depends on —
-/// is written here once: the scan source, `FilterExec`, `ProbeExec` and
-/// `AggExec` call these over measured row counts, and
+/// is written here once: the scan source and the filter, probe and
+/// aggregate kernels call these over measured row counts, and
 /// [`crate::analyze::estimated_work`] over estimated ones.
 impl OperatorWeights {
     /// A scan of `rows` base-table rows.
@@ -355,7 +356,7 @@ impl<'a> Executor<'a> {
     /// Lower `plan` into its physical-operator pipelines without executing
     /// — the EXPLAIN-level view of what [`Executor::run`] will drive.
     pub fn physical_plan<'p>(&self, plan: &'p Plan) -> Result<crate::physical::PhysicalPlan<'p>> {
-        crate::physical::lower(plan)
+        crate::physical::lower(plan, None)
     }
 
     /// Execute and write the actual cardinalities back onto the plan.
@@ -824,13 +825,13 @@ mod tests {
         };
         let join_lanes = |database: &Database, plan: &Plan, cuts| -> usize {
             let phys = lower_under(database, plan, cuts).unwrap();
-            let ops = phys.pipelines.iter().flat_map(|pipe| &pipe.ops);
-            ops.map(|op| match &op.kind {
-                PhysicalOpKind::HashJoinBuild { keep, .. }
-                | PhysicalOpKind::HashJoinProbe { keep, .. } => keep.len(),
+            let built: usize = phys.builds.iter().map(|pipe| pipe.sink.keep.len()).sum();
+            let ops = phys.builds.iter().flat_map(|pipe| &pipe.ops).chain(&phys.root.ops);
+            let probed = ops.map(|op| match &op.kind {
+                PhysicalOpKind::HashJoinProbe { keep, .. } => keep.len(),
                 _ => 0,
-            })
-            .sum()
+            });
+            built + probed.sum::<usize>()
         };
         let mut checked = 0;
         let (mut lane_rows, mut counted_loops) = (0u64, 0usize);
@@ -921,7 +922,7 @@ mod tests {
             root: 3,
         };
         let phys = Executor::new(&db).physical_plan(&plan).unwrap();
-        assert_eq!(phys.pipelines.len(), 2, "build pipeline + probe pipeline");
+        assert_eq!(phys.builds.len(), 1, "build pipeline + probe pipeline");
         let text = phys.explain();
         assert!(text.contains("HASH_BUILD customer_t.id"), "{text}");
         assert!(text.contains("HASH_PROBE orders_t.cust_id"), "{text}");

@@ -1,166 +1,82 @@
-//! Radix-partitioned parallel hash-join build and probe.
+//! The join index: key → build-row ids, ascending.
 //!
-//! The build side is split into a fixed [`JOIN_PARTITIONS`] partitions by a
-//! pure hash of the key — the
-//! layout depends only on key values, never on thread count or arrival
-//! order — and each partition's hash table is built independently, so the
-//! three build phases parallelize without locks:
+//! [`JoinIndex::build`] sorts the `(key, build row)` pairs once and lays
+//! them out flat: `keys` holds each distinct key once, in order;
+//! `offsets[i]..offsets[i + 1]` is key `i`'s slice of `rows`. Sorting by
+//! `(key, row)` makes every match list row-ascending *by construction* —
+//! whatever order the pairs arrived in — so a probe reads the same list, and
+//! emits the same rows in the same order, for any thread count or driver.
+//! Lookup is a binary search over the distinct keys.
 //!
-//! 1. **Scatter** (parallel, per build morsel): bucket `(key, row)` pairs
-//!    by partition.
-//! 2. **Merge** (sequential, morsel-index order): concatenate each
-//!    partition's buckets in morsel order, restoring global row order
-//!    within every partition.
-//! 3. **Index** (parallel, per partition): insert in that order, so every
-//!    key's match list is exactly the row-ascending list the sequential
-//!    `HashMap` build produced.
-//!
-//! Probes then read identical match lists regardless of `GRACEFUL_THREADS`,
-//! which is what keeps join output — and everything downstream of it —
-//! bit-identical. Each build reports its non-empty partition count to the
-//! registry counter `join.partitions`.
+//! The executor's hash-join build sink and the sampling estimator's join
+//! walk (`graceful-card`) build this one type.
 
-use graceful_common::Result;
-use graceful_obs::registry::{counter, Counter};
-use graceful_runtime::Pool;
-use std::collections::HashMap;
-use std::sync::OnceLock;
-
-/// Fixed partition fan-out. A power of two so the hash folds with a mask;
-/// small enough that phase-2 merge stays cheap on tiny build sides.
-pub(crate) const JOIN_PARTITIONS: usize = 16;
-
-/// Registry counter for non-empty partitions across all join builds.
-fn join_partitions_counter() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| counter("join.partitions"))
+/// Flat key → build-row index. NULL keys never match, so callers leave
+/// them out of the pairs.
+#[derive(Debug, Default)]
+pub struct JoinIndex {
+    /// Distinct keys, ascending.
+    keys: Vec<i64>,
+    /// `keys.len() + 1` boundaries into `rows`.
+    offsets: Vec<u32>,
+    /// Build-row ids grouped by key, ascending within each key.
+    rows: Vec<u32>,
 }
 
-/// Partition of a join key: SplitMix64 finalizer folded to the fan-out.
-/// Pure function of the key so the partition layout is reproducible.
-#[inline]
-pub(crate) fn partition_of(key: i64) -> usize {
-    let mut z = (key as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z & (JOIN_PARTITIONS as u64 - 1)) as usize
-}
-
-/// Partitioned build-side index: key → build-row ids ascending.
-pub(crate) struct PartitionedIndex {
-    parts: Vec<HashMap<i64, Vec<u32>>>,
-}
-
-impl PartitionedIndex {
-    /// Build from `n` build-side rows chunked into `morsel`-row morsels.
-    /// `key_of(r)` returns row `r`'s join key, or `None` for NULL keys
-    /// (which never match and are dropped here).
-    pub(crate) fn build(
-        pool: &Pool,
-        n: usize,
-        morsel: usize,
-        key_of: impl Fn(usize) -> Option<i64> + Sync,
-    ) -> Result<Self> {
-        // Phase 1: scatter each morsel's keys into per-partition buckets.
-        let scattered = pool.try_map_init(
-            Pool::morsel_count(n, morsel),
-            || (),
-            |_, m| {
-                let mut buckets: Vec<Vec<(i64, u32)>> = vec![Vec::new(); JOIN_PARTITIONS];
-                for r in Pool::morsel_range(m, n, morsel) {
-                    if let Some(k) = key_of(r) {
-                        buckets[partition_of(k)].push((k, r as u32));
-                    }
-                }
-                buckets
-            },
-        )?;
-        // Phase 2: concatenate per partition in morsel-index order. Rows
-        // within a partition come out globally ascending.
-        let mut per_part: Vec<Vec<(i64, u32)>> = vec![Vec::new(); JOIN_PARTITIONS];
-        for buckets in scattered {
-            for (p, b) in buckets.into_iter().enumerate() {
-                per_part[p].extend(b);
+impl JoinIndex {
+    /// Index `pairs` of `(join key, build row)`.
+    pub fn build(mut pairs: Vec<(i64, u32)>) -> Self {
+        pairs.sort_unstable();
+        let mut index = JoinIndex { rows: Vec::with_capacity(pairs.len()), ..Self::default() };
+        for (i, &(key, row)) in pairs.iter().enumerate() {
+            if index.keys.last() != Some(&key) {
+                index.keys.push(key);
+                index.offsets.push(i as u32);
             }
+            index.rows.push(row);
         }
-        // Phase 3: index each partition independently.
-        let parts = pool.try_map_init(
-            JOIN_PARTITIONS,
-            || (),
-            |_, p| {
-                let entries = &per_part[p];
-                let mut map: HashMap<i64, Vec<u32>> = HashMap::with_capacity(entries.len());
-                for &(k, r) in entries {
-                    map.entry(k).or_default().push(r);
-                }
-                map
-            },
-        )?;
-        join_partitions_counter().add(parts.iter().filter(|m| !m.is_empty()).count() as u64);
-        Ok(PartitionedIndex { parts })
+        index.offsets.push(pairs.len() as u32);
+        index
     }
 
-    /// Build-row ids matching `key`, ascending; `None` when absent.
+    /// Build rows matching `key`, ascending; empty when the key is absent.
     #[inline]
-    pub(crate) fn get(&self, key: i64) -> Option<&[u32]> {
-        self.parts[partition_of(key)].get(&key).map(Vec::as_slice)
+    pub fn get(&self, key: i64) -> &[u32] {
+        match self.keys.binary_search(&key) {
+            Ok(i) => &self.rows[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+            Err(_) => &[],
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn keys() -> Vec<Option<i64>> {
-        // Duplicates, NULLs, negatives, and extremes across partitions.
-        let mut ks: Vec<Option<i64>> = (0..997).map(|i| Some((i * 37) % 101 - 50)).collect();
-        ks[13] = None;
-        ks[500] = None;
-        ks.push(Some(i64::MIN));
-        ks.push(Some(i64::MAX));
-        ks
-    }
-
-    fn index_with(threads: usize, morsel: usize) -> PartitionedIndex {
-        let ks = keys();
-        let pool = Pool::new(threads);
-        PartitionedIndex::build(&pool, ks.len(), morsel, move |r| ks[r]).expect("no morsel panics")
-    }
+    use std::collections::HashMap;
 
     #[test]
     fn matches_sequential_hashmap_build_exactly() {
-        let ks = keys();
+        // Duplicates, NULLs, negatives and the extremes.
+        let mut keys: Vec<Option<i64>> = (0..997).map(|i| Some((i * 37) % 101 - 50)).collect();
+        keys[13] = None;
+        keys[500] = None;
+        keys.push(Some(i64::MIN));
+        keys.push(Some(i64::MAX));
         let mut reference: HashMap<i64, Vec<u32>> = HashMap::new();
-        for (r, k) in ks.iter().enumerate() {
+        let mut pairs = Vec::new();
+        for (r, k) in keys.iter().enumerate() {
             if let Some(k) = k {
                 reference.entry(*k).or_default().push(r as u32);
+                pairs.push((*k, r as u32));
             }
         }
-        for threads in [1, 2, 4] {
-            for morsel in [1, 64, 10_000] {
-                let idx = index_with(threads, morsel);
-                for (k, rows) in &reference {
-                    assert_eq!(
-                        idx.get(*k),
-                        Some(rows.as_slice()),
-                        "key {k} at threads={threads} morsel={morsel}"
-                    );
-                }
-                assert!(idx.get(999_999).is_none());
-            }
+        // Arrival order must not leak into the match lists.
+        pairs.reverse();
+        let index = JoinIndex::build(pairs);
+        for (k, rows) in &reference {
+            assert_eq!(index.get(*k), rows.as_slice(), "key {k}");
         }
-    }
-
-    #[test]
-    fn partition_of_covers_fanout_and_is_stable() {
-        let mut seen = [false; JOIN_PARTITIONS];
-        for k in -2000i64..2000 {
-            let p = partition_of(k);
-            assert!(p < JOIN_PARTITIONS);
-            assert_eq!(p, partition_of(k), "pure function of the key");
-            seen[p] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "4k consecutive keys should touch all partitions");
+        assert!(index.get(999_999).is_empty());
+        assert!(JoinIndex::build(Vec::new()).get(0).is_empty());
     }
 }

@@ -14,11 +14,17 @@
 //! * [`session`] — [`Session`] / [`ExecOptions`], the validated programmatic
 //!   configuration API (environment variables are only documented defaults,
 //!   applied once by [`Session::from_env`]);
-//! * [`physical`] — the executor: [`physical::lower`] turns a plan into
-//!   explicit [`physical::PhysicalPlan`] pipelines of
-//!   [`physical::Operator`]s, driven by streaming row [`physical::Batch`]es
-//!   through each chain (peak memory O(threads × morsel × depth) for
-//!   non-blocking chains);
+//! * [`physical`] — the executor: [`physical::lower`] turns a plan into a
+//!   [`physical::PhysicalPlan`] whose pipeline shape is a type (build
+//!   pipelines, then the root; each a scan, streaming operators and a
+//!   sink), audited by [`physical::verify_physical`] and driven by
+//!   streaming row [`physical::Batch`]es through each chain of
+//!   [`physical::Operator`]s (peak memory O(threads × morsel × depth) for
+//!   non-blocking chains); every parallel operator is one morsel stage
+//!   around a kernel, so the rebatch / ordered-merge / closed-form-charge
+//!   protocol is written once;
+//! * [`join`] — the flat sorted [`join::JoinIndex`] (key → ascending build
+//!   rows) the build sink and the sampling estimator both build;
 //! * [`engine`] — [`ExecConfig`], [`QueryRun`], [`OperatorWeights`] with the
 //!   closed-form work charges, written once, and the [`Executor`] with its
 //!   two entry points: [`Executor::run`], what ships, and
@@ -38,8 +44,8 @@
 //!
 //! Every data-plane operator runs morsel-parallel on the
 //! `graceful-runtime` pool: filters evaluate their predicates per morsel,
-//! hash joins build and probe a radix-partitioned index (`join`), and
-//! aggregates fold per-morsel partial states.
+//! hash joins probe the build side's index per morsel, and aggregates fold
+//! per-morsel partial states.
 //! Work accounting is grouped per morsel and merged in morsel-index order,
 //! so results and accounted runtimes are **bit-identical for any thread
 //! count and batch size, and between `run` and `run_reference`** — the
@@ -51,7 +57,7 @@
 
 pub mod analyze;
 pub mod engine;
-mod join;
+pub mod join;
 pub mod physical;
 pub mod profile;
 mod row_test;

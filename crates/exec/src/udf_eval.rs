@@ -32,7 +32,6 @@
 use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
 use graceful_obs::trace;
-use graceful_runtime::Pool;
 use graceful_storage::{Column, Value};
 use graceful_udf::simd::{self, SimdBatchStats, TypedCol};
 use graceful_udf::{compile, CostCounter, CostWeights, Program, SimdShape, Vm};
@@ -91,7 +90,7 @@ pub(crate) fn record_udf_metrics(stats: &UdfEvalStats) {
 
 /// Batched UDF evaluation over gathered input rows.
 ///
-/// One instance is created per pool worker (via [`UdfEvalSpec::new_eval`])
+/// One instance is created per pool worker (via [`UdfEvalSpec::worker`])
 /// and reused across all morsels that worker pulls, so scratch buffers are
 /// allocated once.
 pub(crate) trait UdfEval {
@@ -110,13 +109,40 @@ pub(crate) trait UdfEval {
     ) -> Result<()>;
 }
 
-/// One morsel of [`UdfEvalSpec::eval_morsels`]: accounted work, one value per
+/// One morsel of [`UdfWorker::eval_morsel`]: accounted work, one value per
 /// row, evaluator statistics.
 pub(crate) type MorselEval = (f64, Vec<Value>, UdfEvalStats);
 
+/// One evaluator and the row-id gather buffer it reuses across the morsels
+/// its pool worker pulls.
+pub(crate) struct UdfWorker<'s> {
+    eval: Box<dyn UdfEval + 's>,
+    rids: Vec<usize>,
+}
+
+impl UdfWorker<'_> {
+    /// Evaluate one morsel — the storage rows `rids`, in order — returning
+    /// its `(work, values, stats)` triple. Callers merge the triples **in
+    /// morsel-index order**.
+    ///
+    /// This is the one kernel behind both drivers' UDF operators: the
+    /// per-morsel float grouping lives here and only here, so the drivers
+    /// cannot drift apart.
+    pub(crate) fn eval_morsel(&mut self, rids: impl Iterator<Item = usize>) -> Result<MorselEval> {
+        self.rids.clear();
+        self.rids.extend(rids);
+        let _span = trace::span("udf", "eval_morsel").arg("rows", self.rids.len());
+        let mut morsel_work = 0.0f64;
+        let mut stats = UdfEvalStats::default();
+        let mut values = Vec::with_capacity(self.rids.len());
+        self.eval.eval_rows(&self.rids, &mut values, &mut morsel_work, &mut stats)?;
+        Ok((morsel_work, values, stats))
+    }
+}
+
 /// Everything resolved once per UDF operator: input columns, the compiled
 /// program, the columnar-eligibility decision, weights and batching
-/// parameters. [`UdfEvalSpec::new_eval`] then builds one evaluator per
+/// parameters. [`UdfEvalSpec::worker`] then builds one evaluator per
 /// worker.
 pub(crate) struct UdfEvalSpec<'a> {
     cols: Vec<&'a Column>,
@@ -176,37 +202,10 @@ impl<'a> UdfEvalSpec<'a> {
         Ok(UdfEvalSpec { cols, weights, prog, typed, batch, overhead })
     }
 
-    /// Evaluate rows `0..n` — mapped to storage row ids by `rid_of` — in
-    /// `morsel`-row morsels on `pool`, one evaluator per worker, returning
-    /// the per-morsel `(work, values, stats)` triples **in morsel-index
-    /// order**. The outer error is a panicking evaluator
-    /// (`GracefulError::WorkerPanic`), an inner one that morsel's own.
-    ///
-    /// This is the one kernel behind both drivers' UDF operators: the
-    /// per-morsel float grouping and the merge order live here and only
-    /// here, so the drivers cannot drift apart.
-    pub(crate) fn eval_morsels(
-        &self,
-        pool: &Pool,
-        n: usize,
-        morsel: usize,
-        rid_of: impl Fn(usize) -> usize + Sync,
-    ) -> Result<Vec<Result<MorselEval>>> {
-        pool.try_map_init(
-            Pool::morsel_count(n, morsel),
-            || (self.new_eval(), Vec::new()),
-            |(eval, rids): &mut (Box<dyn UdfEval + '_>, Vec<usize>), m| {
-                let range = Pool::morsel_range(m, n, morsel);
-                rids.clear();
-                rids.extend(range.clone().map(&rid_of));
-                let _span = trace::span("udf", "eval_morsel").arg("rows", rids.len());
-                let mut morsel_work = 0.0f64;
-                let mut stats = UdfEvalStats::default();
-                let mut values = Vec::with_capacity(range.len());
-                eval.eval_rows(rids, &mut values, &mut morsel_work, &mut stats)?;
-                Ok((morsel_work, values, stats))
-            },
-        )
+    /// One pool worker's evaluation state. The stage (`physical::stage`)
+    /// builds one per worker per region and hands it that worker's morsels.
+    pub(crate) fn worker(&self) -> UdfWorker<'_> {
+        UdfWorker { eval: self.new_eval(), rids: Vec::new() }
     }
 
     /// Build one evaluator for a pool worker. The instance owns all its

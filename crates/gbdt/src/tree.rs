@@ -141,10 +141,6 @@ impl RegressionTree {
             }
         }
     }
-
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Gradient-boosted ensemble (squared loss).

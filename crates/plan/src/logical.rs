@@ -85,18 +85,6 @@ pub enum PlanOpKind {
 }
 
 impl PlanOpKind {
-    /// Operator-type index for featurization (one-hot over 6 kinds).
-    pub fn type_index(&self) -> usize {
-        match self {
-            PlanOpKind::Scan { .. } => 0,
-            PlanOpKind::Filter { .. } => 1,
-            PlanOpKind::Join { .. } => 2,
-            PlanOpKind::UdfFilter { .. } => 3,
-            PlanOpKind::UdfProject { .. } => 4,
-            PlanOpKind::Agg { .. } => 5,
-        }
-    }
-
     pub const TYPE_COUNT: usize = 6;
 
     pub fn name(&self) -> &'static str {

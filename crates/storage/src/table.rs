@@ -82,22 +82,9 @@ impl Table {
             .ok_or_else(|| GracefulError::Unresolved(format!("column {table}.{name}")))
     }
 
-    /// Column by position.
-    pub fn column_at(&self, idx: usize) -> &Column {
-        &self.columns[idx]
-    }
-
     /// Data type of a named column.
     pub fn column_type(&self, name: &str) -> Result<DataType> {
         Ok(self.column(name)?.data_type())
-    }
-
-    /// Typed view of a named column: the dense data storage plus the null
-    /// bitmap. The engine's columnar UDF path uses this to check type
-    /// eligibility and gather unboxed batches without materializing `Value`s.
-    pub fn column_typed(&self, name: &str) -> Result<(&crate::column::ColumnData, &[bool])> {
-        let c = self.column(name)?;
-        Ok((&c.data, &c.nulls))
     }
 
     /// Mark the primary key column (must exist).
