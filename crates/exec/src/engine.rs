@@ -470,18 +470,6 @@ impl AggState {
     }
 }
 
-pub(crate) fn cmp_f64(op: graceful_udf::ast::CmpOp, a: f64, b: f64) -> bool {
-    use graceful_udf::ast::CmpOp::*;
-    match op {
-        Lt => a < b,
-        Le => a <= b,
-        Gt => a > b,
-        Ge => a >= b,
-        Eq => a == b,
-        Ne => a != b,
-    }
-}
-
 /// Deterministic multiplicative jitter in `[1-amp, 1+amp]`, keyed by `seed`.
 pub(crate) fn jitter_factor(seed: u64, amp: f64) -> f64 {
     // SplitMix64 scramble → uniform in [0,1).

@@ -10,12 +10,12 @@
 //! ordered fold, and an [`OperatorWeights`] formula.
 
 use super::{HashBuild, PhysicalOp, PhysicalOpKind};
-use crate::engine::{cmp_f64, AggState, ExecConfig, OperatorWeights, Shortcuts};
+use crate::engine::{AggState, ExecConfig, OperatorWeights, Shortcuts};
 use crate::join::JoinIndex;
 use crate::row_test::RowTest;
 use crate::udf_eval::{UdfEvalSpec, UdfEvalStats, UdfWorker};
 use graceful_common::{GracefulError, Result};
-use graceful_plan::{AggFunc, ColRef};
+use graceful_plan::{AggFunc, ColRef, Pred};
 use graceful_runtime::Pool;
 use graceful_storage::{Column, Database, Value};
 use graceful_udf::ast::CmpOp;
@@ -350,8 +350,10 @@ impl Kernel for UdfKernel<'_> {
             Some((cmp, literal)) => {
                 let mut kept = Vec::new();
                 for (tuple, value) in morsel.tuples().zip(&values) {
-                    // NULL and text outputs never pass.
-                    if value.as_f64().is_some_and(|v| cmp_f64(cmp, v, literal)) {
+                    // NULL, text and NaN outputs never pass, `!=` included:
+                    // the table every SQL comparison in the engine applies.
+                    let ord = value.as_f64().and_then(|v| v.partial_cmp(&literal));
+                    if Pred::accepts(cmp, ord) {
                         kept.extend_from_slice(tuple);
                     }
                 }

@@ -1,16 +1,18 @@
 //! UDF evaluation for the execution engine: one shipped path, one oracle.
 //!
 //! Every relational operator that invokes a UDF — `UdfFilter`, `UdfProject`,
-//! under either driver — evaluates it through the [`UdfEval`] trait, built by
-//! [`UdfEvalSpec`] (crate-private, like its two implementors: the factory is
-//! the only construction path). Both run the compiled, verified program:
+//! under either driver — evaluates it through one [`UdfWorker`] per pool
+//! worker, built by [`UdfEvalSpec`] (both crate-private: the spec is the
+//! only construction path). A worker runs the compiled, verified program on
+//! a warmed [`Vm`] and differs only in what it gathers a batch into:
 //!
-//! * `SimdEval` — typed lanes gathered straight from storage, rows the
-//!   columnar executor cannot carry bailing to the per-row VM — is what
-//!   [`crate::Executor::run`] uses wherever the program has a columnar path
-//!   and no input is `Text`;
-//! * `VmEval` — the boxed-`Value` batch VM — serves the remaining operators
-//!   under `run`, and every operator under [`crate::Executor::run_reference`].
+//! * **typed lanes** gathered straight from storage, rows the lanes cannot
+//!   carry bailing to the per-row VM ([`simd::eval_batch_typed`]) — what
+//!   [`crate::Executor::run`] uses wherever the program has a lane path and
+//!   no input is `Text`;
+//! * **boxed `Value` columns** for the batch VM ([`Vm::eval_batch`]) — the
+//!   remaining operators under `run`, and every operator under
+//!   [`crate::Executor::run_reference`].
 //!
 //! The tree-walking `graceful_udf::Interpreter` is not an engine path: the
 //! `graceful-udf` suites prove interpreter = VM = typed lanes per UDF, and
@@ -19,15 +21,16 @@
 //!
 //! # The bit-identity contract
 //!
-//! [`UdfEval::eval_rows`] receives one *morsel* of row ids and a fresh `work`
-//! accumulator, and adds `batch_cost + rows × overhead` once per internal
-//! batch, restarting batch boundaries at the morsel start. Callers merge
-//! per-morsel `(work, values)` pairs in morsel-index order. Because grouping
-//! depends only on the morsel boundaries — never on thread count, driver or
-//! flush timing — and the typed lanes merge the same per-row costs in the
-//! same order as the batch VM, every accounted total is bit-identical across
-//! all of them (enforced by `tests/parallel_determinism.rs` and the engine
-//! differential tests).
+//! [`UdfWorker::eval_morsel`] receives one *morsel* of row ids and is the one
+//! place batches are cut: at most `udf_batch_size` rows each, boundaries
+//! restarting at the morsel start, `batch_cost + rows × overhead` added to
+//! the morsel's work once per batch. Neither evaluator cuts a batch again.
+//! Callers merge per-morsel `(work, values)` pairs in morsel-index order.
+//! Because grouping depends only on the morsel boundaries — never on thread
+//! count, driver or flush timing — and the typed lanes merge the same
+//! per-row costs in the same order as the batch VM, every accounted total is
+//! bit-identical across all of them (enforced by
+//! `tests/parallel_determinism.rs` and the engine differential tests).
 
 use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
@@ -88,36 +91,28 @@ pub(crate) fn record_udf_metrics(stats: &UdfEvalStats) {
     m.simd_group_splits.add(stats.simd.group_splits);
 }
 
-/// Batched UDF evaluation over gathered input rows.
-///
-/// One instance is created per pool worker (via [`UdfEvalSpec::worker`])
-/// and reused across all morsels that worker pulls, so scratch buffers are
-/// allocated once.
-pub(crate) trait UdfEval {
-    /// Evaluate the UDF over the rows `rids` (row ids into the operator's
-    /// input columns), appending one output [`Value`] per row to `values`
-    /// and accumulating accounted work — UDF cost plus the operator's
-    /// per-row overhead — into `work`, once per internal batch.
-    /// Evaluation-volume counters accumulate into `stats` (write-only, never
-    /// consulted for results).
-    fn eval_rows(
-        &mut self,
-        rids: &[usize],
-        values: &mut Vec<Value>,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-    ) -> Result<()>;
-}
-
 /// One morsel of [`UdfWorker::eval_morsel`]: accounted work, one value per
 /// row, evaluator statistics.
 pub(crate) type MorselEval = (f64, Vec<Value>, UdfEvalStats);
 
-/// One evaluator and the row-id gather buffer it reuses across the morsels
-/// its pool worker pulls.
+/// What a worker gathers one batch of argument rows into, which decides the
+/// evaluator that batch runs on.
+enum Gather<'s> {
+    /// Boxed `Value` columns, one per UDF parameter, for the batch VM.
+    Boxed(Vec<Vec<Value>>),
+    /// Unboxed lanes, one per UDF parameter, and the program's shape.
+    Typed(&'s SimdShape, Vec<TypedCol>),
+}
+
+/// One pool worker's evaluation state, reused across all morsels that
+/// worker pulls: a warmed VM (register file allocated), the row-id buffer and
+/// the gather buffers, which grow to the largest batch seen and are never
+/// sized from configuration.
 pub(crate) struct UdfWorker<'s> {
-    eval: Box<dyn UdfEval + 's>,
+    spec: &'s UdfEvalSpec<'s>,
+    vm: Vm,
     rids: Vec<usize>,
+    gather: Gather<'s>,
 }
 
 impl UdfWorker<'_> {
@@ -125,18 +120,49 @@ impl UdfWorker<'_> {
     /// its `(work, values, stats)` triple. Callers merge the triples **in
     /// morsel-index order**.
     ///
-    /// This is the one kernel behind both drivers' UDF operators: the
-    /// per-morsel float grouping lives here and only here, so the drivers
-    /// cannot drift apart.
+    /// This is the one kernel behind both drivers' UDF operators and the one
+    /// loop that cuts batches: the per-morsel float grouping lives here and
+    /// only here, so neither the drivers nor the two evaluators can drift
+    /// apart. The statistics are write-only, never consulted for results.
     pub(crate) fn eval_morsel(&mut self, rids: impl Iterator<Item = usize>) -> Result<MorselEval> {
         self.rids.clear();
         self.rids.extend(rids);
         let _span = trace::span("udf", "eval_morsel").arg("rows", self.rids.len());
-        let mut morsel_work = 0.0f64;
+        let UdfEvalSpec { cols, prog, batch, overhead, .. } = self.spec;
+        let mut work = 0.0f64;
         let mut stats = UdfEvalStats::default();
         let mut values = Vec::with_capacity(self.rids.len());
-        self.eval.eval_rows(&self.rids, &mut values, &mut morsel_work, &mut stats)?;
-        Ok((morsel_work, values, stats))
+        for rids in self.rids.chunks(*batch) {
+            let mut cost = CostCounter::new();
+            match &mut self.gather {
+                Gather::Boxed(bufs) => {
+                    for (buf, col) in bufs.iter_mut().zip(cols) {
+                        buf.clear();
+                        buf.extend(rids.iter().map(|&rid| col.value(rid)));
+                    }
+                    let slices: Vec<&[Value]> = bufs.iter().map(Vec::as_slice).collect();
+                    self.vm.eval_batch(prog, &slices, &mut values, &mut cost)?;
+                }
+                Gather::Typed(shape, lanes) => {
+                    for (lane, col) in lanes.iter_mut().zip(cols) {
+                        lane.fill_from_column(col, rids)?;
+                    }
+                    simd::eval_batch_typed(
+                        &mut self.vm,
+                        prog,
+                        shape,
+                        lanes,
+                        &mut values,
+                        &mut cost,
+                        &mut stats.simd,
+                    )?;
+                }
+            }
+            work += cost.total + rids.len() as f64 * overhead;
+            stats.rows += rids.len() as u64;
+            stats.batches += 1;
+        }
+        Ok((work, values, stats))
     }
 }
 
@@ -150,9 +176,9 @@ pub(crate) struct UdfEvalSpec<'a> {
     prog: Program,
     /// `Some` iff typed lanes are on *and* the program has a vectorizable
     /// path *and* every input column has an unboxed lane type (no `Text`):
-    /// the program's shape plus one batch-sized lane buffer per parameter,
-    /// which every worker's evaluator clones. Other operators run the boxed
-    /// batch VM — the two produce bit-identical values and costs either way.
+    /// the program's shape plus one empty lane buffer per parameter, which
+    /// every worker clones. Other operators run the boxed batch VM — the two
+    /// produce bit-identical values and costs either way.
     typed: Option<(SimdShape, Vec<TypedCol>)>,
     batch: usize,
     overhead: f64,
@@ -171,6 +197,9 @@ impl<'a> UdfEvalSpec<'a> {
     /// `typed_lanes` is [`crate::engine::Shortcuts::typed_lanes`]: off, every
     /// operator runs the boxed batch VM.
     ///
+    /// `batch` is `udf_batch_size`, any count from 1 to `usize::MAX`: it
+    /// bounds how many rows one evaluator call sees and sizes nothing.
+    ///
     /// `overhead` is the operator's own per-row work (comparison against the
     /// filter literal, projection bookkeeping) charged alongside the UDF
     /// cost.
@@ -183,157 +212,28 @@ impl<'a> UdfEvalSpec<'a> {
         overhead: f64,
     ) -> Result<Self> {
         let prog = compile(&udf.def)?;
-        // `for_type` has no lane for `Text`, so one such column makes the
-        // whole list `None`. Each lane holds one zeroed batch, so a worker's
-        // clone of it is allocated at batch size once.
-        let batch = batch.max(1);
         let shape = typed_lanes.then(|| prog.simd_shape()).filter(|s| s.has_fast_path);
+        // `for_type` has no lane for `Text`, so one such column makes the
+        // whole list `None`.
         let typed = shape.and_then(|shape| {
-            let lanes: Option<Vec<TypedCol>> = cols
-                .iter()
-                .map(|c| {
-                    let mut lane = TypedCol::for_type(c.data_type(), batch)?;
-                    lane.fill_zero(batch);
-                    Some(lane)
-                })
-                .collect();
+            let lanes: Option<Vec<TypedCol>> =
+                cols.iter().map(|c| TypedCol::for_type(c.data_type())).collect();
             Some((shape, lanes?))
         });
-        Ok(UdfEvalSpec { cols, weights, prog, typed, batch, overhead })
+        Ok(UdfEvalSpec { cols, weights, prog, typed, batch: batch.max(1), overhead })
     }
 
     /// One pool worker's evaluation state. The stage (`physical::stage`)
     /// builds one per worker per region and hands it that worker's morsels.
+    /// The instance owns all its scratch state, so parallel evaluation never
+    /// contends.
     pub(crate) fn worker(&self) -> UdfWorker<'_> {
-        UdfWorker { eval: self.new_eval(), rids: Vec::new() }
-    }
-
-    /// Build one evaluator for a pool worker. The instance owns all its
-    /// scratch state (warmed VM register file, gather buffers), so parallel
-    /// evaluation never contends and never reallocates per row.
-    fn new_eval(&self) -> Box<dyn UdfEval + '_> {
         let mut vm = Vm::new(self.weights.clone());
         vm.warm(&self.prog);
-        match &self.typed {
-            Some((shape, lanes)) => Box::new(SimdEval {
-                vm,
-                prog: &self.prog,
-                shape,
-                typed_bufs: lanes.clone(),
-                outs: Vec::with_capacity(self.batch),
-                cols: &self.cols,
-                batch: self.batch,
-                overhead: self.overhead,
-            }),
-            None => Box::new(VmEval {
-                vm,
-                prog: &self.prog,
-                col_bufs: self.cols.iter().map(|_| Vec::with_capacity(self.batch)).collect(),
-                outs: Vec::with_capacity(self.batch),
-                cols: &self.cols,
-                batch: self.batch,
-                overhead: self.overhead,
-            }),
-        }
-    }
-}
-
-/// Bytecode batch VM: rows are gathered into boxed-`Value` column buffers and
-/// evaluated `batch` rows at a time; work accounted per batch. Serves the
-/// operators with no columnar path, and every operator of the reference run.
-struct VmEval<'a> {
-    vm: Vm,
-    prog: &'a Program,
-    /// Columnar gather buffers, one per UDF parameter.
-    col_bufs: Vec<Vec<Value>>,
-    /// Batch output buffer.
-    outs: Vec<Value>,
-    cols: &'a [&'a Column],
-    batch: usize,
-    overhead: f64,
-}
-
-impl UdfEval for VmEval<'_> {
-    fn eval_rows(
-        &mut self,
-        rids: &[usize],
-        values: &mut Vec<Value>,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-    ) -> Result<()> {
-        let mut start = 0;
-        while start < rids.len() {
-            let end = (start + self.batch).min(rids.len());
-            for buf in self.col_bufs.iter_mut() {
-                buf.clear();
-            }
-            for &rid in &rids[start..end] {
-                for (buf, col) in self.col_bufs.iter_mut().zip(self.cols.iter()) {
-                    buf.push(col.value(rid));
-                }
-            }
-            self.outs.clear();
-            let mut cost = CostCounter::new();
-            let col_slices: Vec<&[Value]> = self.col_bufs.iter().map(|b| b.as_slice()).collect();
-            self.vm.eval_batch(self.prog, &col_slices, &mut self.outs, &mut cost)?;
-            *work += cost.total + (end - start) as f64 * self.overhead;
-            stats.rows += (end - start) as u64;
-            stats.batches += 1;
-            values.append(&mut self.outs);
-            start = end;
-        }
-        Ok(())
-    }
-}
-
-/// Typed columnar fast path: batches gather straight from the storage
-/// columns' typed slices into unboxed lane buffers — no `Value` boxing on the
-/// way in. Rows the columnar executor cannot carry fall back to the per-row
-/// VM inside [`simd::eval_batch_typed`].
-struct SimdEval<'a> {
-    vm: Vm,
-    prog: &'a Program,
-    shape: &'a SimdShape,
-    /// Unboxed gather buffers, one per UDF parameter.
-    typed_bufs: Vec<TypedCol>,
-    /// Batch output buffer.
-    outs: Vec<Value>,
-    cols: &'a [&'a Column],
-    batch: usize,
-    overhead: f64,
-}
-
-impl UdfEval for SimdEval<'_> {
-    fn eval_rows(
-        &mut self,
-        rids: &[usize],
-        values: &mut Vec<Value>,
-        work: &mut f64,
-        stats: &mut UdfEvalStats,
-    ) -> Result<()> {
-        let mut start = 0;
-        while start < rids.len() {
-            let end = (start + self.batch).min(rids.len());
-            for (buf, col) in self.typed_bufs.iter_mut().zip(self.cols.iter()) {
-                buf.fill_from_column(col, rids[start..end].iter().copied())?;
-            }
-            self.outs.clear();
-            let mut cost = CostCounter::new();
-            simd::eval_batch_typed_with_stats(
-                &mut self.vm,
-                self.prog,
-                self.shape,
-                &self.typed_bufs,
-                &mut self.outs,
-                &mut cost,
-                &mut stats.simd,
-            )?;
-            *work += cost.total + (end - start) as f64 * self.overhead;
-            stats.rows += (end - start) as u64;
-            stats.batches += 1;
-            values.append(&mut self.outs);
-            start = end;
-        }
-        Ok(())
+        let gather = match &self.typed {
+            Some((shape, lanes)) => Gather::Typed(shape, lanes.clone()),
+            None => Gather::Boxed(vec![Vec::new(); self.cols.len()]),
+        };
+        UdfWorker { spec: self, vm, rids: Vec::new(), gather }
     }
 }

@@ -304,34 +304,6 @@ impl Column {
         self.data.str_at(row)
     }
 
-    /// Dense `i64` data slice for *plain* Int columns, `None` otherwise
-    /// (including the encoded int representations — the columnar gather
-    /// path decodes those per row instead). Together with the
-    /// [`Column::nulls`] bitmap this is the unboxed view the columnar UDF
-    /// fast path gathers batches from — no per-row `Value` boxing.
-    pub fn int_data(&self) -> Option<&[i64]> {
-        match &self.data {
-            ColumnData::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Dense `f64` data slice for Float columns, `None` otherwise.
-    pub fn float_data(&self) -> Option<&[f64]> {
-        match &self.data {
-            ColumnData::Float(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Dense `bool` data slice for Bool columns, `None` otherwise.
-    pub fn bool_data(&self) -> Option<&[bool]> {
-        match &self.data {
-            ColumnData::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Fraction of NULL rows.
     pub fn null_fraction(&self) -> f64 {
         if self.nulls.is_empty() {
@@ -487,7 +459,6 @@ mod tests {
         let mut enc = plain.clone();
         enc.encode();
         assert!(enc.data.is_encoded());
-        assert!(enc.int_data().is_none(), "encoded data has no dense slice");
         for row in 0..3000 {
             assert_eq!(enc.value(row), plain.value(row));
             assert_eq!(enc.get_f64(row), plain.get_f64(row));

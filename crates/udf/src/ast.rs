@@ -47,6 +47,12 @@ impl BinOp {
             BinOp::FloorDiv => "//",
         }
     }
+
+    /// `**`, `//` and `%` take the slow arithmetic path: every evaluator
+    /// charges them [`crate::costs::CostWeights::arith_slow_extra`] on top.
+    pub fn is_slow(self) -> bool {
+        matches!(self, BinOp::Pow | BinOp::FloorDiv | BinOp::Mod)
+    }
 }
 
 /// Comparison operators (the `cmops` vocabulary of BRANCH nodes).

@@ -657,7 +657,6 @@ impl Program {
     /// ops that merely *could* see a string-typed register stay `Vector` and
     /// are rejected per-selection by the executor's type checks.
     pub fn simd_shape(&self) -> SimdShape {
-        use LibFn::*;
         let trip_count = crate::analysis::trip_counts(self);
         let class: Vec<InstrClass> = self
             .instrs
@@ -677,13 +676,10 @@ impl Program {
                 // and bails only the selections whose rows would actually
                 // error (the scalar VM then reports the exact per-row error).
                 Instr::CheckDef { .. } => InstrClass::Vector,
-                Instr::Call { func, .. } => match func {
-                    // String receivers/outputs and the allocation-bound
-                    // builtins stay on the scalar path.
-                    BuiltinLen | BuiltinStr | StrUpper | StrLower | StrStrip | StrReplace
-                    | StrStartswith | StrEndswith | StrFind | StrSplitCount => InstrClass::Bail,
-                    _ => InstrClass::Vector,
-                },
+                // String receivers/outputs and the allocation-bound builtins
+                // stay on the scalar path.
+                Instr::Call { func, .. } if func.has_lane_kernel() => InstrClass::Vector,
+                Instr::Call { .. } => InstrClass::Bail,
                 Instr::JumpIfFalse { .. } | Instr::JumpIfTrue { .. } => InstrClass::Split,
                 Instr::Return { .. } | Instr::ReturnNull => InstrClass::Return,
                 // A `for` loop whose limit is an integer literal has no

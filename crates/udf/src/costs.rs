@@ -15,6 +15,7 @@
 //! in cost, UDF invocation has per-row overhead, and an expensive UDF
 //! dominates scan/join costs so pull-up decisions matter (Figure 1).
 
+use crate::bytecode::CostKind;
 use crate::libfns::LibFn;
 
 /// Cost weights in work units (≈ simulated nanoseconds).
@@ -132,6 +133,16 @@ impl CostCounter {
     pub fn add_assign(&mut self, w: &CostWeights) {
         self.assigns += 1;
         self.total += w.assign;
+    }
+
+    /// The fixed-rate charge of one [`crate::bytecode::Instr::Cost`] marker.
+    pub fn charge(&mut self, w: &CostWeights, kind: CostKind) {
+        match kind {
+            CostKind::Stmt => self.add_stmt(w),
+            CostKind::Assign => self.add_assign(w),
+            CostKind::Branch => self.add_branch(w),
+            CostKind::Compare => self.add_compare(w),
+        }
     }
 
     pub fn add_invocation(&mut self, w: &CostWeights, n_args: usize, text_chars: usize) {

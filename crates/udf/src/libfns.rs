@@ -129,6 +129,13 @@ impl LibFn {
         self.category() == LibCategory::Str
     }
 
+    /// True when the typed lanes of [`crate::simd`] have a kernel for this
+    /// function: everything numeric. String methods and the two builtins
+    /// that read or build a string run on the scalar VM only.
+    pub fn has_lane_kernel(self) -> bool {
+        !(self.is_method() || matches!(self, LibFn::BuiltinLen | LibFn::BuiltinStr))
+    }
+
     /// Python-style printable name.
     pub fn python_name(self) -> &'static str {
         use LibFn::*;

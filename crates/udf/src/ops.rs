@@ -7,6 +7,12 @@
 //! is to have exactly one implementation of each scalar operation, with the
 //! cost-accounting calls baked into it in a fixed order — so the kernels
 //! live here and the backends only differ in *how they traverse* the UDF.
+//!
+//! The typed lanes of [`crate::simd`] cannot share them — their operands are
+//! unboxed columns, not [`Value`]s — and mirror them instead, one lane kernel
+//! per scalar kernel; `lane_kernels_mirror_the_scalar_kernels_over_edge_values`
+//! in that module holds the two to the same bits, so a kernel changed here
+//! is changed there or that test fails.
 
 use crate::ast::{BinOp, CmpOp, UnOp};
 use crate::costs::{CostCounter, CostWeights};
@@ -93,8 +99,7 @@ pub fn apply_binary(
             return Ok(Value::Text(a.repeat(n)));
         }
     }
-    let slow = matches!(op, BinOp::Pow | BinOp::FloorDiv | BinOp::Mod);
-    cost.add_arith(w, slow);
+    cost.add_arith(w, op.is_slow());
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -189,6 +194,7 @@ pub fn apply_lib(
         return Ok(Value::Null);
     }
     let num = |i: usize| args.get(i).and_then(Value::as_f64);
+    let arg_str = |i: usize| args.get(i).and_then(Value::as_str);
     let out = match f {
         MathSqrt | NpSqrt => num(0).map(|x| Value::Float(sanitize(x.abs().sqrt()))),
         MathPow | NpPower => match (num(0), num(1)) {
@@ -254,39 +260,46 @@ pub fn apply_lib(
                 Value::Text(s)
             })
         }
-        // String methods (receiver required).
-        StrUpper | StrLower | StrStrip | StrReplace | StrStartswith | StrEndswith | StrFind
-        | StrSplitCount => {
-            let s = match recv {
-                Some(Value::Text(s)) => s,
-                _ => return Ok(Value::Null),
-            };
-            cost.add_string(w, s.len());
-            let arg_str = |i: usize| args.get(i).and_then(|v| v.as_str().map(str::to_string));
-            match f {
-                StrUpper => Some(Value::Text(s.to_uppercase())),
-                StrLower => Some(Value::Text(s.to_lowercase())),
-                StrStrip => Some(Value::Text(s.trim().to_string())),
-                StrReplace => match (arg_str(0), arg_str(1)) {
-                    (Some(from), Some(to)) if !from.is_empty() => {
-                        Some(Value::Text(s.replace(&from, &to)))
-                    }
-                    _ => Some(Value::Text(s.clone())),
-                },
-                StrStartswith => arg_str(0).map(|p| Value::Bool(s.starts_with(&p))),
-                StrEndswith => arg_str(0).map(|p| Value::Bool(s.ends_with(&p))),
-                StrFind => {
-                    arg_str(0).map(|p| Value::Int(s.find(&p).map(|i| i as i64).unwrap_or(-1)))
-                }
-                StrSplitCount => arg_str(0).map(|p| {
-                    let count = if p.is_empty() { 1 } else { s.matches(&p).count() + 1 };
-                    Value::Int(count as i64)
-                }),
-                _ => unreachable!("string method match is exhaustive"),
-            }
+        // String methods: a receiver that is not text yields NULL uncharged;
+        // a text receiver is charged per character whatever the arguments.
+        StrUpper => method_recv(w, recv, cost).map(|s| Value::Text(s.to_uppercase())),
+        StrLower => method_recv(w, recv, cost).map(|s| Value::Text(s.to_lowercase())),
+        StrStrip => method_recv(w, recv, cost).map(|s| Value::Text(s.trim().to_string())),
+        StrReplace => method_recv(w, recv, cost).map(|s| match (arg_str(0), arg_str(1)) {
+            (Some(from), Some(to)) if !from.is_empty() => Value::Text(s.replace(from, to)),
+            _ => Value::Text(s.clone()),
+        }),
+        StrStartswith => method_recv(w, recv, cost)
+            .and_then(|s| arg_str(0).map(|p| Value::Bool(s.starts_with(p)))),
+        StrEndswith => {
+            method_recv(w, recv, cost).and_then(|s| arg_str(0).map(|p| Value::Bool(s.ends_with(p))))
         }
+        StrFind => method_recv(w, recv, cost)
+            .and_then(|s| arg_str(0).map(|p| Value::Int(s.find(p).map_or(-1, |i| i as i64)))),
+        StrSplitCount => method_recv(w, recv, cost).and_then(|s| {
+            arg_str(0).map(|p| {
+                let count = if p.is_empty() { 1 } else { s.matches(p).count() + 1 };
+                Value::Int(count as i64)
+            })
+        }),
     };
     Ok(out.unwrap_or(Value::Null))
+}
+
+/// The text receiver of a string method, charged as one string operation
+/// over its characters; `None` (and no charge) for any other receiver.
+fn method_recv<'a>(
+    w: &CostWeights,
+    recv: Option<&'a Value>,
+    cost: &mut CostCounter,
+) -> Option<&'a String> {
+    match recv {
+        Some(Value::Text(s)) => {
+            cost.add_string(w, s.len());
+            Some(s)
+        }
+        _ => None,
+    }
 }
 
 /// SQL/Python-style comparison: NULL never compares true.

@@ -3,38 +3,59 @@
 //! The batch VM in [`crate::vm`] already amortizes compilation and register
 //! allocation, but it still walks every instruction once *per row* over boxed
 //! [`Value`]s. This module executes the vectorizable parts of a program once
-//! per *batch* instead: every live register holds an unboxed column of
-//! `i64`/`f64`/`bool` lanes plus a null bitmap, and each instruction is one
-//! chunked, auto-vectorizable loop over those lanes.
+//! per *batch* instead: every live register holds a [`TypedCol`] — unboxed
+//! `i64`/`f64`/`bool` lanes plus a null mask, the same type the caller
+//! gathers the UDF's arguments into — and each instruction is one
+//! auto-vectorizable loop over those lanes.
 //!
 //! # Execution model
 //!
-//! A batch is processed in fixed-size chunks ([`SIMD_CHUNK`] rows). Within a
-//! chunk, rows travel in **selection groups**: a group is a selection vector
-//! (lane → row index), a register file of typed columns, and the program
-//! counter all its rows share.
+//! A batch is whatever the caller passes ([`eval_batch_typed`]; the engine
+//! cuts its batches in one place, `graceful_exec`'s `UdfWorker::eval_morsel`)
+//! and is never cut again here. Its rows travel in **selection groups**: a
+//! group is a selection vector (lane → batch row), a register file of typed
+//! columns, and the program counter all its rows share. One function, `step`,
+//! executes one instruction over one group and says where the group goes:
 //!
 //! * Straight-line numeric instructions ([`InstrClass::Vector`]) execute
-//!   column-at-a-time over the whole selection.
+//!   column-at-a-time over the whole selection, and the group moves on.
 //! * Conditional jumps ([`InstrClass::Split`]) evaluate the condition column
 //!   and split the selection by truthiness — branch divergence becomes two
-//!   smaller groups, each compacted to dense lanes.
+//!   smaller groups, each compacted to dense lanes. A split needs a row on
+//!   either side, so a batch never holds more groups than rows.
 //! * `for` loops whose limit is an integer literal
 //!   ([`InstrClass::Counted`], see [`crate::analysis::tripcount`]) stay on
-//!   the fast path: every row runs the same iterations, so the group unrolls
+//!   the lanes: every row runs the same iterations, so the group unrolls
 //!   the loop in lockstep over the lane registers, replaying the scalar VM's
-//!   per-iteration charges. The limit lanes are re-checked at run time.
-//! * Rows that reach a non-vectorizable instruction ([`InstrClass::Bail`]:
-//!   data-dependent loops, string builtins, a not-yet-defined variable read,
-//!   or an operand whose runtime type the lane model cannot hold) **leave
-//!   the fast path**: their group falls back to the per-row [`Vm::eval`],
-//!   which recomputes those rows from scratch with the reference scalar
-//!   semantics.
+//!   per-iteration charges.
+//! * A `Return` ends the group with one value per lane.
+//!
+//! # One way off the lanes
+//!
+//! Whatever the lanes cannot carry makes `step` return `Err(Bail)`, every
+//! kernel through `?`, and the driver loop of [`eval_batch_typed`] holds the
+//! one fallback: each row of that group is recomputed from scratch by the
+//! per-row [`Vm::eval`], the authentic scalar semantics, errors included.
+//! Counted on the three benchmark workloads (CHANGES.md, PR 22), every row
+//! that leaves does so at an [`InstrClass::Bail`] instruction; of all rows
+//! the lanes do not carry (operators without a lane path included), 70–94 %
+//! first meet a data-dependent `for`, 5–28 % a `while` and 0.4–4 % a string
+//! builtin. The other exits are guards that carried no row there and stay
+//! because a wrong answer is the alternative: an operand whose run-time type
+//! has no lane (text) or whose register was never written, a call with a
+//! receiver, a read of a variable its path never defined (the VM then
+//! reports the exact per-row error), a counted loop whose limit or counter
+//! is not one non-null `Int` across the lanes, an int base under a
+//! non-constant int exponent (`**` picks its result type from the exponent's
+//! value), a shape that disagrees with the program.
 //!
 //! # Bit-identical values *and* costs
 //!
 //! The lane kernels mirror the scalar kernels of [`crate::ops`] expression
-//! for expression, so values match bit-for-bit. Costs match because, along a
+//! for expression, so values match bit-for-bit; the test
+//! `lane_kernels_mirror_the_scalar_kernels_over_edge_values` holds every
+//! operator and every function with a lane kernel to that over each lane
+//! type and the edge values of `i64` and `f64`. Costs match because, along a
 //! straight-line path, every cost charge is value-independent (string costs —
 //! the only data-dependent charges — never vectorize): all rows of a group
 //! share one per-row [`CostCounter`] built by replaying the exact charge
@@ -42,280 +63,147 @@
 //! order and merges each row's counter exactly like `Vm::eval_batch` does, so
 //! the accumulated `f64` totals are bit-identical, batch after batch.
 
+use crate::ast::{BinOp, CmpOp, UnOp};
 use crate::bytecode::{Instr, InstrClass, Operand, Program, SimdShape};
-use crate::costs::CostCounter;
+use crate::costs::{CostCounter, CostWeights};
 use crate::interp::EvalOutcome;
 use crate::libfns::LibFn;
 use crate::ops::{f64_to_i64, np_clip, np_sign, sanitize};
-use crate::vm::Vm;
+use crate::vm::{batch_rows, Vm};
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{Column, ColumnData, DataType, Value};
-
-/// Rows per internal chunk: bounds lane-buffer memory and keeps the working
-/// set cache-resident. The execution engine's `GRACEFUL_UDF_BATCH` default
-/// matches it, so engine batches are exactly one chunk.
-pub const SIMD_CHUNK: usize = 1024;
-
-/// Divergence cap per chunk: once this many selection groups have been
-/// spawned, further splits fall back to the scalar VM instead of dividing
-/// again (a chain of `k` short-circuit conditions can otherwise spawn `2^k`
-/// groups). Deterministic, and purely a performance valve — fallback rows
-/// produce identical results.
-const MAX_GROUPS: usize = 64;
+use std::borrow::Cow;
 
 // ---------------------------------------------------------------------------
-// Typed input columns
+// Typed columns
 
-/// An unboxed input column for one UDF parameter: dense typed data plus a
-/// null bitmap, gathered straight from storage without materializing
-/// [`Value`]s. Text columns have no typed representation — batches over them
-/// take the scalar path.
+/// Unboxed lanes of one lane type.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TypedCol {
-    Int { data: Vec<i64>, nulls: Vec<bool> },
-    Float { data: Vec<f64>, nulls: Vec<bool> },
-    Bool { data: Vec<bool>, nulls: Vec<bool> },
-}
-
-impl TypedCol {
-    /// An empty column of the lane type matching `dt`, with `cap` rows
-    /// preallocated. `None` for Text — there is no unboxed lane type for it.
-    pub fn for_type(dt: DataType, cap: usize) -> Option<TypedCol> {
-        match dt {
-            DataType::Int => Some(TypedCol::Int {
-                data: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            }),
-            DataType::Float => Some(TypedCol::Float {
-                data: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            }),
-            DataType::Bool => Some(TypedCol::Bool {
-                data: Vec::with_capacity(cap),
-                nulls: Vec::with_capacity(cap),
-            }),
-            DataType::Text => None,
-        }
-    }
-
-    /// Refill from a storage column via its typed-slice accessors, gathering
-    /// the given row ids. The column's type must match `self`'s lane type
-    /// (callers fix the type once per operator via [`TypedCol::for_type`]).
-    ///
-    /// Dictionary-encoded integer columns decode straight into the lanes
-    /// here — a per-row dictionary lookup, never a boxed
-    /// [`graceful_storage::Value`] — so the columnar fast path runs unchanged
-    /// over compressed storage.
-    pub fn fill_from_column(
-        &mut self,
-        col: &Column,
-        rids: impl Iterator<Item = usize>,
-    ) -> Result<()> {
-        let mismatch =
-            || GracefulError::Eval(format!("column {} does not match its typed buffer", col.name));
-        match self {
-            TypedCol::Int { data, nulls } => {
-                data.clear();
-                nulls.clear();
-                match &col.data {
-                    ColumnData::Int(src) => {
-                        for rid in rids {
-                            data.push(src[rid]);
-                            nulls.push(col.nulls[rid]);
-                        }
-                    }
-                    ColumnData::DictInt { codes, dict } => {
-                        for rid in rids {
-                            data.push(dict[codes[rid] as usize]);
-                            nulls.push(col.nulls[rid]);
-                        }
-                    }
-                    _ => return Err(mismatch()),
-                }
-            }
-            TypedCol::Float { data, nulls } => {
-                let src = col.float_data().ok_or_else(mismatch)?;
-                data.clear();
-                nulls.clear();
-                for rid in rids {
-                    data.push(src[rid]);
-                    nulls.push(col.nulls[rid]);
-                }
-            }
-            TypedCol::Bool { data, nulls } => {
-                let src = col.bool_data().ok_or_else(mismatch)?;
-                data.clear();
-                nulls.clear();
-                for rid in rids {
-                    data.push(src[rid]);
-                    nulls.push(col.nulls[rid]);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reset to `n` rows of the lane type's zero value with a clean (all
-    /// non-null) mask: how an operator sizes the lane buffers its workers
-    /// clone, once, before any row is gathered.
-    pub fn fill_zero(&mut self, n: usize) {
-        match self {
-            TypedCol::Int { data, nulls } => {
-                data.clear();
-                data.resize(n, 0);
-                nulls.clear();
-                nulls.resize(n, false);
-            }
-            TypedCol::Float { data, nulls } => {
-                data.clear();
-                data.resize(n, 0.0);
-                nulls.clear();
-                nulls.resize(n, false);
-            }
-            TypedCol::Bool { data, nulls } => {
-                data.clear();
-                data.resize(n, false);
-                nulls.clear();
-                nulls.resize(n, false);
-            }
-        }
-    }
-
-    /// Convert a uniformly-typed `Value` column (bench/test convenience).
-    /// `None` when the column mixes non-null types or contains Text.
-    pub fn from_values(vals: &[Value]) -> Option<TypedCol> {
-        let ty = vals.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
-        let mut out = TypedCol::for_type(ty, vals.len())?;
-        for v in vals {
-            let ok = match (&mut out, v) {
-                (TypedCol::Int { data, nulls }, Value::Int(i)) => {
-                    data.push(*i);
-                    nulls.push(false);
-                    true
-                }
-                (TypedCol::Int { data, nulls }, Value::Null) => {
-                    data.push(0);
-                    nulls.push(true);
-                    true
-                }
-                (TypedCol::Float { data, nulls }, Value::Float(f)) => {
-                    data.push(*f);
-                    nulls.push(false);
-                    true
-                }
-                (TypedCol::Float { data, nulls }, Value::Null) => {
-                    data.push(0.0);
-                    nulls.push(true);
-                    true
-                }
-                (TypedCol::Bool { data, nulls }, Value::Bool(b)) => {
-                    data.push(*b);
-                    nulls.push(false);
-                    true
-                }
-                (TypedCol::Bool { data, nulls }, Value::Null) => {
-                    data.push(false);
-                    nulls.push(true);
-                    true
-                }
-                _ => false,
-            };
-            if !ok {
-                return None;
-            }
-        }
-        Some(out)
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            TypedCol::Int { data, .. } => data.len(),
-            TypedCol::Float { data, .. } => data.len(),
-            TypedCol::Bool { data, .. } => data.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Boxed value at `row` (for the scalar fallback's argument gather).
-    pub fn value(&self, row: usize) -> Value {
-        match self {
-            TypedCol::Int { data, nulls } => {
-                if nulls[row] {
-                    Value::Null
-                } else {
-                    Value::Int(data[row])
-                }
-            }
-            TypedCol::Float { data, nulls } => {
-                if nulls[row] {
-                    Value::Null
-                } else {
-                    Value::Float(data[row])
-                }
-            }
-            TypedCol::Bool { data, nulls } => {
-                if nulls[row] {
-                    Value::Null
-                } else {
-                    Value::Bool(data[row])
-                }
-            }
-        }
-    }
-
-    /// Lane view of rows `range`, as the executor's internal column type.
-    fn lane_col(&self, range: std::ops::Range<usize>) -> LaneCol {
-        match self {
-            TypedCol::Int { data, nulls } => LaneCol {
-                lanes: Lanes::Int(data[range.clone()].to_vec()),
-                nulls: nulls[range].to_vec(),
-            },
-            TypedCol::Float { data, nulls } => LaneCol {
-                lanes: Lanes::Float(data[range.clone()].to_vec()),
-                nulls: nulls[range].to_vec(),
-            },
-            TypedCol::Bool { data, nulls } => LaneCol {
-                lanes: Lanes::Bool(data[range.clone()].to_vec()),
-                nulls: nulls[range].to_vec(),
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lane columns (internal register representation)
-
-/// Typed lanes of one virtual register across a selection group.
-#[derive(Debug, Clone)]
 enum Lanes {
     Int(Vec<i64>),
     Float(Vec<f64>),
     Bool(Vec<bool>),
 }
 
-/// A register column: lanes plus a null bitmap (one bool per lane, the same
-/// representation storage uses for its null bitmaps).
-#[derive(Debug, Clone)]
-struct LaneCol {
+/// An unboxed column: dense typed lanes plus a null mask (one bool per lane,
+/// the representation storage uses for its null bitmaps). It is both the
+/// gather buffer of one UDF parameter — filled straight from storage without
+/// materializing [`Value`]s — and the register of a selection group. A lane
+/// under a set mask bit holds an unspecified value that nothing reads. Text
+/// has no lane type: operators over a text column run on the batch VM.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TypedCol {
     lanes: Lanes,
     nulls: Vec<bool>,
 }
 
-impl LaneCol {
-    /// The SQL-NULL column: lane values are never read through the set mask.
-    fn all_null(n: usize) -> LaneCol {
-        LaneCol { lanes: Lanes::Float(vec![0.0; n]), nulls: vec![true; n] }
+impl TypedCol {
+    /// An empty column of the lane type matching `dt`; `None` for Text.
+    pub fn for_type(dt: DataType) -> Option<TypedCol> {
+        let lanes = match dt {
+            DataType::Int => Lanes::Int(Vec::new()),
+            DataType::Float => Lanes::Float(Vec::new()),
+            DataType::Bool => Lanes::Bool(Vec::new()),
+            DataType::Text => return None,
+        };
+        Some(TypedCol { lanes, nulls: Vec::new() })
     }
 
-    fn broadcast(v: &Value, n: usize) -> Option<LaneCol> {
+    /// Refill with the rows `rids` of a storage column, whose type must
+    /// match `self`'s lane type (callers fix the type once per operator via
+    /// [`TypedCol::for_type`]). The buffer grows to the largest batch
+    /// gathered, never to a configured size.
+    ///
+    /// Dictionary-encoded integer columns decode straight into the lanes
+    /// here — a per-row dictionary lookup, never a boxed [`Value`] — so the
+    /// lanes run unchanged over compressed storage.
+    pub fn fill_from_column(&mut self, col: &Column, rids: &[usize]) -> Result<()> {
+        fn gather<T>(dst: &mut Vec<T>, rids: &[usize], at: impl Fn(usize) -> T) {
+            dst.clear();
+            dst.extend(rids.iter().map(|&rid| at(rid)));
+        }
+        match (&mut self.lanes, &col.data) {
+            (Lanes::Int(dst), ColumnData::Int(src)) => gather(dst, rids, |r| src[r]),
+            (Lanes::Int(dst), ColumnData::DictInt { codes, dict }) => {
+                gather(dst, rids, |r| dict[codes[r] as usize])
+            }
+            (Lanes::Float(dst), ColumnData::Float(src)) => gather(dst, rids, |r| src[r]),
+            (Lanes::Bool(dst), ColumnData::Bool(src)) => gather(dst, rids, |r| src[r]),
+            _ => {
+                return Err(GracefulError::Eval(format!(
+                    "column {} does not match its typed buffer",
+                    col.name
+                )))
+            }
+        }
+        gather(&mut self.nulls, rids, |r| col.nulls[r]);
+        Ok(())
+    }
+
+    /// Convert a uniformly-typed `Value` column (test convenience). `None`
+    /// when the column mixes non-null types or contains Text; an all-NULL
+    /// column gets `Int` lanes.
+    pub fn from_values(vals: &[Value]) -> Option<TypedCol> {
+        let ty = vals.iter().find_map(Value::data_type).unwrap_or(DataType::Int);
+        let mut col = TypedCol::for_type(ty)?;
+        for v in vals {
+            match (&mut col.lanes, v) {
+                (Lanes::Int(d), Value::Int(_) | Value::Null) => d.push(v.as_i64().unwrap_or(0)),
+                (Lanes::Float(d), Value::Float(_) | Value::Null) => {
+                    d.push(v.as_f64().unwrap_or(0.0))
+                }
+                (Lanes::Bool(d), Value::Bool(_) | Value::Null) => d.push(v.truthy()),
+                _ => return None,
+            }
+            col.nulls.push(v.is_null());
+        }
+        Some(col)
+    }
+
+    pub fn len(&self) -> usize {
+        self.nulls.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.nulls.is_empty()
+    }
+
+    /// Boxed value of lane `i` (returned values; the scalar fallback's
+    /// argument gather).
+    pub fn value(&self, i: usize) -> Value {
+        if self.nulls[i] {
+            return Value::Null;
+        }
+        match &self.lanes {
+            Lanes::Int(v) => Value::Int(v[i]),
+            Lanes::Float(v) => Value::Float(v[i]),
+            Lanes::Bool(v) => Value::Bool(v[i]),
+        }
+    }
+
+    /// `lanes` with no lane NULL.
+    fn non_null(lanes: Lanes, n: usize) -> TypedCol {
+        TypedCol { lanes, nulls: vec![false; n] }
+    }
+
+    /// The SQL-NULL column: lane values are never read through the set mask.
+    fn all_null(n: usize) -> TypedCol {
+        TypedCol { lanes: Lanes::Float(vec![0.0; n]), nulls: vec![true; n] }
+    }
+
+    /// One `Int` across `n` non-null lanes (counters and limits of counted
+    /// loops).
+    fn ints(v: i64, n: usize) -> TypedCol {
+        TypedCol::non_null(Lanes::Int(vec![v; n]), n)
+    }
+
+    /// A constant across `n` lanes; `None` for text.
+    fn broadcast(v: &Value, n: usize) -> Option<TypedCol> {
         Some(match v {
-            Value::Int(i) => LaneCol { lanes: Lanes::Int(vec![*i; n]), nulls: vec![false; n] },
-            Value::Float(f) => LaneCol { lanes: Lanes::Float(vec![*f; n]), nulls: vec![false; n] },
-            Value::Bool(b) => LaneCol { lanes: Lanes::Bool(vec![*b; n]), nulls: vec![false; n] },
-            Value::Null => LaneCol::all_null(n),
+            Value::Int(i) => TypedCol::ints(*i, n),
+            Value::Float(f) => TypedCol::non_null(Lanes::Float(vec![*f; n]), n),
+            Value::Bool(b) => TypedCol::non_null(Lanes::Bool(vec![*b; n]), n),
+            Value::Null => TypedCol::all_null(n),
             Value::Text(_) => return None,
         })
     }
@@ -344,24 +232,27 @@ impl LaneCol {
     }
 
     /// Keep only the lanes listed in `keep` (selection compaction).
-    fn filter(&self, keep: &[u32]) -> LaneCol {
+    fn filter(&self, keep: &[u32]) -> TypedCol {
         let lanes = match &self.lanes {
             Lanes::Int(v) => Lanes::Int(keep.iter().map(|&i| v[i as usize]).collect()),
             Lanes::Float(v) => Lanes::Float(keep.iter().map(|&i| v[i as usize]).collect()),
             Lanes::Bool(v) => Lanes::Bool(keep.iter().map(|&i| v[i as usize]).collect()),
         };
-        LaneCol { lanes, nulls: keep.iter().map(|&i| self.nulls[i as usize]).collect() }
+        TypedCol { lanes, nulls: keep.iter().map(|&i| self.nulls[i as usize]).collect() }
     }
 
-    /// Boxed value of lane `i`.
-    fn value(&self, i: usize) -> Value {
-        if self.nulls[i] {
-            return Value::Null;
+    /// The single `Int` every lane holds, if the column is uniform, non-null
+    /// and int-typed — the run-time guard of counted-loop execution.
+    fn uniform_int(&self) -> Option<i64> {
+        if self.nulls.iter().any(|&b| b) {
+            return None;
         }
         match &self.lanes {
-            Lanes::Int(v) => Value::Int(v[i]),
-            Lanes::Float(v) => Value::Float(v[i]),
-            Lanes::Bool(v) => Value::Bool(v[i]),
+            Lanes::Int(v) => {
+                let first = *v.first()?;
+                v.iter().all(|&x| x == first).then_some(first)
+            }
+            _ => None,
         }
     }
 }
@@ -373,9 +264,9 @@ impl LaneCol {
 /// register file, and the per-row cost replayed along the shared path.
 struct Group {
     pc: usize,
-    /// Selection vector: lane `i` is chunk row `sel[i]`.
+    /// Selection vector: lane `i` is batch row `sel[i]`.
     sel: Vec<u32>,
-    regs: Vec<Option<LaneCol>>,
+    regs: Vec<Option<TypedCol>>,
     defined: Vec<bool>,
     /// The exact per-row `CostCounter` every row of this group has accrued.
     cost: CostCounter,
@@ -393,9 +284,20 @@ impl Group {
     }
 }
 
-/// Outcome of one chunk row.
+/// Where a group goes after one instruction.
+enum Step {
+    /// On to this program counter, every row together.
+    Goto(usize),
+    /// True divergence: lanes `stay` go on to the next instruction, lanes
+    /// `jump` to `target`; neither side is empty.
+    Split { stay: Vec<u32>, jump: Vec<u32>, target: usize },
+    /// Every row returned: one value per lane.
+    Return(Vec<Value>),
+}
+
+/// Outcome of one batch row.
 enum RowResult {
-    /// Completed on the fast path; cost lives in the group's shared counter.
+    /// Completed on the lanes; its cost is that of group `group`.
     Columnar { value: Value, group: u32 },
     /// Fell back to the scalar VM.
     Scalar(EvalOutcome),
@@ -404,21 +306,21 @@ enum RowResult {
 }
 
 // ---------------------------------------------------------------------------
-// Public entry points
+// The evaluator
 
 /// Fast-path effectiveness counters for one (or more, when accumulated)
 /// typed-batch evaluations. Observability only: the engine never reads these
 /// to make a decision, so they cannot affect results. The per-row bail rate
-/// (`bail_rows / rows`) is the signal the SIMD fast-path widening work
-/// tracks: it is exactly the fraction of rows the lane model could not keep.
+/// (`bail_rows / rows`) is exactly the fraction of rows the lane model could
+/// not keep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimdBatchStats {
     /// Rows evaluated in total.
     pub rows: u64,
     /// Rows completed on the columnar fast path.
     pub fast_rows: u64,
-    /// Rows that fell back to the scalar VM (bail opcodes, untyped lanes,
-    /// group-budget exhaustion, undefined reads).
+    /// Rows that fell back to the scalar VM (see "One way off the lanes" in
+    /// the module docs).
     pub bail_rows: u64,
     /// True control-flow divergences that split a selection group in two.
     pub group_splits: u64,
@@ -434,28 +336,16 @@ impl SimdBatchStats {
     }
 }
 
-/// Evaluate a batch with the columnar fast path, falling back row-by-row to
-/// the scalar VM wherever the lane model cannot follow. Appends one value per
+/// Evaluate one batch on the typed lanes, falling back row-by-row to the
+/// scalar VM wherever the lane model cannot follow. Appends one value per
 /// row to `out` and merges per-row costs into `cost` **in row order** —
 /// values, errors and `CostCounter` totals are bit-identical to
 /// [`Vm::eval_batch`] (and therefore to a tree-walker row loop).
+///
+/// `stats` accumulates which way each row went. It only observes — values,
+/// errors and costs do not depend on it — and it is not optional, so every
+/// caller can tell what the lanes carried.
 pub fn eval_batch_typed(
-    vm: &mut Vm,
-    prog: &Program,
-    shape: &SimdShape,
-    cols: &[TypedCol],
-    out: &mut Vec<Value>,
-    cost: &mut CostCounter,
-) -> Result<()> {
-    eval_batch_typed_with_stats(vm, prog, shape, cols, out, cost, &mut SimdBatchStats::default())
-}
-
-/// [`eval_batch_typed`] that additionally accumulates fast-path
-/// effectiveness counters into `stats`. Values, errors and costs are
-/// unaffected by the accounting (it only observes which `RowResult` variant
-/// each row produced), so this is what the execution engine's instrumented
-/// UDF path calls.
-pub fn eval_batch_typed_with_stats(
     vm: &mut Vm,
     prog: &Program,
     shape: &SimdShape,
@@ -464,17 +354,10 @@ pub fn eval_batch_typed_with_stats(
     cost: &mut CostCounter,
     stats: &mut SimdBatchStats,
 ) -> Result<()> {
-    if cols.len() != prog.n_params() {
-        return Err(GracefulError::Eval(format!(
-            "{} expects {} args, got {} columns",
-            prog.name,
-            prog.n_params(),
-            cols.len()
-        )));
-    }
+    let rows = batch_rows(prog, cols.iter().map(TypedCol::len))?;
     // A shape computed for a different (or since-recompiled) program would
-    // misclassify instructions — the executor indexes `shape.class[pc]`
-    // unchecked past this point.
+    // misclassify instructions — `step` indexes `shape.class[pc]` unchecked
+    // past this point.
     if shape.class.len() != prog.instrs.len() {
         return Err(GracefulError::Verify(format!(
             "{}: SIMD shape covers {} instructions but the program has {}",
@@ -483,94 +366,27 @@ pub fn eval_batch_typed_with_stats(
             prog.instrs.len()
         )));
     }
-    let rows = cols.first().map_or(0, TypedCol::len);
-    if let Some(bad) = cols.iter().find(|c| c.len() != rows) {
-        return Err(GracefulError::Eval(format!(
-            "{}: ragged batch: column of {} rows, expected {rows}",
-            prog.name,
-            bad.len()
-        )));
+    let all_rows = u32::try_from(rows).map_err(|_| {
+        GracefulError::Eval(format!(
+            "{}: a batch of {rows} rows is more than a u32 selection vector can index",
+            prog.name
+        ))
+    })?;
+    if rows == 0 {
+        return Ok(());
     }
-    out.reserve(rows);
-    let mut start = 0;
-    while start < rows {
-        let end = (start + SIMD_CHUNK).min(rows);
-        let (results, group_costs, groups_spawned) = run_chunk(vm, prog, shape, cols, start..end)?;
-        // Every divergence spawned two child groups on top of the root.
-        stats.group_splits += ((groups_spawned - 1) / 2) as u64;
-        // Ordered merge: one value push + one cost merge per row, exactly the
-        // per-row cadence of `Vm::eval_batch`; the first failing row wins.
-        for r in results {
-            stats.rows += 1;
-            match r {
-                RowResult::Columnar { value, group } => {
-                    stats.fast_rows += 1;
-                    out.push(value);
-                    cost.merge(&group_costs[group as usize]);
-                }
-                RowResult::Scalar(o) => {
-                    stats.bail_rows += 1;
-                    out.push(o.value);
-                    cost.merge(&o.cost);
-                }
-                RowResult::Failed(e) => return Err(e),
-            }
-        }
-        start = end;
-    }
-    Ok(())
-}
-
-/// Convenience wrapper over boxed `Value` columns (benches, tests): converts
-/// each column to its typed form when possible, otherwise delegates the whole
-/// batch to [`Vm::eval_batch`]. Results are identical either way.
-pub fn eval_batch_values(
-    vm: &mut Vm,
-    prog: &Program,
-    shape: &SimdShape,
-    cols: &[&[Value]],
-    out: &mut Vec<Value>,
-    cost: &mut CostCounter,
-) -> Result<()> {
-    if shape.has_fast_path {
-        let typed: Option<Vec<TypedCol>> = cols.iter().map(|c| TypedCol::from_values(c)).collect();
-        if let Some(typed) = typed {
-            if cols.len() == prog.n_params() {
-                return eval_batch_typed(vm, prog, shape, &typed, out, cost);
-            }
-        }
-    }
-    vm.eval_batch(prog, cols, out, cost)
-}
-
-// ---------------------------------------------------------------------------
-// Chunk execution
-
-/// Why a group leaves the fast path (all variants route to the scalar VM).
-struct Bail;
-
-type Kernel<T> = std::result::Result<T, Bail>;
-
-fn run_chunk(
-    vm: &mut Vm,
-    prog: &Program,
-    shape: &SimdShape,
-    cols: &[TypedCol],
-    range: std::ops::Range<usize>,
-) -> Result<(Vec<RowResult>, Vec<CostCounter>, usize)> {
-    let n = range.len();
     let w = vm.weights().clone();
-    let mut results: Vec<Option<RowResult>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<Option<RowResult>> = (0..rows).map(|_| None).collect();
     let mut group_costs: Vec<CostCounter> = Vec::new();
+    let mut args: Vec<Value> = Vec::with_capacity(cols.len());
 
-    // Root group: all chunk rows, parameters gathered into lane columns.
-    let n_slots = prog.slots.len();
-    let mut regs: Vec<Option<LaneCol>> = (0..prog.n_regs as usize).map(|_| None).collect();
-    for (slot, col) in cols.iter().enumerate() {
-        regs[slot] = Some(col.lane_col(range.clone()));
+    // Root group: every row, the gathered parameters as its first registers.
+    let mut regs: Vec<Option<TypedCol>> = vec![None; prog.n_regs as usize];
+    for (reg, col) in regs.iter_mut().zip(cols) {
+        *reg = Some(col.clone());
     }
-    let mut defined = vec![false; n_slots];
-    for d in defined.iter_mut().take(prog.n_params()) {
+    let mut defined = vec![false; prog.slots.len()];
+    for d in defined.iter_mut().take(cols.len()) {
         *d = true;
     }
     let mut root_cost = CostCounter::new();
@@ -578,388 +394,266 @@ fn run_chunk(
     // exact expression `Vm::eval_batch` computes with zero text chars.
     root_cost.add_invocation(&w, cols.len(), 0);
     let mut worklist =
-        vec![Group { pc: 0, sel: (0..n as u32).collect(), regs, defined, cost: root_cost }];
-    let mut groups_spawned = 1usize;
+        vec![Group { pc: 0, sel: (0..all_rows).collect(), regs, defined, cost: root_cost }];
 
     while let Some(mut g) = worklist.pop() {
-        if g.sel.is_empty() {
-            continue;
-        }
         loop {
-            let pc = g.pc;
-            if shape.class[pc] == InstrClass::Bail {
-                fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                break;
-            }
-            match &prog.instrs[pc] {
-                Instr::Copy { dst, src } => {
-                    let col = match resolve_owned(&g, &prog.consts, *src) {
-                        Ok(c) => c,
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    g.regs[*dst as usize] = Some(col);
-                }
-                Instr::Unary { op, dst, src } => {
-                    g.cost.add_arith(&w, false);
-                    let out = match resolve(&g, &prog.consts, *src)
-                        .and_then(|s| unary_kernel(*op, s, g.sel.len()))
-                    {
-                        Ok(c) => c,
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    g.regs[*dst as usize] = Some(out);
-                }
-                Instr::Binary { op, dst, l, r } => {
-                    let slow = matches!(
-                        op,
-                        crate::ast::BinOp::Pow
-                            | crate::ast::BinOp::FloorDiv
-                            | crate::ast::BinOp::Mod
-                    );
-                    g.cost.add_arith(&w, slow);
-                    let out = match binary_dispatch(&g, &prog.consts, *op, *l, *r) {
-                        Ok(c) => c,
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    g.regs[*dst as usize] = Some(out);
-                }
-                Instr::Compare { op, dst, l, r } => {
-                    g.cost.add_compare(&w);
-                    let out = match compare_dispatch(&g, &prog.consts, *op, *l, *r) {
-                        Ok(c) => c,
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    g.regs[*dst as usize] = Some(out);
-                }
-                Instr::CastBool { dst, src } => {
-                    let out = match resolve(&g, &prog.consts, *src) {
-                        Ok(Src::Col(c)) => LaneCol {
-                            lanes: Lanes::Bool(c.truthy()),
-                            nulls: vec![false; g.sel.len()],
-                        },
-                        Ok(Src::Const(v)) => LaneCol {
-                            lanes: Lanes::Bool(vec![v.truthy(); g.sel.len()]),
-                            nulls: vec![false; g.sel.len()],
-                        },
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    g.regs[*dst as usize] = Some(out);
-                }
-                Instr::Call { func, dst, base, n_args, has_recv } => {
-                    g.cost.add_lib_call(*func);
-                    if *has_recv {
-                        // String methods only; their shape class is Bail, so
-                        // a receiver here means an unexpected combination —
-                        // take the safe road.
-                        fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                        break;
-                    }
-                    let out = match call_kernel(&g, *func, *base as usize, *n_args as usize) {
-                        Ok(c) => c,
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    g.regs[*dst as usize] = Some(out);
-                }
-                Instr::Jump { target } => {
-                    g.pc = *target as usize;
-                    continue;
-                }
-                Instr::JumpIfFalse { cond, target } | Instr::JumpIfTrue { cond, target } => {
-                    let on_true_stays = matches!(&prog.instrs[pc], Instr::JumpIfFalse { .. });
-                    let truthy = match resolve(&g, &prog.consts, *cond) {
-                        Ok(Src::Col(c)) => c.truthy(),
-                        Ok(Src::Const(v)) => {
-                            // Uniform condition: the whole group follows one
-                            // edge, no divergence.
-                            if v.truthy() == on_true_stays {
-                                g.pc = pc + 1;
-                            } else {
-                                g.pc = *target as usize;
-                            }
-                            continue;
-                        }
-                        Err(Bail) => {
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                            break;
-                        }
-                    };
-                    let mut stay: Vec<u32> = Vec::new();
-                    let mut jump: Vec<u32> = Vec::new();
-                    for (i, &t) in truthy.iter().enumerate() {
-                        if t == on_true_stays {
-                            stay.push(i as u32);
-                        } else {
-                            jump.push(i as u32);
-                        }
-                    }
-                    if jump.is_empty() {
-                        g.pc = pc + 1;
-                        continue;
-                    }
-                    if stay.is_empty() {
-                        g.pc = *target as usize;
-                        continue;
-                    }
-                    // True divergence: compact each side into its own group.
-                    if groups_spawned + 2 > MAX_GROUPS {
-                        fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                        break;
-                    }
-                    groups_spawned += 2;
-                    worklist.push(g.filtered(pc + 1, &stay));
-                    worklist.push(g.filtered(*target as usize, &jump));
+            match step(&mut g, prog, shape, &w) {
+                Ok(Step::Goto(pc)) => g.pc = pc,
+                Ok(Step::Split { stay, jump, target }) => {
+                    stats.group_splits += 1;
+                    worklist.push(g.filtered(g.pc + 1, &stay));
+                    worklist.push(g.filtered(target, &jump));
                     break;
                 }
-                Instr::Cost(kind) => match kind {
-                    crate::bytecode::CostKind::Stmt => g.cost.add_stmt(&w),
-                    crate::bytecode::CostKind::Assign => g.cost.add_assign(&w),
-                    crate::bytecode::CostKind::Branch => g.cost.add_branch(&w),
-                    crate::bytecode::CostKind::Compare => g.cost.add_compare(&w),
-                },
-                Instr::CheckDef { slot } => {
-                    if !g.defined[*slot as usize] {
-                        // Every row of this group reads an undefined variable;
-                        // the scalar VM reports the exact per-row error.
-                        fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                        break;
+                Ok(Step::Return(values)) => {
+                    let group = group_costs.len() as u32;
+                    for (&row, value) in g.sel.iter().zip(values) {
+                        results[row as usize] = Some(RowResult::Columnar { value, group });
                     }
-                }
-                Instr::MarkDef { slot } => {
-                    g.defined[*slot as usize] = true;
-                }
-                Instr::Return { src } => {
-                    g.cost.add_return(&w);
-                    let gid = group_costs.len() as u32;
-                    group_costs.push(g.cost.clone());
-                    match resolve(&g, &prog.consts, *src) {
-                        Ok(Src::Col(c)) => {
-                            for (i, &row) in g.sel.iter().enumerate() {
-                                results[row as usize] =
-                                    Some(RowResult::Columnar { value: c.value(i), group: gid });
-                            }
-                        }
-                        Ok(Src::Const(v)) => {
-                            for &row in &g.sel {
-                                results[row as usize] =
-                                    Some(RowResult::Columnar { value: v.clone(), group: gid });
-                            }
-                        }
-                        Err(Bail) => {
-                            group_costs.pop();
-                            fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                        }
-                    }
+                    group_costs.push(g.cost);
                     break;
                 }
-                Instr::ReturnNull => {
-                    g.cost.add_return(&w);
-                    let gid = group_costs.len() as u32;
-                    group_costs.push(g.cost.clone());
+                // The one way off the lanes: every row of the group again,
+                // from its arguments, on the scalar VM.
+                Err(Bail) => {
                     for &row in &g.sel {
-                        results[row as usize] =
-                            Some(RowResult::Columnar { value: Value::Null, group: gid });
+                        args.clear();
+                        args.extend(cols.iter().map(|c| c.value(row as usize)));
+                        results[row as usize] = Some(match vm.eval(prog, &args) {
+                            Ok(o) => RowResult::Scalar(o),
+                            Err(e) => RowResult::Failed(e),
+                        });
                     }
-                    break;
-                }
-                // Counted loops (`InstrClass::Counted`): the limit is an
-                // integer literal, so the group unrolls the loop in lockstep —
-                // every lane runs the same iterations, replaying the exact
-                // per-iteration charges of `Vm::run`. The limit is re-checked
-                // at run time (uniform non-null Int across the lanes); any
-                // surprise degrades to the scalar fallback, never to a wrong
-                // answer.
-                Instr::ForInit { counter, limit, src } => {
-                    let n_lanes = g.sel.len();
-                    let trips = match resolve(&g, &prog.consts, *src) {
-                        Ok(Src::Const(Value::Int(n))) => Some((*n).max(0)),
-                        Ok(Src::Col(c)) => uniform_int(c).map(|n| n.max(0)),
-                        _ => None,
-                    };
-                    let Some(n) = trips else {
-                        fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                        break;
-                    };
-                    g.regs[*limit as usize] = Some(broadcast_int(n, n_lanes));
-                    g.regs[*counter as usize] = Some(broadcast_int(0, n_lanes));
-                }
-                Instr::ForNext { counter, limit, var_slot, exit } => {
-                    let n_lanes = g.sel.len();
-                    let c = g.regs[*counter as usize].as_ref().and_then(uniform_int);
-                    let n = g.regs[*limit as usize].as_ref().and_then(uniform_int);
-                    let (Some(c), Some(n)) = (c, n) else {
-                        fallback_group(vm, prog, cols, range.start, &g, &mut results);
-                        break;
-                    };
-                    if c < n {
-                        // Same charge point as the scalar VM: one loop_iter
-                        // per entered iteration, before the body.
-                        g.cost.add_loop_iter(&w);
-                        g.regs[*var_slot as usize] = Some(broadcast_int(c, n_lanes));
-                        g.defined[*var_slot as usize] = true;
-                        g.regs[*counter as usize] = Some(broadcast_int(c + 1, n_lanes));
-                    } else {
-                        g.pc = *exit as usize;
-                        continue;
-                    }
-                }
-                // While loops are always Bail-class and intercepted before
-                // this match; reaching here means a corrupt shape — take the
-                // safe road.
-                Instr::WhileInit { .. } | Instr::WhileIter { .. } => {
-                    fallback_group(vm, prog, cols, range.start, &g, &mut results);
                     break;
                 }
             }
-            g.pc = pc + 1;
         }
     }
-    // Every row must have resolved (columnar return, scalar fallback, or a
-    // recorded error). A gap is a bookkeeping bug in this module — surface
-    // it as a typed error rather than a release-mode panic mid-query.
-    let mut resolved = Vec::with_capacity(results.len());
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Some(r) => resolved.push(r),
+
+    // Ordered merge: one value push + one cost merge per row, exactly the
+    // per-row cadence of `Vm::eval_batch`; the first failing row wins.
+    out.reserve(rows);
+    for (row, result) in results.into_iter().enumerate() {
+        stats.rows += 1;
+        match result {
+            Some(RowResult::Columnar { value, group }) => {
+                stats.fast_rows += 1;
+                out.push(value);
+                cost.merge(&group_costs[group as usize]);
+            }
+            Some(RowResult::Scalar(o)) => {
+                stats.bail_rows += 1;
+                out.push(o.value);
+                cost.merge(&o.cost);
+            }
+            Some(RowResult::Failed(e)) => return Err(e),
+            // Every row resolves (a return, the fallback, or its error). A
+            // gap is a bookkeeping bug in this module — surface it as a
+            // typed error rather than a release-mode panic mid-query.
             None => {
                 return Err(GracefulError::Verify(format!(
-                    "{}: chunk row {i} never resolved to a result",
+                    "{}: batch row {row} never resolved to a result",
                     prog.name
                 )))
             }
         }
     }
-    Ok((resolved, group_costs, groups_spawned))
+    Ok(())
 }
 
-/// Re-run every row of `g` on the scalar VM (the authentic per-row
-/// semantics, including errors), recording per-row outcomes.
-fn fallback_group(
-    vm: &mut Vm,
-    prog: &Program,
-    cols: &[TypedCol],
-    chunk_start: usize,
-    g: &Group,
-    results: &mut [Option<RowResult>],
-) {
-    let mut args: Vec<Value> = Vec::with_capacity(cols.len());
-    for &row in &g.sel {
-        args.clear();
-        args.extend(cols.iter().map(|c| c.value(chunk_start + row as usize)));
-        results[row as usize] = Some(match vm.eval(prog, &args) {
-            Ok(o) => RowResult::Scalar(o),
-            Err(e) => RowResult::Failed(e),
-        });
+/// A group leaves the lanes; the driver loop of [`eval_batch_typed`] is the
+/// only place that catches it.
+struct Bail;
+
+type Kernel<T> = std::result::Result<T, Bail>;
+
+/// Execute the instruction at `g.pc` over every lane of `g`: charge what the
+/// scalar VM charges there, write the register it writes, and say where the
+/// group goes next — or `Err(Bail)` when the lanes cannot carry it.
+fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Kernel<Step> {
+    let (pc, n) = (g.pc, g.sel.len());
+    // Data-dependent loops and string builtins: per the census the only exit
+    // that carries rows.
+    if shape.class[pc] == InstrClass::Bail {
+        return Err(Bail);
     }
-}
-
-/// One `Int` value broadcast across `n` non-null lanes (loop counters and
-/// limits of counted loops).
-fn broadcast_int(v: i64, n: usize) -> LaneCol {
-    LaneCol { lanes: Lanes::Int(vec![v; n]), nulls: vec![false; n] }
-}
-
-/// The single `Int` every lane of `c` holds, if the column is uniform,
-/// non-null and int-typed — the run-time guard of counted-loop execution.
-fn uniform_int(c: &LaneCol) -> Option<i64> {
-    if c.nulls.iter().any(|&b| b) {
-        return None;
-    }
-    match &c.lanes {
-        Lanes::Int(v) => {
-            let first = *v.first()?;
-            v.iter().all(|&x| x == first).then_some(first)
+    let consts = &prog.consts;
+    match &prog.instrs[pc] {
+        Instr::Copy { dst, src } => {
+            let out = resolve(g, consts, *src)?.into_col(n)?.into_owned();
+            g.regs[*dst as usize] = Some(out);
         }
-        _ => None,
+        Instr::Unary { op, dst, src } => {
+            g.cost.add_arith(w, false);
+            let out = unary_kernel(*op, &*resolve(g, consts, *src)?.into_col(n)?);
+            g.regs[*dst as usize] = Some(out);
+        }
+        Instr::Binary { op, dst, l, r } => {
+            g.cost.add_arith(w, op.is_slow());
+            let out = binary_kernel(*op, resolve(g, consts, *l)?, resolve(g, consts, *r)?, n)?;
+            g.regs[*dst as usize] = Some(out);
+        }
+        Instr::Compare { op, dst, l, r } => {
+            g.cost.add_compare(w);
+            let lc = resolve(g, consts, *l)?.into_col(n)?;
+            let rc = resolve(g, consts, *r)?.into_col(n)?;
+            let out = compare_kernel(*op, &lc, &rc);
+            g.regs[*dst as usize] = Some(out);
+        }
+        Instr::CastBool { dst, src } => {
+            let truthy = match resolve(g, consts, *src)? {
+                Src::Col(c) => c.truthy(),
+                Src::Const(v) => vec![v.truthy(); n],
+            };
+            g.regs[*dst as usize] = Some(TypedCol::non_null(Lanes::Bool(truthy), n));
+        }
+        Instr::Call { func, dst, base, n_args, has_recv } => {
+            g.cost.add_lib_call(*func);
+            // String methods (the only calls with a receiver) and the
+            // string builtins are Bail-class, so one here is an unexpected
+            // combination.
+            if *has_recv || !func.has_lane_kernel() {
+                return Err(Bail);
+            }
+            let out = call_kernel(g, *func, *base as usize, *n_args as usize)?;
+            g.regs[*dst as usize] = Some(out);
+        }
+        Instr::Jump { target } => return Ok(Step::Goto(*target as usize)),
+        Instr::JumpIfFalse { cond, target } | Instr::JumpIfTrue { cond, target } => {
+            let target = *target as usize;
+            let true_stays = matches!(&prog.instrs[pc], Instr::JumpIfFalse { .. });
+            let truthy = match resolve(g, consts, *cond)? {
+                Src::Col(c) => c.truthy(),
+                // Uniform condition: the whole group follows one edge.
+                Src::Const(v) => {
+                    return Ok(Step::Goto(if v.truthy() == true_stays { pc + 1 } else { target }))
+                }
+            };
+            let (mut stay, mut jump) = (Vec::new(), Vec::new());
+            for (i, &t) in truthy.iter().enumerate() {
+                if t == true_stays {
+                    stay.push(i as u32);
+                } else {
+                    jump.push(i as u32);
+                }
+            }
+            return Ok(if jump.is_empty() {
+                Step::Goto(pc + 1)
+            } else if stay.is_empty() {
+                Step::Goto(target)
+            } else {
+                Step::Split { stay, jump, target }
+            });
+        }
+        Instr::Cost(kind) => g.cost.charge(w, *kind),
+        // Every row of the group reads a variable its path never defined;
+        // the scalar VM reports the exact per-row error.
+        Instr::CheckDef { slot } => {
+            if !g.defined[*slot as usize] {
+                return Err(Bail);
+            }
+        }
+        Instr::MarkDef { slot } => g.defined[*slot as usize] = true,
+        Instr::Return { src } => {
+            g.cost.add_return(w);
+            return Ok(Step::Return(match resolve(g, consts, *src)? {
+                Src::Col(c) => (0..n).map(|i| c.value(i)).collect(),
+                Src::Const(v) => vec![v.clone(); n],
+            }));
+        }
+        Instr::ReturnNull => {
+            g.cost.add_return(w);
+            return Ok(Step::Return(vec![Value::Null; n]));
+        }
+        // Counted loops (`InstrClass::Counted`): the limit is an integer
+        // literal, so the group unrolls the loop in lockstep — every lane
+        // runs the same iterations, replaying the exact per-iteration
+        // charges of `Vm::run`. Limit and counter are re-checked at run time
+        // (one non-null Int across the lanes); any surprise degrades to the
+        // scalar fallback, never to a wrong answer.
+        Instr::ForInit { counter, limit, src } => {
+            let trips = match resolve(g, consts, *src)? {
+                Src::Const(Value::Int(k)) => *k,
+                Src::Col(c) => c.uniform_int().ok_or(Bail)?,
+                Src::Const(_) => return Err(Bail),
+            };
+            g.regs[*limit as usize] = Some(TypedCol::ints(trips.max(0), n));
+            g.regs[*counter as usize] = Some(TypedCol::ints(0, n));
+        }
+        Instr::ForNext { counter, limit, var_slot, exit } => {
+            let uniform = |reg: u16| {
+                g.regs[reg as usize].as_ref().and_then(TypedCol::uniform_int).ok_or(Bail)
+            };
+            let (c, trips) = (uniform(*counter)?, uniform(*limit)?);
+            if c >= trips {
+                return Ok(Step::Goto(*exit as usize));
+            }
+            // Same charge point as the scalar VM: one loop_iter per entered
+            // iteration, before the body.
+            g.cost.add_loop_iter(w);
+            g.regs[*var_slot as usize] = Some(TypedCol::ints(c, n));
+            g.defined[*var_slot as usize] = true;
+            g.regs[*counter as usize] = Some(TypedCol::ints(c + 1, n));
+        }
+        // While loops are always Bail-class and caught above; reaching here
+        // means the shape disagrees with the program.
+        Instr::WhileInit { .. } | Instr::WhileIter { .. } => return Err(Bail),
     }
+    Ok(Step::Goto(pc + 1))
 }
 
 // ---------------------------------------------------------------------------
 // Operand resolution
 
 enum Src<'a> {
-    Col(&'a LaneCol),
+    Col(&'a TypedCol),
     Const(&'a Value),
 }
 
+/// The register or constant behind `op`; bails on a register no instruction
+/// of this path has written.
 fn resolve<'a>(g: &'a Group, consts: &'a [Value], op: Operand) -> Kernel<Src<'a>> {
     if op.is_const() {
         Ok(Src::Const(&consts[op.index()]))
     } else {
-        match &g.regs[op.index()] {
-            Some(c) => Ok(Src::Col(c)),
-            None => Err(Bail),
+        g.regs[op.index()].as_ref().map(Src::Col).ok_or(Bail)
+    }
+}
+
+impl<'a> Src<'a> {
+    /// As a lane column of `n` lanes, broadcasting a constant; bails on a
+    /// text constant.
+    fn into_col(self, n: usize) -> Kernel<Cow<'a, TypedCol>> {
+        match self {
+            Src::Col(c) => Ok(Cow::Borrowed(c)),
+            Src::Const(v) => TypedCol::broadcast(v, n).map(Cow::Owned).ok_or(Bail),
         }
-    }
-}
-
-fn resolve_owned(g: &Group, consts: &[Value], op: Operand) -> Kernel<LaneCol> {
-    match resolve(g, consts, op)? {
-        Src::Col(c) => Ok(c.clone()),
-        Src::Const(v) => LaneCol::broadcast(v, g.sel.len()).ok_or(Bail),
-    }
-}
-
-/// Materialize a source as a lane column (broadcasting constants).
-fn materialize<'a>(s: Src<'a>, n: usize) -> Kernel<std::borrow::Cow<'a, LaneCol>> {
-    match s {
-        Src::Col(c) => Ok(std::borrow::Cow::Borrowed(c)),
-        Src::Const(v) => Ok(std::borrow::Cow::Owned(LaneCol::broadcast(v, n).ok_or(Bail)?)),
     }
 }
 
 // ---------------------------------------------------------------------------
 // Lane kernels (mirroring crate::ops expression for expression)
 
-fn unary_kernel(op: crate::ast::UnOp, src: Src<'_>, n: usize) -> Kernel<LaneCol> {
-    let col = materialize(src, n)?;
-    Ok(match op {
-        crate::ast::UnOp::Neg => match &col.lanes {
-            Lanes::Int(v) => LaneCol {
+fn unary_kernel(op: UnOp, col: &TypedCol) -> TypedCol {
+    let n = col.len();
+    match op {
+        UnOp::Neg => match &col.lanes {
+            Lanes::Int(v) => TypedCol {
                 lanes: Lanes::Int(v.iter().map(|x| x.wrapping_neg()).collect()),
                 nulls: col.nulls.clone(),
             },
-            Lanes::Float(v) => LaneCol {
+            Lanes::Float(v) => TypedCol {
                 lanes: Lanes::Float(v.iter().map(|x| -x).collect()),
                 nulls: col.nulls.clone(),
             },
-            Lanes::Bool(_) => LaneCol::all_null(n),
+            Lanes::Bool(_) => TypedCol::all_null(n),
         },
-        crate::ast::UnOp::Not => {
-            let t = col.truthy();
-            LaneCol { lanes: Lanes::Bool(t.iter().map(|&b| !b).collect()), nulls: vec![false; n] }
-        }
-    })
+        UnOp::Not => TypedCol::non_null(Lanes::Bool(col.truthy().iter().map(|&b| !b).collect()), n),
+    }
 }
 
-fn binary_dispatch(
-    g: &Group,
-    consts: &[Value],
-    op: crate::ast::BinOp,
-    l: Operand,
-    r: Operand,
-) -> Kernel<LaneCol> {
-    use crate::ast::BinOp;
-    let n = g.sel.len();
-    let ls = resolve(g, consts, l)?;
-    let rs = resolve(g, consts, r)?;
+fn binary_kernel(op: BinOp, ls: Src<'_>, rs: Src<'_>, n: usize) -> Kernel<TypedCol> {
     // `Int ** Int` picks its result type from the exponent's value; only a
     // constant exponent keeps the lane type static, so an int base with a
     // dynamic int exponent bails (float bases never hit the int fast path).
@@ -974,8 +668,8 @@ fn binary_dispatch(
     } else {
         None
     };
-    let lc = materialize(ls, n)?;
-    let rc = materialize(rs, n)?;
+    let lc = ls.into_col(n)?;
+    let rc = rs.into_col(n)?;
     let mut nulls: Vec<bool> = lc.nulls.iter().zip(&rc.nulls).map(|(&a, &b)| a | b).collect();
     if let (Lanes::Int(a), Lanes::Int(b)) = (&lc.lanes, &rc.lanes) {
         // Integer fast path of `ops::apply_binary`: int-typed data stays int.
@@ -1008,7 +702,7 @@ fn binary_dispatch(
                 // The dispatch above bailed every int-base/dynamic-int-
                 // exponent combination; a `None` here would mean that guard
                 // rotted, so refuse the selection instead of guessing.
-                let Some(k) = int_pow_exponent else { return Err(Bail) };
+                let k = int_pow_exponent.ok_or(Bail)?;
                 if (0..=16).contains(&k) {
                     Lanes::Int(a.iter().map(|&x| x.saturating_pow(k as u32)).collect())
                 } else {
@@ -1016,7 +710,7 @@ fn binary_dispatch(
                 }
             }
         };
-        return Ok(LaneCol { lanes, nulls });
+        return Ok(TypedCol { lanes, nulls });
     }
     // Float path: widen both sides, sanitize like the scalar kernel.
     let a = lc.to_f64();
@@ -1071,7 +765,7 @@ fn binary_dispatch(
             }
         }
     }
-    Ok(LaneCol { lanes: Lanes::Float(vals), nulls })
+    Ok(TypedCol { lanes: Lanes::Float(vals), nulls })
 }
 
 fn zip_i64(a: &[i64], b: &[i64], f: impl Fn(i64, i64) -> i64) -> Vec<i64> {
@@ -1082,17 +776,8 @@ fn zip_i64_f(a: &[i64], b: &[i64], f: impl Fn(i64, i64) -> f64) -> Vec<f64> {
     a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
 }
 
-fn compare_dispatch(
-    g: &Group,
-    consts: &[Value],
-    op: crate::ast::CmpOp,
-    l: Operand,
-    r: Operand,
-) -> Kernel<LaneCol> {
-    use crate::ast::CmpOp;
-    let n = g.sel.len();
-    let lc = materialize(resolve(g, consts, l)?, n)?;
-    let rc = materialize(resolve(g, consts, r)?, n)?;
+fn compare_kernel(op: CmpOp, lc: &TypedCol, rc: &TypedCol) -> TypedCol {
+    let n = lc.len();
     // `Value::compare` sends every numeric pairing through `as_f64`
     // (including Int/Int — large ints compare with f64 precision), with NULL
     // never comparing true; `Ne` must stay false for NULL *and* NaN.
@@ -1138,14 +823,18 @@ fn compare_dispatch(
     for ((o, &nl), &nr) in out.iter_mut().zip(&lc.nulls).zip(&rc.nulls) {
         *o = *o && !nl && !nr;
     }
-    Ok(LaneCol { lanes: Lanes::Bool(out), nulls: vec![false; n] })
+    TypedCol::non_null(Lanes::Bool(out), n)
 }
 
-fn call_kernel(g: &Group, func: LibFn, base: usize, n_args: usize) -> Kernel<LaneCol> {
+fn call_kernel(g: &Group, func: LibFn, base: usize, n_args: usize) -> Kernel<TypedCol> {
     use LibFn::*;
     let n = g.sel.len();
-    let args: Vec<&LaneCol> =
+    let args: Vec<&TypedCol> =
         (0..n_args).map(|i| g.regs[base + i].as_ref().ok_or(Bail)).collect::<Kernel<_>>()?;
+    // Arity underflow maps to NULL in the scalar kernel (`num(i)` → `None`).
+    if n_args < func.arity() {
+        return Ok(TypedCol::all_null(n));
+    }
     // NULL propagation: any NULL input yields NULL (the call is charged by
     // the caller either way, exactly like `ops::apply_lib`).
     let mut nulls = vec![false; n];
@@ -1155,15 +844,6 @@ fn call_kernel(g: &Group, func: LibFn, base: usize, n_args: usize) -> Kernel<Lan
         }
     }
     let arg_f = |i: usize| -> Kernel<Vec<f64>> { args.get(i).map(|c| c.to_f64()).ok_or(Bail) };
-    // Arity underflow maps to NULL in the scalar kernel (`num(i)` → `None`).
-    let needs = match func {
-        MathPow | NpPower | NpMinimum | NpMaximum | BuiltinMin | BuiltinMax => 2,
-        NpClip => 3,
-        _ => 1,
-    };
-    if n_args < needs {
-        return Ok(LaneCol::all_null(n));
-    }
     let float_map = |xs: Vec<f64>, f: &dyn Fn(f64) -> f64| -> Lanes {
         Lanes::Float(xs.into_iter().map(f).collect())
     };
@@ -1205,12 +885,12 @@ fn call_kernel(g: &Group, func: LibFn, base: usize, n_args: usize) -> Kernel<Lan
         },
         BuiltinInt => Lanes::Int(arg_f(0)?.into_iter().map(f64_to_i64).collect()),
         BuiltinFloat => Lanes::Float(arg_f(0)?),
-        // String-shaped builtins are Bail-class; reaching here is a shape
-        // mismatch — refuse rather than guess.
-        BuiltinLen | BuiltinStr | StrUpper | StrLower | StrStrip | StrReplace | StrStartswith
-        | StrEndswith | StrFind | StrSplitCount => return Err(Bail),
+        // `step` asked `LibFn::has_lane_kernel` before calling: a function
+        // that lands here was promised a kernel this match does not have.
+        // Refuse rather than guess; the mirror test fails on it.
+        _ => return Err(Bail),
     };
-    Ok(LaneCol { lanes, nulls })
+    Ok(TypedCol { lanes, nulls })
 }
 
 #[cfg(test)]
@@ -1224,21 +904,36 @@ mod tests {
         UdfDef { name: "f".into(), params: params.iter().map(|s| s.to_string()).collect(), body }
     }
 
-    /// Run the columnar path against the tree-walker and the row-at-a-time
-    /// VM over the given columns; assert values and the merged CostCounter
-    /// are bit-identical to both.
-    fn differential(u: &UdfDef, cols: &[Vec<Value>]) {
+    fn typed(cols: &[Vec<Value>]) -> Vec<TypedCol> {
+        cols.iter().map(|c| TypedCol::from_values(c).expect("uniformly typed column")).collect()
+    }
+
+    /// Run the typed lanes against the tree-walker and the row-at-a-time VM
+    /// over the given columns; assert values and the merged CostCounter are
+    /// bit-identical to both. Returns what the lanes carried, for the caller
+    /// to assert on.
+    fn differential(u: &UdfDef, cols: &[Vec<Value>]) -> SimdBatchStats {
         let prog = compile(u).unwrap();
         let shape = prog.simd_shape();
         let slices: Vec<&[Value]> = cols.iter().map(|c| c.as_slice()).collect();
         let rows = cols.first().map_or(0, |c| c.len());
 
-        let mut simd_vm = Vm::default();
         let mut simd_out = Vec::new();
         let mut simd_cost = CostCounter::new();
-        eval_batch_values(&mut simd_vm, &prog, &shape, &slices, &mut simd_out, &mut simd_cost)
-            .unwrap();
+        let mut stats = SimdBatchStats::default();
+        eval_batch_typed(
+            &mut Vm::default(),
+            &prog,
+            &shape,
+            &typed(cols),
+            &mut simd_out,
+            &mut simd_cost,
+            &mut stats,
+        )
+        .unwrap();
         assert_eq!(simd_out.len(), rows);
+        assert_eq!(stats.rows, rows as u64);
+        assert_eq!(stats.fast_rows + stats.bail_rows, stats.rows, "every row is classified");
 
         let mut vm = Vm::default();
         let mut vm_out = Vec::new();
@@ -1257,6 +952,7 @@ mod tests {
             tw_cost.merge(&o.cost);
         }
         assert_eq!(simd_cost, tw_cost, "costs differ from tree-walker");
+        stats
     }
 
     fn int_col(n: usize, f: impl Fn(usize) -> i64) -> Vec<Value> {
@@ -1288,8 +984,12 @@ mod tests {
                 )),
             ],
         );
-        let n = 3000; // spans multiple SIMD_CHUNKs
-        differential(&u, &[int_col(n, |i| i as i64 % 97), float_col(n, |i| (i % 13) as f64 - 6.0)]);
+        let n = 3000;
+        let stats = differential(
+            &u,
+            &[int_col(n, |i| i as i64 % 97), float_col(n, |i| (i % 13) as f64 - 6.0)],
+        );
+        assert_eq!((stats.fast_rows, stats.group_splits), (n as u64, 0));
     }
 
     #[test]
@@ -1308,7 +1008,9 @@ mod tests {
             }],
         );
         let n = 500;
-        differential(&u, &[int_col(n, |i| i as i64 % 100), int_col(n, |i| i as i64 % 7)]);
+        let stats =
+            differential(&u, &[int_col(n, |i| i as i64 % 100), int_col(n, |i| i as i64 % 7)]);
+        assert_eq!((stats.fast_rows, stats.group_splits), (n as u64, 1));
     }
 
     #[test]
@@ -1325,7 +1027,7 @@ mod tests {
         let xs: Vec<Value> =
             (0..n).map(|i| if i % 5 == 0 { Value::Null } else { Value::Int(i as i64) }).collect();
         let ys: Vec<Value> = (0..n).map(|i| Value::Int((i as i64 % 4) - 1)).collect(); // hits 0
-        differential(&u, &[xs, ys]);
+        assert_eq!(differential(&u, &[xs, ys]).fast_rows, n as u64);
     }
 
     #[test]
@@ -1357,7 +1059,11 @@ mod tests {
             ],
         );
         let n = 300;
-        differential(&u, &[int_col(n, |i| i as i64 % 50), int_col(n, |i| i as i64 % 4)]);
+        let stats =
+            differential(&u, &[int_col(n, |i| i as i64 % 50), int_col(n, |i| i as i64 % 4)]);
+        // z = 3x < 60 for x in 0..20: those rows return on the lanes, the
+        // other 30 of every 50 reach the loop.
+        assert_eq!((stats.fast_rows, stats.bail_rows), (120, 180));
     }
 
     #[test]
@@ -1390,24 +1096,9 @@ mod tests {
         assert!(!shape.class.contains(&InstrClass::Bail), "nothing bails");
         assert_eq!(shape.trip_count.iter().flatten().copied().max(), Some(12));
 
-        let n = 2500; // spans multiple chunks
+        let n = 2500;
         let cols = [int_col(n, |i| i as i64 % 13 - 6), int_col(n, |i| i as i64 % 7)];
-        differential(&u, &cols);
-
-        // And the stats must confirm the fast path took every row.
-        let typed: Vec<TypedCol> = cols.iter().map(|c| TypedCol::from_values(c).unwrap()).collect();
-        let mut stats = SimdBatchStats::default();
-        let mut out = Vec::new();
-        eval_batch_typed_with_stats(
-            &mut Vm::default(),
-            &prog,
-            &shape,
-            &typed,
-            &mut out,
-            &mut CostCounter::new(),
-            &mut stats,
-        )
-        .unwrap();
+        let stats = differential(&u, &cols);
         assert_eq!(stats.bail_rows, 0, "counted loop must not bail: {stats:?}");
         assert_eq!(stats.fast_rows, n as u64);
     }
@@ -1439,13 +1130,15 @@ mod tests {
             ],
         );
         let n = 400;
-        differential(&u, &[int_col(n, |i| i as i64 % 50), int_col(n, |i| i as i64 % 9)]);
+        let stats =
+            differential(&u, &[int_col(n, |i| i as i64 % 50), int_col(n, |i| i as i64 % 9)]);
+        assert_eq!(stats.fast_rows, n as u64);
         // Null rows in the limit-feeding columns don't exist here, but null
         // *data* rows must still match through the loop.
         let xs: Vec<Value> =
             (0..64).map(|i| if i % 5 == 0 { Value::Null } else { Value::Int(i) }).collect();
         let ys: Vec<Value> = (0..64).map(Value::Int).collect();
-        differential(&u, &[xs, ys]);
+        assert_eq!(differential(&u, &[xs, ys]).fast_rows, 64);
     }
 
     #[test]
@@ -1466,7 +1159,11 @@ mod tests {
             ],
         );
         let n = 256;
-        differential(&u, &[float_col(n, |i| (i as f64) - 128.0), int_col(n, |i| i as i64 % 11)]);
+        let stats = differential(
+            &u,
+            &[float_col(n, |i| (i as f64) - 128.0), int_col(n, |i| i as i64 % 11)],
+        );
+        assert_eq!(stats.fast_rows, n as u64);
     }
 
     #[test]
@@ -1486,7 +1183,7 @@ mod tests {
             (0..edges.len() * 8).map(|i| Value::Float(edges[i % edges.len()])).collect();
         let ys: Vec<Value> =
             (0..edges.len() * 8).map(|i| Value::Float(edges[(i + 3) % edges.len()])).collect();
-        differential(&u, &[xs, ys]);
+        assert_eq!(differential(&u, &[xs, ys]).fast_rows, edges.len() as u64 * 8);
     }
 
     #[test]
@@ -1507,7 +1204,9 @@ mod tests {
         );
         let n = 128;
         let bs: Vec<Value> = (0..n).map(|i| Value::Bool(i % 3 == 0)).collect();
-        differential(&u, &[bs, int_col(n, |i| i as i64 % 6), int_col(n, |i| (i as i64) % 2)]);
+        let stats =
+            differential(&u, &[bs, int_col(n, |i| i as i64 % 6), int_col(n, |i| (i as i64) % 2)]);
+        assert_eq!(stats.fast_rows, n as u64);
     }
 
     #[test]
@@ -1520,20 +1219,25 @@ mod tests {
                 args: vec![],
             })],
         );
+        // No lane path and no lane type: the operator runs on the batch VM,
+        // called here by name, which agrees with the tree-walker.
         let prog = compile(&u).unwrap();
-        let shape = prog.simd_shape();
-        assert!(!shape.has_fast_path);
+        assert!(!prog.simd_shape().has_fast_path);
         let ss: Vec<Value> = (0..10).map(|i| Value::Text(format!("ab{i}"))).collect();
         let ys: Vec<Value> = (0..10).map(Value::Int).collect();
-        let slices: Vec<&[Value]> = vec![&ss, &ys];
-        let mut out = Vec::new();
-        let mut cost = CostCounter::new();
-        eval_batch_values(&mut Vm::default(), &prog, &shape, &slices, &mut out, &mut cost).unwrap();
+        assert!(TypedCol::from_values(&ss).is_none());
         let mut vm_out = Vec::new();
         let mut vm_cost = CostCounter::new();
-        Vm::default().eval_batch(&prog, &slices, &mut vm_out, &mut vm_cost).unwrap();
-        assert_eq!(out, vm_out);
-        assert_eq!(cost, vm_cost);
+        Vm::default().eval_batch(&prog, &[&ss, &ys], &mut vm_out, &mut vm_cost).unwrap();
+        let mut interp = Interpreter::default();
+        let mut tw_cost = CostCounter::new();
+        for r in 0..10 {
+            let o = interp.eval(&u, &[ss[r].clone(), ys[r].clone()]).unwrap();
+            assert_eq!(o.value, vm_out[r]);
+            assert_eq!(o.value, Value::Text(format!("AB{r}")));
+            tw_cost.merge(&o.cost);
+        }
+        assert_eq!(vm_cost, tw_cost);
     }
 
     #[test]
@@ -1557,9 +1261,20 @@ mod tests {
         let slices: Vec<&[Value]> = vec![&xs];
         let mut out = Vec::new();
         let mut cost = CostCounter::new();
-        let simd_err =
-            eval_batch_values(&mut Vm::default(), &prog, &shape, &slices, &mut out, &mut cost)
-                .unwrap_err();
+        let mut stats = SimdBatchStats::default();
+        let simd_err = eval_batch_typed(
+            &mut Vm::default(),
+            &prog,
+            &shape,
+            &typed(std::slice::from_ref(&xs)),
+            &mut out,
+            &mut cost,
+            &mut stats,
+        )
+        .unwrap_err();
+        // Rows 0..5 define z and return on the lanes; row 5 is the first of
+        // the group that bailed, and the one whose error surfaces.
+        assert_eq!((stats.rows, stats.fast_rows, stats.bail_rows), (6, 5, 0));
         let mut vm_out = Vec::new();
         let mut vm_cost = CostCounter::new();
         let vm_err =
@@ -1591,7 +1306,7 @@ mod tests {
         let asv = int_col(n, |i| if i % 7 == 0 { 0 } else { i as i64 });
         let bs = int_col(n, |i| if i % 7 == 0 { 0 } else { (i as i64 % 5) + 1 });
         let cs = int_col(n, |i| i as i64);
-        differential(&u, &[asv, bs, cs]);
+        assert_eq!(differential(&u, &[asv, bs, cs]).fast_rows, n as u64);
     }
 
     #[test]
@@ -1603,7 +1318,7 @@ mod tests {
         assert_eq!(t.value(1), Value::Null);
         assert!(TypedCol::from_values(&[Value::Int(1), Value::Float(2.0)]).is_none());
         assert!(TypedCol::from_values(&[Value::Text("x".into())]).is_none());
-        assert!(TypedCol::for_type(DataType::Text, 4).is_none());
+        assert!(TypedCol::for_type(DataType::Text).is_none());
     }
 
     #[test]
@@ -1620,8 +1335,233 @@ mod tests {
             &[a, b],
             &mut Vec::new(),
             &mut CostCounter::new(),
+            &mut SimdBatchStats::default(),
         )
         .unwrap_err();
         assert!(matches!(&err, GracefulError::Eval(m) if m.contains("ragged batch")), "{err}");
+    }
+
+    // -----------------------------------------------------------------------
+    // The kernel mirror, checked mechanically
+
+    /// An operand of a mirror-test expression: one of [`edge_cols`] (by
+    /// index), read through a parameter, or a literal.
+    #[derive(Clone)]
+    enum Arg {
+        Col(usize),
+        Lit(E),
+    }
+
+    /// Every lane type over its edge values, once with no lane NULL and once
+    /// with every lane NULL — the same values under the mask, garbage that no
+    /// kernel may read or trip over.
+    fn edge_cols() -> Vec<TypedCol> {
+        let ints = vec![0, 1, -1, 16, 17, i64::MIN, i64::MAX];
+        let floats =
+            vec![0.0, 1.0, -1.0, 16.0, 17.0, -0.0, f64::NAN, f64::INFINITY, -f64::INFINITY, 1e308];
+        let mut cols = Vec::new();
+        for (lanes, n) in
+            [(Lanes::Int(ints), 7), (Lanes::Float(floats), 10), (Lanes::Bool(vec![false, true]), 2)]
+        {
+            cols.push(TypedCol { lanes: lanes.clone(), nulls: vec![false; n] });
+            cols.push(TypedCol { lanes, nulls: vec![true; n] });
+        }
+        cols
+    }
+
+    /// The same edge values as literals, plus `None`.
+    fn edge_lits() -> Vec<E> {
+        let mut lits = vec![E::NoneLit];
+        for col in edge_cols().iter().step_by(2) {
+            lits.extend((0..col.len()).map(|i| match col.value(i) {
+                Value::Int(v) => E::Int(v),
+                Value::Float(v) => E::Float(v),
+                Value::Bool(v) => E::Bool(v),
+                other => unreachable!("edge columns hold numbers: {other:?}"),
+            }));
+        }
+        lits
+    }
+
+    /// Every operand assignment of an `arity`-ary expression: all columns, or
+    /// one literal among columns.
+    fn assignments(arity: usize) -> Vec<Vec<Arg>> {
+        let n_cols = edge_cols().len();
+        let mut all: Vec<Vec<Arg>> = vec![vec![]];
+        for _ in 0..arity {
+            all = all
+                .iter()
+                .flat_map(|pre| (0..n_cols).map(move |c| [pre.as_slice(), &[Arg::Col(c)]].concat()))
+                .collect();
+        }
+        let mut with_lit = Vec::new();
+        for cols in &all {
+            for pos in 0..arity {
+                // One literal position at a time; skip the duplicates the
+                // column it replaces would produce.
+                if !matches!(cols[pos], Arg::Col(0)) {
+                    continue;
+                }
+                for lit in edge_lits() {
+                    let mut args = cols.clone();
+                    args[pos] = Arg::Lit(lit);
+                    with_lit.push(args);
+                }
+            }
+        }
+        all.extend(with_lit);
+        all
+    }
+
+    fn same_bits(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+
+    /// Evaluate `return build(args)` over the cross product of its column
+    /// operands on the lanes, the batch VM and the tree-walker, and hold
+    /// values (bit for bit, NaN included) and every cost field equal. The
+    /// lanes must carry every row, or — `expect_bail` — none.
+    fn mirror_case(what: &str, build: &dyn Fn(Vec<E>) -> E, args: &[Arg], expect_bail: bool) {
+        let edge = edge_cols();
+        let params = ["a", "b", "c"];
+        let col_ids: Vec<usize> =
+            args.iter().filter_map(|a| if let Arg::Col(c) = a { Some(*c) } else { None }).collect();
+        let mut next_param = 0;
+        let exprs: Vec<E> = args
+            .iter()
+            .map(|a| match a {
+                Arg::Lit(e) => e.clone(),
+                Arg::Col(_) => {
+                    next_param += 1;
+                    E::name(params[next_param - 1])
+                }
+            })
+            .collect();
+        let what = format!("{what} over {exprs:?} with columns {col_ids:?}");
+        let u = udf(&params[..col_ids.len().max(1)], vec![Stmt::Return(build(exprs))]);
+
+        // Cross product: column operand j repeats each of its lanes `stride`
+        // times, `stride` the product of the lengths to its right.
+        let rows: usize = col_ids.iter().map(|&c| edge[c].len()).product();
+        let mut stride = rows;
+        let mut cols: Vec<TypedCol> = col_ids
+            .iter()
+            .map(|&c| {
+                stride /= edge[c].len();
+                let keep: Vec<u32> =
+                    (0..rows).map(|r| (r / stride % edge[c].len()) as u32).collect();
+                edge[c].filter(&keep)
+            })
+            .collect();
+        if cols.is_empty() {
+            cols.push(TypedCol::ints(0, rows)); // an unused parameter carries the row count
+        }
+        let values: Vec<Vec<Value>> =
+            cols.iter().map(|c| (0..rows).map(|r| c.value(r)).collect()).collect();
+        let slices: Vec<&[Value]> = values.iter().map(|c| c.as_slice()).collect();
+
+        let prog = compile(&u).unwrap();
+        let mut out = Vec::new();
+        let mut cost = CostCounter::new();
+        let mut stats = SimdBatchStats::default();
+        let mut vm = Vm::default();
+        eval_batch_typed(
+            &mut vm,
+            &prog,
+            &prog.simd_shape(),
+            &cols,
+            &mut out,
+            &mut cost,
+            &mut stats,
+        )
+        .unwrap();
+        let carried = if expect_bail { stats.bail_rows } else { stats.fast_rows };
+        assert_eq!(carried, rows as u64, "{what}: {stats:?}");
+
+        let mut vm_out = Vec::new();
+        let mut vm_cost = CostCounter::new();
+        vm.eval_batch(&prog, &slices, &mut vm_out, &mut vm_cost).unwrap();
+        let mut interp = Interpreter::default();
+        let mut tw_cost = CostCounter::new();
+        for r in 0..rows {
+            let row: Vec<Value> = values.iter().map(|c| c[r].clone()).collect();
+            let tw = interp.eval(&u, &row).unwrap();
+            assert!(same_bits(&out[r], &vm_out[r]), "{what}, row {row:?}: VM {:?}", vm_out[r]);
+            assert!(same_bits(&out[r], &tw.value), "{what}, row {row:?}: walker {:?}", tw.value);
+            tw_cost.merge(&tw.cost);
+        }
+        assert_eq!(cost, vm_cost, "{what}");
+        assert_eq!(cost, tw_cost, "{what}");
+        assert_eq!(cost.total.to_bits(), vm_cost.total.to_bits(), "{what}");
+    }
+
+    /// The mechanical check behind "mirror `crate::ops` expression for
+    /// expression": every operator and every function with a lane kernel,
+    /// over every lane type, NULLs, literals and the edge values of `i64` and
+    /// `f64`, stays on the lanes and agrees with both scalar evaluators bit
+    /// for bit. The one refusal by design is `**` with an int base under an
+    /// int exponent that is not a literal, which must bail every row.
+    #[test]
+    fn lane_kernels_mirror_the_scalar_kernels_over_edge_values() {
+        let edge = edge_cols();
+        let is_int_col =
+            |a: &Arg| matches!(a, Arg::Col(c) if matches!(edge[*c].lanes, Lanes::Int(_)));
+        for args in assignments(2) {
+            for op in BinOp::ALL {
+                let refused = op == BinOp::Pow
+                    && (is_int_col(&args[0]) || matches!(args[0], Arg::Lit(E::Int(_))))
+                    && is_int_col(&args[1]);
+                let build = |mut e: Vec<E>| {
+                    let r = e.pop().unwrap();
+                    E::bin(op, e.pop().unwrap(), r)
+                };
+                mirror_case(op.symbol(), &build, &args, refused);
+            }
+            for op in CmpOp::ALL {
+                let build = |mut e: Vec<E>| {
+                    let r = e.pop().unwrap();
+                    E::cmp(op, e.pop().unwrap(), r)
+                };
+                mirror_case(op.symbol(), &build, &args, false);
+            }
+        }
+        for args in assignments(1) {
+            for op in [UnOp::Neg, UnOp::Not] {
+                let build = |mut e: Vec<E>| E::Unary { op, operand: Box::new(e.pop().unwrap()) };
+                mirror_case(&format!("{op:?}"), &build, &args, false);
+            }
+        }
+        let kernels: Vec<LibFn> = LibFn::ALL.into_iter().filter(|f| f.has_lane_kernel()).collect();
+        assert_eq!(kernels.len(), 26);
+        for func in kernels {
+            for args in assignments(func.arity()) {
+                mirror_case(func.python_name(), &|e| E::call(func, e), &args, false);
+            }
+        }
+    }
+
+    /// Divergence is bounded by the rows, not by a valve: ten sequential
+    /// bit tests over 1 024 distinct rows end in 1 024 single-row groups
+    /// after 1 023 splits, every row still on the lanes and bit-identical.
+    #[test]
+    fn a_thousand_splits_stay_on_the_lanes() {
+        let mut body = vec![Stmt::Assign { target: "z".into(), expr: E::Int(0) }];
+        for bit in 0..10 {
+            let shifted = E::bin(BinOp::FloorDiv, E::name("x"), E::Int(1 << bit));
+            body.push(Stmt::If {
+                cond: E::cmp(CmpOp::Eq, E::bin(BinOp::Mod, shifted, E::Int(2)), E::Int(1)),
+                then_body: vec![Stmt::Assign {
+                    target: "z".into(),
+                    expr: E::bin(BinOp::Add, E::name("z"), E::Int(3 << bit)),
+                }],
+                else_body: vec![],
+            });
+        }
+        body.push(Stmt::Return(E::name("z")));
+        let stats = differential(&udf(&["x"], body), &[int_col(1024, |i| i as i64)]);
+        assert_eq!((stats.fast_rows, stats.bail_rows, stats.group_splits), (1024, 0, 1023));
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! [`Interpreter`]: crate::interp::Interpreter
 
-use crate::bytecode::{CostKind, Instr, Operand, Program};
+use crate::bytecode::{Instr, Operand, Program};
 use crate::costs::{CostCounter, CostWeights};
 use crate::interp::{EvalOutcome, MAX_WHILE_ITERS};
 use crate::ops;
@@ -48,24 +48,8 @@ impl Vm {
     ///
     /// [`Interpreter::eval`]: crate::interp::Interpreter::eval
     pub fn eval(&mut self, prog: &Program, args: &[Value]) -> Result<EvalOutcome> {
-        if args.len() != prog.n_params() {
-            return Err(GracefulError::Eval(format!(
-                "{} expects {} args, got {}",
-                prog.name,
-                prog.n_params(),
-                args.len()
-            )));
-        }
-        let mut cost = CostCounter::new();
-        let text_chars: usize = args.iter().map(|v| v.as_str().map_or(0, |s| s.len())).sum();
-        cost.add_invocation(&self.weights, args.len(), text_chars);
-        self.reset(prog);
-        for (slot, v) in args.iter().enumerate() {
-            self.regs[slot] = v.clone();
-        }
-        let value = self.run(prog, &mut cost)?;
-        cost.add_return(&self.weights);
-        Ok(EvalOutcome { value, cost })
+        check_arity(prog, args.len())?;
+        self.eval_row(prog, args.iter())
     }
 
     /// Evaluate a batch of rows given **columnar** inputs: `cols[p][r]` is
@@ -79,40 +63,35 @@ impl Vm {
         out: &mut Vec<Value>,
         cost: &mut CostCounter,
     ) -> Result<()> {
-        if cols.len() != prog.n_params() {
-            return Err(GracefulError::Eval(format!(
-                "{} expects {} args, got {} columns",
-                prog.name,
-                prog.n_params(),
-                cols.len()
-            )));
-        }
-        let rows = cols.first().map_or(0, |c| c.len());
-        // A ragged batch is caller error, but it must fail loudly in release
-        // builds too — a `debug_assert!` here would let release indexing
-        // panic mid-batch instead of returning a typed error.
-        if let Some(bad) = cols.iter().find(|c| c.len() != rows) {
-            return Err(GracefulError::Eval(format!(
-                "{}: ragged batch: column of {} rows, expected {rows}",
-                prog.name,
-                bad.len()
-            )));
-        }
+        let rows = batch_rows(prog, cols.iter().map(|c| c.len()))?;
         out.reserve(rows);
         for r in 0..rows {
-            let mut row_cost = CostCounter::new();
-            let text_chars: usize = cols.iter().map(|c| c[r].as_str().map_or(0, |s| s.len())).sum();
-            row_cost.add_invocation(&self.weights, cols.len(), text_chars);
-            self.reset(prog);
-            for (slot, col) in cols.iter().enumerate() {
-                self.regs[slot] = col[r].clone();
-            }
-            let value = self.run(prog, &mut row_cost)?;
-            row_cost.add_return(&self.weights);
-            out.push(value);
-            cost.merge(&row_cost);
+            let row = self.eval_row(prog, cols.iter().map(|c| &c[r]))?;
+            out.push(row.value);
+            cost.merge(&row.cost);
         }
         Ok(())
+    }
+
+    /// One row, for [`Vm::eval`] and [`Vm::eval_batch`] alike: the
+    /// invocation charge (argument count and text characters), a reset
+    /// register file with the arguments loaded, the run, the return charge.
+    /// Callers have checked the arity.
+    fn eval_row<'v>(
+        &mut self,
+        prog: &Program,
+        args: impl ExactSizeIterator<Item = &'v Value> + Clone,
+    ) -> Result<EvalOutcome> {
+        let mut cost = CostCounter::new();
+        let text_chars: usize = args.clone().map(|v| v.as_str().map_or(0, str::len)).sum();
+        cost.add_invocation(&self.weights, args.len(), text_chars);
+        self.reset(prog);
+        for (slot, v) in args.enumerate() {
+            self.regs[slot] = v.clone();
+        }
+        let value = self.run(prog, &mut cost)?;
+        cost.add_return(&self.weights);
+        Ok(EvalOutcome { value, cost })
     }
 
     /// Preallocate the register file and definedness bits for `prog` without
@@ -281,12 +260,7 @@ impl Vm {
                 Instr::MarkDef { slot } => {
                     defined[*slot as usize] = true;
                 }
-                Instr::Cost(kind) => match kind {
-                    CostKind::Stmt => cost.add_stmt(w),
-                    CostKind::Assign => cost.add_assign(w),
-                    CostKind::Branch => cost.add_branch(w),
-                    CostKind::Compare => cost.add_compare(w),
-                },
+                Instr::Cost(kind) => cost.charge(w, *kind),
                 Instr::Return { src } => {
                     return Ok(Self::val(regs, consts, *src).clone());
                 }
@@ -296,6 +270,36 @@ impl Vm {
             }
             pc += 1;
         }
+    }
+}
+
+/// Typed error unless a call passes one argument (or argument column) per
+/// parameter of `prog`.
+fn check_arity(prog: &Program, got: usize) -> Result<()> {
+    if got == prog.n_params() {
+        return Ok(());
+    }
+    Err(GracefulError::Eval(format!("{} expects {} args, got {got}", prog.name, prog.n_params())))
+}
+
+/// The shape check of a batch evaluator, before its first row: one column
+/// per parameter, every column of one length. Returns that length.
+///
+/// A ragged batch is caller error, but it must fail loudly in release builds
+/// too — a `debug_assert!` here would let release indexing panic mid-batch
+/// instead of returning a typed error.
+pub(crate) fn batch_rows(
+    prog: &Program,
+    mut col_lens: impl ExactSizeIterator<Item = usize>,
+) -> Result<usize> {
+    check_arity(prog, col_lens.len())?;
+    let rows = col_lens.next().unwrap_or(0);
+    match col_lens.find(|&len| len != rows) {
+        Some(bad) => Err(GracefulError::Eval(format!(
+            "{}: ragged batch: column of {bad} rows, expected {rows}",
+            prog.name
+        ))),
+        None => Ok(rows),
     }
 }
 

@@ -204,7 +204,7 @@ fn type_inference_agrees_with_interpreter_on_generated_udfs() {
 /// (tree-walker, batch VM, columnar SIMD) pin the identical results.
 #[test]
 fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
-    use graceful::udf::{simd, CostCounter};
+    use graceful::udf::{simd, CostCounter, SimdBatchStats, TypedCol};
 
     let udf =
         parse_udf("def f(x0):\n    return int(x0) + math.floor(x0) + math.ceil(x0)\n").unwrap();
@@ -247,13 +247,22 @@ fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
     assert_eq!(vm_vals, tw_vals);
     assert_eq!(vm_cost, tw_cost);
 
-    // Columnar SIMD path.
-    assert!(shape.has_fast_path, "all-numeric straight line must vectorize");
-    let mut simd_vm = Vm::default();
+    // Typed lanes, every row on them.
+    let lanes = [TypedCol::from_values(&xs).expect("a float column")];
     let mut simd_vals = Vec::new();
     let mut simd_cost = CostCounter::new();
-    simd::eval_batch_values(&mut simd_vm, &prog, &shape, &slices, &mut simd_vals, &mut simd_cost)
-        .unwrap();
+    let mut stats = SimdBatchStats::default();
+    simd::eval_batch_typed(
+        &mut Vm::default(),
+        &prog,
+        &shape,
+        &lanes,
+        &mut simd_vals,
+        &mut simd_cost,
+        &mut stats,
+    )
+    .unwrap();
+    assert_eq!(stats.fast_rows, xs.len() as u64, "all-numeric straight line: {stats:?}");
     assert_eq!(simd_vals, tw_vals);
     assert_eq!(simd_cost, tw_cost);
     assert_eq!(simd_cost.total.to_bits(), tw_cost.total.to_bits());
@@ -264,12 +273,13 @@ fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
 /// of panicking — identically on every execution path.
 #[test]
 fn sign_and_abs_kernel_pins_hold_on_every_path() {
-    use graceful::udf::{simd, CostCounter};
+    use graceful::udf::{simd, CostCounter, SimdBatchStats, TypedCol};
 
     let udf = parse_udf("def f(x0, x1):\n    return np.sign(x0) + abs(x1)\n").unwrap();
     let prog = compile(&udf).unwrap();
     let shape = prog.simd_shape();
-    let xs = vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(-3.5), Value::Int(2)];
+    // One type per column: a mixed column has no lanes.
+    let xs = vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(-3.5), Value::Float(2.0)];
     let ys = vec![Value::Int(i64::MIN), Value::Int(-5), Value::Int(i64::MIN), Value::Int(7)];
 
     let mut interp = Interpreter::default();
@@ -285,15 +295,83 @@ fn sign_and_abs_kernel_pins_hold_on_every_path() {
     Vm::default().eval_batch(&prog, &slices, &mut vm_vals, &mut CostCounter::new()).unwrap();
     assert_eq!(vm_vals, expected);
 
+    let lanes: Vec<TypedCol> =
+        slices.iter().map(|c| TypedCol::from_values(c).expect("one type per column")).collect();
     let mut simd_vals = Vec::new();
-    simd::eval_batch_values(
+    let mut stats = SimdBatchStats::default();
+    simd::eval_batch_typed(
         &mut Vm::default(),
         &prog,
         &shape,
-        &slices,
+        &lanes,
         &mut simd_vals,
         &mut CostCounter::new(),
+        &mut stats,
     )
     .unwrap();
+    assert_eq!(stats.fast_rows, xs.len() as u64, "the lanes carry every row: {stats:?}");
     assert_eq!(simd_vals, expected);
+}
+
+/// One answer for NaN under `!=`, wherever the comparison sits: a plain
+/// `WHERE x != 1.0`, `x != 1.0` inside a UDF, and `WHERE f(x) != 1.0` over
+/// the identity UDF keep the same single row of `[1, 2, NaN, NaN, 1]`
+/// (NaN satisfies no SQL comparison), under `run` and `run_reference`.
+#[test]
+fn nan_under_not_equal_has_one_answer_at_all_three_comparison_sites() {
+    use graceful_storage::{Column, ColumnData, Table};
+
+    let x = vec![1.0, 2.0, f64::NAN, f64::NAN, 1.0];
+    let table = Table::new("t", vec![Column::new("x", ColumnData::Float(x))]).unwrap();
+    let db = Database::new("nandb", vec![table]);
+    let udf = |source: &str| {
+        Arc::new(GeneratedUdf {
+            def: parse_udf(source).unwrap(),
+            source: source.into(),
+            table: "t".into(),
+            input_columns: vec!["x".into()],
+            adaptations: vec![],
+        })
+    };
+    let scan = || PlanOp::new(PlanOpKind::Scan { table: "t".into() }, vec![]);
+    let count = |filter: PlanOpKind| Plan {
+        ops: vec![
+            scan(),
+            PlanOp::new(filter, vec![0]),
+            PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, vec![1]),
+        ],
+        root: 2,
+    };
+    let sites = [
+        (
+            "WHERE x != 1.0",
+            count(PlanOpKind::Filter {
+                preds: vec![Pred::new("t", "x", CmpOp::Ne, Value::Float(1.0))],
+            }),
+        ),
+        (
+            "WHERE (x != 1.0 inside the UDF) >= 1",
+            count(PlanOpKind::UdfFilter {
+                udf: udf("def f(x0):\n    return x0 != 1.0\n"),
+                op: CmpOp::Ge,
+                literal: 1.0,
+            }),
+        ),
+        (
+            "WHERE f(x) != 1.0",
+            count(PlanOpKind::UdfFilter {
+                udf: udf("def f(x0):\n    return x0\n"),
+                op: CmpOp::Ne,
+                literal: 1.0,
+            }),
+        ),
+    ];
+    let session = Session::new();
+    for (site, plan) in &sites {
+        let run = session.run(&db, plan, 1).unwrap();
+        let reference = session.run_reference(&db, plan, 1).unwrap();
+        assert_eq!(run.agg_value, 1.0, "{site}: only the 2.0 row differs from 1.0");
+        assert_eq!(reference.agg_value, 1.0, "{site} (run_reference)");
+        assert_eq!(run.out_rows, reference.out_rows, "{site}");
+    }
 }

@@ -245,6 +245,45 @@ fn udf_input_rows_agree_across_modes_with_two_udf_operators() {
     assert_eq!(pipe.runtime_ns.to_bits(), mat.runtime_ns.to_bits());
 }
 
+/// `udf_batch_size` bounds how many rows one evaluator call sees and sizes
+/// nothing: at the largest count its shape admits a UDF-filter plan runs in
+/// the memory its rows need (both evaluators used to allocate the knob's
+/// value per parameter and abort), and `run` == `run_reference` bit for bit —
+/// a data-dependent loop keeps part of the rows off the lanes, so the typed
+/// gather, the scalar fallback and the boxed gather all run.
+#[test]
+fn the_largest_udf_batch_size_allocates_for_its_rows_only() {
+    let db = generate(&schema("tpc_h"), 0.05, 3);
+    let def = parse_udf(
+        "def f(x0):\n    z = x0 * 0.5\n    if x0 < 100000:\n        for i in range(int(x0) % 5):\n            z = z + i\n    return z\n",
+    )
+    .unwrap();
+    let udf = Arc::new(GeneratedUdf {
+        source: print_udf(&def),
+        def,
+        table: "orders_t".into(),
+        input_columns: vec!["totalprice".into()],
+        adaptations: vec![],
+    });
+    let plan = Plan {
+        ops: vec![
+            PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
+            PlanOp::new(PlanOpKind::UdfFilter { udf, op: CmpOp::Ge, literal: 50000.0 }, vec![0]),
+            PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, vec![1]),
+        ],
+        root: 2,
+    };
+    let s = ExecOptions::new().threads(2).udf_batch_size(usize::MAX).build().unwrap();
+    let run = s.run(&db, &plan, 1).expect("run executes");
+    let reference = s.run_reference(&db, &plan, 1).expect("run_reference executes");
+    assert!(run.agg_value > 0.0 && run.agg_value < run.udf_input_rows as f64, "filter is partial");
+    assert_eq!(run.out_rows, reference.out_rows);
+    assert_eq!(run.agg_value.to_bits(), reference.agg_value.to_bits());
+    assert_eq!(run.runtime_ns.to_bits(), reference.runtime_ns.to_bits());
+    let bits = |work: &[f64]| work.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&run.op_work), bits(&reference.op_work));
+}
+
 /// Below the cap the valve changes nothing for passing queries.
 #[test]
 fn runs_below_cap_are_unaffected_by_the_valve() {
@@ -465,7 +504,9 @@ fn naive_run(db: &Database, plan: &Plan) -> Option<(Vec<usize>, usize, f64, f64)
                         CmpOp::Gt => v > *literal,
                         CmpOp::Ge => v >= *literal,
                         CmpOp::Eq => v == *literal,
-                        CmpOp::Ne => v != *literal,
+                        // An SQL comparison: NaN satisfies no operator,
+                        // `!=` included (`v != literal` would accept it).
+                        CmpOp::Ne => v.partial_cmp(literal).is_some_and(|ord| ord.is_ne()),
                     })
                 };
                 let kept = rel.rows.into_iter().zip(&values).filter(|(_, v)| passes(v));

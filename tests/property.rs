@@ -172,6 +172,7 @@ proptest! {
     /// VM and a tree-walker row loop.
     #[test]
     fn simd_matches_vm_and_tree_walker_on_generated_corpus(seed in 0u64..5_000) {
+        use graceful::udf::TypedCol;
         let mut db = generate(&schema("baseball"), 0.02, 9);
         let gen = UdfGenerator::default();
         let mut rng = Rng::seed(seed);
@@ -186,34 +187,55 @@ proptest! {
         let prog = compile(&u.def).unwrap();
         let shape = prog.simd_shape();
 
-        let mut simd_vm = Vm::default();
-        let mut simd_out = Vec::new();
-        let mut simd_cost = graceful::udf::CostCounter::new();
-        graceful::udf::simd::eval_batch_values(
-            &mut simd_vm, &prog, &shape, &slices, &mut simd_out, &mut simd_cost,
-        ).expect("SIMD path evaluates");
-
         let mut vm = Vm::default();
         let mut vm_out = Vec::new();
         let mut vm_cost = graceful::udf::CostCounter::new();
         vm.eval_batch(&prog, &slices, &mut vm_out, &mut vm_cost).expect("VM evaluates");
-        prop_assert_eq!(&simd_out, &vm_out, "values differ from batch VM");
-        prop_assert_eq!(&simd_cost, &vm_cost, "counters differ from batch VM");
-        prop_assert_eq!(
-            simd_cost.total.to_bits(), vm_cost.total.to_bits(),
-            "work totals not bit-identical: {} vs {}", simd_cost.total, vm_cost.total
-        );
 
         let mut interp = Interpreter::default();
         let mut tw_cost = graceful::udf::CostCounter::new();
         for r in 0..rows {
             let args: Vec<Value> = col_data.iter().map(|c| c[r].clone()).collect();
             let o = interp.eval(&u.def, &args).expect("tree-walker evaluates");
-            prop_assert_eq!(&o.value, &simd_out[r], "row {} value", r);
+            prop_assert_eq!(&o.value, &vm_out[r], "row {} value", r);
             tw_cost.merge(&o.cost);
         }
-        prop_assert_eq!(&simd_cost, &tw_cost, "counters differ from tree-walker");
-        prop_assert_eq!(simd_cost.total.to_bits(), tw_cost.total.to_bits());
+        prop_assert_eq!(&vm_cost, &tw_cost, "counters differ from tree-walker");
+        prop_assert_eq!(vm_cost.total.to_bits(), tw_cost.total.to_bits());
+
+        // The engine's own decision (`UdfEvalSpec::prepare`): lanes when the
+        // program has a lane path and every input a lane type, gathered
+        // straight from storage. Any other UDF runs on the batch VM, which
+        // the loop above has just compared.
+        let lanes: Option<Vec<TypedCol>> = shape
+            .has_fast_path
+            .then(|| cols.iter().map(|c| TypedCol::for_type(c.data_type())).collect())
+            .flatten();
+        if let Some(mut lanes) = lanes {
+            let rids: Vec<usize> = (0..rows).collect();
+            for (lane, col) in lanes.iter_mut().zip(&cols) {
+                lane.fill_from_column(col, &rids).expect("lane type matches the column");
+            }
+            let mut simd_out = Vec::new();
+            let mut simd_cost = graceful::udf::CostCounter::new();
+            let mut stats = graceful::udf::SimdBatchStats::default();
+            graceful::udf::simd::eval_batch_typed(
+                &mut vm, &prog, &shape, &lanes, &mut simd_out, &mut simd_cost, &mut stats,
+            ).expect("typed lanes evaluate");
+            prop_assert_eq!(stats.rows, rows as u64, "the lanes saw every row");
+            prop_assert_eq!(stats.fast_rows + stats.bail_rows, stats.rows, "and classified it");
+            prop_assert_eq!(&simd_out, &vm_out, "values differ from batch VM");
+            prop_assert_eq!(&simd_cost, &vm_cost, "counters differ from batch VM");
+            prop_assert_eq!(
+                simd_cost.total.to_bits(), vm_cost.total.to_bits(),
+                "work totals not bit-identical: {} vs {}", simd_cost.total, vm_cost.total
+            );
+        } else {
+            prop_assert!(
+                !shape.has_fast_path || cols.iter().any(|c| c.data_type() == DataType::Text),
+                "a UDF stays off the lanes for its shape or for a text input"
+            );
+        }
     }
 
     /// Q-error is symmetric and >= 1 for all positive pairs.
@@ -353,7 +375,7 @@ proptest! {
         let mut simd_out = Vec::new();
         let mut simd_cost = graceful::udf::CostCounter::new();
         let mut stats = graceful::udf::SimdBatchStats::default();
-        graceful::udf::simd::eval_batch_typed_with_stats(
+        graceful::udf::simd::eval_batch_typed(
             &mut simd_vm, &prog, &shape, &cols, &mut simd_out, &mut simd_cost, &mut stats,
         )
         .expect("SIMD path evaluates");
