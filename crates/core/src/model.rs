@@ -306,7 +306,9 @@ impl GracefulModel {
     /// Train on a set of corpora (the 19 training databases of a fold).
     ///
     /// Returns the per-epoch mean training losses. The run is deterministic
-    /// in `cfg.seed` and independent of `cfg.threads`.
+    /// in `cfg.seed` and independent of `cfg.threads`. The trained model
+    /// keeps its parameters only: the optimizer state is freed on return, so
+    /// a later `train` restarts Adam from zero moments, as a loaded model does.
     ///
     /// Observability (write-only, never on the result path): spans
     /// `train/train` → `train/featurize` → `train/epoch` → `train/step`,
@@ -367,6 +369,7 @@ impl GracefulModel {
                 m.rows_per_s.record(samples.len() as f64 / secs);
             }
         }
+        self.gnn.release_optimizer_state();
         Ok(losses)
     }
 
@@ -506,6 +509,21 @@ mod tests {
         let mut fresh = GracefulModel::from_json(&loaded.to_json()).unwrap();
         let losses = fresh.train(&[&c], &TrainOptions::new().epochs(1).build().unwrap()).unwrap();
         assert!(losses[0].is_finite());
+    }
+
+    /// A corpus with an infinite runtime label fails to train with a typed
+    /// error naming the label, instead of fitting `target_mean = inf` and
+    /// training a model that predicts NaN and cannot be saved.
+    #[test]
+    fn training_on_a_non_finite_label_is_a_typed_error() {
+        let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 4, ..ScaleConfig::default() };
+        let mut c = crate::corpus::env_corpus("tpc_h", &cfg, 6);
+        c.queries[1].runtime_ns = f64::INFINITY;
+        let mut model = GracefulModel::new(Featurizer::full(), 8, 5).unwrap();
+        match model.train(&[&c], &TrainOptions::new().epochs(1).build().unwrap()) {
+            Err(GracefulError::Model(m)) => assert!(m.contains("label 1 is inf"), "{m}"),
+            other => panic!("expected a typed Model error, got {other:?}"),
+        }
     }
 
     #[test]

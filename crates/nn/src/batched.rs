@@ -4,31 +4,39 @@
 //! node-at-a-time reference it is verified against
 //! ([`GnnModel::predict_reference`], [`GnnModel::train_batch_reference`])
 //! builds a fresh tape per graph and runs every per-type MLP on `1×f` row
-//! tensors — for a hidden width of 32 that means cloning a `64×32` weight matrix onto
-//! the tape per node per layer and paying allocator overhead per op. This
-//! module replaces that with a **batched** pass (a single graph is a batch
-//! of one):
+//! tensors. This module replaces that with a **batched** pass (a single graph
+//! is a batch of one):
 //!
 //! 1. A whole mini-batch of [`TypedGraph`]s is packed into one
-//!    [`GraphBatch`]: global node ids (graph-major), per-node topological
-//!    *levels* (`0` for leaves, `1 + max(child level)` otherwise), child and
-//!    parent adjacency, and node *groups* keyed by `(level, type)`.
-//! 2. The forward pass walks levels bottom-up; each group runs its type's
-//!    encoder/updater MLP **once** on an `N×f` matrix. Child aggregation
-//!    sums child states in fixed child order (the pinned in-order reduction
-//!    of [`Tensor::segment_sum`], fused into the joint-matrix assembly so no
-//!    intermediate gather materializes; the standalone `Tensor`/`Tape`
-//!    segment ops expose the same reduction as general-purpose API).
-//! 3. The backward pass walks levels top-down, computing all row gradients
-//!    with batched matmuls, then accumulates parameter gradients in a final
-//!    pass that replays the reference's accumulation order exactly.
+//!    [`GraphBatch`]: every node becomes one *row*, rows numbered by
+//!    (topological level, type, batch id) — level `0` for leaves,
+//!    `1 + max(child level)` otherwise — so every `(level, type)` *group* is
+//!    one contiguous row range. Child and parent adjacency are CSR arrays
+//!    over rows, and each type's live rows in the reference's accumulation
+//!    order are one index list.
+//! 2. Every quantity the step needs — encoder pre-activation, the updater's
+//!    joint input `[enc | Σ children]`, both updater pre-activations, the
+//!    layer-2 input, the state, and in backward the state, layer-1 and joint
+//!    gradients — is one `n×w` stash allocated once per step. The forward
+//!    pass walks groups bottom-up and the backward pass top-down; each stage
+//!    is one [`matmul_rows`] call that reads the group's rows of one stash
+//!    and writes them into another, in place.
+//! 3. Parameter gradients are accumulated per type in a final pass that
+//!    replays the reference's accumulation order exactly.
 //!
-//! # Why the result is bit-identical to the reference
+//! # The kernels, and why the result is bit-identical to the reference
 //!
-//! Every row of a matrix product is computed independently by the `Tensor`
-//! kernels (same inner loops, same `a == 0.0` skips), so batching never
-//! changes per-row values. The two places floats actually *reduce* across
-//! rows are pinned to the reference's order:
+//! Every product runs on [`matmul_rows`]: each output element is one chain —
+//! `+0.0`, then `+= a · b` over the inner index ascending, skipping `a ==
+//! 0.0` — the chain of the tape's [`Tensor::matmul`]. At widths that are a
+//! multiple of 32 (all of them in a hidden-32 model) the kernel holds each
+//! 32-wide tile of an output row in registers; the tiling changes where the
+//! chain lives, not its order, and the compiler contracts no `a · b + s`
+//! into an FMA. `tensor`'s `kernels_match_the_written_definition` test pins
+//! every path against the loops as first written, bit for bit — the tape
+//! calls the same kernel, so the engine-vs-tape suites alone could not see a
+//! reordered chain. Batching never changes a row's value. The two places
+//! floats *reduce* across rows are pinned to the reference's order:
 //!
 //! * **Child aggregation** sums child states in child-list order from zero —
 //!   the same chain as the reference's `sum_rows`.
@@ -36,12 +44,11 @@
 //!   contributions into the store in reverse-tape order per graph, graphs in
 //!   batch order — i.e. for each parameter of node type `t`: graph 0's type-
 //!   `t` nodes in *descending* node order, then graph 1's, and so on. The
-//!   final pass here gathers each type's per-node gradient rows in exactly
-//!   that `(graph ascending, node descending)` order and reduces them
-//!   in-order via [`Tensor::transpose_a_matmul`] (whose accumulation loop is
-//!   row-major) and in-order column sums. Gradient flow *into* a node state
-//!   likewise folds parent contributions in descending parent order, readout
-//!   first — matching the reference's reverse-tape accumulation.
+//!   final pass gathers each type's rows in exactly that `(graph ascending,
+//!   node descending)` order and reduces them with one product
+//!   ([`accumulate_linear`]). Gradient flow *into* a node state likewise
+//!   folds parent contributions in descending parent order, readout first —
+//!   matching the reference's reverse-tape accumulation.
 //!
 //! # Several roots of one graph
 //!
@@ -53,140 +60,166 @@
 //! yields, at each variant's root, the bits of that variant's own graph.
 //!
 //! Nodes whose state cannot reach the loss (possible when a root is not the
-//! last node) are skipped in backward, exactly as the reference's `None`
-//! gradient slots skip them.
+//! last node) are left out of the backward pass, exactly as the reference's
+//! `None` gradient slots skip them.
 
-use crate::gnn::{huber, GnnModel, TypedGraph};
+use crate::gnn::{finite_loss, huber, GnnModel, TypedGraph};
 use crate::mlp::{AdamConfig, Linear, Mlp, ParamStore, LEAKY_SLOPE};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_rows, Tensor};
 use graceful_common::{GracefulError, Result};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
-/// One `(level, type)` node group of a packed batch.
+/// One `(level, type)` node group: the same row range of every stash.
 struct Group {
     ty: usize,
-    /// Global node ids, ascending.
-    nodes: Vec<usize>,
+    rows: Range<usize>,
 }
 
 /// A mini-batch of graphs packed for level-synchronous execution.
 ///
-/// Adjacency is CSR-shaped (offset + data arrays) — packing happens once
-/// per training step, so it avoids per-node `Vec` allocations.
+/// Every node of the batch is one *row* of every stash, rows ordered by
+/// (level, type, batch id), so each group is one row range. Adjacency is
+/// CSR-shaped (offset + data arrays) over rows — packing happens once per
+/// training step, so it avoids per-node `Vec` allocations.
 struct GraphBatch {
-    /// Total node count across the batch.
-    n: usize,
-    /// First global node id per graph (length `graphs + 1`).
-    offsets: Vec<usize>,
-    /// Node type per global node.
-    types: Vec<usize>,
-    /// Owning graph per global node.
-    node_graph: Vec<usize>,
-    /// CSR offsets into `child_dat` (length `n + 1`).
+    /// `(graph, node)` behind each row.
+    nodes: Vec<(usize, usize)>,
+    /// CSR offsets into `child_dat` (length `rows + 1`).
     child_off: Vec<usize>,
-    /// Children (global ids, edge order), all nodes concatenated.
+    /// Children (rows, edge order), all rows concatenated.
     child_dat: Vec<usize>,
-    /// CSR offsets into `parent_dat` (length `n + 1`).
+    /// CSR offsets into `parent_dat` (length `rows + 1`).
     parent_off: Vec<usize>,
-    /// Parents (global ids, descending, one entry per edge), concatenated.
+    /// Parents (rows, descending node id, one entry per edge), concatenated.
     parent_dat: Vec<usize>,
-    /// Global node ids read out, one per requested `(graph, node)` root
-    /// (training: exactly one per graph, in graph order).
+    /// The row read out per requested `(graph, node)` root (training:
+    /// exactly one per graph, in graph order).
     roots: Vec<usize>,
-    /// Nodes per type (ascending) — the encoder grouping, which needs no
-    /// levels because encodings depend only on the node's own features.
-    type_nodes: Vec<Vec<usize>>,
-    /// Groups ordered by (level ascending, type ascending) — the updater
-    /// grouping.
+    /// Whether a row's state reaches a root: it is one, or has a live parent
+    /// (the reference's `None` gradient slots skip the rest).
+    live: Vec<bool>,
+    /// Groups by (level ascending, type ascending).
     groups: Vec<Group>,
+    /// The live rows of type `t` in the reference's accumulation order
+    /// (graph ascending, node descending) are
+    /// `canon[canon_off[t]..canon_off[t + 1]]`.
+    canon_off: Vec<usize>,
+    canon: Vec<usize>,
 }
 
 impl GraphBatch {
     fn pack(graphs: &[&TypedGraph], roots: &[(usize, usize)], n_types: usize) -> GraphBatch {
-        let n: usize = graphs.iter().map(|g| g.len()).sum();
-        let n_edges: usize = graphs.iter().map(|g| g.edges.len()).sum();
+        // Batch ids: graph-major, each graph's nodes in their own order.
         let mut offsets = Vec::with_capacity(graphs.len() + 1);
-        let mut types = Vec::with_capacity(n);
-        let mut node_graph = Vec::with_capacity(n);
-        let mut off = 0usize;
+        let (mut ids, mut types) = (Vec::new(), Vec::new());
         for (gi, g) in graphs.iter().enumerate() {
-            offsets.push(off);
+            offsets.push(ids.len());
+            ids.extend((0..g.len()).map(|v| (gi, v)));
             types.extend_from_slice(&g.node_types);
-            node_graph.extend(std::iter::repeat_n(gi, g.len()));
-            off += g.len();
         }
-        offsets.push(off);
-        let roots = roots.iter().map(|&(g, v)| offsets[g] + v).collect();
-        // CSR adjacency: degree count, prefix sum, ordered fill (children
-        // keep edge order; parents are sorted descending afterwards).
-        let mut child_off = vec![0usize; n + 1];
-        let mut parent_off = vec![0usize; n + 1];
-        for (gi, g) in graphs.iter().enumerate() {
-            let base = offsets[gi];
-            for &(s, d) in &g.edges {
-                child_off[base + d + 1] += 1;
-                parent_off[base + s + 1] += 1;
-            }
-        }
-        for v in 0..n {
-            child_off[v + 1] += child_off[v];
-            parent_off[v + 1] += parent_off[v];
-        }
-        let mut child_dat = vec![0usize; n_edges];
-        let mut parent_dat = vec![0usize; n_edges];
-        let mut child_cur = child_off.clone();
-        let mut parent_cur = parent_off.clone();
-        for (gi, g) in graphs.iter().enumerate() {
-            let base = offsets[gi];
-            for &(s, d) in &g.edges {
-                child_dat[child_cur[base + d]] = base + s;
-                child_cur[base + d] += 1;
-                parent_dat[parent_cur[base + s]] = base + d;
-                parent_cur[base + s] += 1;
-            }
-        }
-        // Topological levels (children have smaller ids, so one forward scan
-        // suffices); parents sorted descending for the backward fold.
+        offsets.push(ids.len());
+        let n = ids.len();
+        // Children in edge order; parents descending, because the same edges
+        // are visited child list by child list from the last id down.
+        let edges = graphs
+            .iter()
+            .zip(&offsets)
+            .flat_map(|(g, &base)| g.edges.iter().map(move |&(s, d)| (base + d, base + s)));
+        let (child_off, child_dat) = csr(n, edges);
+        let children = |v: usize| &child_dat[child_off[v]..child_off[v + 1]];
+        let edges = (0..n).rev().flat_map(|d| children(d).iter().map(move |&c| (c, d)));
+        let (parent_off, parent_dat) = csr(n, edges);
+        // Topological levels (children have smaller ids: one forward scan),
+        // then liveness (parents have larger ids: one backward scan).
         let mut levels = vec![0usize; n];
         for v in 0..n {
-            levels[v] = child_dat[child_off[v]..child_off[v + 1]]
-                .iter()
-                .map(|&c| levels[c] + 1)
-                .max()
-                .unwrap_or(0);
-            parent_dat[parent_off[v]..parent_off[v + 1]].sort_unstable_by(|a, b| b.cmp(a));
+            levels[v] = children(v).iter().map(|&c| levels[c] + 1).max().unwrap_or(0);
         }
-        let mut type_nodes: Vec<Vec<usize>> = vec![Vec::new(); n_types];
-        let mut buckets: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for v in 0..n {
-            type_nodes[types[v]].push(v);
-            buckets.entry((levels[v], types[v])).or_default().push(v);
+        let mut live = vec![false; n];
+        for &(g, v) in roots {
+            live[offsets[g] + v] = true;
         }
-        let groups = buckets.into_iter().map(|((_, ty), nodes)| Group { ty, nodes }).collect();
+        for v in (0..n).rev() {
+            live[v] =
+                live[v] || parent_dat[parent_off[v]..parent_off[v + 1]].iter().any(|&p| live[p]);
+        }
+        // Rows: the ids bucketed by (level, type), so each non-empty bucket is
+        // one group, its ids ascending.
+        let key: Vec<usize> = (0..n).map(|v| levels[v] * n_types + types[v]).collect();
+        let n_keys = key.iter().max().map_or(0, |k| k + 1);
+        let (key_off, order) = csr(n_keys, key.iter().copied().zip(0..n));
+        let mut row = vec![0usize; n];
+        for (r, &v) in order.iter().enumerate() {
+            row[v] = r;
+        }
+        let groups = (0..n_keys)
+            .filter(|&k| key_off[k] < key_off[k + 1])
+            .map(|k| Group { ty: k % n_types, rows: key_off[k]..key_off[k + 1] })
+            .collect();
+        let relabel = |off: &[usize], dat: &[usize]| {
+            let (mut new_off, mut new_dat) = (vec![0], Vec::with_capacity(dat.len()));
+            for &v in &order {
+                new_dat.extend(dat[off[v]..off[v + 1]].iter().map(|&u| row[u]));
+                new_off.push(new_dat.len());
+            }
+            (new_off, new_dat)
+        };
+        // Canonical order: the live ids bucketed by type, graphs ascending,
+        // nodes descending.
+        let canon = (0..graphs.len()).flat_map(|g| (offsets[g]..offsets[g + 1]).rev());
+        let (canon_off, canon) =
+            csr(n_types, canon.filter(|&v| live[v]).map(|v| (types[v], row[v])));
+        let ((child_off, child_dat), (parent_off, parent_dat)) =
+            (relabel(&child_off, &child_dat), relabel(&parent_off, &parent_dat));
         GraphBatch {
-            n,
-            offsets,
-            types,
-            node_graph,
+            nodes: order.iter().map(|&v| ids[v]).collect(),
             child_off,
             child_dat,
             parent_off,
             parent_dat,
-            roots,
-            type_nodes,
+            roots: roots.iter().map(|&(g, v)| row[offsets[g] + v]).collect(),
+            live: order.iter().map(|&v| live[v]).collect(),
             groups,
+            canon_off,
+            canon,
         }
     }
 
-    /// Children of `v` (edge order).
-    fn children(&self, v: usize) -> &[usize] {
-        &self.child_dat[self.child_off[v]..self.child_off[v + 1]]
+    /// Children of row `r` (edge order).
+    fn children(&self, r: usize) -> &[usize] {
+        &self.child_dat[self.child_off[r]..self.child_off[r + 1]]
     }
 
-    /// Parents of `v` (descending, one entry per edge).
-    fn parents(&self, v: usize) -> &[usize] {
-        &self.parent_dat[self.parent_off[v]..self.parent_off[v + 1]]
+    /// Parents of row `r` (descending node id, one entry per edge).
+    fn parents(&self, r: usize) -> &[usize] {
+        &self.parent_dat[self.parent_off[r]..self.parent_off[r + 1]]
     }
+
+    /// The live rows of type `ty`, graph ascending, node descending.
+    fn canon(&self, ty: usize) -> &[usize] {
+        &self.canon[self.canon_off[ty]..self.canon_off[ty + 1]]
+    }
+}
+
+/// `(key, item)` pairs bucketed by key, stably: key `k`'s items are
+/// `dat[off[k]..off[k + 1]]`, in the order given (a counting sort).
+fn csr(
+    n_keys: usize,
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut off = vec![0usize; n_keys + 1];
+    for (k, _) in pairs.clone() {
+        off[k + 1] += 1;
+    }
+    for k in 0..n_keys {
+        off[k + 1] += off[k];
+    }
+    let (mut dat, mut cur) = (vec![0usize; off[n_keys]], off.clone());
+    for (k, item) in pairs {
+        dat[cur[k]] = item;
+        cur[k] += 1;
+    }
+    (off, dat)
 }
 
 /// Forward trace of one batched MLP application (per-layer inputs and
@@ -215,76 +248,96 @@ fn mlp_forward(mlp: &Mlp, store: &ParamStore, x: Tensor) -> (Tensor, MlpTrace) {
     (cur, trace)
 }
 
+/// `out = x · W + b` for every row of `out` (`x(i)` is row `i`'s input).
+fn linear<'a>(store: &ParamStore, layer: &Linear, x: impl Fn(usize) -> &'a [f32], out: &mut [f32]) {
+    let (w, b) = (store.value(layer.w), store.value(layer.b));
+    matmul_rows(x, &w.data, w.cols, out);
+    for row in out.chunks_exact_mut(w.cols) {
+        for (y, &b) in row.iter_mut().zip(&b.data) {
+            *y += b;
+        }
+    }
+}
+
+/// `dst = LeakyReLU(src)`, element by element.
+fn leaky_into(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = if s < 0.0 { s * LEAKY_SLOPE } else { s };
+    }
+}
+
 /// LeakyReLU adjoint: scale gradient entries whose pre-activation was
-/// negative (same predicate as the reference's tape op).
-fn leaky_mask(grad: &mut Tensor, pre: &Tensor) {
-    debug_assert_eq!(grad.data.len(), pre.data.len());
-    for (g, &x) in grad.data.iter_mut().zip(&pre.data) {
-        if x < 0.0 {
-            *g *= LEAKY_SLOPE;
+/// negative (same predicate as the reference's tape op), written as a select
+/// so it vectorizes instead of branching on the sign of every entry.
+fn leaky_mask(grad: &mut [f32], pre: &[f32]) {
+    for (g, &x) in grad.iter_mut().zip(pre) {
+        *g = if x < 0.0 { *g * LEAKY_SLOPE } else { *g };
+    }
+}
+
+/// Row `i` of a row-major block of `k`-wide rows.
+fn rows_of<'a>(block: &'a [f32], k: usize) -> impl Fn(usize) -> &'a [f32] + Copy {
+    move |i| &block[i * k..(i + 1) * k]
+}
+
+/// Row `rows[p]` of `t`, for `p = 0, 1, …`.
+fn rows_at<'a>(t: &'a Tensor, rows: &'a [usize]) -> impl Fn(usize) -> &'a [f32] + Copy {
+    move |p| t.row_slice(rows[p])
+}
+
+/// The feature vector of row `r` (read where the graph holds it).
+fn features<'a>(
+    batch: &'a GraphBatch,
+    graphs: &'a [&TypedGraph],
+) -> impl Fn(usize) -> &'a [f32] + Copy {
+    move |r| {
+        let (g, v) = batch.nodes[r];
+        &graphs[g].features[v]
+    }
+}
+
+/// Accumulate one linear layer's parameter gradients over `k` uses, use `p`
+/// having input row `x(p)` and pre-activation gradient `g(p)`.
+///
+/// The uses are gathered, inputs transposed, into `[Xᵀ; 1]` and `G`, so one
+/// product `[Xᵀ; 1] · G` yields the weight's `Xᵀ·G` and, against the row of
+/// ones, the bias's column sums — each element reducing the uses in the
+/// order listed. Listing them in the reference's order therefore replays
+/// its per-use adds (`1 · g` is `g`, bit for bit).
+fn accumulate_linear<'a>(
+    store: &mut ParamStore,
+    layer: &Linear,
+    k: usize,
+    x: impl Fn(usize) -> &'a [f32],
+    g: impl Fn(usize) -> &'a [f32],
+) {
+    let (m, n) = (layer.in_dim, layer.out_dim);
+    let mut xt = vec![0.0f32; m * k];
+    xt.resize((m + 1) * k, 1.0);
+    let mut gs = Vec::with_capacity(k * n);
+    for p in 0..k {
+        for (i, &v) in x(p).iter().enumerate() {
+            xt[i * k + p] = v;
+        }
+        gs.extend_from_slice(g(p));
+    }
+    let mut sums = vec![0.0f32; (m + 1) * n];
+    matmul_rows(rows_of(&xt, k), &gs, n, &mut sums);
+    let (gw, gb) = sums.split_at(m * n);
+    for (grad, sum) in [(layer.w, gw), (layer.b, gb)] {
+        for (d, &s) in store.grad_mut(grad).data.iter_mut().zip(sum) {
+            *d += s;
         }
     }
 }
 
-/// [`leaky_mask`] with the pre-activation rows looked up in a stash matrix
-/// (row `i` of `grad` masks against row `rows[i]` of `pre`), avoiding a
-/// gather allocation.
-fn leaky_mask_rows(grad: &mut Tensor, pre: &Tensor, rows: &[usize]) {
-    debug_assert_eq!(grad.rows, rows.len());
-    for (i, &v) in rows.iter().enumerate() {
-        let g = &mut grad.data[i * grad.cols..(i + 1) * grad.cols];
-        for (gi, &x) in g.iter_mut().zip(pre.row_slice(v)) {
-            if x < 0.0 {
-                *gi *= LEAKY_SLOPE;
-            }
-        }
-    }
-}
-
-/// Accumulate one linear layer's parameter gradients from `x` (layer input,
-/// canonical row order) and `gy` (gradient at the pre-activation output).
-/// `transpose_a_matmul` reduces row-major, and the column sums scan rows
-/// ascending, so the float chains equal the reference's per-use adds.
-fn accumulate_linear(store: &mut ParamStore, layer: &Linear, x: &Tensor, gy: &Tensor) {
-    let gw = x.transpose_a_matmul(gy);
-    store.grad_mut(layer.w).add_assign(&gw);
-    let mut gb = Tensor::zeros(1, gy.cols);
-    for r in 0..gy.rows {
-        for (b, &g) in gb.data.iter_mut().zip(gy.row_slice(r)) {
-            *b += g;
-        }
-    }
-    store.grad_mut(layer.b).add_assign(&gb);
-}
-
-/// Column-split a `N×(ca+cb)` matrix (the adjoint of a row-wise concat).
-fn split_cols(m: &Tensor, ca: usize) -> (Tensor, Tensor) {
-    let cb = m.cols - ca;
-    let mut a = Tensor::zeros(m.rows, ca);
-    let mut b = Tensor::zeros(m.rows, cb);
-    for r in 0..m.rows {
-        let row = m.row_slice(r);
-        a.data[r * ca..(r + 1) * ca].copy_from_slice(&row[..ca]);
-        b.data[r * cb..(r + 1) * cb].copy_from_slice(&row[ca..]);
-    }
-    (a, b)
-}
-
-/// Copy `src` rows into `dst` at the given row indices (plain overwrite).
-fn scatter_copy(dst: &mut Tensor, rows: &[usize], src: &Tensor) {
-    debug_assert_eq!(rows.len(), src.rows);
-    debug_assert_eq!(dst.cols, src.cols);
-    for (i, &r) in rows.iter().enumerate() {
-        dst.data[r * dst.cols..(r + 1) * dst.cols].copy_from_slice(src.row_slice(i));
-    }
-}
-
-/// Everything forward computes that backward (or prediction) needs.
+/// Everything forward computes that backward (or prediction) needs: one
+/// stash per quantity, one row per node.
 struct BatchedForward {
     batch: GraphBatch,
-    /// Encoder pre-activation per node (`n×h`).
+    /// Encoder pre-activation (`n×h`).
     enc_pre: Tensor,
-    /// Updater layer-1 input (`[enc, agg]`, `n×2h`).
+    /// Updater layer-1 input `[LeakyReLU(enc) | Σ child states]` (`n×2h`).
     upd1_in: Tensor,
     /// Updater layer-1 pre-activation (`n×h`).
     upd1_pre: Tensor,
@@ -296,23 +349,6 @@ struct BatchedForward {
     readout: MlpTrace,
     /// Normalized log-space predictions, one per root.
     preds: Vec<f32>,
-}
-
-/// Gather the feature rows of `nodes` (all of one type) into an `N×width`
-/// matrix.
-fn gather_features(
-    batch: &GraphBatch,
-    graphs: &[&TypedGraph],
-    nodes: &[usize],
-    width: usize,
-) -> Tensor {
-    let mut x = Tensor::zeros(nodes.len(), width);
-    for (i, &v) in nodes.iter().enumerate() {
-        let g = batch.node_graph[v];
-        x.data[i * width..(i + 1) * width]
-            .copy_from_slice(&graphs[g].features[v - batch.offsets[g]]);
-    }
-    x
 }
 
 /// Level-synchronous forward over a validated batch, reading out the state
@@ -327,74 +363,57 @@ fn forward(model: &GnnModel, graphs: &[&TypedGraph], roots: &[(usize, usize)]) -
         "batched GNN engine expects 1-layer encoders and 2-layer updaters"
     );
     let batch = GraphBatch::pack(graphs, roots, model.config.feature_dims.len());
-    let h = model.config.hidden;
-    let n = batch.n;
+    let (n, h) = (batch.nodes.len(), model.config.hidden);
     let store = &model.store;
     let mut enc_pre = Tensor::zeros(n, h);
-    let mut enc_post = Tensor::zeros(n, h);
     let mut upd1_in = Tensor::zeros(n, 2 * h);
     let mut upd1_pre = Tensor::zeros(n, h);
     let mut upd2_in = Tensor::zeros(n, h);
     let mut upd2_pre = Tensor::zeros(n, h);
-    let mut h_all = Tensor::zeros(n, h);
-    // Encoders depend only on each node's own features, so they run once
-    // per *type* over every node of that type — the largest matrices the
-    // batch affords.
-    for (ty, nodes) in batch.type_nodes.iter().enumerate() {
-        if nodes.is_empty() {
-            continue;
-        }
-        let width = model.config.feature_dims[ty];
-        let x = gather_features(&batch, graphs, nodes, width);
-        // Encoders are single-layer MLPs; apply the linear layer directly.
-        let enc_layer = &model.encoders[ty].layers[0];
-        let mut e_pre = x.matmul(store.value(enc_layer.w));
-        e_pre.add_row_broadcast(store.value(enc_layer.b));
-        scatter_copy(&mut enc_pre, nodes, &e_pre);
-        let mut e_post = e_pre;
-        e_post.leaky_relu_assign(LEAKY_SLOPE);
-        scatter_copy(&mut enc_post, nodes, &e_post);
-    }
-    // Updaters run level-synchronously: one application per (level, type)
-    // group, children always resolved at lower levels. The loop is written
-    // allocation-lean (small batches make per-group overhead the bottleneck):
-    // the joint input is assembled in place and every intermediate is moved
-    // into its stash rather than cloned.
+    let mut state = Tensor::zeros(n, h);
+    let feats = features(&batch, graphs);
+    // One application of each MLP layer per group, children always resolved
+    // at lower levels, every stage reading and writing the group's rows of
+    // the stashes in place.
     for group in &batch.groups {
-        let ty = group.ty;
-        let rows = &group.nodes;
-        let nrows = rows.len();
-        // joint = [enc_post | agg]: the left half is copied, the right half
-        // accumulates child states in fixed child order from zero — the
-        // reference's `sum_rows` chain (leaves aggregate to zero rows,
-        // matching the reference's shared zero input).
-        let mut joint = Tensor::zeros(nrows, 2 * h);
-        for (i, &v) in rows.iter().enumerate() {
-            let row = &mut joint.data[i * 2 * h..(i + 1) * 2 * h];
-            row[..h].copy_from_slice(enc_post.row_slice(v));
-            for &c in batch.children(v) {
-                for (d, &x) in row[h..].iter_mut().zip(h_all.row_slice(c)) {
+        let rows = || group.rows.clone();
+        let start = group.rows.start;
+        let upd = &model.updaters[group.ty].layers;
+        linear(
+            store,
+            &model.encoders[group.ty].layers[0],
+            |i| feats(start + i),
+            enc_pre.row_range_mut(rows()),
+        );
+        // joint = [LeakyReLU(enc) | agg]: the right half accumulates child
+        // states in fixed child order from zero — the reference's `sum_rows`
+        // chain (leaves aggregate to zero rows, matching the reference's
+        // shared zero input).
+        for r in rows() {
+            let (enc, agg) = upd1_in.row_slice_mut(r).split_at_mut(h);
+            leaky_into(enc, enc_pre.row_slice(r));
+            for &c in batch.children(r) {
+                for (d, &x) in agg.iter_mut().zip(state.row_slice(c)) {
                     *d += x;
                 }
             }
         }
-        let upd = &model.updaters[ty];
-        let mut y1 = joint.matmul(store.value(upd.layers[0].w));
-        y1.add_row_broadcast(store.value(upd.layers[0].b));
-        scatter_copy(&mut upd1_in, rows, &joint);
-        scatter_copy(&mut upd1_pre, rows, &y1);
-        let mut z1 = y1;
-        z1.leaky_relu_assign(LEAKY_SLOPE);
-        let mut y2 = z1.matmul(store.value(upd.layers[1].w));
-        y2.add_row_broadcast(store.value(upd.layers[1].b));
-        scatter_copy(&mut upd2_in, rows, &z1);
-        scatter_copy(&mut upd2_pre, rows, &y2);
-        let mut state = y2;
-        state.leaky_relu_assign(LEAKY_SLOPE);
-        scatter_copy(&mut h_all, rows, &state);
+        linear(
+            store,
+            &upd[0],
+            rows_of(upd1_in.row_range(rows()), 2 * h),
+            upd1_pre.row_range_mut(rows()),
+        );
+        leaky_into(upd2_in.row_range_mut(rows()), upd1_pre.row_range(rows()));
+        linear(
+            store,
+            &upd[1],
+            rows_of(upd2_in.row_range(rows()), h),
+            upd2_pre.row_range_mut(rows()),
+        );
+        leaky_into(state.row_range_mut(rows()), upd2_pre.row_range(rows()));
     }
-    let root_states = h_all.gather_rows(&batch.roots);
-    let (r_out, readout) = mlp_forward(&model.readout, store, root_states);
+    let (r_out, readout) = mlp_forward(&model.readout, store, state.gather_rows(&batch.roots));
     let preds = (0..roots.len()).map(|r| r_out.get(r, 0)).collect();
     BatchedForward { batch, enc_pre, upd1_in, upd1_pre, upd2_in, upd2_pre, readout, preds }
 }
@@ -403,140 +422,95 @@ fn forward(model: &GnnModel, graphs: &[&TypedGraph], roots: &[(usize, usize)]) -
 /// gradients into the store in the reference's order.
 fn backward(model: &mut GnnModel, fwd: &BatchedForward, graphs: &[&TypedGraph], seeds: &[f32]) {
     let batch = &fwd.batch;
-    let n = batch.n;
-    let h = model.config.hidden;
-    let n_graphs = seeds.len();
-    // Liveness: a node's state reaches the loss iff it is a root or has a
-    // live parent (the reference's `None` gradient slots skip the rest).
-    let mut live = vec![false; n];
-    for &r in &batch.roots {
-        live[r] = true;
-    }
-    for v in (0..n).rev() {
-        if !live[v] {
-            live[v] = batch.parents(v).iter().any(|&p| live[p]);
-        }
-    }
+    let (n, h) = (batch.nodes.len(), model.config.hidden);
     // Readout backward over the B×h root matrix. Rows are graphs ascending,
     // which is the reference's store-accumulation order for readout params,
     // so parameters can be accumulated directly here.
-    let mut g = Tensor::zeros(n_graphs, 1);
-    for (i, &s) in seeds.iter().enumerate() {
-        g.data[i] = s;
-    }
+    let mut g = Tensor::from_vec(seeds.len(), 1, seeds.to_vec());
     let last = model.readout.layers.len() - 1;
     for l in (0..=last).rev() {
         if l != last {
-            leaky_mask(&mut g, &fwd.readout.pre[l]);
+            leaky_mask(&mut g.data, &fwd.readout.pre[l].data);
         }
         let layer = model.readout.layers[l];
-        accumulate_linear(&mut model.store, &layer, &fwd.readout.inputs[l], &g);
+        let x = &fwd.readout.inputs[l];
+        accumulate_linear(&mut model.store, &layer, x.rows, |p| x.row_slice(p), |p| g.row_slice(p));
         // `matmul` against the materialized transpose is bit-identical to
         // `matmul_transpose_b` (see `Tensor::transpose`) but vectorizes.
         g = g.matmul(&model.store.value(layer.w).transpose());
     }
-    let g_roots = g; // B×h gradient at the root states
-                     // Transpose every updater weight once per step; the level loop below
-                     // reuses them for all groups of that type.
-    let upd_t: Vec<(Tensor, Tensor)> = model
-        .updaters
-        .iter()
-        .map(|u| {
-            (
-                model.store.value(u.layers[0].w).transpose(),
-                model.store.value(u.layers[1].w).transpose(),
-            )
-        })
+    // Transpose every updater weight once per step; the level loop below
+    // reuses them for all groups of that type.
+    let store = &model.store;
+    let upd_t: Vec<[Tensor; 2]> = (model.updaters.iter())
+        .map(|u| [store.value(u.layers[0].w).transpose(), store.value(u.layers[1].w).transpose()])
         .collect();
-    // Per-node gradient rows (filled as levels are processed, top-down).
+    // Gradient rows, filled top-down, one stash per quantity: `g_h` is the
+    // state gradient, masked in place into updater layer 2's pre-activation
+    // gradient; `g_upd1` is layer 1's; `g_joint` is `[encoder
+    // pre-activation | child sum]`.
     let mut g_h = Tensor::zeros(n, h);
-    let mut g_agg = Tensor::zeros(n, h);
-    let mut g_upd1_pre = Tensor::zeros(n, h);
-    let mut g_upd2_pre = Tensor::zeros(n, h);
-    let mut g_enc_pre = Tensor::zeros(n, h);
+    let mut g_upd1 = Tensor::zeros(n, h);
+    let mut g_joint = Tensor::zeros(n, 2 * h);
     let mut seeded = vec![false; n];
     for (i, &r) in batch.roots.iter().enumerate() {
         // First contribution to a root state comes from the readout (pushed
         // last on the reference tape, so visited first).
-        g_h.data[r * h..(r + 1) * h].copy_from_slice(g_roots.row_slice(i));
+        g_h.row_slice_mut(r).copy_from_slice(g.row_slice(i));
         seeded[r] = true;
     }
     for group in batch.groups.iter().rev() {
-        let rows: Vec<usize> = group.nodes.iter().copied().filter(|&v| live[v]).collect();
-        if rows.is_empty() {
-            continue;
-        }
-        // Fold parent contributions into each state gradient, descending
-        // parent order (reverse tape), after any readout seed.
-        for &v in &rows {
-            for &p in batch.parents(v) {
-                if !live[p] {
-                    continue;
-                }
-                let (dst, src) = (v * h, p * h);
-                if !seeded[v] {
-                    g_h.data[dst..dst + h].copy_from_slice(&g_agg.data[src..src + h]);
-                    seeded[v] = true;
-                } else {
-                    for c in 0..h {
-                        g_h.data[dst + c] += g_agg.data[src + c];
+        let rows = || group.rows.clone();
+        // Fold parent contributions into each live state gradient,
+        // descending parent order (reverse tape), after any readout seed.
+        // Dead rows keep zero gradients and feed nothing.
+        for r in rows().filter(|&r| batch.live[r]) {
+            for &p in batch.parents(r).iter().filter(|&&p| batch.live[p]) {
+                let (dst, src) = (g_h.row_slice_mut(r), &g_joint.row_slice(p)[h..]);
+                if seeded[r] {
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d += s;
                     }
+                } else {
+                    dst.copy_from_slice(src);
+                    seeded[r] = true;
                 }
             }
         }
-        // Through the trailing state activation into updater layer 2.
-        let mut gy2 = g_h.gather_rows(&rows);
-        leaky_mask_rows(&mut gy2, &fwd.upd2_pre, &rows);
-        let (w1t, w2t) = &upd_t[group.ty];
-        let gz1 = gy2.matmul(w2t);
-        scatter_copy(&mut g_upd2_pre, &rows, &gy2);
-        // Through the inter-layer activation into updater layer 1.
-        let mut gy1 = gz1;
-        leaky_mask_rows(&mut gy1, &fwd.upd1_pre, &rows);
-        let gjoint = gy1.matmul(w1t);
-        scatter_copy(&mut g_upd1_pre, &rows, &gy1);
-        // Split the joint gradient into encoder and aggregation parts.
-        let (genc_post, gagg) = split_cols(&gjoint, h);
-        scatter_copy(&mut g_agg, &rows, &gagg);
-        // Through the encoder activation (features are inputs; flow stops).
-        let mut gye = genc_post;
-        leaky_mask_rows(&mut gye, &fwd.enc_pre, &rows);
-        scatter_copy(&mut g_enc_pre, &rows, &gye);
+        let [w1t, w2t] = &upd_t[group.ty];
+        // Through the trailing state activation into updater layer 2, its
+        // inter-layer activation into layer 1, and the encoder activation
+        // (features are inputs; flow stops).
+        leaky_mask(g_h.row_range_mut(rows()), fwd.upd2_pre.row_range(rows()));
+        matmul_rows(rows_of(g_h.row_range(rows()), h), &w2t.data, h, g_upd1.row_range_mut(rows()));
+        leaky_mask(g_upd1.row_range_mut(rows()), fwd.upd1_pre.row_range(rows()));
+        matmul_rows(
+            rows_of(g_upd1.row_range(rows()), h),
+            &w1t.data,
+            2 * h,
+            g_joint.row_range_mut(rows()),
+        );
+        for r in rows() {
+            leaky_mask(&mut g_joint.row_slice_mut(r)[..h], fwd.enc_pre.row_slice(r));
+        }
     }
-    // Final pass: parameter-gradient accumulation in the reference's
-    // canonical order — for every type, live nodes sorted (graph ascending,
-    // node descending).
-    let n_types = model.config.feature_dims.len();
-    for ty in 0..n_types {
-        let mut canon: Vec<usize> = Vec::new();
-        for gidx in 0..n_graphs {
-            for v in (batch.offsets[gidx]..batch.offsets[gidx + 1]).rev() {
-                if batch.types[v] == ty && live[v] {
-                    canon.push(v);
-                }
-            }
-        }
-        if canon.is_empty() {
-            continue;
-        }
-        let upd = model.updaters[ty].clone();
+    // Parameter gradients, per type over its live rows in the reference's
+    // canonical order.
+    let feats = features(batch, graphs);
+    for ty in 0..model.config.feature_dims.len() {
+        let canon = batch.canon(ty);
+        let (k, enc, upd) = (canon.len(), model.encoders[ty].layers[0], &model.updaters[ty]);
+        let [l1, l2] = [upd.layers[0], upd.layers[1]];
+        let store = &mut model.store;
+        accumulate_linear(store, &l2, k, rows_at(&fwd.upd2_in, canon), rows_at(&g_h, canon));
+        accumulate_linear(store, &l1, k, rows_at(&fwd.upd1_in, canon), rows_at(&g_upd1, canon));
         accumulate_linear(
-            &mut model.store,
-            &upd.layers[1],
-            &fwd.upd2_in.gather_rows(&canon),
-            &g_upd2_pre.gather_rows(&canon),
+            store,
+            &enc,
+            k,
+            |p| feats(canon[p]),
+            |p| &g_joint.row_slice(canon[p])[..h],
         );
-        accumulate_linear(
-            &mut model.store,
-            &upd.layers[0],
-            &fwd.upd1_in.gather_rows(&canon),
-            &g_upd1_pre.gather_rows(&canon),
-        );
-        // Encoder inputs are the raw feature rows (regathered from the
-        // graphs; they are not stashed because widths vary per type).
-        let enc = model.encoders[ty].clone();
-        let x = gather_features(batch, graphs, &canon, model.config.feature_dims[ty]);
-        accumulate_linear(&mut model.store, &enc.layers[0], &x, &g_enc_pre.gather_rows(&canon));
     }
 }
 
@@ -571,7 +545,9 @@ pub(crate) fn predict_roots(
         .collect())
 }
 
-/// One batched training step (bit-identical to the reference).
+/// One batched training step (bit-identical to the reference). A step whose
+/// loss or gradient norm is not finite is a typed error that changes no
+/// parameter and no optimizer moment.
 pub(crate) fn train_batch(
     model: &mut GnnModel,
     graphs: &[&TypedGraph],
@@ -585,20 +561,21 @@ pub(crate) fn train_batch(
     for g in graphs {
         g.validate(&model.config.feature_dims)?;
     }
-    model.store.zero_grad();
+    let targets = model.normalized_targets(targets_ns)?;
     let fwd = forward(model, graphs, &own_roots(graphs));
     let bsz = graphs.len() as f32;
     let mut total_loss = 0.0f32;
     let mut seeds = Vec::with_capacity(graphs.len());
-    for (i, &t_ns) in targets_ns.iter().enumerate() {
-        let target = model.normalized_target(t_ns);
-        let (loss, dloss) = huber(fwd.preds[i] - target, huber_delta);
+    for (&pred, target) in fwd.preds.iter().zip(targets) {
+        let (loss, dloss) = huber(pred - target, huber_delta);
         total_loss += loss;
         seeds.push(dloss / bsz);
     }
+    let loss = finite_loss(total_loss / bsz)?;
+    model.store.zero_grad();
     backward(model, &fwd, graphs, &seeds);
-    model.store.adam_step(adam);
-    Ok(total_loss / bsz)
+    model.store.adam_step(adam)?;
+    Ok(loss)
 }
 
 #[cfg(test)]
@@ -751,6 +728,39 @@ mod tests {
             assert_eq!(la.unwrap().to_bits(), lb.unwrap().to_bits());
         }
         assert_eq!(a.param_checksum(), b.param_checksum());
+    }
+
+    /// A step whose loss is not finite — here from features that are finite
+    /// but overflow the forward pass — is a typed error on the engine and the
+    /// reference alike, and changes nothing: not the parameters, and not the
+    /// Adam moments or step count (the next good step matches a twin's that
+    /// never saw it). Estimates on good graphs stay finite.
+    #[test]
+    fn a_non_finite_step_is_rejected_and_changes_nothing() {
+        let (graphs, targets) = graphs_and_targets(77, 4);
+        let refs: Vec<&TypedGraph> = graphs.iter().collect();
+        let cfg = GnnConfig { hidden: 8, feature_dims: dims(), readout_hidden: 8 };
+        let adam = AdamConfig::default();
+        let (mut model, mut twin) =
+            (GnnModel::new(cfg.clone(), 5).unwrap(), GnnModel::new(cfg, 5).unwrap());
+        for m in [&mut model, &mut twin] {
+            m.fit_target_norm(&targets).unwrap();
+            m.train_batch(&refs, &targets, &adam, 1.0).unwrap();
+        }
+        let mut huge = graphs[0].clone();
+        huge.features.iter_mut().flatten().for_each(|x| *x = f32::MAX);
+        let params = model.param_checksum();
+        for result in [
+            model.train_batch(&[&huge], &[1e4], &adam, 1.0),
+            model.train_batch_reference(&[&huge], &[1e4], &adam, 1.0),
+        ] {
+            assert!(matches!(result, Err(GracefulError::Model(_))), "{result:?}");
+            assert_eq!(model.param_checksum(), params);
+        }
+        model.train_batch(&refs, &targets, &adam, 1.0).unwrap();
+        twin.train_batch(&refs, &targets, &adam, 1.0).unwrap();
+        assert_eq!(model.param_checksum(), twin.param_checksum());
+        assert!(model.predict_batch(&refs).unwrap().iter().all(|p| p.is_finite()));
     }
 
     #[test]

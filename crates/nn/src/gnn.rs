@@ -71,7 +71,9 @@ impl TypedGraph {
         self.node_types.is_empty()
     }
 
-    /// Validate the topological-index invariant and feature dims.
+    /// Validate the topological-index invariant, feature dims, and that every
+    /// feature is finite (the featurizer never emits another: counted over
+    /// the benchmark's three workloads).
     pub fn validate(&self, feature_dims: &[usize]) -> Result<()> {
         if self.features.len() != self.node_types.len() {
             return Err(GracefulError::Model("features/types length mismatch".into()));
@@ -88,6 +90,9 @@ impl TypedGraph {
                     "node {i} (type {t}) has {} features, expected {dim}",
                     f.len()
                 )));
+            }
+            if let Some(x) = f.iter().find(|x| !x.is_finite()) {
+                return Err(GracefulError::Model(format!("node {i} (type {t}) has feature {x}")));
             }
         }
         for &(s, d) in &self.edges {
@@ -196,13 +201,15 @@ impl GnnModel {
     }
 
     /// Compute target normalization from raw (positive) runtime labels.
-    /// An empty label set is a typed [`GracefulError::Model`].
+    /// An empty label set, or a non-finite label, is a typed
+    /// [`GracefulError::Model`].
     pub fn fit_target_norm(&mut self, targets_ns: &[f64]) -> Result<()> {
         if targets_ns.is_empty() {
             return Err(GracefulError::Model(
                 "cannot fit target normalization on zero labels".into(),
             ));
         }
+        check_labels(targets_ns)?;
         let logs: Vec<f32> = targets_ns.iter().map(|&t| (t.max(1.0)).ln() as f32).collect();
         let mean = logs.iter().sum::<f32>() / logs.len() as f32;
         let var = logs.iter().map(|l| (l - mean).powi(2)).sum::<f32>() / logs.len() as f32;
@@ -315,20 +322,31 @@ impl GnnModel {
         if graphs.is_empty() || graphs.len() != targets_ns.len() {
             return Err(GracefulError::Model("empty or mismatched batch".into()));
         }
+        for g in graphs {
+            g.validate(&self.config.feature_dims)?;
+        }
+        let targets = self.normalized_targets(targets_ns)?;
         self.store.zero_grad();
         let mut total_loss = 0.0f32;
         let bsz = graphs.len() as f32;
-        for (g, &t_ns) in graphs.iter().zip(targets_ns) {
-            g.validate(&self.config.feature_dims)?;
-            let target = self.normalized_target(t_ns);
+        for (g, target) in graphs.iter().zip(targets) {
             let (tape, out) = self.forward_reference(g);
             let pred = tape.value(out).data[0];
             let (loss, dloss) = huber(pred - target, huber_delta);
             total_loss += loss;
             tape.backward(out, Tensor::from_vec(1, 1, vec![dloss / bsz]), &mut self.store);
         }
-        self.store.adam_step(adam);
-        Ok(total_loss / bsz)
+        let loss = finite_loss(total_loss / bsz)?;
+        self.store.adam_step(adam)?;
+        Ok(loss)
+    }
+
+    /// Free the optimizer's gradient and moment buffers once training is
+    /// over: they hold three more copies of every parameter, and estimates
+    /// never read them. The next training step rebuilds them and restarts
+    /// Adam, as on a loaded model.
+    pub fn release_optimizer_state(&mut self) {
+        self.store.release_buffers();
     }
 
     /// Finish loading a deserialized model: check everything `Deserialize`
@@ -376,9 +394,37 @@ impl GnnModel {
         Ok(())
     }
 
-    /// Normalize a raw runtime label into the model's log-space target.
-    pub(crate) fn normalized_target(&self, t_ns: f64) -> f32 {
-        ((t_ns.max(1.0)).ln() as f32 - self.target_mean) / self.target_std
+    /// Normalize raw runtime labels into the model's log-space targets; a
+    /// non-finite label is a typed [`GracefulError::Model`].
+    pub(crate) fn normalized_targets(&self, targets_ns: &[f64]) -> Result<Vec<f32>> {
+        check_labels(targets_ns)?;
+        Ok(targets_ns
+            .iter()
+            .map(|&t| ((t.max(1.0)).ln() as f32 - self.target_mean) / self.target_std)
+            .collect())
+    }
+}
+
+/// Every runtime label is finite; the error names the first that is not.
+fn check_labels(targets_ns: &[f64]) -> Result<()> {
+    match targets_ns.iter().position(|t| !t.is_finite()) {
+        Some(i) => Err(GracefulError::Model(format!(
+            "runtime label {i} is {}; labels must be finite",
+            targets_ns[i]
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// A step whose mean loss is not finite is rejected before it moves a
+/// parameter (shared by the engine and the reference).
+pub(crate) fn finite_loss(loss: f32) -> Result<f32> {
+    if loss.is_finite() {
+        Ok(loss)
+    } else {
+        Err(GracefulError::Model(format!(
+            "training loss is {loss}; the step is rejected and no parameter changes"
+        )))
     }
 }
 
@@ -418,21 +464,61 @@ mod tests {
     #[test]
     fn validate_catches_bad_graphs() {
         let cfg = GnnConfig { hidden: 8, feature_dims: vec![1, 1, 1], readout_hidden: 8 };
-        let model = GnnModel::new(cfg, 1).unwrap();
+        let mut model = GnnModel::new(cfg, 1).unwrap();
         let mut g = chain_graph(&[1.0, 2.0]);
         g.edges.push((3, 0)); // backward edge
         let mut g2 = chain_graph(&[1.0]);
         g2.features[0] = vec![1.0, 2.0]; // wrong dim
-                                         // The engine (alone or in a batch) and the oracle reject them alike.
-        for bad in [&g, &g2] {
+        let (inf, nan) = (chain_graph(&[1.0, f32::INFINITY]), chain_graph(&[f32::NAN]));
+        // The engine (alone, in a batch, or training) and the oracle reject
+        // them alike, and a rejected step changes no parameter.
+        let params = model.param_checksum();
+        let adam = AdamConfig::default();
+        for bad in [&g, &g2, &inf, &nan] {
             for result in [
                 model.predict(bad),
                 model.predict_batch(&[bad]).map(|p| p[0]),
                 model.predict_reference(bad),
+                model.train_batch(&[bad], &[100.0], &adam, 1.0).map(f64::from),
+                model.train_batch_reference(&[bad], &[100.0], &adam, 1.0).map(f64::from),
             ] {
                 assert!(matches!(result, Err(GracefulError::Model(_))), "got {result:?}");
             }
         }
+        assert_eq!(model.param_checksum(), params);
+    }
+
+    /// A non-finite runtime label is a typed error naming it — when fitting
+    /// the normalization (which stays as it was) and when training on it.
+    #[test]
+    fn non_finite_labels_are_typed_errors() {
+        let cfg = GnnConfig { hidden: 8, feature_dims: vec![1, 1, 1], readout_hidden: 8 };
+        let mut model = GnnModel::new(cfg, 4).unwrap();
+        let adam = AdamConfig::default();
+        let g = chain_graph(&[0.5]);
+        for (labels, named) in
+            [(vec![1e3, f64::INFINITY], "label 1 is inf"), (vec![f64::NAN], "label 0 is NaN")]
+        {
+            match model.fit_target_norm(&labels) {
+                Err(GracefulError::Model(m)) => assert!(m.contains(named), "{m}"),
+                other => panic!("{labels:?}: {other:?}"),
+            }
+        }
+        assert_eq!((model.target_mean, model.target_std), (0.0, 1.0));
+        model.fit_target_norm(&[1e3, 1e5]).unwrap();
+        let params = model.param_checksum();
+        for t in [f64::NAN, f64::NEG_INFINITY] {
+            for result in [
+                model.train_batch(&[&g, &g], &[1e3, t], &adam, 1.0),
+                model.train_batch_reference(&[&g, &g], &[1e3, t], &adam, 1.0),
+            ] {
+                match result {
+                    Err(GracefulError::Model(m)) => assert!(m.contains("label 1 is"), "{m}"),
+                    other => panic!("{t}: {other:?}"),
+                }
+            }
+        }
+        assert_eq!(model.param_checksum(), params);
     }
 
     #[test]

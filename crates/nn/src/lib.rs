@@ -5,9 +5,11 @@
 //! exist but typed DAG message passing is not idiomatic in either), so this
 //! crate implements exactly the stack GRACEFUL needs, from scratch:
 //!
-//! * [`tensor`] — dense row-major `f32` matrices with the handful of BLAS-1/2
-//!   kernels the model uses, plus the batched building blocks (row
-//!   gather/scatter, in-order segment sums, broadcast bias/activation),
+//! * [`tensor`] — dense row-major `f32` matrices and the one product kernel
+//!   every matrix product runs on ([`tensor::matmul_rows`]: each output
+//!   element one pinned chain, 32-wide output tiles held in registers), plus
+//!   the batched building blocks (row gather/scatter, in-order segment sums,
+//!   broadcast bias/activation),
 //! * [`tape`] — reverse-mode automatic differentiation over a per-sample
 //!   tape with a closed operation set (verified against finite differences),
 //! * [`mlp`] — parameter store (Xavier init, Adam with gradient clipping),

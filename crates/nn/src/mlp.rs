@@ -3,6 +3,7 @@
 use crate::tape::{Tape, VarId};
 use crate::tensor::Tensor;
 use graceful_common::rng::Rng;
+use graceful_common::GracefulError;
 use serde::{Deserialize, Serialize};
 
 /// Handle to a parameter tensor in a [`ParamStore`].
@@ -90,10 +91,23 @@ impl ParamStore {
         &mut self.grads[p.0]
     }
 
+    /// Zero every gradient — the first thing every training step does. A
+    /// store whose buffers were released gets fresh ones first, so training
+    /// restarts Adam from zero moments, as on a loaded model.
     pub fn zero_grad(&mut self) {
+        if self.grads.len() != self.values.len() {
+            self.rebuild_buffers();
+        }
         for g in self.grads.iter_mut() {
             g.data.fill(0.0);
         }
+    }
+
+    /// Free the gradient and Adam buffers — three more copies of every
+    /// parameter, which a model serving estimates never reads. The next
+    /// [`ParamStore::zero_grad`] rebuilds them.
+    pub fn release_buffers(&mut self) {
+        (self.grads, self.m, self.v, self.step) = (Vec::new(), Vec::new(), Vec::new(), 0);
     }
 
     /// Number of scalar parameters.
@@ -146,35 +160,37 @@ impl ParamStore {
     }
 
     /// One Adam step over all parameters (with global norm clipping).
-    pub fn adam_step(&mut self, cfg: &AdamConfig) {
+    ///
+    /// A non-finite global gradient norm is a typed [`GracefulError::Model`]
+    /// that leaves parameters, moments and the step count as they were.
+    /// Otherwise each tensor is one fused pass: clip, moments, bias
+    /// correction and update per element.
+    pub fn adam_step(&mut self, cfg: &AdamConfig) -> graceful_common::Result<()> {
+        let norm: f32 = self.grads.iter().map(|g| g.norm().powi(2)).sum::<f32>().sqrt();
+        if !norm.is_finite() {
+            return Err(GracefulError::Model(format!(
+                "gradient norm is {norm}; the step is rejected and no parameter changes"
+            )));
+        }
+        // Scaling by 1.0 changes no bit, so an unclipped step is the same pass.
+        let clip =
+            if cfg.clip_norm > 0.0 && norm > cfg.clip_norm { cfg.clip_norm / norm } else { 1.0 };
         self.step += 1;
         let t = self.step as f32;
-        // Global gradient norm.
-        if cfg.clip_norm > 0.0 {
-            let norm: f32 = self.grads.iter().map(|g| g.norm().powi(2)).sum::<f32>().sqrt();
-            if norm > cfg.clip_norm {
-                let s = cfg.clip_norm / norm;
-                for g in self.grads.iter_mut() {
-                    g.scale_assign(s);
-                }
+        let (b1, b2) = (cfg.beta1, cfg.beta2);
+        let (bc1, bc2) = (1.0 - b1.powf(t), 1.0 - b2.powf(t));
+        let tensors = self.values.iter_mut().zip(&self.grads).zip(&mut self.m).zip(&mut self.v);
+        for (((w, g), m), v) in tensors {
+            let elems = w.data.iter_mut().zip(&g.data).zip(&mut m.data).zip(&mut v.data);
+            for (((w, &g), m), v) in elems {
+                let g = g * clip;
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let (mh, vh) = (*m / bc1, *v / bc2);
+                *w -= cfg.lr * mh / (vh.sqrt() + cfg.eps);
             }
         }
-        let bc1 = 1.0 - cfg.beta1.powf(t);
-        let bc2 = 1.0 - cfg.beta2.powf(t);
-        for i in 0..self.values.len() {
-            let g = &self.grads[i];
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            let w = &mut self.values[i];
-            for j in 0..g.data.len() {
-                let gj = g.data[j];
-                m.data[j] = cfg.beta1 * m.data[j] + (1.0 - cfg.beta1) * gj;
-                v.data[j] = cfg.beta2 * v.data[j] + (1.0 - cfg.beta2) * gj * gj;
-                let mh = m.data[j] / bc1;
-                let vh = v.data[j] / bc2;
-                w.data[j] -= cfg.lr * mh / (vh.sqrt() + cfg.eps);
-            }
-        }
+        Ok(())
     }
 }
 
@@ -305,7 +321,7 @@ mod tests {
                     &mut store,
                 );
             }
-            store.adam_step(&cfg);
+            store.adam_step(&cfg).unwrap();
             last_loss = loss / samples.len() as f32;
             if epoch > 50 && last_loss < 1e-3 {
                 break;
@@ -321,12 +337,49 @@ mod tests {
         let p = store.alloc(1, 4, &mut rng);
         store.grad_mut(p).data.copy_from_slice(&[100.0, 100.0, 100.0, 100.0]);
         let before = store.value(p).clone();
-        store.adam_step(&AdamConfig { lr: 0.1, clip_norm: 1.0, ..AdamConfig::default() });
+        store.adam_step(&AdamConfig { lr: 0.1, clip_norm: 1.0, ..AdamConfig::default() }).unwrap();
         let after = store.value(p);
         // With clipping the per-step move is bounded by ~lr.
         for (b, a) in before.data.iter().zip(&after.data) {
             assert!((b - a).abs() < 0.11);
         }
+    }
+
+    /// A non-finite gradient norm rejects the step before anything moves:
+    /// the next good step equals the first step of a twin that never saw it.
+    #[test]
+    fn adam_rejects_a_non_finite_gradient() {
+        let mut store = ParamStore::new(1);
+        let p = store.alloc(1, 4, &mut Rng::seed(1));
+        let mut twin = store.clone();
+        store.grad_mut(p).data[2] = f32::NAN;
+        let params = store.param_checksum();
+        assert!(matches!(store.adam_step(&AdamConfig::default()), Err(GracefulError::Model(_))));
+        assert_eq!(store.param_checksum(), params);
+        for s in [&mut store, &mut twin] {
+            s.grad_mut(p).data.copy_from_slice(&[0.5, -1.0, 2.0, 0.0]);
+            s.adam_step(&AdamConfig::default()).unwrap();
+        }
+        assert_eq!(store.param_checksum(), twin.param_checksum());
+    }
+
+    /// Released buffers come back on the next step, fresh: the step equals
+    /// the first step of a store that never trained.
+    #[test]
+    fn released_buffers_rebuild_on_the_next_step() {
+        let mut store = ParamStore::new(2);
+        let p = store.alloc(2, 3, &mut Rng::seed(2));
+        let mut twin = store.clone();
+        store.grad_mut(p).data.fill(0.25);
+        store.adam_step(&AdamConfig::default()).unwrap();
+        twin.values = store.values.clone();
+        store.release_buffers();
+        for s in [&mut store, &mut twin] {
+            s.zero_grad();
+            s.grad_mut(p).data.copy_from_slice(&[1.0, -2.0, 0.5, 0.0, 3.0, -1.0]);
+            s.adam_step(&AdamConfig::default()).unwrap();
+        }
+        assert_eq!(store.param_checksum(), twin.param_checksum());
     }
 
     #[test]
