@@ -3,7 +3,8 @@
 //! [`Executor::run`] verifies the plan and hands it to the one executor,
 //! `crate::physical::execute`: the plan is lowered to physical-operator
 //! pipelines and morsel batches stream through each chain, with every
-//! execution shortcut on (typed UDF lanes, streaming, join-lane pruning).
+//! execution shortcut on (the dictionary-code UDF memo, typed UDF lanes,
+//! streaming, join-lane pruning).
 //! [`Executor::run_reference`] is the oracle reached by name: the same
 //! operators, morsel boundaries, merge order and charges with every shortcut
 //! off at once, bit-identical to `run` in every contracted [`QueryRun`]
@@ -229,6 +230,10 @@ impl Default for ExecConfig {
 /// and to show, over generated queries, that each one has traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Shortcuts {
+    /// UDF operators whose inputs are all dictionary-encoded evaluate each
+    /// code tuple once per worker and reuse its outcome
+    /// ([`graceful_udf::CodeMemo`]). Off: every row runs an evaluator.
+    pub(crate) memo: bool,
     /// UDF operators gather into unboxed typed lanes wherever the program
     /// has a columnar path. Off: the boxed-`Value` batch VM everywhere.
     pub(crate) typed_lanes: bool,
@@ -243,10 +248,10 @@ pub(crate) struct Shortcuts {
 impl Shortcuts {
     /// What ships: everything on.
     pub(crate) const SHIPPED: Shortcuts =
-        Shortcuts { typed_lanes: true, streaming: true, lane_pruning: true };
+        Shortcuts { memo: true, typed_lanes: true, streaming: true, lane_pruning: true };
     /// The reference: everything off.
     pub(crate) const REFERENCE: Shortcuts =
-        Shortcuts { typed_lanes: false, streaming: false, lane_pruning: false };
+        Shortcuts { memo: false, typed_lanes: false, streaming: false, lane_pruning: false };
 }
 
 /// Result of executing one plan.
@@ -337,7 +342,7 @@ impl<'a> Executor<'a> {
     /// [`Executor::run`]'s oracle: the same verification gate, operators,
     /// morsel boundaries, merge order and [`OperatorWeights`] charges with
     /// every execution shortcut off at once — the boxed-`Value` batch VM for
-    /// every UDF operator, every operator's whole output collected before
+    /// every UDF row, every operator's whole output collected before
     /// the next runs, every join lane carried. Bit-identical
     /// to `run` in every contracted [`QueryRun`] field (`runtime_ns`,
     /// `agg_value`, `out_rows`, `udf_input_rows`, `op_work`), errors
@@ -807,10 +812,13 @@ mod tests {
         // generator-produced queries only, so a shortcut no workload takes
         // fails here instead of riding along behind a hand-built trigger.
         use crate::physical::{lower_under, PhysicalOpKind};
-        let fast_rows = |run: &QueryRun| -> u64 {
+        use crate::profile::UdfOpProfile;
+        let udf_rows = |run: &QueryRun, rows: fn(UdfOpProfile) -> u64| -> u64 {
             let ops = &run.profile.as_ref().expect("streaming runs are profiled").ops;
-            ops.iter().filter_map(|op| op.udf).map(|u| u.simd_fast_rows).sum()
+            ops.iter().filter_map(|op| op.udf).map(rows).sum()
         };
+        let fast_rows = |run: &QueryRun| udf_rows(run, |u| u.simd_fast_rows);
+        let memo_rows = |run: &QueryRun| udf_rows(run, |u| u.memo_rows);
         let join_lanes = |database: &Database, plan: &Plan, cuts| -> usize {
             let phys = lower_under(database, plan, cuts).unwrap();
             let built: usize = phys.builds.iter().map(|pipe| pipe.sink.keep.len()).sum();
@@ -822,7 +830,7 @@ mod tests {
             built + probed.sum::<usize>()
         };
         let mut checked = 0;
-        let (mut lane_rows, mut counted_loops) = (0u64, 0usize);
+        let (mut memo_served, mut lane_rows, mut counted_loops) = (0u64, 0u64, 0usize);
         let (mut join_plans, mut streamed_below) = (0usize, 0usize);
         let mut joins_with_fewer_lanes = 0usize;
         for_generated_plans(59, 0..60, false, |database, id, plan| {
@@ -834,6 +842,10 @@ mod tests {
                 checked += 1;
                 run
             };
+
+            let unmemoized = Shortcuts { memo: false, ..Shortcuts::SHIPPED };
+            assert_eq!(memo_rows(&without("memo", unmemoized)), 0);
+            memo_served += memo_rows(&shipped);
 
             let boxed = Shortcuts { typed_lanes: false, ..Shortcuts::SHIPPED };
             assert_eq!(fast_rows(&without("typed lanes", boxed)), 0);
@@ -861,7 +873,8 @@ mod tests {
                     < join_lanes(database, plan, all_lanes),
             );
         });
-        assert!(checked >= 300, "only {checked} plans compared");
+        assert!(checked >= 400, "only {checked} plans compared");
+        assert!(memo_served > 0, "the memo served no generated UDF row");
         assert!(lane_rows > 0, "typed lanes carried no generated UDF row");
         assert!(counted_loops > 0, "no generated loop ran Counted on the lanes");
         assert!(

@@ -31,10 +31,12 @@
 //!   [`Executor::run_reference`], the same operators with every execution
 //!   shortcut off (boxed batch VM, collecting driver, every join lane
 //!   carried) — the oracle the differential suites reach by name;
-//! * `udf_eval` — UDF evaluation on the compiled program: typed lanes where
-//!   it has a columnar path, the boxed batch VM elsewhere;
+//! * `udf_eval` — UDF evaluation on the compiled program: the
+//!   dictionary-code memo where every input is dictionary-encoded, typed
+//!   lanes where it has a columnar path, the boxed batch VM elsewhere;
 //! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]
-//!   (per-operator wall time, rows, batches, typed-lane effectiveness),
+//!   (per-operator wall time, rows, batches, memo-served rows, typed-lane
+//!   effectiveness),
 //!   attached to [`QueryRun`] when [`ExecOptions::profile`] is on and
 //!   explicitly **outside** the bit-identity contract below;
 //! * [`analyze`] — estimator-quality telemetry: after every run, predicted

@@ -583,7 +583,7 @@ pub(super) fn instantiate<'a>(
         let spec = UdfEvalSpec::prepare(
             udf,
             cols,
-            cuts.typed_lanes,
+            cuts,
             config.udf_weights.clone(),
             config.udf_batch_size,
             overhead,

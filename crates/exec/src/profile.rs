@@ -3,8 +3,9 @@
 //! When [`crate::ExecOptions::profile`] (or `GRACEFUL_PROFILE=1`) is on, the
 //! executor attaches an [`ExecProfile`] to the [`crate::QueryRun`] of every
 //! [`crate::Executor::run`]: per-plan-operator wall time, output rows, batch
-//! counts, accounted work and — for the UDF operators — typed-lane
-//! effectiveness counters (fast-path vs per-row bail rows, group splits).
+//! counts, accounted work and — for the UDF operators — memo-served rows and
+//! typed-lane effectiveness counters (fast-path vs per-row bail rows, group
+//! splits).
 //!
 //! # Outside the bit-identity contract
 //!
@@ -69,6 +70,8 @@ pub struct UdfOpProfile {
     pub rows: u64,
     /// Internal evaluation batches.
     pub batches: u64,
+    /// Rows the dictionary-code memo served without running the VM.
+    pub memo_rows: u64,
     /// Rows carried end-to-end by the typed columnar fast path.
     pub simd_fast_rows: u64,
     /// Rows that bailed to the per-row VM.
@@ -82,6 +85,7 @@ impl UdfOpProfile {
         UdfOpProfile {
             rows: s.rows,
             batches: s.batches,
+            memo_rows: s.memo_rows,
             simd_fast_rows: s.simd.fast_rows,
             simd_bail_rows: s.simd.bail_rows,
             simd_group_splits: s.simd.group_splits,
@@ -171,9 +175,10 @@ impl ExecProfile {
             let udf = match &op.udf {
                 None => String::new(),
                 Some(u) => format!(
-                    "rows={} batches={} fast={} bail={} ({:.1}%) splits={}",
+                    "rows={} batches={} memo={} fast={} bail={} ({:.1}%) splits={}",
                     u.rows,
                     u.batches,
+                    u.memo_rows,
                     u.simd_fast_rows,
                     u.simd_bail_rows,
                     u.bail_rate() * 100.0,

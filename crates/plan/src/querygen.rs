@@ -13,7 +13,8 @@ use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
 use graceful_udf::ast::CmpOp;
-use graceful_udf::{compile, GeneratedUdf, UdfGenerator, Vm};
+use graceful_udf::{compile, CodeMemo, GeneratedUdf, UdfGenerator, Vm};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// How the UDF appears in the query.
@@ -294,21 +295,27 @@ fn calibrate_literal(
         return Ok((CmpOp::Le, 0.0));
     }
     let cols: Vec<_> = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<Vec<_>>>()?;
-    // Compiled once, then one `Vm::eval` per sampled row: it mirrors the
-    // tree-walker's values and per-row errors exactly, so every literal
-    // keeps its bits.
+    // Compiled once, then one `Vm::eval` per sampled row — per sampled code
+    // tuple where the memo takes the inputs: it mirrors the tree-walker's
+    // values and per-row errors exactly, so every literal keeps its bits.
     let prog = compile(&udf.def)?;
     let mut vm = Vm::default();
-    let mut args: Vec<Value> = Vec::with_capacity(cols.len());
+    let mut memo = CodeMemo::new(&cols);
     let mut outputs: Vec<f64> = Vec::with_capacity(sample.min(n));
     for _ in 0..sample.min(n) {
         let row = rng.range(0..n);
-        args.clear();
-        args.extend(cols.iter().map(|c| c.value(row)));
+        let fresh;
+        let out = match &mut memo {
+            Some(memo) => memo.eval(&mut vm, &prog, row),
+            None => {
+                fresh = vm.eval(&prog, &cols.iter().map(|c| c.value(row)).collect::<Vec<_>>());
+                &fresh
+            }
+        };
         // Adaptations are applied by the corpus builder before labelling;
         // during calibration a NULL arg simply yields a NULL output we skip.
         // A NaN output can never satisfy `<= literal`, so it is no candidate.
-        if let Ok(out) = vm.eval(&prog, &args) {
+        if let Ok(out) = out {
             if let Some(v) = out.value.as_f64().filter(|v| !v.is_nan()) {
                 outputs.push(v);
             }
@@ -317,7 +324,7 @@ fn calibrate_literal(
     if outputs.is_empty() {
         return Ok((CmpOp::Le, 0.0));
     }
-    outputs.sort_by(|a, b| a.partial_cmp(b).expect("NaN outputs dropped above"));
+    outputs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     let idx = ((outputs.len() - 1) as f64 * target).round() as usize;
     Ok((CmpOp::Le, outputs[idx.min(outputs.len() - 1)]))
 }

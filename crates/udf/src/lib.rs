@@ -24,6 +24,8 @@
 //!   straight-line numeric segments run column-at-a-time over unboxed lanes
 //!   with selection-vector branch divergence, falling back per row to the
 //!   VM, with values and costs bit-identical to both backends,
+//! * [`memo`] — an exact memo in front of the VM: over dictionary-encoded
+//!   inputs, each code tuple is evaluated once and its outcome reused,
 //! * [`generator`] — the synthetic UDF generator of Section V (0–3 branches,
 //!   0–3 loops, 10–150 ops, library calls, data-adaptation actions).
 
@@ -37,6 +39,7 @@ pub mod generator;
 pub mod interp;
 pub mod lexer;
 pub mod libfns;
+pub mod memo;
 pub mod ops;
 pub mod parser;
 pub mod printer;
@@ -50,6 +53,7 @@ pub use costs::{CostCounter, CostWeights};
 pub use generator::{AdaptAction, GeneratedUdf, UdfGenConfig, UdfGenerator};
 pub use interp::{EvalOutcome, Interpreter, MAX_WHILE_ITERS};
 pub use libfns::LibFn;
+pub use memo::{CodeMemo, MAX_MEMO_CODES};
 pub use parser::parse_udf;
 pub use printer::print_udf;
 pub use simd::{SimdBatchStats, TypedCol};
