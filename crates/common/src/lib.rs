@@ -102,3 +102,31 @@ impl std::error::Error for GracefulError {}
 
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, GracefulError>;
+
+/// Runs `f` on every item of a slice and returns the results in item order.
+///
+/// The seam between crates that have independent jobs and the one that
+/// schedules them: `graceful_runtime::Pool` implements it on its workers,
+/// [`Serial`] on the calling thread. The results must not depend on which.
+pub trait OrderedMap {
+    fn ordered_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync;
+}
+
+/// [`OrderedMap`] on the calling thread, one item after the other.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Serial;
+
+impl OrderedMap for Serial {
+    fn ordered_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        items.iter().enumerate().map(|(i, item)| f(i, item)).collect()
+    }
+}

@@ -133,9 +133,9 @@ impl Rng {
 
 /// Build a cached Zipf cumulative distribution over `n` ranks with skew `s`.
 ///
-/// Returns a vector of cumulative probabilities; sample with
-/// [`sample_cdf`]. Used by the data generators, which draw millions of values
-/// from the same skewed domain.
+/// Returns a vector of cumulative probabilities, ending in exactly 1.0;
+/// [`ZipfSampler`] samples it. Used by the data generators, which draw
+/// millions of values from the same skewed domain.
 pub fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
     assert!(n > 0);
     let mut weights: Vec<f64> = (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s.max(0.0))).collect();
@@ -152,18 +152,75 @@ pub fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
     weights
 }
 
-/// Sample a rank from a cumulative distribution produced by [`zipf_cdf`].
-pub fn sample_cdf(rng: &mut Rng, cdf: &[f64]) -> usize {
-    let u = rng.unit();
-    match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
-        Ok(i) => i,
-        Err(i) => i.min(cdf.len() - 1),
+/// Inverse-CDF sampling of [`zipf_cdf`] through a guide table (Chen & Asau,
+/// 1974): a draw searches only the entries between two guide entries, on
+/// average one, and returns exactly the rank a binary search over the whole
+/// CDF returns.
+#[derive(Debug, Clone)]
+pub struct ZipfSampler {
+    cdf: Vec<f64>,
+    /// `guide[k]`: the number of CDF entries `c` with `c · n < k` (products
+    /// rounded as [`ZipfSampler::rank`] rounds `u · n`).
+    guide: Vec<usize>,
+}
+
+impl ZipfSampler {
+    /// A sampler over `n > 0` ranks with skew `s`.
+    pub fn new(n: usize, s: f64) -> Self {
+        let cdf = zipf_cdf(n, s);
+        let scale = cdf.len() as f64;
+        let mut at = 0;
+        let guide = (0..cdf.len())
+            .map(|k| {
+                while at < cdf.len() && cdf[at] * scale < k as f64 {
+                    at += 1;
+                }
+                at
+            })
+            .collect();
+        ZipfSampler { cdf, guide }
+    }
+
+    /// Draw a rank: one [`Rng::unit`] draw.
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        self.rank(rng.unit())
+    }
+
+    /// The rank `u ∈ [0, 1)` falls on: the first whose cumulative probability
+    /// exceeds `u`, or, when `u` equals an entry, the one a binary search
+    /// over the CDF finds.
+    ///
+    /// Rounding is monotone, so with `k = ⌊u · n⌋` every entry below
+    /// `guide[k]` rounds below `k` and is smaller than `u`, and the entry at
+    /// `guide[k + 1]` rounds to at least `k + 1` and is larger: the answer
+    /// lies between the two, which are on average one entry apart.
+    pub fn rank(&self, u: f64) -> usize {
+        let last = self.cdf.len() - 1;
+        let k = ((u * self.cdf.len() as f64) as usize).min(last);
+        let lo = self.guide[k];
+        let hi = self.guide.get(k + 1).map_or(last, |&g| g.min(last));
+        let i = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        if self.cdf[i] == u {
+            // Equal entries repeat in a high-skew tail; which of them is
+            // the rank is the binary search's choice.
+            return self.cdf.binary_search_by(|p| p.total_cmp(&u)).unwrap_or(i);
+        }
+        i
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The written definition [`ZipfSampler`] must equal: binary search for
+    /// `u` over the CDF.
+    fn sample_cdf(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|p| p.total_cmp(&u)) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
 
     #[test]
     fn same_seed_same_stream() {
@@ -233,7 +290,7 @@ mod tests {
         let cdf = zipf_cdf(50, 1.5);
         let mut low = 0;
         for _ in 0..5_000 {
-            if sample_cdf(&mut rng, &cdf) < 5 {
+            if sample_cdf(&cdf, rng.unit()) < 5 {
                 low += 1;
             }
         }
@@ -250,5 +307,31 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10);
+    }
+
+    #[test]
+    fn zipf_sampler_equals_binary_search() {
+        let mut rng = Rng::seed(13);
+        let mut ties = 0;
+        // Past rank ~246 000 a skew-3 term is below half an ulp of the sum,
+        // so the last case's tail is one long run of equal entries.
+        let cases = [1, 2, 7, 1_000, 100_000]
+            .into_iter()
+            .flat_map(|n| [0.0, 0.4, 1.0, 1.8, 3.0].map(|s| (n, s)));
+        for (n, s) in cases.chain([(400_000, 3.0)]) {
+            let cdf = zipf_cdf(n, s);
+            let sampler = ZipfSampler::new(n, s);
+            assert_eq!(sampler.cdf, cdf);
+            ties += cdf.windows(2).filter(|w| w[0] == w[1]).count();
+            // Every entry, the floats next to it, both ends of [0, 1),
+            // and uniform draws.
+            let at_entries = cdf.iter().flat_map(|&c| [c.next_down(), c, c.next_up()]);
+            let ends = [0.0, f64::EPSILON, 0.5, 1.0f64.next_down()];
+            let draws: Vec<f64> = (0..4 * n.min(1_000)).map(|_| rng.unit()).collect();
+            for u in at_entries.chain(ends).chain(draws).filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(sampler.rank(u), sample_cdf(&cdf, u), "n={n} s={s} u={u:e}");
+            }
+        }
+        assert!(ties > 0, "a high-skew tail repeats entries, so ties were exercised");
     }
 }

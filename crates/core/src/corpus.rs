@@ -12,7 +12,7 @@ use graceful_common::rng::Rng;
 use graceful_common::Result;
 use graceful_exec::Session;
 use graceful_plan::{build_plan, QueryGenerator, QuerySpec, UdfPlacement, UdfUsage};
-use graceful_storage::datagen::{generate, schema, DATASET_NAMES};
+use graceful_storage::datagen::{generate_in, schema, DATASET_NAMES};
 use graceful_storage::Database;
 use graceful_udf::generator::apply_adaptations;
 
@@ -81,7 +81,9 @@ pub fn build_corpus_with_in(
     seed: u64,
     qgen: QueryGenerator,
 ) -> Result<DatasetCorpus> {
-    let mut db = generate(&schema(dataset), cfg.data_scale, seed);
+    // One job per column on the session's pool; inside a dataset-parallel
+    // build the region is nested and runs inline.
+    let mut db = generate_in(&schema(dataset), cfg.data_scale, seed, &session.pool());
     let mut rng = Rng::seed(seed ^ 0x51EE7);
     let mut queries = Vec::with_capacity(cfg.queries_per_db);
     let mut skipped = 0usize;

@@ -61,7 +61,7 @@
 
 #![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
 
-use graceful_common::{config, GracefulError, Result};
+use graceful_common::{config, GracefulError, OrderedMap, Result};
 use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
 use std::any::Any;
@@ -397,6 +397,17 @@ impl Pool {
         G: FnMut(A, R) -> A,
     {
         self.map_init(n_morsels, init, map).into_iter().fold(acc, fold)
+    }
+}
+
+impl OrderedMap for Pool {
+    fn ordered_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        Pool::ordered_map(self, items, f)
     }
 }
 

@@ -33,6 +33,47 @@ use crate::types::{DataType, Value};
 /// distinct values stay plain.
 pub const MAX_DICT: usize = 1 << 16;
 
+/// Heap bytes a `String` costs besides its text.
+const STRING_HEAD: usize = std::mem::size_of::<String>();
+
+/// Most distinct values an integer dictionary may hold over `rows` rows: it
+/// saves 25 % of the plain `8n` bytes iff `4n + 8d <= 6n`, i.e. `d <= n/4`.
+fn int_dict_limit(rows: usize) -> usize {
+    MAX_DICT.min(rows / 4)
+}
+
+/// Whether a text dictionary of `dict` heap bytes (codes included) is worth
+/// it against `plain` bytes: it must save at least 25 %.
+fn text_dict_pays(plain: usize, dict: usize) -> bool {
+    dict <= plain - plain / 4
+}
+
+/// Codes numbering the distinct entries of `index` in first-appearance
+/// order, with those entries in that order; `None` once more than `limit`
+/// are distinct. Every index is below `domain`.
+fn first_appearance(
+    index: &[usize],
+    domain: usize,
+    limit: usize,
+) -> Option<(Vec<u32>, Vec<usize>)> {
+    let mut code = vec![u32::MAX; domain];
+    let mut order = Vec::new();
+    let codes = index
+        .iter()
+        .map(|&i| {
+            if code[i] == u32::MAX {
+                if order.len() == limit {
+                    return None;
+                }
+                code[i] = order.len() as u32;
+                order.push(i);
+            }
+            Some(code[i])
+        })
+        .collect::<Option<Vec<u32>>>()?;
+    Some((codes, order))
+}
+
 /// Typed backing storage of a column: a plain dense vector per type, plus
 /// the dictionary representations (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -109,7 +150,6 @@ impl ColumnData {
     /// vectors and string heads/bytes; excludes the null bitmap, which is
     /// identical across representations).
     pub fn heap_bytes(&self) -> usize {
-        const STRING_HEAD: usize = std::mem::size_of::<String>();
         match self {
             ColumnData::Int(v) => v.len() * 8,
             ColumnData::Float(v) => v.len() * 8,
@@ -125,7 +165,6 @@ impl ColumnData {
     /// Heap footprint the *plain* representation of the same values would
     /// take — the baseline `heap_bytes` is compared against.
     pub fn plain_bytes(&self) -> usize {
-        const STRING_HEAD: usize = std::mem::size_of::<String>();
         match self {
             ColumnData::DictInt { codes, .. } => codes.len() * 8,
             ColumnData::DictText { codes, dict } => {
@@ -161,11 +200,9 @@ impl ColumnData {
                 if v.is_empty() {
                     return self.clone();
                 }
-                // One pass: distinct values in first-occurrence order. The
-                // dictionary saves 25 % of the plain 8n bytes iff
-                // 4n + 8d <= 6n, i.e. d <= n/4, so the pass stops as soon as
-                // the dictionary outgrows that (or `MAX_DICT`).
-                let limit = MAX_DICT.min(v.len() / 4);
+                // One pass: distinct values in first-occurrence order, stopping
+                // as soon as the dictionary outgrows its limit.
+                let limit = int_dict_limit(v.len());
                 let mut dict: Vec<i64> = Vec::new();
                 let mut index = std::collections::HashMap::new();
                 for &x in v {
@@ -184,7 +221,6 @@ impl ColumnData {
                 if v.is_empty() {
                     return self.clone();
                 }
-                const STRING_HEAD: usize = std::mem::size_of::<String>();
                 let plain: usize = v.iter().map(|s| STRING_HEAD + s.len()).sum();
                 let mut dict: Vec<String> = Vec::new();
                 let mut index: std::collections::HashMap<&str, u32> =
@@ -200,7 +236,7 @@ impl ColumnData {
                 }
                 let dict_bytes =
                     v.len() * 4 + dict.iter().map(|s| STRING_HEAD + s.len()).sum::<usize>();
-                if dict_bytes <= plain - plain / 4 {
+                if text_dict_pays(plain, dict_bytes) {
                     let codes = v.iter().map(|s| index[s.as_str()]).collect();
                     ColumnData::DictText { codes, dict }
                 } else {
@@ -211,6 +247,35 @@ impl ColumnData {
             // representation.
             other => other.clone(),
         }
+    }
+
+    /// [`ColumnData::encoded`] of the integer column whose row `r` holds
+    /// `values[index[r]]`, for distinct `values`: the dictionary is read off
+    /// the indices, so no value is hashed.
+    pub(crate) fn ints_encoded(index: &[usize], values: &[i64]) -> ColumnData {
+        match first_appearance(index, values.len(), int_dict_limit(index.len())) {
+            Some((codes, order)) if !codes.is_empty() => {
+                ColumnData::DictInt { codes, dict: order.iter().map(|&i| values[i]).collect() }
+            }
+            _ => ColumnData::Int(index.iter().map(|&i| values[i]).collect()),
+        }
+    }
+
+    /// [`ColumnData::ints_encoded`] for text: [`ColumnData::encoded`] of the
+    /// column whose row `r` holds `values[index[r]]`, for distinct `values`.
+    pub(crate) fn texts_encoded(index: &[usize], values: &[String]) -> ColumnData {
+        let bytes = |i: usize| STRING_HEAD + values[i].len();
+        if let Some((codes, order)) = first_appearance(index, values.len(), MAX_DICT) {
+            let mut rows = vec![0usize; order.len()];
+            codes.iter().for_each(|&c| rows[c as usize] += 1);
+            let plain: usize = order.iter().zip(&rows).map(|(&i, &n)| n * bytes(i)).sum();
+            let dict_bytes = codes.len() * 4 + order.iter().map(|&i| bytes(i)).sum::<usize>();
+            if !codes.is_empty() && text_dict_pays(plain, dict_bytes) {
+                let dict = order.iter().map(|&i| values[i].clone()).collect();
+                return ColumnData::DictText { codes, dict };
+            }
+        }
+        ColumnData::Text(index.iter().map(|&i| values[i].clone()).collect())
     }
 }
 
@@ -262,15 +327,12 @@ impl Column {
             return Value::Null;
         }
         match &self.data {
+            ColumnData::Int(v) => Value::Int(v[row]),
             ColumnData::Float(v) => Value::Float(v[row]),
+            ColumnData::Text(v) => Value::Text(v[row].clone()),
             ColumnData::Bool(v) => Value::Bool(v[row]),
-            data => match data.data_type() {
-                DataType::Int => Value::Int(data.int_at(row).expect("int representation")),
-                DataType::Text => {
-                    Value::Text(data.str_at(row).expect("text representation").to_string())
-                }
-                _ => unreachable!("plain variants handled above"),
-            },
+            ColumnData::DictInt { codes, dict } => Value::Int(dict[codes[row] as usize]),
+            ColumnData::DictText { codes, dict } => Value::Text(dict[codes[row] as usize].clone()),
         }
     }
 

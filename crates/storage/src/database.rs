@@ -20,6 +20,16 @@ impl Database {
     /// `graceful-card` can treat them as always available.
     pub fn new(name: impl Into<String>, tables: Vec<Table>) -> Self {
         let stats = tables.iter().map(TableStats::compute).collect();
+        Self::with_stats(name, tables, stats)
+    }
+
+    /// `new` with the statistics already computed, one per table in order.
+    pub(crate) fn with_stats(
+        name: impl Into<String>,
+        tables: Vec<Table>,
+        stats: Vec<TableStats>,
+    ) -> Self {
+        debug_assert_eq!(tables.len(), stats.len());
         Database { name: name.into(), tables, stats }
     }
 

@@ -17,12 +17,28 @@
 //!   two datasets the paper singles out as hard for learned estimators.
 //!
 //! Everything is a pure function of `(schema, scale, seed)`.
+//!
+//! # How a database is generated
+//!
+//! [`generate_in`] makes one job per column and runs them on an
+//! [`OrderedMap`] (a `graceful_runtime::Pool`, or [`Serial`] for
+//! [`generate`]). Every column's [`Rng`] stream is forked up front in
+//! table-then-column order. A fork advances its parent by exactly one draw,
+//! so each column gets the stream a serial walk would give it, on any thread.
+//! FK columns take their parent's row count from the spec, and `Correlated`
+//! columns, the only ones that read another column, run in a second round
+//! with every column's `ANALYZE`. Keys, Zipf and narrow uniform integers and
+//! text draw a domain index per row (the skewed ones through a guide-table
+//! [`ZipfSampler`]) and number the indices in first-appearance order: exactly
+//! what [`ColumnData::encoded`] makes of the values, with no value hashed.
 
 use crate::column::{Column, ColumnData};
 use crate::database::Database;
+use crate::stats::{ColumnStats, TableStats};
 use crate::table::Table;
 use crate::types::DataType;
-use graceful_common::rng::{sample_cdf, zipf_cdf, Rng};
+use graceful_common::rng::{Rng, ZipfSampler};
+use graceful_common::{OrderedMap, Serial};
 
 /// How a column's values are generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +61,7 @@ pub enum ColGen {
     Text { domain: usize, skew: f64, min_len: usize, max_len: usize },
     /// Bernoulli boolean.
     Bool { p: f64 },
-    /// Correlated with an earlier column in the same table:
+    /// Correlated with another, not `Correlated`, column of the same table:
     /// `value = factor * source + N(0, noise * |range(source)|)`.
     /// This is what breaks attribute-independence assumptions.
     Correlated { source: String, factor: f64, noise: f64 },
@@ -788,121 +804,182 @@ pub fn all_schemas() -> Vec<SchemaSpec> {
     DATASET_NAMES.iter().map(|n| schema(n)).collect()
 }
 
-/// Generate a database from a schema at the given scale.
-///
-/// `scale` multiplies every table's `base_rows`; `seed` makes the result
-/// fully deterministic. Tables are generated in spec order, so FK parents
-/// must appear before children (all built-in schemas satisfy this).
+/// Generate a database from a schema at the given scale, on the calling
+/// thread: [`generate_in`] with [`Serial`].
 pub fn generate(spec: &SchemaSpec, scale: f64, seed: u64) -> Database {
-    let mut rng = Rng::seed(seed ^ 0x6772_6163); // "grac"
-    let word_pool = WordPool::new(&mut rng.fork(0xF00D));
-    let mut tables: Vec<Table> = Vec::with_capacity(spec.tables.len());
-    for tspec in &spec.tables {
-        let rows = ((tspec.base_rows as f64 * scale) as usize).max(16);
-        let mut trng = rng.fork(fxhash(&tspec.name));
-        let table = generate_table(tspec, rows, &tables, &word_pool, &mut trng);
-        tables.push(table);
-    }
-    Database::new(spec.name.clone(), tables)
+    generate_in(spec, scale, seed, &Serial)
 }
 
-fn generate_table(
-    spec: &TableSpec,
+/// Generate a database from a schema at the given scale, as jobs on `map`
+/// (a `graceful_runtime::Pool`, or [`Serial`]).
+///
+/// `scale` multiplies every table's `base_rows` (at least 16 rows each);
+/// `seed` makes the result fully deterministic, and the same on every `map`.
+/// Tables may come in any order: an FK column draws keys from its parent's
+/// row count in the spec, not from the generated parent. A `Correlated`
+/// column's source must be a column of its own table that is not
+/// `Correlated` itself.
+pub fn generate_in(spec: &SchemaSpec, scale: f64, seed: u64, map: &impl OrderedMap) -> Database {
+    let mut rng = Rng::seed(seed ^ 0x6772_6163); // "grac"
+    let words = WordPool::new(&mut rng.fork(0xF00D));
+    // Every stream is forked before any value is drawn. A fork advances its
+    // parent by exactly one draw, however much the child draws, so these are
+    // the streams a table-by-table, column-by-column walk would hand out.
+    let mut jobs: Vec<ColumnJob> = Vec::new();
+    for tspec in &spec.tables {
+        let mut trng = rng.fork(fxhash(&tspec.name));
+        let base = jobs.len();
+        for cspec in &tspec.columns {
+            let source = match &cspec.gen {
+                ColGen::Correlated { source, .. } => {
+                    let at = tspec.columns.iter().position(|c| {
+                        c.name == *source && !matches!(c.gen, ColGen::Correlated { .. })
+                    });
+                    let at = at.unwrap_or_else(|| {
+                        panic!("correlated source {source} is not a plain column of {}", tspec.name)
+                    });
+                    Some(base + at)
+                }
+                _ => None,
+            };
+            let rng = trng.fork(fxhash(&cspec.name));
+            jobs.push(ColumnJob { spec: cspec, rows: table_rows(tspec, scale), rng, source });
+        }
+    }
+    // Round 1: every column that reads no other. Round 2: the `Correlated`
+    // columns, which read theirs, and every column's `ANALYZE`.
+    let independent = map.ordered_map(&jobs, |_, job| {
+        job.source.is_none().then(|| job.column(spec, scale, &words, None))
+    });
+    let analyzed = map.ordered_map(&jobs, |j, job| match &independent[j] {
+        Some(column) => (None, ColumnStats::compute(column)),
+        None => {
+            let column =
+                job.column(spec, scale, &words, job.source.and_then(|s| independent[s].as_ref()));
+            let stats = ColumnStats::compute(&column);
+            (Some(column), stats)
+        }
+    });
+    let mut built =
+        independent.into_iter().zip(analyzed).filter_map(|(independent, (correlated, stats))| {
+            Some((independent.or(correlated)?, stats))
+        });
+    let (mut tables, mut stats) = (Vec::new(), Vec::new());
+    for tspec in &spec.tables {
+        let (columns, column_stats): (Vec<Column>, Vec<ColumnStats>) =
+            built.by_ref().take(tspec.columns.len()).unzip();
+        let mut table =
+            Table::new(tspec.name.clone(), columns).expect("generated columns are ragged-free");
+        // First Serial column is the primary key; FKs registered from spec.
+        table.primary_key = tspec.columns.iter().position(|c| c.gen == ColGen::Serial);
+        for cspec in &tspec.columns {
+            if let ColGen::Fk { table: parent, .. } = &cspec.gen {
+                table.add_foreign_key(&cspec.name, parent, "id");
+            }
+        }
+        stats.push(TableStats::from_columns(&table, column_stats));
+        tables.push(table);
+    }
+    Database::with_stats(spec.name.clone(), tables, stats)
+}
+
+fn table_rows(spec: &TableSpec, scale: f64) -> usize {
+    ((spec.base_rows as f64 * scale) as usize).max(16)
+}
+
+/// One column to generate: its spec, its table's row count, its own stream
+/// and, for a `Correlated` column, the job that generates its source.
+struct ColumnJob<'a> {
+    spec: &'a ColumnSpec,
     rows: usize,
-    parents: &[Table],
-    words: &WordPool,
-    rng: &mut Rng,
-) -> Table {
-    let mut columns: Vec<Column> = Vec::with_capacity(spec.columns.len());
-    for cspec in &spec.columns {
-        let mut crng = rng.fork(fxhash(&cspec.name));
-        let data = match &cspec.gen {
+    rng: Rng,
+    source: Option<usize>,
+}
+
+impl ColumnJob<'_> {
+    /// The column, from the job's own stream: values (drawn straight into
+    /// their encoding, which draws nothing), then the NULL mask. A
+    /// `Correlated` column reads `source` through `get_f64`, which no
+    /// representation changes.
+    fn column(
+        &self,
+        schema: &SchemaSpec,
+        scale: f64,
+        words: &WordPool,
+        source: Option<&Column>,
+    ) -> Column {
+        let (rows, mut rng) = (self.rows, self.rng.clone());
+        let ranks = |sampler: &ZipfSampler, rng: &mut Rng| -> Vec<usize> {
+            (0..rows).map(|_| sampler.sample(rng)).collect()
+        };
+        let data = match &self.spec.gen {
+            // `n` distinct values never pass the dictionary's `d <= n/4`.
             ColGen::Serial => ColumnData::Int((0..rows as i64).collect()),
             ColGen::Fk { table, skew } => {
-                let parent = parents
-                    .iter()
-                    .find(|t| &t.name == table)
-                    .unwrap_or_else(|| panic!("FK parent {table} must be generated first"));
-                let n = parent.num_rows().max(1);
-                let cdf = zipf_cdf(n, *skew);
+                let parent = schema.tables.iter().find(|t| t.name == *table);
+                let parent =
+                    parent.unwrap_or_else(|| panic!("FK parent {table} is not in the schema"));
+                let n = table_rows(parent, scale);
+                let sampler = ZipfSampler::new(n, *skew);
                 // Shuffle rank->pk mapping so the skew does not always favour
                 // low PKs (which would correlate with other serial columns).
                 let mut perm: Vec<i64> = (0..n as i64).collect();
-                crng.shuffle(&mut perm);
-                ColumnData::Int((0..rows).map(|_| perm[sample_cdf(&mut crng, &cdf)]).collect())
+                rng.shuffle(&mut perm);
+                ColumnData::ints_encoded(&ranks(&sampler, &mut rng), &perm)
             }
             ColGen::IntUniform { lo, hi } => {
-                ColumnData::Int((0..rows).map(|_| crng.range(*lo..=*hi)).collect())
+                let draws = (0..rows).map(|_| rng.range(*lo..=*hi));
+                // Only a domain no wider than the column is remapped, so the
+                // remap table never outgrows the column.
+                if lo <= hi && hi.abs_diff(*lo) < rows as u64 {
+                    let offsets: Vec<usize> = draws.map(|v| v.abs_diff(*lo) as usize).collect();
+                    ColumnData::ints_encoded(&offsets, &(*lo..=*hi).collect::<Vec<_>>())
+                } else {
+                    ColumnData::Int(draws.collect()).encoded()
+                }
             }
             ColGen::IntZipf { domain, skew } => {
-                let cdf = zipf_cdf((*domain).max(1), *skew);
-                ColumnData::Int((0..rows).map(|_| sample_cdf(&mut crng, &cdf) as i64).collect())
+                let n = (*domain).max(1);
+                let sampler = ZipfSampler::new(n, *skew);
+                let values: Vec<i64> = (0..n as i64).collect();
+                ColumnData::ints_encoded(&ranks(&sampler, &mut rng), &values)
             }
             ColGen::FloatUniform { lo, hi } => {
-                ColumnData::Float((0..rows).map(|_| crng.range(*lo..*hi)).collect())
+                ColumnData::Float((0..rows).map(|_| rng.range(*lo..*hi)).collect())
             }
             ColGen::FloatNormal { mean, std } => ColumnData::Float(
                 (0..rows)
-                    .map(|_| crng.normal(*mean, *std).clamp(mean - 6.0 * std, mean + 6.0 * std))
+                    .map(|_| rng.normal(*mean, *std).clamp(mean - 6.0 * std, mean + 6.0 * std))
                     .collect(),
             ),
             ColGen::Text { domain, skew, min_len, max_len } => {
-                let pool = words.strings(*domain, *min_len, *max_len, &mut crng.fork(7));
-                let cdf = zipf_cdf(pool.len(), *skew);
-                ColumnData::Text(
-                    (0..rows).map(|_| pool[sample_cdf(&mut crng, &cdf)].clone()).collect(),
-                )
+                // `strings` dedups, so a pool index names one value.
+                let pool = words.strings(*domain, *min_len, *max_len, &mut rng.fork(7));
+                let sampler = ZipfSampler::new(pool.len(), *skew);
+                ColumnData::texts_encoded(&ranks(&sampler, &mut rng), &pool)
             }
-            ColGen::Bool { p } => ColumnData::Bool((0..rows).map(|_| crng.chance(*p)).collect()),
-            ColGen::Correlated { source, factor, noise } => {
-                let src = columns
-                    .iter()
-                    .find(|c| c.name == *source)
-                    .unwrap_or_else(|| panic!("correlated source {source} must come first"));
+            ColGen::Bool { p } => ColumnData::Bool((0..rows).map(|_| rng.chance(*p)).collect()),
+            ColGen::Correlated { factor, noise, .. } => {
+                let src = source.expect("a source is built in the first round");
                 let (lo, hi) = numeric_range(src);
                 let spread = (hi - lo).abs().max(1.0) * noise;
-                let src_ty = src.data_type();
                 let vals: Vec<f64> = (0..rows)
-                    .map(|r| {
-                        let base = src.get_f64(r).unwrap_or(0.0);
-                        factor * base + crng.normal(0.0, spread)
-                    })
+                    .map(|r| factor * src.get_f64(r).unwrap_or(0.0) + rng.normal(0.0, spread))
                     .collect();
-                if src_ty == DataType::Int {
-                    ColumnData::Int(vals.into_iter().map(|v| v.round() as i64).collect())
+                if src.data_type() == DataType::Int {
+                    ColumnData::Int(vals.into_iter().map(|v| v.round() as i64).collect()).encoded()
                 } else {
                     ColumnData::Float(vals)
                 }
             }
         };
-        let nulls: Vec<bool> = if cspec.null_fraction > 0.0 {
-            (0..rows).map(|_| crng.chance(cspec.null_fraction)).collect()
+        let nulls: Vec<bool> = if self.spec.null_fraction > 0.0 {
+            (0..rows).map(|_| rng.chance(self.spec.null_fraction)).collect()
         } else {
             vec![false; rows]
         };
-        columns.push(Column::with_nulls(cspec.name.clone(), data, nulls));
+        Column::with_nulls(self.spec.name.clone(), data, nulls)
     }
-    // Physical layout pass: dictionary-encode what compresses (values stay
-    // bit-exact, see `ColumnData::encoded`). Done after generation so
-    // correlated columns read their plain sources.
-    for col in &mut columns {
-        col.encode();
-    }
-    let mut table =
-        Table::new(spec.name.clone(), columns).expect("generated columns are ragged-free");
-    // First Serial column is the primary key; FKs registered from spec.
-    for cspec in &spec.columns {
-        match &cspec.gen {
-            ColGen::Serial if table.primary_key.is_none() => {
-                table.set_primary_key(&cspec.name).expect("pk exists");
-            }
-            ColGen::Fk { table: parent, .. } => {
-                table.add_foreign_key(&cspec.name, parent, "id");
-            }
-            _ => {}
-        }
-    }
-    table
 }
 
 fn numeric_range(col: &Column) -> (f64, f64) {
@@ -992,12 +1069,11 @@ mod tests {
         assert_eq!(schemas.len(), 20);
         for s in &schemas {
             assert!(s.tables.len() >= 3, "{} too small", s.name);
-            // FK parents precede children.
-            for (i, t) in s.tables.iter().enumerate() {
+            // Every FK parent is in the schema.
+            for t in &s.tables {
                 for c in &t.columns {
                     if let ColGen::Fk { table, .. } = &c.gen {
-                        let pos = s.tables.iter().position(|p| &p.name == table);
-                        assert!(pos.is_some() && pos.unwrap() < i, "{}.{}", s.name, t.name);
+                        assert!(s.tables.iter().any(|p| &p.name == table), "{}.{}", s.name, t.name);
                     }
                 }
             }
@@ -1099,5 +1175,47 @@ mod tests {
         let q = st.column("quantity").unwrap();
         assert!(q.histogram.is_some());
         assert!(q.min >= 1.0 && q.max <= 50.0);
+    }
+
+    /// A one-table, one-column schema, its generated column, and the stream
+    /// that column drew from.
+    fn lone_column(gen: ColGen, rows: usize, seed: u64) -> (Column, Rng) {
+        let spec = SchemaSpec {
+            name: "lone".into(),
+            tables: vec![tbl("t", rows, vec![ColumnSpec::new("c", gen)])],
+        };
+        let db = generate(&spec, 1.0, seed);
+        let mut rng = Rng::seed(seed ^ 0x6772_6163);
+        rng.fork(0xF00D);
+        let stream = rng.fork(fxhash("t")).fork(fxhash("c"));
+        (db.table("t").unwrap().column("c").unwrap().clone(), stream)
+    }
+
+    #[test]
+    fn int_uniform_encodes_like_its_draws_at_any_width() {
+        for (lo, hi) in [(i64::MIN, i64::MAX), (5, 5), (-3, 400), (i64::MAX - 2, i64::MAX)] {
+            for rows in [16, 500] {
+                let (column, mut rng) = lone_column(ColGen::IntUniform { lo, hi }, rows, 3);
+                let draws: Vec<i64> = (0..rows).map(|_| rng.range(lo..=hi)).collect();
+                assert_eq!(column.data, ColumnData::Int(draws).encoded(), "[{lo}, {hi}] x {rows}");
+            }
+        }
+    }
+
+    #[test]
+    fn fk_parents_may_follow_their_children() {
+        let spec = SchemaSpec {
+            name: "reversed".into(),
+            tables: vec![
+                tbl("child", 400, vec![serial("id"), fk("parent_id", "parent", 1.2)]),
+                tbl("parent", 30, vec![serial("id"), int_u("x", 0, 9)]),
+            ],
+        };
+        let db = generate(&spec, 1.0, 5);
+        let parents = db.table("parent").unwrap().num_rows() as i64;
+        let child = db.table("child").unwrap();
+        let keys = child.column("parent_id").unwrap();
+        assert!((0..child.num_rows()).all(|r| (0..parents).contains(&keys.get_i64(r).unwrap())));
+        assert_eq!(child.foreign_keys[0].ref_table, "parent");
     }
 }

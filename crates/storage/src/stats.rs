@@ -313,11 +313,14 @@ pub struct TableStats {
 
 impl TableStats {
     pub fn compute(table: &Table) -> Self {
-        TableStats {
-            table: table.name.clone(),
-            num_rows: table.num_rows(),
-            columns: table.columns().iter().map(ColumnStats::compute).collect(),
-        }
+        Self::from_columns(table, table.columns().iter().map(ColumnStats::compute).collect())
+    }
+
+    /// `compute` with the per-column statistics already computed, one per
+    /// column in table order.
+    pub(crate) fn from_columns(table: &Table, columns: Vec<ColumnStats>) -> Self {
+        debug_assert_eq!(columns.len(), table.num_columns());
+        TableStats { table: table.name.clone(), num_rows: table.num_rows(), columns }
     }
 
     pub fn column(&self, name: &str) -> Result<&ColumnStats> {
