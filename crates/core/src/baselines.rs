@@ -22,7 +22,7 @@ use crate::featurize::{feature_dims, log_mag, Featurizer};
 use graceful_card::{ActualCard, CardEstimator, HitRatioEstimator};
 use graceful_cfg::{build_dag, DagConfig};
 use graceful_common::rng::Rng;
-use graceful_common::{GracefulError, Result};
+use graceful_common::{GracefulError, Result, Serial};
 use graceful_gbdt::{Gbdt, GbdtConfig};
 use graceful_nn::{AdamConfig, GnnConfig, GnnModel, TypedGraph};
 use graceful_plan::{Plan, QuerySpec};
@@ -145,7 +145,7 @@ fn train_gnn(
         for chunk in order.chunks(16) {
             let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
             let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-            gnn.train_batch(&graphs, &ts, &adam, 1.0)?;
+            gnn.train_batch(&Serial, &graphs, &ts, &adam, 1.0)?;
         }
     }
     Ok(())

@@ -19,9 +19,13 @@
 //!    [`TrainOptions::build_with_env`]). Results merge in item order, so the
 //!    sample list — and therefore the whole training run — is bit-identical
 //!    for any thread count.
-//! 2. **Batched mini-batch SGD** — each shuffled mini-batch is packed into
-//!    one level-synchronous pass of the GNN engine
-//!    ([`GnnModel::train_batch`]).
+//! 2. **Batched mini-batch SGD** — each shuffled mini-batch is one step of
+//!    the level-synchronous GNN engine ([`GnnModel::train_batch`]) on the
+//!    same pool: its graphs run as shards of eight consecutive graphs (pack,
+//!    forward and backward per shard, then one job per parameter-gradient
+//!    product), with the loss, the readout and Adam on the caller. Every
+//!    cross-graph sum keeps the reference's order, so the step's bits do not
+//!    depend on the thread count either.
 //!
 //! Estimates ([`GracefulModel::predict`], [`GracefulModel::predict_graph`],
 //! [`GracefulModel::predict_graphs`]) run on the same engine, a single graph
@@ -65,8 +69,8 @@ pub struct TrainConfig {
     /// Huber delta in normalized log-target units.
     pub huber_delta: f32,
     pub seed: u64,
-    /// Worker threads for the featurization fan-out (never changes results,
-    /// only wall-clock time).
+    /// Worker threads for featurization and for the shards of every training
+    /// step (never changes results, only wall-clock time).
     pub threads: usize,
 }
 
@@ -84,9 +88,11 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
-    /// Validate the configuration: zero `epochs`/`batch_size`/`threads` and
-    /// non-finite or non-positive `huber_delta`/learning rates are typed
-    /// [`GracefulError::Config`] errors (matching `ExecOptions` semantics).
+    /// Validate the configuration: zero `epochs`/`batch_size`/`threads`,
+    /// non-finite or non-positive `huber_delta`/learning rates/Adam `eps`,
+    /// Adam betas outside `[0, 1)` and a negative or non-finite `clip_norm`
+    /// are typed [`GracefulError::Config`] errors (matching `ExecOptions`
+    /// semantics): Adam divides by `1 - beta^t` and `sqrt(v) + eps`.
     pub fn validate(&self) -> Result<()> {
         if self.epochs == 0 {
             return Err(GracefulError::Config("epochs must be >= 1, got 0".into()));
@@ -103,10 +109,30 @@ impl TrainConfig {
                 self.huber_delta
             )));
         }
-        if !(self.adam.lr.is_finite() && self.adam.lr > 0.0) {
+        let adam = &self.adam;
+        if !(adam.lr.is_finite() && adam.lr > 0.0) {
             return Err(GracefulError::Config(format!(
                 "learning rate must be finite and > 0, got {}",
-                self.adam.lr
+                adam.lr
+            )));
+        }
+        for (name, beta) in [("beta1", adam.beta1), ("beta2", adam.beta2)] {
+            if !(0.0..1.0).contains(&beta) {
+                return Err(GracefulError::Config(format!(
+                    "Adam {name} must be in [0, 1), got {beta}"
+                )));
+            }
+        }
+        if !(adam.eps.is_finite() && adam.eps > 0.0) {
+            return Err(GracefulError::Config(format!(
+                "Adam eps must be finite and > 0, got {}",
+                adam.eps
+            )));
+        }
+        if !(adam.clip_norm.is_finite() && adam.clip_norm >= 0.0) {
+            return Err(GracefulError::Config(format!(
+                "clip_norm must be finite and >= 0, got {}",
+                adam.clip_norm
             )));
         }
         Ok(())
@@ -185,7 +211,8 @@ impl TrainOptions {
         self
     }
 
-    /// Featurization worker threads (never changes results).
+    /// Worker threads for featurization and training steps (never changes
+    /// results).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -332,7 +359,8 @@ impl GracefulModel {
         let _train_span =
             trace::span("train", "train").arg("corpora", corpora.len()).arg("epochs", cfg.epochs);
         // Pre-featurize the whole training set once (actual cardinalities),
-        // in parallel on the configured thread budget.
+        // in parallel on the configured thread budget; every step's shards
+        // run on the same pool.
         let pool = Pool::new(cfg.threads);
         let samples = {
             let _span = trace::span("train", "featurize");
@@ -357,7 +385,8 @@ impl GracefulModel {
                 let _step_span = trace::span("train", "step").arg("rows", chunk.len());
                 let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
                 let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-                epoch_loss += self.gnn.train_batch(&graphs, &ts, &cfg.adam, cfg.huber_delta)?;
+                epoch_loss +=
+                    self.gnn.train_batch(&pool, &graphs, &ts, &cfg.adam, cfg.huber_delta)?;
                 batches += 1;
             }
             let mean = epoch_loss / batches.max(1) as f32;
@@ -627,6 +656,31 @@ mod tests {
             TrainOptions::new().learning_rate(0.0).build(),
             Err(GracefulError::Config(_))
         ));
+        // Adam settings whose first step would write NaN parameters (or
+        // never move any) are rejected before training, each by name.
+        let adam = |set: fn(&mut AdamConfig)| {
+            let mut adam = AdamConfig::default();
+            set(&mut adam);
+            TrainOptions::new().adam(adam)
+        };
+        for (opts, what) in [
+            (adam(|a| a.eps = 0.0), "eps"),
+            (adam(|a| a.eps = f32::NAN), "eps"),
+            (adam(|a| a.eps = f32::INFINITY), "eps"),
+            (adam(|a| a.beta1 = 1.0), "beta1"),
+            (adam(|a| a.beta1 = -0.1), "beta1"),
+            (adam(|a| a.beta2 = 1.5), "beta2"),
+            (adam(|a| a.beta2 = f32::NAN), "beta2"),
+            (adam(|a| a.clip_norm = -1.0), "clip_norm"),
+            (adam(|a| a.clip_norm = f32::INFINITY), "clip_norm"),
+        ] {
+            match opts.build() {
+                Err(GracefulError::Config(m)) => assert!(m.contains(what), "{m:?} names {what}"),
+                other => panic!("a bad {what} produced {other:?}"),
+            }
+        }
+        let (zero_beta, no_clip) = (adam(|a| a.beta1 = 0.0), adam(|a| a.clip_norm = 0.0));
+        assert!(zero_beta.build().is_ok() && no_clip.build().is_ok());
         // Zero hidden width is rejected at model construction.
         assert!(matches!(
             GracefulModel::new(Featurizer::full(), 0, 1),

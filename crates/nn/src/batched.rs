@@ -21,8 +21,11 @@
 //!    pass walks groups bottom-up and the backward pass top-down; each stage
 //!    is one [`matmul_rows`] call that reads the group's rows of one stash
 //!    and writes them into another, in place.
-//! 3. Parameter gradients are accumulated per type in a final pass that
+//! 3. Parameter gradients are reduced per (type, layer) in a final pass that
 //!    replays the reference's accumulation order exactly.
+//!
+//! A training step runs in *shards* of [`SHARD_GRAPHS`] consecutive graphs,
+//! each shard's work one job on an [`OrderedMap`] (see "Shards" below).
 //!
 //! # The kernels, and why the result is bit-identical to the reference
 //!
@@ -46,7 +49,7 @@
 //!   `t` nodes in *descending* node order, then graph 1's, and so on. The
 //!   final pass gathers each type's rows in exactly that `(graph ascending,
 //!   node descending)` order and reduces them with one product
-//!   ([`accumulate_linear`]). Gradient flow *into* a node state likewise
+//!   ([`linear_grads`]). Gradient flow *into* a node state likewise
 //!   folds parent contributions in descending parent order, readout first —
 //!   matching the reference's reverse-tape accumulation.
 //!
@@ -62,11 +65,38 @@
 //! Nodes whose state cannot reach the loss (possible when a root is not the
 //! last node) are left out of the backward pass, exactly as the reference's
 //! `None` gradient slots skip them.
+//!
+//! # Shards
+//!
+//! [`train_batch`] packs each run of [`SHARD_GRAPHS`] consecutive graphs on
+//! its own and runs three regions on the caller's [`OrderedMap`] (the
+//! morsels of Leis et al., applied to a batch of graphs):
+//!
+//! 1. per shard: validate, pack, forward and the readout forward;
+//! 2. per shard: backward over its groups, seeded from its roots' rows of
+//!    the root-state gradient;
+//! 3. per (type, layer): that layer's parameter-gradient product.
+//!
+//! Between them, on the caller and in graph order, run the loss and its
+//! seeds and the readout backward; Adam runs after them. No bit depends on
+//! the split or on which thread runs a job:
+//!
+//! * Rows of different graphs never meet in forward or backward, and every
+//!   row's chains are the ones above whatever rows share its pack. So each
+//!   row of a shard holds the bits it would hold in a pack of the whole
+//!   batch.
+//! * The cross-graph reductions have a fixed order. The loss and the readout
+//!   backward run over the shards' roots concatenated, i.e. in graph order.
+//!   A shard's canonical rows are (graph ascending, node descending) over
+//!   consecutive graphs, so a type's rows gathered shard after shard are the
+//!   batch's canonical order, and one product reduces them as before.
+//! * The map returns results in item order, and each result is added into
+//!   the gradients on the caller.
 
 use crate::gnn::{finite_loss, huber, GnnModel, TypedGraph};
 use crate::mlp::{AdamConfig, Linear, Mlp, ParamStore, LEAKY_SLOPE};
 use crate::tensor::{matmul_rows, Tensor};
-use graceful_common::{GracefulError, Result};
+use graceful_common::{GracefulError, OrderedMap, Result};
 use std::ops::Range;
 
 /// One `(level, type)` node group: the same row range of every stash.
@@ -280,11 +310,6 @@ fn rows_of<'a>(block: &'a [f32], k: usize) -> impl Fn(usize) -> &'a [f32] + Copy
     move |i| &block[i * k..(i + 1) * k]
 }
 
-/// Row `rows[p]` of `t`, for `p = 0, 1, …`.
-fn rows_at<'a>(t: &'a Tensor, rows: &'a [usize]) -> impl Fn(usize) -> &'a [f32] + Copy {
-    move |p| t.row_slice(rows[p])
-}
-
 /// The feature vector of row `r` (read where the graph holds it).
 fn features<'a>(
     batch: &'a GraphBatch,
@@ -296,34 +321,38 @@ fn features<'a>(
     }
 }
 
-/// Accumulate one linear layer's parameter gradients over `k` uses, use `p`
-/// having input row `x(p)` and pre-activation gradient `g(p)`.
+/// One linear layer's parameter-gradient sums over its `k` uses, each an
+/// input row and a pre-activation gradient row: the weight's rows, then the
+/// bias's (see [`add_grads`]).
 ///
 /// The uses are gathered, inputs transposed, into `[Xᵀ; 1]` and `G`, so one
 /// product `[Xᵀ; 1] · G` yields the weight's `Xᵀ·G` and, against the row of
 /// ones, the bias's column sums — each element reducing the uses in the
 /// order listed. Listing them in the reference's order therefore replays
 /// its per-use adds (`1 · g` is `g`, bit for bit).
-fn accumulate_linear<'a>(
-    store: &mut ParamStore,
+fn linear_grads<'a>(
     layer: &Linear,
     k: usize,
-    x: impl Fn(usize) -> &'a [f32],
-    g: impl Fn(usize) -> &'a [f32],
-) {
+    uses: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+) -> Vec<f32> {
     let (m, n) = (layer.in_dim, layer.out_dim);
     let mut xt = vec![0.0f32; m * k];
     xt.resize((m + 1) * k, 1.0);
     let mut gs = Vec::with_capacity(k * n);
-    for p in 0..k {
-        for (i, &v) in x(p).iter().enumerate() {
+    uses.enumerate().for_each(|(p, (x, g))| {
+        for (i, &v) in x.iter().enumerate() {
             xt[i * k + p] = v;
         }
-        gs.extend_from_slice(g(p));
-    }
+        gs.extend_from_slice(g);
+    });
     let mut sums = vec![0.0f32; (m + 1) * n];
     matmul_rows(rows_of(&xt, k), &gs, n, &mut sums);
-    let (gw, gb) = sums.split_at(m * n);
+    sums
+}
+
+/// Add a layer's [`linear_grads`] sums into its weight and bias gradients.
+fn add_grads(store: &mut ParamStore, layer: &Linear, sums: &[f32]) {
+    let (gw, gb) = sums.split_at(layer.in_dim * layer.out_dim);
     for (grad, sum) in [(layer.w, gw), (layer.b, gb)] {
         for (d, &s) in store.grad_mut(grad).data.iter_mut().zip(sum) {
             *d += s;
@@ -418,45 +447,31 @@ fn forward(model: &GnnModel, graphs: &[&TypedGraph], roots: &[(usize, usize)]) -
     BatchedForward { batch, enc_pre, upd1_in, upd1_pre, upd2_in, upd2_pre, readout, preds }
 }
 
-/// Backward from per-graph loss-derivative seeds, accumulating parameter
-/// gradients into the store in the reference's order.
-fn backward(model: &mut GnnModel, fwd: &BatchedForward, graphs: &[&TypedGraph], seeds: &[f32]) {
+/// One shard's gradient rows, one stash per quantity, filled top-down.
+struct ShardGrads {
+    /// The state gradient, masked in place into updater layer 2's
+    /// pre-activation gradient (`n×h`).
+    state: Tensor,
+    /// Updater layer 1's pre-activation gradient (`n×h`).
+    upd1: Tensor,
+    /// `[encoder pre-activation | child sum]` gradient (`n×2h`).
+    joint: Tensor,
+}
+
+/// Backward over one shard's groups from its roots' state gradients
+/// (`g_root`: one `h`-wide row per root, in root order), with every updater
+/// weight transposed once per step in `upd_t`.
+fn backward_groups(fwd: &BatchedForward, upd_t: &[[Tensor; 2]], g_root: &[f32]) -> ShardGrads {
     let batch = &fwd.batch;
-    let (n, h) = (batch.nodes.len(), model.config.hidden);
-    // Readout backward over the B×h root matrix. Rows are graphs ascending,
-    // which is the reference's store-accumulation order for readout params,
-    // so parameters can be accumulated directly here.
-    let mut g = Tensor::from_vec(seeds.len(), 1, seeds.to_vec());
-    let last = model.readout.layers.len() - 1;
-    for l in (0..=last).rev() {
-        if l != last {
-            leaky_mask(&mut g.data, &fwd.readout.pre[l].data);
-        }
-        let layer = model.readout.layers[l];
-        let x = &fwd.readout.inputs[l];
-        accumulate_linear(&mut model.store, &layer, x.rows, |p| x.row_slice(p), |p| g.row_slice(p));
-        // `matmul` against the materialized transpose is bit-identical to
-        // `matmul_transpose_b` (see `Tensor::transpose`) but vectorizes.
-        g = g.matmul(&model.store.value(layer.w).transpose());
-    }
-    // Transpose every updater weight once per step; the level loop below
-    // reuses them for all groups of that type.
-    let store = &model.store;
-    let upd_t: Vec<[Tensor; 2]> = (model.updaters.iter())
-        .map(|u| [store.value(u.layers[0].w).transpose(), store.value(u.layers[1].w).transpose()])
-        .collect();
-    // Gradient rows, filled top-down, one stash per quantity: `g_h` is the
-    // state gradient, masked in place into updater layer 2's pre-activation
-    // gradient; `g_upd1` is layer 1's; `g_joint` is `[encoder
-    // pre-activation | child sum]`.
+    let (n, h) = (batch.nodes.len(), fwd.upd1_pre.cols);
     let mut g_h = Tensor::zeros(n, h);
     let mut g_upd1 = Tensor::zeros(n, h);
     let mut g_joint = Tensor::zeros(n, 2 * h);
     let mut seeded = vec![false; n];
-    for (i, &r) in batch.roots.iter().enumerate() {
+    for (&r, g) in batch.roots.iter().zip(g_root.chunks_exact(h)) {
         // First contribution to a root state comes from the readout (pushed
         // last on the reference tape, so visited first).
-        g_h.row_slice_mut(r).copy_from_slice(g.row_slice(i));
+        g_h.row_slice_mut(r).copy_from_slice(g);
         seeded[r] = true;
     }
     for group in batch.groups.iter().rev() {
@@ -494,24 +509,17 @@ fn backward(model: &mut GnnModel, fwd: &BatchedForward, graphs: &[&TypedGraph], 
             leaky_mask(&mut g_joint.row_slice_mut(r)[..h], fwd.enc_pre.row_slice(r));
         }
     }
-    // Parameter gradients, per type over its live rows in the reference's
-    // canonical order.
-    let feats = features(batch, graphs);
-    for ty in 0..model.config.feature_dims.len() {
-        let canon = batch.canon(ty);
-        let (k, enc, upd) = (canon.len(), model.encoders[ty].layers[0], &model.updaters[ty]);
-        let [l1, l2] = [upd.layers[0], upd.layers[1]];
-        let store = &mut model.store;
-        accumulate_linear(store, &l2, k, rows_at(&fwd.upd2_in, canon), rows_at(&g_h, canon));
-        accumulate_linear(store, &l1, k, rows_at(&fwd.upd1_in, canon), rows_at(&g_upd1, canon));
-        accumulate_linear(
-            store,
-            &enc,
-            k,
-            |p| feats(canon[p]),
-            |p| &g_joint.row_slice(canon[p])[..h],
-        );
+    ShardGrads { state: g_h, upd1: g_upd1, joint: g_joint }
+}
+
+/// Matrices of one width stacked row-wise, in the order given.
+fn stack<'a>(parts: impl Iterator<Item = &'a Tensor>) -> Tensor {
+    let (mut rows, mut cols, mut data) = (0, 0, Vec::new());
+    for t in parts {
+        (rows, cols) = (rows + t.rows, t.cols);
+        data.extend_from_slice(&t.data);
     }
+    Tensor::from_vec(rows, cols, data)
 }
 
 /// Each graph's own root, in graph order: the root list of a plain batch.
@@ -520,7 +528,8 @@ pub(crate) fn own_roots(graphs: &[&TypedGraph]) -> Vec<(usize, usize)> {
 }
 
 /// Predict runtimes (ns) at every `(graph, node)` of `roots`, in one pass
-/// over the packed graphs.
+/// over the packed graphs. Finite features can still overflow the pass: an
+/// estimate that is not a finite runtime is a typed error naming its root.
 pub(crate) fn predict_roots(
     model: &GnnModel,
     graphs: &[&TypedGraph],
@@ -538,18 +547,29 @@ pub(crate) fn predict_roots(
         return Ok(Vec::new());
     }
     let fwd = forward(model, graphs, roots);
-    Ok(fwd
-        .preds
-        .iter()
-        .map(|&p| ((p * model.target_std + model.target_mean) as f64).exp())
-        .collect())
+    let estimate = |(&(g, v), &p): (&(usize, usize), &f32)| {
+        let ns = ((p * model.target_std + model.target_mean) as f64).exp();
+        if ns.is_finite() {
+            Ok(ns)
+        } else {
+            Err(GracefulError::Model(format!("the estimate at root {v} of graph {g} is {ns}")))
+        }
+    };
+    roots.iter().zip(&fwd.preds).map(estimate).collect()
 }
 
-/// One batched training step (bit-identical to the reference). A step whose
-/// loss or gradient norm is not finite is a typed error that changes no
+/// Graphs per shard of a training step: one job of each per-shard region. A
+/// constant like a morsel size, not an option; no bit depends on it.
+const SHARD_GRAPHS: usize = 8;
+
+/// One training step, its jobs on `map` (bit-identical to the reference
+/// for any map; see "Shards"). Errors come in the order: empty or
+/// mismatched batch, the first invalid graph, the first non-finite label, a
+/// non-finite loss, a non-finite gradient norm. A rejected step changes no
 /// parameter and no optimizer moment.
 pub(crate) fn train_batch(
     model: &mut GnnModel,
+    map: &impl OrderedMap,
     graphs: &[&TypedGraph],
     targets_ns: &[f64],
     adam: &AdamConfig,
@@ -558,22 +578,75 @@ pub(crate) fn train_batch(
     if graphs.is_empty() || graphs.len() != targets_ns.len() {
         return Err(GracefulError::Model("empty or mismatched batch".into()));
     }
-    for g in graphs {
-        g.validate(&model.config.feature_dims)?;
-    }
-    let targets = model.normalized_targets(targets_ns)?;
-    let fwd = forward(model, graphs, &own_roots(graphs));
+    let m = &*model;
+    // Region 1. The first error in shard order is the first in graph order.
+    let shards: Vec<&[&TypedGraph]> = graphs.chunks(SHARD_GRAPHS).collect();
+    let fwds = map.ordered_map(&shards, |_, shard| {
+        for g in *shard {
+            g.validate(&m.config.feature_dims)?;
+        }
+        Ok(forward(m, shard, &own_roots(shard)))
+    });
+    let fwds = fwds.into_iter().collect::<Result<Vec<_>>>()?;
+    let targets = m.normalized_targets(targets_ns)?;
     let bsz = graphs.len() as f32;
     let mut total_loss = 0.0f32;
     let mut seeds = Vec::with_capacity(graphs.len());
-    for (&pred, target) in fwd.preds.iter().zip(targets) {
+    for (&pred, target) in fwds.iter().flat_map(|f| &f.preds).zip(targets) {
         let (loss, dloss) = huber(pred - target, huber_delta);
         total_loss += loss;
         seeds.push(dloss / bsz);
     }
     let loss = finite_loss(total_loss / bsz)?;
+    // Readout backward over the B×h root matrix: rows are graphs ascending,
+    // the reference's accumulation order for readout parameters.
+    let last = m.readout.layers.len() - 1;
+    let mut g_root = Tensor::from_vec(seeds.len(), 1, seeds);
+    let mut sums = Vec::new();
+    for (l, layer) in m.readout.layers.iter().enumerate().rev() {
+        if l != last {
+            leaky_mask(&mut g_root.data, &stack(fwds.iter().map(|f| &f.readout.pre[l])).data);
+        }
+        let x = stack(fwds.iter().map(|f| &f.readout.inputs[l]));
+        let uses = (0..x.rows).map(|p| (x.row_slice(p), g_root.row_slice(p)));
+        sums.push((*layer, linear_grads(layer, x.rows, uses)));
+        // `matmul` against the materialized transpose is bit-identical to
+        // `matmul_transpose_b` (see `Tensor::transpose`) but vectorizes.
+        g_root = g_root.matmul(&m.store.value(layer.w).transpose());
+    }
+    let upd_t: Vec<[Tensor; 2]> = (m.updaters.iter())
+        .map(|u| {
+            [m.store.value(u.layers[0].w).transpose(), m.store.value(u.layers[1].w).transpose()]
+        })
+        .collect();
+    // Region 2, seeded from each shard's own rows of the root gradient.
+    let grads = map.ordered_map(&fwds, |s, fwd| {
+        let first = s * SHARD_GRAPHS;
+        backward_groups(fwd, &upd_t, g_root.row_range(first..first + fwd.preds.len()))
+    });
+    // Region 3: a type's live rows shard after shard, the batch's canonical
+    // order, against each of its layers.
+    let h = m.config.hidden;
+    let jobs: Vec<(usize, usize)> =
+        (0..m.config.feature_dims.len()).flat_map(|ty| (0..3).map(move |l| (ty, l))).collect();
+    let layer_sums = map.ordered_map(&jobs, |_, &(ty, l)| {
+        let upd = &m.updaters[ty].layers;
+        let layer = [m.encoders[ty].layers[0], upd[0], upd[1]][l];
+        let k = fwds.iter().map(|f| f.batch.canon(ty).len()).sum();
+        let uses = shards.iter().zip(&fwds).zip(&grads).flat_map(|((shard, f), g)| {
+            let feats = features(&f.batch, shard);
+            f.batch.canon(ty).iter().map(move |&r| match l {
+                0 => (feats(r), &g.joint.row_slice(r)[..h]),
+                1 => (f.upd1_in.row_slice(r), g.upd1.row_slice(r)),
+                _ => (f.upd2_in.row_slice(r), g.state.row_slice(r)),
+            })
+        });
+        (layer, linear_grads(&layer, k, uses))
+    });
     model.store.zero_grad();
-    backward(model, &fwd, graphs, &seeds);
+    for (layer, sums) in sums.iter().chain(&layer_sums) {
+        add_grads(&mut model.store, layer, sums);
+    }
     model.store.adam_step(adam)?;
     Ok(loss)
 }
@@ -583,6 +656,7 @@ mod tests {
     use super::*;
     use crate::gnn::GnnConfig;
     use graceful_common::rng::Rng;
+    use graceful_common::Serial;
 
     /// Random typed DAG with heterogeneous fan-in, shared children, multiple
     /// levels and (sometimes) trailing nodes after the root — the shapes that
@@ -690,7 +764,7 @@ mod tests {
             for (chunk_g, chunk_t) in graphs.chunks(bsz).zip(targets.chunks(bsz)) {
                 let refs: Vec<&TypedGraph> = chunk_g.iter().collect();
                 let la = a.train_batch_reference(&refs, chunk_t, &adam, 1.0).unwrap();
-                let lb = b.train_batch(&refs, chunk_t, &adam, 1.0).unwrap();
+                let lb = b.train_batch(&Serial, &refs, chunk_t, &adam, 1.0).unwrap();
                 assert_eq!(la.to_bits(), lb.to_bits(), "loss diverged at batch size {bsz}");
             }
             assert_eq!(
@@ -704,6 +778,115 @@ mod tests {
             for (g, y) in refs.iter().zip(&pb) {
                 assert_eq!(a.predict_reference(g).unwrap().to_bits(), y.to_bits());
             }
+        }
+    }
+
+    /// An [`OrderedMap`] that computes its items last to first and returns
+    /// them in item order: a step whose bits depended on the order its jobs
+    /// ran in would disagree with [`Serial`].
+    struct Reversed;
+
+    impl OrderedMap for Reversed {
+        fn ordered_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+        where
+            T: Sync,
+            R: Send,
+            F: Fn(usize, &T) -> R + Sync,
+        {
+            let mut out: Vec<R> = items.iter().enumerate().rev().map(|(i, t)| f(i, t)).collect();
+            out.reverse();
+            out
+        }
+    }
+
+    /// Shards against the reference, bit for bit, on [`Reversed`]: one to six
+    /// shards per step, the last one ragged or full, three epochs — every
+    /// loss, the parameters after each epoch (which pin the Adam moments
+    /// every later step reads) and the trained model's predictions.
+    #[test]
+    fn sharded_steps_bit_identical_to_reference_on_any_map() {
+        let (graphs, targets) = graphs_and_targets(808, 48);
+        let adam = AdamConfig { lr: 3e-3, ..AdamConfig::default() };
+        for bsz in [1usize, 7, 8, 9, 16, 17, 48] {
+            let cfg = GnnConfig { hidden: 8, feature_dims: dims(), readout_hidden: 6 };
+            let mut a = GnnModel::new(cfg.clone(), 29).unwrap();
+            let mut b = GnnModel::new(cfg, 29).unwrap();
+            a.fit_target_norm(&targets).unwrap();
+            b.fit_target_norm(&targets).unwrap();
+            for epoch in 0..3 {
+                let chunks = graphs.chunks(bsz).zip(targets.chunks(bsz));
+                for (step, (chunk_g, chunk_t)) in chunks.enumerate() {
+                    let refs: Vec<&TypedGraph> = chunk_g.iter().collect();
+                    let la = a.train_batch_reference(&refs, chunk_t, &adam, 1.0).unwrap();
+                    let lb = b.train_batch(&Reversed, &refs, chunk_t, &adam, 1.0).unwrap();
+                    let at = format!("batch size {bsz}, epoch {epoch}, step {step}");
+                    assert_eq!(la.to_bits(), lb.to_bits(), "loss diverged at {at}");
+                }
+                let at = format!("batch size {bsz}, epoch {epoch}");
+                assert_eq!(a.param_checksum(), b.param_checksum(), "parameters diverged at {at}");
+            }
+            let refs: Vec<&TypedGraph> = graphs.iter().collect();
+            for (g, y) in refs.iter().zip(b.predict_batch(&refs).unwrap()) {
+                assert_eq!(a.predict_reference(g).unwrap().to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    /// Errors keep the reference's precedence, word for word, whatever shard
+    /// they sit in — an invalid graph before a bad label, the first invalid
+    /// graph in graph order — and a rejected step changes nothing.
+    #[test]
+    fn sharded_errors_keep_the_reference_precedence() {
+        let (mut graphs, mut targets) = graphs_and_targets(41, 17);
+        let cfg = GnnConfig { hidden: 8, feature_dims: dims(), readout_hidden: 8 };
+        let mut model = GnnModel::new(cfg, 3).unwrap();
+        model.fit_target_norm(&targets).unwrap();
+        let (adam, params) = (AdamConfig::default(), model.param_checksum());
+        let mut check = |graphs: &[TypedGraph], targets: &[f64], names: &str| {
+            let refs: Vec<&TypedGraph> = graphs.iter().collect();
+            let engine = model.train_batch(&Reversed, &refs, targets, &adam, 1.0);
+            let reference = model.train_batch_reference(&refs, targets, &adam, 1.0);
+            match (&engine, &reference) {
+                (Err(GracefulError::Model(m)), Err(_)) => assert!(m.contains(names), "{m}"),
+                _ => panic!("{engine:?} / {reference:?}"),
+            }
+            assert_eq!(engine, reference);
+            assert_eq!(model.param_checksum(), params);
+        };
+        targets[2] = f64::INFINITY;
+        check(&graphs, &targets, "label 2 is inf");
+        graphs[12].features[0][0] = f32::NAN;
+        check(&graphs, &targets, "feature NaN");
+        graphs[9].root = graphs[9].len();
+        check(&graphs, &targets, "root out of bounds");
+    }
+
+    /// Finite features can overflow the forward pass. No estimate is then
+    /// `Ok(inf)` or `Ok(NaN)`: `predict`, `predict_batch` and `predict_roots`
+    /// return a typed error naming the root, and the other roots still
+    /// estimate.
+    #[test]
+    fn estimates_that_overflow_are_typed_errors_naming_the_root() {
+        let (graphs, targets) = graphs_and_targets(12, 2);
+        let cfg = GnnConfig { hidden: 8, feature_dims: dims(), readout_hidden: 8 };
+        let mut model = GnnModel::new(cfg, 6).unwrap();
+        model.fit_target_norm(&targets).unwrap();
+        for x in [1e10, f32::MAX] {
+            let mut huge = graphs[1].clone();
+            huge.features.iter_mut().flatten().for_each(|f| *f = x);
+            let refs = [&graphs[0], &huge];
+            let roots = [(0, graphs[0].root), (1, huge.root)];
+            for (result, names) in [
+                (model.predict(&huge).map(|y| vec![y]), format!("root {} of graph 0 ", huge.root)),
+                (model.predict_batch(&refs), format!("root {} of graph 1 ", huge.root)),
+                (model.predict_roots(&refs, &roots), format!("root {} of graph 1 ", huge.root)),
+            ] {
+                match result {
+                    Err(GracefulError::Model(m)) => assert!(m.contains(&names), "{x}: {m}"),
+                    other => panic!("{x}: expected a typed Model error, got {other:?}"),
+                }
+            }
+            assert!(model.predict_roots(&refs, &roots[..1]).unwrap()[0].is_finite());
         }
     }
 
@@ -724,7 +907,7 @@ mod tests {
         let adam = AdamConfig::default();
         for _ in 0..5 {
             let la = a.train_batch_reference(&[&g], &[100.0], &adam, 1.0);
-            let lb = b.train_batch(&[&g], &[100.0], &adam, 1.0);
+            let lb = b.train_batch(&Serial, &[&g], &[100.0], &adam, 1.0);
             assert_eq!(la.unwrap().to_bits(), lb.unwrap().to_bits());
         }
         assert_eq!(a.param_checksum(), b.param_checksum());
@@ -745,20 +928,20 @@ mod tests {
             (GnnModel::new(cfg.clone(), 5).unwrap(), GnnModel::new(cfg, 5).unwrap());
         for m in [&mut model, &mut twin] {
             m.fit_target_norm(&targets).unwrap();
-            m.train_batch(&refs, &targets, &adam, 1.0).unwrap();
+            m.train_batch(&Serial, &refs, &targets, &adam, 1.0).unwrap();
         }
         let mut huge = graphs[0].clone();
         huge.features.iter_mut().flatten().for_each(|x| *x = f32::MAX);
         let params = model.param_checksum();
         for result in [
-            model.train_batch(&[&huge], &[1e4], &adam, 1.0),
+            model.train_batch(&Serial, &[&huge], &[1e4], &adam, 1.0),
             model.train_batch_reference(&[&huge], &[1e4], &adam, 1.0),
         ] {
             assert!(matches!(result, Err(GracefulError::Model(_))), "{result:?}");
             assert_eq!(model.param_checksum(), params);
         }
-        model.train_batch(&refs, &targets, &adam, 1.0).unwrap();
-        twin.train_batch(&refs, &targets, &adam, 1.0).unwrap();
+        model.train_batch(&Serial, &refs, &targets, &adam, 1.0).unwrap();
+        twin.train_batch(&Serial, &refs, &targets, &adam, 1.0).unwrap();
         assert_eq!(model.param_checksum(), twin.param_checksum());
         assert!(model.predict_batch(&refs).unwrap().iter().all(|p| p.is_finite()));
     }
@@ -768,10 +951,10 @@ mod tests {
         let cfg = GnnConfig { hidden: 4, feature_dims: dims(), readout_hidden: 4 };
         let mut m = GnnModel::new(cfg, 1).unwrap();
         let adam = AdamConfig::default();
-        assert!(m.train_batch(&[], &[], &adam, 1.0).is_err());
+        assert!(m.train_batch(&Serial, &[], &[], &adam, 1.0).is_err());
         let (graphs, _) = graphs_and_targets(9, 2);
         let refs: Vec<&TypedGraph> = graphs.iter().collect();
-        assert!(m.train_batch(&refs, &[1.0], &adam, 1.0).is_err());
+        assert!(m.train_batch(&Serial, &refs, &[1.0], &adam, 1.0).is_err());
         assert!(m.predict_batch(&[]).unwrap().is_empty());
         assert!(m.predict_roots(&refs, &[]).unwrap().is_empty());
         for root in [(0, refs[0].len()), (refs.len(), 0)] {

@@ -23,10 +23,11 @@
 //!
 //! Every estimate ([`GnnModel::predict`], [`GnnModel::predict_batch`]) and
 //! every training step ([`GnnModel::train_batch`]) runs on the
-//! level-synchronous engine in the crate-private `batched` module: a whole
-//! mini-batch of graphs (a one-graph batch for `predict`) packed together,
-//! nodes grouped by (topological level × node type), every MLP applied once
-//! per group on an `N×f` matrix.
+//! level-synchronous engine in the crate-private `batched` module: graphs (a
+//! one-graph batch for `predict`, shards of eight consecutive graphs for a
+//! training step, each shard a job on the caller's `OrderedMap`) packed
+//! together, nodes grouped by (topological level × node type), every MLP
+//! applied once per group on an `N×f` matrix.
 //!
 //! The node-at-a-time implementation in this file — a fresh [`Tape`] per
 //! graph, every per-type MLP applied to `1×f` row tensors in topological
@@ -44,7 +45,7 @@ use crate::mlp::{AdamConfig, Mlp, ParamStore};
 use crate::tape::{Tape, VarId};
 use crate::tensor::Tensor;
 use graceful_common::rng::Rng;
-use graceful_common::{GracefulError, Result};
+use graceful_common::{GracefulError, OrderedMap, Result};
 use serde::{Deserialize, Serialize};
 
 /// A typed DAG instance ready for the GNN.
@@ -293,19 +294,23 @@ impl GnnModel {
         Ok((log_ns as f64).exp())
     }
 
-    /// One training step over a mini-batch, packed into one
-    /// level-synchronous pass of the engine; returns the mean Huber loss.
+    /// One training step over a mini-batch on the engine; returns the mean
+    /// Huber loss. The batch runs as shards of consecutive graphs, each
+    /// shard's jobs on `map` (a `graceful_runtime::Pool`, or
+    /// [`graceful_common::Serial`] on the calling thread); no bit of the
+    /// loss, the gradients or the step depends on the map.
     ///
     /// Targets are runtimes in nanoseconds; the Huber delta is in normalized
     /// log units.
     pub fn train_batch(
         &mut self,
+        map: &impl OrderedMap,
         graphs: &[&TypedGraph],
         targets_ns: &[f64],
         adam: &AdamConfig,
         huber_delta: f32,
     ) -> Result<f32> {
-        batched::train_batch(self, graphs, targets_ns, adam, huber_delta)
+        batched::train_batch(self, map, graphs, targets_ns, adam, huber_delta)
     }
 
     /// [`GnnModel::train_batch`] on the node-at-a-time tape reference — the
@@ -441,6 +446,7 @@ pub(crate) fn huber(err: f32, delta: f32) -> (f32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graceful_common::Serial;
 
     /// Synthetic task: runtime = 100 · (sum of leaf features) over a small
     /// chain DAG. The GNN must aggregate leaf information into the root.
@@ -479,7 +485,7 @@ mod tests {
                 model.predict(bad),
                 model.predict_batch(&[bad]).map(|p| p[0]),
                 model.predict_reference(bad),
-                model.train_batch(&[bad], &[100.0], &adam, 1.0).map(f64::from),
+                model.train_batch(&Serial, &[bad], &[100.0], &adam, 1.0).map(f64::from),
                 model.train_batch_reference(&[bad], &[100.0], &adam, 1.0).map(f64::from),
             ] {
                 assert!(matches!(result, Err(GracefulError::Model(_))), "got {result:?}");
@@ -509,7 +515,7 @@ mod tests {
         let params = model.param_checksum();
         for t in [f64::NAN, f64::NEG_INFINITY] {
             for result in [
-                model.train_batch(&[&g, &g], &[1e3, t], &adam, 1.0),
+                model.train_batch(&Serial, &[&g, &g], &[1e3, t], &adam, 1.0),
                 model.train_batch_reference(&[&g, &g], &[1e3, t], &adam, 1.0),
             ] {
                 match result {
@@ -542,7 +548,7 @@ mod tests {
             for chunk in data.chunks(16) {
                 let graphs: Vec<&TypedGraph> = chunk.iter().map(|(g, _)| g).collect();
                 let ts: Vec<f64> = chunk.iter().map(|(_, t)| *t).collect();
-                model.train_batch(&graphs, &ts, &adam, 1.0).unwrap();
+                model.train_batch(&Serial, &graphs, &ts, &adam, 1.0).unwrap();
             }
         }
         // Evaluate Q-error on fresh graphs.

@@ -9,10 +9,13 @@
 //!   training step runs on) produces **bit-identical** losses, parameters
 //!   and predictions to the node-at-a-time reference
 //!   (`GnnModel::train_batch_reference`, `GnnModel::predict_reference`) at
-//!   every batch size, and
-//! * training is bit-identical for any featurization thread count
-//!   (`GRACEFUL_THREADS` ∈ {1, 2, 4} via `TrainOptions::threads`).
+//!   every batch size — batch 16 is two shards of eight graphs, batch 8
+//!   one — and
+//! * training is bit-identical for any thread count (`GRACEFUL_THREADS` ∈
+//!   {1, 2, 4} via `TrainOptions::threads`), which sizes the pool both
+//!   featurization and every step's shards run on.
 
+use graceful::common::Serial;
 use graceful::nn::{AdamConfig, TypedGraph};
 use graceful::prelude::*;
 
@@ -43,7 +46,8 @@ fn batched_training_bit_identical_to_reference_on_real_corpora() {
             for (step, chunk) in samples.chunks(batch).enumerate() {
                 let graphs: Vec<&TypedGraph> = chunk.iter().map(|(g, _)| g).collect();
                 let ts: Vec<f64> = chunk.iter().map(|(_, t)| *t).collect();
-                let on_engine = engine.gnn_mut().train_batch(&graphs, &ts, &adam, 1.0).unwrap();
+                let on_engine =
+                    engine.gnn_mut().train_batch(&Serial, &graphs, &ts, &adam, 1.0).unwrap();
                 let on_tape =
                     reference.gnn_mut().train_batch_reference(&graphs, &ts, &adam, 1.0).unwrap();
                 assert_eq!(
