@@ -32,8 +32,9 @@ fn main() {
     rule(60);
     let mut medians = Vec::new();
     for level in 1..=5u8 {
-        let mut model = GracefulModel::new(Featurizer::level(level), cfg.hidden, cfg.seed)
-            .expect("valid GNN architecture");
+        let featurizer = Featurizer::level(level).expect("levels 1..=5 exist");
+        let mut model =
+            GracefulModel::new(featurizer, cfg.hidden, cfg.seed).expect("valid GNN architecture");
         model
             .train(
                 &train,

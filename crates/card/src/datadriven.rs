@@ -12,14 +12,15 @@
 //!
 //! The sample is materialized at build, column by column and typed, so a
 //! conjunction is a pass per predicate over a dense slice: no column lookup
-//! by name and no `Value` per row. It counts the rows `Pred::matches` would,
-//! hence returns the same floats.
+//! by name and no `Value` per row. The passes are the crate's matcher
+//! ([`ActualCard`](crate::ActualCard) runs it over every row of a table); it
+//! counts the rows `Pred::matches` would, hence returns the same floats.
 
-use crate::CardEstimator;
+use crate::{and_num, and_text, CardEstimator};
 use graceful_common::rng::Rng;
 use graceful_common::Result;
 use graceful_plan::{ColRef, Plan, PlanOpKind, Pred};
-use graceful_storage::{DataType, Database, Value};
+use graceful_storage::{DataType, Database};
 use std::collections::HashMap;
 
 /// Per-table sample size (larger = tighter estimates, slower build).
@@ -32,9 +33,8 @@ struct Fanout {
     avg: f64,
 }
 
-/// One column of a table sample, in the two shapes `Value::compare` knows:
-/// numbers (Int and Bool widened as `Value::as_f64` does) and text. A NULL
-/// is stored as NaN / `None`, which — like a NULL — compares to nothing.
+/// One column of a table sample, in the two shapes the matcher takes (see
+/// [`crate::and_num`]): numbers, NULL as NaN, and text, NULL as `None`.
 enum SampleColumn<'a> {
     Num(Vec<f64>),
     Text(Vec<Option<&'a str>>),
@@ -118,20 +118,15 @@ impl<'a> DataDrivenCard<'a> {
         }
         let mut hit = vec![true; sample.rows];
         for p in preds {
-            match (sample.columns.get(p.col.column.as_str()), &p.value, p.value.as_f64()) {
-                (Some(SampleColumn::Num(xs)), _, Some(y)) => {
-                    for (h, x) in hit.iter_mut().zip(xs) {
-                        *h &= Pred::accepts(p.op, x.partial_cmp(&y));
-                    }
+            match sample.columns.get(p.col.column.as_str()) {
+                Some(SampleColumn::Num(xs)) => {
+                    and_num(&mut hit, xs.iter().copied(), p.op, &p.value)
                 }
-                (Some(SampleColumn::Text(xs)), Value::Text(y), _) => {
-                    for (h, x) in hit.iter_mut().zip(xs) {
-                        *h &= Pred::accepts(p.op, x.map(|x| x.cmp(y.as_str())));
-                    }
+                Some(SampleColumn::Text(xs)) => {
+                    and_text(&mut hit, xs.iter().copied(), p.op, &p.value)
                 }
-                // An unknown column, or a literal the column cannot be
-                // compared with (NULL included): no row matches.
-                _ => hit.fill(false),
+                // An unknown column: no row matches.
+                None => hit.fill(false),
             }
         }
         let hits = hit.iter().filter(|&&h| h).count();
@@ -257,7 +252,8 @@ mod tests {
     /// type on every column shape — NULL runs, NaN, ±0.0 and infinities, an
     /// Int column against a Float literal, plain and dictionary text, Bool,
     /// dictionary ints — alone and in a conjunction, plus an unknown column,
-    /// an empty table and an unknown table.
+    /// an empty table and an unknown table. [`crate::ActualCard`], which runs
+    /// the same matcher over every row, counts the same rows unsmoothed.
     #[test]
     fn typed_sample_counts_what_the_row_loop_counts() {
         use graceful_storage::{Column, ColumnData, Table};
@@ -305,7 +301,7 @@ mod tests {
         ];
         let empty = Table::new("e", vec![Column::new("i", ColumnData::Int(vec![]))]).unwrap();
         let db = Database::new("d", vec![Table::new("t", columns).unwrap(), empty]);
-        let est = DataDrivenCard::build(&db, 1);
+        let (sample, actual) = (DataDrivenCard::build(&db, 1), crate::ActualCard::new(&db));
         let literals = [
             Value::Int(0),
             Value::Int(1),
@@ -331,14 +327,19 @@ mod tests {
                 for preds in [vec![pred.clone()], vec![first.clone(), pred]] {
                     let rows = t.num_rows();
                     let hits = (0..rows).filter(|&r| preds.iter().all(|p| p.matches(t, r))).count();
-                    let want =
-                        if rows == 0 { 0.0 } else { (hits as f64 + 0.5) / (rows as f64 + 1.0) };
-                    let got = est.conjunction_selectivity(table, &preds);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{table}: {preds:?}");
+                    let (smoothed, exact) = match rows {
+                        0 => (0.0, 0.0),
+                        _ => ((hits as f64 + 0.5) / (rows as f64 + 1.0), hits as f64 / rows as f64),
+                    };
+                    let got = sample.conjunction_selectivity(table, &preds);
+                    assert_eq!(got.to_bits(), smoothed.to_bits(), "{table}: {preds:?}");
+                    let got = actual.conjunction_selectivity(table, &preds);
+                    assert_eq!(got.to_bits(), exact.to_bits(), "actual, {table}: {preds:?}");
                 }
             }
         }
-        assert_eq!(est.conjunction_selectivity("nope", &[first]), 0.5);
+        assert_eq!(sample.conjunction_selectivity("nope", std::slice::from_ref(&first)), 0.5);
+        assert_eq!(actual.conjunction_selectivity("nope", &[first]), 0.5);
     }
 
     #[test]

@@ -46,6 +46,16 @@ impl<'e> HitRatioEstimator<'e> {
         })
     }
 
+    /// The predicate a path adds at a branch on `cond`: the rewritten
+    /// condition when the branch is taken, its negation when not.
+    fn branch_pred(&self, udf: &GeneratedUdf, cond: &BranchCondInfo, taken: bool) -> Option<Pred> {
+        let mut pred = self.rewrite(udf, cond)?;
+        if !taken {
+            pred.op = pred.op.negated();
+        }
+        Some(pred)
+    }
+
     /// Probability of one control path: the joint selectivity of its
     /// (taken-adjusted) conditions, conditioned on the pre-UDF filters.
     ///
@@ -57,7 +67,16 @@ impl<'e> HitRatioEstimator<'e> {
         pre_filters: &[Pred],
         conditions: &[(Option<BranchCondInfo>, bool)],
     ) -> f64 {
-        self.path_given(udf, pre_filters, self.pre_selectivity(udf, pre_filters), conditions)
+        let mut preds: Vec<Pred> = pre_filters.to_vec();
+        let mut fallback = 1.0;
+        for (cond, taken) in conditions {
+            match cond.as_ref().and_then(|c| self.branch_pred(udf, c, *taken)) {
+                Some(p) => preds.push(p),
+                None => fallback *= 0.5,
+            }
+        }
+        let denom = self.pre_selectivity(udf, pre_filters);
+        self.ratio(udf, &preds, denom, fallback)
     }
 
     /// `sel(pre)`, the denominator every path of one UDF divides by.
@@ -69,36 +88,9 @@ impl<'e> HitRatioEstimator<'e> {
         }
     }
 
-    /// [`HitRatioEstimator::path_probability`] with `sel(pre)` supplied.
-    fn path_given(
-        &self,
-        udf: &GeneratedUdf,
-        pre_filters: &[Pred],
-        denom: f64,
-        conditions: &[(Option<BranchCondInfo>, bool)],
-    ) -> f64 {
-        let mut preds: Vec<Pred> = pre_filters.to_vec();
-        let mut fallback = 1.0;
-        for (cond, taken) in conditions {
-            let info = match cond {
-                Some(c) => c,
-                None => {
-                    fallback *= 0.5;
-                    continue;
-                }
-            };
-            // A not-taken branch contributes the negated condition.
-            let effective = if *taken {
-                info.clone()
-            } else {
-                BranchCondInfo { op: info.op.negated(), ..info.clone() }
-            };
-            match self.rewrite(udf, &effective) {
-                Some(p) => preds.push(p),
-                None => fallback *= 0.5,
-            }
-        }
-        let joint = self.card.conjunction_selectivity(&udf.table, &preds);
+    /// `sel(preds) / sel(pre) · fallback`, clamped to a probability.
+    fn ratio(&self, udf: &GeneratedUdf, preds: &[Pred], denom: f64, fallback: f64) -> f64 {
+        let joint = self.card.conjunction_selectivity(&udf.table, preds);
         (joint / denom * fallback).clamp(0.0, 1.0)
     }
 
@@ -106,7 +98,13 @@ impl<'e> HitRatioEstimator<'e> {
     ///
     /// `input_rows` is the (estimated) number of rows reaching the UDF
     /// operator; `pre_filters` are the plain predicates already applied on
-    /// the UDF's base table below it.
+    /// the UDF's base table below it. Every path gets
+    /// [`HitRatioEstimator::path_probability`]'s number, bit for bit, but
+    /// `sel(pre)` is taken once and each traceable condition is rewritten
+    /// once per DAG, both ways: the predicate it adds when its branch is
+    /// taken and when it is not. A path moves its predicates into one
+    /// conjunction buffer behind the pre-filters and back out after the
+    /// call, so pricing a path allocates nothing.
     pub fn annotate_dag(
         &self,
         dag: &mut UdfDag,
@@ -115,7 +113,32 @@ impl<'e> HitRatioEstimator<'e> {
         pre_filters: &[Pred],
     ) {
         let denom = self.pre_selectivity(udf, pre_filters);
-        dag.annotate_rows(input_rows, |conds| self.path_given(udf, pre_filters, denom, conds));
+        // Per BRANCH node with a condition: the predicate of the branch not
+        // taken, then taken.
+        let mut rewritten: Vec<(usize, [Option<Pred>; 2])> = (dag.nodes.iter().enumerate())
+            .filter_map(|(i, n)| {
+                n.cond.as_ref().map(|c| (i, [false, true].map(|t| self.branch_pred(udf, c, t))))
+            })
+            .collect();
+        let (mut preds, mut moved) = (pre_filters.to_vec(), Vec::new());
+        dag.annotate_rows_by_branch(input_rows, |decisions| {
+            let mut fallback = 1.0;
+            for &(b, taken) in decisions {
+                let slot = rewritten.iter().position(|r| r.0 == b);
+                match slot.and_then(|s| Some((s, rewritten[s].1[taken as usize].take()?))) {
+                    Some((s, p)) => {
+                        preds.push(p);
+                        moved.push((s, taken as usize));
+                    }
+                    None => fallback *= 0.5,
+                }
+            }
+            let p = self.ratio(udf, &preds, denom, fallback);
+            for ((s, taken), pred) in moved.drain(..).zip(preds.drain(pre_filters.len()..)) {
+                rewritten[s].1[taken] = Some(pred);
+            }
+            p
+        });
     }
 }
 

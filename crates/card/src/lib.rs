@@ -35,6 +35,8 @@ pub mod sampling;
 
 use graceful_common::Result;
 use graceful_plan::{Plan, PlanOpKind, Pred};
+use graceful_storage::Value;
+use graceful_udf::ast::CmpOp;
 
 pub use actual::ActualCard;
 pub use datadriven::DataDrivenCard;
@@ -92,6 +94,45 @@ pub fn scale_above_udf(plan: &mut Plan, selectivity: f64) {
         } else {
             plan.ops[anc].est_out_rows *= ratio;
         }
+    }
+}
+
+/// `hit[i] &= cell i op literal` over a numeric column — the matcher both
+/// count-based estimators run, one typed pass per predicate. It keeps
+/// `Pred::matches`' outcome: `Value::compare` widens Int and Bool cells and
+/// literals to `f64` (`Value::as_f64`) and orders them with `partial_cmp`,
+/// so a NULL cell, passed as NaN, matches under no operator, and neither
+/// does any cell against a NaN, Text or NULL literal.
+pub(crate) fn and_num(hit: &mut [bool], xs: impl Iterator<Item = f64>, op: CmpOp, literal: &Value) {
+    let Some(y) = literal.as_f64() else {
+        return hit.fill(false);
+    };
+    // One loop per operator, so that each compiles to a bare comparison.
+    let and =
+        |op| hit.iter_mut().zip(xs).for_each(|(h, x)| *h &= Pred::accepts(op, x.partial_cmp(&y)));
+    match op {
+        CmpOp::Lt => and(CmpOp::Lt),
+        CmpOp::Le => and(CmpOp::Le),
+        CmpOp::Gt => and(CmpOp::Gt),
+        CmpOp::Ge => and(CmpOp::Ge),
+        CmpOp::Eq => and(CmpOp::Eq),
+        CmpOp::Ne => and(CmpOp::Ne),
+    }
+}
+
+/// [`and_num`] over a text column, a NULL cell passed as `None`: only a
+/// Text literal compares with text.
+pub(crate) fn and_text<'a>(
+    hit: &mut [bool],
+    xs: impl Iterator<Item = Option<&'a str>>,
+    op: CmpOp,
+    literal: &Value,
+) {
+    let Value::Text(y) = literal else {
+        return hit.fill(false);
+    };
+    for (h, x) in hit.iter_mut().zip(xs) {
+        *h &= Pred::accepts(op, x.map(|x| x.cmp(y)));
     }
 }
 

@@ -227,7 +227,7 @@ mod tests {
             for (q, level, kind) in advisable.flat_map(|q| {
                 Featurizer::LEVELS.flat_map(move |l| EstimatorKind::ALL.map(|k| (q, l, k)))
             }) {
-                let model = GracefulModel::new(Featurizer::level(level), 8, 9).unwrap();
+                let model = GracefulModel::new(Featurizer::level(level).unwrap(), 8, 9).unwrap();
                 let independent = |placements: &[UdfPlacement]| -> Vec<(f64, f64)> {
                     let estimate = |&sel: &f64| {
                         let est = kind.build(&c.db, 3);

@@ -18,15 +18,14 @@
 //! conditioned on pre-filters, and data-type conversion costs.
 
 use crate::corpus::DatasetCorpus;
-use crate::featurize::{feature_dims, log_mag, Featurizer};
-use graceful_card::{ActualCard, CardEstimator, HitRatioEstimator};
-use graceful_cfg::{build_dag, DagConfig};
+use crate::featurize::{feature_dims, log_mag, udf_graph, Featurizer};
+use graceful_card::{ActualCard, CardEstimator};
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result, Serial};
 use graceful_gbdt::{Gbdt, GbdtConfig};
 use graceful_nn::{AdamConfig, GnnConfig, GnnModel, TypedGraph};
 use graceful_plan::{Plan, QuerySpec};
-use graceful_storage::{DataType, Database};
+use graceful_storage::Database;
 use graceful_udf::ast::BinOp;
 use graceful_udf::{GeneratedUdf, LibFn};
 
@@ -41,44 +40,18 @@ pub fn flat_features(udf: &GeneratedUdf, input_rows: f64) -> Vec<f64> {
     f.push(log_mag(input_rows) as f64);
     let mut ops = vec![0f64; BinOp::ALL.len()];
     let mut libs = vec![0f64; LibFn::COUNT];
-    count_ops(&def.body, &mut ops, &mut libs);
+    def.visit_stmts(&mut |s| {
+        s.expr().visit(&mut |e| match e {
+            graceful_udf::Expr::Binary { op, .. } => ops[op.index()] += 1.0,
+            graceful_udf::Expr::Call { func, .. } | graceful_udf::Expr::Method { func, .. } => {
+                libs[func.index()] += 1.0
+            }
+            _ => {}
+        })
+    });
     f.extend(ops);
     f.extend(libs);
     f
-}
-
-fn count_ops(body: &[graceful_udf::Stmt], ops: &mut [f64], libs: &mut [f64]) {
-    use graceful_udf::Stmt;
-    let count_expr = |e: &graceful_udf::Expr, ops: &mut [f64], libs: &mut [f64]| {
-        let mut bs = Vec::new();
-        e.bin_ops(&mut bs);
-        for b in bs {
-            ops[b.index()] += 1.0;
-        }
-        let mut ls = Vec::new();
-        e.lib_calls(&mut ls);
-        for l in ls {
-            libs[l.index()] += 1.0;
-        }
-    };
-    for s in body {
-        match s {
-            Stmt::Assign { expr, .. } | Stmt::Return(expr) => count_expr(expr, ops, libs),
-            Stmt::If { cond, then_body, else_body } => {
-                count_expr(cond, ops, libs);
-                count_ops(then_body, ops, libs);
-                count_ops(else_body, ops, libs);
-            }
-            Stmt::For { count, body, .. } => {
-                count_expr(count, ops, libs);
-                count_ops(body, ops, libs);
-            }
-            Stmt::While { cond, body } => {
-                count_expr(cond, ops, libs);
-                count_ops(body, ops, libs);
-            }
-        }
-    }
 }
 
 /// The query-side model shared by both baselines: GRACEFUL's query graph
@@ -98,7 +71,7 @@ impl QuerySideModel {
     ) -> Result<Self> {
         let config = GnnConfig { hidden, feature_dims: feature_dims(), readout_hidden: hidden };
         let mut gnn = GnnModel::new(config, seed)?;
-        let fz = Featurizer::level(1);
+        let fz = Featurizer::level(1)?;
         let mut samples: Vec<(TypedGraph, f64)> = Vec::new();
         for c in corpora {
             let est = ActualCard::new(&c.db);
@@ -121,7 +94,7 @@ impl QuerySideModel {
         plan: &Plan,
         estimator: &dyn CardEstimator,
     ) -> Result<f64> {
-        let g = Featurizer::level(1).featurize(db, spec, plan, estimator)?;
+        let g = Featurizer::level(1)?.featurize(db, spec, plan, estimator)?;
         self.gnn.predict(&g)
     }
 }
@@ -220,68 +193,6 @@ pub struct GraphGraphBaseline {
     query_side: QuerySideModel,
 }
 
-/// Build the standalone UDF graph (columns + DAG, root = RET).
-fn udf_only_graph(
-    db: &Database,
-    spec: &QuerySpec,
-    udf: &GeneratedUdf,
-    input_rows: f64,
-    estimator: &dyn CardEstimator,
-) -> Result<TypedGraph> {
-    let table = db.table(&udf.table)?;
-    let arg_types: Vec<DataType> =
-        udf.input_columns.iter().map(|c| table.column_type(c)).collect::<Result<Vec<_>>>()?;
-    let ret_type = graceful_udf::infer_return_type(&udf.def, &arg_types);
-    let mut dag = build_dag(&udf.def, &arg_types, ret_type, DagConfig::default());
-    let pre: Vec<graceful_plan::Pred> =
-        spec.filters.iter().filter(|p| p.col.table == udf.table).cloned().collect();
-    HitRatioEstimator::new(estimator).annotate_dag(&mut dag, udf, input_rows, &pre);
-    // Reuse the featurizer's node layout by embedding the DAG without any
-    // plan operators: column nodes then DAG nodes.
-    let mut node_types = Vec::new();
-    let mut features = Vec::new();
-    let mut edges = Vec::new();
-    let mut col_idx = Vec::new();
-    for c in &udf.input_columns {
-        let stats = db.stats(&udf.table)?;
-        let cs = stats.column(c)?;
-        let mut f = vec![0f32; 8];
-        f[cs.data_type.index()] = 1.0;
-        f[4] = log_mag(cs.ndv as f64);
-        f[5] = cs.null_fraction as f32;
-        f[6] = log_mag(cs.avg_text_len.max((cs.max - cs.min).abs()));
-        f[7] = log_mag(cs.num_rows as f64);
-        node_types.push(crate::featurize::node_type::COLUMN);
-        features.push(f);
-        col_idx.push(node_types.len() - 1);
-    }
-    let offset = node_types.len();
-    for (i, n) in dag.nodes.iter().enumerate() {
-        let (ty, f) = crate::featurize::udf_node_features_public(n);
-        node_types.push(ty);
-        features.push(f);
-        match n.kind {
-            graceful_cfg::UdfNodeKind::Inv => {
-                for &c in &col_idx {
-                    edges.push((c, offset + i));
-                }
-            }
-            graceful_cfg::UdfNodeKind::Comp | graceful_cfg::UdfNodeKind::Branch => {
-                for &p in &n.param_reads {
-                    if let Some(&c) = col_idx.get(p as usize) {
-                        edges.push((c, offset + i));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    for &(s, d, _) in &dag.edges {
-        edges.push((offset + s, offset + d));
-    }
-    Ok(TypedGraph { node_types, features, edges, root: offset + dag.ret })
-}
-
 impl GraphGraphBaseline {
     pub fn train(
         corpora: &[&DatasetCorpus],
@@ -299,7 +210,7 @@ impl GraphGraphBaseline {
                 if q.udf_input_rows == 0 {
                     continue;
                 }
-                let g = udf_only_graph(&c.db, &q.spec, u, q.udf_input_rows as f64, &est)?;
+                let g = udf_graph(&c.db, &q.spec, u, q.udf_input_rows as f64, &est)?;
                 samples.push((g, q.udf_work_ns.max(1.0)));
             }
         }
@@ -319,7 +230,7 @@ impl GraphGraphBaseline {
         let udf = match (&spec.udf, plan.udf_op()) {
             (Some(u), Some(idx)) => {
                 let input = plan.ops[plan.ops[idx].children[0]].est_out_rows;
-                let g = udf_only_graph(db, spec, u, input, estimator)?;
+                let g = udf_graph(db, spec, u, input, estimator)?;
                 self.udf_gnn.predict(&g)?
             }
             _ => 0.0,

@@ -176,26 +176,33 @@ impl Expr {
         Expr::Call { func, args }
     }
 
-    /// Collect every `Name` referenced in this expression.
-    pub fn names(&self, out: &mut Vec<String>) {
+    /// Visit this expression and every subexpression: a parent before its
+    /// children, children left to right (a method's receiver first).
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
         match self {
-            Expr::Name(n) if !out.contains(n) => {
-                out.push(n.clone());
-            }
-            Expr::Unary { operand, .. } => operand.names(out),
+            Expr::Unary { operand, .. } => operand.visit(f),
             Expr::Binary { left, right, .. }
             | Expr::Compare { left, right, .. }
             | Expr::BoolOp { left, right, .. } => {
-                left.names(out);
-                right.names(out);
+                left.visit(f);
+                right.visit(f);
             }
-            Expr::Call { args, .. } => args.iter().for_each(|a| a.names(out)),
+            Expr::Call { args, .. } => args.iter().for_each(|a| a.visit(f)),
             Expr::Method { recv, args, .. } => {
-                recv.names(out);
-                args.iter().for_each(|a| a.names(out));
+                recv.visit(f);
+                args.iter().for_each(|a| a.visit(f));
             }
             _ => {}
         }
+    }
+
+    /// Collect every `Name` referenced in this expression.
+    pub fn names<'a>(&'a self, out: &mut Vec<&'a str>) {
+        self.visit(&mut |e| match e {
+            Expr::Name(n) if !out.contains(&n.as_str()) => out.push(n),
+            _ => {}
+        });
     }
 
     /// Count arithmetic/comparison/call operations in the expression —
@@ -215,49 +222,13 @@ impl Expr {
         }
     }
 
-    /// All binary arithmetic operators used (for COMP featurization).
-    pub fn bin_ops(&self, out: &mut Vec<BinOp>) {
-        match self {
-            Expr::Binary { op, left, right } => {
-                out.push(*op);
-                left.bin_ops(out);
-                right.bin_ops(out);
-            }
-            Expr::Unary { operand, .. } => operand.bin_ops(out),
-            Expr::Compare { left, right, .. } | Expr::BoolOp { left, right, .. } => {
-                left.bin_ops(out);
-                right.bin_ops(out);
-            }
-            Expr::Call { args, .. } => args.iter().for_each(|a| a.bin_ops(out)),
-            Expr::Method { recv, args, .. } => {
-                recv.bin_ops(out);
-                args.iter().for_each(|a| a.bin_ops(out));
-            }
-            _ => {}
-        }
-    }
-
     /// All library functions called (for COMP `lib` featurization).
     pub fn lib_calls(&self, out: &mut Vec<LibFn>) {
-        match self {
-            Expr::Call { func, args } => {
+        self.visit(&mut |e| {
+            if let Expr::Call { func, .. } | Expr::Method { func, .. } = e {
                 out.push(*func);
-                args.iter().for_each(|a| a.lib_calls(out));
             }
-            Expr::Method { func, recv, args } => {
-                out.push(*func);
-                recv.lib_calls(out);
-                args.iter().for_each(|a| a.lib_calls(out));
-            }
-            Expr::Unary { operand, .. } => operand.lib_calls(out),
-            Expr::Binary { left, right, .. }
-            | Expr::Compare { left, right, .. }
-            | Expr::BoolOp { left, right, .. } => {
-                left.lib_calls(out);
-                right.lib_calls(out);
-            }
-            _ => {}
-        }
+        });
     }
 }
 
@@ -292,80 +263,64 @@ pub struct UdfDef {
     pub body: Vec<Stmt>,
 }
 
+impl Stmt {
+    /// The statement's own expression: the value it assigns or returns, its
+    /// condition or its trip count.
+    pub fn expr(&self) -> &Expr {
+        match self {
+            Stmt::Assign { expr, .. } | Stmt::Return(expr) => expr,
+            Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond,
+            Stmt::For { count, .. } => count,
+        }
+    }
+}
+
 impl UdfDef {
+    /// Visit every statement of the body, as [`Stmt`]s nest: a statement
+    /// before its bodies, `then` before `else`.
+    pub fn visit_stmts<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        fn walk<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+            for s in body {
+                f(s);
+                match s {
+                    Stmt::If { then_body, else_body, .. } => {
+                        walk(then_body, f);
+                        walk(else_body, f);
+                    }
+                    Stmt::For { body, .. } | Stmt::While { body, .. } => walk(body, f),
+                    Stmt::Assign { .. } | Stmt::Return(_) => {}
+                }
+            }
+        }
+        walk(&self.body, f);
+    }
+
+    /// How many statements `keep` accepts.
+    fn count(&self, keep: impl Fn(&Stmt) -> usize) -> usize {
+        let mut n = 0;
+        self.visit_stmts(&mut |s| n += keep(s));
+        n
+    }
+
     /// Total operation count across the body (Table II's 10–150 range).
     pub fn op_count(&self) -> usize {
-        fn stmts(body: &[Stmt]) -> usize {
-            body.iter()
-                .map(|s| match s {
-                    Stmt::Assign { expr, .. } => 1 + expr.op_count(),
-                    Stmt::If { cond, then_body, else_body } => {
-                        1 + cond.op_count() + stmts(then_body) + stmts(else_body)
-                    }
-                    Stmt::For { count, body, .. } => 1 + count.op_count() + stmts(body),
-                    Stmt::While { cond, body } => 1 + cond.op_count() + stmts(body),
-                    Stmt::Return(e) => e.op_count(),
-                })
-                .sum()
-        }
-        stmts(&self.body)
+        self.count(|s| s.expr().op_count() + usize::from(!matches!(s, Stmt::Return(_))))
     }
 
     /// Number of `if` statements (branches) in the UDF.
     pub fn branch_count(&self) -> usize {
-        fn stmts(body: &[Stmt]) -> usize {
-            body.iter()
-                .map(|s| match s {
-                    Stmt::If { then_body, else_body, .. } => {
-                        1 + stmts(then_body) + stmts(else_body)
-                    }
-                    Stmt::For { body, .. } | Stmt::While { body, .. } => stmts(body),
-                    _ => 0,
-                })
-                .sum()
-        }
-        stmts(&self.body)
+        self.count(|s| usize::from(matches!(s, Stmt::If { .. })))
     }
 
     /// Number of loops in the UDF.
     pub fn loop_count(&self) -> usize {
-        fn stmts(body: &[Stmt]) -> usize {
-            body.iter()
-                .map(|s| match s {
-                    Stmt::For { body, .. } | Stmt::While { body, .. } => 1 + stmts(body),
-                    Stmt::If { then_body, else_body, .. } => stmts(then_body) + stmts(else_body),
-                    _ => 0,
-                })
-                .sum()
-        }
-        stmts(&self.body)
+        self.count(|s| usize::from(matches!(s, Stmt::For { .. } | Stmt::While { .. })))
     }
 
     /// Every library function mentioned anywhere in the UDF.
     pub fn lib_calls(&self) -> Vec<LibFn> {
-        fn walk(body: &[Stmt], out: &mut Vec<LibFn>) {
-            for s in body {
-                match s {
-                    Stmt::Assign { expr, .. } => expr.lib_calls(out),
-                    Stmt::If { cond, then_body, else_body } => {
-                        cond.lib_calls(out);
-                        walk(then_body, out);
-                        walk(else_body, out);
-                    }
-                    Stmt::For { count, body, .. } => {
-                        count.lib_calls(out);
-                        walk(body, out);
-                    }
-                    Stmt::While { cond, body } => {
-                        cond.lib_calls(out);
-                        walk(body, out);
-                    }
-                    Stmt::Return(e) => e.lib_calls(out),
-                }
-            }
-        }
         let mut out = Vec::new();
-        walk(&self.body, &mut out);
+        self.visit_stmts(&mut |s| s.expr().lib_calls(&mut out));
         out
     }
 }

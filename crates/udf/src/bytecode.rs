@@ -51,44 +51,21 @@ impl SlotTable {
             }
         }
         let n_params = names.len();
-        fn add(names: &mut Vec<String>, n: &str) {
+        let mut add = |n: &str| {
             if !names.iter().any(|x| x == n) {
                 names.push(n.to_string());
             }
-        }
-        fn walk_expr(names: &mut Vec<String>, e: &Expr) {
-            let mut referenced = Vec::new();
-            e.names(&mut referenced);
-            for n in referenced {
-                add(names, &n);
-            }
-        }
-        fn walk(names: &mut Vec<String>, body: &[Stmt]) {
-            for s in body {
-                match s {
-                    Stmt::Assign { target, expr } => {
-                        walk_expr(names, expr);
-                        add(names, target);
-                    }
-                    Stmt::If { cond, then_body, else_body } => {
-                        walk_expr(names, cond);
-                        walk(names, then_body);
-                        walk(names, else_body);
-                    }
-                    Stmt::For { var, count, body } => {
-                        walk_expr(names, count);
-                        add(names, var);
-                        walk(names, body);
-                    }
-                    Stmt::While { cond, body } => {
-                        walk_expr(names, cond);
-                        walk(names, body);
-                    }
-                    Stmt::Return(e) => walk_expr(names, e),
+        };
+        udf.visit_stmts(&mut |s| {
+            s.expr().visit(&mut |e| {
+                if let Expr::Name(n) = e {
+                    add(n);
                 }
+            });
+            if let Stmt::Assign { target: v, .. } | Stmt::For { var: v, .. } = s {
+                add(v);
             }
-        }
-        walk(&mut names, &udf.body);
+        });
         SlotTable { names, n_params }
     }
 

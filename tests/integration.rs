@@ -123,7 +123,7 @@ fn ablation_level1_loses_to_full_model_on_udf_heavy_workload() {
         summarize(&evaluate_model(&m, &test, EstimatorKind::Actual, 1), |r| r.has_udf).median
     };
     let black_box = {
-        let m = trained(&train, &cfg, Featurizer::level(1));
+        let m = trained(&train, &cfg, Featurizer::level(1).unwrap());
         summarize(&evaluate_model(&m, &test, EstimatorKind::Actual, 1), |r| r.has_udf).median
     };
     assert!(
