@@ -12,7 +12,7 @@
 
 use crate::CardEstimator;
 use graceful_common::rng::Rng;
-use graceful_common::Result;
+use graceful_common::{GracefulError, Result};
 use graceful_exec::join::JoinIndex;
 use graceful_plan::{Plan, PlanOpKind, Pred};
 use graceful_storage::Database;
@@ -129,6 +129,19 @@ impl CardEstimator for SamplingCard<'_> {
         let mut rng = self.rng.borrow_mut();
         let mut rels: Vec<Option<SampleRel>> = (0..plan.ops.len()).map(|_| None).collect();
         for idx in 0..plan.ops.len() {
+            // Children come before their parent and feed it alone: a child
+            // that is missing, later in the plan or already consumed by
+            // another operator has no sample here.
+            let mut child = |i: usize| -> Result<SampleRel> {
+                let c = *plan.ops[idx].children.get(i).ok_or_else(|| {
+                    GracefulError::InvalidPlan(format!("op {idx}: child {i} is missing"))
+                })?;
+                rels.get_mut(c).and_then(Option::take).ok_or_else(|| {
+                    GracefulError::InvalidPlan(format!(
+                        "op {idx}: child {c} is not an earlier operator feeding only op {idx}"
+                    ))
+                })
+            };
             let (rel, est) = match &plan.ops[idx].kind {
                 PlanOpKind::Scan { table } => {
                     let t = self.db.table(table)?;
@@ -139,7 +152,7 @@ impl CardEstimator for SamplingCard<'_> {
                     (SampleRel { tables: vec![table.clone()], rows, estimate: est }, est)
                 }
                 PlanOpKind::Filter { preds } => {
-                    let child = rels[plan.ops[idx].children[0]].take().expect("child done");
+                    let child = child(0)?;
                     let stride = child.tables.len();
                     let n = child.n();
                     let mut rows = Vec::new();
@@ -165,24 +178,23 @@ impl CardEstimator for SamplingCard<'_> {
                     (SampleRel { tables: child.tables, rows, estimate: est }, est)
                 }
                 PlanOpKind::Join { left_col, right_col } => {
-                    let left = rels[plan.ops[idx].children[0]].take().expect("left done");
-                    let right = rels[plan.ops[idx].children[1]].take().expect("right done");
+                    let (left, right) = (child(0)?, child(1)?);
                     let rel = self.join_sample(left, right, left_col, right_col, &mut rng)?;
                     let est = rel.estimate;
                     (rel, est)
                 }
                 PlanOpKind::UdfFilter { .. } => {
-                    let child = rels[plan.ops[idx].children[0]].take().expect("child done");
+                    let child = child(0)?;
                     let est = child.estimate * crate::udf_filter_hint(plan, idx);
                     (SampleRel { estimate: est, ..child }, est)
                 }
                 PlanOpKind::UdfProject { .. } => {
-                    let child = rels[plan.ops[idx].children[0]].take().expect("child done");
+                    let child = child(0)?;
                     let est = child.estimate;
                     (child, est)
                 }
                 PlanOpKind::Agg { .. } => {
-                    let child = rels[plan.ops[idx].children[0]].take().expect("child done");
+                    let child = child(0)?;
                     (SampleRel { tables: child.tables, rows: Vec::new(), estimate: 1.0 }, 1.0)
                 }
             };
@@ -275,6 +287,40 @@ mod tests {
         let truth = db.table("orders_t").unwrap().num_rows() as f64;
         let q = (plan.ops[2].est_out_rows / truth).max(truth / plan.ops[2].est_out_rows);
         assert!(q < 1.6, "join estimate off by {q}: est={}", plan.ops[2].est_out_rows);
+    }
+
+    #[test]
+    fn malformed_plans_are_typed_errors_not_panics() {
+        use graceful_common::GracefulError;
+        use graceful_plan::{AggFunc, ColRef, PlanOp};
+        let db = generate(&schema("tpc_h"), 0.02, 3);
+        let scan = |t: &str| PlanOp::new(PlanOpKind::Scan { table: t.into() }, vec![]);
+        let agg = |children| {
+            PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, children)
+        };
+        let join = |children| {
+            PlanOp::new(
+                PlanOpKind::Join {
+                    left_col: ColRef::new("orders_t", "cust_id"),
+                    right_col: ColRef::new("customer_t", "id"),
+                },
+                children,
+            )
+        };
+        let shapes = [
+            ("shared", vec![scan("orders_t"), join(vec![0, 0]), agg(vec![1])]),
+            ("forward", vec![agg(vec![1]), scan("orders_t")]),
+            ("missing", vec![scan("orders_t"), scan("customer_t"), join(vec![0]), agg(vec![2])]),
+            ("dangling", vec![scan("orders_t"), agg(vec![7])]),
+        ];
+        for (what, ops) in shapes {
+            let root = ops.len() - 1;
+            let mut plan = Plan { ops, root };
+            match SamplingCard::new(&db, 50, 1).annotate(&mut plan) {
+                Err(GracefulError::InvalidPlan(_)) => {}
+                other => panic!("{what} child: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `crate::physical::execute`: the plan is lowered to physical-operator
 //! pipelines and morsel batches stream through each chain, with every
 //! execution shortcut on (the dictionary-code UDF memo, typed UDF lanes,
-//! streaming, join-lane pruning).
+//! streaming, join-lane pruning, UDF programs pruned to their live values).
 //! [`Executor::run_reference`] is the oracle reached by name: the same
 //! operators, morsel boundaries, merge order and charges with every shortcut
 //! off at once, bit-identical to `run` in every contracted [`QueryRun`]
@@ -243,15 +243,20 @@ pub(crate) struct Shortcuts {
     /// Lowering applies the [`graceful_plan::RewriteSet`] hint: join lanes
     /// no operator above the join reads are neither stored nor emitted.
     pub(crate) lane_pruning: bool,
+    /// UDF operators run their program pruned to the values its result
+    /// reads ([`graceful_udf::prune()`]). Off: the plain compiled program.
+    pub(crate) udf_pruning: bool,
 }
 
 impl Shortcuts {
     /// What ships: everything on.
-    pub(crate) const SHIPPED: Shortcuts =
-        Shortcuts { memo: true, typed_lanes: true, streaming: true, lane_pruning: true };
+    pub(crate) const SHIPPED: Shortcuts = Shortcuts::all(true);
     /// The reference: everything off.
-    pub(crate) const REFERENCE: Shortcuts =
-        Shortcuts { memo: false, typed_lanes: false, streaming: false, lane_pruning: false };
+    pub(crate) const REFERENCE: Shortcuts = Shortcuts::all(false);
+
+    const fn all(on: bool) -> Shortcuts {
+        Shortcuts { memo: on, typed_lanes: on, streaming: on, lane_pruning: on, udf_pruning: on }
+    }
 }
 
 /// Result of executing one plan.
@@ -696,7 +701,8 @@ mod tests {
         ExecConfig { udf_batch_size: 37, threads, morsel_rows: 64, ..ExecConfig::default() }
     }
 
-    // The tests down to the last one flip ONE shortcut each, so a failure
+    // The tests down to the last one flip ONE shortcut each (the fifth,
+    // UDF pruning, inside the traffic test), so a failure
     // of `run` == `run_reference` (the last) names the shortcut at fault.
 
     #[test]
@@ -832,7 +838,7 @@ mod tests {
         let mut checked = 0;
         let (mut memo_served, mut lane_rows, mut counted_loops) = (0u64, 0u64, 0usize);
         let (mut join_plans, mut streamed_below) = (0usize, 0usize);
-        let mut joins_with_fewer_lanes = 0usize;
+        let (mut joins_with_fewer_lanes, mut pruned_programs) = (0usize, 0usize);
         for_generated_plans(59, 0..60, false, |database, id, plan| {
             let exec = Executor::with_config(database, ExecConfig { profile: true, ..ragged(2) });
             let shipped = exec.run(plan, id).unwrap();
@@ -872,6 +878,24 @@ mod tests {
                 join_lanes(database, plan, Shortcuts::SHIPPED)
                     < join_lanes(database, plan, all_lanes),
             );
+
+            without("UDF pruning", Shortcuts { udf_pruning: false, ..Shortcuts::SHIPPED });
+            for op in &plan.ops {
+                let (PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf }) = &op.kind
+                else {
+                    continue;
+                };
+                let table = database.table(&udf.table).unwrap();
+                let types: Vec<_> = udf
+                    .input_columns
+                    .iter()
+                    .map(|c| table.column(c).unwrap().data_type())
+                    .collect();
+                let plain = graceful_udf::compile(&udf.def).unwrap();
+                let weights = graceful_udf::CostWeights::default();
+                pruned_programs +=
+                    usize::from(graceful_udf::prune(plain.clone(), &types, &weights) != plain);
+            }
         });
         assert!(checked >= 400, "only {checked} plans compared");
         assert!(memo_served > 0, "the memo served no generated UDF row");
@@ -882,6 +906,7 @@ mod tests {
             "streaming peaked below collecting on {streamed_below} of {join_plans} join plans"
         );
         assert!(joins_with_fewer_lanes > 0, "lane pruning dropped no generated join lane");
+        assert!(pruned_programs > 0, "UDF pruning rewrote no generated program");
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Every relational operator that invokes a UDF — `UdfFilter`, `UdfProject`,
 //! under either driver — evaluates it through one [`UdfWorker`] per pool
 //! worker, built by [`UdfEvalSpec`] (both crate-private: the spec is the
-//! only construction path). A worker runs the compiled, verified program on
-//! a warmed [`Vm`] and differs only in what it gathers a batch into:
+//! only construction path). Every evaluator runs one program: the compiled,
+//! verified UDF pruned once per operator to the values its result reads
+//! ([`graceful_udf::prune()`]: dead instructions become their exact
+//! charges, dead `for` loops one closed-form charge), on a warmed [`Vm`]. A
+//! worker differs only in what it gathers a batch into:
 //!
 //! * **dictionary codes** for an exact memo in front of the VM
 //!   ([`CodeMemo`]): each distinct code tuple is evaluated once per worker
@@ -17,7 +20,7 @@
 //!   and no input is `Text`;
 //! * **boxed `Value` columns** for the batch VM ([`Vm::eval_batch`]) — the
 //!   remaining operators under `run`, and every operator under
-//!   [`crate::Executor::run_reference`].
+//!   [`crate::Executor::run_reference`], which runs the plain program.
 //!
 //! The tree-walking `graceful_udf::Interpreter` is not an engine path: the
 //! `graceful-udf` suites prove interpreter = VM = typed lanes per UDF, and
@@ -46,7 +49,7 @@ use graceful_obs::registry::{counter, Counter};
 use graceful_obs::trace;
 use graceful_storage::{Column, Value};
 use graceful_udf::simd::{self, SimdBatchStats, TypedCol};
-use graceful_udf::{compile, CodeMemo, CostCounter, CostWeights, Program, SimdShape, Vm};
+use graceful_udf::{compile, prune, CodeMemo, CostCounter, CostWeights, Program, SimdShape, Vm};
 use std::sync::OnceLock;
 
 /// Evaluation-volume counters one UDF evaluator accumulates while it runs.
@@ -220,7 +223,8 @@ impl<'a> UdfEvalSpec<'a> {
     /// before any row runs.
     ///
     /// `cuts` are the run's [`Shortcuts`]: with `memo` and `typed_lanes`
-    /// both off, every operator runs the boxed batch VM.
+    /// both off, every operator runs the boxed batch VM, and with
+    /// `udf_pruning` off, the plain program.
     ///
     /// `batch` is `udf_batch_size`, any count from 1 to `usize::MAX`: it
     /// bounds how many rows one evaluator call sees and sizes nothing.
@@ -237,6 +241,8 @@ impl<'a> UdfEvalSpec<'a> {
         overhead: f64,
     ) -> Result<Self> {
         let prog = compile(&udf.def)?;
+        let types: Vec<_> = cols.iter().map(|c| c.data_type()).collect();
+        let prog = if cuts.udf_pruning { prune(prog, &types, &weights) } else { prog };
         // `for_type` has no lane for `Text`, so one such column makes the
         // whole list `None`.
         let typed = || {

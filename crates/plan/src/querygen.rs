@@ -13,7 +13,7 @@ use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
 use graceful_udf::ast::CmpOp;
-use graceful_udf::{compile, CodeMemo, GeneratedUdf, UdfGenerator, Vm};
+use graceful_udf::{compile, prune, CodeMemo, GeneratedUdf, UdfGenerator, Vm};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -295,11 +295,13 @@ fn calibrate_literal(
         return Ok((CmpOp::Le, 0.0));
     }
     let cols: Vec<_> = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<Vec<_>>>()?;
-    // Compiled once, then one `Vm::eval` per sampled row — per sampled code
-    // tuple where the memo takes the inputs: it mirrors the tree-walker's
-    // values and per-row errors exactly, so every literal keeps its bits.
-    let prog = compile(&udf.def)?;
+    // Compiled and pruned once, then one `Vm::eval` per sampled row — per
+    // sampled code tuple where the memo takes the inputs: it mirrors the
+    // tree-walker's values and per-row errors exactly, so every literal
+    // keeps its bits.
     let mut vm = Vm::default();
+    let types: Vec<_> = cols.iter().map(|c| c.data_type()).collect();
+    let prog = prune(compile(&udf.def)?, &types, vm.weights());
     let mut memo = CodeMemo::new(&cols);
     let mut outputs: Vec<f64> = Vec::with_capacity(sample.min(n));
     for _ in 0..sample.min(n) {

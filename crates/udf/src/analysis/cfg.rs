@@ -13,7 +13,8 @@ use crate::bytecode::{Instr, Program};
 ///
 /// The distinction matters to edge-sensitive dataflow transfers:
 /// [`Instr::ForNext`] binds the loop variable only when the loop *continues*
-/// (its [`EdgeKind::Next`] edge), not on the exit jump.
+/// (its [`EdgeKind::Next`] edge), not on the exit jump; so does
+/// [`Instr::ForClosed`], a `ForNext` that may skip trips ahead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeKind {
     /// Fall through to `pc + 1` (a conditional branch not taken, a `ForNext`
@@ -82,21 +83,12 @@ impl Cfg {
             }
         };
         for (pc, instr) in prog.instrs.iter().enumerate() {
-            match instr {
-                Instr::Jump { target } => {
-                    mark(check(pc, *target)?);
-                    mark(pc + 1);
-                }
-                Instr::JumpIfFalse { target, .. } | Instr::JumpIfTrue { target, .. } => {
-                    mark(check(pc, *target)?);
-                    mark(pc + 1);
-                }
-                Instr::ForNext { exit, .. } => {
-                    mark(check(pc, *exit)?);
-                    mark(pc + 1);
-                }
-                Instr::Return { .. } | Instr::ReturnNull => mark(pc + 1),
-                _ => {}
+            let target = instr.target();
+            if let Some(t) = target {
+                mark(check(pc, t)?);
+            }
+            if target.is_some() || matches!(instr, Instr::Return { .. } | Instr::ReturnNull) {
+                mark(pc + 1);
             }
             // Everything except an unconditional transfer falls through to
             // `pc + 1`; at the last instruction that is past the end.
@@ -133,7 +125,7 @@ impl Cfg {
                     edges.push((block_of[pc + 1], EdgeKind::Next));
                     edges.push((block_of[*target as usize], EdgeKind::Branch));
                 }
-                Instr::ForNext { exit, .. } => {
+                Instr::ForNext { exit, .. } | Instr::ForClosed { exit, .. } => {
                     edges.push((block_of[pc + 1], EdgeKind::Next));
                     edges.push((block_of[*exit as usize], EdgeKind::Branch));
                 }

@@ -7,9 +7,9 @@
 //! the bit — the VM errors the row out unless the slot is defined, so any
 //! fall-through is a runtime guarantee (eliding this makes the verifier
 //! reject legitimate compiler output for conditionally-assigned variables).
-//! [`Instr::ForNext`] is the one instruction whose effect differs between
-//! its outgoing edges: it binds the loop variable only when the loop
-//! continues.
+//! [`Instr::ForNext`] (and its closed form [`Instr::ForClosed`]) is the one
+//! instruction whose effect differs between its outgoing edges: it binds the
+//! loop variable only when the loop continues.
 //!
 //! A worklist iterates blocks until the block-entry facts reach a fixpoint;
 //! bits only ever clear at a join, so it terminates. "Unreachable" is a block
@@ -43,7 +43,9 @@ fn transfer(instr: &Instr, fact: &mut [bool]) {
         | Instr::JumpIfFalse { .. }
         | Instr::JumpIfTrue { .. }
         | Instr::ForNext { .. }
+        | Instr::ForClosed { .. }
         | Instr::Cost(_)
+        | Instr::Charge { .. }
         | Instr::Return { .. }
         | Instr::ReturnNull => {}
     }
@@ -86,8 +88,11 @@ pub(crate) fn definite_init(cfg: &Cfg, prog: &Program) -> Vec<Option<Vec<bool>>>
             let mut f = out.clone();
             // The loop variable and the advanced counter are written only
             // when the loop continues into its body.
-            if let (Instr::ForNext { counter, var_slot, .. }, EdgeKind::Next) =
-                (&prog.instrs[blk.terminator()], kind)
+            if let (
+                Instr::ForNext { counter, var_slot, .. }
+                | Instr::ForClosed { counter, var_slot, .. },
+                EdgeKind::Next,
+            ) = (&prog.instrs[blk.terminator()], kind)
             {
                 set(&mut f, *var_slot);
                 set(&mut f, *counter);

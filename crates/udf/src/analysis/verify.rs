@@ -24,8 +24,11 @@
 //!    its `MarkDef`, `Cost(Branch)` to its conditional jump, `Cost(Compare)`
 //!    to its `CastBool`.
 //! 5. **Loop pairing** — every `ForInit` is immediately followed by its
-//!    `ForNext` (same counter and limit registers), the layout both the VM
-//!    dispatch and the trip-count check rely on.
+//!    `ForNext` or `ForClosed` (same counter and limit registers), the
+//!    layout both the VM dispatch and the trip-count check rely on.
+//!
+//! A program [`crate::prune()`] rewrote passes the same checks (1 covers its
+//! charge indices; in 4, it holds no marker at all).
 
 use super::cfg::Cfg;
 use super::dataflow::definite_init;
@@ -37,7 +40,7 @@ fn err(prog: &Program, msg: String) -> GracefulError {
 }
 
 /// Registers `instr` reads, appended to `out` (constant operands excluded).
-fn read_regs(instr: &Instr, out: &mut Vec<u16>) {
+pub(crate) fn read_regs(instr: &Instr, out: &mut Vec<u16>) {
     let mut op = |o: &Operand| {
         if !o.is_const() {
             out.push(o.index() as u16);
@@ -57,7 +60,7 @@ fn read_regs(instr: &Instr, out: &mut Vec<u16>) {
         }
         Instr::JumpIfFalse { cond, .. } | Instr::JumpIfTrue { cond, .. } => op(cond),
         Instr::ForInit { src, .. } => op(src),
-        Instr::ForNext { counter, limit, .. } => {
+        Instr::ForNext { counter, limit, .. } | Instr::ForClosed { counter, limit, .. } => {
             out.push(*counter);
             out.push(*limit);
         }
@@ -70,6 +73,7 @@ fn read_regs(instr: &Instr, out: &mut Vec<u16>) {
         | Instr::WhileInit { .. }
         | Instr::Jump { .. }
         | Instr::Cost(_)
+        | Instr::Charge { .. }
         | Instr::ReturnNull => {}
     }
 }
@@ -87,7 +91,7 @@ fn write_regs(instr: &Instr, out: &mut Vec<u16>) {
             out.push(*counter);
             out.push(*limit);
         }
-        Instr::ForNext { counter, var_slot, .. } => {
+        Instr::ForNext { counter, var_slot, .. } | Instr::ForClosed { counter, var_slot, .. } => {
             out.push(*counter);
             out.push(*var_slot);
         }
@@ -97,6 +101,7 @@ fn write_regs(instr: &Instr, out: &mut Vec<u16>) {
         | Instr::JumpIfFalse { .. }
         | Instr::JumpIfTrue { .. }
         | Instr::Cost(_)
+        | Instr::Charge { .. }
         | Instr::Return { .. }
         | Instr::ReturnNull => {}
     }
@@ -163,6 +168,11 @@ fn check_bounds(prog: &Program) -> Result<(), GracefulError> {
                 format!("pc {pc}: constant index {c} out of bounds ({n_consts} constants)"),
             ));
         }
+        if let Instr::Charge { idx: c } | Instr::ForClosed { per_iter: c, .. } = instr {
+            if *c as usize >= prog.charges.len() {
+                return Err(err(prog, format!("pc {pc}: charge index {c} out of bounds")));
+            }
+        }
         // The call window must also fit as a whole (an empty window at the
         // end of the file is fine; `read_regs` covers the occupied slots).
         if let Instr::Call { base, n_args, has_recv, .. } = instr {
@@ -199,8 +209,15 @@ fn check_definite_init(prog: &Program, cfg: &Cfg) -> Result<(), GracefulError> {
 
 /// Cost markers must sit exactly where the tree-walker charges: the three
 /// backends replay these markers, so a drifted marker silently breaks cost
-/// parity rather than crashing.
+/// parity rather than crashing. A pruned program pre-summed them all into
+/// [`Instr::Charge`]s (see "Cost parity" in the `bytecode` module docs).
 fn check_cost_placement(prog: &Program) -> Result<(), GracefulError> {
+    if !prog.charges.is_empty() {
+        return match prog.instrs.iter().position(|i| matches!(i, Instr::Cost(_))) {
+            Some(pc) => Err(err(prog, format!("pc {pc}: a cost marker in a pruned program"))),
+            None => Ok(()),
+        };
+    }
     for (pc, instr) in prog.instrs.iter().enumerate() {
         let next = prog.instrs.get(pc + 1);
         match instr {
@@ -241,8 +258,10 @@ fn check_loop_pairing(prog: &Program) -> Result<(), GracefulError> {
     for (pc, instr) in prog.instrs.iter().enumerate() {
         match instr {
             Instr::ForInit { counter, limit, .. } => match prog.instrs.get(pc + 1) {
-                Some(Instr::ForNext { counter: c, limit: l, .. }) if c == counter && l == limit => {
-                }
+                Some(
+                    Instr::ForNext { counter: c, limit: l, .. }
+                    | Instr::ForClosed { counter: c, limit: l, .. },
+                ) if c == counter && l == limit => {}
                 _ => {
                     return Err(err(
                         prog,
@@ -250,7 +269,7 @@ fn check_loop_pairing(prog: &Program) -> Result<(), GracefulError> {
                     ))
                 }
             },
-            Instr::ForNext { counter, limit, .. } => {
+            Instr::ForNext { counter, limit, .. } | Instr::ForClosed { counter, limit, .. } => {
                 let prev = pc.checked_sub(1).and_then(|p| prog.instrs.get(p));
                 match prev {
                     Some(Instr::ForInit { counter: c, limit: l, .. })

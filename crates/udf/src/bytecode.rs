@@ -12,15 +12,29 @@
 //! # Cost parity
 //!
 //! The instruction stream is arranged so that executing it performs exactly
-//! the same sequence of [`CostCounter`](crate::costs::CostCounter) additions
+//! the same sequence of [`CostCounter`] additions
 //! as the tree-walker: dedicated [`Instr::Cost`] markers mirror the
 //! per-statement / per-assign / per-branch / short-circuit charges, loop
 //! instructions charge `loop_iter` at the same point in the iteration, and
 //! all scalar arithmetic goes through the shared kernels in [`crate::ops`].
 //! Identical sequence ⇒ bit-identical `f64` totals — which the differential
 //! property suite asserts over the whole generated corpus.
+//!
+//! A program [`crate::prune()`] rewrote charges the same amounts grouped
+//! differently: [`Instr::Charge`] adds a block's charges pre-summed, and
+//! [`Instr::ForClosed`] a loop's remaining trips as one product. That is
+//! bit-identical by an integral-charge argument, and the pass rewrites only
+//! where it holds: no text (no per-character charge), and every weight the
+//! program can charge an integer-valued `f64` in `[0, 2^20]`, as the default
+//! weights and every library base cost are. Then every charge and every
+//! partial sum of a row's total is an integer below 2^53 (a row would need
+//! 2^32 charges to get there, and a closed form never takes a total to
+//! 2^52), where `f64` addition is exact, hence associative: any grouping
+//! gives the same bits. A row that errors returns no cost, so where in its
+//! block a charge lands cannot show either.
 
 use crate::ast::{Expr, Stmt, UdfDef, UnOp};
+use crate::costs::CostCounter;
 use crate::interp::MAX_WHILE_ITERS;
 use crate::libfns::LibFn;
 use graceful_common::{GracefulError, Result};
@@ -179,6 +193,13 @@ pub enum Instr {
     MarkDef { slot: u16 },
     /// Charge a fixed-rate cost (see [`CostKind`]).
     Cost(CostKind),
+    /// Merge the pre-summed `charges[idx]` of a pruned program: one run of
+    /// a basic block's charges, dead instructions' included.
+    Charge { idx: u32 },
+    /// The head of a `for` loop whose body only charges: `ForNext`, after
+    /// charging all remaining trips but the last × `charges[per_iter]` at
+    /// once (unless that would reach 2^52) and skipping the counter ahead.
+    ForClosed { counter: u16, limit: u16, var_slot: u16, exit: u32, per_iter: u32 },
     /// Return `value(src)`.
     Return { src: Operand },
     /// Implicit `return None` at the end of the body.
@@ -194,6 +215,28 @@ pub struct Program {
     /// Total register-file size (variable slots + expression temporaries).
     pub n_regs: u16,
     pub name: String,
+    /// The pre-summed charges [`Instr::Charge`] and [`Instr::ForClosed`]
+    /// index; empty unless [`crate::prune()`] rewrote the program.
+    pub charges: Vec<CostCounter>,
+}
+
+impl Instr {
+    /// Where a jump, or a `for` loop head on exit, goes.
+    pub fn target(&self) -> Option<u32> {
+        self.clone().target_mut().map(|t| *t)
+    }
+
+    /// [`Instr::target`], to patch.
+    pub fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::Jump { target: t }
+            | Instr::JumpIfFalse { target: t, .. }
+            | Instr::JumpIfTrue { target: t, .. }
+            | Instr::ForNext { exit: t, .. }
+            | Instr::ForClosed { exit: t, .. } => Some(t),
+            _ => None,
+        }
+    }
 }
 
 impl Program {
@@ -246,6 +289,7 @@ pub fn compile(udf: &UdfDef) -> Result<Program> {
         n_regs: c.max_regs,
         slots,
         name: udf.name.clone(),
+        charges: Vec::new(),
     };
     crate::analysis::verify(&prog)?;
     Ok(prog)
@@ -271,12 +315,9 @@ impl<'a> Compiler<'a> {
     }
 
     fn patch(&mut self, at: usize, target: u32) {
-        match &mut self.instrs[at] {
-            Instr::Jump { target: t }
-            | Instr::JumpIfFalse { target: t, .. }
-            | Instr::JumpIfTrue { target: t, .. }
-            | Instr::ForNext { exit: t, .. } => *t = target,
-            other => unreachable!("patching non-jump instruction {other:?}"),
+        match self.instrs[at].target_mut() {
+            Some(t) => *t = target,
+            None => unreachable!("patching non-jump instruction at pc {at}"),
         }
     }
 
@@ -318,8 +359,12 @@ impl<'a> Compiler<'a> {
         Ok(Operand::constant(idx as u16))
     }
 
-    fn slot(&self, name: &str) -> u16 {
-        self.slots.slot_of(name).expect("SlotTable::build covers every name")
+    /// `SlotTable::build` gives every name the body mentions a slot, so a
+    /// miss is a compiler bug, reported like the verifier's findings.
+    fn slot(&self, name: &str) -> Result<u16> {
+        self.slots.slot_of(name).ok_or_else(|| {
+            GracefulError::Verify(format!("{}: `{name}` has no slot", self.udf_name))
+        })
     }
 
     // -- statements ---------------------------------------------------------
@@ -329,7 +374,7 @@ impl<'a> Compiler<'a> {
             self.emit(Instr::Cost(CostKind::Stmt));
             match stmt {
                 Stmt::Assign { target, expr } => {
-                    let slot = self.slot(target);
+                    let slot = self.slot(target)?;
                     let mark = self.temp_mark();
                     // Compiling the expression straight into the variable slot
                     // skips a copy, but is only sound when no instruction can
@@ -375,7 +420,7 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 Stmt::For { var, count, body } => {
-                    let var_slot = self.slot(var);
+                    let var_slot = self.slot(var)?;
                     let mark = self.temp_mark();
                     let src = self.expr_value(count, assigned)?;
                     // Counter/limit temporaries live across the body; they are
@@ -433,7 +478,7 @@ impl<'a> Compiler<'a> {
     fn expr_value(&mut self, expr: &Expr, assigned: &[bool]) -> Result<Operand> {
         match expr {
             Expr::Name(n) => {
-                let slot = self.slot(n);
+                let slot = self.slot(n)?;
                 if !assigned[slot as usize] {
                     self.emit(Instr::CheckDef { slot });
                 }
@@ -647,6 +692,7 @@ impl Program {
                 | Instr::CastBool { .. }
                 | Instr::MarkDef { .. }
                 | Instr::Cost(_)
+                | Instr::Charge { .. }
                 | Instr::Jump { .. } => InstrClass::Vector,
                 // Definedness is path-determined, and the columnar executor
                 // follows concrete paths: it tracks `MarkDef` per selection
@@ -667,8 +713,12 @@ impl Program {
                 Instr::ForInit { .. } | Instr::ForNext { .. } if trip_count[pc].is_some() => {
                     InstrClass::Counted
                 }
+                // The pruned programs of the generated corpus close only
+                // loops with data-dependent trip counts, whose rows bailed
+                // before the loops were closed.
                 Instr::ForInit { .. }
                 | Instr::ForNext { .. }
+                | Instr::ForClosed { .. }
                 | Instr::WhileInit { .. }
                 | Instr::WhileIter { .. } => InstrClass::Bail,
             })

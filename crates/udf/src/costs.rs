@@ -155,6 +155,31 @@ impl CostCounter {
         self.total += w.return_conv;
     }
 
+    /// `times` merges of `self` as one counter, onto a total of `onto`;
+    /// `None` where the product or the sum would reach 2^52. Exact for the
+    /// integer-valued charges of a [`crate::prune()`]d program only.
+    pub fn repeated(&self, times: u64, onto: f64) -> Option<CostCounter> {
+        const EXACT: f64 = (1u64 << 52) as f64;
+        let total = self.total * times as f64;
+        let fits = onto.abs() + total.abs() < EXACT;
+        if times >= 1 << 52 || !fits {
+            return None;
+        }
+        let k = |n: u64| n.checked_mul(times);
+        Some(CostCounter {
+            total,
+            arith_ops: k(self.arith_ops)?,
+            compare_ops: k(self.compare_ops)?,
+            string_ops: k(self.string_ops)?,
+            string_chars: k(self.string_chars)?,
+            lib_calls: k(self.lib_calls)?,
+            branches: k(self.branches)?,
+            loop_iters: k(self.loop_iters)?,
+            assigns: k(self.assigns)?,
+            statements: k(self.statements)?,
+        })
+    }
+
     /// Merge another counter into this one.
     pub fn merge(&mut self, other: &CostCounter) {
         self.total += other.total;

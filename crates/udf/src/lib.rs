@@ -26,6 +26,9 @@
 //!   VM, with values and costs bit-identical to both backends,
 //! * [`memo`] — an exact memo in front of the VM: over dictionary-encoded
 //!   inputs, each code tuple is evaluated once and its outcome reused,
+//! * [`prune`](mod@prune) — strong liveness over a compiled program: dead
+//!   values become their exact charges, so every evaluator computes only
+//!   what the UDF returns,
 //! * [`generator`] — the synthetic UDF generator of Section V (0–3 branches,
 //!   0–3 loops, 10–150 ops, library calls, data-adaptation actions).
 
@@ -43,6 +46,7 @@ pub mod memo;
 pub mod ops;
 pub mod parser;
 pub mod printer;
+pub mod prune;
 pub mod simd;
 pub mod typecheck;
 pub mod vm;
@@ -56,6 +60,7 @@ pub use libfns::LibFn;
 pub use memo::{CodeMemo, MAX_MEMO_CODES};
 pub use parser::parse_udf;
 pub use printer::print_udf;
+pub use prune::prune;
 pub use simd::{SimdBatchStats, TypedCol};
 pub use typecheck::infer_return_type;
 pub use vm::Vm;

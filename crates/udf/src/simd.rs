@@ -547,6 +547,7 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
             });
         }
         Instr::Cost(kind) => g.cost.charge(w, *kind),
+        Instr::Charge { idx } => g.cost.merge(&prog.charges[*idx as usize]),
         // Every row of the group reads a variable its path never defined;
         // the scalar VM reports the exact per-row error.
         Instr::CheckDef { slot } => {
@@ -596,9 +597,12 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
             g.defined[*var_slot as usize] = true;
             g.regs[*counter as usize] = Some(TypedCol::ints(c + 1, n));
         }
-        // While loops are always Bail-class and caught above; reaching here
-        // means the shape disagrees with the program.
-        Instr::WhileInit { .. } | Instr::WhileIter { .. } => return Err(Bail),
+        // While loops and closed-form loop heads are always Bail-class and
+        // caught above; reaching here means the shape disagrees with the
+        // program.
+        Instr::WhileInit { .. } | Instr::WhileIter { .. } | Instr::ForClosed { .. } => {
+            return Err(Bail)
+        }
     }
     Ok(Step::Goto(pc + 1))
 }

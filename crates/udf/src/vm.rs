@@ -197,29 +197,21 @@ impl Vm {
                     regs[*limit as usize] = Value::Int(n);
                     regs[*counter as usize] = Value::Int(0);
                 }
-                Instr::ForNext { counter, limit, var_slot, exit } => {
-                    // `ForInit` (which the verifier proves immediately
-                    // precedes on every path) stores `Int` in both registers;
-                    // anything else is corrupted state and must be a typed
-                    // error, not a release-mode panic.
-                    let c = match &regs[*counter as usize] {
-                        Value::Int(c) => *c,
-                        other => {
-                            return Err(GracefulError::Verify(format!(
-                                "{}: pc {pc}: for counter holds {other:?}, expected Int",
-                                prog.name
-                            )))
+                Instr::ForNext { counter, limit, var_slot, exit }
+                | Instr::ForClosed { counter, limit, var_slot, exit, .. } => {
+                    let mut c = loop_int(prog, pc, regs, *counter, "counter")?;
+                    let n = loop_int(prog, pc, regs, *limit, "limit")?;
+                    // A closed-form head charges every remaining trip but
+                    // the last at once (iterating where that would reach
+                    // 2^52); the last runs its body like any other.
+                    if let (Instr::ForClosed { per_iter, .. }, true) = (&prog.instrs[pc], n - c > 1)
+                    {
+                        let per_iter = &prog.charges[*per_iter as usize];
+                        if let Some(all) = per_iter.repeated((n - 1 - c) as u64, cost.total) {
+                            cost.merge(&all);
+                            c = n - 1;
                         }
-                    };
-                    let n = match &regs[*limit as usize] {
-                        Value::Int(n) => *n,
-                        other => {
-                            return Err(GracefulError::Verify(format!(
-                                "{}: pc {pc}: for limit holds {other:?}, expected Int",
-                                prog.name
-                            )))
-                        }
-                    };
+                    }
                     if c < n {
                         cost.add_loop_iter(w);
                         regs[*var_slot as usize] = Value::Int(c);
@@ -261,6 +253,7 @@ impl Vm {
                     defined[*slot as usize] = true;
                 }
                 Instr::Cost(kind) => cost.charge(w, *kind),
+                Instr::Charge { idx } => cost.merge(&prog.charges[*idx as usize]),
                 Instr::Return { src } => {
                     return Ok(Self::val(regs, consts, *src).clone());
                 }
@@ -270,6 +263,20 @@ impl Vm {
             }
             pc += 1;
         }
+    }
+}
+
+/// The `Int` a `for` loop's counter or limit register holds. `ForInit`
+/// (which the verifier proves immediately precedes the loop head on every
+/// path) stores `Int` in both; anything else is corrupted state and must be
+/// a typed error, not a release-mode panic.
+fn loop_int(prog: &Program, pc: usize, regs: &[Value], reg: u16, what: &str) -> Result<i64> {
+    match &regs[reg as usize] {
+        Value::Int(v) => Ok(*v),
+        other => Err(GracefulError::Verify(format!(
+            "{}: pc {pc}: for {what} holds {other:?}, expected Int",
+            prog.name
+        ))),
     }
 }
 

@@ -20,7 +20,13 @@
 //!   recorded trip counts agree instruction-by-instruction, and no recorded
 //!   trip count exceeds [`MAX_COUNTED_TRIPS`];
 //! - the entry block dominates every reachable block of the CFG;
-//! - the constant pool carries no duplicates.
+//! - the constant pool carries no duplicates;
+//! - the program [`prune()`] makes of it over its table's column types
+//!   passes all of the above.
+//!
+//! It prints the pruning census: programs the pass applies to, static
+//! instructions it removes (dead values and merged charges), loops it closes
+//! (folded, or with a closed-form head) and the mean time of one `prune`.
 //!
 //! **`plan`** — the generated query-plan corpus through the plan verifier and
 //! the static analysis behind the verified rewrite. Per plan (every valid
@@ -33,9 +39,10 @@
 //! - liveness is consistent (nothing is live above the root).
 //!
 //! Both also gate the engine's shortcuts on traffic: a corpus with no counted
-//! loop, no typed-lane-eligible program (`udf`) or no dead join lane (`plan`)
-//! fails with "shortcut without traffic" — a fast path the generators never
-//! reach is code to delete, not to carry.
+//! loop, no typed-lane-eligible program, no pruned instruction or no closed
+//! loop (`udf`) or no dead join lane (`plan`) fails with "shortcut without
+//! traffic" — a fast path the generators never reach is code to delete, not
+//! to carry.
 //!
 //! **`flight <file>`** — parse every line of a flight-recorder JSONL file
 //! back into [`graceful::obs::flight::FlightRecord`]s and summarize the
@@ -48,7 +55,8 @@ use graceful::plan::{Plan, PlanOpKind};
 use graceful::prelude::*;
 use graceful::udf::analysis::{verify, Cfg, MAX_COUNTED_TRIPS};
 use graceful::udf::bytecode::Instr;
-use graceful::udf::{InstrClass, Program};
+use graceful::udf::{prune, CostWeights, InstrClass, Program};
+use std::time::{Duration, Instant};
 
 /// The corpus both generators are linted over.
 const SCHEMAS: [&str; 6] = ["tpc_h", "imdb", "ssb", "airline", "baseball", "movielens"];
@@ -124,6 +132,10 @@ fn lint_program(prog: &Program) -> Vec<String> {
 fn lint_udfs() -> i32 {
     let mut programs = 0usize;
     let (mut counted_loops, mut lane_eligible) = (0usize, 0usize);
+    let (mut pruned_programs, mut instrs, mut pruned_instrs) = (0usize, 0usize, 0usize);
+    let (mut closed_loops, mut prune_time) = (0usize, Duration::ZERO);
+    let loops =
+        |p: &Program| p.instrs.iter().filter(|i| matches!(i, Instr::ForNext { .. })).count();
     let mut diagnostics = 0usize;
     for name in SCHEMAS {
         let db = generate(&schema(name), 0.02, 7);
@@ -154,16 +166,35 @@ fn lint_udfs() -> i32 {
                 eprintln!("lint udf: {name}/{seed} {}: {d}", prog.name);
                 diagnostics += 1;
             }
+            let types: Option<Vec<DataType>> = db.table(&u.table).ok().and_then(|t| {
+                u.input_columns.iter().map(|c| t.column(c).ok().map(|c| c.data_type())).collect()
+            });
+            let Some(types) = types else {
+                eprintln!("lint udf: {name}/{seed}: input columns not in {}", u.table);
+                diagnostics += 1;
+                continue;
+            };
+            let (n, plain_loops, start) = (prog.instrs.len(), loops(&prog), Instant::now());
+            let pruned = prune(prog, &types, &CostWeights::default());
+            prune_time += start.elapsed();
+            pruned_programs += usize::from(!pruned.charges.is_empty());
+            (instrs, pruned_instrs) = (instrs + n, pruned_instrs + n - pruned.instrs.len());
+            closed_loops += plain_loops - loops(&pruned);
+            for d in lint_program(&pruned) {
+                eprintln!("lint udf: {name}/{seed} {} (pruned): {d}", pruned.name);
+                diagnostics += 1;
+            }
         }
     }
     if diagnostics > 0 {
         eprintln!("lint udf: {diagnostics} diagnostics over {programs} programs");
         return 1;
     }
-    if counted_loops == 0 || lane_eligible == 0 {
+    if counted_loops == 0 || lane_eligible == 0 || pruned_instrs == 0 || closed_loops == 0 {
         eprintln!(
             "lint udf: shortcut without traffic: {counted_loops} counted loops, \
-             {lane_eligible} typed-lane-eligible programs over {programs} programs"
+             {lane_eligible} typed-lane-eligible programs, {pruned_instrs} pruned instructions, \
+             {closed_loops} closed loops over {programs} programs"
         );
         return 1;
     }
@@ -171,6 +202,11 @@ fn lint_udfs() -> i32 {
         "lint udf: {programs} programs verified clean ({} schemas, {counted_loops} counted \
          loops, {lane_eligible} typed-lane-eligible programs)",
         SCHEMAS.len()
+    );
+    println!(
+        "lint udf: pruning: {pruned_programs} programs eligible, {pruned_instrs} of {instrs} \
+         static instructions removed, {closed_loops} loops closed, {:.1} us per prune",
+        prune_time.as_secs_f64() * 1e6 / programs.max(1) as f64
     );
     0
 }
