@@ -73,8 +73,8 @@ impl<'a> SamplingCard<'a> {
         };
         let rtab = self.db.table(&right_col.table)?;
         let rcol = rtab.column(&right_col.column)?;
-        let keyed = (0..rtab.num_rows()).filter_map(|r| rcol.get_i64(r).map(|k| (k, r as u32)));
-        let index = JoinIndex::build(keyed.collect());
+        let keys: Vec<_> = (0..rtab.num_rows()).map(|r| rcol.get_i64(r)).collect();
+        let index = JoinIndex::new(&keys);
         let r_base = rtab.num_rows() as f64;
         let r_ratio = if r_base > 0.0 { right.estimate / r_base } else { 0.0 };
         let ltab = self.db.table(&left_col.table)?;
@@ -345,14 +345,13 @@ mod tests {
                 let PlanOpKind::Join { right_col, .. } = &op.kind else { continue };
                 let col = db.table(&right_col.table).unwrap().column(&right_col.column).unwrap();
                 let mut by_hash: HashMap<i64, Vec<u32>> = HashMap::new();
-                let mut pairs = Vec::new();
-                for r in 0..col.len() {
-                    if let Some(k) = col.get_i64(r) {
-                        by_hash.entry(k).or_default().push(r as u32);
-                        pairs.push((k, r as u32));
+                let keys: Vec<_> = (0..col.len()).map(|r| col.get_i64(r)).collect();
+                for (r, k) in keys.iter().enumerate() {
+                    if let Some(k) = k {
+                        by_hash.entry(*k).or_default().push(r as u32);
                     }
                 }
-                let index = JoinIndex::build(pairs);
+                let index = JoinIndex::new(&keys);
                 assert!(by_hash.iter().all(|(k, rows)| index.get(*k) == rows.as_slice()));
                 joins += 1;
             }

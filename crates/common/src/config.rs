@@ -14,9 +14,7 @@
 //! | `GRACEFUL_EPOCHS` | GNN training epochs | `14` |
 //! | `GRACEFUL_HIDDEN` | GNN hidden width | `32` |
 //! | `GRACEFUL_SEED` | global seed | `20250331` (the arXiv date) |
-//! | `GRACEFUL_UDF_BATCH` | rows per batch fed to the UDF VM | `1024` |
 //! | `GRACEFUL_THREADS` | worker threads of the morsel-driven runtime (`graceful-runtime`) | all cores |
-//! | `GRACEFUL_MORSEL` | rows per morsel in parallel operators | `2048` |
 //! | `GRACEFUL_PROFILE` | attach a per-operator `ExecProfile` to every `QueryRun` | `0` |
 //! | `GRACEFUL_TRACE` | enable span tracing and write Chrome-trace JSON to this path on flush | off |
 //! | `GRACEFUL_FLIGHT` | enable the query flight recorder and write per-query JSONL records to this path on flush | off |
@@ -27,8 +25,9 @@
 //! not silently re-run the wrong configuration. Results never depend on the
 //! execution knobs: the runtime merges per-morsel work in morsel-index order
 //! and profiling/tracing are write-only observers, so every output is
-//! bit-identical for any thread count, batch size and instrumentation
-//! (`tests/parallel_determinism.rs`).
+//! bit-identical for any thread count and instrumentation
+//! (`tests/parallel_determinism.rs`); batch and morsel sizes are set through
+//! `graceful_exec::ExecOptions` only (`tests/batch_and_morsel_sweep.rs`).
 //!
 //! These variables are only *defaults*: `graceful_exec::ExecOptions` and
 //! `graceful_core::model::TrainOptions` resolve them once, through the
@@ -74,16 +73,14 @@ type Knob = (&'static str, Shape, &'static str, &'static str);
 /// Every `GRACEFUL_*` variable the workspace reads — one row per line, like
 /// the module-doc table a test holds it to.
 #[rustfmt::skip]
-const KNOBS: [Knob; 12] = [
+const KNOBS: [Knob; 10] = [
     ("GRACEFUL_SCALE", Shape::Float, "`1.0`", "multiplier on base-table row counts"),
     ("GRACEFUL_QUERIES_PER_DB", clamped(4, u64::MAX), "`45`", "labelled queries generated per database"),
     ("GRACEFUL_FOLDS", clamped(1, 20), "`2`", "cross-validation groups (20 = the paper's leave-one-out)"),
     ("GRACEFUL_EPOCHS", clamped(1, u64::MAX), "`14`", "GNN training epochs"),
     ("GRACEFUL_HIDDEN", clamped(4, 512), "`32`", "GNN hidden width"),
     ("GRACEFUL_SEED", SEED, "`20250331` (the arXiv date)", "global seed"),
-    ("GRACEFUL_UDF_BATCH", COUNT, "`1024`", "rows per batch fed to the UDF VM"),
     ("GRACEFUL_THREADS", COUNT, "all cores", "worker threads of the morsel-driven runtime (`graceful-runtime`)"),
-    ("GRACEFUL_MORSEL", COUNT, "`2048`", "rows per morsel in parallel operators"),
     ("GRACEFUL_PROFILE", BOOL, "`0`", "attach a per-operator `ExecProfile` to every `QueryRun`"),
     ("GRACEFUL_TRACE", Shape::Path, "off", "enable span tracing and write Chrome-trace JSON to this path on flush"),
     ("GRACEFUL_FLIGHT", Shape::Path, "off", "enable the query flight recorder and write per-query JSONL records to this path on flush"),
@@ -141,12 +138,14 @@ fn read<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String> {
 
 /// Variables that left the environment surface when what they selected
 /// stopped being a choice, each with what holds in its place.
-const REMOVED_KNOBS: [(&str, &str); 5] = [
+const REMOVED_KNOBS: [(&str, &str); 7] = [
     ("GRACEFUL_UDF_BACKEND", "every UDF operator runs typed lanes over the batch VM"),
     ("GRACEFUL_EXEC", "every query runs on the streaming driver"),
     ("GRACEFUL_GNN_EXEC", "every training step runs on the level-synchronous engine"),
     ("GRACEFUL_VERIFY", "every compiled UDF is verified"),
     ("GRACEFUL_PLAN_VERIFY", "every plan is verified before it is lowered"),
+    ("GRACEFUL_UDF_BATCH", "the UDF batch size is `ExecOptions::udf_batch_size`, default 1024"),
+    ("GRACEFUL_MORSEL", "the morsel size is `ExecOptions::morsel_rows`, default 2048"),
 ];
 
 /// Every removed knob must be unset: an experiment script that still sets
@@ -179,19 +178,9 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// `GRACEFUL_UDF_BATCH`, default [`DEFAULT_UDF_BATCH`].
-pub fn try_udf_batch_from_env() -> Result<usize, String> {
-    Ok(read("GRACEFUL_UDF_BATCH")?.unwrap_or(DEFAULT_UDF_BATCH))
-}
-
 /// `GRACEFUL_THREADS`, default [`default_threads`].
 pub fn try_threads_from_env() -> Result<usize, String> {
     Ok(read("GRACEFUL_THREADS")?.unwrap_or_else(default_threads))
-}
-
-/// `GRACEFUL_MORSEL`, default [`DEFAULT_MORSEL_ROWS`].
-pub fn try_morsel_from_env() -> Result<usize, String> {
-    Ok(read("GRACEFUL_MORSEL")?.unwrap_or(DEFAULT_MORSEL_ROWS))
 }
 
 /// `GRACEFUL_PROFILE`, default off.
@@ -295,8 +284,6 @@ mod tests {
             ("GRACEFUL_EPOCHS", c.epochs.to_string()),
             ("GRACEFUL_HIDDEN", c.hidden.to_string()),
             ("GRACEFUL_SEED", c.seed.to_string()),
-            ("GRACEFUL_UDF_BATCH", DEFAULT_UDF_BATCH.to_string()),
-            ("GRACEFUL_MORSEL", DEFAULT_MORSEL_ROWS.to_string()),
         ] {
             let stated = knob(name).2.trim_start_matches('`');
             let stated: f64 = stated[..stated.find('`').unwrap()].parse().unwrap();
@@ -386,15 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn udf_batch_parses_and_rejects() {
-        let k = knob("GRACEFUL_UDF_BATCH");
-        assert_eq!(parse(k, "37"), Ok(37usize));
-        for bad in ["0", "-1", "", "fast", "2.5"] {
-            assert!(parse::<usize>(k, bad).is_err(), "batch accepted {bad:?}");
-        }
-    }
-
-    #[test]
     fn scale_knob_rejects_nonpositive_nan_and_garbage() {
         let k = knob("GRACEFUL_SCALE");
         assert_eq!(parse(k, "100"), Ok(100.0));
@@ -423,13 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_and_morsel_knobs_reject_invalid_values() {
-        let (threads, morsel) = (knob("GRACEFUL_THREADS"), knob("GRACEFUL_MORSEL"));
+    fn thread_knob_rejects_invalid_values() {
+        let threads = knob("GRACEFUL_THREADS");
         assert_eq!(parse(threads, "4"), Ok(4usize));
-        assert_eq!(parse(morsel, " 512 "), Ok(512usize));
+        assert_eq!(parse(threads, " 512 "), Ok(512usize));
         for bad in ["0", "-2", "many", "", "1.5"] {
             assert!(parse::<usize>(threads, bad).is_err(), "threads accepted {bad:?}");
-            assert!(parse::<usize>(morsel, bad).is_err(), "morsel accepted {bad:?}");
         }
         assert!(default_threads() >= 1);
     }

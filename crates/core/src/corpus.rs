@@ -203,8 +203,7 @@ pub fn benchmark_stats(corpora: &[DatasetCorpus]) -> BenchmarkStats {
 }
 
 /// The corpus every unit test of this crate builds: on the environment's
-/// session, so the CI legs' `GRACEFUL_THREADS` / `GRACEFUL_UDF_BATCH` reach
-/// the labelling.
+/// session, so the CI legs' `GRACEFUL_THREADS` reaches the labelling.
 #[cfg(test)]
 pub(crate) fn env_corpus(dataset: &str, cfg: &ScaleConfig, seed: u64) -> DatasetCorpus {
     let session = Session::from_env().expect("a valid GRACEFUL_* environment");

@@ -20,11 +20,11 @@
 //!
 //! Every data-plane operator runs on the morsel-driven pool of
 //! `graceful-runtime`: rows are split into `morsel_rows`-row morsels
-//! (`GRACEFUL_MORSEL`), workers pull morsels from a shared queue, and
-//! per-morsel results — kept rows, projected values, join output chunks,
+//! ([`crate::ExecOptions::morsel_rows`]), workers pull morsels from a shared
+//! queue, and per-morsel results — kept rows, projected values, join output chunks,
 //! aggregate partials, accounted work — merge in morsel-index order (one
 //! protocol, written once: `physical`'s morsel stage). Hash joins probe the
-//! flat sorted index of [`crate::join`].
+//! counted, slot-addressed index of [`crate::join`].
 //! Work totals are grouped *per morsel* regardless of the thread count, so
 //! every `QueryRun` field is **bit-identical for any `GRACEFUL_THREADS`
 //! value** (enforced by `tests/parallel_determinism.rs`).
@@ -159,8 +159,8 @@ impl ExecConfig {
     }
 
     /// [`ExecConfig::base`] with the documented `GRACEFUL_*` environment
-    /// defaults applied (`GRACEFUL_UDF_BATCH`, `GRACEFUL_THREADS`,
-    /// `GRACEFUL_MORSEL`, `GRACEFUL_PROFILE`, `GRACEFUL_SCALE`). Invalid
+    /// defaults applied (`GRACEFUL_THREADS`, `GRACEFUL_PROFILE`,
+    /// `GRACEFUL_SCALE`). Invalid
     /// values are a typed [`GracefulError::Config`], not a panic; so is a
     /// set variable that is no longer a knob (see
     /// `config::try_removed_knobs_unset`).
@@ -180,9 +180,7 @@ impl ExecConfig {
             graceful_obs::flight::configure(&path);
         }
         Ok(ExecConfig {
-            udf_batch_size: config::try_udf_batch_from_env().map_err(cfg)?,
             threads: config::try_threads_from_env().map_err(cfg)?,
-            morsel_rows: config::try_morsel_from_env().map_err(cfg)?,
             profile: config::try_profile_from_env().map_err(cfg)?,
             data_scale: config::try_scale_from_env().map_err(cfg)?,
             ..ExecConfig::base()

@@ -23,8 +23,8 @@
 //!   non-blocking chains); every parallel operator is one morsel stage
 //!   around a kernel, so the rebatch / ordered-merge / closed-form-charge
 //!   protocol is written once;
-//! * [`join`] — the flat sorted [`join::JoinIndex`] (key → ascending build
-//!   rows) the build sink and the sampling estimator both build;
+//! * [`join`] — the counted, slot-addressed [`join::JoinIndex`] (key →
+//!   ascending build rows) the build sink and the sampling estimator build;
 //! * [`engine`] — [`ExecConfig`], [`QueryRun`], [`OperatorWeights`] with the
 //!   closed-form work charges, written once, and the [`Executor`] with its
 //!   two entry points: [`Executor::run`], what ships, and
@@ -45,9 +45,9 @@
 //!   `explain analyze` record built by [`analyze::flight_record`]).
 //!
 //! Every data-plane operator runs morsel-parallel on the
-//! `graceful-runtime` pool: filters evaluate their predicates per morsel,
-//! hash joins probe the build side's index per morsel, and aggregates fold
-//! per-morsel partial states.
+//! `graceful-runtime` pool: filters narrow a selection vector per morsel,
+//! hash joins probe the build side's index per morsel (none if it is
+//! empty), and aggregates fold per-morsel partial states.
 //! Work accounting is grouped per morsel and merged in morsel-index order,
 //! so results and accounted runtimes are **bit-identical for any thread
 //! count and batch size, and between `run` and `run_reference`** — the

@@ -12,7 +12,7 @@
 use super::{HashBuild, PhysicalOp, PhysicalOpKind};
 use crate::engine::{AggState, ExecConfig, OperatorWeights, Shortcuts};
 use crate::join::JoinIndex;
-use crate::row_test::RowTest;
+use crate::row_test::{self, RowTest};
 use crate::udf_eval::{UdfEvalSpec, UdfEvalStats, UdfWorker};
 use graceful_common::{GracefulError, Result};
 use graceful_plan::{AggFunc, ColRef, Pred};
@@ -177,7 +177,7 @@ trait Kernel: Sync {
     fn worker(&self) -> Self::Worker<'_>;
 
     /// Whether `batch` (of `n` rows) goes through the rebatch buffer.
-    fn admit(&mut self, _batch: &Batch, _n: usize) -> Result<bool> {
+    fn admit(&mut self, _batch: &Batch, _n: usize, _ctx: &ExecCtx<'_>) -> Result<bool> {
         Ok(true)
     }
 
@@ -257,7 +257,7 @@ impl<K: Kernel> Operator for Stage<K> {
         let n = batch.rows.len() / self.buf.stride;
         self.rows_in += n;
         self.batches += 1;
-        if !self.kernel.admit(&batch, n)? {
+        if !self.kernel.admit(&batch, n, ctx)? {
             return Ok(());
         }
         self.buf.append(batch);
@@ -303,12 +303,9 @@ impl Kernel for FilterKernel<'_> {
     fn worker(&self) {}
 
     fn morsel(&self, _: &mut (), morsel: &Morsel<'_>) -> Result<MorselOut<()>> {
-        let mut kept = Vec::new();
-        for tuple in morsel.tuples() {
-            if self.preds.iter().all(|(test, pos)| test.accepts(tuple[*pos] as usize)) {
-                kept.extend_from_slice(tuple);
-            }
-        }
+        let Range { start, end } = morsel.range;
+        let rows = &morsel.rows[start * morsel.stride..end * morsel.stride];
+        let kept = row_test::filter(&self.preds, rows, morsel.stride);
         let rows_out = kept.len() / morsel.stride;
         MorselOut::rows(kept, rows_out)
     }
@@ -386,8 +383,9 @@ impl Kernel for UdfKernel<'_> {
 /// index and emits matched `left[keep] ++ build` tuples (the build side was
 /// lane-pruned at build time). Match lists are row-ascending and chunks
 /// merge in morsel-index order, which is the sequential probe's output row
-/// order exactly. Accounts the whole join's work — lane pruning never
-/// changes row counts, so the charge is rewrite-invariant.
+/// order exactly. A build side with no keyed row admits no batch: its probe
+/// input is counted but never read. Accounts the whole join's work — lane
+/// pruning never changes row counts, so the charge is rewrite-invariant.
 struct ProbeKernel<'a> {
     key_col: &'a Column,
     pos: usize,
@@ -404,6 +402,10 @@ impl Kernel for ProbeKernel<'_> {
     type Extra = ();
 
     fn worker(&self) {}
+
+    fn admit(&mut self, _: &Batch, _: usize, ctx: &ExecCtx<'_>) -> Result<bool> {
+        Ok(!ctx.builds[self.build].index.is_empty())
+    }
 
     fn morsel(&self, _: &mut (), morsel: &Morsel<'_>) -> Result<MorselOut<()>> {
         let side = &morsel.ctx.builds[self.build];
@@ -455,7 +457,7 @@ impl Kernel for AggKernel<'_> {
 
     fn worker(&self) {}
 
-    fn admit(&mut self, batch: &Batch, n: usize) -> Result<bool> {
+    fn admit(&mut self, batch: &Batch, n: usize, _: &ExecCtx<'_>) -> Result<bool> {
         if self.func == AggFunc::CountStar {
             self.state.count_rows(n);
             return Ok(false);
@@ -513,13 +515,13 @@ pub struct BuildSide {
 /// Hash-join build sink: materializes the pipeline's output as the probe's
 /// build side, storing only the `keep` lanes of each input tuple (the key
 /// is read from the full input tuple, so even the key lane can be pruned
-/// from storage). `(key, row)` pairs are gathered while rows stream in —
-/// NULL keys never match and are left out — and indexed at `finish`. Work is
-/// accounted by the probe (the join's logical operator).
+/// from storage). Each row's key (`None` for NULL) is gathered in row order
+/// while rows stream in, and indexed at `finish`. Work is accounted by the
+/// probe (the join's logical operator).
 pub(super) struct BuildExec<'a> {
     key_col: &'a Column,
     sink: &'a HashBuild<'a>,
-    pairs: Vec<(i64, u32)>,
+    keys: Vec<Option<i64>>,
     side: BuildSide,
 }
 
@@ -531,7 +533,7 @@ impl<'a> BuildExec<'a> {
             stride: sink.keep.len(),
             n_rows: 0,
         };
-        Ok(BuildExec { key_col: storage_column(db, sink.key)?, sink, pairs: Vec::new(), side })
+        Ok(BuildExec { key_col: storage_column(db, sink.key)?, sink, keys: Vec::new(), side })
     }
 
     pub(super) fn into_side(self) -> BuildSide {
@@ -542,9 +544,7 @@ impl<'a> BuildExec<'a> {
 impl Operator for BuildExec<'_> {
     fn push(&mut self, batch: Batch, _ctx: &ExecCtx<'_>, _emit: &mut Emit<'_>) -> Result<()> {
         for tuple in batch.rows.chunks_exact(self.sink.stride) {
-            if let Some(key) = self.key_col.get_i64(tuple[self.sink.pos] as usize) {
-                self.pairs.push((key, self.side.n_rows as u32));
-            }
+            self.keys.push(self.key_col.get_i64(tuple[self.sink.pos] as usize));
             self.side.rows.extend(self.sink.keep.iter().map(|&i| tuple[i]));
             self.side.n_rows += 1;
         }
@@ -552,7 +552,7 @@ impl Operator for BuildExec<'_> {
     }
 
     fn finish(&mut self, _ctx: &ExecCtx<'_>, _emit: &mut Emit<'_>) -> Result<()> {
-        self.side.index = JoinIndex::build(std::mem::take(&mut self.pairs));
+        self.side.index = JoinIndex::new(&std::mem::take(&mut self.keys));
         Ok(())
     }
 

@@ -163,6 +163,67 @@ fn join_over_cap_returns_typed_error_in_both_modes() {
     }
 }
 
+/// A build side with no keyed row matches nothing, whether a filter left it
+/// no rows or every key is NULL: `run` (whose probe then reads no input)
+/// agrees with `run_reference` in every contracted field and with the naive
+/// evaluator in cardinalities and answer, and the probe still charges its
+/// whole input.
+#[test]
+fn an_empty_build_side_is_probed_by_nothing() {
+    let db = generate(&schema("tpc_h"), 0.05, 3);
+    let mut null_keys = db.clone();
+    null_keys
+        .update_table("customer_t", |t| {
+            t.column_mut("id")?.nulls.iter_mut().for_each(|null| *null = true);
+            Ok(())
+        })
+        .unwrap();
+    // orders ⋈ customer on cust_id = id, the build side optionally filtered.
+    let plan = |build_filter: Option<Pred>| {
+        let mut ops = vec![
+            PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
+            PlanOp::new(PlanOpKind::Scan { table: "customer_t".into() }, vec![]),
+        ];
+        if let Some(pred) = build_filter {
+            ops.push(PlanOp::new(PlanOpKind::Filter { preds: vec![pred] }, vec![1]));
+        }
+        let build = ops.len() - 1;
+        ops.push(PlanOp::new(
+            PlanOpKind::Join {
+                left_col: ColRef::new("orders_t", "cust_id"),
+                right_col: ColRef::new("customer_t", "id"),
+            },
+            vec![0, build],
+        ));
+        let join = ops.len() - 1;
+        let column = Some(ColRef::new("orders_t", "totalprice"));
+        ops.push(PlanOp::new(PlanOpKind::Agg { func: AggFunc::Sum, column }, vec![join]));
+        (Plan { root: ops.len() - 1, ops }, build, join)
+    };
+    let nothing = Pred::new("customer_t", "id", CmpOp::Lt, Value::Int(i64::MIN));
+    let s = session(2);
+    let w = &s.config().weights;
+    for (what, db, (plan, build, join)) in
+        [("filtered away", &db, plan(Some(nothing))), ("NULL keys", &null_keys, plan(None))]
+    {
+        let (out_rows, udf_input_rows, agg_value, _) = naive_run(db, &plan).expect("no UDF");
+        assert_eq!(out_rows[join], 0, "{what}: the join matches nothing");
+        let probed = db.table("orders_t").unwrap().num_rows();
+        assert!(probed > 64, "{what}: the probe input spans several morsels");
+        let built = out_rows[build];
+        let [run, reference] = ENTRIES.map(|(_, run)| run(&s, db, &plan, 1).expect("executes"));
+        for (entry, run) in [("run", &run), ("run_reference", &reference)] {
+            assert_eq!(run.out_rows, out_rows, "{what} ({entry}): cardinalities");
+            assert_eq!(run.udf_input_rows, udf_input_rows, "{what} ({entry}): udf rows");
+            assert_eq!(run.agg_value.to_bits(), agg_value.to_bits(), "{what} ({entry}): answer");
+            let charged = w.join(built as f64, probed as f64, 0.0);
+            assert_eq!(run.op_work[join].to_bits(), charged.to_bits(), "{what} ({entry}): probe");
+        }
+        assert_eq!(run.runtime_ns.to_bits(), reference.runtime_ns.to_bits(), "{what}: runtime");
+        assert_eq!(run.op_work, reference.op_work, "{what}: work");
+    }
+}
+
 /// The valve also trips on non-join operators (a scan bigger than the cap),
 /// in the streaming `run` and the collecting `run_reference` alike.
 #[test]
@@ -333,7 +394,8 @@ fn assert_the_verifiers_reject() {
 /// of a numeric UDF carries every row on the SIMD lanes. The environment has
 /// no say in that, in the driver, in the GNN engine or in either verifier —
 /// a *set* `GRACEFUL_UDF_BACKEND`, `GRACEFUL_EXEC`, `GRACEFUL_GNN_EXEC`,
-/// `GRACEFUL_VERIFY` or `GRACEFUL_PLAN_VERIFY` (the removed knobs) fails
+/// `GRACEFUL_VERIFY`, `GRACEFUL_PLAN_VERIFY`, `GRACEFUL_UDF_BATCH` or
+/// `GRACEFUL_MORSEL` (the removed knobs) fails
 /// every environment-defaulted construction, the session's and the
 /// trainer's, with a typed `Config` error instead of being silently ignored,
 /// and the verifiers reject as they do with the variable unset. A knob that
@@ -358,8 +420,10 @@ fn simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected() {
 
     // (variable, value, what the error names besides it, removed?) — a removed
     // knob is rejected whatever its value and by the session too.
-    const CASES: [(&str, &str, &str, bool); 6] = [
+    const CASES: [(&str, &str, &str, bool); 8] = [
         ("GRACEFUL_UDF_BACKEND", "simd", "no longer read", true),
+        ("GRACEFUL_UDF_BATCH", "257", "no longer read", true),
+        ("GRACEFUL_MORSEL", "4096", "no longer read", true),
         ("GRACEFUL_EXEC", "anything", "no longer read", true),
         ("GRACEFUL_GNN_EXEC", "batched", "no longer read", true),
         ("GRACEFUL_VERIFY", "off", "no longer read", true),

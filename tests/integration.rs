@@ -3,7 +3,7 @@
 use graceful::prelude::*;
 
 /// The environment's session: the CI legs' `GRACEFUL_THREADS` /
-/// `GRACEFUL_UDF_BATCH` / `GRACEFUL_SCALE` reach these tests through it.
+/// `GRACEFUL_SCALE` reach these tests through it.
 fn session() -> Session {
     Session::from_env().expect("a valid GRACEFUL_* environment")
 }
