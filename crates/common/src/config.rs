@@ -199,11 +199,6 @@ pub fn try_flight_from_env() -> Result<Option<String>, String> {
     read("GRACEFUL_FLIGHT")
 }
 
-/// `GRACEFUL_SCALE`, default `1.0`.
-pub fn try_scale_from_env() -> Result<f64, String> {
-    Ok(read("GRACEFUL_SCALE")?.unwrap_or(1.0))
-}
-
 /// Scaling configuration resolved from the environment with sane defaults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleConfig {
@@ -242,7 +237,7 @@ impl ScaleConfig {
     pub fn try_from_env() -> Result<Self, String> {
         let d = ScaleConfig::default();
         Ok(ScaleConfig {
-            data_scale: try_scale_from_env()?,
+            data_scale: read("GRACEFUL_SCALE")?.unwrap_or(d.data_scale),
             queries_per_db: read("GRACEFUL_QUERIES_PER_DB")?.unwrap_or(d.queries_per_db),
             folds: read("GRACEFUL_FOLDS")?.unwrap_or(d.folds),
             epochs: read("GRACEFUL_EPOCHS")?.unwrap_or(d.epochs),
@@ -339,14 +334,18 @@ mod tests {
         }
 
         let mut stack: Vec<_> = ["crates", "src", "examples"].map(|d| root.join(d)).to_vec();
-        let mut scanned = 0;
+        // Files the walk must reach, so a walk that misses the tree fails.
+        let known = ["crates/exec/src/engine.rs", "src/lib.rs", "examples/lint.rs"];
+        let mut reached = known.map(|_| false);
         while let Some(path) = stack.pop() {
             if path.is_dir() {
                 stack.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
             } else if path.extension().is_some_and(|e| e == "rs")
                 && !path.ends_with("crates/common/src/config.rs")
             {
-                scanned += 1;
+                for (seen, file) in reached.iter_mut().zip(known) {
+                    *seen |= path == root.join(file);
+                }
                 assert!(
                     !read(&path).contains("env::var"),
                     "{} reads the environment",
@@ -354,7 +353,7 @@ mod tests {
                 );
             }
         }
-        assert!(scanned > 100, "only {scanned} source files scanned");
+        assert!(reached.iter().all(|&r| r), "the walk missed one of {known:?}: {reached:?}");
     }
 
     #[test]

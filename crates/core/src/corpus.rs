@@ -62,25 +62,15 @@ impl DatasetCorpus {
 
 /// Build the corpus for one named dataset (default workload mix) on the
 /// engine `session` configures ([`Session::from_env`] for the documented
-/// `GRACEFUL_*` defaults).
+/// `GRACEFUL_*` defaults). The benchmark harness's traced run replays this
+/// body call for call, checking its labels.
 pub fn build_corpus_in(
     session: &Session,
     dataset: &str,
     cfg: &ScaleConfig,
     seed: u64,
 ) -> Result<DatasetCorpus> {
-    build_corpus_with_in(session, dataset, cfg, seed, QueryGenerator::default())
-}
-
-/// Build a corpus with a custom workload generator — used by Exp 3's
-/// select-only workload (`SELECT udf(col) FROM table WHERE filter`).
-pub fn build_corpus_with_in(
-    session: &Session,
-    dataset: &str,
-    cfg: &ScaleConfig,
-    seed: u64,
-    qgen: QueryGenerator,
-) -> Result<DatasetCorpus> {
+    let qgen = QueryGenerator::default();
     // One job per column on the session's pool; inside a dataset-parallel
     // build the region is nested and runs inline.
     let mut db = generate_in(&schema(dataset), cfg.data_scale, seed, &session.pool());

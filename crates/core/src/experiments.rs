@@ -1,6 +1,6 @@
 //! Shared experiment harness: leave-one-out training/evaluation and the
-//! advisor end-to-end runner. The bench targets (one per paper table/figure)
-//! are thin printers over these functions.
+//! advisor end-to-end runner. `tests/paper_claims.rs` computes every paper
+//! table and figure from these functions once and asserts its orderings.
 
 use crate::advisor::{PullUpAdvisor, Strategy};
 use crate::baselines::{FlatGraphBaseline, GraphGraphBaseline};
@@ -84,11 +84,11 @@ pub struct Fold {
 /// reduced scale we partition the datasets into `cfg.folds` groups; each
 /// group's model is trained on all *other* datasets and evaluated zero-shot
 /// on every dataset in the group, so all 20 datasets are still evaluated
-/// unseen. `GRACEFUL_FOLDS=20` recovers exact leave-one-out. Fold trainings
-/// run on `session`'s morsel pool (one fold per morsel; every fold seeds its
-/// own model, so results are pool-size independent). An empty corpus set is
-/// a typed [`graceful_common::GracefulError::Model`], like any training
-/// failure.
+/// unseen; 20 folds (`GRACEFUL_FOLDS=20` for `paper_claims`'s ignored
+/// paper-scale test) are exact leave-one-out. Fold trainings run on
+/// `session`'s morsel pool (one fold per morsel; every fold seeds its own
+/// model, so results are pool-size independent). An empty corpus set is a
+/// typed [`graceful_common::GracefulError::Model`], like any training failure.
 pub fn cross_validate(
     session: &Session,
     corpora: &[DatasetCorpus],

@@ -134,11 +134,6 @@ pub struct ExecConfig {
     /// Attach a per-operator [`ExecProfile`] to every [`QueryRun`]. Pure
     /// observability: never changes any contracted result field.
     pub profile: bool,
-    /// Base-row multiplier for generated databases (`GRACEFUL_SCALE`).
-    /// Execution itself never reads it — it rides on the session config so
-    /// benches and experiment drivers size their `datagen::generate` calls
-    /// from the same validated knob surface as every other setting.
-    pub data_scale: f64,
 }
 
 impl ExecConfig {
@@ -154,13 +149,11 @@ impl ExecConfig {
             threads: config::default_threads(),
             morsel_rows: config::DEFAULT_MORSEL_ROWS,
             profile: false,
-            data_scale: 1.0,
         }
     }
 
     /// [`ExecConfig::base`] with the documented `GRACEFUL_*` environment
-    /// defaults applied (`GRACEFUL_THREADS`, `GRACEFUL_PROFILE`,
-    /// `GRACEFUL_SCALE`). Invalid
+    /// defaults applied (`GRACEFUL_THREADS`, `GRACEFUL_PROFILE`). Invalid
     /// values are a typed [`GracefulError::Config`], not a panic; so is a
     /// set variable that is no longer a knob (see
     /// `config::try_removed_knobs_unset`).
@@ -182,7 +175,6 @@ impl ExecConfig {
         Ok(ExecConfig {
             threads: config::try_threads_from_env().map_err(cfg)?,
             profile: config::try_profile_from_env().map_err(cfg)?,
-            data_scale: config::try_scale_from_env().map_err(cfg)?,
             ..ExecConfig::base()
         })
     }
@@ -206,9 +198,6 @@ impl ExecConfig {
         }
         if !self.jitter.is_finite() || !(0.0..=1.0).contains(&self.jitter) {
             return bad(format!("jitter must be a finite fraction in [0, 1], got {}", self.jitter));
-        }
-        if !self.data_scale.is_finite() || self.data_scale <= 0.0 {
-            return bad(format!("data_scale must be a finite float > 0, got {}", self.data_scale));
         }
         Ok(self)
     }
@@ -284,13 +273,6 @@ pub struct QueryRun {
     /// observability — wall-clock times, batch counts — and **not** part of
     /// the bit-identity contract.
     pub profile: Option<ExecProfile>,
-}
-
-impl QueryRun {
-    /// Runtime in seconds.
-    pub fn runtime_s(&self) -> f64 {
-        self.runtime_ns * 1e-9
-    }
 }
 
 /// The execution engine.

@@ -64,7 +64,6 @@ pub struct ExecOptions {
     weights: Option<OperatorWeights>,
     udf_weights: Option<CostWeights>,
     profile: Option<bool>,
-    data_scale: Option<f64>,
 }
 
 impl ExecOptions {
@@ -124,15 +123,6 @@ impl ExecOptions {
         self
     }
 
-    /// Base-row multiplier for generated databases (`GRACEFUL_SCALE`).
-    /// Carried on the session so experiment drivers size their
-    /// `datagen::generate` calls from the validated knob surface; must be a
-    /// finite float > 0.
-    pub fn data_scale(mut self, scale: f64) -> Self {
-        self.data_scale = Some(scale);
-        self
-    }
-
     /// Apply the explicit options over `defaults`.
     fn over(self, defaults: ExecConfig) -> ExecConfig {
         ExecConfig {
@@ -146,7 +136,6 @@ impl ExecOptions {
             weights: self.weights.unwrap_or(defaults.weights),
             udf_weights: self.udf_weights.unwrap_or(defaults.udf_weights),
             profile: self.profile.unwrap_or(defaults.profile),
-            data_scale: self.data_scale.unwrap_or(defaults.data_scale),
         }
     }
 
@@ -293,24 +282,14 @@ mod tests {
             Err(GracefulError::Config(_))
         ));
         assert!(matches!(ExecOptions::new().jitter(2.0).build(), Err(GracefulError::Config(_))));
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            match ExecOptions::new().data_scale(bad).build() {
-                Err(GracefulError::Config(m)) => {
-                    assert!(m.contains("data_scale"), "message {m:?} names data_scale")
-                }
-                other => panic!("data_scale={bad} produced {other:?}"),
-            }
-        }
     }
 
     #[test]
     fn data_plane_knobs_default_on_and_override() {
         let s = Session::new();
         assert!(!s.config().profile);
-        assert_eq!(s.config().data_scale, 1.0);
-        let s = ExecOptions::new().profile(true).data_scale(50.0).build().unwrap();
+        let s = ExecOptions::new().profile(true).build().unwrap();
         assert!(s.config().profile);
-        assert_eq!(s.config().data_scale, 50.0);
     }
 
     #[test]

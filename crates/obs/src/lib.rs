@@ -15,8 +15,8 @@
 //! * **Near-zero cost when disabled.** Span construction is a single relaxed
 //!   atomic load when tracing is off; counters are relaxed atomic adds;
 //!   histograms cap their retained samples so long corpus builds cannot grow
-//!   memory without bound. The `obs_overhead` bench pins the disabled
-//!   overhead under 2%.
+//!   memory without bound. No recorder measures the disabled overhead
+//!   today.
 //! * **Deterministic merge.** Spans are recorded into per-thread buffers and
 //!   merged on export by (timestamp, sequence number); per-morsel spans carry
 //!   their morsel index as an argument so worker interleavings remain

@@ -104,16 +104,6 @@ pub fn dropped_count() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
-/// Discard all recorded events (the enabled flag and configured path are
-/// untouched). Benches use this between measured sections.
-pub fn clear() {
-    for buf in sinks().lock().expect("trace sinks lock").iter() {
-        buf.lock().expect("trace buffer lock").clear();
-    }
-    RECORDED.store(0, Ordering::Relaxed);
-    DROPPED.store(0, Ordering::Relaxed);
-}
-
 /// Open a span named `name` in category `cat`; the span closes (and records
 /// one complete event) when the guard drops. When tracing is disabled this
 /// is a no-op costing one atomic load.
@@ -320,10 +310,5 @@ mod tests {
         assert!(enabled());
         assert_eq!(configured_path().as_deref(), Some("/tmp/graceful-obs-test-trace.json"));
         disable();
-
-        clear();
-        assert_eq!(event_count(), 0);
-        let empty = export_json();
-        assert!(empty.contains('[') && empty.contains(']'));
     }
 }

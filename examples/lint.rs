@@ -9,6 +9,7 @@
 //! cargo run --release --example lint -- plan
 //! GRACEFUL_FLIGHT=/tmp/flight.jsonl cargo run --release --example quickstart
 //! cargo run --release --example lint -- flight /tmp/flight.jsonl
+//! cargo run --example lint -- exact BENCH_exact.json benchmark/out/run-*.json
 //! ```
 //!
 //! **`udf`** — the generated UDF corpus through the bytecode verifier and a
@@ -48,6 +49,11 @@
 //! back into [`graceful::obs::flight::FlightRecord`]s and summarize the
 //! estimator quality they carry; a missing file, a malformed record or an
 //! empty recording fails. Pins the on-disk format.
+//!
+//! **`exact <BENCH_exact.json> <run.json>…`** — the exact-result gate. Each
+//! run file is a benchmark smoke run's record (`benchmark/out/run-*.json`);
+//! every field `BENCH_exact.json` pins for its workload and trace must equal
+//! the pinned value bit for bit, and every pinned run must be given.
 
 use graceful::obs::flight;
 use graceful::plan::analysis::{self, RewriteSet};
@@ -56,6 +62,7 @@ use graceful::prelude::*;
 use graceful::udf::analysis::{verify, Cfg, MAX_COUNTED_TRIPS};
 use graceful::udf::bytecode::Instr;
 use graceful::udf::{prune, CostWeights, InstrClass, Program};
+use serde::{Content, Deserialize};
 use std::time::{Duration, Instant};
 
 /// The corpus both generators are linted over.
@@ -70,8 +77,9 @@ fn main() {
         ["udf"] => lint_udfs(),
         ["plan"] => lint_plans(),
         ["flight", path] => check_flight(path),
+        ["exact", pinned, ref runs @ ..] if !runs.is_empty() => check_exact(pinned, runs),
         _ => {
-            eprintln!("usage: lint udf | plan | flight <flight.jsonl>");
+            eprintln!("usage: lint udf | plan | flight <jsonl> | exact <pinned> <runs>");
             2
         }
     };
@@ -339,4 +347,68 @@ fn check_flight(path: &str) -> i32 {
         if card_qs.is_empty() { String::new() } else { format!(", worst {worst:.2}") }
     );
     0
+}
+
+/// A whole JSON document as the shim's value tree.
+struct Json(Content);
+
+impl Deserialize for Json {
+    fn from_content(c: &Content) -> Result<Self, serde::DeError> {
+        Ok(Json(c.clone()))
+    }
+}
+
+fn read_json(path: &str) -> Result<Content, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str::<Json>(&text).map(|j| j.0).map_err(|e| format!("{path}: {e}"))
+}
+
+/// The value at a path of object keys.
+fn at<'a>(c: &'a Content, path: &[&str]) -> Option<&'a Content> {
+    path.iter().try_fold(c, |c, key| c.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v))
+}
+
+fn check_exact(pinned: &str, runs: &[&str]) -> i32 {
+    let differ = exact(pinned, runs).map_err(|e| eprintln!("lint exact: {e}"));
+    differ.map_or(1, |n| i32::from(n > 0))
+}
+
+/// Compare each run's result with the fields `pinned` holds for its
+/// workload and trace; returns how many differ.
+fn exact(pinned: &str, runs: &[&str]) -> Result<usize, String> {
+    let doc = read_json(pinned)?;
+    let number = |c: &Content| f64::from_content(c).ok();
+    let (mut seen, mut checked, mut differ) = (Vec::new(), 0, 0);
+    for path in runs {
+        let run = read_json(path)?;
+        let record = |key| at(&run, &["record", key]);
+        if record("smoke") != Some(&Content::Bool(true)) || record("seed") != at(&doc, &["seed"]) {
+            return Err(format!("{path}: not a --smoke run at the pinned seed"));
+        }
+        let workload = record("workload").and_then(Content::as_str).unwrap_or_default();
+        let trace = format!("trace{}", u8::from(record("trace") == Some(&Content::Bool(true))));
+        let want = at(&doc, &["runs", workload, &trace]).and_then(Content::as_map);
+        let want = want.ok_or_else(|| format!("{path}: {pinned} pins no {workload} {trace}"))?;
+        for (name, value) in want {
+            let got =
+                at(&run, &["result", name]).or(at(&run, &["result", "metrics", name, "value"]));
+            let (got, want) = (got.and_then(number), number(value).ok_or("a pin is no number")?);
+            if got != Some(want) {
+                println!("{workload} {trace} {name}: {got:?}, pinned {want:?}");
+                differ += 1;
+            }
+            checked += 1;
+        }
+        seen.push(format!("{workload} {trace}"));
+    }
+    let pins = at(&doc, &["runs"]).and_then(Content::as_map).unwrap_or_default();
+    for (workload, traces) in pins {
+        for (trace, _) in traces.as_map().unwrap_or_default() {
+            if !seen.contains(&format!("{workload} {trace}")) {
+                return Err(format!("{workload} {trace} is pinned but no run was given"));
+            }
+        }
+    }
+    println!("{} runs, {checked} fields against {pinned}: {differ} differ", runs.len());
+    Ok(differ)
 }

@@ -98,7 +98,7 @@ def score(production_year, kind_id):
     // 5. Predict the hand-written query's runtime.
     // NOTE: the model was trained on *this* database, so this is the easy
     // (seen-data) case — the paper's experiments always predict on unseen
-    // databases; see `cargo bench` targets for that setup.
+    // databases; `tests/paper_claims.rs` runs that setup.
     let spec = QuerySpec {
         id: 999,
         database: db.name.clone(),

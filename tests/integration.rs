@@ -2,8 +2,8 @@
 
 use graceful::prelude::*;
 
-/// The environment's session: the CI legs' `GRACEFUL_THREADS` /
-/// `GRACEFUL_SCALE` reach these tests through it.
+/// The environment's session: the CI legs' `GRACEFUL_THREADS` reaches these
+/// tests through it; `tiny_cfg` fixes every data and model size.
 fn session() -> Session {
     Session::from_env().expect("a valid GRACEFUL_* environment")
 }
