@@ -159,14 +159,7 @@ mod tests {
             "def f(x0):\n    if x0 < 10:\n        z = x0 * 2\n    else:\n        z = x0 + 1\n    return z\n",
         )
         .unwrap();
-        let source = graceful_udf::print_udf(&def);
-        let udf = Arc::new(GeneratedUdf {
-            def,
-            source,
-            table: "lineitem_t".into(),
-            input_columns: vec!["quantity".into()],
-            adaptations: vec![],
-        });
+        let udf = Arc::new(GeneratedUdf::new(def, "lineitem_t", vec!["quantity".into()]));
         (db, udf)
     }
 

@@ -182,13 +182,11 @@ mod tests {
     use std::sync::Arc;
 
     fn udf_plan() -> Plan {
-        let udf = Arc::new(GeneratedUdf {
-            def: graceful_udf::parse_udf("def f(x0):\n    return x0\n").unwrap(),
-            source: String::new(),
-            table: "a".into(),
-            input_columns: vec!["x".into()],
-            adaptations: vec![],
-        });
+        let udf = Arc::new(GeneratedUdf::new(
+            graceful_udf::parse_udf("def f(x0):\n    return x0\n").unwrap(),
+            "a",
+            vec!["x".into()],
+        ));
         Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "a".into() }, vec![]),

@@ -70,7 +70,7 @@ pub fn is_annotated(plan: &Plan) -> bool {
 /// real cost is data-dependent, use the static per-row prior of
 /// [`static_udf_row_cost`].
 pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
-    let w = &config.weights;
+    let (w, udf_costs) = (&config.weights, CostWeights::default());
     let est = |i: usize| plan.ops[i].est_out_rows;
     plan.ops
         .iter()
@@ -80,13 +80,11 @@ pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
             PlanOpKind::Filter { preds } => w.filter(est(op.children[0]), preds.len()),
             PlanOpKind::Join { .. } => w.join(est(op.children[1]), est(op.children[0]), est(i)),
             PlanOpKind::UdfFilter { udf, .. } => {
-                let row =
-                    static_udf_row_cost(&udf.def, udf.input_columns.len(), &config.udf_weights);
+                let row = static_udf_row_cost(&udf.def, udf.input_columns.len(), &udf_costs);
                 est(op.children[0]) * (row + w.udf_compare)
             }
             PlanOpKind::UdfProject { udf } => {
-                let row =
-                    static_udf_row_cost(&udf.def, udf.input_columns.len(), &config.udf_weights);
+                let row = static_udf_row_cost(&udf.def, udf.input_columns.len(), &udf_costs);
                 est(op.children[0]) * (row + w.project_row)
             }
             PlanOpKind::Agg { .. } => w.agg(est(op.children[0])),
@@ -190,13 +188,7 @@ mod tests {
             "def f(x0):\n    z = x0 + 1\n    if x0 < 3:\n        z = z * 2\n    return z\n",
         )
         .unwrap();
-        Arc::new(GeneratedUdf {
-            source: graceful_udf::print_udf(&def),
-            def,
-            table: "t".into(),
-            input_columns: vec!["x0".into()],
-            adaptations: vec![],
-        })
+        Arc::new(GeneratedUdf::new(def, "t", vec!["x0".into()]))
     }
 
     fn annotated_plan() -> Plan {
@@ -228,10 +220,10 @@ mod tests {
         let est = estimated_work(&plan, &config);
         assert_eq!(est.len(), 3);
         assert_eq!(est[0], 100.0 * config.weights.scan_row);
-        let row = static_udf_row_cost(&udf().def, 1, &config.udf_weights);
+        let row = static_udf_row_cost(&udf().def, 1, &CostWeights::default());
         assert_eq!(est[1], 100.0 * (row + config.weights.udf_compare));
         assert_eq!(est[2], 50.0 * config.weights.agg_row);
-        assert!(row > config.udf_weights.invoke_base, "prior counts the body");
+        assert!(row > CostWeights::default().invoke_base, "prior counts the body");
     }
 
     #[test]

@@ -39,7 +39,6 @@ use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
 use graceful_plan::{AggFunc, Plan};
 use graceful_storage::Database;
-use graceful_udf::CostWeights;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -112,7 +111,6 @@ impl OperatorWeights {
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     pub weights: OperatorWeights,
-    pub udf_weights: CostWeights,
     /// Relative amplitude of the deterministic "measurement" jitter applied
     /// to total runtime (keyed by the seed passed to [`Executor::run`]).
     /// Mimics the irreducible noise of the paper's wall-clock labels without
@@ -142,7 +140,6 @@ impl ExecConfig {
     pub fn base() -> Self {
         ExecConfig {
             weights: OperatorWeights::default(),
-            udf_weights: CostWeights::default(),
             jitter: 0.03,
             max_intermediate_rows: 20_000_000,
             udf_batch_size: config::DEFAULT_UDF_BATCH,
@@ -230,8 +227,9 @@ pub(crate) struct Shortcuts {
     /// Lowering applies the [`graceful_plan::RewriteSet`] hint: join lanes
     /// no operator above the join reads are neither stored nor emitted.
     pub(crate) lane_pruning: bool,
-    /// UDF operators run their program pruned to the values its result
-    /// reads ([`graceful_udf::prune()`]). Off: the plain compiled program.
+    /// UDF operators run the UDF's prepared program, pruned once to the
+    /// values its result reads ([`graceful_udf::GeneratedUdf::prepared`]).
+    /// Off: each operator compiles the plain program.
     pub(crate) udf_pruning: bool,
 }
 
@@ -816,7 +814,7 @@ mod tests {
             built + probed.sum::<usize>()
         };
         let mut checked = 0;
-        let (mut memo_served, mut lane_rows, mut counted_loops) = (0u64, 0u64, 0usize);
+        let (mut memo_served, mut lane_rows) = (0u64, 0u64);
         let (mut join_plans, mut streamed_below) = (0usize, 0usize);
         let (mut joins_with_fewer_lanes, mut pruned_programs) = (0usize, 0usize);
         for_generated_plans(59, 0..60, false, |database, id, plan| {
@@ -835,15 +833,7 @@ mod tests {
 
             let boxed = Shortcuts { typed_lanes: false, ..Shortcuts::SHIPPED };
             assert_eq!(fast_rows(&without("typed lanes", boxed)), 0);
-            if fast_rows(&shipped) > 0 {
-                lane_rows += fast_rows(&shipped);
-                let udf = plan.ops.iter().find_map(|op| match &op.kind {
-                    PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } => Some(udf),
-                    _ => None,
-                });
-                let shape = graceful_udf::compile(&udf.unwrap().def).unwrap().simd_shape();
-                counted_loops += shape.trip_count.iter().flatten().count() / 2;
-            }
+            lane_rows += fast_rows(&shipped);
 
             let collecting = Shortcuts { streaming: false, ..Shortcuts::SHIPPED };
             let collected = without("streaming", collecting);
@@ -871,16 +861,15 @@ mod tests {
                     .iter()
                     .map(|c| table.column(c).unwrap().data_type())
                     .collect();
+                // The program `run` executes, against the one `run_reference`
+                // compiles.
                 let plain = graceful_udf::compile(&udf.def).unwrap();
-                let weights = graceful_udf::CostWeights::default();
-                pruned_programs +=
-                    usize::from(graceful_udf::prune(plain.clone(), &types, &weights) != plain);
+                pruned_programs += usize::from(*udf.prepared(&types).unwrap().program() != plain);
             }
         });
         assert!(checked >= 400, "only {checked} plans compared");
         assert!(memo_served > 0, "the memo served no generated UDF row");
         assert!(lane_rows > 0, "typed lanes carried no generated UDF row");
-        assert!(counted_loops > 0, "no generated loop ran Counted on the lanes");
         assert!(
             streamed_below * 2 > join_plans,
             "streaming peaked below collecting on {streamed_below} of {join_plans} join plans"
@@ -946,16 +935,7 @@ mod tests {
             "def f(x0):\n    z = 0\n    for i in range(40):\n        z = z + math.sqrt(x0) * np.log(x0 + 1)\n    return z + x0\n",
         )
         .unwrap();
-        let mk = |def: graceful_udf::UdfDef| {
-            let source = graceful_udf::print_udf(&def);
-            Arc::new(GeneratedUdf {
-                def,
-                source,
-                table: "orders_t".into(),
-                input_columns: vec!["totalprice".into()],
-                adaptations: vec![],
-            })
-        };
+        let mk = |def| Arc::new(GeneratedUdf::new(def, "orders_t", vec!["totalprice".into()]));
         use graceful_plan::{Plan, PlanOp};
         let plan_for = |udf: Arc<GeneratedUdf>| Plan {
             ops: vec![

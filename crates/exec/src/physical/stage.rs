@@ -580,14 +580,7 @@ pub(super) fn instantiate<'a>(
     let udf = |udf: &'a GeneratedUdf, overhead: f64, filter, pos| -> Result<UdfKernel<'a>> {
         let t = db.table(&udf.table)?;
         let cols = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<_>>()?;
-        let spec = UdfEvalSpec::prepare(
-            udf,
-            cols,
-            cuts,
-            config.udf_weights.clone(),
-            config.udf_batch_size,
-            overhead,
-        )?;
+        let spec = UdfEvalSpec::prepare(udf, cols, cuts, config.udf_batch_size, overhead)?;
         Ok(UdfKernel { spec, filter, pos, eval_stats: UdfEvalStats::default() })
     };
     let (name, stride) = (op.kind.name(), op.stride);

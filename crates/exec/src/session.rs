@@ -45,7 +45,6 @@ use graceful_common::Result;
 use graceful_plan::Plan;
 use graceful_runtime::Pool;
 use graceful_storage::Database;
-use graceful_udf::CostWeights;
 
 /// Builder for [`Session`]: unset fields fall back to the pure
 /// [`ExecConfig::base`] defaults ([`ExecOptions::build`]) or to the
@@ -62,7 +61,6 @@ pub struct ExecOptions {
     jitter: Option<f64>,
     max_intermediate_rows: Option<usize>,
     weights: Option<OperatorWeights>,
-    udf_weights: Option<CostWeights>,
     profile: Option<bool>,
 }
 
@@ -109,12 +107,6 @@ impl ExecOptions {
         self
     }
 
-    /// Per-operation work weights of the UDF cost model.
-    pub fn udf_weights(mut self, weights: CostWeights) -> Self {
-        self.udf_weights = Some(weights);
-        self
-    }
-
     /// Attach a per-operator [`crate::ExecProfile`] to every
     /// [`QueryRun`]. Pure observability — profiled and unprofiled runs are
     /// bit-identical in every contracted `QueryRun` field.
@@ -134,7 +126,6 @@ impl ExecOptions {
                 .max_intermediate_rows
                 .unwrap_or(defaults.max_intermediate_rows),
             weights: self.weights.unwrap_or(defaults.weights),
-            udf_weights: self.udf_weights.unwrap_or(defaults.udf_weights),
             profile: self.profile.unwrap_or(defaults.profile),
         }
     }

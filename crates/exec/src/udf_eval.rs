@@ -3,24 +3,16 @@
 //! Every relational operator that invokes a UDF — `UdfFilter`, `UdfProject`,
 //! under either driver — evaluates it through one [`UdfWorker`] per pool
 //! worker, built by [`UdfEvalSpec`] (both crate-private: the spec is the
-//! only construction path). Every evaluator runs one program: the compiled,
-//! verified UDF pruned once per operator to the values its result reads
-//! ([`graceful_udf::prune()`]: dead instructions become their exact
-//! charges, dead `for` loops one closed-form charge), on a warmed [`Vm`]. A
-//! worker differs only in what it gathers a batch into:
-//!
-//! * **dictionary codes** for an exact memo in front of the VM
-//!   ([`CodeMemo`]): each distinct code tuple is evaluated once per worker
-//!   and later rows reuse its value, cost and error — what
-//!   [`crate::Executor::run`] uses wherever every input is dictionary-encoded
-//!   within [`graceful_udf::MAX_MEMO_CODES`] code tuples;
-//! * **typed lanes** gathered straight from storage, rows the lanes cannot
-//!   carry bailing to the per-row VM ([`simd::eval_batch_typed`]) — what
-//!   `run` uses for the other operators wherever the program has a lane path
-//!   and no input is `Text`;
-//! * **boxed `Value` columns** for the batch VM ([`Vm::eval_batch`]) — the
-//!   remaining operators under `run`, and every operator under
-//!   [`crate::Executor::run_reference`], which runs the plain program.
+//! only construction path). Under [`crate::Executor::run`] every operator
+//! runs the UDF's one [`PreparedUdf`] (compiled, verified and pruned once per
+//! UDF, [`GeneratedUdf::prepared`]); under
+//! [`crate::Executor::run_reference`] (`udf_pruning` off) it runs the plain
+//! compiled program, built for that operator alone. Either way a worker
+//! hands its batches to one [`ColumnEvaluator`], `graceful_udf`'s one entry
+//! over storage columns, which chooses memo, else typed lanes, else the
+//! batch VM as the run's `memo` and `typed_lanes` shortcuts allow. What is
+//! left here is the operator's part: cutting morsels into batches, the
+//! per-row overhead, the statistics and the span.
 //!
 //! The tree-walking `graceful_udf::Interpreter` is not an engine path: the
 //! `graceful-udf` suites prove interpreter = VM = typed lanes per UDF, and
@@ -38,19 +30,18 @@
 //! count, driver or flush timing — and the memo and the typed lanes merge
 //! the same per-row costs in the same order as the batch VM, every accounted
 //! total is bit-identical across all of them (enforced by
-//! `tests/parallel_determinism.rs` and the engine differential tests). The
-//! memo may hold outcomes from another morsel of the same worker; that
-//! changes nothing, because the VM is a pure function of its arguments and
-//! a dictionary holds distinct values: equal codes are bit-equal arguments.
+//! `tests/parallel_determinism.rs` and the engine differential tests).
 
 use crate::engine::Shortcuts;
 use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
 use graceful_obs::trace;
 use graceful_storage::{Column, Value};
-use graceful_udf::simd::{self, SimdBatchStats, TypedCol};
-use graceful_udf::{compile, prune, CodeMemo, CostCounter, CostWeights, Program, SimdShape, Vm};
-use std::sync::OnceLock;
+use graceful_udf::simd::SimdBatchStats;
+use graceful_udf::{
+    compile, ColumnEvaluator, CostCounter, GeneratedUdf, PreparedUdf, Program, SimdShape,
+};
+use std::sync::{Arc, OnceLock};
 
 /// Evaluation-volume counters one UDF evaluator accumulates while it runs.
 /// Observability only — the engine never reads them on a result path, so
@@ -116,28 +107,12 @@ pub(crate) fn record_udf_metrics(stats: &UdfEvalStats) {
 /// row, evaluator statistics.
 pub(crate) type MorselEval = (f64, Vec<Value>, UdfEvalStats);
 
-/// What a worker gathers one batch of argument rows into, which decides the
-/// evaluator that batch runs on. The spec holds an empty one that every
-/// worker clones, so a memo lives as long as its worker: one region.
-#[derive(Clone)]
-enum Gather<'a> {
-    /// Boxed `Value` columns, one per UDF parameter, for the batch VM.
-    Boxed(Vec<Vec<Value>>),
-    /// Unboxed lanes, one per UDF parameter, and the program's shape.
-    Typed(SimdShape, Vec<TypedCol>),
-    /// Nothing: the memo reads the input columns' codes itself.
-    Memo(CodeMemo<'a>),
-}
-
 /// One pool worker's evaluation state, reused across all morsels that
-/// worker pulls: a warmed VM (register file allocated), the row-id buffer and
-/// the gather buffers, which grow to the largest batch seen and are never
-/// sized from configuration, or the memo, sized by its code space.
+/// worker pulls: its [`ColumnEvaluator`] and the row-id buffer.
 pub(crate) struct UdfWorker<'s> {
     spec: &'s UdfEvalSpec<'s>,
-    vm: Vm,
+    eval: ColumnEvaluator<'s>,
     rids: Vec<usize>,
-    gather: Gather<'s>,
 }
 
 impl UdfWorker<'_> {
@@ -153,40 +128,13 @@ impl UdfWorker<'_> {
         self.rids.clear();
         self.rids.extend(rids);
         let _span = trace::span("udf", "eval_morsel").arg("rows", self.rids.len());
-        let UdfEvalSpec { cols, prog, batch, overhead, .. } = self.spec;
+        let (batch, overhead) = (self.spec.batch, self.spec.overhead);
         let mut work = 0.0f64;
         let mut stats = UdfEvalStats::default();
         let mut values = Vec::with_capacity(self.rids.len());
-        for rids in self.rids.chunks(*batch) {
+        for rids in self.rids.chunks(batch) {
             let mut cost = CostCounter::new();
-            match &mut self.gather {
-                Gather::Boxed(bufs) => {
-                    for (buf, col) in bufs.iter_mut().zip(cols) {
-                        buf.clear();
-                        buf.extend(rids.iter().map(|&rid| col.value(rid)));
-                    }
-                    let slices: Vec<&[Value]> = bufs.iter().map(Vec::as_slice).collect();
-                    self.vm.eval_batch(prog, &slices, &mut values, &mut cost)?;
-                }
-                Gather::Typed(shape, lanes) => {
-                    for (lane, col) in lanes.iter_mut().zip(cols) {
-                        lane.fill_from_column(col, rids)?;
-                    }
-                    simd::eval_batch_typed(
-                        &mut self.vm,
-                        prog,
-                        shape,
-                        lanes,
-                        &mut values,
-                        &mut cost,
-                        &mut stats.simd,
-                    )?;
-                }
-                Gather::Memo(memo) => {
-                    stats.memo_rows +=
-                        memo.eval_batch(&mut self.vm, prog, rids, &mut values, &mut cost)?;
-                }
-            }
+            stats.memo_rows += self.eval.eval(rids, &mut values, &mut cost, &mut stats.simd)?;
             work += cost.total + rids.len() as f64 * overhead;
             stats.rows += rids.len() as u64;
             stats.batches += 1;
@@ -195,36 +143,34 @@ impl UdfWorker<'_> {
     }
 }
 
-/// Everything resolved once per UDF operator: input columns, the compiled
-/// program, the evaluator decision, weights and batching parameters.
-/// [`UdfEvalSpec::worker`] then builds one evaluator per worker.
+/// The program one UDF operator runs.
+enum OperatorProgram {
+    /// The UDF's prepared program, shared with every other consumer.
+    Prepared(Arc<PreparedUdf>),
+    /// `udf_pruning` off: the plain compiled program and its lane shape.
+    Plain(Program, SimdShape),
+}
+
+/// Everything resolved once per UDF operator: input columns, the program,
+/// the shortcuts and batching parameters. [`UdfEvalSpec::worker`] then
+/// builds one evaluator per worker.
 pub(crate) struct UdfEvalSpec<'a> {
     cols: Vec<&'a Column>,
-    weights: CostWeights,
-    prog: Program,
-    /// The memo if it is on and every input is dictionary-encoded within
-    /// its bound; else typed lanes if they are on, the program has a
-    /// vectorizable path and every input has an unboxed lane type (no
-    /// `Text`); else boxed columns. All three produce bit-identical values,
-    /// costs and errors.
-    gather: Gather<'a>,
+    prog: OperatorProgram,
+    cuts: Shortcuts,
     batch: usize,
     overhead: f64,
 }
 
 impl<'a> UdfEvalSpec<'a> {
-    /// Resolve an operator's evaluation plan: compile the UDF once and
-    /// decide which evaluator its workers run.
+    /// Resolve an operator's evaluation plan: the UDF's prepared program for
+    /// the input columns' types (built on the UDF's first use, which runs
+    /// the bytecode verifier, so a rejected UDF surfaces here as a typed
+    /// [`graceful_common::GracefulError::Verify`] before any row runs).
     ///
-    /// Compilation runs the bytecode verifier, so a program that reaches an
-    /// evaluator has proven jump targets, register/constant bounds,
-    /// cost-charge placement and definite initialization — a rejected UDF
-    /// surfaces here as a typed [`graceful_common::GracefulError::Verify`]
-    /// before any row runs.
-    ///
-    /// `cuts` are the run's [`Shortcuts`]: with `memo` and `typed_lanes`
-    /// both off, every operator runs the boxed batch VM, and with
-    /// `udf_pruning` off, the plain program.
+    /// `cuts` are the run's [`Shortcuts`]: `memo` and `typed_lanes` pass
+    /// through to every worker's [`ColumnEvaluator`], and with `udf_pruning`
+    /// off the operator compiles the plain program itself.
     ///
     /// `batch` is `udf_batch_size`, any count from 1 to `usize::MAX`: it
     /// bounds how many rows one evaluator call sees and sizes nothing.
@@ -233,27 +179,21 @@ impl<'a> UdfEvalSpec<'a> {
     /// filter literal, projection bookkeeping) charged alongside the UDF
     /// cost.
     pub(crate) fn prepare(
-        udf: &'a graceful_udf::GeneratedUdf,
+        udf: &GeneratedUdf,
         cols: Vec<&'a Column>,
         cuts: Shortcuts,
-        weights: CostWeights,
         batch: usize,
         overhead: f64,
     ) -> Result<Self> {
-        let prog = compile(&udf.def)?;
-        let types: Vec<_> = cols.iter().map(|c| c.data_type()).collect();
-        let prog = if cuts.udf_pruning { prune(prog, &types, &weights) } else { prog };
-        // `for_type` has no lane for `Text`, so one such column makes the
-        // whole list `None`.
-        let typed = || {
-            let shape = cuts.typed_lanes.then(|| prog.simd_shape()).filter(|s| s.has_fast_path)?;
-            let lanes: Option<Vec<TypedCol>> =
-                cols.iter().map(|c| TypedCol::for_type(c.data_type())).collect();
-            Some(Gather::Typed(shape, lanes?))
+        let prog = if cuts.udf_pruning {
+            let types: Vec<_> = cols.iter().map(|c| c.data_type()).collect();
+            OperatorProgram::Prepared(udf.prepared(&types)?)
+        } else {
+            let plain = compile(&udf.def)?;
+            let shape = plain.simd_shape();
+            OperatorProgram::Plain(plain, shape)
         };
-        let memo = cuts.memo.then(|| CodeMemo::new(&cols).map(Gather::Memo)).flatten();
-        let gather = memo.or_else(typed).unwrap_or_else(|| Gather::Boxed(vec![vec![]; cols.len()]));
-        Ok(UdfEvalSpec { cols, weights, prog, gather, batch: batch.max(1), overhead })
+        Ok(UdfEvalSpec { cols, prog, cuts, batch: batch.max(1), overhead })
     }
 
     /// One pool worker's evaluation state. The stage (`physical::stage`)
@@ -261,8 +201,12 @@ impl<'a> UdfEvalSpec<'a> {
     /// The instance owns all its scratch state, so parallel evaluation never
     /// contends.
     pub(crate) fn worker(&self) -> UdfWorker<'_> {
-        let mut vm = Vm::new(self.weights.clone());
-        vm.warm(&self.prog);
-        UdfWorker { spec: self, vm, rids: Vec::new(), gather: self.gather.clone() }
+        let (prog, shape) = match &self.prog {
+            OperatorProgram::Prepared(p) => (p.program(), p.shape()),
+            OperatorProgram::Plain(prog, shape) => (prog, shape),
+        };
+        let Shortcuts { memo, typed_lanes, .. } = self.cuts;
+        let eval = ColumnEvaluator::new(prog, shape, &self.cols, memo, typed_lanes);
+        UdfWorker { spec: self, eval, rids: Vec::new() }
     }
 }

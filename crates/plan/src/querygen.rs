@@ -13,7 +13,7 @@ use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
 use graceful_udf::ast::CmpOp;
-use graceful_udf::{compile, prune, CodeMemo, GeneratedUdf, UdfGenerator, Vm};
+use graceful_udf::{ColumnEvaluator, CostCounter, GeneratedUdf, SimdBatchStats, UdfGenerator};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -295,30 +295,24 @@ fn calibrate_literal(
         return Ok((CmpOp::Le, 0.0));
     }
     let cols: Vec<_> = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<Vec<_>>>()?;
-    // Compiled and pruned once, then one `Vm::eval` per sampled row — per
-    // sampled code tuple where the memo takes the inputs: it mirrors the
-    // tree-walker's values and per-row errors exactly, so every literal
-    // keeps its bits.
-    let mut vm = Vm::default();
+    // The UDF's prepared program — the one its operators run later — on the
+    // engine's evaluator, one sampled row per call so a row whose evaluation
+    // fails is skipped alone. The memo is on (it mirrors the tree-walker's
+    // values and per-row errors exactly, so every literal keeps its bits);
+    // the lanes are off, as one-row batches only pay their set-up.
     let types: Vec<_> = cols.iter().map(|c| c.data_type()).collect();
-    let prog = prune(compile(&udf.def)?, &types, vm.weights());
-    let mut memo = CodeMemo::new(&cols);
+    let prepared = udf.prepared(&types)?;
+    let mut eval = ColumnEvaluator::new(prepared.program(), prepared.shape(), &cols, true, false);
+    let (mut out, mut lanes) = (Vec::with_capacity(1), SimdBatchStats::default());
     let mut outputs: Vec<f64> = Vec::with_capacity(sample.min(n));
     for _ in 0..sample.min(n) {
         let row = rng.range(0..n);
-        let fresh;
-        let out = match &mut memo {
-            Some(memo) => memo.eval(&mut vm, &prog, row),
-            None => {
-                fresh = vm.eval(&prog, &cols.iter().map(|c| c.value(row)).collect::<Vec<_>>());
-                &fresh
-            }
-        };
+        out.clear();
         // Adaptations are applied by the corpus builder before labelling;
         // during calibration a NULL arg simply yields a NULL output we skip.
         // A NaN output can never satisfy `<= literal`, so it is no candidate.
-        if let Ok(out) = out {
-            if let Some(v) = out.value.as_f64().filter(|v| !v.is_nan()) {
+        if eval.eval(&[row], &mut out, &mut CostCounter::new(), &mut lanes).is_ok() {
+            if let Some(v) = out.first().and_then(Value::as_f64).filter(|v| !v.is_nan()) {
                 outputs.push(v);
             }
         }
@@ -586,13 +580,8 @@ mod tests {
             Column::new("all_nan", ColumnData::Float(vec![f64::NAN; 64])),
         ];
         let db = Database::new("nandb", vec![Table::new("t", cols).unwrap()]);
-        let udf = |column: &str| GeneratedUdf {
-            def: parse_udf("def f(x0):\n    return x0\n").unwrap(),
-            source: String::new(),
-            table: "t".into(),
-            input_columns: vec![column.into()],
-            adaptations: vec![],
-        };
+        let def = parse_udf("def f(x0):\n    return x0\n").unwrap();
+        let udf = |column: &str| GeneratedUdf::new(def.clone(), "t", vec![column.into()]);
         let (op, lit) = calibrate_literal(&db, &udf("x"), 0.5, 240, &mut Rng::seed(1)).unwrap();
         assert_eq!(op, CmpOp::Le);
         assert!((1.0..=63.0).contains(&lit), "literal {lit} is a sampled non-NaN output");

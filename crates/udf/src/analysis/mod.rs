@@ -15,23 +15,14 @@
 //!   violated invariant into a typed
 //!   [`GracefulError::Verify`](graceful_common::GracefulError::Verify)
 //!   instead of backend-divergent behaviour or a release-mode panic.
-//! - [`tripcount`] reads the trip count of `for` loops whose limit is an
-//!   integer literal, which lets
-//!   [`Program::simd_shape`](crate::bytecode::Program::simd_shape) reclassify
-//!   them from [`InstrClass::Bail`](crate::bytecode::InstrClass::Bail) into
-//!   [`InstrClass::Counted`](crate::bytecode::InstrClass::Counted) segments
-//!   the columnar executor runs on the lane registers.
 //!
 //! Every analysis here is conservative: it may say "don't know" but must
 //! never claim a fact the interpreters can falsify — the property suite runs
-//! the verifier over the whole generated corpus and the counted loops
-//! differentially against all three backends to keep it honest.
+//! the verifier over the whole generated corpus to keep it honest.
 
 pub mod cfg;
 mod dataflow;
-pub mod tripcount;
 pub mod verify;
 
 pub use cfg::{Cfg, EdgeKind};
-pub use tripcount::{trip_counts, MAX_COUNTED_TRIPS};
 pub use verify::verify;

@@ -634,16 +634,8 @@ pub enum InstrClass {
     Split,
     /// Terminates a selection's rows with a value.
     Return,
-    /// A `ForInit`/`ForNext` of a loop whose limit is an integer literal
-    /// (see [`crate::analysis::tripcount`]): every row iterates the same
-    /// number of times, so the columnar executor unrolls the loop across the
-    /// whole selection, replaying the per-iteration cost charges. The
-    /// executor still re-checks the limit lanes at run time and bails the
-    /// selection on any surprise.
-    Counted,
-    /// Not vectorizable (data-dependent loops, string/length builtins): rows
-    /// that reach it leave the fast path and fall back to the per-row
-    /// [`crate::vm::Vm`].
+    /// Not vectorizable (loops, string/length builtins): rows that reach it
+    /// leave the fast path and fall back to the per-row [`crate::vm::Vm`].
     Bail,
 }
 
@@ -654,17 +646,10 @@ pub struct SimdShape {
     /// `class[pc]` for every instruction of the program.
     pub class: Vec<InstrClass>,
     /// True when at least one entry→`Return` path exists that touches only
-    /// `Vector`/`Split`/`Counted` instructions — i.e. some rows *can*
-    /// complete on the fast path. When false the columnar executor is pure
-    /// overhead (every selection would bail) and callers should go straight
-    /// to the batch VM.
+    /// `Vector`/`Split` instructions — i.e. some rows *can* complete on the
+    /// fast path. When false the columnar executor is pure overhead (every
+    /// selection would bail) and callers should go straight to the batch VM.
     pub has_fast_path: bool,
-    /// `trip_count[pc]` — the literal trip count when `pc` is a `Counted`
-    /// `ForInit`/`ForNext`, `None` everywhere else. Metadata for
-    /// observability/lint tooling: the executor itself re-derives nothing
-    /// from it (it re-checks the limit lanes at run time), so a stale shape
-    /// can cost performance but never correctness.
-    pub trip_count: Vec<Option<u32>>,
 }
 
 impl Program {
@@ -679,12 +664,10 @@ impl Program {
     /// ops that merely *could* see a string-typed register stay `Vector` and
     /// are rejected per-selection by the executor's type checks.
     pub fn simd_shape(&self) -> SimdShape {
-        let trip_count = crate::analysis::trip_counts(self);
         let class: Vec<InstrClass> = self
             .instrs
             .iter()
-            .enumerate()
-            .map(|(pc, i)| match i {
+            .map(|i| match i {
                 Instr::Copy { .. }
                 | Instr::Unary { .. }
                 | Instr::Binary { .. }
@@ -705,17 +688,9 @@ impl Program {
                 Instr::Call { .. } => InstrClass::Bail,
                 Instr::JumpIfFalse { .. } | Instr::JumpIfTrue { .. } => InstrClass::Split,
                 Instr::Return { .. } | Instr::ReturnNull => InstrClass::Return,
-                // A `for` loop whose limit is an integer literal has no
-                // per-row iteration state: every row runs the body the
-                // same number of times, so the executor can unroll it across
-                // the selection. Data-dependent loops keep per-row state the
-                // columnar model does not carry.
-                Instr::ForInit { .. } | Instr::ForNext { .. } if trip_count[pc].is_some() => {
-                    InstrClass::Counted
-                }
-                // The pruned programs of the generated corpus close only
-                // loops with data-dependent trip counts, whose rows bailed
-                // before the loops were closed.
+                // A loop keeps per-row iteration state the columnar model
+                // does not carry, whether its limit is data-dependent or a
+                // literal.
                 Instr::ForInit { .. }
                 | Instr::ForNext { .. }
                 | Instr::ForClosed { .. }
@@ -723,8 +698,7 @@ impl Program {
                 | Instr::WhileIter { .. } => InstrClass::Bail,
             })
             .collect();
-        // DFS over the CFG restricted to Vector/Split/Counted/Return
-        // instructions.
+        // DFS over the CFG restricted to Vector/Split/Return instructions.
         let mut visited = vec![false; class.len()];
         let mut stack = vec![0usize];
         let mut has_fast_path = false;
@@ -739,24 +713,17 @@ impl Program {
                     has_fast_path = true;
                     break;
                 }
-                InstrClass::Vector | InstrClass::Split | InstrClass::Counted => {
-                    match &self.instrs[pc] {
-                        Instr::Jump { target } => stack.push(*target as usize),
-                        Instr::JumpIfFalse { target, .. } | Instr::JumpIfTrue { target, .. } => {
-                            stack.push(*target as usize);
-                            stack.push(pc + 1);
-                        }
-                        // A counted ForNext both enters the body and exits.
-                        Instr::ForNext { exit, .. } => {
-                            stack.push(*exit as usize);
-                            stack.push(pc + 1);
-                        }
-                        _ => stack.push(pc + 1),
+                InstrClass::Vector | InstrClass::Split => match &self.instrs[pc] {
+                    Instr::Jump { target } => stack.push(*target as usize),
+                    Instr::JumpIfFalse { target, .. } | Instr::JumpIfTrue { target, .. } => {
+                        stack.push(*target as usize);
+                        stack.push(pc + 1);
                     }
-                }
+                    _ => stack.push(pc + 1),
+                },
             }
         }
-        SimdShape { class, has_fast_path, trip_count }
+        SimdShape { class, has_fast_path }
     }
 }
 
@@ -924,13 +891,13 @@ mod tests {
         assert!(shape.has_fast_path);
         assert!(shape.class.contains(&InstrClass::Bail), "loop instructions classified Bail");
         assert!(shape.class.contains(&InstrClass::Split), "branch classified Split");
-        assert!(shape.trip_count.iter().all(Option::is_none), "no provable trip count");
     }
 
     #[test]
-    fn simd_shape_counts_constant_trip_loops() {
-        // A literal `range(3)` loop is Counted, not Bail, and the shape
-        // records its proven trip count on both loop instructions.
+    fn simd_shape_marks_literal_trip_loops_as_bail() {
+        // A literal `range(3)` loop is a loop like any other: both loop
+        // instructions are Bail, and with no other path to a return the
+        // program has no fast path.
         let u = udf(
             &["x"],
             vec![
@@ -944,15 +911,12 @@ mod tests {
         );
         let p = compile(&u).unwrap();
         let shape = p.simd_shape();
-        assert!(shape.has_fast_path, "counted loops keep the fast path alive");
-        assert!(!shape.class.contains(&InstrClass::Bail));
-        assert_eq!(
-            shape.class.iter().filter(|c| **c == InstrClass::Counted).count(),
-            2,
-            "ForInit and ForNext both Counted"
-        );
-        assert_eq!(shape.trip_count.iter().flatten().count(), 2);
-        assert_eq!(shape.trip_count.iter().flatten().copied().max(), Some(3));
+        assert!(!shape.has_fast_path, "every path runs the loop");
+        let loop_classes: Vec<_> = (p.instrs.iter().zip(&shape.class))
+            .filter(|(i, _)| matches!(i, Instr::ForInit { .. } | Instr::ForNext { .. }))
+            .map(|(_, c)| *c)
+            .collect();
+        assert_eq!(loop_classes, [InstrClass::Bail; 2], "ForInit and ForNext both Bail");
     }
 
     #[test]

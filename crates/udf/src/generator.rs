@@ -18,10 +18,12 @@
 
 use crate::ast::{BinOp, CmpOp, Expr, Stmt, UdfDef};
 use crate::libfns::LibFn;
+use crate::prepared::PreparedUdf;
 use crate::printer::print_udf;
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
+use std::sync::{Arc, OnceLock};
 
 /// Data-adaptation action emitted alongside a generated UDF.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +80,42 @@ pub struct GeneratedUdf {
     pub input_columns: Vec<String>,
     /// Data-adaptation actions the caller must apply before execution.
     pub adaptations: Vec<AdaptAction>,
+    /// The first program [`GeneratedUdf::prepared`] built, kept for later
+    /// uses.
+    prepared: OnceLock<Arc<PreparedUdf>>,
+}
+
+impl GeneratedUdf {
+    /// A UDF over `table`'s `input_columns` (one per parameter of `def`, in
+    /// order) with its printed source and no data-adaptation actions.
+    pub fn new(def: UdfDef, table: impl Into<String>, input_columns: Vec<String>) -> Self {
+        let (source, table) = (print_udf(&def), table.into());
+        GeneratedUdf {
+            def,
+            source,
+            table,
+            input_columns,
+            adaptations: Vec::new(),
+            prepared: OnceLock::new(),
+        }
+    }
+
+    /// The prepared program of `def` over parameters of `types` (the input
+    /// columns' types): built on the first call, the same `Arc` on every
+    /// later one. The fields are public and a caller may overwrite them, so
+    /// every call checks what the kept program was built from: if `def` or
+    /// `types` differ, the program is built afresh from what the UDF holds
+    /// now and not kept. A stale program cannot run.
+    pub fn prepared(&self, types: &[DataType]) -> Result<Arc<PreparedUdf>> {
+        if let Some(kept) = self.prepared.get().filter(|p| p.built_from(&self.def, types)) {
+            return Ok(Arc::clone(kept));
+        }
+        let built = Arc::new(PreparedUdf::new(&self.def, types)?);
+        // Kept unless the cell already holds one, built from another `def`
+        // or other types.
+        let _ = self.prepared.set(Arc::clone(&built));
+        Ok(built)
+    }
 }
 
 /// The synthetic UDF generator.
@@ -251,14 +289,7 @@ impl UdfGenerator {
                 });
             }
         }
-        let source = print_udf(&def);
-        Ok(GeneratedUdf {
-            def,
-            source,
-            table: table.to_string(),
-            input_columns: chosen,
-            adaptations,
-        })
+        Ok(GeneratedUdf { adaptations, ..GeneratedUdf::new(def, table, chosen) })
     }
 }
 

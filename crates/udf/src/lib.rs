@@ -23,12 +23,17 @@
 //! * [`simd`] — a typed columnar execution path over the compiled bytecode:
 //!   straight-line numeric segments run column-at-a-time over unboxed lanes
 //!   with selection-vector branch divergence, falling back per row to the
-//!   VM, with values and costs bit-identical to both backends,
+//!   VM (at every loop, among others), with values and costs bit-identical
+//!   to both backends,
 //! * [`memo`] — an exact memo in front of the VM: over dictionary-encoded
 //!   inputs, each code tuple is evaluated once and its outcome reused,
 //! * [`prune`](mod@prune) — strong liveness over a compiled program: dead
 //!   values become their exact charges, so every evaluator computes only
 //!   what the UDF returns,
+//! * [`prepared`] — the production path: [`PreparedUdf`] is a UDF compiled,
+//!   verified and pruned once ([`GeneratedUdf::prepared`] builds it on first
+//!   use and shares it), and [`ColumnEvaluator`] the one entry that runs a
+//!   program over storage columns, choosing memo, else lanes, else VM,
 //! * [`generator`] — the synthetic UDF generator of Section V (0–3 branches,
 //!   0–3 loops, 10–150 ops, library calls, data-adaptation actions).
 
@@ -45,6 +50,7 @@ pub mod libfns;
 pub mod memo;
 pub mod ops;
 pub mod parser;
+pub mod prepared;
 pub mod printer;
 pub mod prune;
 pub mod simd;
@@ -59,6 +65,7 @@ pub use interp::{EvalOutcome, Interpreter, MAX_WHILE_ITERS};
 pub use libfns::LibFn;
 pub use memo::{CodeMemo, MAX_MEMO_CODES};
 pub use parser::parse_udf;
+pub use prepared::{ColumnEvaluator, PreparedUdf};
 pub use printer::print_udf;
 pub use prune::prune;
 pub use simd::{SimdBatchStats, TypedCol};

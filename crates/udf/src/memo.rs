@@ -61,7 +61,7 @@ impl<'c> CodeMemo<'c> {
 
     /// What `vm.eval(prog, arguments of row)` returns. Only the first row of
     /// each code tuple runs the VM; later ones get its stored outcome.
-    pub fn eval(&mut self, vm: &mut Vm, prog: &Program, row: usize) -> &Result<EvalOutcome> {
+    fn eval(&mut self, vm: &mut Vm, prog: &Program, row: usize) -> &Result<EvalOutcome> {
         let key = self.digits.iter().fold(0, |key, &(codes, nulls, radix)| {
             key * radix + if nulls[row] { radix - 1 } else { codes[row] as usize }
         });

@@ -10,9 +10,9 @@
 //!
 //! # Execution model
 //!
-//! A batch is whatever the caller passes ([`eval_batch_typed`]; the engine
-//! cuts its batches in one place, `graceful_exec`'s `UdfWorker::eval_morsel`)
-//! and is never cut again here. Its rows travel in **selection groups**: a
+//! A batch is whatever the caller passes ([`eval_batch_typed`]; production
+//! reaches it only through [`crate::ColumnEvaluator`], whose caller cuts the
+//! batches) and is never cut again here. Its rows travel in **selection groups**: a
 //! group is a selection vector (lane → batch row), a register file of typed
 //! columns, and the program counter all its rows share. One function, `step`,
 //! executes one instruction over one group and says where the group goes:
@@ -23,12 +23,9 @@
 //!   and split the selection by truthiness — branch divergence becomes two
 //!   smaller groups, each compacted to dense lanes. A split needs a row on
 //!   either side, so a batch never holds more groups than rows.
-//! * `for` loops whose limit is an integer literal
-//!   ([`InstrClass::Counted`], see [`crate::analysis::tripcount`]) stay on
-//!   the lanes: every row runs the same iterations, so the group unrolls
-//!   the loop in lockstep over the lane registers, replaying the scalar VM's
-//!   per-iteration charges.
 //! * A `Return` ends the group with one value per lane.
+//! * Loops are [`InstrClass::Bail`], a literal trip count included: the
+//!   lanes carry no per-row iteration state.
 //!
 //! # One way off the lanes
 //!
@@ -40,14 +37,15 @@
 //! that leaves does so at an [`InstrClass::Bail`] instruction; of all rows
 //! the lanes do not carry (operators without a lane path included), 70–94 %
 //! first meet a data-dependent `for`, 5–28 % a `while` and 0.4–4 % a string
-//! builtin. The other exits are guards that carried no row there and stay
-//! because a wrong answer is the alternative: an operand whose run-time type
-//! has no lane (text) or whose register was never written, a call with a
-//! receiver, a read of a variable its path never defined (the VM then
-//! reports the exact per-row error), a counted loop whose limit or counter
-//! is not one non-null `Int` across the lanes, an int base under a
-//! non-constant int exponent (`**` picks its result type from the exponent's
-//! value), a shape that disagrees with the program.
+//! builtin. A loop with a literal limit bails like any other: a lane path for
+//! such loops carried at most 2.2 % of the loop-bearing rows on those
+//! workloads (CHANGES.md). The other exits are guards that carried no row
+//! there and stay because a wrong answer is the alternative: an operand whose
+//! run-time type has no lane (text) or whose register was never written, a
+//! call with a receiver, a read of a variable its path never defined (the VM
+//! then reports the exact per-row error), an int base under a non-constant
+//! int exponent (`**` picks its result type from the exponent's value), a
+//! shape that disagrees with the program.
 //!
 //! # Bit-identical values *and* costs
 //!
@@ -191,16 +189,10 @@ impl TypedCol {
         TypedCol { lanes: Lanes::Float(vec![0.0; n]), nulls: vec![true; n] }
     }
 
-    /// One `Int` across `n` non-null lanes (counters and limits of counted
-    /// loops).
-    fn ints(v: i64, n: usize) -> TypedCol {
-        TypedCol::non_null(Lanes::Int(vec![v; n]), n)
-    }
-
     /// A constant across `n` lanes; `None` for text.
     fn broadcast(v: &Value, n: usize) -> Option<TypedCol> {
         Some(match v {
-            Value::Int(i) => TypedCol::ints(*i, n),
+            Value::Int(i) => TypedCol::non_null(Lanes::Int(vec![*i; n]), n),
             Value::Float(f) => TypedCol::non_null(Lanes::Float(vec![*f; n]), n),
             Value::Bool(b) => TypedCol::non_null(Lanes::Bool(vec![*b; n]), n),
             Value::Null => TypedCol::all_null(n),
@@ -239,21 +231,6 @@ impl TypedCol {
             Lanes::Bool(v) => Lanes::Bool(keep.iter().map(|&i| v[i as usize]).collect()),
         };
         TypedCol { lanes, nulls: keep.iter().map(|&i| self.nulls[i as usize]).collect() }
-    }
-
-    /// The single `Int` every lane holds, if the column is uniform, non-null
-    /// and int-typed — the run-time guard of counted-loop execution.
-    fn uniform_int(&self) -> Option<i64> {
-        if self.nulls.iter().any(|&b| b) {
-            return None;
-        }
-        match &self.lanes {
-            Lanes::Int(v) => {
-                let first = *v.first()?;
-                v.iter().all(|&x| x == first).then_some(first)
-            }
-            _ => None,
-        }
     }
 }
 
@@ -567,42 +544,13 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
             g.cost.add_return(w);
             return Ok(Step::Return(vec![Value::Null; n]));
         }
-        // Counted loops (`InstrClass::Counted`): the limit is an integer
-        // literal, so the group unrolls the loop in lockstep — every lane
-        // runs the same iterations, replaying the exact per-iteration
-        // charges of `Vm::run`. Limit and counter are re-checked at run time
-        // (one non-null Int across the lanes); any surprise degrades to the
-        // scalar fallback, never to a wrong answer.
-        Instr::ForInit { counter, limit, src } => {
-            let trips = match resolve(g, consts, *src)? {
-                Src::Const(Value::Int(k)) => *k,
-                Src::Col(c) => c.uniform_int().ok_or(Bail)?,
-                Src::Const(_) => return Err(Bail),
-            };
-            g.regs[*limit as usize] = Some(TypedCol::ints(trips.max(0), n));
-            g.regs[*counter as usize] = Some(TypedCol::ints(0, n));
-        }
-        Instr::ForNext { counter, limit, var_slot, exit } => {
-            let uniform = |reg: u16| {
-                g.regs[reg as usize].as_ref().and_then(TypedCol::uniform_int).ok_or(Bail)
-            };
-            let (c, trips) = (uniform(*counter)?, uniform(*limit)?);
-            if c >= trips {
-                return Ok(Step::Goto(*exit as usize));
-            }
-            // Same charge point as the scalar VM: one loop_iter per entered
-            // iteration, before the body.
-            g.cost.add_loop_iter(w);
-            g.regs[*var_slot as usize] = Some(TypedCol::ints(c, n));
-            g.defined[*var_slot as usize] = true;
-            g.regs[*counter as usize] = Some(TypedCol::ints(c + 1, n));
-        }
-        // While loops and closed-form loop heads are always Bail-class and
-        // caught above; reaching here means the shape disagrees with the
-        // program.
-        Instr::WhileInit { .. } | Instr::WhileIter { .. } | Instr::ForClosed { .. } => {
-            return Err(Bail)
-        }
+        // Loops are always Bail-class and caught above; reaching here means
+        // the shape disagrees with the program.
+        Instr::ForInit { .. }
+        | Instr::ForNext { .. }
+        | Instr::ForClosed { .. }
+        | Instr::WhileInit { .. }
+        | Instr::WhileIter { .. } => return Err(Bail),
     }
     Ok(Step::Goto(pc + 1))
 }
@@ -1037,9 +985,8 @@ mod tests {
     #[test]
     fn loops_fall_back_to_the_scalar_vm_per_row() {
         // Straight-line prefix, then a *data-dependent* loop on one branch:
-        // loop rows leave the fast path, the others stay columnar. (A
-        // constant-count loop would be Counted and stay columnar — see the
-        // next test.)
+        // loop rows leave the fast path, the others stay columnar. (A loop
+        // with a literal limit leaves it too — see the next test.)
         let u = udf(
             &["x", "y"],
             vec![
@@ -1071,10 +1018,10 @@ mod tests {
     }
 
     #[test]
-    fn counted_loops_stay_columnar_with_zero_bails() {
-        // for i in range(12): a literal limit, so every row completes on the
-        // fast path — values and costs still bit-identical to both scalar
-        // backends.
+    fn literal_loops_bail_to_the_vm_bit_identically() {
+        // for i in range(12): a literal limit is still a loop, so every row
+        // leaves the lanes at it — values and costs bit-identical to both
+        // scalar backends.
         let u = udf(
             &["x", "y"],
             vec![
@@ -1096,21 +1043,22 @@ mod tests {
         );
         let prog = compile(&u).unwrap();
         let shape = prog.simd_shape();
-        assert!(shape.class.contains(&InstrClass::Counted), "loop reclassified");
-        assert!(!shape.class.contains(&InstrClass::Bail), "nothing bails");
-        assert_eq!(shape.trip_count.iter().flatten().copied().max(), Some(12));
+        for (pc, instr) in prog.instrs.iter().enumerate() {
+            if matches!(instr, Instr::ForInit { .. } | Instr::ForNext { .. }) {
+                assert_eq!(shape.class[pc], InstrClass::Bail, "pc {pc}");
+            }
+        }
 
         let n = 2500;
         let cols = [int_col(n, |i| i as i64 % 13 - 6), int_col(n, |i| i as i64 % 7)];
         let stats = differential(&u, &cols);
-        assert_eq!(stats.bail_rows, 0, "counted loop must not bail: {stats:?}");
-        assert_eq!(stats.fast_rows, n as u64);
+        assert_eq!((stats.fast_rows, stats.bail_rows), (0, n as u64), "every row bails");
     }
 
     #[test]
     fn counted_loop_with_branch_divergence_inside_the_body_matches() {
-        // Divergence *inside* a counted loop body: groups split mid-loop and
-        // each continues its own lockstep iterations.
+        // Divergence *inside* a literal loop's body: the whole selection
+        // bails at the loop head, and the VM follows each row's branches.
         let u = udf(
             &["x", "y"],
             vec![
@@ -1136,13 +1084,12 @@ mod tests {
         let n = 400;
         let stats =
             differential(&u, &[int_col(n, |i| i as i64 % 50), int_col(n, |i| i as i64 % 9)]);
-        assert_eq!(stats.fast_rows, n as u64);
-        // Null rows in the limit-feeding columns don't exist here, but null
-        // *data* rows must still match through the loop.
+        assert_eq!(stats.bail_rows, n as u64);
+        // Null *data* rows must match through the loop too.
         let xs: Vec<Value> =
             (0..64).map(|i| if i % 5 == 0 { Value::Null } else { Value::Int(i) }).collect();
         let ys: Vec<Value> = (0..64).map(Value::Int).collect();
-        assert_eq!(differential(&u, &[xs, ys]).fast_rows, 64);
+        assert_eq!(differential(&u, &[xs, ys]).bail_rows, 64);
     }
 
     #[test]
@@ -1461,7 +1408,7 @@ mod tests {
             })
             .collect();
         if cols.is_empty() {
-            cols.push(TypedCol::ints(0, rows)); // an unused parameter carries the row count
+            cols.push(TypedCol::non_null(Lanes::Int(vec![0; rows]), rows)); // an unused parameter carries the row count
         }
         let values: Vec<Vec<Value>> =
             cols.iter().map(|c| (0..rows).map(|r| c.value(r)).collect()).collect();

@@ -17,17 +17,17 @@
 //! - `compile` succeeds — it always verifies (jump targets, register/const
 //!   bounds, cost-charge placement, loop pairing, definite initialization) —
 //!   and an explicit re-`verify` of the result is clean;
-//! - the SIMD shape covers every instruction, `Counted` classification and
-//!   recorded trip counts agree instruction-by-instruction, and no recorded
-//!   trip count exceeds [`MAX_COUNTED_TRIPS`];
+//! - the SIMD shape covers every instruction;
 //! - the entry block dominates every reachable block of the CFG;
 //! - the constant pool carries no duplicates;
-//! - the program [`prune()`] makes of it over its table's column types
-//!   passes all of the above.
+//! - the UDF's prepared program
+//!   ([`GeneratedUdf::prepared`](graceful::udf::GeneratedUdf::prepared) over
+//!   its table's column types: compiled, verified and pruned — the program
+//!   `run` executes) passes all of the above.
 //!
 //! It prints the pruning census: programs the pass applies to, static
 //! instructions it removes (dead values and merged charges), loops it closes
-//! (folded, or with a closed-form head) and the mean time of one `prune`.
+//! (folded, or with a closed-form head) and the mean time of one prepare.
 //!
 //! **`plan`** — the generated query-plan corpus through the plan verifier and
 //! the static analysis behind the verified rewrite. Per plan (every valid
@@ -39,11 +39,11 @@
 //!   ([`analysis::verify_bounds`]);
 //! - liveness is consistent (nothing is live above the root).
 //!
-//! Both also gate the engine's shortcuts on traffic: a corpus with no counted
-//! loop, no typed-lane-eligible program, no pruned instruction or no closed
-//! loop (`udf`) or no dead join lane (`plan`) fails with "shortcut without
-//! traffic" — a fast path the generators never reach is code to delete, not
-//! to carry.
+//! Both also gate the engine's shortcuts on traffic, read off the programs
+//! that run: a corpus with no typed-lane-eligible prepared program, no pruned
+//! instruction or no closed loop (`udf`) or no dead join lane (`plan`) fails
+//! with "shortcut without traffic" — a fast path the generators never reach
+//! is code to delete, not to carry.
 //!
 //! **`flight <file>`** — parse every line of a flight-recorder JSONL file
 //! back into [`graceful::obs::flight::FlightRecord`]s and summarize the
@@ -59,9 +59,9 @@ use graceful::obs::flight;
 use graceful::plan::analysis::{self, RewriteSet};
 use graceful::plan::{Plan, PlanOpKind};
 use graceful::prelude::*;
-use graceful::udf::analysis::{verify, Cfg, MAX_COUNTED_TRIPS};
+use graceful::udf::analysis::{verify, Cfg};
 use graceful::udf::bytecode::Instr;
-use graceful::udf::{prune, CostWeights, InstrClass, Program};
+use graceful::udf::Program;
 use serde::{Content, Deserialize};
 use std::time::{Duration, Instant};
 
@@ -100,22 +100,6 @@ fn lint_program(prog: &Program) -> Vec<String> {
             prog.instrs.len()
         ));
     }
-    for (pc, class) in shape.class.iter().enumerate() {
-        let trip = shape.trip_count.get(pc).copied().flatten();
-        if (*class == InstrClass::Counted) != trip.is_some() {
-            diags.push(format!("pc {pc}: class {class:?} disagrees with trip count {trip:?}"));
-        }
-        if *class == InstrClass::Counted
-            && !matches!(prog.instrs[pc], Instr::ForInit { .. } | Instr::ForNext { .. })
-        {
-            diags.push(format!("pc {pc}: Counted on a non-loop instruction"));
-        }
-        if let Some(n) = trip {
-            if i64::from(n) > MAX_COUNTED_TRIPS {
-                diags.push(format!("pc {pc}: trip count {n} exceeds {MAX_COUNTED_TRIPS}"));
-            }
-        }
-    }
 
     match Cfg::build(prog) {
         Ok(cfg) => {
@@ -138,10 +122,9 @@ fn lint_program(prog: &Program) -> Vec<String> {
 }
 
 fn lint_udfs() -> i32 {
-    let mut programs = 0usize;
-    let (mut counted_loops, mut lane_eligible) = (0usize, 0usize);
+    let (mut programs, mut lane_eligible) = (0usize, 0usize);
     let (mut pruned_programs, mut instrs, mut pruned_instrs) = (0usize, 0usize, 0usize);
-    let (mut closed_loops, mut prune_time) = (0usize, Duration::ZERO);
+    let (mut closed_loops, mut prepare_time) = (0usize, Duration::ZERO);
     let loops =
         |p: &Program| p.instrs.iter().filter(|i| matches!(i, Instr::ForNext { .. })).count();
     let mut diagnostics = 0usize;
@@ -167,9 +150,6 @@ fn lint_udfs() -> i32 {
                 }
             };
             programs += 1;
-            let shape = prog.simd_shape();
-            counted_loops += shape.trip_count.iter().flatten().count() / 2;
-            lane_eligible += usize::from(shape.has_fast_path);
             for d in lint_program(&prog) {
                 eprintln!("lint udf: {name}/{seed} {}: {d}", prog.name);
                 diagnostics += 1;
@@ -182,13 +162,22 @@ fn lint_udfs() -> i32 {
                 diagnostics += 1;
                 continue;
             };
-            let (n, plain_loops, start) = (prog.instrs.len(), loops(&prog), Instant::now());
-            let pruned = prune(prog, &types, &CostWeights::default());
-            prune_time += start.elapsed();
+            let start = Instant::now();
+            let prepared = match u.prepared(&types) {
+                Ok(p) => p,
+                Err(e) => {
+                    eprintln!("lint udf: {name}/{seed} {}: prepare rejected: {e}", u.def.name);
+                    diagnostics += 1;
+                    continue;
+                }
+            };
+            prepare_time += start.elapsed();
+            let (n, pruned) = (prog.instrs.len(), prepared.program());
+            lane_eligible += usize::from(prepared.shape().has_fast_path);
             pruned_programs += usize::from(!pruned.charges.is_empty());
             (instrs, pruned_instrs) = (instrs + n, pruned_instrs + n - pruned.instrs.len());
-            closed_loops += plain_loops - loops(&pruned);
-            for d in lint_program(&pruned) {
+            closed_loops += loops(&prog) - loops(pruned);
+            for d in lint_program(pruned) {
                 eprintln!("lint udf: {name}/{seed} {} (pruned): {d}", pruned.name);
                 diagnostics += 1;
             }
@@ -198,23 +187,24 @@ fn lint_udfs() -> i32 {
         eprintln!("lint udf: {diagnostics} diagnostics over {programs} programs");
         return 1;
     }
-    if counted_loops == 0 || lane_eligible == 0 || pruned_instrs == 0 || closed_loops == 0 {
+    if lane_eligible == 0 || pruned_instrs == 0 || closed_loops == 0 {
         eprintln!(
-            "lint udf: shortcut without traffic: {counted_loops} counted loops, \
-             {lane_eligible} typed-lane-eligible programs, {pruned_instrs} pruned instructions, \
-             {closed_loops} closed loops over {programs} programs"
+            "lint udf: shortcut without traffic: {lane_eligible} typed-lane-eligible programs, \
+             {pruned_instrs} pruned instructions, {closed_loops} closed loops over {programs} \
+             programs"
         );
         return 1;
     }
     println!(
-        "lint udf: {programs} programs verified clean ({} schemas, {counted_loops} counted \
-         loops, {lane_eligible} typed-lane-eligible programs)",
+        "lint udf: {programs} programs verified clean ({} schemas, {lane_eligible} \
+         typed-lane-eligible prepared programs)",
         SCHEMAS.len()
     );
     println!(
         "lint udf: pruning: {pruned_programs} programs eligible, {pruned_instrs} of {instrs} \
-         static instructions removed, {closed_loops} loops closed, {:.1} us per prune",
-        prune_time.as_secs_f64() * 1e6 / programs.max(1) as f64
+         static instructions removed, {closed_loops} loops closed, {:.1} us per prepare \
+         (compile, verify, prune)",
+        prepare_time.as_secs_f64() * 1e6 / programs.max(1) as f64
     );
     0
 }

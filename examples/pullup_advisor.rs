@@ -27,13 +27,11 @@ def udf(movie_id, keyword_id):
     return z
 ";
     let def = parse_udf(src).unwrap();
-    let udf = Arc::new(GeneratedUdf {
-        source: print_udf(&def),
+    let udf = Arc::new(GeneratedUdf::new(
         def,
-        table: "movie_keyword".into(),
-        input_columns: vec!["movie_id".into(), "keyword_id".into()],
-        adaptations: vec![],
-    });
+        "movie_keyword",
+        vec!["movie_id".into(), "keyword_id".into()],
+    ));
     // Selective series_years filter high in the plan (like the paper's
     // `t.series_years = '1987-1997'`).
     let series = db.stats("title").unwrap().column("series_years").unwrap().mcv[0].0.clone();

@@ -44,13 +44,8 @@ def score(production_year, kind_id):
         def.branch_count(),
         def.loop_count()
     );
-    let udf = Arc::new(GeneratedUdf {
-        source: print_udf(&def),
-        def,
-        table: "title".into(),
-        input_columns: vec!["production_year".into(), "kind_id".into()],
-        adaptations: vec![],
-    });
+    let udf =
+        Arc::new(GeneratedUdf::new(def, "title", vec!["production_year".into(), "kind_id".into()]));
 
     // 3. A query plan: SELECT COUNT(*) FROM title WHERE score(...) <= 120.
     let plan = Plan {

@@ -29,13 +29,7 @@ fn all_twenty_datasets_generate_with_stats() {
 fn udf_filter_over_empty_input_is_free_and_correct() {
     let db = generate(&schema("tpc_h"), 0.02, 2);
     let def = parse_udf("def f(x0):\n    return x0 * 2\n").unwrap();
-    let udf = Arc::new(GeneratedUdf {
-        source: print_udf(&def),
-        def,
-        table: "orders_t".into(),
-        input_columns: vec!["totalprice".into()],
-        adaptations: vec![],
-    });
+    let udf = Arc::new(GeneratedUdf::new(def, "orders_t", vec!["totalprice".into()]));
     // A filter that eliminates everything, below the UDF.
     let plan = Plan {
         ops: vec![
@@ -68,13 +62,7 @@ fn scale_above_udf_extremes() {
     use graceful::card::scale_above_udf;
     let _db = generate(&schema("tpc_h"), 0.02, 3);
     let def = parse_udf("def f(x0):\n    return x0\n").unwrap();
-    let udf = Arc::new(GeneratedUdf {
-        source: print_udf(&def),
-        def,
-        table: "orders_t".into(),
-        input_columns: vec!["totalprice".into()],
-        adaptations: vec![],
-    });
+    let udf = Arc::new(GeneratedUdf::new(def, "orders_t", vec!["totalprice".into()]));
     let mut plan = Plan {
         ops: vec![
             PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
@@ -139,13 +127,7 @@ fn interpreter_string_edge_cases() {
 fn hit_ratio_with_contradictory_prefilter_is_zero_ish() {
     let db = generate(&schema("tpc_h"), 0.05, 5);
     let def = parse_udf("def f(x0):\n    if x0 > 40:\n        return 1\n    return 0\n").unwrap();
-    let udf = GeneratedUdf {
-        source: print_udf(&def),
-        def,
-        table: "lineitem_t".into(),
-        input_columns: vec!["quantity".into()],
-        adaptations: vec![],
-    };
+    let udf = GeneratedUdf::new(def, "lineitem_t", vec!["quantity".into()]);
     let actual = ActualCard::new(&db);
     let hr = HitRatioEstimator::new(&actual);
     // Pre-filter keeps only quantity <= 10, branch needs > 40: impossible.
@@ -325,13 +307,7 @@ fn nan_under_not_equal_has_one_answer_at_all_three_comparison_sites() {
     let table = Table::new("t", vec![Column::new("x", ColumnData::Float(x))]).unwrap();
     let db = Database::new("nandb", vec![table]);
     let udf = |source: &str| {
-        Arc::new(GeneratedUdf {
-            def: parse_udf(source).unwrap(),
-            source: source.into(),
-            table: "t".into(),
-            input_columns: vec!["x".into()],
-            adaptations: vec![],
-        })
+        Arc::new(GeneratedUdf::new(parse_udf(source).unwrap(), "t", vec!["x".into()]))
     };
     let scan = || PlanOp::new(PlanOpKind::Scan { table: "t".into() }, vec![]);
     let count = |filter: PlanOpKind| Plan {

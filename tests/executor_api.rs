@@ -47,13 +47,7 @@ fn empty_input_plan(agg: AggFunc, over_udf: bool) -> Plan {
         let def = parse_udf("def f(x0):\n    return x0 * 2.0\n").unwrap();
         ops.push(PlanOp::new(
             PlanOpKind::UdfProject {
-                udf: Arc::new(GeneratedUdf {
-                    source: print_udf(&def),
-                    def,
-                    table: "orders_t".into(),
-                    input_columns: vec!["totalprice".into()],
-                    adaptations: vec![],
-                }),
+                udf: Arc::new(GeneratedUdf::new(def, "orders_t", vec!["totalprice".into()])),
             },
             vec![1],
         ));
@@ -255,13 +249,7 @@ fn udf_input_rows_agree_across_modes_with_two_udf_operators() {
     let db = generate(&schema("tpc_h"), 0.05, 3);
     let mk_udf = |table: &str, column: &str| {
         let def = parse_udf("def f(x0):\n    return x0 + 1.0\n").unwrap();
-        Arc::new(GeneratedUdf {
-            source: print_udf(&def),
-            def,
-            table: table.into(),
-            input_columns: vec![column.into()],
-            adaptations: vec![],
-        })
+        Arc::new(GeneratedUdf::new(def, table, vec![column.into()]))
     };
     let plan = Plan {
         ops: vec![
@@ -319,13 +307,7 @@ fn the_largest_udf_batch_size_allocates_for_its_rows_only() {
         "def f(x0):\n    z = x0 * 0.5\n    if x0 < 100000:\n        for i in range(int(x0) % 5):\n            z = z + i\n    return z\n",
     )
     .unwrap();
-    let udf = Arc::new(GeneratedUdf {
-        source: print_udf(&def),
-        def,
-        table: "orders_t".into(),
-        input_columns: vec!["totalprice".into()],
-        adaptations: vec![],
-    });
+    let udf = Arc::new(GeneratedUdf::new(def, "orders_t", vec!["totalprice".into()]));
     let plan = Plan {
         ops: vec![
             PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),

@@ -114,13 +114,11 @@ fn dead_join_lane_and_constant_filters_stay_bit_identical() {
 
     let db = generate(&schema("tpc_h"), 0.03, 5);
     let def = parse_udf("def f(x0, x1, x2):\n    return x2 * 2\n").unwrap();
-    let udf = Arc::new(graceful::udf::GeneratedUdf {
-        source: print_udf(&def),
+    let udf = Arc::new(graceful::udf::GeneratedUdf::new(
         def,
-        table: "orders_t".into(),
-        input_columns: vec!["id".into(), "cust_id".into(), "totalprice".into()],
-        adaptations: vec![],
-    });
+        "orders_t",
+        vec!["id".into(), "cust_id".into(), "totalprice".into()],
+    ));
 
     // customer_t.id is a null-free serial Int column, so predicates far
     // outside its range hold for every row or for none; mktsegment stays
@@ -206,13 +204,7 @@ fn partitioned_join_and_parallel_agg_bit_identical_across_scales() {
         ],
     };
     let def = parse_udf("def f(x0):\n    return x0 * 0.5 + 1.0\n").unwrap();
-    let udf = Arc::new(graceful::udf::GeneratedUdf {
-        source: print_udf(&def),
-        def,
-        table: "fact".into(),
-        input_columns: vec!["amount".into()],
-        adaptations: vec![],
-    });
+    let udf = Arc::new(graceful::udf::GeneratedUdf::new(def, "fact", vec!["amount".into()]));
     // Filtered fact ⋈ dim, UDF-projected, summed: every parallel operator
     // class in one chain (filtered scan, partitioned join, parallel agg).
     let join_udf_sum = Plan {

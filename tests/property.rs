@@ -349,12 +349,11 @@ proptest! {
         prop_assert!(matches!(verify(&bad), Err(GracefulError::Verify(_))));
     }
 
-    /// A constant-trip `for` loop — which bailed every row to the scalar VM
-    /// before trip-count analysis — now runs entirely on SIMD lanes (zero
-    /// bail rows) and stays bit-identical to the scalar VM and the
-    /// tree-walker across random inputs.
+    /// A constant-trip `for` loop is a loop to the lanes: every row bails
+    /// to the scalar VM at it and stays bit-identical to the scalar VM and
+    /// the tree-walker across random inputs.
     #[test]
-    fn counted_loops_run_columnar_and_bit_identical(seed in 0u64..5_000) {
+    fn literal_loops_bail_and_stay_bit_identical(seed in 0u64..5_000) {
         use graceful::udf::{InstrClass, TypedCol};
         let u = parse_udf(
             "def f(x0):\n    z = 0\n    for i in range(12):\n        z = z + i * x0\n    return z\n",
@@ -362,8 +361,7 @@ proptest! {
         .unwrap();
         let prog = compile(&u).unwrap();
         let shape = prog.simd_shape();
-        prop_assert!(shape.class.contains(&InstrClass::Counted), "loop is counted");
-        prop_assert!(!shape.class.contains(&InstrClass::Bail), "nothing bails");
+        prop_assert!(shape.class.contains(&InstrClass::Bail), "the loop bails");
 
         let mut rng = Rng::seed(seed);
         let rows = 256;
@@ -379,8 +377,7 @@ proptest! {
             &mut simd_vm, &prog, &shape, &cols, &mut simd_out, &mut simd_cost, &mut stats,
         )
         .expect("SIMD path evaluates");
-        prop_assert_eq!(stats.bail_rows, 0, "counted loop must not bail");
-        prop_assert_eq!(stats.fast_rows, rows as u64);
+        prop_assert_eq!((stats.fast_rows, stats.bail_rows), (0, rows as u64), "every row bails");
 
         let slices = vec![data.as_slice()];
         let mut vm = Vm::default();
