@@ -16,27 +16,9 @@ pub fn q_error(predicted: f64, actual: f64) -> f64 {
     (p / a).max(a / p)
 }
 
-/// Percentile (inclusive, nearest-rank with linear interpolation) of a sample.
-///
-/// `q` is in `[0, 1]`; e.g. `percentile(&v, 0.5)` is the median.
-///
-/// # Panics
-/// Panics if `values` is empty or `q` is outside `[0, 1]`.
-pub fn percentile(values: &[f64], q: f64) -> f64 {
-    assert!(!values.is_empty(), "percentile of empty sample");
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("metric values must not be NaN"));
-    let rank = q * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
+/// The workspace's one percentile, shared with the registry histograms so
+/// the paper's tables and the operational `p50`/`p95`/`p99` cannot disagree.
+pub use graceful_obs::registry::percentile;
 
 /// Median shortcut.
 pub fn median(values: &[f64]) -> f64 {
@@ -161,27 +143,5 @@ mod tests {
         assert_eq!(speedup(10.0, 5.0), 2.0);
         let g = geometric_mean(&[1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn registry_histogram_percentiles_match_paper_metrics() {
-        // The obs registry's p50/p95/p99 must agree bit-for-bit with this
-        // module's `percentile` on identical samples — the registry is the
-        // operational view, this module is the paper-metrics view, and the
-        // two must never tell different stories about the same data.
-        let samples: Vec<f64> =
-            (0..1000).map(|i| ((i * 7919) % 1000) as f64 * 0.25 + 1.0).collect();
-        let h = graceful_obs::registry::histogram("test.common.percentile_crosscheck");
-        for &s in &samples {
-            h.record(s);
-        }
-        let summary = h.summary().expect("samples recorded");
-        assert_eq!(summary.p50.to_bits(), percentile(&samples, 0.5).to_bits());
-        assert_eq!(summary.p95.to_bits(), percentile(&samples, 0.95).to_bits());
-        assert_eq!(summary.p99.to_bits(), percentile(&samples, 0.99).to_bits());
-        assert_eq!(
-            graceful_obs::registry::percentile(&samples, 0.95).to_bits(),
-            percentile(&samples, 0.95).to_bits()
-        );
     }
 }

@@ -9,9 +9,9 @@
 //! * [`run_with_model`] — predict a query's cost with a loaded
 //!   [`GracefulModel`] *before* running it, execute, and score the
 //!   prediction: the q-error lands in the registry histogram
-//!   `est.cost.qerror.query`, and when the flight recorder is enabled the
-//!   prediction rides along inside the query's [`FlightRecord`]
-//!   (`model_pred_ns` / `model_q`).
+//!   `est.cost.qerror.query`, and the prediction rides along inside the
+//!   query's one [`FlightRecord`] (`model_pred_ns` / `model_q`) — the record
+//!   returned and, when the flight recorder is enabled, the one appended.
 //! * [`labels_from_flight`] — the online-learning on-ramp: convert recorded
 //!   flight records back into fresh [`LabeledQuery`] rows by joining on the
 //!   stable plan fingerprint, so production traffic recorded via
@@ -20,10 +20,9 @@
 use crate::corpus::LabeledQuery;
 use crate::model::GracefulModel;
 use graceful_card::CardEstimator;
-use graceful_common::metrics::q_error;
 use graceful_common::Result;
 use graceful_exec::{QueryRun, Session};
-use graceful_obs::flight::{self, FlightRecord};
+use graceful_obs::flight::FlightRecord;
 use graceful_obs::registry::histogram;
 use graceful_plan::{Plan, QuerySpec};
 use graceful_storage::Database;
@@ -38,7 +37,7 @@ pub struct ModelRun {
     /// The model's whole-query cost prediction, in nanoseconds, made
     /// *before* execution.
     pub predicted_ns: f64,
-    /// `q_error(predicted_ns, run.runtime_ns)`.
+    /// `q_error(predicted_ns, run.runtime_ns)`, as `record.model_q` holds it.
     pub q: f64,
     /// The predicted-vs-actual record for this run, model prediction
     /// included.
@@ -49,11 +48,12 @@ pub struct ModelRun {
 /// execute it through `session` and score the prediction.
 ///
 /// The prediction happens strictly before execution (this is the deployment
-/// scenario — the model never sees the truth it is scored against), and the
-/// q-error is recorded into the registry histogram `est.cost.qerror.query`.
-/// When the flight recorder is enabled the prediction is staged so the
-/// executor's own recording hook embeds it in the globally recorded copy of
-/// this query's record; the returned [`ModelRun::record`] always carries it.
+/// scenario — the model never sees the truth it is scored against). The run
+/// goes through [`graceful_exec::Executor::run_analyzed`] with the
+/// prediction, so the query's record — built once, and appended when the
+/// flight recorder is enabled — scores it, and its q-error is recorded into
+/// the registry histogram `est.cost.qerror.query`. A failed run records
+/// nothing: no prediction outlives its query.
 pub fn run_with_model(
     session: &Session,
     db: &Database,
@@ -66,14 +66,10 @@ pub fn run_with_model(
     let mut annotated = plan.clone();
     estimator.annotate(&mut annotated)?;
     let predicted_ns = model.predict(db, spec, &annotated, estimator)?;
-    if flight::enabled() {
-        flight::stage_prediction(predicted_ns);
-    }
-    let run = session.run(db, &annotated, seed)?;
-    let q = q_error(predicted_ns, run.runtime_ns);
+    let (run, record) = session.executor(db).run_analyzed(&annotated, seed, Some(predicted_ns))?;
+    // Always `Some`: the record scores the prediction it was given.
+    let q = record.model_q.unwrap_or(f64::NAN);
     histogram("est.cost.qerror.query").record(q);
-    let record =
-        graceful_exec::flight_record(&annotated, session.config(), &run, seed, Some(predicted_ns));
     Ok(ModelRun { run, predicted_ns, q, record })
 }
 

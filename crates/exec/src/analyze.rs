@@ -2,17 +2,14 @@
 //!
 //! The paper's thesis is that a learned model predicts UDF-query cost well —
 //! this module is where the system *measures its own prediction quality* at
-//! runtime. After every [`crate::Executor::run`], `observe_run` compares
-//! the plan's pre-execution annotations (cardinalities from whichever
-//! estimator annotated it, work from the closed-form operator cost model
-//! below) against the measured truth in the [`QueryRun`], and
-//!
-//! * aggregates the per-operator **q-errors** into registry histograms
-//!   (`est.card.qerror.<kind>` / `est.cost.qerror.<kind>`) when profiling is
-//!   on and the plan is annotated, and
-//! * appends one [`FlightRecord`] to the global flight recorder
-//!   (`graceful_obs::flight`, armed by `GRACEFUL_FLIGHT=path`) carrying the
-//!   full predicted/actual picture per operator.
+//! runtime. [`flight_record`] scores the plan's pre-execution annotations
+//! (cardinalities from whichever estimator annotated it, work from the
+//! closed-form operator cost model below) against the measured truth in the
+//! [`QueryRun`], computing each operator's q-errors once. That record is the
+//! one source of the registry histograms `est.card.qerror.<kind>` /
+//! `est.cost.qerror.<kind>` (profiling on, plan annotated) and the one
+//! record the global flight recorder (`graceful_obs::flight`, armed by
+//! `GRACEFUL_FLIGHT=path`) appends.
 //!
 //! Q-errors use `graceful_common::metrics::q_error` — the *same* function
 //! the paper metrics and the offline flight-record reader use, so a q-error
@@ -21,8 +18,8 @@
 //!
 //! Everything here is write-only observability, **outside the bit-identity
 //! contract**: `tests/parallel_determinism.rs` proves flight-recorded runs
-//! are bit-identical to plain runs. When both profiling and the flight
-//! recorder are off, `observe_run` costs one relaxed atomic load.
+//! are bit-identical to plain runs. With profiling and the flight recorder
+//! off, a run builds no record.
 
 use crate::engine::{ExecConfig, QueryRun};
 use crate::profile::plan_op_name;
@@ -101,8 +98,8 @@ fn op_key(kind: &PlanOpKind) -> String {
 /// fingerprint, the exec options, the contracted results, and — per
 /// operator — predicted vs. actual rows/work with their q-errors
 /// (`None` when the plan was never annotated). `model_pred_ns` is the
-/// whole-query model prediction when one was staged. This is the single
-/// construction path for `explain analyze`: render it with
+/// model's whole-query prediction, when the run was given one. This is the
+/// single construction path for `explain analyze`: render it with
 /// [`FlightRecord::render_analyze`].
 pub fn flight_record(
     plan: &Plan,
@@ -144,7 +141,7 @@ pub fn flight_record(
         udf_batch: config.udf_batch_size as u64,
         wall_ns: run.profile.as_ref().map_or(0, |p| p.total_wall_ns),
         runtime_ns: run.runtime_ns,
-        agg_value: run.agg_value,
+        agg_value: run.agg_value.is_finite().then_some(run.agg_value),
         udf_rows: run.udf_input_rows as u64,
         model_pred_ns,
         model_q: model_pred_ns.map(|p| q_error(p, run.runtime_ns)),
@@ -152,33 +149,28 @@ pub fn flight_record(
     }
 }
 
-/// Post-run observation hook, called by [`crate::Executor::run`] on every
-/// successful query. Costs one atomic load when both profiling and the
-/// flight recorder are off.
-pub(crate) fn observe_run(plan: &Plan, config: &ExecConfig, run: &QueryRun, seed: u64) {
-    if !flight::enabled() && !config.profile {
-        return;
-    }
-    if config.profile && is_annotated(plan) {
-        let est_work = estimated_work(plan, config);
-        for (i, op) in plan.ops.iter().enumerate() {
-            let key = op_key(&op.kind);
-            histogram(&format!("est.card.qerror.{key}"))
-                .record(q_error(op.est_out_rows, run.out_rows[i] as f64));
-            histogram(&format!("est.cost.qerror.{key}"))
-                .record(q_error(est_work[i], run.op_work[i]));
+/// Hand one run's record to its consumers: with profiling on, its per-op
+/// q-errors go into the `est.*` histograms (an un-annotated plan has none);
+/// with the flight recorder on, the record itself is appended.
+pub(crate) fn observe(plan: &Plan, config: &ExecConfig, record: &FlightRecord) {
+    if config.profile {
+        for (op, scored) in plan.ops.iter().zip(&record.ops) {
+            if let (Some(card_q), Some(cost_q)) = (scored.card_q, scored.cost_q) {
+                let key = op_key(&op.kind);
+                histogram(&format!("est.card.qerror.{key}")).record(card_q);
+                histogram(&format!("est.cost.qerror.{key}")).record(cost_q);
+            }
         }
     }
-    if flight::enabled() {
-        let pred = flight::take_staged_prediction();
-        flight::record(&flight_record(plan, config, run, seed, pred));
-    }
+    flight::record(record);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Executor;
     use graceful_plan::{AggFunc, ColRef, PlanOp};
+    use graceful_storage::{Column, ColumnData, Database, Table};
     use graceful_udf::parse_udf;
     use graceful_udf::GeneratedUdf;
     use std::sync::Arc;
@@ -268,5 +260,64 @@ mod tests {
         assert_eq!(op_key(&plan.ops[0].kind), "scan");
         assert_eq!(op_key(&plan.ops[1].kind), "udf_filter");
         assert_eq!(op_key(&plan.ops[2].kind), "agg");
+    }
+
+    /// The flight recorder is process-global: the tests that switch it on
+    /// take turns, and each finds its own records by seed.
+    static FLIGHT: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// `SUM(x)` over the five rows `[1, 2, NaN, NaN, 1]` of table `t`.
+    fn nan_sum() -> (Database, Plan) {
+        let x = vec![1.0, 2.0, f64::NAN, f64::NAN, 1.0];
+        let table = Table::new("t", vec![Column::new("x", ColumnData::Float(x))]).unwrap();
+        let plan = Plan {
+            ops: vec![
+                PlanOp::new(PlanOpKind::Scan { table: "t".into() }, vec![]),
+                PlanOp::new(
+                    PlanOpKind::Agg { func: AggFunc::Sum, column: Some(ColRef::new("t", "x")) },
+                    vec![0],
+                ),
+            ],
+            root: 1,
+        };
+        (Database::new("nandb", vec![table]), plan)
+    }
+
+    /// The records of this process's recorder with seed `seed`.
+    fn recorded(seed: u64) -> Vec<FlightRecord> {
+        let all = flight::parse_jsonl(&flight::export_jsonl()).expect("every line parses");
+        all.into_iter().filter(|r| r.seed == seed).collect()
+    }
+
+    #[test]
+    fn a_failed_run_leaves_its_prediction_on_no_other_query() {
+        let _turn = FLIGHT.lock().unwrap_or_else(|e| e.into_inner());
+        let (db, plan) = nan_sum();
+        let capped = ExecConfig { max_intermediate_rows: 2, ..ExecConfig::base() };
+        let (failing, plain) = (0x1ea4_0001, 0x1ea4_0002);
+        flight::enable();
+        let failed =
+            Executor::with_config(&db, capped).run_analyzed(&plan, failing, Some(12_345.0));
+        Executor::with_config(&db, ExecConfig::base()).run(&plan, plain).unwrap();
+        flight::disable();
+        assert!(failed.is_err(), "5 scanned rows exceed the cap of 2");
+        assert!(recorded(failing).is_empty(), "a failed run records nothing");
+        let records = recorded(plain);
+        assert_eq!(records.len(), 1);
+        assert_eq!((records[0].model_pred_ns, records[0].model_q), (None, None));
+    }
+
+    #[test]
+    fn a_nan_aggregate_records_a_line_that_parses() {
+        let _turn = FLIGHT.lock().unwrap_or_else(|e| e.into_inner());
+        let (db, plan) = nan_sum();
+        let seed = 0x1ea4_0003;
+        flight::enable();
+        let (run, record) =
+            Executor::with_config(&db, ExecConfig::base()).run_analyzed(&plan, seed, None).unwrap();
+        flight::disable();
+        assert!(run.agg_value.is_nan());
+        assert_eq!(record.agg_value, None);
+        assert_eq!(recorded(seed), vec![record], "the returned record is the one appended");
     }
 }

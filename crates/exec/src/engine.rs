@@ -32,9 +32,11 @@
 //! one batch VM whose register file is preallocated once and reused across
 //! all morsels the worker pulls.
 
+use crate::analyze;
 use crate::profile::ExecProfile;
 use graceful_common::config;
 use graceful_common::{GracefulError, Result};
+use graceful_obs::flight::{self, FlightRecord};
 use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
 use graceful_plan::{AggFunc, Plan};
@@ -298,8 +300,42 @@ impl<'a> Executor<'a> {
     /// mid-execution surprise.
     ///
     /// Every call increments the registry counter `exec.queries` and records
-    /// its wall time into the `exec.query_wall_ns` histogram.
+    /// its wall time into the `exec.query_wall_ns` histogram — the same
+    /// clock reading a profiled run's [`ExecProfile::total_wall_ns`] holds.
+    /// With the flight recorder on, or profiling on over an annotated plan,
+    /// the run's [`FlightRecord`] is built and observed as in
+    /// [`Executor::run_analyzed`].
     pub fn run(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
+        let run = self.run_timed(plan, seed)?;
+        if flight::enabled() || self.config.profile && analyze::is_annotated(plan) {
+            let record = analyze::flight_record(plan, &self.config, &run, seed, None);
+            analyze::observe(plan, &self.config, &record);
+        }
+        Ok(run)
+    }
+
+    /// [`Executor::run`], returning the query's [`FlightRecord`] — the
+    /// `explain analyze` input, rendered with
+    /// [`FlightRecord::render_analyze`] — with `model_pred_ns`, a model's
+    /// whole-query cost prediction made before the run, scored in it. The
+    /// record is built once: its q-errors are the ones the `est.*`
+    /// histograms receive, and with the flight recorder on it is the record
+    /// appended. A run that fails records nothing.
+    pub fn run_analyzed(
+        &self,
+        plan: &Plan,
+        seed: u64,
+        model_pred_ns: Option<f64>,
+    ) -> Result<(QueryRun, FlightRecord)> {
+        let run = self.run_timed(plan, seed)?;
+        let record = analyze::flight_record(plan, &self.config, &run, seed, model_pred_ns);
+        analyze::observe(plan, &self.config, &record);
+        Ok((run, record))
+    }
+
+    /// The shipped run between one clock pair: the span, the `exec.*`
+    /// registry metrics, and the profile's total wall time.
+    fn run_timed(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
         struct ExecMetrics {
             queries: Counter,
             wall_ns: Histogram,
@@ -312,14 +348,14 @@ impl<'a> Executor<'a> {
         let _span = trace::span("exec", "query").arg("seed", seed).arg("ops", plan.ops.len());
         let started = Instant::now();
         let run = self.run_with(plan, seed, Shortcuts::SHIPPED);
+        let wall_ns = started.elapsed().as_nanos() as u64;
         m.queries.incr();
-        m.wall_ns.record(started.elapsed().as_nanos() as f64);
-        // Estimator-quality telemetry (q-error histograms, flight record) —
-        // write-only observability, one atomic load when everything is off.
-        if let Ok(r) = &run {
-            crate::analyze::observe_run(plan, &self.config, r, seed);
+        m.wall_ns.record(wall_ns as f64);
+        let mut run = run?;
+        if let Some(profile) = &mut run.profile {
+            profile.total_wall_ns = wall_ns;
         }
-        run
+        Ok(run)
     }
 
     /// [`Executor::run`]'s oracle: the same verification gate, operators,
@@ -796,12 +832,12 @@ mod tests {
         // generator-produced queries only, so a shortcut no workload takes
         // fails here instead of riding along behind a hand-built trigger.
         use crate::physical::{lower_under, PhysicalOpKind};
-        use crate::profile::UdfOpProfile;
-        let udf_rows = |run: &QueryRun, rows: fn(UdfOpProfile) -> u64| -> u64 {
+        use graceful_udf::UdfStats;
+        let udf_rows = |run: &QueryRun, rows: fn(UdfStats) -> u64| -> u64 {
             let ops = &run.profile.as_ref().expect("streaming runs are profiled").ops;
             ops.iter().filter_map(|op| op.udf).map(rows).sum()
         };
-        let fast_rows = |run: &QueryRun| udf_rows(run, |u| u.simd_fast_rows);
+        let fast_rows = |run: &QueryRun| udf_rows(run, |u| u.lane_rows);
         let memo_rows = |run: &QueryRun| udf_rows(run, |u| u.memo_rows);
         let join_lanes = |database: &Database, plan: &Plan, cuts| -> usize {
             let phys = lower_under(database, plan, cuts).unwrap();

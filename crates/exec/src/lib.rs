@@ -35,14 +35,15 @@
 //!   dictionary-code memo where every input is dictionary-encoded, typed
 //!   lanes where it has a columnar path, the boxed batch VM elsewhere;
 //! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]
-//!   (per-operator wall time, rows, batches, memo-served rows, typed-lane
-//!   effectiveness),
-//!   attached to [`QueryRun`] when [`ExecOptions::profile`] is on and
-//!   explicitly **outside** the bit-identity contract below;
-//! * [`analyze`] — estimator-quality telemetry: after every run, predicted
-//!   cardinalities/costs are scored against the measured truth (q-error
-//!   registry histograms, the `graceful-obs` flight recorder, and the
-//!   `explain analyze` record built by [`analyze::flight_record`]).
+//!   (per-operator wall time, rows, batches and, on UDF operators, the
+//!   evaluators' `graceful_udf::UdfStats`), attached to [`QueryRun`] when
+//!   [`ExecOptions::profile`] is on and explicitly **outside** the
+//!   bit-identity contract below;
+//! * [`analyze`] — estimator-quality telemetry: an observed run's predicted
+//!   cardinalities/costs are scored against the measured truth once, in the
+//!   `explain analyze` record built by [`analyze::flight_record`], which
+//!   feeds the q-error registry histograms and the `graceful-obs` flight
+//!   recorder.
 //!
 //! Every data-plane operator runs morsel-parallel on the
 //! `graceful-runtime` pool: filters narrow a selection vector per morsel,
@@ -69,6 +70,5 @@ mod udf_eval;
 pub use analyze::{estimated_work, flight_record, static_udf_row_cost};
 pub use engine::{ExecConfig, Executor, OperatorWeights, QueryRun};
 pub use physical::{Batch, Operator, PhysicalOp, PhysicalOpKind, PhysicalPlan, Pipeline};
-pub use profile::{ExecProfile, OpProfile, UdfOpProfile};
+pub use profile::{ExecProfile, OpProfile};
 pub use session::{ExecOptions, Session};
-pub use udf_eval::UdfEvalStats;

@@ -6,13 +6,13 @@ use super::{
     PhysicalOpKind, RootSink, Scan,
 };
 use crate::engine::{jitter_factor, ExecConfig, QueryRun, Shortcuts};
-use crate::profile::ExecProfile;
-use crate::udf_eval::{record_udf_metrics, UdfEvalStats};
+use crate::profile::{ExecProfile, OpProfile};
 use graceful_common::Result;
 use graceful_obs::trace;
 use graceful_plan::Plan;
 use graceful_runtime::Pool;
 use graceful_storage::Database;
+use graceful_udf::UdfStats;
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
@@ -92,12 +92,10 @@ struct Query<'a> {
     pool: Pool,
     /// Only the streaming driver is instrumented.
     profiling: bool,
-    // Per logical operator, indexed like `plan.ops`.
-    out_rows: Vec<usize>,
-    op_work: Vec<f64>,
-    wall_ns: Vec<u64>,
-    batches: Vec<u64>,
-    udf_stats: Vec<Option<UdfEvalStats>>,
+    /// Per logical operator, indexed like `plan.ops`: each accounted fact
+    /// once, read by both the `QueryRun` and, when profiling, the profile
+    /// (whose operator names are filled in only then).
+    ops: Vec<OpProfile>,
     /// `(plan_idx, rows_in)` of the UDF operator that owns `udf_input_rows`:
     /// the highest plan index wins, regardless of pipeline order.
     udf_mark: Option<(usize, usize)>,
@@ -120,21 +118,15 @@ pub(crate) fn execute(
     seed: u64,
     cuts: Shortcuts,
 ) -> Result<QueryRun> {
-    let started = Instant::now();
     let phys = lower_under(db, plan, cuts)?;
     verify_physical(&phys, plan)?;
-    let n_ops = plan.ops.len();
     let mut q = Query {
         db,
         config,
         cuts,
         pool: Pool::new(config.threads),
         profiling: config.profile && cuts.streaming,
-        out_rows: vec![0; n_ops],
-        op_work: vec![0.0; n_ops],
-        wall_ns: vec![0; n_ops],
-        batches: vec![0; n_ops],
-        udf_stats: vec![None; n_ops],
+        ops: vec![OpProfile::default(); plan.ops.len()],
         udf_mark: None,
         agg_value: 0.0,
         peak_inter_rows: 0,
@@ -154,23 +146,14 @@ pub(crate) fn execute(
         RootSink::Collect => None,
     };
     q.pipeline(&root.scan, &root.ops, sink.as_mut().map(|(op, i)| (&mut **op, Some(*i))))?;
-    let total: f64 = q.op_work.iter().sum();
-    let profile = q.profiling.then(|| {
-        ExecProfile::assemble(
-            plan,
-            config,
-            started.elapsed().as_nanos() as u64,
-            &q.wall_ns,
-            &q.batches,
-            &q.out_rows,
-            &q.op_work,
-            &q.udf_stats,
-        )
-    });
+    let out_rows = q.ops.iter().map(|op| op.rows_out).collect();
+    let op_work: Vec<f64> = q.ops.iter().map(|op| op.work).collect();
+    let total: f64 = op_work.iter().sum();
+    let profile = q.profiling.then(|| ExecProfile::assemble(plan, config, q.ops));
     Ok(QueryRun {
         runtime_ns: total * jitter_factor(seed, config.jitter),
-        out_rows: q.out_rows,
-        op_work: q.op_work,
+        out_rows,
+        op_work,
         agg_value: q.agg_value,
         udf_input_rows: q.udf_mark.map_or(0, |(_, u)| u),
         peak_inter_rows: q.peak_inter_rows,
@@ -181,15 +164,16 @@ pub(crate) fn execute(
 impl<'a> Query<'a> {
     /// Fold one operator's accounting into logical operator `i`.
     fn absorb(&mut self, i: usize, s: &OpStats, wall: u64) {
-        self.op_work[i] += s.work;
-        self.batches[i] += s.batches;
-        self.wall_ns[i] += wall;
+        let op = &mut self.ops[i];
+        op.work += s.work;
+        op.batches += s.batches;
+        op.wall_ns += wall;
         if let Some(r) = s.out_rows {
-            self.out_rows[i] = r;
+            op.rows_out = r;
         }
         if let Some(us) = s.udf_stats {
-            self.udf_stats[i].get_or_insert_with(UdfEvalStats::default).merge(&us);
-            record_udf_metrics(&us);
+            op.udf.get_or_insert_with(UdfStats::default).merge(&us);
+            us.publish();
         }
         if let Some(u) = s.udf_input_rows {
             if self.udf_mark.is_none_or(|(j, _)| i > j) {

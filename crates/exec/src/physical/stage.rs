@@ -13,13 +13,13 @@ use super::{HashBuild, PhysicalOp, PhysicalOpKind};
 use crate::engine::{AggState, ExecConfig, OperatorWeights, Shortcuts};
 use crate::join::JoinIndex;
 use crate::row_test::{self, RowTest};
-use crate::udf_eval::{UdfEvalSpec, UdfEvalStats, UdfWorker};
+use crate::udf_eval::{UdfEvalSpec, UdfWorker};
 use graceful_common::{GracefulError, Result};
 use graceful_plan::{AggFunc, ColRef, Pred};
 use graceful_runtime::Pool;
 use graceful_storage::{Column, Database, Value};
 use graceful_udf::ast::CmpOp;
-use graceful_udf::GeneratedUdf;
+use graceful_udf::{GeneratedUdf, UdfStats};
 use std::ops::Range;
 
 /// One batch of intermediate rows flowing between operators: a flat row-id
@@ -63,7 +63,7 @@ pub struct OpStats {
     /// Input batches pushed into this node (profile bookkeeping).
     pub batches: u64,
     /// UDF evaluation counters if this node is a UDF operator.
-    pub udf_stats: Option<UdfEvalStats>,
+    pub udf_stats: Option<UdfStats>,
 }
 
 /// Downstream consumer an operator emits its output batches into. Emission
@@ -322,7 +322,7 @@ struct UdfKernel<'a> {
     /// `Some((cmp, literal))` for a UDF filter, `None` for a projection.
     filter: Option<(CmpOp, f64)>,
     pos: usize,
-    eval_stats: UdfEvalStats,
+    eval_stats: UdfStats,
 }
 
 impl Kernel for UdfKernel<'_> {
@@ -330,7 +330,7 @@ impl Kernel for UdfKernel<'_> {
         = UdfWorker<'s>
     where
         Self: 's;
-    type Extra = UdfEvalStats;
+    type Extra = UdfStats;
 
     fn worker(&self) -> UdfWorker<'_> {
         self.spec.worker()
@@ -340,7 +340,7 @@ impl Kernel for UdfKernel<'_> {
         &'s self,
         worker: &mut UdfWorker<'s>,
         morsel: &Morsel<'_>,
-    ) -> Result<MorselOut<UdfEvalStats>> {
+    ) -> Result<MorselOut<UdfStats>> {
         let rids = morsel.tuples().map(|tuple| tuple[self.pos] as usize);
         let (work, values, extra) = worker.eval_morsel(rids)?;
         let batch = match self.filter {
@@ -365,7 +365,7 @@ impl Kernel for UdfKernel<'_> {
         Ok(MorselOut { work, rows_out: batch.rows.len() / morsel.stride, batch, extra })
     }
 
-    fn fold(&mut self, morsel_stats: UdfEvalStats) {
+    fn fold(&mut self, morsel_stats: UdfStats) {
         self.eval_stats.merge(&morsel_stats);
     }
 
@@ -581,7 +581,7 @@ pub(super) fn instantiate<'a>(
         let t = db.table(&udf.table)?;
         let cols = udf.input_columns.iter().map(|c| t.column(c)).collect::<Result<_>>()?;
         let spec = UdfEvalSpec::prepare(udf, cols, cuts, config.udf_batch_size, overhead)?;
-        Ok(UdfKernel { spec, filter, pos, eval_stats: UdfEvalStats::default() })
+        Ok(UdfKernel { spec, filter, pos, eval_stats: UdfStats::default() })
     };
     let (name, stride) = (op.kind.name(), op.stride);
     Ok(match &op.kind {

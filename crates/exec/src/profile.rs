@@ -3,9 +3,9 @@
 //! When [`crate::ExecOptions::profile`] (or `GRACEFUL_PROFILE=1`) is on, the
 //! executor attaches an [`ExecProfile`] to the [`crate::QueryRun`] of every
 //! [`crate::Executor::run`]: per-plan-operator wall time, output rows, batch
-//! counts, accounted work and — for the UDF operators — memo-served rows and
-//! typed-lane effectiveness counters (fast-path vs per-row bail rows, group
-//! splits).
+//! counts, accounted work and — for the UDF operators — the evaluators'
+//! [`UdfStats`], the values the `udf.*` registry counters sum. The total wall
+//! time is the `exec.query_wall_ns` reading of [`crate::Executor::run`].
 //!
 //! # Outside the bit-identity contract
 //!
@@ -23,8 +23,9 @@
 //! downstream operator's time is never double-counted into its upstream.
 
 use crate::engine::ExecConfig;
-use crate::udf_eval::UdfEvalStats;
+use graceful_obs::flight::fmt_ns;
 use graceful_plan::{Plan, PlanOpKind};
+use graceful_udf::UdfStats;
 use std::fmt::Write as _;
 
 /// Per-query execution profile, one [`OpProfile`] per logical plan operator
@@ -37,14 +38,14 @@ pub struct ExecProfile {
     pub morsel_rows: usize,
     /// Rows per UDF VM batch.
     pub udf_batch_size: usize,
-    /// Total wall time of the executor call, in nanoseconds.
+    /// Total wall time of the [`crate::Executor::run`] call, in nanoseconds.
     pub total_wall_ns: u64,
     /// Per-operator profiles, aligned with `plan.ops`.
     pub ops: Vec<OpProfile>,
 }
 
 /// Profile of one logical plan operator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpProfile {
     /// Human-readable operator description (kind plus its key argument).
     pub name: String,
@@ -60,48 +61,7 @@ pub struct OpProfile {
     /// Accounted work units (same value as `QueryRun::op_work`).
     pub work: f64,
     /// UDF evaluation counters, for `UdfFilter` / `UdfProject` only.
-    pub udf: Option<UdfOpProfile>,
-}
-
-/// UDF evaluation counters for one UDF operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UdfOpProfile {
-    /// Rows evaluated.
-    pub rows: u64,
-    /// Internal evaluation batches.
-    pub batches: u64,
-    /// Rows the dictionary-code memo served without running the VM.
-    pub memo_rows: u64,
-    /// Rows carried end-to-end by the typed columnar fast path.
-    pub simd_fast_rows: u64,
-    /// Rows that bailed to the per-row VM.
-    pub simd_bail_rows: u64,
-    /// Selection-vector group splits at branch divergence.
-    pub simd_group_splits: u64,
-}
-
-impl UdfOpProfile {
-    pub(crate) fn from_stats(s: &UdfEvalStats) -> Self {
-        UdfOpProfile {
-            rows: s.rows,
-            batches: s.batches,
-            memo_rows: s.memo_rows,
-            simd_fast_rows: s.simd.fast_rows,
-            simd_bail_rows: s.simd.bail_rows,
-            simd_group_splits: s.simd.group_splits,
-        }
-    }
-
-    /// Fraction of evaluated rows that bailed from the columnar fast path
-    /// to the per-row VM (0.0 for operators with no columnar path and for
-    /// zero rows).
-    pub fn bail_rate(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.simd_bail_rows as f64 / self.rows as f64
-        }
-    }
+    pub udf: Option<UdfStats>,
 }
 
 /// Human-readable operator description for the profile / explain output.
@@ -119,37 +79,19 @@ pub(crate) fn plan_op_name(kind: &PlanOpKind) -> String {
 }
 
 impl ExecProfile {
-    /// Assemble a profile from per-operator accumulators. `wall_ns`,
-    /// `batches` and `udf_stats` are indexed like `plan.ops`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        plan: &Plan,
-        config: &ExecConfig,
-        total_wall_ns: u64,
-        wall_ns: &[u64],
-        batches: &[u64],
-        out_rows: &[usize],
-        op_work: &[f64],
-        udf_stats: &[Option<UdfEvalStats>],
-    ) -> Self {
-        let ops = plan
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| OpProfile {
-                name: plan_op_name(&op.kind),
-                wall_ns: wall_ns[i],
-                rows_out: out_rows[i],
-                batches: batches[i],
-                work: op_work[i],
-                udf: udf_stats[i].as_ref().map(UdfOpProfile::from_stats),
-            })
-            .collect();
+    /// The profile of one run from its per-operator accounting `ops`,
+    /// indexed like `plan.ops`, each named here. `total_wall_ns` is left 0
+    /// for [`crate::Executor::run`], which holds the query's clock, to fill
+    /// in.
+    pub(crate) fn assemble(plan: &Plan, config: &ExecConfig, mut ops: Vec<OpProfile>) -> Self {
+        for (op, plan_op) in ops.iter_mut().zip(&plan.ops) {
+            op.name = plan_op_name(&plan_op.kind);
+        }
         ExecProfile {
             threads: config.threads,
             morsel_rows: config.morsel_rows,
             udf_batch_size: config.udf_batch_size,
-            total_wall_ns,
+            total_wall_ns: 0,
             ops,
         }
     }
@@ -179,10 +121,10 @@ impl ExecProfile {
                     u.rows,
                     u.batches,
                     u.memo_rows,
-                    u.simd_fast_rows,
-                    u.simd_bail_rows,
+                    u.lane_rows,
+                    u.bail_rows,
                     u.bail_rate() * 100.0,
-                    u.simd_group_splits,
+                    u.group_splits,
                 ),
             };
             let _ = writeln!(
@@ -198,43 +140,5 @@ impl ExecProfile {
             );
         }
         s
-    }
-}
-
-/// Format nanoseconds with an adaptive unit (`ns`, `µs`, `ms`, `s`).
-fn fmt_ns(ns: u64) -> String {
-    let ns = ns as f64;
-    if ns < 1_000.0 {
-        format!("{ns:.0}ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.1}µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2}ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3}s", ns / 1_000_000_000.0)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bail_rate_is_guarded_and_proportional() {
-        let mut s = UdfEvalStats::default();
-        let empty = UdfOpProfile::from_stats(&s);
-        assert_eq!(empty.bail_rate(), 0.0);
-        s.rows = 200;
-        s.simd.bail_rows = 50;
-        let p = UdfOpProfile::from_stats(&s);
-        assert_eq!(p.bail_rate(), 0.25);
-    }
-
-    #[test]
-    fn fmt_ns_picks_adaptive_units() {
-        assert_eq!(fmt_ns(999), "999ns");
-        assert_eq!(fmt_ns(1_500), "1.5µs");
-        assert_eq!(fmt_ns(2_500_000), "2.50ms");
-        assert_eq!(fmt_ns(3_000_000_000), "3.000s");
     }
 }

@@ -200,22 +200,20 @@ impl Session {
         self.executor(db).run_and_annotate(plan, seed)
     }
 
-    /// Convenience: execute one plan and build its
-    /// [`FlightRecord`](graceful_obs::flight::FlightRecord) — the `explain
-    /// analyze` input, rendered with `FlightRecord::render_analyze()`.
+    /// Convenience: [`Executor::run_analyzed`] over `db` with no model
+    /// prediction — the query's run and its
+    /// [`FlightRecord`](graceful_obs::flight::FlightRecord), the `explain
+    /// analyze` input rendered with `FlightRecord::render_analyze()`.
     /// Annotate the plan with a cardinality estimator first to get per-op
-    /// q-errors (they are `None` on un-annotated plans). The record is built
-    /// locally from the run; the global flight recorder (when enabled)
-    /// captures its own copy inside [`Session::run`] as usual.
+    /// q-errors (they are `None` on un-annotated plans). With the flight
+    /// recorder on, the record returned is the one it appended.
     pub fn run_analyzed(
         &self,
         db: &Database,
         plan: &Plan,
         seed: u64,
     ) -> Result<(QueryRun, graceful_obs::flight::FlightRecord)> {
-        let run = self.run(db, plan, seed)?;
-        let record = crate::analyze::flight_record(plan, &self.config, &run, seed, None);
-        Ok((run, record))
+        self.executor(db).run_analyzed(plan, seed, None)
     }
 }
 

@@ -10,9 +10,10 @@
 //! compiled program, built for that operator alone. Either way a worker
 //! hands its batches to one [`ColumnEvaluator`], `graceful_udf`'s one entry
 //! over storage columns, which chooses memo, else typed lanes, else the
-//! batch VM as the run's `memo` and `typed_lanes` shortcuts allow. What is
-//! left here is the operator's part: cutting morsels into batches, the
-//! per-row overhead, the statistics and the span.
+//! batch VM as the run's `memo` and `typed_lanes` shortcuts allow, and
+//! counts what it ran into the worker's [`UdfStats`]. What is left here is
+//! the operator's part: cutting morsels into batches, the per-row overhead
+//! and the span.
 //!
 //! The tree-walking `graceful_udf::Interpreter` is not an engine path: the
 //! `graceful-udf` suites prove interpreter = VM = typed lanes per UDF, and
@@ -34,78 +35,16 @@
 
 use crate::engine::Shortcuts;
 use graceful_common::Result;
-use graceful_obs::registry::{counter, Counter};
 use graceful_obs::trace;
 use graceful_storage::{Column, Value};
-use graceful_udf::simd::SimdBatchStats;
 use graceful_udf::{
-    compile, ColumnEvaluator, CostCounter, GeneratedUdf, PreparedUdf, Program, SimdShape,
+    compile, ColumnEvaluator, CostCounter, GeneratedUdf, PreparedUdf, Program, SimdShape, UdfStats,
 };
-use std::sync::{Arc, OnceLock};
-
-/// Evaluation-volume counters one UDF evaluator accumulates while it runs.
-/// Observability only — the engine never reads them on a result path, so
-/// they cannot affect the bit-identity contract. Per-morsel stats merge in
-/// morsel-index order like every other per-morsel result, making the totals
-/// themselves deterministic too — all but `memo_rows`, which counts what the
-/// worker's memo already held and so depends on which morsels that worker
-/// pulled before.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UdfEvalStats {
-    /// Rows evaluated.
-    pub rows: u64,
-    /// Internal evaluation batches (each at most `udf_batch_size` rows).
-    pub batches: u64,
-    /// Rows the dictionary-code memo served without running the VM.
-    pub memo_rows: u64,
-    /// Typed-lane effectiveness (zero for operators on the boxed batch VM).
-    pub simd: SimdBatchStats,
-}
-
-impl UdfEvalStats {
-    /// Accumulate another evaluator's counters into this one.
-    pub fn merge(&mut self, other: &UdfEvalStats) {
-        self.rows += other.rows;
-        self.batches += other.batches;
-        self.memo_rows += other.memo_rows;
-        self.simd.merge(&other.simd);
-    }
-}
-
-struct UdfMetrics {
-    rows: Counter,
-    batches: Counter,
-    memo_rows: Counter,
-    simd_fast_rows: Counter,
-    simd_bail_rows: Counter,
-    simd_group_splits: Counter,
-}
-
-/// Fold `stats` into the process-wide registry (`udf.rows`, `udf.batches`,
-/// `udf.memo_rows`, `udf.simd.fast_rows`, `udf.simd.bail_rows`,
-/// `udf.simd.group_splits`).
-/// The executor calls this once per UDF operator.
-pub(crate) fn record_udf_metrics(stats: &UdfEvalStats) {
-    static METRICS: OnceLock<UdfMetrics> = OnceLock::new();
-    let m = METRICS.get_or_init(|| UdfMetrics {
-        rows: counter("udf.rows"),
-        batches: counter("udf.batches"),
-        memo_rows: counter("udf.memo_rows"),
-        simd_fast_rows: counter("udf.simd.fast_rows"),
-        simd_bail_rows: counter("udf.simd.bail_rows"),
-        simd_group_splits: counter("udf.simd.group_splits"),
-    });
-    m.rows.add(stats.rows);
-    m.batches.add(stats.batches);
-    m.memo_rows.add(stats.memo_rows);
-    m.simd_fast_rows.add(stats.simd.fast_rows);
-    m.simd_bail_rows.add(stats.simd.bail_rows);
-    m.simd_group_splits.add(stats.simd.group_splits);
-}
+use std::sync::Arc;
 
 /// One morsel of [`UdfWorker::eval_morsel`]: accounted work, one value per
 /// row, evaluator statistics.
-pub(crate) type MorselEval = (f64, Vec<Value>, UdfEvalStats);
+pub(crate) type MorselEval = (f64, Vec<Value>, UdfStats);
 
 /// One pool worker's evaluation state, reused across all morsels that
 /// worker pulls: its [`ColumnEvaluator`] and the row-id buffer.
@@ -130,14 +69,12 @@ impl UdfWorker<'_> {
         let _span = trace::span("udf", "eval_morsel").arg("rows", self.rids.len());
         let (batch, overhead) = (self.spec.batch, self.spec.overhead);
         let mut work = 0.0f64;
-        let mut stats = UdfEvalStats::default();
+        let mut stats = UdfStats::default();
         let mut values = Vec::with_capacity(self.rids.len());
         for rids in self.rids.chunks(batch) {
             let mut cost = CostCounter::new();
-            stats.memo_rows += self.eval.eval(rids, &mut values, &mut cost, &mut stats.simd)?;
+            self.eval.eval(rids, &mut values, &mut cost, &mut stats)?;
             work += cost.total + rids.len() as f64 * overhead;
-            stats.rows += rids.len() as u64;
-            stats.batches += 1;
         }
         Ok((work, values, stats))
     }

@@ -10,24 +10,27 @@
 //! Each executed query appends one [`FlightRecord`]: the stable plan
 //! fingerprint, the exec options it ran under, wall time, the per-operator
 //! profile (estimated vs actual rows and work with their q-errors), and —
-//! when a model prediction was staged — the predicted whole-query cost next
-//! to the simulated truth. Records are serialized through the serde shim at
-//! record time with **stable field order** (struct declaration order), so
-//! the JSONL output is deterministic for a given sequence of runs and every
-//! line parses back into the exact same `FlightRecord`, float bits included.
+//! when the run was given one (`Executor::run_analyzed`) — the model's
+//! whole-query cost prediction next to the simulated truth. The executor
+//! builds that record once per query, and the same record is the one
+//! appended here and the one handed back to the caller. Records are
+//! serialized through the serde shim at record time with **stable field
+//! order** (struct declaration order), so the JSONL output is deterministic
+//! for a given sequence of runs and every line parses back into the exact
+//! same `FlightRecord`, float bits included.
 //!
 //! Like the span tracer, the recorder is process-global, write-only and
-//! explicitly **outside the bit-identity contract**: recording is a single
+//! explicitly **outside the bit-identity contract**; its switch, cap and
+//! flush target are the shared sink (`sink.rs`). Recording is a single
 //! relaxed atomic load when disabled, a cap of [`RECORD_CAP`] records bounds
 //! memory (drops are counted in [`dropped_count`] and the registry counter
 //! `flight.dropped_records`), and flushing to the `GRACEFUL_FLIGHT` path is
 //! explicit — per-query work never pays file I/O.
 
 use crate::registry::{counter, Counter};
+use crate::sink::{lock, Sink};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Maximum records retained process-wide (64 Ki). Past the cap queries still
@@ -35,9 +38,10 @@ use std::sync::{Mutex, OnceLock};
 /// counter `flight.dropped_records` say how many went missing.
 pub const RECORD_CAP: usize = 1 << 16;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDED: AtomicU64 = AtomicU64::new(0);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
+static SINK: Sink = Sink::new(RECORD_CAP, "flight.dropped_records");
+
+/// The recorded records, one finished JSONL line each.
+static LINES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// Per-operator slice of a [`FlightRecord`], aligned with `plan.ops`.
 ///
@@ -91,14 +95,14 @@ pub struct FlightRecord {
     pub wall_ns: u64,
     /// Simulated runtime in nanoseconds (the contracted label).
     pub runtime_ns: f64,
-    /// Aggregate result value.
-    pub agg_value: f64,
+    /// Aggregate result value; `None` when it is not finite (a `SUM` over
+    /// a NaN), which JSON cannot hold.
+    pub agg_value: Option<f64>,
     /// Rows fed into the UDF operator.
     pub udf_rows: u64,
-    /// Staged model prediction of the whole-query cost, if one was wired in
-    /// (see [`stage_prediction`]).
+    /// The model's whole-query cost prediction, when the run was given one.
     pub model_pred_ns: Option<f64>,
-    /// Q-error of the staged model prediction against `runtime_ns`.
+    /// Q-error of `model_pred_ns` against `runtime_ns`.
     pub model_q: Option<f64>,
     /// Per-operator slices, aligned with `plan.ops`.
     pub ops: Vec<FlightOp>,
@@ -165,119 +169,71 @@ impl FlightRecord {
     }
 }
 
-fn buffer() -> &'static Mutex<Vec<String>> {
-    static BUF: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    BUF.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn configured() -> &'static Mutex<Option<String>> {
-    static PATH: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    PATH.get_or_init(|| Mutex::new(None))
-}
-
-struct FlightMetrics {
-    records: Counter,
-    dropped: Counter,
-}
-
-fn metrics() -> &'static FlightMetrics {
-    static METRICS: OnceLock<FlightMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| FlightMetrics {
-        records: counter("flight.records"),
-        dropped: counter("flight.dropped_records"),
-    })
-}
-
-thread_local! {
-    /// A whole-query cost prediction staged for the *next* run on this
-    /// thread (set by the model-aware wrapper, consumed by the executor's
-    /// recording hook). Thread-local so concurrent sessions never attach a
-    /// prediction to each other's records.
-    static STAGED_PRED: Cell<Option<f64>> = const { Cell::new(None) };
-}
-
 /// Whether flight recording is currently on.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.enabled()
 }
 
 /// Turn flight recording on.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    SINK.set_enabled(true);
 }
 
 /// Turn flight recording off (already-recorded records are kept).
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    SINK.set_enabled(false);
 }
 
 /// Enable recording and remember `path` as the default [`flush`] target
 /// (the `GRACEFUL_FLIGHT=path` knob resolves to this).
 pub fn configure(path: &str) {
-    *configured().lock().expect("flight path lock") = Some(path.to_string());
-    enable();
+    SINK.configure(path);
 }
 
 /// The path set by [`configure`], if any.
 pub fn configured_path() -> Option<String> {
-    configured().lock().expect("flight path lock").clone()
+    SINK.configured_path()
 }
 
 /// Records kept so far (post-cap drops excluded).
 pub fn record_count() -> u64 {
-    RECORDED.load(Ordering::Relaxed)
+    SINK.kept()
 }
 
 /// Records dropped because [`RECORD_CAP`] was reached.
 pub fn dropped_count() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    SINK.dropped()
 }
 
 /// Discard all recorded records (the enabled flag and configured path are
-/// untouched). Benches use this between measured sections.
+/// untouched), so a test reads only the records of its own runs.
 pub fn clear() {
-    buffer().lock().expect("flight buffer lock").clear();
-    RECORDED.store(0, Ordering::Relaxed);
-    DROPPED.store(0, Ordering::Relaxed);
+    lock(&LINES).clear();
+    SINK.reset();
 }
 
-/// Stage a whole-query cost prediction for the next run on this thread; the
-/// executor's recording hook consumes it into that run's record. A staged
-/// prediction not consumed by a run is overwritten by the next stage.
-pub fn stage_prediction(pred_ns: f64) {
-    STAGED_PRED.with(|c| c.set(Some(pred_ns)));
-}
-
-/// Consume the prediction staged on this thread, if any.
-pub fn take_staged_prediction() -> Option<f64> {
-    STAGED_PRED.with(Cell::take)
-}
-
-/// Append one record. Each record serializes to a single JSONL line at
-/// record time (so the buffer holds finished lines and export is a cheap
-/// join), under the [`RECORD_CAP`]; past the cap the record is dropped and
-/// counted. Appends are atomic per record — concurrent sessions interleave
-/// whole lines, never fragments.
+/// Append one record when recording is on. Each record serializes to a
+/// single JSONL line at record time (so the buffer holds finished lines and
+/// export is a cheap join), under the [`RECORD_CAP`]; past the cap the
+/// record is dropped and counted. Appends are atomic per record —
+/// concurrent sessions interleave whole lines, never fragments.
 pub fn record(rec: &FlightRecord) {
-    if !enabled() {
+    static RECORDS: OnceLock<Counter> = OnceLock::new();
+    if !enabled() || !SINK.admit() {
         return;
     }
-    if RECORDED.fetch_add(1, Ordering::Relaxed) >= RECORD_CAP as u64 {
-        RECORDED.fetch_sub(1, Ordering::Relaxed);
-        DROPPED.fetch_add(1, Ordering::Relaxed);
-        metrics().dropped.incr();
-        return;
+    RECORDS.get_or_init(|| counter("flight.records")).incr();
+    // The shim's serializer never fails.
+    if let Ok(line) = serde_json::to_string(rec) {
+        lock(&LINES).push(line);
     }
-    metrics().records.incr();
-    let line = serde_json::to_string(rec).expect("flight record serializes");
-    buffer().lock().expect("flight buffer lock").push(line);
 }
 
 /// Render every recorded record as JSONL (one JSON object per line, in
 /// record order). Empty when nothing was recorded.
 pub fn export_jsonl() -> String {
-    let buf = buffer().lock().expect("flight buffer lock");
+    let buf = lock(&LINES);
     let mut out = String::with_capacity(buf.iter().map(|l| l.len() + 1).sum());
     for line in buf.iter() {
         out.push_str(line);
@@ -302,24 +258,17 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<FlightRecord>, String> {
     Ok(records)
 }
 
-/// Write the exported JSONL to `path`.
-pub fn write_to(path: &str) -> std::io::Result<()> {
-    std::fs::write(path, export_jsonl())
-}
-
 /// Write the exported JSONL to the [`configure`]d path, if one is set.
 /// Returns whether a file was written. Like the span tracer, flushing is
 /// explicit and idempotent — the buffer is retained, so flushing twice
 /// writes the same bytes.
 pub fn flush() -> std::io::Result<bool> {
-    match configured_path() {
-        Some(path) => write_to(&path).map(|()| true),
-        None => Ok(false),
-    }
+    SINK.flush(export_jsonl)
 }
 
-/// Format nanoseconds with an adaptive unit (`ns`, `µs`, `ms`, `s`).
-fn fmt_ns(ns: u64) -> String {
+/// Format nanoseconds with an adaptive unit (`ns`, `µs`, `ms`, `s`) — the
+/// one formatter of the `EXPLAIN ANALYZE` and query-profile tables.
+pub fn fmt_ns(ns: u64) -> String {
     let ns = ns as f64;
     if ns < 1_000.0 {
         format!("{ns:.0}ns")
@@ -345,7 +294,7 @@ mod tests {
             udf_batch: 37,
             wall_ns: 1_500,
             runtime_ns: 123_456.75,
-            agg_value: 42.5,
+            agg_value: Some(42.5),
             udf_rows: 10,
             model_pred_ns: Some(110_000.5),
             model_q: Some(1.12),
@@ -425,11 +374,6 @@ mod tests {
         assert_eq!(configured_path().as_deref(), Some("/tmp/graceful-obs-test-flight.jsonl"));
         disable();
 
-        // Staged predictions are consumed exactly once.
-        stage_prediction(99.0);
-        assert_eq!(take_staged_prediction(), Some(99.0));
-        assert_eq!(take_staged_prediction(), None);
-
         // The cap drops (and counts) overflow records.
         enable();
         let already = record_count();
@@ -445,6 +389,34 @@ mod tests {
         assert_eq!(record_count(), 0);
         assert_eq!(dropped_count(), 0);
         assert!(export_jsonl().is_empty());
+    }
+
+    /// A record whose aggregate is not finite writes `null` there and
+    /// parses back whole, as `None`.
+    #[test]
+    fn a_record_without_a_finite_aggregate_parses_back() {
+        let rec = FlightRecord { agg_value: None, ..sample(3) };
+        let line = serde_json::to_string(&rec).unwrap();
+        assert!(line.contains("\"agg_value\":null"), "{line}");
+        assert_eq!(parse_jsonl(&line).unwrap(), vec![rec]);
+    }
+
+    /// A line the recorder wrote before `agg_value` became optional (a
+    /// model-scored quickstart query, captured verbatim) still parses, its
+    /// aggregate as `Some`.
+    #[test]
+    fn a_line_in_the_earlier_format_still_parses() {
+        const LINE: &str = r#"{"seed":7,"plan":"f683c6f17ed13f03","threads":2,"morsel":2048,"udf_batch":1024,"wall_ns":1184133,"runtime_ns":4959876.982638653,"agg_value":395.0,"udf_rows":800,"model_pred_ns":3550092.5988705275,"model_q":1.3971120032803237,"ops":[{"op":"SCAN title","kind":"SCAN","est_rows":800.0,"rows":800,"card_q":1.0,"est_work":16000.0,"work":16000.0,"cost_q":1.0,"wall_ns":2859,"batches":1},{"op":"UDF_FILTER score(..) Le 120","kind":"UDF_FILTER","est_rows":395.0,"rows":395,"card_q":1.0,"est_work":1497600.0,"work":4973326.0,"cost_q":3.320864049145299,"wall_ns":1147604,"batches":1},{"op":"AGG CountStar","kind":"AGG","est_rows":1.0,"rows":1,"card_q":1.0,"est_work":3555.0,"work":3555.0,"cost_q":1.0,"wall_ns":1940,"batches":1}]}"#;
+        let recs = parse_jsonl(LINE).expect("the earlier format parses");
+        let rec = &recs[0];
+        assert_eq!((rec.seed, rec.plan.as_str(), rec.udf_rows), (7, "f683c6f17ed13f03", 800));
+        assert_eq!(rec.agg_value, Some(395.0));
+        assert_eq!(rec.runtime_ns.to_bits(), 4959876.982638653f64.to_bits());
+        assert_eq!(rec.model_pred_ns, Some(3550092.5988705275));
+        assert_eq!(rec.ops.len(), 3);
+        assert_eq!(rec.ops[1].cost_q, Some(3.320864049145299));
+        // Written back out, the record is the line it was read from.
+        assert_eq!(serde_json::to_string(rec).unwrap(), LINE);
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! process-global and monotone-ish (counters only grow), so concurrent tests
 //! assert *deltas* between [`snapshot`]s rather than absolute values.
 //!
-//! Histogram percentiles use the exact algorithm of
-//! `graceful_common::metrics::percentile` (sort, rank `q·(n−1)`, linear
-//! interpolation) over the retained samples, so registry `p95`/`p99` agree
-//! bit-for-bit with the paper-metrics helpers on identical samples — a unit
-//! test in `graceful-common` cross-checks the two implementations.
+//! Histogram percentiles are [`percentile`] (sort, rank `q·(n−1)`, linear
+//! interpolation) over the retained samples — the one percentile of the
+//! workspace, which `graceful_common::metrics` re-exports for the paper
+//! metrics, so registry `p95`/`p99` and the paper's tables cannot disagree.
 
+use crate::sink::lock;
+use std::cmp::Ordering as Cmp;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Retained raw samples per histogram. Recording keeps exact `count`, `sum`,
 /// `min` and `max` forever but stops storing individual samples past this
@@ -72,7 +73,7 @@ impl Histogram {
     /// Record one sample. Non-finite values are counted but excluded from
     /// the retained set (they would poison the percentile sort).
     pub fn record(&self, v: f64) {
-        let mut st = self.0.lock().expect("histogram lock");
+        let mut st = lock(&self.0);
         if st.count == 0 || v < st.min {
             st.min = v;
         }
@@ -86,14 +87,9 @@ impl Histogram {
         }
     }
 
-    /// Samples recorded so far (including any past the retention cap).
-    pub fn count(&self) -> u64 {
-        self.0.lock().expect("histogram lock").count
-    }
-
     /// Summarise the distribution; `None` when nothing was recorded yet.
     pub fn summary(&self) -> Option<HistogramSummary> {
-        let st = self.0.lock().expect("histogram lock");
+        let st = lock(&self.0);
         if st.count == 0 {
             return None;
         }
@@ -137,17 +133,16 @@ pub struct HistogramSummary {
 }
 
 /// Percentile (inclusive, nearest-rank with linear interpolation) of a
-/// sample — the exact algorithm of `graceful_common::metrics::percentile`,
-/// duplicated here because this crate sits below `graceful-common` in the
-/// dependency graph. A test over there asserts the two agree bit-for-bit.
+/// sample: `q` is in `[0, 1]`, e.g. `percentile(&v, 0.5)` is the median.
 ///
 /// # Panics
-/// Panics if `values` is empty or `q` is outside `[0, 1]`.
+/// Panics if `values` is empty or holds a NaN, or `q` is outside `[0, 1]`.
 pub fn percentile(values: &[f64], q: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty sample");
     assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
+    assert!(!values.iter().any(|v| v.is_nan()), "metric values must not be NaN");
     let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("metric values must not be NaN"));
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Cmp::Equal));
     let rank = q * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -159,39 +154,35 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     }
 }
 
-#[derive(Default)]
 struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
-fn global() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
+static REGISTRY: Registry = Registry {
+    counters: Mutex::new(BTreeMap::new()),
+    gauges: Mutex::new(BTreeMap::new()),
+    histograms: Mutex::new(BTreeMap::new()),
+};
 
 /// The counter registered under `name` (created on first use). Resolve once
 /// and reuse the handle on hot paths.
 pub fn counter(name: &str) -> Counter {
-    let mut map = global().counters.lock().expect("registry lock");
-    map.entry(name.to_string()).or_insert_with(|| Counter(Arc::new(AtomicU64::new(0)))).clone()
+    let new = || Counter(Arc::default());
+    lock(&REGISTRY.counters).entry(name.to_string()).or_insert_with(new).clone()
 }
 
-/// The gauge registered under `name` (created on first use).
+/// The gauge registered under `name` (created on first use, at 0.0).
 pub fn gauge(name: &str) -> Gauge {
-    let mut map = global().gauges.lock().expect("registry lock");
-    map.entry(name.to_string())
-        .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0.0f64.to_bits()))))
-        .clone()
+    let new = || Gauge(Arc::new(AtomicU64::new(0.0f64.to_bits())));
+    lock(&REGISTRY.gauges).entry(name.to_string()).or_insert_with(new).clone()
 }
 
 /// The histogram registered under `name` (created on first use).
 pub fn histogram(name: &str) -> Histogram {
-    let mut map = global().histograms.lock().expect("registry lock");
-    map.entry(name.to_string())
-        .or_insert_with(|| Histogram(Arc::new(Mutex::new(HistState::default()))))
-        .clone()
+    let new = || Histogram(Arc::default());
+    lock(&REGISTRY.histograms).entry(name.to_string()).or_insert_with(new).clone()
 }
 
 /// Point-in-time view of every registered metric.
@@ -247,19 +238,12 @@ impl MetricsSnapshot {
 
 /// Snapshot every registered metric.
 pub fn snapshot() -> MetricsSnapshot {
-    let reg = global();
-    let counters = {
-        let map = reg.counters.lock().expect("registry lock");
-        map.iter().map(|(k, c)| (k.clone(), c.get())).collect()
-    };
-    let gauges = {
-        let map = reg.gauges.lock().expect("registry lock");
-        map.iter().map(|(k, g)| (k.clone(), g.get())).collect()
-    };
-    let histograms = {
-        let map = reg.histograms.lock().expect("registry lock");
-        map.iter().filter_map(|(k, h)| h.summary().map(|s| (k.clone(), s))).collect()
-    };
+    let counters = lock(&REGISTRY.counters).iter().map(|(k, c)| (k.clone(), c.get())).collect();
+    let gauges = lock(&REGISTRY.gauges).iter().map(|(k, g)| (k.clone(), g.get())).collect();
+    let histograms = lock(&REGISTRY.histograms)
+        .iter()
+        .filter_map(|(k, h)| h.summary().map(|s| (k.clone(), s)))
+        .collect();
     MetricsSnapshot { counters, gauges, histograms }
 }
 

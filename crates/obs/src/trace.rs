@@ -6,14 +6,15 @@
 //! is the Chrome trace-event format — an array of complete (`"ph": "X"`)
 //! events — loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! When tracing is disabled (the default), [`span`] costs a single relaxed
-//! atomic load and allocates nothing. A process-wide cap of [`EVENT_CAP`]
-//! events bounds memory when tracing is left on for a whole test suite; the
-//! number of events dropped past the cap is reported by [`dropped_count`]
-//! and in the exported JSON metadata.
+//! The switch, the cap and the flush target are the shared sink
+//! (`sink.rs`): when tracing is disabled (the default), [`span`] costs a
+//! single relaxed atomic load and allocates nothing; past [`EVENT_CAP`]
+//! events new spans are dropped and counted in [`dropped_count`], the
+//! registry counter `trace.dropped_events` and the exported JSON metadata.
 
+use crate::sink::{lock, Sink};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -21,10 +22,8 @@ use std::time::Instant;
 /// time correctly but are not recorded; [`dropped_count`] says how many.
 pub const EVENT_CAP: usize = 1 << 20;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+static SINK: Sink = Sink::new(EVENT_CAP, "trace.dropped_events");
 static SEQ: AtomicU64 = AtomicU64::new(0);
-static RECORDED: AtomicU64 = AtomicU64::new(0);
-static DROPPED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 #[derive(Debug, Clone)]
@@ -40,15 +39,8 @@ struct Event {
 
 type Buffer = Arc<Mutex<Vec<Event>>>;
 
-fn sinks() -> &'static Mutex<Vec<Buffer>> {
-    static SINKS: OnceLock<Mutex<Vec<Buffer>>> = OnceLock::new();
-    SINKS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn configured() -> &'static Mutex<Option<String>> {
-    static PATH: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    PATH.get_or_init(|| Mutex::new(None))
-}
+/// Every thread's buffer, registered on the thread's first span.
+static BUFFERS: Mutex<Vec<Buffer>> = Mutex::new(Vec::new());
 
 /// Process-start anchor; all span timestamps are nanoseconds since this.
 fn epoch() -> Instant {
@@ -60,7 +52,7 @@ thread_local! {
     static LOCAL: (u64, Buffer) = {
         let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
         let buf: Buffer = Arc::new(Mutex::new(Vec::new()));
-        sinks().lock().expect("trace sinks lock").push(buf.clone());
+        lock(&BUFFERS).push(buf.clone());
         (tid, buf)
     };
 }
@@ -68,40 +60,40 @@ thread_local! {
 /// Whether span recording is currently on.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.enabled()
 }
 
 /// Turn span recording on.
 pub fn enable() {
     epoch(); // pin the timestamp anchor before the first span
-    ENABLED.store(true, Ordering::Relaxed);
+    SINK.set_enabled(true);
 }
 
 /// Turn span recording off (already-recorded events are kept).
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    SINK.set_enabled(false);
 }
 
 /// Enable recording and remember `path` as the default [`flush`] target
 /// (the `GRACEFUL_TRACE=path` knob resolves to this).
 pub fn configure(path: &str) {
-    *configured().lock().expect("trace path lock") = Some(path.to_string());
-    enable();
+    epoch();
+    SINK.configure(path);
 }
 
 /// The path set by [`configure`], if any.
 pub fn configured_path() -> Option<String> {
-    configured().lock().expect("trace path lock").clone()
+    SINK.configured_path()
 }
 
 /// Events recorded so far (post-cap drops excluded).
 pub fn event_count() -> u64 {
-    RECORDED.load(Ordering::Relaxed)
+    SINK.kept()
 }
 
 /// Events dropped because the [`EVENT_CAP`] was reached.
 pub fn dropped_count() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
+    SINK.dropped()
 }
 
 /// Open a span named `name` in category `cat`; the span closes (and records
@@ -141,24 +133,16 @@ impl SpanGuard {
     }
 }
 
-fn dropped_metric() -> &'static crate::registry::Counter {
-    static DROPPED_METRIC: OnceLock<crate::registry::Counter> = OnceLock::new();
-    DROPPED_METRIC.get_or_init(|| crate::registry::counter("trace.dropped_events"))
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(active) = self.0.take() else { return };
         let end_ns = epoch().elapsed().as_nanos() as u64;
-        if RECORDED.fetch_add(1, Ordering::Relaxed) >= EVENT_CAP as u64 {
-            RECORDED.fetch_sub(1, Ordering::Relaxed);
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-            dropped_metric().incr();
+        if !SINK.admit() {
             return;
         }
         let seq = SEQ.fetch_add(1, Ordering::Relaxed);
         LOCAL.with(|(tid, buf)| {
-            buf.lock().expect("trace buffer lock").push(Event {
+            lock(buf).push(Event {
                 name: active.name,
                 cat: active.cat,
                 ts_ns: active.start_ns,
@@ -171,22 +155,10 @@ impl Drop for SpanGuard {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// `s` as a JSON string literal, quotes included, escaped the one way the
+/// serde shim escapes every string.
+fn json_str(s: &str) -> String {
+    serde_json::to_string(s).unwrap_or_default()
 }
 
 /// Render every recorded span as a Chrome trace-event JSON array, merged
@@ -195,8 +167,8 @@ fn json_escape(s: &str) -> String {
 /// JSON, even when empty.
 pub fn export_json() -> String {
     let mut events: Vec<Event> = Vec::new();
-    for buf in sinks().lock().expect("trace sinks lock").iter() {
-        events.extend(buf.lock().expect("trace buffer lock").iter().cloned());
+    for buf in lock(&BUFFERS).iter() {
+        events.extend(lock(buf).iter().cloned());
     }
     events.sort_by_key(|e| (e.ts_ns, e.seq));
     let mut out = String::from("[\n");
@@ -218,10 +190,10 @@ pub fn export_json() -> String {
         }
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
+            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
              \"pid\":1,\"tid\":{}",
-            json_escape(e.name),
-            json_escape(e.cat),
+            json_str(e.name),
+            json_str(e.cat),
             e.ts_ns as f64 / 1_000.0,
             e.dur_ns as f64 / 1_000.0,
             e.tid
@@ -232,7 +204,7 @@ pub fn export_json() -> String {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+                let _ = write!(out, "{}:{}", json_str(k), json_str(v));
             }
             out.push('}');
         }
@@ -248,14 +220,10 @@ pub fn write_to(path: &str) -> std::io::Result<()> {
 }
 
 /// Write the exported JSON to the [`configure`]d path, if one is set.
-/// Returns whether a file was written. Flushing is explicit (examples,
-/// tests and benches call it once at the end) so per-query work never pays
-/// file I/O.
+/// Returns whether a file was written. Flushing is explicit (examples and
+/// tests call it once at the end) so per-query work never pays file I/O.
 pub fn flush() -> std::io::Result<bool> {
-    match configured_path() {
-        Some(path) => write_to(&path).map(|()| true),
-        None => Ok(false),
-    }
+    SINK.flush(export_json)
 }
 
 #[cfg(test)]

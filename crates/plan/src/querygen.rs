@@ -13,7 +13,7 @@ use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
 use graceful_udf::ast::CmpOp;
-use graceful_udf::{ColumnEvaluator, CostCounter, GeneratedUdf, SimdBatchStats, UdfGenerator};
+use graceful_udf::{ColumnEvaluator, CostCounter, GeneratedUdf, UdfGenerator, UdfStats};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -303,7 +303,7 @@ fn calibrate_literal(
     let types: Vec<_> = cols.iter().map(|c| c.data_type()).collect();
     let prepared = udf.prepared(&types)?;
     let mut eval = ColumnEvaluator::new(prepared.program(), prepared.shape(), &cols, true, false);
-    let (mut out, mut lanes) = (Vec::with_capacity(1), SimdBatchStats::default());
+    let (mut out, mut stats) = (Vec::with_capacity(1), UdfStats::default());
     let mut outputs: Vec<f64> = Vec::with_capacity(sample.min(n));
     for _ in 0..sample.min(n) {
         let row = rng.range(0..n);
@@ -311,7 +311,7 @@ fn calibrate_literal(
         // Adaptations are applied by the corpus builder before labelling;
         // during calibration a NULL arg simply yields a NULL output we skip.
         // A NaN output can never satisfy `<= literal`, so it is no candidate.
-        if eval.eval(&[row], &mut out, &mut CostCounter::new(), &mut lanes).is_ok() {
+        if eval.eval(&[row], &mut out, &mut CostCounter::new(), &mut stats).is_ok() {
             if let Some(v) = out.first().and_then(Value::as_f64).filter(|v| !v.is_nan()) {
                 outputs.push(v);
             }

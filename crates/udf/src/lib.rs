@@ -68,6 +68,6 @@ pub use parser::parse_udf;
 pub use prepared::{ColumnEvaluator, PreparedUdf};
 pub use printer::print_udf;
 pub use prune::prune;
-pub use simd::{SimdBatchStats, TypedCol};
+pub use simd::{TypedCol, UdfStats};
 pub use typecheck::infer_return_type;
 pub use vm::Vm;

@@ -36,7 +36,7 @@ use crate::bytecode::{compile, Program, SimdShape};
 use crate::costs::{CostCounter, CostWeights};
 use crate::memo::CodeMemo;
 use crate::prune::prune;
-use crate::simd::{self, SimdBatchStats, TypedCol};
+use crate::simd::{self, TypedCol, UdfStats};
 use crate::vm::Vm;
 use graceful_common::Result;
 use graceful_obs::registry::{counter, Counter};
@@ -211,15 +211,15 @@ impl<'a> ColumnEvaluator<'a> {
     /// per row appended to `out`, every row's cost merged into `cost` in row
     /// order, the error of the first failing row returned — what
     /// [`Vm::eval_batch`] returns over the rows' arguments, bit for bit.
-    /// `lanes` accumulates what the typed lanes carried. On success, returns
-    /// how many rows the memo served without running the VM.
+    /// `stats` counts the batch and its rows, the rows the memo served
+    /// without running the VM and which way the typed lanes took each row.
     pub fn eval(
         &mut self,
         rows: &[usize],
         out: &mut Vec<Value>,
         cost: &mut CostCounter,
-        lanes: &mut SimdBatchStats,
-    ) -> Result<u64> {
+        stats: &mut UdfStats,
+    ) -> Result<()> {
         let (prog, cols) = (self.prog, self.cols);
         match &mut self.gather {
             Gather::Boxed(bufs) => {
@@ -229,17 +229,22 @@ impl<'a> ColumnEvaluator<'a> {
                 }
                 let slices: Vec<&[Value]> = bufs.iter().map(Vec::as_slice).collect();
                 self.vm.eval_batch(prog, &slices, out, cost)?;
-                Ok(0)
             }
             Gather::Typed(typed) => {
                 for (lane, col) in typed.iter_mut().zip(cols) {
                     lane.fill_from_column(col, rows)?;
                 }
-                simd::eval_batch_typed(&mut self.vm, prog, self.shape, typed, out, cost, lanes)?;
-                Ok(0)
+                // The lanes count their own batch and rows.
+                let vm = &mut self.vm;
+                return simd::eval_batch_typed(vm, prog, self.shape, typed, out, cost, stats);
             }
-            Gather::Memo(memo) => memo.eval_batch(&mut self.vm, prog, rows, out, cost),
+            Gather::Memo(memo) => {
+                stats.memo_rows += memo.eval_batch(&mut self.vm, prog, rows, out, cost)?;
+            }
         }
+        stats.rows += rows.len() as u64;
+        stats.batches += 1;
+        Ok(())
     }
 }
 

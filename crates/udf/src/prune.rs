@@ -261,7 +261,7 @@ mod tests {
     use super::*;
     use crate::ast::UdfDef;
     use crate::interp::{EvalOutcome, Interpreter};
-    use crate::simd::{eval_batch_typed, SimdBatchStats, TypedCol};
+    use crate::simd::{eval_batch_typed, TypedCol, UdfStats};
     use crate::{compile, parse_udf, UdfGenerator, Vm};
     use graceful_common::rng::Rng;
     use graceful_common::Result;
@@ -323,8 +323,7 @@ mod tests {
             return seen;
         };
         let shape = pruned.simd_shape();
-        let (mut out, mut cost, mut stats) =
-            (Vec::new(), CostCounter::new(), SimdBatchStats::default());
+        let (mut out, mut cost, mut stats) = (Vec::new(), CostCounter::new(), UdfStats::default());
         let got =
             eval_batch_typed(&mut vm, &pruned, &shape, &cols, &mut out, &mut cost, &mut stats);
         let first_error = want.iter().find_map(|r| r.as_ref().err());
@@ -338,7 +337,7 @@ mod tests {
             }
             assert_eq!(cost, merged, "{}: lanes' cost", u.name);
             assert_eq!(cost.total.to_bits(), merged.total.to_bits(), "{}: lanes' total", u.name);
-            seen.lane_rows = stats.fast_rows;
+            seen.lane_rows = stats.lane_rows;
         }
         seen
     }

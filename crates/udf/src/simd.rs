@@ -69,8 +69,10 @@ use crate::libfns::LibFn;
 use crate::ops::{f64_to_i64, np_clip, np_sign, sanitize};
 use crate::vm::{batch_rows, Vm};
 use graceful_common::{GracefulError, Result};
+use graceful_obs::registry::{counter, Counter};
 use graceful_storage::{Column, ColumnData, DataType, Value};
 use std::borrow::Cow;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Typed columns
@@ -285,31 +287,72 @@ enum RowResult {
 // ---------------------------------------------------------------------------
 // The evaluator
 
-/// Fast-path effectiveness counters for one (or more, when accumulated)
-/// typed-batch evaluations. Observability only: the engine never reads these
-/// to make a decision, so they cannot affect results. The per-row bail rate
-/// (`bail_rows / rows`) is exactly the fraction of rows the lane model could
-/// not keep.
+/// What UDF evaluation carried, and how — the one counter struct the
+/// engine's profile shows per UDF operator and [`UdfStats::publish`] sums
+/// into the registry. Each evaluation path counts its batch and rows; the
+/// typed lanes also say which way each row went. Observability only: no
+/// result reads it. Per-morsel counts merge in morsel-index order, so every
+/// total is deterministic but `memo_rows`, which depends on which morsels a
+/// worker's memo saw before.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimdBatchStats {
-    /// Rows evaluated in total.
+pub struct UdfStats {
+    /// Rows evaluated.
     pub rows: u64,
-    /// Rows completed on the columnar fast path.
-    pub fast_rows: u64,
-    /// Rows that fell back to the scalar VM (see "One way off the lanes" in
-    /// the module docs).
+    /// Batches evaluated (each at most `udf_batch_size` rows in the engine).
+    pub batches: u64,
+    /// Rows the dictionary-code memo served without running the VM.
+    pub memo_rows: u64,
+    /// Rows completed on the typed lanes.
+    pub lane_rows: u64,
+    /// Rows that bailed from the lanes to the scalar VM (see "One way off
+    /// the lanes" in the module docs).
     pub bail_rows: u64,
     /// True control-flow divergences that split a selection group in two.
     pub group_splits: u64,
 }
 
-impl SimdBatchStats {
-    /// Accumulate another batch's counters into this one.
-    pub fn merge(&mut self, other: &SimdBatchStats) {
+impl UdfStats {
+    /// Accumulate another evaluation's counters into this one.
+    pub fn merge(&mut self, other: &UdfStats) {
         self.rows += other.rows;
-        self.fast_rows += other.fast_rows;
+        self.batches += other.batches;
+        self.memo_rows += other.memo_rows;
+        self.lane_rows += other.lane_rows;
         self.bail_rows += other.bail_rows;
         self.group_splits += other.group_splits;
+    }
+
+    /// Fraction of evaluated rows that bailed from the lanes to the scalar
+    /// VM (0.0 for zero rows and where no row ran on the lanes).
+    pub fn bail_rate(&self) -> f64 {
+        if self.rows == 0 {
+            0.0
+        } else {
+            self.bail_rows as f64 / self.rows as f64
+        }
+    }
+
+    /// Add these counts to the registry counters `udf.rows`, `udf.batches`,
+    /// `udf.memo_rows`, `udf.simd.fast_rows` (the lane rows),
+    /// `udf.simd.bail_rows` and `udf.simd.group_splits`.
+    pub fn publish(&self) {
+        static COUNTERS: OnceLock<[Counter; 6]> = OnceLock::new();
+        let counters = COUNTERS.get_or_init(|| {
+            [
+                "udf.rows",
+                "udf.batches",
+                "udf.memo_rows",
+                "udf.simd.fast_rows",
+                "udf.simd.bail_rows",
+                "udf.simd.group_splits",
+            ]
+            .map(counter)
+        });
+        let UdfStats { rows, batches, memo_rows, lane_rows, bail_rows, group_splits } = *self;
+        let counts = [rows, batches, memo_rows, lane_rows, bail_rows, group_splits];
+        for (c, n) in counters.iter().zip(counts) {
+            c.add(n);
+        }
     }
 }
 
@@ -319,9 +362,9 @@ impl SimdBatchStats {
 /// values, errors and `CostCounter` totals are bit-identical to
 /// [`Vm::eval_batch`] (and therefore to a tree-walker row loop).
 ///
-/// `stats` accumulates which way each row went. It only observes — values,
-/// errors and costs do not depend on it — and it is not optional, so every
-/// caller can tell what the lanes carried.
+/// `stats` counts the batch, its rows and which way each row went. It only
+/// observes — values, errors and costs do not depend on it — and it is not
+/// optional, so every caller can tell what the lanes carried.
 pub fn eval_batch_typed(
     vm: &mut Vm,
     prog: &Program,
@@ -329,7 +372,7 @@ pub fn eval_batch_typed(
     cols: &[TypedCol],
     out: &mut Vec<Value>,
     cost: &mut CostCounter,
-    stats: &mut SimdBatchStats,
+    stats: &mut UdfStats,
 ) -> Result<()> {
     let rows = batch_rows(prog, cols.iter().map(TypedCol::len))?;
     // A shape computed for a different (or since-recompiled) program would
@@ -411,11 +454,12 @@ pub fn eval_batch_typed(
     // Ordered merge: one value push + one cost merge per row, exactly the
     // per-row cadence of `Vm::eval_batch`; the first failing row wins.
     out.reserve(rows);
+    stats.batches += 1;
     for (row, result) in results.into_iter().enumerate() {
         stats.rows += 1;
         match result {
             Some(RowResult::Columnar { value, group }) => {
-                stats.fast_rows += 1;
+                stats.lane_rows += 1;
                 out.push(value);
                 cost.merge(&group_costs[group as usize]);
             }
@@ -860,11 +904,18 @@ mod tests {
         cols.iter().map(|c| TypedCol::from_values(c).expect("uniformly typed column")).collect()
     }
 
+    #[test]
+    fn bail_rate_is_guarded_and_proportional() {
+        assert_eq!(UdfStats::default().bail_rate(), 0.0);
+        let s = UdfStats { rows: 200, bail_rows: 50, ..UdfStats::default() };
+        assert_eq!(s.bail_rate(), 0.25);
+    }
+
     /// Run the typed lanes against the tree-walker and the row-at-a-time VM
     /// over the given columns; assert values and the merged CostCounter are
     /// bit-identical to both. Returns what the lanes carried, for the caller
     /// to assert on.
-    fn differential(u: &UdfDef, cols: &[Vec<Value>]) -> SimdBatchStats {
+    fn differential(u: &UdfDef, cols: &[Vec<Value>]) -> UdfStats {
         let prog = compile(u).unwrap();
         let shape = prog.simd_shape();
         let slices: Vec<&[Value]> = cols.iter().map(|c| c.as_slice()).collect();
@@ -872,7 +923,7 @@ mod tests {
 
         let mut simd_out = Vec::new();
         let mut simd_cost = CostCounter::new();
-        let mut stats = SimdBatchStats::default();
+        let mut stats = UdfStats::default();
         eval_batch_typed(
             &mut Vm::default(),
             &prog,
@@ -885,7 +936,7 @@ mod tests {
         .unwrap();
         assert_eq!(simd_out.len(), rows);
         assert_eq!(stats.rows, rows as u64);
-        assert_eq!(stats.fast_rows + stats.bail_rows, stats.rows, "every row is classified");
+        assert_eq!(stats.lane_rows + stats.bail_rows, stats.rows, "every row is classified");
 
         let mut vm = Vm::default();
         let mut vm_out = Vec::new();
@@ -941,7 +992,7 @@ mod tests {
             &u,
             &[int_col(n, |i| i as i64 % 97), float_col(n, |i| (i % 13) as f64 - 6.0)],
         );
-        assert_eq!((stats.fast_rows, stats.group_splits), (n as u64, 0));
+        assert_eq!((stats.lane_rows, stats.group_splits), (n as u64, 0));
     }
 
     #[test]
@@ -962,7 +1013,7 @@ mod tests {
         let n = 500;
         let stats =
             differential(&u, &[int_col(n, |i| i as i64 % 100), int_col(n, |i| i as i64 % 7)]);
-        assert_eq!((stats.fast_rows, stats.group_splits), (n as u64, 1));
+        assert_eq!((stats.lane_rows, stats.group_splits), (n as u64, 1));
     }
 
     #[test]
@@ -979,7 +1030,7 @@ mod tests {
         let xs: Vec<Value> =
             (0..n).map(|i| if i % 5 == 0 { Value::Null } else { Value::Int(i as i64) }).collect();
         let ys: Vec<Value> = (0..n).map(|i| Value::Int((i as i64 % 4) - 1)).collect(); // hits 0
-        assert_eq!(differential(&u, &[xs, ys]).fast_rows, n as u64);
+        assert_eq!(differential(&u, &[xs, ys]).lane_rows, n as u64);
     }
 
     #[test]
@@ -1014,7 +1065,7 @@ mod tests {
             differential(&u, &[int_col(n, |i| i as i64 % 50), int_col(n, |i| i as i64 % 4)]);
         // z = 3x < 60 for x in 0..20: those rows return on the lanes, the
         // other 30 of every 50 reach the loop.
-        assert_eq!((stats.fast_rows, stats.bail_rows), (120, 180));
+        assert_eq!((stats.lane_rows, stats.bail_rows), (120, 180));
     }
 
     #[test]
@@ -1052,7 +1103,7 @@ mod tests {
         let n = 2500;
         let cols = [int_col(n, |i| i as i64 % 13 - 6), int_col(n, |i| i as i64 % 7)];
         let stats = differential(&u, &cols);
-        assert_eq!((stats.fast_rows, stats.bail_rows), (0, n as u64), "every row bails");
+        assert_eq!((stats.lane_rows, stats.bail_rows), (0, n as u64), "every row bails");
     }
 
     #[test]
@@ -1114,7 +1165,7 @@ mod tests {
             &u,
             &[float_col(n, |i| (i as f64) - 128.0), int_col(n, |i| i as i64 % 11)],
         );
-        assert_eq!(stats.fast_rows, n as u64);
+        assert_eq!(stats.lane_rows, n as u64);
     }
 
     #[test]
@@ -1134,7 +1185,7 @@ mod tests {
             (0..edges.len() * 8).map(|i| Value::Float(edges[i % edges.len()])).collect();
         let ys: Vec<Value> =
             (0..edges.len() * 8).map(|i| Value::Float(edges[(i + 3) % edges.len()])).collect();
-        assert_eq!(differential(&u, &[xs, ys]).fast_rows, edges.len() as u64 * 8);
+        assert_eq!(differential(&u, &[xs, ys]).lane_rows, edges.len() as u64 * 8);
     }
 
     #[test]
@@ -1157,7 +1208,7 @@ mod tests {
         let bs: Vec<Value> = (0..n).map(|i| Value::Bool(i % 3 == 0)).collect();
         let stats =
             differential(&u, &[bs, int_col(n, |i| i as i64 % 6), int_col(n, |i| (i as i64) % 2)]);
-        assert_eq!(stats.fast_rows, n as u64);
+        assert_eq!(stats.lane_rows, n as u64);
     }
 
     #[test]
@@ -1212,7 +1263,7 @@ mod tests {
         let slices: Vec<&[Value]> = vec![&xs];
         let mut out = Vec::new();
         let mut cost = CostCounter::new();
-        let mut stats = SimdBatchStats::default();
+        let mut stats = UdfStats::default();
         let simd_err = eval_batch_typed(
             &mut Vm::default(),
             &prog,
@@ -1225,7 +1276,7 @@ mod tests {
         .unwrap_err();
         // Rows 0..5 define z and return on the lanes; row 5 is the first of
         // the group that bailed, and the one whose error surfaces.
-        assert_eq!((stats.rows, stats.fast_rows, stats.bail_rows), (6, 5, 0));
+        assert_eq!((stats.rows, stats.lane_rows, stats.bail_rows), (6, 5, 0));
         let mut vm_out = Vec::new();
         let mut vm_cost = CostCounter::new();
         let vm_err =
@@ -1257,7 +1308,7 @@ mod tests {
         let asv = int_col(n, |i| if i % 7 == 0 { 0 } else { i as i64 });
         let bs = int_col(n, |i| if i % 7 == 0 { 0 } else { (i as i64 % 5) + 1 });
         let cs = int_col(n, |i| i as i64);
-        assert_eq!(differential(&u, &[asv, bs, cs]).fast_rows, n as u64);
+        assert_eq!(differential(&u, &[asv, bs, cs]).lane_rows, n as u64);
     }
 
     #[test]
@@ -1286,7 +1337,7 @@ mod tests {
             &[a, b],
             &mut Vec::new(),
             &mut CostCounter::new(),
-            &mut SimdBatchStats::default(),
+            &mut UdfStats::default(),
         )
         .unwrap_err();
         assert!(matches!(&err, GracefulError::Eval(m) if m.contains("ragged batch")), "{err}");
@@ -1417,7 +1468,7 @@ mod tests {
         let prog = compile(&u).unwrap();
         let mut out = Vec::new();
         let mut cost = CostCounter::new();
-        let mut stats = SimdBatchStats::default();
+        let mut stats = UdfStats::default();
         let mut vm = Vm::default();
         eval_batch_typed(
             &mut vm,
@@ -1429,7 +1480,7 @@ mod tests {
             &mut stats,
         )
         .unwrap();
-        let carried = if expect_bail { stats.bail_rows } else { stats.fast_rows };
+        let carried = if expect_bail { stats.bail_rows } else { stats.lane_rows };
         assert_eq!(carried, rows as u64, "{what}: {stats:?}");
 
         let mut vm_out = Vec::new();
@@ -1513,6 +1564,6 @@ mod tests {
         }
         body.push(Stmt::Return(E::name("z")));
         let stats = differential(&udf(&["x"], body), &[int_col(1024, |i| i as i64)]);
-        assert_eq!((stats.fast_rows, stats.bail_rows, stats.group_splits), (1024, 0, 1023));
+        assert_eq!((stats.lane_rows, stats.bail_rows, stats.group_splits), (1024, 0, 1023));
     }
 }

@@ -186,7 +186,7 @@ fn type_inference_agrees_with_interpreter_on_generated_udfs() {
 /// (tree-walker, batch VM, columnar SIMD) pin the identical results.
 #[test]
 fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
-    use graceful::udf::{simd, CostCounter, SimdBatchStats, TypedCol};
+    use graceful::udf::{simd, CostCounter, TypedCol, UdfStats};
 
     let udf =
         parse_udf("def f(x0):\n    return int(x0) + math.floor(x0) + math.ceil(x0)\n").unwrap();
@@ -233,7 +233,7 @@ fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
     let lanes = [TypedCol::from_values(&xs).expect("a float column")];
     let mut simd_vals = Vec::new();
     let mut simd_cost = CostCounter::new();
-    let mut stats = SimdBatchStats::default();
+    let mut stats = UdfStats::default();
     simd::eval_batch_typed(
         &mut Vm::default(),
         &prog,
@@ -244,7 +244,7 @@ fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
         &mut stats,
     )
     .unwrap();
-    assert_eq!(stats.fast_rows, xs.len() as u64, "all-numeric straight line: {stats:?}");
+    assert_eq!(stats.lane_rows, xs.len() as u64, "all-numeric straight line: {stats:?}");
     assert_eq!(simd_vals, tw_vals);
     assert_eq!(simd_cost, tw_cost);
     assert_eq!(simd_cost.total.to_bits(), tw_cost.total.to_bits());
@@ -255,7 +255,7 @@ fn float_to_int_cast_edges_are_identical_across_all_three_paths() {
 /// of panicking — identically on every execution path.
 #[test]
 fn sign_and_abs_kernel_pins_hold_on_every_path() {
-    use graceful::udf::{simd, CostCounter, SimdBatchStats, TypedCol};
+    use graceful::udf::{simd, CostCounter, TypedCol, UdfStats};
 
     let udf = parse_udf("def f(x0, x1):\n    return np.sign(x0) + abs(x1)\n").unwrap();
     let prog = compile(&udf).unwrap();
@@ -280,7 +280,7 @@ fn sign_and_abs_kernel_pins_hold_on_every_path() {
     let lanes: Vec<TypedCol> =
         slices.iter().map(|c| TypedCol::from_values(c).expect("one type per column")).collect();
     let mut simd_vals = Vec::new();
-    let mut stats = SimdBatchStats::default();
+    let mut stats = UdfStats::default();
     simd::eval_batch_typed(
         &mut Vm::default(),
         &prog,
@@ -291,7 +291,7 @@ fn sign_and_abs_kernel_pins_hold_on_every_path() {
         &mut stats,
     )
     .unwrap();
-    assert_eq!(stats.fast_rows, xs.len() as u64, "the lanes carry every row: {stats:?}");
+    assert_eq!(stats.lane_rows, xs.len() as u64, "the lanes carry every row: {stats:?}");
     assert_eq!(simd_vals, expected);
 }
 

@@ -103,7 +103,7 @@ fn profiles_cover_every_plan_in_the_suite() {
                 // The typed fast path classifies every row it sees as fast
                 // or bailed; an ineligible shape runs the boxed VM and
                 // records neither.
-                let classified = u.simd_fast_rows + u.simd_bail_rows;
+                let classified = u.lane_rows + u.bail_rows;
                 assert!(
                     classified == u.rows || classified == 0,
                     "{what}: {classified} classified of {} rows",

@@ -218,12 +218,12 @@ proptest! {
             }
             let mut simd_out = Vec::new();
             let mut simd_cost = graceful::udf::CostCounter::new();
-            let mut stats = graceful::udf::SimdBatchStats::default();
+            let mut stats = graceful::udf::UdfStats::default();
             graceful::udf::simd::eval_batch_typed(
                 &mut vm, &prog, &shape, &lanes, &mut simd_out, &mut simd_cost, &mut stats,
             ).expect("typed lanes evaluate");
             prop_assert_eq!(stats.rows, rows as u64, "the lanes saw every row");
-            prop_assert_eq!(stats.fast_rows + stats.bail_rows, stats.rows, "and classified it");
+            prop_assert_eq!(stats.lane_rows + stats.bail_rows, stats.rows, "and classified it");
             prop_assert_eq!(&simd_out, &vm_out, "values differ from batch VM");
             prop_assert_eq!(&simd_cost, &vm_cost, "counters differ from batch VM");
             prop_assert_eq!(
@@ -372,12 +372,12 @@ proptest! {
         let mut simd_vm = Vm::default();
         let mut simd_out = Vec::new();
         let mut simd_cost = graceful::udf::CostCounter::new();
-        let mut stats = graceful::udf::SimdBatchStats::default();
+        let mut stats = graceful::udf::UdfStats::default();
         graceful::udf::simd::eval_batch_typed(
             &mut simd_vm, &prog, &shape, &cols, &mut simd_out, &mut simd_cost, &mut stats,
         )
         .expect("SIMD path evaluates");
-        prop_assert_eq!((stats.fast_rows, stats.bail_rows), (0, rows as u64), "every row bails");
+        prop_assert_eq!((stats.lane_rows, stats.bail_rows), (0, rows as u64), "every row bails");
 
         let slices = vec![data.as_slice()];
         let mut vm = Vm::default();
