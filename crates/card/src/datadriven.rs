@@ -285,7 +285,7 @@ mod tests {
             Column::with_nulls(
                 "ds",
                 ColumnData::DictText {
-                    codes: (0..n as u32).map(|r| r % 3).collect(),
+                    codes: (0..n as u16).map(|r| r % 3).collect(),
                     dict: vec!["b".into(), "a".into(), "".into()],
                 },
                 nulls(&[0]),
@@ -293,7 +293,7 @@ mod tests {
             Column::new(
                 "di",
                 ColumnData::DictInt {
-                    codes: (0..n as u32).map(|r| r % 4).collect(),
+                    codes: (0..n as u16).map(|r| r % 4).collect(),
                     dict: vec![2, 0, -1, 1],
                 },
             ),

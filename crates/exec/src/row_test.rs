@@ -21,7 +21,7 @@ enum Form<'a> {
     /// and a number on the other.
     Never,
     /// Dictionary codes, and the verdict of each code.
-    Codes(&'a [u32], Vec<bool>),
+    Codes(&'a [u16], Vec<bool>),
     /// Bools, and the verdicts of `false` and `true`.
     Bool(&'a [bool], [bool; 2]),
     Float(&'a [f64], f64),
@@ -32,7 +32,8 @@ enum Form<'a> {
 pub(crate) struct RowTest<'a> {
     /// Whether the operator accepts less, equal and greater.
     accept: [bool; 3],
-    nulls: &'a [bool],
+    /// The column's NULL mask; `None` when no row is NULL.
+    nulls: Option<&'a [bool]>,
     form: Form<'a>,
 }
 
@@ -61,7 +62,7 @@ impl<'a> RowTest<'a> {
             (Some(ColumnData::Text(values)), _, Some(lit)) => Form::Text(values, lit),
             _ => Form::Never,
         };
-        RowTest { accept, nulls: col.map_or(&[], |c| &c.nulls), form }
+        RowTest { accept, nulls: col.and_then(|c| c.nulls.as_slice()), form }
     }
 
     /// Keep the entries of `sel` whose table row (`row` of the entry)
@@ -88,20 +89,30 @@ impl<'a> RowTest<'a> {
 }
 
 /// Keep the entries of `sel` whose table row `r` (`row` of the entry) is
-/// not NULL and `passes`, in order: every entry is written to the next free
-/// place, which advances only past a kept one.
+/// not NULL under the mask `nulls` and `passes`, in order.
 #[inline]
 fn retain(
     sel: &mut Vec<u32>,
     row: impl Fn(u32) -> usize,
-    nulls: &[bool],
+    nulls: Option<&[bool]>,
     passes: impl Fn(usize) -> bool,
 ) {
+    match nulls {
+        Some(nulls) => retain_rows(sel, row, |r| passes(r) & !nulls[r]),
+        None => retain_rows(sel, row, passes),
+    }
+}
+
+/// Keep the entries of `sel` whose table row (`row` of the entry) `keeps`,
+/// in order: every entry is written to the next free place, which advances
+/// only past a kept one.
+#[inline]
+fn retain_rows(sel: &mut Vec<u32>, row: impl Fn(u32) -> usize, keeps: impl Fn(usize) -> bool) {
     let mut kept = 0;
     for i in 0..sel.len() {
-        let (e, r) = (sel[i], row(sel[i]));
+        let e = sel[i];
         sel[kept] = e;
-        kept += usize::from(passes(r) & !nulls[r]);
+        kept += usize::from(keeps(row(e)));
     }
     sel.truncate(kept);
 }

@@ -1,18 +1,20 @@
 //! Null-aware typed columns with optional compressed encodings.
 //!
-//! Columns store their data in dense typed vectors plus a separate null
-//! bitmap (a `Vec<bool>`; simplicity over bit-packing at this scale). The
-//! executor and the UDF interpreter access values through the cheap typed
-//! accessors (`get_f64`, `get_str`, ...) so the hot row-by-row UDF loop never
-//! allocates.
+//! Columns store their data in dense typed vectors plus a separate NULL
+//! mask ([`Nulls`]): nothing at all for a column without a NULL, one `bool`
+//! per row otherwise (simplicity over bit-packing: few columns hold a NULL).
+//! The executor and the UDF interpreter access values through the cheap
+//! typed accessors (`get_f64`, `get_str`, ...) so the hot row-by-row UDF
+//! loop never allocates.
 //!
 //! # Encodings
 //!
 //! One compressed representation lives behind the same accessors:
 //! **dictionary** encoding ([`ColumnData::DictInt`]/[`ColumnData::DictText`])
-//! for low-cardinality columns: per-row `u32` codes into a distinct-value
-//! dictionary ordered by first occurrence, so a 3-million-row `mktsegment`
-//! column stores 4 bytes per row instead of a `String`.
+//! for low-cardinality columns: per-row `u16` codes into a distinct-value
+//! dictionary ordered by first occurrence ([`MAX_DICT`] entries at most), so
+//! a 3-million-row `mktsegment` column stores 2 bytes per row instead of a
+//! `String`.
 //!
 //! [`ColumnData::encoded`] picks the dictionary when it is clearly smaller
 //! (it never encodes unless the footprint drops below 75% of plain) and
@@ -28,24 +30,41 @@
 //! (`Database`), which recomputes them on `Database::update_table`.
 
 use crate::types::{DataType, Value};
+use std::collections::hash_map::Entry;
 
 /// Largest dictionary [`ColumnData::encoded`] will build; columns with more
 /// distinct values stay plain.
 pub const MAX_DICT: usize = 1 << 16;
 
+// Every code of a `MAX_DICT`-entry dictionary fits the `u16` codes.
+const _: () = assert!(MAX_DICT <= u16::MAX as usize + 1);
+
 /// Heap bytes a `String` costs besides its text.
 const STRING_HEAD: usize = std::mem::size_of::<String>();
 
+/// What the encoding *choice* prices a code at: 4 B, the width codes had
+/// when the rule was set, although they are stored in 2. Pricing them at 2
+/// would encode more columns, which changes the generated databases.
+const RULE_CODE_BYTES: usize = 4;
+
 /// Most distinct values an integer dictionary may hold over `rows` rows: it
-/// saves 25 % of the plain `8n` bytes iff `4n + 8d <= 6n`, i.e. `d <= n/4`.
+/// saves 25 % of the plain `8n` bytes iff `4n + 8d <= 6n`, i.e. `d <= n/4`
+/// (codes priced at [`RULE_CODE_BYTES`]).
 fn int_dict_limit(rows: usize) -> usize {
     MAX_DICT.min(rows / 4)
 }
 
-/// Whether a text dictionary of `dict` heap bytes (codes included) is worth
-/// it against `plain` bytes: it must save at least 25 %.
+/// Whether a text dictionary of `dict` heap bytes (codes included, at
+/// [`RULE_CODE_BYTES`] each) is worth it against `plain` bytes: it must save
+/// at least 25 %.
 fn text_dict_pays(plain: usize, dict: usize) -> bool {
     dict <= plain - plain / 4
+}
+
+/// The code of the next distinct value when `distinct` are numbered so far;
+/// `None` once `limit` are.
+fn next_code(distinct: usize, limit: usize) -> Option<u16> {
+    u16::try_from(distinct).ok().filter(|_| distinct < limit)
 }
 
 /// Codes numbering the distinct entries of `index` in first-appearance
@@ -55,22 +74,19 @@ fn first_appearance(
     index: &[usize],
     domain: usize,
     limit: usize,
-) -> Option<(Vec<u32>, Vec<usize>)> {
-    let mut code = vec![u32::MAX; domain];
+) -> Option<(Vec<u16>, Vec<usize>)> {
+    let mut code: Vec<Option<u16>> = vec![None; domain];
     let mut order = Vec::new();
     let codes = index
         .iter()
         .map(|&i| {
-            if code[i] == u32::MAX {
-                if order.len() == limit {
-                    return None;
-                }
-                code[i] = order.len() as u32;
+            if code[i].is_none() {
+                code[i] = Some(next_code(order.len(), limit)?);
                 order.push(i);
             }
-            Some(code[i])
+            code[i]
         })
-        .collect::<Option<Vec<u32>>>()?;
+        .collect::<Option<Vec<u16>>>()?;
     Some((codes, order))
 }
 
@@ -84,12 +100,12 @@ pub enum ColumnData {
     Bool(Vec<bool>),
     /// Dictionary-encoded integers: row `r` holds `dict[codes[r]]`.
     DictInt {
-        codes: Vec<u32>,
+        codes: Vec<u16>,
         dict: Vec<i64>,
     },
     /// Dictionary-encoded strings: row `r` holds `dict[codes[r]]`.
     DictText {
-        codes: Vec<u32>,
+        codes: Vec<u16>,
         dict: Vec<String>,
     },
 }
@@ -125,7 +141,7 @@ impl ColumnData {
     }
 
     /// `i64` at `row` for integer-typed representations (plain, dict);
-    /// `None` for other types. Ignores nulls — callers check the bitmap.
+    /// `None` for other types. Ignores nulls — callers check the NULL mask.
     #[inline]
     pub fn int_at(&self, row: usize) -> Option<i64> {
         match self {
@@ -136,7 +152,7 @@ impl ColumnData {
     }
 
     /// `&str` at `row` for text-typed representations; `None` otherwise.
-    /// Ignores nulls — callers check the bitmap.
+    /// Ignores nulls — callers check the NULL mask.
     #[inline]
     pub fn str_at(&self, row: usize) -> Option<&str> {
         match self {
@@ -147,7 +163,7 @@ impl ColumnData {
     }
 
     /// Approximate heap footprint in bytes of this representation (data
-    /// vectors and string heads/bytes; excludes the null bitmap, which is
+    /// vectors and string heads/bytes; excludes the NULL mask, which is
     /// identical across representations).
     pub fn heap_bytes(&self) -> usize {
         match self {
@@ -155,9 +171,9 @@ impl ColumnData {
             ColumnData::Float(v) => v.len() * 8,
             ColumnData::Bool(v) => v.len(),
             ColumnData::Text(v) => v.iter().map(|s| STRING_HEAD + s.len()).sum(),
-            ColumnData::DictInt { codes, dict } => codes.len() * 4 + dict.len() * 8,
+            ColumnData::DictInt { codes, dict } => codes.len() * 2 + dict.len() * 8,
             ColumnData::DictText { codes, dict } => {
-                codes.len() * 4 + dict.iter().map(|s| STRING_HEAD + s.len()).sum::<usize>()
+                codes.len() * 2 + dict.iter().map(|s| STRING_HEAD + s.len()).sum::<usize>()
             }
         }
     }
@@ -193,6 +209,8 @@ impl ColumnData {
     /// the distinct count is low (at most [`MAX_DICT`]), plain otherwise.
     /// Encoding only happens when it saves at least 25% of the plain
     /// footprint — a near-breakeven dictionary is not worth the indirection.
+    /// The rule prices a code at 4 B (`RULE_CODE_BYTES`), not the 2 B it is
+    /// stored in, so that it picks what it always picked.
     /// Values are preserved bit-exactly (see [`ColumnData::to_plain`]).
     pub fn encoded(&self) -> ColumnData {
         match self {
@@ -206,12 +224,12 @@ impl ColumnData {
                 let mut dict: Vec<i64> = Vec::new();
                 let mut index = std::collections::HashMap::new();
                 for &x in v {
-                    index.entry(x).or_insert_with(|| {
+                    if let Entry::Vacant(slot) = index.entry(x) {
+                        let Some(code) = next_code(dict.len(), limit) else {
+                            return self.clone();
+                        };
+                        slot.insert(code);
                         dict.push(x);
-                        (dict.len() - 1) as u32
-                    });
-                    if dict.len() > limit {
-                        return self.clone();
                     }
                 }
                 let codes = v.iter().map(|x| index[x]).collect();
@@ -223,19 +241,19 @@ impl ColumnData {
                 }
                 let plain: usize = v.iter().map(|s| STRING_HEAD + s.len()).sum();
                 let mut dict: Vec<String> = Vec::new();
-                let mut index: std::collections::HashMap<&str, u32> =
+                let mut index: std::collections::HashMap<&str, u16> =
                     std::collections::HashMap::new();
                 for s in v {
-                    index.entry(s.as_str()).or_insert_with(|| {
+                    if let Entry::Vacant(slot) = index.entry(s.as_str()) {
+                        let Some(code) = next_code(dict.len(), MAX_DICT) else {
+                            return self.clone();
+                        };
+                        slot.insert(code);
                         dict.push(s.clone());
-                        (dict.len() - 1) as u32
-                    });
-                    if dict.len() > MAX_DICT {
-                        return self.clone();
                     }
                 }
-                let dict_bytes =
-                    v.len() * 4 + dict.iter().map(|s| STRING_HEAD + s.len()).sum::<usize>();
+                let dict_bytes = v.len() * RULE_CODE_BYTES
+                    + dict.iter().map(|s| STRING_HEAD + s.len()).sum::<usize>();
                 if text_dict_pays(plain, dict_bytes) {
                     let codes = v.iter().map(|s| index[s.as_str()]).collect();
                     ColumnData::DictText { codes, dict }
@@ -269,7 +287,8 @@ impl ColumnData {
             let mut rows = vec![0usize; order.len()];
             codes.iter().for_each(|&c| rows[c as usize] += 1);
             let plain: usize = order.iter().zip(&rows).map(|(&i, &n)| n * bytes(i)).sum();
-            let dict_bytes = codes.len() * 4 + order.iter().map(|&i| bytes(i)).sum::<usize>();
+            let dict_bytes =
+                codes.len() * RULE_CODE_BYTES + order.iter().map(|&i| bytes(i)).sum::<usize>();
             if !codes.is_empty() && text_dict_pays(plain, dict_bytes) {
                 let dict = order.iter().map(|&i| values[i].clone()).collect();
                 return ColumnData::DictText { codes, dict };
@@ -279,28 +298,84 @@ impl ColumnData {
     }
 }
 
+/// A column's NULL mask: nothing for a column without a NULL, one flag per
+/// row (`true` marks a NULL) otherwise. It reads as one flag per row either
+/// way, and two masks are equal when they mark the same rows.
+#[derive(Debug, Clone)]
+pub struct Nulls {
+    rows: usize,
+    /// `rows` flags, held where a row is NULL (or after `iter_mut`).
+    mask: Option<Vec<bool>>,
+}
+
+impl Nulls {
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// The flags, or `None` when no mask is held and so no row is NULL: a
+    /// loop over many rows asks once whether it must read a flag at all.
+    pub fn as_slice(&self) -> Option<&[bool]> {
+        self.mask.as_deref()
+    }
+
+    /// One flag per row.
+    pub fn iter(&self) -> impl Iterator<Item = &bool> {
+        let mask = self.mask.as_deref().unwrap_or_default();
+        mask.iter().chain(std::iter::repeat_n(&false, self.rows - mask.len()))
+    }
+
+    /// One mutable flag per row; a column without a NULL gets its all-false
+    /// mask first.
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, bool> {
+        self.mask.get_or_insert_with(|| vec![false; self.rows]).iter_mut()
+    }
+}
+
+impl std::ops::Index<usize> for Nulls {
+    type Output = bool;
+
+    #[inline]
+    fn index(&self, row: usize) -> &bool {
+        assert!(row < self.rows, "row {row} out of {} rows", self.rows);
+        self.mask.as_ref().map_or(&false, |mask| &mask[row])
+    }
+}
+
+impl PartialEq for Nulls {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows && self.iter().eq(other.iter())
+    }
+}
+
 /// A named, nullable, typed column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     pub name: String,
     pub data: ColumnData,
-    /// `true` marks a NULL at that row. Always the same length as `data`.
-    pub nulls: Vec<bool>,
+    /// Which rows are NULL. Always the same length as `data`.
+    pub nulls: Nulls,
 }
 
 impl Column {
     /// Build a column without NULLs.
     pub fn new(name: impl Into<String>, data: ColumnData) -> Self {
-        let nulls = vec![false; data.len()];
+        let nulls = Nulls { rows: data.len(), mask: None };
         Column { name: name.into(), data, nulls }
     }
 
-    /// Build a column with an explicit null bitmap.
+    /// Build a column with an explicit null bitmap (`true` marks a NULL),
+    /// kept only if a row is NULL.
     ///
     /// # Panics
     /// Panics if the bitmap length differs from the data length.
     pub fn with_nulls(name: impl Into<String>, data: ColumnData, nulls: Vec<bool>) -> Self {
         assert_eq!(data.len(), nulls.len(), "null bitmap length mismatch");
+        let nulls = Nulls { rows: nulls.len(), mask: nulls.contains(&true).then_some(nulls) };
         Column { name: name.into(), data, nulls }
     }
 
@@ -370,10 +445,10 @@ impl Column {
 
     /// Fraction of NULL rows.
     pub fn null_fraction(&self) -> f64 {
-        if self.nulls.is_empty() {
-            return 0.0;
+        match self.nulls.as_slice() {
+            Some(mask) => mask.iter().filter(|&&n| n).count() as f64 / mask.len() as f64,
+            None => 0.0,
         }
-        self.nulls.iter().filter(|&&n| n).count() as f64 / self.nulls.len() as f64
     }
 
     /// Re-encode this column's data into its smallest representation (see
@@ -389,43 +464,32 @@ impl Column {
 
     /// Replace every NULL with `default`, mutating in place. This is the
     /// "data adaptation" primitive from Section V of the paper (align data
-    /// with generated UDFs instead of constraining the UDFs). Encoded
-    /// columns are decoded first (point mutation defeats dictionary
-    /// sharing).
+    /// with generated UDFs instead of constraining the UDFs). An encoded
+    /// column that holds a NULL is decoded first (point mutation defeats
+    /// dictionary sharing); one without a NULL is left as it is. A column
+    /// whose NULLs are all replaced keeps no mask.
     pub fn replace_nulls(&mut self, default: &Value) {
-        if self.data.is_encoded() {
-            self.data = self.data.to_plain();
+        let Column { data, nulls, .. } = self;
+        let Some(mask) = nulls.mask.as_mut().filter(|mask| mask.contains(&true)) else {
+            return;
+        };
+        if data.is_encoded() {
+            *data = data.to_plain();
         }
-        for row in 0..self.len() {
-            if !self.nulls[row] {
-                continue;
+        for (row, null) in mask.iter_mut().enumerate().filter(|(_, null)| **null) {
+            match (&mut *data, default) {
+                (ColumnData::Int(v), Value::Int(d)) => v[row] = *d,
+                (ColumnData::Float(v), Value::Float(d)) => v[row] = *d,
+                (ColumnData::Float(v), Value::Int(d)) => v[row] = *d as f64,
+                (ColumnData::Text(v), Value::Text(d)) => v[row] = d.clone(),
+                (ColumnData::Bool(v), Value::Bool(d)) => v[row] = *d,
+                // A default of another type replaces no NULL.
+                _ => return,
             }
-            let ok = match (&mut self.data, default) {
-                (ColumnData::Int(v), Value::Int(d)) => {
-                    v[row] = *d;
-                    true
-                }
-                (ColumnData::Float(v), Value::Float(d)) => {
-                    v[row] = *d;
-                    true
-                }
-                (ColumnData::Float(v), Value::Int(d)) => {
-                    v[row] = *d as f64;
-                    true
-                }
-                (ColumnData::Text(v), Value::Text(d)) => {
-                    v[row] = d.clone();
-                    true
-                }
-                (ColumnData::Bool(v), Value::Bool(d)) => {
-                    v[row] = *d;
-                    true
-                }
-                _ => false,
-            };
-            if ok {
-                self.nulls[row] = false;
-            }
+            *null = false;
+        }
+        if !mask.contains(&true) {
+            nulls.mask = None;
         }
     }
 }
@@ -568,5 +632,103 @@ mod tests {
         assert!(!c.data.is_encoded(), "point mutation decodes first");
         assert_eq!(c.value(1999), Value::Int(-100));
         assert_eq!(c.value(0), Value::Int(5));
+    }
+
+    #[test]
+    fn replace_nulls_keeps_a_null_free_dictionary_encoded() {
+        let mut c = Column::new("x", ColumnData::Int((0..2000).map(|i| i % 3).collect()));
+        c.encode();
+        let (data, bytes) = (c.data.clone(), c.data.heap_bytes());
+        c.replace_nulls(&Value::Int(-100));
+        assert_eq!(c.data, data, "no NULL, so nothing to decode");
+        assert_eq!(c.data.heap_bytes(), bytes);
+        assert_eq!(c.nulls.as_slice(), None);
+    }
+
+    #[test]
+    fn replacing_every_null_drops_the_mask() {
+        let mut c = int_col();
+        assert!(c.nulls.as_slice().is_some());
+        c.replace_nulls(&Value::Int(99));
+        assert_eq!(c.nulls.as_slice(), None);
+        // A mismatched default replaces nothing, and the mask stays.
+        let mut c = int_col();
+        c.replace_nulls(&Value::Bool(true));
+        assert_eq!(c.nulls.as_slice(), Some(&[false, true, false, false][..]));
+    }
+
+    #[test]
+    fn a_mask_is_held_only_where_a_null_is() {
+        let data = ColumnData::Int(vec![1, 2, 3]);
+        let new = Column::new("x", data.clone());
+        let all_false = Column::with_nulls("x", data.clone(), vec![false; 3]);
+        assert_eq!(new.nulls.as_slice(), None);
+        assert_eq!(all_false.nulls.as_slice(), None, "an all-false mask is not kept");
+        assert_eq!(all_false, new);
+        for c in [&new, &int_col()] {
+            assert_eq!(c.nulls.iter().count(), c.nulls.len());
+            assert_eq!(c.nulls.len(), c.len());
+            assert!(c.nulls.iter().enumerate().all(|(r, &null)| null == c.nulls[r]));
+        }
+        assert_eq!(
+            int_col().nulls.iter().copied().collect::<Vec<_>>(),
+            [false, true, false, false]
+        );
+        // Equality is logical: a materialised all-false mask equals none.
+        let mut materialised = new.clone();
+        materialised.nulls.iter_mut().for_each(|_| {});
+        assert!(materialised.nulls.as_slice().is_some());
+        assert_eq!(materialised, new);
+        assert_ne!(Column::with_nulls("x", data, vec![false, false, true]), new);
+    }
+
+    #[test]
+    fn setting_one_flag_of_a_null_free_column_gives_one_null() {
+        let mut c = Column::new("x", ColumnData::Int(vec![4, 5, 6, 7]));
+        if let Some(flag) = c.nulls.iter_mut().nth(2) {
+            *flag = true;
+        }
+        assert_eq!(c.nulls.as_slice(), Some(&[false, false, true, false][..]));
+        assert_eq!((0..4).filter(|&r| c.is_null(r)).collect::<Vec<_>>(), [2]);
+        assert_eq!(c.value(2), Value::Null);
+        assert_eq!(c.value(3), Value::Int(7));
+    }
+
+    #[test]
+    fn dictionary_codes_take_two_bytes_a_row() {
+        let ints = ColumnData::Int((0..4096).map(|i| i % 5).collect()).encoded();
+        assert_eq!(ints.heap_bytes(), 2 * 4096 + 8 * 5);
+        let words = ["alpha", "beta", "gamma"];
+        let texts: Vec<String> = (0..2048).map(|i| words[i % 3].to_string()).collect();
+        let texts = ColumnData::Text(texts).encoded();
+        let dict: usize = words.iter().map(|w| STRING_HEAD + w.len()).sum();
+        assert_eq!(texts.heap_bytes(), 2 * 2048 + dict);
+    }
+
+    #[test]
+    fn the_last_code_of_a_full_dictionary_round_trips() {
+        // Enough rows for `int_dict_limit` to allow MAX_DICT entries.
+        let index: Vec<usize> = (0..4 * MAX_DICT).map(|i| (i * 7 + 3) % MAX_DICT).collect();
+        let values: Vec<i64> = (0..MAX_DICT as i64).map(|v| v * 1_000_003 - 5).collect();
+        let plain = ColumnData::Int(index.iter().map(|&i| values[i]).collect());
+        let words: Vec<String> = (0..MAX_DICT).map(|i| format!("w{i:06}")).collect();
+        let text = ColumnData::Text(index.iter().map(|&i| words[i].clone()).collect());
+        let full = [
+            (plain.encoded(), &plain),
+            (ColumnData::ints_encoded(&index, &values), &plain),
+            (text.encoded(), &text),
+            (ColumnData::texts_encoded(&index, &words), &text),
+        ];
+        for (enc, plain) in full {
+            let (codes, dict_len) = match &enc {
+                ColumnData::DictInt { codes, dict } => (codes, dict.len()),
+                ColumnData::DictText { codes, dict } => (codes, dict.len()),
+                other => panic!("a full dictionary stayed {:?}", other.data_type()),
+            };
+            assert_eq!(dict_len, MAX_DICT);
+            let row = codes.iter().position(|&c| c == u16::MAX).expect("the last code is used");
+            assert_eq!((enc.int_at(row), enc.str_at(row)), (plain.int_at(row), plain.str_at(row)));
+            assert_eq!(&enc.to_plain(), plain);
+        }
     }
 }

@@ -973,12 +973,12 @@ impl ColumnJob<'_> {
                 }
             }
         };
-        let nulls: Vec<bool> = if self.spec.null_fraction > 0.0 {
-            (0..rows).map(|_| rng.chance(self.spec.null_fraction)).collect()
+        if self.spec.null_fraction > 0.0 {
+            let nulls = (0..rows).map(|_| rng.chance(self.spec.null_fraction)).collect();
+            Column::with_nulls(self.spec.name.clone(), data, nulls)
         } else {
-            vec![false; rows]
-        };
-        Column::with_nulls(self.spec.name.clone(), data, nulls)
+            Column::new(self.spec.name.clone(), data)
+        }
     }
 }
 

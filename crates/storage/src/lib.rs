@@ -24,7 +24,7 @@ pub mod stats;
 pub mod table;
 pub mod types;
 
-pub use column::{Column, ColumnData, MAX_DICT};
+pub use column::{Column, ColumnData, Nulls, MAX_DICT};
 pub use database::Database;
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use table::{ForeignKey, Table};

@@ -16,6 +16,7 @@ use crate::column::{Column, ColumnData};
 use crate::table::Table;
 use crate::types::{DataType, Value};
 use graceful_common::{GracefulError, Result};
+use std::cmp::Ordering;
 
 /// Number of equi-depth buckets per histogram.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -36,7 +37,9 @@ impl Histogram {
     /// finite values exist — the caller falls back to min/max/NDV logic.
     pub fn build(mut values: Vec<f64>) -> Option<Self> {
         values.retain(|v| v.is_finite());
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        // Finite values always compare, so the fallback is never taken
+        // (`total_cmp` would put -0.0 before 0.0 and move bounds).
+        values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
         Self::from_sorted_runs(values.len(), values.iter().map(|&v| (v, 1)))
     }
 
@@ -57,7 +60,8 @@ impl Histogram {
         for i in 0..=buckets {
             let rank = (i * (n - 1)) / buckets;
             while covered <= rank {
-                let (v, rows) = runs.next().expect("runs cover all n rows");
+                // The runs cover all `n` rows, so they last past rank `n - 1`.
+                let Some((v, rows)) = runs.next() else { break };
                 value = v;
                 covered += rows;
             }
@@ -71,7 +75,8 @@ impl Histogram {
     }
 
     pub fn max(&self) -> f64 {
-        *self.bounds.last().expect("non-empty bounds")
+        // `bounds` holds `buckets + 1 >= 2` entries, so there is a last one.
+        self.bounds.last().copied().unwrap_or_default()
     }
 
     /// Fraction of values `< x` (linear interpolation inside buckets).
@@ -99,14 +104,6 @@ impl Histogram {
             }
         }
         acc.clamp(0.0, 1.0)
-    }
-
-    /// Fraction of values in `[lo, hi)`.
-    pub fn selectivity_range(&self, lo: f64, hi: f64) -> f64 {
-        if hi <= lo {
-            return 0.0;
-        }
-        (self.selectivity_lt(hi) - self.selectivity_lt(lo)).clamp(0.0, 1.0)
     }
 }
 
@@ -214,11 +211,6 @@ impl ColumnStats {
             avg_text_len: 0.0,
         }
     }
-
-    /// Frequency of `value` if it is among the most common values.
-    pub fn mcv_frequency(&self, value: &Value) -> Option<f64> {
-        self.mcv.iter().find(|(v, _)| v == value).map(|(_, f)| *f)
-    }
 }
 
 /// The numeric third of a [`ColumnStats`]: min, max (0.0 when there is no
@@ -260,24 +252,31 @@ impl Numeric {
     }
 }
 
-/// `(value, 1)` for every non-NULL row of a plain vector.
+/// `(value, 1)` for every non-NULL row of a plain vector; `nulls` is the
+/// column's mask, `None` when no row is NULL.
 fn plain_rows<'a, T: 'a>(
     values: impl Iterator<Item = T> + 'a,
-    nulls: &'a [bool],
+    nulls: Option<&'a [bool]>,
 ) -> impl Iterator<Item = (T, usize)> + 'a {
+    let nulls = nulls.unwrap_or_default().iter().chain(std::iter::repeat(&false));
     values.zip(nulls).filter(|(_, &null)| !null).map(|(v, _)| (v, 1))
 }
 
 /// `(dictionary entry, non-NULL rows holding its code)`: one counter per
 /// code, so the per-row work is an indexed add.
 fn dict_rows<T>(
-    codes: &[u32],
-    nulls: &[bool],
+    codes: &[u16],
+    nulls: Option<&[bool]>,
     dict: impl ExactSizeIterator<Item = T>,
 ) -> impl Iterator<Item = (T, usize)> {
     let mut per_code = vec![0usize; dict.len()];
-    for (&code, &null) in codes.iter().zip(nulls) {
-        per_code[code as usize] += usize::from(!null);
+    match nulls {
+        Some(nulls) => {
+            for (&code, &null) in codes.iter().zip(nulls) {
+                per_code[usize::from(code)] += usize::from(!null);
+            }
+        }
+        None => codes.iter().for_each(|&code| per_code[usize::from(code)] += 1),
     }
     dict.zip(per_code)
 }
@@ -289,7 +288,7 @@ fn dict_rows<T>(
 /// (a serial primary key) cost one pass.
 fn tally<K: Copy>(
     weighted: impl Iterator<Item = (K, usize)>,
-    cmp: impl Fn(&K, &K) -> std::cmp::Ordering,
+    cmp: impl Fn(&K, &K) -> Ordering,
 ) -> Vec<(K, usize)> {
     let mut runs: Vec<(K, usize)> = weighted.filter(|&(_, rows)| rows > 0).collect();
     runs.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
@@ -338,6 +337,23 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Histogram {
+        /// Fraction of values in `[lo, hi)`.
+        fn selectivity_range(&self, lo: f64, hi: f64) -> f64 {
+            if hi <= lo {
+                return 0.0;
+            }
+            (self.selectivity_lt(hi) - self.selectivity_lt(lo)).clamp(0.0, 1.0)
+        }
+    }
+
+    impl ColumnStats {
+        /// Frequency of `value` if it is among the most common values.
+        fn mcv_frequency(&self, value: &Value) -> Option<f64> {
+            self.mcv.iter().find(|(v, _)| v == value).map(|(_, f)| *f)
+        }
+    }
 
     #[test]
     fn histogram_uniform_selectivity() {

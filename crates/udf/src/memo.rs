@@ -28,8 +28,8 @@ pub const MAX_MEMO_CODES: usize = 1 << 14;
 #[derive(Debug, Clone)]
 pub struct CodeMemo<'c> {
     cols: Vec<&'c Column>,
-    /// Per input: row codes, null mask, radix.
-    digits: Vec<(&'c [u32], &'c [bool], usize)>,
+    /// Per input: row codes, NULL mask (empty when no row is NULL), radix.
+    digits: Vec<(&'c [u16], &'c [bool], usize)>,
     /// Per code tuple: 0 until evaluated, then 1 + its index in `outcomes`.
     slots: Vec<u32>,
     outcomes: Vec<Result<EvalOutcome>>,
@@ -49,7 +49,7 @@ impl<'c> CodeMemo<'c> {
                     ColumnData::DictText { codes, dict } => (codes, dict.len()),
                     _ => return None,
                 };
-                Some((&codes[..], &c.nulls[..], distinct + 1))
+                Some((&codes[..], c.nulls.as_slice().unwrap_or_default(), distinct + 1))
             })
             .collect::<Option<Vec<_>>>()?;
         let space = digits.iter().try_fold(1usize, |space, &(_, _, radix)| {
@@ -63,7 +63,8 @@ impl<'c> CodeMemo<'c> {
     /// each code tuple runs the VM; later ones get its stored outcome.
     fn eval(&mut self, vm: &mut Vm, prog: &Program, row: usize) -> &Result<EvalOutcome> {
         let key = self.digits.iter().fold(0, |key, &(codes, nulls, radix)| {
-            key * radix + if nulls[row] { radix - 1 } else { codes[row] as usize }
+            key * radix
+                + if nulls.get(row) == Some(&true) { radix - 1 } else { codes[row] as usize }
         });
         if self.slots[key] == 0 {
             self.args.clear();
@@ -103,7 +104,7 @@ mod tests {
     use crate::{compile, parse_udf};
     use graceful_common::GracefulError;
 
-    fn dict_int(codes: Vec<u32>, dict: Vec<i64>, nulls: Vec<bool>) -> Column {
+    fn dict_int(codes: Vec<u16>, dict: Vec<i64>, nulls: Vec<bool>) -> Column {
         Column::with_nulls("i", ColumnData::DictInt { codes, dict }, nulls)
     }
 
@@ -182,8 +183,8 @@ mod tests {
     #[test]
     fn code_space_at_the_bound_is_served_and_over_it_declined() {
         // 127 values + NULL = radix 128; 128 × 128 = 2^14 exactly.
-        let n = 130u32;
-        let col = |distinct: u32| {
+        let n = 130u16;
+        let col = |distinct: u16| {
             let codes = (0..n).map(|r| r % distinct).collect();
             let dict = (0..distinct as i64).collect();
             dict_int(codes, dict, (0..n).map(|r| r == n - 1).collect())

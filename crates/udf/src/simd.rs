@@ -86,7 +86,7 @@ enum Lanes {
 }
 
 /// An unboxed column: dense typed lanes plus a null mask (one bool per lane,
-/// the representation storage uses for its null bitmaps). It is both the
+/// as storage holds a mask where a NULL exists). It is both the
 /// gather buffer of one UDF parameter — filled straight from storage without
 /// materializing [`Value`]s — and the register of a selection group. A lane
 /// under a set mask bit holds an unspecified value that nothing reads. Text
@@ -136,7 +136,10 @@ impl TypedCol {
                 )))
             }
         }
-        gather(&mut self.nulls, rids, |r| col.nulls[r]);
+        match col.nulls.as_slice() {
+            Some(nulls) => gather(&mut self.nulls, rids, |r| nulls[r]),
+            None => gather(&mut self.nulls, rids, |_| false),
+        }
         Ok(())
     }
 

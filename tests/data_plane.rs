@@ -328,7 +328,7 @@ fn typed_analyze_matches_the_boxed_oracle_on_adversarial_columns() {
         Column::with_nulls(
             "dict_int_dup",
             ColumnData::DictInt {
-                codes: (0..n as u32).map(|r| r % 4).collect(),
+                codes: (0..n as u16).map(|r| r % 4).collect(),
                 dict: vec![5, i64::MAX, 5, -1, 77],
             },
             every(5),
@@ -336,7 +336,7 @@ fn typed_analyze_matches_the_boxed_oracle_on_adversarial_columns() {
         Column::with_nulls(
             "dict_text_dup",
             ColumnData::DictText {
-                codes: (0..n as u32).map(|r| r % 3).collect(),
+                codes: (0..n as u16).map(|r| r % 3).collect(),
                 dict: vec!["x".into(), "yy".into(), "x".into(), "unused".into()],
             },
             every(2),

@@ -152,3 +152,22 @@ fn every_generated_database_keeps_its_bits() {
         assert_eq!(pooled, DIGEST, "generate_in on {threads} threads: digest {pooled:#018x}");
     }
 }
+
+/// A NULL-free column holds no mask: of the columns the digest covers, only
+/// those with a NULL carry one.
+#[test]
+fn a_column_holds_a_mask_exactly_when_it_holds_a_null() {
+    let mut masked = 0;
+    for (name, scale, seed) in cases() {
+        let db = generate(&schema(name), scale, seed);
+        for table in db.tables() {
+            for column in table.columns() {
+                let has_null = column.nulls.iter().any(|&null| null);
+                let held = column.nulls.as_slice().is_some();
+                assert_eq!(held, has_null, "{name} at {scale}: {}.{}", table.name, column.name);
+                masked += usize::from(has_null);
+            }
+        }
+    }
+    assert!(masked > 0, "the cases hold NULLs too");
+}
