@@ -29,9 +29,12 @@
 //!
 //! Estimates ([`GracefulModel::predict`], [`GracefulModel::predict_graph`],
 //! [`GracefulModel::predict_graphs`]) run on the same engine, a single graph
-//! as a batch of one. The node-at-a-time tape reference is the bit-identical
-//! differential oracle, not a mode: no option trains on it. The differential
-//! suites step it themselves, through [`GracefulModel::gnn_mut`] and
+//! as a batch of one and a batch of graphs as the training step's shards of
+//! eight consecutive graphs, one after the other, so a batched estimate
+//! holds one shard's stashes at a time, not the whole batch's. The
+//! node-at-a-time tape reference is the bit-identical differential oracle,
+//! not a mode: no option trains on it. The differential suites step it
+//! themselves, through [`GracefulModel::gnn_mut`] and
 //! [`GnnModel::train_batch_reference`].
 //!
 //! Configuration mirrors the engine's `Session`/`ExecOptions` pattern:
@@ -419,7 +422,8 @@ impl GracefulModel {
         self.gnn.predict(g)
     }
 
-    /// Predict a batch of pre-built graphs in one level-synchronous pass
+    /// Predict a batch of pre-built graphs, shard by shard through the
+    /// level-synchronous pass, in memory bounded by one shard
     /// (bit-identical to per-graph [`GracefulModel::predict_graph`]).
     pub fn predict_graphs(&self, graphs: &[&TypedGraph]) -> Result<Vec<f64>> {
         self.gnn.predict_batch(graphs)

@@ -7,7 +7,7 @@
 //! tensors. This module replaces that with a **batched** pass (a single graph
 //! is a batch of one):
 //!
-//! 1. A whole mini-batch of [`TypedGraph`]s is packed into one
+//! 1. A shard of consecutive [`TypedGraph`]s is packed into one
 //!    [`GraphBatch`]: every node becomes one *row*, rows numbered by
 //!    (topological level, type, batch id) — level `0` for leaves,
 //!    `1 + max(child level)` otherwise — so every `(level, type)` *group* is
@@ -17,15 +17,16 @@
 //! 2. Every quantity the step needs — encoder pre-activation, the updater's
 //!    joint input `[enc | Σ children]`, both updater pre-activations, the
 //!    layer-2 input, the state, and in backward the state, layer-1 and joint
-//!    gradients — is one `n×w` stash allocated once per step. The forward
+//!    gradients — is one `n×w` stash allocated once per shard. The forward
 //!    pass walks groups bottom-up and the backward pass top-down; each stage
 //!    is one [`matmul_rows`] call that reads the group's rows of one stash
 //!    and writes them into another, in place.
 //! 3. Parameter gradients are reduced per (type, layer) in a final pass that
 //!    replays the reference's accumulation order exactly.
 //!
-//! A training step runs in *shards* of [`SHARD_GRAPHS`] consecutive graphs,
-//! each shard's work one job on an [`OrderedMap`] (see "Shards" below).
+//! A training step and an estimate both run in *shards* of [`SHARD_GRAPHS`]
+//! consecutive graphs; a step runs each shard as one job on an
+//! [`OrderedMap`] (see "Shards" below).
 //!
 //! # The kernels, and why the result is bit-identical to the reference
 //!
@@ -92,6 +93,14 @@
 //!   batch's canonical order, and one product reduces them as before.
 //! * The map returns results in item order, and each result is added into
 //!   the gradients on the caller.
+//!
+//! [`predict_roots`] (hence every estimate) checks every graph and root
+//! first, then packs, runs forward and reads out one shard at a time: the
+//! roots that fall in it, each prediction written into its root's slot. A
+//! shard never splits a graph, so nodes several roots reach are still
+//! computed once, and an error names its graph by its index in the batch.
+//! A shard's stashes are dropped before the next is packed, so an
+//! estimate's memory is bounded by one shard, not by the batch.
 
 use crate::gnn::{finite_loss, huber, GnnModel, TypedGraph};
 use crate::mlp::{AdamConfig, Linear, Mlp, ParamStore, LEAKY_SLOPE};
@@ -527,9 +536,10 @@ pub(crate) fn own_roots(graphs: &[&TypedGraph]) -> Vec<(usize, usize)> {
     graphs.iter().enumerate().map(|(gi, g)| (gi, g.root)).collect()
 }
 
-/// Predict runtimes (ns) at every `(graph, node)` of `roots`, in one pass
-/// over the packed graphs. Finite features can still overflow the pass: an
-/// estimate that is not a finite runtime is a typed error naming its root.
+/// Predict runtimes (ns) at every `(graph, node)` of `roots`, one shard of
+/// graphs at a time (see "Shards"). Finite features can still overflow the
+/// pass: an estimate that is not a finite runtime is a typed error naming
+/// its root, the first such in root order.
 pub(crate) fn predict_roots(
     model: &GnnModel,
     graphs: &[&TypedGraph],
@@ -546,7 +556,21 @@ pub(crate) fn predict_roots(
     if roots.is_empty() {
         return Ok(Vec::new());
     }
-    let fwd = forward(model, graphs, roots);
+    // Each shard's root slots, in root order; a shard no root reads is skipped.
+    let by_shard = roots.iter().enumerate().map(|(i, &(g, _))| (g / SHARD_GRAPHS, i));
+    let (off, slots) = csr(graphs.len().div_ceil(SHARD_GRAPHS), by_shard);
+    let mut preds = vec![0.0f32; roots.len()];
+    for (s, shard) in graphs.chunks(SHARD_GRAPHS).enumerate() {
+        let slots = &slots[off[s]..off[s + 1]];
+        if !slots.is_empty() {
+            let first = s * SHARD_GRAPHS;
+            let local: Vec<(usize, usize)> =
+                slots.iter().map(|&i| (roots[i].0 - first, roots[i].1)).collect();
+            for (&i, p) in slots.iter().zip(forward(model, shard, &local).preds) {
+                preds[i] = p;
+            }
+        }
+    }
     let estimate = |(&(g, v), &p): (&(usize, usize), &f32)| {
         let ns = ((p * model.target_std + model.target_mean) as f64).exp();
         if ns.is_finite() {
@@ -555,11 +579,12 @@ pub(crate) fn predict_roots(
             Err(GracefulError::Model(format!("the estimate at root {v} of graph {g} is {ns}")))
         }
     };
-    roots.iter().zip(&fwd.preds).map(estimate).collect()
+    roots.iter().zip(&preds).map(estimate).collect()
 }
 
-/// Graphs per shard of a training step: one job of each per-shard region. A
-/// constant like a morsel size, not an option; no bit depends on it.
+/// Graphs per shard of a training step (one job of each per-shard region)
+/// and of an estimate. A constant like a morsel size, not an option; no bit
+/// depends on it.
 const SHARD_GRAPHS: usize = 8;
 
 /// One training step, its jobs on `map` (bit-identical to the reference
@@ -888,6 +913,71 @@ mod tests {
             }
             assert!(model.predict_roots(&refs, &roots[..1]).unwrap()[0].is_finite());
         }
+    }
+
+    /// Estimates run shard by shard. A batch of `3 × SHARD_GRAPHS + 3` graphs
+    /// of mixed sizes keeps the oracle's bits on each graph, and roots that
+    /// cross shards, come in reversed graph order, repeat and share a graph
+    /// read out, in root order, the bits of each graph with that root alone.
+    #[test]
+    fn sharded_estimates_bit_identical_to_reference() {
+        let cfg = GnnConfig { hidden: 8, feature_dims: dims(), readout_hidden: 6 };
+        let mut model = GnnModel::new(cfg, 31).unwrap();
+        let (graphs, targets) = graphs_and_targets(303, 3 * SHARD_GRAPHS + 3);
+        model.fit_target_norm(&targets).unwrap();
+        let refs: Vec<&TypedGraph> = graphs.iter().collect();
+        let oracle = |gi: usize, v: usize| {
+            let alone = TypedGraph { root: v, ..refs[gi].clone() };
+            model.predict_reference(&alone).unwrap().to_bits()
+        };
+        let batch = model.predict_batch(&refs).unwrap();
+        for (gi, (g, y)) in refs.iter().zip(&batch).enumerate() {
+            assert_eq!(y.to_bits(), oracle(gi, g.root), "graph {gi} diverged in the batch");
+        }
+        // Two roots per graph, graphs last to first, then repeats from both
+        // ends and from the first graph of the second shard.
+        let mut roots: Vec<(usize, usize)> =
+            (0..refs.len()).rev().flat_map(|gi| [(gi, refs[gi].len() - 1), (gi, 0)]).collect();
+        roots.extend([(0, 1), (refs.len() - 1, 1), (SHARD_GRAPHS, 0), (0, 1)]);
+        let multi = model.predict_roots(&refs, &roots).unwrap();
+        assert_eq!(multi.len(), roots.len());
+        for (&(gi, v), y) in roots.iter().zip(&multi) {
+            assert_eq!(y.to_bits(), oracle(gi, v), "root {v} of graph {gi} diverged");
+        }
+    }
+
+    /// Errors of a sharded estimate name the graph by its index in the batch:
+    /// an overflow in the second shard names `graph 9`, also behind an
+    /// overflow in an earlier shard whose root comes later, and an invalid
+    /// graph or an out-of-range root there is reported before any shard runs.
+    #[test]
+    fn sharded_estimate_errors_name_the_batch_index() {
+        let (mut graphs, targets) = graphs_and_targets(12, 2 * SHARD_GRAPHS + 1);
+        let cfg = GnnConfig { hidden: 8, feature_dims: dims(), readout_hidden: 8 };
+        let mut model = GnnModel::new(cfg, 6).unwrap();
+        model.fit_target_norm(&targets).unwrap();
+        let at = SHARD_GRAPHS + 1;
+        let (r1, r9, len9) = (graphs[1].root, graphs[at].root, graphs[at].len());
+        let overflow = |g: &mut TypedGraph| g.features.iter_mut().flatten().for_each(|f| *f = 1e30);
+        let check = |graphs: &[TypedGraph], roots: Option<&[(usize, usize)]>, names: &str| {
+            let refs: Vec<&TypedGraph> = graphs.iter().collect();
+            let result = match roots {
+                Some(roots) => model.predict_roots(&refs, roots),
+                None => model.predict_batch(&refs),
+            };
+            match result {
+                Err(GracefulError::Model(m)) => assert!(m.contains(names), "{m}"),
+                other => panic!("expected a Model error naming {names:?}, got {other:?}"),
+            }
+        };
+        overflow(&mut graphs[at]);
+        check(&graphs, None, &format!("root {r9} of graph 9 "));
+        overflow(&mut graphs[1]);
+        check(&graphs, None, &format!("root {r1} of graph 1 "));
+        check(&graphs, Some(&[(0, 0), (at, r9), (1, r1)]), &format!("root {r9} of graph 9 "));
+        check(&graphs, Some(&[(1, r1), (at, len9)]), &format!("root {len9} of graph 9 out of"));
+        graphs[at].features[0][0] = f32::NAN;
+        check(&graphs, Some(&[(1, r1)]), "has feature NaN");
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! Every estimate ([`GnnModel::predict`], [`GnnModel::predict_batch`]) and
 //! every training step ([`GnnModel::train_batch`]) runs on the
 //! level-synchronous engine in the crate-private `batched` module: graphs (a
-//! one-graph batch for `predict`, shards of eight consecutive graphs for a
-//! training step, each shard a job on the caller's `OrderedMap`) packed
-//! together, nodes grouped by (topological level × node type), every MLP
-//! applied once per group on an `N×f` matrix.
+//! one-graph batch for `predict`; shards of eight consecutive graphs for a
+//! batched estimate, one after the other, and for a training step, each
+//! shard a job on the caller's `OrderedMap`) packed together, nodes grouped
+//! by (topological level × node type), every MLP applied once per group on
+//! an `N×f` matrix.
 //!
 //! The node-at-a-time implementation in this file — a fresh [`Tape`] per
 //! graph, every per-type MLP applied to `1×f` row tensors in topological
@@ -229,14 +230,17 @@ impl GnnModel {
         for &(s, d) in &graph.edges {
             children[d].push(s);
         }
-        let mut states: Vec<Option<VarId>> = vec![None; n];
+        // One state per node, pushed in id order. `validate` holds every
+        // edge to `src < dst` and the root to `root < n`, so each index below
+        // is in range.
+        let mut states: Vec<VarId> = Vec::with_capacity(n);
         let zero = tape.input(Tensor::zeros(1, self.config.hidden));
-        for v in 0..n {
-            let t = graph.node_types[v];
-            let x = tape.input(Tensor::row(&graph.features[v]));
+        let nodes = graph.node_types.iter().zip(&graph.features).zip(&children);
+        for ((&t, features), kids) in nodes {
+            let x = tape.input(Tensor::row(features));
             let enc = self.encoders[t].forward(&mut tape, &self.store, x);
             let enc = tape.leaky_relu(enc, crate::mlp::LEAKY_SLOPE);
-            let agg = if children[v].is_empty() {
+            let agg = if kids.is_empty() {
                 zero
             } else {
                 // Sum aggregation: cost is additive over children (a join's
@@ -244,17 +248,14 @@ impl GnnModel {
                 // every statement's). Mean aggregation would dilute with
                 // fan-in; scaling stability comes from LeakyReLU + gradient
                 // clipping + the log-space target.
-                let kids: Vec<VarId> =
-                    children[v].iter().map(|&c| states[c].expect("topo order")).collect();
-                tape.sum_rows(kids)
+                tape.sum_rows(kids.iter().map(|&c| states[c]).collect())
             };
             let joint = tape.concat_cols(enc, agg);
             let h = self.updaters[t].forward(&mut tape, &self.store, joint);
             let h = tape.leaky_relu(h, crate::mlp::LEAKY_SLOPE);
-            states[v] = Some(h);
+            states.push(h);
         }
-        let root = states[graph.root].expect("root computed");
-        let out = self.readout.forward(&mut tape, &self.store, root);
+        let out = self.readout.forward(&mut tape, &self.store, states[graph.root]);
         (tape, out)
     }
 
@@ -263,18 +264,25 @@ impl GnnModel {
         Ok(self.predict_batch(&[graph])?[0])
     }
 
-    /// Predict runtimes (ns) for a batch of graphs, packed into one
-    /// level-synchronous pass. An empty slice is `Ok(vec![])`.
+    /// Predict runtimes (ns) for a batch of graphs, packed and run through
+    /// the level-synchronous pass one shard of consecutive graphs at a time,
+    /// so memory is bounded by a shard, not by the batch. An empty slice is
+    /// `Ok(vec![])`.
     pub fn predict_batch(&self, graphs: &[&TypedGraph]) -> Result<Vec<f64>> {
         batched::predict_roots(self, graphs, &batched::own_roots(graphs))
     }
 
-    /// Predict runtimes (ns) at several roots of the packed graphs, one per
+    /// Predict runtimes (ns) at several roots of the graphs, one per
     /// `(graph index, node)` of `roots` in that order (each graph's own
-    /// `root` is ignored). Nodes that several roots reach are computed once,
-    /// and each result keeps the bits of [`GnnModel::predict_reference`] on
-    /// the graph with that root alone. An out-of-range root is a typed
-    /// [`GracefulError::Model`].
+    /// `root` is ignored; roots may come in any graph order and repeat).
+    /// The graphs run shard by shard as in [`GnnModel::predict_batch`], each
+    /// shard reading out the roots that fall in it. Nodes that several roots
+    /// reach are computed once, and each result keeps the bits of
+    /// [`GnnModel::predict_reference`] on the graph with that root alone. An
+    /// invalid graph or an out-of-range root is a typed
+    /// [`GracefulError::Model`] before any shard runs. So is a non-finite
+    /// estimate, naming the first such root in `roots` order by its graph's
+    /// index in `graphs`.
     pub fn predict_roots(
         &self,
         graphs: &[&TypedGraph],

@@ -85,7 +85,9 @@ fn keyword(ident: &str) -> Option<Tok> {
 /// Tokenize UDF source code.
 pub fn lex(source: &str) -> Result<Vec<SpannedTok>> {
     let mut out: Vec<SpannedTok> = Vec::new();
-    let mut indents: Vec<usize> = vec![0];
+    // Open indents above column 0; the base is never popped, so it is no entry.
+    let mut indents: Vec<usize> = Vec::new();
+    let top = |indents: &[usize]| indents.last().copied().unwrap_or(0);
     for (line_no, raw_line) in source.lines().enumerate() {
         let line_no = line_no + 1;
         // Strip comments (the first `#` outside any string literal).
@@ -103,16 +105,15 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>> {
                 message: "tabs are not supported; indent with spaces".into(),
             });
         }
-        let current = *indents.last().expect("indent stack never empty");
-        if indent > current {
+        if indent > top(&indents) {
             indents.push(indent);
             out.push(SpannedTok { tok: Tok::Indent, line: line_no });
         } else {
-            while indent < *indents.last().expect("non-empty") {
+            while indent < top(&indents) {
                 indents.pop();
                 out.push(SpannedTok { tok: Tok::Dedent, line: line_no });
             }
-            if indent != *indents.last().expect("non-empty") {
+            if indent != top(&indents) {
                 return Err(GracefulError::Parse {
                     line: line_no,
                     message: "inconsistent indentation".into(),
@@ -122,8 +123,7 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>> {
         lex_line(line.trim_start_matches(' '), line_no, &mut out)?;
         out.push(SpannedTok { tok: Tok::Newline, line: line_no });
     }
-    while indents.len() > 1 {
-        indents.pop();
+    for _ in indents {
         out.push(SpannedTok { tok: Tok::Dedent, line: usize::MAX });
     }
     out.push(SpannedTok { tok: Tok::Eof, line: usize::MAX });

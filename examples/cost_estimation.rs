@@ -9,8 +9,8 @@
 
 use graceful::prelude::*;
 
-fn main() {
-    let session = Session::from_env().expect("valid GRACEFUL_* configuration");
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let session = Session::from_env()?;
     let cfg = ScaleConfig {
         data_scale: 0.08,
         queries_per_db: 50,
@@ -20,14 +20,14 @@ fn main() {
     };
     println!("building corpora (train: tpc_h, ssb, movielens; test: airline)...");
     let train = vec![
-        build_corpus_in(&session, "tpc_h", &cfg, 1).unwrap(),
-        build_corpus_in(&session, "ssb", &cfg, 2).unwrap(),
-        build_corpus_in(&session, "movielens", &cfg, 3).unwrap(),
+        build_corpus_in(&session, "tpc_h", &cfg, 1)?,
+        build_corpus_in(&session, "ssb", &cfg, 2)?,
+        build_corpus_in(&session, "movielens", &cfg, 3)?,
     ];
-    let test = build_corpus_in(&session, "airline", &cfg, 4).unwrap();
+    let test = build_corpus_in(&session, "airline", &cfg, 4)?;
     let n_train: usize = train.iter().map(|c| c.queries.len()).sum();
     println!("training GRACEFUL on {n_train} queries...");
-    let model = train_graceful(&session, &train, &cfg, Featurizer::full()).expect("model trains");
+    let model = train_graceful(&session, &train, &cfg, Featurizer::full())?;
 
     println!("\nzero-shot Q-errors on `airline` ({} queries):", test.queries.len());
     println!("{:<18} {:>8} {:>8} {:>8}", "card. estimator", "median", "p95", "p99");
@@ -38,4 +38,5 @@ fn main() {
     }
     println!("\n(expect the Actual row to be the best and DuckDB-like the worst —");
     println!(" the model is robust to small estimation errors, not to naive ones)");
+    Ok(())
 }

@@ -13,7 +13,7 @@ use graceful_udf::ast::CmpOp;
 use graceful_udf::GeneratedUdf;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = generate(&schema("imdb"), 0.25, 7);
     // An expensive keyword-scoring UDF (loops dominate on most rows).
     let src = "\
@@ -26,7 +26,7 @@ def udf(movie_id, keyword_id):
             z = z + math.pow(math.sqrt(keyword_id + 1), 2) / (abs(movie_id) + 1)
     return z
 ";
-    let def = parse_udf(src).unwrap();
+    let def = parse_udf(src)?;
     let udf = Arc::new(GeneratedUdf::new(
         def,
         "movie_keyword",
@@ -34,7 +34,7 @@ def udf(movie_id, keyword_id):
     ));
     // Selective series_years filter high in the plan (like the paper's
     // `t.series_years = '1987-1997'`).
-    let series = db.stats("title").unwrap().column("series_years").unwrap().mcv[0].0.clone();
+    let series = db.stats("title")?.column("series_years")?.mcv[0].0.clone();
     let spec = QuerySpec {
         id: 1,
         database: db.name.clone(),
@@ -62,12 +62,12 @@ def udf(movie_id, keyword_id):
     };
 
     // Ground truth: execute both placements.
-    let session = Session::from_env().expect("valid GRACEFUL_* configuration");
+    let session = Session::from_env()?;
     let exec = session.executor(&db);
-    let mut pd = build_plan(&spec, UdfPlacement::PushDown).unwrap();
-    let mut pu = build_plan(&spec, UdfPlacement::PullUp).unwrap();
-    let pd_run = exec.run_and_annotate(&mut pd, 1).unwrap();
-    let pu_run = exec.run_and_annotate(&mut pu, 1).unwrap();
+    let mut pd = build_plan(&spec, UdfPlacement::PushDown)?;
+    let mut pu = build_plan(&spec, UdfPlacement::PullUp)?;
+    let pd_run = exec.run_and_annotate(&mut pd, 1)?;
+    let pu_run = exec.run_and_annotate(&mut pu, 1)?;
     println!(
         "push-down: {:8.2} ms  (UDF on {:>7} rows)",
         pd_run.runtime_ns * 1e-6,
@@ -90,15 +90,15 @@ def udf(movie_id, keyword_id):
     };
     println!("training advisor model on tpc_h + financial (imdb unseen)...");
     let train = vec![
-        build_corpus_in(&session, "tpc_h", &cfg, 21).unwrap(),
-        build_corpus_in(&session, "financial", &cfg, 22).unwrap(),
+        build_corpus_in(&session, "tpc_h", &cfg, 21)?,
+        build_corpus_in(&session, "financial", &cfg, 22)?,
     ];
-    let model = train_graceful(&session, &train, &cfg, Featurizer::full()).expect("model trains");
+    let model = train_graceful(&session, &train, &cfg, Featurizer::full())?;
     let advisor = PullUpAdvisor::new(&model);
     let est = DataDrivenCard::build(&db, 9);
     for strat in [Strategy::Conservative, Strategy::AreaUnderCurve, Strategy::UpperBoundCardinality]
     {
-        let d = advisor.decide(&db, &spec, &est, strat, None).unwrap();
+        let d = advisor.decide(&db, &spec, &est, strat, None)?;
         let truth = pu_run.runtime_ns < pd_run.runtime_ns;
         println!(
             "{:<28} -> {}  ({}correct)",
@@ -107,4 +107,5 @@ def udf(movie_id, keyword_id):
             if d.pull_up == truth { "" } else { "in" }
         );
     }
+    Ok(())
 }

@@ -15,7 +15,7 @@ use graceful_udf::ast::CmpOp;
 use graceful_udf::GeneratedUdf;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A database: the synthetic IMDB stand-in at small scale.
     let db = generate(&schema("imdb"), 0.1, 42);
     println!(
@@ -36,7 +36,7 @@ def score(production_year, kind_id):
             z = z + np.log(production_year) / (abs(kind_id) + 1)
     return z
 ";
-    let def = parse_udf(udf_src).expect("UDF parses");
+    let def = parse_udf(udf_src)?;
     println!(
         "\nparsed UDF `{}` ({} ops, {} branches, {} loops)",
         def.name,
@@ -64,11 +64,10 @@ def score(production_year, kind_id):
     // fully env-free session (e.g. `.threads(2).udf_batch_size(512)`). Here
     // the environment defaults are kept but per-operator profiling is forced on
     // (`GRACEFUL_PROFILE=1` would do the same).
-    let session =
-        ExecOptions::new().profile(true).build_with_env().expect("valid GRACEFUL_* configuration");
+    let session = ExecOptions::new().profile(true).build_with_env()?;
     let exec = session.executor(&db);
     let mut annotated = plan.clone();
-    let run = exec.run_and_annotate(&mut annotated, 7).expect("plan executes");
+    let run = exec.run_and_annotate(&mut annotated, 7)?;
     println!("\nexecuted plan:\n{}", annotated.explain());
     println!("measured runtime: {:.3} ms ({} rows kept)", run.runtime_ns * 1e-6, run.out_rows[1]);
     // The profile is pure observability — outside the bit-identity contract.
@@ -84,10 +83,9 @@ def score(production_year, kind_id):
         hidden: 24,
         ..ScaleConfig::default()
     };
-    let corpus = build_corpus_in(&session, "imdb", &cfg, 42).expect("corpus builds");
+    let corpus = build_corpus_in(&session, "imdb", &cfg, 42)?;
     println!("\ntraining on {} labelled queries...", corpus.queries.len());
-    let model = train_graceful(&session, std::slice::from_ref(&corpus), &cfg, Featurizer::full())
-        .expect("model trains");
+    let model = train_graceful(&session, std::slice::from_ref(&corpus), &cfg, Featurizer::full())?;
     println!("model has {} parameters", model.param_count());
 
     // 5. Predict the hand-written query's runtime.
@@ -110,8 +108,7 @@ def score(production_year, kind_id):
     };
     let est = ActualCard::new(&corpus.db);
     let _ = ColRef::new("title", "id"); // (ColRef is part of the public plan API)
-    let scored = run_with_model(&session, &corpus.db, &model, &spec, &annotated, &est, 7)
-        .expect("model-scored run");
+    let scored = run_with_model(&session, &corpus.db, &model, &spec, &annotated, &est, 7)?;
     println!(
         "\npredicted {:.3} ms vs measured {:.3} ms  (Q-error {:.2})",
         scored.predicted_ns * 1e-6,
@@ -132,12 +129,13 @@ def score(production_year, kind_id):
     // record per executed query (parse them back with
     // `graceful::obs::flight::parse_jsonl`, or re-label a training corpus
     // via `labels_from_flight`).
-    if graceful::obs::trace::flush().expect("trace written") {
+    if graceful::obs::trace::flush()? {
         let path = graceful::obs::trace::configured_path().unwrap_or_default();
         println!("wrote {} trace events to {path}", graceful::obs::trace::event_count());
     }
-    if graceful::obs::flight::flush().expect("flight records written") {
+    if graceful::obs::flight::flush()? {
         let path = graceful::obs::flight::configured_path().unwrap_or_default();
         println!("wrote {} flight records to {path}", graceful::obs::flight::record_count());
     }
+    Ok(())
 }

@@ -8,7 +8,7 @@
 
 use graceful::prelude::*;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The UDF of the paper's Figure 2.
     let src = "\
 def func(x, y):
@@ -20,7 +20,7 @@ def func(x, y):
             z = math.pow(math.sqrt(y), 2) + z
     return z
 ";
-    let udf = parse_udf(src).expect("parses");
+    let udf = parse_udf(src)?;
     println!("source:\n{}", print_udf(&udf));
 
     // Figure 2 steps 2-3: CFG -> transformed single-statement DAG.
@@ -46,7 +46,7 @@ def func(x, y):
 
     // Figure 2 step 4: hit ratios from the data distribution.
     let db = generate(&schema("imdb"), 0.05, 3);
-    let paths = dag.enumerate_paths(16).unwrap();
+    let paths = dag.enumerate_paths(16).ok_or("the UDF has more than 16 control paths")?;
     println!("\ncontrol paths: {}", paths.len());
     let _ = db;
 
@@ -54,7 +54,7 @@ def func(x, y):
     let mut interp = Interpreter::default();
     println!("\nper-row interpreter cost (work units ~ ns):");
     for x in [1i64, 10, 19, 20, 50, 500] {
-        let out = interp.eval(&udf, &[Value::Int(x), Value::Int(9)]).unwrap();
+        let out = interp.eval(&udf, &[Value::Int(x), Value::Int(9)])?;
         println!(
             "  func({x:>3}, 9) = {:<22}  cost {:>8.0}  (loop iters: {})",
             out.value.to_string(),
@@ -63,4 +63,5 @@ def func(x, y):
         );
     }
     println!("\nrows with x >= 20 cost ~40x more — exactly why branch hit-ratios matter.");
+    Ok(())
 }
