@@ -2,15 +2,17 @@
 //!
 //! The paper's upper baseline ("Actual" rows of Table III). Annotation simply
 //! copies the executor-recorded actual cardinalities into the estimate slots;
-//! conjunctive selectivities are computed by scanning every row: a typed pass
-//! per predicate over its column, with the matcher the data-driven sample
-//! runs.
+//! conjunctive selectivities count the rows of the whole table that the
+//! executor's FILTER would keep: the row ids, a chunk at a time, narrowed by
+//! one `graceful_plan::predicate::RowTest` per predicate, compiled for the
+//! table's row count (so a dictionary column gets a verdict per code, as in
+//! the executor).
 
-use crate::{and_num, and_text, CardEstimator};
+use crate::CardEstimator;
 use graceful_common::{GracefulError, Result};
 use graceful_exec::Session;
 use graceful_plan::{Plan, Pred};
-use graceful_storage::{DataType, Database};
+use graceful_storage::Database;
 
 /// Perfect cardinalities (executes or reuses recorded actuals).
 pub struct ActualCard<'a> {
@@ -50,26 +52,14 @@ impl CardEstimator for ActualCard<'_> {
     }
 
     fn conjunction_selectivity(&self, table: &str, preds: &[Pred]) -> f64 {
-        let Some(t) = self.db.tables().iter().find(|t| t.name == table) else {
+        let Ok(t) = self.db.table(table) else {
             return 0.5;
         };
         let n = t.num_rows();
         if n == 0 {
             return 0.0;
         }
-        let mut hit = vec![true; n];
-        for p in preds {
-            let Some(col) = t.columns().iter().find(|c| c.name == p.col.column) else {
-                return 0.0; // an unknown column matches no row
-            };
-            if col.data_type() == DataType::Text {
-                and_text(&mut hit, (0..n).map(|r| col.get_str(r)), p.op, &p.value);
-            } else {
-                let cells = (0..n).map(|r| col.get_f64(r).unwrap_or(f64::NAN));
-                and_num(&mut hit, cells, p.op, &p.value);
-            }
-        }
-        hit.iter().filter(|&&h| h).count() as f64 / n as f64
+        crate::count_passing(t, preds, 0..n as u32) as f64 / n as f64
     }
 }
 
@@ -95,6 +85,29 @@ mod tests {
             as f64
             / t.num_rows() as f64;
         assert_eq!(sel, truth);
+    }
+
+    /// A table of more than two chunks is counted a chunk at a time and
+    /// still counts what the row loop counts: a dictionary column and a
+    /// plain one, alone and in a conjunction.
+    #[test]
+    fn a_whole_table_count_spans_chunks() {
+        let db = generate(&schema("tpc_h"), 0.35, 3);
+        let t = db.table("lineitem_t").unwrap();
+        assert!(t.num_rows() > 2 * crate::CHUNK_ROWS, "{} rows", t.num_rows());
+        let (scan, rows) = (ActualCard::new(&db), RowLoop(&db));
+        let preds = [
+            Pred::new("lineitem_t", "quantity", CmpOp::Le, Value::Int(25)),
+            Pred::new("lineitem_t", "price", CmpOp::Gt, Value::Float(20_000.0)),
+        ];
+        for conj in [&preds[..1], &preds[1..], &preds[..]] {
+            let (got, want) = (
+                scan.conjunction_selectivity("lineitem_t", conj),
+                rows.conjunction_selectivity("lineitem_t", conj),
+            );
+            assert_eq!(got.to_bits(), want.to_bits(), "{conj:?}");
+            assert!(want > 0.0 && want < 1.0, "{conj:?} keeps some rows: {want}");
+        }
     }
 
     /// `conjunction_selectivity` as first written: `Pred::matches` per row

@@ -10,17 +10,19 @@
 //! same ones that make real DeepDB imperfect (Table III's mid rows, and the
 //! `baseball` dataset discussion in Exp 5).
 //!
-//! The sample is materialized at build, column by column and typed, so a
-//! conjunction is a pass per predicate over a dense slice: no column lookup
-//! by name and no `Value` per row. The passes are the crate's matcher
-//! ([`ActualCard`](crate::ActualCard) runs it over every row of a table); it
-//! counts the rows `Pred::matches` would, hence returns the same floats.
+//! The sample is materialized once at build, as a dense storage [`Table`]
+//! per base table: numbers widened to `Float` the way `Column::get_f64`
+//! widens them and text as `Text`, each NULL in the mask. A conjunction
+//! narrows that table's rows with the executor's FILTER test
+//! (`graceful_plan::predicate::RowTest`, compiled for the sample's row
+//! count), so it counts the sampled rows the executor would keep, and no
+//! estimate reads the full table again.
 
-use crate::{and_num, and_text, CardEstimator};
+use crate::CardEstimator;
 use graceful_common::rng::Rng;
 use graceful_common::Result;
 use graceful_plan::{ColRef, Plan, PlanOpKind, Pred};
-use graceful_storage::{DataType, Database};
+use graceful_storage::{Column, ColumnData, DataType, Database, Table};
 use std::collections::HashMap;
 
 /// Per-table sample size (larger = tighter estimates, slower build).
@@ -33,24 +35,11 @@ struct Fanout {
     avg: f64,
 }
 
-/// One column of a table sample, in the two shapes the matcher takes (see
-/// [`crate::and_num`]): numbers, NULL as NaN, and text, NULL as `None`.
-enum SampleColumn<'a> {
-    Num(Vec<f64>),
-    Text(Vec<Option<&'a str>>),
-}
-
-/// The sampled rows of one table, column by column.
-struct TableSample<'a> {
-    rows: usize,
-    columns: HashMap<&'a str, SampleColumn<'a>>,
-}
-
 /// Data-driven estimator with per-table samples and FK fan-out synopses.
 pub struct DataDrivenCard<'a> {
     db: &'a Database,
-    /// table → its sample.
-    samples: HashMap<&'a str, TableSample<'a>>,
+    /// table → its sampled rows.
+    samples: HashMap<&'a str, Table>,
     /// (child_table, child_col) → fan-out of parent ⋈ child.
     fanouts: HashMap<(&'a str, &'a str), Fanout>,
 }
@@ -69,18 +58,21 @@ impl<'a> DataDrivenCard<'a> {
             };
             let columns = t.columns().iter().map(|c| {
                 let data = if c.data_type() == DataType::Text {
-                    SampleColumn::Text(ids.iter().map(|&r| c.get_str(r)).collect())
+                    let text = |r| c.get_str(r).unwrap_or_default().to_string();
+                    ColumnData::Text(ids.iter().map(|&r| text(r)).collect())
                 } else {
-                    SampleColumn::Num(
-                        ids.iter().map(|&r| c.get_f64(r).unwrap_or(f64::NAN)).collect(),
-                    )
+                    ColumnData::Float(ids.iter().map(|&r| c.get_f64(r).unwrap_or(0.0)).collect())
                 };
-                (c.name.as_str(), data)
+                Column::with_nulls(
+                    c.name.clone(),
+                    data,
+                    ids.iter().map(|&r| c.is_null(r)).collect(),
+                )
             });
-            samples.insert(
-                t.name.as_str(),
-                TableSample { rows: ids.len(), columns: columns.collect() },
-            );
+            // Every column holds `ids.len()` rows, so the table is valid.
+            if let Ok(sample) = Table::new(t.name.clone(), columns.collect()) {
+                samples.insert(t.name.as_str(), sample);
+            }
         }
         let mut fanouts = HashMap::new();
         for t in db.tables() {
@@ -89,23 +81,17 @@ impl<'a> DataDrivenCard<'a> {
                     Ok(c) => c,
                     Err(_) => continue,
                 };
-                let mut counts: HashMap<i64, usize> = HashMap::new();
-                for r in 0..t.num_rows() {
-                    if let Some(k) = col.get_i64(r) {
-                        *counts.entry(k).or_insert(0) += 1;
-                    }
-                }
+                let keyed = (0..t.num_rows()).filter(|&r| col.get_i64(r).is_some()).count();
                 let parents = db.table(&fk.ref_table).map(|p| p.num_rows()).unwrap_or(1).max(1);
-                let avg = counts.values().sum::<usize>() as f64 / parents as f64;
+                let avg = keyed as f64 / parents as f64;
                 fanouts.insert((t.name.as_str(), fk.column.as_str()), Fanout { avg });
             }
         }
         DataDrivenCard { db, samples, fanouts }
     }
 
-    /// Sample-based conjunctive selectivity (exact on the sample): the hit
-    /// count of a `Pred::matches` loop over the sampled rows, taken one
-    /// predicate at a time over that column's typed slice.
+    /// Sample-based conjunctive selectivity (exact on the sample): the
+    /// sampled rows that pass every predicate, smoothed.
     fn sample_selectivity(&self, table: &str, preds: &[Pred]) -> f64 {
         if preds.is_empty() {
             return 1.0;
@@ -113,26 +99,14 @@ impl<'a> DataDrivenCard<'a> {
         let Some(sample) = self.samples.get(table) else {
             return 0.5;
         };
-        if sample.rows == 0 {
+        let rows = sample.num_rows();
+        if rows == 0 {
             return 0.0;
         }
-        let mut hit = vec![true; sample.rows];
-        for p in preds {
-            match sample.columns.get(p.col.column.as_str()) {
-                Some(SampleColumn::Num(xs)) => {
-                    and_num(&mut hit, xs.iter().copied(), p.op, &p.value)
-                }
-                Some(SampleColumn::Text(xs)) => {
-                    and_text(&mut hit, xs.iter().copied(), p.op, &p.value)
-                }
-                // An unknown column: no row matches.
-                None => hit.fill(false),
-            }
-        }
-        let hits = hit.iter().filter(|&&h| h).count();
+        let hits = crate::count_passing(sample, preds, 0..rows as u32);
         // Laplace smoothing: zero sample hits become a small non-zero
         // probability (DeepDB's SPN leaves never output exact zero either).
-        (hits as f64 + 0.5) / (sample.rows as f64 + 1.0)
+        (hits as f64 + 0.5) / (rows as f64 + 1.0)
     }
 
     fn fanout(&self, child_col: &ColRef) -> Option<Fanout> {
@@ -247,13 +221,15 @@ mod tests {
         assert!(q < 1.2, "FK join estimate q={q}");
     }
 
-    /// The typed sample counts what the `Pred::matches` row loop counts, so
-    /// the selectivity keeps its bits: every operator against every literal
-    /// type on every column shape — NULL runs, NaN, ±0.0 and infinities, an
-    /// Int column against a Float literal, plain and dictionary text, Bool,
-    /// dictionary ints — alone and in a conjunction, plus an unknown column,
-    /// an empty table and an unknown table. [`crate::ActualCard`], which runs
-    /// the same matcher over every row, counts the same rows unsmoothed.
+    /// The sample table (numbers widened to `Float`, text as `Text`) counts
+    /// what the `Pred::matches` row loop over the original columns counts,
+    /// so the selectivity keeps its bits: every operator against every
+    /// literal type on every column shape — NULL runs, NaN, ±0.0 and
+    /// infinities, an Int column against a Float literal, plain and
+    /// dictionary text, Bool, dictionary ints — alone and in a conjunction,
+    /// plus an unknown column, an empty table and an unknown table.
+    /// [`crate::ActualCard`], which narrows every row of the original table
+    /// with the same row test, counts the same rows unsmoothed.
     #[test]
     fn typed_sample_counts_what_the_row_loop_counts() {
         use graceful_storage::{Column, ColumnData, Table};

@@ -34,9 +34,9 @@ pub mod naive;
 pub mod sampling;
 
 use graceful_common::Result;
+use graceful_plan::predicate::RowTest;
 use graceful_plan::{Plan, PlanOpKind, Pred};
-use graceful_storage::Value;
-use graceful_udf::ast::CmpOp;
+use graceful_storage::Table;
 
 pub use actual::ActualCard;
 pub use datadriven::DataDrivenCard;
@@ -97,44 +97,31 @@ pub fn scale_above_udf(plan: &mut Plan, selectivity: f64) {
     }
 }
 
-/// `hit[i] &= cell i op literal` over a numeric column — the matcher both
-/// count-based estimators run, one typed pass per predicate. It keeps
-/// `Pred::matches`' outcome: `Value::compare` widens Int and Bool cells and
-/// literals to `f64` (`Value::as_f64`) and orders them with `partial_cmp`,
-/// so a NULL cell, passed as NaN, matches under no operator, and neither
-/// does any cell against a NaN, Text or NULL literal.
-pub(crate) fn and_num(hit: &mut [bool], xs: impl Iterator<Item = f64>, op: CmpOp, literal: &Value) {
-    let Some(y) = literal.as_f64() else {
-        return hit.fill(false);
-    };
-    // One loop per operator, so that each compiles to a bare comparison.
-    let and =
-        |op| hit.iter_mut().zip(xs).for_each(|(h, x)| *h &= Pred::accepts(op, x.partial_cmp(&y)));
-    match op {
-        CmpOp::Lt => and(CmpOp::Lt),
-        CmpOp::Le => and(CmpOp::Le),
-        CmpOp::Gt => and(CmpOp::Gt),
-        CmpOp::Ge => and(CmpOp::Ge),
-        CmpOp::Eq => and(CmpOp::Eq),
-        CmpOp::Ne => and(CmpOp::Ne),
+/// How many of the rows `ids` of `table` pass every predicate of the
+/// conjunction `preds`: the executor's FILTER test ([`RowTest`]), compiled
+/// once for `ids.len()` rows, narrowing at most [`CHUNK_ROWS`] ids at a
+/// time so that a whole-table count holds no table-sized selection. Each
+/// predicate reads its column of `table` by name.
+pub(crate) fn count_passing(
+    table: &Table,
+    preds: &[Pred],
+    mut ids: impl ExactSizeIterator<Item = u32>,
+) -> usize {
+    let tests: Vec<_> = preds.iter().map(|p| RowTest::compile(p, table, ids.len())).collect();
+    let (mut sel, mut passing) = (Vec::with_capacity(ids.len().min(CHUNK_ROWS)), 0);
+    loop {
+        sel.clear();
+        sel.extend(ids.by_ref().take(CHUNK_ROWS));
+        if sel.is_empty() {
+            return passing;
+        }
+        tests.iter().for_each(|test| test.narrow(&mut sel, |r| r as usize));
+        passing += sel.len();
     }
 }
 
-/// [`and_num`] over a text column, a NULL cell passed as `None`: only a
-/// Text literal compares with text.
-pub(crate) fn and_text<'a>(
-    hit: &mut [bool],
-    xs: impl Iterator<Item = Option<&'a str>>,
-    op: CmpOp,
-    literal: &Value,
-) {
-    let Value::Text(y) = literal else {
-        return hit.fill(false);
-    };
-    for (h, x) in hit.iter_mut().zip(xs) {
-        *h &= Pred::accepts(op, x.map(|x| x.cmp(y)));
-    }
-}
+/// Row ids [`count_passing`] narrows at once (a 16 KiB selection).
+const CHUNK_ROWS: usize = 4096;
 
 /// Shared annotation skeleton: walks the arena bottom-up and delegates the
 /// table-level and join-level decisions to the estimator via callbacks.
@@ -229,6 +216,56 @@ mod tests {
         assert_eq!(plan.ops[5].est_out_rows, 1.0);
         // Below the UDF nothing changes.
         assert_eq!(plan.ops[2].est_out_rows, 1000.0);
+    }
+
+    /// A NaN literal matches no row, so no estimator may turn it into a
+    /// NaN: under every operator, a FILTER on a NaN, an Int or a Text
+    /// literal, alone or all three in one conjunction, gets a finite,
+    /// non-negative estimate on every operator and a selectivity in [0, 1]
+    /// from all four estimators.
+    #[test]
+    fn every_estimator_is_finite_on_nan_int_or_text_literals() {
+        use graceful_storage::{Column, ColumnData, Database, Table, Value};
+        let n = 200;
+        let text = ColumnData::Text((0..n).map(|r| format!("v{}", r % 5)).collect());
+        let columns = vec![
+            Column::new("f", ColumnData::Float((0..n).map(|r| r as f64 / 7.0).collect())),
+            Column::new("i", ColumnData::Int((0..n as i64).map(|r| r % 13).collect())),
+            Column::with_nulls("s", text, (0..n).map(|r| r % 9 == 0).collect()),
+        ];
+        let db = Database::new("d", vec![Table::new("t", columns).unwrap()]);
+        let estimators: [Box<dyn CardEstimator>; 4] = [
+            Box::new(ActualCard::new(&db)),
+            Box::new(DataDrivenCard::build(&db, 1)),
+            Box::new(SamplingCard::new(&db, 100, 1)),
+            Box::new(NaiveCard::new(&db)),
+        ];
+        for op in CmpOp::ALL {
+            let preds = [
+                Pred::new("t", "f", op, Value::Float(f64::NAN)),
+                Pred::new("t", "i", op, Value::Int(4)),
+                Pred::new("t", "s", op, Value::Text("v2".into())),
+            ];
+            for est in &estimators {
+                for conj in preds.iter().map(|p| vec![p.clone()]).chain([preds.to_vec()]) {
+                    let sel = est.conjunction_selectivity("t", &conj);
+                    assert!((0.0..=1.0).contains(&sel), "{}: {conj:?} -> {sel}", est.name());
+                    let scan = PlanOp::new(PlanOpKind::Scan { table: "t".into() }, vec![]);
+                    let filter = PlanOp::new(PlanOpKind::Filter { preds: conj.clone() }, vec![0]);
+                    let count = AggFunc::CountStar;
+                    let agg = PlanOp::new(PlanOpKind::Agg { func: count, column: None }, vec![1]);
+                    let mut plan = Plan { ops: vec![scan, filter, agg], root: 2 };
+                    est.annotate(&mut plan).unwrap();
+                    for o in &plan.ops {
+                        let e = o.est_out_rows;
+                        assert!(e.is_finite() && e >= 0.0, "{}: {conj:?} -> {e}", est.name());
+                    }
+                }
+            }
+            let nan = &preds[..1];
+            assert_eq!(estimators[3].conjunction_selectivity("t", nan), 0.0, "{op:?}");
+            assert_eq!(estimators[0].conjunction_selectivity("t", nan), 0.0, "{op:?}");
+        }
     }
 
     #[test]

@@ -22,8 +22,13 @@ impl<'a> NaiveCard<'a> {
         NaiveCard { db }
     }
 
-    /// Selectivity of one predicate under uniformity assumptions.
+    /// Selectivity of one predicate under uniformity assumptions. A NaN
+    /// literal compares with nothing, so it matches no row under any
+    /// operator, `!=` included.
     fn pred_selectivity(&self, pred: &Pred) -> f64 {
+        if pred.value.as_f64().is_some_and(f64::is_nan) {
+            return 0.0;
+        }
         let stats = match self.db.stats(&pred.col.table) {
             Ok(s) => s,
             Err(_) => return 0.33,

@@ -4,16 +4,18 @@
 //! indexes. We reproduce its statistical character — unbiased-ish medians,
 //! heavy error tails on selective queries — by pushing a bounded row sample
 //! through the plan: scans draw `walks` random rows, filters thin the sample
-//! (tracking the survival ratio), joins probe the full build side — through
-//! the executor's own [`JoinIndex`], so a walk sees exactly the row-ascending
-//! match lists a probe would — but keep at most `walks` result rows
-//! (re-scaling the estimate), so estimation cost stays O(walks · plan depth)
-//! like WanderJoin's.
+//! with the executor's FILTER test (`graceful_plan::predicate::filter` over
+//! the sample's tuple matrix, tracking the survival ratio), joins probe the
+//! full build side — through the executor's own [`JoinIndex`], so a walk
+//! sees exactly the row-ascending match lists a probe would — but keep at
+//! most `walks` result rows (re-scaling the estimate), so estimation cost
+//! stays O(walks · plan depth) like WanderJoin's.
 
 use crate::CardEstimator;
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_exec::join::JoinIndex;
+use graceful_plan::predicate::{self, RowTest};
 use graceful_plan::{Plan, PlanOpKind, Pred};
 use graceful_storage::Database;
 use std::cell::RefCell;
@@ -153,27 +155,22 @@ impl CardEstimator for SamplingCard<'_> {
                 }
                 PlanOpKind::Filter { preds } => {
                     let child = child(0)?;
-                    let stride = child.tables.len();
-                    let n = child.n();
-                    let mut rows = Vec::new();
-                    let mut kept = 0usize;
-                    for r in 0..n {
-                        let ok = preds.iter().all(|p| {
-                            child
-                                .tables
-                                .iter()
-                                .position(|t| *t == p.col.table)
-                                .and_then(|pos| self.db.table(&p.col.table).ok().map(|t| (pos, t)))
-                                .is_some_and(|(pos, t)| {
-                                    p.matches(t, child.rows[r * stride + pos] as usize)
-                                })
-                        });
-                        if ok {
-                            kept += 1;
-                            rows.extend_from_slice(&child.rows[r * stride..(r + 1) * stride]);
-                        }
-                    }
-                    let ratio = if n > 0 { kept as f64 / n as f64 } else { 0.0 };
+                    let (stride, n) = (child.tables.len(), child.n());
+                    // Each predicate tests the lane of its table; one whose
+                    // table is not bound here, or absent, keeps no tuple.
+                    let tests: Option<Vec<_>> = preds
+                        .iter()
+                        .map(|p| {
+                            let pos = child.tables.iter().position(|t| *t == p.col.table)?;
+                            let t = self.db.table(&p.col.table).ok()?;
+                            Some((RowTest::compile(p, t, n), pos))
+                        })
+                        .collect();
+                    let rows = match tests {
+                        Some(tests) if n > 0 => predicate::filter(&tests, &child.rows, stride),
+                        _ => Vec::new(),
+                    };
+                    let ratio = if n > 0 { (rows.len() / stride) as f64 / n as f64 } else { 0.0 };
                     let est = child.estimate * ratio;
                     (SampleRel { tables: child.tables, rows, estimate: est }, est)
                 }
@@ -213,16 +210,12 @@ impl CardEstimator for SamplingCard<'_> {
         if n == 0 {
             return 0.0;
         }
+        // The k rows are drawn one after the other, as the walks draw
+        // them: testing a row draws nothing.
         let mut rng = self.rng.borrow_mut();
         let k = self.walks.min(n);
-        let mut hits = 0usize;
-        for _ in 0..k {
-            let r = rng.range(0..n);
-            if preds.iter().all(|p| p.matches(t, r)) {
-                hits += 1;
-            }
-        }
-        hits as f64 / k as f64
+        let drawn = (0..k).map(|_| rng.range(0..n) as u32);
+        crate::count_passing(t, preds, drawn) as f64 / k as f64
     }
 }
 

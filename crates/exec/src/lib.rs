@@ -46,7 +46,8 @@
 //!   recorder.
 //!
 //! Every data-plane operator runs morsel-parallel on the
-//! `graceful-runtime` pool: filters narrow a selection vector per morsel,
+//! `graceful-runtime` pool: filters narrow a selection vector per morsel
+//! through the compiled row tests of `graceful_plan::predicate`,
 //! hash joins probe the build side's index per morsel (none if it is
 //! empty), and aggregates fold per-morsel partial states.
 //! Work accounting is grouped per morsel and merged in morsel-index order,
@@ -63,7 +64,6 @@ pub mod engine;
 pub mod join;
 pub mod physical;
 pub mod profile;
-mod row_test;
 pub mod session;
 mod udf_eval;
 

@@ -12,9 +12,9 @@
 use super::{HashBuild, PhysicalOp, PhysicalOpKind};
 use crate::engine::{AggState, ExecConfig, OperatorWeights, Shortcuts};
 use crate::join::JoinIndex;
-use crate::row_test::{self, RowTest};
 use crate::udf_eval::{UdfEvalSpec, UdfWorker};
 use graceful_common::{GracefulError, Result};
+use graceful_plan::predicate::{self, RowTest};
 use graceful_plan::{AggFunc, ColRef, Pred};
 use graceful_runtime::Pool;
 use graceful_storage::{Column, Database, Value};
@@ -305,7 +305,7 @@ impl Kernel for FilterKernel<'_> {
     fn morsel(&self, _: &mut (), morsel: &Morsel<'_>) -> Result<MorselOut<()>> {
         let Range { start, end } = morsel.range;
         let rows = &morsel.rows[start * morsel.stride..end * morsel.stride];
-        let kept = row_test::filter(&self.preds, rows, morsel.stride);
+        let kept = predicate::filter(&self.preds, rows, morsel.stride);
         let rows_out = kept.len() / morsel.stride;
         MorselOut::rows(kept, rows_out)
     }
@@ -586,8 +586,9 @@ pub(super) fn instantiate<'a>(
     let (name, stride) = (op.kind.name(), op.stride);
     Ok(match &op.kind {
         PhysicalOpKind::Filter { preds } => {
-            let compile = |&(p, pos): &(&'a _, usize)| {
-                Ok((RowTest::compile(p, db.table(&p.col.table)?), pos))
+            let compile = |&(p, pos): &(&'a Pred, usize)| {
+                let t = db.table(&p.col.table)?;
+                Ok((RowTest::compile(p, t, t.num_rows()), pos))
             };
             let preds = preds.iter().map(compile).collect::<Result<_>>()?;
             Stage::boxed(name, stride, FilterKernel { preds, weights })
