@@ -12,7 +12,8 @@
 //!
 //! The sample is materialized once at build, as a dense storage [`Table`]
 //! per base table: numbers widened to `Float` the way `Column::get_f64`
-//! widens them and text as `Text`, each NULL in the mask. A conjunction
+//! widens them and text as `Text` (dictionary-encoded where the sample's
+//! own dictionary is smaller), each NULL in the mask. A conjunction
 //! narrows that table's rows with the executor's FILTER test
 //! (`graceful_plan::predicate::RowTest`, compiled for the sample's row
 //! count), so it counts the sampled rows the executor would keep, and no
@@ -59,7 +60,7 @@ impl<'a> DataDrivenCard<'a> {
             let columns = t.columns().iter().map(|c| {
                 let data = if c.data_type() == DataType::Text {
                     let text = |r| c.get_str(r).unwrap_or_default().to_string();
-                    ColumnData::Text(ids.iter().map(|&r| text(r)).collect())
+                    ColumnData::Text(ids.iter().map(|&r| text(r)).collect()).encoded()
                 } else {
                     ColumnData::Float(ids.iter().map(|&r| c.get_f64(r).unwrap_or(0.0)).collect())
                 };

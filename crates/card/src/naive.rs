@@ -9,7 +9,7 @@
 use crate::CardEstimator;
 use graceful_common::Result;
 use graceful_plan::{Plan, PlanOpKind, Pred};
-use graceful_storage::{DataType, Database};
+use graceful_storage::{DataType, Database, Value};
 use graceful_udf::ast::CmpOp;
 
 /// Histogram-free uniformity estimator.
@@ -22,40 +22,42 @@ impl<'a> NaiveCard<'a> {
         NaiveCard { db }
     }
 
-    /// Selectivity of one predicate under uniformity assumptions. A NaN
-    /// literal compares with nothing, so it matches no row under any
-    /// operator, `!=` included.
+    /// Selectivity of one predicate under uniformity assumptions. A
+    /// predicate no row can pass has selectivity 0, as `RowTest` counts it:
+    /// a NaN literal compares with nothing, so it matches no row under any
+    /// operator, `!=` included; nor does a NULL literal, Text on one side
+    /// and a number on the other, or a column that does not exist.
     fn pred_selectivity(&self, pred: &Pred) -> f64 {
         if pred.value.as_f64().is_some_and(f64::is_nan) {
             return 0.0;
         }
-        let stats = match self.db.stats(&pred.col.table) {
-            Ok(s) => s,
-            Err(_) => return 0.33,
+        let Ok(stats) = self.db.stats(&pred.col.table) else {
+            return 0.33;
         };
-        let cs = match stats.column(&pred.col.column) {
-            Ok(c) => c,
-            Err(_) => return 0.33,
+        let Ok(cs) = stats.column(&pred.col.column) else {
+            return 0.0;
         };
         let non_null = 1.0 - cs.null_fraction;
-        let sel = match cs.data_type {
-            DataType::Int | DataType::Float => {
-                let v = pred.value.as_f64().unwrap_or(cs.min);
+        let per_value = |op: CmpOp| match op {
+            CmpOp::Eq => 1.0 / cs.ndv.max(1) as f64,
+            CmpOp::Ne => 1.0 - 1.0 / cs.ndv.max(1) as f64,
+            // Range over text: no histogram, classic magic constant.
+            _ => 0.33,
+        };
+        let sel = match (cs.data_type, pred.value.as_f64(), &pred.value) {
+            (DataType::Int | DataType::Float, Some(v), _) => {
                 let span = (cs.max - cs.min).max(f64::EPSILON);
                 let frac_below = ((v - cs.min) / span).clamp(0.0, 1.0);
                 match pred.op {
                     CmpOp::Lt | CmpOp::Le => frac_below,
                     CmpOp::Gt | CmpOp::Ge => 1.0 - frac_below,
-                    CmpOp::Eq => 1.0 / cs.ndv.max(1) as f64,
-                    CmpOp::Ne => 1.0 - 1.0 / cs.ndv.max(1) as f64,
+                    op => per_value(op),
                 }
             }
-            DataType::Text | DataType::Bool => match pred.op {
-                CmpOp::Eq => 1.0 / cs.ndv.max(1) as f64,
-                CmpOp::Ne => 1.0 - 1.0 / cs.ndv.max(1) as f64,
-                // Range over text: no histogram, classic magic constant.
-                _ => 0.33,
-            },
+            (DataType::Bool, Some(_), _) | (DataType::Text, _, Value::Text(_)) => {
+                per_value(pred.op)
+            }
+            _ => return 0.0,
         };
         (sel * non_null).clamp(0.0, 1.0)
     }
@@ -102,8 +104,8 @@ impl CardEstimator for NaiveCard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ActualCard;
     use graceful_storage::datagen::{generate, schema};
-    use graceful_storage::Value;
 
     #[test]
     fn uniform_range_selectivity_is_reasonable() {
@@ -115,6 +117,45 @@ mod tests {
             &[Pred::new("lineitem_t", "quantity", CmpOp::Le, Value::Int(25))],
         );
         assert!((sel - 0.5).abs() < 0.1, "sel={sel}");
+    }
+
+    /// Every predicate `RowTest` compiles to "no row passes" gets
+    /// selectivity 0, as `ActualCard` counts it — not a fallback to the
+    /// column's minimum or to `1/ndv`.
+    #[test]
+    fn a_predicate_no_row_can_pass_has_selectivity_zero() {
+        let db = generate(&schema("accidents"), 0.05, 3);
+        let (naive, actual) = (NaiveCard::new(&db), ActualCard::new(&db));
+        let text = || Value::Text("a".into());
+        let cases = [
+            ("accident", "severity", Value::Null),
+            ("accident", "severity", text()),
+            ("accident", "damage", Value::Null),
+            ("accident", "damage", text()),
+            ("accident", "fatal", text()),
+            ("accident", "fatal", Value::Null),
+            ("region", "name", Value::Int(3)),
+            ("region", "name", Value::Float(0.5)),
+            ("region", "name", Value::Bool(true)),
+            ("region", "name", Value::Null),
+            ("accident", "no_such_column", Value::Int(3)),
+        ];
+        let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+        for (table, column, value) in cases {
+            for op in ops {
+                let pred = [Pred::new(table, column, op, value.clone())];
+                let what = pred[0].display();
+                assert_eq!(actual.conjunction_selectivity(table, &pred), 0.0, "{what}: actual");
+                assert_eq!(naive.conjunction_selectivity(table, &pred), 0.0, "{what}: naive");
+            }
+        }
+        // A literal of the column's own kind still estimates as before.
+        for (table, column, value) in
+            [("region", "name", text()), ("accident", "fatal", Value::Bool(true))]
+        {
+            let pred = [Pred::new(table, column, CmpOp::Eq, value)];
+            assert!(naive.conjunction_selectivity(table, &pred) > 0.0, "{}", pred[0].display());
+        }
     }
 
     #[test]

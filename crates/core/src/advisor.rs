@@ -235,7 +235,10 @@ mod tests {
                             let mut plan = build_plan(&q.spec, placement).unwrap();
                             est.annotate(&mut plan).unwrap();
                             scale_above_udf(&mut plan, sel);
-                            model.graph_for(&c.db, &q.spec, &plan, est.as_ref()).unwrap()
+                            model
+                                .featurizer()
+                                .featurize(&c.db, &q.spec, &plan, est.as_ref())
+                                .unwrap()
                         };
                         let graphs: Vec<_> = placements.iter().map(graph).collect();
                         (sel, model.gnn().predict_reference(&graphs[graphs.len() - 1]).unwrap())

@@ -17,14 +17,15 @@
 //! signal: invocation overhead interacting with plan position, hit ratios
 //! conditioned on pre-filters, and data-type conversion costs.
 
-use crate::corpus::DatasetCorpus;
-use crate::featurize::{feature_dims, log_mag, udf_graph, Featurizer};
+use crate::corpus::{DatasetCorpus, LabeledQuery};
+use crate::featurize::{log_mag, udf_graph, Featurizer};
+use crate::model::{actual_graph, corpus_samples, fit, GracefulModel, TrainConfig};
 use graceful_card::{ActualCard, CardEstimator};
-use graceful_common::rng::Rng;
-use graceful_common::{GracefulError, Result, Serial};
+use graceful_common::{GracefulError, Result};
 use graceful_gbdt::{Gbdt, GbdtConfig};
-use graceful_nn::{AdamConfig, GnnConfig, GnnModel, TypedGraph};
+use graceful_nn::TypedGraph;
 use graceful_plan::{Plan, QuerySpec};
+use graceful_runtime::Pool;
 use graceful_storage::Database;
 use graceful_udf::ast::BinOp;
 use graceful_udf::{GeneratedUdf, LibFn};
@@ -54,74 +55,51 @@ pub fn flat_features(udf: &GeneratedUdf, input_rows: f64) -> Vec<f64> {
     f
 }
 
-/// The query-side model shared by both baselines: GRACEFUL's query graph
-/// with the UDF reduced to a black box (ablation level 1), trained on
-/// query-only runtimes (total minus UDF work).
-#[derive(Debug, Clone)]
-pub struct QuerySideModel {
-    gnn: GnnModel,
-}
-
-impl QuerySideModel {
-    pub fn train(
-        corpora: &[&DatasetCorpus],
-        epochs: usize,
-        hidden: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        let config = GnnConfig { hidden, feature_dims: feature_dims(), readout_hidden: hidden };
-        let mut gnn = GnnModel::new(config, seed)?;
-        let fz = Featurizer::level(1)?;
-        let mut samples: Vec<(TypedGraph, f64)> = Vec::new();
-        for c in corpora {
-            let est = ActualCard::new(&c.db);
-            for q in &c.queries {
-                let mut plan = q.plan.clone();
-                est.annotate(&mut plan)?;
-                let g = fz.featurize(&c.db, &q.spec, &plan, &est)?;
-                let query_only = (q.runtime_ns - q.udf_work_ns).max(1.0);
-                samples.push((g, query_only));
-            }
-        }
-        train_gnn(&mut gnn, &mut samples, epochs, seed)?;
-        Ok(QuerySideModel { gnn })
-    }
-
-    pub fn predict(
-        &self,
-        db: &Database,
-        spec: &QuerySpec,
-        plan: &Plan,
-        estimator: &dyn CardEstimator,
-    ) -> Result<f64> {
-        let g = Featurizer::level(1)?.featurize(db, spec, plan, estimator)?;
-        self.gnn.predict(&g)
-    }
-}
-
-fn train_gnn(
-    gnn: &mut GnnModel,
-    samples: &mut [(TypedGraph, f64)],
+/// Train a GNN of GRACEFUL's architecture (built with `featurizer`, width
+/// `hidden` and initialisation seed `seed`) through the one training loop,
+/// on the samples `sample` yields per query (see `corpus_samples`), with
+/// the `TrainConfig` defaults and the shuffle stream `seed ^ 0xBA5E`.
+fn train_split<F>(
+    corpora: &[&DatasetCorpus],
+    featurizer: Featurizer,
     epochs: usize,
+    hidden: usize,
     seed: u64,
-) -> Result<()> {
-    if samples.is_empty() {
-        return Err(GracefulError::Model("no training samples".into()));
-    }
-    let targets: Vec<f64> = samples.iter().map(|(_, t)| *t).collect();
-    gnn.fit_target_norm(&targets)?;
-    let adam = AdamConfig { lr: 2e-3, ..AdamConfig::default() };
-    let mut rng = Rng::seed(seed ^ 0xBA5E);
-    let mut order: Vec<usize> = (0..samples.len()).collect();
-    for _ in 0..epochs {
-        rng.shuffle(&mut order);
-        for chunk in order.chunks(16) {
-            let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
-            let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-            gnn.train_batch(&Serial, &graphs, &ts, &adam, 1.0)?;
-        }
-    }
-    Ok(())
+    sample: F,
+) -> Result<GracefulModel>
+where
+    F: Fn(&Database, &LabeledQuery, &ActualCard) -> Result<Option<(TypedGraph, f64)>> + Sync,
+{
+    let cfg = TrainConfig { epochs, seed, ..TrainConfig::default() };
+    cfg.validate()?;
+    let mut model = GracefulModel::new(featurizer, hidden, seed)?;
+    let pool = Pool::new(cfg.threads);
+    let samples = corpus_samples(&pool, corpora, sample)?;
+    fit(model.gnn_mut(), &pool, &samples, &cfg, seed ^ 0xBA5E)?;
+    Ok(model)
+}
+
+/// The query side both baselines share: GRACEFUL's query graph with the UDF
+/// reduced to a black box (ablation level 1), trained on query-only
+/// runtimes (total minus UDF work).
+fn train_query_side(
+    corpora: &[&DatasetCorpus],
+    epochs: usize,
+    hidden: usize,
+    seed: u64,
+) -> Result<GracefulModel> {
+    let fz = Featurizer::level(1)?;
+    train_split(corpora, fz, epochs, hidden, seed, |db, q, est| {
+        let query_only = (q.runtime_ns - q.udf_work_ns).max(1.0);
+        Ok(Some((actual_graph(fz, db, q, est)?, query_only)))
+    })
+}
+
+/// The plan's UDF and the estimated rows into its operator, when the query
+/// has both.
+fn udf_input<'a>(spec: &'a QuerySpec, plan: &Plan) -> Option<(&'a GeneratedUdf, f64)> {
+    let child = *plan.ops.get(plan.udf_op()?)?.children.first()?;
+    Some((spec.udf.as_ref()?, plan.ops.get(child)?.est_out_rows))
 }
 
 /// Flat+Graph baseline.
@@ -129,7 +107,7 @@ fn train_gnn(
 pub struct FlatGraphBaseline {
     /// Predicts `ln(per-tuple UDF cost)` from flat features.
     gbdt: Gbdt,
-    query_side: QuerySideModel,
+    query_side: GracefulModel,
 }
 
 impl FlatGraphBaseline {
@@ -139,24 +117,19 @@ impl FlatGraphBaseline {
         hidden: usize,
         seed: u64,
     ) -> Result<Self> {
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut ys: Vec<f64> = Vec::new();
-        for c in corpora {
-            for q in &c.queries {
-                let Some(u) = &q.spec.udf else { continue };
-                if q.udf_input_rows == 0 {
-                    continue;
-                }
+        let queries = corpora.iter().flat_map(|c| &c.queries);
+        let (xs, ys): (Vec<_>, Vec<_>) = queries
+            .filter_map(|q| {
+                let u = q.spec.udf.as_ref().filter(|_| q.udf_input_rows > 0)?;
                 let per_tuple = (q.udf_work_ns / q.udf_input_rows as f64).max(1e-3);
-                xs.push(flat_features(u, q.udf_input_rows as f64));
-                ys.push(per_tuple.ln());
-            }
-        }
+                Some((flat_features(u, q.udf_input_rows as f64), per_tuple.ln()))
+            })
+            .unzip();
         if xs.is_empty() {
             return Err(GracefulError::Model("no UDF samples for FlatVector".into()));
         }
         let gbdt = Gbdt::fit(&xs, &ys, GbdtConfig { seed, ..GbdtConfig::default() })?;
-        let query_side = QuerySideModel::train(corpora, epochs, hidden, seed)?;
+        let query_side = train_query_side(corpora, epochs, hidden, seed)?;
         Ok(FlatGraphBaseline { gbdt, query_side })
     }
 
@@ -175,13 +148,7 @@ impl FlatGraphBaseline {
         estimator: &dyn CardEstimator,
     ) -> Result<f64> {
         let query = self.query_side.predict(db, spec, plan, estimator)?;
-        let udf = match (&spec.udf, plan.udf_op()) {
-            (Some(u), Some(idx)) => {
-                let input = plan.ops[plan.ops[idx].children[0]].est_out_rows;
-                self.predict_udf(u, input)
-            }
-            _ => 0.0,
-        };
+        let udf = udf_input(spec, plan).map_or(0.0, |(u, rows)| self.predict_udf(u, rows));
         Ok(query + udf)
     }
 }
@@ -189,8 +156,8 @@ impl FlatGraphBaseline {
 /// Graph+Graph baseline: GRACEFUL's UDF subgraph as a standalone estimator.
 #[derive(Debug, Clone)]
 pub struct GraphGraphBaseline {
-    udf_gnn: GnnModel,
-    query_side: QuerySideModel,
+    udf_side: GracefulModel,
+    query_side: GracefulModel,
 }
 
 impl GraphGraphBaseline {
@@ -200,23 +167,16 @@ impl GraphGraphBaseline {
         hidden: usize,
         seed: u64,
     ) -> Result<Self> {
-        let config = GnnConfig { hidden, feature_dims: feature_dims(), readout_hidden: hidden };
-        let mut udf_gnn = GnnModel::new(config, seed ^ 0x66)?;
-        let mut samples: Vec<(TypedGraph, f64)> = Vec::new();
-        for c in corpora {
-            let est = ActualCard::new(&c.db);
-            for q in &c.queries {
-                let Some(u) = &q.spec.udf else { continue };
-                if q.udf_input_rows == 0 {
-                    continue;
-                }
-                let g = udf_graph(&c.db, &q.spec, u, q.udf_input_rows as f64, &est)?;
-                samples.push((g, q.udf_work_ns.max(1.0)));
-            }
-        }
-        train_gnn(&mut udf_gnn, &mut samples, epochs, seed ^ 0x66)?;
-        let query_side = QuerySideModel::train(corpora, epochs, hidden, seed)?;
-        Ok(GraphGraphBaseline { udf_gnn, query_side })
+        let fz = Featurizer::full();
+        let udf_side = train_split(corpora, fz, epochs, hidden, seed ^ 0x66, |db, q, est| {
+            let Some(u) = q.spec.udf.as_ref().filter(|_| q.udf_input_rows > 0) else {
+                return Ok(None);
+            };
+            let g = udf_graph(db, &q.spec, u, q.udf_input_rows as f64, est)?;
+            Ok(Some((g, q.udf_work_ns.max(1.0))))
+        })?;
+        let query_side = train_query_side(corpora, epochs, hidden, seed)?;
+        Ok(GraphGraphBaseline { udf_side, query_side })
     }
 
     pub fn predict(
@@ -227,13 +187,11 @@ impl GraphGraphBaseline {
         estimator: &dyn CardEstimator,
     ) -> Result<f64> {
         let query = self.query_side.predict(db, spec, plan, estimator)?;
-        let udf = match (&spec.udf, plan.udf_op()) {
-            (Some(u), Some(idx)) => {
-                let input = plan.ops[plan.ops[idx].children[0]].est_out_rows;
-                let g = udf_graph(db, spec, u, input, estimator)?;
-                self.udf_gnn.predict(&g)?
+        let udf = match udf_input(spec, plan) {
+            Some((u, rows)) => {
+                self.udf_side.predict_graph(&udf_graph(db, spec, u, rows, estimator)?)?
             }
-            _ => 0.0,
+            None => 0.0,
         };
         Ok(query + udf)
     }

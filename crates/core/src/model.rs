@@ -9,23 +9,24 @@
 //!
 //! # The training pipeline
 //!
-//! [`GracefulModel::train`] is a two-stage pipeline, both stages fast and
-//! deterministic:
+//! Every GNN in this crate — GRACEFUL ([`GracefulModel::train`]), the split
+//! baselines' query side and Graph+Graph's UDF side — trains through one
+//! two-stage pipeline, both stages fast and deterministic:
 //!
-//! 1. **Parallel featurization** — every `(query, plan)` pair of the corpus
-//!    is annotated with actual cardinalities and featurized into a
-//!    [`TypedGraph`] on the [`graceful_runtime::Pool`] ([`TrainConfig`]'s
+//! 1. **Parallel featurization** — every query of the corpora is annotated
+//!    with actual cardinalities and turned into a [`TypedGraph`] and its
+//!    target (or skipped) on the [`graceful_runtime::Pool`] ([`TrainConfig`]'s
 //!    `threads` budget, `GRACEFUL_THREADS` via
 //!    [`TrainOptions::build_with_env`]). Results merge in item order, so the
 //!    sample list — and therefore the whole training run — is bit-identical
 //!    for any thread count.
-//! 2. **Batched mini-batch SGD** — each shuffled mini-batch is one step of
-//!    the level-synchronous GNN engine ([`GnnModel::train_batch`]) on the
-//!    same pool: its graphs run as shards of eight consecutive graphs (pack,
-//!    forward and backward per shard, then one job per parameter-gradient
-//!    product), with the loss, the readout and Adam on the caller. Every
-//!    cross-graph sum keeps the reference's order, so the step's bits do not
-//!    depend on the thread count either.
+//! 2. **Batched mini-batch SGD** (`fit`) — each shuffled mini-batch is one
+//!    step of the level-synchronous GNN engine ([`GnnModel::train_batch`]) on
+//!    the same pool: its graphs run as shards of eight consecutive graphs
+//!    (pack, forward and backward per shard, then one job per
+//!    parameter-gradient product), with the loss, the readout and Adam on the
+//!    caller. Every cross-graph sum keeps the reference's order, so the
+//!    step's bits do not depend on the thread count either.
 //!
 //! Estimates ([`GracefulModel::predict`], [`GracefulModel::predict_graph`],
 //! [`GracefulModel::predict_graphs`]) run on the same engine, a single graph
@@ -42,7 +43,7 @@
 //! value, and zero `epochs`/`batch_size`/`threads` are typed
 //! [`GracefulError::Config`] errors rather than panics.
 
-use crate::corpus::DatasetCorpus;
+use crate::corpus::{DatasetCorpus, LabeledQuery};
 use crate::featurize::{feature_dims, Featurizer};
 use graceful_card::{ActualCard, CardEstimator};
 use graceful_common::config;
@@ -295,17 +296,6 @@ impl GracefulModel {
         Featurizer { level: self.featurizer_level }
     }
 
-    /// Featurize one labelled/annotated query.
-    pub fn graph_for(
-        &self,
-        db: &Database,
-        spec: &QuerySpec,
-        plan: &Plan,
-        estimator: &dyn CardEstimator,
-    ) -> Result<TypedGraph> {
-        self.featurizer().featurize(db, spec, plan, estimator)
-    }
-
     /// Featurize a whole training corpus set — per-query [`ActualCard`]
     /// annotation plus featurization, fanned out on the pool with results
     /// merged in item order (bit-identical for any thread count). Sample
@@ -315,22 +305,10 @@ impl GracefulModel {
         pool: &Pool,
         corpora: &[&DatasetCorpus],
     ) -> Result<Vec<(TypedGraph, f64)>> {
-        let items: Vec<(usize, usize)> = corpora
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, c)| (0..c.queries.len()).map(move |qi| (ci, qi)))
-            .collect();
         let featurizer = self.featurizer();
-        let labelled = pool.ordered_map(&items, |_, &(ci, qi)| {
-            let c = corpora[ci];
-            let q = &c.queries[qi];
-            let est = ActualCard::new(&c.db);
-            let mut plan = q.plan.clone();
-            est.annotate(&mut plan)?;
-            let g = featurizer.featurize(&c.db, &q.spec, &plan, &est)?;
-            Ok((g, q.runtime_ns))
-        });
-        labelled.into_iter().collect()
+        corpus_samples(pool, corpora, |db, q, est| {
+            Ok(Some((actual_graph(featurizer, db, q, est)?, q.runtime_ns)))
+        })
     }
 
     /// Train on a set of corpora (the 19 training databases of a fold).
@@ -345,64 +323,15 @@ impl GracefulModel {
     /// plus the registry metrics `train.epochs`, `train.samples`,
     /// `train.epoch_loss` and the `train.rows_per_s` histogram.
     pub fn train(&mut self, corpora: &[&DatasetCorpus], cfg: &TrainConfig) -> Result<Vec<f32>> {
-        struct TrainMetrics {
-            epochs: Counter,
-            samples: Counter,
-            epoch_loss: Gauge,
-            rows_per_s: Histogram,
-        }
-        static METRICS: OnceLock<TrainMetrics> = OnceLock::new();
-        let m = METRICS.get_or_init(|| TrainMetrics {
-            epochs: counter("train.epochs"),
-            samples: counter("train.samples"),
-            epoch_loss: gauge("train.epoch_loss"),
-            rows_per_s: histogram("train.rows_per_s"),
-        });
         cfg.validate()?;
         let _train_span =
             trace::span("train", "train").arg("corpora", corpora.len()).arg("epochs", cfg.epochs);
-        // Pre-featurize the whole training set once (actual cardinalities),
-        // in parallel on the configured thread budget; every step's shards
-        // run on the same pool.
         let pool = Pool::new(cfg.threads);
         let samples = {
             let _span = trace::span("train", "featurize");
             self.featurize_corpora(&pool, corpora)?
         };
-        if samples.is_empty() {
-            return Err(GracefulError::Model("no training samples".into()));
-        }
-        m.samples.add(samples.len() as u64);
-        let targets: Vec<f64> = samples.iter().map(|(_, t)| *t).collect();
-        self.gnn.fit_target_norm(&targets)?;
-        let mut rng = Rng::seed(cfg.seed ^ 0x7EA1);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut losses = Vec::with_capacity(cfg.epochs);
-        for epoch in 0..cfg.epochs {
-            let _epoch_span = trace::span("train", "epoch").arg("epoch", epoch);
-            let epoch_started = Instant::now();
-            rng.shuffle(&mut order);
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(cfg.batch_size) {
-                let _step_span = trace::span("train", "step").arg("rows", chunk.len());
-                let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
-                let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
-                epoch_loss +=
-                    self.gnn.train_batch(&pool, &graphs, &ts, &cfg.adam, cfg.huber_delta)?;
-                batches += 1;
-            }
-            let mean = epoch_loss / batches.max(1) as f32;
-            losses.push(mean);
-            m.epochs.incr();
-            m.epoch_loss.set(mean as f64);
-            let secs = epoch_started.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                m.rows_per_s.record(samples.len() as f64 / secs);
-            }
-        }
-        self.gnn.release_optimizer_state();
-        Ok(losses)
+        fit(&mut self.gnn, &pool, &samples, cfg, cfg.seed ^ 0x7EA1)
     }
 
     /// Predict the runtime (ns) for an annotated plan.
@@ -413,7 +342,7 @@ impl GracefulModel {
         plan: &Plan,
         estimator: &dyn CardEstimator,
     ) -> Result<f64> {
-        let g = self.graph_for(db, spec, plan, estimator)?;
+        let g = self.featurizer().featurize(db, spec, plan, estimator)?;
         self.gnn.predict(&g)
     }
 
@@ -487,6 +416,97 @@ impl GracefulModel {
         m.gnn.rebuild_after_load()?;
         Ok(m)
     }
+}
+
+/// A query annotated with actual cardinalities and featurized by
+/// `featurizer`: the graph of a joint-model or query-side training sample.
+pub(crate) fn actual_graph(
+    featurizer: Featurizer,
+    db: &Database,
+    q: &LabeledQuery,
+    est: &ActualCard,
+) -> Result<TypedGraph> {
+    let mut plan = q.plan.clone();
+    est.annotate(&mut plan)?;
+    featurizer.featurize(db, &q.spec, &plan, est)
+}
+
+/// The training samples of a corpus set: `sample` maps each query, with its
+/// database and an [`ActualCard`] over it, to a graph and its target, or to
+/// `None` to leave it out. Queries fan out on the pool and merge in item
+/// order: corpus-major, as a sequential double loop, for any thread count.
+pub(crate) fn corpus_samples<F>(
+    pool: &Pool,
+    corpora: &[&DatasetCorpus],
+    sample: F,
+) -> Result<Vec<(TypedGraph, f64)>>
+where
+    F: Fn(&Database, &LabeledQuery, &ActualCard) -> Result<Option<(TypedGraph, f64)>> + Sync,
+{
+    let items: Vec<_> =
+        corpora.iter().flat_map(|&c| c.queries.iter().map(move |q| (c, q))).collect();
+    let samples = pool.ordered_map(&items, |_, &(c, q)| sample(&c.db, q, &ActualCard::new(&c.db)));
+    samples.into_iter().filter_map(Result::transpose).collect()
+}
+
+/// The one training loop: fit `gnn`'s target normalization, then run
+/// `cfg.epochs` epochs of mini-batch steps, reshuffled each epoch from the
+/// `shuffle_seed` stream, every step's shards on `pool`; return the epochs'
+/// mean losses and free the optimizer state. `cfg` must be validated; no
+/// samples is a typed [`GracefulError::Model`].
+pub(crate) fn fit(
+    gnn: &mut GnnModel,
+    pool: &Pool,
+    samples: &[(TypedGraph, f64)],
+    cfg: &TrainConfig,
+    shuffle_seed: u64,
+) -> Result<Vec<f32>> {
+    struct TrainMetrics {
+        epochs: Counter,
+        samples: Counter,
+        epoch_loss: Gauge,
+        rows_per_s: Histogram,
+    }
+    static METRICS: OnceLock<TrainMetrics> = OnceLock::new();
+    let m = METRICS.get_or_init(|| TrainMetrics {
+        epochs: counter("train.epochs"),
+        samples: counter("train.samples"),
+        epoch_loss: gauge("train.epoch_loss"),
+        rows_per_s: histogram("train.rows_per_s"),
+    });
+    if samples.is_empty() {
+        return Err(GracefulError::Model("no training samples".into()));
+    }
+    m.samples.add(samples.len() as u64);
+    let targets: Vec<f64> = samples.iter().map(|(_, t)| *t).collect();
+    gnn.fit_target_norm(&targets)?;
+    let mut rng = Rng::seed(shuffle_seed);
+    let mut order: Vec<usize> = (0..samples.len()).collect();
+    let mut losses = Vec::with_capacity(cfg.epochs);
+    for epoch in 0..cfg.epochs {
+        let _epoch_span = trace::span("train", "epoch").arg("epoch", epoch);
+        let epoch_started = Instant::now();
+        rng.shuffle(&mut order);
+        let mut epoch_loss = 0.0f32;
+        let mut batches = 0usize;
+        for chunk in order.chunks(cfg.batch_size) {
+            let _step_span = trace::span("train", "step").arg("rows", chunk.len());
+            let graphs: Vec<&TypedGraph> = chunk.iter().map(|&i| &samples[i].0).collect();
+            let ts: Vec<f64> = chunk.iter().map(|&i| samples[i].1).collect();
+            epoch_loss += gnn.train_batch(pool, &graphs, &ts, &cfg.adam, cfg.huber_delta)?;
+            batches += 1;
+        }
+        let mean = epoch_loss / batches.max(1) as f32;
+        losses.push(mean);
+        m.epochs.incr();
+        m.epoch_loss.set(mean as f64);
+        let secs = epoch_started.elapsed().as_secs_f64();
+        if secs > 0.0 {
+            m.rows_per_s.record(samples.len() as f64 / secs);
+        }
+    }
+    gnn.release_optimizer_state();
+    Ok(losses)
 }
 
 #[cfg(test)]

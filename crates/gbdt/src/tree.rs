@@ -3,6 +3,7 @@
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Boosting configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,7 +77,8 @@ impl RegressionTree {
             }
             // Sort samples by feature value.
             let mut order: Vec<usize> = idx.to_vec();
-            order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).expect("finite features"));
+            // `Gbdt::fit` admits finite features only, so no pair is unordered.
+            order.sort_by(|&a, &b| x[a][f].partial_cmp(&x[b][f]).unwrap_or(Ordering::Equal));
             // Prefix sums for O(1) variance computation per split point.
             let mut prefix_sum = 0.0;
             let mut prefix_sq = 0.0;
@@ -152,10 +154,25 @@ pub struct Gbdt {
 }
 
 impl Gbdt {
-    /// Fit on `(x, y)`.
+    /// Fit on `(x, y)`. Empty or mismatched data, a row whose width differs
+    /// from row 0's, a non-finite feature and a non-finite target are typed
+    /// [`GracefulError::Model`]s naming the row (and the feature).
     pub fn fit(x: &[Vec<f64>], y: &[f64], config: GbdtConfig) -> Result<Self> {
         if x.is_empty() || x.len() != y.len() {
             return Err(GracefulError::Model("empty or mismatched training data".into()));
+        }
+        let width = x[0].len();
+        for (r, (row, target)) in x.iter().zip(y).enumerate() {
+            let bad = |what: String| Err(GracefulError::Model(format!("GBDT row {r}: {what}")));
+            if row.len() != width {
+                return bad(format!("{} features, row 0 has {width}", row.len()));
+            }
+            if let Some(f) = row.iter().position(|v| !v.is_finite()) {
+                return bad(format!("feature {f} is {}", row[f]));
+            }
+            if !target.is_finite() {
+                return bad(format!("target is {target}"));
+            }
         }
         let mut rng = Rng::seed(config.seed);
         let base = y.iter().sum::<f64>() / y.len() as f64;
@@ -238,6 +255,31 @@ mod tests {
     fn empty_data_rejected() {
         assert!(Gbdt::fit(&[], &[], GbdtConfig::default()).is_err());
         assert!(Gbdt::fit(&[vec![1.0]], &[1.0, 2.0], GbdtConfig::default()).is_err());
+    }
+
+    /// Input that the split search cannot order or index is a typed error
+    /// naming the row and the feature, not a panic.
+    #[test]
+    fn malformed_rows_are_typed_errors() {
+        let (x, y) = make_data(20, 9);
+        let fails =
+            |x: &[Vec<f64>], y: &[f64], names: &str| match Gbdt::fit(x, y, GbdtConfig::default()) {
+                Err(GracefulError::Model(m)) => assert!(m.contains(names), "{names}: {m}"),
+                other => panic!("{names}: expected a typed Model error, got {other:?}"),
+            };
+        let spoilt = |r: usize, row: Vec<f64>| {
+            let mut x = x.clone();
+            x[r] = row;
+            x
+        };
+        fails(&spoilt(3, vec![1.0, f64::NAN, 1.0]), &y, "row 3: feature 1 is NaN");
+        fails(&spoilt(4, vec![1.0, 1.0, f64::NEG_INFINITY]), &y, "row 4: feature 2 is -inf");
+        fails(&spoilt(5, vec![1.0, 1.0]), &y, "row 5: 2 features, row 0 has 3");
+        fails(&spoilt(6, vec![1.0; 4]), &y, "row 6: 4 features, row 0 has 3");
+        fails(&spoilt(0, vec![f64::NAN; 3]), &y, "row 0: feature 0 is NaN");
+        let mut bad_y = y.clone();
+        bad_y[7] = f64::INFINITY;
+        fails(&x, &bad_y, "row 7: target is inf");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 1. **Node encoding** — a per-type encoder MLP embeds the node's feature
 //!    vector into the hidden dimension.
 //! 2. **Topological message passing** — nodes are processed in topological
-//!    order; each node's state is `U_t([enc(x_v), mean(h_children)])` where
+//!    order; each node's state is `U_t([enc(x_v), sum(h_children)])` where
 //!    `U_t` is the per-type update MLP and the children are the nodes with
 //!    edges *into* `v`. Because the graph is a DAG processed bottom-up, one
 //!    pass aggregates the whole graph into the root (as in the zero-shot
