@@ -41,8 +41,7 @@ impl CardEstimator for ActualCard<'_> {
         let recorded = plan.ops.iter().any(|o| o.actual_out_rows > 0.0);
         if !recorded {
             self.session
-                .executor(self.db)
-                .run_and_annotate(plan, 0)
+                .run_and_annotate(self.db, plan, 0)
                 .map_err(|e| GracefulError::Model(format!("oracle execution failed: {e}")))?;
         }
         for op in plan.ops.iter_mut() {

@@ -15,7 +15,7 @@
 //! | `GRACEFUL_HIDDEN` | GNN hidden width | `32` |
 //! | `GRACEFUL_SEED` | global seed | `20250331` (the arXiv date) |
 //! | `GRACEFUL_THREADS` | worker threads of the morsel-driven runtime (`graceful-runtime`) | all cores |
-//! | `GRACEFUL_PROFILE` | attach a per-operator `ExecProfile` to every `QueryRun` | `0` |
+//! | `GRACEFUL_PROFILE` | attach an `ExecProfile` (the flight record, with per-operator wall time, plus UDF counters) to every `QueryRun` | `0` |
 //! | `GRACEFUL_TRACE` | enable span tracing and write Chrome-trace JSON to this path on flush | off |
 //! | `GRACEFUL_FLIGHT` | enable the query flight recorder and write per-query JSONL records to this path on flush | off |
 //!
@@ -81,7 +81,7 @@ const KNOBS: [Knob; 10] = [
     ("GRACEFUL_HIDDEN", clamped(4, 512), "`32`", "GNN hidden width"),
     ("GRACEFUL_SEED", SEED, "`20250331` (the arXiv date)", "global seed"),
     ("GRACEFUL_THREADS", COUNT, "all cores", "worker threads of the morsel-driven runtime (`graceful-runtime`)"),
-    ("GRACEFUL_PROFILE", BOOL, "`0`", "attach a per-operator `ExecProfile` to every `QueryRun`"),
+    ("GRACEFUL_PROFILE", BOOL, "`0`", "attach an `ExecProfile` (the flight record, with per-operator wall time, plus UDF counters) to every `QueryRun`"),
     ("GRACEFUL_TRACE", Shape::Path, "off", "enable span tracing and write Chrome-trace JSON to this path on flush"),
     ("GRACEFUL_FLIGHT", Shape::Path, "off", "enable the query flight recorder and write per-query JSONL records to this path on flush"),
 ];

@@ -105,8 +105,7 @@ pub fn build_corpus_in(
                 continue;
             }
         };
-        let exec = session.executor(&db);
-        match exec.run_and_annotate(&mut plan, spec.id) {
+        match session.run_and_annotate(&db, &mut plan, spec.id) {
             Ok(run) => {
                 let udf_work = plan.udf_op().map(|i| run.op_work[i]).unwrap_or(0.0);
                 queries.push(LabeledQuery {

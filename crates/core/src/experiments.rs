@@ -291,7 +291,6 @@ pub fn run_advisor_in(
 ) -> Vec<AdvisorOutcome> {
     let est = kind.build(&corpus.db, seed);
     let advisor = PullUpAdvisor::new(model);
-    let exec = session.executor(&corpus.db);
     let mut out = Vec::new();
     for q in corpus.queries.iter().take(max_queries * 3) {
         if out.len() >= max_queries {
@@ -302,8 +301,8 @@ pub fn run_advisor_in(
         }
         let Ok(pd_plan) = build_plan(&q.spec, UdfPlacement::PushDown) else { continue };
         let Ok(pu_plan) = build_plan(&q.spec, UdfPlacement::PullUp) else { continue };
-        let Ok(pd_run) = exec.run(&pd_plan, q.spec.id) else { continue };
-        let Ok(pu_run) = exec.run(&pu_plan, q.spec.id) else { continue };
+        let Ok(pd_run) = session.run(&corpus.db, &pd_plan, q.spec.id) else { continue };
+        let Ok(pu_run) = session.run(&corpus.db, &pu_plan, q.spec.id) else { continue };
         // Actual UDF-filter selectivity for the Cost strategy.
         let known_sel = q
             .plan

@@ -7,11 +7,12 @@
 //! can provide:
 //!
 //! * [`run_with_model`] — predict a query's cost with a loaded
-//!   [`GracefulModel`] *before* running it, execute, and score the
-//!   prediction: the q-error lands in the registry histogram
-//!   `est.cost.qerror.query`, and the prediction rides along inside the
-//!   query's one [`FlightRecord`] (`model_pred_ns` / `model_q`) — the record
-//!   returned and, when the flight recorder is enabled, the one appended.
+//!   [`GracefulModel`] *before* running it, execute it through
+//!   [`Session::run_analyzed`], and score the prediction: it rides along
+//!   inside the query's one [`FlightRecord`] (`model_pred_ns` / `model_q`) —
+//!   the record returned and, when the flight recorder is enabled, the one
+//!   appended — and its q-error lands in the registry histogram
+//!   `est.cost.qerror.query`.
 //! * [`labels_from_flight`] — the online-learning on-ramp: convert recorded
 //!   flight records back into fresh [`LabeledQuery`] rows by joining on the
 //!   stable plan fingerprint, so production traffic recorded via
@@ -27,18 +28,14 @@ use graceful_obs::registry::histogram;
 use graceful_plan::{Plan, QuerySpec};
 use graceful_storage::Database;
 
-/// A model-scored query execution: the run, the pre-execution prediction,
-/// its q-error against the simulated truth, and the full
-/// [`FlightRecord`] (render with `FlightRecord::render_analyze()` for
-/// `explain analyze` output).
+/// A model-scored query execution: the run and its [`FlightRecord`], which
+/// holds the model's whole-query prediction made *before* execution
+/// (`model_pred_ns`, in nanoseconds) and its q-error against the simulated
+/// truth (`model_q`). Render it with `FlightRecord::render_analyze()` for
+/// `explain analyze` output.
 #[derive(Debug, Clone)]
 pub struct ModelRun {
     pub run: QueryRun,
-    /// The model's whole-query cost prediction, in nanoseconds, made
-    /// *before* execution.
-    pub predicted_ns: f64,
-    /// `q_error(predicted_ns, run.runtime_ns)`, as `record.model_q` holds it.
-    pub q: f64,
     /// The predicted-vs-actual record for this run, model prediction
     /// included.
     pub record: FlightRecord,
@@ -49,11 +46,11 @@ pub struct ModelRun {
 ///
 /// The prediction happens strictly before execution (this is the deployment
 /// scenario — the model never sees the truth it is scored against). The run
-/// goes through [`graceful_exec::Executor::run_analyzed`] with the
-/// prediction, so the query's record — built once, and appended when the
-/// flight recorder is enabled — scores it, and its q-error is recorded into
-/// the registry histogram `est.cost.qerror.query`. A failed run records
-/// nothing: no prediction outlives its query.
+/// goes through [`Session::run_analyzed`] with the prediction, so the
+/// query's record — built once, and appended when the flight recorder is
+/// enabled — scores it, and its q-error is recorded into the registry
+/// histogram `est.cost.qerror.query`. A failed run records nothing: no
+/// prediction outlives its query.
 pub fn run_with_model(
     session: &Session,
     db: &Database,
@@ -66,11 +63,11 @@ pub fn run_with_model(
     let mut annotated = plan.clone();
     estimator.annotate(&mut annotated)?;
     let predicted_ns = model.predict(db, spec, &annotated, estimator)?;
-    let (run, record) = session.executor(db).run_analyzed(&annotated, seed, Some(predicted_ns))?;
-    // Always `Some`: the record scores the prediction it was given.
-    let q = record.model_q.unwrap_or(f64::NAN);
-    histogram("est.cost.qerror.query").record(q);
-    Ok(ModelRun { run, predicted_ns, q, record })
+    let (run, record) = session.run_analyzed(db, &annotated, seed, Some(predicted_ns))?;
+    if let Some(q) = record.model_q {
+        histogram("est.cost.qerror.query").record(q);
+    }
+    Ok(ModelRun { run, record })
 }
 
 /// Convert flight records back into labelled training rows by joining on

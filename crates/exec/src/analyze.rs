@@ -2,7 +2,8 @@
 //!
 //! The paper's thesis is that a learned model predicts UDF-query cost well —
 //! this module is where the system *measures its own prediction quality* at
-//! runtime. [`flight_record`] scores the plan's pre-execution annotations
+//! runtime. `observe` builds an observed run's one `FlightRecord`, scoring
+//! the plan's pre-execution annotations
 //! (cardinalities from whichever estimator annotated it, work from the
 //! closed-form operator cost model below) against the measured truth in the
 //! [`QueryRun`], computing each operator's q-errors once. That record is the
@@ -19,10 +20,12 @@
 //! Everything here is write-only observability, **outside the bit-identity
 //! contract**: `tests/parallel_determinism.rs` proves flight-recorded runs
 //! are bit-identical to plain runs. With profiling and the flight recorder
-//! off, a run builds no record.
+//! off, [`Session::run`](crate::Session::run) builds no record; with
+//! profiling on, the record it builds is the one its
+//! [`ExecProfile`](crate::ExecProfile) holds.
 
 use crate::engine::{ExecConfig, QueryRun};
-use crate::profile::plan_op_name;
+use crate::physical::OpTally;
 use graceful_common::metrics::q_error;
 use graceful_obs::flight::{self, FlightOp, FlightRecord};
 use graceful_obs::registry::histogram;
@@ -94,17 +97,37 @@ fn op_key(kind: &PlanOpKind) -> String {
     kind.name().to_ascii_lowercase()
 }
 
-/// Build the [`FlightRecord`] for one finished run: the stable plan
-/// fingerprint, the exec options, the contracted results, and — per
-/// operator — predicted vs. actual rows/work with their q-errors
-/// (`None` when the plan was never annotated). `model_pred_ns` is the
-/// model's whole-query prediction, when the run was given one. This is the
-/// single construction path for `explain analyze`: render it with
-/// [`FlightRecord::render_analyze`].
-pub fn flight_record(
+/// Human-readable operator description for the record's `op` field.
+fn plan_op_name(kind: &PlanOpKind) -> String {
+    match kind {
+        PlanOpKind::Scan { table } => format!("SCAN {table}"),
+        PlanOpKind::Filter { preds } => format!("FILTER[{}]", preds.len()),
+        PlanOpKind::Join { left_col, right_col } => format!("JOIN {left_col}={right_col}"),
+        PlanOpKind::UdfFilter { udf, op, literal } => {
+            format!("UDF_FILTER {}(..) {op:?} {literal}", udf.def.name)
+        }
+        PlanOpKind::UdfProject { udf } => format!("UDF_PROJECT {}(..)", udf.def.name),
+        PlanOpKind::Agg { func, .. } => format!("AGG {func:?}"),
+    }
+}
+
+/// Build the [`FlightRecord`] of one finished run and hand it to its
+/// consumers. The record holds the stable plan fingerprint, the exec
+/// options, the query's wall time `wall_ns`, the contracted results, and —
+/// per operator — predicted vs. actual rows/work with their q-errors
+/// (`None` when the plan was never annotated) and the driver's wall
+/// self-time and batch count from `ops`. `model_pred_ns` is the model's
+/// whole-query prediction, when the run was given one. This is the single
+/// construction path for `explain analyze`: render it with
+/// [`FlightRecord::render_analyze`]. With profiling on, its per-op q-errors
+/// go into the `est.*` histograms (an un-annotated plan has none); with the
+/// flight recorder on, the record itself is appended.
+pub(crate) fn observe(
     plan: &Plan,
     config: &ExecConfig,
     run: &QueryRun,
+    ops: &[OpTally],
+    wall_ns: u64,
     seed: u64,
     model_pred_ns: Option<f64>,
 ) -> FlightRecord {
@@ -113,12 +136,11 @@ pub fn flight_record(
     let ops = plan
         .ops
         .iter()
+        .zip(ops)
         .enumerate()
-        .map(|(i, op)| {
+        .map(|(i, (op, tally))| {
             let rows = run.out_rows[i] as u64;
             let work = run.op_work[i];
-            let (wall_ns, batches) =
-                run.profile.as_ref().map_or((0, 0), |p| (p.ops[i].wall_ns, p.ops[i].batches));
             FlightOp {
                 op: plan_op_name(&op.kind),
                 kind: op.kind.name().to_string(),
@@ -128,31 +150,25 @@ pub fn flight_record(
                 est_work: est_work[i],
                 work,
                 cost_q: annotated.then(|| q_error(est_work[i], work)),
-                wall_ns,
-                batches,
+                wall_ns: tally.wall_ns,
+                batches: tally.batches,
             }
         })
         .collect();
-    FlightRecord {
+    let record = FlightRecord {
         seed,
         plan: plan.fingerprint_hex(),
         threads: config.threads as u64,
         morsel: config.morsel_rows as u64,
         udf_batch: config.udf_batch_size as u64,
-        wall_ns: run.profile.as_ref().map_or(0, |p| p.total_wall_ns),
+        wall_ns,
         runtime_ns: run.runtime_ns,
         agg_value: run.agg_value.is_finite().then_some(run.agg_value),
         udf_rows: run.udf_input_rows as u64,
         model_pred_ns,
         model_q: model_pred_ns.map(|p| q_error(p, run.runtime_ns)),
         ops,
-    }
-}
-
-/// Hand one run's record to its consumers: with profiling on, its per-op
-/// q-errors go into the `est.*` histograms (an un-annotated plan has none);
-/// with the flight recorder on, the record itself is appended.
-pub(crate) fn observe(plan: &Plan, config: &ExecConfig, record: &FlightRecord) {
+    };
     if config.profile {
         for (op, scored) in plan.ops.iter().zip(&record.ops) {
             if let (Some(card_q), Some(cost_q)) = (scored.card_q, scored.cost_q) {
@@ -162,13 +178,14 @@ pub(crate) fn observe(plan: &Plan, config: &ExecConfig, record: &FlightRecord) {
             }
         }
     }
-    flight::record(record);
+    flight::record(&record);
+    record
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Executor;
+    use crate::{ExecOptions, Session};
     use graceful_plan::{AggFunc, ColRef, PlanOp};
     use graceful_storage::{Column, ColumnData, Database, Table};
     use graceful_udf::parse_udf;
@@ -293,12 +310,11 @@ mod tests {
     fn a_failed_run_leaves_its_prediction_on_no_other_query() {
         let _turn = FLIGHT.lock().unwrap_or_else(|e| e.into_inner());
         let (db, plan) = nan_sum();
-        let capped = ExecConfig { max_intermediate_rows: 2, ..ExecConfig::base() };
+        let capped = ExecOptions::new().max_intermediate_rows(2).build().unwrap();
         let (failing, plain) = (0x1ea4_0001, 0x1ea4_0002);
         flight::enable();
-        let failed =
-            Executor::with_config(&db, capped).run_analyzed(&plan, failing, Some(12_345.0));
-        Executor::with_config(&db, ExecConfig::base()).run(&plan, plain).unwrap();
+        let failed = capped.run_analyzed(&db, &plan, failing, Some(12_345.0));
+        Session::new().run(&db, &plan, plain).unwrap();
         flight::disable();
         assert!(failed.is_err(), "5 scanned rows exceed the cap of 2");
         assert!(recorded(failing).is_empty(), "a failed run records nothing");
@@ -313,8 +329,7 @@ mod tests {
         let (db, plan) = nan_sum();
         let seed = 0x1ea4_0003;
         flight::enable();
-        let (run, record) =
-            Executor::with_config(&db, ExecConfig::base()).run_analyzed(&plan, seed, None).unwrap();
+        let (run, record) = Session::new().run_analyzed(&db, &plan, seed, None).unwrap();
         flight::disable();
         assert!(run.agg_value.is_nan());
         assert_eq!(record.agg_value, None);

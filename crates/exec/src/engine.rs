@@ -1,15 +1,16 @@
-//! Executor configuration, results and the single entry point.
+//! Engine configuration and results.
 //!
-//! [`Executor::run`] verifies the plan and hands it to the one executor,
-//! `crate::physical::execute`: the plan is lowered to physical-operator
-//! pipelines and morsel batches stream through each chain, with every
-//! execution shortcut on (the dictionary-code UDF memo, typed UDF lanes,
-//! streaming, join-lane pruning, UDF programs pruned to their live values).
-//! [`Executor::run_reference`] is the oracle reached by name: the same
-//! operators, morsel boundaries, merge order and charges with every shortcut
-//! off at once, bit-identical to `run` in every contracted [`QueryRun`]
-//! field (values, cardinalities, accounted work). Which shortcuts exist is
-//! the crate-private `Shortcuts` value; no option selects among them.
+//! [`crate::Session::run`] verifies the plan and hands it to the one
+//! executor, `crate::physical::execute`: the plan is lowered to
+//! physical-operator pipelines and morsel batches stream through each chain,
+//! with every execution shortcut on (the dictionary-code UDF memo, typed UDF
+//! lanes, streaming, join-lane pruning, UDF programs pruned to their live
+//! values). [`crate::Session::run_reference`] is the oracle reached by name:
+//! the same operators, morsel boundaries, merge order and charges with every
+//! shortcut off at once, bit-identical to `run` in every contracted
+//! [`QueryRun`] field (values, cardinalities, accounted work). Which
+//! shortcuts exist is the crate-private `Shortcuts` value; no option selects
+//! among them.
 //!
 //! This module also owns what every operator shares: [`OperatorWeights`]
 //! with the closed-form work charges (written once, called by the operators
@@ -32,17 +33,11 @@
 //! one batch VM whose register file is preallocated once and reused across
 //! all morsels the worker pulls.
 
-use crate::analyze;
 use crate::profile::ExecProfile;
 use graceful_common::config;
 use graceful_common::{GracefulError, Result};
-use graceful_obs::flight::{self, FlightRecord};
-use graceful_obs::registry::{counter, histogram, Counter, Histogram};
 use graceful_obs::trace;
-use graceful_plan::{AggFunc, Plan};
-use graceful_storage::Database;
-use std::sync::OnceLock;
-use std::time::Instant;
+use graceful_plan::AggFunc;
 
 /// Per-row work-unit weights of the relational operators (≈ simulated
 /// nanoseconds, calibrated to a vectorized engine's per-tuple costs with the
@@ -103,18 +98,19 @@ impl OperatorWeights {
     }
 }
 
-/// Executor configuration.
+/// Engine configuration.
 ///
-/// [`ExecConfig::base`] (also `Default`) is **pure** — fixed defaults, no
+/// [`ExecConfig::base`] is **pure** — fixed defaults, no
 /// environment reads. [`ExecConfig::from_env`] resolves the documented
 /// `GRACEFUL_*` defaults exactly once, surfacing invalid values as typed
-/// [`GracefulError::Config`] errors. Prefer constructing through
-/// [`crate::Session`] / [`crate::ExecOptions`], which validate every field.
+/// [`GracefulError::Config`] errors. Queries run only under a
+/// [`crate::Session`], whose configuration passed [`ExecConfig::validated`].
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     pub weights: OperatorWeights,
     /// Relative amplitude of the deterministic "measurement" jitter applied
-    /// to total runtime (keyed by the seed passed to [`Executor::run`]).
+    /// to total runtime (keyed by the seed passed to
+    /// [`crate::Session::run`]).
     /// Mimics the irreducible noise of the paper's wall-clock labels without
     /// sacrificing reproducibility.
     pub jitter: f64,
@@ -202,16 +198,10 @@ impl ExecConfig {
     }
 }
 
-impl Default for ExecConfig {
-    /// Same as [`ExecConfig::base`] — pure, no environment reads.
-    fn default() -> Self {
-        ExecConfig::base()
-    }
-}
-
 /// The execution shortcuts. Each is proven to leave every contracted
-/// [`QueryRun`] field bit-identical, so none is an option: [`Executor::run`]
-/// takes them all, [`Executor::run_reference`] none, and only this crate's
+/// [`QueryRun`] field bit-identical, so none is an option:
+/// [`crate::Session::run`] takes them all, [`crate::Session::run_reference`]
+/// none, and only this crate's
 /// unit tests flip one at a time, to localise a failure of that identity —
 /// and to show, over generated queries, that each one has traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,129 +258,11 @@ pub struct QueryRun {
     /// peak (an operator's whole input plus its whole output, on top of the
     /// held build sides).
     pub peak_inter_rows: usize,
-    /// Per-operator execution profile, attached by [`Executor::run`] when
-    /// [`ExecConfig::profile`] is on. Like `peak_inter_rows`, this is pure
+    /// Per-operator execution profile, attached by [`crate::Session::run`]
+    /// when [`ExecConfig::profile`] is on. Like `peak_inter_rows`, this is pure
     /// observability — wall-clock times, batch counts — and **not** part of
     /// the bit-identity contract.
     pub profile: Option<ExecProfile>,
-}
-
-/// The execution engine.
-pub struct Executor<'a> {
-    db: &'a Database,
-    pub config: ExecConfig,
-}
-
-impl<'a> Executor<'a> {
-    pub fn new(db: &'a Database) -> Self {
-        Executor { db, config: ExecConfig::default() }
-    }
-
-    pub fn with_config(db: &'a Database, config: ExecConfig) -> Self {
-        Executor { db, config }
-    }
-
-    /// Execute `plan`; `seed` keys the deterministic runtime jitter (pass the
-    /// query id so re-running the same query gives the same "measurement").
-    ///
-    /// The plan-verification gate comes first, always: every plan is
-    /// statically checked against the catalog before any lowering or
-    /// execution, so a malformed plan fails as one typed
-    /// [`GracefulError::PlanVerify`] naming the operator instead of as a
-    /// mid-execution surprise.
-    ///
-    /// Every call increments the registry counter `exec.queries` and records
-    /// its wall time into the `exec.query_wall_ns` histogram — the same
-    /// clock reading a profiled run's [`ExecProfile::total_wall_ns`] holds.
-    /// With the flight recorder on, or profiling on over an annotated plan,
-    /// the run's [`FlightRecord`] is built and observed as in
-    /// [`Executor::run_analyzed`].
-    pub fn run(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        let run = self.run_timed(plan, seed)?;
-        if flight::enabled() || self.config.profile && analyze::is_annotated(plan) {
-            let record = analyze::flight_record(plan, &self.config, &run, seed, None);
-            analyze::observe(plan, &self.config, &record);
-        }
-        Ok(run)
-    }
-
-    /// [`Executor::run`], returning the query's [`FlightRecord`] — the
-    /// `explain analyze` input, rendered with
-    /// [`FlightRecord::render_analyze`] — with `model_pred_ns`, a model's
-    /// whole-query cost prediction made before the run, scored in it. The
-    /// record is built once: its q-errors are the ones the `est.*`
-    /// histograms receive, and with the flight recorder on it is the record
-    /// appended. A run that fails records nothing.
-    pub fn run_analyzed(
-        &self,
-        plan: &Plan,
-        seed: u64,
-        model_pred_ns: Option<f64>,
-    ) -> Result<(QueryRun, FlightRecord)> {
-        let run = self.run_timed(plan, seed)?;
-        let record = analyze::flight_record(plan, &self.config, &run, seed, model_pred_ns);
-        analyze::observe(plan, &self.config, &record);
-        Ok((run, record))
-    }
-
-    /// The shipped run between one clock pair: the span, the `exec.*`
-    /// registry metrics, and the profile's total wall time.
-    fn run_timed(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        struct ExecMetrics {
-            queries: Counter,
-            wall_ns: Histogram,
-        }
-        static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
-        let m = METRICS.get_or_init(|| ExecMetrics {
-            queries: counter("exec.queries"),
-            wall_ns: histogram("exec.query_wall_ns"),
-        });
-        let _span = trace::span("exec", "query").arg("seed", seed).arg("ops", plan.ops.len());
-        let started = Instant::now();
-        let run = self.run_with(plan, seed, Shortcuts::SHIPPED);
-        let wall_ns = started.elapsed().as_nanos() as u64;
-        m.queries.incr();
-        m.wall_ns.record(wall_ns as f64);
-        let mut run = run?;
-        if let Some(profile) = &mut run.profile {
-            profile.total_wall_ns = wall_ns;
-        }
-        Ok(run)
-    }
-
-    /// [`Executor::run`]'s oracle: the same verification gate, operators,
-    /// morsel boundaries, merge order and [`OperatorWeights`] charges with
-    /// every execution shortcut off at once — the boxed-`Value` batch VM for
-    /// every UDF row, every operator's whole output collected before
-    /// the next runs, every join lane carried. Bit-identical
-    /// to `run` in every contracted [`QueryRun`] field (`runtime_ns`,
-    /// `agg_value`, `out_rows`, `udf_input_rows`, `op_work`), errors
-    /// included; `peak_inter_rows` is the collecting peak. None of `run`'s
-    /// instruments sees it: no profile, no `exec.queries` tick, no q-error
-    /// telemetry, no flight record. Nothing in production calls it.
-    pub fn run_reference(&self, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        self.run_with(plan, seed, Shortcuts::REFERENCE)
-    }
-
-    pub(crate) fn run_with(&self, plan: &Plan, seed: u64, cuts: Shortcuts) -> Result<QueryRun> {
-        graceful_plan::analysis::verify(plan, self.db)?;
-        crate::physical::execute(self.db, plan, &self.config, seed, cuts)
-    }
-
-    /// Lower `plan` into its physical-operator pipelines without executing
-    /// — the EXPLAIN-level view of what [`Executor::run`] will drive.
-    pub fn physical_plan<'p>(&self, plan: &'p Plan) -> Result<crate::physical::PhysicalPlan<'p>> {
-        crate::physical::lower(plan, None)
-    }
-
-    /// Execute and write the actual cardinalities back onto the plan.
-    pub fn run_and_annotate(&self, plan: &mut Plan, seed: u64) -> Result<QueryRun> {
-        let run = self.run(plan, seed)?;
-        for (op, &n) in plan.ops.iter_mut().zip(run.out_rows.iter()) {
-            op.actual_out_rows = n as f64;
-        }
-        Ok(run)
-    }
 }
 
 /// Streaming aggregate accumulator. Values are observed **in row order**
@@ -508,9 +380,12 @@ pub(crate) fn jitter_factor(seed: u64, amp: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecOptions, Session};
     use graceful_common::rng::Rng;
+    use graceful_plan::Plan;
     use graceful_plan::{build_plan, PlanOpKind, QueryGenerator, UdfPlacement, UdfUsage};
     use graceful_storage::datagen::{generate, schema};
+    use graceful_storage::Database;
     use graceful_udf::generator::apply_adaptations;
 
     fn db() -> Database {
@@ -520,7 +395,7 @@ mod tests {
     #[test]
     fn count_star_scan() {
         let db = db();
-        use graceful_plan::{Plan, PlanOp};
+        use graceful_plan::PlanOp;
         let plan = Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
@@ -528,7 +403,7 @@ mod tests {
             ],
             root: 1,
         };
-        let run = Executor::new(&db).run(&plan, 1).unwrap();
+        let run = Session::new().run(&db, &plan, 1).unwrap();
         assert_eq!(run.agg_value, db.table("orders_t").unwrap().num_rows() as f64);
         assert_eq!(run.out_rows[1], 1);
         assert!(run.runtime_ns > 0.0);
@@ -539,7 +414,7 @@ mod tests {
         // orders_t ⋈ customer_t on cust_id=id: every order matches exactly
         // one customer, so |join| == |orders|.
         let db = db();
-        use graceful_plan::{ColRef, Plan, PlanOp};
+        use graceful_plan::{ColRef, PlanOp};
         let plan = Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
@@ -555,7 +430,7 @@ mod tests {
             ],
             root: 3,
         };
-        let run = Executor::new(&db).run(&plan, 1).unwrap();
+        let run = Session::new().run(&db, &plan, 1).unwrap();
         assert_eq!(run.out_rows[2], db.table("orders_t").unwrap().num_rows());
     }
 
@@ -575,11 +450,10 @@ mod tests {
             if let Some(u) = &spec.udf {
                 apply_adaptations(&mut database, &u.adaptations).unwrap();
             }
-            let exec = Executor::new(&database);
             let pd = build_plan(&spec, UdfPlacement::PushDown).unwrap();
             let pu = build_plan(&spec, UdfPlacement::PullUp).unwrap();
-            let r1 = exec.run(&pd, id).unwrap();
-            let r2 = exec.run(&pu, id).unwrap();
+            let r1 = Session::new().run(&database, &pd, id).unwrap();
+            let r2 = Session::new().run(&database, &pu, id).unwrap();
             let rel = (r1.agg_value - r2.agg_value).abs() / r1.agg_value.abs().max(1e-9);
             assert!(rel < 1e-9, "results differ: {} vs {}", r1.agg_value, r2.agg_value);
             // Final cardinalities agree too.
@@ -604,11 +478,10 @@ mod tests {
             if let Some(u) = &spec.udf {
                 apply_adaptations(&mut database, &u.adaptations).unwrap();
             }
-            let exec = Executor::new(&database);
             let pd = build_plan(&spec, UdfPlacement::PushDown).unwrap();
             let pu = build_plan(&spec, UdfPlacement::PullUp).unwrap();
-            let r_pd = exec.run(&pd, id).unwrap();
-            let r_pu = exec.run(&pu, id).unwrap();
+            let r_pd = Session::new().run(&database, &pd, id).unwrap();
+            let r_pu = Session::new().run(&database, &pu, id).unwrap();
             // UDF input rows recorded for both runs.
             assert!(r_pd.udf_input_rows > 0 || r_pu.udf_input_rows > 0);
             return;
@@ -630,7 +503,7 @@ mod tests {
     #[test]
     fn actual_cards_annotated() {
         let db = db();
-        use graceful_plan::{Plan, PlanOp};
+        use graceful_plan::PlanOp;
         let mut plan = Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "nation_t".into() }, vec![]),
@@ -638,7 +511,7 @@ mod tests {
             ],
             root: 1,
         };
-        Executor::new(&db).run_and_annotate(&mut plan, 3).unwrap();
+        Session::new().run_and_annotate(&db, &mut plan, 3).unwrap();
         assert_eq!(plan.ops[0].actual_out_rows, db.table("nation_t").unwrap().num_rows() as f64);
         assert_eq!(plan.ops[1].actual_out_rows, 1.0);
     }
@@ -646,7 +519,7 @@ mod tests {
     #[test]
     fn sum_and_avg() {
         let db = db();
-        use graceful_plan::{ColRef, Plan, PlanOp};
+        use graceful_plan::{ColRef, PlanOp};
         let mk = |func| Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "lineitem_t".into() }, vec![]),
@@ -657,9 +530,9 @@ mod tests {
             ],
             root: 1,
         };
-        let exec = Executor::new(&db);
-        let sum = exec.run(&mk(AggFunc::Sum), 1).unwrap().agg_value;
-        let avg = exec.run(&mk(AggFunc::Avg), 1).unwrap().agg_value;
+        let exec = Session::new();
+        let sum = exec.run(&db, &mk(AggFunc::Sum), 1).unwrap().agg_value;
+        let avg = exec.run(&db, &mk(AggFunc::Avg), 1).unwrap().agg_value;
         let n = db.table("lineitem_t").unwrap().num_rows() as f64;
         assert!((sum / n - avg).abs() < 1e-9);
         assert!((1.0..=50.0).contains(&avg));
@@ -711,8 +584,13 @@ mod tests {
 
     /// Small morsels and an awkward VM batch size: ragged boundaries even on
     /// test-scale tables.
-    fn ragged(threads: usize) -> ExecConfig {
-        ExecConfig { udf_batch_size: 37, threads, morsel_rows: 64, ..ExecConfig::default() }
+    fn ragged(threads: usize) -> ExecOptions {
+        ExecOptions::new().udf_batch_size(37).threads(threads).morsel_rows(64)
+    }
+
+    /// A session whose VM batches hold `rows` rows.
+    fn batched(rows: usize) -> Session {
+        ExecOptions::new().udf_batch_size(rows).build().unwrap()
     }
 
     // The tests down to the last one flip ONE shortcut each (the fifth,
@@ -728,12 +606,9 @@ mod tests {
         let mut checked = 0;
         for_generated_plans(31, 0..60, true, |database, id, plan| {
             for batch in [7usize, 1024] {
-                let exec = Executor::with_config(
-                    database,
-                    ExecConfig { udf_batch_size: batch, ..ExecConfig::default() },
-                );
-                let vm = exec.run_with(plan, id, boxed).unwrap();
-                let simd = exec.run(plan, id).unwrap();
+                let exec = batched(batch);
+                let (vm, _) = exec.run_with(database, plan, id, boxed).unwrap();
+                let simd = exec.run(database, plan, id).unwrap();
                 assert_bit_identical(&vm, &simd, &format!("query {id}, batch {batch}"));
                 checked += 1;
             }
@@ -748,11 +623,7 @@ mod tests {
         for_generated_plans(29, 200..230, true, |database, id, plan| {
             let mut previous: Option<QueryRun> = None;
             for batch in [1usize, 3, 1024] {
-                let exec = Executor::with_config(
-                    database,
-                    ExecConfig { udf_batch_size: batch, ..ExecConfig::default() },
-                );
-                let run = exec.run_with(plan, id, boxed).unwrap();
+                let (run, _) = batched(batch).run_with(database, plan, id, boxed).unwrap();
                 if let Some(p) = &previous {
                     assert_eq!(p.out_rows, run.out_rows);
                     assert_eq!(p.agg_value, run.agg_value);
@@ -774,11 +645,11 @@ mod tests {
         for_generated_plans(47, 0..80, false, |database, id, plan| {
             for typed_lanes in [true, false] {
                 for threads in [1usize, 4] {
-                    let exec = Executor::with_config(database, ragged(threads));
+                    let exec = ragged(threads).build().unwrap();
                     let cuts =
                         |streaming| Shortcuts { typed_lanes, streaming, ..Shortcuts::SHIPPED };
-                    let mat = exec.run_with(plan, id, cuts(false)).unwrap();
-                    let pipe = exec.run_with(plan, id, cuts(true)).unwrap();
+                    let (mat, _) = exec.run_with(database, plan, id, cuts(false)).unwrap();
+                    let (pipe, _) = exec.run_with(database, plan, id, cuts(true)).unwrap();
                     let what = format!("query {id}, typed lanes {typed_lanes}, {threads} threads");
                     assert_bit_identical(&mat, &pipe, &what);
                     checked += 1;
@@ -793,7 +664,7 @@ mod tests {
         // The memory story: a join + filter chain must keep fewer rows
         // resident in the pipeline than under full materialization.
         let db = db();
-        use graceful_plan::{ColRef, Plan, PlanOp};
+        use graceful_plan::{ColRef, PlanOp};
         let plan = Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "lineitem_t".into() }, vec![]),
@@ -809,13 +680,10 @@ mod tests {
             ],
             root: 3,
         };
-        let exec = Executor::with_config(
-            &db,
-            ExecConfig { threads: 1, morsel_rows: 256, ..ExecConfig::default() },
-        );
+        let exec = ExecOptions::new().threads(1).morsel_rows(256).build().unwrap();
         let collecting = Shortcuts { streaming: false, ..Shortcuts::SHIPPED };
-        let mat = exec.run_with(&plan, 1, collecting).unwrap();
-        let pipe = exec.run(&plan, 1).unwrap();
+        let (mat, _) = exec.run_with(&db, &plan, 1, collecting).unwrap();
+        let pipe = exec.run(&db, &plan, 1).unwrap();
         assert_eq!(mat.agg_value, pipe.agg_value);
         assert!(
             pipe.peak_inter_rows < mat.peak_inter_rows,
@@ -831,14 +699,13 @@ mod tests {
         // was and (b) moves something the contract leaves free — over
         // generator-produced queries only, so a shortcut no workload takes
         // fails here instead of riding along behind a hand-built trigger.
-        use crate::physical::{lower_under, PhysicalOpKind};
+        use crate::physical::{lower_under, OpTally, PhysicalOpKind};
         use graceful_udf::UdfStats;
-        let udf_rows = |run: &QueryRun, rows: fn(UdfStats) -> u64| -> u64 {
-            let ops = &run.profile.as_ref().expect("streaming runs are profiled").ops;
+        let udf_rows = |ops: &[OpTally], rows: fn(UdfStats) -> u64| -> u64 {
             ops.iter().filter_map(|op| op.udf).map(rows).sum()
         };
-        let fast_rows = |run: &QueryRun| udf_rows(run, |u| u.lane_rows);
-        let memo_rows = |run: &QueryRun| udf_rows(run, |u| u.memo_rows);
+        let fast_rows = |ops: &[OpTally]| udf_rows(ops, |u| u.lane_rows);
+        let memo_rows = |ops: &[OpTally]| udf_rows(ops, |u| u.memo_rows);
         let join_lanes = |database: &Database, plan: &Plan, cuts| -> usize {
             let phys = lower_under(database, plan, cuts).unwrap();
             let built: usize = phys.builds.iter().map(|pipe| pipe.sink.keep.len()).sum();
@@ -854,25 +721,26 @@ mod tests {
         let (mut join_plans, mut streamed_below) = (0usize, 0usize);
         let (mut joins_with_fewer_lanes, mut pruned_programs) = (0usize, 0usize);
         for_generated_plans(59, 0..60, false, |database, id, plan| {
-            let exec = Executor::with_config(database, ExecConfig { profile: true, ..ragged(2) });
-            let shipped = exec.run(plan, id).unwrap();
+            let exec = ragged(2).build().unwrap();
+            let (shipped, shipped_ops) =
+                exec.run_with(database, plan, id, Shortcuts::SHIPPED).unwrap();
             let mut without = |what: &str, cuts: Shortcuts| {
-                let run = exec.run_with(plan, id, cuts).unwrap();
+                let (run, ops) = exec.run_with(database, plan, id, cuts).unwrap();
                 assert_bit_identical(&run, &shipped, &format!("query {id} without {what}"));
                 checked += 1;
-                run
+                (run, ops)
             };
 
             let unmemoized = Shortcuts { memo: false, ..Shortcuts::SHIPPED };
-            assert_eq!(memo_rows(&without("memo", unmemoized)), 0);
-            memo_served += memo_rows(&shipped);
+            assert_eq!(memo_rows(&without("memo", unmemoized).1), 0);
+            memo_served += memo_rows(&shipped_ops);
 
             let boxed = Shortcuts { typed_lanes: false, ..Shortcuts::SHIPPED };
-            assert_eq!(fast_rows(&without("typed lanes", boxed)), 0);
-            lane_rows += fast_rows(&shipped);
+            assert_eq!(fast_rows(&without("typed lanes", boxed).1), 0);
+            lane_rows += fast_rows(&shipped_ops);
 
             let collecting = Shortcuts { streaming: false, ..Shortcuts::SHIPPED };
-            let collected = without("streaming", collecting);
+            let (collected, _) = without("streaming", collecting);
             if plan.join_count() > 0 {
                 join_plans += 1;
                 streamed_below += usize::from(shipped.peak_inter_rows < collected.peak_inter_rows);
@@ -922,10 +790,10 @@ mod tests {
         let mut checked = 0;
         for_generated_plans(53, 0..60, false, |database, id, plan| {
             let reference =
-                Executor::with_config(database, ragged(1)).run_reference(plan, id).unwrap();
+                ragged(1).profile(true).build().unwrap().run_reference(database, plan, id).unwrap();
             assert!(reference.profile.is_none());
             for threads in [1usize, 2, 4] {
-                let run = Executor::with_config(database, ragged(threads)).run(plan, id).unwrap();
+                let run = ragged(threads).build().unwrap().run(database, plan, id).unwrap();
                 assert_bit_identical(&run, &reference, &format!("query {id}, {threads} threads"));
                 checked += 1;
             }
@@ -935,8 +803,7 @@ mod tests {
 
     #[test]
     fn physical_plan_explains_pipeline_structure() {
-        let db = db();
-        use graceful_plan::{ColRef, Plan, PlanOp};
+        use graceful_plan::{ColRef, PlanOp};
         let plan = Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
@@ -952,7 +819,7 @@ mod tests {
             ],
             root: 3,
         };
-        let phys = Executor::new(&db).physical_plan(&plan).unwrap();
+        let phys = crate::physical::lower(&plan, None).unwrap();
         assert_eq!(phys.builds.len(), 1, "build pipeline + probe pipeline");
         let text = phys.explain();
         assert!(text.contains("HASH_BUILD customer_t.id"), "{text}");
@@ -972,7 +839,7 @@ mod tests {
         )
         .unwrap();
         let mk = |def| Arc::new(GeneratedUdf::new(def, "orders_t", vec!["totalprice".into()]));
-        use graceful_plan::{Plan, PlanOp};
+        use graceful_plan::PlanOp;
         let plan_for = |udf: Arc<GeneratedUdf>| Plan {
             ops: vec![
                 PlanOp::new(PlanOpKind::Scan { table: "orders_t".into() }, vec![]),
@@ -984,9 +851,8 @@ mod tests {
             ],
             root: 2,
         };
-        let exec = Executor::new(&db);
-        let cheap = exec.run(&plan_for(mk(cheap_udf)), 1).unwrap();
-        let pricey = exec.run(&plan_for(mk(pricey_udf)), 1).unwrap();
+        let cheap = Session::new().run(&db, &plan_for(mk(cheap_udf)), 1).unwrap();
+        let pricey = Session::new().run(&db, &plan_for(mk(pricey_udf)), 1).unwrap();
         assert!(
             pricey.runtime_ns > 5.0 * cheap.runtime_ns,
             "loop-heavy UDF should dominate: {} vs {}",

@@ -1,7 +1,7 @@
 //! The execution engine: the reproduction's stand-in for DuckDB.
 //!
-//! [`Executor`] really executes logical plans over `graceful-storage` data —
-//! hash joins build and probe real hash tables, filters evaluate real
+//! [`Session::run`] really executes logical plans over `graceful-storage`
+//! data — hash joins build and probe real hash tables, filters evaluate real
 //! predicates, UDFs are evaluated row by row or in typed batches — and
 //! *accounts* every unit of work into a deterministic simulated runtime (see
 //! `graceful-udf::costs` for why simulated time replaces wall clocks).
@@ -11,9 +11,14 @@
 //!
 //! The crate is layered as a small vectorized engine:
 //!
-//! * [`session`] — [`Session`] / [`ExecOptions`], the validated programmatic
-//!   configuration API (environment variables are only documented defaults,
-//!   applied once by [`Session::from_env`]);
+//! * [`session`] — [`ExecOptions`], the validating builder, and [`Session`],
+//!   the one way to run a query: [`Session::run`], what ships, and
+//!   [`Session::run_reference`], the same operators with every execution
+//!   shortcut off (boxed batch VM, collecting driver, every join lane
+//!   carried) — the oracle the differential suites reach by name. Every
+//!   query runs under a configuration that passed [`ExecConfig::validated`]
+//!   (environment variables are only documented defaults, applied once by
+//!   [`Session::from_env`]);
 //! * [`physical`] — the executor: [`physical::lower`] turns a plan into a
 //!   [`physical::PhysicalPlan`] whose pipeline shape is a type (build
 //!   pipelines, then the root; each a scan, streaming operators and a
@@ -25,25 +30,21 @@
 //!   protocol is written once;
 //! * [`join`] — the counted, slot-addressed [`join::JoinIndex`] (key →
 //!   ascending build rows) the build sink and the sampling estimator build;
-//! * [`engine`] — [`ExecConfig`], [`QueryRun`], [`OperatorWeights`] with the
-//!   closed-form work charges, written once, and the [`Executor`] with its
-//!   two entry points: [`Executor::run`], what ships, and
-//!   [`Executor::run_reference`], the same operators with every execution
-//!   shortcut off (boxed batch VM, collecting driver, every join lane
-//!   carried) — the oracle the differential suites reach by name;
+//! * [`engine`] — [`ExecConfig`], [`QueryRun`] and [`OperatorWeights`] with
+//!   the closed-form work charges, written once;
 //! * `udf_eval` — UDF evaluation on the compiled program: the
 //!   dictionary-code memo where every input is dictionary-encoded, typed
 //!   lanes where it has a columnar path, the boxed batch VM elsewhere;
-//! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]
-//!   (per-operator wall time, rows, batches and, on UDF operators, the
-//!   evaluators' `graceful_udf::UdfStats`), attached to [`QueryRun`] when
-//!   [`ExecOptions::profile`] is on and explicitly **outside** the
-//!   bit-identity contract below;
 //! * [`analyze`] — estimator-quality telemetry: an observed run's predicted
 //!   cardinalities/costs are scored against the measured truth once, in the
-//!   `explain analyze` record built by [`analyze::flight_record`], which
+//!   `explain analyze` record [`Session::run_analyzed`] returns, which
 //!   feeds the q-error registry histograms and the `graceful-obs` flight
-//!   recorder.
+//!   recorder;
+//! * [`profile`] — the opt-in per-query [`profile::ExecProfile`]: that one
+//!   record (per-operator wall time, rows, batches, work) and, on UDF
+//!   operators, the evaluators' `graceful_udf::UdfStats`, attached to
+//!   [`QueryRun`] when [`ExecOptions::profile`] is on and explicitly
+//!   **outside** the bit-identity contract below.
 //!
 //! Every data-plane operator runs morsel-parallel on the
 //! `graceful-runtime` pool: filters narrow a selection vector per morsel
@@ -67,8 +68,8 @@ pub mod profile;
 pub mod session;
 mod udf_eval;
 
-pub use analyze::{estimated_work, flight_record, static_udf_row_cost};
-pub use engine::{ExecConfig, Executor, OperatorWeights, QueryRun};
+pub use analyze::{estimated_work, static_udf_row_cost};
+pub use engine::{ExecConfig, OperatorWeights, QueryRun};
 pub use physical::{Batch, Operator, PhysicalOp, PhysicalOpKind, PhysicalPlan, Pipeline};
-pub use profile::{ExecProfile, OpProfile};
+pub use profile::ExecProfile;
 pub use session::{ExecOptions, Session};

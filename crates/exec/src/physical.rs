@@ -10,13 +10,13 @@
 //! once — `audit::verify_physical` checks before rows flow. `driver::execute`
 //! then instantiates each pipeline's operators (`stage`) and drives them:
 //!
-//! * **streaming** (what `Executor::run` does): fixed-size [`Batch`]es of
+//! * **streaming** (what `Session::run` does): fixed-size [`Batch`]es of
 //!   row ids are pushed through the chain and every emission cascades
 //!   downstream immediately, so peak memory for a non-blocking chain is
 //!   bounded by O(threads × morsel × pipeline depth). Hash-join build sides
 //!   are the one deliberate exception — a build side is materialized by
 //!   construction, exactly as in any hash-join engine.
-//! * **collecting** (what `Executor::run_reference` does, with the other
+//! * **collecting** (what `Session::run_reference` does, with the other
 //!   `Shortcuts` off too): each operator receives its whole input as one
 //!   batch, is finished, and its emissions are collected before the next
 //!   operator runs — an operator at a time, every intermediate fully
@@ -71,7 +71,7 @@ mod driver;
 mod stage;
 
 pub use audit::verify_physical;
-pub(crate) use driver::execute;
+pub(crate) use driver::{execute, OpTally};
 pub use stage::{Batch, BuildSide, Emit, ExecCtx, OpStats, Operator};
 
 use crate::engine::Shortcuts;

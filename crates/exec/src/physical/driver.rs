@@ -6,7 +6,6 @@ use super::{
     PhysicalOpKind, RootSink, Scan,
 };
 use crate::engine::{jitter_factor, ExecConfig, QueryRun, Shortcuts};
-use crate::profile::{ExecProfile, OpProfile};
 use graceful_common::Result;
 use graceful_obs::trace;
 use graceful_plan::Plan;
@@ -83,6 +82,24 @@ impl ChainProf {
 // ---------------------------------------------------------------------------
 // Driver
 
+/// One logical operator's accounting, indexed like `plan.ops`: each fact
+/// once. The contracted `work` and `rows_out` become the [`QueryRun`]'s
+/// `op_work` and `out_rows`; the rest is what a run's flight record and
+/// profile add to it (`wall_ns` and `batches` stay 0 unless profiling, the
+/// per-operator clock being what profiling costs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpTally {
+    work: f64,
+    rows_out: usize,
+    /// Wall self-time; a hash join's build side and the final collect fold
+    /// into their owning plan operator.
+    pub(crate) wall_ns: u64,
+    /// Input batches pushed into the operator (morsel count for scans).
+    pub(crate) batches: u64,
+    /// UDF evaluation counters, for `UdfFilter` / `UdfProject` only.
+    pub(crate) udf: Option<UdfStats>,
+}
+
 /// One query's execution state: what stays fixed across its pipelines, the
 /// accounting they fold into, and the build sides completed so far.
 struct Query<'a> {
@@ -92,10 +109,7 @@ struct Query<'a> {
     pool: Pool,
     /// Only the streaming driver is instrumented.
     profiling: bool,
-    /// Per logical operator, indexed like `plan.ops`: each accounted fact
-    /// once, read by both the `QueryRun` and, when profiling, the profile
-    /// (whose operator names are filled in only then).
-    ops: Vec<OpProfile>,
+    ops: Vec<OpTally>,
     /// `(plan_idx, rows_in)` of the UDF operator that owns `udf_input_rows`:
     /// the highest plan index wins, regardless of pipeline order.
     udf_mark: Option<(usize, usize)>,
@@ -109,15 +123,16 @@ struct Query<'a> {
 
 /// Execute `plan`: lower it, audit the lowering, and drive each pipeline's
 /// operators, taking the execution shortcuts `cuts` allows. What
-/// `Executor::run` and `Executor::run_reference` call after the logical-plan
-/// verification gate.
+/// `Session::run` and `Session::run_reference` call after the logical-plan
+/// verification gate. The run comes without a profile, next to the
+/// per-operator tallies it was read from.
 pub(crate) fn execute(
     db: &Database,
     plan: &Plan,
     config: &ExecConfig,
     seed: u64,
     cuts: Shortcuts,
-) -> Result<QueryRun> {
+) -> Result<(QueryRun, Vec<OpTally>)> {
     let phys = lower_under(db, plan, cuts)?;
     verify_physical(&phys, plan)?;
     let mut q = Query {
@@ -126,7 +141,7 @@ pub(crate) fn execute(
         cuts,
         pool: Pool::new(config.threads),
         profiling: config.profile && cuts.streaming,
-        ops: vec![OpProfile::default(); plan.ops.len()],
+        ops: vec![OpTally::default(); plan.ops.len()],
         udf_mark: None,
         agg_value: 0.0,
         peak_inter_rows: 0,
@@ -149,16 +164,16 @@ pub(crate) fn execute(
     let out_rows = q.ops.iter().map(|op| op.rows_out).collect();
     let op_work: Vec<f64> = q.ops.iter().map(|op| op.work).collect();
     let total: f64 = op_work.iter().sum();
-    let profile = q.profiling.then(|| ExecProfile::assemble(plan, config, q.ops));
-    Ok(QueryRun {
+    let run = QueryRun {
         runtime_ns: total * jitter_factor(seed, config.jitter),
         out_rows,
         op_work,
         agg_value: q.agg_value,
         udf_input_rows: q.udf_mark.map_or(0, |(_, u)| u),
         peak_inter_rows: q.peak_inter_rows,
-        profile,
-    })
+        profile: None,
+    };
+    Ok((run, q.ops))
 }
 
 impl<'a> Query<'a> {
@@ -166,8 +181,10 @@ impl<'a> Query<'a> {
     fn absorb(&mut self, i: usize, s: &OpStats, wall: u64) {
         let op = &mut self.ops[i];
         op.work += s.work;
-        op.batches += s.batches;
-        op.wall_ns += wall;
+        if self.profiling {
+            op.batches += s.batches;
+            op.wall_ns += wall;
+        }
         if let Some(r) = s.out_rows {
             op.rows_out = r;
         }

@@ -1,14 +1,11 @@
-//! Programmatic engine configuration: [`ExecOptions`] (a validating
-//! builder) and [`Session`] (an immutable, validated handle that constructs
-//! executors and pools).
+//! The engine's front door: [`ExecOptions`] (a validating builder) and
+//! [`Session`] (an immutable, validated configuration that runs every query
+//! and sizes the pools).
 //!
-//! Historically the engine configured itself from `GRACEFUL_*` environment
-//! variables at `ExecConfig::default()` time — every construction re-read
-//! the environment, and invalid values panicked deep inside worker code.
-//! `Session` inverts that: **programs configure the engine; the environment
-//! only supplies documented defaults**, resolved exactly once by
-//! [`Session::from_env`] (or [`ExecOptions::build_with_env`] when explicit
-//! overrides should win over it), with invalid values surfaced as typed
+//! **Programs configure the engine; the environment only supplies
+//! documented defaults**, resolved exactly once by [`Session::from_env`]
+//! (or [`ExecOptions::build_with_env`] when explicit overrides should win
+//! over it), with invalid values surfaced as typed
 //! [`GracefulError::Config`](graceful_common::GracefulError::Config) errors.
 //!
 //! ```
@@ -40,11 +37,19 @@
 //! with every execution shortcut off — is the oracle tests compare it
 //! against, reached by name.
 
-use crate::engine::{ExecConfig, Executor, OperatorWeights, QueryRun};
+use crate::analyze;
+use crate::engine::{ExecConfig, OperatorWeights, QueryRun, Shortcuts};
+use crate::physical::OpTally;
+use crate::profile::ExecProfile;
 use graceful_common::Result;
+use graceful_obs::flight::{self, FlightRecord};
+use graceful_obs::registry::{counter, histogram, Counter, Histogram};
+use graceful_obs::trace;
 use graceful_plan::Plan;
 use graceful_runtime::Pool;
 use graceful_storage::Database;
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Builder for [`Session`]: unset fields fall back to the pure
 /// [`ExecConfig::base`] defaults ([`ExecOptions::build`]) or to the
@@ -143,9 +148,10 @@ impl ExecOptions {
     }
 }
 
-/// A validated engine configuration: the single construction path for
-/// executors across the workspace (corpus building, experiments, examples,
-/// tests and benches all go through here).
+/// A validated engine configuration and the one way to run a query under
+/// it: corpus building, experiments, examples, tests and the benchmark all
+/// execute through [`Session::run`] and its siblings, so every query runs
+/// under a configuration that passed [`ExecConfig::validated`].
 #[derive(Debug, Clone)]
 pub struct Session {
     config: ExecConfig,
@@ -164,18 +170,8 @@ impl Session {
         Ok(Session { config: ExecConfig::from_env()?.validated()? })
     }
 
-    /// Start building custom options (alias for [`ExecOptions::new`]).
-    pub fn options() -> ExecOptions {
-        ExecOptions::new()
-    }
-
     pub fn config(&self) -> &ExecConfig {
         &self.config
-    }
-
-    /// An executor over `db` with this session's configuration.
-    pub fn executor<'a>(&self, db: &'a Database) -> Executor<'a> {
-        Executor::with_config(db, self.config.clone())
     }
 
     /// A morsel pool with this session's thread budget (for the parallel
@@ -184,36 +180,114 @@ impl Session {
         Pool::new(self.config.threads)
     }
 
-    /// Convenience: execute one plan over `db`.
+    /// Execute `plan` over `db`; `seed` keys the deterministic runtime
+    /// jitter (pass the query id so re-running the same query gives the
+    /// same "measurement").
+    ///
+    /// The plan-verification gate comes first, always: every plan is
+    /// statically checked against the catalog before any lowering or
+    /// execution, so a malformed plan fails as one typed
+    /// [`GracefulError::PlanVerify`](graceful_common::GracefulError::PlanVerify)
+    /// naming the operator instead of as a mid-execution surprise.
+    ///
+    /// Every call increments the registry counter `exec.queries` and records
+    /// its wall time into the `exec.query_wall_ns` histogram. With profiling
+    /// or the flight recorder on, the run's [`FlightRecord`] is built and
+    /// observed once, as in [`Session::run_analyzed`]; a profiled run then
+    /// carries it in its [`ExecProfile`].
     pub fn run(&self, db: &Database, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        self.executor(db).run(plan, seed)
+        let (mut run, ops, wall_ns) = self.run_timed(db, plan, seed)?;
+        if self.config.profile || flight::enabled() {
+            let record = analyze::observe(plan, &self.config, &run, &ops, wall_ns, seed, None);
+            run.profile = self.config.profile.then(|| ExecProfile::new(record, ops));
+        }
+        Ok(run)
     }
 
-    /// Convenience: [`Executor::run_reference`] over `db` — the oracle the
-    /// differential suites hold [`Session::run`] to, bit for bit.
-    pub fn run_reference(&self, db: &Database, plan: &Plan, seed: u64) -> Result<QueryRun> {
-        self.executor(db).run_reference(plan, seed)
-    }
-
-    /// Convenience: execute and write actual cardinalities onto the plan.
-    pub fn run_and_annotate(&self, db: &Database, plan: &mut Plan, seed: u64) -> Result<QueryRun> {
-        self.executor(db).run_and_annotate(plan, seed)
-    }
-
-    /// Convenience: [`Executor::run_analyzed`] over `db` with no model
-    /// prediction — the query's run and its
-    /// [`FlightRecord`](graceful_obs::flight::FlightRecord), the `explain
-    /// analyze` input rendered with `FlightRecord::render_analyze()`.
+    /// [`Session::run`], returning the query's [`FlightRecord`] — the
+    /// `explain analyze` input, rendered with
+    /// [`FlightRecord::render_analyze`] — with `model_pred_ns`, a model's
+    /// whole-query cost prediction made before the run, scored in it.
     /// Annotate the plan with a cardinality estimator first to get per-op
-    /// q-errors (they are `None` on un-annotated plans). With the flight
-    /// recorder on, the record returned is the one it appended.
+    /// q-errors (they are `None` on un-annotated plans). The record is built
+    /// once: its q-errors are the ones the `est.*` histograms receive, and
+    /// with the flight recorder on it is the record appended. A run that
+    /// fails records nothing.
     pub fn run_analyzed(
         &self,
         db: &Database,
         plan: &Plan,
         seed: u64,
-    ) -> Result<(QueryRun, graceful_obs::flight::FlightRecord)> {
-        self.executor(db).run_analyzed(plan, seed, None)
+        model_pred_ns: Option<f64>,
+    ) -> Result<(QueryRun, FlightRecord)> {
+        let (mut run, ops, wall_ns) = self.run_timed(db, plan, seed)?;
+        let record = analyze::observe(plan, &self.config, &run, &ops, wall_ns, seed, model_pred_ns);
+        if self.config.profile {
+            run.profile = Some(ExecProfile::new(record.clone(), ops));
+        }
+        Ok((run, record))
+    }
+
+    /// Execute and write the actual cardinalities back onto the plan.
+    pub fn run_and_annotate(&self, db: &Database, plan: &mut Plan, seed: u64) -> Result<QueryRun> {
+        let run = self.run(db, plan, seed)?;
+        for (op, &n) in plan.ops.iter_mut().zip(run.out_rows.iter()) {
+            op.actual_out_rows = n as f64;
+        }
+        Ok(run)
+    }
+
+    /// [`Session::run`]'s oracle: the same verification gate, operators,
+    /// morsel boundaries, merge order and
+    /// [`OperatorWeights`] charges with every execution shortcut off at
+    /// once — the boxed-`Value` batch VM for every UDF row, every operator's
+    /// whole output collected before the next runs, every join lane carried.
+    /// Bit-identical to `run` in every contracted [`QueryRun`] field
+    /// (`runtime_ns`, `agg_value`, `out_rows`, `udf_input_rows`, `op_work`),
+    /// errors included; `peak_inter_rows` is the collecting peak. None of
+    /// `run`'s instruments sees it: no profile, no `exec.queries` tick, no
+    /// q-error telemetry, no flight record. Nothing in production calls it.
+    pub fn run_reference(&self, db: &Database, plan: &Plan, seed: u64) -> Result<QueryRun> {
+        self.run_with(db, plan, seed, Shortcuts::REFERENCE).map(|(run, _)| run)
+    }
+
+    /// The shipped run between one clock pair: the span, the `exec.*`
+    /// registry metrics and the query's wall time, which every record
+    /// carries.
+    fn run_timed(
+        &self,
+        db: &Database,
+        plan: &Plan,
+        seed: u64,
+    ) -> Result<(QueryRun, Vec<OpTally>, u64)> {
+        struct ExecMetrics {
+            queries: Counter,
+            wall_ns: Histogram,
+        }
+        static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
+        let m = METRICS.get_or_init(|| ExecMetrics {
+            queries: counter("exec.queries"),
+            wall_ns: histogram("exec.query_wall_ns"),
+        });
+        let _span = trace::span("exec", "query").arg("seed", seed).arg("ops", plan.ops.len());
+        let started = Instant::now();
+        let done = self.run_with(db, plan, seed, Shortcuts::SHIPPED);
+        let wall_ns = started.elapsed().as_nanos() as u64;
+        m.queries.incr();
+        m.wall_ns.record(wall_ns as f64);
+        let (run, ops) = done?;
+        Ok((run, ops, wall_ns))
+    }
+
+    pub(crate) fn run_with(
+        &self,
+        db: &Database,
+        plan: &Plan,
+        seed: u64,
+        cuts: Shortcuts,
+    ) -> Result<(QueryRun, Vec<OpTally>)> {
+        graceful_plan::analysis::verify(plan, db)?;
+        crate::physical::execute(db, plan, &self.config, seed, cuts)
     }
 }
 

@@ -3,10 +3,10 @@
 //! Every relational operator that invokes a UDF — `UdfFilter`, `UdfProject`,
 //! under either driver — evaluates it through one [`UdfWorker`] per pool
 //! worker, built by [`UdfEvalSpec`] (both crate-private: the spec is the
-//! only construction path). Under [`crate::Executor::run`] every operator
+//! only construction path). Under [`crate::Session::run`] every operator
 //! runs the UDF's one [`PreparedUdf`] (compiled, verified and pruned once per
 //! UDF, [`GeneratedUdf::prepared`]); under
-//! [`crate::Executor::run_reference`] (`udf_pruning` off) it runs the plain
+//! [`crate::Session::run_reference`] (`udf_pruning` off) it runs the plain
 //! compiled program, built for that operator alone. Either way a worker
 //! hands its batches to one [`ColumnEvaluator`], `graceful_udf`'s one entry
 //! over storage columns, which chooses memo, else typed lanes, else the

@@ -10,7 +10,7 @@
 //! Each executed query appends one [`FlightRecord`]: the stable plan
 //! fingerprint, the exec options it ran under, wall time, the per-operator
 //! profile (estimated vs actual rows and work with their q-errors), and —
-//! when the run was given one (`Executor::run_analyzed`) — the model's
+//! when the run was given one (`Session::run_analyzed`) — the model's
 //! whole-query cost prediction next to the simulated truth. The executor
 //! builds that record once per query, and the same record is the one
 //! appended here and the one handed back to the caller. Records are
@@ -91,7 +91,8 @@ pub struct FlightRecord {
     pub morsel: u64,
     /// Rows per UDF VM batch.
     pub udf_batch: u64,
-    /// Total wall time in nanoseconds (0 when profiling was off).
+    /// Wall time of the whole query in nanoseconds, the query's
+    /// `exec.query_wall_ns` reading.
     pub wall_ns: u64,
     /// Simulated runtime in nanoseconds (the contracted label).
     pub runtime_ns: f64,
@@ -125,7 +126,8 @@ impl FlightRecord {
 
     /// Render the record as an aligned `EXPLAIN ANALYZE` report: per
     /// operator, the predicted cardinality/cost next to the measured truth
-    /// with their q-errors, the worst-estimated operator marked. This is
+    /// with their q-errors and its wall self-time, the worst-estimated
+    /// operator marked. This is
     /// *the* explain-analyze renderer — the live path builds a
     /// `FlightRecord` and renders it, so a record parsed back from the
     /// JSONL reproduces the report bit for bit.
@@ -152,8 +154,8 @@ impl FlightRecord {
         let name_w = self.ops.iter().map(|o| o.op.len()).max().unwrap_or(4).max(4);
         let _ = writeln!(
             s,
-            "  {:>2}  {:<name_w$}  {:>12}  {:>12}  {:>8}  {:>14}  {:>14}  {:>8}",
-            "#", "op", "est rows", "rows", "q(card)", "est work", "work", "q(cost)",
+            "  {:>2}  {:<name_w$}  {:>12}  {:>12}  {:>8}  {:>14}  {:>14}  {:>8}  {:>10}",
+            "#", "op", "est rows", "rows", "q(card)", "est work", "work", "q(cost)", "wall",
         );
         for (i, op) in self.ops.iter().enumerate() {
             let card_q = op.card_q.map_or_else(|| "-".to_string(), |q| format!("{q:.2}"));
@@ -161,8 +163,15 @@ impl FlightRecord {
             let mark = if worst == Some(i) { "  <- worst estimate" } else { "" };
             let _ = writeln!(
                 s,
-                "  {i:>2}  {:<name_w$}  {:>12.0}  {:>12}  {:>8}  {:>14.1}  {:>14.1}  {:>8}{mark}",
-                op.op, op.est_rows, op.rows, card_q, op.est_work, op.work, cost_q,
+                "  {i:>2}  {:<name_w$}  {:>12.0}  {:>12}  {:>8}  {:>14.1}  {:>14.1}  {:>8}  {:>10}{mark}",
+                op.op,
+                op.est_rows,
+                op.rows,
+                card_q,
+                op.est_work,
+                op.work,
+                cost_q,
+                fmt_ns(op.wall_ns),
             );
         }
         s

@@ -377,27 +377,6 @@ impl Pool {
     {
         self.map_init(items.len(), || (), |_, m| f(m, &items[m]))
     }
-
-    /// Ordered reduce: map every morsel in parallel (with per-worker state),
-    /// then fold the per-morsel results **in morsel-index order** on the
-    /// calling thread. This is how float totals (`CostCounter` work sums),
-    /// kept-row concatenations and labels merge deterministically.
-    pub fn ordered_reduce<S, R, A, I, F, G>(
-        &self,
-        n_morsels: usize,
-        init: I,
-        map: F,
-        acc: A,
-        fold: G,
-    ) -> A
-    where
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.map_init(n_morsels, init, map).into_iter().fold(acc, fold)
-    }
 }
 
 impl OrderedMap for Pool {
@@ -450,13 +429,12 @@ mod tests {
         let xs: Vec<f64> =
             (0..10_000).map(|i| ((i * 2654435761u64 as usize) as f64).sqrt()).collect();
         let sum_with = |threads: usize| {
-            Pool::new(threads).ordered_reduce(
+            let partials = Pool::new(threads).map_init(
                 Pool::morsel_count(xs.len(), 64),
                 || (),
                 |_, m| Pool::morsel_range(m, xs.len(), 64).map(|i| xs[i]).sum::<f64>(),
-                0.0f64,
-                |a, b| a + b,
-            )
+            );
+            partials.into_iter().fold(0.0f64, |a, b| a + b)
         };
         let reference = sum_with(1);
         for threads in [2, 3, 4, 16] {

@@ -63,11 +63,10 @@ def udf(movie_id, keyword_id):
 
     // Ground truth: execute both placements.
     let session = Session::from_env()?;
-    let exec = session.executor(&db);
     let mut pd = build_plan(&spec, UdfPlacement::PushDown)?;
     let mut pu = build_plan(&spec, UdfPlacement::PullUp)?;
-    let pd_run = exec.run_and_annotate(&mut pd, 1)?;
-    let pu_run = exec.run_and_annotate(&mut pu, 1)?;
+    let pd_run = session.run_and_annotate(&db, &mut pd, 1)?;
+    let pu_run = session.run_and_annotate(&db, &mut pu, 1)?;
     println!(
         "push-down: {:8.2} ms  (UDF on {:>7} rows)",
         pd_run.runtime_ns * 1e-6,

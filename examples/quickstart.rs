@@ -65,12 +65,13 @@ def score(production_year, kind_id):
     // the environment defaults are kept but per-operator profiling is forced on
     // (`GRACEFUL_PROFILE=1` would do the same).
     let session = ExecOptions::new().profile(true).build_with_env()?;
-    let exec = session.executor(&db);
     let mut annotated = plan.clone();
-    let run = exec.run_and_annotate(&mut annotated, 7)?;
+    let run = session.run_and_annotate(&db, &mut annotated, 7)?;
     println!("\nexecuted plan:\n{}", annotated.explain());
     println!("measured runtime: {:.3} ms ({} rows kept)", run.runtime_ns * 1e-6, run.out_rows[1]);
-    // The profile is pure observability — outside the bit-identity contract.
+    // The profile is pure observability — outside the bit-identity contract:
+    // the run's flight record (wall self-time per operator) and the UDF
+    // evaluator's counters.
     if let Some(profile) = &run.profile {
         println!("\n{}", profile.explain());
     }
@@ -109,12 +110,13 @@ def score(production_year, kind_id):
     let est = ActualCard::new(&corpus.db);
     let _ = ColRef::new("title", "id"); // (ColRef is part of the public plan API)
     let scored = run_with_model(&session, &corpus.db, &model, &spec, &annotated, &est, 7)?;
-    println!(
-        "\npredicted {:.3} ms vs measured {:.3} ms  (Q-error {:.2})",
-        scored.predicted_ns * 1e-6,
-        scored.run.runtime_ns * 1e-6,
-        scored.q
-    );
+    if let (Some(predicted_ns), Some(q)) = (scored.record.model_pred_ns, scored.record.model_q) {
+        println!(
+            "\npredicted {:.3} ms vs measured {:.3} ms  (Q-error {q:.2})",
+            predicted_ns * 1e-6,
+            scored.run.runtime_ns * 1e-6,
+        );
+    }
 
     // 6. `explain analyze`: predicted vs. actual per operator, q-errors per
     // row-count and work estimate, worst-estimated operator flagged. The

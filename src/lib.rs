@@ -88,7 +88,7 @@ pub mod prelude {
     pub use graceful_core::featurize::Featurizer;
     pub use graceful_core::model::{GracefulModel, TrainConfig, TrainOptions};
     pub use graceful_core::telemetry::{labels_from_flight, run_with_model, ModelRun};
-    pub use graceful_exec::{ExecOptions, ExecProfile, Executor, Session};
+    pub use graceful_exec::{ExecOptions, ExecProfile, Session};
     pub use graceful_obs::flight::{FlightOp, FlightRecord};
     pub use graceful_plan::{build_plan, QueryGenerator, QuerySpec, UdfPlacement, UdfUsage};
     pub use graceful_runtime::Pool;

@@ -396,7 +396,7 @@ fn simd_is_the_shipped_backend_and_its_old_env_knob_is_rejected() {
     numeric.ops[2].children[0] = 1;
     numeric.root = 2;
     let run = ExecOptions::new().profile(true).build().unwrap().run(&db, &numeric, 1).unwrap();
-    let udf = run.profile.expect("profile on").ops[1].udf.expect("a UDF operator");
+    let udf = run.profile.expect("profile on").udf[1].expect("a UDF operator");
     assert_eq!(udf.lane_rows as usize, db.table("orders_t").unwrap().num_rows());
     assert_the_verifiers_reject();
 

@@ -48,7 +48,7 @@ fn pullup_and_pushdown_always_agree_on_answers() {
     // placement never changes results, only runtimes.
     let cfg = tiny_cfg();
     let corpus = corpus("movielens", &cfg, 9);
-    let exec = session().executor(&corpus.db);
+    let session = session();
     let mut checked = 0;
     for q in &corpus.queries {
         if !(q.has_udf() && q.spec.udf_usage == UdfUsage::Filter && !q.spec.joins.is_empty()) {
@@ -56,8 +56,8 @@ fn pullup_and_pushdown_always_agree_on_answers() {
         }
         let pd = build_plan(&q.spec, UdfPlacement::PushDown).unwrap();
         let pu = build_plan(&q.spec, UdfPlacement::PullUp).unwrap();
-        let a = exec.run(&pd, q.spec.id).unwrap().agg_value;
-        let b = exec.run(&pu, q.spec.id).unwrap().agg_value;
+        let a = session.run(&corpus.db, &pd, q.spec.id).unwrap().agg_value;
+        let b = session.run(&corpus.db, &pu, q.spec.id).unwrap().agg_value;
         let rel = (a - b).abs() / a.abs().max(1e-9);
         assert!(rel < 1e-9, "placement changed the answer: {a} vs {b}");
         checked += 1;

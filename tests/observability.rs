@@ -1,6 +1,6 @@
 //! Integration tests for the observability subsystem: per-operator query
-//! profiles ([`ExecProfile`]), Chrome-trace-event JSON export, and the
-//! unified metrics registry.
+//! profiles ([`ExecProfile`]: a run's flight record and its UDF counters),
+//! Chrome-trace-event JSON export, and the unified metrics registry.
 //!
 //! The bit-identity side (profiled runs identical to unobserved runs) lives
 //! in `tests/parallel_determinism.rs`; here we check the *content* of the
@@ -61,10 +61,11 @@ fn profiled(threads: usize) -> Session {
         .expect("valid options")
 }
 
-/// Every plan in the suite yields an [`ExecProfile`] whose per-operator
-/// rows/work agree exactly with the contracted `QueryRun` fields, whose UDF
-/// counters appear exactly on the UDF operators, and whose explain rendering
-/// names every operator. The reference run is never profiled.
+/// Every plan in the suite yields an [`ExecProfile`] whose record's
+/// per-operator rows/work agree exactly with the contracted `QueryRun`
+/// fields, whose UDF counters appear exactly on the UDF operators, and whose
+/// explain rendering names every operator. The reference run is never
+/// profiled.
 #[test]
 fn profiles_cover_every_plan_in_the_suite() {
     let _g = obs_lock();
@@ -76,18 +77,20 @@ fn profiles_cover_every_plan_in_the_suite() {
         let run = profiled(2).run(&db, plan, *seed).expect("profiled run succeeds");
         let what = format!("seed {seed}");
         let prof = run.profile.as_ref().unwrap_or_else(|| panic!("{what}: no profile"));
-        assert_eq!(prof.ops.len(), plan.ops.len(), "{what}: op coverage");
-        assert_eq!(prof.threads, 2);
-        assert!(prof.total_wall_ns > 0, "{what}: zero total wall time");
-        let wall_sum: u64 = prof.ops.iter().map(|o| o.wall_ns).sum();
+        let record = &prof.record;
+        assert_eq!(record.ops.len(), plan.ops.len(), "{what}: op coverage");
+        assert_eq!(prof.udf.len(), plan.ops.len(), "{what}: UDF counter coverage");
+        assert_eq!(record.threads, 2);
+        assert!(record.wall_ns > 0, "{what}: zero total wall time");
+        let wall_sum: u64 = record.ops.iter().map(|o| o.wall_ns).sum();
         assert!(
-            wall_sum <= prof.total_wall_ns,
+            wall_sum <= record.wall_ns,
             "{what}: self-times {wall_sum} exceed total {}",
-            prof.total_wall_ns
+            record.wall_ns
         );
-        for (i, (op, p)) in plan.ops.iter().zip(prof.ops.iter()).enumerate() {
-            assert!(!p.name.is_empty(), "{what}: op {i} unnamed");
-            assert_eq!(p.rows_out, run.out_rows[i], "{what}: op {i} rows");
+        for (i, ((op, p), udf)) in plan.ops.iter().zip(&record.ops).zip(&prof.udf).enumerate() {
+            assert!(!p.op.is_empty(), "{what}: op {i} unnamed");
+            assert_eq!(p.rows as usize, run.out_rows[i], "{what}: op {i} rows");
             assert_eq!(
                 p.work.to_bits(),
                 run.op_work[i].to_bits(),
@@ -95,8 +98,8 @@ fn profiles_cover_every_plan_in_the_suite() {
             );
             let is_udf =
                 matches!(op.kind, PlanOpKind::UdfFilter { .. } | PlanOpKind::UdfProject { .. });
-            assert_eq!(p.udf.is_some(), is_udf, "{what}: op {i} UDF counter presence");
-            if let Some(u) = &p.udf {
+            assert_eq!(udf.is_some(), is_udf, "{what}: op {i} UDF counter presence");
+            if let Some(u) = udf {
                 if u.rows > 0 {
                     assert!(u.batches > 0, "{what}: rows without batches");
                 }
@@ -114,18 +117,44 @@ fn profiles_cover_every_plan_in_the_suite() {
         }
         // One UDF per query spec, so the per-op totals must add up to the
         // contracted input-row count.
-        let udf_rows: u64 = prof.ops.iter().filter_map(|o| o.udf).map(|u| u.rows).sum();
+        let udf_rows: u64 = prof.udf.iter().flatten().map(|u| u.rows).sum();
         assert_eq!(udf_rows as usize, run.udf_input_rows, "{what}: UDF row total");
         if run.udf_input_rows > 0 {
             udf_plans += 1;
         }
         let text = prof.explain();
-        assert!(text.contains("QUERY PROFILE"), "{what}: explain header");
-        for p in &prof.ops {
-            assert!(text.contains(&p.name), "{what}: explain omits {}", p.name);
+        assert!(text.contains("EXPLAIN ANALYZE"), "{what}: explain header");
+        for p in &record.ops {
+            assert!(text.contains(&p.op), "{what}: explain omits {}", p.op);
         }
+        let udf_lines = text.lines().filter(|l| l.contains(" udf rows=")).count();
+        assert_eq!(udf_lines, prof.udf.iter().flatten().count(), "{what}: one line per UDF op");
     }
     assert!(udf_plans > 0, "suite exercised no UDF operators");
+}
+
+/// Every flight record carries the query's wall time — the
+/// `exec.query_wall_ns` reading — profiled or not; the per-operator
+/// self-times and batch counts need the profiler's clock and stay 0
+/// without it.
+#[test]
+fn an_unprofiled_record_carries_the_query_wall_time() {
+    let _g = obs_lock();
+    let (db, plans) = suite_plans();
+    let session = ExecOptions::new().threads(2).build().expect("valid options");
+    let seed = 0x3a11_0001;
+    flight::clear();
+    flight::enable();
+    let run = session.run(&db, &plans[0].1, seed).expect("recorded run");
+    flight::disable();
+    assert!(run.profile.is_none());
+    let parsed = flight::parse_jsonl(&flight::export_jsonl()).expect("flight JSONL parses");
+    let record = parsed.iter().find(|r| r.seed == seed).expect("the run was recorded");
+    assert!(record.wall_ns > 0, "an unprofiled record lost the query's wall time");
+    assert!(
+        record.ops.iter().all(|o| o.wall_ns == 0 && o.batches == 0),
+        "the per-operator clock ran without profiling"
+    );
 }
 
 /// Profiles are strictly opt-in: a default session attaches none.
@@ -249,7 +278,7 @@ fn flight_qerrors_recompute_offline_bit_for_bit() {
     let mut live = Vec::new();
     for (seed, plan) in &annotated {
         let (_, record) =
-            profiled(2).run_analyzed(&db, plan, *seed).expect("analyzed run succeeds");
+            profiled(2).run_analyzed(&db, plan, *seed, None).expect("analyzed run succeeds");
         live.push(record);
     }
     flight::disable();
@@ -360,8 +389,8 @@ fn trace_and_flight_flush_are_idempotent() {
 
 /// Two sessions recording concurrently interleave whole records, never
 /// fragments: every record either thread produced parses back from the
-/// shared buffer complete and field-for-field equal to the locally rebuilt
-/// one.
+/// shared buffer complete and field-for-field equal to the one its profile
+/// holds.
 #[test]
 fn concurrent_sessions_write_complete_flight_records() {
     let _g = obs_lock();
@@ -381,7 +410,7 @@ fn concurrent_sessions_write_complete_flight_records() {
                         .iter()
                         .map(|(seed, plan)| {
                             let run = session.run(db, plan, *seed).expect("concurrent run");
-                            graceful::exec::flight_record(plan, session.config(), &run, *seed, None)
+                            run.profile.expect("profiled run").record
                         })
                         .collect::<Vec<_>>()
                 })

@@ -305,8 +305,9 @@ fn profiling_tracing_and_flight_recording_change_no_contracted_bit() {
                 assert!(flight::record_count() > records_before, "flight recorder missed the run");
                 recorded_runs += 1;
                 let prof = observed.profile.expect("profile attached when enabled");
-                assert_eq!(prof.ops.len(), plan.ops.len(), "one OpProfile per plan op");
-                assert_eq!(prof.threads, threads);
+                assert_eq!(prof.record.ops.len(), plan.ops.len(), "one record op per plan op");
+                assert_eq!(prof.udf.len(), plan.ops.len(), "one UDF slot per plan op");
+                assert_eq!(prof.record.threads, threads as u64);
             }
         }
     }

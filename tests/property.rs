@@ -95,12 +95,12 @@ proptest! {
         if let Some(u) = &spec.udf {
             graceful::udf::generator::apply_adaptations(&mut db, &u.adaptations).unwrap();
         }
-        let exec = Session::from_env().unwrap().executor(&db);
+        let session = Session::from_env().unwrap();
         let mut results = Vec::new();
         for placement in graceful::plan::valid_placements(&spec) {
             let plan = build_plan(&spec, placement).unwrap();
             plan.validate().unwrap();
-            results.push(exec.run(&plan, spec.id).unwrap().agg_value);
+            results.push(session.run(&db, &plan, spec.id).unwrap().agg_value);
         }
         for w in results.windows(2) {
             let rel = (w[0] - w[1]).abs() / w[0].abs().max(1e-9);
