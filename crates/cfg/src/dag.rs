@@ -22,7 +22,6 @@
 use crate::node::{BranchCondInfo, EdgeKind, LoopKindFeat, UdfNode, UdfNodeKind};
 use graceful_storage::DataType;
 use graceful_udf::ast::{CmpOp, Expr, Stmt, UdfDef};
-use graceful_udf::CostWeights;
 
 /// Which graph transformations to apply — the knobs of the ablation study
 /// (Figure 7, variants (4) and (5)).
@@ -69,7 +68,6 @@ struct Builder<'a> {
     edges: Vec<(usize, usize, EdgeKind)>,
     cfg: DagConfig,
     params: &'a [String],
-    weights: CostWeights,
     /// Value of variables currently known to hold an integer literal
     /// (used to estimate `while` trip counts from counting-down patterns).
     literal_env: Vec<(&'a str, i64)>,
@@ -93,7 +91,6 @@ pub fn build_dag(
         edges: Vec::new(),
         cfg,
         params: &udf.params,
-        weights: CostWeights::default(),
         literal_env: Vec::new(),
         returns: Vec::new(),
     };
@@ -223,9 +220,6 @@ impl<'a> Builder<'a> {
         let mut node = UdfNode::new(UdfNodeKind::Comp);
         node.loop_part = in_loop;
         self.read(expr, &mut node);
-        node.static_cost_hint = node.ops.len() as f64 * self.weights.arith
-            + node.libs.iter().map(|l| l.base_cost()).sum::<f64>()
-            + self.weights.stmt_dispatch;
         self.nodes.push(node);
         self.nodes.len() - 1
     }
@@ -236,7 +230,6 @@ impl<'a> Builder<'a> {
         node.cond = trace_condition(cond, self.params);
         node.cmp_op = first_cmp_op(cond).or(node.cond.as_ref().map(|c| c.op));
         self.read(cond, &mut node);
-        node.static_cost_hint = self.weights.branch + self.weights.compare;
         self.nodes.push(node);
         self.nodes.len() - 1
     }
@@ -248,13 +241,15 @@ impl<'a> Builder<'a> {
     }
 
     /// Record on `node`, in one walk over `expr`, the UDF parameters it reads
-    /// (each once, in order of first appearance) and, for a COMP node, its
-    /// arithmetic operators and library calls.
+    /// (each once, in order of first appearance) and, for a COMP node, the
+    /// count of each arithmetic operator and library call.
     fn read(&self, expr: &Expr, node: &mut UdfNode) {
         let comp = node.kind == UdfNodeKind::Comp;
         expr.visit(&mut |e| match e {
-            Expr::Binary { op, .. } if comp => node.ops.push(*op),
-            Expr::Call { func, .. } | Expr::Method { func, .. } if comp => node.libs.push(*func),
+            Expr::Binary { op, .. } if comp => node.ops[op.index()] += 1,
+            Expr::Call { func, .. } | Expr::Method { func, .. } if comp => {
+                node.libs[func.index()] += 1
+            }
             Expr::Name(n) => {
                 let param = self.params.iter().position(|p| p == n).map(|i| i as u8);
                 if let Some(i) = param.filter(|i| !node.param_reads.contains(i)) {

@@ -105,10 +105,12 @@ pub struct UdfNode {
     pub in_dts: [u8; DataType::COUNT],
     /// INV: number of UDF parameters.
     pub nr_params: u8,
-    /// COMP: library calls performed by the statement.
-    pub libs: Vec<LibFn>,
-    /// COMP: arithmetic operators used by the statement.
-    pub ops: Vec<BinOp>,
+    /// COMP: library calls performed by the statement, as a count per
+    /// function (indexed by [`LibFn::index`]).
+    pub libs: [u32; LibFn::COUNT],
+    /// COMP: arithmetic operators used by the statement, as a count per
+    /// operator (indexed by [`BinOp::index`]).
+    pub ops: [u32; BinOp::ALL.len()],
     /// BRANCH: comparison operator of the condition.
     pub cmp_op: Option<CmpOp>,
     /// BRANCH: traceable condition, if any.
@@ -125,10 +127,6 @@ pub struct UdfNode {
     /// (drives the COLUMN → COMP data-flow edges of the joint graph,
     /// Section III-C).
     pub param_reads: Vec<u8>,
-    /// Per-execution work estimate of this single statement in work units —
-    /// *not* fed to the model (the model must learn costs from structure);
-    /// used only by tests and debugging output.
-    pub static_cost_hint: f64,
 }
 
 impl UdfNode {
@@ -139,8 +137,8 @@ impl UdfNode {
             in_rows: 0.0,
             in_dts: [0; DataType::COUNT],
             nr_params: 0,
-            libs: Vec::new(),
-            ops: Vec::new(),
+            libs: [0; LibFn::COUNT],
+            ops: [0; BinOp::ALL.len()],
             cmp_op: None,
             cond: None,
             loop_part: false,
@@ -148,7 +146,6 @@ impl UdfNode {
             nr_iter: 0.0,
             out_dt: None,
             param_reads: Vec::new(),
-            static_cost_hint: 0.0,
         }
     }
 }

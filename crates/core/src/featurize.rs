@@ -24,17 +24,21 @@
 //! reproduces the ablation lattice of Figure 7.
 //!
 //! What one call costs: the UDF's return type (a scope of borrowed names),
-//! its DAG, one conjunction per control path (each branch condition
-//! rewritten once per DAG) and one feature vector per node, allocated at its
-//! final length. Nothing is cached across calls. On a 2-thread Xeon VM a
-//! held-out query of the benchmark's `train_and_advise` workload featurizes
-//! in ~25 µs under the data-driven estimator, of which the DAG is ~6 µs and
-//! its annotation ~7 µs.
+//! its DAG (operator and library counts per node, no list per node), one
+//! conjunction per control path (each branch condition rewritten once per
+//! DAG), and the graph: every row built in a stack buffer and appended to
+//! the graph's one flat buffer ([`graceful_nn::Features`]), whose arrays are
+//! reserved once and trimmed to length at the end. The graph is not
+//! validated here: the model validates it, once, when it estimates or
+//! trains. Nothing is cached across calls. On a 2-thread Xeon VM the
+//! held-out queries of the benchmark's `train_and_advise` workload, each
+//! featurized once per round under the data-driven estimator, take ~34 µs a
+//! call on average: return type ~6, DAG ~7, hit ratios ~9, emission ~6.
 
 use graceful_card::{CardEstimator, HitRatioEstimator};
 use graceful_cfg::{build_dag, DagConfig, UdfNodeKind};
 use graceful_common::{GracefulError, Result};
-use graceful_nn::TypedGraph;
+use graceful_nn::{Features, TypedGraph};
 use graceful_plan::{AggFunc, Plan, PlanOp, PlanOpKind, Pred, QuerySpec};
 use graceful_storage::{DataType, Database};
 use graceful_udf::ast::{BinOp, CmpOp};
@@ -58,23 +62,26 @@ pub mod node_type {
     pub const COUNT: usize = 13;
 }
 
+/// Feature dimensions per node type (indexed by the ids above).
+const DIMS: [usize; node_type::COUNT] = [
+    2,                                   // TABLE: log rows, n_cols
+    8,                      // COLUMN: dtype(4), log ndv, null frac, log width, log rows
+    1,                      // SCAN: log out
+    4,                      // FILTER: log in, log out, n_preds, on_udf
+    3,                      // JOIN: log in_l, log in_r, log out
+    1 + AggFunc::ALL.len(), // AGG: log in, agg one-hot
+    1,                      // UDF_PROJECT: log in
+    2 + DataType::COUNT,    // INV: log rows, nr_params, dtype counts
+    2 + BinOp::ALL.len() + LibFn::COUNT, // COMP: log rows, loop_part, op and lib counts
+    2 + CmpOp::ALL.len(),   // BRANCH: log rows, loop_part, cmp one-hot
+    5,                      // LOOP: log rows, loop_part, for/while, log iters
+    5,                      // LOOP_END: as LOOP
+    1 + DataType::COUNT,    // RET: log rows, out dtype
+];
+
 /// Feature dimensions per node type (indexable by the ids above).
 pub fn feature_dims() -> Vec<usize> {
-    let mut dims = vec![0; node_type::COUNT];
-    dims[node_type::TABLE] = 2; // log rows, n_cols
-    dims[node_type::COLUMN] = 8; // dtype(4), log ndv, null frac, log width, log rows
-    dims[node_type::SCAN] = 1; // log out
-    dims[node_type::FILTER] = 4; // log in, log out, n_preds, on_udf
-    dims[node_type::JOIN] = 3; // log in_l, log in_r, log out
-    dims[node_type::AGG] = 1 + AggFunc::ALL.len(); // log in, agg one-hot
-    dims[node_type::UDF_PROJECT] = 1; // log in
-    dims[node_type::INV] = 6; // log rows, nr_params, dtype counts(4)
-    dims[node_type::COMP] = 2 + BinOp::ALL.len() + LibFn::COUNT; // log rows, loop_part, ops, libs
-    dims[node_type::BRANCH] = 2 + CmpOp::ALL.len(); // log rows, loop_part, cmp one-hot
-    dims[node_type::LOOP] = 5; // log rows, loop_part, for/while, log iters
-    dims[node_type::LOOP_END] = 5;
-    dims[node_type::RET] = 1 + DataType::COUNT; // log rows, out dtype
-    dims
+    DIMS.to_vec()
 }
 
 /// Log-scale a cardinality-like magnitude into roughly `[0, 1.5]`.
@@ -161,6 +168,10 @@ impl Featurizer {
             return Err(GracefulError::InvalidPlan("ladder variants differ in shape".into()));
         }
         let mut g = GraphBuilder::new(*self, db, spec, estimator);
+        // Room for the first variant (a few nodes per operator, and a UDF's
+        // DAG: 36 nodes, mostly COMP, on the benchmark's held-out queries).
+        let nodes = 3 * base.ops.len() + 64;
+        g.reserve(nodes, 32 * nodes, 2 * nodes);
         // Per variant: plan-op index -> graph node index (set as we emit).
         let mut op_node = vec![vec![usize::MAX; base.ops.len()]; variants.len()];
         let mut varies = vec![false; base.ops.len()];
@@ -187,7 +198,7 @@ impl Featurizer {
             }
         }
         let roots: Vec<usize> = op_node.iter().map(|nodes| nodes[base.root]).collect();
-        Ok((g.graph(roots[0])?, roots))
+        Ok((g.graph(roots[0]), roots))
     }
 }
 
@@ -203,52 +214,59 @@ pub(crate) fn udf_graph(
 ) -> Result<TypedGraph> {
     let mut g = GraphBuilder::new(Featurizer::full(), db, spec, estimator);
     let ret = g.emit_udf(udf, input_rows, None)?;
-    g.graph(ret)
+    Ok(g.graph(ret))
 }
 
-/// Table I featurization of one UDF DAG node, each vector allocated at
-/// its final length.
-fn udf_node_features(n: &graceful_cfg::UdfNode) -> (usize, Vec<f32>) {
-    let rows = log_mag(n.in_rows);
+/// The widest node type's (COMP's) feature count.
+const MAX_DIM: usize = DIMS[node_type::COMP];
+
+/// Table I featurization of one UDF DAG node: its node type, and its
+/// features as the first `DIMS[type]` entries of a zeroed row.
+fn udf_node_features(n: &graceful_cfg::UdfNode) -> (usize, [f32; MAX_DIM]) {
+    let (rows, mut f) = (log_mag(n.in_rows), [0f32; MAX_DIM]);
     let lp = if n.loop_part { 1.0 } else { 0.0 };
-    match n.kind {
+    let ty = match n.kind {
         UdfNodeKind::Inv => {
-            let mut f = Vec::with_capacity(2 + DataType::COUNT);
-            f.extend([rows, n.nr_params as f32 / 4.0]);
-            f.extend(n.in_dts.iter().map(|&c| c as f32));
-            (node_type::INV, f)
+            f[..2].copy_from_slice(&[rows, n.nr_params as f32 / 4.0]);
+            f[2..2 + DataType::COUNT].iter_mut().zip(&n.in_dts).for_each(|(f, &c)| *f = c as f32);
+            node_type::INV
         }
         UdfNodeKind::Comp => {
-            let mut f = vec![0f32; 2 + BinOp::ALL.len() + LibFn::COUNT];
             f[..2].copy_from_slice(&[rows, lp]);
-            n.ops.iter().for_each(|op| f[2 + op.index()] += 1.0);
-            n.libs.iter().for_each(|l| f[2 + BinOp::ALL.len() + l.index()] += 1.0);
-            (node_type::COMP, f)
+            let counts = n.ops.iter().chain(&n.libs);
+            f[2..].iter_mut().zip(counts).for_each(|(f, &c)| *f = c as f32);
+            node_type::COMP
         }
         UdfNodeKind::Branch => {
-            let mut f = vec![0f32; 2 + CmpOp::ALL.len()];
             f[..2].copy_from_slice(&[rows, lp]);
             if let Some(op) = n.cmp_op {
                 f[2 + op.index()] = 1.0;
             }
-            (node_type::BRANCH, f)
+            node_type::BRANCH
         }
         UdfNodeKind::Loop | UdfNodeKind::LoopEnd => {
-            let ty =
-                if n.kind == UdfNodeKind::Loop { node_type::LOOP } else { node_type::LOOP_END };
             let (is_for, is_while) = match n.loop_kind {
                 Some(graceful_cfg::LoopKindFeat::For) => (1.0, 0.0),
                 Some(graceful_cfg::LoopKindFeat::While) => (0.0, 1.0),
                 None => (0.0, 0.0),
             };
-            (ty, vec![rows, lp, is_for, is_while, log_mag(n.nr_iter)])
+            f[..5].copy_from_slice(&[rows, lp, is_for, is_while, log_mag(n.nr_iter)]);
+            if n.kind == UdfNodeKind::Loop {
+                node_type::LOOP
+            } else {
+                node_type::LOOP_END
+            }
         }
-        UdfNodeKind::Ret => (node_type::RET, ret_features(n)),
-    }
+        UdfNodeKind::Ret => {
+            f[..DIMS[node_type::RET]].copy_from_slice(&ret_features(n));
+            node_type::RET
+        }
+    };
+    (ty, f)
 }
 
-fn ret_features(n: &graceful_cfg::UdfNode) -> Vec<f32> {
-    let mut f = vec![0f32; 1 + DataType::COUNT];
+fn ret_features(n: &graceful_cfg::UdfNode) -> [f32; DIMS[node_type::RET]] {
+    let mut f = [0f32; DIMS[node_type::RET]];
     f[0] = log_mag(n.in_rows);
     if let Some(d) = n.out_dt {
         f[1 + d.index()] = 1.0;
@@ -257,12 +275,12 @@ fn ret_features(n: &graceful_cfg::UdfNode) -> Vec<f32> {
 }
 
 /// COLUMN node features from statistics (database-independent magnitudes).
-fn column_features(db: &Database, table: &str, column: &str) -> Result<Vec<f32>> {
+fn column_features(db: &Database, table: &str, column: &str) -> Result<[f32; 8]> {
     let stats = db.stats(table)?;
     let cs = stats
         .column(column)
         .map_err(|_| GracefulError::Unresolved(format!("column {table}.{column}")))?;
-    let mut f = vec![0f32; 8];
+    let mut f = [0f32; 8];
     f[cs.data_type.index()] = 1.0;
     f[4] = log_mag(cs.ndv as f64);
     f[5] = cs.null_fraction as f32;
@@ -278,7 +296,7 @@ struct GraphBuilder<'a> {
     spec: &'a QuerySpec,
     estimator: &'a dyn CardEstimator,
     node_types: Vec<usize>,
-    features: Vec<Vec<f32>>,
+    features: Features,
     edges: Vec<(usize, usize)>,
 }
 
@@ -289,19 +307,30 @@ impl<'a> GraphBuilder<'a> {
         spec: &'a QuerySpec,
         estimator: &'a dyn CardEstimator,
     ) -> Self {
-        let (node_types, features, edges) = (Vec::new(), Vec::new(), Vec::new());
+        let (node_types, features, edges) = (Vec::new(), Features::default(), Vec::new());
         GraphBuilder { fz, db, spec, estimator, node_types, features, edges }
     }
 
-    /// The graph built so far, rooted at `root` and validated.
-    fn graph(self, root: usize) -> Result<TypedGraph> {
-        let (node_types, features, edges) = (self.node_types, self.features, self.edges);
-        let graph = TypedGraph { node_types, features, edges, root };
-        graph.validate(&feature_dims())?;
-        Ok(graph)
+    /// The graph built so far, rooted at `root`. The model validates it
+    /// when it estimates or trains on it.
+    fn graph(self, root: usize) -> TypedGraph {
+        let (mut node_types, mut features, mut edges) =
+            (self.node_types, self.features, self.edges);
+        node_types.shrink_to_fit();
+        features.shrink_to_fit();
+        edges.shrink_to_fit();
+        TypedGraph { node_types, features, edges, root }
     }
 
-    fn push(&mut self, ty: usize, feats: Vec<f32>) -> usize {
+    /// Room for `nodes` more nodes holding `values` features and `edges`
+    /// more edges.
+    fn reserve(&mut self, nodes: usize, values: usize, edges: usize) {
+        self.node_types.reserve(nodes);
+        self.features.reserve(nodes, values);
+        self.edges.reserve(edges);
+    }
+
+    fn push(&mut self, ty: usize, feats: &[f32]) -> usize {
         self.node_types.push(ty);
         self.features.push(feats);
         self.node_types.len() - 1
@@ -332,9 +361,9 @@ impl<'a> GraphBuilder<'a> {
                 let t = db.table(table)?;
                 let tbl = self.push(
                     node_type::TABLE,
-                    vec![log_mag(t.num_rows() as f64), t.num_columns() as f32 / 16.0],
+                    &[log_mag(t.num_rows() as f64), t.num_columns() as f32 / 16.0],
                 );
-                let scan = self.push(node_type::SCAN, vec![log_mag(est_out)]);
+                let scan = self.push(node_type::SCAN, &[log_mag(est_out)]);
                 self.edge(tbl, scan);
                 scan
             }
@@ -345,12 +374,12 @@ impl<'a> GraphBuilder<'a> {
                 for p in preds {
                     cols.push(self.push(
                         node_type::COLUMN,
-                        column_features(db, &p.col.table, &p.col.column)?,
+                        &column_features(db, &p.col.table, &p.col.column)?,
                     ));
                 }
                 let filter = self.push(
                     node_type::FILTER,
-                    vec![
+                    &[
                         log_mag(in_rows(0)),
                         log_mag(est_out),
                         preds.len() as f32 / 8.0,
@@ -366,7 +395,7 @@ impl<'a> GraphBuilder<'a> {
             PlanOpKind::Join { .. } => {
                 let join = self.push(
                     node_type::JOIN,
-                    vec![log_mag(in_rows(0)), log_mag(in_rows(1)), log_mag(est_out)],
+                    &[log_mag(in_rows(0)), log_mag(in_rows(1)), log_mag(est_out)],
                 );
                 self.edge(op_node[op.children[0]], join);
                 self.edge(op_node[op.children[1]], join);
@@ -375,7 +404,7 @@ impl<'a> GraphBuilder<'a> {
             PlanOpKind::UdfFilter { .. } => {
                 let filter = self.push(
                     node_type::FILTER,
-                    vec![
+                    &[
                         log_mag(in_rows(0)),
                         log_mag(est_out),
                         1.0 / 8.0,
@@ -387,16 +416,16 @@ impl<'a> GraphBuilder<'a> {
                 filter
             }
             PlanOpKind::UdfProject { .. } => {
-                let proj = self.push(node_type::UDF_PROJECT, vec![log_mag(in_rows(0))]);
+                let proj = self.push(node_type::UDF_PROJECT, &[log_mag(in_rows(0))]);
                 self.edge(ret_node, proj);
                 self.edge(op_node[op.children[0]], proj);
                 proj
             }
             PlanOpKind::Agg { func, .. } => {
-                let mut f = vec![0.0; 1 + AggFunc::ALL.len()];
+                let mut f = [0.0; 1 + AggFunc::ALL.len()];
                 f[0] = log_mag(in_rows(0));
                 f[1 + func.index()] = 1.0;
-                let agg = self.push(node_type::AGG, f);
+                let agg = self.push(node_type::AGG, &f);
                 self.edge(op_node[op.children[0]], agg);
                 agg
             }
@@ -427,13 +456,12 @@ impl<'a> GraphBuilder<'a> {
         // COLUMN nodes for the UDF's inputs.
         let mut col_nodes = Vec::with_capacity(udf.input_columns.len());
         for c in &udf.input_columns {
-            col_nodes.push(self.push(node_type::COLUMN, column_features(db, &udf.table, c)?));
+            col_nodes.push(self.push(node_type::COLUMN, &column_features(db, &udf.table, c)?));
         }
 
         if !self.fz.include_udf_structure() {
             // Ablation level 1: the UDF is a black box — a single RET node.
-            let ret = &dag.nodes[dag.ret];
-            let ret_node = self.push(node_type::RET, ret_features(ret));
+            let ret_node = self.push(node_type::RET, &ret_features(&dag.nodes[dag.ret]));
             for &c in col_nodes.iter().chain(&child_node) {
                 self.edge(c, ret_node);
             }
@@ -444,8 +472,8 @@ impl<'a> GraphBuilder<'a> {
         // already topological, so emitting in order preserves the invariant).
         let mut dag_node = vec![usize::MAX; dag.len()];
         for (i, n) in dag.nodes.iter().enumerate() {
-            let (ty, feats) = udf_node_features(n);
-            dag_node[i] = self.push(ty, feats);
+            let (ty, f) = udf_node_features(n);
+            dag_node[i] = self.push(ty, &f[..DIMS[ty]]);
             // Data-flow edges: columns feed INV and the COMP/BRANCH nodes
             // that read them directly.
             match n.kind {
@@ -536,7 +564,7 @@ mod tests {
         let on_udf = |g: &graceful_nn::TypedGraph| {
             g.node_types
                 .iter()
-                .zip(&g.features)
+                .zip(g.features.iter())
                 .filter(|(t, _)| **t == node_type::FILTER)
                 .map(|(_, f)| f[3])
                 .fold(0.0f32, f32::max)

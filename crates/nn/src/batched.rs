@@ -11,16 +11,18 @@
 //!    [`GraphBatch`]: every node becomes one *row*, rows numbered by
 //!    (topological level, type, batch id) — level `0` for leaves,
 //!    `1 + max(child level)` otherwise — so every `(level, type)` *group* is
-//!    one contiguous row range. Child and parent adjacency are CSR arrays
-//!    over rows, and each type's live rows in the reference's accumulation
-//!    order are one index list.
+//!    one contiguous row range. The pack holds what forward reads (rows,
+//!    groups, child CSR, roots) in a handful of flat arrays; only a training
+//!    step asks for the parent CSR, liveness and each type's live rows in
+//!    the reference's accumulation order ([`BackLinks`]).
 //! 2. Every quantity the step needs — encoder pre-activation, the updater's
 //!    joint input `[enc | Σ children]`, both updater pre-activations, the
 //!    layer-2 input, the state, and in backward the state, layer-1 and joint
 //!    gradients — is one `n×w` stash allocated once per shard. The forward
 //!    pass walks groups bottom-up and the backward pass top-down; each stage
 //!    is one [`matmul_rows`] call that reads the group's rows of one stash
-//!    and writes them into another, in place.
+//!    and writes them into another, in place; an encoder reads only a row's
+//!    nonzero features.
 //! 3. Parameter gradients are reduced per (type, layer) in a final pass that
 //!    replays the reference's accumulation order exactly.
 //!
@@ -32,7 +34,8 @@
 //!
 //! Every product runs on [`matmul_rows`]: each output element is one chain —
 //! `+0.0`, then `+= a · b` over the inner index ascending, skipping `a ==
-//! 0.0` — the chain of the tape's [`Tensor::matmul`]. At widths that are a
+//! 0.0` — the chain of the tape's [`Tensor::matmul`], also for a row listed
+//! by its nonzero entries ([`matmul_entries`]). At widths that are a
 //! multiple of 32 (all of them in a hidden-32 model) the kernel holds each
 //! 32-wide tile of an output row in registers; the tiling changes where the
 //! chain lives, not its order, and the compiler contracts no `a · b + s`
@@ -94,17 +97,17 @@
 //! * The map returns results in item order, and each result is added into
 //!   the gradients on the caller.
 //!
-//! [`predict_roots`] (hence every estimate) checks every graph and root
-//! first, then packs, runs forward and reads out one shard at a time: the
-//! roots that fall in it, each prediction written into its root's slot. A
-//! shard never splits a graph, so nodes several roots reach are still
-//! computed once, and an error names its graph by its index in the batch.
-//! A shard's stashes are dropped before the next is packed, so an
+//! [`predict_roots`] (hence every estimate) validates every graph once and
+//! checks every root first, then packs, runs forward and reads out one shard
+//! at a time: the roots that fall in it, each prediction written into its
+//! root's slot. A shard never splits a graph, so nodes several roots reach
+//! are still computed once, and an error names its graph by its index in the
+//! batch. A shard's stashes are dropped before the next is packed, so an
 //! estimate's memory is bounded by one shard, not by the batch.
 
 use crate::gnn::{finite_loss, huber, GnnModel, TypedGraph};
 use crate::mlp::{AdamConfig, Linear, Mlp, ParamStore, LEAKY_SLOPE};
-use crate::tensor::{matmul_rows, Tensor};
+use crate::tensor::{matmul_entries, matmul_rows, Tensor};
 use graceful_common::{GracefulError, OrderedMap, Result};
 use std::ops::Range;
 
@@ -118,27 +121,39 @@ struct Group {
 ///
 /// Every node of the batch is one *row* of every stash, rows ordered by
 /// (level, type, batch id), so each group is one row range. Adjacency is
-/// CSR-shaped (offset + data arrays) over rows — packing happens once per
-/// training step, so it avoids per-node `Vec` allocations.
+/// CSR-shaped (offset + data arrays), so packing allocates a handful of flat
+/// arrays, none per node.
 struct GraphBatch {
-    /// `(graph, node)` behind each row.
-    nodes: Vec<(usize, usize)>,
-    /// CSR offsets into `child_dat` (length `rows + 1`).
+    /// Each graph's first batch id (graph-major, nodes in their own order),
+    /// then the node count.
+    first: Vec<usize>,
+    /// The batch id behind each row.
+    ids: Vec<usize>,
+    /// The row of each batch id.
+    row: Vec<usize>,
+    /// CSR offsets into `child_dat` (length `ids + 1`).
     child_off: Vec<usize>,
-    /// Children (rows, edge order), all rows concatenated.
+    /// Children (batch ids, edge order) of each batch id, concatenated.
     child_dat: Vec<usize>,
+    /// The row read out per requested `(graph, node)` root (training:
+    /// exactly one per graph, in graph order).
+    roots: Vec<usize>,
+    /// Groups by (level ascending, type ascending).
+    groups: Vec<Group>,
+    /// What only a training step's backward reads; empty in an estimate.
+    links: BackLinks,
+}
+
+/// The part of a pack that only backward and the parameter gradients read.
+#[derive(Default)]
+struct BackLinks {
     /// CSR offsets into `parent_dat` (length `rows + 1`).
     parent_off: Vec<usize>,
     /// Parents (rows, descending node id, one entry per edge), concatenated.
     parent_dat: Vec<usize>,
-    /// The row read out per requested `(graph, node)` root (training:
-    /// exactly one per graph, in graph order).
-    roots: Vec<usize>,
     /// Whether a row's state reaches a root: it is one, or has a live parent
     /// (the reference's `None` gradient slots skip the rest).
     live: Vec<bool>,
-    /// Groups by (level ascending, type ascending).
-    groups: Vec<Group>,
     /// The live rows of type `t` in the reference's accumulation order
     /// (graph ascending, node descending) are
     /// `canon[canon_off[t]..canon_off[t + 1]]`.
@@ -147,96 +162,96 @@ struct GraphBatch {
 }
 
 impl GraphBatch {
-    fn pack(graphs: &[&TypedGraph], roots: &[(usize, usize)], n_types: usize) -> GraphBatch {
+    /// Pack `graphs` for a forward pass that reads out `roots`, plus, when
+    /// `train`, the [`BackLinks`] of a training step.
+    fn pack(graphs: &[&TypedGraph], roots: &[(usize, usize)], n_types: usize, train: bool) -> Self {
         // Batch ids: graph-major, each graph's nodes in their own order.
-        let mut offsets = Vec::with_capacity(graphs.len() + 1);
-        let (mut ids, mut types) = (Vec::new(), Vec::new());
-        for (gi, g) in graphs.iter().enumerate() {
-            offsets.push(ids.len());
-            ids.extend((0..g.len()).map(|v| (gi, v)));
-            types.extend_from_slice(&g.node_types);
+        let mut first = Vec::with_capacity(graphs.len() + 1);
+        first.push(0);
+        for g in graphs {
+            first.push(first[first.len() - 1] + g.len());
         }
-        offsets.push(ids.len());
-        let n = ids.len();
-        // Children in edge order; parents descending, because the same edges
-        // are visited child list by child list from the last id down.
+        let n = first[graphs.len()];
+        // Children of each id, in edge order.
         let edges = graphs
             .iter()
-            .zip(&offsets)
+            .zip(&first)
             .flat_map(|(g, &base)| g.edges.iter().map(move |&(s, d)| (base + d, base + s)));
         let (child_off, child_dat) = csr(n, edges);
         let children = |v: usize| &child_dat[child_off[v]..child_off[v + 1]];
-        let edges = (0..n).rev().flat_map(|d| children(d).iter().map(move |&c| (c, d)));
-        let (parent_off, parent_dat) = csr(n, edges);
-        // Topological levels (children have smaller ids: one forward scan),
-        // then liveness (parents have larger ids: one backward scan).
-        let mut levels = vec![0usize; n];
-        for v in 0..n {
-            levels[v] = children(v).iter().map(|&c| levels[c] + 1).max().unwrap_or(0);
+        // Each id's topological level (children have smaller ids: one
+        // forward scan) and type.
+        let mut key: Vec<(usize, usize)> = Vec::with_capacity(n);
+        for (v, &t) in graphs.iter().flat_map(|g| &g.node_types).enumerate() {
+            key.push((children(v).iter().map(|&c| key[c].0 + 1).max().unwrap_or(0), t));
         }
-        let mut live = vec![false; n];
-        for &(g, v) in roots {
-            live[offsets[g] + v] = true;
-        }
-        for v in (0..n).rev() {
-            live[v] =
-                live[v] || parent_dat[parent_off[v]..parent_off[v + 1]].iter().any(|&p| live[p]);
-        }
-        // Rows: the ids bucketed by (level, type), so each non-empty bucket is
-        // one group, its ids ascending.
-        let key: Vec<usize> = (0..n).map(|v| levels[v] * n_types + types[v]).collect();
-        let n_keys = key.iter().max().map_or(0, |k| k + 1);
-        let (key_off, order) = csr(n_keys, key.iter().copied().zip(0..n));
+        // Rows: the ids sorted by (level, type), ids ascending within a key
+        // (a counting sort by level, then each level, a few nodes, stably by
+        // type), so each run of one key is one group.
+        let n_levels = key.iter().map(|k| k.0 + 1).max().unwrap_or(0);
+        let (level_off, mut ids) = csr(n_levels, key.iter().map(|k| k.0).zip(0..n));
+        level_off.windows(2).for_each(|l| ids[l[0]..l[1]].sort_by_key(|&v| key[v].1));
         let mut row = vec![0usize; n];
-        for (r, &v) in order.iter().enumerate() {
+        let mut groups: Vec<Group> = Vec::with_capacity(n_levels);
+        for (r, &v) in ids.iter().enumerate() {
             row[v] = r;
-        }
-        let groups = (0..n_keys)
-            .filter(|&k| key_off[k] < key_off[k + 1])
-            .map(|k| Group { ty: k % n_types, rows: key_off[k]..key_off[k + 1] })
-            .collect();
-        let relabel = |off: &[usize], dat: &[usize]| {
-            let (mut new_off, mut new_dat) = (vec![0], Vec::with_capacity(dat.len()));
-            for &v in &order {
-                new_dat.extend(dat[off[v]..off[v + 1]].iter().map(|&u| row[u]));
-                new_off.push(new_dat.len());
+            match groups.last_mut() {
+                Some(g) if key[ids[g.rows.start]] == key[v] => g.rows.end = r + 1,
+                _ => groups.push(Group { ty: key[v].1, rows: r..r + 1 }),
             }
-            (new_off, new_dat)
-        };
-        // Canonical order: the live ids bucketed by type, graphs ascending,
-        // nodes descending.
-        let canon = (0..graphs.len()).flat_map(|g| (offsets[g]..offsets[g + 1]).rev());
-        let (canon_off, canon) =
-            csr(n_types, canon.filter(|&v| live[v]).map(|v| (types[v], row[v])));
-        let ((child_off, child_dat), (parent_off, parent_dat)) =
-            (relabel(&child_off, &child_dat), relabel(&parent_off, &parent_dat));
-        GraphBatch {
-            nodes: order.iter().map(|&v| ids[v]).collect(),
-            child_off,
-            child_dat,
-            parent_off,
-            parent_dat,
-            roots: roots.iter().map(|&(g, v)| row[offsets[g] + v]).collect(),
-            live: order.iter().map(|&v| live[v]).collect(),
-            groups,
-            canon_off,
-            canon,
         }
+        let roots = roots.iter().map(|&(g, v)| row[first[g] + v]).collect();
+        let links = BackLinks::default();
+        let mut batch = GraphBatch { first, ids, row, child_off, child_dat, roots, groups, links };
+        if train {
+            batch.links = batch.back_links(graphs, n_types);
+        }
+        batch
     }
 
-    /// Children of row `r` (edge order).
-    fn children(&self, r: usize) -> &[usize] {
-        &self.child_dat[self.child_off[r]..self.child_off[r + 1]]
+    /// The `(graph, node)` behind row `r`.
+    fn node(&self, r: usize) -> (usize, usize) {
+        let id = self.ids[r];
+        let g = self.first.partition_point(|&f| f <= id) - 1;
+        (g, id - self.first[g])
+    }
+
+    /// Children of row `r`, as rows (edge order).
+    fn children(&self, r: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        let v = self.ids[r];
+        self.child_dat[self.child_off[v]..self.child_off[v + 1]].iter().map(|&c| self.row[c])
     }
 
     /// Parents of row `r` (descending node id, one entry per edge).
     fn parents(&self, r: usize) -> &[usize] {
-        &self.parent_dat[self.parent_off[r]..self.parent_off[r + 1]]
+        &self.links.parent_dat[self.links.parent_off[r]..self.links.parent_off[r + 1]]
     }
 
     /// The live rows of type `ty`, graph ascending, node descending.
     fn canon(&self, ty: usize) -> &[usize] {
-        &self.canon[self.canon_off[ty]..self.canon_off[ty + 1]]
+        &self.links.canon[self.links.canon_off[ty]..self.links.canon_off[ty + 1]]
+    }
+
+    /// The [`BackLinks`] of this pack.
+    fn back_links(&self, graphs: &[&TypedGraph], n_types: usize) -> BackLinks {
+        let (row, n) = (&self.row, self.ids.len());
+        // Parents descending: the child lists visited from the last id down.
+        let edges = (0..n).rev().flat_map(|v| self.children(row[v]).map(move |c| (c, row[v])));
+        let (parent_off, parent_dat) = csr(n, edges);
+        // Liveness: a parent sits at a higher level, so on a later row.
+        let mut live = vec![false; n];
+        self.roots.iter().for_each(|&r| live[r] = true);
+        for r in (0..n).rev() {
+            live[r] =
+                live[r] || parent_dat[parent_off[r]..parent_off[r + 1]].iter().any(|&p| live[p]);
+        }
+        // Canonical order: the live rows bucketed by type, graphs ascending,
+        // nodes descending.
+        let rows = graphs.iter().zip(&self.first).flat_map(|(g, &base)| {
+            (0..g.len()).rev().map(move |v| (g.node_types[v], row[base + v]))
+        });
+        let (canon_off, canon) = csr(n_types, rows.filter(|&(_, r)| live[r]));
+        BackLinks { parent_off, parent_dat, live, canon_off, canon }
     }
 }
 
@@ -253,11 +268,15 @@ fn csr(
     for k in 0..n_keys {
         off[k + 1] += off[k];
     }
-    let (mut dat, mut cur) = (vec![0usize; off[n_keys]], off.clone());
+    // Each bucket's start is its cursor; once filled it has moved to the
+    // next bucket's start, so one shift restores the offsets.
+    let mut dat = vec![0usize; off[n_keys]];
     for (k, item) in pairs {
-        dat[cur[k]] = item;
-        cur[k] += 1;
+        dat[off[k]] = item;
+        off[k] += 1;
     }
+    off.copy_within(0..n_keys, 1);
+    off[0] = 0;
     (off, dat)
 }
 
@@ -269,16 +288,19 @@ struct MlpTrace {
 }
 
 /// Mirror of [`Mlp::forward`] over an `N×in` matrix: LeakyReLU between
-/// layers, none after the last. Returns the final pre-activation output.
-fn mlp_forward(mlp: &Mlp, store: &ParamStore, x: Tensor) -> (Tensor, MlpTrace) {
+/// layers, none after the last. Returns the final pre-activation output and,
+/// when `train`, the trace backward reads.
+fn mlp_forward(mlp: &Mlp, store: &ParamStore, x: Tensor, train: bool) -> (Tensor, MlpTrace) {
     let mut trace = MlpTrace { inputs: Vec::new(), pre: Vec::new() };
     let last = mlp.layers.len() - 1;
     let mut cur = x;
     for (i, layer) in mlp.layers.iter().enumerate() {
         let mut y = cur.matmul(store.value(layer.w));
         y.add_row_broadcast(store.value(layer.b));
-        trace.inputs.push(cur);
-        trace.pre.push(y.clone());
+        if train {
+            trace.inputs.push(cur);
+            trace.pre.push(y.clone());
+        }
         if i != last {
             y.leaky_relu_assign(LEAKY_SLOPE);
         }
@@ -287,15 +309,26 @@ fn mlp_forward(mlp: &Mlp, store: &ParamStore, x: Tensor) -> (Tensor, MlpTrace) {
     (cur, trace)
 }
 
-/// `out = x · W + b` for every row of `out` (`x(i)` is row `i`'s input).
-fn linear<'a>(store: &ParamStore, layer: &Linear, x: impl Fn(usize) -> &'a [f32], out: &mut [f32]) {
+/// `out = x · W + b` for every row of `out`, row `i`'s input given as its
+/// `(position, value)` entries ([`matmul_entries`]).
+fn linear<I: Iterator<Item = (usize, f32)>>(
+    store: &ParamStore,
+    layer: &Linear,
+    x: impl Fn(usize) -> I,
+    out: &mut [f32],
+) {
     let (w, b) = (store.value(layer.w), store.value(layer.b));
-    matmul_rows(x, &w.data, w.cols, out);
+    matmul_entries(x, &w.data, w.cols, out);
     for row in out.chunks_exact_mut(w.cols) {
         for (y, &b) in row.iter_mut().zip(&b.data) {
             *y += b;
         }
     }
+}
+
+/// Every entry of a dense row.
+fn dense(row: &[f32]) -> impl Iterator<Item = (usize, f32)> + '_ {
+    row.iter().copied().enumerate()
 }
 
 /// `dst = LeakyReLU(src)`, element by element.
@@ -319,15 +352,15 @@ fn rows_of<'a>(block: &'a [f32], k: usize) -> impl Fn(usize) -> &'a [f32] + Copy
     move |i| &block[i * k..(i + 1) * k]
 }
 
-/// The feature vector of row `r` (read where the graph holds it).
+/// The nonzero features of row `r` (read where the graph holds them): all
+/// of the row an encoder's product does not skip.
 fn features<'a>(
-    batch: &'a GraphBatch,
-    graphs: &'a [&TypedGraph],
-) -> impl Fn(usize) -> &'a [f32] + Copy {
-    move |r| {
-        let (g, v) = batch.nodes[r];
-        &graphs[g].features[v]
-    }
+    batch: &GraphBatch,
+    graphs: &[&'a TypedGraph],
+    r: usize,
+) -> impl Iterator<Item = (usize, f32)> + 'a {
+    let (g, v) = batch.node(r);
+    graphs[g].features.nonzeros(v)
 }
 
 /// One linear layer's parameter-gradient sums over its `k` uses, each an
@@ -338,18 +371,20 @@ fn features<'a>(
 /// product `[Xᵀ; 1] · G` yields the weight's `Xᵀ·G` and, against the row of
 /// ones, the bias's column sums — each element reducing the uses in the
 /// order listed. Listing them in the reference's order therefore replays
-/// its per-use adds (`1 · g` is `g`, bit for bit).
-fn linear_grads<'a>(
+/// its per-use adds (`1 · g` is `g`, bit for bit). An input is given as its
+/// entries, and one left out stays the `0.0` the product skips, so an
+/// encoder's use lists its row's nonzero features alone.
+fn linear_grads<'a, X: Iterator<Item = (usize, f32)>>(
     layer: &Linear,
     k: usize,
-    uses: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+    uses: impl Iterator<Item = (X, &'a [f32])>,
 ) -> Vec<f32> {
     let (m, n) = (layer.in_dim, layer.out_dim);
     let mut xt = vec![0.0f32; m * k];
     xt.resize((m + 1) * k, 1.0);
     let mut gs = Vec::with_capacity(k * n);
     uses.enumerate().for_each(|(p, (x, g))| {
-        for (i, &v) in x.iter().enumerate() {
+        for (i, v) in x {
             xt[i * k + p] = v;
         }
         gs.extend_from_slice(g);
@@ -383,15 +418,20 @@ struct BatchedForward {
     upd2_in: Tensor,
     /// Updater layer-2 pre-activation (`n×h`).
     upd2_pre: Tensor,
-    /// Readout trace over the `R×h` root-state matrix.
+    /// Readout trace over the `R×h` root-state matrix (training only).
     readout: MlpTrace,
     /// Normalized log-space predictions, one per root.
     preds: Vec<f32>,
 }
 
 /// Level-synchronous forward over a validated batch, reading out the state
-/// of every `(graph, node)` in `roots`.
-fn forward(model: &GnnModel, graphs: &[&TypedGraph], roots: &[(usize, usize)]) -> BatchedForward {
+/// of every `(graph, node)` in `roots`; `train` keeps what backward reads.
+fn forward(
+    model: &GnnModel,
+    graphs: &[&TypedGraph],
+    roots: &[(usize, usize)],
+    train: bool,
+) -> BatchedForward {
     // The engine hard-codes the architecture `GnnModel::new` builds
     // (1-layer encoders, 2-layer updaters); fail loudly if that ever drifts
     // rather than silently dropping layers.
@@ -400,58 +440,44 @@ fn forward(model: &GnnModel, graphs: &[&TypedGraph], roots: &[(usize, usize)]) -
             && model.updaters.iter().all(|u| u.layers.len() == 2),
         "batched GNN engine expects 1-layer encoders and 2-layer updaters"
     );
-    let batch = GraphBatch::pack(graphs, roots, model.config.feature_dims.len());
-    let (n, h) = (batch.nodes.len(), model.config.hidden);
+    let batch = GraphBatch::pack(graphs, roots, model.config.feature_dims.len(), train);
+    let (n, h) = (batch.ids.len(), model.config.hidden);
     let store = &model.store;
-    let mut enc_pre = Tensor::zeros(n, h);
     let mut upd1_in = Tensor::zeros(n, 2 * h);
-    let mut upd1_pre = Tensor::zeros(n, h);
-    let mut upd2_in = Tensor::zeros(n, h);
-    let mut upd2_pre = Tensor::zeros(n, h);
-    let mut state = Tensor::zeros(n, h);
-    let feats = features(&batch, graphs);
+    let [mut enc_pre, mut upd1_pre, mut upd2_in, mut upd2_pre, mut state] =
+        [(); 5].map(|_| Tensor::zeros(n, h));
     // One application of each MLP layer per group, children always resolved
     // at lower levels, every stage reading and writing the group's rows of
-    // the stashes in place.
+    // the stash in place.
     for group in &batch.groups {
-        let rows = || group.rows.clone();
+        let span = |w: usize| group.rows.start * w..group.rows.end * w;
         let start = group.rows.start;
         let upd = &model.updaters[group.ty].layers;
-        linear(
-            store,
-            &model.encoders[group.ty].layers[0],
-            |i| feats(start + i),
-            enc_pre.row_range_mut(rows()),
-        );
+        let enc = &model.encoders[group.ty].layers[0];
+        linear(store, enc, |i| features(&batch, graphs, start + i), &mut enc_pre.data[span(h)]);
         // joint = [LeakyReLU(enc) | agg]: the right half accumulates child
         // states in fixed child order from zero — the reference's `sum_rows`
         // chain (leaves aggregate to zero rows, matching the reference's
         // shared zero input).
-        for r in rows() {
+        for r in group.rows.clone() {
             let (enc, agg) = upd1_in.row_slice_mut(r).split_at_mut(h);
             leaky_into(enc, enc_pre.row_slice(r));
-            for &c in batch.children(r) {
+            for c in batch.children(r) {
                 for (d, &x) in agg.iter_mut().zip(state.row_slice(c)) {
                     *d += x;
                 }
             }
         }
-        linear(
-            store,
-            &upd[0],
-            rows_of(upd1_in.row_range(rows()), 2 * h),
-            upd1_pre.row_range_mut(rows()),
-        );
-        leaky_into(upd2_in.row_range_mut(rows()), upd1_pre.row_range(rows()));
-        linear(
-            store,
-            &upd[1],
-            rows_of(upd2_in.row_range(rows()), h),
-            upd2_pre.row_range_mut(rows()),
-        );
-        leaky_into(state.row_range_mut(rows()), upd2_pre.row_range(rows()));
+        let x = rows_of(&upd1_in.data[span(2 * h)], 2 * h);
+        linear(store, &upd[0], |i| dense(x(i)), &mut upd1_pre.data[span(h)]);
+        leaky_into(&mut upd2_in.data[span(h)], &upd1_pre.data[span(h)]);
+        let x = rows_of(&upd2_in.data[span(h)], h);
+        linear(store, &upd[1], |i| dense(x(i)), &mut upd2_pre.data[span(h)]);
+        leaky_into(&mut state.data[span(h)], &upd2_pre.data[span(h)]);
     }
-    let (r_out, readout) = mlp_forward(&model.readout, store, state.gather_rows(&batch.roots));
+    let root_states = batch.roots.iter().flat_map(|&r| state.row_slice(r));
+    let root_states = Tensor::from_vec(batch.roots.len(), h, root_states.copied().collect());
+    let (r_out, readout) = mlp_forward(&model.readout, store, root_states, train);
     let preds = (0..roots.len()).map(|r| r_out.get(r, 0)).collect();
     BatchedForward { batch, enc_pre, upd1_in, upd1_pre, upd2_in, upd2_pre, readout, preds }
 }
@@ -472,7 +498,7 @@ struct ShardGrads {
 /// weight transposed once per step in `upd_t`.
 fn backward_groups(fwd: &BatchedForward, upd_t: &[[Tensor; 2]], g_root: &[f32]) -> ShardGrads {
     let batch = &fwd.batch;
-    let (n, h) = (batch.nodes.len(), fwd.upd1_pre.cols);
+    let (n, h) = (batch.ids.len(), fwd.upd1_pre.cols);
     let mut g_h = Tensor::zeros(n, h);
     let mut g_upd1 = Tensor::zeros(n, h);
     let mut g_joint = Tensor::zeros(n, 2 * h);
@@ -488,8 +514,9 @@ fn backward_groups(fwd: &BatchedForward, upd_t: &[[Tensor; 2]], g_root: &[f32]) 
         // Fold parent contributions into each live state gradient,
         // descending parent order (reverse tape), after any readout seed.
         // Dead rows keep zero gradients and feed nothing.
-        for r in rows().filter(|&r| batch.live[r]) {
-            for &p in batch.parents(r).iter().filter(|&&p| batch.live[p]) {
+        let live = &batch.links.live;
+        for r in rows().filter(|&r| live[r]) {
+            for &p in batch.parents(r).iter().filter(|&&p| live[p]) {
                 let (dst, src) = (g_h.row_slice_mut(r), &g_joint.row_slice(p)[h..]);
                 if seeded[r] {
                     for (d, &s) in dst.iter_mut().zip(src) {
@@ -566,7 +593,7 @@ pub(crate) fn predict_roots(
             let first = s * SHARD_GRAPHS;
             let local: Vec<(usize, usize)> =
                 slots.iter().map(|&i| (roots[i].0 - first, roots[i].1)).collect();
-            for (&i, p) in slots.iter().zip(forward(model, shard, &local).preds) {
+            for (&i, p) in slots.iter().zip(forward(model, shard, &local, false).preds) {
                 preds[i] = p;
             }
         }
@@ -610,7 +637,7 @@ pub(crate) fn train_batch(
         for g in *shard {
             g.validate(&m.config.feature_dims)?;
         }
-        Ok(forward(m, shard, &own_roots(shard)))
+        Ok(forward(m, shard, &own_roots(shard), true))
     });
     let fwds = fwds.into_iter().collect::<Result<Vec<_>>>()?;
     let targets = m.normalized_targets(targets_ns)?;
@@ -633,7 +660,7 @@ pub(crate) fn train_batch(
             leaky_mask(&mut g_root.data, &stack(fwds.iter().map(|f| &f.readout.pre[l])).data);
         }
         let x = stack(fwds.iter().map(|f| &f.readout.inputs[l]));
-        let uses = (0..x.rows).map(|p| (x.row_slice(p), g_root.row_slice(p)));
+        let uses = (0..x.rows).map(|p| (dense(x.row_slice(p)), g_root.row_slice(p)));
         sums.push((*layer, linear_grads(layer, x.rows, uses)));
         // `matmul` against the materialized transpose is bit-identical to
         // `matmul_transpose_b` (see `Tensor::transpose`) but vectorizes.
@@ -658,15 +685,30 @@ pub(crate) fn train_batch(
         let upd = &m.updaters[ty].layers;
         let layer = [m.encoders[ty].layers[0], upd[0], upd[1]][l];
         let k = fwds.iter().map(|f| f.batch.canon(ty).len()).sum();
-        let uses = shards.iter().zip(&fwds).zip(&grads).flat_map(|((shard, f), g)| {
-            let feats = features(&f.batch, shard);
-            f.batch.canon(ty).iter().map(move |&r| match l {
-                0 => (feats(r), &g.joint.row_slice(r)[..h]),
-                1 => (f.upd1_in.row_slice(r), g.upd1.row_slice(r)),
-                _ => (f.upd2_in.row_slice(r), g.state.row_slice(r)),
-            })
-        });
-        (layer, linear_grads(&layer, k, uses))
+        let uses =
+            shards.iter().zip(&fwds).zip(&grads).flat_map(|((shard, f), g)| {
+                f.batch.canon(ty).iter().map(move |&r| (shard, f, g, r))
+            });
+        let sums = match l {
+            0 => linear_grads(
+                &layer,
+                k,
+                uses.map(|(shard, f, g, r)| {
+                    (features(&f.batch, shard, r), &g.joint.row_slice(r)[..h])
+                }),
+            ),
+            1 => linear_grads(
+                &layer,
+                k,
+                uses.map(|(_, f, g, r)| (dense(f.upd1_in.row_slice(r)), g.upd1.row_slice(r))),
+            ),
+            _ => linear_grads(
+                &layer,
+                k,
+                uses.map(|(_, f, g, r)| (dense(f.upd2_in.row_slice(r)), g.state.row_slice(r))),
+            ),
+        };
+        (layer, sums)
     });
     model.store.zero_grad();
     for (layer, sums) in sums.iter().chain(&layer_sums) {
@@ -679,7 +721,7 @@ pub(crate) fn train_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gnn::GnnConfig;
+    use crate::gnn::{Features, GnnConfig};
     use graceful_common::rng::Rng;
     use graceful_common::Serial;
 
@@ -689,11 +731,12 @@ mod tests {
     fn random_graph(rng: &mut Rng, feature_dims: &[usize]) -> TypedGraph {
         let n = 2 + (rng.next_u64() % 14) as usize;
         let mut node_types = Vec::with_capacity(n);
-        let mut features = Vec::with_capacity(n);
+        let mut features = Features::default();
         for _ in 0..n {
             let t = (rng.next_u64() % feature_dims.len() as u64) as usize;
             node_types.push(t);
-            features.push((0..feature_dims[t]).map(|_| rng.range(-1.0..1.0) as f32).collect());
+            let row: Vec<f32> = (0..feature_dims[t]).map(|_| rng.range(-1.0..1.0) as f32).collect();
+            features.push(&row);
         }
         let mut edges = Vec::new();
         for d in 1..n {
@@ -711,6 +754,19 @@ mod tests {
 
     fn dims() -> Vec<usize> {
         vec![1, 3, 2, 5]
+    }
+
+    /// `g` with feature `p` of node `v` set to `x` (rows are appended whole,
+    /// so the graph's rows are rebuilt).
+    fn set_feature(g: &mut TypedGraph, v: usize, p: usize, x: f32) {
+        let mut rows: Vec<Vec<f32>> = g.features.iter().map(<[f32]>::to_vec).collect();
+        rows[v][p] = x;
+        g.features = rows.iter().collect();
+    }
+
+    /// `g` with every feature set to `x`.
+    fn fill_features(g: &mut TypedGraph, x: f32) {
+        g.features = g.features.iter().map(|row| vec![x; row.len()]).collect();
     }
 
     fn graphs_and_targets(seed: u64, count: usize) -> (Vec<TypedGraph>, Vec<f64>) {
@@ -732,8 +788,8 @@ mod tests {
         model.fit_target_norm(&targets).unwrap();
         let node = |t: usize, x: f32| (t, vec![x; dims()[t]]);
         let graph = |nodes: Vec<(usize, Vec<f32>)>, edges: Vec<(usize, usize)>, root: usize| {
-            let (node_types, features) = nodes.into_iter().unzip();
-            TypedGraph { node_types, features, edges, root }
+            let (node_types, features): (_, Vec<_>) = nodes.into_iter().unzip();
+            TypedGraph { node_types, features: features.into_iter().collect(), edges, root }
         };
         // A single node; a root followed by dead nodes; and every node fed by
         // every earlier node (one node per level, maximal fan-in).
@@ -880,7 +936,7 @@ mod tests {
         };
         targets[2] = f64::INFINITY;
         check(&graphs, &targets, "label 2 is inf");
-        graphs[12].features[0][0] = f32::NAN;
+        set_feature(&mut graphs[12], 0, 0, f32::NAN);
         check(&graphs, &targets, "feature NaN");
         graphs[9].root = graphs[9].len();
         check(&graphs, &targets, "root out of bounds");
@@ -898,7 +954,7 @@ mod tests {
         model.fit_target_norm(&targets).unwrap();
         for x in [1e10, f32::MAX] {
             let mut huge = graphs[1].clone();
-            huge.features.iter_mut().flatten().for_each(|f| *f = x);
+            fill_features(&mut huge, x);
             let refs = [&graphs[0], &huge];
             let roots = [(0, graphs[0].root), (1, huge.root)];
             for (result, names) in [
@@ -958,7 +1014,7 @@ mod tests {
         model.fit_target_norm(&targets).unwrap();
         let at = SHARD_GRAPHS + 1;
         let (r1, r9, len9) = (graphs[1].root, graphs[at].root, graphs[at].len());
-        let overflow = |g: &mut TypedGraph| g.features.iter_mut().flatten().for_each(|f| *f = 1e30);
+        let overflow = |g: &mut TypedGraph| fill_features(g, 1e30);
         let check = |graphs: &[TypedGraph], roots: Option<&[(usize, usize)]>, names: &str| {
             let refs: Vec<&TypedGraph> = graphs.iter().collect();
             let result = match roots {
@@ -976,7 +1032,7 @@ mod tests {
         check(&graphs, None, &format!("root {r1} of graph 1 "));
         check(&graphs, Some(&[(0, 0), (at, r9), (1, r1)]), &format!("root {r9} of graph 9 "));
         check(&graphs, Some(&[(1, r1), (at, len9)]), &format!("root {len9} of graph 9 out of"));
-        graphs[at].features[0][0] = f32::NAN;
+        set_feature(&mut graphs[at], 0, 0, f32::NAN);
         check(&graphs, Some(&[(1, r1)]), "has feature NaN");
     }
 
@@ -985,7 +1041,7 @@ mod tests {
         // A graph whose root is node 0: every other node is dead weight.
         let g = TypedGraph {
             node_types: vec![0, 1, 2],
-            features: vec![vec![0.4], vec![0.1, -0.2, 0.3], vec![0.9, -0.7]],
+            features: [&[0.4][..], &[0.1, -0.2, 0.3], &[0.9, -0.7]].into_iter().collect(),
             edges: vec![(0, 1), (1, 2)],
             root: 0,
         };
@@ -1021,7 +1077,7 @@ mod tests {
             m.train_batch(&Serial, &refs, &targets, &adam, 1.0).unwrap();
         }
         let mut huge = graphs[0].clone();
-        huge.features.iter_mut().flatten().for_each(|x| *x = f32::MAX);
+        fill_features(&mut huge, f32::MAX);
         let params = model.param_checksum();
         for result in [
             model.train_batch(&Serial, &[&huge], &[1e4], &adam, 1.0),

@@ -19,6 +19,12 @@
 //! what makes the Q-error metric well behaved across 6 orders of magnitude
 //! of runtimes.
 //!
+//! A [`TypedGraph`] holds every node's features in one flat buffer beside
+//! each row's nonzero positions ([`Features`]); an encoder multiplies those
+//! alone, which is the dense row's chain (the kernel skips a zero input).
+//! Every estimate and training step validates each graph once before it
+//! reads it, so whoever builds one need not.
+//!
 //! # One engine, one oracle
 //!
 //! Every estimate ([`GnnModel::predict`], [`GnnModel::predict_batch`]) and
@@ -48,18 +54,20 @@ use crate::tensor::Tensor;
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, OrderedMap, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A typed DAG instance ready for the GNN.
 ///
 /// Invariant: `edges` are `(src, dst)` with `src < dst` (topological index
 /// order), and messages flow from `src` to `dst`; `root` is the node whose
-/// state feeds the readout.
+/// state feeds the readout. [`GnnModel`] checks it ([`TypedGraph::validate`])
+/// once per graph before it reads one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypedGraph {
     /// Node type id per node (indexes the encoder/updater lists).
     pub node_types: Vec<usize>,
     /// Per-node feature vector; length must equal the type's feature dim.
-    pub features: Vec<Vec<f32>>,
+    pub features: Features,
     pub edges: Vec<(usize, usize)>,
     pub root: usize,
 }
@@ -83,7 +91,7 @@ impl TypedGraph {
         if self.root >= self.len() {
             return Err(GracefulError::Model("root out of bounds".into()));
         }
-        for (i, (&t, f)) in self.node_types.iter().zip(&self.features).enumerate() {
+        for (i, (&t, f)) in self.node_types.iter().zip(self.features.iter()).enumerate() {
             let dim = *feature_dims
                 .get(t)
                 .ok_or_else(|| GracefulError::Model(format!("unknown node type {t}")))?;
@@ -105,6 +113,83 @@ impl TypedGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// The feature rows of a graph's nodes, in node order, in one buffer, with
+/// each row's nonzero positions (ascending; `-0.0` counts as zero) recorded
+/// once as it is appended — rows are only appended whole, so they always
+/// agree. A COMP row of 45 features holds two or three nonzeros.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Features {
+    values: Vec<f32>,
+    nonzero: Vec<u32>,
+    /// Per node: where its row and its nonzero positions end.
+    ends: Vec<(u32, u32)>,
+}
+
+impl Features {
+    /// Room for `nodes` more rows holding `values` more features.
+    pub fn reserve(&mut self, nodes: usize, values: usize) {
+        self.values.reserve(values);
+        self.nonzero.reserve(4 * nodes);
+        self.ends.reserve(nodes);
+    }
+
+    /// Give back the room nothing was pushed into.
+    pub fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.nonzero.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Append the next node's row (`u32` ends: 2^32 features take 16 GiB).
+    pub fn push(&mut self, row: &[f32]) {
+        self.values.extend_from_slice(row);
+        let nonzero = row.iter().enumerate().filter(|(_, &x)| x != 0.0);
+        self.nonzero.extend(nonzero.map(|(p, _)| p as u32));
+        self.ends.push((self.values.len() as u32, self.nonzero.len() as u32));
+    }
+
+    /// Number of rows (nodes).
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where row `v` and its nonzero positions start and end.
+    fn spans(&self, v: usize) -> (Range<usize>, Range<usize>) {
+        let (start, end) = (v.checked_sub(1).map_or((0, 0), |u| self.ends[u]), self.ends[v]);
+        (start.0 as usize..end.0 as usize, start.1 as usize..end.1 as usize)
+    }
+
+    /// Node `v`'s row. Panics if `v >= len()`.
+    pub fn row(&self, v: usize) -> &[f32] {
+        &self.values[self.spans(v).0]
+    }
+
+    /// Node `v`'s nonzero features as `(position, value)`, positions
+    /// ascending: the entries of [`Features::row`] a product does not skip.
+    pub(crate) fn nonzeros(&self, v: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        let (values, nonzero) = self.spans(v);
+        let row = &self.values[values];
+        self.nonzero[nonzero].iter().map(move |&p| (p as usize, row[p as usize]))
+    }
+
+    /// Every row, in node order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[f32]> + '_ {
+        (0..self.len()).map(|v| self.row(v))
+    }
+}
+
+impl<R: AsRef<[f32]>> FromIterator<R> for Features {
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Self {
+        let mut features = Features::default();
+        rows.into_iter().for_each(|row| features.push(row.as_ref()));
+        features
     }
 }
 
@@ -235,7 +320,7 @@ impl GnnModel {
         // is in range.
         let mut states: Vec<VarId> = Vec::with_capacity(n);
         let zero = tape.input(Tensor::zeros(1, self.config.hidden));
-        let nodes = graph.node_types.iter().zip(&graph.features).zip(&children);
+        let nodes = graph.node_types.iter().zip(graph.features.iter()).zip(&children);
         for ((&t, features), kids) in nodes {
             let x = tape.input(Tensor::row(features));
             let enc = self.encoders[t].forward(&mut tape, &self.store, x);
@@ -463,16 +548,16 @@ mod tests {
         // type 2 = root (1 dummy feature).
         let n_leaves = leaf_vals.len();
         let mut node_types: Vec<usize> = vec![0; n_leaves];
-        let mut features: Vec<Vec<f32>> = leaf_vals.iter().map(|&v| vec![v]).collect();
+        let mut rows: Vec<Vec<f32>> = leaf_vals.iter().map(|&v| vec![v]).collect();
         node_types.push(1);
-        features.push(vec![0.5]);
+        rows.push(vec![0.5]);
         node_types.push(2);
-        features.push(vec![1.0]);
+        rows.push(vec![1.0]);
         let inner = n_leaves;
         let root = n_leaves + 1;
         let mut edges: Vec<(usize, usize)> = (0..n_leaves).map(|i| (i, inner)).collect();
         edges.push((inner, root));
-        TypedGraph { node_types, features, edges, root }
+        TypedGraph { node_types, features: rows.iter().collect(), edges, root }
     }
 
     #[test]
@@ -482,7 +567,8 @@ mod tests {
         let mut g = chain_graph(&[1.0, 2.0]);
         g.edges.push((3, 0)); // backward edge
         let mut g2 = chain_graph(&[1.0]);
-        g2.features[0] = vec![1.0, 2.0]; // wrong dim
+        // Wrong dim on node 0.
+        g2.features = [&[1.0, 2.0][..], &[0.5], &[1.0]].into_iter().collect();
         let (inf, nan) = (chain_graph(&[1.0, f32::INFINITY]), chain_graph(&[f32::NAN]));
         // The engine (alone, in a batch, or training) and the oracle reject
         // them alike, and a rejected step changes no parameter.

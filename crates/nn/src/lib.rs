@@ -8,8 +8,7 @@
 //! * [`tensor`] — dense row-major `f32` matrices and the one product kernel
 //!   every matrix product runs on ([`tensor::matmul_rows`]: each output
 //!   element one pinned chain, 32-wide output tiles held in registers), plus
-//!   the batched building blocks (row gather/scatter, in-order segment sums,
-//!   broadcast bias/activation),
+//!   broadcast bias/activation,
 //! * [`tape`] — reverse-mode automatic differentiation over a per-sample
 //!   tape with a closed operation set (verified against finite differences),
 //! * [`mlp`] — parameter store (Xavier init, Adam with gradient clipping),
@@ -34,7 +33,7 @@ pub mod mlp;
 pub mod tape;
 pub mod tensor;
 
-pub use gnn::{GnnConfig, GnnModel, TypedGraph};
+pub use gnn::{Features, GnnConfig, GnnModel, TypedGraph};
 pub use mlp::{AdamConfig, Linear, Mlp, ParamId, ParamStore};
 pub use tape::{Op, Tape, VarId};
 pub use tensor::Tensor;

@@ -40,16 +40,6 @@ pub enum Op {
     /// additive, so sum aggregation is the natural child-state reduction for
     /// a cost model (mean dilutes counts).
     SumRows(Vec<VarId>),
-    /// Row gather: output row `i` is input row `rows[i]` (rows may repeat).
-    /// The adjoint scatter-adds gradients back in output-row order, so a row
-    /// gathered twice accumulates its two gradient contributions in a pinned
-    /// order.
-    GatherRows(VarId, Vec<usize>),
-    /// Segment sum over the input's rows with a **pinned in-order
-    /// reduction** (see [`crate::tensor::Tensor::segment_sum`]): output row
-    /// `s` is the sum of input rows `r` with `segments[r] == s`, accumulated
-    /// in ascending `r`. The batched, N×c generalization of [`Op::SumRows`].
-    SegmentSum(VarId, Vec<usize>, usize),
 }
 
 struct Node {
@@ -165,24 +155,6 @@ impl Tape {
         self.push(Op::SumRows(inputs), out)
     }
 
-    /// Gather rows of `a` into a new `rows.len() × c` variable.
-    pub fn gather_rows(&mut self, a: VarId, rows: Vec<usize>) -> VarId {
-        let t = self.value(a);
-        assert!(rows.iter().all(|&r| r < t.rows), "gather row out of bounds");
-        let v = t.gather_rows(&rows);
-        self.push(Op::GatherRows(a, rows), v)
-    }
-
-    /// Segment-sum the rows of `a` (one segment id per row) into
-    /// `n_segments` output rows, each accumulated in input-row order.
-    pub fn segment_sum(&mut self, a: VarId, segments: Vec<usize>, n_segments: usize) -> VarId {
-        let t = self.value(a);
-        assert_eq!(segments.len(), t.rows, "segment id per row required");
-        assert!(segments.iter().all(|&s| s < n_segments), "segment id out of bounds");
-        let v = t.segment_sum(&segments, n_segments);
-        self.push(Op::SegmentSum(a, segments, n_segments), v)
-    }
-
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
         self.nodes.push(Node { op, value });
         VarId(self.nodes.len() - 1)
@@ -257,17 +229,6 @@ impl Tape {
                     for &v in inputs {
                         accumulate(&mut grads, v.0, g.clone());
                     }
-                }
-                Op::GatherRows(a, rows) => {
-                    let src = &self.nodes[a.0].value;
-                    let mut ga = Tensor::zeros(src.rows, src.cols);
-                    ga.scatter_add_rows(rows, &g);
-                    accumulate(&mut grads, a.0, ga);
-                }
-                Op::SegmentSum(a, segments, _) => {
-                    // Row r's gradient is the gradient of its segment's
-                    // output row.
-                    accumulate(&mut grads, a.0, g.gather_rows(segments));
                 }
             }
         }
@@ -386,61 +347,6 @@ mod tests {
                 tape.matmul(ones_l, col) // 1x1
             },
             (1, 2),
-        );
-    }
-
-    #[test]
-    fn gather_rows_gradient_with_repeats() {
-        // A repeated row must accumulate both gradient contributions.
-        check_param_gradient(
-            |tape, store, p| {
-                let w = tape.param(store, p); // 2x2
-                let g = tape.gather_rows(w, vec![1, 0, 1]); // 3x2, row 1 twice
-                let scale =
-                    tape.input(Tensor::from_vec(3, 2, vec![1.0, -0.5, 2.0, 0.25, -1.5, 3.0]));
-                // Elementwise weight via leaky on sums is awkward; instead
-                // reduce with a matmul chain to a scalar.
-                let c = tape.concat_cols(g, scale); // 3x4
-                let ones_r = tape.input(Tensor::from_vec(4, 1, vec![1.0, 2.0, -1.0, 0.5]));
-                let col = tape.matmul(c, ones_r); // 3x1
-                let ones_l = tape.input(Tensor::from_vec(1, 3, vec![1.0, -2.0, 3.0]));
-                tape.matmul(ones_l, col) // 1x1
-            },
-            (2, 2),
-        );
-    }
-
-    #[test]
-    fn segment_sum_gradient() {
-        check_param_gradient(
-            |tape, store, p| {
-                let w = tape.param(store, p); // 4x2
-                let s = tape.segment_sum(w, vec![1, 0, 1, 1], 2); // 2x2
-                let a = tape.leaky_relu(s, 0.1);
-                let ones_r = tape.input(Tensor::from_vec(2, 1, vec![1.0, -1.0]));
-                let col = tape.matmul(a, ones_r); // 2x1
-                let ones_l = tape.input(Tensor::from_vec(1, 2, vec![2.0, 1.0]));
-                tape.matmul(ones_l, col) // 1x1
-            },
-            (4, 2),
-        );
-    }
-
-    #[test]
-    fn segment_sum_matches_sum_rows_bitwise() {
-        // The batched op must reproduce the per-node SumRows chains exactly.
-        let vals: Vec<f32> = (0..12).map(|i| ((i * 39916801usize) as f32).sqrt()).collect();
-        let mut tape = Tape::new();
-        let m = tape.input(Tensor::from_vec(4, 3, vals.clone()));
-        let seg = tape.segment_sum(m, vec![0, 1, 1, 1], 2);
-        let rows: Vec<VarId> =
-            (0..4).map(|r| tape.input(Tensor::row(&vals[r * 3..(r + 1) * 3]))).collect();
-        let s0 = tape.sum_rows(vec![rows[0]]);
-        let s1 = tape.sum_rows(vec![rows[1], rows[2], rows[3]]);
-        assert_eq!(tape.value(seg).row_slice(0), tape.value(s0).data.as_slice());
-        assert_eq!(
-            tape.value(seg).row_slice(1).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            tape.value(s1).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
     }
 

@@ -123,48 +123,6 @@ impl Tensor {
         &mut self.data[rows.start * self.cols..rows.end * self.cols]
     }
 
-    /// Gather `rows` of `self` into a new `rows.len() × cols` matrix (the
-    /// batched replacement for building many `1×c` row tensors).
-    pub fn gather_rows(&self, rows: &[usize]) -> Tensor {
-        let mut data = Vec::with_capacity(rows.len() * self.cols);
-        for &r in rows {
-            data.extend_from_slice(self.row_slice(r));
-        }
-        Tensor::from_vec(rows.len(), self.cols, data)
-    }
-
-    /// Scatter-add `src`'s rows into `self` at `rows` (row `i` of `src` is
-    /// added to row `rows[i]` of `self`), strictly in `src` row order — the
-    /// deterministic adjoint of [`Tensor::gather_rows`].
-    pub fn scatter_add_rows(&mut self, rows: &[usize], src: &Tensor) {
-        assert_eq!(rows.len(), src.rows, "scatter row-count mismatch");
-        assert_eq!(self.cols, src.cols, "scatter width mismatch");
-        for (i, &r) in rows.iter().enumerate() {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &s) in dst.iter_mut().zip(src.row_slice(i)) {
-                *d += s;
-            }
-        }
-    }
-
-    /// Segment sum with a **pinned in-order reduction**: row `r` of `self`
-    /// is added into output row `segments[r]`, scanning rows strictly in
-    /// ascending `r`. Each output row therefore accumulates its members in
-    /// input order starting from zero — the same float-addition chain as
-    /// summing the member rows one by one, so results are bit-identical to a
-    /// per-segment `sum_rows` over the same member order.
-    pub fn segment_sum(&self, segments: &[usize], n_segments: usize) -> Tensor {
-        assert_eq!(segments.len(), self.rows, "segment id per row required");
-        let mut out = Tensor::zeros(n_segments, self.cols);
-        for (r, &s) in segments.iter().enumerate() {
-            let dst = &mut out.data[s * self.cols..(s + 1) * self.cols];
-            for (d, &x) in dst.iter_mut().zip(self.row_slice(r)) {
-                *d += x;
-            }
-        }
-        out
-    }
-
     /// Broadcast-add a `1×cols` bias row over every row (batched bias).
     pub fn add_row_broadcast(&mut self, bias: &Tensor) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
@@ -221,6 +179,17 @@ const TILE: usize = 32;
 /// tile of an output row in a local array the compiler keeps in registers,
 /// so `w` is the only memory its inner loop reads.
 pub fn matmul_rows<'a>(x: impl Fn(usize) -> &'a [f32], w: &[f32], n: usize, out: &mut [f32]) {
+    matmul_entries(|i| x(i).iter().copied().enumerate(), w, n, out);
+}
+
+/// [`matmul_rows`] with row `i` given as its `(p, a)` entries, `p`
+/// ascending. An entry left out is a zero, which the chain skips anyway, so
+/// a row listed by its nonzeros alone (an encoder's input, see
+/// [`crate::gnn::Features`]) yields the bits of the dense row.
+pub fn matmul_entries<I>(x: impl Fn(usize) -> I, w: &[f32], n: usize, out: &mut [f32])
+where
+    I: Iterator<Item = (usize, f32)>,
+{
     if n == 0 {
         return;
     }
@@ -228,10 +197,9 @@ pub fn matmul_rows<'a>(x: impl Fn(usize) -> &'a [f32], w: &[f32], n: usize, out:
         let (w, _) = w.as_chunks::<TILE>();
         let tiles = n / TILE;
         for (i, o) in out.chunks_exact_mut(n).enumerate() {
-            let xi = x(i);
             for (c, o) in o.as_chunks_mut::<TILE>().0.iter_mut().enumerate() {
                 let mut acc = [0.0f32; TILE];
-                for (p, &a) in xi.iter().enumerate() {
+                for (p, a) in x(i) {
                     if a == 0.0 {
                         continue;
                     }
@@ -246,7 +214,7 @@ pub fn matmul_rows<'a>(x: impl Fn(usize) -> &'a [f32], w: &[f32], n: usize, out:
     }
     for (i, o) in out.chunks_exact_mut(n).enumerate() {
         o.fill(0.0);
-        for (p, &a) in x(i).iter().enumerate() {
+        for (p, a) in x(i) {
             if a == 0.0 {
                 continue;
             }
@@ -303,39 +271,6 @@ mod tests {
         a.scale_assign(2.0);
         assert_eq!(a.data, vec![3.0, 2.0]);
         assert!((a.norm() - (13.0f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gather_scatter_round_trip() {
-        let m = Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let g = m.gather_rows(&[2, 0, 2]);
-        assert_eq!(g.rows, 3);
-        assert_eq!(g.data, vec![5.0, 6.0, 1.0, 2.0, 5.0, 6.0]);
-        let mut acc = Tensor::zeros(3, 2);
-        acc.scatter_add_rows(&[2, 0, 2], &g);
-        // Row 2 received two contributions, row 0 one, row 1 none.
-        assert_eq!(acc.data, vec![1.0, 2.0, 0.0, 0.0, 10.0, 12.0]);
-    }
-
-    #[test]
-    fn segment_sum_matches_manual_in_order_chain() {
-        // Awkward summands: the in-order chain differs bitwise from other
-        // orders, so this pins the reduction order as well as the values.
-        let vals: Vec<f32> = (0..8).map(|i| ((i * 2654435761u64 as usize) as f32).sqrt()).collect();
-        let m = Tensor::from_vec(4, 2, vals.clone());
-        let segs = [1usize, 0, 1, 1];
-        let out = m.segment_sum(&segs, 2);
-        let mut want0 = Tensor::zeros(1, 2);
-        want0.add_assign(&Tensor::row(m.row_slice(1)));
-        let mut want1 = Tensor::zeros(1, 2);
-        for r in [0usize, 2, 3] {
-            want1.add_assign(&Tensor::row(m.row_slice(r)));
-        }
-        assert_eq!(out.row_slice(0), want0.data.as_slice());
-        assert_eq!(
-            out.row_slice(1).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            want1.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -446,11 +381,14 @@ mod tests {
                 for n in [1, 7, 31, 32, 33, 64] {
                     let (a, b, bt, at) = (fill(m, k), fill(k, n), fill(n, k), fill(k, m));
                     let shape = format!("m={m} k={k} n={n}");
-                    assert_eq!(
-                        bits(&a.matmul(&b)),
-                        bits(&written::matmul(&a, &b)),
-                        "matmul {shape}"
-                    );
+                    let want = bits(&written::matmul(&a, &b));
+                    assert_eq!(bits(&a.matmul(&b)), want, "matmul {shape}");
+                    // The same rows by their nonzero entries alone.
+                    let mut sparse = Tensor::zeros(m, n);
+                    let nonzeros = |i: usize| a.row_slice(i).iter().copied().enumerate();
+                    let nonzeros = |i| nonzeros(i).filter(|&(_, x)| x != 0.0);
+                    matmul_entries(nonzeros, &b.data, n, &mut sparse.data);
+                    assert_eq!(bits(&sparse), want, "matmul_entries {shape}");
                     let (got, want) =
                         (at.transpose_a_matmul(&b), written::transpose_a_matmul(&at, &b));
                     assert_eq!(bits(&got), bits(&want), "transpose_a_matmul {shape}");

@@ -110,12 +110,13 @@ pub struct FlightRecord {
 }
 
 impl FlightRecord {
-    /// Index of the worst-estimated operator (largest cardinality q-error),
-    /// `None` when the record carries no estimates.
+    /// Index of the worst-estimated operator: the largest cardinality
+    /// q-error above 1, the first such on a tie. `None` when no operator was
+    /// misestimated (every q-error is 1) or the record carries no estimates.
     pub fn worst_estimated_op(&self) -> Option<usize> {
         let mut worst: Option<(usize, f64)> = None;
         for (i, op) in self.ops.iter().enumerate() {
-            if let Some(q) = op.card_q {
+            if let Some(q) = op.card_q.filter(|&q| q > 1.0) {
                 if worst.is_none_or(|(_, w)| q > w) {
                     worst = Some((i, q));
                 }
@@ -334,6 +335,18 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// Exact estimates everywhere: no operator is marked. Two operators
+    /// off by the same factor: the first is.
+    #[test]
+    fn an_all_exact_record_marks_no_operator() {
+        let mut exact = sample(1);
+        exact.ops.iter_mut().for_each(|op| op.card_q = Some(1.0));
+        assert_eq!(exact.worst_estimated_op(), None);
+        assert!(!exact.render_analyze().contains("<- worst estimate"));
+        exact.ops.iter_mut().for_each(|op| op.card_q = Some(1.5));
+        assert_eq!(exact.worst_estimated_op(), Some(0));
     }
 
     // The enabled flag, buffer and counters are process-global, so the
