@@ -81,20 +81,31 @@ pub(crate) fn udf_filter_hint(plan: &Plan, idx: usize) -> f64 {
 /// ancestor's estimate is multiplied by the ratio between the new and the
 /// previously annotated UDF output.
 pub fn scale_above_udf(plan: &mut Plan, selectivity: f64) {
-    let Some(udf_idx) = plan.udf_op() else { return };
-    let child = plan.ops[udf_idx].children[0];
-    let input = plan.ops[child].est_out_rows.max(0.0);
-    let old_out = plan.ops[udf_idx].est_out_rows.max(1e-9);
-    let new_out = input * selectivity.clamp(0.0, 1.0);
-    let ratio = new_out / old_out;
-    plan.ops[udf_idx].est_out_rows = new_out;
-    for anc in plan.ops_above(udf_idx) {
-        if matches!(plan.ops[anc].kind, PlanOpKind::Agg { .. }) {
-            plan.ops[anc].est_out_rows = 1.0;
-        } else {
-            plan.ops[anc].est_out_rows *= ratio;
-        }
+    if let Some(rows) = scale_ladder(plan, &[selectivity]).pop() {
+        plan.ops.iter_mut().zip(rows).for_each(|(op, rows)| op.est_out_rows = rows);
     }
+}
+
+/// Every operator's estimate after [`scale_above_udf`] at each of
+/// `selectivities`, the plan left as it is: the advisor's ladder of one
+/// placement, one estimate vector per assumed selectivity.
+pub fn scale_ladder(plan: &Plan, selectivities: &[f64]) -> Vec<Vec<f64>> {
+    let rows: Vec<f64> = plan.ops.iter().map(|op| op.est_out_rows).collect();
+    let Some(udf_idx) = plan.udf_op() else { return vec![rows; selectivities.len()] };
+    let above = plan.ops_above(udf_idx);
+    let input = rows[plan.ops[udf_idx].children[0]].max(0.0);
+    let old_out = rows[udf_idx].max(1e-9);
+    let variant = |&selectivity: &f64| {
+        let (mut rows, new_out) = (rows.clone(), input * selectivity.clamp(0.0, 1.0));
+        let ratio = new_out / old_out;
+        rows[udf_idx] = new_out;
+        for &anc in &above {
+            let agg = matches!(plan.ops[anc].kind, PlanOpKind::Agg { .. });
+            rows[anc] = if agg { 1.0 } else { rows[anc] * ratio };
+        }
+        rows
+    };
+    selectivities.iter().map(variant).collect()
 }
 
 /// How many of the rows `ids` of `table` pass every predicate of the

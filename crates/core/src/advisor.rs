@@ -17,23 +17,29 @@
 //! A fourth mode, **Cost**, uses a single known selectivity (the "actual
 //! selectivity" rows of Table V).
 //!
-//! # One decision, one pass
+//! # One decision, one graph
 //!
 //! The twelve instances are not twelve estimates. `scale_above_udf` changes
 //! `est_out_rows` only on the UDF filter and the operators above it, so per
-//! placement the plan is built and annotated once, its ladder is featurized
-//! into one graph ([`Featurizer::featurize_ladder`](crate::featurize::Featurizer::featurize_ladder):
-//! tables, columns, scans, side joins and the whole UDF subgraph once, the
-//! FILTER/JOIN/AGG suffix once per selectivity), and both graphs go through
-//! one forward that reads out twelve roots. The GNN is a bottom-up pass over
-//! a DAG, so a shared node's state is what it would be in each stand-alone
-//! graph, and every cost keeps its bits (`a_decision_equals_twelve_independent_estimates`).
-//! The estimator is asked once per placement (annotation, then the UDF's hit
-//! ratios), so one that samples per call draws once per placement too.
+//! placement the plan is built and annotated once and its ladder is one
+//! estimate vector per selectivity ([`graceful_card::scale_ladder`]). Both
+//! ladders go into one graph through one `GraphBuilder` of the featurizer,
+//! which emits what a ladder's variants share once, lets push-down reuse
+//! every pull-up node it would emit bit for bit (each table's
+//! TABLE/SCAN/FILTER/COLUMN nodes, the UDF's input columns, the joins below
+//! a late-joining pushed-down UDF) and builds the UDF's return type and DAG
+//! once. One forward reads out all twelve roots; the GNN is a
+//! bottom-up pass over a DAG, so every cost keeps its bits
+//! (`a_decision_equals_twelve_independent_estimates`). The estimator is
+//! asked in one order — annotate pull-up, its ladder's hit ratios, then the
+//! same for push-down — so one that samples per call draws once per
+//! placement; the hit ratios stay per placement until the sampling
+//! estimator is a pure function of its input.
 
 use crate::model::GracefulModel;
-use graceful_card::{scale_above_udf, CardEstimator};
+use graceful_card::{scale_ladder, CardEstimator};
 use graceful_common::{GracefulError, Result};
+use graceful_nn::TypedGraph;
 use graceful_plan::{build_plan, QuerySpec, UdfPlacement, UdfUsage};
 use graceful_storage::Database;
 
@@ -81,38 +87,26 @@ impl<'a> PullUpAdvisor<'a> {
         PullUpAdvisor { model }
     }
 
-    /// Predicted cost distributions of both placements across `sels`, as
-    /// `[pull-up, push-down]`: one annotated base plan and one ladder graph
-    /// per placement, one forward over the two.
-    fn cost_curves(
+    /// Both placements' ladders across `sels` in one graph, and their roots:
+    /// pull-up first, each plan built and annotated once.
+    fn decision_graph(
         &self,
         db: &Database,
         spec: &QuerySpec,
         estimator: &dyn CardEstimator,
         sels: &[f64],
-    ) -> Result<[Vec<(f64, f64)>; 2]> {
-        let mut graphs = Vec::with_capacity(2);
+    ) -> Result<(TypedGraph, Vec<usize>)> {
+        let mut plans =
+            [build_plan(spec, UdfPlacement::PullUp)?, build_plan(spec, UdfPlacement::PushDown)?];
+        let mut g = self.model.featurizer().builder(db, spec, estimator);
         let mut roots = Vec::with_capacity(2 * sels.len());
-        for (gi, placement) in
-            [UdfPlacement::PullUp, UdfPlacement::PushDown].into_iter().enumerate()
-        {
-            let mut base = build_plan(spec, placement)?;
-            // Annotate without any execution feedback: the UDF hint defaults to
-            // 0.5 and is immediately overridden per assumed selectivity.
-            estimator.annotate(&mut base)?;
-            let mut variants = vec![base; sels.len()];
-            for (plan, &sel) in variants.iter_mut().zip(sels) {
-                scale_above_udf(plan, sel);
-            }
-            let (graph, variant_roots) =
-                self.model.featurizer().featurize_ladder(db, spec, &variants, estimator)?;
-            roots.extend(variant_roots.into_iter().map(|r| (gi, r)));
-            graphs.push(graph);
+        for plan in &mut plans {
+            // Annotate without any execution feedback: the UDF hint defaults
+            // to 0.5 and is immediately overridden per assumed selectivity.
+            estimator.annotate(plan)?;
+            roots.extend(g.ladder(plan, &scale_ladder(plan, sels))?);
         }
-        let costs = self.model.gnn().predict_roots(&[&graphs[0], &graphs[1]], &roots)?;
-        let (up, down) = costs.split_at(sels.len());
-        let curve = |costs: &[f64]| sels.iter().copied().zip(costs.iter().copied()).collect();
-        Ok([curve(up), curve(down)])
+        Ok((g.graph(roots[0]), roots))
     }
 
     /// Decide pull-up vs push-down for a UDF-filter query.
@@ -143,7 +137,11 @@ impl<'a> PullUpAdvisor<'a> {
             },
             _ => SELECTIVITY_LADDER.to_vec(),
         };
-        let [pullup, pushdown] = self.cost_curves(db, spec, estimator, &sels)?;
+        let (graph, roots) = self.decision_graph(db, spec, estimator, &sels)?;
+        let roots: Vec<_> = roots.into_iter().map(|r| (0, r)).collect();
+        let costs = self.model.gnn().predict_roots(&[&graph], &roots)?;
+        let curve = |c: &[f64]| -> Vec<_> { sels.iter().copied().zip(c.iter().copied()).collect() };
+        let (pullup, pushdown) = (curve(&costs[..sels.len()]), curve(&costs[sels.len()..]));
         let mut costs = pullup.iter().zip(&pushdown).map(|((_, up), (_, down))| (up, down));
         let pull_up = match strategy {
             // One selectivity (Cost), or the maximum one (UBC: 1.0 is the
@@ -168,7 +166,7 @@ mod tests {
     use crate::corpus::env_corpus;
     use crate::featurize::Featurizer;
     use crate::model::TrainOptions;
-    use graceful_card::ActualCard;
+    use graceful_card::{scale_above_udf, ActualCard};
     use graceful_common::config::ScaleConfig;
 
     #[test]
@@ -265,6 +263,84 @@ mod tests {
             }
         }
         assert!(decisions >= 20 * 40, "only {decisions} decisions checked");
+    }
+
+    /// The decision graph is the pull-up ladder followed by what the
+    /// push-down ladder does not share with it: over the 20-schema corpus
+    /// under `ActualCard`, its first nodes and edges are the pull-up ladder
+    /// featurized apart, what the push-down roots reach holds the nodes of
+    /// the push-down ladder featurized apart, and every node it reuses is
+    /// one it does not emit again. The costs are the oracle test's business.
+    #[test]
+    fn a_decision_graph_emits_shared_operators_once() {
+        let cfg = ScaleConfig { data_scale: 0.02, queries_per_db: 4, ..ScaleConfig::default() };
+        let model = GracefulModel::new(Featurizer::full(), 8, 9).unwrap();
+        let advisor = PullUpAdvisor::new(&model);
+        let sels = &SELECTIVITY_LADDER;
+        // The nodes `roots` reach in `g`, each as its type and feature bits.
+        let reach = |g: &TypedGraph, roots: &[usize]| -> Vec<usize> {
+            let mut seen = vec![false; g.len()];
+            let mut stack = roots.to_vec();
+            while let Some(v) = stack.pop() {
+                if !std::mem::replace(&mut seen[v], true) {
+                    stack.extend(g.edges.iter().filter(|e| e.1 == v).map(|e| e.0));
+                }
+            }
+            (0..g.len()).filter(|&v| seen[v]).collect()
+        };
+        let rows = |g: &TypedGraph, nodes: &[usize]| -> Vec<(usize, Vec<u32>)> {
+            let row = |&v: &usize| {
+                (g.node_types[v], g.features.row(v).iter().map(|f| f.to_bits()).collect())
+            };
+            let mut rows: Vec<_> = nodes.iter().map(row).collect();
+            rows.sort();
+            rows
+        };
+        let (mut decisions, mut sharing, mut reused_total, mut apart_total) = (0, 0, 0, 0);
+        for (i, name) in graceful_storage::datagen::DATASET_NAMES.iter().enumerate() {
+            let c = env_corpus(name, &cfg, 60 + i as u64);
+            let est = ActualCard::new(&c.db);
+            let advisable = c.queries.iter().filter(|q| {
+                q.has_udf() && q.spec.udf_usage == UdfUsage::Filter && !q.spec.joins.is_empty()
+            });
+            for q in advisable {
+                let (g, roots) = advisor.decision_graph(&c.db, &q.spec, &est, sels).unwrap();
+                let [up, down] = [UdfPlacement::PullUp, UdfPlacement::PushDown].map(|p| {
+                    let mut plan = build_plan(&q.spec, p).unwrap();
+                    est.annotate(&mut plan).unwrap();
+                    let ladder = scale_ladder(&plan, sels);
+                    model
+                        .featurizer()
+                        .featurize_ladder(&c.db, &q.spec, &plan, &ladder, &est)
+                        .unwrap()
+                });
+                let what = format!("{name} query {}", q.spec.id);
+                let n_up = up.0.len();
+                assert_eq!(g.node_types[..n_up], up.0.node_types, "{what}");
+                assert_eq!(g.edges[..up.0.edges.len()], up.0.edges, "{what}");
+                assert_eq!(
+                    rows(&g, &(0..n_up).collect::<Vec<_>>()),
+                    rows(&up.0, &(0..n_up).collect::<Vec<_>>()),
+                    "{what}"
+                );
+                assert_eq!(roots[..sels.len()], up.1, "{what}");
+                let reached = reach(&g, &roots[sels.len()..]);
+                let apart = reach(&down.0, &down.1);
+                assert_eq!(rows(&g, &reached), rows(&down.0, &apart), "push-down nodes, {what}");
+                let reused = reached.iter().filter(|&&v| v < n_up).count();
+                assert_eq!(g.len(), up.0.len() + down.0.len() - reused, "{what}");
+                assert!(g.len() <= up.0.len() + down.0.len(), "{what}");
+                decisions += 1;
+                sharing += usize::from(reused > 0);
+                (reused_total, apart_total) =
+                    (reused_total + reused, apart_total + up.0.len() + down.0.len());
+            }
+        }
+        println!(
+            "{sharing} of {decisions} decision graphs share nodes; {reused_total} of {apart_total} rows ({:.1} %) are emitted once instead of twice",
+            100.0 * reused_total as f64 / apart_total as f64
+        );
+        assert!(decisions >= 40 && 2 * sharing > decisions, "{sharing} of {decisions} share");
     }
 
     #[test]

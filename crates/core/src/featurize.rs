@@ -12,12 +12,20 @@
 //!   data-flow edges, child-operator → INV, RET → consuming FILTER (with the
 //!   `on-udf` flag) or RET → UDF_PROJECT node.
 //!
-//! One emitter serves one plan and a ladder of its annotation variants
-//! ([`Featurizer::featurize_ladder`]): an operator is emitted once for all
+//! One emitter serves one plan and a *ladder*: one plan's structure with one
+//! estimate vector per variant in place of its `est_out_rows`
+//! ([`Featurizer::featurize_ladder`]). An operator is emitted once for all
 //! variants whose estimates agree, bit for bit, on it and on everything below
-//! it, and once per variant otherwise. Nothing but `est_out_rows` enters a
+//! it, and once per variant otherwise. Nothing but the estimates enters a
 //! node from a variant and in-edges keep their order, so what a variant's
 //! root reaches is node for node the graph of that variant alone.
+//!
+//! One `GraphBuilder` takes one or more ladders of a query (the advisor's
+//! two placements). A later ladder reuses each
+//! node of an earlier one that it would emit with the same type, feature
+//! bits and children's nodes (a node's state depends on nothing else), and
+//! the UDF's return type and DAG are built once per builder, their `in_rows`
+//! re-annotated (hit ratios asked) at every emission of the UDF.
 //!
 //! All features are database-independent (one-hot vocabularies + magnitudes),
 //! which is what enables zero-shot transfer. The [`Featurizer`]'s `level`
@@ -30,19 +38,20 @@
 //! the graph's one flat buffer ([`graceful_nn::Features`]), whose arrays are
 //! reserved once and trimmed to length at the end. The graph is not
 //! validated here: the model validates it, once, when it estimates or
-//! trains. Nothing is cached across calls. On a 2-thread Xeon VM the
-//! held-out queries of the benchmark's `train_and_advise` workload, each
+//! trains. Nothing outlives the builder: each `featurize` analyses its UDF
+//! afresh. On a 2-thread Xeon VM the held-out queries of the benchmark's
+//! `train_and_advise` workload, each
 //! featurized once per round under the data-driven estimator, take ~34 µs a
 //! call on average: return type ~6, DAG ~7, hit ratios ~9, emission ~6.
 
 use graceful_card::{CardEstimator, HitRatioEstimator};
-use graceful_cfg::{build_dag, DagConfig, UdfNodeKind};
+use graceful_cfg::{build_dag, DagConfig, UdfDag, UdfNodeKind};
 use graceful_common::{GracefulError, Result};
 use graceful_nn::{Features, TypedGraph};
 use graceful_plan::{AggFunc, Plan, PlanOp, PlanOpKind, Pred, QuerySpec};
 use graceful_storage::{DataType, Database};
 use graceful_udf::ast::{BinOp, CmpOp};
-use graceful_udf::LibFn;
+use graceful_udf::{GeneratedUdf, LibFn};
 
 /// GNN node-type ids of the joint graph.
 pub mod node_type {
@@ -144,61 +153,39 @@ impl Featurizer {
         plan: &Plan,
         estimator: &dyn CardEstimator,
     ) -> Result<TypedGraph> {
-        Ok(self.featurize_ladder(db, spec, std::slice::from_ref(plan), estimator)?.0)
+        let mut g = self.builder(db, spec, estimator);
+        let root = g.emit_ladder(plan, 1, |_, i| plan.ops[i].est_out_rows)?[0];
+        Ok(g.graph(root))
     }
 
-    /// Featurize N annotation variants of one plan (the same operators, each
-    /// with its own `est_out_rows`) into one *ladder graph* plus one root per
-    /// variant, sharing what the module docs say can be shared — the UDF
-    /// subgraph too, while the UDF's input does not vary. N = 1 is
-    /// [`Featurizer::featurize`]. `graph.root` is the first variant's root;
-    /// read all of them out at the returned roots.
+    /// Featurize a ladder — `plan` with each of `variants` as every
+    /// operator's estimate in place of its `est_out_rows` — into one *ladder
+    /// graph* plus one root per variant, sharing what the module docs say
+    /// can be shared. `graph.root` is the first variant's root; read all of
+    /// them out at the returned roots.
     pub fn featurize_ladder(
         &self,
         db: &Database,
         spec: &QuerySpec,
-        variants: &[Plan],
+        plan: &Plan,
+        variants: &[Vec<f64>],
         estimator: &dyn CardEstimator,
     ) -> Result<(TypedGraph, Vec<usize>)> {
-        let Some((base, rest)) = variants.split_first() else {
-            return Err(GracefulError::InvalidPlan("featurize needs at least one plan".into()));
-        };
-        // Structure is read from the first plan only, estimates from each.
-        if rest.iter().any(|p| p.ops.len() != base.ops.len()) {
-            return Err(GracefulError::InvalidPlan("ladder variants differ in shape".into()));
-        }
-        let mut g = GraphBuilder::new(*self, db, spec, estimator);
-        // Room for the first variant (a few nodes per operator, and a UDF's
-        // DAG: 36 nodes, mostly COMP, on the benchmark's held-out queries).
-        let nodes = 3 * base.ops.len() + 64;
-        g.reserve(nodes, 32 * nodes, 2 * nodes);
-        // Per variant: plan-op index -> graph node index (set as we emit).
-        let mut op_node = vec![vec![usize::MAX; base.ops.len()]; variants.len()];
-        let mut varies = vec![false; base.ops.len()];
-        for (idx, op) in base.ops.iter().enumerate() {
-            let bits = op.est_out_rows.to_bits();
-            varies[idx] = op.children.iter().any(|&c| varies[c])
-                || rest.iter().any(|p| p.ops[idx].est_out_rows.to_bits() != bits);
-            let mut ret_node = usize::MAX;
-            for (v, plan) in variants.iter().enumerate() {
-                if v > 0 && !varies[idx] {
-                    op_node[v][idx] = op_node[0][idx];
-                    continue;
-                }
-                if let PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } = &op.kind
-                {
-                    let child = op.children[0];
-                    if v == 0 || varies[child] {
-                        let in_rows = plan.ops[child].est_out_rows;
-                        ret_node = g.emit_udf(udf, in_rows, Some(op_node[v][child]))?;
-                    }
-                }
-                let rows = |i: usize| plan.ops[i].est_out_rows;
-                op_node[v][idx] = g.emit_op(op, idx, rows, &op_node[v], ret_node)?;
-            }
-        }
-        let roots: Vec<usize> = op_node.iter().map(|nodes| nodes[base.root]).collect();
+        let mut g = self.builder(db, spec, estimator);
+        let roots = g.ladder(plan, variants)?;
         Ok((g.graph(roots[0]), roots))
+    }
+
+    /// An empty graph for ladders of `spec`'s plans ([`GraphBuilder::ladder`]).
+    pub(crate) fn builder<'a>(
+        &self,
+        db: &'a Database,
+        spec: &'a QuerySpec,
+        estimator: &'a dyn CardEstimator,
+    ) -> GraphBuilder<'a> {
+        let (node_types, features, edges) = (Vec::new(), Features::default(), Vec::new());
+        let (fz, udf, shared) = (*self, None, (Vec::new(), 0));
+        GraphBuilder { fz, db, spec, estimator, node_types, features, edges, udf, shared }
     }
 }
 
@@ -208,11 +195,11 @@ impl Featurizer {
 pub(crate) fn udf_graph(
     db: &Database,
     spec: &QuerySpec,
-    udf: &graceful_udf::GeneratedUdf,
+    udf: &GeneratedUdf,
     input_rows: f64,
     estimator: &dyn CardEstimator,
 ) -> Result<TypedGraph> {
-    let mut g = GraphBuilder::new(Featurizer::full(), db, spec, estimator);
+    let mut g = Featurizer::full().builder(db, spec, estimator);
     let ret = g.emit_udf(udf, input_rows, None)?;
     Ok(g.graph(ret))
 }
@@ -289,8 +276,10 @@ fn column_features(db: &Database, table: &str, column: &str) -> Result<[f32; 8]>
     Ok(f)
 }
 
-/// Incremental builder of one query's graph, enforcing forward edges.
-struct GraphBuilder<'a> {
+/// Incremental builder of one query's graph, enforcing forward edges: the
+/// ladders of one or more of its plans ([`GraphBuilder::ladder`]), or the
+/// one plan of [`Featurizer::featurize`].
+pub(crate) struct GraphBuilder<'a> {
     fz: Featurizer,
     db: &'a Database,
     spec: &'a QuerySpec,
@@ -298,22 +287,33 @@ struct GraphBuilder<'a> {
     node_types: Vec<usize>,
     features: Features,
     edges: Vec<(usize, usize)>,
+    /// The UDF emitted last, analysed once: its DAG (return type included)
+    /// and the plain filters on its table.
+    udf: Option<(&'a GeneratedUdf, UdfDag, Vec<Pred>)>,
+    /// Each node a later ladder may reuse, with its first in-edge; and how
+    /// many of them earlier ladders emitted.
+    shared: (Vec<(usize, usize)>, usize),
 }
 
 impl<'a> GraphBuilder<'a> {
-    fn new(
-        fz: Featurizer,
-        db: &'a Database,
-        spec: &'a QuerySpec,
-        estimator: &'a dyn CardEstimator,
-    ) -> Self {
-        let (node_types, features, edges) = (Vec::new(), Features::default(), Vec::new());
-        GraphBuilder { fz, db, spec, estimator, node_types, features, edges }
+    /// Emit `plan` once per variant of `variants` (each a full set of
+    /// operator estimates) and return the variants' roots. Each operator or
+    /// UDF input COLUMN node of an earlier ladder is reused, once, where this
+    /// ladder would emit one with its type, features and children, bit for
+    /// bit.
+    pub(crate) fn ladder(&mut self, plan: &'a Plan, variants: &[Vec<f64>]) -> Result<Vec<usize>> {
+        if variants.is_empty() {
+            return Err(GracefulError::InvalidPlan("featurize needs at least one plan".into()));
+        }
+        if variants.iter().any(|v| v.len() != plan.ops.len()) {
+            return Err(GracefulError::InvalidPlan("ladder variants differ in shape".into()));
+        }
+        self.emit_ladder(plan, variants.len(), |v, i| variants[v][i])
     }
 
     /// The graph built so far, rooted at `root`. The model validates it
     /// when it estimates or trains on it.
-    fn graph(self, root: usize) -> TypedGraph {
+    pub(crate) fn graph(self, root: usize) -> TypedGraph {
         let (mut node_types, mut features, mut edges) =
             (self.node_types, self.features, self.edges);
         node_types.shrink_to_fit();
@@ -322,12 +322,54 @@ impl<'a> GraphBuilder<'a> {
         TypedGraph { node_types, features, edges, root }
     }
 
+    /// Emit `n` variants of `plan`, `rows(v, i)` being operator `i`'s
+    /// estimate in variant `v`: an operator once for all variants whose
+    /// estimates agree, bit for bit, on it and on everything below it, and
+    /// once per variant otherwise.
+    fn emit_ladder(
+        &mut self,
+        plan: &'a Plan,
+        n: usize,
+        rows: impl Fn(usize, usize) -> f64,
+    ) -> Result<Vec<usize>> {
+        // Room for the first variant (a few nodes per operator, and a UDF's
+        // DAG: 36 nodes, mostly COMP, on the benchmark's held-out queries).
+        let nodes = 3 * plan.ops.len() + 64;
+        self.reserve(nodes, 32 * nodes, 2 * nodes);
+        self.shared.1 = self.shared.0.len();
+        // Per variant: plan-op index -> graph node index (set as we emit).
+        let mut op_node = vec![vec![usize::MAX; plan.ops.len()]; n];
+        let mut varies = vec![false; plan.ops.len()];
+        for (idx, op) in plan.ops.iter().enumerate() {
+            let bits = rows(0, idx).to_bits();
+            varies[idx] = op.children.iter().any(|&c| varies[c])
+                || (1..n).any(|v| rows(v, idx).to_bits() != bits);
+            let mut ret_node = usize::MAX;
+            for v in 0..n {
+                if v > 0 && !varies[idx] {
+                    op_node[v][idx] = op_node[0][idx];
+                    continue;
+                }
+                if let PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } = &op.kind
+                {
+                    let child = op.children[0];
+                    if v == 0 || varies[child] {
+                        ret_node = self.emit_udf(udf, rows(v, child), Some(op_node[v][child]))?;
+                    }
+                }
+                op_node[v][idx] = self.emit_op(op, idx, |i| rows(v, i), &op_node[v], ret_node)?;
+            }
+        }
+        Ok(op_node.iter().map(|nodes| nodes[plan.root]).collect())
+    }
+
     /// Room for `nodes` more nodes holding `values` features and `edges`
     /// more edges.
     fn reserve(&mut self, nodes: usize, values: usize, edges: usize) {
         self.node_types.reserve(nodes);
         self.features.reserve(nodes, values);
         self.edges.reserve(edges);
+        self.shared.0.reserve(nodes);
     }
 
     fn push(&mut self, ty: usize, feats: &[f32]) -> usize {
@@ -339,6 +381,27 @@ impl<'a> GraphBuilder<'a> {
     fn edge(&mut self, src: usize, dst: usize) {
         debug_assert!(src < dst, "edge {src}->{dst} must be forward");
         self.edges.push((src, dst));
+    }
+
+    /// A node of type `ty` with features `feats`, fed by `children` in
+    /// order: an earlier ladder's node where all three match bit for bit,
+    /// else a new one. Its state is the same either way.
+    fn node(&mut self, ty: usize, feats: &[f32], children: &[usize]) -> usize {
+        let same = |&(v, first): &(usize, usize)| {
+            self.node_types.get(v) == Some(&ty)
+                && (self.edges[first..].iter().take_while(|e| e.1 == v).map(|e| e.0))
+                    .eq(children.iter().copied())
+                && (self.features.row(v).iter().map(|x| x.to_bits()))
+                    .eq(feats.iter().map(|x| x.to_bits()))
+        };
+        if let Some(k) = self.shared.0[..self.shared.1].iter().position(same) {
+            // Reused once, so that two equal nodes of a ladder stay two.
+            return std::mem::replace(&mut self.shared.0[k].0, usize::MAX);
+        }
+        let (v, first) = (self.push(ty, feats), self.edges.len());
+        children.iter().for_each(|&c| self.edge(c, v));
+        self.shared.0.push((v, first));
+        v
     }
 
     /// Emit the node of `op`, the plan's `idx`-th operator (after the
@@ -356,78 +419,44 @@ impl<'a> GraphBuilder<'a> {
         let db = self.db;
         let est_out = rows(idx);
         let in_rows = |side: usize| rows(op.children[side]);
+        let child = |side: usize| op_node[op.children[side]];
         Ok(match &op.kind {
             PlanOpKind::Scan { table } => {
                 let t = db.table(table)?;
-                let tbl = self.push(
-                    node_type::TABLE,
-                    &[log_mag(t.num_rows() as f64), t.num_columns() as f32 / 16.0],
-                );
-                let scan = self.push(node_type::SCAN, &[log_mag(est_out)]);
-                self.edge(tbl, scan);
-                scan
+                let f = [log_mag(t.num_rows() as f64), t.num_columns() as f32 / 16.0];
+                let tbl = self.node(node_type::TABLE, &f, &[]);
+                self.node(node_type::SCAN, &[log_mag(est_out)], &[tbl])
             }
             PlanOpKind::Filter { preds } => {
                 // Column nodes must precede the filter node (edges are
                 // forward-only in the typed graph).
-                let mut cols = Vec::with_capacity(preds.len());
+                let mut cols = Vec::with_capacity(preds.len() + 1);
                 for p in preds {
-                    cols.push(self.push(
-                        node_type::COLUMN,
-                        &column_features(db, &p.col.table, &p.col.column)?,
-                    ));
+                    let f = column_features(db, &p.col.table, &p.col.column)?;
+                    cols.push(self.node(node_type::COLUMN, &f, &[]));
                 }
-                let filter = self.push(
-                    node_type::FILTER,
-                    &[
-                        log_mag(in_rows(0)),
-                        log_mag(est_out),
-                        preds.len() as f32 / 8.0,
-                        0.0, // plain filters never sit on a UDF output
-                    ],
-                );
-                for col in cols {
-                    self.edge(col, filter);
-                }
-                self.edge(op_node[op.children[0]], filter);
-                filter
+                cols.push(child(0));
+                // Plain filters never sit on a UDF output.
+                let f = [log_mag(in_rows(0)), log_mag(est_out), preds.len() as f32 / 8.0, 0.0];
+                self.node(node_type::FILTER, &f, &cols)
             }
             PlanOpKind::Join { .. } => {
-                let join = self.push(
-                    node_type::JOIN,
-                    &[log_mag(in_rows(0)), log_mag(in_rows(1)), log_mag(est_out)],
-                );
-                self.edge(op_node[op.children[0]], join);
-                self.edge(op_node[op.children[1]], join);
-                join
+                let f = [log_mag(in_rows(0)), log_mag(in_rows(1)), log_mag(est_out)];
+                self.node(node_type::JOIN, &f, &[child(0), child(1)])
             }
             PlanOpKind::UdfFilter { .. } => {
-                let filter = self.push(
-                    node_type::FILTER,
-                    &[
-                        log_mag(in_rows(0)),
-                        log_mag(est_out),
-                        1.0 / 8.0,
-                        if self.fz.on_udf_flag() { 1.0 } else { 0.0 },
-                    ],
-                );
-                self.edge(ret_node, filter);
-                self.edge(op_node[op.children[0]], filter);
-                filter
+                let on_udf = if self.fz.on_udf_flag() { 1.0 } else { 0.0 };
+                let f = [log_mag(in_rows(0)), log_mag(est_out), 1.0 / 8.0, on_udf];
+                self.node(node_type::FILTER, &f, &[ret_node, child(0)])
             }
             PlanOpKind::UdfProject { .. } => {
-                let proj = self.push(node_type::UDF_PROJECT, &[log_mag(in_rows(0))]);
-                self.edge(ret_node, proj);
-                self.edge(op_node[op.children[0]], proj);
-                proj
+                self.node(node_type::UDF_PROJECT, &[log_mag(in_rows(0))], &[ret_node, child(0)])
             }
             PlanOpKind::Agg { func, .. } => {
                 let mut f = [0.0; 1 + AggFunc::ALL.len()];
                 f[0] = log_mag(in_rows(0));
                 f[1 + func.index()] = 1.0;
-                let agg = self.push(node_type::AGG, &f);
-                self.edge(op_node[op.children[0]], agg);
-                agg
+                self.node(node_type::AGG, &f, &[child(0)])
             }
         })
     }
@@ -436,67 +465,77 @@ impl<'a> GraphBuilder<'a> {
     /// `child_node`, the operator below, feeds INV (or RET at level 1).
     fn emit_udf(
         &mut self,
-        udf: &graceful_udf::GeneratedUdf,
+        udf: &'a GeneratedUdf,
         input_rows: f64,
         child_node: Option<usize>,
     ) -> Result<usize> {
         let db = self.db;
-        let table = db.table(&udf.table)?;
-        let arg_types: Vec<DataType> =
-            udf.input_columns.iter().map(|c| table.column_type(c)).collect::<Result<Vec<_>>>()?;
-        let ret_type = graceful_udf::infer_return_type(&udf.def, &arg_types);
-        let mut dag = build_dag(&udf.def, &arg_types, ret_type, self.fz.dag_config());
+        let (_, mut dag, pre_filters) = match self.udf.take() {
+            Some(done) if std::ptr::eq(done.0, udf) => done,
+            _ => {
+                let table = db.table(&udf.table)?;
+                let arg_types: Vec<DataType> = (udf.input_columns.iter())
+                    .map(|c| table.column_type(c))
+                    .collect::<Result<Vec<_>>>()?;
+                let ret_type = graceful_udf::infer_return_type(&udf.def, &arg_types);
+                let dag = build_dag(&udf.def, &arg_types, ret_type, self.fz.dag_config());
+                let on_table = |p: &&Pred| p.col.table == udf.table;
+                (udf, dag, self.spec.filters.iter().filter(on_table).cloned().collect())
+            }
+        };
         // Hit-ratio row annotation (Section III-B), conditioned on the plain
-        // filters already applied to the UDF's base table.
-        let pre_filters: Vec<Pred> =
-            self.spec.filters.iter().filter(|p| p.col.table == udf.table).cloned().collect();
+        // filters already applied to the UDF's base table; it rewrites every
+        // node's `in_rows`.
         let hr = HitRatioEstimator::new(self.estimator);
         hr.annotate_dag(&mut dag, udf, input_rows, &pre_filters);
 
         // COLUMN nodes for the UDF's inputs.
         let mut col_nodes = Vec::with_capacity(udf.input_columns.len());
         for c in &udf.input_columns {
-            col_nodes.push(self.push(node_type::COLUMN, &column_features(db, &udf.table, c)?));
+            col_nodes.push(self.node(node_type::COLUMN, &column_features(db, &udf.table, c)?, &[]));
         }
 
-        if !self.fz.include_udf_structure() {
+        let ret_node = if !self.fz.include_udf_structure() {
             // Ablation level 1: the UDF is a black box — a single RET node.
             let ret_node = self.push(node_type::RET, &ret_features(&dag.nodes[dag.ret]));
             for &c in col_nodes.iter().chain(&child_node) {
                 self.edge(c, ret_node);
             }
-            return Ok(ret_node);
-        }
-
-        // Full structure: map DAG nodes into the graph (DAG indices are
-        // already topological, so emitting in order preserves the invariant).
-        let mut dag_node = vec![usize::MAX; dag.len()];
-        for (i, n) in dag.nodes.iter().enumerate() {
-            let (ty, f) = udf_node_features(n);
-            dag_node[i] = self.push(ty, &f[..DIMS[ty]]);
-            // Data-flow edges: columns feed INV and the COMP/BRANCH nodes
-            // that read them directly.
-            match n.kind {
-                UdfNodeKind::Inv => {
-                    for &c in col_nodes.iter().chain(&child_node) {
-                        self.edge(c, dag_node[i]);
-                    }
-                }
-                UdfNodeKind::Comp | UdfNodeKind::Branch => {
-                    for &p in &n.param_reads {
-                        if let Some(&c) = col_nodes.get(p as usize) {
+            ret_node
+        } else {
+            // Full structure: map DAG nodes into the graph (DAG indices are
+            // already topological, so emitting in order preserves the
+            // invariant).
+            let mut dag_node = vec![usize::MAX; dag.len()];
+            for (i, n) in dag.nodes.iter().enumerate() {
+                let (ty, f) = udf_node_features(n);
+                dag_node[i] = self.push(ty, &f[..DIMS[ty]]);
+                // Data-flow edges: columns feed INV and the COMP/BRANCH nodes
+                // that read them directly.
+                match n.kind {
+                    UdfNodeKind::Inv => {
+                        for &c in col_nodes.iter().chain(&child_node) {
                             self.edge(c, dag_node[i]);
                         }
                     }
+                    UdfNodeKind::Comp | UdfNodeKind::Branch => {
+                        for &p in &n.param_reads {
+                            if let Some(&c) = col_nodes.get(p as usize) {
+                                self.edge(c, dag_node[i]);
+                            }
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        // Residual edges are already filtered by DagConfig; map them all.
-        for &(s, d, _) in &dag.edges {
-            self.edge(dag_node[s], dag_node[d]);
-        }
-        Ok(dag_node[dag.ret])
+            // Residual edges are already filtered by DagConfig; map them all.
+            for &(s, d, _) in &dag.edges {
+                self.edge(dag_node[s], dag_node[d]);
+            }
+            dag_node[dag.ret]
+        };
+        self.udf = Some((udf, dag, pre_filters));
+        Ok(ret_node)
     }
 }
 
@@ -611,6 +650,31 @@ mod tests {
             (1000, 17425677983038948407),
             "featurize drifted from the recorded graphs"
         );
+    }
+
+    /// A ladder with no variant, or with a variant that does not give one
+    /// estimate per operator, is a typed error, never a panic or a graph.
+    #[test]
+    fn ladder_edge_cases_are_typed_errors() {
+        let c = corpus();
+        let est = ActualCard::new(&c.db);
+        let q = &c.queries[0];
+        let fz = Featurizer::full();
+        let rows: Vec<f64> = q.plan.ops.iter().map(|_| 10.0).collect();
+        let ladder =
+            |variants: &[Vec<f64>]| fz.featurize_ladder(&c.db, &q.spec, &q.plan, variants, &est);
+        let words = |r: Result<(TypedGraph, Vec<usize>)>| match r {
+            Err(GracefulError::InvalidPlan(w)) => w,
+            other => panic!("expected InvalidPlan, got {other:?}"),
+        };
+        assert_eq!(words(ladder(&[])), "featurize needs at least one plan");
+        let short = rows[1..].to_vec();
+        let long = [&rows[..], &[1.0]].concat();
+        for bad in [vec![short.clone()], vec![rows.clone(), long], vec![rows.clone(), short]] {
+            assert_eq!(words(ladder(&bad)), "ladder variants differ in shape");
+        }
+        let (g, roots) = ladder(&[rows.clone(), rows]).unwrap();
+        assert_eq!((roots.len(), roots[0], roots[1], g.root), (2, g.root, g.root, g.root));
     }
 
     #[test]

@@ -105,10 +105,11 @@ pub fn build_plan(spec: &QuerySpec, placement: UdfPlacement) -> Result<Plan> {
 
     let udf_table = spec.udf.as_ref().map(|u| u.table.clone());
     let n_joins = spec.joins.len();
-    let udf_after_joins = match (&spec.udf, spec.udf_usage) {
-        (Some(_), UdfUsage::Filter) => Some(placement.joins_below(n_joins)),
+    let udf_filter = match (&spec.udf, spec.udf_usage) {
+        (Some(u), UdfUsage::Filter) => Some(u),
         _ => None,
     };
+    let udf_after_joins = udf_filter.map(|_| placement.joins_below(n_joins));
 
     let mut current = scan_of(&mut ops, &spec.base_table);
     let mut bound = vec![spec.base_table.clone()];
@@ -116,8 +117,9 @@ pub fn build_plan(spec: &QuerySpec, placement: UdfPlacement) -> Result<Plan> {
     // which must be a bound table. If the UDF table enters later in the walk,
     // the filter attaches to that table's scan subtree instead.
     let mut udf_placed = false;
+    // Every call is behind `udf_after_joins`, so only a UDF filter is placed.
     let place_udf = |ops: &mut Vec<PlanOp>, child: usize| -> usize {
-        let u = spec.udf.as_ref().expect("placement only for UDF filters");
+        let Some(u) = udf_filter else { return child };
         ops.push(PlanOp::new(
             PlanOpKind::UdfFilter {
                 udf: u.clone(),

@@ -76,11 +76,11 @@ fn estimates_and_steps_on_featurized_graphs_keep_the_oracles_bits() {
                 assert_eq!(got.to_bits(), want, "predict, query {} on {}", q.spec.id, corpus.name);
                 assert_eq!(model.predict_graph(&graph).expect("estimates").to_bits(), want);
                 graphs.push((graph, want));
-                variants.push(plan);
+                variants.push(plan.ops.iter().map(|op| op.est_out_rows).collect());
                 estimates += 1;
             }
             let (ladder, variant_roots) = fz
-                .featurize_ladder(db, &q.spec, &variants, estimators[0].as_ref())
+                .featurize_ladder(db, &q.spec, &q.plan, &variants, estimators[0].as_ref())
                 .expect("ladder");
             roots.extend(variant_roots.into_iter().map(|r| (ladders.len(), r)));
             ladders.push(ladder);
