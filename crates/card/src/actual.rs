@@ -140,7 +140,7 @@ mod tests {
     /// bit, on the conjunctions the hit-ratio estimator forms over the
     /// `lint udf` corpus (6 schemas × 250 generated UDFs): every path's
     /// conditions behind no pre-filter and behind one, and the rows
-    /// `annotate_dag` derives from them.
+    /// `annotate_paths` derives from them.
     #[test]
     fn column_scan_counts_what_the_row_loop_counted() {
         use crate::HitRatioEstimator;
@@ -177,13 +177,12 @@ mod tests {
                         assert_eq!(got.to_bits(), want.to_bits(), "{conj:?}");
                         conjunctions += 1;
                     }
-                    let (mut got, mut want) = (dag.clone(), dag.clone());
-                    hr.annotate_dag(&mut got, &u, 1000.0, &pre);
-                    HitRatioEstimator::new(&rows).annotate_dag(&mut want, &u, 1000.0, &pre);
-                    let bits = |d: &graceful_cfg::UdfDag| {
-                        d.nodes.iter().map(|n| n.in_rows.to_bits()).collect::<Vec<_>>()
-                    };
-                    assert_eq!(bits(&got), bits(&want), "{}", u.source);
+                    let paths = dag.control_paths();
+                    let got = hr.annotate_paths(&paths, &u, 1000.0, &pre);
+                    let want =
+                        HitRatioEstimator::new(&rows).annotate_paths(&paths, &u, 1000.0, &pre);
+                    let bits = |r: Vec<f64>| r.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "{}", u.source);
                 }
             }
         }

@@ -17,7 +17,7 @@
 //! derived variables) contribute the 0.5 fallback.
 
 use crate::CardEstimator;
-use graceful_cfg::{BranchCondInfo, UdfDag};
+use graceful_cfg::{BranchCondInfo, ControlPaths};
 use graceful_plan::Pred;
 use graceful_storage::Value;
 use graceful_udf::GeneratedUdf;
@@ -94,34 +94,28 @@ impl<'e> HitRatioEstimator<'e> {
         (joint / denom * fallback).clamp(0.0, 1.0)
     }
 
-    /// Annotate `in_rows` on the whole UDF DAG: the paper's step ④.
-    ///
-    /// `input_rows` is the (estimated) number of rows reaching the UDF
-    /// operator; `pre_filters` are the plain predicates already applied on
-    /// the UDF's base table below it. Every path gets
+    /// Each node's `in_rows` over a UDF's kept control paths: the paper's
+    /// step ④, for `input_rows` rows into the UDF operator behind the plain
+    /// predicates `pre_filters` on its base table. Every path gets
     /// [`HitRatioEstimator::path_probability`]'s number, bit for bit, but
     /// `sel(pre)` is taken once and each traceable condition is rewritten
-    /// once per DAG, both ways: the predicate it adds when its branch is
-    /// taken and when it is not. A path moves its predicates into one
-    /// conjunction buffer behind the pre-filters and back out after the
-    /// call, so pricing a path allocates nothing.
-    pub fn annotate_dag(
+    /// once, both ways. A path moves its predicates into one conjunction
+    /// buffer behind the pre-filters and back out, allocating nothing.
+    pub fn annotate_paths(
         &self,
-        dag: &mut UdfDag,
+        paths: &ControlPaths,
         udf: &GeneratedUdf,
         input_rows: f64,
         pre_filters: &[Pred],
-    ) {
+    ) -> Vec<f64> {
         let denom = self.pre_selectivity(udf, pre_filters);
         // Per BRANCH node with a condition: the predicate of the branch not
         // taken, then taken.
-        let mut rewritten: Vec<(usize, [Option<Pred>; 2])> = (dag.nodes.iter().enumerate())
-            .filter_map(|(i, n)| {
-                n.cond.as_ref().map(|c| (i, [false, true].map(|t| self.branch_pred(udf, c, t))))
-            })
+        let mut rewritten: Vec<(u32, [Option<Pred>; 2])> = (paths.conds.iter())
+            .map(|(b, c)| (*b, [false, true].map(|t| self.branch_pred(udf, c, t))))
             .collect();
         let (mut preds, mut moved) = (pre_filters.to_vec(), Vec::new());
-        dag.annotate_rows_by_branch(input_rows, |decisions| {
+        paths.in_rows(input_rows, |decisions| {
             let mut fallback = 1.0;
             for &(b, taken) in decisions {
                 let slot = rewritten.iter().position(|r| r.0 == b);
@@ -138,7 +132,7 @@ impl<'e> HitRatioEstimator<'e> {
                 rewritten[s].1[taken] = Some(pred);
             }
             p
-        });
+        })
     }
 }
 
@@ -180,17 +174,16 @@ mod tests {
         let (db, udf) = setup();
         let actual = ActualCard::new(&db);
         let hr = HitRatioEstimator::new(&actual);
-        let mut dag = build_dag(&udf.def, &[DataType::Int], DataType::Float, DagConfig::default());
-        hr.annotate_dag(&mut dag, &udf, 1000.0, &[]);
+        let dag = build_dag(&udf.def, &[DataType::Int], DataType::Float, DagConfig::default());
+        let rows = hr.annotate_paths(&dag.control_paths(), &udf, 1000.0, &[]);
         // The then-side COMP should get ~18% of rows (quantity in 1..=9 of 1..=50).
-        let comps: Vec<&graceful_cfg::UdfNode> =
-            dag.nodes.iter().filter(|n| n.kind == UdfNodeKind::Comp).collect();
-        let min_rows = comps.iter().map(|n| n.in_rows).fold(f64::INFINITY, f64::min);
+        let comps = dag.nodes.iter().zip(&rows).filter(|(n, _)| n.kind == UdfNodeKind::Comp);
+        let min_rows = comps.map(|(_, &r)| r).fold(f64::INFINITY, f64::min);
         assert!(
             (min_rows / 1000.0 - 0.18).abs() < 0.05,
             "then-branch rows {min_rows} should be ≈180"
         );
-        assert!((dag.nodes[dag.ret].in_rows - 1000.0).abs() < 1.0);
+        assert!((rows[dag.ret] - 1000.0).abs() < 1.0);
     }
 
     #[test]
@@ -217,9 +210,11 @@ mod tests {
         assert!(p0 < 0.3, "unconditional ratio should be low, got {p0}");
     }
 
-    /// Sharing `sel(pre)` between the paths of one UDF changes no row count:
-    /// `annotate_dag` equals the per-path formula bit for bit, with and
-    /// without pre-filters, on a UDF with three control paths.
+    /// Pricing a UDF's kept paths, `sel(pre)` shared between them, changes no
+    /// row count: `annotate_paths` equals the per-path formula
+    /// (`path_probability` of each path's conditions) bit for bit, under the
+    /// actual and the data-driven estimator, with and without pre-filters,
+    /// on a UDF with three control paths.
     #[test]
     fn annotate_dag_equals_the_per_path_formula() {
         let (db, mut udf) = setup();
@@ -233,16 +228,22 @@ mod tests {
         for card in [&actual as &dyn CardEstimator, &data_driven] {
             let hr = HitRatioEstimator::new(card);
             for pre in [&pre[..0], &pre[..]] {
-                let mut shared =
+                let dag =
                     build_dag(&udf.def, &[DataType::Int], DataType::Float, DagConfig::default());
-                let mut per_path = shared.clone();
-                hr.annotate_dag(&mut shared, &udf, 1000.0, pre);
-                per_path.annotate_rows(1000.0, |conds| hr.path_probability(&udf, pre, conds));
-                let rows = |dag: &UdfDag| -> Vec<u64> {
-                    dag.nodes.iter().map(|n| n.in_rows.to_bits()).collect()
-                };
-                assert_eq!(rows(&shared), rows(&per_path), "{} pre-filters", pre.len());
-                assert!(shared.nodes.iter().any(|n| n.in_rows > 0.0 && n.in_rows < 999.0));
+                let kept = hr.annotate_paths(&dag.control_paths(), &udf, 1000.0, pre);
+                // Per path: its probability from its conditions, normalised,
+                // summed into the nodes it visits in path order.
+                let paths = dag.enumerate_paths(256).unwrap();
+                let probs: Vec<f64> =
+                    paths.iter().map(|p| hr.path_probability(&udf, pre, &p.conditions)).collect();
+                let (total, mut want) = (probs.iter().sum::<f64>(), vec![0.0; dag.len()]);
+                for (p, prob) in paths.iter().zip(&probs) {
+                    p.nodes.iter().for_each(|&n| want[n] += prob / total);
+                }
+                let bits = |rows: &[f64]| rows.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                let want: Vec<f64> = want.iter().map(|r| 1000.0 * r.clamp(0.0, 1.0)).collect();
+                assert_eq!(bits(&kept), bits(&want), "{} pre-filters", pre.len());
+                assert!(kept.iter().any(|&r| r > 0.0 && r < 999.0));
             }
         }
     }

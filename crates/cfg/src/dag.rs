@@ -6,18 +6,18 @@
 //! residual shortcut edge, and a single `RET` sink that every control path
 //! reaches. Node indices are created in topological order by construction.
 //!
-//! [`UdfDag::annotate_rows`] implements the row-count annotation of Section
-//! III-B: control paths are enumerated (residual edges excluded, footnote 4),
-//! a caller-supplied estimator assigns each path a probability from its
-//! branch conditions, and every node receives
+//! [`UdfDag::control_paths`] enumerates the control paths (residual edges
+//! excluded, footnote 4) with their branch conditions, and
+//! [`ControlPaths::in_rows`] implements the row-count annotation of Section
+//! III-B: a caller-supplied estimator assigns each path a probability from
+//! its branch decisions, and every node receives
 //! `in_rows = input_rows · P(node on taken path)`.
 //!
-//! One call costs what it builds, and nothing is cached across calls:
-//! `build_dag` walks each statement's expression once, with names borrowed
-//! from the AST, and path enumeration builds successor lists once and runs
-//! one depth-first walk over a single path buffer, materializing a path only
-//! at RET. On a 2-thread Xeon VM the benchmark's held-out UDFs (36 nodes and
-//! 3.3 paths on average) take ~6 µs to build and ~2 µs to enumerate.
+//! Nothing here is cached: `build_dag` walks each statement's expression
+//! once, with names borrowed from the AST, and the path walk runs one
+//! depth-first walk over a single path buffer. The featurizer runs both
+//! once per UDF and keeps what it needs on the UDF (36 nodes and 3.2 paths
+//! on the benchmark's held-out UDFs), so a query only prices kept paths.
 
 use crate::node::{BranchCondInfo, EdgeKind, LoopKindFeat, UdfNode, UdfNodeKind};
 use graceful_storage::DataType;
@@ -49,6 +49,53 @@ pub struct BranchPath {
     pub conditions: Vec<(Option<BranchCondInfo>, bool)>,
     /// Node indices visited (in order).
     pub nodes: Vec<usize>,
+}
+
+/// A DAG's control paths as a UDF keeps them ([`UdfDag::control_paths`]):
+/// each path's nodes as one bitset and its `(BRANCH node, taken)` decisions,
+/// in walk order, and the traced condition of every BRANCH node that has
+/// one. Past the cap it holds no path.
+#[derive(Debug, Clone)]
+pub struct ControlPaths {
+    /// Nodes of the DAG; a path's bitset is `nodes.div_ceil(64)` words.
+    nodes: usize,
+    sets: Box<[u64]>,
+    /// Path `p`'s decisions: `decisions[ends[p]..ends[p + 1]]`.
+    decisions: Box<[(u32, bool)]>,
+    ends: Box<[u32]>,
+    /// `(BRANCH node, its traced condition)`, in node order.
+    pub conds: Box<[(u32, BranchCondInfo)]>,
+}
+
+impl ControlPaths {
+    /// Each node's `in_rows` for `input_rows` rows into the UDF: `input_rows
+    /// · P(node on taken path)`. `path_prob` gives each path's probability
+    /// from its decisions, all paths priced first and then normalised to
+    /// absorb estimator inconsistency. Past the cap every node is reached.
+    pub fn in_rows(
+        &self,
+        input_rows: f64,
+        mut path_prob: impl FnMut(&[(u32, bool)]) -> f64,
+    ) -> Vec<f64> {
+        let decisions = |e: &[u32]| &self.decisions[e[0] as usize..e[1] as usize];
+        let probs: Vec<f64> =
+            self.ends.windows(2).map(|e| path_prob(decisions(e)).max(0.0)).collect();
+        let total: f64 = probs.iter().sum();
+        let share = |p: f64| if total > 1e-12 { p / total } else { 1.0 / probs.len() as f64 };
+        let mut reach = vec![if probs.is_empty() { 1.0 } else { 0.0 }; self.nodes];
+        // A path visits a node once, so each node sums its paths in walk order.
+        let sets = self.sets.chunks(self.nodes.div_ceil(64).max(1));
+        for (set, prob) in sets.zip(probs.iter().map(|&p| share(p))) {
+            for (w, mut bits) in set.iter().copied().enumerate() {
+                while bits != 0 {
+                    reach[w * 64 + bits.trailing_zeros() as usize] += prob;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        reach.iter_mut().for_each(|r| *r = input_rows * r.clamp(0.0, 1.0));
+        reach
+    }
 }
 
 /// The transformed UDF graph.
@@ -457,64 +504,30 @@ impl UdfDag {
         Some(())
     }
 
-    /// Annotate `in_rows` on every node given the UDF's input row count.
-    ///
-    /// `path_prob` receives the branch decisions of one control path and
-    /// returns its probability — this is where the hit-ratio estimator of
-    /// Section III-B plugs in. Probabilities are normalised over all paths
-    /// to absorb estimator inconsistency.
-    pub fn annotate_rows<F>(&mut self, input_rows: f64, mut path_prob: F)
-    where
-        F: FnMut(&[(Option<BranchCondInfo>, bool)]) -> f64,
-    {
-        let conds: Vec<_> = self.nodes.iter().map(|n| n.cond.clone()).collect();
-        let mut conditions = Vec::new();
-        self.annotate_rows_by_branch(input_rows, |decisions| {
-            conditions.clear();
-            conditions.extend(decisions.iter().map(|&(b, taken)| (conds[b].clone(), taken)));
-            path_prob(&conditions)
+    /// The control paths of [`UdfDag::enumerate_paths`] at a cap of 256, and
+    /// the traced branch conditions, in the form a UDF keeps them.
+    pub fn control_paths(&self) -> ControlPaths {
+        let (nodes, words) = (self.nodes.len(), self.nodes.len().div_ceil(64));
+        let (mut sets, mut decisions, mut ends) = (Vec::new(), Vec::new(), vec![0]);
+        let walked = self.walk_paths(256, |path, decided| {
+            let at = sets.len();
+            sets.resize(at + words, 0u64);
+            path.iter().filter(|&&i| i < nodes).for_each(|&i| sets[at + i / 64] |= 1 << (i % 64));
+            decisions.extend(decided.iter().map(|&(b, taken)| (b as u32, taken)));
+            ends.push(decisions.len() as u32);
         });
-    }
-
-    /// [`UdfDag::annotate_rows`] for a `path_prob` that reads a path's
-    /// decisions as `(BRANCH node, taken)` pairs, so that it can prepare what
-    /// it needs of each node's `cond` once per DAG, not once per path. Every
-    /// path is enumerated before the first is priced: past the cap,
-    /// `path_prob` is never called.
-    pub fn annotate_rows_by_branch<F>(&mut self, input_rows: f64, mut path_prob: F)
-    where
-        F: FnMut(&[(usize, bool)]) -> f64,
-    {
-        let mut reach = vec![0.0f64; self.nodes.len()];
-        let mut paths = Vec::new();
-        let walked = self.walk_paths(256, |n, d| paths.push((n.to_vec(), d.to_vec())));
-        if walked.is_some() && !paths.is_empty() {
-            let mut probs: Vec<f64> = paths.iter().map(|(_, d)| path_prob(d).max(0.0)).collect();
-            let total: f64 = probs.iter().sum();
-            if total > 1e-12 {
-                for p in probs.iter_mut() {
-                    *p /= total;
-                }
-            } else {
-                let uniform = 1.0 / probs.len() as f64;
-                probs.iter_mut().for_each(|p| *p = uniform);
-            }
-            for ((nodes, _), prob) in paths.into_iter().zip(probs) {
-                for i in nodes {
-                    if let Some(r) = reach.get_mut(i) {
-                        *r += prob;
-                    }
-                }
-            }
-        } else {
-            // Too many paths: assume every node is always reached.
-            reach.fill(1.0);
+        if walked.is_none() {
+            (sets, decisions, ends) = (Vec::new(), Vec::new(), vec![0]);
         }
-        for (node, prob) in self.nodes.iter_mut().zip(reach) {
-            node.in_rows = input_rows * prob.clamp(0.0, 1.0);
+        let conds = self.nodes.iter().enumerate();
+        let conds = conds.filter_map(|(i, n)| Some((i as u32, n.cond.clone()?))).collect();
+        ControlPaths {
+            nodes,
+            sets: sets.into(),
+            decisions: decisions.into(),
+            ends: ends.into(),
+            conds,
         }
-        // LOOP_END nodes on skipped paths keep the loop's probability via the
-        // residual edge; paths already include them, nothing more to do.
     }
 
     /// Longest path length (graph depth) — grows with nested/long UDFs and is
@@ -537,6 +550,19 @@ impl UdfDag {
 mod tests {
     use super::*;
     use graceful_udf::parse_udf;
+
+    /// `dag`'s rows over its kept paths, `path_prob` reading each path's
+    /// branch conditions.
+    fn annotate_rows(
+        dag: &UdfDag,
+        input_rows: f64,
+        path_prob: impl Fn(&[(Option<BranchCondInfo>, bool)]) -> f64,
+    ) -> Vec<f64> {
+        dag.control_paths().in_rows(input_rows, |decisions| {
+            let cond = |b: u32| dag.nodes[b as usize].cond.clone();
+            path_prob(&decisions.iter().map(|&(b, taken)| (cond(b), taken)).collect::<Vec<_>>())
+        })
+    }
 
     /// The running example of Figure 2.
     fn figure2() -> UdfDag {
@@ -627,9 +653,9 @@ mod tests {
 
     #[test]
     fn row_annotation_splits_by_selectivity() {
-        let mut dag = figure2();
+        let dag = figure2();
         // Estimator: x < 20 holds for 30% of rows.
-        dag.annotate_rows(1000.0, |conds| {
+        let rows = annotate_rows(&dag, 1000.0, |conds| {
             let mut p = 1.0;
             for (c, taken) in conds {
                 let s = c.as_ref().map_or(0.5, |_| 0.3);
@@ -637,17 +663,15 @@ mod tests {
             }
             p
         });
-        assert!((dag.nodes[dag.inv].in_rows - 1000.0).abs() < 1e-6);
-        assert!((dag.nodes[dag.ret].in_rows - 1000.0).abs() < 1e-6);
+        assert!((rows[dag.inv] - 1000.0).abs() < 1e-6);
+        assert!((rows[dag.ret] - 1000.0).abs() < 1e-6);
         let loop_idx = dag.nodes.iter().position(|n| n.kind == UdfNodeKind::Loop).unwrap();
-        assert!((dag.nodes[loop_idx].in_rows - 700.0).abs() < 1e-6);
+        assert!((rows[loop_idx] - 700.0).abs() < 1e-6);
         // The then-side COMP gets the 300.
-        let then_comp = dag
-            .nodes
-            .iter()
-            .find(|n| n.kind == UdfNodeKind::Comp && !n.loop_part && n.in_rows < 500.0)
+        let then_comp = (dag.nodes.iter().zip(&rows))
+            .find(|(n, &r)| n.kind == UdfNodeKind::Comp && !n.loop_part && r < 500.0)
             .unwrap();
-        assert!((then_comp.in_rows - 300.0).abs() < 1e-6);
+        assert!((then_comp.1 - 300.0).abs() < 1e-6);
     }
 
     #[test]
@@ -769,10 +793,10 @@ mod tests {
 
     /// `annotate_rows` as first written, over the paths of the oracle above.
     fn annotate_rows_as_written(
-        dag: &mut UdfDag,
+        dag: &UdfDag,
         input_rows: f64,
         path_prob: impl Fn(&[(Option<BranchCondInfo>, bool)]) -> f64,
-    ) {
+    ) -> Vec<f64> {
         let mut node_prob = vec![0.0f64; dag.nodes.len()];
         match enumerate_paths_as_written(dag, 256) {
             Some(paths) if !paths.is_empty() => {
@@ -795,9 +819,7 @@ mod tests {
             }
             _ => node_prob.iter_mut().for_each(|p| *p = 1.0),
         }
-        for (node, prob) in dag.nodes.iter_mut().zip(node_prob) {
-            node.in_rows = input_rows * prob.clamp(0.0, 1.0);
-        }
+        node_prob.iter().map(|prob| input_rows * prob.clamp(0.0, 1.0)).collect()
     }
 
     /// What a path's probability reads of its conditions, made to tell
@@ -847,13 +869,11 @@ mod tests {
                         assert_same_paths(&dag, cap, &u.source);
                     }
                     capped += usize::from(dag.enumerate_paths(2).is_none());
-                    let (mut got, mut want) = (dag.clone(), dag);
-                    got.annotate_rows(1000.0, uneven_prob);
-                    annotate_rows_as_written(&mut want, 1000.0, uneven_prob);
-                    let rows = |d: &UdfDag| {
-                        d.nodes.iter().map(|n| n.in_rows.to_bits()).collect::<Vec<_>>()
-                    };
-                    assert_eq!(rows(&got), rows(&want), "{}", u.source);
+                    let bits =
+                        |rows: Vec<f64>| rows.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                    let got = bits(annotate_rows(&dag, 1000.0, uneven_prob));
+                    let want = bits(annotate_rows_as_written(&dag, 1000.0, uneven_prob));
+                    assert_eq!(got, want, "{}", u.source);
                     dags += 1;
                 }
             }
@@ -904,7 +924,7 @@ mod tests {
                 .iter()
                 .map(|c| db.table(&u.table).unwrap().column_type(c).unwrap())
                 .collect();
-            let mut dag = build_dag(&u.def, &types, DataType::Float, DagConfig::default());
+            let dag = build_dag(&u.def, &types, DataType::Float, DagConfig::default());
             // Structural invariants.
             for &(s, d, _) in &dag.edges {
                 assert!(s < d, "topological construction violated:\n{}", u.source);
@@ -914,13 +934,13 @@ mod tests {
             let ends = dag.nodes.iter().filter(|n| n.kind == UdfNodeKind::LoopEnd).count();
             assert_eq!(loops, ends, "unbalanced LOOP/LOOP_END:\n{}", u.source);
             // Row annotation conserves input rows at INV and RET.
-            dag.annotate_rows(500.0, |conds| {
+            let rows = annotate_rows(&dag, 500.0, |conds| {
                 conds.iter().fold(1.0, |p, (c, taken)| {
                     let s = c.as_ref().map_or(0.5, |_| 0.4);
                     p * if *taken { s } else { 1.0 - s }
                 })
             });
-            assert!((dag.nodes[dag.ret].in_rows - 500.0).abs() < 1e-6, "{}", u.source);
+            assert!((rows[dag.ret] - 500.0).abs() < 1e-6, "{}", u.source);
         }
     }
 }

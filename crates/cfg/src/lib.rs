@@ -19,5 +19,5 @@
 pub mod dag;
 pub mod node;
 
-pub use dag::{build_dag, BranchPath, DagConfig, UdfDag};
+pub use dag::{build_dag, BranchPath, ControlPaths, DagConfig, UdfDag};
 pub use node::{BranchCondInfo, EdgeKind, LoopKindFeat, UdfNode, UdfNodeKind};

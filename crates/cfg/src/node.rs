@@ -3,9 +3,10 @@
 //! The featurization is *transferable*: nothing in a node refers to concrete
 //! identifiers, table names or comparison literals — only to closed
 //! vocabularies (operator sets, library functions, data types) plus
-//! cardinality-like magnitudes (`in_rows`, `nr_iter`) that the annotator
-//! fills in per query. This is what lets one trained model generalize to
-//! unseen UDFs and databases.
+//! magnitudes: a loop's `nr_iter` here, and the rows reaching each node,
+//! which the annotator computes per query ([`crate::ControlPaths::in_rows`]).
+//! This is what lets one trained model generalize to unseen UDFs and
+//! databases.
 
 use graceful_storage::DataType;
 use graceful_udf::ast::{BinOp, CmpOp};
@@ -98,9 +99,6 @@ pub struct BranchCondInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UdfNode {
     pub kind: UdfNodeKind,
-    /// Estimated number of rows reaching this node (annotated per query by
-    /// the hit-ratio machinery; 0 until annotated).
-    pub in_rows: f64,
     /// INV: histogram of argument data types (count per [`DataType`]).
     pub in_dts: [u8; DataType::COUNT],
     /// INV: number of UDF parameters.
@@ -134,7 +132,6 @@ impl UdfNode {
     pub fn new(kind: UdfNodeKind) -> Self {
         UdfNode {
             kind,
-            in_rows: 0.0,
             in_dts: [0; DataType::COUNT],
             nr_params: 0,
             libs: [0; LibFn::COUNT],

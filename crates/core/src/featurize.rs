@@ -21,37 +21,37 @@
 //! root reaches is node for node the graph of that variant alone.
 //!
 //! One `GraphBuilder` takes one or more ladders of a query (the advisor's
-//! two placements). A later ladder reuses each
-//! node of an earlier one that it would emit with the same type, feature
-//! bits and children's nodes (a node's state depends on nothing else), and
-//! the UDF's return type and DAG are built once per builder, their `in_rows`
-//! re-annotated (hit ratios asked) at every emission of the UDF.
+//! two placements). A later ladder reuses each node of an earlier one that
+//! it would emit with the same type, feature bits and children's nodes (a
+//! node's state depends on nothing else).
 //!
 //! All features are database-independent (one-hot vocabularies + magnitudes),
 //! which is what enables zero-shot transfer. The [`Featurizer`]'s `level`
 //! reproduces the ablation lattice of Figure 7.
 //!
-//! What one call costs: the UDF's return type (a scope of borrowed names),
-//! its DAG (operator and library counts per node, no list per node), one
-//! conjunction per control path (each branch condition rewritten once per
-//! DAG), and the graph: every row built in a stack buffer and appended to
-//! the graph's one flat buffer ([`graceful_nn::Features`]), whose arrays are
-//! reserved once and trimmed to length at the end. The graph is not
-//! validated here: the model validates it, once, when it estimates or
-//! trains. Nothing outlives the builder: each `featurize` analyses its UDF
-//! afresh. On a 2-thread Xeon VM the held-out queries of the benchmark's
-//! `train_and_advise` workload, each
-//! featurized once per round under the data-driven estimator, take ~34 µs a
-//! call on average: return type ~6, DAG ~7, hit ratios ~9, emission ~6.
+//! A UDF's return type, DAG and control paths are analysed once into a
+//! ~1.1 KB template the UDF keeps ([`GeneratedUdf::analysis`], checked like
+//! its prepared program). A call prices the kept paths into one `in_rows`
+//! vector (each branch condition rewritten once) and emits the graph: every
+//! row built in a stack buffer and appended to the graph's one flat buffer
+//! ([`graceful_nn::Features`]), reserved once and trimmed at the end. The
+//! model validates the graph, once, when it estimates or trains. On a
+//! 2-thread Xeon VM the held-out queries of the benchmark's
+//! `train_and_advise` workload, under the data-driven estimator on one
+//! thread, take ~12 µs a call (~20 µs when every call analysed its UDF):
+//! checking the template ~2, hit ratios ~3, emission the rest; building a
+//! template adds ~13 µs to the call that builds it.
 
 use graceful_card::{CardEstimator, HitRatioEstimator};
-use graceful_cfg::{build_dag, DagConfig, UdfDag, UdfNodeKind};
+use graceful_cfg::{build_dag, ControlPaths, DagConfig, UdfNodeKind};
 use graceful_common::{GracefulError, Result};
 use graceful_nn::{Features, TypedGraph};
+use graceful_obs::registry::{counter, Counter};
 use graceful_plan::{AggFunc, Plan, PlanOp, PlanOpKind, Pred, QuerySpec};
 use graceful_storage::{DataType, Database};
 use graceful_udf::ast::{BinOp, CmpOp};
 use graceful_udf::{GeneratedUdf, LibFn};
+use std::sync::{Arc, OnceLock};
 
 /// GNN node-type ids of the joint graph.
 pub mod node_type {
@@ -184,8 +184,8 @@ impl Featurizer {
         estimator: &'a dyn CardEstimator,
     ) -> GraphBuilder<'a> {
         let (node_types, features, edges) = (Vec::new(), Features::default(), Vec::new());
-        let (fz, udf, shared) = (*self, None, (Vec::new(), 0));
-        GraphBuilder { fz, db, spec, estimator, node_types, features, edges, udf, shared }
+        let (fz, shared) = (*self, (Vec::new(), 0));
+        GraphBuilder { fz, db, spec, estimator, node_types, features, edges, shared }
     }
 }
 
@@ -207,25 +207,26 @@ pub(crate) fn udf_graph(
 /// The widest node type's (COMP's) feature count.
 const MAX_DIM: usize = DIMS[node_type::COMP];
 
-/// Table I featurization of one UDF DAG node: its node type, and its
-/// features as the first `DIMS[type]` entries of a zeroed row.
+/// Table I featurization of one UDF DAG node: its node type, and its static
+/// features as the first `DIMS[type]` entries of a zeroed row (position 0,
+/// `log_mag(in_rows)` for every type, is the caller's).
 fn udf_node_features(n: &graceful_cfg::UdfNode) -> (usize, [f32; MAX_DIM]) {
-    let (rows, mut f) = (log_mag(n.in_rows), [0f32; MAX_DIM]);
+    let mut f = [0f32; MAX_DIM];
     let lp = if n.loop_part { 1.0 } else { 0.0 };
     let ty = match n.kind {
         UdfNodeKind::Inv => {
-            f[..2].copy_from_slice(&[rows, n.nr_params as f32 / 4.0]);
+            f[1] = n.nr_params as f32 / 4.0;
             f[2..2 + DataType::COUNT].iter_mut().zip(&n.in_dts).for_each(|(f, &c)| *f = c as f32);
             node_type::INV
         }
         UdfNodeKind::Comp => {
-            f[..2].copy_from_slice(&[rows, lp]);
+            f[1] = lp;
             let counts = n.ops.iter().chain(&n.libs);
             f[2..].iter_mut().zip(counts).for_each(|(f, &c)| *f = c as f32);
             node_type::COMP
         }
         UdfNodeKind::Branch => {
-            f[..2].copy_from_slice(&[rows, lp]);
+            f[1] = lp;
             if let Some(op) = n.cmp_op {
                 f[2 + op.index()] = 1.0;
             }
@@ -237,7 +238,7 @@ fn udf_node_features(n: &graceful_cfg::UdfNode) -> (usize, [f32; MAX_DIM]) {
                 Some(graceful_cfg::LoopKindFeat::While) => (0.0, 1.0),
                 None => (0.0, 0.0),
             };
-            f[..5].copy_from_slice(&[rows, lp, is_for, is_while, log_mag(n.nr_iter)]);
+            f[1..5].copy_from_slice(&[lp, is_for, is_while, log_mag(n.nr_iter)]);
             if n.kind == UdfNodeKind::Loop {
                 node_type::LOOP
             } else {
@@ -245,20 +246,55 @@ fn udf_node_features(n: &graceful_cfg::UdfNode) -> (usize, [f32; MAX_DIM]) {
             }
         }
         UdfNodeKind::Ret => {
-            f[..DIMS[node_type::RET]].copy_from_slice(&ret_features(n));
+            if let Some(d) = n.out_dt {
+                f[1 + d.index()] = 1.0;
+            }
             node_type::RET
         }
     };
     (ty, f)
 }
 
-fn ret_features(n: &graceful_cfg::UdfNode) -> [f32; DIMS[node_type::RET]] {
-    let mut f = [0f32; DIMS[node_type::RET]];
-    f[0] = log_mag(n.in_rows);
-    if let Some(d) = n.out_dt {
-        f[1 + d.index()] = 1.0;
+/// What featurizing a UDF needs of its analysis under one DAG configuration,
+/// built once and kept on the UDF ([`GeneratedUdf::analysis`]).
+struct UdfTemplate {
+    config: DagConfig,
+    /// Per DAG node: its type and how many static features and reads are its.
+    nodes: Box<[(u8, u8, u16)]>,
+    /// The nonzero static features' positions and values: all but position
+    /// 0, `log_mag(in_rows)` for every UDF node type.
+    positions: Box<[u8]>,
+    values: Box<[f32]>,
+    /// The parameters each (COMP or BRANCH) node reads.
+    reads: Box<[u8]>,
+    edges: Box<[(u32, u32)]>,
+    ret: usize,
+    paths: ControlPaths,
+}
+
+impl UdfTemplate {
+    /// Analyse `udf` over arguments of `arg_types` (return type, DAG, control
+    /// paths), counted by the `core.udf_templates` registry counter.
+    fn build(udf: &GeneratedUdf, arg_types: &[DataType], config: DagConfig) -> Self {
+        static BUILDS: OnceLock<Counter> = OnceLock::new();
+        BUILDS.get_or_init(|| counter("core.udf_templates")).incr();
+        let ret_type = graceful_udf::infer_return_type(&udf.def, arg_types);
+        let dag = build_dag(&udf.def, arg_types, ret_type, config);
+        let (mut nodes, mut statics, mut reads) =
+            (Vec::new(), (Vec::new(), Vec::new()), Vec::new());
+        for n in &dag.nodes {
+            let (ty, f) = udf_node_features(n);
+            let nonzero = f.iter().enumerate().skip(1).filter(|(_, x)| x.to_bits() != 0);
+            let (e, r) = (statics.1.len(), reads.len());
+            statics.extend(nonzero.map(|(p, &x)| (p as u8, x)));
+            reads.extend_from_slice(&n.param_reads);
+            nodes.push((ty as u8, (statics.1.len() - e) as u8, (reads.len() - r) as u16));
+        }
+        let edges = dag.edges.iter().map(|&(s, d, _)| (s as u32, d as u32)).collect();
+        let (nodes, positions, values) = (nodes.into(), statics.0.into(), statics.1.into());
+        let (reads, paths) = (reads.into(), dag.control_paths());
+        UdfTemplate { config, nodes, positions, values, reads, edges, ret: dag.ret, paths }
     }
-    f
 }
 
 /// COLUMN node features from statistics (database-independent magnitudes).
@@ -287,9 +323,6 @@ pub(crate) struct GraphBuilder<'a> {
     node_types: Vec<usize>,
     features: Features,
     edges: Vec<(usize, usize)>,
-    /// The UDF emitted last, analysed once: its DAG (return type included)
-    /// and the plain filters on its table.
-    udf: Option<(&'a GeneratedUdf, UdfDag, Vec<Pred>)>,
     /// Each node a later ladder may reuse, with its first in-edge; and how
     /// many of them earlier ladders emitted.
     shared: (Vec<(usize, usize)>, usize),
@@ -465,77 +498,67 @@ impl<'a> GraphBuilder<'a> {
     /// `child_node`, the operator below, feeds INV (or RET at level 1).
     fn emit_udf(
         &mut self,
-        udf: &'a GeneratedUdf,
+        udf: &GeneratedUdf,
         input_rows: f64,
         child_node: Option<usize>,
     ) -> Result<usize> {
         let db = self.db;
-        let (_, mut dag, pre_filters) = match self.udf.take() {
-            Some(done) if std::ptr::eq(done.0, udf) => done,
-            _ => {
-                let table = db.table(&udf.table)?;
-                let arg_types: Vec<DataType> = (udf.input_columns.iter())
-                    .map(|c| table.column_type(c))
-                    .collect::<Result<Vec<_>>>()?;
-                let ret_type = graceful_udf::infer_return_type(&udf.def, &arg_types);
-                let dag = build_dag(&udf.def, &arg_types, ret_type, self.fz.dag_config());
-                let on_table = |p: &&Pred| p.col.table == udf.table;
-                (udf, dag, self.spec.filters.iter().filter(on_table).cloned().collect())
-            }
-        };
+        let table = db.table(&udf.table)?;
+        let arg_types: Vec<DataType> =
+            udf.input_columns.iter().map(|c| table.column_type(c)).collect::<Result<_>>()?;
+        // The UDF keeps the template of the first configuration it met.
+        let config = self.fz.dag_config();
+        let build = || UdfTemplate::build(udf, &arg_types, config);
+        let kept = udf.analysis(&arg_types, || Ok(build()))?;
+        let t = if kept.config == config { kept } else { Arc::new(build()) };
         // Hit-ratio row annotation (Section III-B), conditioned on the plain
-        // filters already applied to the UDF's base table; it rewrites every
-        // node's `in_rows`.
-        let hr = HitRatioEstimator::new(self.estimator);
-        hr.annotate_dag(&mut dag, udf, input_rows, &pre_filters);
+        // filters already applied to the UDF's base table.
+        let pre: Vec<Pred> =
+            self.spec.filters.iter().filter(|p| p.col.table == udf.table).cloned().collect();
+        let rows =
+            HitRatioEstimator::new(self.estimator).annotate_paths(&t.paths, udf, input_rows, &pre);
 
         // COLUMN nodes for the UDF's inputs.
         let mut col_nodes = Vec::with_capacity(udf.input_columns.len());
         for c in &udf.input_columns {
             col_nodes.push(self.node(node_type::COLUMN, &column_features(db, &udf.table, c)?, &[]));
         }
-
-        let ret_node = if !self.fz.include_udf_structure() {
-            // Ablation level 1: the UDF is a black box — a single RET node.
-            let ret_node = self.push(node_type::RET, &ret_features(&dag.nodes[dag.ret]));
-            for &c in col_nodes.iter().chain(&child_node) {
-                self.edge(c, ret_node);
+        // DAG node `i` becomes graph node `first + i` (DAG indices are
+        // already topological, so emitting in order preserves the
+        // invariant); at ablation level 1 the UDF is a black box, its RET
+        // node alone.
+        let (first, structure) = (self.node_types.len(), self.fz.include_udf_structure());
+        let (mut e, mut r) = (0, 0);
+        for (i, &(ty, entries, reads)) in t.nodes.iter().enumerate() {
+            let (ty, entries, mut f) = (ty as usize, e..e + entries as usize, [0f32; MAX_DIM]);
+            let read = &t.reads[r..r + reads as usize];
+            (e, r) = (entries.end, r + read.len());
+            if !structure && i != t.ret {
+                continue;
             }
-            ret_node
-        } else {
-            // Full structure: map DAG nodes into the graph (DAG indices are
-            // already topological, so emitting in order preserves the
-            // invariant).
-            let mut dag_node = vec![usize::MAX; dag.len()];
-            for (i, n) in dag.nodes.iter().enumerate() {
-                let (ty, f) = udf_node_features(n);
-                dag_node[i] = self.push(ty, &f[..DIMS[ty]]);
-                // Data-flow edges: columns feed INV and the COMP/BRANCH nodes
-                // that read them directly.
-                match n.kind {
-                    UdfNodeKind::Inv => {
-                        for &c in col_nodes.iter().chain(&child_node) {
-                            self.edge(c, dag_node[i]);
-                        }
-                    }
-                    UdfNodeKind::Comp | UdfNodeKind::Branch => {
-                        for &p in &n.param_reads {
-                            if let Some(&c) = col_nodes.get(p as usize) {
-                                self.edge(c, dag_node[i]);
-                            }
-                        }
-                    }
-                    _ => {}
+            f[0] = log_mag(rows[i]);
+            let statics = t.positions[entries.clone()].iter().zip(&t.values[entries]);
+            statics.for_each(|(&p, &x)| f[p as usize] = x);
+            let v = self.push(ty, &f[..DIMS[ty]]);
+            // Data-flow edges: columns feed INV (the black box) and the
+            // COMP/BRANCH nodes that read them directly.
+            if ty == node_type::INV || !structure {
+                for &c in col_nodes.iter().chain(&child_node) {
+                    self.edge(c, v);
                 }
             }
-            // Residual edges are already filtered by DagConfig; map them all.
-            for &(s, d, _) in &dag.edges {
-                self.edge(dag_node[s], dag_node[d]);
+            for &c in read.iter().filter_map(|&p| col_nodes.get(p as usize)) {
+                self.edge(c, v);
             }
-            dag_node[dag.ret]
-        };
-        self.udf = Some((udf, dag, pre_filters));
-        Ok(ret_node)
+        }
+        if !structure {
+            return Ok(first);
+        }
+        // Residual edges are already filtered by DagConfig; map them all.
+        for &(s, d) in &t.edges {
+            self.edge(first + s as usize, first + d as usize);
+        }
+        Ok(first + t.ret)
     }
 }
 

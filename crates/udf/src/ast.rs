@@ -28,12 +28,13 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// All operators, in one-hot order (Table I `ops` feature vocabulary).
+    /// All operators, in one-hot order (Table I `ops` feature vocabulary),
+    /// which is declaration order: an operator's `index` is its discriminant.
     pub const ALL: [BinOp; 7] =
         [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod, BinOp::Pow, BinOp::FloorDiv];
 
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&o| o == self).expect("op in ALL")
+        self as usize
     }
 
     pub fn symbol(self) -> &'static str {
@@ -67,10 +68,11 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// All comparisons, in declaration order: `index` is the discriminant.
     pub const ALL: [CmpOp; 6] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
 
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&o| o == self).expect("op in ALL")
+        self as usize
     }
 
     pub fn symbol(self) -> &'static str {
@@ -408,5 +410,8 @@ mod tests {
         for (i, op) in CmpOp::ALL.iter().enumerate() {
             assert_eq!(op.index(), i);
         }
+        // Every operator is listed: the last one declared indexes the last slot.
+        assert_eq!(BinOp::FloorDiv.index() + 1, BinOp::ALL.len());
+        assert_eq!(CmpOp::Ne.index() + 1, CmpOp::ALL.len());
     }
 }

@@ -18,11 +18,12 @@
 
 use crate::ast::{BinOp, CmpOp, Expr, Stmt, UdfDef};
 use crate::libfns::LibFn;
-use crate::prepared::PreparedUdf;
+use crate::prepared::{image, image_is, PreparedUdf};
 use crate::printer::print_udf;
 use graceful_common::rng::Rng;
 use graceful_common::{GracefulError, Result};
 use graceful_storage::{DataType, Database, Value};
+use std::any::{Any, TypeId};
 use std::sync::{Arc, OnceLock};
 
 /// Data-adaptation action emitted alongside a generated UDF.
@@ -80,9 +81,19 @@ pub struct GeneratedUdf {
     pub input_columns: Vec<String>,
     /// Data-adaptation actions the caller must apply before execution.
     pub adaptations: Vec<AdaptAction>,
-    /// The first program [`GeneratedUdf::prepared`] built, kept for later
-    /// uses.
-    prepared: OnceLock<Arc<PreparedUdf>>,
+    /// What the first call of [`GeneratedUdf::prepared`] or
+    /// [`GeneratedUdf::analysis`] built, kept for later uses.
+    kept: OnceLock<Arc<Kept>>,
+}
+
+/// The builds of one `def` over one list of parameter types (the prepared
+/// program, then the analysis), and the one record they are checked
+/// against: the [`image`] of `def` and the types.
+#[derive(Debug, Default)]
+struct Kept {
+    def: Vec<u8>,
+    types: Vec<DataType>,
+    slots: [OnceLock<Arc<dyn Any + Send + Sync>>; 2],
 }
 
 impl GeneratedUdf {
@@ -96,24 +107,39 @@ impl GeneratedUdf {
             table,
             input_columns,
             adaptations: Vec::new(),
-            prepared: OnceLock::new(),
+            kept: OnceLock::new(),
         }
     }
 
     /// The prepared program of `def` over parameters of `types` (the input
-    /// columns' types): built on the first call, the same `Arc` on every
-    /// later one. The fields are public and a caller may overwrite them, so
-    /// every call checks what the kept program was built from: if `def` or
-    /// `types` differ, the program is built afresh from what the UDF holds
-    /// now and not kept. A stale program cannot run.
+    /// columns' types), kept as [`GeneratedUdf::analysis`] keeps it. A stale
+    /// program cannot run.
     pub fn prepared(&self, types: &[DataType]) -> Result<Arc<PreparedUdf>> {
-        if let Some(kept) = self.prepared.get().filter(|p| p.built_from(&self.def, types)) {
-            return Ok(Arc::clone(kept));
+        self.analysis(types, || PreparedUdf::new(&self.def, types))
+    }
+
+    /// What `build` derives from `def` over parameters of `types` alone (the
+    /// prepared program, the featurizer's template): built on the first call,
+    /// the same `Arc` on every later one. The fields are public, so if `def`
+    /// or `types` differ from what the kept build was built from, or it is no
+    /// `T`, `build` runs afresh on what the UDF holds now and is not kept.
+    pub fn analysis<T: Any + Send + Sync>(
+        &self,
+        types: &[DataType],
+        build: impl FnOnce() -> Result<T>,
+    ) -> Result<Arc<T>> {
+        let kept = (self.kept).get_or_init(|| {
+            Arc::new(Kept { def: image(&self.def), types: types.to_vec(), ..Kept::default() })
+        });
+        // The prepared program has a slot of its own, any other build the other.
+        let slot = usize::from(TypeId::of::<T>() != TypeId::of::<PreparedUdf>());
+        let holds = kept.types == types && image_is(&self.def, &kept.def);
+        let slot = holds.then(|| &kept.slots[slot]);
+        if let Some(kept) = slot.and_then(|s| Arc::clone(s.get()?).downcast().ok()) {
+            return Ok(kept);
         }
-        let built = Arc::new(PreparedUdf::new(&self.def, types)?);
-        // Kept unless the cell already holds one, built from another `def`
-        // or other types.
-        let _ = self.prepared.set(Arc::clone(&built));
+        let built = Arc::new(build()?);
+        let _ = slot.map(|slot| slot.set(Arc::clone(&built) as _));
         Ok(built)
     }
 }

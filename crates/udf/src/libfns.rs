@@ -105,9 +105,9 @@ impl LibFn {
     /// Number of functions (one-hot width).
     pub const COUNT: usize = Self::ALL.len();
 
-    /// Stable one-hot index.
+    /// Stable one-hot index: the discriminant, as `ALL` is in declaration order.
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&f| f == self).expect("fn in ALL")
+        self as usize
     }
 
     pub fn category(self) -> LibCategory {
@@ -280,6 +280,8 @@ mod tests {
             assert_eq!(f.index(), i);
         }
         assert_eq!(LibFn::COUNT, LibFn::ALL.len());
+        // Every function is listed: the last one declared indexes the last slot.
+        assert_eq!(LibFn::StrSplitCount.index() + 1, LibFn::COUNT);
     }
 
     #[test]

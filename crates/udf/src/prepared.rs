@@ -47,9 +47,6 @@ use std::sync::OnceLock;
 /// definition over one list of parameter types, and its lane shape.
 #[derive(Debug)]
 pub struct PreparedUdf {
-    /// [`image`] of the definition the program was built from.
-    def: Vec<u8>,
-    types: Vec<DataType>,
     prog: Program,
     shape: SimdShape,
 }
@@ -70,7 +67,7 @@ impl PreparedUdf {
         // original sits between their holes: 3–4 MiB less peak RSS on the
         // benchmark's `paper_loop` and `train_and_advise`.
         let prog = prog.clone();
-        Ok(PreparedUdf { def: image(def), types: types.to_vec(), prog, shape })
+        Ok(PreparedUdf { prog, shape })
     }
 
     /// The pruned program.
@@ -82,11 +79,6 @@ impl PreparedUdf {
     pub fn shape(&self) -> &SimdShape {
         &self.shape
     }
-
-    /// Whether this is the program of `def` over `types`.
-    pub(crate) fn built_from(&self, def: &UdfDef, types: &[DataType]) -> bool {
-        self.types == types && self.def == image(def)
-    }
 }
 
 /// An exact image of `def` in one allocation: per node a tag and a
@@ -94,66 +86,89 @@ impl PreparedUdf {
 /// its strings and children. Two definitions have equal images exactly when
 /// they are the same tree with bit-equal literals (stricter than `==`, which
 /// holds `0.0` equal to `-0.0`, two literals that compile to different
-/// constants). A prepared program keeps this image of its definition, not a
-/// copy of the tree: over the `lint udf` corpus a copy takes 175
-/// allocations and 7.3 KB per UDF, the image one allocation of ~0.8 KB.
-fn image(def: &UdfDef) -> Vec<u8> {
-    struct Image(Vec<u8>);
-    impl Image {
-        /// `tag`, then `n` in base-128 digits, the last one below 128.
-        fn tag(&mut self, tag: u8, mut n: u64) -> &mut Self {
-            self.0.push(tag);
-            while n >= 0x80 {
-                self.0.push((n as u8) | 0x80);
-                n >>= 7;
-            }
-            self.0.push(n as u8);
-            self
-        }
-        fn text(&mut self, s: &str) -> &mut Self {
-            self.tag(0, s.len() as u64).0.extend(s.as_bytes());
-            self
-        }
-        fn expr(&mut self, e: &Expr) -> &mut Self {
-            match e {
-                Expr::Name(s) => self.tag(0, 0).text(s),
-                Expr::Int(i) => self.tag(1, *i as u64),
-                Expr::Float(f) => self.tag(2, f.to_bits()),
-                Expr::Str(s) => self.tag(3, 0).text(s),
-                Expr::Bool(b) => self.tag(4, u64::from(*b)),
-                Expr::NoneLit => self.tag(5, 0),
-                Expr::Unary { op, operand } => self.tag(6, *op as u64).expr(operand),
-                Expr::Binary { op, left, right } => self.tag(7, *op as u64).expr(left).expr(right),
-                Expr::Compare { op, left, right } => self.tag(8, *op as u64).expr(left).expr(right),
-                Expr::BoolOp { is_and, left, right } => {
-                    self.tag(9, u64::from(*is_and)).expr(left).expr(right)
-                }
-                Expr::Call { func, args } => self.tag(10, *func as u64).exprs(args),
-                Expr::Method { func, recv, args } => {
-                    self.tag(11, *func as u64).expr(recv).exprs(args)
-                }
-            }
-        }
-        fn exprs(&mut self, es: &[Expr]) -> &mut Self {
-            es.iter().fold(self.tag(0, es.len() as u64), |image, e| image.expr(e))
-        }
-        fn block(&mut self, body: &[Stmt]) -> &mut Self {
-            body.iter().fold(self.tag(0, body.len() as u64), |image, stmt| match stmt {
-                Stmt::Assign { target, expr } => image.tag(0, 0).text(target).expr(expr),
-                Stmt::If { cond, then_body, else_body } => {
-                    image.tag(1, 0).expr(cond).block(then_body).block(else_body)
-                }
-                Stmt::For { var, count, body } => image.tag(2, 0).text(var).expr(count).block(body),
-                Stmt::While { cond, body } => image.tag(3, 0).expr(cond).block(body),
-                Stmt::Return(e) => image.tag(4, 0).expr(e),
-            })
+/// constants). A [`crate::GeneratedUdf`] keeps this image of the definition
+/// its prepared program and its analysis were built from, not a copy of the
+/// tree: over the `lint udf` corpus a copy takes 175 allocations and 7.3 KB
+/// per UDF, the image one allocation of ~0.8 KB. [`image_is`] checks a
+/// definition against a kept image without building its own.
+pub(crate) fn image(def: &UdfDef) -> Vec<u8> {
+    let mut image = Image { bytes: Vec::new(), kept: None, same: true };
+    image.def(def).bytes.shrink_to_fit();
+    image.bytes
+}
+
+/// Whether `def`'s [`image`] is `kept`, compared as it is walked.
+pub(crate) fn image_is(def: &UdfDef, kept: &[u8]) -> bool {
+    let mut image = Image { bytes: Vec::new(), kept: Some(kept), same: true };
+    image.def(def).same && image.kept.is_some_and(|rest| rest.is_empty())
+}
+
+/// An image being written to `bytes`, or compared with the rest of `kept`.
+struct Image<'k> {
+    bytes: Vec<u8>,
+    kept: Option<&'k [u8]>,
+    same: bool,
+}
+
+impl Image<'_> {
+    /// Append `bytes`, or match them against what `kept` holds next.
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.kept {
+            None => self.bytes.extend_from_slice(bytes),
+            Some(kept) if kept.starts_with(bytes) => *kept = &kept[bytes.len()..],
+            Some(_) => self.same = false,
         }
     }
-    let mut image = Image(Vec::new());
-    image.text(&def.name).tag(0, def.params.len() as u64);
-    def.params.iter().fold(&mut image, |image, p| image.text(p)).block(&def.body);
-    image.0.shrink_to_fit();
-    image.0
+    /// `tag`, then `n` in base-128 digits, the last one below 128.
+    fn tag(&mut self, tag: u8, mut n: u64) -> &mut Self {
+        self.put(&[tag]);
+        while n >= 0x80 {
+            self.put(&[(n as u8) | 0x80]);
+            n >>= 7;
+        }
+        self.put(&[n as u8]);
+        self
+    }
+    fn text(&mut self, s: &str) -> &mut Self {
+        self.tag(0, s.len() as u64).put(s.as_bytes());
+        self
+    }
+    fn expr(&mut self, e: &Expr) -> &mut Self {
+        match e {
+            Expr::Name(s) => self.tag(0, 0).text(s),
+            Expr::Int(i) => self.tag(1, *i as u64),
+            Expr::Float(f) => self.tag(2, f.to_bits()),
+            Expr::Str(s) => self.tag(3, 0).text(s),
+            Expr::Bool(b) => self.tag(4, u64::from(*b)),
+            Expr::NoneLit => self.tag(5, 0),
+            Expr::Unary { op, operand } => self.tag(6, *op as u64).expr(operand),
+            Expr::Binary { op, left, right } => self.tag(7, *op as u64).expr(left).expr(right),
+            Expr::Compare { op, left, right } => self.tag(8, *op as u64).expr(left).expr(right),
+            Expr::BoolOp { is_and, left, right } => {
+                self.tag(9, u64::from(*is_and)).expr(left).expr(right)
+            }
+            Expr::Call { func, args } => self.tag(10, *func as u64).exprs(args),
+            Expr::Method { func, recv, args } => self.tag(11, *func as u64).expr(recv).exprs(args),
+        }
+    }
+    fn exprs(&mut self, es: &[Expr]) -> &mut Self {
+        es.iter().fold(self.tag(0, es.len() as u64), |image, e| image.expr(e))
+    }
+    fn block(&mut self, body: &[Stmt]) -> &mut Self {
+        body.iter().fold(self.tag(0, body.len() as u64), |image, stmt| match stmt {
+            Stmt::Assign { target, expr } => image.tag(0, 0).text(target).expr(expr),
+            Stmt::If { cond, then_body, else_body } => {
+                image.tag(1, 0).expr(cond).block(then_body).block(else_body)
+            }
+            Stmt::For { var, count, body } => image.tag(2, 0).text(var).expr(count).block(body),
+            Stmt::While { cond, body } => image.tag(3, 0).expr(cond).block(body),
+            Stmt::Return(e) => image.tag(4, 0).expr(e),
+        })
+    }
+    fn def(&mut self, def: &UdfDef) -> &mut Self {
+        self.text(&def.name).tag(0, def.params.len() as u64);
+        def.params.iter().fold(self, |image, p| image.text(p)).block(&def.body)
+    }
 }
 
 /// What an evaluator gathers a batch of rows into, which decides the
@@ -254,6 +269,21 @@ mod tests {
     use crate::parser::parse_udf;
     use crate::GeneratedUdf;
     use std::sync::Arc;
+
+    /// A definition is its own image, bit for bit and to the end, and no
+    /// other definition's.
+    #[test]
+    fn a_definition_is_checked_against_its_image_to_the_last_byte() {
+        let def = parse_udf("def f(x0):\n    if x0 > 2:\n        return x0 * 0.5\n    return 1\n");
+        let def = def.unwrap();
+        let kept = image(&def);
+        assert!(image_is(&def, &kept));
+        assert!(!image_is(&def, &kept[..kept.len() - 1]));
+        assert!(!image_is(&def, &[&kept[..], &[0]].concat()));
+        let other =
+            parse_udf("def f(x0):\n    if x0 > 2:\n        return x0 * 0.5\n    return 2\n");
+        assert!(!image_is(&other.unwrap(), &kept));
+    }
 
     #[test]
     fn the_kept_program_is_only_ever_the_one_of_what_the_udf_holds_now() {

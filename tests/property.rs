@@ -68,18 +68,18 @@ proptest! {
         let gen = UdfGenerator::default();
         let mut rng = Rng::seed(seed);
         let u = gen.generate(&db, &mut rng).unwrap();
-        let mut dag = build_dag(&u.def, &[], DataType::Float, DagConfig::default());
-        dag.annotate_rows(1000.0, |conds| {
-            conds.iter().fold(1.0, |p, (c, taken)| {
-                let s = c.as_ref().map_or(0.5, |_| sel);
-                p * if *taken { s } else { 1.0 - s }
+        let dag = build_dag(&u.def, &[], DataType::Float, DagConfig::default());
+        let rows = dag.control_paths().in_rows(1000.0, |decisions| {
+            decisions.iter().fold(1.0, |p, &(b, taken)| {
+                let s = dag.nodes[b as usize].cond.as_ref().map_or(0.5, |_| sel);
+                p * if taken { s } else { 1.0 - s }
             })
         });
-        prop_assert!((dag.nodes[dag.inv].in_rows - 1000.0).abs() < 1e-6);
-        prop_assert!((dag.nodes[dag.ret].in_rows - 1000.0).abs() < 1e-6);
-        for n in &dag.nodes {
-            prop_assert!(n.in_rows <= 1000.0 + 1e-6);
-            prop_assert!(n.in_rows >= -1e-6);
+        prop_assert!((rows[dag.inv] - 1000.0).abs() < 1e-6);
+        prop_assert!((rows[dag.ret] - 1000.0).abs() < 1e-6);
+        for &r in &rows {
+            prop_assert!(r <= 1000.0 + 1e-6);
+            prop_assert!(r >= -1e-6);
         }
     }
 
