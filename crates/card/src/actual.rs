@@ -36,6 +36,7 @@ impl CardEstimator for ActualCard<'_> {
     }
 
     fn annotate(&self, plan: &mut Plan) -> Result<()> {
+        plan.validate()?;
         // Reuse recorded actuals when the plan has been executed; otherwise
         // execute it now (the oracle is allowed to).
         let recorded = plan.ops.iter().any(|o| o.actual_out_rows > 0.0);

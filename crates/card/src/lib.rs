@@ -24,6 +24,15 @@
 //! is taken from the recorded ground truth (the model must still learn
 //! everything else), while the advisor of Section IV instead *enumerates*
 //! selectivities via [`scale_above_udf`].
+//!
+//! # The contract
+//!
+//! Every call is a function of the estimator's seed, its input (a plan, or a
+//! table and a conjunction) and the data, never of the calls before it (the
+//! sampling estimator draws each call from a fresh stream of its seed). Every
+//! `annotate` first runs [`Plan::validate`] (`verify_structure`, the one
+//! definition of a well-formed plan), so a malformed plan is a `PlanVerify`
+//! error naming the operator under every estimator.
 
 #![forbid(unsafe_code)]
 
@@ -49,7 +58,7 @@ pub trait CardEstimator {
     /// Display name (used in experiment tables).
     fn name(&self) -> &'static str;
 
-    /// Fill `est_out_rows` for every operator, bottom-up.
+    /// Validate the plan, then fill `est_out_rows` for every operator, bottom-up.
     ///
     /// UDF-filter selectivity is copied from the plan's recorded actual
     /// cardinalities when available (see module docs) and defaults to 0.5
@@ -93,7 +102,8 @@ pub fn scale_ladder(plan: &Plan, selectivities: &[f64]) -> Vec<Vec<f64>> {
     let rows: Vec<f64> = plan.ops.iter().map(|op| op.est_out_rows).collect();
     let Some(udf_idx) = plan.udf_op() else { return vec![rows; selectivities.len()] };
     let above = plan.ops_above(udf_idx);
-    let input = rows[plan.ops[udf_idx].children[0]].max(0.0);
+    let child = plan.ops[udf_idx].children.first().and_then(|&c| rows.get(c));
+    let input = child.map_or(0.0, |r| r.max(0.0));
     let old_out = rows[udf_idx].max(1e-9);
     let variant = |&selectivity: &f64| {
         let (mut rows, new_out) = (rows.clone(), input * selectivity.clamp(0.0, 1.0));
@@ -146,6 +156,7 @@ where
     FS: FnMut(&str) -> f64,
     FJ: FnMut(&Plan, usize, f64, f64) -> f64,
 {
+    plan.validate()?;
     for idx in 0..plan.ops.len() {
         let est = match &plan.ops[idx].kind {
             PlanOpKind::Scan { table } => scan_rows(table),
@@ -227,6 +238,18 @@ mod tests {
         assert_eq!(plan.ops[5].est_out_rows, 1.0);
         // Below the UDF nothing changes.
         assert_eq!(plan.ops[2].est_out_rows, 1000.0);
+    }
+
+    /// A UDF operator without a child scales from no input rows: every
+    /// variant sets it to 0 and scales the operators above by the same
+    /// ratio, without reading past the operator's children.
+    #[test]
+    fn scale_ladder_reads_a_childless_udf_op_as_empty_input() {
+        let mut plan = udf_plan();
+        plan.ops[3].children.clear();
+        plan.ops.iter_mut().for_each(|op| op.est_out_rows = 10.0);
+        let ladder = scale_ladder(&plan, &[0.1, 1.0]);
+        assert_eq!(ladder, vec![vec![10.0, 10.0, 10.0, 0.0, 0.0, 1.0]; 2]);
     }
 
     /// A NaN literal matches no row, so no estimator may turn it into a

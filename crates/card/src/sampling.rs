@@ -10,25 +10,30 @@
 //! sees exactly the row-ascending match lists a probe would — but keep at
 //! most `walks` result rows (re-scaling the estimate), so estimation cost
 //! stays O(walks · plan depth) like WanderJoin's.
+//!
+//! Each `annotate` and `conjunction_selectivity` draws from its own
+//! `Rng::seed(seed)` stream, so a call answers what a fresh estimator's first
+//! call would. Every conjunction on one table therefore tests the same (at
+//! most `walks`) rows: a hit ratio's numerator and denominator share a sample.
 
 use crate::CardEstimator;
 use graceful_common::rng::Rng;
-use graceful_common::{GracefulError, Result};
+use graceful_common::Result;
 use graceful_exec::join::JoinIndex;
 use graceful_plan::predicate::{self, RowTest};
 use graceful_plan::{Plan, PlanOpKind, Pred};
 use graceful_storage::Database;
-use std::cell::RefCell;
 
 /// Sampling estimator (default 100 walks, like the paper's configuration).
 pub struct SamplingCard<'a> {
     db: &'a Database,
     walks: usize,
-    rng: RefCell<Rng>,
+    seed: u64,
 }
 
 /// Sample flowing through the plan: per sampled tuple one row id per bound
 /// table, plus the scale factor mapping sample size to estimated rows.
+#[derive(Default)]
 struct SampleRel {
     tables: Vec<String>,
     rows: Vec<u32>,
@@ -48,7 +53,7 @@ impl SampleRel {
 
 impl<'a> SamplingCard<'a> {
     pub fn new(db: &'a Database, walks: usize, seed: u64) -> Self {
-        SamplingCard { db, walks: walks.max(4), rng: RefCell::new(Rng::seed(seed)) }
+        SamplingCard { db, walks: walks.max(4), seed }
     }
 
     /// One sampled join step: probe the full right base table from the left
@@ -128,22 +133,12 @@ impl CardEstimator for SamplingCard<'_> {
     }
 
     fn annotate(&self, plan: &mut Plan) -> Result<()> {
-        let mut rng = self.rng.borrow_mut();
-        let mut rels: Vec<Option<SampleRel>> = (0..plan.ops.len()).map(|_| None).collect();
+        plan.validate()?;
+        let mut rng = Rng::seed(self.seed);
+        let mut rels: Vec<SampleRel> = (0..plan.ops.len()).map(|_| SampleRel::default()).collect();
         for idx in 0..plan.ops.len() {
-            // Children come before their parent and feed it alone: a child
-            // that is missing, later in the plan or already consumed by
-            // another operator has no sample here.
-            let mut child = |i: usize| -> Result<SampleRel> {
-                let c = *plan.ops[idx].children.get(i).ok_or_else(|| {
-                    GracefulError::InvalidPlan(format!("op {idx}: child {i} is missing"))
-                })?;
-                rels.get_mut(c).and_then(Option::take).ok_or_else(|| {
-                    GracefulError::InvalidPlan(format!(
-                        "op {idx}: child {c} is not an earlier operator feeding only op {idx}"
-                    ))
-                })
-            };
+            // A verified child is an earlier operator feeding this one alone.
+            let mut child = |i: usize| std::mem::take(&mut rels[plan.ops[idx].children[i]]);
             let (rel, est) = match &plan.ops[idx].kind {
                 PlanOpKind::Scan { table } => {
                     let t = self.db.table(table)?;
@@ -154,7 +149,7 @@ impl CardEstimator for SamplingCard<'_> {
                     (SampleRel { tables: vec![table.clone()], rows, estimate: est }, est)
                 }
                 PlanOpKind::Filter { preds } => {
-                    let child = child(0)?;
+                    let child = child(0);
                     let (stride, n) = (child.tables.len(), child.n());
                     // Each predicate tests the lane of its table; one whose
                     // table is not bound here, or absent, keeps no tuple.
@@ -175,44 +170,41 @@ impl CardEstimator for SamplingCard<'_> {
                     (SampleRel { tables: child.tables, rows, estimate: est }, est)
                 }
                 PlanOpKind::Join { left_col, right_col } => {
-                    let (left, right) = (child(0)?, child(1)?);
+                    let (left, right) = (child(0), child(1));
                     let rel = self.join_sample(left, right, left_col, right_col, &mut rng)?;
                     let est = rel.estimate;
                     (rel, est)
                 }
                 PlanOpKind::UdfFilter { .. } => {
-                    let child = child(0)?;
+                    let child = child(0);
                     let est = child.estimate * crate::udf_filter_hint(plan, idx);
                     (SampleRel { estimate: est, ..child }, est)
                 }
                 PlanOpKind::UdfProject { .. } => {
-                    let child = child(0)?;
+                    let child = child(0);
                     let est = child.estimate;
                     (child, est)
                 }
                 PlanOpKind::Agg { .. } => {
-                    let child = child(0)?;
+                    let child = child(0);
                     (SampleRel { tables: child.tables, rows: Vec::new(), estimate: 1.0 }, 1.0)
                 }
             };
             plan.ops[idx].est_out_rows = est.max(0.0);
-            rels[idx] = Some(rel);
+            rels[idx] = rel;
         }
         Ok(())
     }
 
     fn conjunction_selectivity(&self, table: &str, preds: &[Pred]) -> f64 {
-        let t = match self.db.table(table) {
-            Ok(t) => t,
-            Err(_) => return 0.5,
-        };
+        let Ok(t) = self.db.table(table) else { return 0.5 };
         let n = t.num_rows();
         if n == 0 {
             return 0.0;
         }
-        // The k rows are drawn one after the other, as the walks draw
+        // The k rows are drawn one after the other, as a scan's walks draw
         // them: testing a row draws nothing.
-        let mut rng = self.rng.borrow_mut();
+        let mut rng = Rng::seed(self.seed);
         let k = self.walks.min(n);
         let drawn = (0..k).map(|_| rng.range(0..n) as u32);
         crate::count_passing(t, preds, drawn) as f64 / k as f64
@@ -283,46 +275,15 @@ mod tests {
     }
 
     #[test]
-    fn malformed_plans_are_typed_errors_not_panics() {
-        use graceful_common::GracefulError;
-        use graceful_plan::{AggFunc, ColRef, PlanOp};
-        let db = generate(&schema("tpc_h"), 0.02, 3);
-        let scan = |t: &str| PlanOp::new(PlanOpKind::Scan { table: t.into() }, vec![]);
-        let agg = |children| {
-            PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, children)
-        };
-        let join = |children| {
-            PlanOp::new(
-                PlanOpKind::Join {
-                    left_col: ColRef::new("orders_t", "cust_id"),
-                    right_col: ColRef::new("customer_t", "id"),
-                },
-                children,
-            )
-        };
-        let shapes = [
-            ("shared", vec![scan("orders_t"), join(vec![0, 0]), agg(vec![1])]),
-            ("forward", vec![agg(vec![1]), scan("orders_t")]),
-            ("missing", vec![scan("orders_t"), scan("customer_t"), join(vec![0]), agg(vec![2])]),
-            ("dangling", vec![scan("orders_t"), agg(vec![7])]),
-        ];
-        for (what, ops) in shapes {
-            let root = ops.len() - 1;
-            let mut plan = Plan { ops, root };
-            match SamplingCard::new(&db, 50, 1).annotate(&mut plan) {
-                Err(GracefulError::InvalidPlan(_)) => {}
-                other => panic!("{what} child: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn join_index_moves_no_estimate_on_generated_joins() {
         // The walk used to probe a private `HashMap<i64, Vec<u32>>` built in
         // row order. For every generated fact→dimension join, the shared
         // `JoinIndex` holds exactly those match lists, so the walk draws the
-        // same `rng` values; and every annotated `est_out_rows` still has
-        // the bits recorded with the `HashMap` at commit ee37079.
+        // same `rng` values. The digest was recorded with the `HashMap` at
+        // commit ee37079 and re-recorded once since, when every `annotate`
+        // began drawing from a fresh stream of the seed instead of going on
+        // from the plan before it: that changed which rows each plan
+        // samples, not how a walk probes.
         use graceful_plan::{build_plan, QueryGenerator, UdfPlacement};
         use std::collections::HashMap;
         let db = generate(&schema("tpc_h"), 0.1, 3);
@@ -354,6 +315,6 @@ mod tests {
             }
         }
         assert_eq!(joins, 53, "the generator's join mix changed; re-record the digest");
-        assert_eq!(digest, 0x714d_0e79_eaa0_f0cc, "an estimate moved");
+        assert_eq!(digest, 0xdb47_2b6d_d37e_ec6b, "an estimate moved");
     }
 }

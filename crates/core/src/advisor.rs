@@ -30,11 +30,9 @@
 //! a late-joining pushed-down UDF) and builds the UDF's return type and DAG
 //! once. One forward reads out all twelve roots; the GNN is a
 //! bottom-up pass over a DAG, so every cost keeps its bits
-//! (`a_decision_equals_twelve_independent_estimates`). The estimator is
-//! asked in one order — annotate pull-up, its ladder's hit ratios, then the
-//! same for push-down — so one that samples per call draws once per
-//! placement; the hit ratios stay per placement until the sampling
-//! estimator is a pure function of its input.
+//! (`a_decision_equals_twelve_independent_estimates`). Every estimator is a
+//! function of its input (`graceful_card`'s contract), so what the
+//! estimator is asked, and in which order, moves no cost.
 
 use crate::model::GracefulModel;
 use graceful_card::{scale_ladder, CardEstimator};

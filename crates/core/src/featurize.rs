@@ -141,7 +141,8 @@ impl Featurizer {
         self.level >= 3
     }
 
-    /// Featurize an annotated plan into the joint typed graph.
+    /// Featurize an annotated plan into the joint typed graph: the one-rung
+    /// [`Featurizer::featurize_ladder`].
     ///
     /// The plan's `est_out_rows` must already be annotated (by any
     /// [`CardEstimator`]); `estimator` is additionally used for the branch
@@ -153,16 +154,16 @@ impl Featurizer {
         plan: &Plan,
         estimator: &dyn CardEstimator,
     ) -> Result<TypedGraph> {
-        let mut g = self.builder(db, spec, estimator);
-        let root = g.emit_ladder(plan, 1, |_, i| plan.ops[i].est_out_rows)?[0];
-        Ok(g.graph(root))
+        let rows = plan.ops.iter().map(|op| op.est_out_rows).collect();
+        Ok(self.featurize_ladder(db, spec, plan, &[rows], estimator)?.0)
     }
 
     /// Featurize a ladder — `plan` with each of `variants` as every
     /// operator's estimate in place of its `est_out_rows` — into one *ladder
     /// graph* plus one root per variant, sharing what the module docs say
     /// can be shared. `graph.root` is the first variant's root; read all of
-    /// them out at the returned roots.
+    /// them out at the returned roots. A plan [`Plan::validate`] rejects is
+    /// its [`GracefulError::PlanVerify`], before anything is emitted.
     pub fn featurize_ladder(
         &self,
         db: &Database,
@@ -171,6 +172,7 @@ impl Featurizer {
         variants: &[Vec<f64>],
         estimator: &dyn CardEstimator,
     ) -> Result<(TypedGraph, Vec<usize>)> {
+        plan.validate()?;
         let mut g = self.builder(db, spec, estimator);
         let roots = g.ladder(plan, variants)?;
         Ok((g.graph(roots[0]), roots))
@@ -330,10 +332,12 @@ pub(crate) struct GraphBuilder<'a> {
 
 impl<'a> GraphBuilder<'a> {
     /// Emit `plan` once per variant of `variants` (each a full set of
-    /// operator estimates) and return the variants' roots. Each operator or
+    /// operator estimates) and return the variants' roots: an operator once
+    /// for all variants whose estimates agree, bit for bit, on it and on
+    /// everything below it, and once per variant otherwise. Each operator or
     /// UDF input COLUMN node of an earlier ladder is reused, once, where this
     /// ladder would emit one with its type, features and children, bit for
-    /// bit.
+    /// bit. `plan` is one [`Plan::validate`] accepted.
     pub(crate) fn ladder(&mut self, plan: &'a Plan, variants: &[Vec<f64>]) -> Result<Vec<usize>> {
         if variants.is_empty() {
             return Err(GracefulError::InvalidPlan("featurize needs at least one plan".into()));
@@ -341,7 +345,37 @@ impl<'a> GraphBuilder<'a> {
         if variants.iter().any(|v| v.len() != plan.ops.len()) {
             return Err(GracefulError::InvalidPlan("ladder variants differ in shape".into()));
         }
-        self.emit_ladder(plan, variants.len(), |v, i| variants[v][i])
+        let n = variants.len();
+        // Room for the first variant (a few nodes per operator, and a UDF's
+        // DAG: 36 nodes, mostly COMP, on the benchmark's held-out queries).
+        let nodes = 3 * plan.ops.len() + 64;
+        self.reserve(nodes, 32 * nodes, 2 * nodes);
+        self.shared.1 = self.shared.0.len();
+        // Per variant: plan-op index -> graph node index (set as we emit).
+        let mut op_node = vec![vec![usize::MAX; plan.ops.len()]; n];
+        let mut varies = vec![false; plan.ops.len()];
+        for (idx, op) in plan.ops.iter().enumerate() {
+            let bits = variants[0][idx].to_bits();
+            varies[idx] = op.children.iter().any(|&c| varies[c])
+                || variants[1..].iter().any(|rows| rows[idx].to_bits() != bits);
+            let mut ret_node = usize::MAX;
+            for v in 0..n {
+                if v > 0 && !varies[idx] {
+                    op_node[v][idx] = op_node[0][idx];
+                    continue;
+                }
+                if let PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } = &op.kind
+                {
+                    let child = op.children[0];
+                    if v == 0 || varies[child] {
+                        let child_node = Some(op_node[v][child]);
+                        ret_node = self.emit_udf(udf, variants[v][child], child_node)?;
+                    }
+                }
+                op_node[v][idx] = self.emit_op(op, idx, &variants[v], &op_node[v], ret_node)?;
+            }
+        }
+        Ok(op_node.iter().map(|nodes| nodes[plan.root]).collect())
     }
 
     /// The graph built so far, rooted at `root`. The model validates it
@@ -353,47 +387,6 @@ impl<'a> GraphBuilder<'a> {
         features.shrink_to_fit();
         edges.shrink_to_fit();
         TypedGraph { node_types, features, edges, root }
-    }
-
-    /// Emit `n` variants of `plan`, `rows(v, i)` being operator `i`'s
-    /// estimate in variant `v`: an operator once for all variants whose
-    /// estimates agree, bit for bit, on it and on everything below it, and
-    /// once per variant otherwise.
-    fn emit_ladder(
-        &mut self,
-        plan: &'a Plan,
-        n: usize,
-        rows: impl Fn(usize, usize) -> f64,
-    ) -> Result<Vec<usize>> {
-        // Room for the first variant (a few nodes per operator, and a UDF's
-        // DAG: 36 nodes, mostly COMP, on the benchmark's held-out queries).
-        let nodes = 3 * plan.ops.len() + 64;
-        self.reserve(nodes, 32 * nodes, 2 * nodes);
-        self.shared.1 = self.shared.0.len();
-        // Per variant: plan-op index -> graph node index (set as we emit).
-        let mut op_node = vec![vec![usize::MAX; plan.ops.len()]; n];
-        let mut varies = vec![false; plan.ops.len()];
-        for (idx, op) in plan.ops.iter().enumerate() {
-            let bits = rows(0, idx).to_bits();
-            varies[idx] = op.children.iter().any(|&c| varies[c])
-                || (1..n).any(|v| rows(v, idx).to_bits() != bits);
-            let mut ret_node = usize::MAX;
-            for v in 0..n {
-                if v > 0 && !varies[idx] {
-                    op_node[v][idx] = op_node[0][idx];
-                    continue;
-                }
-                if let PlanOpKind::UdfFilter { udf, .. } | PlanOpKind::UdfProject { udf } = &op.kind
-                {
-                    let child = op.children[0];
-                    if v == 0 || varies[child] {
-                        ret_node = self.emit_udf(udf, rows(v, child), Some(op_node[v][child]))?;
-                    }
-                }
-                op_node[v][idx] = self.emit_op(op, idx, |i| rows(v, i), &op_node[v], ret_node)?;
-            }
-        }
-        Ok(op_node.iter().map(|nodes| nodes[plan.root]).collect())
     }
 
     /// Room for `nodes` more nodes holding `values` features and `edges`
@@ -438,20 +431,20 @@ impl<'a> GraphBuilder<'a> {
     }
 
     /// Emit the node of `op`, the plan's `idx`-th operator (after the
-    /// TABLE/COLUMN nodes only it reads), and return its index. `rows` gives
+    /// TABLE/COLUMN nodes only it reads), and return its index. `rows` holds
     /// every operator's estimate, `op_node` the nodes of the operators below,
     /// `ret_node` the RET node of the UDF `op` applies, if it applies one.
     fn emit_op(
         &mut self,
         op: &PlanOp,
         idx: usize,
-        rows: impl Fn(usize) -> f64,
+        rows: &[f64],
         op_node: &[usize],
         ret_node: usize,
     ) -> Result<usize> {
         let db = self.db;
-        let est_out = rows(idx);
-        let in_rows = |side: usize| rows(op.children[side]);
+        let est_out = rows[idx];
+        let in_rows = |side: usize| rows[op.children[side]];
         let child = |side: usize| op_node[op.children[side]];
         Ok(match &op.kind {
             PlanOpKind::Scan { table } => {

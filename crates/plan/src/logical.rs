@@ -171,30 +171,32 @@ impl Plan {
 
     /// Operators on the path from `from` (exclusive) up to the root
     /// (inclusive) — the operators "above" an op, whose cardinalities the
-    /// advisor scales when enumerating UDF-filter selectivities.
+    /// advisor scales when enumerating UDF-filter selectivities. Total on
+    /// any arena: a dangling child is no parent link, and a cycle ends the
+    /// walk after `ops.len()` steps.
     pub fn ops_above(&self, from: usize) -> Vec<usize> {
         let mut parent = vec![usize::MAX; self.ops.len()];
         for (i, op) in self.ops.iter().enumerate() {
-            for &c in &op.children {
-                parent[c] = i;
-            }
+            op.children.iter().for_each(|&c| parent.get_mut(c).into_iter().for_each(|p| *p = i));
         }
-        let mut out = Vec::new();
-        let mut cur = parent[from];
-        while cur != usize::MAX {
-            out.push(cur);
-            cur = parent[cur];
-        }
-        out
+        std::iter::successors(parent.get(from).copied(), |&p| parent.get(p).copied())
+            .take_while(|&p| p != usize::MAX)
+            .take(self.ops.len())
+            .collect()
     }
 
-    /// Number of operators in the subtree rooted at `op` (inclusive).
+    /// Number of operators in the subtree rooted at `op` (inclusive). Total
+    /// on any arena: a dangling child counts nothing, and the count stops at
+    /// `ops.len()`, which a cycle or a shared child would pass.
     pub fn subtree_size(&self, op: usize) -> usize {
-        let mut count = 0;
-        let mut stack = vec![op];
+        let (mut count, mut stack) = (0, vec![op]);
         while let Some(i) = stack.pop() {
+            let Some(o) = self.ops.get(i) else { continue };
             count += 1;
-            stack.extend(self.ops[i].children.iter().copied());
+            if count == self.ops.len() {
+                break;
+            }
+            stack.extend(&o.children);
         }
         count
     }
@@ -269,12 +271,14 @@ impl Plan {
     /// EXPLAIN-style rendering with cardinality annotations.
     pub fn explain(&self) -> String {
         let mut out = String::new();
-        self.explain_rec(self.root, 0, &mut out);
+        self.explain_rec(self.root, 0, &mut out, &mut self.ops.len());
         out
     }
 
-    fn explain_rec(&self, idx: usize, depth: usize, out: &mut String) {
-        let op = &self.ops[idx];
+    /// `idx` and its subtree, a line each and `left` lines at most: ends on any arena.
+    fn explain_rec(&self, idx: usize, depth: usize, out: &mut String, left: &mut usize) {
+        let Some(op) = self.ops.get(idx).filter(|_| *left > 0) else { return };
+        *left -= 1;
         for _ in 0..depth {
             out.push_str("  ");
         }
@@ -302,7 +306,7 @@ impl Plan {
             op.est_out_rows, op.actual_out_rows
         );
         for &c in &op.children {
-            self.explain_rec(c, depth + 1, out);
+            self.explain_rec(c, depth + 1, out, left);
         }
     }
 }
@@ -360,6 +364,26 @@ mod tests {
         assert_eq!(p.ops_above(0), vec![2, 3]);
         assert_eq!(p.ops_above(2), vec![3]);
         assert!(p.ops_above(3).is_empty());
+    }
+
+    /// A two-op cycle and a dangling child end every walk: `ops_above`,
+    /// `subtree_size` and `explain` read at most `ops.len()` operators.
+    #[test]
+    fn walks_end_on_a_cycle_and_a_dangling_child() {
+        let agg = |children| {
+            PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, children)
+        };
+        let cycle = Plan { ops: vec![agg(vec![1]), agg(vec![0])], root: 1 };
+        assert_eq!(cycle.ops_above(0), vec![1, 0]);
+        assert_eq!(cycle.ops_above(1), vec![0, 1]);
+        assert_eq!(cycle.subtree_size(1), 2);
+        assert_eq!(cycle.explain().lines().count(), 2);
+        let dangling = Plan { ops: vec![agg(vec![]), agg(vec![0, 7])], root: 1 };
+        assert_eq!(dangling.ops_above(0), vec![1]);
+        assert_eq!(dangling.ops_above(7), Vec::<usize>::new());
+        assert_eq!(dangling.subtree_size(1), 2);
+        assert_eq!(dangling.subtree_size(9), 0);
+        assert_eq!(dangling.explain().lines().count(), 2);
     }
 
     #[test]

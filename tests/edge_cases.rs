@@ -351,3 +351,53 @@ fn nan_under_not_equal_has_one_answer_at_all_three_comparison_sites() {
         assert_eq!(run.out_rows, reference.out_rows, "{site}");
     }
 }
+
+/// A malformed plan gets one answer from every reader of plans: each of the
+/// four estimators' `annotate`, `Featurizer::featurize` and
+/// `GracefulModel::predict` return the `PlanVerify` error of
+/// `Plan::validate`, naming the operator at fault, and none panics. The
+/// shapes: a child shared by two parents, a child later in the arena, a join
+/// with one child, a dangling child, and a join with a dangling child.
+#[test]
+fn malformed_plans_are_plan_verify_errors_naming_the_operator() {
+    use graceful::common::GracefulError;
+    let db = generate(&schema("tpc_h"), 0.02, 3);
+    let spec = QueryGenerator::default().generate(&db, 0, &mut Rng::seed(1)).unwrap();
+    let model = GracefulModel::new(Featurizer::full(), 8, 1).unwrap();
+    let scan = |t: &str| PlanOp::new(PlanOpKind::Scan { table: t.into() }, vec![]);
+    let agg = |children| {
+        PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, children)
+    };
+    let join = |children| {
+        let (left_col, right_col) =
+            (ColRef::new("orders_t", "cust_id"), ColRef::new("customer_t", "id"));
+        PlanOp::new(PlanOpKind::Join { left_col, right_col }, children)
+    };
+    let (orders, customer) = (|| scan("orders_t"), || scan("customer_t"));
+    let shapes = [
+        ("shared", vec![orders(), join(vec![0, 0]), agg(vec![1])], "op 0 (SCAN)"),
+        ("forward", vec![agg(vec![1]), orders()], "op 0 (AGG)"),
+        ("one-child join", vec![orders(), customer(), join(vec![0]), agg(vec![2])], "op 2 (JOIN)"),
+        ("dangling", vec![orders(), agg(vec![7])], "op 1 (AGG)"),
+        (
+            "dangling join",
+            vec![orders(), customer(), join(vec![0, 9]), agg(vec![2])],
+            "op 2 (JOIN)",
+        ),
+    ];
+    for (what, ops, names) in shapes {
+        let root = ops.len() - 1;
+        let plan = Plan { ops, root };
+        let check = |reader: &str, got: Result<(), GracefulError>| match got {
+            Err(GracefulError::PlanVerify(m)) if m.contains(names) => {}
+            other => panic!("{what}: {reader} should name {names}, got {other:?}"),
+        };
+        for kind in EstimatorKind::ALL {
+            let est = kind.build(&db, 1);
+            check(&format!("{kind:?} annotate"), est.annotate(&mut plan.clone()));
+            let featurized = Featurizer::full().featurize(&db, &spec, &plan, est.as_ref());
+            check("featurize", featurized.map(drop));
+            check("predict", model.predict(&db, &spec, &plan, est.as_ref()).map(drop));
+        }
+    }
+}

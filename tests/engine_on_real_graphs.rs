@@ -57,22 +57,17 @@ fn estimates_and_steps_on_featurized_graphs_keep_the_oracles_bits() {
     let (mut estimates, mut ladder_roots) = (0, 0);
     for corpus in &corpora {
         let db = &corpus.db;
-        // The sampling estimator draws from its own RNG on every call, so
-        // `predict` gets a twin that has made the same calls.
-        let build = || EstimatorKind::ALL.map(|k| k.build(db, seed));
-        let (estimators, twins) = (build(), build());
+        let estimators = EstimatorKind::ALL.map(|k| k.build(db, seed));
         // Every graph of this database, then every ladder and its roots.
         let (mut graphs, mut ladders, mut roots) = (Vec::new(), Vec::new(), Vec::new());
         for q in &corpus.queries {
             let mut variants = Vec::new();
-            for (est, twin) in estimators.iter().zip(&twins) {
+            for est in &estimators {
                 let mut plan = q.plan.clone();
                 est.annotate(&mut plan).expect("every digest query annotates");
                 let graph = fz.featurize(db, &q.spec, &plan, est.as_ref()).expect("featurizes");
                 let want = oracle(&model, &graph, graph.root);
-                let mut twin_plan = q.plan.clone();
-                twin.annotate(&mut twin_plan).expect("annotates as its twin did");
-                let got = model.predict(db, &q.spec, &twin_plan, twin.as_ref()).expect("estimates");
+                let got = model.predict(db, &q.spec, &plan, est.as_ref()).expect("estimates");
                 assert_eq!(got.to_bits(), want, "predict, query {} on {}", q.spec.id, corpus.name);
                 assert_eq!(model.predict_graph(&graph).expect("estimates").to_bits(), want);
                 graphs.push((graph, want));

@@ -283,6 +283,74 @@ proptest! {
     }
 }
 
+/// One call an estimator answers: annotate a query's plan (and featurize
+/// it, which reads the UDF's hit ratios), or a conjunction's selectivity.
+enum Call<'a> {
+    Annotate(&'a QuerySpec, graceful::plan::Plan),
+    Select(&'a str, Vec<graceful::plan::Pred>),
+}
+
+/// The bits `est` answers `call` with: every estimate and every feature of
+/// the graph featurized from them, or the selectivity. Every estimate must
+/// be finite, non-negative and at most the plan's monotone upper bound.
+fn answer(db: &Database, est: &dyn CardEstimator, call: &Call) -> Vec<u64> {
+    let (spec, plan) = match call {
+        Call::Annotate(spec, plan) => (spec, plan),
+        Call::Select(table, preds) => {
+            return vec![est.conjunction_selectivity(table, preds).to_bits()]
+        }
+    };
+    let mut plan = plan.clone();
+    est.annotate(&mut plan).expect("a generated plan annotates");
+    let bounds = graceful::plan::analysis::upper_bounds(&plan, db).expect("bounds");
+    for (op, bound) in plan.ops.iter().zip(bounds) {
+        let e = op.est_out_rows;
+        let what = format!("{}: {} estimates {e}, bound {bound}", est.name(), op.kind.name());
+        assert!(e.is_finite() && e >= 0.0 && e <= bound, "{what}");
+    }
+    let graph = Featurizer::full().featurize(db, spec, &plan, est).expect("featurizes");
+    let features = graph.features.iter().flatten().map(|x| u64::from(x.to_bits()));
+    plan.ops.iter().map(|op| op.est_out_rows.to_bits()).chain(features).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The estimator contract, for all four estimators, over generated
+    /// plans: a call returns the same bits whatever calls came before it
+    /// (every answer is computed in one order and again in the reverse
+    /// order, so each sees another history), and every estimate is finite,
+    /// non-negative and within `plan::analysis::upper_bounds`.
+    #[test]
+    fn every_estimator_is_a_function_of_its_input(seed in 0u64..2_000) {
+        let mut db = generate(&schema("tpc_h"), 0.02, 13);
+        let (qgen, mut rng) = (QueryGenerator::default(), Rng::seed(seed));
+        let specs = [0, 1].map(|i| qgen.generate(&db, seed + i, &mut rng).unwrap());
+        for u in specs.iter().filter_map(|s| s.udf.as_ref()) {
+            graceful::udf::generator::apply_adaptations(&mut db, &u.adaptations).unwrap();
+        }
+        let mut calls = Vec::new();
+        for spec in &specs {
+            for placement in graceful::plan::valid_placements(spec) {
+                calls.push(Call::Annotate(spec, build_plan(spec, placement).unwrap()));
+            }
+            for p in &spec.filters {
+                let on_table = spec.filters.iter().filter(|q| q.col.table == p.col.table);
+                calls.push(Call::Select(&p.col.table, vec![p.clone()]));
+                calls.push(Call::Select(&p.col.table, on_table.cloned().collect()));
+            }
+        }
+        for kind in EstimatorKind::ALL {
+            let est = kind.build(&db, seed);
+            let forward: Vec<_> = calls.iter().map(|c| answer(&db, est.as_ref(), c)).collect();
+            let mut backward: Vec<_> =
+                calls.iter().rev().map(|c| answer(&db, est.as_ref(), c)).collect();
+            backward.reverse();
+            prop_assert!(forward == backward, "{:?} answered by its call history", kind);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
