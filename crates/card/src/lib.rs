@@ -3,8 +3,9 @@
 //!
 //! The paper evaluates GRACEFUL under four cardinality annotation methods of
 //! decreasing quality: **actual** cardinalities, **DeepDB** (data-driven),
-//! **WanderJoin** (sampling) and the **DuckDB optimizer** (histogram +
-//! independence). This crate implements a functional stand-in for each:
+//! **WanderJoin** (sampling) and the **DuckDB optimizer** (uniformity between
+//! min and max, 1/NDV equality and independence). This crate implements a
+//! functional stand-in for each:
 //!
 //! | Paper | Here | Technique | Failure mode |
 //! |---|---|---|---|

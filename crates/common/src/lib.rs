@@ -103,6 +103,16 @@ impl std::error::Error for GracefulError {}
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, GracefulError>;
 
+/// The FNV-1a (64-bit) state before any byte: what [`fnv1a`] starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// `state` advanced by FNV-1a (64-bit) over `bytes`. A fixed algorithm over
+/// explicit bytes (not `std::hash`), so every digest, fingerprint and seed
+/// salt built on it is stable across runs, platforms and compiler versions.
+pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
 /// Runs `f` on every item of a slice and returns the results in item order.
 ///
 /// The seam between crates that have independent jobs and the one that

@@ -133,7 +133,8 @@ pub struct EvalRecord {
     pub comp_nodes: usize,
     pub branches: usize,
     pub loops: usize,
-    /// Q-error of the cardinality estimate at the top (pre-aggregate) node.
+    /// Q-error of the cardinality estimate at the top (pre-aggregate) node:
+    /// the root's first child, or the root of a one-operator plan.
     pub card_q_top: f64,
 }
 
@@ -170,10 +171,12 @@ where
             Ok(p) => p,
             Err(_) => continue,
         };
-        let top = plan.ops[plan.root].children[0];
+        // `annotate` verified the plan, so every index below is in range.
+        let root = &plan.ops[plan.root];
+        let top = root.children.first().map_or(root, |&c| &plan.ops[c]);
         let card_q_top = graceful_common::metrics::q_error(
-            plan.ops[top].est_out_rows.max(1.0),
-            plan.ops[top].actual_out_rows.max(1.0),
+            top.est_out_rows.max(1.0),
+            top.actual_out_rows.max(1.0),
         );
         let (comp_nodes, branches, loops) = match &q.spec.udf {
             Some(u) => {
@@ -461,5 +464,28 @@ mod tests {
         // be much worse than always-push-down on aggregate.
         assert!(s.total_speedup > 0.8, "advisor badly regressed: speedup {}", s.total_speedup);
         assert!(s.total_optimal_ns <= s.total_chosen_ns + 1e-6);
+    }
+
+    /// A lone SCAN passes `verify_structure`; its record scores the root,
+    /// which has no child to read.
+    #[test]
+    fn evaluate_with_scores_a_one_operator_plan() {
+        use graceful_plan::{Plan, PlanOp, PlanOpKind};
+        let cfg = ScaleConfig { queries_per_db: 2, ..cfg() };
+        let mut corpus = env_corpus("tpc_h", &cfg, 4);
+        corpus.queries.truncate(1);
+        let q = &mut corpus.queries[0];
+        let mut scan = PlanOp::new(PlanOpKind::Scan { table: q.spec.base_table.clone() }, vec![]);
+        scan.actual_out_rows = corpus.db.table(&q.spec.base_table).unwrap().num_rows() as f64;
+        q.plan = Plan { ops: vec![scan], root: 0 };
+        for kind in EstimatorKind::ALL {
+            let recs = evaluate_with(&corpus, kind, 3, |_, _, _, _| Ok(1.0));
+            assert_eq!(recs.len(), 1, "{kind:?}");
+            assert_eq!(recs[0].predicted_ns, 1.0, "{kind:?}");
+            assert!(recs[0].card_q_top.is_finite() && recs[0].card_q_top >= 1.0, "{kind:?}");
+            if kind == EstimatorKind::Actual {
+                assert_eq!(recs[0].card_q_top, 1.0);
+            }
+        }
     }
 }

@@ -151,16 +151,17 @@ impl TrainConfig {
 /// method validates, so misconfiguration is a typed error, never a panic.
 ///
 /// ```
-/// use graceful_core::model::TrainOptions;
+/// use graceful_core::model::{TrainConfig, TrainOptions};
+/// use graceful_nn::AdamConfig;
 ///
 /// let cfg = TrainOptions::new()
 ///     .epochs(8)
 ///     .batch_size(32)
-///     .learning_rate(1e-3)
+///     .adam(AdamConfig { lr: 1e-3, ..TrainConfig::default().adam })
 ///     .threads(2)
 ///     .build()
 ///     .expect("valid options");
-/// assert_eq!(cfg.batch_size, 32);
+/// assert_eq!((cfg.batch_size, cfg.adam.lr), (32, 1e-3));
 /// assert!(TrainOptions::new().epochs(0).build().is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -168,7 +169,6 @@ pub struct TrainOptions {
     epochs: Option<usize>,
     batch_size: Option<usize>,
     adam: Option<AdamConfig>,
-    learning_rate: Option<f32>,
     huber_delta: Option<f32>,
     seed: Option<u64>,
     threads: Option<usize>,
@@ -191,15 +191,9 @@ impl TrainOptions {
         self
     }
 
-    /// Full Adam configuration (overrides [`TrainOptions::learning_rate`]).
+    /// Full Adam configuration, learning rate included.
     pub fn adam(mut self, adam: AdamConfig) -> Self {
         self.adam = Some(adam);
-        self
-    }
-
-    /// Adam learning rate (keeps the remaining Adam defaults).
-    pub fn learning_rate(mut self, lr: f32) -> Self {
-        self.learning_rate = Some(lr);
         self
     }
 
@@ -223,16 +217,10 @@ impl TrainOptions {
     }
 
     fn over(self, defaults: TrainConfig) -> TrainConfig {
-        let mut adam = self.adam.unwrap_or(defaults.adam);
-        if self.adam.is_none() {
-            if let Some(lr) = self.learning_rate {
-                adam.lr = lr;
-            }
-        }
         TrainConfig {
             epochs: self.epochs.unwrap_or(defaults.epochs),
             batch_size: self.batch_size.unwrap_or(defaults.batch_size),
-            adam,
+            adam: self.adam.unwrap_or(defaults.adam),
             huber_delta: self.huber_delta.unwrap_or(defaults.huber_delta),
             seed: self.seed.unwrap_or(defaults.seed),
             threads: self.threads.unwrap_or(defaults.threads),
@@ -676,10 +664,6 @@ mod tests {
             TrainOptions::new().huber_delta(f32::NAN).build(),
             Err(GracefulError::Config(_))
         ));
-        assert!(matches!(
-            TrainOptions::new().learning_rate(0.0).build(),
-            Err(GracefulError::Config(_))
-        ));
         // Adam settings whose first step would write NaN parameters (or
         // never move any) are rejected before training, each by name.
         let adam = |set: fn(&mut AdamConfig)| {
@@ -688,6 +672,7 @@ mod tests {
             TrainOptions::new().adam(adam)
         };
         for (opts, what) in [
+            (adam(|a| a.lr = 0.0), "learning rate"),
             (adam(|a| a.eps = 0.0), "eps"),
             (adam(|a| a.eps = f32::NAN), "eps"),
             (adam(|a| a.eps = f32::INFINITY), "eps"),
@@ -714,7 +699,7 @@ mod tests {
         let cfg = TrainOptions::new()
             .epochs(3)
             .batch_size(4)
-            .learning_rate(1e-2)
+            .adam(AdamConfig { lr: 1e-2, ..TrainConfig::default().adam })
             .huber_delta(0.5)
             .seed(42)
             .threads(2)

@@ -68,26 +68,30 @@ pub fn is_annotated(plan: &Plan) -> bool {
 /// so with exact estimates the prediction equals `QueryRun::op_work` bit for
 /// bit on those operators. Same indexing as `plan.ops`. UDF operators, whose
 /// real cost is data-dependent, use the static per-row prior of
-/// [`static_udf_row_cost`].
+/// [`static_udf_row_cost`]. A child the operator lacks, or one outside the
+/// plan, counts as 0 rows (as in `graceful_card::scale_ladder`), so every
+/// plan gets a finite vector.
 pub fn estimated_work(plan: &Plan, config: &ExecConfig) -> Vec<f64> {
     let (w, udf_costs) = (&config.weights, CostWeights::default());
-    let est = |i: usize| plan.ops[i].est_out_rows;
+    let rows = |i: Option<&usize>| i.and_then(|&i| plan.ops.get(i)).map_or(0.0, |o| o.est_out_rows);
     plan.ops
         .iter()
-        .enumerate()
-        .map(|(i, op)| match &op.kind {
-            PlanOpKind::Scan { .. } => w.scan(est(i)),
-            PlanOpKind::Filter { preds } => w.filter(est(op.children[0]), preds.len()),
-            PlanOpKind::Join { .. } => w.join(est(op.children[1]), est(op.children[0]), est(i)),
-            PlanOpKind::UdfFilter { udf, .. } => {
-                let row = static_udf_row_cost(&udf.def, udf.input_columns.len(), &udf_costs);
-                est(op.children[0]) * (row + w.udf_compare)
+        .map(|op| {
+            let child = |k: usize| rows(op.children.get(k));
+            match &op.kind {
+                PlanOpKind::Scan { .. } => w.scan(op.est_out_rows),
+                PlanOpKind::Filter { preds } => w.filter(child(0), preds.len()),
+                PlanOpKind::Join { .. } => w.join(child(1), child(0), op.est_out_rows),
+                PlanOpKind::UdfFilter { udf, .. } => {
+                    let row = static_udf_row_cost(&udf.def, udf.input_columns.len(), &udf_costs);
+                    child(0) * (row + w.udf_compare)
+                }
+                PlanOpKind::UdfProject { udf } => {
+                    let row = static_udf_row_cost(&udf.def, udf.input_columns.len(), &udf_costs);
+                    child(0) * (row + w.project_row)
+                }
+                PlanOpKind::Agg { .. } => w.agg(child(0)),
             }
-            PlanOpKind::UdfProject { udf } => {
-                let row = static_udf_row_cost(&udf.def, udf.input_columns.len(), &udf_costs);
-                est(op.children[0]) * (row + w.project_row)
-            }
-            PlanOpKind::Agg { .. } => w.agg(est(op.children[0])),
         })
         .collect()
 }
@@ -233,6 +237,35 @@ mod tests {
         assert_eq!(est[1], 100.0 * (row + config.weights.udf_compare));
         assert_eq!(est[2], 50.0 * config.weights.agg_row);
         assert!(row > CostWeights::default().invoke_base, "prior counts the body");
+    }
+
+    /// A plan no verifier has seen still prices: a one-child JOIN, a FILTER
+    /// whose child is out of range and a childless UDF operator read a
+    /// missing child as 0 rows.
+    #[test]
+    fn estimated_work_prices_missing_children_at_zero_rows() {
+        let join = PlanOpKind::Join {
+            left_col: ColRef::new("t", "x0"),
+            right_col: ColRef::new("u", "x0"),
+        };
+        let mut plan = Plan {
+            ops: vec![
+                PlanOp::new(PlanOpKind::Scan { table: "t".into() }, vec![]),
+                PlanOp::new(join, vec![0]),
+                PlanOp::new(PlanOpKind::Filter { preds: vec![] }, vec![9]),
+                PlanOp::new(PlanOpKind::UdfProject { udf: udf() }, vec![]),
+            ],
+            root: 1,
+        };
+        plan.ops.iter_mut().for_each(|op| op.est_out_rows = 40.0);
+        let config = ExecConfig::base();
+        let w = &config.weights;
+        let est = estimated_work(&plan, &config);
+        assert_eq!(est.len(), 4);
+        assert!(est.iter().all(|x| x.is_finite()), "{est:?}");
+        assert_eq!(est[1], w.join(0.0, 40.0, 40.0));
+        assert_eq!(est[2], w.filter(0.0, 0));
+        assert_eq!(est[3], 0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::tape::{Tape, VarId};
 use crate::tensor::Tensor;
 use graceful_common::rng::Rng;
-use graceful_common::GracefulError;
+use graceful_common::{fnv1a, GracefulError, FNV1A_OFFSET};
 use serde::{Deserialize, Serialize};
 
 /// Handle to a parameter tensor in a [`ParamStore`].
@@ -118,13 +118,8 @@ impl ParamStore {
     /// FNV-1a digest over every parameter scalar's bit pattern (shape
     /// included), for bit-identity assertions in differential tests.
     pub fn param_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut mix = |v: u64| h = fnv1a(h, &v.to_le_bytes());
         for t in &self.values {
             mix(t.rows as u64);
             mix(t.cols as u64);

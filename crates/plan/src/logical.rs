@@ -8,7 +8,7 @@
 //! message passing rely on.
 
 use crate::predicate::Pred;
-use graceful_common::Result;
+use graceful_common::{fnv1a, Result, FNV1A_OFFSET};
 use graceful_udf::ast::CmpOp;
 use graceful_udf::GeneratedUdf;
 use std::fmt::Write as _;
@@ -211,18 +211,9 @@ impl Plan {
     /// algorithm over explicit bytes (not `std::hash`), so it is stable
     /// across runs, platforms and compiler versions.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            // Separator so concatenated fields cannot alias.
-            h ^= 0xff;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
+        let mut h = FNV1A_OFFSET;
+        // A `0xff` after each field, so concatenated fields cannot alias.
+        let mut eat = |bytes: &[u8]| h = fnv1a(fnv1a(h, bytes), &[0xff]);
         eat(&(self.ops.len() as u64).to_le_bytes());
         eat(&(self.root as u64).to_le_bytes());
         for op in &self.ops {
@@ -411,6 +402,43 @@ mod tests {
         let mut other_shape = p.clone();
         other_shape.ops[2].children = vec![1, 0];
         assert_ne!(other_shape.fingerprint(), fp);
+    }
+
+    /// Flight logs join on `fingerprint_hex` (`labels_from_flight`), so the
+    /// fingerprint of one plan that holds every operator kind is pinned.
+    #[test]
+    fn fingerprint_hex_keeps_its_recorded_value() {
+        use crate::predicate::Pred;
+        use graceful_storage::Value;
+        let def = graceful_udf::parse_udf("def f(x0):\n    return x0 * 2\n").unwrap();
+        let udf = Arc::new(GeneratedUdf::new(def, "a", vec!["x".into()]));
+        let preds = vec![
+            Pred::new("a", "x", CmpOp::Lt, Value::Int(7)),
+            Pred::new("a", "s", CmpOp::Eq, Value::Text("w".into())),
+        ];
+        let ops = vec![
+            PlanOp::new(PlanOpKind::Scan { table: "a".into() }, vec![]),
+            PlanOp::new(PlanOpKind::Filter { preds }, vec![0]),
+            PlanOp::new(
+                PlanOpKind::UdfFilter { udf: udf.clone(), op: CmpOp::Ge, literal: 1.5 },
+                vec![1],
+            ),
+            PlanOp::new(PlanOpKind::Scan { table: "b".into() }, vec![]),
+            PlanOp::new(
+                PlanOpKind::Join {
+                    left_col: ColRef::new("a", "id"),
+                    right_col: ColRef::new("b", "a_id"),
+                },
+                vec![2, 3],
+            ),
+            PlanOp::new(PlanOpKind::UdfProject { udf }, vec![4]),
+            PlanOp::new(
+                PlanOpKind::Agg { func: AggFunc::Sum, column: Some(ColRef::new("b", "y")) },
+                vec![5],
+            ),
+        ];
+        let plan = Plan { ops, root: 6 };
+        assert_eq!(plan.fingerprint_hex(), "db5f115cd7e2702f");
     }
 
     #[test]

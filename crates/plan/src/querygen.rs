@@ -265,13 +265,13 @@ fn gen_filter(db: &Database, table: &str, rng: &mut Rng) -> Option<Pred> {
         }
         DataType::Text => {
             // Equality on a most-common value (selective but non-empty).
-            let (v, _) = cs.mcv.first()?.clone();
+            let v = cs.mcv.first()?;
             let pick = if cs.mcv.len() > 1 && rng.chance(0.5) {
-                cs.mcv[rng.range(0..cs.mcv.len())].0.clone()
+                &cs.mcv[rng.range(0..cs.mcv.len())]
             } else {
                 v
             };
-            Some(Pred::new(table, &col.name, CmpOp::Eq, pick))
+            Some(Pred::new(table, &col.name, CmpOp::Eq, pick.clone()))
         }
         DataType::Bool => {
             Some(Pred::new(table, &col.name, CmpOp::Eq, Value::Bool(rng.chance(0.5))))

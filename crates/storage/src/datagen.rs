@@ -38,7 +38,7 @@ use crate::stats::{ColumnStats, TableStats};
 use crate::table::Table;
 use crate::types::DataType;
 use graceful_common::rng::{Rng, ZipfSampler};
-use graceful_common::{OrderedMap, Serial};
+use graceful_common::{fnv1a, OrderedMap, Serial, FNV1A_OFFSET};
 
 /// How a column's values are generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -827,7 +827,7 @@ pub fn generate_in(spec: &SchemaSpec, scale: f64, seed: u64, map: &impl OrderedM
     // the streams a table-by-table, column-by-column walk would hand out.
     let mut jobs: Vec<ColumnJob> = Vec::new();
     for tspec in &spec.tables {
-        let mut trng = rng.fork(fxhash(&tspec.name));
+        let mut trng = rng.fork(fnv1a(FNV1A_OFFSET, tspec.name.as_bytes()));
         let base = jobs.len();
         for cspec in &tspec.columns {
             let source = match &cspec.gen {
@@ -842,7 +842,7 @@ pub fn generate_in(spec: &SchemaSpec, scale: f64, seed: u64, map: &impl OrderedM
                 }
                 _ => None,
             };
-            let rng = trng.fork(fxhash(&cspec.name));
+            let rng = trng.fork(fnv1a(FNV1A_OFFSET, cspec.name.as_bytes()));
             jobs.push(ColumnJob { spec: cspec, rows: table_rows(tspec, scale), rng, source });
         }
     }
@@ -996,15 +996,6 @@ fn numeric_range(col: &Column) -> (f64, f64) {
     } else {
         (0.0, 1.0)
     }
-}
-
-/// Deterministic string hashing for salts (FxHash-style multiply-xor).
-fn fxhash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// A pool of word-like tokens used to synthesise text columns.
@@ -1173,7 +1164,7 @@ mod tests {
         let db = generate(&schema("tpc_h"), 0.05, 2);
         let st = db.stats("lineitem_t").unwrap();
         let q = st.column("quantity").unwrap();
-        assert!(q.histogram.is_some());
+        assert!(q.ndv > 1 && !q.mcv.is_empty());
         assert!(q.min >= 1.0 && q.max <= 50.0);
     }
 
@@ -1187,7 +1178,7 @@ mod tests {
         let db = generate(&spec, 1.0, seed);
         let mut rng = Rng::seed(seed ^ 0x6772_6163);
         rng.fork(0xF00D);
-        let stream = rng.fork(fxhash("t")).fork(fxhash("c"));
+        let stream = rng.fork(fnv1a(FNV1A_OFFSET, b"t")).fork(fnv1a(FNV1A_OFFSET, b"c"));
         (db.table("t").unwrap().column("c").unwrap().clone(), stream)
     }
 

@@ -7,9 +7,10 @@
 //!   UDF interpreter,
 //! * [`mod@column`]/[`table`]/[`database`] — null-aware typed columns, tables
 //!   with key metadata, and the database catalog,
-//! * [`stats`] — per-column statistics (NDV, null fraction, min/max,
-//!   equi-depth histograms, most-common values) consumed by the cardinality
-//!   estimators of `graceful-card`,
+//! * [`stats`] — per-column statistics (row count, NDV, null fraction,
+//!   min/max, most-common values, average text length) read by the
+//!   estimators of `graceful-card`, the featurizer and the UDF and query
+//!   generators,
 //! * [`datagen`] — seeded generators for the paper's 20 benchmark databases
 //!   (accidents … walmart), including correlated columns and skewed
 //!   foreign-key fan-outs so that naive cardinality estimation measurably
@@ -26,6 +27,6 @@ pub mod types;
 
 pub use column::{Column, ColumnData, Nulls, MAX_DICT};
 pub use database::Database;
-pub use stats::{ColumnStats, Histogram, TableStats};
+pub use stats::{ColumnStats, TableStats};
 pub use table::{ForeignKey, Table};
 pub use types::{DataType, Value};

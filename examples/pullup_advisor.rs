@@ -34,7 +34,7 @@ def udf(movie_id, keyword_id):
     ));
     // Selective series_years filter high in the plan (like the paper's
     // `t.series_years = '1987-1997'`).
-    let series = db.stats("title")?.column("series_years")?.mcv[0].0.clone();
+    let series = db.stats("title")?.column("series_years")?.mcv[0].clone();
     let spec = QuerySpec {
         id: 1,
         database: db.name.clone(),

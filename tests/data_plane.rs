@@ -13,7 +13,7 @@
 use graceful::exec::QueryRun;
 use graceful::plan::PlanOpKind;
 use graceful::prelude::*;
-use graceful::storage::{Column, ColumnData, ColumnStats, Histogram};
+use graceful::storage::{Column, ColumnData, ColumnStats};
 use graceful::udf::generator::apply_adaptations;
 use proptest::prelude::*;
 
@@ -150,9 +150,9 @@ proptest! {
 
 /// `ANALYZE` as it was before counting moved to typed keys: one `String`
 /// hash key and one boxed `Value` per non-NULL row through the decoding
-/// accessors, every numeric row sorted for the histogram. Kept as the oracle
-/// for `ColumnStats::compute`. One line differs from the old code: equal
-/// frequencies tie-break on the typed key (as the shipped code does) because
+/// accessors, min and max folded over every numeric row in row order. Kept as
+/// the oracle for `ColumnStats::compute`. One line differs from the old code:
+/// equal counts tie-break on the typed key (as the shipped code does) because
 /// the old `Value::compare` tie-break fell through to hash-map order on keys
 /// it cannot tell apart (`i64`s beyond 2^53, NaN payloads, ±0.0).
 fn analyze_oracle(column: &Column) -> ColumnStats {
@@ -185,12 +185,10 @@ fn analyze_oracle(column: &Column) -> ColumnStats {
         };
         counts.entry(key).or_insert((value, 0)).1 += 1;
     }
-    let non_null = counts.values().map(|(_, c)| *c).sum::<usize>().max(1);
     let ndv = counts.len();
-    let mut freq: Vec<(Value, f64)> =
-        counts.into_values().map(|(v, c)| (v, c as f64 / non_null as f64)).collect();
-    freq.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).expect("finite freq").then_with(|| match (&a.0, &b.0) {
+    let mut by_count: Vec<(Value, usize)> = counts.into_values().collect();
+    by_count.sort_by(|a, b| {
+        b.1.cmp(&a.1).then_with(|| match (&a.0, &b.0) {
             (Value::Int(x), Value::Int(y)) => x.cmp(y),
             (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
             (Value::Text(x), Value::Text(y)) => x.cmp(y),
@@ -198,7 +196,7 @@ fn analyze_oracle(column: &Column) -> ColumnStats {
             other => unreachable!("one column, one type: {other:?}"),
         })
     });
-    freq.truncate(graceful::storage::stats::MCV_ENTRIES);
+    by_count.truncate(graceful::storage::stats::MCV_ENTRIES);
     let (min, max) = numeric
         .iter()
         .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| (lo.min(v), hi.max(v)));
@@ -210,15 +208,13 @@ fn analyze_oracle(column: &Column) -> ColumnStats {
         ndv,
         min: if min.is_finite() { min } else { 0.0 },
         max: if max.is_finite() { max } else { 0.0 },
-        histogram: Histogram::build(numeric),
-        mcv: freq,
+        mcv: by_count.into_iter().map(|(v, _)| v).collect(),
         avg_text_len: if text_count > 0 { text_len_sum / text_count as f64 } else { 0.0 },
     }
 }
 
 /// Field-by-field, floats by bit pattern (`Debug` would print every NaN
-/// payload alike; the histogram holds finite bounds only, where `Debug` is
-/// lossless and tells -0.0 from 0.0).
+/// payload alike).
 fn assert_stats_bit_identical(got: &ColumnStats, want: &ColumnStats, what: &str) {
     assert_eq!(got.name, want.name, "{what}");
     assert_eq!(got.data_type, want.data_type, "{what}");
@@ -231,12 +227,11 @@ fn assert_stats_bit_identical(got: &ColumnStats, want: &ColumnStats, what: &str)
     ] {
         assert_eq!(g.to_bits(), w.to_bits(), "{what}: {field} {g} vs {w}");
     }
-    assert_eq!(format!("{:?}", got.histogram), format!("{:?}", want.histogram), "{what}");
-    let bits = |mcv: &[(Value, f64)]| -> Vec<(String, u64)> {
+    let bits = |mcv: &[Value]| -> Vec<String> {
         mcv.iter()
-            .map(|(v, f)| match v {
-                Value::Float(x) => (format!("f{:016x}", x.to_bits()), f.to_bits()),
-                other => (format!("{other:?}"), f.to_bits()),
+            .map(|v| match v {
+                Value::Float(x) => format!("f{:016x}", x.to_bits()),
+                other => format!("{other:?}"),
             })
             .collect()
     };

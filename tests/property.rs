@@ -246,22 +246,6 @@ proptest! {
         prop_assert!((q - q_error(b, a)).abs() < 1e-9 * q);
     }
 
-    /// Histogram selectivities are monotone in the threshold and bounded.
-    #[test]
-    fn histogram_selectivity_monotone(seed in 0u64..10_000) {
-        let mut rng = Rng::seed(seed);
-        let values: Vec<f64> = (0..500).map(|_| rng.normal(0.0, 10.0)).collect();
-        if let Some(h) = graceful::storage::Histogram::build(values) {
-            let mut prev = 0.0;
-            for i in -40..=40 {
-                let s = h.selectivity_lt(i as f64);
-                prop_assert!((0.0..=1.0).contains(&s));
-                prop_assert!(s >= prev - 1e-9);
-                prev = s;
-            }
-        }
-    }
-
     /// Estimator outputs are always finite, non-negative selectivities.
     #[test]
     fn estimator_selectivities_in_range(seed in 0u64..2_000, lit in -100f64..100.0) {
