@@ -18,6 +18,9 @@ fn fail<T>(msg: String) -> Result<T> {
 /// operator index and kind. [`Plan::validate`] forwards here, so this is the
 /// single source of truth for structural checks.
 pub fn verify_structure(plan: &Plan) -> Result<()> {
+    if well_formed_small(plan) {
+        return Ok(());
+    }
     let n = plan.ops.len();
     if n == 0 {
         return fail("plan has no operators".into());
@@ -119,6 +122,40 @@ pub fn verify_structure(plan: &Plan) -> Result<()> {
     Ok(())
 }
 
+/// One allocation-free pass that accepts exactly the well-formed plans of up
+/// to 64 operators (every generated plan); `false` sends a plan to the full
+/// checks above, which name what is wrong. It checks child bounds and arity,
+/// children before parents, one parent for every operator but the root (a
+/// bit set) and AGG only at the root. Children before parents rule out a
+/// cycle, and since an operator's parent comes after it, following parents
+/// from any operator ends at the one without a parent, the root: every
+/// operator is reachable — the DFS's two checks.
+fn well_formed_small(plan: &Plan) -> bool {
+    let n = plan.ops.len();
+    if n == 0 || n > 64 || plan.root >= n {
+        return false;
+    }
+    let mut has_parent = 0u64;
+    for (i, op) in plan.ops.iter().enumerate() {
+        let arity = match op.kind {
+            PlanOpKind::Scan { .. } => 0,
+            PlanOpKind::Join { .. } => 2,
+            PlanOpKind::Agg { .. } if i != plan.root => return false,
+            _ => 1,
+        };
+        if op.children.len() != arity {
+            return false;
+        }
+        for &c in &op.children {
+            if c >= i || has_parent & (1 << c) != 0 {
+                return false;
+            }
+            has_parent |= 1 << c;
+        }
+    }
+    has_parent == (u64::MAX >> (64 - n)) & !(1 << plan.root)
+}
+
 /// Full pre-execution verification: structural checks, schema/type inference
 /// against the catalog, and `est_out_rows` sanity (finite and non-negative).
 ///
@@ -140,4 +177,72 @@ pub fn verify(plan: &Plan, db: &Database) -> Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::logical::{AggFunc, ColRef, PlanOp};
+    use graceful_common::GracefulError;
+
+    fn scan() -> PlanOp {
+        PlanOp::new(PlanOpKind::Scan { table: "a".into() }, vec![])
+    }
+
+    fn filter(child: usize) -> PlanOp {
+        PlanOp::new(PlanOpKind::Filter { preds: vec![] }, vec![child])
+    }
+
+    fn join(l: usize, r: usize) -> PlanOp {
+        let (left_col, right_col) = (ColRef::new("a", "id"), ColRef::new("b", "a_id"));
+        PlanOp::new(PlanOpKind::Join { left_col, right_col }, vec![l, r])
+    }
+
+    fn agg(child: usize) -> PlanOp {
+        PlanOp::new(PlanOpKind::Agg { func: AggFunc::CountStar, column: None }, vec![child])
+    }
+
+    /// The one-pass check accepts no malformed plan, so each shape gets the
+    /// message of the full checks, word for word.
+    #[test]
+    fn malformed_plans_keep_the_messages_of_the_full_checks() {
+        let shapes = [
+            (vec![filter(1), filter(0), agg(1)], 2, "cycle through op 1 (FILTER) back to itself"),
+            (vec![scan(), scan(), agg(0)], 2, "op 1 (SCAN) is unreachable from the root"),
+            (
+                vec![scan(), filter(0), join(0, 1), agg(2)],
+                3,
+                "op 0 (SCAN) has 2 parents (expected 1)",
+            ),
+            (
+                vec![filter(2), agg(0), scan()],
+                1,
+                "op 0 (FILTER) has child 2 >= itself (arena not topological)",
+            ),
+            (vec![scan(), agg(0), agg(1)], 2, "op 1 (AGG) must be the plan root"),
+        ];
+        for (ops, root, message) in shapes {
+            let plan = Plan { ops, root };
+            assert!(!well_formed_small(&plan), "{message}");
+            assert_eq!(verify_structure(&plan), Err(GracefulError::PlanVerify(message.into())));
+        }
+    }
+
+    /// Well-formed plans pass either way: within 64 operators on the one
+    /// pass, a longer chain on the full checks, a root that is not last in
+    /// the arena on neither.
+    #[test]
+    fn well_formed_plans_pass_at_every_size() {
+        for len in [1, 2, 63, 64, 65, 200] {
+            let mut ops = vec![scan()];
+            ops.extend((1..len).map(|i| filter(i - 1)));
+            let plan = Plan { ops, root: len - 1 };
+            assert_eq!(well_formed_small(&plan), len <= 64, "{len} operators");
+            assert_eq!(verify_structure(&plan), Ok(()), "{len} operators");
+        }
+        let plan = Plan { ops: vec![scan(), scan(), join(0, 1), agg(2)], root: 3 };
+        assert!(well_formed_small(&plan));
+        let root_first = Plan { ops: vec![agg(1), scan()], root: 0 };
+        assert!(!well_formed_small(&root_first) && verify_structure(&root_first).is_err());
+    }
 }

@@ -5,8 +5,8 @@
 //! [`Value`]s. This module executes the vectorizable parts of a program once
 //! per *batch* instead: every live register holds a [`TypedCol`] — unboxed
 //! `i64`/`f64`/`bool` lanes plus a null mask, the same type the caller
-//! gathers the UDF's arguments into — and each instruction is one
-//! auto-vectorizable loop over those lanes.
+//! gathers the UDF's arguments into — or one constant, and each instruction
+//! is one auto-vectorizable loop over those lanes.
 //!
 //! # Execution model
 //!
@@ -14,18 +14,24 @@
 //! reaches it only through [`crate::ColumnEvaluator`], whose caller cuts the
 //! batches) and is never cut again here. Its rows travel in **selection groups**: a
 //! group is a selection vector (lane → batch row), a register file of typed
-//! columns, and the program counter all its rows share. One function, `step`,
-//! executes one instruction over one group and says where the group goes:
+//! columns (the root's read the caller's in place) and constants, and the
+//! program counter its rows share. One function, `step`, executes one
+//! instruction over one group and says where the group goes:
 //!
 //! * Straight-line numeric instructions ([`InstrClass::Vector`]) execute
 //!   column-at-a-time over the whole selection, and the group moves on.
 //! * Conditional jumps ([`InstrClass::Split`]) evaluate the condition column
-//!   and split the selection by truthiness — branch divergence becomes two
-//!   smaller groups, each compacted to dense lanes. A split needs a row on
-//!   either side, so a batch never holds more groups than rows.
-//! * A `Return` ends the group with one value per lane.
+//!   and split the selection by truthiness, branch-free — branch divergence
+//!   becomes two smaller groups, each compacted to dense lanes. A split
+//!   needs a row on either side, so a batch never holds more groups than rows.
+//! * A `Return` ends the group, which keeps the column it returned.
 //! * Loops are [`InstrClass::Bail`], a literal trip count included: the
 //!   lanes carry no per-row iteration state.
+//!
+//! Each row resolves into a `(group, lane)` or `(bail, index)` record; one
+//! pass in row order builds each row's [`Value`] once, into the output.
+//! Kernels copy no operand: lanes are read (and widened) in place, a constant
+//! as one scalar, and a null mask exists only where a NULL may.
 //!
 //! # One way off the lanes
 //!
@@ -53,20 +59,24 @@
 //! for expression, so values match bit-for-bit; the test
 //! `lane_kernels_mirror_the_scalar_kernels_over_edge_values` holds every
 //! operator and every function with a lane kernel to that over each lane
-//! type and the edge values of `i64` and `f64`. Costs match because, along a
-//! straight-line path, every cost charge is value-independent (string costs —
-//! the only data-dependent charges — never vectorize): all rows of a group
-//! share one per-row [`CostCounter`] built by replaying the exact charge
-//! sequence the scalar VM would perform. The final merge visits rows in row
-//! order and merges each row's counter exactly like `Vm::eval_batch` does, so
-//! the accumulated `f64` totals are bit-identical, batch after batch.
+//! type, each form of null mask and the edge values of `i64` and `f64`.
+//! Costs match because, along a straight-line path, every cost charge is
+//! value-independent (string costs — the only data-dependent charges — never
+//! vectorize): all rows of a group share one per-row [`CostCounter`] built
+//! by replaying the exact charge sequence the scalar VM would perform.
+//!
+//! Where the integral-charge argument of "Cost parity" in [`crate::bytecode`]
+//! holds (no row failed, every total is an integer, no sum reaches 2^52),
+//! each returned group merges once as rows × its counter (`closed_form`);
+//! otherwise each row's counter merges in row order exactly like
+//! `Vm::eval_batch`. Either way the totals are bit-identical, batch after batch.
 
 use crate::ast::{BinOp, CmpOp, UnOp};
 use crate::bytecode::{Instr, InstrClass, Operand, Program, SimdShape};
 use crate::costs::{CostCounter, CostWeights};
 use crate::interp::EvalOutcome;
 use crate::libfns::LibFn;
-use crate::ops::{f64_to_i64, np_clip, np_sign, sanitize};
+use crate::ops::{apply_unary, f64_to_i64, np_clip, np_sign, sanitize};
 use crate::vm::{batch_rows, Vm};
 use graceful_common::{GracefulError, Result};
 use graceful_obs::registry::{counter, Counter};
@@ -86,14 +96,15 @@ enum Lanes {
 }
 
 /// An unboxed column: dense typed lanes plus a null mask (one bool per lane,
-/// as storage holds a mask where a NULL exists). It is both the
+/// held only where a NULL may be, as storage holds it). It is both the
 /// gather buffer of one UDF parameter — filled straight from storage without
-/// materializing [`Value`]s — and the register of a selection group. A lane
+/// materializing [`Value`]s — and a register of a selection group. A lane
 /// under a set mask bit holds an unspecified value that nothing reads. Text
 /// has no lane type: operators over a text column run on the batch VM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypedCol {
     lanes: Lanes,
+    /// Empty, or one flag per lane (`true` marks a NULL).
     nulls: Vec<bool>,
 }
 
@@ -112,7 +123,8 @@ impl TypedCol {
     /// Refill with the rows `rids` of a storage column, whose type must
     /// match `self`'s lane type (callers fix the type once per operator via
     /// [`TypedCol::for_type`]). The buffer grows to the largest batch
-    /// gathered, never to a configured size.
+    /// gathered, never to a configured size; it holds a mask only where the
+    /// column holds one.
     ///
     /// Dictionary-encoded integer columns decode straight into the lanes
     /// here — a per-row dictionary lookup, never a boxed [`Value`] — so the
@@ -138,7 +150,7 @@ impl TypedCol {
         }
         match col.nulls.as_slice() {
             Some(nulls) => gather(&mut self.nulls, rids, |r| nulls[r]),
-            None => gather(&mut self.nulls, rids, |_| false),
+            None => self.nulls.clear(),
         }
         Ok(())
     }
@@ -164,17 +176,21 @@ impl TypedCol {
     }
 
     pub fn len(&self) -> usize {
-        self.nulls.len()
+        match &self.lanes {
+            Lanes::Int(v) => v.len(),
+            Lanes::Float(v) => v.len(),
+            Lanes::Bool(v) => v.len(),
+        }
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nulls.is_empty()
+        self.len() == 0
     }
 
     /// Boxed value of lane `i` (returned values; the scalar fallback's
     /// argument gather).
     pub fn value(&self, i: usize) -> Value {
-        if self.nulls[i] {
+        if self.nulls.get(i) == Some(&true) {
             return Value::Null;
         }
         match &self.lanes {
@@ -185,8 +201,8 @@ impl TypedCol {
     }
 
     /// `lanes` with no lane NULL.
-    fn non_null(lanes: Lanes, n: usize) -> TypedCol {
-        TypedCol { lanes, nulls: vec![false; n] }
+    fn non_null(lanes: Lanes) -> TypedCol {
+        TypedCol { lanes, nulls: Vec::new() }
     }
 
     /// The SQL-NULL column: lane values are never read through the set mask.
@@ -194,72 +210,68 @@ impl TypedCol {
         TypedCol { lanes: Lanes::Float(vec![0.0; n]), nulls: vec![true; n] }
     }
 
-    /// A constant across `n` lanes; `None` for text.
-    fn broadcast(v: &Value, n: usize) -> Option<TypedCol> {
-        Some(match v {
-            Value::Int(i) => TypedCol::non_null(Lanes::Int(vec![*i; n]), n),
-            Value::Float(f) => TypedCol::non_null(Lanes::Float(vec![*f; n]), n),
-            Value::Bool(b) => TypedCol::non_null(Lanes::Bool(vec![*b; n]), n),
-            Value::Null => TypedCol::all_null(n),
-            Value::Text(_) => return None,
-        })
-    }
-
-    /// Widen to `f64` lanes following `Value::as_f64` (ints widen, bools map
-    /// to 0/1). Null lanes keep whatever value sits there — masked.
-    fn to_f64(&self) -> Vec<f64> {
-        match &self.lanes {
-            Lanes::Float(v) => v.clone(),
-            Lanes::Int(v) => v.iter().map(|&x| x as f64).collect(),
-            Lanes::Bool(v) => v.iter().map(|&b| b as u8 as f64).collect(),
-        }
-    }
-
-    /// Truthiness per lane, following `Value::truthy` (NULL is falsy).
-    fn truthy(&self) -> Vec<bool> {
+    /// Truthiness per lane, following `Value::truthy` (NULL is falsy); mask-
+    /// free bool lanes are read in place.
+    fn truthy(&self) -> Cow<'_, [bool]> {
         let mut out = match &self.lanes {
+            Lanes::Bool(v) if self.nulls.is_empty() => return Cow::Borrowed(v),
             Lanes::Int(v) => v.iter().map(|&x| x != 0).collect::<Vec<bool>>(),
             Lanes::Float(v) => v.iter().map(|&x| x != 0.0).collect(),
             Lanes::Bool(v) => v.clone(),
         };
         for (o, &null) in out.iter_mut().zip(&self.nulls) {
-            *o = *o && !null;
+            *o &= !null;
         }
-        out
+        Cow::Owned(out)
     }
 
     /// Keep only the lanes listed in `keep` (selection compaction).
     fn filter(&self, keep: &[u32]) -> TypedCol {
+        fn pick<T: Copy>(v: &[T], keep: &[u32]) -> Vec<T> {
+            keep.iter().map(|&i| v[i as usize]).collect()
+        }
         let lanes = match &self.lanes {
-            Lanes::Int(v) => Lanes::Int(keep.iter().map(|&i| v[i as usize]).collect()),
-            Lanes::Float(v) => Lanes::Float(keep.iter().map(|&i| v[i as usize]).collect()),
-            Lanes::Bool(v) => Lanes::Bool(keep.iter().map(|&i| v[i as usize]).collect()),
+            Lanes::Int(v) => Lanes::Int(pick(v, keep)),
+            Lanes::Float(v) => Lanes::Float(pick(v, keep)),
+            Lanes::Bool(v) => Lanes::Bool(pick(v, keep)),
         };
-        TypedCol { lanes, nulls: keep.iter().map(|&i| self.nulls[i as usize]).collect() }
+        let nulls = if self.nulls.is_empty() { Vec::new() } else { pick(&self.nulls, keep) };
+        TypedCol { lanes, nulls }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Selection groups
 
-/// Rows sharing one control-flow history: a selection vector, the typed
-/// register file, and the per-row cost replayed along the shared path.
-struct Group {
+/// A register: a column (the caller's, read in place, or a kernel's) or one constant.
+#[derive(Clone)]
+enum Reg<'a> {
+    Col(Cow<'a, TypedCol>),
+    Const(Cow<'a, Value>),
+}
+
+/// Rows sharing one control-flow history: a selection vector, the register
+/// file, and the per-row cost replayed along the shared path.
+struct Group<'a> {
     pc: usize,
     /// Selection vector: lane `i` is batch row `sel[i]`.
     sel: Vec<u32>,
-    regs: Vec<Option<TypedCol>>,
+    regs: Vec<Option<Reg<'a>>>,
     defined: Vec<bool>,
     /// The exact per-row `CostCounter` every row of this group has accrued.
     cost: CostCounter,
 }
 
-impl Group {
-    fn filtered(&self, pc: usize, keep: &[u32]) -> Group {
+impl<'a> Group<'a> {
+    fn filtered(&self, pc: usize, keep: &[u32]) -> Group<'a> {
+        let reg = |r: &Reg<'a>| match r {
+            Reg::Col(c) => Reg::Col(Cow::Owned(c.filter(keep))),
+            Reg::Const(v) => Reg::Const(v.clone()),
+        };
         Group {
             pc,
             sel: keep.iter().map(|&i| self.sel[i as usize]).collect(),
-            regs: self.regs.iter().map(|r| r.as_ref().map(|c| c.filter(keep))).collect(),
+            regs: self.regs.iter().map(|r| r.as_ref().map(reg)).collect(),
             defined: self.defined.clone(),
             cost: self.cost.clone(),
         }
@@ -267,24 +279,28 @@ impl Group {
 }
 
 /// Where a group goes after one instruction.
-enum Step {
+enum Step<'a> {
     /// On to this program counter, every row together.
     Goto(usize),
     /// True divergence: lanes `stay` go on to the next instruction, lanes
     /// `jump` to `target`; neither side is empty.
     Split { stay: Vec<u32>, jump: Vec<u32>, target: usize },
-    /// Every row returned: one value per lane.
-    Return(Vec<Value>),
+    /// Every row returned what this register holds.
+    Return(Reg<'a>),
 }
 
-/// Outcome of one batch row.
-enum RowResult {
-    /// Completed on the lanes; its cost is that of group `group`.
-    Columnar { value: Value, group: u32 },
-    /// Fell back to the scalar VM.
-    Scalar(EvalOutcome),
-    /// Scalar fallback failed; surfaced in row order like `Vm::eval_batch`.
-    Failed(GracefulError),
+/// A group that returned: its per-row cost, its rows and what it returned.
+struct Done<'a> {
+    cost: CostCounter,
+    rows: u64,
+    values: Reg<'a>,
+}
+
+/// Where one batch row resolved: a returned group's lane, or a bailed row.
+#[derive(Clone, Copy)]
+enum Rec {
+    Lane { group: u32, lane: u32 },
+    Bail { index: u32 },
 }
 
 // ---------------------------------------------------------------------------
@@ -361,9 +377,10 @@ impl UdfStats {
 
 /// Evaluate one batch on the typed lanes, falling back row-by-row to the
 /// scalar VM wherever the lane model cannot follow. Appends one value per
-/// row to `out` and merges per-row costs into `cost` **in row order** —
-/// values, errors and `CostCounter` totals are bit-identical to
-/// [`Vm::eval_batch`] (and therefore to a tree-walker row loop).
+/// row to `out` and merges the rows' costs into `cost` — values, errors and
+/// `CostCounter` totals are bit-identical to [`Vm::eval_batch`] (and
+/// therefore to a tree-walker row loop); see the module docs for the two
+/// forms of the merge.
 ///
 /// `stats` counts the batch, its rows and which way each row went. It only
 /// observes — values, errors and costs do not depend on it — and it is not
@@ -399,14 +416,16 @@ pub fn eval_batch_typed(
         return Ok(());
     }
     let w = vm.weights().clone();
-    let mut results: Vec<Option<RowResult>> = (0..rows).map(|_| None).collect();
-    let mut group_costs: Vec<CostCounter> = Vec::new();
+    // A row no group resolves keeps an index no bailed row reaches.
+    let mut recs = vec![Rec::Bail { index: u32::MAX }; rows];
+    let mut done: Vec<Done> = Vec::new();
+    let mut bailed: Vec<Result<EvalOutcome>> = Vec::new();
     let mut args: Vec<Value> = Vec::with_capacity(cols.len());
 
-    // Root group: every row, the gathered parameters as its first registers.
-    let mut regs: Vec<Option<TypedCol>> = vec![None; prog.n_regs as usize];
+    // Root group: every row, the caller's columns as its first registers.
+    let mut regs: Vec<Option<Reg>> = vec![None; prog.n_regs as usize];
     for (reg, col) in regs.iter_mut().zip(cols) {
-        *reg = Some(col.clone());
+        *reg = Some(Reg::Col(Cow::Borrowed(col)));
     }
     let mut defined = vec![false; prog.slots.len()];
     for d in defined.iter_mut().take(cols.len()) {
@@ -430,11 +449,11 @@ pub fn eval_batch_typed(
                     break;
                 }
                 Ok(Step::Return(values)) => {
-                    let group = group_costs.len() as u32;
-                    for (&row, value) in g.sel.iter().zip(values) {
-                        results[row as usize] = Some(RowResult::Columnar { value, group });
+                    let group = done.len() as u32;
+                    for (lane, &row) in g.sel.iter().enumerate() {
+                        recs[row as usize] = Rec::Lane { group, lane: lane as u32 };
                     }
-                    group_costs.push(g.cost);
+                    done.push(Done { cost: g.cost, rows: g.sel.len() as u64, values });
                     break;
                 }
                 // The one way off the lanes: every row of the group again,
@@ -443,10 +462,8 @@ pub fn eval_batch_typed(
                     for &row in &g.sel {
                         args.clear();
                         args.extend(cols.iter().map(|c| c.value(row as usize)));
-                        results[row as usize] = Some(match vm.eval(prog, &args) {
-                            Ok(o) => RowResult::Scalar(o),
-                            Err(e) => RowResult::Failed(e),
-                        });
+                        recs[row as usize] = Rec::Bail { index: bailed.len() as u32 };
+                        bailed.push(vm.eval(prog, &args));
                     }
                     break;
                 }
@@ -454,36 +471,69 @@ pub fn eval_batch_typed(
         }
     }
 
-    // Ordered merge: one value push + one cost merge per row, exactly the
-    // per-row cadence of `Vm::eval_batch`; the first failing row wins.
+    // Ordered pass: each row's value built once into `out`, its cost merged
+    // like `Vm::eval_batch` (lane rows after it in closed form); the first
+    // failing row wins.
+    let closed = closed_form(cost.total, &done, &bailed);
     out.reserve(rows);
     stats.batches += 1;
-    for (row, result) in results.into_iter().enumerate() {
+    for (row, rec) in recs.into_iter().enumerate() {
         stats.rows += 1;
-        match result {
-            Some(RowResult::Columnar { value, group }) => {
+        match rec {
+            Rec::Lane { group, lane } => {
+                let d = &done[group as usize];
                 stats.lane_rows += 1;
-                out.push(value);
-                cost.merge(&group_costs[group as usize]);
+                out.push(match &d.values {
+                    Reg::Col(c) => c.value(lane as usize),
+                    Reg::Const(v) => v.as_ref().clone(),
+                });
+                if closed.is_none() {
+                    cost.merge(&d.cost);
+                }
             }
-            Some(RowResult::Scalar(o)) => {
-                stats.bail_rows += 1;
-                out.push(o.value);
-                cost.merge(&o.cost);
-            }
-            Some(RowResult::Failed(e)) => return Err(e),
-            // Every row resolves (a return, the fallback, or its error). A
-            // gap is a bookkeeping bug in this module — surface it as a
-            // typed error rather than a release-mode panic mid-query.
-            None => {
-                return Err(GracefulError::Verify(format!(
-                    "{}: batch row {row} never resolved to a result",
-                    prog.name
-                )))
-            }
+            Rec::Bail { index } => match bailed.get_mut(index as usize) {
+                Some(Ok(o)) => {
+                    stats.bail_rows += 1;
+                    out.push(std::mem::replace(&mut o.value, Value::Null));
+                    cost.merge(&o.cost);
+                }
+                Some(Err(e)) => return Err(e.clone()),
+                // Every row resolves (a return, the fallback, or its error). A
+                // gap is a bookkeeping bug in this module — surface it as a
+                // typed error rather than a release-mode panic mid-query.
+                None => {
+                    return Err(GracefulError::Verify(format!(
+                        "{}: batch row {row} never resolved to a result",
+                        prog.name
+                    )))
+                }
+            },
         }
     }
+    for all in closed.iter().flatten() {
+        cost.merge(all);
+    }
     Ok(())
+}
+
+/// Each returned group's counter times its rows, where no row failed, `onto`
+/// and every row total are integers and the sum of their magnitudes passes
+/// [`CostCounter::repeated`]'s guard: then every partial sum, in any order,
+/// is an exact integer ("Cost parity" in [`crate::bytecode`]).
+fn closed_form(onto: f64, done: &[Done], bail: &[Result<EvalOutcome>]) -> Option<Vec<CostCounter>> {
+    let integral = |t: f64| (t.fract() == 0.0).then_some(t.abs());
+    let mut bound = integral(onto)?;
+    for b in bail {
+        bound += integral(b.as_ref().ok()?.cost.total)?;
+    }
+    done.iter()
+        .map(|d| {
+            integral(d.cost.total)?;
+            let all = d.cost.repeated(d.rows, bound)?;
+            bound += all.total.abs();
+            Some(all)
+        })
+        .collect()
 }
 
 /// A group leaves the lanes; the driver loop of [`eval_batch_typed`] is the
@@ -495,7 +545,12 @@ type Kernel<T> = std::result::Result<T, Bail>;
 /// Execute the instruction at `g.pc` over every lane of `g`: charge what the
 /// scalar VM charges there, write the register it writes, and say where the
 /// group goes next — or `Err(Bail)` when the lanes cannot carry it.
-fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Kernel<Step> {
+fn step<'a>(
+    g: &mut Group<'a>,
+    prog: &'a Program,
+    shape: &SimdShape,
+    w: &CostWeights,
+) -> Kernel<Step<'a>> {
     let (pc, n) = (g.pc, g.sel.len());
     // Data-dependent loops and string builtins: per the census the only exit
     // that carries rows.
@@ -503,34 +558,34 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
         return Err(Bail);
     }
     let consts = &prog.consts;
+    let col = |c: TypedCol| Reg::Col(Cow::Owned(c));
     match &prog.instrs[pc] {
-        Instr::Copy { dst, src } => {
-            let out = resolve(g, consts, *src)?.into_col(n)?.into_owned();
-            g.regs[*dst as usize] = Some(out);
-        }
+        Instr::Copy { dst, src } => g.regs[*dst as usize] = Some(own(g, consts, *src, false)?),
         Instr::Unary { op, dst, src } => {
             g.cost.add_arith(w, false);
-            let out = unary_kernel(*op, &*resolve(g, consts, *src)?.into_col(n)?);
-            g.regs[*dst as usize] = Some(out);
+            g.regs[*dst as usize] = Some(match resolve(g, consts, *src)? {
+                Src::Col(c) => col(unary_kernel(*op, c)),
+                // The scalar kernel itself; its charge is the one above.
+                Src::Const(v) => {
+                    Reg::Const(Cow::Owned(apply_unary(w, *op, v, &mut CostCounter::new())))
+                }
+            });
         }
         Instr::Binary { op, dst, l, r } => {
             g.cost.add_arith(w, op.is_slow());
             let out = binary_kernel(*op, resolve(g, consts, *l)?, resolve(g, consts, *r)?, n)?;
-            g.regs[*dst as usize] = Some(out);
+            g.regs[*dst as usize] = Some(col(out));
         }
         Instr::Compare { op, dst, l, r } => {
             g.cost.add_compare(w);
-            let lc = resolve(g, consts, *l)?.into_col(n)?;
-            let rc = resolve(g, consts, *r)?.into_col(n)?;
-            let out = compare_kernel(*op, &lc, &rc);
-            g.regs[*dst as usize] = Some(out);
+            let out = compare_kernel(*op, resolve(g, consts, *l)?, resolve(g, consts, *r)?, n)?;
+            g.regs[*dst as usize] = Some(col(out));
         }
         Instr::CastBool { dst, src } => {
-            let truthy = match resolve(g, consts, *src)? {
-                Src::Col(c) => c.truthy(),
-                Src::Const(v) => vec![v.truthy(); n],
-            };
-            g.regs[*dst as usize] = Some(TypedCol::non_null(Lanes::Bool(truthy), n));
+            g.regs[*dst as usize] = Some(match resolve(g, consts, *src)? {
+                Src::Col(c) => col(TypedCol::non_null(Lanes::Bool(c.truthy().into_owned()))),
+                Src::Const(v) => Reg::Const(Cow::Owned(Value::Bool(v.truthy()))),
+            });
         }
         Instr::Call { func, dst, base, n_args, has_recv } => {
             g.cost.add_lib_call(*func);
@@ -540,8 +595,8 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
             if *has_recv || !func.has_lane_kernel() {
                 return Err(Bail);
             }
-            let out = call_kernel(g, *func, *base as usize, *n_args as usize)?;
-            g.regs[*dst as usize] = Some(out);
+            let out = call_kernel(g, *func, *base, *n_args as u16)?;
+            g.regs[*dst as usize] = Some(col(out));
         }
         Instr::Jump { target } => return Ok(Step::Goto(*target as usize)),
         Instr::JumpIfFalse { cond, target } | Instr::JumpIfTrue { cond, target } => {
@@ -554,21 +609,25 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
                     return Ok(Step::Goto(if v.truthy() == true_stays { pc + 1 } else { target }))
                 }
             };
-            let (mut stay, mut jump) = (Vec::new(), Vec::new());
-            for (i, &t) in truthy.iter().enumerate() {
-                if t == true_stays {
-                    stay.push(i as u32);
-                } else {
-                    jump.push(i as u32);
-                }
+            let kept = truthy.iter().filter(|&&t| t == true_stays).count();
+            if kept == n {
+                return Ok(Step::Goto(pc + 1));
+            } else if kept == 0 {
+                return Ok(Step::Goto(target));
             }
-            return Ok(if jump.is_empty() {
-                Step::Goto(pc + 1)
-            } else if stay.is_empty() {
-                Step::Goto(target)
-            } else {
-                Step::Split { stay, jump, target }
-            });
+            // Branch-free: each lane is written to both sides, one cursor moves.
+            let (mut stay, mut jump) = (vec![0u32; kept + 1], vec![0u32; n - kept + 1]);
+            let (mut s, mut j) = (0, 0);
+            for (i, &t) in truthy.iter().enumerate() {
+                let stays = (t == true_stays) as usize;
+                stay[s] = i as u32;
+                jump[j] = i as u32;
+                s += stays;
+                j += 1 - stays;
+            }
+            stay.truncate(kept);
+            jump.truncate(n - kept);
+            return Ok(Step::Split { stay, jump, target });
         }
         Instr::Cost(kind) => g.cost.charge(w, *kind),
         Instr::Charge { idx } => g.cost.merge(&prog.charges[*idx as usize]),
@@ -582,14 +641,11 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
         Instr::MarkDef { slot } => g.defined[*slot as usize] = true,
         Instr::Return { src } => {
             g.cost.add_return(w);
-            return Ok(Step::Return(match resolve(g, consts, *src)? {
-                Src::Col(c) => (0..n).map(|i| c.value(i)).collect(),
-                Src::Const(v) => vec![v.clone(); n],
-            }));
+            return Ok(Step::Return(own(g, consts, *src, true)?));
         }
         Instr::ReturnNull => {
             g.cost.add_return(w);
-            return Ok(Step::Return(vec![Value::Null; n]));
+            return Ok(Step::Return(Reg::Const(Cow::Owned(Value::Null))));
         }
         // Loops are always Bail-class and caught above; reaching here means
         // the shape disagrees with the program.
@@ -605,29 +661,146 @@ fn step(g: &mut Group, prog: &Program, shape: &SimdShape, w: &CostWeights) -> Ke
 // ---------------------------------------------------------------------------
 // Operand resolution
 
-enum Src<'a> {
-    Col(&'a TypedCol),
-    Const(&'a Value),
+#[derive(Clone, Copy)]
+enum Src<'b> {
+    Col(&'b TypedCol),
+    Const(&'b Value),
 }
 
 /// The register or constant behind `op`; bails on a register no instruction
 /// of this path has written.
-fn resolve<'a>(g: &'a Group, consts: &'a [Value], op: Operand) -> Kernel<Src<'a>> {
+fn resolve<'b>(g: &'b Group, consts: &'b [Value], op: Operand) -> Kernel<Src<'b>> {
     if op.is_const() {
-        Ok(Src::Const(&consts[op.index()]))
-    } else {
-        g.regs[op.index()].as_ref().map(Src::Col).ok_or(Bail)
+        return Ok(Src::Const(&consts[op.index()]));
+    }
+    Ok(match g.regs[op.index()].as_ref().ok_or(Bail)? {
+        Reg::Col(c) => Src::Col(c),
+        Reg::Const(v) => Src::Const(v),
+    })
+}
+
+/// What `op` holds, as a register of its own: a constant borrowed, a
+/// register moved out (`take`) or copied (a caller's column stays borrowed).
+fn own<'a>(g: &mut Group<'a>, consts: &'a [Value], op: Operand, take: bool) -> Kernel<Reg<'a>> {
+    if op.is_const() {
+        return Ok(Reg::Const(Cow::Borrowed(&consts[op.index()])));
+    }
+    let reg = &mut g.regs[op.index()];
+    if take { reg.take() } else { reg.clone() }.ok_or(Bail)
+}
+
+/// An operand's numbers: lanes in place, or one scalar (NULL's 0.0 is masked).
+#[derive(Clone, Copy)]
+enum Num<'b> {
+    Int(&'b [i64]),
+    Float(&'b [f64]),
+    Bool(&'b [bool]),
+    Scalar(f64),
+}
+
+/// An int operand: int lanes in place, or an int constant.
+#[derive(Clone, Copy)]
+enum Ints<'b> {
+    Lanes(&'b [i64]),
+    Scalar(i64),
+}
+
+impl<'b> Src<'b> {
+    /// The operand's null mask; empty where no lane is NULL. Bails on text.
+    fn mask(self, n: usize) -> Kernel<Cow<'b, [bool]>> {
+        Ok(match self {
+            Src::Col(c) => Cow::Borrowed(&c.nulls),
+            Src::Const(Value::Null) => Cow::Owned(vec![true; n]),
+            Src::Const(Value::Text(_)) => return Err(Bail),
+            Src::Const(_) => Cow::Borrowed(&[]),
+        })
+    }
+
+    /// The operand as numbers, following `Value::as_f64`; bails on text.
+    fn num(self) -> Kernel<Num<'b>> {
+        Ok(match self {
+            Src::Col(c) => match &c.lanes {
+                Lanes::Int(v) => Num::Int(v),
+                Lanes::Float(v) => Num::Float(v),
+                Lanes::Bool(v) => Num::Bool(v),
+            },
+            Src::Const(Value::Text(_)) => return Err(Bail),
+            Src::Const(v) => Num::Scalar(v.as_f64().unwrap_or(0.0)),
+        })
+    }
+
+    /// The operand as ints where it is int-typed (NULL is not).
+    fn ints(self) -> Option<Ints<'b>> {
+        match self {
+            Src::Col(TypedCol { lanes: Lanes::Int(v), .. }) => Some(Ints::Lanes(v)),
+            Src::Const(Value::Int(i)) => Some(Ints::Scalar(*i)),
+            _ => None,
+        }
     }
 }
 
-impl<'a> Src<'a> {
-    /// As a lane column of `n` lanes, broadcasting a constant; bails on a
-    /// text constant.
-    fn into_col(self, n: usize) -> Kernel<Cow<'a, TypedCol>> {
-        match self {
-            Src::Col(c) => Ok(Cow::Borrowed(c)),
-            Src::Const(v) => TypedCol::broadcast(v, n).map(Cow::Owned).ok_or(Bail),
+/// The union of two null masks; empty where neither holds one.
+fn either(a: &[bool], b: &[bool]) -> Vec<bool> {
+    if a.is_empty() || b.is_empty() {
+        return [a, b].concat();
+    }
+    a.iter().zip(b).map(|(&x, &y)| x | y).collect()
+}
+
+/// Mark NULL the lanes `hit` flags, making a mask only if one is hit.
+fn null_where(nulls: &mut Vec<bool>, hit: Vec<bool>) {
+    if hit.contains(&true) {
+        *nulls = either(nulls, &hit);
+    }
+}
+
+/// `$lanes` with `$v` bound to `$num`'s lanes and `$w` to their widening
+/// as `Value::as_f64` reads them, or `$scalar` with `$x` bound to its scalar.
+macro_rules! widened {
+    ($num:expr, |$v:ident, $w:ident| $lanes:expr, |$x:ident| $scalar:expr) => {
+        match $num {
+            Num::Int($v) => {
+                let $w = |x: i64| x as f64;
+                $lanes
+            }
+            Num::Float($v) => {
+                let $w = |x: f64| x;
+                $lanes
+            }
+            Num::Bool($v) => {
+                let $w = |x: bool| x as u8 as f64;
+                $lanes
+            }
+            Num::Scalar($x) => $scalar,
         }
+    };
+}
+
+/// `f` over every lane of `a`, widened lane by lane.
+fn map_f<T>(a: Num<'_>, n: usize, f: impl Fn(f64) -> T) -> Vec<T> {
+    widened!(a, |v, w| v.iter().map(|&x| f(w(x))).collect(), |x| (0..n).map(|_| f(x)).collect())
+}
+
+/// `f` over every lane pair of `a` and `b`, widened lane by lane.
+fn zip_f<T>(a: Num<'_>, b: Num<'_>, n: usize, f: impl Fn(f64, f64) -> T) -> Vec<T> {
+    widened!(
+        a,
+        |v, wa| widened!(
+            b,
+            |u, wb| v.iter().zip(u).map(|(&x, &y)| f(wa(x), wb(y))).collect(),
+            |y| v.iter().map(|&x| f(wa(x), y)).collect()
+        ),
+        |x| map_f(b, n, |y| f(x, y))
+    )
+}
+
+/// `f` over every lane pair of two int operands.
+fn zip_i<T>(a: Ints<'_>, b: Ints<'_>, n: usize, f: impl Fn(i64, i64) -> T) -> Vec<T> {
+    match (a, b) {
+        (Ints::Lanes(v), Ints::Lanes(w)) => v.iter().zip(w).map(|(&x, &y)| f(x, y)).collect(),
+        (Ints::Lanes(v), Ints::Scalar(y)) => v.iter().map(|&x| f(x, y)).collect(),
+        (Ints::Scalar(x), Ints::Lanes(w)) => w.iter().map(|&y| f(x, y)).collect(),
+        (Ints::Scalar(x), Ints::Scalar(y)) => (0..n).map(|_| f(x, y)).collect(),
     }
 }
 
@@ -635,255 +808,141 @@ impl<'a> Src<'a> {
 // Lane kernels (mirroring crate::ops expression for expression)
 
 fn unary_kernel(op: UnOp, col: &TypedCol) -> TypedCol {
-    let n = col.len();
     match op {
-        UnOp::Neg => match &col.lanes {
-            Lanes::Int(v) => TypedCol {
-                lanes: Lanes::Int(v.iter().map(|x| x.wrapping_neg()).collect()),
-                nulls: col.nulls.clone(),
+        UnOp::Neg => TypedCol {
+            lanes: match &col.lanes {
+                Lanes::Int(v) => Lanes::Int(v.iter().map(|x| x.wrapping_neg()).collect()),
+                Lanes::Float(v) => Lanes::Float(v.iter().map(|x| -x).collect()),
+                Lanes::Bool(_) => return TypedCol::all_null(col.len()),
             },
-            Lanes::Float(v) => TypedCol {
-                lanes: Lanes::Float(v.iter().map(|x| -x).collect()),
-                nulls: col.nulls.clone(),
-            },
-            Lanes::Bool(_) => TypedCol::all_null(n),
+            nulls: col.nulls.clone(),
         },
-        UnOp::Not => TypedCol::non_null(Lanes::Bool(col.truthy().iter().map(|&b| !b).collect()), n),
+        UnOp::Not => TypedCol::non_null(Lanes::Bool(col.truthy().iter().map(|&b| !b).collect())),
     }
 }
 
 fn binary_kernel(op: BinOp, ls: Src<'_>, rs: Src<'_>, n: usize) -> Kernel<TypedCol> {
-    // `Int ** Int` picks its result type from the exponent's value; only a
-    // constant exponent keeps the lane type static, so an int base with a
-    // dynamic int exponent bails (float bases never hit the int fast path).
-    let int_pow_exponent = if op == BinOp::Pow {
-        let l_is_int = matches!(&ls, Src::Col(c) if matches!(c.lanes, Lanes::Int(_)))
-            || matches!(&ls, Src::Const(Value::Int(_)));
-        match &rs {
-            Src::Const(Value::Int(k)) => Some(*k),
-            Src::Col(c) if l_is_int && matches!(c.lanes, Lanes::Int(_)) => return Err(Bail),
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let lc = ls.into_col(n)?;
-    let rc = rs.into_col(n)?;
-    let mut nulls: Vec<bool> = lc.nulls.iter().zip(&rc.nulls).map(|(&a, &b)| a | b).collect();
-    if let (Lanes::Int(a), Lanes::Int(b)) = (&lc.lanes, &rc.lanes) {
+    let mut nulls = either(&ls.mask(n)?, &rs.mask(n)?);
+    // A zero divisor makes its lane NULL, and the lane holds 0 instead of the
+    // ±inf/NaN the division would leave, so masked-lane garbage never
+    // reaches a downstream kernel.
+    let divides = matches!(op, BinOp::Div | BinOp::Mod | BinOp::FloorDiv);
+    if let (Some(a), Some(b)) = (ls.ints(), rs.ints()) {
         // Integer fast path of `ops::apply_binary`: int-typed data stays int.
+        if divides {
+            null_where(&mut nulls, zip_i(a, b, n, |_, y| y == 0));
+        }
         let lanes = match op {
-            BinOp::Add => Lanes::Int(zip_i64(a, b, |x, y| x.wrapping_add(y))),
-            BinOp::Sub => Lanes::Int(zip_i64(a, b, |x, y| x.wrapping_sub(y))),
-            BinOp::Mul => Lanes::Int(zip_i64(a, b, |x, y| x.wrapping_mul(y))),
+            BinOp::Add => Lanes::Int(zip_i(a, b, n, |x, y| x.wrapping_add(y))),
+            BinOp::Sub => Lanes::Int(zip_i(a, b, n, |x, y| x.wrapping_sub(y))),
+            BinOp::Mul => Lanes::Int(zip_i(a, b, n, |x, y| x.wrapping_mul(y))),
             BinOp::Div => {
-                for (nl, &y) in nulls.iter_mut().zip(b) {
-                    *nl |= y == 0;
-                }
-                // Zero divisors are masked above; write 0.0 instead of the
-                // ±inf/NaN the division would leave, so masked-lane garbage
-                // never reaches a downstream kernel.
-                Lanes::Float(zip_i64_f(a, b, |x, y| if y == 0 { 0.0 } else { x as f64 / y as f64 }))
+                Lanes::Float(zip_i(a, b, n, |x, y| if y == 0 { 0.0 } else { x as f64 / y as f64 }))
             }
-            BinOp::Mod => {
-                for (nl, &y) in nulls.iter_mut().zip(b) {
-                    *nl |= y == 0;
-                }
-                Lanes::Int(zip_i64(a, b, |x, y| x.checked_rem_euclid(y).unwrap_or(0)))
-            }
+            BinOp::Mod => Lanes::Int(zip_i(a, b, n, |x, y| x.checked_rem_euclid(y).unwrap_or(0))),
             BinOp::FloorDiv => {
-                for (nl, &y) in nulls.iter_mut().zip(b) {
-                    *nl |= y == 0;
-                }
-                Lanes::Int(zip_i64(a, b, |x, y| x.checked_div_euclid(y).unwrap_or(i64::MAX)))
+                Lanes::Int(zip_i(a, b, n, |x, y| x.checked_div_euclid(y).unwrap_or(i64::MAX)))
             }
-            BinOp::Pow => {
-                // The dispatch above bailed every int-base/dynamic-int-
-                // exponent combination; a `None` here would mean that guard
-                // rotted, so refuse the selection instead of guessing.
-                let k = int_pow_exponent.ok_or(Bail)?;
-                if (0..=16).contains(&k) {
-                    Lanes::Int(a.iter().map(|&x| x.saturating_pow(k as u32)).collect())
-                } else {
-                    Lanes::Float(a.iter().map(|&x| (x as f64).powf(k as f64)).collect())
+            // `Int ** Int` picks its result type from the exponent's value;
+            // only a constant exponent keeps the lane type static, so an
+            // int base under a dynamic int exponent bails.
+            BinOp::Pow => match b {
+                Ints::Scalar(k) if (0..=16).contains(&k) => {
+                    Lanes::Int(zip_i(a, b, n, |x, _| x.saturating_pow(k as u32)))
                 }
-            }
+                Ints::Scalar(k) => Lanes::Float(zip_i(a, b, n, |x, _| (x as f64).powf(k as f64))),
+                Ints::Lanes(_) => return Err(Bail),
+            },
         };
         return Ok(TypedCol { lanes, nulls });
     }
     // Float path: widen both sides, sanitize like the scalar kernel.
-    let a = lc.to_f64();
-    let b = rc.to_f64();
-    let mut vals = vec![0.0f64; n];
-    match op {
-        BinOp::Add => {
-            for i in 0..n {
-                vals[i] = sanitize(a[i] + b[i]);
-            }
-        }
-        BinOp::Sub => {
-            for i in 0..n {
-                vals[i] = sanitize(a[i] - b[i]);
-            }
-        }
-        BinOp::Mul => {
-            for i in 0..n {
-                vals[i] = sanitize(a[i] * b[i]);
-            }
-        }
-        BinOp::Div => {
-            for i in 0..n {
-                if b[i] == 0.0 {
-                    nulls[i] = true;
-                } else {
-                    vals[i] = sanitize(a[i] / b[i]);
-                }
-            }
-        }
-        BinOp::Mod => {
-            for i in 0..n {
-                if b[i] == 0.0 {
-                    nulls[i] = true;
-                } else {
-                    vals[i] = sanitize(a[i].rem_euclid(b[i]));
-                }
-            }
-        }
-        BinOp::FloorDiv => {
-            for i in 0..n {
-                if b[i] == 0.0 {
-                    nulls[i] = true;
-                } else {
-                    vals[i] = sanitize((a[i] / b[i]).floor());
-                }
-            }
-        }
-        BinOp::Pow => {
-            for i in 0..n {
-                vals[i] = sanitize(a[i].powf(b[i]));
-            }
-        }
+    let (a, b) = (ls.num()?, rs.num()?);
+    if divides {
+        null_where(&mut nulls, zip_f(a, b, n, |_, y| y == 0.0));
     }
+    let vals = match op {
+        BinOp::Add => zip_f(a, b, n, |x, y| sanitize(x + y)),
+        BinOp::Sub => zip_f(a, b, n, |x, y| sanitize(x - y)),
+        BinOp::Mul => zip_f(a, b, n, |x, y| sanitize(x * y)),
+        BinOp::Pow => zip_f(a, b, n, |x, y| sanitize(x.powf(y))),
+        BinOp::Div => zip_f(a, b, n, |x, y| if y == 0.0 { 0.0 } else { sanitize(x / y) }),
+        BinOp::Mod => zip_f(a, b, n, |x, y| if y == 0.0 { 0.0 } else { sanitize(x.rem_euclid(y)) }),
+        BinOp::FloorDiv => {
+            zip_f(a, b, n, |x, y| if y == 0.0 { 0.0 } else { sanitize((x / y).floor()) })
+        }
+    };
     Ok(TypedCol { lanes: Lanes::Float(vals), nulls })
 }
 
-fn zip_i64(a: &[i64], b: &[i64], f: impl Fn(i64, i64) -> i64) -> Vec<i64> {
-    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
-}
-
-fn zip_i64_f(a: &[i64], b: &[i64], f: impl Fn(i64, i64) -> f64) -> Vec<f64> {
-    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
-}
-
-fn compare_kernel(op: CmpOp, lc: &TypedCol, rc: &TypedCol) -> TypedCol {
-    let n = lc.len();
+fn compare_kernel(op: CmpOp, ls: Src<'_>, rs: Src<'_>, n: usize) -> Kernel<TypedCol> {
     // `Value::compare` sends every numeric pairing through `as_f64`
     // (including Int/Int — large ints compare with f64 precision), with NULL
     // never comparing true; `Ne` must stay false for NULL *and* NaN.
-    let a = lc.to_f64();
-    let b = rc.to_f64();
-    let mut out = vec![false; n];
-    match op {
-        CmpOp::Lt => {
-            for i in 0..n {
-                out[i] = a[i] < b[i];
-            }
-        }
-        CmpOp::Le => {
-            for i in 0..n {
-                out[i] = a[i] <= b[i];
-            }
-        }
-        CmpOp::Gt => {
-            for i in 0..n {
-                out[i] = a[i] > b[i];
-            }
-        }
-        CmpOp::Ge => {
-            for i in 0..n {
-                out[i] = a[i] >= b[i];
-            }
-        }
-        CmpOp::Eq => {
-            for i in 0..n {
-                out[i] = a[i] == b[i];
-            }
-        }
-        CmpOp::Ne => {
-            // NOT `a != b`: that is true for NaN operands, where
-            // `Value::compare` yields `None` and the scalar kernel says
-            // false. `<` and `>` are both false for NaN, matching exactly.
-            #[allow(clippy::double_comparisons)]
-            for i in 0..n {
-                out[i] = a[i] < b[i] || a[i] > b[i];
-            }
-        }
+    let nulls = either(&ls.mask(n)?, &rs.mask(n)?);
+    let (a, b) = (ls.num()?, rs.num()?);
+    let mut out = match op {
+        CmpOp::Lt => zip_f(a, b, n, |x, y| x < y),
+        CmpOp::Le => zip_f(a, b, n, |x, y| x <= y),
+        CmpOp::Gt => zip_f(a, b, n, |x, y| x > y),
+        CmpOp::Ge => zip_f(a, b, n, |x, y| x >= y),
+        CmpOp::Eq => zip_f(a, b, n, |x, y| x == y),
+        // NOT `a != b`: that is true for NaN operands, where
+        // `Value::compare` yields `None` and the scalar kernel says false.
+        // `<` and `>` are both false for NaN, matching exactly.
+        #[allow(clippy::double_comparisons)]
+        CmpOp::Ne => zip_f(a, b, n, |x, y| x < y || x > y),
+    };
+    for (o, &null) in out.iter_mut().zip(&nulls) {
+        *o &= !null;
     }
-    for ((o, &nl), &nr) in out.iter_mut().zip(&lc.nulls).zip(&rc.nulls) {
-        *o = *o && !nl && !nr;
-    }
-    TypedCol::non_null(Lanes::Bool(out), n)
+    Ok(TypedCol::non_null(Lanes::Bool(out)))
 }
 
-fn call_kernel(g: &Group, func: LibFn, base: usize, n_args: usize) -> Kernel<TypedCol> {
+fn call_kernel(g: &Group, func: LibFn, base: u16, n_args: u16) -> Kernel<TypedCol> {
     use LibFn::*;
     let n = g.sel.len();
-    let args: Vec<&TypedCol> =
-        (0..n_args).map(|i| g.regs[base + i].as_ref().ok_or(Bail)).collect::<Kernel<_>>()?;
+    let args: Vec<Src> =
+        (0..n_args).map(|i| resolve(g, &[], Operand::reg(base + i))).collect::<Kernel<_>>()?;
     // Arity underflow maps to NULL in the scalar kernel (`num(i)` → `None`).
-    if n_args < func.arity() {
+    if (n_args as usize) < func.arity() {
         return Ok(TypedCol::all_null(n));
     }
     // NULL propagation: any NULL input yields NULL (the call is charged by
     // the caller either way, exactly like `ops::apply_lib`).
-    let mut nulls = vec![false; n];
+    let mut nulls = Vec::new();
     for a in &args {
-        for (o, &x) in nulls.iter_mut().zip(&a.nulls) {
-            *o |= x;
-        }
+        nulls = either(&nulls, &a.mask(n)?);
     }
-    let arg_f = |i: usize| -> Kernel<Vec<f64>> { args.get(i).map(|c| c.to_f64()).ok_or(Bail) };
-    let float_map = |xs: Vec<f64>, f: &dyn Fn(f64) -> f64| -> Lanes {
-        Lanes::Float(xs.into_iter().map(f).collect())
-    };
+    let arg = |i: usize| args.get(i).ok_or(Bail)?.num();
     let lanes = match func {
-        MathSqrt | NpSqrt => float_map(arg_f(0)?, &|x| sanitize(x.abs().sqrt())),
-        MathPow | NpPower => {
-            let (a, b) = (arg_f(0)?, arg_f(1)?);
-            Lanes::Float((0..n).map(|i| sanitize(a[i].powf(b[i]))).collect())
-        }
-        MathLog | NpLog => float_map(arg_f(0)?, &|x| sanitize(x.abs().max(1e-12).ln())),
-        MathExp | NpExp => float_map(arg_f(0)?, &|x| sanitize(x.min(700.0).exp())),
-        MathSin => float_map(arg_f(0)?, &|x| x.sin()),
-        MathCos => float_map(arg_f(0)?, &|x| x.cos()),
-        MathAtan => float_map(arg_f(0)?, &|x| x.atan()),
-        MathFloor => Lanes::Int(arg_f(0)?.into_iter().map(|x| f64_to_i64(x.floor())).collect()),
-        MathCeil => Lanes::Int(arg_f(0)?.into_iter().map(|x| f64_to_i64(x.ceil())).collect()),
-        MathFabs | NpAbs => float_map(arg_f(0)?, &|x| x.abs()),
-        NpMinimum | BuiltinMin => {
-            let (a, b) = (arg_f(0)?, arg_f(1)?);
-            Lanes::Float((0..n).map(|i| a[i].min(b[i])).collect())
-        }
-        NpMaximum | BuiltinMax => {
-            let (a, b) = (arg_f(0)?, arg_f(1)?);
-            Lanes::Float((0..n).map(|i| a[i].max(b[i])).collect())
-        }
+        MathSqrt | NpSqrt => Lanes::Float(map_f(arg(0)?, n, |x| sanitize(x.abs().sqrt()))),
+        MathPow | NpPower => Lanes::Float(zip_f(arg(0)?, arg(1)?, n, |x, y| sanitize(x.powf(y)))),
+        MathLog | NpLog => Lanes::Float(map_f(arg(0)?, n, |x| sanitize(x.abs().max(1e-12).ln()))),
+        MathExp | NpExp => Lanes::Float(map_f(arg(0)?, n, |x| sanitize(x.min(700.0).exp()))),
+        MathSin => Lanes::Float(map_f(arg(0)?, n, |x| x.sin())),
+        MathCos => Lanes::Float(map_f(arg(0)?, n, |x| x.cos())),
+        MathAtan => Lanes::Float(map_f(arg(0)?, n, |x| x.atan())),
+        MathFloor => Lanes::Int(map_f(arg(0)?, n, |x| f64_to_i64(x.floor()))),
+        MathCeil => Lanes::Int(map_f(arg(0)?, n, |x| f64_to_i64(x.ceil()))),
+        MathFabs | NpAbs => Lanes::Float(map_f(arg(0)?, n, |x| x.abs())),
+        NpMinimum | BuiltinMin => Lanes::Float(zip_f(arg(0)?, arg(1)?, n, f64::min)),
+        NpMaximum | BuiltinMax => Lanes::Float(zip_f(arg(0)?, arg(1)?, n, f64::max)),
         NpClip => {
-            let (x, lo, hi) = (arg_f(0)?, arg_f(1)?, arg_f(2)?);
+            let (lo, hi) = (map_f(arg(1)?, n, |x| x), map_f(arg(2)?, n, |x| x));
+            let x = map_f(arg(0)?, n, |x| x);
             // np_clip, not f64::clamp: masked lanes can carry NaN garbage
             // and clamp panics on NaN bounds.
             Lanes::Float((0..n).map(|i| np_clip(x[i], lo[i], hi[i])).collect())
         }
-        NpSign => float_map(arg_f(0)?, &np_sign),
-        NpRound | BuiltinRound => float_map(arg_f(0)?, &|x| x.round()),
-        BuiltinAbs => match &args[0].lanes {
-            Lanes::Int(v) => {
-                Lanes::Int(v.iter().map(|x| x.checked_abs().unwrap_or(i64::MAX)).collect())
-            }
-            _ => float_map(arg_f(0)?, &|x| x.abs()),
+        NpSign => Lanes::Float(map_f(arg(0)?, n, np_sign)),
+        NpRound | BuiltinRound => Lanes::Float(map_f(arg(0)?, n, |x| x.round())),
+        BuiltinAbs => match args[0].ints() {
+            Some(v) => Lanes::Int(zip_i(v, v, n, |x, _| x.checked_abs().unwrap_or(i64::MAX))),
+            None => Lanes::Float(map_f(arg(0)?, n, |x| x.abs())),
         },
-        BuiltinInt => Lanes::Int(arg_f(0)?.into_iter().map(f64_to_i64).collect()),
-        BuiltinFloat => Lanes::Float(arg_f(0)?),
+        BuiltinInt => Lanes::Int(map_f(arg(0)?, n, f64_to_i64)),
+        BuiltinFloat => Lanes::Float(map_f(arg(0)?, n, |x| x)),
         // `step` asked `LibFn::has_lane_kernel` before calling: a function
         // that lands here was promised a kernel this match does not have.
         // Refuse rather than guess; the mirror test fails on it.
@@ -1357,9 +1416,10 @@ mod tests {
         Lit(E),
     }
 
-    /// Every lane type over its edge values, once with no lane NULL and once
-    /// with every lane NULL — the same values under the mask, garbage that no
-    /// kernel may read or trip over.
+    /// Every lane type over its edge values in each form of null mask: none
+    /// (empty), all `false`, every lane NULL and every other lane NULL. The
+    /// first two read alike; under a set flag sit the same values, garbage
+    /// that no kernel may read or trip over.
     fn edge_cols() -> Vec<TypedCol> {
         let ints = vec![0, 1, -1, 16, 17, i64::MIN, i64::MAX];
         let floats =
@@ -1368,8 +1428,11 @@ mod tests {
         for (lanes, n) in
             [(Lanes::Int(ints), 7), (Lanes::Float(floats), 10), (Lanes::Bool(vec![false, true]), 2)]
         {
-            cols.push(TypedCol { lanes: lanes.clone(), nulls: vec![false; n] });
-            cols.push(TypedCol { lanes, nulls: vec![true; n] });
+            for nulls in
+                [vec![], vec![false; n], vec![true; n], (0..n).map(|i| i % 2 == 1).collect()]
+            {
+                cols.push(TypedCol { lanes: lanes.clone(), nulls });
+            }
         }
         cols
     }
@@ -1377,7 +1440,7 @@ mod tests {
     /// The same edge values as literals, plus `None`.
     fn edge_lits() -> Vec<E> {
         let mut lits = vec![E::NoneLit];
-        for col in edge_cols().iter().step_by(2) {
+        for col in edge_cols().iter().step_by(4) {
             lits.extend((0..col.len()).map(|i| match col.value(i) {
                 Value::Int(v) => E::Int(v),
                 Value::Float(v) => E::Float(v),
@@ -1462,7 +1525,7 @@ mod tests {
             })
             .collect();
         if cols.is_empty() {
-            cols.push(TypedCol::non_null(Lanes::Int(vec![0; rows]), rows)); // an unused parameter carries the row count
+            cols.push(TypedCol::non_null(Lanes::Int(vec![0; rows]))); // an unused parameter carries the row count
         }
         let values: Vec<Vec<Value>> =
             cols.iter().map(|c| (0..rows).map(|r| c.value(r)).collect()).collect();
@@ -1568,5 +1631,107 @@ mod tests {
         body.push(Stmt::Return(E::name("z")));
         let stats = differential(&udf(&["x"], body), &[int_col(1024, |i| i as i64)]);
         assert_eq!((stats.lane_rows, stats.bail_rows, stats.group_splits), (1024, 0, 1023));
+    }
+
+    /// One batch on the lanes and on the batch VM under `weights`, both onto
+    /// a counter whose total starts at `onto`: the outcome (the first error
+    /// included), every value bit and every cost field agree. Returns what
+    /// the lanes carried.
+    fn merge_case(u: &UdfDef, cols: &[Vec<Value>], weights: &CostWeights, onto: f64) -> UdfStats {
+        let prog = compile(u).unwrap();
+        let slices: Vec<&[Value]> = cols.iter().map(Vec::as_slice).collect();
+        let start = CostCounter { total: onto, ..CostCounter::new() };
+        let (mut out, mut cost, mut stats) = (Vec::new(), start.clone(), UdfStats::default());
+        let lanes = eval_batch_typed(
+            &mut Vm::new(weights.clone()),
+            &prog,
+            &prog.simd_shape(),
+            &typed(cols),
+            &mut out,
+            &mut cost,
+            &mut stats,
+        );
+        let (mut vm_out, mut vm_cost) = (Vec::new(), start);
+        let vm = Vm::new(weights.clone()).eval_batch(&prog, &slices, &mut vm_out, &mut vm_cost);
+        assert_eq!(lanes, vm, "outcome");
+        assert_eq!(out.len(), vm_out.len());
+        for (row, (a, b)) in out.iter().zip(&vm_out).enumerate() {
+            assert!(same_bits(a, b), "row {row}: {a:?} vs {b:?}");
+        }
+        assert_eq!(cost, vm_cost);
+        assert_eq!(
+            cost.total.to_bits(),
+            vm_cost.total.to_bits(),
+            "{} vs {}",
+            cost.total,
+            vm_cost.total
+        );
+        stats
+    }
+
+    /// The cost merge in both of its forms gives the batch VM's bits: the
+    /// closed form where every row stays on the lanes or some bail at a
+    /// data-dependent loop; the row-by-row merge under a fractional `arith`
+    /// weight, onto a fractional incoming total, and up to a failing row.
+    #[test]
+    fn the_closed_form_cost_merge_keeps_every_bit() {
+        // if x < 25: return math.sqrt(x)
+        // if x < 60: return x * 0.5
+        // for i in range(y): x = x + i
+        // return x
+        let lt = |k| E::cmp(CmpOp::Lt, E::name("x"), E::Int(k));
+        let u = udf(
+            &["x", "y"],
+            vec![
+                Stmt::If {
+                    cond: lt(25),
+                    then_body: vec![Stmt::Return(E::call(LibFn::MathSqrt, vec![E::name("x")]))],
+                    else_body: vec![],
+                },
+                Stmt::If {
+                    cond: lt(60),
+                    then_body: vec![Stmt::Return(E::bin(BinOp::Mul, E::name("x"), E::Float(0.5)))],
+                    else_body: vec![],
+                },
+                Stmt::For {
+                    var: "i".into(),
+                    count: E::name("y"),
+                    body: vec![Stmt::Assign {
+                        target: "x".into(),
+                        expr: E::bin(BinOp::Add, E::name("x"), E::name("i")),
+                    }],
+                },
+                Stmt::Return(E::name("x")),
+            ],
+        );
+        let n = 3000;
+        let ys = int_col(n, |i| i as i64 % 5);
+        let (lanes_only, some_bail) =
+            (int_col(n, |i| i as i64 % 60), int_col(n, |i| i as i64 % 100));
+        let w = CostWeights::default();
+        let stats = merge_case(&u, &[lanes_only.clone(), ys.clone()], &w, 0.0);
+        assert_eq!((stats.lane_rows, stats.bail_rows), (n as u64, 0));
+        let stats = merge_case(&u, &[some_bail.clone(), ys.clone()], &w, 7.0);
+        assert_eq!((stats.lane_rows, stats.bail_rows), (1800, 1200));
+        let fractional = CostWeights { arith: 32.1, ..CostWeights::default() };
+        merge_case(&u, &[some_bail.clone(), ys.clone()], &fractional, 0.0);
+        for onto in [0.1, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 7.0] {
+            merge_case(&u, &[lanes_only.clone(), ys.clone()], &w, onto);
+            merge_case(&u, &[some_bail.clone(), ys.clone()], &w, onto);
+        }
+
+        // z is defined on the then-path only: the else-path rows fail.
+        let fails = udf(
+            &["x"],
+            vec![
+                Stmt::If {
+                    cond: lt(5),
+                    then_body: vec![Stmt::Assign { target: "z".into(), expr: E::Int(1) }],
+                    else_body: vec![],
+                },
+                Stmt::Return(E::name("z")),
+            ],
+        );
+        merge_case(&fails, &[int_col(n, |i| (i as i64 * 7) % 9)], &w, 0.0);
     }
 }
